@@ -818,7 +818,9 @@ def trace_overhead_comparison(
 
 def kernel_comparison(n_rects: int) -> dict[str, float]:
     """Visibility-backend comparison on one scene: per-backend build
-    times, the numpy kernel's speedup, and an edge-parity flag."""
+    times, the numpy kernel's speedup, an edge-parity flag, and the
+    kernel's batched-vs-per-source sweep ratio
+    (:func:`batched_sweep_comparison`)."""
     results: dict[str, float] = {}
     edges = {}
     for method in ("python-sweep", "numpy-kernel"):
@@ -830,7 +832,41 @@ def kernel_comparison(n_rects: int) -> dict[str, float]:
     results["edges_match"] = float(
         edges["python-sweep"] == edges["numpy-kernel"]
     )
+    results.update(batched_sweep_comparison(n_rects))
     return results
+
+
+def batched_sweep_comparison(n_rects: int, *, seed: int = 7) -> dict[str, float]:
+    """Every node of one street-grid scene swept by the numpy kernel in
+    one ``visible_from_many`` call against one ``visible_from`` call
+    per node (what a graph build cost before sources were batched):
+    best-of-rounds seconds each (nine rounds of milliseconds on small
+    scenes, two of seconds on large ones), their ratio, and whether
+    the two returned the same lists in the same order."""
+    from repro.datasets.synthetic import street_grid_obstacles
+    from repro.visibility import VisibilityGraph, resolve_backend
+
+    rounds = 9 if n_rects <= 50 else 2
+    obstacles = street_grid_obstacles(n_rects, seed=seed)
+    graph = VisibilityGraph.build([], obstacles, method="numpy-kernel")
+    backend = resolve_backend("numpy-kernel")
+    nodes = list(graph.nodes())
+    per_source_s = batched_s = math.inf
+    for __ in range(rounds):
+        timer = Timer()
+        with timer:
+            looped = [backend.visible_from(u, graph) for u in nodes]
+        per_source_s = min(per_source_s, timer.elapsed)
+        timer = Timer()
+        with timer:
+            batched = backend.visible_from_many(nodes, graph)
+        batched_s = min(batched_s, timer.elapsed)
+    return {
+        "per_source_s": per_source_s,
+        "batched_s": batched_s,
+        "batch_speedup": per_source_s / batched_s,
+        "batch_match": float(batched == looped),
+    }
 
 
 def field_engine_comparison(

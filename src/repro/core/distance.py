@@ -111,6 +111,9 @@ class SourceDistanceField:
         self._stats = stats
         self._field: dict[Point, float] | None = None
         self._field_revision = -1
+        #: What a running :meth:`batch_eval` has yet to evaluate, last
+        #: first (an engine may fetch their anchors ahead of time).
+        self._ahead: list[Point] = []
 
     @property
     def graph(self) -> VisibilityGraph:
@@ -155,7 +158,9 @@ class SourceDistanceField:
             if self._grow is not None:
                 self._grow(0.0)
             out: list[float] = []
-            for p in points:
+            ahead = self._ahead = points[::-1]
+            while ahead:
+                p = ahead.pop()
                 while True:
                     d = self._provisional(p)
                     if d > bound or not self._enlarge(d):

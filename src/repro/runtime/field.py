@@ -14,8 +14,10 @@ semantics:
 The engines are bit-identical by construction: identical edge weights,
 identical IEEE float64 arithmetic in the same order
 (``Point.distance`` and the vectorized ``sqrt(dx*dx + dy*dy)`` are the
-same correctly-rounded operations), the same
-:func:`~repro.visibility.sweep.visible_from` anchor sets, and the same
+same correctly-rounded operations), the same anchor sets (the compiled
+engine asks the graph's visibility backend, once per batch; the
+reference runs its own :func:`~repro.visibility.sweep.visible_from`;
+the backends are parity-locked), and the same
 ``obstacle_revision`` snapshot discipline for the provisional field —
 the CSR engine pins the freeze taken at its first evaluation and
 answers post-snapshot free points through the same live-adjacency
@@ -142,7 +144,7 @@ class CSRSourceDistanceField(SourceDistanceField):
             self._overlay[p] = best
             return best
         best = inf
-        ai, euc, extras = csr.anchors_for(p, self._graph)
+        ai, euc, extras = csr.anchors_for(p, self._graph, self._ahead)
         if len(ai):
             legs = dist[ai] + euc
             best = float(legs.min())

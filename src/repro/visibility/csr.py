@@ -174,7 +174,7 @@ class CSRGraph:
         self.indices = indices
         self.weights = weights
         self.fields: dict[int, "np.ndarray"] = {}
-        self.anchors: dict[Point, list[Point]] = {}
+        self.anchors: dict[Point, tuple] = {}
         self._anchors_revision: "int | None" = None
 
     @classmethod
@@ -265,40 +265,58 @@ class CSRGraph:
         return dist, settled
 
     def anchors_for(
-        self, p: Point, graph: "VisibilityGraph"
+        self,
+        p: Point,
+        graph: "VisibilityGraph",
+        ahead: Iterable[Point] = (),
     ) -> tuple["np.ndarray", "np.ndarray", "list[Point] | None"]:
         """The last-leg geometry from off-graph point ``p``:
         ``(anchor ids, euclidean legs, off-index anchors)``.
 
-        Memoizes :func:`~repro.visibility.sweep.visible_from` — plus
-        the frozen-id lookup and the vectorized ``|p - v|`` legs, which
-        depend only on ``p`` and the anchor set — per *live* structure
-        revision: on warm streams (repeat candidates, stable topology)
-        the sweep runs once per candidate instead of once per query.
-        Any topology change clears the memo, keeping the answers
-        identical to a fresh sweep — and therefore to the reference
-        engine, which re-sweeps every call.  Anchors admitted to the
-        live graph after this freeze have no frozen id and are returned
-        separately for the caller's overlay handling.
+        Memoizes what ``graph``'s visibility backend sees from ``p`` —
+        plus the frozen-id lookup and the vectorized ``|p - v|`` legs,
+        which depend only on ``p`` and the anchor set — per *live*
+        structure revision: on warm streams (repeat candidates, stable
+        topology) the sweep runs once per candidate instead of once
+        per query.  On a miss, the off-graph points of ``ahead`` (the
+        candidates a batch will ask about next) that the memo lacks
+        are swept in the same backend call.  Any topology change
+        clears the memo, keeping the answers identical to a fresh
+        sweep — and therefore to the reference engine, which re-sweeps
+        every call.  Anchors admitted to the live graph after this
+        freeze have no frozen id and are returned separately for the
+        caller's overlay handling.
         """
-        from repro.visibility.sweep import visible_from
-
         revision = graph.structure_revision
         if revision != self._anchors_revision:
             self.anchors.clear()
             self._anchors_revision = revision
         cached = self.anchors.get(p)
         if cached is None:
-            anchors = visible_from(p, graph)
-            ids = [self.index[v] for v in anchors if v in self.index]
-            ai = np.fromiter(ids, dtype=np.int64, count=len(ids))
-            dx = self.xs[ai] - p.x
-            dy = self.ys[ai] - p.y
-            legs = np.sqrt(dx * dx + dy * dy)
-            extras = [v for v in anchors if v not in self.index] or None
-            cached = (ai, legs, extras)
-            self.anchors[p] = cached
+            sources = [p]
+            sources += dict.fromkeys(
+                c
+                for c in ahead
+                if c != p
+                and c not in self.anchors
+                and c not in self.index
+                and not graph.has_node(c)
+            )
+            for c, seen in zip(sources, graph.visible_from_many(sources)):
+                self.anchors[c] = self._last_legs(c, seen)
+            cached = self.anchors[p]
         return cached
+
+    def _last_legs(
+        self, p: Point, anchors: list[Point]
+    ) -> tuple["np.ndarray", "np.ndarray", "list[Point] | None"]:
+        ids = [self.index[v] for v in anchors if v in self.index]
+        ai = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        dx = self.xs[ai] - p.x
+        dy = self.ys[ai] - p.y
+        legs = np.sqrt(dx * dx + dy * dy)
+        extras = [v for v in anchors if v not in self.index] or None
+        return ai, legs, extras
 
     def field(self, source: int) -> "np.ndarray":
         """The cached full distance field from node id ``source``."""

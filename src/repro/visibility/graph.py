@@ -109,13 +109,19 @@ class VisibilityGraph:
             graph._register_obstacle(obs)
         for p in points:
             graph._register_free_point(p)
-        for node in list(graph._adj):
-            for w in graph._visible_from(node):
-                graph._set_edge(node, w)
+        graph._connect(list(graph._adj))
         return graph
 
-    def _visible_from(self, node: Point) -> list[Point]:
-        return self._backend.visible_from(node, self)
+    def visible_from_many(self, sources: Sequence[Point]) -> list[list[Point]]:
+        """Per source, the nodes it sees — one call into the graph's
+        backend for all of them.  Sources need not be nodes."""
+        return self._backend.visible_from_many(sources, self)
+
+    def _connect(self, sources: Sequence[Point]) -> None:
+        """Sweep ``sources`` (nodes) in one backend call and install
+        each one's visible set."""
+        for node, seen in zip(sources, self.visible_from_many(sources)):
+            self._install_visible(node, seen)
 
     # --------------------------------------------------------- serialization
     def snapshot_parts(
@@ -310,9 +316,7 @@ class VisibilityGraph:
             self._register_obstacle(obs)
         for p in free:
             self._register_free_point(p)
-        for node in list(self._adj):
-            for w in self._visible_from(node):
-                self._set_edge(node, w)
+        self._connect(list(self._adj))
 
     def add_obstacle(self, obs: Obstacle) -> bool:
         """Incorporate a new obstacle (paper's ``add_obstacle``).
@@ -330,9 +334,7 @@ class VisibilityGraph:
         for p in self._free:
             if poly.on_boundary(p):
                 self._boundary[p] = self._boundary.get(p, ()) + (obs,)
-        for v in new_vertices:
-            for w in self._visible_from(v):
-                self._set_edge(v, w)
+        self._connect(new_vertices)
         return True
 
     def remove_obstacle(self, oid: int) -> bool:
@@ -434,8 +436,7 @@ class VisibilityGraph:
         if p in self._adj:
             return False
         self._register_free_point(p)
-        for w in self._visible_from(p):
-            self._set_edge(p, w)
+        self._connect((p,))
         return True
 
     def delete_entity(self, p: Point) -> bool:
@@ -514,6 +515,26 @@ class VisibilityGraph:
         self._structure_revision += 1
         self._adj[u][v] = w
         self._adj[v][u] = w
+
+    def _install_visible(self, u: Point, seen: Iterable[Point]) -> None:
+        """Connect ``u`` to every node of ``seen``, in that order.
+
+        A node already adjacent to ``u`` got there through its own
+        visible set: same weight (``Point.distance`` is symmetric to
+        the bit) and both directions present, so it is skipped — the
+        adjacency dicts, their insertion order and the CSR arrays
+        frozen from them equal what setting each directed pair would
+        leave.  The structure revision moves once.
+        """
+        adj = self._adj
+        adj_u = adj[u]
+        for w in seen:
+            if w in adj_u or w == u:
+                continue
+            weight = u.distance(w)
+            adj_u[w] = weight
+            adj[w][u] = weight
+        self._structure_revision += 1
 
     def _remove_edges_crossing(self, poly: Polygon) -> None:
         self._structure_revision += 1

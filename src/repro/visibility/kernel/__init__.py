@@ -3,19 +3,21 @@
 The rotational plane sweep costs one ``O(n log n)`` pass per
 visibility-graph node, and its per-event work is dominated by python
 object arithmetic (``Point`` allocation, ``ccw`` calls, open-edge
-bookkeeping).  This package replaces that inner loop with batched
-numpy array kernels:
+bookkeeping).  This package replaces that inner loop — and, on small
+scenes, the loop over sweep centers around it — with batched numpy
+array kernels:
 
 * :class:`~repro.visibility.kernel.packed.PackedScene` — obstacle
   vertices, boundary edges and free points flattened into contiguous
-  arrays (vertex coordinates, edge endpoint indices, a per-vertex
-  incident-edge CSR layout), built once per graph and extended
+  arrays (vertex coordinates, edge endpoint indices, per-obstacle
+  MBRs and edge runs), built once per graph and extended
   incrementally as obstacles and entities arrive;
-* :mod:`~repro.visibility.kernel.numpy_sweep` — the vectorized sweep:
-  one ``arctan2`` pass for every event angle, a numpy angular sort,
-  and batched orientation/intersection classification of candidate
-  blocking edges, with the exact per-pair oracle deciding only the
-  degenerate residue so results match the python sweep everywhere;
+* :mod:`~repro.visibility.kernel.numpy_sweep` — the vectorized sweep,
+  many sources per call: one ``arctan2`` pass for every (source,
+  event) angle, a numpy angular sort, and batched
+  orientation/intersection classification of candidate blocking
+  edges, with the exact per-pair oracle deciding only the degenerate
+  residue so results match the python sweep everywhere;
 * :mod:`~repro.visibility.kernel.backend` — the pluggable
   :class:`~repro.visibility.kernel.backend.VisibilityBackend` protocol
   and the named implementations (``python-sweep``, ``numpy-kernel``,

@@ -1,16 +1,20 @@
 """Pluggable visibility backends.
 
 A backend answers one question — "which scene points does ``p`` see" —
-for a :class:`~repro.visibility.graph.VisibilityGraph`.  Three named
-implementations exist:
+for a :class:`~repro.visibility.graph.VisibilityGraph`, for one source
+(``visible_from``) or for many in one call (``visible_from_many``: a
+graph build, the new vertices of an inserted obstacle, the off-graph
+candidates of a distance-field batch).  Three named implementations
+exist:
 
 ``python-sweep``
     The paper's rotational plane sweep [SS84]
     (:mod:`repro.visibility.sweep`), pure python.  Alias: ``sweep``.
 ``numpy-kernel``
     The vectorized kernel (:mod:`repro.visibility.kernel.numpy_sweep`)
-    over a :class:`~repro.visibility.kernel.packed.PackedScene`.
-    Requires numpy; returns sets identical to ``python-sweep``.
+    over a :class:`~repro.visibility.kernel.packed.PackedScene`, which
+    sweeps all sources of a call in shared array passes.  Requires
+    numpy; returns sets identical to ``python-sweep``.
 ``naive``
     The exact pairwise oracle (:mod:`repro.visibility.naive`) — slow,
     but valid even for overlapping obstacles; the testing reference.
@@ -25,7 +29,7 @@ is not.
 
 Backends carry an optional :class:`~repro.runtime.stats.RuntimeStats`
 reference and tick the per-backend sweep counters (``sweeps_run``,
-``sweep_events``, ``sweep_seconds``) on every call.
+``sweep_events``, ``sweep_seconds``) on every call, once per source.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import os
 import time
 from importlib.util import find_spec
-from typing import Protocol, TYPE_CHECKING, runtime_checkable
+from typing import Protocol, Sequence, TYPE_CHECKING, runtime_checkable
 
 from repro.errors import QueryError
 from repro.geometry.point import Point
@@ -58,6 +62,11 @@ class VisibilityBackend(Protocol):
     ) -> list[Point]:
         """All graph nodes visible from ``p``."""
 
+    def visible_from_many(
+        self, sources: Sequence[Point], graph: "VisibilityGraph"
+    ) -> list[list[Point]]:
+        """Per source, what :meth:`visible_from` returns for it."""
+
 
 class _TimedBackend:
     """Shared stats plumbing: every sweep ticks the runtime counters."""
@@ -70,18 +79,28 @@ class _TimedBackend:
     def visible_from(
         self, p: Point, graph: "VisibilityGraph"
     ) -> list[Point]:
+        return self.visible_from_many((p,), graph)[0]
+
+    def visible_from_many(
+        self, sources: Sequence[Point], graph: "VisibilityGraph"
+    ) -> list[list[Point]]:
         stats = self.stats
+        TRACER.count("sweep.run", len(sources))
         if stats is None:
-            TRACER.count("sweep.run")
-            return self._sweep(p, graph)
+            return self._sweep_many(sources, graph)
         t0 = time.perf_counter()
-        result = self._sweep(p, graph)
+        result = self._sweep_many(sources, graph)
         stats.sweep_seconds += time.perf_counter() - t0
-        stats.sweeps_run += 1
-        stats.sweep_events += max(graph.node_count - 1, 0)
-        TRACER.count("sweep.run")
-        TRACER.count("sweep.events", max(graph.node_count - 1, 0))
+        events = max(graph.node_count - 1, 0) * len(sources)
+        stats.sweeps_run += len(sources)
+        stats.sweep_events += events
+        TRACER.count("sweep.events", events)
         return result
+
+    def _sweep_many(
+        self, sources: Sequence[Point], graph: "VisibilityGraph"
+    ) -> list[list[Point]]:
+        return [self._sweep(p, graph) for p in sources]
 
     def _sweep(self, p: Point, graph: "VisibilityGraph") -> list[Point]:
         raise NotImplementedError
@@ -110,10 +129,12 @@ class NumpyKernelBackend(_TimedBackend):
         super().__init__(stats)
         from repro.visibility.kernel import numpy_sweep  # may raise
 
-        self._kernel = numpy_sweep.kernel_visible_from
+        self._kernel = numpy_sweep.kernel_visible_from_many
 
-    def _sweep(self, p: Point, graph: "VisibilityGraph") -> list[Point]:
-        return self._kernel(p, graph, graph.packed_scene())
+    def _sweep_many(
+        self, sources: Sequence[Point], graph: "VisibilityGraph"
+    ) -> list[list[Point]]:
+        return self._kernel(sources, graph, graph.packed_scene())
 
 
 class NaiveBackend(_TimedBackend):
@@ -142,8 +163,10 @@ class _StatsAdapter(_TimedBackend):
         self._inner = inner
         self.name = inner.name
 
-    def _sweep(self, p: Point, graph: "VisibilityGraph") -> list[Point]:
-        return self._inner.visible_from(p, graph)
+    def _sweep_many(
+        self, sources: Sequence[Point], graph: "VisibilityGraph"
+    ) -> list[list[Point]]:
+        return self._inner.visible_from_many(sources, graph)
 
 
 _REGISTRY: dict[str, type[_TimedBackend]] = {

@@ -9,13 +9,12 @@ three synchronized groups of buffers:
   vertex share one packed slot, mirroring the graph's node identity);
 * **boundary edges** — endpoint *indices* into the vertex arrays plus
   the owning obstacle id, append-only;
+* **obstacles** — per packed obstacle its MBR row and the contiguous
+  run of edge rows it owns (the strict-interior prefilter and the
+  interior-departure pass of the sweep kernel read these);
 * **free points** — entities and query points, in their own arrays
   with O(1) swap-remove deletion (entities are transient: every
   ``QueryContext.distance`` call adds and removes one).
-
-A per-vertex incident-edge CSR layout (``indptr``/``indices``) is
-derived lazily from the edge arrays and rebuilt only after mutations,
-so the amortized cost of graph maintenance stays O(1) per append.
 
 The scene is built once per :class:`~repro.visibility.graph.
 VisibilityGraph` (lazily, at the first vectorized sweep) and then
@@ -57,13 +56,12 @@ class PackedScene:
         "_eab",
         "_eoid",
         "_n_edges",
+        "_obs_rows",
+        "_obs_edges",
         "_fxy",
         "_n_free",
         "_free_points",
         "_free_index",
-        "_csr_indptr",
-        "_csr_indices",
-        "_csr_dirty",
         "_event_cache",
     )
 
@@ -75,13 +73,16 @@ class PackedScene:
         self._eab = np.empty((_INITIAL_CAPACITY, 2), dtype=np.int64)
         self._eoid = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._n_edges = 0
+        #: ``(obstacle, minx, miny, maxx, maxy)`` per packed obstacle.
+        self._obs_rows: list[tuple[Obstacle, float, float, float, float]] = []
+        # oid -> (first edge row, edge count).  An obstacle's edges are
+        # appended together and compaction keeps their order, so the
+        # run stays contiguous and in polygon order.
+        self._obs_edges: dict[int, tuple[int, int]] = {}
         self._fxy = np.empty((_INITIAL_CAPACITY, 2), dtype=np.float64)
         self._n_free = 0
         self._free_points: list[Point] = []
         self._free_index: dict[Point, int] = {}
-        self._csr_indptr = np.zeros(1, dtype=np.int64)
-        self._csr_indices = np.empty(0, dtype=np.int64)
-        self._csr_dirty = False
         self._event_cache: tuple[np.ndarray, list[Point]] | None = None
 
     # ------------------------------------------------------------- mutation
@@ -89,7 +90,10 @@ class PackedScene:
         """Pack one obstacle's vertices and boundary edges."""
         for v in obs.polygon.vertices:
             self._intern_vertex(v)
-        edges = list(obs.polygon.edges())
+        edges = obs.polygon.edges()
+        mbr = obs.mbr
+        self._obs_rows.append((obs, mbr.minx, mbr.miny, mbr.maxx, mbr.maxy))
+        self._obs_edges[obs.oid] = (self._n_edges, len(edges))
         need = self._n_edges + len(edges)
         self._eab = _grown(self._eab, need)
         self._eoid = _grown(self._eoid, need)
@@ -99,7 +103,6 @@ class PackedScene:
             self._eab[i, 1] = self._vert_index[b]
             self._eoid[i] = obs.oid
             self._n_edges = i + 1
-        self._csr_dirty = True
 
     def remove_obstacle(self, oid: int) -> None:
         """Unpack one obstacle: drop its boundary edges and every vertex
@@ -107,8 +110,7 @@ class PackedScene:
 
         Edge rows are compacted with one vectorized boolean-mask pass;
         surviving vertices are renumbered densely and the edge endpoint
-        indices remapped, so the arrays stay contiguous and the CSR
-        rebuild cost stays proportional to the surviving scene.
+        indices remapped, so the arrays stay contiguous.
         """
         m = self._n_edges
         keep = self._eoid[:m] != oid
@@ -117,6 +119,13 @@ class PackedScene:
             return
         kept_ab = self._eab[:m][keep]
         kept_oid = self._eoid[:m][keep]
+        self._obs_rows = [row for row in self._obs_rows if row[0].oid != oid]
+        self._obs_edges = {}
+        start = 0
+        for obs, *__ in self._obs_rows:
+            count = len(obs.polygon.edges())
+            self._obs_edges[obs.oid] = (start, count)
+            start += count
         n = self._n_verts
         used = np.zeros(n, dtype=bool)
         if n_keep:
@@ -135,7 +144,6 @@ class PackedScene:
         self._eab[:n_keep] = kept_ab
         self._eoid[:n_keep] = kept_oid
         self._n_edges = n_keep
-        self._csr_dirty = True
         self._event_cache = None
 
     def add_free_point(self, p: Point) -> None:
@@ -185,7 +193,6 @@ class PackedScene:
         self._vert_points.append(v)
         self._vert_index[v] = idx
         self._n_verts = idx + 1
-        self._csr_dirty = True
         self._event_cache = None
         return idx
 
@@ -221,6 +228,27 @@ class PackedScene:
         """Per-edge owning obstacle id."""
         return self._eoid[: self._n_edges]
 
+    def obstacle_mbrs(self) -> list[tuple[float, float, float, float]]:
+        """Per packed obstacle, its bounding box ``(minx, miny, maxx,
+        maxy)``."""
+        return [row[1:] for row in self._obs_rows]
+
+    def mbr_holders(self, p: Point) -> list[Obstacle]:
+        """The packed obstacles whose closed MBR holds ``p`` — the
+        comparison :meth:`Polygon.contains` itself makes first, so
+        running ``contains`` only on these cannot change a verdict."""
+        x, y = p.x, p.y
+        return [
+            obs
+            for obs, minx, miny, maxx, maxy in self._obs_rows
+            if minx <= x <= maxx and miny <= y <= maxy
+        ]
+
+    def obstacle_edge_range(self, oid: int) -> tuple[int, int]:
+        """``(first edge row, edge count)`` of obstacle ``oid``: its
+        boundary edges are that contiguous run, in polygon order."""
+        return self._obs_edges[oid]
+
     def vertex_id(self, p: Point) -> int | None:
         """Packed index of obstacle vertex ``p`` (``None`` if not one)."""
         return self._vert_index.get(p)
@@ -248,32 +276,3 @@ class PackedScene:
         ``event_arrays()[0]``.
         """
         return self.event_arrays()[1]
-
-    # ------------------------------------------------------------------ CSR
-    def incident_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vertex incident-edge CSR: ``(indptr, edge_indices)``.
-
-        Edge ids incident to vertex ``v`` are
-        ``edge_indices[indptr[v]:indptr[v + 1]]``.  Rebuilt lazily
-        after mutations (one vectorized pass over the edge arrays).
-        """
-        if self._csr_dirty:
-            self._rebuild_csr()
-        return self._csr_indptr, self._csr_indices
-
-    def incident_edge_ids(self, vertex: int) -> np.ndarray:
-        """Edge ids having packed vertex ``vertex`` as an endpoint."""
-        indptr, indices = self.incident_csr()
-        return indices[indptr[vertex] : indptr[vertex + 1]]
-
-    def _rebuild_csr(self) -> None:
-        n, m = self._n_verts, self._n_edges
-        ends = self._eab[:m].T.reshape(-1)  # all a-endpoints, then all b
-        eids = np.tile(np.arange(m, dtype=np.int64), 2)
-        order = np.argsort(ends, kind="stable")
-        self._csr_indices = eids[order]
-        counts = np.bincount(ends, minlength=n) if m else np.zeros(n, np.int64)
-        self._csr_indptr = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
-        )
-        self._csr_dirty = False

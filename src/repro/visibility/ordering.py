@@ -43,6 +43,8 @@ def order_events_array(
 ) -> "numpy.ndarray":
     """Indices ordering batched events under the same key as
     :func:`event_sort_key`: primary key ``angles``, secondary ``dist_sq``.
+    Two-dimensional inputs (one row of events per sweep center) are
+    ordered row by row.
     """
     import numpy as np
 

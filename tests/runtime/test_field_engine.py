@@ -186,3 +186,69 @@ class TestEngineCounters:
         # Batched evaluation is engine-independent (range refinement
         # hands the field a candidate batch either way).
         assert stats["field_batch_evals"] >= 1
+
+
+class _AnchorCallCounter:
+    """Wraps a backend; counts the calls that sweep off-graph sources
+    (anchor sweeps) apart from the graph's own maintenance sweeps."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = inner.name
+        self.anchor_calls = 0
+
+    def visible_from(self, p, graph):
+        return self.visible_from_many((p,), graph)[0]
+
+    def visible_from_many(self, sources, graph):
+        if sources and not graph.has_node(sources[0]):
+            self.anchor_calls += 1
+        return self._inner.visible_from_many(sources, graph)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBatchEvalAcrossGrowth:
+    """Fig. 8's enlargement can grow the graph in the middle of a
+    batch: the anchor memo is dropped and refilled for the candidates
+    still to come, and every answer stays what ``distance_to`` gives."""
+
+    @staticmethod
+    def _setup(backend):
+        from repro.core.source import build_obstacle_index
+        from repro.visibility import VisibilityGraph, resolve_backend
+        from tests.conftest import rect_obstacle
+
+        # Walls at growing distances from q: each ring of candidates
+        # pulls the next wall into the graph.
+        walls = [
+            rect_obstacle(i, 10.0 * (i + 1), -6.0, 10.0 * (i + 1) + 2.0, 6.0)
+            for i in range(4)
+        ]
+        index = build_obstacle_index(walls, max_entries=8, min_entries=3)
+        q = Point(0.0, 0.0)
+        counter = _AnchorCallCounter(resolve_backend(backend))
+        graph = VisibilityGraph.build([q], [], method=counter)
+        field = make_distance_field(graph, q, index, engine="csr")
+        candidates = [
+            Point(5.0, 1.0), Point(6.0, -2.0),      # before the first wall
+            Point(15.0, 3.0), Point(16.0, -1.0),    # behind wall 0
+            Point(25.0, 0.5), Point(5.0, 1.0),      # behind wall 1; a repeat
+            Point(38.0, 2.0), Point(47.0, -4.0),    # behind walls 2 and 3
+        ]
+        return field, graph, counter, candidates
+
+    def test_batch_equals_loop_with_bounded_anchor_calls(self, backend):
+        field, graph, counter, candidates = self._setup(backend)
+        growths = []
+        enlarge = field._enlarge
+        field._enlarge = lambda radius: growths.append(enlarge(radius)) or growths[-1]
+        batched = field.batch_eval(candidates)
+        assert sum(growths) >= 3  # the graph did grow mid-batch
+        assert graph.obstacle_ids() == {0, 1, 2, 3}
+        assert counter.anchor_calls <= 1 + sum(growths)
+
+        loop_field, __, loop_counter, __ = self._setup(backend)
+        looped = [loop_field.distance_to(p) for p in candidates]
+        assert batched == looped  # bitwise
+        # One candidate at a time pays one call per candidate and growth.
+        assert loop_counter.anchor_calls > counter.anchor_calls

@@ -86,3 +86,46 @@ class TestSweepCounters:
         assert dbs[0].runtime_stats()["sweeps_run"] == 0
         assert dbs[1].runtime_stats()["sweeps_run"] > 0
         assert shared.stats is None
+
+
+class _RecordingBackend:
+    """A caller-owned backend that notes every source it is asked to
+    sweep; the exact oracle answers."""
+
+    name = "recording"
+
+    def __init__(self):
+        from repro.visibility.kernel.backend import NaiveBackend
+
+        self._oracle = NaiveBackend()
+        self.swept = []
+
+    def visible_from(self, p, graph):
+        self.swept.append(p)
+        return self._oracle.visible_from(p, graph)
+
+    def visible_from_many(self, sources, graph):
+        return [self.visible_from(p, graph) for p in sources]
+
+
+class TestLastLegSweeps:
+    def test_anchor_sweeps_use_the_backend_and_are_counted(self, monkeypatch):
+        """A range query's candidates never enter the graph: their
+        visible anchors come from one more sweep each, and those sweeps
+        go through the database's backend and into ``sweeps_run``.
+        (The compiled engine; the reference dict engine keeps its own
+        sweep as the parity oracle.)"""
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_FIELD_ENGINE", "csr")
+        backend = _RecordingBackend()
+        db = ObstacleDatabase(
+            [Rect(4, 4, 6, 6), Rect(10, 2, 12, 8)], backend=backend
+        )
+        candidates = [Point(0, 0), Point(14, 5), Point(5, 10), Point(8, 1)]
+        db.add_entity_set("P", candidates)
+        found = db.range("P", (7, 5), 12.0)
+        assert found  # the query did evaluate candidates
+        # Every candidate was swept by the configured backend ...
+        assert set(candidates) <= set(backend.swept)
+        # ... and every sweep the backend ran is in the counter.
+        assert db.runtime_stats()["sweeps_run"] == len(backend.swept)

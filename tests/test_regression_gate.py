@@ -46,7 +46,12 @@ def _doc(**overrides):
             "builds_warm": 0.0,
             "build_reduction": float("inf"),
         },
-        "smoke kernel": {"edges_match": 1.0},
+        "smoke kernel": {
+            "edges_match": 1.0,
+            "batch_match": 1.0,
+            "batched 56v": {"batch_match": 1.0, "batch_speedup_ok": 1.0},
+            "batched 1000v": {"batch_match": 1.0, "batch_speedup_ok": 1.0},
+        },
         "smoke serve": {
             "parity": 1.0,
             "warm_builds": 0.0,

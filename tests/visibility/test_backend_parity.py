@@ -7,6 +7,7 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Point, Polygon, Rect
 from repro.model import Obstacle
@@ -17,7 +18,7 @@ from repro.visibility import (
     resolve_backend,
 )
 from tests.conftest import random_disjoint_rects, random_free_points, rect_obstacle
-from tests.strategies import disjoint_rect_obstacles
+from tests.strategies import disjoint_rect_obstacles, free_points
 
 pytest.importorskip("numpy")
 
@@ -359,3 +360,87 @@ def test_property_backends_agree_on_random_scenes(obstacles):
             v for v in nodes if v != u and is_visible(u, v, obstacles)
         )
         assert np_[u] == want
+
+
+# ------------------------------------------------------- batch equals loop
+@st.composite
+def grid_aligned_obstacles(draw):
+    """Rectangles snapped to a coarse grid, each side either flush with
+    its cell or inset: neighbours touch along whole edges, share
+    corners, and line their edges up in collinear runs."""
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    inset = st.sampled_from((0.0, 2.0))
+    obstacles = []
+    for oid, (i, j) in enumerate(cells):
+        x0, y0 = 10.0 * i, 10.0 * j
+        obstacles.append(
+            rect_obstacle(
+                oid,
+                x0 + draw(inset),
+                y0 + draw(inset),
+                x0 + 10.0 - draw(inset),
+                y0 + 10.0 - draw(inset),
+            )
+        )
+    return obstacles
+
+
+@st.composite
+def scene_and_sources(draw):
+    """A scene (random-disjoint or grid-aligned) with in-graph free
+    points, and a source list mixing every kind of sweep center."""
+    obstacles = draw(st.one_of(disjoint_rect_obstacles(), grid_aligned_obstacles()))
+    in_graph = draw(free_points(obstacles, min_count=1, max_count=4))
+    off_graph = draw(free_points(obstacles, min_count=1, max_count=4))
+    vertices = [v for o in obstacles for v in o.polygon.vertices]
+    on_edges = [
+        o.polygon.boundary_point_at(draw(st.floats(0.0, 0.999)))
+        for o in obstacles[:3]
+    ]
+    interior = [o.polygon.centroid() for o in obstacles[:2]]
+    pool = vertices + in_graph + off_graph + on_edges + interior
+    sources = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return obstacles, in_graph, sources
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("method", [PY, NP, "naive"])
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+@given(scene_and_sources())
+def test_property_batch_equals_loop(method, budget, monkeypatch, case):
+    """``visible_from_many(S)`` is ``[visible_from(s) for s in S]``,
+    order included, for obstacle vertices, in-graph and off-graph free
+    points, points on edges, strictly interior points, duplicates and
+    ``[]`` — whether the kernel takes the sources in one pass or (pair
+    budget 1) one source per pass."""
+    from repro.visibility.kernel import numpy_sweep
+
+    if budget is not None:
+        monkeypatch.setattr(numpy_sweep, "_PAIR_BUDGET", budget)
+    obstacles, in_graph, sources = case
+    g = VisibilityGraph.build(in_graph, obstacles, method=method)
+    backend = resolve_backend(method)
+    assert backend.visible_from_many(sources, g) == [
+        backend.visible_from(s, g) for s in sources
+    ]
+    assert backend.visible_from_many([], g) == []
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+@given(scene_and_sources())
+def test_property_batched_kernel_matches_oracle(case):
+    """Every kind of source, swept in one kernel call, sees exactly
+    what the pairwise oracle sees."""
+    obstacles, in_graph, sources = case
+    g = VisibilityGraph.build(in_graph, obstacles, method=NP)
+    seen = resolve_backend(NP).visible_from_many(sources, g)
+    for s, visible in zip(sources, seen):
+        want = {v for v in g.nodes() if v != s and is_visible(s, v, obstacles)}
+        assert set(visible) == want, f"kernel vs oracle at {s}"

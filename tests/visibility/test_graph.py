@@ -57,6 +57,45 @@ class TestBuild:
         assert g.node_count == 1
 
 
+class TestBulkInstall:
+    """`build` sweeps every node in one backend call and installs each
+    visible set in one step; the result must be indistinguishable from
+    sweeping node by node and setting each directed pair."""
+
+    @pytest.mark.parametrize("method", ["python-sweep", "numpy-kernel", "naive"])
+    def test_build_equals_per_source_build(self, method):
+        rng = random.Random(2024)
+        obstacles = random_disjoint_rects(rng, 7)
+        obstacles.append(rect_obstacle(99, 90, 90, 95, 95))
+        obstacles.append(rect_obstacle(100, 95, 90, 99, 95))  # shares an edge
+        points = random_free_points(rng, 5, obstacles)
+        built = VisibilityGraph.build(points, obstacles, method=method)
+
+        reference = VisibilityGraph(method=method)
+        for obs in obstacles:
+            reference._register_obstacle(obs)
+        for p in points:
+            reference._register_free_point(p)
+        for node in list(reference.nodes()):
+            for w in reference.visible_from_many([node])[0]:
+                reference._set_edge(node, w)
+
+        assert built.snapshot_parts() == reference.snapshot_parts()
+        assert list(built.nodes()) == list(reference.nodes())
+        for u in reference.nodes():
+            # Same neighbours, same weights, same dict insertion order
+            # (the order the CSR freeze copies).
+            assert list(built.neighbors(u).items()) == list(
+                reference.neighbors(u).items()
+            )
+
+    def test_install_bumps_structure_revision_once(self):
+        g = VisibilityGraph.build([Point(0, 0), Point(1, 0), Point(0, 1)], [])
+        before = g.structure_revision
+        g._install_visible(Point(0, 0), [Point(1, 0), Point(0, 1)])
+        assert g.structure_revision == before + 1
+
+
 class TestAddObstacle:
     def test_add_blocks_existing_edge(self):
         a, b = Point(0, 0), Point(10, 0)

@@ -1,5 +1,6 @@
 """Unit tests for the PackedScene array layout: vertex interning,
-edge/oid packing, the incident-edge CSR, and free-point swap-remove."""
+edge/oid packing, per-obstacle MBR rows and edge runs, and free-point
+swap-remove."""
 
 import pytest
 
@@ -43,23 +44,6 @@ class TestVertexPacking:
         assert (oids[:4] == 7).all() and (oids[4:] == 9).all()
 
 
-class TestIncidentCSR:
-    def test_every_rect_vertex_has_two_incident_edges(self, scene):
-        indptr, indices = scene.incident_csr()
-        assert indptr[0] == 0 and indptr[-1] == indices.shape[0] == 16
-        ea, eb = scene.edge_endpoints()
-        for v in range(scene.vertex_count):
-            ids = scene.incident_edge_ids(v)
-            assert len(ids) == 2
-            for e in ids.tolist():
-                assert v in (ea[e], eb[e])
-
-    def test_csr_tracks_incremental_obstacles(self, scene):
-        scene.incident_csr()  # build once
-        scene.add_obstacle(rect_obstacle(11, 40, 0, 50, 10))
-        assert len(scene.incident_edge_ids(scene.vertex_count - 1)) == 2
-
-
 class TestFreePoints:
     def test_swap_remove_keeps_slots_dense(self, scene):
         pts = [Point(-1, -1), Point(-2, -2), Point(-3, -3)]
@@ -86,3 +70,91 @@ class TestFreePoints:
         packed.add_obstacle(rect_obstacle(0, 4, 4, 6, 6))
         assert packed.free_count == 0
         assert packed.vertex_id(Point(4, 4)) is not None
+
+
+class TestObstacleRows:
+    """Per-obstacle MBRs and edge runs follow add / remove, including
+    the removal that renumbers vertices."""
+
+    def test_mbrs_and_edge_runs_follow_adds(self, scene):
+        assert scene.obstacle_mbrs() == [
+            (0.0, 0.0, 10.0, 10.0),
+            (20.0, 0.0, 30.0, 10.0),
+        ]
+        assert scene.obstacle_edge_range(7) == (0, 4)
+        assert scene.obstacle_edge_range(9) == (4, 4)
+        scene.add_obstacle(rect_obstacle(11, 40, 0, 50, 10))
+        assert scene.obstacle_mbrs()[2] == (40.0, 0.0, 50.0, 10.0)
+        assert scene.obstacle_edge_range(11) == (8, 4)
+
+    def test_remove_compacts_rows_and_shifts_edge_runs(self, scene):
+        scene.add_obstacle(rect_obstacle(11, 40, 0, 50, 10))
+        scene.remove_obstacle(7)  # first vertices go: the renumbering path
+        assert scene.obstacle_mbrs() == [
+            (20.0, 0.0, 30.0, 10.0),
+            (40.0, 0.0, 50.0, 10.0),
+        ]
+        assert scene.obstacle_edge_range(9) == (0, 4)
+        assert scene.obstacle_edge_range(11) == (4, 4)
+        with pytest.raises(KeyError):
+            scene.obstacle_edge_range(7)
+        # Each run still names its own obstacle's edges, in polygon order.
+        ea, eb = scene.edge_endpoints()
+        points = scene.event_points()
+        for obs in (rect_obstacle(9, 20, 0, 30, 10), rect_obstacle(11, 40, 0, 50, 10)):
+            start, count = scene.obstacle_edge_range(obs.oid)
+            run = [
+                (points[a], points[b])
+                for a, b in zip(
+                    ea[start : start + count].tolist(),
+                    eb[start : start + count].tolist(),
+                )
+            ]
+            assert run == list(obs.polygon.edges())
+            assert (scene.edge_oids()[start : start + count] == obs.oid).all()
+
+    def test_remove_keeping_shared_vertices(self):
+        packed = PackedScene()
+        packed.add_obstacle(rect_obstacle(0, 0, 0, 10, 10))
+        packed.add_obstacle(rect_obstacle(1, 10, 0, 20, 10))  # shares 2 corners
+        packed.remove_obstacle(0)
+        assert packed.obstacle_mbrs() == [(10.0, 0.0, 20.0, 10.0)]
+        assert packed.obstacle_edge_range(1) == (0, 4)
+        assert packed.vertex_count == 4
+
+    def test_mbr_holders_match_contains_point(self, scene):
+        probes = {
+            Point(5, 5): [7],      # inside
+            Point(10, 10): [7],    # a corner: the MBR is closed
+            Point(15, 5): [],      # between the boxes
+            Point(20, 0): [9],     # on an edge
+            Point(25, 11): [],
+            Point(5, -0.5): [],
+        }
+        for p, oids in probes.items():
+            assert [obs.oid for obs in scene.mbr_holders(p)] == oids
+        scene.remove_obstacle(7)
+        assert scene.mbr_holders(Point(5, 5)) == []
+        assert [obs.oid for obs in scene.mbr_holders(Point(20, 0))] == [9]
+
+    def test_graph_keeps_rows_in_step(self):
+        """Through the graph's own hooks: the packed rows equal the
+        graph's obstacle set after inserts and deletes."""
+        from repro.visibility import VisibilityGraph
+
+        obstacles = [
+            rect_obstacle(0, 0, 0, 10, 10),
+            rect_obstacle(1, 20, 0, 30, 10),
+            rect_obstacle(2, 0, 20, 10, 30),
+        ]
+        g = VisibilityGraph.build([Point(15, 15)], obstacles[:2], method="numpy-kernel")
+        packed = g.packed_scene()
+        g.add_obstacle(obstacles[2])
+        g.remove_obstacle(0)
+        assert packed is g.packed_scene()
+        mbrs = [
+            (o.mbr.minx, o.mbr.miny, o.mbr.maxx, o.mbr.maxy)
+            for o in g.scene_obstacles()
+        ]
+        assert packed.obstacle_mbrs() == mbrs
+        assert g.visible_from_many([Point(5, 25)]) == [[]]  # strictly inside

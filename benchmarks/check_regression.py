@@ -60,6 +60,13 @@ GATES: tuple[tuple[tuple[str, ...], str], ...] = (
     (("smoke kernel", "batched 56v", "batch_speedup_ok"), "exact"),
     (("smoke kernel", "batched 1000v", "batch_match"), "exact"),
     (("smoke kernel", "batched 1000v", "batch_speedup_ok"), "exact"),
+    # Array-evaluated R-tree nodes vs the scalar oracle at the
+    # paper-join cardinalities: same values in the same order, and the
+    # wall-clock verdicts (join >= 3x, first 64 closest pairs >= 5x).
+    (("smoke euclidean", "join 131x13k", "match"), "exact"),
+    (("smoke euclidean", "join 131x13k", "speedup_ok"), "exact"),
+    (("smoke euclidean", "closest 131x13k", "match"), "exact"),
+    (("smoke euclidean", "closest 131x13k", "speedup_ok"), "exact"),
     (("smoke serve", "parity"), "exact"),
     (("smoke serve", "warm_builds"), "lower"),
     (("smoke serve", "persistent", "graph_builds"), "lower"),

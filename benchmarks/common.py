@@ -869,6 +869,85 @@ def batched_sweep_comparison(n_rects: int, *, seed: int = 7) -> dict[str, float]
     }
 
 
+# ------------------------------------------------- Euclidean iterators
+#: The cardinalities of the end-to-end benchmark's ``paper-join``
+#: workload: |S| = 0.001 |O|, |T| = 0.1 |O| at the paper's |O|.
+EUCLIDEAN_BENCH_S = 131
+EUCLIDEAN_BENCH_T = 13_146
+
+#: Required speedups of the array-evaluated traversals over the scalar
+#: oracle at those cardinalities: the distance join at e = 0.1 % of the
+#: universe side, and the first 64 incremental closest pairs.
+EUCLIDEAN_JOIN_SPEEDUP = 3.0
+EUCLIDEAN_CLOSEST_SPEEDUP = 5.0
+EUCLIDEAN_CLOSEST_K = 64
+
+
+def euclidean_iterator_comparison() -> dict[str, dict[str, float]]:
+    """The R-tree distance join and the incremental closest-pair stream
+    as ``src/`` runs them (one numpy pass per node, one queue entry per
+    expanded node) against the scalar oracle of
+    ``tests/euclidean/reference.py`` (one ``Rect`` call per entry, one
+    queue entry per item), on the same two bulk-loaded 204-entry trees
+    of uniform points.
+
+    One row per traversal: best-of-three seconds per side, their
+    ratio, the required ratio, and ``match`` — the same values in the
+    same order.
+    """
+    import random
+    from itertools import islice
+
+    from repro.euclidean import IncrementalClosestPairs, distance_join
+    from repro.geometry.rect import Rect
+    from repro.index import RStarTree, str_pack
+    from tests.euclidean import reference
+
+    rng = random.Random(BENCH_SEED)
+    side = DEFAULT_UNIVERSE.width
+
+    def tree(n: int) -> RStarTree:
+        pts = [Point(rng.uniform(0, side), rng.uniform(0, side)) for __ in range(n)]
+        return str_pack(RStarTree(), [(p, Rect.from_point(p)) for p in pts])
+
+    tree_s, tree_t = tree(EUCLIDEAN_BENCH_S), tree(EUCLIDEAN_BENCH_T)
+    e = 0.001 * side
+    k = EUCLIDEAN_CLOSEST_K
+    sides = {
+        "join": (
+            lambda: reference.distance_join(tree_s, tree_t, e),
+            lambda: distance_join(tree_s, tree_t, e),
+            EUCLIDEAN_JOIN_SPEEDUP,
+        ),
+        "closest": (
+            lambda: list(islice(reference.closest_pairs(tree_s, tree_t), k)),
+            lambda: list(islice(IncrementalClosestPairs(tree_s, tree_t), k)),
+            EUCLIDEAN_CLOSEST_SPEEDUP,
+        ),
+    }
+    rows = {}
+    for name, (oracle, array, target) in sides.items():
+        oracle_s = array_s = math.inf
+        for __ in range(3):
+            timer = Timer()
+            with timer:
+                want = oracle()
+            oracle_s = min(oracle_s, timer.elapsed)
+            timer = Timer()
+            with timer:
+                got = array()
+            array_s = min(array_s, timer.elapsed)
+        rows[name] = {
+            "oracle_s": oracle_s,
+            "array_s": array_s,
+            "speedup": oracle_s / array_s,
+            "target": target,
+            "results": float(len(got)),
+            "match": float(got == want),
+        }
+    return rows
+
+
 def field_engine_comparison(
     n_obstacles: int, rounds: int, *, n_queries: int = 4
 ) -> dict[str, float]:

@@ -301,6 +301,9 @@ def smoke() -> int:
     code = smoke_kernel()
     if code:
         return code
+    code = smoke_euclidean()
+    if code:
+        return code
     code = smoke_moving_cache()
     if code:
         return code
@@ -373,6 +376,37 @@ def smoke_kernel() -> int:
             return 1
         if not row["batch_speedup_ok"]:
             print("FAIL: batched sweeps below the bar")
+            return 1
+    return 0
+
+
+def smoke_euclidean() -> int:
+    """Euclidean-iterator smoke: the distance join and the first 64
+    incremental closest pairs at the ``paper-join`` cardinalities
+    (131 x 13,146, 204-entry nodes), array-evaluated nodes against the
+    scalar oracle of ``tests/euclidean/reference.py`` — the same values
+    in the same order, >= 3x and >= 5x faster."""
+    from benchmarks.common import euclidean_iterator_comparison
+
+    metrics: dict[str, dict[str, float]] = {}
+    RESULTS["smoke euclidean"] = metrics
+    print()
+    for name, row in euclidean_iterator_comparison().items():
+        # The wall-clock verdict, evaluated where it was measured (the
+        # raw ratio rides in the JSON ungated, like the kernel bars).
+        row["speedup_ok"] = float(row["speedup"] >= row["target"])
+        metrics[f"{name} 131x13k"] = row
+        print(
+            f"{name} 131x13k: scalar oracle {row['oracle_s'] * 1000:.1f} ms, "
+            f"array nodes {row['array_s'] * 1000:.1f} ms "
+            f"({row['speedup']:.1f}x, bar {row['target']:g}x), "
+            f"{row['results']:.0f} results"
+        )
+        if row["match"] != 1.0:
+            print("FAIL: array-evaluated traversal differs from the oracle")
+            return 1
+        if not row["speedup_ok"]:
+            print("FAIL: array-evaluated traversal below the bar")
             return 1
     return 0
 

@@ -8,7 +8,10 @@ best-first skeleton (:func:`repro.runtime.skeletons.best_first`): the
 queue holds node/node, node/data and data/data combinations keyed by
 the MINDIST lower bound of the pair; a data/data combination is a
 *final* item — its distance is exact and no other combination can
-produce a closer pair.
+produce a closer pair.  Expanding a combination opens one node and
+keys all its entries against the other side in one numpy pass; the
+queue holds that batch as one entry, so the 6-tuples below are built
+only for combinations that are actually popped.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Any, Iterator
 
 from repro.errors import QueryError
 from repro.geometry.rect import Rect
+from repro.index import mbrs
 from repro.index.rstar import RStarTree
 from repro.runtime.skeletons import best_first, take
 
@@ -38,44 +42,38 @@ class IncrementalClosestPairs:
     def __init__(self, tree_s: RStarTree, tree_t: RStarTree) -> None:
         self._s = tree_s
         self._t = tree_t
-        seeds = []
+        keys, combo = [], None
         if len(tree_s) > 0 and len(tree_t) > 0:
             s_rect = tree_s.read_node(tree_s.root_id).mbr()
             t_rect = tree_t.read_node(tree_t.root_id).mbr()
-            combo: _Combo = (
-                _NODE, tree_s.root_id, s_rect, _NODE, tree_t.root_id, t_rect
-            )
-            seeds.append((s_rect.mindist_rect(t_rect), False, combo))
-        self._stream = best_first(seeds, self._expand)
+            combo = (_NODE, tree_s.root_id, s_rect, _NODE, tree_t.root_id, t_rect)
+            keys.append(s_rect.mindist_rect(t_rect))
+        self._stream = best_first((keys, False, lambda i: combo), self._expand)
 
     def _expand(self, combo: _Combo):
         s_kind, s_pay, s_rect, t_kind, t_pay, t_rect = combo
         # Pick the side to open: the larger node of a node/node pair,
-        # otherwise whichever side still is a node.
-        if s_kind == _NODE and (
+        # otherwise whichever side still is a node.  All entries of the
+        # opened node are keyed against the other side's rect at once.
+        open_s = s_kind == _NODE and (
             t_kind == _DATA or s_rect.area() >= t_rect.area()
-        ):
-            node = self._s.read_node(s_pay)
-            for e in node.entries:
-                kind = _DATA if node.is_leaf else _NODE
-                payload = e.data if node.is_leaf else e.child
-                yield self._item(kind, payload, e.rect, t_kind, t_pay, t_rect)
-        else:
-            node = self._t.read_node(t_pay)
-            for e in node.entries:
-                kind = _DATA if node.is_leaf else _NODE
-                payload = e.data if node.is_leaf else e.child
-                yield self._item(s_kind, s_pay, s_rect, kind, payload, e.rect)
+        )
+        node = self._s.read_node(s_pay) if open_s else self._t.read_node(t_pay)
+        other = t_rect if open_s else s_rect
+        keys = mbrs.mindist_rect(node.rects(), other)
+        entries = node.entries
+        leaf = node.is_leaf
+        kind = _DATA if leaf else _NODE
 
-    @staticmethod
-    def _item(
-        s_kind: int, s_pay: Any, s_rect: Rect,
-        t_kind: int, t_pay: Any, t_rect: Rect,
-    ):
-        dist = s_rect.mindist_rect(t_rect)
-        final = s_kind == _DATA and t_kind == _DATA
-        combo: _Combo = (s_kind, s_pay, s_rect, t_kind, t_pay, t_rect)
-        return dist, final, combo
+        def make(i: int) -> _Combo:
+            e = entries[i]
+            payload = e.data if leaf else e.child
+            if open_s:
+                return kind, payload, e.rect, t_kind, t_pay, t_rect
+            return s_kind, s_pay, s_rect, kind, payload, e.rect
+
+        other_kind = t_kind if open_s else s_kind
+        return keys, leaf and other_kind == _DATA, make
 
     def __iter__(self) -> Iterator[tuple[Any, Any, float]]:
         return self

@@ -2,17 +2,21 @@
 
 Both trees are traversed synchronously: a pair of nodes is expanded
 only when the MINDIST of their MBRs is within the join distance, which
-prunes the vast majority of the cross product.  Leaf/leaf pairs use a
-plane-sweep along x instead of the naive nested loop, the optimisation
-recommended in the original paper.
+prunes the vast majority of the cross product.  A pair of nodes is
+evaluated as one MINDIST matrix over their packed MBRs; leaf/leaf
+pairs report their matches in plane-sweep order along x (the
+optimisation recommended in the original paper, which fixes the
+order of the result).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.errors import QueryError
-from repro.geometry.rect import Rect
+from repro.index import mbrs
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
 
@@ -44,44 +48,59 @@ def distance_join(
         node_s = tree_s.read_node(sid)
         node_t = tree_t.read_node(tid)
         if node_s.is_leaf and node_t.is_leaf:
-            _sweep_leaf_pair(node_s, node_t, e, sink)
+            _join_leaves(node_s, node_t, e, sink)
         elif node_s.is_leaf:
-            for et in node_t.entries:
-                if et.rect.mindist_rect(node_s.mbr()) <= e:
-                    stack.append((sid, et.child))
+            near = mbrs.mindist_rect(node_t.rects(), node_s.mbr()) <= e
+            et = node_t.entries
+            stack.extend((sid, et[j].child) for j in np.flatnonzero(near).tolist())
         elif node_t.is_leaf:
-            for es in node_s.entries:
-                if es.rect.mindist_rect(node_t.mbr()) <= e:
-                    stack.append((es.child, tid))
+            near = mbrs.mindist_rect(node_s.rects(), node_t.mbr()) <= e
+            es = node_s.entries
+            stack.extend((es[i].child, tid) for i in np.flatnonzero(near).tolist())
         else:
-            # Descend both trees; prune child pairs by MINDIST.
-            for es in node_s.entries:
-                for et in node_t.entries:
-                    if es.rect.mindist_rect(et.rect) <= e:
-                        stack.append((es.child, et.child))
+            # Descend both trees; prune child pairs by the MINDIST
+            # matrix (nonzero is row-major: the nested-loop order).
+            near = mbrs.mindist(node_s.rects()[:, None, :], *node_t.rects().T) <= e
+            ii, jj = np.nonzero(near)
+            es, et = node_s.entries, node_t.entries
+            stack.extend(
+                (es[i].child, et[j].child) for i, j in zip(ii.tolist(), jj.tolist())
+            )
     return result
 
 
-def _sweep_leaf_pair(
+def _join_leaves(
     node_s: Node,
     node_t: Node,
     e: float,
     sink: Callable[[Any, Any, float], None],
 ) -> None:
-    """Plane sweep over two leaves: sort by minx, scan a sliding window."""
-    left = sorted(node_s.entries, key=lambda en: en.rect.minx)
-    right = sorted(node_t.entries, key=lambda en: en.rect.minx)
-    for es in left:
-        lo = es.rect.minx - e
-        hi = es.rect.maxx + e
-        for et in right:
-            if et.rect.minx > hi:
-                break
-            if et.rect.maxx < lo:
-                continue
-            d = es.rect.mindist_rect(et.rect)
-            if d <= e:
-                sink(es.data, et.data, d)
+    """Plane sweep over two leaves as one matrix: pairs are reported in
+    ascending ``minx`` of the S entry, then of the T entry (stable)."""
+    rects_s, rects_t = node_s.rects(), node_t.rects()
+    # Only entries within e of the other leaf's MBR can have a partner.
+    keep_s = np.flatnonzero(mbrs.mindist_rect(rects_s, node_t.mbr()) <= e)
+    keep_t = np.flatnonzero(mbrs.mindist_rect(rects_t, node_s.mbr()) <= e)
+    if not (len(keep_s) and len(keep_t)):
+        return
+    keep_s = keep_s[rects_s[keep_s, 0].argsort(kind="stable")]
+    keep_t = keep_t[rects_t[keep_t, 0].argsort(kind="stable")]
+    left = rects_s[keep_s][:, None, :]
+    minx, miny, maxx, maxy = rects_t[keep_t].T
+    dist = mbrs.mindist(left, minx, miny, maxx, maxy)
+    # The sweep window (minx - e, maxx + e) is rounded differently from
+    # the distance itself, so it stays part of the predicate.
+    within = (
+        (dist <= e)
+        & (minx <= left[..., 2] + e)
+        & (maxx >= left[..., 0] - e)
+    )
+    ii, jj = np.nonzero(within)
+    es, et = node_s.entries, node_t.entries
+    for i, j, d in zip(
+        keep_s[ii].tolist(), keep_t[jj].tolist(), dist[ii, jj].tolist()
+    ):
+        sink(es[i].data, et[j].data, d)
 
 
 def intersection_join(
@@ -90,8 +109,3 @@ def intersection_join(
     """All pairs with intersecting MBRs — the ``e = 0`` special case
     the paper notes in Sec. 2.1."""
     return [(s, t) for s, t, __ in distance_join(tree_s, tree_t, 0.0)]
-
-
-def _mindist_rects(a: Rect, b: Rect) -> float:
-    """Kept as a seam for tests; identical to ``Rect.mindist_rect``."""
-    return a.mindist_rect(b)

@@ -18,6 +18,7 @@ from typing import Any, Iterator
 
 from repro.errors import QueryError
 from repro.geometry.point import Point
+from repro.index import mbrs
 from repro.index.rstar import RStarTree
 from repro.runtime.skeletons import best_first, take
 
@@ -25,28 +26,29 @@ from repro.runtime.skeletons import best_first, take
 class IncrementalNearestNeighbors:
     """An iterator yielding ``(data, distance)`` in ascending distance.
 
-    A parameterization of the shared best-first skeleton: seeds are
+    A parameterization of the shared best-first skeleton: the seed is
     the root node (lower bound 0), expansion reads one R-tree node and
-    emits its entries — final data items for leaves, internal child
-    nodes otherwise.  When a data entry reaches the queue front, no
-    unexplored subtree can contain anything closer, so it is emitted.
+    keys all its entries in one pass over the packed MBRs — final data
+    items for leaves, internal child nodes otherwise.  When a data
+    entry reaches the queue front, no unexplored subtree can contain
+    anything closer, so it is emitted.
     """
 
     def __init__(self, tree: RStarTree, q: Point) -> None:
         self._tree = tree
         self._q = q
-        seeds = [(0.0, False, tree.root_id)] if len(tree) > 0 else []
+        root_id = tree.root_id
+        seeds = ([0.0] if len(tree) > 0 else [], False, lambda i: root_id)
         self._stream = best_first(seeds, self._expand)
 
     def _expand(self, page_id: int):
         node = self._tree.read_node(page_id)
-        q = self._q
-        for entry in node.entries:
-            dist = entry.rect.mindist_point(q)
-            if node.is_leaf:
-                yield dist, True, entry.data
-            else:
-                yield dist, False, entry.child
+        x, y = self._q.x, self._q.y
+        entries = node.entries
+        keys = mbrs.mindist(node.rects(), x, y, x, y)
+        if node.is_leaf:
+            return keys, True, lambda i: entries[i].data
+        return keys, False, lambda i: entries[i].child
 
     def __iter__(self) -> Iterator[tuple[Any, float]]:
         return self

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.errors import SpatialIndexError
 from repro.geometry.rect import Rect
+from repro.index import mbrs
 
 
 class Entry:
@@ -44,25 +47,53 @@ class Node:
 
     ``level`` is 0 for leaves and grows toward the root; this matches
     the R*-tree forced-reinsert bookkeeping, which is per level.
+
+    Traversals evaluate a node through :meth:`rects`, the packed array
+    of its entries' MBRs, and :meth:`mbr`, their union.  Both are built
+    on first use (the bulk load and the insert path ask for the union
+    only, so they never pack an array) and are derived state only:
+    :meth:`~repro.index.pagestore.PageStore.write` drops them (every
+    mutation of ``entries`` ends in a page write), and they are not
+    pickled or serialized.
     """
 
-    __slots__ = ("page_id", "level", "entries")
+    __slots__ = ("page_id", "level", "entries", "_rects", "_mbr")
 
     def __init__(self, page_id: int, level: int, entries: list[Entry] | None = None):
         self.page_id = page_id
         self.level = level
         self.entries: list[Entry] = entries if entries is not None else []
+        self._rects: np.ndarray | None = None
+        self._mbr: Rect | None = None
+
+    def __reduce__(self) -> tuple:
+        return (Node, (self.page_id, self.level, self.entries))
 
     @property
     def is_leaf(self) -> bool:
         """True when this node stores data entries."""
         return self.level == 0
 
+    def rects(self) -> np.ndarray:
+        """The ``(n, 4)`` float64 array of the entries' MBRs, row ``i``
+        being ``entries[i].rect`` (see :mod:`repro.index.mbrs`)."""
+        rects = self._rects
+        if rects is None:
+            rects = self._rects = mbrs.pack(e.rect for e in self.entries)
+        return rects
+
+    def drop_cached(self) -> None:
+        """Forget the packed array and the MBR (the entries changed)."""
+        self._rects = self._mbr = None
+
     def mbr(self) -> Rect:
         """The MBR of all entries (the rect this node's parent stores)."""
-        if not self.entries:
-            raise SpatialIndexError(f"node {self.page_id} has no entries")
-        return Rect.union_all(e.rect for e in self.entries)
+        mbr = self._mbr
+        if mbr is None:
+            if not self.entries:
+                raise SpatialIndexError(f"node {self.page_id} has no entries")
+            mbr = self._mbr = Rect.union_all(e.rect for e in self.entries)
+        return mbr
 
     def __len__(self) -> int:
         return len(self.entries)

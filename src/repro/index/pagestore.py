@@ -139,7 +139,13 @@ class PageStore:
         return pid
 
     def write(self, node: "Node") -> None:
-        """Persist a node at its page id."""
+        """Persist a node at its page id.
+
+        Every mutation of a node's entries ends here, so this is where
+        what the node derived from them (:meth:`Node.rects`,
+        :meth:`Node.mbr`) is dropped.
+        """
+        node.drop_cached()
         self._pages[node.page_id] = node
 
     def read(self, page_id: int) -> "Node":

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import QueryError, SpatialIndexError
 from repro.geometry.circle import Circle
 from repro.geometry.rect import Rect
+from repro.index import mbrs
 from repro.index.node import Entry, Node
 from repro.index.pagestore import LRUBuffer, PageStore
 from repro.obs.trace import TRACER
@@ -215,7 +218,7 @@ class RStarTree:
 
     def iter_rect(self, rect: Rect) -> Iterator[Entry]:
         """Stream leaf entries whose MBR intersects ``rect``."""
-        return self._iter_matching(lambda r: rect.intersects(r))
+        return self._iter_matching(lambda rects: mbrs.intersects(rects, rect))
 
     def search_circle(self, circle: Circle) -> list[Entry]:
         """All leaf entries whose MBR intersects the disk.
@@ -225,20 +228,31 @@ class RStarTree:
         """
         if circle.radius < 0:
             raise QueryError("negative search radius")
-        return list(self._iter_matching(circle.intersects_rect))
+        x, y = circle.center.x, circle.center.y
+        limit = circle.radius * circle.radius
+        return list(
+            self._iter_matching(
+                lambda rects: mbrs.mindist_sq(rects, x, y, x, y) <= limit
+            )
+        )
 
-    def _iter_matching(self, predicate: Callable[[Rect], bool]) -> Iterator[Entry]:
+    def _iter_matching(
+        self, matching: Callable[[np.ndarray], np.ndarray]
+    ) -> Iterator[Entry]:
+        """Depth-first filter; ``matching`` maps a node's packed MBRs to
+        the mask of entries to report (leaf) or descend into."""
         if self._size == 0:
             return
         stack = [self._root_id]
         while stack:
             node = self.read_node(stack.pop())
-            for e in node.entries:
-                if predicate(e.rect):
-                    if node.is_leaf:
-                        yield e
-                    else:
-                        stack.append(e.child)  # type: ignore[arg-type]
+            entries = node.entries
+            hits = np.flatnonzero(matching(node.rects())).tolist()
+            if node.is_leaf:
+                for i in hits:
+                    yield entries[i]
+            else:
+                stack.extend(entries[i].child for i in hits)
 
     def items(self) -> Iterator[tuple[Any, Rect]]:
         """All ``(data, rect)`` pairs, bypassing the buffer/counters."""
@@ -287,6 +301,11 @@ class RStarTree:
             )
         if is_root and len(node.entries) > self.max_entries:
             raise SpatialIndexError(f"root overflow: {len(node.entries)}")
+        rects = [e.rect for e in node.entries]
+        if not np.array_equal(node.rects(), mbrs.pack(rects)) or (
+            rects and node.mbr() != Rect.union_all(rects)
+        ):
+            raise SpatialIndexError(f"node {page_id}: stale packed MBRs")
         if node.is_leaf:
             return len(node.entries)
         total = 0

@@ -25,40 +25,68 @@ from __future__ import annotations
 
 import heapq
 from itertools import count, islice
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from repro.geometry.point import Point
 from repro.visibility.graph import VisibilityGraph
 
 T = TypeVar("T")
 
-#: One prioritised item: ``(key, is_final, payload)``.  ``key`` is the
-#: exact distance for final items and a lower bound for internal ones.
-Item = tuple[float, bool, Any]
+#: One expansion: ``(keys, is_final, make)``.  ``keys[i]`` is the exact
+#: distance (final batch) or a lower bound (internal batch) of the
+#: ``i``-th child of the expanded item, ``make(i)`` builds its payload.
+Batch = tuple[Sequence[float], bool, Callable[[int], Any]]
 
 
 def best_first(
-    seeds: Iterable[Item],
-    expand: Callable[[Any], Iterable[Item]],
+    seeds: Batch,
+    expand: Callable[[Any], Batch],
 ) -> Iterator[tuple[Any, float]]:
     """The generic best-first skeleton.
 
-    Yields ``(payload, key)`` for final items in ascending key order.
-    Correctness requires the usual lower-bound property: every item
-    produced by expanding an internal item has a key no smaller than
-    the internal item's own key.
+    Yields ``(payload, key)`` for final items in ascending key order;
+    popping an internal item calls ``expand(payload)`` for the batch of
+    its children.  Correctness requires the usual lower-bound property:
+    every key of a batch is no smaller than the key of the item it was
+    expanded from.
+
+    The queue holds one entry per batch, not per item: the batch's
+    smallest unreleased ``(key, seq)``, where ``seq`` numbers items in
+    the order they were produced (ties pop first-produced first).
+    Popping it releases the batch's next one, so the pop order — and
+    with it every ``expand`` call — is that of pushing all items, while
+    ``make`` runs only for items that are actually popped.
     """
-    tiebreak = count()
-    heap: list[tuple[float, int, bool, Any]] = []
-    for key, is_final, payload in seeds:
-        heapq.heappush(heap, (key, next(tiebreak), is_final, payload))
+    # A batch is (sorted keys, their indices in production order, seq
+    # of index 0, is_final, make); the heap holds (key, seq, rank, batch)
+    # for the rank-th smallest key of each batch that has one left.
+    heap: list[tuple[float, int, int, tuple]] = []
+    produced = 0
+
+    def admit(keys: Sequence[float], is_final: bool, make: Callable) -> None:
+        nonlocal produced
+        keys = np.asarray(keys, dtype=np.float64)
+        order = keys.argsort(kind="stable")
+        release((keys[order].tolist(), order.tolist(), produced, is_final, make), 0)
+        produced += len(keys)
+
+    def release(batch: tuple, rank: int) -> None:
+        keys, order, base = batch[:3]
+        if rank < len(keys):
+            heapq.heappush(heap, (keys[rank], base + order[rank], rank, batch))
+
+    admit(*seeds)
     while heap:
-        key, __, is_final, payload = heapq.heappop(heap)
+        key, __, rank, batch = heapq.heappop(heap)
+        release(batch, rank + 1)
+        __, order, __, is_final, make = batch
+        payload = make(order[rank])
         if is_final:
             yield payload, key
         else:
-            for k, f, p in expand(payload):
-                heapq.heappush(heap, (k, next(tiebreak), f, p))
+            admit(*expand(payload))
 
 
 def take(stream: Iterator[T], k: int) -> list[T]:

@@ -1,0 +1,254 @@
+"""The array-evaluated traversals against the scalar oracle.
+
+Every R-tree traversal evaluates a node in one numpy pass over its
+packed MBRs, and the best-first queue holds one entry per expanded
+node.  ``tests/euclidean/reference.py`` keeps the per-entry loops and
+the eager queue; here both sides run on the *same* trees and must
+return the same values in the same order and issue the same
+``read_node`` page-id sequence — on random coordinates and on
+grid-aligned ones (shared coordinates, zero distances, many ties),
+for points and rectangles, across node capacities, for bulk-loaded
+and insert-built trees.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+import random
+from itertools import islice
+from types import SimpleNamespace
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.euclidean import (
+    IncrementalClosestPairs,
+    IncrementalNearestNeighbors,
+    distance_join,
+)
+from repro.geometry import Circle, Point, Rect
+from repro.index import RStarTree, str_pack
+from repro.runtime import skeletons
+
+from tests.euclidean import reference
+
+SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Tenths: shared coordinates whose sums and differences round.
+_GRID = st.integers(0, 60).map(lambda i: i / 10.0)
+_FREE = st.floats(0.0, 100.0, allow_nan=False)
+#: Join distances that land on, just under and just over grid spacings.
+_GRID_E = st.sampled_from(
+    [0.0, 0.3, 0.1 + 0.2, 0.7, 1.0, 1.5, math.sqrt(2.0), 2.0]
+)
+
+
+@st.composite
+def rect_sets(draw: st.DrawFn, coord, max_size: int = 50) -> list[Rect]:
+    """Points (zero-extent rects) or rectangles over ``coord``."""
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.tuples(coord, coord), max_size=max_size))
+        return [Rect(x, y, x, y) for x, y in raw]
+    extent = coord.map(lambda c: c / 2.0)
+    raw = draw(
+        st.lists(st.tuples(coord, coord, extent, extent), max_size=max_size)
+    )
+    return [Rect(x, y, x + w, y + h) for x, y, w, h in raw]
+
+
+@st.composite
+def scenes(draw: st.DrawFn):
+    """``(tree_s, tree_t, log, e)``: two recorded trees over the same
+    kind of coordinates and a join distance that suits them."""
+    grid = draw(st.booleans())
+    coord = _GRID if grid else _FREE
+    max_entries = draw(st.sampled_from([4, 8, 204]))
+    log: list[tuple[str, int]] = []
+    trees = [
+        _tree(draw(rect_sets(coord)), max_entries, draw(st.booleans()), name, log)
+        for name in ("S", "T")
+    ]
+    e = draw(_GRID_E if grid else st.floats(0.0, 40.0, allow_nan=False))
+    return trees[0], trees[1], log, e
+
+
+def _tree(
+    rects: list[Rect],
+    max_entries: int,
+    bulk: bool,
+    name: str,
+    log: list[tuple[str, int]],
+) -> RStarTree:
+    """A tree whose payloads are the rects' indices and whose page
+    fetches are appended to ``log``."""
+    tree = RStarTree(max_entries=max_entries, name=name)
+    if bulk:
+        str_pack(tree, list(enumerate(rects)))
+    else:
+        for i, r in enumerate(rects):
+            tree.insert(i, r)
+    tree.check_invariants()
+    fetch = tree.read_node
+
+    def recorded(page_id: int):
+        log.append((name, page_id))
+        return fetch(page_id)
+
+    tree.read_node = recorded  # type: ignore[method-assign]
+    return tree
+
+
+def _run(log: list, fn):
+    """``fn()``'s result and the page fetches it made."""
+    del log[:]
+    out = fn()
+    return out, list(log)
+
+
+def _assert_same(log: list, production, oracle) -> None:
+    got = _run(log, production)
+    want = _run(log, oracle)
+    assert got == want
+
+
+@SETTINGS
+@given(scenes())
+def test_distance_join(scene):
+    tree_s, tree_t, log, e = scene
+    _assert_same(
+        log,
+        lambda: distance_join(tree_s, tree_t, e),
+        lambda: reference.distance_join(tree_s, tree_t, e),
+    )
+
+    def streamed(join):
+        pairs = []
+        assert join(tree_s, tree_t, e, lambda s, t, d: pairs.append((s, t, d))) == []
+        return pairs
+
+    _assert_same(
+        log,
+        lambda: streamed(distance_join),
+        lambda: streamed(reference.distance_join),
+    )
+
+
+def test_join_keeps_the_sweep_window_rounding():
+    """2.1 - 0.6 <= 1.5 but 0.6 < 2.1 - 1.5 in float64: the scalar
+    sweep's window drops the pair, so the matrix must too."""
+    log: list[tuple[str, int]] = []
+    tree_s = _tree([Rect(2.1, 0.0, 2.1, 0.0)], 4, True, "S", log)
+    tree_t = _tree([Rect(0.6, 0.0, 0.6, 0.0)], 4, True, "T", log)
+    assert Rect(2.1, 0, 2.1, 0).mindist_rect(Rect(0.6, 0, 0.6, 0)) <= 1.5
+    assert reference.distance_join(tree_s, tree_t, 1.5) == []
+    assert distance_join(tree_s, tree_t, 1.5) == []
+
+
+@SETTINGS
+@given(scenes(), st.integers(0, 400))
+def test_closest_pairs_prefix(scene, n):
+    tree_s, tree_t, log, __ = scene
+    _assert_same(
+        log,
+        lambda: list(islice(IncrementalClosestPairs(tree_s, tree_t), n)),
+        lambda: list(islice(reference.closest_pairs(tree_s, tree_t), n)),
+    )
+
+
+@SETTINGS
+@given(scenes(), st.integers(0, 60), st.tuples(_GRID | _FREE, _GRID | _FREE))
+def test_nearest_neighbors_prefix(scene, n, q_raw):
+    tree, __, log, __ = scene
+    q = Point(*q_raw)
+    _assert_same(
+        log,
+        lambda: list(islice(IncrementalNearestNeighbors(tree, q), n)),
+        lambda: list(islice(reference.nearest_neighbors(tree, q), n)),
+    )
+
+
+@SETTINGS
+@given(scenes(), rect_sets(_GRID | _FREE, max_size=3))
+def test_search_rect_and_circle(scene, windows):
+    tree, __, log, radius = scene
+    for window in windows:
+        _assert_same(
+            log,
+            lambda: [en.data for en in tree.search_rect(window)],
+            lambda: [en.data for en in reference.search_rect(tree, window)],
+        )
+        circle = Circle(window.center(), radius)
+        _assert_same(
+            log,
+            lambda: [en.data for en in tree.search_circle(circle)],
+            lambda: [en.data for en in reference.search_circle(tree, circle)],
+        )
+
+
+def _random_rects(seed: int, n: int, extent: float) -> list[Rect]:
+    rng = random.Random(seed)
+    out = []
+    for __ in range(n):
+        x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
+        out.append(Rect(x, y, x + rng.uniform(0, extent), y + rng.uniform(0, extent)))
+    return out
+
+
+def test_paper_capacity_multi_level():
+    """204-entry nodes with internal levels on both sides: the node x
+    node matrix and the node x leaf cases of the join, and closest
+    pairs that open internal nodes of either tree."""
+    log: list[tuple[str, int]] = []
+    tree_s = _tree(_random_rects(1, 700, 0.0), 204, True, "S", log)
+    tree_t = _tree(_random_rects(2, 40000, 3.0), 204, True, "T", log)
+    assert tree_s.height == 2 and tree_t.height == 3
+    for a, b in ((tree_s, tree_t), (tree_t, tree_s)):
+        _assert_same(
+            log,
+            lambda: distance_join(a, b, 4.0),
+            lambda: reference.distance_join(a, b, 4.0),
+        )
+        _assert_same(
+            log,
+            lambda: list(islice(IncrementalClosestPairs(a, b), 300)),
+            lambda: list(islice(reference.closest_pairs(a, b), 300)),
+        )
+    q = Point(500.0, 500.0)
+    _assert_same(
+        log,
+        lambda: list(islice(IncrementalNearestNeighbors(tree_t, q), 500)),
+        lambda: list(islice(reference.nearest_neighbors(tree_t, q), 500)),
+    )
+
+
+def test_queue_holds_one_entry_per_expansion(monkeypatch):
+    """The closest-pair queue never grows past seeds + expansions
+    (eager pushing would hold one entry per *entry* of every opened
+    node — thousands here)."""
+    log: list[tuple[str, int]] = []
+    tree_s = _tree(_random_rects(3, 131, 0.0), 204, True, "S", log)
+    tree_t = _tree(_random_rects(4, 5000, 0.0), 204, True, "T", log)
+    lengths: list[int] = []
+
+    def watched(heap, item):
+        heapq.heappush(heap, item)
+        lengths.append(len(heap))
+
+    monkeypatch.setattr(
+        skeletons,
+        "heapq",
+        SimpleNamespace(heappush=watched, heappop=heapq.heappop),
+    )
+    del log[:]
+    stream = IncrementalClosestPairs(tree_s, tree_t)
+    seeds = 1
+    root_reads = len(log)
+    for __ in islice(stream, 2000):
+        expansions = len(log) - root_reads
+        assert max(lengths) <= seeds + expansions
+    assert expansions > 10

@@ -52,6 +52,10 @@ def _doc(**overrides):
             "batched 56v": {"batch_match": 1.0, "batch_speedup_ok": 1.0},
             "batched 1000v": {"batch_match": 1.0, "batch_speedup_ok": 1.0},
         },
+        "smoke euclidean": {
+            "join 131x13k": {"match": 1.0, "speedup_ok": 1.0},
+            "closest 131x13k": {"match": 1.0, "speedup_ok": 1.0},
+        },
         "smoke serve": {
             "parity": 1.0,
             "warm_builds": 0.0,

@@ -89,6 +89,13 @@ GATES: tuple[tuple[tuple[str, ...], str], ...] = (
     (("smoke field engine", "speedup_ok"), "exact"),
     (("smoke field engine", "graph_builds"), "lower"),
     (("smoke field engine", "field_freezes"), "lower"),
+    # Warm distance stream: bit-identical to the reference engine, and
+    # the compiled engine only reads its cached graph — the counts over
+    # 1,000 calls at fresh endpoints are exact.
+    (("smoke warm distance stream", "parity"), "exact"),
+    (("smoke warm distance stream", "field_freezes"), "exact"),
+    (("smoke warm distance stream", "node_growth"), "exact"),
+    (("smoke warm distance stream", "backend_calls"), "exact"),
     # Adaptive cache policy: the acceptance verdict (>= 2 wins, no
     # losses, bit-identical answers), the deterministic trace check,
     # and the build counters of the two headline-win profiles.

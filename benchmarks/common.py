@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from functools import lru_cache
 
 from repro.core.engine import ObstacleDatabase
@@ -948,6 +949,22 @@ def euclidean_iterator_comparison() -> dict[str, dict[str, float]]:
     return rows
 
 
+@contextmanager
+def _field_engine(name: str):
+    """``REPRO_FIELD_ENGINE=name`` for the duration of the block."""
+    from repro.runtime.field import FIELD_ENGINE_ENV
+
+    saved = os.environ.get(FIELD_ENGINE_ENV)
+    os.environ[FIELD_ENGINE_ENV] = name
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(FIELD_ENGINE_ENV, None)
+        else:
+            os.environ[FIELD_ENGINE_ENV] = saved
+
+
 def field_engine_comparison(
     n_obstacles: int, rounds: int, *, n_queries: int = 4
 ) -> dict[str, float]:
@@ -963,17 +980,13 @@ def field_engine_comparison(
     ``parity`` (bit-identical answer streams) and ``counters_match``
     (identical graph-build counts and R-tree page traffic).
     """
-    from repro.runtime.field import FIELD_ENGINE_ENV
-
     workload = bench_workload(
         n_obstacles, (("P1", n_obstacles),), n_queries
     )
     e = scaled_range(0.001) * math.sqrt(BENCH_O / n_obstacles)
-    saved = os.environ.get(FIELD_ENGINE_ENV)
     runs: dict[str, tuple[list, dict[str, float]]] = {}
-    try:
-        for engine in ("python", "csr"):
-            os.environ[FIELD_ENGINE_ENV] = engine
+    for engine in ("python", "csr"):
+        with _field_engine(engine):
             db = ObstacleDatabase(
                 workload.obstacles,
                 max_entries=BENCH_PAGE_ENTRIES,
@@ -998,11 +1011,6 @@ def field_engine_comparison(
                     "obstacle_reads": float(pages["reads"]),
                 },
             )
-    finally:
-        if saved is None:
-            os.environ.pop(FIELD_ENGINE_ENV, None)
-        else:
-            os.environ[FIELD_ENGINE_ENV] = saved
     py_answers, py = runs["python"]
     csr_answers, csr = runs["csr"]
     speedup = py["cpu_s"] / csr["cpu_s"] if csr["cpu_s"] else math.inf
@@ -1021,6 +1029,109 @@ def field_engine_comparison(
             py["graph_builds"] == csr["graph_builds"]
             and py["obstacle_reads"] == csr["obstacle_reads"]
         ),
+    }
+
+
+#: Required CPU speedup of the compiled engine on the warm distance
+#: stream (``benchmarks/test_distance_stream.py``).
+DISTANCE_STREAM_SPEEDUP = 2.0
+
+
+def distance_stream_comparison(
+    n_obstacles: int, n_calls: int = 1000, *, warm_calls: int = 100
+) -> dict[str, float]:
+    """A warm stream of point-to-point distances on one hot graph,
+    under each engine (``REPRO_FIELD_ENGINE=python`` vs ``csr``).
+
+    Every endpoint is a fresh point jittered (the zipf-hotspot
+    profile's radius) around one anchor at the centre of its cache
+    cell, so all calls share one cached graph whose coverage the
+    warm-up saturates.  The reference engine inserts both endpoints of
+    every call into that graph and searches the dict adjacency; the
+    compiled engine sweeps them against the frozen graph in one backend
+    call and searches the arrays.  Returns per-engine CPU time, the
+    speedup, ``parity`` (bit-identical answer lists) and the compiled
+    engine's counts over the timed calls: ``field_freezes``,
+    ``node_growth`` of the hot graph and ``backend_calls``.
+    """
+    import random
+
+    from repro.workloads.profiles import (
+        HOTSPOT_JITTER_FRACTION,
+        _free_jitter,
+        _is_free,
+    )
+
+    workload = bench_workload(n_obstacles, (("P1", n_obstacles),), 4)
+    obstacles = workload.obstacles
+    jitter = HOTSPOT_JITTER_FRACTION * DEFAULT_UNIVERSE.width
+    snap = 4.0 * jitter
+    rng = random.Random(BENCH_SEED)
+    cells = (
+        Point(round(q.x / snap) * snap, round(q.y / snap) * snap)
+        for q in workload.queries
+    )
+    anchor = next(cell for cell in cells if _is_free(cell, obstacles))
+    pairs = [
+        tuple(
+            _free_jitter(rng, anchor, jitter, obstacles, DEFAULT_UNIVERSE)
+            for __ in range(2)
+        )
+        for __ in range(warm_calls + n_calls)
+    ]
+    runs: dict[str, tuple[list[float], dict[str, float]]] = {}
+    for engine in ("python", "csr"):
+        with _field_engine(engine):
+            db = ObstacleDatabase(
+                obstacles,
+                max_entries=BENCH_PAGE_ENTRIES,
+                min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
+                graph_cache_snap=snap,
+            )
+            context = db.context
+            entry = context.entry_for(anchor, 6.0 * jitter)
+            for p, q in pairs[:warm_calls]:
+                context.distance(p, q)
+            backend = context.backend
+            sweep = backend.visible_from_many
+            calls = [0]
+
+            def counted(sources, graph):
+                calls[0] += 1
+                return sweep(sources, graph)
+
+            backend.visible_from_many = counted
+            nodes = entry.graph.node_count
+            freezes = context.stats.field_freezes
+            timer = Timer()
+            with timer:
+                answers = [context.distance(p, q) for p, q in pairs[warm_calls:]]
+            runs[engine] = (
+                answers,
+                {
+                    "cpu_s": timer.elapsed_ms / 1000.0,
+                    "field_freezes": float(context.stats.field_freezes - freezes),
+                    "node_growth": float(entry.graph.node_count - nodes),
+                    "backend_calls": float(calls[0]),
+                    "graph_nodes": float(nodes),
+                    "graphs": float(len(context.cache)),
+                },
+            )
+    py_answers, py = runs["python"]
+    csr_answers, csr = runs["csr"]
+    speedup = py["cpu_s"] / csr["cpu_s"] if csr["cpu_s"] else math.inf
+    return {
+        "python_cpu_s": py["cpu_s"],
+        "csr_cpu_s": csr["cpu_s"],
+        "speedup": speedup,
+        "speedup_ok": float(speedup >= DISTANCE_STREAM_SPEEDUP),
+        "calls": float(n_calls),
+        "graph_nodes": csr["graph_nodes"],
+        "graphs": csr["graphs"],
+        "parity": float(py_answers == csr_answers),
+        "field_freezes": csr["field_freezes"],
+        "node_growth": csr["node_growth"],
+        "backend_calls": csr["backend_calls"],
     }
 
 

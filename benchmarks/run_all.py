@@ -322,6 +322,9 @@ def smoke() -> int:
     code = smoke_field_engine()
     if code:
         return code
+    code = smoke_distance_stream()
+    if code:
+        return code
     code = smoke_policy()
     if code:
         return code
@@ -739,6 +742,38 @@ def smoke_field_engine() -> int:
         return 1
     if metrics["speedup"] < 3.0:
         print("FAIL: CSR engine under 3x on the warm stream")
+        return 1
+    return 0
+
+
+def smoke_distance_stream() -> int:
+    """Warm distance stream smoke: 1,000 point-to-point distances at
+    fresh jittered endpoints on one hot graph, compiled vs reference
+    engine.  Gated on bit-identical answers and on the compiled
+    engine leaving the graph alone: no freeze, no node growth, at most
+    one backend call per distance (the >= 2x bar lives in
+    ``benchmarks/test_distance_stream.py``)."""
+    from benchmarks.common import distance_stream_comparison
+
+    metrics = distance_stream_comparison(2000)
+    RESULTS["smoke warm distance stream"] = metrics
+    print(
+        f"\nwarm distance stream ({metrics['calls']:.0f} calls, one graph of "
+        f"{metrics['graph_nodes']:.0f} nodes): python "
+        f"{metrics['python_cpu_s'] * 1000:.0f} ms, csr "
+        f"{metrics['csr_cpu_s'] * 1000:.0f} ms ({metrics['speedup']:.2f}x), "
+        f"{metrics['field_freezes']:.0f} freezes, node growth "
+        f"{metrics['node_growth']:.0f}, {metrics['backend_calls']:.0f} "
+        f"backend calls"
+    )
+    if not metrics["parity"]:
+        print("FAIL: compiled engine changed obstructed distances")
+        return 1
+    if metrics["field_freezes"] or metrics["node_growth"]:
+        print("FAIL: a warm distance call changed its cached graph")
+        return 1
+    if metrics["backend_calls"] > metrics["calls"]:
+        print("FAIL: more than one backend call per distance")
         return 1
     return 0
 

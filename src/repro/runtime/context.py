@@ -34,11 +34,14 @@ from repro.geometry.point import Point
 from repro.model import Obstacle
 from repro.obs.trace import TRACER
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
+from repro.runtime.field import make_distance_field, resolve_field_engine
 from repro.runtime.policy import CachePolicy, resolve_cache_policy
 from repro.runtime.sharding import stamp_for, stamp_is_stale
 from repro.runtime.stats import RuntimeStats
+from repro.visibility.csr import frozen
 from repro.visibility.graph import VisibilityGraph
 from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
+from repro.visibility.naive import is_visible
 from repro.visibility.shortest_path import shortest_path_dist
 
 
@@ -295,6 +298,19 @@ class QueryContext:
 
     # ------------------------------------------------------------ graph reuse
     def entry_for(self, center: Point, radius: float = 0.0) -> CachedGraph:
+        """The cached graph serving ``center``, covering ``radius``,
+        with ``center`` a node of it.
+
+        :meth:`_lookup`, then an off-centre ``center`` (spatial keys)
+        is added to the shared graph as a free point — a distance
+        field roots at a node.
+        """
+        entry = self._lookup(center, radius)
+        if entry.center != center:
+            self._admit_guest(entry, center)
+        return entry
+
+    def _lookup(self, center: Point, radius: float) -> CachedGraph:
         """The cached graph serving ``center``, covering ``radius``.
 
         On a miss the graph is built from the obstacles intersecting
@@ -303,8 +319,7 @@ class QueryContext:
         then guarded by coverage — the entry is valid only once its
         coverage disk contains ``disk(center, radius)``, so an
         under-covered entry is topped up around its *own* centre by the
-        widened radius (extend-and-promote) before being served, and
-        ``center`` is added to the shared graph as a free point.
+        widened radius (extend-and-promote) before being served.
         """
         self.policy.observe(center)
         entry = self.cache.get(center, self.version)
@@ -331,8 +346,6 @@ class QueryContext:
             if entry.center != center:
                 self.stats.graph_cache_promotions += 1
             self.ensure_coverage(entry, required)
-        if entry.center != center:
-            self._admit_guest(entry, center)
         return entry
 
     def _admit_guest(self, entry: CachedGraph, center: Point) -> None:
@@ -440,15 +453,73 @@ class QueryContext:
     def distance(self, p: Point, q: Point, *, bound: float = inf) -> float:
         """Obstructed distance ``d_O(p, q)`` (paper Fig. 8).
 
-        The graph is cached per ``q`` (the expansion centre); ``p`` is
-        added as a transient entity and removed afterwards so the
-        cached graph stays lean.  ``bound`` enables threshold pruning:
-        iteration stops once the provisional lower bound exceeds it.
+        The graph is cached per ``q`` (the expansion centre) and is
+        only read: a shortest path turns only at obstacle vertices, so
+        it leaves each endpoint straight toward a node the endpoint
+        sees, and neither endpoint has to be a node
+        (:meth:`_frozen_distance`).  ``bound`` enables threshold
+        pruning: iteration stops once the provisional lower bound
+        exceeds it.
+
+        Under ``REPRO_FIELD_ENGINE=python`` the reference path runs
+        instead: both endpoints are inserted into the dict graph, the
+        dict Dijkstra searches it, and ``p`` is deleted again.
         """
         self.stats.distance_calls += 1
         TRACER.count("context.distance_call")
         if p == q:
             return 0.0
+        if resolve_field_engine() != "csr":
+            return self._distance_by_insertion(p, q, bound)
+        entry = self._lookup(q, p.distance(q))
+        graph = entry.graph
+        d = self._frozen_distance(graph, p, q)
+        while d <= bound:
+            if not self.cover(entry, q, d):
+                break
+            d = self._frozen_distance(graph, p, q)
+        return d
+
+    def _frozen_distance(
+        self, graph: VisibilityGraph, p: Point, q: Point
+    ) -> float:
+        """``d(p, q)`` over ``graph``'s current freeze: one search
+        seeded with the nodes ``p`` sees at their straight legs, read
+        off at the nodes ``q`` sees plus their legs — the float64 sums
+        Dijkstra forms with both endpoints inserted."""
+        csr = frozen(graph, stats=self.stats)
+        seeds, seed_legs, __ = csr.anchors_for(p, graph, ahead=(q,))
+        goals, goal_legs, __ = csr.anchors_for(q, graph)
+        # The sweeps report visible *nodes*: whether p sees q is known
+        # from them unless neither is one.
+        direct = (
+            p.distance(q)
+            if p not in csr.index
+            and q not in csr.index
+            and is_visible(p, q, graph.scene_obstacles())
+            else inf
+        )
+        if not len(seeds) or not len(goals):
+            return direct
+        with TRACER.span(
+            "distance.search",
+            seeds=len(seeds),
+            goals=len(goals),
+            nodes=csr.node_count,
+        ) as span:
+            dist, settled = csr.dijkstra(
+                list(zip(seeds.tolist(), seed_legs.tolist())),
+                targets=goals.tolist(),
+                legs=goal_legs.tolist(),
+            )
+            span.set_attr("settled", int(settled.sum()))
+        return min(direct, float((dist[goals] + goal_legs).min()))
+
+    def _distance_by_insertion(
+        self, p: Point, q: Point, bound: float
+    ) -> float:
+        """The reference engine's ``distance``: ``q`` is a node of its
+        cached graph (:meth:`entry_for`), ``p`` a transient entity."""
         entry = self.entry_for(q, p.distance(q))
         graph = entry.graph
         added = graph.add_entity(p)
@@ -473,8 +544,6 @@ class QueryContext:
         reference path — is resolved per call from
         ``REPRO_FIELD_ENGINE`` (see :mod:`repro.runtime.field`).
         """
-        from repro.runtime.field import make_distance_field
-
         with TRACER.span("field.build", radius=radius):
             entry = self.entry_for(q, radius)
         self.stats.field_builds += 1

@@ -7,16 +7,18 @@ caches): every Dijkstra hashes ``Point`` objects, allocates
 ``(key, tiebreak, Point)`` heap tuples, and walks per-node dicts.
 :class:`CSRGraph` freezes one *structure revision* of a graph into
 flat arrays — ``indptr``/``indices``/``weights`` compressed sparse
-rows plus per-node coordinates — so shortest paths run over ``int32``
-node ids with an array-backed heap and vectorized edge relaxation, and
-the last-leg minimisation ``min_v d[v] + |p - v|`` of
-:class:`~repro.core.distance.SourceDistanceField` becomes one numpy
+rows plus per-node coordinates — so shortest paths run over ``int``
+node ids (one ``heapq`` loop over the rows as python lists,
+:meth:`CSRGraph.dijkstra`, rooted at a node or at an off-graph point's
+visible anchors), and the last-leg minimisation
+``min_v d[v] + |p - v|`` of
+:class:`~repro.core.distance.SourceDistanceField` and of
+:meth:`~repro.runtime.context.QueryContext.distance` becomes one numpy
 expression.
 
 Parity contract: edge weights are copied verbatim from the live
-adjacency and relaxations use the same float64 ``d + w`` arithmetic
-(IEEE elementwise, identical scalar or vectorized), so settled
-distances are bit-identical to
+adjacency and relaxations use the same float64 ``d + w`` arithmetic,
+so settled distances are bit-identical to
 :func:`repro.visibility.shortest_path.dijkstra` — the heap order may
 differ on ties, but the settled *values* are the same minimum over the
 same relaxation set.
@@ -28,8 +30,10 @@ This module requires numpy; the engine dispatcher
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from itertools import chain, islice
 from math import inf
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -39,98 +43,15 @@ from repro.obs.trace import TRACER
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.visibility.graph import VisibilityGraph
 
-
-class FlatHeap:
-    """Array-backed binary min-heap over ``(float64 key, int32 node)``.
-
-    Replaces ``heapq`` over ``(distance, tiebreak, Point)`` tuples: no
-    tuple allocation per entry, no ``Point`` comparisons, and pushes
-    arrive in vectorized batches (one per relaxed CSR row).  Ties pop
-    in unspecified order — Dijkstra's settled values do not depend on
-    it.
-    """
-
-    __slots__ = ("_keys", "_nodes", "_size")
-
-    def __init__(self, capacity: int = 256) -> None:
-        self._keys = np.empty(capacity, dtype=np.float64)
-        self._nodes = np.empty(capacity, dtype=np.int32)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _grow(self, need: int) -> None:
-        capacity = len(self._keys)
-        if need <= capacity:
-            return
-        new = max(capacity * 2, need)
-        keys = np.empty(new, dtype=np.float64)
-        nodes = np.empty(new, dtype=np.int32)
-        keys[: self._size] = self._keys[: self._size]
-        nodes[: self._size] = self._nodes[: self._size]
-        self._keys = keys
-        self._nodes = nodes
-
-    def _sift_up(self, i: int, key: float, node: int) -> None:
-        keys = self._keys
-        nodes = self._nodes
-        while i > 0:
-            parent = (i - 1) >> 1
-            pk = keys[parent]
-            if key < pk:
-                keys[i] = pk
-                nodes[i] = nodes[parent]
-                i = parent
-            else:
-                break
-        keys[i] = key
-        nodes[i] = node
-
-    def push(self, key: float, node: int) -> None:
-        """Insert one entry."""
-        self._grow(self._size + 1)
-        i = self._size
-        self._size += 1
-        self._sift_up(i, key, node)
-
-    def push_many(self, keys: "np.ndarray", nodes: "np.ndarray") -> None:
-        """Insert a batch of entries (one relaxed CSR row)."""
-        count = len(keys)
-        self._grow(self._size + count)
-        for key, node in zip(keys.tolist(), nodes.tolist()):
-            i = self._size
-            self._size += 1
-            self._sift_up(i, key, node)
-
-    def pop(self) -> tuple[float, int]:
-        """Remove and return the minimum ``(key, node)``."""
-        keys = self._keys
-        nodes = self._nodes
-        top_key = float(keys[0])
-        top_node = int(nodes[0])
-        self._size -= 1
-        size = self._size
-        if size > 0:
-            key = float(keys[size])
-            node = int(nodes[size])
-            i = 0
-            child = 1
-            while child < size:
-                right = child + 1
-                if right < size and keys[right] < keys[child]:
-                    child = right
-                ck = keys[child]
-                if ck < key:
-                    keys[i] = ck
-                    nodes[i] = nodes[child]
-                    i = child
-                    child = 2 * i + 1
-                else:
-                    break
-            keys[i] = key
-            nodes[i] = node
-        return top_key, top_node
+#: Maximum off-graph points whose last-leg geometry one frozen graph
+#: memoizes.  A graph that no longer mutates keeps its freeze — and
+#: with it the memo — for as long as its entry stays cached, and every
+#: distance call at a fresh endpoint pair adds two entries (about 1 KB
+#: each at the paper's graph sizes); the oldest are evicted beyond
+#: this, the same reasoning as the runtime's ``GUEST_LIMIT``: repeat
+#: candidates of a hot centre stay memoized, a jittering endpoint
+#: stream cannot grow a cached graph's footprint without limit.
+ANCHOR_MEMO_LIMIT = 512
 
 
 class CSRGraph:
@@ -155,6 +76,7 @@ class CSRGraph:
         "fields",
         "anchors",
         "_anchors_revision",
+        "_rows",
     )
 
     def __init__(
@@ -176,6 +98,9 @@ class CSRGraph:
         self.fields: dict[int, "np.ndarray"] = {}
         self.anchors: dict[Point, tuple] = {}
         self._anchors_revision: "int | None" = None
+        #: ``indptr``/``indices``/``weights`` as python lists: what
+        #: :meth:`dijkstra` iterates (made there for installed arrays).
+        self._rows: "tuple[list, list, list] | None" = None
 
     @classmethod
     def freeze(cls, graph: "VisibilityGraph") -> "CSRGraph":
@@ -192,15 +117,14 @@ class CSRGraph:
             out=indptr[1:],
         )
         m = int(indptr[-1])
-        indices = np.empty(m, dtype=np.int32)
-        weights = np.empty(m, dtype=np.float64)
-        pos = 0
-        for p in points:
-            for q, w in adj[p].items():
-                indices[pos] = index[q]
-                weights[pos] = w
-                pos += 1
+        ids = list(map(index.__getitem__, chain.from_iterable(adj.values())))
+        lengths = list(chain.from_iterable(map(dict.values, adj.values())))
+        indices = np.fromiter(ids, dtype=np.int32, count=m)
+        weights = np.fromiter(lengths, dtype=np.float64, count=m)
         csr = cls(points, xs, ys, indptr, indices, weights)
+        # The kernel's rows, here made of the adjacency's own float
+        # objects rather than copies of them.
+        csr._rows = (indptr.tolist(), ids, lengths)
         return csr
 
     @property
@@ -215,53 +139,79 @@ class CSRGraph:
 
     def dijkstra(
         self,
-        source: int,
+        source: "int | Sequence[tuple[int, float]]",
         *,
         bound: float = inf,
         targets: "Iterable[int] | None" = None,
+        legs: "Sequence[float] | None" = None,
     ) -> tuple["np.ndarray", "np.ndarray"]:
-        """Distances from node id ``source``: ``(dist, settled)`` arrays.
+        """Distances from ``source``: ``(dist, settled)`` arrays.
+
+        ``source`` is a node id, or ``(node id, start distance)`` seeds
+        — the search from an off-graph point that reaches each seed by
+        a straight leg of that length (a virtual source wired to the
+        seeds).
 
         Same early-exit semantics as
         :func:`repro.visibility.shortest_path.dijkstra`: expansion
         stops beyond ``bound`` (nodes at exactly ``bound`` settle) and,
         with ``targets``, as soon as every target id is settled or
-        proven unreachable within the bound.  ``dist`` holds ``inf``
-        for unsettled nodes; ``settled`` marks final values.
+        proven unreachable within the bound.  ``legs`` (parallel to
+        ``targets``) are the targets' straight legs on to one off-graph
+        goal: each settled target lowers ``bound`` to its
+        ``dist + leg``, so the search also stops once nothing left can
+        beat the best way to the goal found — ``min_t dist[t] + leg_t``
+        over the returned ``dist`` is then final.  ``dist`` holds
+        ``inf`` for unsettled nodes; ``settled`` marks final values.
         """
         n = len(self.points)
-        dist = np.full(n, np.inf)
-        best = np.full(n, np.inf)
-        settled = np.zeros(n, dtype=bool)
-        remaining = set(targets) if targets is not None else None
-        indptr = self.indptr
-        indices = self.indices
-        weights = self.weights
-        heap = FlatHeap()
-        best[source] = 0.0
-        heap.push(0.0, source)
-        while len(heap):
-            d, node = heap.pop()
-            if settled[node] or d > best[node]:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = (
+                self.indptr.tolist(),
+                self.indices.tolist(),
+                self.weights.tolist(),
+            )
+        indptr, indices, weights = rows
+        best = [inf] * n
+        done = [False] * n
+        if isinstance(source, int):
+            best[source] = 0.0
+            heap = [(0.0, source)]
+        else:
+            for node, start in source:
+                if start < best[node]:
+                    best[node] = start
+            heap = [(best[node], node) for node, __ in source]
+            heapify(heap)
+        remaining = None
+        if targets is not None:
+            remaining = (
+                dict(zip(targets, legs))
+                if legs is not None
+                else dict.fromkeys(targets, inf)
+            )
+        while heap:
+            d, node = heappop(heap)
+            if done[node] or d > best[node]:
                 continue
             if d > bound:
                 break
-            settled[node] = True
-            dist[node] = d
-            if remaining is not None:
-                remaining.discard(node)
+            done[node] = True
+            if remaining is not None and node in remaining:
+                bound = min(bound, d + remaining.pop(node))
                 if not remaining:
                     break
             lo = indptr[node]
             hi = indptr[node + 1]
-            nbrs = indices[lo:hi]
-            nd = d + weights[lo:hi]
-            improve = (~settled[nbrs]) & (nd <= bound) & (nd < best[nbrs])
-            if improve.any():
-                nbrs = nbrs[improve]
-                nd = nd[improve]
-                best[nbrs] = nd
-                heap.push_many(nd, nbrs)
+            for nbr, w in zip(indices[lo:hi], weights[lo:hi]):
+                nd = d + w
+                if nd < best[nbr] and nd <= bound:
+                    best[nbr] = nd
+                    heappush(heap, (nd, nbr))
+        settled = np.array(done, dtype=bool)
+        dist = np.array(best)
+        dist[~settled] = inf
         return dist, settled
 
     def anchors_for(
@@ -270,23 +220,29 @@ class CSRGraph:
         graph: "VisibilityGraph",
         ahead: Iterable[Point] = (),
     ) -> tuple["np.ndarray", "np.ndarray", "list[Point] | None"]:
-        """The last-leg geometry from off-graph point ``p``:
+        """The last-leg geometry from point ``p``:
         ``(anchor ids, euclidean legs, off-index anchors)``.
 
-        Memoizes what ``graph``'s visibility backend sees from ``p`` —
-        plus the frozen-id lookup and the vectorized ``|p - v|`` legs,
-        which depend only on ``p`` and the anchor set — per *live*
-        structure revision: on warm streams (repeat candidates, stable
-        topology) the sweep runs once per candidate instead of once
-        per query.  On a miss, the off-graph points of ``ahead`` (the
-        candidates a batch will ask about next) that the memo lacks
-        are swept in the same backend call.  Any topology change
-        clears the memo, keeping the answers identical to a fresh
-        sweep — and therefore to the reference engine, which re-sweeps
-        every call.  Anchors admitted to the live graph after this
-        freeze have no frozen id and are returned separately for the
-        caller's overlay handling.
+        A frozen node is its own anchor at leg 0.  For an off-graph
+        ``p`` this memoizes what ``graph``'s visibility backend sees
+        from it — plus the frozen-id lookup and the vectorized
+        ``|p - v|`` legs, which depend only on ``p`` and the anchor set
+        — per *live* structure revision: on warm streams (repeat
+        candidates, stable topology) the sweep runs once per candidate
+        instead of once per query.  On a miss, the off-graph points of
+        ``ahead`` (the candidates a batch will ask about next, or a
+        distance call's other endpoint) that the memo lacks are swept
+        in the same backend call, and the memo's oldest entries beyond
+        :data:`ANCHOR_MEMO_LIMIT` are dropped — never ``p`` or a point
+        of ``ahead``.  Any topology change clears the memo, keeping the
+        answers identical to a fresh sweep — and therefore to the
+        reference engine, which re-sweeps every call.  Anchors admitted
+        to the live graph after this freeze have no frozen id and are
+        returned separately for the caller's overlay handling.
         """
+        own = self.index.get(p)
+        if own is not None:
+            return np.array([own]), np.zeros(1), None
         revision = graph.structure_revision
         if revision != self._anchors_revision:
             self.anchors.clear()
@@ -305,17 +261,26 @@ class CSRGraph:
             for c, seen in zip(sources, graph.visible_from_many(sources)):
                 self.anchors[c] = self._last_legs(c, seen)
             cached = self.anchors[p]
+            excess = len(self.anchors) - ANCHOR_MEMO_LIMIT
+            if excess > 0:
+                keep = {p, *ahead}
+                oldest = (c for c in self.anchors if c not in keep)
+                for c in list(islice(oldest, excess)):
+                    del self.anchors[c]
         return cached
 
     def _last_legs(
         self, p: Point, anchors: list[Point]
     ) -> tuple["np.ndarray", "np.ndarray", "list[Point] | None"]:
-        ids = [self.index[v] for v in anchors if v in self.index]
-        ai = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        ids = list(map(self.index.get, anchors))
+        extras = None
+        if None in ids:
+            extras = [v for v, i in zip(anchors, ids) if i is None]
+            ids = [i for i in ids if i is not None]
+        ai = np.array(ids, dtype=np.int64)
         dx = self.xs[ai] - p.x
         dy = self.ys[ai] - p.y
         legs = np.sqrt(dx * dx + dy * dy)
-        extras = [v for v in anchors if v not in self.index] or None
         return ai, legs, extras
 
     def field(self, source: int) -> "np.ndarray":

@@ -76,6 +76,12 @@ def _doc(**overrides):
             "graph_builds": 4.0,
             "field_freezes": 10.0,
         },
+        "smoke warm distance stream": {
+            "parity": 1.0,
+            "field_freezes": 0.0,
+            "node_growth": 0.0,
+            "backend_calls": 1000.0,
+        },
         "smoke adaptive policy": {
             "gate_ok": 1.0,
             "parity": 1.0,
@@ -147,6 +153,14 @@ class TestCompare:
         violations = compare(_doc(), flipped)
         assert len(violations) == 1
         assert "parity" in violations[0]
+
+    def test_exact_gate_on_a_zero_count_catches_growth(self):
+        # A warm distance call that admits one guest is a regression
+        # no relative threshold on a zero baseline would see.
+        grown = _doc(**{"smoke warm distance stream/node_growth": 1.0})
+        violations = compare(_doc(), grown)
+        assert len(violations) == 1
+        assert "node_growth" in violations[0]
 
     def test_missing_in_current_is_a_violation(self):
         gone = _doc(**{"smoke kernel": None})

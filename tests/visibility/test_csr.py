@@ -1,5 +1,6 @@
-"""Frozen CSR views: freeze correctness, flat-heap behaviour, and
-bit-parity of the int-indexed Dijkstra against the dict-path oracle."""
+"""Frozen CSR views: freeze correctness and bit-parity of the
+int-indexed Dijkstra — rooted at a node or at seeds — against the
+dict-path oracle."""
 
 import math
 
@@ -9,7 +10,7 @@ np = pytest.importorskip("numpy")
 
 from repro.geometry.point import Point
 from repro.visibility import VisibilityGraph, bounded_dijkstra, dijkstra
-from repro.visibility.csr import CSRGraph, FlatHeap, frozen
+from repro.visibility.csr import CSRGraph, frozen
 from tests.conftest import rect_obstacle
 
 
@@ -25,31 +26,6 @@ def _grid_graph(seed: int = 0, n: int = 18, obstacles: int = 4):
         w, h = rng.uniform(1, 5, size=2)
         obs.append(rect_obstacle(i, cx, cy, cx + w, cy + h))
     return VisibilityGraph.build(points, obs, method="naive")
-
-
-class TestFlatHeap:
-    def test_pushes_pop_sorted(self):
-        heap = FlatHeap(capacity=2)
-        keys = [5.0, 1.0, 3.0, 2.0, 4.0, 0.5]
-        for i, k in enumerate(keys):
-            heap.push(k, i)
-        out = [heap.pop() for _ in range(len(heap))]
-        assert [k for k, __ in out] == sorted(keys)
-        assert not len(heap)
-
-    def test_push_many_matches_push(self):
-        rng = np.random.default_rng(7)
-        keys = rng.uniform(0, 100, size=64)
-        nodes = np.arange(64, dtype=np.int32)
-        a = FlatHeap(capacity=4)
-        a.push_many(keys, nodes)
-        b = FlatHeap(capacity=4)
-        for k, v in zip(keys.tolist(), nodes.tolist()):
-            b.push(k, v)
-        got_a = sorted(a.pop() for _ in range(64))
-        got_b = sorted(b.pop() for _ in range(64))
-        assert got_a == got_b
-        assert [k for k, __ in got_a] == sorted(keys.tolist())
 
 
 class TestFreeze:
@@ -145,3 +121,98 @@ class TestDijkstraParity:
         assert csr.field(0) is a
         b = csr.field(1)
         assert b is not a
+
+
+class TestSeededDijkstraParity:
+    """Seeds ``(id, start)`` are a virtual source wired to those nodes:
+    the oracle is the dict Dijkstra from a stand-in node whose edges
+    are set by hand, with the start distances as weights."""
+
+    @staticmethod
+    def _setup(seed):
+        g = _grid_graph(seed=seed)
+        csr = CSRGraph.freeze(g)
+        rng = np.random.default_rng(100 + seed)
+        ids = rng.choice(csr.node_count, size=4, replace=False).tolist()
+        seeds = [(i, float(s)) for i, s in zip(ids, rng.uniform(0.5, 9, 4))]
+        virtual = Point(1000.0, 1000.0)
+        g._adj[virtual] = {}
+        for i, start in seeds:
+            g._adj[virtual][csr.points[i]] = start
+            g._adj[csr.points[i]][virtual] = start
+        return g, csr, seeds, virtual
+
+    @staticmethod
+    def _settled(csr, dist, settled):
+        return {
+            csr.points[i]: float(dist[i])
+            for i in range(csr.node_count)
+            if settled[i]
+        }
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_expansion_bit_identical(self, seed):
+        g, csr, seeds, virtual = self._setup(seed)
+        oracle = dijkstra(g, virtual)
+        del oracle[virtual]
+        assert self._settled(csr, *csr.dijkstra(seeds)) == oracle
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bound_includes_nodes_at_exactly_the_bound(self, seed):
+        g, csr, seeds, virtual = self._setup(seed)
+        full = dijkstra(g, virtual)
+        del full[virtual]
+        bound = sorted(full.values())[len(full) // 2]
+        oracle = bounded_dijkstra(g, virtual, bound)
+        del oracle[virtual]
+        dist, settled = csr.dijkstra(seeds, bound=bound)
+        got = self._settled(csr, dist, settled)
+        assert got == oracle
+        assert bound in got.values()  # inclusion at exactly the bound
+        assert settled.sum() < csr.node_count
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_targets_early_exit(self, seed):
+        g, csr, seeds, virtual = self._setup(seed)
+        full = dijkstra(g, virtual)
+        near = sorted(
+            (p for p in full if p != virtual), key=full.__getitem__
+        )[:3]
+        oracle = dijkstra(g, virtual, targets=near)
+        dist, settled = csr.dijkstra(
+            seeds, targets=[csr.index[p] for p in near]
+        )
+        got = self._settled(csr, dist, settled)
+        for p in near:
+            assert got[p] == oracle[p] == full[p]
+        assert all(full[p] == d for p, d in got.items())
+        assert settled.sum() < csr.node_count
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_legs_stop_once_the_goal_distance_is_final(self, seed):
+        g, csr, seeds, virtual = self._setup(seed)
+        full, __ = csr.dijkstra(seeds)
+        rng = np.random.default_rng(200 + seed)
+        targets = rng.choice(csr.node_count, size=6, replace=False)
+        legs = rng.uniform(0.0, 6.0, size=6)
+        dist, settled = csr.dijkstra(
+            seeds, targets=targets.tolist(), legs=legs.tolist()
+        )
+        assert (dist[targets] + legs).min() == (full[targets] + legs).min()
+        assert (dist[settled] == full[settled]).all()
+        assert settled.sum() < csr.node_count
+
+    def test_duplicate_seeds_keep_the_smaller_start(self):
+        g = _grid_graph(seed=6)
+        csr = CSRGraph.freeze(g)
+        a, __ = csr.dijkstra([(0, 3.0), (0, 1.0), (2, 0.5)])
+        b, __ = csr.dijkstra([(0, 1.0), (2, 0.5)])
+        assert (a == b).all()
+        assert a[0] <= 1.0
+
+    def test_node_source_is_a_zero_seed(self):
+        g = _grid_graph(seed=7)
+        csr = CSRGraph.freeze(g)
+        a, sa = csr.dijkstra(3)
+        b, sb = csr.dijkstra([(3, 0.0)])
+        assert (a == b).all() and (sa == sb).all()

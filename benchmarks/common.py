@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
 from functools import lru_cache
 
 from repro.core.engine import ObstacleDatabase
@@ -949,110 +948,86 @@ def euclidean_iterator_comparison() -> dict[str, dict[str, float]]:
     return rows
 
 
-@contextmanager
-def _field_engine(name: str):
-    """``REPRO_FIELD_ENGINE=name`` for the duration of the block."""
-    from repro.runtime.field import FIELD_ENGINE_ENV
-
-    saved = os.environ.get(FIELD_ENGINE_ENV)
-    os.environ[FIELD_ENGINE_ENV] = name
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(FIELD_ENGINE_ENV, None)
-        else:
-            os.environ[FIELD_ENGINE_ENV] = saved
-
-
 def field_engine_comparison(
     n_obstacles: int, rounds: int, *, n_queries: int = 4
 ) -> dict[str, float]:
-    """Warm-cache range+nearest streams under each distance-field
-    engine (``REPRO_FIELD_ENGINE=python`` vs ``csr``).
+    """A warm-cache range+nearest stream against one cold round.
 
     The stream revisits a handful of centres ``rounds`` times — the
-    serving steady state the CSR engine targets: after the first visit
-    the frozen arrays and the per-source distance field are cached, so
-    repeat visits reduce to int indexing plus one vectorized last leg,
-    while the reference engine re-runs a dict Dijkstra per query.
-    Returns per-engine CPU time, the speedup, and two exactness flags:
-    ``parity`` (bit-identical answer streams) and ``counters_match``
-    (identical graph-build counts and R-tree page traffic).
+    serving steady state the frozen graphs target: after the first
+    visit the arrays and the field rooted at the centre are memoized,
+    so a repeat visit reduces to one vectorized last leg per
+    candidate.  Returns the stream's CPU time and freeze / build
+    counts and two exactness flags against a fresh database that
+    answers each query once, cold: ``parity`` (every round's answers
+    bit-identical to the cold ones) and ``counters_match`` (the
+    revisits cost no graph build and no obstacle page read beyond the
+    cold round's).
     """
     workload = bench_workload(
         n_obstacles, (("P1", n_obstacles),), n_queries
     )
     e = scaled_range(0.001) * math.sqrt(BENCH_O / n_obstacles)
-    runs: dict[str, tuple[list, dict[str, float]]] = {}
-    for engine in ("python", "csr"):
-        with _field_engine(engine):
-            db = ObstacleDatabase(
-                workload.obstacles,
-                max_entries=BENCH_PAGE_ENTRIES,
-                min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
-            )
-            db.add_entity_set("P1", workload.entity_sets["P1"])
-            events = [
-                WorkloadEvent(kind, center=q, k=4, e=e)
-                for __ in range(rounds)
-                for q in workload.queries
-                for kind in ("range", "nearest")
-            ]
-            answers, metrics = replay_events(db, events, set_name="P1")
-            runtime = db.runtime_stats()
-            pages = db.stats()["obstacles:obstacles"]
-            runs[engine] = (
-                answers,
-                {
-                    "cpu_s": metrics["cpu_ms_total"] / 1000.0,
-                    "graph_builds": float(runtime["graph_builds"]),
-                    "field_freezes": float(runtime["field_freezes"]),
-                    "obstacle_reads": float(pages["reads"]),
-                },
-            )
-    py_answers, py = runs["python"]
-    csr_answers, csr = runs["csr"]
-    speedup = py["cpu_s"] / csr["cpu_s"] if csr["cpu_s"] else math.inf
+    one_round = [
+        WorkloadEvent(kind, center=q, k=4, e=e)
+        for q in workload.queries
+        for kind in ("range", "nearest")
+    ]
+    runs: dict[int, tuple[list, dict[str, float]]] = {}
+    for n_rounds in (1, rounds):
+        db = ObstacleDatabase(
+            workload.obstacles,
+            max_entries=BENCH_PAGE_ENTRIES,
+            min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
+        )
+        db.add_entity_set("P1", workload.entity_sets["P1"])
+        answers, metrics = replay_events(
+            db, one_round * n_rounds, set_name="P1"
+        )
+        runtime = db.runtime_stats()
+        pages = db.stats()["obstacles:obstacles"]
+        runs[n_rounds] = (
+            answers,
+            {
+                "cpu_s": metrics["cpu_ms_total"] / 1000.0,
+                "graph_builds": float(runtime["graph_builds"]),
+                "field_freezes": float(runtime["field_freezes"]),
+                "obstacle_reads": float(pages["reads"]),
+            },
+        )
+    cold_answers, cold = runs[1]
+    warm_answers, warm = runs[rounds]
     return {
-        "python_cpu_s": py["cpu_s"],
-        "csr_cpu_s": csr["cpu_s"],
-        "speedup": speedup,
-        # The wall-clock verdict, evaluated where it was measured (the
-        # raw speedup rides in the JSON ungated, like the obs bars).
-        "speedup_ok": float(speedup >= 3.0),
-        "queries": float(2 * rounds * len(workload.queries)),
-        "graph_builds": csr["graph_builds"],
-        "field_freezes": csr["field_freezes"],
-        "parity": float(py_answers == csr_answers),
+        "cpu_s": warm["cpu_s"],
+        "cold_round_cpu_s": cold["cpu_s"],
+        "queries": float(len(one_round) * rounds),
+        "graph_builds": warm["graph_builds"],
+        "field_freezes": warm["field_freezes"],
+        "parity": float(warm_answers == cold_answers * rounds),
         "counters_match": float(
-            py["graph_builds"] == csr["graph_builds"]
-            and py["obstacle_reads"] == csr["obstacle_reads"]
+            warm["graph_builds"] == cold["graph_builds"]
+            and warm["obstacle_reads"] == cold["obstacle_reads"]
         ),
     }
-
-
-#: Required CPU speedup of the compiled engine on the warm distance
-#: stream (``benchmarks/test_distance_stream.py``).
-DISTANCE_STREAM_SPEEDUP = 2.0
 
 
 def distance_stream_comparison(
     n_obstacles: int, n_calls: int = 1000, *, warm_calls: int = 100
 ) -> dict[str, float]:
-    """A warm stream of point-to-point distances on one hot graph,
-    under each engine (``REPRO_FIELD_ENGINE=python`` vs ``csr``).
+    """A warm stream on one hot graph: point-to-point distances with
+    an ONN and an OR every 16 ops (the shipped profiles' cadence).
 
-    Every endpoint is a fresh point jittered (the zipf-hotspot
-    profile's radius) around one anchor at the centre of its cache
-    cell, so all calls share one cached graph whose coverage the
-    warm-up saturates.  The reference engine inserts both endpoints of
-    every call into that graph and searches the dict adjacency; the
-    compiled engine sweeps them against the frozen graph in one backend
-    call and searches the arrays.  Returns per-engine CPU time, the
-    speedup, ``parity`` (bit-identical answer lists) and the compiled
-    engine's counts over the timed calls: ``field_freezes``,
-    ``node_growth`` of the hot graph and ``backend_calls``.
+    Every endpoint and centre is a fresh point jittered (the
+    zipf-hotspot profile's radius) around one anchor at the centre of
+    its cache cell, so all ops share one cached graph whose coverage
+    the warm-up saturates.  An op only reads that graph: it sweeps its
+    off-graph points against the frozen arrays and searches them.
+    Returns the CPU time, ``parity`` (the answers bit-identical to a
+    cold exact-key database's, which builds a graph of its own per
+    centre) and the counts over the timed ops:
+    ``field_freezes``, ``node_growth`` of the hot graph and
+    ``backend_calls`` (at most one per distance; per ONN / OR one for
+    the centre and one per batch of candidates the memo lacks).
     """
     import random
 
@@ -1072,66 +1047,56 @@ def distance_stream_comparison(
         for q in workload.queries
     )
     anchor = next(cell for cell in cells if _is_free(cell, obstacles))
-    pairs = [
-        tuple(
-            _free_jitter(rng, anchor, jitter, obstacles, DEFAULT_UNIVERSE)
-            for __ in range(2)
+
+    def fresh() -> Point:
+        return _free_jitter(rng, anchor, jitter, obstacles, DEFAULT_UNIVERSE)
+
+    events = []
+    for i in range(warm_calls + n_calls):
+        kind = {14: "nearest", 15: "range"}.get(i % 16, "distance")
+        events.append(
+            WorkloadEvent(kind, center=fresh(), source=fresh(), k=2, e=jitter)
         )
-        for __ in range(warm_calls + n_calls)
-    ]
-    runs: dict[str, tuple[list[float], dict[str, float]]] = {}
-    for engine in ("python", "csr"):
-        with _field_engine(engine):
-            db = ObstacleDatabase(
-                obstacles,
-                max_entries=BENCH_PAGE_ENTRIES,
-                min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
-                graph_cache_snap=snap,
-            )
-            context = db.context
-            entry = context.entry_for(anchor, 6.0 * jitter)
-            for p, q in pairs[:warm_calls]:
-                context.distance(p, q)
-            backend = context.backend
-            sweep = backend.visible_from_many
-            calls = [0]
 
-            def counted(sources, graph):
-                calls[0] += 1
-                return sweep(sources, graph)
+    def database(graph_cache_snap: float) -> ObstacleDatabase:
+        db = ObstacleDatabase(
+            obstacles,
+            max_entries=BENCH_PAGE_ENTRIES,
+            min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
+            graph_cache_snap=graph_cache_snap,
+            cache_policy="static",
+        )
+        db.add_entity_set("P1", workload.entity_sets["P1"])
+        return db
 
-            backend.visible_from_many = counted
-            nodes = entry.graph.node_count
-            freezes = context.stats.field_freezes
-            timer = Timer()
-            with timer:
-                answers = [context.distance(p, q) for p, q in pairs[warm_calls:]]
-            runs[engine] = (
-                answers,
-                {
-                    "cpu_s": timer.elapsed_ms / 1000.0,
-                    "field_freezes": float(context.stats.field_freezes - freezes),
-                    "node_growth": float(entry.graph.node_count - nodes),
-                    "backend_calls": float(calls[0]),
-                    "graph_nodes": float(nodes),
-                    "graphs": float(len(context.cache)),
-                },
-            )
-    py_answers, py = runs["python"]
-    csr_answers, csr = runs["csr"]
-    speedup = py["cpu_s"] / csr["cpu_s"] if csr["cpu_s"] else math.inf
+    db = database(snap)
+    context = db.context
+    entry = context.entry_for(anchor, 6.0 * jitter)
+    replay_events(db, events[:warm_calls], set_name="P1", reset=False)
+    backend = context.backend
+    sweep = backend.visible_from_many
+    calls = [0]
+
+    def counted(sources, graph):
+        calls[0] += 1
+        return sweep(sources, graph)
+
+    backend.visible_from_many = counted
+    nodes = entry.graph.node_count
+    freezes = context.stats.field_freezes
+    timed = events[warm_calls:]
+    answers, metrics = replay_events(db, timed, set_name="P1", reset=False)
+    reference, __ = replay_events(database(0.0), timed, set_name="P1")
     return {
-        "python_cpu_s": py["cpu_s"],
-        "csr_cpu_s": csr["cpu_s"],
-        "speedup": speedup,
-        "speedup_ok": float(speedup >= DISTANCE_STREAM_SPEEDUP),
+        "cpu_s": metrics["cpu_ms_total"] / 1000.0,
         "calls": float(n_calls),
-        "graph_nodes": csr["graph_nodes"],
-        "graphs": csr["graphs"],
-        "parity": float(py_answers == csr_answers),
-        "field_freezes": csr["field_freezes"],
-        "node_growth": csr["node_growth"],
-        "backend_calls": csr["backend_calls"],
+        "field_ops": float(sum(ev.kind != "distance" for ev in timed)),
+        "graph_nodes": float(nodes),
+        "graphs": float(len(context.cache)),
+        "parity": float(answers == reference),
+        "field_freezes": float(context.stats.field_freezes - freezes),
+        "node_growth": float(entry.graph.node_count - nodes),
+        "backend_calls": float(calls[0]),
     }
 
 

@@ -714,66 +714,58 @@ def smoke_obs() -> int:
 
 
 def smoke_field_engine() -> int:
-    """Distance-field engine smoke: the warm-cache range+nearest stream
-    under the compiled CSR engine vs the reference python engine.
-    Gated on all three acceptance claims: bit-identical answers,
-    identical graph-build/page counters, and >= 3x CPU speedup (the
-    benchmark-scale bar lives in ``benchmarks/test_field_engine.py``)."""
+    """Distance-field smoke: a warm-cache range+nearest stream of 24
+    rounds against one cold round.  Gated on bit-identical answers and
+    on the revisits costing no graph build and no obstacle page read;
+    the freeze and build counts ride in the JSON as gated counts."""
     from benchmarks.common import field_engine_comparison
-    from repro.visibility.kernel.backend import numpy_available
 
-    if not numpy_available():
-        print("\nfield engine: numpy unavailable, CSR engine not measurable")
-        return 0
     metrics = field_engine_comparison(200, 24)
     RESULTS["smoke field engine"] = metrics
     print(
         f"\nfield engine ({metrics['queries']:.0f} warm queries, |O|=200): "
-        f"python {metrics['python_cpu_s'] * 1000:.0f} ms, csr "
-        f"{metrics['csr_cpu_s'] * 1000:.0f} ms "
-        f"({metrics['speedup']:.2f}x), "
+        f"{metrics['cpu_s'] * 1000:.0f} ms (one cold round "
+        f"{metrics['cold_round_cpu_s'] * 1000:.0f} ms), "
+        f"{metrics['graph_builds']:.0f} builds, "
         f"{metrics['field_freezes']:.0f} freezes"
     )
     if not metrics["parity"]:
-        print("FAIL: CSR engine changed range/nearest answers")
+        print("FAIL: a warm revisit changed range/nearest answers")
         return 1
     if not metrics["counters_match"]:
-        print("FAIL: CSR engine changed graph-build or page counters")
-        return 1
-    if metrics["speedup"] < 3.0:
-        print("FAIL: CSR engine under 3x on the warm stream")
+        print("FAIL: warm revisits built graphs or read obstacle pages")
         return 1
     return 0
 
 
 def smoke_distance_stream() -> int:
-    """Warm distance stream smoke: 1,000 point-to-point distances at
-    fresh jittered endpoints on one hot graph, compiled vs reference
-    engine.  Gated on bit-identical answers and on the compiled
-    engine leaving the graph alone: no freeze, no node growth, at most
-    one backend call per distance (the >= 2x bar lives in
-    ``benchmarks/test_distance_stream.py``)."""
+    """Warm stream smoke: 1,000 ops on one hot graph — point-to-point
+    distances at fresh jittered endpoints, an ONN and an OR at a fresh
+    centre every 16.  Gated on answers bit-identical to a cold
+    exact-key database's and on the ops leaving the graph alone: no
+    freeze, no node growth, at most one backend call per distance and
+    three per ONN / OR."""
     from benchmarks.common import distance_stream_comparison
 
     metrics = distance_stream_comparison(2000)
     RESULTS["smoke warm distance stream"] = metrics
     print(
-        f"\nwarm distance stream ({metrics['calls']:.0f} calls, one graph of "
-        f"{metrics['graph_nodes']:.0f} nodes): python "
-        f"{metrics['python_cpu_s'] * 1000:.0f} ms, csr "
-        f"{metrics['csr_cpu_s'] * 1000:.0f} ms ({metrics['speedup']:.2f}x), "
+        f"\nwarm distance stream ({metrics['calls']:.0f} ops, "
+        f"{metrics['field_ops']:.0f} of them ONN / OR, one graph of "
+        f"{metrics['graph_nodes']:.0f} nodes): "
+        f"{metrics['cpu_s'] * 1000:.0f} ms, "
         f"{metrics['field_freezes']:.0f} freezes, node growth "
         f"{metrics['node_growth']:.0f}, {metrics['backend_calls']:.0f} "
         f"backend calls"
     )
     if not metrics["parity"]:
-        print("FAIL: compiled engine changed obstructed distances")
+        print("FAIL: the warm shared graph changed an answer")
         return 1
     if metrics["field_freezes"] or metrics["node_growth"]:
-        print("FAIL: a warm distance call changed its cached graph")
+        print("FAIL: a warm op changed its cached graph")
         return 1
-    if metrics["backend_calls"] > metrics["calls"]:
-        print("FAIL: more than one backend call per distance")
+    if metrics["backend_calls"] > metrics["calls"] + 2 * metrics["field_ops"]:
+        print("FAIL: more backend calls than one per distance, three per ONN / OR")
         return 1
     return 0
 

@@ -23,6 +23,7 @@ from typing import Callable, Protocol
 
 from repro.geometry.point import Point
 from repro.model import Obstacle
+from repro.visibility.csr import CSRGraph, frozen
 from repro.visibility.graph import VisibilityGraph
 from repro.visibility.shortest_path import shortest_path_dist
 
@@ -73,22 +74,22 @@ class SourceDistanceField:
 
     ONN evaluates many candidates against the *same* query point.
     Instead of mutating the graph and running Dijkstra per candidate,
-    this keeps a complete distance field from the source: a candidate's
+    this keeps a complete distance field from the source over the
+    graph's frozen arrays (:mod:`repro.visibility.csr`): a candidate's
     graph distance is ``min over its visible nodes v of field[v] +
     |v - candidate|`` (any shortest path leaves the candidate through a
-    visible node).  The field is recomputed whenever the graph's
-    obstacle revision moves — whether the obstacles were added by this
-    field's own Fig. 8 enlargement or by another user of a shared,
-    cached graph.
+    visible node).  The source need not be a node either — the field
+    then roots at the nodes the source sees, at their straight legs —
+    so the graph is only read, never given a free point.  The freeze
+    and the field are retaken whenever the graph's structure revision
+    moves — whether the obstacles were added by this field's own
+    Fig. 8 enlargement or by another user of a shared, cached graph.
 
     ``grow`` optionally replaces the enlargement step: it receives the
     current provisional distance and must return ``True`` when new
     obstacles entered the graph.  The query runtime passes the cached
     graph's coverage-aware expansion here, so already-covered radii
-    skip the obstacle retrieval entirely.  ``readmit`` is how an
-    evicted source re-enters a *shared* graph: the runtime passes its
-    guest-tracked admission so the re-added point stays subject to the
-    guest bound; without it the point is added directly.
+    skip the obstacle retrieval entirely.
     """
 
     def __init__(
@@ -98,21 +99,21 @@ class SourceDistanceField:
         source: ObstacleSource,
         *,
         grow: Callable[[float], bool] | None = None,
-        readmit: Callable[[], None] | None = None,
         stats: "object | None" = None,
     ) -> None:
-        if not graph.has_node(source_point):
-            graph.add_entity(source_point)
         self._graph = graph
         self._q = source_point
         self._source = source
         self._grow = grow
-        self._readmit = readmit
         self._stats = stats
-        self._field: dict[Point, float] | None = None
-        self._field_revision = -1
+        #: Pinned per structure revision (:meth:`_pin`): the freeze, the
+        #: field rooted at the source, whether the source is a node.
+        self._revision = -1
+        self._csr: "CSRGraph | None" = None
+        self._dist = None
+        self._q_is_node = False
         #: What a running :meth:`batch_eval` has yet to evaluate, last
-        #: first (an engine may fetch their anchors ahead of time).
+        #: first (their anchors are fetched ahead of time).
         self._ahead: list[Point] = []
 
     @property
@@ -182,55 +183,27 @@ class SourceDistanceField:
             self._graph.add_obstacle(obs)
         return bool(new_obstacles)
 
-    def _provisional(self, p: Point) -> float:
-        from repro.visibility.shortest_path import dijkstra
-        from repro.visibility.sweep import visible_from
+    def _pin(self) -> None:
+        """Take the graph's current freeze and the field rooted at the
+        source over it (both memoized on the graph, so a warm repeat
+        query at this centre costs two dict lookups)."""
+        graph = self._graph
+        self._revision = graph.structure_revision
+        csr = self._csr = frozen(graph, stats=self._stats)
+        self._dist = csr.field(self._q, graph)
+        self._q_is_node = self._q in csr.index
 
+    def _provisional(self, p: Point) -> float:
         if p == self._q:
             return 0.0
-        if not self._graph.has_node(self._q):
-            # A shared, cached graph may have evicted this field's
-            # source in the meantime (guest-point bound of the spatial
-            # cache key): re-admit it before evaluating.
-            if self._readmit is not None:
-                self._readmit()
-            else:
-                self._graph.add_entity(self._q)
-        revision = self._graph.obstacle_revision
-        if self._field is None or self._field_revision != revision:
-            self._field = dijkstra(self._graph, self._q)
-            self._field_revision = revision
-        field = self._field
-        if self._graph.has_node(p):
-            dp = field.get(p)
-            if dp is not None:
-                return dp
-            # p joined the graph after the field's Dijkstra snapshot
-            # (free-point admissions — e.g. a shared graph taking on a
-            # near-duplicate centre as a guest — do not bump
-            # obstacle_revision).  The field would wrongly report inf;
-            # answer through p's live adjacency instead.  Neighbours
-            # absent from the field are themselves post-snapshot free
-            # points, safe to skip: a shortest path never turns at a
-            # free point, so any path through one also leaves p along
-            # a direct edge to a fielded node.
-            best = inf
-            for v, w in self._graph.neighbors(p).items():
-                dv = field.get(v)
-                if dv is not None and dv + w < best:
-                    best = dv + w
-            # Memoize: this equals what Dijkstra would have stored for
-            # p, and the field is discarded on any revision bump.
-            field[p] = best
-            return best
-        best = inf
-        for v in visible_from(p, self._graph):
-            dv = field.get(v)
-            if dv is not None:
-                candidate = dv + v.distance(p)
-                if candidate < best:
-                    best = candidate
-        return best
+        graph = self._graph
+        if graph.structure_revision != self._revision:
+            self._pin()
+        csr = self._csr
+        d = csr.last_leg(self._dist, p, graph, self._ahead)
+        if not self._q_is_node:
+            d = min(d, csr.direct_leg(p, self._q, graph))
+        return d
 
 
 class ObstructedDistanceComputer:

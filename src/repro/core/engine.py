@@ -106,15 +106,15 @@ class ObstacleDatabase:
         :class:`~repro.visibility.kernel.backend.VisibilityBackend`
         instance).  ``None`` auto-picks — the
         ``REPRO_VISIBILITY_BACKEND`` environment variable when set,
-        else the numpy kernel when numpy is importable.
+        else the numpy kernel.
     cache_policy:
         The graph-cache tuning policy (``"static"``, ``"adaptive"``,
         or a :class:`~repro.runtime.policy.CachePolicy` instance).
         ``None`` (default) reads the ``REPRO_CACHE_POLICY``
         environment variable, else static.  The adaptive policy
-        observes the live centre stream and retunes the snap quantum,
-        LRU capacity and guest admission online; answers are
-        bit-identical under any policy.
+        observes the live centre stream and retunes the snap quantum
+        and LRU capacity online; answers are bit-identical under any
+        policy.
     durable:
         A write-ahead mutation journal path
         (:mod:`repro.persist.journal`).  Every obstacle/entity
@@ -920,16 +920,16 @@ class ObstacleDatabase:
         d = self.obstructed_distance(start, end)
         if isinf(d):
             return inf, []
-        # The cached graph for `end` already covers radius d; add the
-        # start as a transient entity and extract the route.
-        entry = self.context.entry_for(end, d)
-        graph = entry.graph
-        added = graph.add_entity(start)
+        # The cached graph serving `end` already covers radius d around
+        # it; a route needs both endpoints as nodes, so whichever is
+        # not one becomes a transient entity for the extraction.
+        graph = self.context.entry_for(end, d).graph
+        added = [p for p in (start, end) if graph.add_entity(p)]
         try:
             return shortest_path(graph, start, end)
         finally:
-            if added:
-                graph.delete_entity(start)
+            for p in added:
+                graph.delete_entity(p)
 
     # ---------------------------------------------------------------- stats
     def metrics(self) -> MetricsRegistry:

@@ -17,8 +17,7 @@ up in three disconnected systems (:class:`~repro.runtime.stats.RuntimeStats`,
 - :mod:`repro.obs.slowlog` — a ring buffer capturing the full span
   tree of queries slower than ``REPRO_SLOW_QUERY_MS``.
 - :mod:`repro.obs.timing` / :mod:`repro.obs.experiment` — the bench
-  harness helpers (previously ``repro.stats.timing`` /
-  ``repro.stats.experiment``; the old paths are deprecated shims).
+  harness helpers.
 """
 
 from repro.obs.experiment import ExperimentSeries, format_table

@@ -3,8 +3,6 @@
 Each benchmark produces one :class:`ExperimentSeries` per plotted line
 (e.g. "obstacle R-tree page accesses" vs the x-axis parameter) and the
 harness renders them in the same layout as the paper's figures.
-(Previously ``repro.stats.experiment``; that path is a deprecated
-shim.)
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 The one stopwatch primitive in the codebase — benchmarks accumulate
 wall-clock through :class:`Timer`; everything finer-grained goes
-through :mod:`repro.obs.trace` spans.  (Previously
-``repro.stats.timing``; that path is a deprecated shim.)
+through :mod:`repro.obs.trace` spans.
 """
 
 from __future__ import annotations

@@ -197,7 +197,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         cx, cy = entry["center"]
         print(
             f"    graph {i}: center=({cx:g}, {cy:g}), "
-            f"covered={entry['covered']:g}, {entry['guests']} guest(s), "
+            f"covered={entry['covered']:g}, "
             f"{entry['obstacles']} obstacle(s), {entry['nodes']} node(s), "
             f"{entry['edges']} edge(s), {entry['stamp']} stamp"
         )

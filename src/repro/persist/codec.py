@@ -16,24 +16,22 @@ alignment.  The payload is a flat sequence of primitive records
 produced by :class:`BinaryWriter` and consumed by
 :class:`BinaryReader`; both checksums are CRC-32 (:func:`zlib.crc32`).
 
-Float arrays (coordinate lists) have a bulk path: when numpy is
-importable they are written/read through ``ndarray`` buffers
-(``dtype="<f8"``), otherwise through :mod:`struct` — the two produce
-byte-identical files, so the ``REPRO_SNAPSHOT_ARRAYS`` knob
-(``auto``/``numpy``/``struct``) only ever changes speed, never format.
+Float and index arrays (coordinate lists, CSR vectors) are written and
+read in bulk through ``ndarray`` buffers (``dtype="<f8"`` / ``"<u4"``).
 
 Corruption handling is fail-fast and located: a truncated file, a
-flipped byte, or a snapshot written by a newer format version each
+flipped byte, or a snapshot written in another format version each
 raise :class:`~repro.errors.DatasetError` naming the file path and the
 byte offset of the inconsistency, before any state is constructed.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from repro.errors import DatasetError
 from repro.geometry.point import Point
@@ -42,24 +40,12 @@ from repro.persist import framing
 #: First 8 bytes of every snapshot file.
 MAGIC = b"RPROSNAP"
 
-#: The snapshot format this build writes (and the newest it reads).
-#: Version history:
-#:
-#: 1. page-backed trees, obstacle table, graph cache.
-#: 2. appends the runtime-stats section (the warm counters of the
-#:    metrics registry) after the graph cache; version-1 files load
-#:    with zeroed runtime counters.
-#: 3. appends the frozen-CSR section (the compiled distance-field
-#:    arrays of each cached graph) after the runtime stats; the
-#:    section is optional per entry, and version-2 files load with no
-#:    frozen arrays — graphs re-freeze lazily at first field use.
-#: 4. appends the journal-sequence stamp (u64): the highest mutation
-#:    sequence number folded into this snapshot, ``0`` for a
-#:    non-durable database.  Journal recovery replays only records
-#:    with a higher sequence, so a crash *between* a compaction's
-#:    base rewrite and its journal truncation cannot double-apply;
-#:    version-3 files load with stamp 0 (replay everything).
-FORMAT_VERSION = 4
+#: The snapshot format this build writes — and the only one it reads:
+#: page-backed trees, obstacle table, graph cache, runtime stats,
+#: frozen-CSR arrays per cached graph, journal-sequence stamp.  A file
+#: of any other version is refused with a located error
+#: (:func:`read_snapshot`).
+FORMAT_VERSION = 5
 
 #: Total header size; the payload starts at this file offset.  The
 #: header itself (and its verification) lives in
@@ -73,38 +59,11 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
 
-def _use_numpy() -> bool:
-    """Whether the float-array bulk path goes through numpy.
-
-    Governed by ``REPRO_SNAPSHOT_ARRAYS``: ``auto`` (default — numpy
-    when importable), ``numpy`` (require it), ``struct`` (pure-python).
-    Both paths produce byte-identical files.
-    """
-    mode = os.environ.get("REPRO_SNAPSHOT_ARRAYS", "auto").strip().lower()
-    if mode not in ("auto", "numpy", "struct"):
-        raise DatasetError(
-            f"REPRO_SNAPSHOT_ARRAYS must be auto, numpy or struct, "
-            f"got {mode!r}"
-        )
-    if mode == "struct":
-        return False
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        if mode == "numpy":
-            raise DatasetError(
-                "REPRO_SNAPSHOT_ARRAYS=numpy but numpy is not importable"
-            ) from None
-        return False
-    return True
-
-
 class BinaryWriter:
     """Accumulates one snapshot payload as little-endian records."""
 
     def __init__(self) -> None:
         self._buf = bytearray()
-        self._numpy = _use_numpy()
 
     def u8(self, value: int) -> None:
         """Append an unsigned byte."""
@@ -133,18 +92,6 @@ class BinaryWriter:
         self.u32(len(raw))
         self._buf += raw
 
-    def _write_floats(self, flat: list[float]) -> None:
-        """The bulk float path: packed through numpy when present,
-        :mod:`struct` otherwise — same bytes either way."""
-        if not flat:
-            return
-        if self._numpy:
-            import numpy as np
-
-            self._buf += np.asarray(flat, dtype="<f8").tobytes()
-        else:
-            self._buf += struct.pack(f"<{len(flat)}d", *flat)
-
     def points(self, pts: Iterable[Point]) -> None:
         """Append a length-prefixed list of points as a flat
         ``x0 y0 x1 y1 ...`` float array."""
@@ -153,37 +100,22 @@ class BinaryWriter:
             flat.append(p.x)
             flat.append(p.y)
         self.u32(len(flat) // 2)
-        self._write_floats(flat)
+        self._buf += np.asarray(flat, dtype="<f8").tobytes()
 
     def f64_array(self, values: "Iterable[float]") -> None:
         """Append a length-prefixed bulk float64 array (CSR weights /
         coordinate vectors); accepts any iterable, including numpy
-        arrays, and writes the same bytes on either bulk path."""
-        if self._numpy:
-            import numpy as np
-
-            arr = np.asarray(values, dtype="<f8")
-            self.u64(len(arr))
-            self._buf += arr.tobytes()
-        else:
-            flat = [float(v) for v in values]
-            self.u64(len(flat))
-            self._write_floats(flat)
+        arrays."""
+        arr = np.asarray(values, dtype="<f8")
+        self.u64(len(arr))
+        self._buf += arr.tobytes()
 
     def u32_array(self, values: "Iterable[int]") -> None:
         """Append a length-prefixed bulk uint32 array (CSR index
         vectors)."""
-        if self._numpy:
-            import numpy as np
-
-            arr = np.asarray(values, dtype="<u4")
-            self.u64(len(arr))
-            self._buf += arr.tobytes()
-        else:
-            flat = [int(v) for v in values]
-            self.u64(len(flat))
-            if flat:
-                self._buf += struct.pack(f"<{len(flat)}I", *flat)
+        arr = np.asarray(values, dtype="<u4")
+        self.u64(len(arr))
+        self._buf += arr.tobytes()
 
     def getvalue(self) -> bytes:
         """The accumulated payload."""
@@ -205,7 +137,6 @@ class BinaryReader:
         self._pos = 0
         self._path = str(path)
         self._base = base_offset
-        self._numpy = _use_numpy()
 
     @property
     def offset(self) -> int:
@@ -248,49 +179,21 @@ class BinaryReader:
         n = self.u32()
         return self._take(n).decode("utf-8")
 
-    def _read_floats(self, n: int) -> list[float]:
-        """The bulk float path (numpy when present, :mod:`struct`
-        otherwise); decodes ``n`` 64-bit floats."""
-        if n == 0:
-            return []
-        raw = self._take(8 * n)
-        if self._numpy:
-            import numpy as np
-
-            return np.frombuffer(raw, dtype="<f8").tolist()
-        return list(struct.unpack(f"<{n}d", raw))
-
     def points(self) -> list[Point]:
         """Decode a length-prefixed point list."""
         n = self.u32()
-        flat = self._read_floats(2 * n)
+        flat = np.frombuffer(self._take(16 * n), dtype="<f8").tolist()
         return [Point(flat[i], flat[i + 1]) for i in range(0, 2 * n, 2)]
 
-    def f64_array(self) -> "list[float]":
-        """Decode a length-prefixed bulk float64 array (as a numpy
-        array when the bulk path is numpy, else a list)."""
+    def f64_array(self) -> "np.ndarray":
+        """Decode a length-prefixed bulk float64 array."""
         n = self.u64()
-        raw = self._take(8 * n)
-        if self._numpy:
-            import numpy as np
+        return np.frombuffer(self._take(8 * n), dtype="<f8").copy()
 
-            return np.frombuffer(raw, dtype="<f8").copy()
-        if n == 0:
-            return []
-        return list(struct.unpack(f"<{n}d", raw))
-
-    def u32_array(self) -> "list[int]":
-        """Decode a length-prefixed bulk uint32 array (numpy array on
-        the numpy bulk path, else a list)."""
+    def u32_array(self) -> "np.ndarray":
+        """Decode a length-prefixed bulk uint32 array."""
         n = self.u64()
-        raw = self._take(4 * n)
-        if self._numpy:
-            import numpy as np
-
-            return np.frombuffer(raw, dtype="<u4").copy()
-        if n == 0:
-            return []
-        return list(struct.unpack(f"<{n}I", raw))
+        return np.frombuffer(self._take(4 * n), dtype="<u4").copy()
 
     def expect_end(self) -> None:
         """Raise unless the payload was consumed exactly."""
@@ -313,28 +216,28 @@ def write_snapshot(path: str | Path, payload: bytes) -> None:
     framing.write_framed(path, MAGIC, FORMAT_VERSION, payload)
 
 
-def read_snapshot_versioned(path: str | Path) -> tuple[int, bytes]:
-    """Read and verify a snapshot file; returns ``(format_version,
-    payload)``.
+def read_snapshot(path: str | Path) -> bytes:
+    """Read and verify a snapshot file; returns the payload bytes.
 
     Verification order: magic, header checksum, format version, payload
     length, payload checksum.  Each failure raises
     :class:`~repro.errors.DatasetError` naming ``path`` and the byte
     offset of the inconsistency; nothing is decoded past a failure.
+    Only :data:`FORMAT_VERSION` is read: an older file is refused by
+    version, not decoded by guesswork.
     """
-    return framing.read_framed(
+    version, payload = framing.read_framed(
         path,
         magic=MAGIC,
         max_version=FORMAT_VERSION,
         kind="snapshot",
         what="repro snapshot",
     )
-
-
-def read_snapshot(path: str | Path) -> bytes:
-    """Read and verify a snapshot file; returns the payload bytes.
-
-    :func:`read_snapshot_versioned` with the format version dropped —
-    for callers that only decode the current format.
-    """
-    return read_snapshot_versioned(path)[1]
+    if version != FORMAT_VERSION:
+        raise DatasetError(
+            f"{path}: snapshot format version {version} at offset 8 is "
+            f"older than the supported version {FORMAT_VERSION} (the only "
+            f"one this build reads): rebuild the snapshot, or re-save "
+            f"with the release that wrote it and upgrade from there"
+        )
+    return payload

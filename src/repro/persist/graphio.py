@@ -1,15 +1,15 @@
 """Cached visibility graphs and version stamps, serialized.
 
 A warm runtime is mostly its graph cache: the visibility graphs built
-by prior queries, each with its expansion centre, coverage radius,
-guest centres and version stamp.  This module flattens one
+by prior queries, each with its expansion centre, coverage radius and
+version stamp.  This module flattens one
 :class:`~repro.runtime.cache.CachedGraph` into the snapshot payload
 and reassembles it on load **without running a single sweep** — nodes
 and edges are written as index arrays over a point table (through the
-codec's bulk float path, numpy-backed where available), and obstacles
-are referenced by id into the snapshot's global obstacle table so
-every shard, tree and graph resolves to one shared
-:class:`~repro.model.Obstacle` instance per id, exactly as live.
+codec's bulk float path), and obstacles are referenced by id into the
+snapshot's global obstacle table so every shard, tree and graph
+resolves to one shared :class:`~repro.model.Obstacle` instance per id,
+exactly as live.
 
 Version stamps round-trip too: plain integers for monolithic sources,
 full per-shard vectors (:class:`~repro.runtime.sharding.
@@ -140,11 +140,10 @@ def read_stamp(r: "BinaryReader", source: object) -> object:
 
 
 def write_cache_entry(w: "BinaryWriter", entry: CachedGraph) -> None:
-    """Serialize one cache entry: centre, coverage, guests, stamp, graph."""
+    """Serialize one cache entry: centre, coverage, stamp, graph."""
     w.f64(entry.center.x)
     w.f64(entry.center.y)
     w.f64(entry.covered)
-    w.points(entry.guests)
     write_stamp(w, entry.version)
     write_graph(w, entry.graph)
 
@@ -161,10 +160,6 @@ def read_cache_entry(
 
     center = Point(r.f64(), r.f64())
     covered = r.f64()
-    guests = r.points()
     stamp = read_stamp(r, source)
     graph = read_graph(r, table, backend=backend)
-    entry = CachedGraph(graph, center, covered, stamp)
-    for g in guests:
-        entry.guests[g] = None
-    return entry
+    return CachedGraph(graph, center, covered, stamp)

@@ -15,8 +15,12 @@ observe about a database plus everything its runtime has learned:
   counters, layout version and Hilbert keys) for sharded storage;
 * **entity trees** — page images with point payloads;
 * **graph cache** — every cached visibility graph with its coverage
-  radius, guest centres and version stamp
-  (:mod:`repro.persist.graphio`), in LRU order.
+  radius and version stamp (:mod:`repro.persist.graphio`), in LRU
+  order, then the frozen CSR arrays of the graphs that hold a current
+  freeze;
+* **runtime stats** and the **journal-sequence stamp** — the warm
+  counters of the metrics registry, and the highest mutation sequence
+  folded into this snapshot (``0`` for a non-durable database).
 
 Because page ids, buffer residency and access counters round-trip, a
 restored database is *observationally identical*: the same queries
@@ -36,6 +40,8 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+import numpy as np
+
 from repro.core.source import ObstacleIndex, ShardedObstacleIndex
 from repro.datasets.io import content_hash
 from repro.errors import DatasetError
@@ -44,11 +50,11 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.index import pageio
 from repro.model import Obstacle
-from repro.persist import codec
 from repro.persist.codec import (
+    FORMAT_VERSION,
     BinaryReader,
     BinaryWriter,
-    read_snapshot_versioned,
+    read_snapshot,
     write_snapshot,
 )
 from repro.persist.graphio import read_cache_entry, write_cache_entry
@@ -58,6 +64,7 @@ from repro.persist.journal import (
     resolve_journal_path,
 )
 from repro.runtime.sharding import ShardGrid
+from repro.visibility.csr import install_frozen
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ObstacleDatabase
@@ -72,11 +79,11 @@ _STAT_STR = 2
 
 
 def _write_runtime_stats(w: BinaryWriter, stats) -> None:
-    """The format-2 runtime-stats section: a tagged name/value list.
+    """The runtime-stats section: a tagged name/value list.
 
     Name-keyed (not positional) so counters added to
     :class:`~repro.runtime.stats.RuntimeStats` later neither shift the
-    layout nor invalidate older format-2 files."""
+    layout nor invalidate files already written."""
     snapshot = stats.snapshot() if stats is not None else {}
     w.u32(len(snapshot))
     for name in sorted(snapshot):
@@ -114,7 +121,7 @@ def _read_runtime_stats(r: BinaryReader, path: str) -> dict[str, object]:
 
 
 def _write_frozen_csr(w: BinaryWriter, entries) -> None:
-    """The format-3 frozen-CSR section: compiled distance-field arrays.
+    """The frozen-CSR section: compiled distance-field arrays.
 
     One record per cache entry whose graph holds a freeze valid at its
     *current* structure revision (stale freezes are dropped — they
@@ -140,16 +147,7 @@ def _write_frozen_csr(w: BinaryWriter, entries) -> None:
 
 def _read_frozen_csr(r: BinaryReader, entries, path: str) -> None:
     """Decode the frozen-CSR section and install the arrays on the
-    restored graphs.  Without numpy the records are consumed and
-    dropped — the python engine never touches frozen arrays, and the
-    graphs simply re-freeze lazily if numpy appears later."""
-    try:
-        import numpy as np
-
-        from repro.visibility.csr import install_frozen
-    except ImportError:  # pragma: no cover - numpy is baked into the image
-        np = None
-        install_frozen = None
+    restored graphs."""
     for __ in range(r.u32()):
         index = r.u32()
         points = r.points()
@@ -161,14 +159,12 @@ def _read_frozen_csr(r: BinaryReader, entries, path: str) -> None:
                 f"{path}: frozen-CSR record references cache entry "
                 f"{index} of {len(entries)} at offset {r.offset}"
             )
-        if install_frozen is None:
-            continue
         install_frozen(
             entries[index].graph,
             points,
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(indices, dtype=np.int32),
-            np.asarray(weights, dtype=np.float64),
+            indptr.astype(np.int64),
+            indices.astype(np.int32),
+            weights,
         )
 
 
@@ -337,22 +333,17 @@ def save_database(
     w.u32(len(entries))
     for entry in entries:
         write_cache_entry(w, entry)
-    # -- runtime stats (format 2) ------------------------------------------
+    # -- runtime stats ------------------------------------------------------
     _write_runtime_stats(w, context.stats if context is not None else None)
-    # -- frozen CSR arrays (format 3) --------------------------------------
-    # ``codec.FORMAT_VERSION`` is read at call time so a writer pinned
-    # to an older version (compatibility tests) omits the section the
-    # older reader would reject.
-    if codec.FORMAT_VERSION >= 3:
-        _write_frozen_csr(w, entries)
-    # -- journal-sequence stamp (format 4) ---------------------------------
+    # -- frozen CSR arrays --------------------------------------------------
+    _write_frozen_csr(w, entries)
+    # -- journal-sequence stamp ---------------------------------------------
     # The highest mutation sequence folded into this snapshot (0 for a
     # non-durable database).  Recovery replays only journal records
     # with a higher sequence, so a crash between this write and the
     # journal truncation that follows a compaction never double-applies.
-    if codec.FORMAT_VERSION >= 4:
-        journal = getattr(db, "_journal", None)
-        w.u64(journal.last_seq if journal is not None else 0)
+    journal = getattr(db, "_journal", None)
+    w.u64(journal.last_seq if journal is not None else 0)
     write_snapshot(path, w.getvalue())
 
 
@@ -386,8 +377,7 @@ def load_database(
     from repro.core.engine import ObstacleDatabase
 
     name = str(path)
-    version, payload = read_snapshot_versioned(path)
-    r = BinaryReader(payload, path=path)
+    r = BinaryReader(read_snapshot(path), path=path)
     # -- configuration ----------------------------------------------------
     bulk = r.u8() == 1
     shards = r.i64()
@@ -495,30 +485,20 @@ def load_database(
         )
         context.admit_restored(entry)
         restored_entries.append(entry)
-    # -- runtime stats (format 2) ------------------------------------------
-    # Version-1 snapshots predate the section: their counters restore
-    # zeroed (the v1 behaviour), everything else identically.
-    if version >= 2:
-        restored = _read_runtime_stats(r, name)
-        stats = context.stats
-        for stat_name, value in restored.items():
-            # ``backend`` is configuration, not work: the restored
-            # context has already selected its own (possibly different)
-            # backend.  Unknown names are counters from another build
-            # of this library — ignored, exactly like merge ignores
-            # nothing it knows about.
-            if stat_name == "backend" or stat_name not in stats.__slots__:
-                continue
-            setattr(stats, stat_name, value)
-    # -- frozen CSR arrays (format 3) --------------------------------------
-    # Version-2 files predate the section: their graphs re-freeze
-    # lazily at first field evaluation, everything else identically.
-    if version >= 3:
-        _read_frozen_csr(r, restored_entries, name)
-    # -- journal-sequence stamp (format 4) ---------------------------------
-    # Version-3 files predate the stamp: they load with 0, meaning
-    # every recovered journal record replays (the pre-stamp behaviour).
-    base_seq = r.u64() if version >= 4 else 0
+    # -- runtime stats ------------------------------------------------------
+    stats = context.stats
+    for stat_name, value in _read_runtime_stats(r, name).items():
+        # ``backend`` is configuration, not work: the restored context
+        # has already selected its own (possibly different) backend.
+        # Unknown names are counters from another build of this
+        # library — ignored.
+        if stat_name == "backend" or stat_name not in stats.__slots__:
+            continue
+        setattr(stats, stat_name, value)
+    # -- frozen CSR arrays --------------------------------------------------
+    _read_frozen_csr(r, restored_entries, name)
+    # -- journal-sequence stamp ---------------------------------------------
+    base_seq = r.u64()
     r.expect_end()
     # -- journal recovery --------------------------------------------------
     # Replay happens only now, over a fully verified snapshot: the
@@ -548,13 +528,12 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
 
     Returns format version, configuration, per-set obstacle/page
     counts and page-access counters, entity sets, cached-graph
-    summaries (centre, coverage radius, guest/node/edge counts),
-    runtime counters (format 2) and dataset refs — what the
+    summaries (centre, coverage radius, node/edge counts), runtime
+    counters and dataset refs — what the
     ``repro-snapshot info`` command prints.
     """
     name = str(path)
-    version, payload = read_snapshot_versioned(path)
-    r = BinaryReader(payload, path=path)
+    r = BinaryReader(read_snapshot(path), path=path)
     bulk = r.u8() == 1
     shards = r.i64()
     graph_cache_size = r.u32()
@@ -641,25 +620,21 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
         )
     cached_graphs = r.u32()
     cache_entries = [_skim_cache_entry(r) for __ in range(cached_graphs)]
-    runtime_stats: dict[str, object] = {}
-    if version >= 2:
-        runtime_stats = _read_runtime_stats(r, name)
-    frozen_fields = 0
-    if version >= 3:
-        frozen_fields = r.u32()
-        for __ in range(frozen_fields):
-            index = r.u32()
-            nodes = len(r.points())
-            r.u32_array()  # indptr
-            indices = r.u32_array()
-            r.f64_array()  # weights
-            if index < len(cache_entries):
-                cache_entries[index]["frozen_nodes"] = nodes
-                cache_entries[index]["frozen_edges"] = len(indices) // 2
-    journal_seq = r.u64() if version >= 4 else 0
+    runtime_stats = _read_runtime_stats(r, name)
+    frozen_fields = r.u32()
+    for __ in range(frozen_fields):
+        index = r.u32()
+        nodes = len(r.points())
+        r.u32_array()  # indptr
+        indices = r.u32_array()
+        r.f64_array()  # weights
+        if index < len(cache_entries):
+            cache_entries[index]["frozen_nodes"] = nodes
+            cache_entries[index]["frozen_edges"] = len(indices) // 2
+    journal_seq = r.u64()
     return {
         "path": name,
-        "format_version": version,
+        "format_version": FORMAT_VERSION,
         "bulk": bulk,
         "shards": None if shards < 0 else shards,
         "graph_cache_size": graph_cache_size,
@@ -684,7 +659,6 @@ def _skim_cache_entry(r: BinaryReader) -> dict[str, object]:
 
     center = Point(r.f64(), r.f64())
     covered = r.f64()
-    guests = r.points()
     stamp_kind = r.u8()
     if stamp_kind == _STAMP_INT:
         r.i64()
@@ -713,7 +687,6 @@ def _skim_cache_entry(r: BinaryReader) -> dict[str, object]:
     return {
         "center": (center.x, center.y),
         "covered": covered,
-        "guests": len(guests),
         "obstacles": obstacles,
         "nodes": nodes,
         "edges": edges,

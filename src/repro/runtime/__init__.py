@@ -27,8 +27,8 @@ graph.  This package owns that machinery once, instead of per query:
   :class:`~repro.core.source.ShardedObstacleIndex`;
 * :mod:`~repro.runtime.policy` — cache tuning policies: the static
   default and :class:`~repro.runtime.policy.AdaptiveCachePolicy`,
-  which learns the snap quantum / LRU capacity / guest admission from
-  the observed centre stream (``REPRO_CACHE_POLICY=adaptive``).
+  which learns the snap quantum and LRU capacity from the observed
+  centre stream (``REPRO_CACHE_POLICY=adaptive``).
 """
 
 from repro.runtime.batch import batch_distance, batch_nearest, batch_range

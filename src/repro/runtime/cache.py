@@ -55,7 +55,7 @@ class CachedGraph:
     make the entry stale).
     """
 
-    __slots__ = ("graph", "center", "covered", "version", "guests")
+    __slots__ = ("graph", "center", "covered", "version")
 
     def __init__(
         self,
@@ -68,11 +68,6 @@ class CachedGraph:
         self.center = center
         self.covered = covered
         self.version = version
-        #: Off-centre query positions admitted into the shared graph as
-        #: free points (spatial keys), insertion-ordered — bounded by
-        #: the runtime so a jittering centre cannot grow the graph
-        #: without limit.
-        self.guests: dict[Point, None] = {}
 
     def __repr__(self) -> str:
         return (

@@ -34,15 +34,17 @@ from repro.geometry.point import Point
 from repro.model import Obstacle
 from repro.obs.trace import TRACER
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
-from repro.runtime.field import make_distance_field, resolve_field_engine
 from repro.runtime.policy import CachePolicy, resolve_cache_policy
 from repro.runtime.sharding import stamp_for, stamp_is_stale
 from repro.runtime.stats import RuntimeStats
 from repro.visibility.csr import frozen
 from repro.visibility.graph import VisibilityGraph
 from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
-from repro.visibility.naive import is_visible
-from repro.visibility.shortest_path import shortest_path_dist
+
+# Unused here: benchmarks/e2e/e2e_trace.py wraps this module attribute
+# by name (a `visibility.dijkstra` wrap point).  The next [benchmark]
+# PR drops that wrap point and this import with it.
+from repro.visibility.shortest_path import shortest_path_dist  # noqa: F401
 
 
 #: Above this node count an in-place delete-repair (an O(pairs) python
@@ -50,12 +52,6 @@ from repro.visibility.shortest_path import shortest_path_dist
 #: the affected entry is discarded instead (rebuild-fallback at its
 #: next lookup).
 DELETE_REPAIR_NODE_LIMIT = 256
-
-#: Maximum off-centre query positions retained per cached graph as
-#: persistent free points (spatial keys); the oldest guest is evicted
-#: beyond this, bounding the shared graph's growth under a jittering
-#: (e.g. GPS-noise) centre stream.
-GUEST_LIMIT = 64
 
 
 class QueryContext:
@@ -85,17 +81,17 @@ class QueryContext:
         (a name — ``"python-sweep"``, ``"numpy-kernel"``, ``"naive"``
         — or an instance).  ``None`` auto-picks: the
         ``REPRO_VISIBILITY_BACKEND`` environment variable when set,
-        else the numpy kernel when numpy is importable.  The resolved
-        backend shares this context's stats, so ``sweeps_run`` /
-        ``sweep_events`` / ``sweep_seconds`` account all sweep work.
+        else the numpy kernel.  The resolved backend shares this
+        context's stats, so ``sweeps_run`` / ``sweep_events`` /
+        ``sweep_seconds`` account all sweep work.
     policy:
         The cache policy (a name — ``"static"``, ``"adaptive"`` — or a
         :class:`~repro.runtime.policy.CachePolicy` instance).  ``None``
         reads ``REPRO_CACHE_POLICY``, defaulting to static.  The
         adaptive policy observes every lookup centre and retunes the
-        cache's snap quantum / capacity / guest admission online;
-        answers are bit-identical under any policy (reuse stays behind
-        the coverage guard — the policy only moves keys and capacity).
+        cache's snap quantum / capacity online; answers are
+        bit-identical under any policy (reuse stays behind the
+        coverage guard — the policy only moves keys and capacity).
     """
 
     def __init__(
@@ -298,19 +294,6 @@ class QueryContext:
 
     # ------------------------------------------------------------ graph reuse
     def entry_for(self, center: Point, radius: float = 0.0) -> CachedGraph:
-        """The cached graph serving ``center``, covering ``radius``,
-        with ``center`` a node of it.
-
-        :meth:`_lookup`, then an off-centre ``center`` (spatial keys)
-        is added to the shared graph as a free point — a distance
-        field roots at a node.
-        """
-        entry = self._lookup(center, radius)
-        if entry.center != center:
-            self._admit_guest(entry, center)
-        return entry
-
-    def _lookup(self, center: Point, radius: float) -> CachedGraph:
         """The cached graph serving ``center``, covering ``radius``.
 
         On a miss the graph is built from the obstacles intersecting
@@ -319,7 +302,9 @@ class QueryContext:
         then guarded by coverage — the entry is valid only once its
         coverage disk contains ``disk(center, radius)``, so an
         under-covered entry is topped up around its *own* centre by the
-        widened radius (extend-and-promote) before being served.
+        widened radius (extend-and-promote) before being served.  An
+        off-centre ``center`` does not become a node: queries only read
+        the graph (:meth:`distance`, :meth:`field_for`).
         """
         self.policy.observe(center)
         entry = self.cache.get(center, self.version)
@@ -347,28 +332,6 @@ class QueryContext:
                 self.stats.graph_cache_promotions += 1
             self.ensure_coverage(entry, required)
         return entry
-
-    def _admit_guest(self, entry: CachedGraph, center: Point) -> None:
-        """Make an off-centre ``center`` a node of the entry's shared
-        graph: one sweep now, zero builds for every later query at this
-        centre.  Guests are retained insertion-ordered up to
-        :data:`GUEST_LIMIT` (the policy may widen the bound for hot
-        cells); beyond it the oldest is deleted again, so a jittering
-        centre stream cannot grow the graph unboundedly.
-        """
-        graph = entry.graph
-        if graph.add_entity(center):
-            entry.guests[center] = None
-        elif center in entry.guests:
-            # Refresh recency so a re-visited centre is evicted last.
-            del entry.guests[center]
-            entry.guests[center] = None
-        limit = self.policy.guest_limit(entry, GUEST_LIMIT)
-        while len(entry.guests) > limit:
-            oldest = next(iter(entry.guests))
-            del entry.guests[oldest]
-            if oldest != center:
-                graph.delete_entity(oldest)
 
     @staticmethod
     def required_radius(
@@ -460,18 +423,12 @@ class QueryContext:
         (:meth:`_frozen_distance`).  ``bound`` enables threshold
         pruning: iteration stops once the provisional lower bound
         exceeds it.
-
-        Under ``REPRO_FIELD_ENGINE=python`` the reference path runs
-        instead: both endpoints are inserted into the dict graph, the
-        dict Dijkstra searches it, and ``p`` is deleted again.
         """
         self.stats.distance_calls += 1
         TRACER.count("context.distance_call")
         if p == q:
             return 0.0
-        if resolve_field_engine() != "csr":
-            return self._distance_by_insertion(p, q, bound)
-        entry = self._lookup(q, p.distance(q))
+        entry = self.entry_for(q, p.distance(q))
         graph = entry.graph
         d = self._frozen_distance(graph, p, q)
         while d <= bound:
@@ -484,21 +441,13 @@ class QueryContext:
         self, graph: VisibilityGraph, p: Point, q: Point
     ) -> float:
         """``d(p, q)`` over ``graph``'s current freeze: one search
-        seeded with the nodes ``p`` sees at their straight legs, read
-        off at the nodes ``q`` sees plus their legs — the float64 sums
-        Dijkstra forms with both endpoints inserted."""
+        seeded with the nodes ``p`` sees at their straight legs that
+        stops once the nodes ``q`` sees are settled, read off at ``q``
+        by the rule a distance field reads its full search with."""
         csr = frozen(graph, stats=self.stats)
-        seeds, seed_legs, __ = csr.anchors_for(p, graph, ahead=(q,))
-        goals, goal_legs, __ = csr.anchors_for(q, graph)
-        # The sweeps report visible *nodes*: whether p sees q is known
-        # from them unless neither is one.
-        direct = (
-            p.distance(q)
-            if p not in csr.index
-            and q not in csr.index
-            and is_visible(p, q, graph.scene_obstacles())
-            else inf
-        )
+        seeds, seed_legs = csr.anchors_for(p, graph, ahead=(q,))
+        goals, goal_legs = csr.anchors_for(q, graph)
+        direct = csr.direct_leg(p, q, graph)
         if not len(seeds) or not len(goals):
             return direct
         with TRACER.span(
@@ -513,26 +462,7 @@ class QueryContext:
                 legs=goal_legs.tolist(),
             )
             span.set_attr("settled", int(settled.sum()))
-        return min(direct, float((dist[goals] + goal_legs).min()))
-
-    def _distance_by_insertion(
-        self, p: Point, q: Point, bound: float
-    ) -> float:
-        """The reference engine's ``distance``: ``q`` is a node of its
-        cached graph (:meth:`entry_for`), ``p`` a transient entity."""
-        entry = self.entry_for(q, p.distance(q))
-        graph = entry.graph
-        added = graph.add_entity(p)
-        try:
-            d = shortest_path_dist(graph, p, q)
-            while d <= bound:
-                if not self.cover(entry, q, d):
-                    break
-                d = shortest_path_dist(graph, p, q)
-        finally:
-            if added:
-                graph.delete_entity(p)
-        return d
+        return min(direct, csr.last_leg(dist, q, graph))
 
     def field_for(self, q: Point, radius: float = 0.0) -> SourceDistanceField:
         """A distance field from ``q`` over the cached graph for ``q``.
@@ -540,23 +470,16 @@ class QueryContext:
         The field's Fig. 8 enlargement is routed through
         :meth:`cover`, so repeated fields over the same centre (or a
         near-duplicate one, with spatial keys) skip redundant obstacle
-        retrievals.  The engine — compiled CSR arrays or the dict
-        reference path — is resolved per call from
-        ``REPRO_FIELD_ENGINE`` (see :mod:`repro.runtime.field`).
+        retrievals — and, the graph being only read, share its freeze
+        and the memoized field rooted at ``q``.
         """
         with TRACER.span("field.build", radius=radius):
             entry = self.entry_for(q, radius)
         self.stats.field_builds += 1
-        readmit = (
-            (lambda: self._admit_guest(entry, q))
-            if q != entry.center
-            else None
-        )
-        return make_distance_field(
+        return SourceDistanceField(
             entry.graph,
             q,
             self.source,
             grow=lambda r: self.cover(entry, q, r),
-            readmit=readmit,
             stats=self.stats,
         )

@@ -1,11 +1,11 @@
 """Adaptive cache policy: learn the cache knobs from the query stream.
 
 Every cache knob of the runtime — the spatial-key quantum
-(``graph_cache_snap``), the LRU capacity, the per-cell guest admission
-bound — is a constant that is only right for the workload it was tuned
-on.  A commuter stream wants a snap quantum a few steps wide; a Zipf
-hotspot wants cells the size of the whole hot disk; a uniform scatter
-wants exact keys and a small cache.  This module makes the knobs
+(``graph_cache_snap``), the LRU capacity — is a constant that is only
+right for the workload it was tuned on.  A commuter stream wants a
+snap quantum a few steps wide; a Zipf hotspot wants cells the size of
+the whole hot disk; a uniform scatter wants exact keys and a small
+cache.  This module makes the knobs
 *observed* instead of guessed: an :class:`AdaptiveCachePolicy` watches
 the live centre stream plus the cache's own hit/miss/repair counters
 (the same :class:`~repro.runtime.stats.RuntimeStats` the metrics
@@ -16,11 +16,11 @@ Correctness is not the policy's problem by construction: spatial-key
 reuse is guarded by the coverage disk (see
 :meth:`~repro.runtime.context.QueryContext.entry_for`), so any snap
 quantum — including a terrible one — yields bit-identical answers.
-The policy only moves *performance*: which centres share a graph, how
-many graphs are retained, how many guests a hot graph admits.
+The policy only moves *performance*: which centres share a graph and
+how many graphs are retained.
 
-The estimator is deliberately small (windowed order statistics and
-EWMAs, no training loop):
+The estimator is deliberately small (windowed order statistics, no
+training loop):
 
 * **Snap quantum** — the median nearest-neighbour displacement over
   the most recent slice of the sliding window, scaled by
@@ -36,10 +36,6 @@ EWMAs, no training loop):
   window, clamped to ``[base capacity, max_capacity]``: enough room
   that the working set never self-evicts, never less than the
   configured floor.
-* **Guest bound** — per-cell EWMA of lookup share; a cell that
-  concentrates the stream (a flash crowd) gets ``hot_guest_factor``
-  times the default guest bound so the crowd's distinct positions stay
-  resident in the shared graph.
 
 Decisions are damped (a retune needs a >25 % relative change) so the
 cache is not re-keyed on every estimator wobble, and every applied
@@ -52,15 +48,14 @@ what the policy did and when.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from statistics import median
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 
 from repro.errors import DatasetError
 from repro.obs.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.runtime.cache import CachedGraph, VisibilityGraphCache
+    from repro.runtime.cache import VisibilityGraphCache
     from repro.runtime.stats import RuntimeStats
 
 #: Environment knob selecting the policy for every
@@ -72,16 +67,14 @@ POLICY_ENV = "REPRO_CACHE_POLICY"
 class CachePolicy:
     """The static (identity) policy: observe nothing, adjust nothing.
 
-    This is the default and the historical behaviour — the cache keeps
-    whatever ``snap`` / capacity it was constructed with, and every
-    entry admits the default number of guests.  It also defines the
-    interface the runtime calls:
+    This is the default — the cache keeps whatever ``snap`` / capacity
+    it was constructed with.  It also defines the interface the runtime
+    calls:
 
     * :meth:`attach` — wires the policy to one context's cache + stats
       (called once from ``QueryContext.__init__``);
     * :meth:`observe` — one lookup centre, called on every
       ``entry_for`` before the cache is consulted;
-    * :meth:`guest_limit` — the per-entry guest admission bound;
     * :meth:`spawn` — a fresh policy of the same kind for a worker
       context (workers adapt to *their* slice of the stream
       independently; no estimator state is shipped).
@@ -99,17 +92,13 @@ class CachePolicy:
     def observe(self, center) -> None:
         """Feed one lookup centre to the estimator (no-op here)."""
 
-    def guest_limit(self, entry: "CachedGraph", default: int) -> int:
-        """The guest admission bound for ``entry`` (the default here)."""
-        return default
-
     def spawn(self) -> "CachePolicy":
         """A fresh, unattached policy of the same kind."""
         return type(self)()
 
 
 class AdaptiveCachePolicy(CachePolicy):
-    """Windowed-quantile/EWMA tuner for snap, capacity, and admission.
+    """Windowed-quantile tuner for the snap quantum and the capacity.
 
     Parameters
     ----------
@@ -127,9 +116,6 @@ class AdaptiveCachePolicy(CachePolicy):
         stream has no usable locality and exact keys win.
     max_capacity:
         Upper clamp for the learned LRU capacity.
-    hot_guest_factor / hot_share:
-        A cell whose EWMA share of lookups exceeds ``hot_share`` gets
-        ``hot_guest_factor`` times the default guest bound.
     """
 
     name = "adaptive"
@@ -142,8 +128,6 @@ class AdaptiveCachePolicy(CachePolicy):
         snap_factor: float = 12.0,
         locality_fraction: float = 0.6,
         max_capacity: int = 512,
-        hot_guest_factor: int = 4,
-        hot_share: float = 0.25,
     ) -> None:
         if window < 2:
             raise DatasetError(f"policy window must be >= 2, got {window}")
@@ -156,8 +140,6 @@ class AdaptiveCachePolicy(CachePolicy):
         self.snap_factor = snap_factor
         self.locality_fraction = locality_fraction
         self.max_capacity = max_capacity
-        self.hot_guest_factor = hot_guest_factor
-        self.hot_share = hot_share
         self._centers: list = []  # ring buffer of recent centres
         self._displacements: list[float] = []  # parallel ring buffer
         self._head = 0
@@ -168,8 +150,6 @@ class AdaptiveCachePolicy(CachePolicy):
         self._bounds: list[float] | None = None  # [minx, miny, maxx, maxy]
         self._since_adjust = 0
         self._base_capacity: int | None = None
-        #: cell key -> EWMA of that cell's share of recent lookups.
-        self._cell_share: OrderedDict[Hashable, float] = OrderedDict()
 
     def spawn(self) -> "AdaptiveCachePolicy":
         """A parameter-identical policy with fresh estimator state."""
@@ -179,8 +159,6 @@ class AdaptiveCachePolicy(CachePolicy):
             snap_factor=self.snap_factor,
             locality_fraction=self.locality_fraction,
             max_capacity=self.max_capacity,
-            hot_guest_factor=self.hot_guest_factor,
-            hot_share=self.hot_share,
         )
 
     def attach(
@@ -193,9 +171,8 @@ class AdaptiveCachePolicy(CachePolicy):
 
     # ------------------------------------------------------------ observation
     def observe(self, center) -> None:
-        """One lookup centre: update the displacement window and the
-        per-cell EWMA, and run an adjustment pass every
-        ``adjust_every`` lookups."""
+        """One lookup centre: update the displacement window and run
+        an adjustment pass every ``adjust_every`` lookups."""
         # Nearest-neighbour displacement against the *current* window
         # (min over the window, not just the previous centre, so R
         # interleaved commuter clients still measure the per-client
@@ -219,26 +196,10 @@ class AdaptiveCachePolicy(CachePolicy):
             b[1] = min(b[1], center.y)
             b[2] = max(b[2], center.x)
             b[3] = max(b[3], center.y)
-        self._update_cell_share(center)
         self._since_adjust += 1
         if self._since_adjust >= self.adjust_every:
             self._since_adjust = 0
             self._adjust()
-
-    def _update_cell_share(self, center) -> None:
-        """EWMA per-cell lookup share under the *current* snap (exact
-        keys degrade to per-centre shares, which never cross
-        ``hot_share`` for a jittering stream — hot admission only
-        matters once snapping has engaged)."""
-        alpha = 2.0 / (self.window + 1)
-        key = self.cache.key_for(center)
-        for k in list(self._cell_share):
-            decayed = self._cell_share[k] * (1.0 - alpha)
-            if decayed < alpha / 8:  # forget cold cells
-                del self._cell_share[k]
-            else:
-                self._cell_share[k] = decayed
-        self._cell_share[key] = self._cell_share.get(key, 0.0) + alpha
 
     # ------------------------------------------------------------- adjustment
     def _spread(self) -> float:
@@ -327,18 +288,8 @@ class AdaptiveCachePolicy(CachePolicy):
         TRACER.count("policy.adjust")
         if snap_arg is not None:
             self.stats.policy_snap += 1
-            self._cell_share.clear()  # shares were per old-snap cell
         if capacity_arg is not None:
             self.stats.policy_capacity += 1
-
-    # -------------------------------------------------------------- admission
-    def guest_limit(self, entry: "CachedGraph", default: int) -> int:
-        """``hot_guest_factor`` times the default bound for entries in
-        hot cells (EWMA share >= ``hot_share``), the default elsewhere."""
-        key = self.cache.key_for(entry.center)
-        if self._cell_share.get(key, 0.0) >= self.hot_share:
-            return default * self.hot_guest_factor
-        return default
 
 
 _POLICIES = {

@@ -34,12 +34,10 @@ back with every reply and are merged into the parent database, so
 ``db.runtime_stats()`` / ``db.stats()`` account pool work exactly as
 they account sequential work.
 
-Workers inherit the parent's environment, including
-``REPRO_FIELD_ENGINE`` (see :mod:`repro.runtime.field`): under the
-CSR engine, a long-lived worker amortizes frozen-CSR adjacency and
-per-source distance fields across every batch it serves — snapshot
-format v3 even ships the frozen arrays in the warm-start snapshot, so
-workers boot with them installed.  The new ``field_freezes`` /
+A long-lived worker amortizes the frozen CSR adjacency and the
+per-root distance fields of its cached graphs across every batch it
+serves, and the warm-start snapshot ships the frozen arrays, so
+workers boot with them installed.  The ``field_freezes`` /
 ``field_batch_evals`` counters merge like every other runtime stat.
 """
 

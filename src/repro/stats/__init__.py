@@ -1,48 +1,11 @@
-"""Instrumentation: page-access counters, timers and experiment records.
+"""Instrumentation: page-access counters.
 
 The paper's I/O metric is the number of R-tree page accesses with an
 LRU buffer sized at 10 % of each tree.  :class:`PageAccessCounter`
 makes that metric a first-class, resettable observable on every index.
-
-The timing/experiment helpers now live in :mod:`repro.obs` (the
-observability package); the re-exports here — like the
-``repro.stats.timing`` / ``repro.stats.experiment`` module paths — are
-deprecated shims that emit :class:`DeprecationWarning` on first use
-and are scheduled for removal (see the deprecations note in the
-README).
+(Timers and experiment records live in :mod:`repro.obs`.)
 """
-
-import warnings
 
 from repro.stats.counters import PageAccessCounter
 
-__all__ = ["PageAccessCounter", "Timer", "ExperimentSeries", "format_table"]
-
-#: Deprecated re-exports and their new homes; resolved lazily so that
-#: importing ``repro.stats`` for :class:`PageAccessCounter` (which is
-#: canonical here, not deprecated) stays silent.
-_MOVED = {
-    "Timer": "repro.obs.timing",
-    "ExperimentSeries": "repro.obs.experiment",
-    "format_table": "repro.obs.experiment",
-}
-
-
-def __getattr__(name: str):
-    moved = _MOVED.get(name)
-    if moved is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"repro.stats.{name} is deprecated; import {name} from {moved} "
-        f"(the repro.stats re-export will be removed in a future release)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import repro.obs.experiment
-    import repro.obs.timing
-
-    module = (
-        repro.obs.timing if moved == "repro.obs.timing"
-        else repro.obs.experiment
-    )
-    return getattr(module, name)
+__all__ = ["PageAccessCounter"]

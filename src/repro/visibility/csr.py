@@ -16,16 +16,16 @@ visible anchors), and the last-leg minimisation
 :meth:`~repro.runtime.context.QueryContext.distance` becomes one numpy
 expression.
 
+A :class:`CSRGraph` describes exactly one structure revision: callers
+take it from :func:`frozen` each time the live graph may have moved,
+so every node its graph's sweeps report has a frozen id.
+
 Parity contract: edge weights are copied verbatim from the live
 adjacency and relaxations use the same float64 ``d + w`` arithmetic,
 so settled distances are bit-identical to
 :func:`repro.visibility.shortest_path.dijkstra` — the heap order may
 differ on ties, but the settled *values* are the same minimum over the
 same relaxation set.
-
-This module requires numpy; the engine dispatcher
-(:mod:`repro.runtime.field`) never imports it when numpy is missing or
-``REPRO_FIELD_ENGINE=python`` forces the dict path.
 """
 
 from __future__ import annotations
@@ -39,18 +39,20 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.obs.trace import TRACER
+from repro.visibility.naive import is_visible
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.visibility.graph import VisibilityGraph
 
-#: Maximum off-graph points whose last-leg geometry one frozen graph
-#: memoizes.  A graph that no longer mutates keeps its freeze — and
-#: with it the memo — for as long as its entry stays cached, and every
-#: distance call at a fresh endpoint pair adds two entries (about 1 KB
-#: each at the paper's graph sizes); the oldest are evicted beyond
-#: this, the same reasoning as the runtime's ``GUEST_LIMIT``: repeat
-#: candidates of a hot centre stay memoized, a jittering endpoint
-#: stream cannot grow a cached graph's footprint without limit.
+#: Maximum points one frozen graph memoizes last-leg geometry for, and
+#: maximum roots it memoizes a distance field for.  Queries only read a
+#: cached graph, so it keeps its freeze — and with it both memos — for
+#: as long as its entry stays cached; every distance call at a fresh
+#: endpoint pair adds two anchor entries and every ONN / OR at a fresh
+#: centre one field (about 1 KB each at the paper's graph sizes).  The
+#: oldest are evicted beyond this: repeat candidates and centres of a
+#: hot cell stay memoized, a jittering stream cannot grow a cached
+#: graph's footprint without limit.
 ANCHOR_MEMO_LIMIT = 512
 
 
@@ -60,9 +62,10 @@ class CSRGraph:
     ``points`` fixes the node order (``index`` maps back); ``xs``/``ys``
     are the node coordinates; ``indptr``/``indices``/``weights`` are
     the CSR adjacency with weights copied verbatim from the live graph.
-    ``fields`` caches one full-Dijkstra distance array per source node
-    — the warm-stream payoff: repeated queries at a cached centre skip
-    the Dijkstra entirely.
+    ``fields`` memoizes one full-Dijkstra distance array per root
+    (:meth:`field`) — the warm-stream payoff: repeated queries at a
+    centre skip the Dijkstra entirely — and ``anchors`` the last-leg
+    geometry of off-graph points (:meth:`anchors_for`).
     """
 
     __slots__ = (
@@ -75,7 +78,6 @@ class CSRGraph:
         "weights",
         "fields",
         "anchors",
-        "_anchors_revision",
         "_rows",
     )
 
@@ -95,9 +97,8 @@ class CSRGraph:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        self.fields: dict[int, "np.ndarray"] = {}
+        self.fields: dict[Point, "np.ndarray"] = {}
         self.anchors: dict[Point, tuple] = {}
-        self._anchors_revision: "int | None" = None
         #: ``indptr``/``indices``/``weights`` as python lists: what
         #: :meth:`dijkstra` iterates (made there for installed arrays).
         self._rows: "tuple[list, list, list] | None" = None
@@ -219,44 +220,33 @@ class CSRGraph:
         p: Point,
         graph: "VisibilityGraph",
         ahead: Iterable[Point] = (),
-    ) -> tuple["np.ndarray", "np.ndarray", "list[Point] | None"]:
+    ) -> tuple["np.ndarray", "np.ndarray"]:
         """The last-leg geometry from point ``p``:
-        ``(anchor ids, euclidean legs, off-index anchors)``.
+        ``(anchor ids, euclidean legs)``.
 
         A frozen node is its own anchor at leg 0.  For an off-graph
         ``p`` this memoizes what ``graph``'s visibility backend sees
         from it — plus the frozen-id lookup and the vectorized
         ``|p - v|`` legs, which depend only on ``p`` and the anchor set
-        — per *live* structure revision: on warm streams (repeat
+        — for the life of this freeze: on warm streams (repeat
         candidates, stable topology) the sweep runs once per candidate
         instead of once per query.  On a miss, the off-graph points of
         ``ahead`` (the candidates a batch will ask about next, or a
         distance call's other endpoint) that the memo lacks are swept
         in the same backend call, and the memo's oldest entries beyond
         :data:`ANCHOR_MEMO_LIMIT` are dropped — never ``p`` or a point
-        of ``ahead``.  Any topology change clears the memo, keeping the
-        answers identical to a fresh sweep — and therefore to the
-        reference engine, which re-sweeps every call.  Anchors admitted
-        to the live graph after this freeze have no frozen id and are
-        returned separately for the caller's overlay handling.
+        of ``ahead``.
         """
         own = self.index.get(p)
         if own is not None:
-            return np.array([own]), np.zeros(1), None
-        revision = graph.structure_revision
-        if revision != self._anchors_revision:
-            self.anchors.clear()
-            self._anchors_revision = revision
+            return np.array([own]), np.zeros(1)
         cached = self.anchors.get(p)
         if cached is None:
             sources = [p]
             sources += dict.fromkeys(
                 c
                 for c in ahead
-                if c != p
-                and c not in self.anchors
-                and c not in self.index
-                and not graph.has_node(c)
+                if c != p and c not in self.anchors and c not in self.index
             )
             for c, seen in zip(sources, graph.visible_from_many(sources)):
                 self.anchors[c] = self._last_legs(c, seen)
@@ -271,25 +261,61 @@ class CSRGraph:
 
     def _last_legs(
         self, p: Point, anchors: list[Point]
-    ) -> tuple["np.ndarray", "np.ndarray", "list[Point] | None"]:
-        ids = list(map(self.index.get, anchors))
-        extras = None
-        if None in ids:
-            extras = [v for v, i in zip(anchors, ids) if i is None]
-            ids = [i for i in ids if i is not None]
-        ai = np.array(ids, dtype=np.int64)
+    ) -> tuple["np.ndarray", "np.ndarray"]:
+        ai = np.array(
+            list(map(self.index.__getitem__, anchors)), dtype=np.int64
+        )
         dx = self.xs[ai] - p.x
         dy = self.ys[ai] - p.y
-        legs = np.sqrt(dx * dx + dy * dy)
-        return ai, legs, extras
+        return ai, np.sqrt(dx * dx + dy * dy)
 
-    def field(self, source: int) -> "np.ndarray":
-        """The cached full distance field from node id ``source``."""
-        cached = self.fields.get(source)
+    def field(self, q: Point, graph: "VisibilityGraph") -> "np.ndarray":
+        """The memoized full distance field rooted at ``q``.
+
+        ``q`` need not be a node: a shortest path turns only at
+        obstacle vertices, so it leaves ``q`` straight toward a node
+        ``q`` sees, and the search is seeded with ``q``'s anchors at
+        their legs (a frozen node: itself at 0) — the float64 sums
+        Dijkstra forms with ``q`` inserted.  Oldest roots beyond
+        :data:`ANCHOR_MEMO_LIMIT` are dropped; a holder of the array
+        keeps its own reference.
+        """
+        cached = self.fields.get(q)
         if cached is None:
-            cached, __ = self.dijkstra(source)
-            self.fields[source] = cached
+            ids, legs = self.anchors_for(q, graph)
+            cached, __ = self.dijkstra(list(zip(ids.tolist(), legs.tolist())))
+            self.fields[q] = cached
+            if len(self.fields) > ANCHOR_MEMO_LIMIT:
+                del self.fields[next(iter(self.fields))]
         return cached
+
+    def last_leg(
+        self,
+        dist: "np.ndarray",
+        p: Point,
+        graph: "VisibilityGraph",
+        ahead: Iterable[Point] = (),
+    ) -> float:
+        """What a search ``dist`` gives point ``p`` through the graph:
+        ``min_v dist[v] + |v - p|`` over the nodes ``p`` sees, in one
+        numpy expression (``inf`` when it sees none)."""
+        ids, legs = self.anchors_for(p, graph, ahead)
+        return float((dist[ids] + legs).min()) if len(ids) else inf
+
+    def direct_leg(
+        self, p: Point, q: Point, graph: "VisibilityGraph"
+    ) -> float:
+        """``|p - q|`` when the two see each other and neither is a
+        node, else ``inf`` — the one pair no sweep reports (sweeps
+        report visible *nodes*), decided by the exact oracle every
+        backend is parity-locked to."""
+        if (
+            p in self.index
+            or q in self.index
+            or not is_visible(p, q, graph.scene_obstacles())
+        ):
+            return inf
+        return p.distance(q)
 
 
 def frozen(graph: "VisibilityGraph", *, stats=None) -> CSRGraph:
@@ -326,7 +352,7 @@ def install_frozen(
 ) -> CSRGraph:
     """Install deserialized frozen arrays as ``graph``'s CSR view.
 
-    Used by the snapshot loader (format v3): the arrays were frozen
+    Used by the snapshot loader: the arrays were frozen
     from an identical graph, so they are adopted under the restored
     graph's current structure revision — the first field evaluation
     after a warm start skips the freeze.

@@ -49,7 +49,7 @@ class VisibilityGraph:
     paper's standing assumption).  ``"naive"`` is the exact pairwise
     oracle, slower but valid even for overlapping obstacles.  ``None``
     auto-picks (env ``REPRO_VISIBILITY_BACKEND``, else the numpy
-    kernel when numpy is importable).
+    kernel).
     """
 
     __slots__ = (

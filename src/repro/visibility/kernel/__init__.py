@@ -32,20 +32,9 @@ from repro.visibility.kernel.backend import (
     VisibilityBackend,
     available_backends,
     default_backend_name,
-    numpy_available,
     resolve_backend,
 )
-
-
-def __getattr__(name: str):
-    # PackedScene imports numpy; loaded lazily so this package (and the
-    # backend registry) stays importable when numpy is absent.
-    if name == "PackedScene":
-        from repro.visibility.kernel.packed import PackedScene
-
-        return PackedScene
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from repro.visibility.kernel.packed import PackedScene
 
 __all__ = [
     "AUTO_BACKEND_ENV",
@@ -56,6 +45,5 @@ __all__ = [
     "VisibilityBackend",
     "available_backends",
     "default_backend_name",
-    "numpy_available",
     "resolve_backend",
 ]

@@ -13,8 +13,8 @@ exist:
 ``numpy-kernel``
     The vectorized kernel (:mod:`repro.visibility.kernel.numpy_sweep`)
     over a :class:`~repro.visibility.kernel.packed.PackedScene`, which
-    sweeps all sources of a call in shared array passes.  Requires
-    numpy; returns sets identical to ``python-sweep``.
+    sweeps all sources of a call in shared array passes; returns sets
+    identical to ``python-sweep``.
 ``naive``
     The exact pairwise oracle (:mod:`repro.visibility.naive`) — slow,
     but valid even for overlapping obstacles; the testing reference.
@@ -24,8 +24,7 @@ Selection: pass a name (or a backend instance) to
 :class:`~repro.runtime.context.QueryContext` or
 :class:`~repro.core.engine.ObstacleDatabase`; ``None`` auto-picks the
 ``REPRO_VISIBILITY_BACKEND`` environment variable when set, otherwise
-``numpy-kernel`` when numpy is importable and ``python-sweep`` when it
-is not.
+``numpy-kernel``.
 
 Backends carry an optional :class:`~repro.runtime.stats.RuntimeStats`
 reference and tick the per-backend sweep counters (``sweeps_run``,
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import os
 import time
-from importlib.util import find_spec
 from typing import Protocol, Sequence, TYPE_CHECKING, runtime_checkable
 
 from repro.errors import QueryError
@@ -127,7 +125,7 @@ class NumpyKernelBackend(_TimedBackend):
 
     def __init__(self, stats: "RuntimeStats | None" = None) -> None:
         super().__init__(stats)
-        from repro.visibility.kernel import numpy_sweep  # may raise
+        from repro.visibility.kernel import numpy_sweep
 
         self._kernel = numpy_sweep.kernel_visible_from_many
 
@@ -184,13 +182,8 @@ def available_backends() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def numpy_available() -> bool:
-    """True when the numpy kernel's dependency is importable."""
-    return find_spec("numpy") is not None
-
-
 def default_backend_name() -> str:
-    """The auto-picked backend: env override, else numpy when present."""
+    """The auto-picked backend: env override, else the numpy kernel."""
     env = os.environ.get(AUTO_BACKEND_ENV)
     if env:
         name = _ALIASES.get(env, env)
@@ -200,11 +193,7 @@ def default_backend_name() -> str:
                 f"{AUTO_BACKEND_ENV} (expected one of {available_backends()})"
             )
         return name
-    return (
-        NumpyKernelBackend.name
-        if numpy_available()
-        else PythonSweepBackend.name
-    )
+    return NumpyKernelBackend.name
 
 
 def resolve_backend(
@@ -223,12 +212,7 @@ def resolve_backend(
                 f"unknown visibility backend {spec!r} "
                 f"(expected one of {available_backends()})"
             )
-        try:
-            return cls(stats=stats)
-        except ImportError as exc:  # numpy missing for numpy-kernel
-            raise QueryError(
-                f"visibility backend {name!r} is unavailable: {exc}"
-            ) from exc
+        return cls(stats=stats)
     if stats is not None and getattr(spec, "stats", None) is not stats:
         return _StatsAdapter(spec, stats)
     return spec

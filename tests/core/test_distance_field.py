@@ -31,12 +31,17 @@ class TestSourceDistanceField:
         field = SourceDistanceField(g, Point(0, 0), idx)
         assert field.distance_to(Point(0, 0)) == 0.0
 
-    def test_source_added_if_missing(self):
+    def test_source_need_not_be_a_node(self):
         idx = _index([rect_obstacle(0, 5, 5, 6, 6)])
         g = VisibilityGraph.build([], [])
         field = SourceDistanceField(g, Point(1, 1), idx)
-        assert g.has_node(Point(1, 1))
         assert field.distance_to(Point(4, 5)) == pytest.approx(5.0)
+        # ... and does not become one: the graph is only read.
+        assert not g.has_node(Point(1, 1))
+        # Rooted at what it sees once obstacles arrive.
+        assert field.distance_to(Point(7, 7)) == pytest.approx(
+            oracle_distance(Point(1, 1), Point(7, 7), [rect_obstacle(0, 5, 5, 6, 6)])
+        )
 
     def test_matches_per_pair_computation(self):
         rng = random.Random(7)
@@ -110,19 +115,18 @@ class TestSourceDistanceField:
         """Regression: a free point admitted to the graph *after* the
         field's Dijkstra snapshot (free-point additions do not bump
         ``obstacle_revision``) must not read ``inf`` out of the stale
-        field — the shared-graph runtime admits guest centres exactly
-        this way."""
+        field."""
         wall = rect_obstacle(0, 4, -1, 6, 1)
         idx = _index([wall])
         q = Point(0, 0)
         graph = VisibilityGraph.build([q], [])
         field = SourceDistanceField(graph, q, idx)
         assert field.distance_to(Point(0, 5)) == pytest.approx(5.0)
-        guest = Point(10, 0)
-        assert graph.add_entity(guest)  # behind the field's snapshot
-        d = field.distance_to(guest)
+        late = Point(10, 0)
+        assert graph.add_entity(late)  # behind the field's snapshot
+        d = field.distance_to(late)
         assert math.isfinite(d)
-        assert d == pytest.approx(oracle_distance(q, guest, [wall]))
+        assert d == pytest.approx(oracle_distance(q, late, [wall]))
 
 
 class TestBoundedCompute:

@@ -4,15 +4,12 @@ from __future__ import annotations
 
 from repro.core.engine import ObstacleDatabase
 from repro.geometry.point import Point
-from repro.visibility.kernel.backend import numpy_available
+from repro.visibility.kernel.backend import available_backends
 
 
 def backend_params() -> list[str]:
-    """Every visibility backend runnable in this environment."""
-    names = ["python-sweep", "naive"]
-    if numpy_available():
-        names.append("numpy-kernel")
-    return names
+    """Every visibility backend."""
+    return available_backends()
 
 
 def storage_params() -> list[int | None]:
@@ -44,7 +41,7 @@ def runtime_counters(db: ObstacleDatabase) -> dict[str, object]:
 
 def cache_signature(db: ObstacleDatabase) -> list[tuple]:
     """A structural fingerprint of every cached graph, in LRU order:
-    centre, coverage, guest order, node set, edge set, obstacle ids."""
+    centre, coverage, node set, edge set, obstacle ids, free points."""
     signature = []
     for entry in db.context.cache.entries():
         graph = entry.graph
@@ -57,7 +54,6 @@ def cache_signature(db: ObstacleDatabase) -> list[tuple]:
             (
                 entry.center,
                 entry.covered,
-                tuple(entry.guests),
                 frozenset(graph.nodes()),
                 frozenset(edges),
                 frozenset(graph.obstacle_ids()),

@@ -79,24 +79,40 @@ class TestChecksum:
             ObstacleDatabase.load(bad)
 
 
+def _restamped(snapshot, tmp_path, version):
+    """The snapshot's bytes under another format version, checksums
+    made consistent again."""
+    payload = snapshot.read_bytes()[HEADER_SIZE:]
+    head = struct.pack(
+        "<8sIQI", MAGIC, version, len(payload), zlib.crc32(payload)
+    )
+    out = tmp_path / f"v{version}.snap"
+    out.write_bytes(head + struct.pack("<I", zlib.crc32(head)) + payload)
+    return out
+
+
 class TestVersioning:
     def test_future_format_version(self, snapshot, tmp_path):
         """A snapshot written by a future format version is refused by
         name, even though its checksums are internally consistent."""
-        data = snapshot.read_bytes()
-        payload = data[HEADER_SIZE:]
-        head = struct.pack(
-            "<8sIQI",
-            MAGIC,
-            FORMAT_VERSION + 41,
-            len(payload),
-            zlib.crc32(payload),
-        )
-        future = tmp_path / "future.snap"
-        future.write_bytes(
-            head + struct.pack("<I", zlib.crc32(head)) + payload
-        )
+        future = _restamped(snapshot, tmp_path, FORMAT_VERSION + 41)
         _expect_failure(future, match=f"version {FORMAT_VERSION + 41}")
+
+    @pytest.mark.parametrize("version", range(1, FORMAT_VERSION))
+    def test_older_format_versions_refused(self, snapshot, tmp_path, version):
+        """One version is read.  An older file is refused by name —
+        its version, the supported one, what to do — by ``load``,
+        ``snapshot_info`` and ``repro-snapshot verify`` alike."""
+        from repro.persist import snapshot_info
+        from repro.persist.cli import main
+
+        old = _restamped(snapshot, tmp_path, version)
+        _expect_failure(old, match=f"version {version} at offset 8")
+        _expect_failure(old, match=f"supported version {FORMAT_VERSION}")
+        _expect_failure(old, match="re-save with the release that wrote it")
+        with pytest.raises(DatasetError, match=f"version {version} "):
+            snapshot_info(old)
+        assert main(["verify", str(old)]) != 0
 
     def test_current_version_accepted(self, snapshot):
         assert ObstacleDatabase.load(snapshot) is not None

@@ -1,23 +1,20 @@
-"""Snapshot format v3: persisted frozen-CSR distance-field arrays.
+"""Persisted frozen-CSR distance-field arrays.
 
-Version 3 appends an optional section of frozen CSR adjacency arrays
-after the runtime-stats section.  A warm load installs them, so the
-first field evaluation after a restart skips the freeze; version-2
-files (and entries whose freeze was stale at save time) simply load
-with no frozen arrays and re-freeze lazily.
+A snapshot carries, per cached graph, the frozen CSR adjacency arrays
+of a freeze that was current at save time.  A warm load installs
+them, so the first field evaluation after a restart skips the freeze;
+entries whose freeze was stale at save time load with no frozen arrays
+and re-freeze lazily.
 """
 
 from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core.engine import ObstacleDatabase
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.persist import codec, snapshot_info
-from repro.runtime.field import FIELD_ENGINE_ENV
 
 from tests.persist.helpers import backend_params, warm_queries
 
@@ -53,13 +50,12 @@ def _frozen_arrays(db: ObstacleDatabase) -> list[tuple]:
 
 
 @pytest.mark.parametrize("backend", backend_params())
-def test_v3_roundtrip_installs_frozen_arrays(tmp_path, backend, monkeypatch):
-    monkeypatch.setenv(FIELD_ENGINE_ENV, "csr")
+def test_roundtrip_installs_frozen_arrays(tmp_path, backend):
     db, probes = _warm_db(backend)
     live = warm_queries(db, probes)
     saved_frozen = _frozen_arrays(db)
     assert saved_frozen  # the warm stream froze at least one graph
-    path = tmp_path / "v3.snap"
+    path = tmp_path / "frozen.snap"
     db.save(path)
 
     info = snapshot_info(path)
@@ -74,8 +70,7 @@ def test_v3_roundtrip_installs_frozen_arrays(tmp_path, backend, monkeypatch):
     assert loaded.runtime_stats()["field_freezes"] == freezes_before
 
 
-def test_stale_freeze_not_written(tmp_path, monkeypatch):
-    monkeypatch.setenv(FIELD_ENGINE_ENV, "csr")
+def test_stale_freeze_not_written(tmp_path):
     db, probes = _warm_db()
     warm_queries(db, probes)
     assert _frozen_arrays(db)
@@ -90,20 +85,14 @@ def test_stale_freeze_not_written(tmp_path, monkeypatch):
     assert _frozen_arrays(loaded) == []
 
 
-def test_v2_snapshot_loads_and_refreezes_lazily(tmp_path, monkeypatch):
-    monkeypatch.setenv(FIELD_ENGINE_ENV, "csr")
+def test_entry_without_frozen_arrays_refreezes_lazily(tmp_path):
     db, probes = _warm_db()
     live = warm_queries(db, probes)
-    # Pin the writer to format 2: the frozen section is omitted and the
-    # header advertises the old version — exactly a pre-upgrade file.
-    monkeypatch.setattr(codec, "FORMAT_VERSION", 2)
-    path = tmp_path / "v2.snap"
+    for entry in db.context.cache.entries():
+        entry.graph._csr = None  # as if never frozen
+    path = tmp_path / "unfrozen.snap"
     db.save(path)
-    info = snapshot_info(path)
-    assert info["format_version"] == 2
-    assert info["frozen_fields"] == 0
-
-    monkeypatch.setattr(codec, "FORMAT_VERSION", 3)
+    assert snapshot_info(path)["frozen_fields"] == 0
     loaded = ObstacleDatabase.load(path)
     assert _frozen_arrays(loaded) == []
     freezes_before = loaded.runtime_stats()["field_freezes"]
@@ -111,22 +100,8 @@ def test_v2_snapshot_loads_and_refreezes_lazily(tmp_path, monkeypatch):
     assert loaded.runtime_stats()["field_freezes"] > freezes_before
 
 
-def test_python_engine_ignores_restored_arrays(tmp_path, monkeypatch):
-    """A v3 file loads fine under the reference engine: the arrays are
-    installed but never consulted, and answers match."""
-    monkeypatch.setenv(FIELD_ENGINE_ENV, "csr")
-    db, probes = _warm_db()
-    live = warm_queries(db, probes)
-    path = tmp_path / "mixed.snap"
-    db.save(path)
-    monkeypatch.setenv(FIELD_ENGINE_ENV, "python")
-    loaded = ObstacleDatabase.load(path)
-    assert warm_queries(loaded, probes) == live
-    assert loaded.runtime_stats()["field_freezes"] >= 0
-
-
 def test_array_codec_roundtrip():
-    """The new ``f64_array``/``u32_array`` primitives round-trip exact
+    """The ``f64_array``/``u32_array`` primitives round-trip exact
     values, including empties."""
     from repro.persist.codec import BinaryReader, BinaryWriter
 

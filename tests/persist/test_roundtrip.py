@@ -246,54 +246,9 @@ def test_runtime_counters_roundtrip(tmp_path):
         assert restored[counter] == value, f"counter {counter} drifted"
 
 
-def test_v1_snapshot_loads_with_zeroed_counters(tmp_path, monkeypatch):
-    """A version-1 file (no runtime-stats section) still loads: the
-    counters come up zeroed, answers and cache state are unaffected."""
-    from repro.persist import codec, store
-
-    db = ObstacleDatabase([Rect(4.0, 2.0, 6.0, 8.0)])
-    db.add_entity_set("P", [Point(1.0, 5.0), Point(9.0, 5.0)])
-    q = Point(2.0, 1.0)
-    live = db.nearest("P", q, 2)
-    path = os.path.join(str(tmp_path), "v1.snap")
-    monkeypatch.setattr(codec, "FORMAT_VERSION", 1)
-    monkeypatch.setattr(store, "_write_runtime_stats", lambda w, s: None)
-    db.save(path)
-    loaded = ObstacleDatabase.load(path)
-    restored = loaded.runtime_stats()
-    assert all(v == 0 for k, v in restored.items() if k != "backend")
-    assert loaded.nearest("P", q, 2) == live
-    assert len(loaded.context.cache) == len(db.context.cache)
-
-
 def test_empty_database_roundtrip(tmp_path):
     """A database with no obstacles and no entities still round-trips."""
     db = ObstacleDatabase([])
     loaded = _roundtrip(db, tmp_path, "python-sweep")
     assert len(loaded.obstacle_index) == 0
     assert loaded.universe() is None
-
-
-def test_array_codec_paths_identical(tmp_path, monkeypatch):
-    """The numpy and struct array paths write byte-identical files and
-    read each other's output."""
-    pytest.importorskip("numpy")
-    db = ObstacleDatabase([Rect(3.0, 3.0, 6.0, 7.0)], shards=4)
-    db.add_entity_set("P", [Point(1.0, 1.0), Point(9.0, 2.0)])
-    db.nearest("P", Point(0.0, 5.0), 1)
-    a = os.path.join(str(tmp_path), "a.snap")
-    b = os.path.join(str(tmp_path), "b.snap")
-    monkeypatch.setenv("REPRO_SNAPSHOT_ARRAYS", "numpy")
-    db.save(a)
-    monkeypatch.setenv("REPRO_SNAPSHOT_ARRAYS", "struct")
-    db.save(b)
-    with open(a, "rb") as fa, open(b, "rb") as fb:
-        assert fa.read() == fb.read()
-    # cross-read: struct reader on a numpy-written file
-    loaded = ObstacleDatabase.load(a)
-    assert cache_signature(loaded) == cache_signature(db)
-    monkeypatch.setenv("REPRO_SNAPSHOT_ARRAYS", "bogus")
-    from repro.errors import DatasetError
-
-    with pytest.raises(DatasetError, match="REPRO_SNAPSHOT_ARRAYS"):
-        db.save(a)

@@ -108,13 +108,13 @@ class TestSnappedKeyParity:
         )
 
 
-class TestGuestBound:
-    def test_jittering_centre_does_not_grow_graph_unboundedly(self):
+class TestOffCentreRoots:
+    def test_jittering_centre_does_not_grow_the_graph(self):
         """A stationary-but-noisy centre stream (GPS jitter inside one
-        snap cell) keeps the shared graph bounded: old guest centres
-        are evicted beyond GUEST_LIMIT."""
+        snap cell) is served by one graph that is only read: no centre
+        of the stream becomes a node of it."""
         from repro.core.source import build_obstacle_index
-        from repro.runtime.context import GUEST_LIMIT, QueryContext
+        from repro.runtime.context import QueryContext
         from tests.conftest import rect_obstacle
 
         index = build_obstacle_index(
@@ -123,48 +123,49 @@ class TestGuestBound:
         ctx = QueryContext(index, snap=10.0, policy="static")
         rng = random.Random(8)
         p = Point(0.0, 0.0)
-        for __ in range(3 * GUEST_LIMIT):
+        for __ in range(200):
             q = Point(20 + rng.uniform(-1, 1), 20 + rng.uniform(-1, 1))
-            d = ctx.distance(p, q)
-            assert d == pytest.approx(p.distance(q))  # unobstructed
+            assert ctx.distance(p, q) == pytest.approx(p.distance(q))
+            assert ctx.field_for(q).distance_to(p) == pytest.approx(
+                p.distance(q)
+            )
         entry = ctx.cache.get(Point(20, 20), ctx.version)
         assert entry is not None
-        assert len(entry.guests) <= GUEST_LIMIT
-        # centre + bounded guests (transient p is removed per call).
-        assert entry.graph.node_count <= GUEST_LIMIT + 1 + 4
+        assert entry.graph.free_points() == {entry.center}
+        assert entry.graph.node_count == 1 + 4
         assert ctx.stats.graph_builds == 1
 
-    def test_field_survives_guest_eviction(self):
-        """A held distance field whose source was evicted from the
-        shared graph re-admits it instead of failing."""
+    def test_held_field_survives_a_flood_of_other_centres(self):
+        """A held off-centre field keeps answering while the same snap
+        cell serves more distinct centres than the graph memoizes
+        fields for."""
         from repro.core.source import build_obstacle_index
-        from repro.runtime.context import GUEST_LIMIT, QueryContext
+        from repro.runtime.context import QueryContext
+        from repro.visibility.csr import ANCHOR_MEMO_LIMIT
         from tests.conftest import rect_obstacle
 
         wall = rect_obstacle(0, 4, -10, 6, 10)
         index = build_obstacle_index([wall], max_entries=8, min_entries=3)
         ctx = QueryContext(index, snap=50.0, policy="static")
         entry = ctx.entry_for(Point(9.0, 0.5), 25.0)  # owns the cell
-        q = Point(10.0, 0.1)  # off-centre: admitted as a guest
+        q = Point(10.0, 0.1)  # off-centre
         field = ctx.field_for(q, radius=25.0)
         first = field.distance_to(Point(0, 0))
-        # Flood the same snap cell with enough distinct centres to
-        # evict q from the shared graph's guest list.
-        for i in range(GUEST_LIMIT + 5):
-            ctx.entry_for(Point(10.0 + 0.01 * (i + 1), 0.1), 1.0)
+        assert first > 10.0  # around the wall
+        for i in range(ANCHOR_MEMO_LIMIT + 5):
+            ctx.field_for(Point(10.0 + 0.01 * (i + 1), 0.1), 1.0).distance_to(
+                Point(0, 0)
+            )
+        csr = entry.graph._csr[1]
+        assert q not in csr.fields and len(csr.fields) == ANCHOR_MEMO_LIMIT
         assert not entry.graph.has_node(q)
         assert field.distance_to(Point(0, 0)) == first
-        # The re-admission went through the guest bookkeeping: the
-        # source is evictable again, not a permanent untracked node.
-        assert q in entry.guests
-        assert len(entry.guests) <= GUEST_LIMIT
+        assert ctx.field_for(q, radius=25.0).distance_to(Point(0, 0)) == first
 
-    def test_live_field_answers_guest_admitted_after_snapshot(self):
-        """Regression: a guest centre admitted to the shared graph
-        after a live field's Dijkstra snapshot (free points bump no
-        revision) must still get a finite, exact answer — the stale
-        field must not short-circuit via ``has_node`` into ``inf``
-        and a full-universe ``grow(inf)`` retrieval."""
+    def test_live_field_answers_another_centre_of_its_cell(self):
+        """Two fields rooted at different centres of one cell share
+        the graph; each answers the other's centre exactly, with no
+        ``inf`` and no full-universe ``grow(inf)`` retrieval."""
         import math
 
         from repro.core.source import build_obstacle_index
@@ -177,11 +178,10 @@ class TestGuestBound:
         q1, q2 = Point(0.0, 0.0), Point(1.0, 0.0)  # same snap cell
         field = ctx.field_for(q1)
         assert field.distance_to(Point(5.0, 0.0)) == pytest.approx(5.0)
-        entry = ctx.entry_for(q2)  # admitted as a guest of q1's graph
-        assert entry.graph.has_node(q2)
-        d = field.distance_to(q2)
-        assert math.isfinite(d)
-        assert d == pytest.approx(1.0)
+        entry = ctx.entry_for(q2)
+        assert entry.center == q1 and not entry.graph.has_node(q2)
+        assert field.distance_to(q2) == pytest.approx(1.0)
+        assert ctx.field_for(q2).distance_to(q1) == pytest.approx(1.0)
         assert math.isfinite(entry.covered)  # no grow(inf) blow-up
 
 
@@ -190,11 +190,10 @@ class TestPolicyCapacityChange:
         """A jittering-centre stream crossing a policy-driven capacity
         change: shrinking the LRU (what ``AdaptiveCachePolicy`` applies
         through ``cache.configure``) must evict in LRU order, and a
-        held distance field whose source was evicted from its shared
-        graph must re-admit it before evaluating — even after the
-        field's entry itself fell out of the cache."""
+        held distance field keeps answering after its entry fell out
+        of the cache."""
         from repro.core.source import build_obstacle_index
-        from repro.runtime.context import GUEST_LIMIT, QueryContext
+        from repro.runtime.context import QueryContext
         from tests.conftest import rect_obstacle
 
         index = build_obstacle_index(
@@ -208,18 +207,14 @@ class TestPolicyCapacityChange:
         def jitter(a):
             return Point(a.x + rng.uniform(-1, 1), a.y + rng.uniform(-1, 1))
 
-        # Oldest cell: an entry plus a guest source held by a live field.
-        entry0 = ctx.entry_for(jitter(anchors[0]), 5.0)
+        # Oldest cell: an entry plus an off-centre field held live.
+        ctx.entry_for(jitter(anchors[0]), 5.0)
         q = Point(anchors[0].x + 2.0, anchors[0].y)
         field = ctx.field_for(q, radius=30.0)
         target = Point(anchors[0].x - 20.0, anchors[0].y)
         first = field.distance_to(target)
         assert first == pytest.approx(q.distance(target))  # unobstructed
-        # Jitter inside the cell until q is evicted from the guest list...
-        for __ in range(GUEST_LIMIT + 8):
-            ctx.entry_for(jitter(anchors[0]), 1.0)
-        assert not entry0.graph.has_node(q)
-        # ...then across the remaining cells, ageing cell 0 to LRU tail.
+        # Jitter across the remaining cells, ageing cell 0 to LRU tail.
         for a in anchors[1:]:
             for __ in range(4):
                 ctx.entry_for(jitter(a), 1.0)
@@ -235,11 +230,7 @@ class TestPolicyCapacityChange:
         p = Point(0.0, 0.0)
         q2 = jitter(anchors[0])
         assert ctx.distance(p, q2) == pytest.approx(p.distance(q2))
-        # Held field: the evicted source is re-admitted before the
-        # evaluation, through the guest bookkeeping.
         assert field.distance_to(target) == first
-        assert q in entry0.guests
-        assert len(entry0.guests) <= GUEST_LIMIT
 
 
 class TestSpatialCacheUnit:

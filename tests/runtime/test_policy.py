@@ -9,9 +9,9 @@ The policy's contract has three layers, each tested here:
   registrations follow survivors, capacity shrinks evict the LRU tail;
 * ``AdaptiveCachePolicy`` — the estimator: localized streams engage a
   positive snap quantum, uniform streams keep exact keys, capacity
-  follows the working set, hot cells widen the guest bound — and the
-  whole loop through ``ObstacleDatabase`` keeps answers bit-identical
-  while building fewer graphs on a localized stream.
+  follows the working set — and the whole loop through
+  ``ObstacleDatabase`` keeps answers bit-identical while building
+  fewer graphs on a localized stream.
 """
 
 import random
@@ -200,27 +200,10 @@ class TestEstimator:
         assert cache.capacity <= 64
         assert stats.policy_capacity >= 1
 
-    def test_hot_cell_widens_guest_bound(self):
-        policy = AdaptiveCachePolicy(hot_guest_factor=4, hot_share=0.25)
-        cache, __ = _attached(policy, snap=10.0)
-        center = Point(55.0, 55.0)
-        entry = CachedGraph(
-            VisibilityGraph.build([center], []), center, 0.0, 0
-        )
-        for __unused in range(64):
-            policy.observe(center)
-        assert policy.guest_limit(entry, 64) == 256
-        cold = CachedGraph(
-            VisibilityGraph.build([Point(900.0, 900.0)], []),
-            Point(900.0, 900.0), 0.0, 0,
-        )
-        assert policy.guest_limit(cold, 64) == 64
-
     def test_spawn_is_fresh_and_parameter_identical(self):
         policy = AdaptiveCachePolicy(
             window=24, adjust_every=6, snap_factor=9.0,
             locality_fraction=0.7, max_capacity=128,
-            hot_guest_factor=3, hot_share=0.4,
         )
         cache, __ = _attached(policy)
         policy.observe(Point(1.0, 2.0))
@@ -229,7 +212,7 @@ class TestEstimator:
         assert type(child) is AdaptiveCachePolicy
         for attr in (
             "window", "adjust_every", "snap_factor", "locality_fraction",
-            "max_capacity", "hot_guest_factor", "hot_share",
+            "max_capacity",
         ):
             assert getattr(child, attr) == getattr(policy, attr)
         assert child._centers == []  # no estimator state shipped

@@ -21,7 +21,6 @@ import pytest
 from repro import ObstacleDatabase, Point, Rect
 from repro.core.source import build_sharded_obstacle_index
 from repro.runtime.context import QueryContext
-from repro.visibility.kernel.backend import numpy_available
 from tests.conftest import (
     oracle_distance,
     random_disjoint_rects,
@@ -29,9 +28,7 @@ from tests.conftest import (
     rect_obstacle,
 )
 
-BACKENDS = ["python-sweep", "naive"] + (
-    ["numpy-kernel"] if numpy_available() else []
-)
+BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -53,7 +53,6 @@ class TestSweepCounters:
         assert stats["sweeps_run"] > 0
 
     def test_numpy_kernel_backend_counts_match_python_sweep(self):
-        pytest.importorskip("numpy")
         counts = {}
         for name in ("python-sweep", "numpy-kernel"):
             db = ObstacleDatabase(
@@ -109,14 +108,10 @@ class _RecordingBackend:
 
 
 class TestLastLegSweeps:
-    def test_anchor_sweeps_use_the_backend_and_are_counted(self, monkeypatch):
+    def test_anchor_sweeps_use_the_backend_and_are_counted(self):
         """A range query's candidates never enter the graph: their
         visible anchors come from one more sweep each, and those sweeps
-        go through the database's backend and into ``sweeps_run``.
-        (The compiled engine; the reference dict engine keeps its own
-        sweep as the parity oracle.)"""
-        pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_FIELD_ENGINE", "csr")
+        go through the database's backend and into ``sweeps_run``."""
         backend = _RecordingBackend()
         db = ObstacleDatabase(
             [Rect(4, 4, 6, 6), Rect(10, 2, 12, 8)], backend=backend

@@ -72,7 +72,6 @@ def _doc(**overrides):
         "smoke field engine": {
             "parity": 1.0,
             "counters_match": 1.0,
-            "speedup_ok": 1.0,
             "graph_builds": 4.0,
             "field_freezes": 10.0,
         },
@@ -155,8 +154,8 @@ class TestCompare:
         assert "parity" in violations[0]
 
     def test_exact_gate_on_a_zero_count_catches_growth(self):
-        # A warm distance call that admits one guest is a regression
-        # no relative threshold on a zero baseline would see.
+        # A warm distance call that adds one node to its graph is a
+        # regression no relative threshold on a zero baseline would see.
         grown = _doc(**{"smoke warm distance stream/node_growth": 1.0})
         violations = compare(_doc(), grown)
         assert len(violations) == 1
@@ -198,7 +197,7 @@ class TestDeltaTable:
         old = _doc(**{"smoke field engine": None})
         rows = delta_rows(old, _doc())
         skipped = [r for r in rows if r[5] == "skipped"]
-        assert len(skipped) == 5  # the five field-engine gates
+        assert len(skipped) == 4  # the four field-engine gates
         assert compare(old, _doc()) == []
 
     def test_skipped_rows_carry_the_current_value(self):

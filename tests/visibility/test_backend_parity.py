@@ -65,39 +65,17 @@ class TestRegistry:
         g = VisibilityGraph(method=NP)
         assert g.method == NP
 
-    def test_auto_pick_falls_back_without_numpy(self, monkeypatch):
+    def test_auto_pick_is_the_numpy_kernel(self, monkeypatch):
         from repro.visibility.kernel import backend as backend_mod
 
         monkeypatch.delenv(backend_mod.AUTO_BACKEND_ENV, raising=False)
-        monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-        assert backend_mod.default_backend_name() == PY
+        assert backend_mod.default_backend_name() == NP
 
-    def test_env_override_wins_even_without_numpy(self, monkeypatch):
+    def test_env_override_wins(self, monkeypatch):
         from repro.visibility.kernel import backend as backend_mod
 
         monkeypatch.setenv(backend_mod.AUTO_BACKEND_ENV, "naive")
-        monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
         assert backend_mod.default_backend_name() == "naive"
-
-    def test_numpy_kernel_unavailable_becomes_query_error(self, monkeypatch):
-        """When the kernel module cannot import (numpy missing), asking
-        for numpy-kernel by name fails with a QueryError, not a bare
-        ImportError."""
-        import sys
-
-        import repro.visibility.kernel as kernel_pkg
-        from repro.errors import QueryError
-
-        # None in sys.modules makes the lazy import raise ImportError;
-        # the bound package attribute (set by any earlier import) must
-        # go too, or `from ... import numpy_sweep` short-circuits.
-        if hasattr(kernel_pkg, "numpy_sweep"):
-            monkeypatch.delattr(kernel_pkg, "numpy_sweep")
-        monkeypatch.setitem(
-            sys.modules, "repro.visibility.kernel.numpy_sweep", None
-        )
-        with pytest.raises(QueryError, match="unavailable"):
-            resolve_backend(NP)
 
 
 class TestRandomScenes:

@@ -4,9 +4,8 @@ dict-path oracle."""
 
 import math
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.geometry.point import Point
 from repro.visibility import VisibilityGraph, bounded_dijkstra, dijkstra
@@ -117,10 +116,28 @@ class TestDijkstraParity:
     def test_field_cache_reuses_array(self):
         g = _grid_graph(seed=5)
         csr = CSRGraph.freeze(g)
-        a = csr.field(0)
-        assert csr.field(0) is a
-        b = csr.field(1)
+        a = csr.field(csr.points[0], g)
+        assert csr.field(csr.points[0], g) is a
+        assert (a == csr.dijkstra(0)[0]).all()
+        b = csr.field(csr.points[1], g)
         assert b is not a
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_field_rooted_off_the_graph_equals_the_root_inserted(self, seed):
+        """A field rooted at an off-graph point's anchors holds, at
+        every node, what Dijkstra from the point holds once it is
+        inserted — and leaves the graph alone."""
+        g = _grid_graph(seed=seed)
+        csr = frozen(g)
+        revision = g.structure_revision
+        root = Point(0.123 + seed, -0.456)
+        assert not g.has_node(root)
+        dist = csr.field(root, g)
+        assert g.structure_revision == revision and frozen(g) is csr
+        g.add_entity(root)
+        oracle = dijkstra(g, root)
+        for i, p in enumerate(csr.points):
+            assert dist[i] == oracle.get(p, math.inf)  # bitwise
 
 
 class TestSeededDijkstraParity:

@@ -13,13 +13,10 @@ import pytest
 
 from repro.geometry import Point
 from repro.visibility import VisibilityGraph
-from repro.visibility.kernel.backend import numpy_available
 from repro.visibility.shortest_path import shortest_path_dist
 from tests.conftest import random_disjoint_rects, random_free_points
 
-BACKENDS = ["python-sweep", "naive"] + (
-    ["numpy-kernel"] if numpy_available() else []
-)
+BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
 
 
 def _edge_set(graph):

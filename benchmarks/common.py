@@ -746,7 +746,10 @@ def trace_overhead_comparison(
     nearest-query workload.
 
     Three timed configurations, best-of-``rounds`` each (minimum, not
-    mean — scheduler noise only ever adds time):
+    mean — scheduler noise only ever adds time), taken round by round
+    — stub, disabled, sampled, then the next round — so a machine that
+    changes speed mid-run slows all three alike instead of landing in
+    the ratio:
 
     - ``stub``: the tracer's entry points replaced with bare lambdas,
       the cheapest the call sites can possibly be (the baseline a
@@ -774,32 +777,31 @@ def trace_overhead_comparison(
             for q in probes:
                 db.nearest("P1", q, 4)
 
-    def best_of(fn) -> float:
-        best = float("inf")
-        for __ in range(rounds):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def timed() -> float:
+        t0 = time.perf_counter()
+        run()
+        return time.perf_counter() - t0
 
     run()  # warm-up: graphs built, buffers resident
     prev_rate = TRACER.sample_rate
     prev_threshold = SLOW_LOG.threshold_ms
+    t_stub = t_disabled = t_sampled = float("inf")
     try:
-        # Stub baseline: shadow the instance methods with bare no-ops.
-        TRACER.span = lambda name, **attrs: NULL_SPAN  # type: ignore[method-assign]
-        TRACER.count = lambda name, n=1: None  # type: ignore[method-assign]
-        TRACER.tracing = lambda: False  # type: ignore[method-assign]
-        TRACER.graft = lambda payload: None  # type: ignore[method-assign]
-        try:
-            t_stub = best_of(run)
-        finally:
-            del TRACER.span, TRACER.count, TRACER.tracing, TRACER.graft
-        TRACER.configure(0.0)
-        t_disabled = best_of(run)
         SLOW_LOG.threshold_ms = 1e9
-        TRACER.configure(sample)
-        t_sampled = best_of(run)
+        for __ in range(rounds):
+            # Stub baseline: shadow the instance methods with bare no-ops.
+            TRACER.span = lambda name, **attrs: NULL_SPAN  # type: ignore[method-assign]
+            TRACER.count = lambda name, n=1: None  # type: ignore[method-assign]
+            TRACER.tracing = lambda: False  # type: ignore[method-assign]
+            TRACER.graft = lambda payload: None  # type: ignore[method-assign]
+            try:
+                t_stub = min(t_stub, timed())
+            finally:
+                del TRACER.span, TRACER.count, TRACER.tracing, TRACER.graft
+            TRACER.configure(0.0)
+            t_disabled = min(t_disabled, timed())
+            TRACER.configure(sample)
+            t_sampled = min(t_sampled, timed())
     finally:
         TRACER.configure(prev_rate)
         TRACER.last_root = None

@@ -26,8 +26,9 @@ durations, attributes and hot-layer counters.
 ``top`` serves a probe workload through an asyncio
 :class:`~repro.serve.server.QueryServer` (and therefore through the
 persistent worker pool when selected) and redraws a one-line stats
-summary per tick — requests, batches, latency percentiles, cache and
-page counters.
+summary per tick — requests, batches, requests per batch, queue wait
+(admission to dispatch start), latency percentiles, cache and page
+counters.
 
 Also runnable without installation as ``python -m repro.obs.cli``.
 """
@@ -321,8 +322,9 @@ async def _top_loop(db, set_name, probes, args: argparse.Namespace) -> int:
     ) as server:
         registry = server.metrics()
         print(
-            f"{'tick':>4}  {'reqs':>6}  {'batches':>7}  {'p50 ms':>8}  "
-            f"{'p95 ms':>8}  {'cache hit':>9}  {'cache miss':>10}  "
+            f"{'tick':>4}  {'reqs':>6}  {'batches':>7}  {'req/batch':>9}  "
+            f"{'wait p50':>8}  {'p50 ms':>8}  {'p95 ms':>8}  "
+            f"{'cache hit':>9}  {'cache miss':>10}  "
             f"{'pg reads':>8}  {'pg misses':>9}"
         )
         for tick in range(args.ticks):
@@ -340,12 +342,15 @@ async def _top_loop(db, set_name, probes, args: argparse.Namespace) -> int:
             latency = doc.get("serve_latency", {}).get("nearest") or doc.get(
                 "serve_latency", {}
             ).get("distance", {})
+            wait = serve.get("queue_wait", {})
+            requests, batches = serve.get("requests", 0), serve.get("batches", 0)
             pages = doc.get("pages", {})
             reads = sum(tree.get("reads", 0) for tree in pages.values())
             misses = sum(tree.get("misses", 0) for tree in pages.values())
             print(
-                f"{tick:>4}  {serve.get('requests', 0):>6}  "
-                f"{serve.get('batches', 0):>7}  "
+                f"{tick:>4}  {requests:>6}  {batches:>7}  "
+                f"{requests / max(1, batches):>9.2f}  "
+                f"{wait.get('p50_s', 0.0) * 1000.0:>8.2f}  "
                 f"{latency.get('p50_s', 0.0) * 1000.0:>8.2f}  "
                 f"{latency.get('p95_s', 0.0) * 1000.0:>8.2f}  "
                 f"{runtime.get('graph_cache_hits', 0):>9}  "

@@ -198,12 +198,13 @@ class MetricsRegistry:
     @classmethod
     def for_server(cls, server: Any) -> "MetricsRegistry":
         """A registry over a :class:`~repro.serve.server.QueryServer`:
-        the database's groups plus ``serve`` (front-end counters) and
+        the database's groups plus ``serve`` (front-end counters and
+        the ``queue_wait`` histogram, admission to dispatch start) and
         ``serve_latency`` (per-kind histograms, labelled by ``kind``)."""
         registry = cls.for_database(server.db)
         stats = server.stats
 
-        def serve_counters() -> dict[str, int]:
+        def serve_counters() -> dict[str, Any]:
             return {
                 "requests": stats.requests,
                 "completed": stats.completed,
@@ -212,6 +213,7 @@ class MetricsRegistry:
                 "coalesced": stats.coalesced,
                 "in_flight": stats.in_flight,
                 "in_flight_peak": stats.in_flight_peak,
+                "queue_wait": stats.queue_wait.snapshot(),
             }
 
         def latency() -> dict[str, dict[str, float]]:

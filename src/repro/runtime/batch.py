@@ -77,6 +77,18 @@ class _VersionGuard:
             )
 
 
+def _dedupe(items: list, stats) -> tuple[list, dict]:
+    """The distinct ``items`` in first-occurrence order, and each one's
+    slot in that list; repeats are booked as ``batch_memo_hits``."""
+    order: dict = {}
+    for item in items:
+        if item not in order:
+            order[item] = len(order)
+    if stats is not None:
+        stats.batch_memo_hits += len(items) - len(order)
+    return list(order), order
+
+
 def _run_batch(
     metric: DistanceOracle,
     queries: Iterable[Point],
@@ -102,13 +114,7 @@ def _run_batch(
     queries = list(queries)
     guard = _VersionGuard(metric)
     stats = _memo_stats(metric)
-    order: dict[Point, int] = {}
-    for q in queries:
-        if q not in order:
-            order[q] = len(order)
-    distinct = list(order)
-    if stats is not None:
-        stats.batch_memo_hits += len(queries) - len(distinct)
+    distinct, order = _dedupe(queries, stats)
 
     executor = BatchExecutor(workers, mode)
     if executor.parallel and len(distinct) > 1 and pool is not None:
@@ -218,18 +224,20 @@ def batch_distance(
     Pairs sharing their second element reuse the cached graph keyed at
     that expansion centre (the ODJ seed observation applied to ad-hoc
     distance workloads).  Like the other batch entry points, a
-    mid-batch obstacle mutation raises :class:`DatasetError`.  A
-    caller-supplied persistent ``pool`` fans the pairs over its warm
-    workers instead.
+    duplicate pair is computed once and a mid-batch obstacle mutation
+    raises :class:`DatasetError`.  A caller-supplied persistent
+    ``pool`` fans the distinct pairs over its warm workers instead.
     """
+    pairs = [(p, q) for p, q in pairs]
     guard = _VersionGuard(metric)
-    if pool is not None and len(pairs) > 1:
-        results = pool.run_batch(("distance",), list(pairs))
-        stats = _memo_stats(metric)
+    stats = _memo_stats(metric)
+    distinct, order = _dedupe(pairs, stats)
+    if pool is not None and len(distinct) > 1:
+        evaluated = pool.run_batch(("distance",), distinct)
         if stats is not None:
             stats.parallel_batches += 1
             stats.pool_batches += 1
     else:
-        results = [metric.distance(p, q) for p, q in pairs]
+        evaluated = [metric.distance(p, q) for p, q in distinct]
     guard.check()
-    return results
+    return [evaluated[order[pair]] for pair in pairs]

@@ -12,8 +12,10 @@ Three layers, composable but independently usable:
 
 :mod:`repro.serve.server`
     :class:`QueryServer` — an asyncio front-end coalescing concurrent
-    nearest/range/distance requests into microbatches and tracking
-    per-request latency histograms (:class:`ServeStats`).
+    nearest/range/distance requests into microbatches on dispatch
+    (whatever was admitted while the previous batch ran forms the
+    next ones; no timer, no window) and tracking per-request latency
+    and queue-wait histograms (:class:`ServeStats`).
 
 :mod:`repro.serve.continuous`
     :class:`ContinuousQueryHub` — standing queries for moving clients,

@@ -3,31 +3,43 @@
 :class:`QueryServer` turns the library's batch entry points into a
 request/response service shape: concurrent clients ``await`` single
 nearest/range/distance requests, the server coalesces compatible
-requests into microbatches (closed by a time window or a size cap,
-whichever first), dispatches each batch through the database — and
-therefore through the persistent warm worker pool when one is selected
-— and resolves every awaiting client with its own answer.  Coalescing
-is what converts high concurrency into the batch shapes the runtime
-amortizes best: duplicate points collapse into the batch memo, distinct
-points share one guarded dispatch, and per-request overhead (pipe
-round-trips under the persistent pool, forks under the per-batch pool)
-is paid once per microbatch instead of once per request.
+requests into microbatches, dispatches each batch through the database
+— and therefore through the persistent warm worker pool when one is
+selected — and resolves every awaiting client with its own answer.
 
-Latency is tracked per *request*, admission to settlement, in the
+Coalescing is dispatch-driven ("group commit"), not timed: a request
+admitted while nothing executes is dispatched on the next loop
+iteration with whatever was admitted in the same tick; requests
+admitted while a batch executes accumulate per key and become the next
+batches, oldest first, each cut at ``max_batch``.  An idle server adds
+no wait and a busy one batches exactly as deeply as its backlog, so
+there is no window to tune.  Coalescing is what converts concurrency
+into the batch shapes the runtime amortizes best: duplicate points and
+pairs collapse into the batch memo, distinct ones share one guarded
+dispatch, and per-request overhead (pipe round-trips under the
+persistent pool, forks under the per-batch pool) is paid once per
+microbatch instead of once per request.
+
+Latency is tracked per *request*, admission to settlement, and queue
+wait, admission to dispatch start, in the
 :class:`~repro.serve.stats.ServeStats` histograms — so the p99 a
-benchmark gates on includes the coalescing delay, not just compute.
+benchmark gates on includes the time spent behind other batches, not
+just compute.
 
 The server is single-loop asyncio: request handlers run on the event
-loop, microbatch dispatches run on a default-executor thread serialized
-by one lock (the shared :class:`~repro.runtime.context.QueryContext`
-is not concurrency-safe), which keeps the loop free to keep admitting
-and coalescing requests while a batch computes.
+loop, and one dispatcher task runs the queued microbatches one at a
+time on a default-executor thread (the shared
+:class:`~repro.runtime.context.QueryContext` is not concurrency-safe),
+which keeps the loop free to keep admitting and coalescing requests
+while a batch computes.  The dispatcher lives only while there is a
+backlog.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from typing import Sequence
 
 from repro.errors import QueryError
@@ -38,17 +50,18 @@ from repro.serve.stats import ServeStats
 
 
 class _MicroBatch:
-    """One open coalescing window for a single batch key."""
+    """The requests of one batch key that will execute together."""
 
-    __slots__ = ("key", "items", "futures", "admitted", "timer")
+    __slots__ = ("key", "items", "futures", "admitted", "started")
 
     def __init__(self, key: tuple) -> None:
         self.key = key
         self.items: list = []
         self.futures: list[asyncio.Future] = []
-        #: Admission timestamps (perf_counter), for per-request latency.
+        #: Admission timestamps (perf_counter), for per-request latency,
+        #: and the moment the batch started executing (0.0 until then).
         self.admitted: list[float] = []
-        self.timer: asyncio.TimerHandle | None = None
+        self.started = 0.0
 
 
 class QueryServer:
@@ -63,16 +76,14 @@ class QueryServer:
         ``pool="persistent"`` (or ``REPRO_BATCH_POOL=persistent``)
         with ``workers >= 2`` serves batches from the warm persistent
         pool.  ``workers=None`` defers to ``REPRO_BATCH_WORKERS``.
-    coalesce_window:
-        Seconds an open microbatch waits for company before dispatch
-        (default 2 ms).  ``0`` dispatches every request immediately —
-        no added latency, no coalescing wins.
     max_batch:
-        Requests that close a microbatch early (default 64).
+        The most requests one microbatch holds (default 64); a deeper
+        backlog of one key is served as several batches.
 
-    Use as an async context manager, or call :meth:`close` — pending
-    microbatches are flushed, then the database's serving pool is left
-    to the database's own lifecycle (:meth:`ObstacleDatabase.close`).
+    Use as an async context manager, or call :meth:`close` — every
+    admitted request is answered first, then the database's serving
+    pool is left to the database's own lifecycle
+    (:meth:`ObstacleDatabase.close`).
     """
 
     def __init__(
@@ -82,24 +93,22 @@ class QueryServer:
         workers: int | None = None,
         mode: str | None = None,
         pool: str | None = None,
-        coalesce_window: float = 0.002,
         max_batch: int = 64,
     ) -> None:
-        if coalesce_window < 0:
-            raise QueryError(
-                f"coalesce_window must be >= 0, got {coalesce_window}"
-            )
         if max_batch < 1:
             raise QueryError(f"max_batch must be >= 1, got {max_batch}")
         self._db = db
         self._workers = workers
         self._mode = mode
         self._pool = pool
-        self.coalesce_window = coalesce_window
         self.max_batch = max_batch
         self.stats = ServeStats(db.context.stats)
+        #: Microbatches awaiting dispatch, oldest first, and per key the
+        #: queued one that still has room for the next request.
+        self._queue: deque[_MicroBatch] = deque()
         self._open: dict[tuple, _MicroBatch] = {}
-        self._dispatch_lock = asyncio.Lock()
+        #: The task running the queue; ``None`` while there is no backlog.
+        self._dispatcher: asyncio.Task | None = None
         self._closed = False
         self._metrics: MetricsRegistry | None = None
 
@@ -110,8 +119,9 @@ class QueryServer:
 
     def metrics(self) -> MetricsRegistry:
         """The unified metrics registry over this server: the served
-        database's groups plus ``serve`` (front-end counters) and
-        ``serve_latency`` (per-kind histograms)."""
+        database's groups plus ``serve`` (front-end counters and the
+        queue-wait histogram) and ``serve_latency`` (per-kind
+        histograms)."""
         if self._metrics is None:
             self._metrics = MetricsRegistry.for_server(self)
         return self._metrics
@@ -136,24 +146,16 @@ class QueryServer:
 
     # ------------------------------------------------------------ lifecycle
     async def drain(self) -> None:
-        """Flush every open microbatch now and await its completion."""
-        pending = [b for b in self._open.values()]
-        for batch in pending:
-            self._close_batch(batch)
-        tasks = [
-            asyncio.gather(*batch.futures, return_exceptions=True)
-            for batch in pending
-            if batch.futures
-        ]
-        for coro in tasks:
-            await coro
+        """Await every admitted request, executing or queued
+        (``stats.in_flight == 0`` on return)."""
+        while self._dispatcher is not None:
+            # wait(), not await: cancelling drain() must not cancel it.
+            await asyncio.wait([self._dispatcher])
 
     async def close(self) -> None:
-        """Refuse new requests, flush open microbatches, detach."""
-        if self._closed:
-            return
-        await self.drain()
+        """Refuse new requests, then answer every admitted one."""
         self._closed = True
+        await self.drain()
 
     async def __aenter__(self) -> "QueryServer":
         return self
@@ -170,105 +172,99 @@ class QueryServer:
         joined = batch is not None
         if batch is None:
             batch = self._open[key] = _MicroBatch(key)
-            if self.coalesce_window > 0:
-                batch.timer = loop.call_later(
-                    self.coalesce_window, self._close_batch, batch
-                )
+            self._queue.append(batch)
         future: asyncio.Future = loop.create_future()
         batch.items.append(item)
         batch.futures.append(future)
         batch.admitted.append(time.perf_counter())
         self.stats.admit(joined_open_batch=joined)
-        if len(batch.items) >= self.max_batch or self.coalesce_window == 0:
-            self._close_batch(batch)
+        if len(batch.items) >= self.max_batch:
+            del self._open[key]
+        if self._dispatcher is None:
+            # Runs on the next loop iteration: whatever else is admitted
+            # in this tick rides in the same microbatches.
+            self._dispatcher = loop.create_task(self._dispatch())
         return await future
 
-    def _close_batch(self, batch: _MicroBatch) -> None:
-        """Seal one microbatch and schedule its dispatch."""
-        if self._open.get(batch.key) is batch:
-            del self._open[batch.key]
-        if batch.timer is not None:
-            batch.timer.cancel()
-            batch.timer = None
-        if batch.futures:
-            asyncio.ensure_future(self._dispatch(batch))
-
-    async def _dispatch(self, batch: _MicroBatch) -> None:
+    async def _dispatch(self) -> None:
+        """Run the queued microbatches, oldest first, one at a time,
+        until none is left; requests admitted meanwhile queue behind."""
         loop = asyncio.get_running_loop()
-        async with self._dispatch_lock:
-            try:
-                results = await loop.run_in_executor(
-                    None,
-                    self._run_batch,
-                    batch.key,
-                    batch.items,
-                    batch.admitted[0] if batch.admitted else None,
-                )
-            except BaseException as exc:
-                self.stats.batches += 1
-                now = time.perf_counter()
-                for future, t0 in zip(batch.futures, batch.admitted):
-                    self.stats.settle(batch.key[0], now - t0, failed=True)
-                    if not future.done():
-                        future.set_exception(
-                            exc
-                            if isinstance(exc, Exception)
-                            else QueryError(repr(exc))
-                        )
-                return
-        self.stats.batches += 1
-        now = time.perf_counter()
-        for future, result, t0 in zip(batch.futures, results, batch.admitted):
-            self.stats.settle(batch.key[0], now - t0)
-            if not future.done():
-                future.set_result(result)
+        try:
+            while self._queue:
+                batch = self._queue.popleft()
+                if self._open.get(batch.key) is batch:
+                    del self._open[batch.key]
+                try:
+                    results = await loop.run_in_executor(
+                        None, self._run_batch, batch
+                    )
+                except Exception as exc:
+                    self._settle(batch, error=exc)
+                except BaseException as exc:
+                    # Cancelled (loop teardown): refuse the backlog too,
+                    # so that no admitted request is left unanswered.
+                    error = QueryError(f"QueryServer stopped: {exc!r}")
+                    for left in (batch, *self._queue):
+                        self._settle(left, error=error)
+                    self._queue.clear()
+                    self._open.clear()
+                    raise
+                else:
+                    self._settle(batch, results)
+        finally:
+            self._dispatcher = None
 
-    def _run_batch(
-        self, key: tuple, items: Sequence, first_admitted: float | None = None
-    ) -> list:
+    def _settle(
+        self, batch: _MicroBatch, results: Sequence = (), error=None
+    ) -> None:
+        """Book one finished microbatch and resolve its requests."""
+        stats = self.stats
+        stats.batches += 1
+        now = time.perf_counter()
+        started = batch.started or now
+        for i, (future, t0) in enumerate(zip(batch.futures, batch.admitted)):
+            stats.queue_wait.record(started - t0)
+            stats.settle(batch.key[0], now - t0, failed=error is not None)
+            if future.done():
+                continue
+            if error is not None:
+                future.set_exception(error)
+            else:
+                future.set_result(results[i])
+
+    def _run_batch(self, batch: _MicroBatch) -> list:
         """Executed on the executor thread: one database batch call.
 
         Opens the serve-side root span: ``serve.batch`` carries the
         microbatch phases — the queue wait of its oldest request (time
-        from admission to dispatch start, i.e. coalescing delay plus
-        dispatch-lock contention) as an attribute, and the database
-        batch work as child spans.
+        from admission to dispatch start, i.e. the time spent behind
+        earlier batches) as an attribute, and the database batch work
+        as child spans.
         """
-        kind = key[0]
+        kind, items = batch.key[0], batch.items
+        routing = {"workers": self._workers, "pool": self._pool}
         with TRACER.span("serve.batch", kind=kind, n=len(items)) as span:
-            if first_admitted is not None:
-                span.set_attr(
-                    "queue_wait_ms",
-                    (time.perf_counter() - first_admitted) * 1000.0,
-                )
+            batch.started = time.perf_counter()
+            span.set_attr(
+                "queue_wait_ms", (batch.started - batch.admitted[0]) * 1000.0
+            )
             if kind == "nearest":
-                __, set_name, k = key
+                __, set_name, k = batch.key
                 return self._db.batch_nearest(
-                    set_name,
-                    items,
-                    k,
-                    workers=self._workers,
-                    mode=self._mode,
-                    pool=self._pool,
+                    set_name, items, k, mode=self._mode, **routing
                 )
             if kind == "range":
-                __, set_name, e = key
+                __, set_name, e = batch.key
                 return self._db.batch_range(
-                    set_name,
-                    items,
-                    e,
-                    workers=self._workers,
-                    mode=self._mode,
-                    pool=self._pool,
+                    set_name, items, e, mode=self._mode, **routing
                 )
             if kind == "distance":
-                return self._db.batch_distance(
-                    items, workers=self._workers, pool=self._pool
-                )
+                return self._db.batch_distance(items, **routing)
             raise QueryError(f"unknown request kind {kind!r}")
 
     def __repr__(self) -> str:
         return (
-            f"QueryServer(window={self.coalesce_window}, "
-            f"max_batch={self.max_batch}, requests={self.stats.requests})"
+            f"QueryServer(max_batch={self.max_batch}, "
+            f"requests={self.stats.requests})"
         )

@@ -6,9 +6,10 @@ must additionally report *latency* as experienced by clients, which is
 a distribution, not a counter.  :class:`LatencyHistogram` is a
 log-bucketed histogram cheap enough to tick on every request;
 :class:`ServeStats` groups one histogram per request kind with the
-front-end's coalescing/in-flight counters and the underlying
-:class:`RuntimeStats`, so one snapshot answers both "how slow was p99"
-and "how much work did that traffic cost".
+front-end's coalescing/in-flight counters, the queue-wait histogram
+and the underlying :class:`RuntimeStats`, so one snapshot answers "how
+slow was p99", "how much of that was waiting for a turn" and "how much
+work did that traffic cost".
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ class ServeStats:
         #: high-water mark of that depth.
         self.in_flight = 0
         self.in_flight_peak = 0
+        #: Per request, admission to the start of its batch's execution:
+        #: the time spent queued behind earlier batches.
+        self.queue_wait = LatencyHistogram()
 
     def histogram(self, kind: str) -> LatencyHistogram:
         """The latency histogram for one request kind (creating it)."""
@@ -174,6 +178,7 @@ class ServeStats:
             "coalesced": self.coalesced,
             "in_flight": self.in_flight,
             "in_flight_peak": self.in_flight_peak,
+            "queue_wait": self.queue_wait.snapshot(),
             "latency": {
                 kind: hist.snapshot() for kind, hist in self.histograms.items()
             },

@@ -162,6 +162,10 @@ class TestTop:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3  # header + 2 ticks
         assert "reqs" in lines[0]
+        assert "req/batch" in lines[0] and "wait p50" in lines[0]
+        # Each tick's probes arrive together: one batch holds them all.
+        row = lines[1].split()
+        assert int(row[2]) == 1 and float(row[3]) == int(row[1]) > 1
 
     def test_top_rejects_bad_ticks(self, scene, capsys):
         snap, __, __ = scene

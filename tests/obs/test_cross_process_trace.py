@@ -150,7 +150,7 @@ class TestServer:
         from repro.serve.server import QueryServer
 
         async def drive() -> None:
-            async with QueryServer(db, workers=0, coalesce_window=0.0) as srv:
+            async with QueryServer(db, workers=0) as srv:
                 await srv.nearest("pois", Point(0.0, 0.0), 1)
 
         asyncio.run(drive())

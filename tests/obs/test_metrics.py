@@ -75,7 +75,7 @@ class TestExhaustiveness:
         assert doc["pages"]["entities:pois"]["reads"] >= 1
 
     def test_server_snapshot_covers_serve_counters(self, db):
-        server = QueryServer(db, workers=0, coalesce_window=0.0)
+        server = QueryServer(db, workers=0)
         registry = server.metrics()
         _serve_some(server)
         doc = registry.snapshot()
@@ -91,6 +91,10 @@ class TestExhaustiveness:
             assert name in doc["serve"], f"serve counter {name} missing"
         assert doc["serve"]["requests"] == 3
         assert doc["serve"]["completed"] == 3
+        # Queue wait is always on: one sample per request, no trace.
+        assert doc["serve"]["queue_wait"]["count"] == 3
+        assert doc["serve"]["queue_wait"]["p95_s"] > 0
+        assert "repro_serve_queue_wait_p50_s " in registry.to_prometheus()
         # Per-kind latency histograms, labelled by request kind.
         assert set(doc["serve_latency"]) == {"nearest", "distance"}
         for kind, hist in doc["serve_latency"].items():

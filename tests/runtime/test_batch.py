@@ -84,6 +84,49 @@ class TestBatchAmortization:
         assert all(r == results[0] for r in results)
         assert metric.context.stats.batch_memo_hits == 9
 
+    def test_repeated_pairs_memoized(self):
+        obstacles, points = _scene(46)
+        index = build_obstacle_index(obstacles, max_entries=8, min_entries=3)
+        metric = ObstructedMetric(QueryContext(index))
+        calls = []
+        distance = metric.context.distance
+
+        def counted(a, b, **kwargs):
+            calls.append((a, b))
+            return distance(a, b, **kwargs)
+
+        metric.context.distance = counted
+        other = (points[2], points[3])
+        pairs = [(points[0], points[1])] * 5 + [other] + [(points[0], points[1])]
+        results = batch_distance(metric, pairs)
+        assert calls == [(points[0], points[1]), other]
+        assert results == [results[0]] * 5 + [distance(*other), results[0]]
+        assert metric.context.stats.batch_memo_hits == 5
+
+    def test_repeated_pairs_memoized_on_the_pool_branch(self):
+        obstacles, points = _scene(47)
+        index = build_obstacle_index(obstacles, max_entries=8, min_entries=3)
+        metric = ObstructedMetric(QueryContext(index))
+        a, b = (points[0], points[1]), (points[2], points[3])
+
+        class Pool:
+            sent = []
+
+            def run_batch(self, command, items):
+                self.sent.append((command, list(items)))
+                return [float(i) for i in range(len(items))]
+
+        assert batch_distance(metric, [a, b, a, a, b], pool=Pool()) == [
+            0.0, 1.0, 0.0, 0.0, 1.0
+        ]
+        assert Pool.sent == [(("distance",), [a, b])]
+        assert metric.context.stats.batch_memo_hits == 3
+        # One distinct pair is not worth a pipe round trip.
+        assert batch_distance(metric, [a] * 4, pool=Pool()) == [
+            metric.context.distance(*a)
+        ] * 4
+        assert len(Pool.sent) == 1
+
     def test_database_batch_api(self):
         obstacles, points = _scene(45)
         db = ObstacleDatabase(

@@ -111,3 +111,4 @@ class TestServeStats:
     def test_snapshot_without_runtime(self):
         snap = ServeStats().snapshot()
         assert "runtime" not in snap
+        assert snap["queue_wait"]["count"] == 0

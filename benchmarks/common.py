@@ -334,7 +334,6 @@ def run_batch_nearest(
     k: int,
     *,
     workers: int = 0,
-    mode: str | None = None,
 ) -> tuple[list, dict[str, float]]:
     """Execute one ``batch_nearest`` workload; returns (results, metrics).
 
@@ -346,9 +345,7 @@ def run_batch_nearest(
     db.reset_stats(clear_buffers=True)
     timer = Timer()
     with timer:
-        results = db.batch_nearest(
-            set_name, queries, k, workers=workers, mode=mode
-        )
+        results = db.batch_nearest(set_name, queries, k, workers=workers)
     runtime = db.runtime_stats()
     return results, {
         "cpu_s": timer.elapsed,
@@ -1139,7 +1136,7 @@ def adaptive_policy_comparison(
 
     Every profile trace is replayed three times on identical scenes:
     exact keys (``snap=0``), the hand-tuned moving-query quantum
-    (:func:`moving_snap`), and ``REPRO_CACHE_POLICY=adaptive`` learning
+    (:func:`moving_snap`), and ``cache_policy="adaptive"`` learning
     its own knobs.  "Best static" is picked per profile *after the
     fact* — the strongest possible opponent.  The acceptance gate:
     adaptive wins (``>= POLICY_WIN_RATIO`` fewer graph builds or higher

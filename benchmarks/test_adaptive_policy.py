@@ -1,7 +1,7 @@
 """Adaptive cache policy benchmark: learned knobs vs the best static.
 
 Not a paper figure — this measures the claim behind
-``REPRO_CACHE_POLICY=adaptive``: a policy that learns the snap
+``cache_policy="adaptive"``: a policy that learns the snap
 quantum, LRU capacity, and guest admission from the observed centre
 stream beats any fixed knob setting across workload regimes, because
 no fixed setting is right for all of them.

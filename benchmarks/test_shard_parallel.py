@@ -14,9 +14,9 @@ on the paper's workload shape (a 200-query ONN batch):
 The speedup assertion needs real parallel hardware: every ``>= Nx``
 bar routes through :func:`benchmarks.common.parallel_speedup_target`,
 which returns ``None`` on single-core runners (skip — parity only), a
-reduced bar on 2-3 cores, and the full bar at >= 4 cores; thread mode
-is additionally skipped (CPython's GIL).  Result parity is asserted
-everywhere, always.
+reduced bar on 2-3 cores, and the full bar at >= 4 cores; a platform
+without fork runs the batch sequentially and is skipped.  Result parity
+is asserted everywhere, always.
 
 Scale knobs: ``REPRO_BENCH_O`` (obstacles; the 200-query count is
 fixed by the paper's setup), ``REPRO_BENCH_PAGE_ENTRIES``.
@@ -105,12 +105,12 @@ class TestParallelBatch:
         if target is None:
             pytest.skip(f"needs >= 2 cores for a speedup (have {cores})")
         if not fork_available():
-            pytest.skip("needs the fork start method (GIL bars thread mode)")
+            pytest.skip("needs the fork start method")
         db, queries = _workload()
         __, warm = run_batch_nearest(db, "P1", queries[:8], 4)  # warm caches
         sequential, seq_metrics = run_batch_nearest(db, "P1", queries, 4)
         parallel, par_metrics = run_batch_nearest(
-            db, "P1", queries, 4, workers=WORKERS, mode="fork"
+            db, "P1", queries, 4, workers=WORKERS
         )
         assert parallel == sequential
         speedup = seq_metrics["cpu_s"] / par_metrics["cpu_s"]

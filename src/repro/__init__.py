@@ -47,7 +47,6 @@ from repro.visibility import (
     VisibilityBackend,
     VisibilityGraph,
     available_backends,
-    default_backend_name,
     resolve_backend,
     shortest_path,
     shortest_path_dist,
@@ -112,7 +111,6 @@ __all__ = [
     "VisibilityBackend",
     "VisibilityGraph",
     "available_backends",
-    "default_backend_name",
     "resolve_backend",
     "shortest_path",
     "shortest_path_dist",

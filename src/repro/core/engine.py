@@ -23,9 +23,8 @@ the dynamic obstacle API (:meth:`insert_obstacle` /
 graphs are discarded lazily at their next lookup.  Batch entry points
 (:meth:`batch_nearest`, :meth:`batch_range`, :meth:`batch_distance`)
 amortize the context across whole workloads, and fan out over a worker
-pool when asked (``workers=`` / ``REPRO_BATCH_WORKERS``) — either a
-per-batch fork pool or, with ``pool="persistent"`` /
-``REPRO_BATCH_POOL=persistent``, the long-lived snapshot-warm-started
+pool when asked (``workers=``) — either a per-batch fork pool or, with
+``pool="persistent"``, the long-lived snapshot-warm-started
 :meth:`serving_pool` (shut down via :meth:`close` or the context
 manager).  Obstacle storage is either
 one monolithic R*-tree per set or, with ``shards=N``, a spatially
@@ -59,7 +58,6 @@ from repro.model import Obstacle
 from repro.obs import MetricsRegistry, TRACER
 from repro.runtime.batch import batch_distance, batch_nearest, batch_range
 from repro.runtime.context import QueryContext
-from repro.runtime.executor import resolve_pool_kind, resolve_workers
 from repro.runtime.metric import ObstructedMetric
 from repro.runtime.policy import CachePolicy
 from repro.runtime.stats import RuntimeStats
@@ -86,12 +84,11 @@ class ObstacleDatabase:
     graph_cache_size:
         LRU capacity of the shared visibility-graph cache.
     graph_cache_snap:
-        Spatial-key quantum of the graph cache.  ``0`` keys cached
-        graphs by exact expansion centre (the historical behaviour); a
-        positive value snaps centres to a grid of that cell size, so
-        near-duplicate centres (moving queries, dense batches) share
-        one coverage-guarded graph.  ``None`` (default) reads the
-        ``REPRO_CACHE_SNAP`` environment variable, else ``0``.
+        Spatial-key quantum of the graph cache.  ``0`` (default) keys
+        cached graphs by exact expansion centre; a positive value
+        snaps centres to a grid of that cell size, so near-duplicate
+        centres (moving queries, dense batches) share one
+        coverage-guarded graph.
     shards:
         ``None`` (default) stores each obstacle set in one monolithic
         R-tree.  An integer switches to spatially sharded storage
@@ -104,31 +101,26 @@ class ObstacleDatabase:
         The visibility backend used for every sweep (``"python-sweep"``,
         ``"numpy-kernel"``, ``"naive"``, or a
         :class:`~repro.visibility.kernel.backend.VisibilityBackend`
-        instance).  ``None`` auto-picks — the
-        ``REPRO_VISIBILITY_BACKEND`` environment variable when set,
-        else the numpy kernel.
+        instance).  ``None`` (default) is the numpy kernel.
     cache_policy:
         The graph-cache tuning policy (``"static"``, ``"adaptive"``,
         or a :class:`~repro.runtime.policy.CachePolicy` instance).
-        ``None`` (default) reads the ``REPRO_CACHE_POLICY``
-        environment variable, else static.  The adaptive policy
+        ``None`` (default) is static.  The adaptive policy
         observes the live centre stream and retunes the snap quantum
         and LRU capacity online; answers are bit-identical under any
         policy.
     durable:
-        A write-ahead mutation journal path
+        The path of a write-ahead mutation journal file
         (:mod:`repro.persist.journal`).  Every obstacle/entity
         mutation is appended and fsynced *before* it is applied, so
         after a crash ``ObstacleDatabase.load(base, durable=path)``
         replays the journal over the base snapshot and answers
         bit-identically to a process that never crashed.  ``None``
-        (default) reads ``REPRO_JOURNAL`` (a directory there
-        allocates a unique journal file per database); unset means
-        not durable.  :meth:`save` anchors the journal to the saved
-        base snapshot and truncates it; once anchored, the journal is
-        auto-folded into the base when it outgrows the
-        ``REPRO_JOURNAL_COMPACT_BYTES`` / ``_RATIO`` triggers (or
-        explicitly via :meth:`compact`).
+        (default) means not durable.  :meth:`save` anchors the journal
+        to the saved base snapshot and truncates it; once anchored,
+        the journal is auto-folded into the base when it outgrows
+        :meth:`~repro.persist.journal.MutationJournal.outgrew`'s
+        trigger (or explicitly via :meth:`compact`).
     """
 
     def __init__(
@@ -141,7 +133,7 @@ class ObstacleDatabase:
         max_entries: int | None = None,
         min_entries: int | None = None,
         graph_cache_size: int = 64,
-        graph_cache_snap: float | None = None,
+        graph_cache_snap: float = 0.0,
         shards: int | None = None,
         backend: "str | VisibilityBackend | None" = None,
         cache_policy: "str | CachePolicy | None" = None,
@@ -149,28 +141,50 @@ class ObstacleDatabase:
     ) -> None:
         if shards is not None and shards < 1:
             raise DatasetError(f"shards must be >= 1, got {shards}")
-        if graph_cache_snap is None:
-            raw_snap = os.environ.get("REPRO_CACHE_SNAP", "0")
-            try:
-                graph_cache_snap = float(raw_snap)
-            except ValueError:
-                raise DatasetError(
-                    f"REPRO_CACHE_SNAP must be a number, got {raw_snap!r}"
-                ) from None
         if graph_cache_snap < 0:
             raise DatasetError(
                 f"graph_cache_snap must be >= 0, got {graph_cache_snap}"
             )
+        self._init_state(
+            tree_kwargs=dict(
+                page_size=page_size,
+                buffer_fraction=buffer_fraction,
+                max_entries=max_entries,
+                min_entries=min_entries,
+            ),
+            bulk=bulk,
+            shards=shards,
+            graph_cache_size=graph_cache_size,
+            graph_cache_snap=graph_cache_snap,
+            next_oid=0,
+            backend=backend,
+            cache_policy=cache_policy,
+        )
+        self.add_obstacle_set("obstacles", obstacles)
+        if durable is not None:
+            from repro.persist.journal import MutationJournal
+
+            self._attach_journal(MutationJournal.create(durable))
+
+    def _init_state(
+        self,
+        *,
+        tree_kwargs: dict,
+        bulk: bool,
+        shards: int | None,
+        graph_cache_size: int,
+        graph_cache_snap: float,
+        next_oid: int,
+        backend: "str | VisibilityBackend | None",
+        cache_policy: "str | CachePolicy | None",
+    ) -> None:
+        """Every attribute of a database that holds no dataset yet —
+        the one initialiser behind ``__init__`` and :meth:`_restore`."""
         self._graph_cache_snap = graph_cache_snap
         self._shards = shards
         self._bulk = bulk
-        self._tree_kwargs = dict(
-            page_size=page_size,
-            buffer_fraction=buffer_fraction,
-            max_entries=max_entries,
-            min_entries=min_entries,
-        )
-        self._next_oid = 0
+        self._tree_kwargs = tree_kwargs
+        self._next_oid = next_oid
         self._graph_cache_size = graph_cache_size
         self._cache_policy = cache_policy
         self._runtime_stats = RuntimeStats()
@@ -185,14 +199,6 @@ class ObstacleDatabase:
         self._metrics: MetricsRegistry | None = None
         self._journal = None
         self._base_path: str | None = None
-        self._compact_bytes = 0
-        self._compact_ratio = 0.0
-        self.add_obstacle_set("obstacles", obstacles)
-        from repro.persist.journal import MutationJournal, resolve_journal_path
-
-        journal_path = resolve_journal_path(durable)
-        if journal_path is not None:
-            self._attach_journal(MutationJournal.create(journal_path))
 
     # ------------------------------------------------------------ datasets
     def add_obstacle_set(self, name: str, obstacles: Iterable[ObstacleLike]) -> None:
@@ -389,32 +395,30 @@ class ObstacleDatabase:
         )
 
     # --------------------------------------------------------- serving pool
-    def serving_pool(self, workers: int | None = None):
+    def serving_pool(self, workers: int):
         """The persistent warm-started worker pool serving this database.
 
         Created lazily (snapshotting the current state so workers warm
         start); reused across batches until :meth:`close` or a worker
         count change.  The batch methods engage it via
-        ``pool="persistent"`` or ``REPRO_BATCH_POOL=persistent``;
-        callers wanting direct pool batches can use the returned
+        ``pool="persistent"``; callers wanting direct pool batches can
+        use the returned
         :class:`~repro.serve.pool.PersistentWorkerPool` themselves.
         """
         from repro.serve.pool import PersistentWorkerPool
 
-        count = resolve_workers(workers)
-        if count < 2:
+        if workers < 2:
             raise QueryError(
-                f"a serving pool needs >= 2 workers, got {count} "
-                f"(pass workers= or set REPRO_BATCH_WORKERS)"
+                f"a serving pool needs >= 2 workers, got {workers}"
             )
         pool = self._serving_pool
-        if pool is not None and not pool._shut and pool.workers == count:
+        if pool is not None and not pool._shut and pool.workers == workers:
             return pool
         if pool is not None:
             pool.shutdown()
             if self._pool_finalizer is not None:
                 self._pool_finalizer.detach()
-        pool = PersistentWorkerPool(self, count)
+        pool = PersistentWorkerPool(self, workers)
         self._serving_pool = pool
         # The pool holds this database weakly, so the finalizer fires
         # when the database is collected and reaps the worker processes.
@@ -431,9 +435,19 @@ class ObstacleDatabase:
     def _pool_for(self, pool: str | None, workers: int | None):
         """The (pool, effective_workers) pair the batch methods route
         through: the persistent pool when selected and parallel, else
-        ``None`` (per-batch fork/thread pool or sequential)."""
-        count = resolve_workers(workers)
-        if count >= 2 and resolve_pool_kind(pool) == "persistent":
+        ``None`` (per-batch fork pool or sequential).  The one place
+        the two arguments are validated; ``None`` means ``0`` workers
+        and the ``"fork"`` kind."""
+        count = 0 if workers is None else workers
+        kind = "fork" if pool is None else pool
+        if count < 0:
+            raise QueryError(f"worker count must be >= 0, got {count}")
+        if kind not in ("fork", "persistent"):
+            raise QueryError(
+                f"unknown batch pool kind {kind!r} (expected 'fork' or "
+                f"'persistent')"
+            )
+        if count >= 2 and kind == "persistent":
             return self.serving_pool(count), count
         return None, count
 
@@ -464,16 +478,16 @@ class ObstacleDatabase:
         path: "str | os.PathLike[str]",
         *,
         dataset_refs: "Mapping[str, str | os.PathLike[str]] | None" = None,
-        include_cache: bool | None = None,
+        include_cache: bool = True,
     ) -> None:
         """Write a page-backed snapshot of this database to ``path``.
 
         The snapshot captures every R*-tree node-per-page (page ids,
         buffer residency and access counters included), every obstacle
         set (monolithic or sharded, with per-shard versions and grid
-        layout), and — unless ``include_cache=False`` (default from
-        ``REPRO_SNAPSHOT_CACHE``) — every cached visibility graph with
-        its coverage and version stamp, so :meth:`load` warm-starts.
+        layout), and — unless ``include_cache=False`` — every cached
+        visibility graph with its coverage and version stamp, so
+        :meth:`load` warm-starts.
         ``dataset_refs`` records source dataset files by content hash;
         a later load verifies them (hash, not mtime) and refuses drift.
 
@@ -518,8 +532,7 @@ class ObstacleDatabase:
         crash is truncated away, mid-record corruption raises
         :class:`~repro.errors.DatasetError` naming path and offset —
         and the journal stays attached, anchored to ``path``, so the
-        recovered database keeps journaling.  Like the constructor,
-        ``None`` falls back to ``REPRO_JOURNAL``.
+        recovered database keeps journaling.
         """
         from repro.persist.store import load_database
 
@@ -537,12 +550,9 @@ class ObstacleDatabase:
     def _attach_journal(self, journal, *, base_path: str | None = None) -> None:
         """Wire an open journal to this database (constructor or
         post-replay from :func:`~repro.persist.store.load_database`)."""
-        from repro.persist.journal import compaction_thresholds
-
         journal.stats = self._runtime_stats
         self._journal = journal
         self._base_path = base_path
-        self._compact_bytes, self._compact_ratio = compaction_thresholds()
 
     def _journal_append(self, record) -> None:
         with TRACER.span(
@@ -568,7 +578,7 @@ class ObstacleDatabase:
     def _maybe_compact(self) -> None:
         """Fold the journal into the base snapshot once it outgrows the
         size/ratio trigger (see
-        :func:`~repro.persist.journal.compaction_thresholds`)."""
+        :meth:`~repro.persist.journal.MutationJournal.outgrew`)."""
         journal = self._journal
         if journal is None or self._base_path is None:
             return
@@ -576,10 +586,7 @@ class ObstacleDatabase:
             base_bytes = os.path.getsize(self._base_path)
         except OSError:
             base_bytes = 0
-        threshold = max(
-            self._compact_bytes, self._compact_ratio * base_bytes
-        )
-        if journal.records_bytes >= threshold:
+        if journal.outgrew(base_bytes):
             self.compact()
 
     def compact(self) -> None:
@@ -627,45 +634,23 @@ class ObstacleDatabase:
     def _restore(
         cls,
         *,
-        tree_kwargs: dict,
-        bulk: bool,
-        shards: int | None,
-        graph_cache_size: int,
-        graph_cache_snap: float,
-        next_oid: int,
         obstacle_indexes: "dict[str, ObstacleIndex | ShardedObstacleIndex]",
         entity_trees: dict[str, RStarTree],
-        backend: "str | VisibilityBackend | None" = None,
-        cache_policy: "str | CachePolicy | None" = None,
+        **state,
     ) -> "ObstacleDatabase":
         """Assemble a database around already-restored indexes.
 
-        Bypasses the building constructor entirely: the obstacle and
-        entity trees are installed verbatim and only the runtime
-        context is created fresh (which re-subscribes the mutation
-        feed).  The caller (:mod:`repro.persist.store`) re-admits the
-        restored cache entries afterwards.
+        Bypasses the building constructor entirely: ``state`` goes to
+        :meth:`_init_state`, the obstacle and entity trees are
+        installed verbatim and only the runtime context is created
+        fresh (which re-subscribes the mutation feed).  The caller
+        (:mod:`repro.persist.store`) re-admits the restored cache
+        entries afterwards.
         """
         db = object.__new__(cls)
-        db._graph_cache_snap = graph_cache_snap
-        db._cache_policy = cache_policy
-        db._shards = shards
-        db._bulk = bulk
-        db._tree_kwargs = dict(tree_kwargs)
-        db._next_oid = next_oid
-        db._graph_cache_size = graph_cache_size
-        db._runtime_stats = RuntimeStats()
-        db._backend = resolve_backend(backend, stats=db._runtime_stats)
-        db._entity_trees = dict(entity_trees)
-        db._obstacle_indexes = dict(obstacle_indexes)
-        db._context = None
-        db._serving_pool = None
-        db._pool_finalizer = None
-        db._metrics = None
-        db._journal = None
-        db._base_path = None
-        db._compact_bytes = 0
-        db._compact_ratio = 0.0
+        db._init_state(**state)
+        db._entity_trees.update(entity_trees)
+        db._obstacle_indexes.update(obstacle_indexes)
         db._rebuild_context()
         return db
 
@@ -780,22 +765,19 @@ class ObstacleDatabase:
         k: int = 1,
         *,
         workers: int | None = None,
-        mode: str | None = None,
         pool: str | None = None,
     ) -> list[list[tuple[Point, float]]]:
         """ONN for many query points through the batch engine.
 
         Returns one result list per query point, in input order;
-        duplicate query points are computed once.  ``workers`` (default
-        from ``REPRO_BATCH_WORKERS``, 0 = sequential through the shared
-        context) fans distinct points over a worker pool of private
-        contexts; ``mode`` picks the per-batch pool flavour
-        (``REPRO_BATCH_MODE``: ``fork``/``thread``/``auto``) and
-        ``pool`` the pool kind (``REPRO_BATCH_POOL``: ``fork`` forks
-        per batch, ``persistent`` reuses the warm
-        :meth:`serving_pool`).  A mid-batch obstacle mutation raises
-        :class:`DatasetError` instead of returning mixed-version
-        answers.
+        duplicate query points are computed once.  ``workers``
+        (``None`` or 0 = sequential through the shared context) fans
+        distinct points over a worker pool of private contexts, and
+        ``pool`` picks its kind: ``"fork"`` (``None``) forks per batch
+        — sequential where the platform cannot fork — and
+        ``"persistent"`` reuses the warm :meth:`serving_pool`.  A
+        mid-batch obstacle mutation raises :class:`DatasetError`
+        instead of returning mixed-version answers.
         """
         metric = ObstructedMetric(self.context)
         queries = [self._coerce_point(q) for q in qs]
@@ -809,7 +791,6 @@ class ObstacleDatabase:
                 queries,
                 k,
                 workers=count,
-                mode=mode,
                 pool=pool_obj,
                 pool_command=("nearest", name, k, True),
             )
@@ -821,15 +802,13 @@ class ObstacleDatabase:
         e: float,
         *,
         workers: int | None = None,
-        mode: str | None = None,
         pool: str | None = None,
     ) -> list[list[tuple[Point, float]]]:
         """OR for many query points through the batch engine.
 
         Returns one result list per query point, in input order;
-        duplicate query points are computed once.  ``workers``,
-        ``mode`` and ``pool`` parallelize exactly as for
-        :meth:`batch_nearest`.
+        duplicate query points are computed once.  ``workers`` and
+        ``pool`` parallelize exactly as for :meth:`batch_nearest`.
         """
         metric = ObstructedMetric(self.context)
         queries = [self._coerce_point(q) for q in qs]
@@ -843,7 +822,6 @@ class ObstacleDatabase:
                 queries,
                 e,
                 workers=count,
-                mode=mode,
                 pool=pool_obj,
                 pool_command=("range", name, e),
             )
@@ -858,9 +836,8 @@ class ObstacleDatabase:
         """Obstructed distances for many point pairs.
 
         Sequential by default (pairs sharing a target reuse its cached
-        graph); ``pool="persistent"`` (or ``REPRO_BATCH_POOL``) with
-        ``workers >= 2`` fans the pairs over the warm
-        :meth:`serving_pool`.
+        graph); ``pool="persistent"`` with ``workers >= 2`` fans the
+        pairs over the warm :meth:`serving_pool`.
         """
         metric = ObstructedMetric(self.context)
         coerced = [

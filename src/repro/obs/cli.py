@@ -105,14 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="batch workers per microbatch (default: REPRO_BATCH_WORKERS)",
+        default=0,
+        help="batch workers per microbatch (default 0: sequential)",
     )
     top.add_argument(
         "--pool",
         choices=("fork", "persistent"),
-        default=None,
-        help="batch pool kind (default: REPRO_BATCH_POOL)",
+        default="fork",
+        help="batch pool kind (default fork)",
     )
     return parser
 

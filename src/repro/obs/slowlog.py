@@ -4,7 +4,8 @@ Hooked into the tracer as a root-span sink: whenever a sampled query's
 root span finishes slower than ``REPRO_SLOW_QUERY_MS`` (default 100),
 its entire span tree is captured into a bounded ring buffer — the
 flight recorder you read *after* the latency spike, without having had
-per-query logging on.
+per-query logging on.  A threshold that is not a number raises
+:class:`~repro.errors.QueryError` naming it.
 
 Only traced queries can be captured (the log sees root spans, and
 unsampled queries never open one) — under sampling the log is a
@@ -15,10 +16,12 @@ when hunting a specific regression.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import deque
 from typing import Any
 
+from repro.errors import QueryError
 from repro.obs.trace import TRACER, Span
 
 __all__ = ["SlowQueryLog", "SLOW_LOG"]
@@ -37,9 +40,14 @@ def _env_threshold_ms() -> float:
     if not raw:
         return DEFAULT_THRESHOLD_MS
     try:
-        return max(float(raw), 0.0)
+        threshold = float(raw)
     except ValueError:
-        return DEFAULT_THRESHOLD_MS
+        threshold = math.nan
+    if math.isnan(threshold):  # "nan" parses, and no duration compares below it
+        raise QueryError(
+            f"{_ENV_THRESHOLD} must be a number of milliseconds, got {raw!r}"
+        )
+    return max(threshold, 0.0)
 
 
 class SlowQueryLog:

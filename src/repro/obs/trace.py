@@ -11,10 +11,13 @@ Sampling
 --------
 ``REPRO_TRACE_SAMPLE`` sets the root-span sampling rate: ``0`` (the
 default) disables tracing entirely, ``1`` traces every query, ``0.25``
-every fourth.  Sampling is a deterministic accumulator, not a RNG, so
-runs are reproducible.  When tracing is off, :meth:`Tracer.span`
-returns a shared no-op span and :meth:`Tracer.count` returns after two
-attribute lookups — the fast path allocates nothing.
+every fourth; a value that is not a number raises
+:class:`~repro.errors.QueryError` naming it, at import and from
+:meth:`Tracer.reload_env`.  Sampling is a deterministic accumulator,
+not a RNG, so runs are reproducible.  When tracing is off,
+:meth:`Tracer.span` returns a shared no-op span and
+:meth:`Tracer.count` returns after two attribute lookups — the fast
+path allocates nothing.
 
 Cross-process traces
 --------------------
@@ -28,10 +31,13 @@ matter how many processes it crossed.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from typing import Any, Callable, Iterator
+
+from repro.errors import QueryError
 
 __all__ = ["Span", "Tracer", "TRACER"]
 
@@ -50,7 +56,11 @@ def _env_sample_rate() -> float:
     try:
         rate = float(raw)
     except ValueError:
-        return 0.0
+        rate = math.nan
+    if math.isnan(rate):  # "nan" parses, and would slip through the clamp
+        raise QueryError(
+            f"{_ENV_SAMPLE} must be a number in [0, 1], got {raw!r}"
+        )
     return min(max(rate, 0.0), 1.0)
 
 

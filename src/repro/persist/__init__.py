@@ -20,8 +20,7 @@ payload primitives (checksums, bulk float arrays),
 :mod:`repro.persist.graphio` the cached graphs and version stamps,
 :mod:`repro.persist.store` the assembled snapshot, and
 :mod:`repro.persist.journal` the write-ahead mutation journal a
-durable database (``durable=`` / ``REPRO_JOURNAL``) appends to ahead
-of every mutation.
+durable database (``durable=``) appends to ahead of every mutation.
 """
 
 from repro.persist.codec import FORMAT_VERSION, MAGIC

@@ -59,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     save.add_argument(
         "--snap",
         type=float,
-        default=None,
-        help="graph-cache spatial-key quantum (default: REPRO_CACHE_SNAP)",
+        default=0.0,
+        help="graph-cache spatial-key quantum (default 0: exact keys)",
     )
     save.add_argument(
         "--cache-size",

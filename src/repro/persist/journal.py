@@ -1,14 +1,14 @@
 """Append-only write-ahead mutation journal.
 
 A durable :class:`~repro.core.engine.ObstacleDatabase` (opened with
-``durable=path`` or ``REPRO_JOURNAL``) appends every obstacle/entity
-mutation here *before* applying it, fsyncing each record.  Crash
+``durable=path``) appends every obstacle/entity mutation here *before*
+applying it, fsyncing each record.  Crash
 recovery is ``ObstacleDatabase.load(base, durable=journal)``: restore
 the base snapshot, replay the journal's records through the same
 index operations the live process used, and the result is
 bit-identical to a process that never crashed.  Compaction
 (``db.compact()``, or the size/ratio trigger — see
-:func:`compaction_thresholds`) folds the journal into a new base
+:meth:`MutationJournal.outgrew`) folds the journal into a new base
 snapshot through the existing durable atomic-rename path and then
 truncates the journal back to its header.
 
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,9 +96,11 @@ _CODES = {
 }
 _KINDS = {code: key for key, code in _CODES.items()}
 
-#: Default compaction triggers (see :func:`compaction_thresholds`).
-DEFAULT_COMPACT_BYTES = 1 << 16
-DEFAULT_COMPACT_RATIO = 2.0
+#: The auto-compaction trigger (see :meth:`MutationJournal.outgrew`):
+#: a floor on the journal's record bytes, and their ratio to the base
+#: snapshot's size.
+COMPACT_BYTES = 1 << 16
+COMPACT_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -211,55 +212,16 @@ def apply_record(db: "ObstacleDatabase", record: MutationRecord) -> None:
         db.delete_entity(record.set_name, record.point)
 
 
-def compaction_thresholds() -> tuple[int, float]:
-    """The auto-compaction trigger ``(min_bytes, ratio)`` from the env.
-
-    After each journaled mutation on an anchored database (one with a
-    base snapshot), the journal is folded into the base when its
-    record bytes reach ``max(min_bytes, ratio * base_size)`` —
-    ``REPRO_JOURNAL_COMPACT_BYTES`` (default ``65536``) and
-    ``REPRO_JOURNAL_COMPACT_RATIO`` (default ``2.0``).
-    """
-    raw_bytes = os.environ.get(
-        "REPRO_JOURNAL_COMPACT_BYTES", str(DEFAULT_COMPACT_BYTES)
-    )
-    raw_ratio = os.environ.get(
-        "REPRO_JOURNAL_COMPACT_RATIO", str(DEFAULT_COMPACT_RATIO)
-    )
-    try:
-        min_bytes = int(raw_bytes)
-    except ValueError:
+def _file_path(path: "str | os.PathLike[str]") -> str:
+    """``path`` as a string, refusing a directory: a journal is one
+    file, and ``open`` would fail on it without saying which argument
+    was wrong."""
+    name = os.fspath(path)
+    if os.path.isdir(name):
         raise DatasetError(
-            f"REPRO_JOURNAL_COMPACT_BYTES must be an integer, got {raw_bytes!r}"
-        ) from None
-    try:
-        ratio = float(raw_ratio)
-    except ValueError:
-        raise DatasetError(
-            f"REPRO_JOURNAL_COMPACT_RATIO must be a number, got {raw_ratio!r}"
-        ) from None
-    return min_bytes, ratio
-
-
-def resolve_journal_path(durable: "str | os.PathLike[str] | None") -> str | None:
-    """The journal file path for a ``durable=`` argument.
-
-    ``None`` falls back to ``REPRO_JOURNAL`` (empty/unset → not
-    durable).  A path naming an existing *directory* allocates a
-    unique ``*.journal`` file inside it — that is how a whole test
-    suite (the CI crash-recovery leg) can run journaled without the
-    databases clobbering one another; anything else is used verbatim
-    as the journal file path.
-    """
-    if durable is None:
-        durable = os.environ.get("REPRO_JOURNAL", "").strip() or None
-        if durable is None:
-            return None
-    path = os.fspath(durable)
-    if os.path.isdir(path):
-        fd, path = tempfile.mkstemp(dir=path, prefix="db-", suffix=".journal")
-        os.close(fd)
-    return path
+            f"{name}: durable= must name a journal file, not a directory"
+        )
+    return name
 
 
 class MutationJournal:
@@ -294,7 +256,7 @@ class MutationJournal:
         ``ObstacleDatabase.load(base, durable=path)`` or delete the
         file to discard it.
         """
-        name = os.fspath(path)
+        name = _file_path(path)
         existing = 0
         if os.path.exists(name) and os.path.getsize(name) >= JOURNAL_HEADER_SIZE:
             probe, records = cls.recover(name)
@@ -327,7 +289,7 @@ class MutationJournal:
         offset — and nothing is applied, because the caller only sees
         a fully decoded record list.
         """
-        name = os.fspath(path)
+        name = _file_path(path)
         if not os.path.exists(name):
             return cls.create(name), []
         with open(name, "rb") as fh:
@@ -442,6 +404,14 @@ class MutationJournal:
         """Bytes of framed records past the header — the compaction
         trigger input."""
         return self._size - JOURNAL_HEADER_SIZE
+
+    def outgrew(self, base_bytes: int) -> bool:
+        """Whether the journal is due for folding into a base snapshot
+        of ``base_bytes``: its record bytes have reached
+        ``max(COMPACT_BYTES, COMPACT_RATIO * base_bytes)``."""
+        return self.records_bytes >= max(
+            COMPACT_BYTES, COMPACT_RATIO * base_bytes
+        )
 
     @property
     def record_count(self) -> int:

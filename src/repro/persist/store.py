@@ -58,11 +58,7 @@ from repro.persist.codec import (
     write_snapshot,
 )
 from repro.persist.graphio import read_cache_entry, write_cache_entry
-from repro.persist.journal import (
-    MutationJournal,
-    apply_record,
-    resolve_journal_path,
-)
+from repro.persist.journal import MutationJournal, apply_record
 from repro.runtime.sharding import ShardGrid
 from repro.visibility.csr import install_frozen
 
@@ -168,21 +164,6 @@ def _read_frozen_csr(r: BinaryReader, entries, path: str) -> None:
         )
 
 
-def _include_cache_default() -> bool:
-    """Whether snapshots include the graph cache (warm start).
-
-    Governed by ``REPRO_SNAPSHOT_CACHE``: ``1`` (default) serializes
-    every cached visibility graph; ``0`` writes a cold snapshot
-    (structure and counters only).
-    """
-    raw = os.environ.get("REPRO_SNAPSHOT_CACHE", "1").strip()
-    if raw not in ("0", "1"):
-        raise DatasetError(
-            f"REPRO_SNAPSHOT_CACHE must be 0 or 1, got {raw!r}"
-        )
-    return raw == "1"
-
-
 def _resolve_ref(ref_path: str, snapshot_path: str) -> str | None:
     """Locate a referenced dataset file: the recorded path as-is
     (absolute, or relative to the loader's cwd), falling back to the
@@ -255,17 +236,15 @@ def save_database(
     path: str | Path,
     *,
     dataset_refs: Mapping[str, str | Path] | None = None,
-    include_cache: bool | None = None,
+    include_cache: bool = True,
 ) -> None:
     """Serialize ``db`` (structure, counters and warm cache) to ``path``.
 
     ``dataset_refs`` optionally records source dataset files by content
     hash — :func:`load_database` re-hashes and refuses drifted files.
-    ``include_cache=False`` (default from ``REPRO_SNAPSHOT_CACHE``)
-    drops the graph cache for a smaller, cold snapshot.
+    ``include_cache=False`` drops the graph cache for a smaller, cold
+    snapshot.
     """
-    if include_cache is None:
-        include_cache = _include_cache_default()
     state = db._snapshot_state()
     w = BinaryWriter()
     # -- configuration ----------------------------------------------------
@@ -360,19 +339,19 @@ def load_database(
     is assembled — a corrupt or drifted file raises
     :class:`~repro.errors.DatasetError` (naming the path and offset)
     and leaves no partial state behind.  ``backend`` picks the
-    visibility backend of the restored runtime (``None`` auto-picks,
+    visibility backend of the restored runtime (``None``: the default,
     exactly as the :class:`~repro.core.engine.ObstacleDatabase`
     constructor does); restored cached graphs are reassembled without
     sweeps either way.  ``cache_policy`` likewise selects the restored
-    runtime's cache policy (``None`` reads ``REPRO_CACHE_POLICY``) —
-    policy is runtime configuration, not snapshot state.
+    runtime's cache policy (``None``: static) — policy is runtime
+    configuration, not snapshot state.
 
-    ``durable`` (``None`` reads ``REPRO_JOURNAL``) names the
-    write-ahead mutation journal to recover: its longest durable
-    record prefix is replayed over the restored state through the same
-    index operations the crashed process used, then the journal stays
-    attached and anchored to ``path`` — the recovered database answers
-    bit-identically to one that never crashed, and keeps journaling.
+    ``durable`` names the write-ahead mutation journal file to recover
+    (``None``: not durable): its longest durable record prefix is
+    replayed over the restored state through the same index operations
+    the crashed process used, then the journal stays attached and
+    anchored to ``path`` — the recovered database answers bit-identically
+    to one that never crashed, and keeps journaling.
     """
     from repro.core.engine import ObstacleDatabase
 
@@ -510,9 +489,8 @@ def load_database(
     # Records at or below the stamp are already in the base — the
     # crash interrupted a compaction after the base rewrite but before
     # the journal truncation — so the truncation is completed instead.
-    journal_path = resolve_journal_path(durable)
-    if journal_path is not None:
-        journal, entries = MutationJournal.recover(journal_path)
+    if durable is not None:
+        journal, entries = MutationJournal.recover(durable)
         fresh = [record for seq, record in entries if seq > base_seq]
         if entries and not fresh:
             journal.reset()

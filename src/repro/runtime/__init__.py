@@ -20,25 +20,21 @@ graph.  This package owns that machinery once, instead of per query:
 * :mod:`~repro.runtime.batch` — batch entry points amortizing one
   context across many query points;
 * :mod:`~repro.runtime.executor` — the parallel batch engine: a
-  worker pool (``REPRO_BATCH_WORKERS`` / ``REPRO_BATCH_MODE``)
-  evaluating independent query points over per-worker contexts;
+  per-batch forked worker pool (``workers=``) evaluating independent
+  query points over per-worker contexts;
 * :mod:`~repro.runtime.sharding` — the spatial shard grid and the
   per-shard version stamps backing
   :class:`~repro.core.source.ShardedObstacleIndex`;
 * :mod:`~repro.runtime.policy` — cache tuning policies: the static
   default and :class:`~repro.runtime.policy.AdaptiveCachePolicy`,
   which learns the snap quantum and LRU capacity from the observed
-  centre stream (``REPRO_CACHE_POLICY=adaptive``).
+  centre stream (``cache_policy="adaptive"``).
 """
 
 from repro.runtime.batch import batch_distance, batch_nearest, batch_range
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.runtime.context import QueryContext
-from repro.runtime.executor import (
-    BatchExecutor,
-    resolve_mode,
-    resolve_workers,
-)
+from repro.runtime.executor import BatchExecutor
 from repro.runtime.metric import (
     DistanceField,
     DistanceOracle,
@@ -93,8 +89,6 @@ __all__ = [
     "batch_range",
     "batch_distance",
     "BatchExecutor",
-    "resolve_workers",
-    "resolve_mode",
     "ShardGrid",
     "ShardVersionStamp",
     "best_first",

@@ -10,13 +10,13 @@ traffic — are answered from a per-batch memo without touching the
 trees at all.
 
 Because query points are independent given a frozen obstacle version,
-batches also parallelize: with ``workers >= 2`` (argument or the
-``REPRO_BATCH_WORKERS`` environment variable) the distinct query
+batches also parallelize: with ``workers >= 2`` the distinct query
 points are fanned out over a
-:class:`~repro.runtime.executor.BatchExecutor` worker pool — one
-private context per worker, per-worker stats merged on join, result
-order preserved, and the duplicate-point memo applied up front (each
-distinct point is evaluated exactly once in either path).
+:class:`~repro.runtime.executor.BatchExecutor` worker pool forked for
+the batch — one private context per worker, per-worker stats merged on
+join, result order preserved, and the duplicate-point memo applied up
+front (each distinct point is evaluated exactly once in either path).
+Where the platform cannot fork, the batch runs sequentially.
 
 Every batch snapshots the obstacle version on entry and verifies it
 before returning: a mid-batch obstacle mutation raises
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from repro.errors import DatasetError
 from repro.geometry.point import Point
 from repro.index.rstar import RStarTree
-from repro.runtime.executor import BatchExecutor
+from repro.runtime.executor import BatchExecutor, fork_available
 from repro.runtime.metric import DistanceOracle
 from repro.runtime.queries import metric_nearest, metric_range
 
@@ -94,8 +94,7 @@ def _run_batch(
     queries: Iterable[Point],
     evaluate: Callable[[DistanceOracle, Point], R],
     *,
-    workers: int | None,
-    mode: str | None,
+    workers: int,
     tree: RStarTree | None = None,
     pool=None,
     pool_command: tuple | None = None,
@@ -105,7 +104,7 @@ def _run_batch(
     Duplicate query points are evaluated once and fanned back out to
     every occurrence (booked as ``batch_memo_hits``); distinct points
     run either through the caller's shared metric (sequential), a
-    per-batch worker pool of spawned metrics, or — when the caller
+    per-batch forked pool of spawned metrics, or — when the caller
     hands in a :class:`~repro.serve.pool.PersistentWorkerPool` with
     the matching ``pool_command`` — the long-lived warm worker pool.
     ``tree`` names the entity tree whose fork-worker page counters
@@ -116,19 +115,15 @@ def _run_batch(
     stats = _memo_stats(metric)
     distinct, order = _dedupe(queries, stats)
 
-    executor = BatchExecutor(workers, mode)
-    if executor.parallel and len(distinct) > 1 and pool is not None:
+    fan_out = workers > 1 and len(distinct) > 1
+    if fan_out and pool is not None:
         evaluated = pool.run_batch(pool_command, distinct)
         if stats is not None:
             stats.parallel_batches += 1
             stats.pool_batches += 1
-    elif (
-        executor.parallel
-        and len(distinct) > 1
-        and hasattr(metric, "spawn")
-    ):
+    elif fan_out and hasattr(metric, "spawn") and fork_available():
         trees = [tree] if tree is not None else None
-        evaluated = executor.run(
+        evaluated = BatchExecutor(workers).run(
             metric, distinct, evaluate, stats=stats, trees=trees
         )
         if stats is not None:
@@ -146,8 +141,7 @@ def batch_nearest(
     k: int = 1,
     *,
     prune_bound: bool = True,
-    workers: int | None = None,
-    mode: str | None = None,
+    workers: int = 0,
     pool=None,
     pool_command: tuple | None = None,
 ) -> list[list[tuple[Point, float]]]:
@@ -170,7 +164,6 @@ def batch_nearest(
         queries,
         evaluate,
         workers=workers,
-        mode=mode,
         tree=tree,
         pool=pool,
         pool_command=pool_command,
@@ -184,8 +177,7 @@ def batch_range(
     queries: Iterable[Point],
     e: float,
     *,
-    workers: int | None = None,
-    mode: str | None = None,
+    workers: int = 0,
     pool=None,
     pool_command: tuple | None = None,
 ) -> list[list[tuple[Point, float]]]:
@@ -205,7 +197,6 @@ def batch_range(
         queries,
         evaluate,
         workers=workers,
-        mode=mode,
         tree=tree,
         pool=pool,
         pool_command=pool_command,

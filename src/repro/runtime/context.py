@@ -79,19 +79,17 @@ class QueryContext:
     backend:
         The visibility backend every graph built by this context uses
         (a name — ``"python-sweep"``, ``"numpy-kernel"``, ``"naive"``
-        — or an instance).  ``None`` auto-picks: the
-        ``REPRO_VISIBILITY_BACKEND`` environment variable when set,
-        else the numpy kernel.  The resolved backend shares this
-        context's stats, so ``sweeps_run`` / ``sweep_events`` /
-        ``sweep_seconds`` account all sweep work.
+        — or an instance).  ``None`` is the numpy kernel.  The
+        resolved backend shares this context's stats, so
+        ``sweeps_run`` / ``sweep_events`` / ``sweep_seconds`` account
+        all sweep work.
     policy:
         The cache policy (a name — ``"static"``, ``"adaptive"`` — or a
         :class:`~repro.runtime.policy.CachePolicy` instance).  ``None``
-        reads ``REPRO_CACHE_POLICY``, defaulting to static.  The
-        adaptive policy observes every lookup centre and retunes the
-        cache's snap quantum / capacity online; answers are
-        bit-identical under any policy (reuse stays behind the
-        coverage guard — the policy only moves keys and capacity).
+        is static.  The adaptive policy observes every lookup centre
+        and retunes the cache's snap quantum / capacity online;
+        answers are bit-identical under any policy (reuse stays behind
+        the coverage guard — the policy only moves keys and capacity).
     """
 
     def __init__(

@@ -10,88 +10,47 @@ concurrently, and merge the worker stats into the parent context on
 join.  Result order is preserved by reassembling chunks by offset.
 
 Worker count
-    ``workers`` argument, else the ``REPRO_BATCH_WORKERS`` environment
-    variable, else 0.  Values of 0 or 1 mean sequential execution —
-    the batch entry points in :mod:`repro.runtime.batch` keep their
-    single-context fast path and never construct an executor pool.
+    The ``workers`` argument of the batch entry points.  Values of 0
+    or 1 mean sequential execution — the batch entry points in
+    :mod:`repro.runtime.batch` keep their single-context fast path and
+    never construct an executor pool.
 
-Execution mode
-    ``mode`` argument, else ``REPRO_BATCH_MODE``, else ``auto``:
-
-    ``fork``
-        One OS process per worker (``multiprocessing`` fork context).
-        CPython's GIL serializes the pure-python sweep/Dijkstra work
-        that dominates obstructed queries, so true wall-clock speedup
-        needs processes.  The pool is forked per batch, so children
-        see the parent's current trees copy-on-write and nothing needs
-        pickling except the results and the per-worker stats
-        snapshots.  Per-tree simulated page counters ticked inside the
-        children are shipped back as name-keyed deltas alongside the
-        runtime stats and added onto the parent's trees on join, so
-        page-access benchmarks account fork-mode work exactly like
-        sequential work.
-    ``thread``
-        A ``ThreadPoolExecutor``.  Shares all counters and buffers and
-        has no fork cost, but only overlaps work while the GIL is
-        released — useful mainly where fork is unavailable.
-    ``auto``
-        ``fork`` where the platform supports it, else ``thread``.
+Fork per batch
+    One OS process per worker (``multiprocessing`` fork context):
+    CPython's GIL serializes the pure-python sweep/Dijkstra work that
+    dominates obstructed queries, so wall-clock speedup needs
+    processes.  The pool is forked per batch, so children see the
+    parent's current trees copy-on-write and nothing needs pickling
+    except the results and the per-worker stats snapshots.  Per-tree
+    simulated page counters ticked inside the children are shipped
+    back as name-keyed deltas alongside the runtime stats and added
+    onto the parent's trees on join, so page-access benchmarks account
+    forked work exactly like sequential work.  Where the platform has
+    no fork start method the batch entry points run sequentially.
 
 Pool kind
-    Orthogonal to the mode: ``REPRO_BATCH_POOL`` (or the ``pool=``
-    argument of the :class:`~repro.core.engine.ObstacleDatabase` batch
-    methods) selects between ``fork`` — this module's fork/thread
-    per-batch pool — and ``persistent``, the long-lived
-    snapshot-warm-started worker pool of :mod:`repro.serve.pool` that
-    amortizes fork and cold-graph-build cost across batches.  The
-    free-standing batch functions always use the per-batch pool; the
-    persistent kind is engaged by the database facade, which owns the
-    pool's lifecycle.
+    The ``pool=`` argument of the
+    :class:`~repro.core.engine.ObstacleDatabase` batch methods selects
+    between ``"fork"`` — this module's per-batch pool — and
+    ``"persistent"``, the long-lived snapshot-warm-started worker pool
+    of :mod:`repro.serve.pool` that amortizes fork and cold-graph-build
+    cost across batches.  The free-standing batch functions always use
+    the per-batch pool; the persistent kind is engaged by the database
+    facade, which owns the pool's lifecycle (and validates both
+    arguments).
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from repro.errors import QueryError
 from repro.obs.trace import TRACER
 from repro.runtime.stats import RuntimeStats
 
-#: Environment variable supplying the default worker count.
-WORKERS_ENV = "REPRO_BATCH_WORKERS"
-
-#: Environment variable supplying the default execution mode.
-MODE_ENV = "REPRO_BATCH_MODE"
-
-#: Environment variable supplying the default batch pool kind.
-POOL_ENV = "REPRO_BATCH_POOL"
-
-_MODES = ("auto", "thread", "fork")
-
-_POOL_KINDS = ("fork", "persistent")
-
 Q = TypeVar("Q")
 R = TypeVar("R")
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """The effective worker count: argument, env, or 0 (sequential)."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 0
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise QueryError(
-                f"invalid {WORKERS_ENV}={raw!r}: expected an integer"
-            ) from None
-    if workers < 0:
-        raise QueryError(f"worker count must be >= 0, got {workers}")
-    return workers
 
 
 def fork_available() -> bool:
@@ -99,36 +58,6 @@ def fork_available() -> bool:
     import multiprocessing
 
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def resolve_mode(mode: str | None = None) -> str:
-    """The effective execution mode: argument, env, or ``auto``."""
-    if mode is None:
-        mode = os.environ.get(MODE_ENV, "").strip() or "auto"
-    if mode not in _MODES:
-        raise QueryError(
-            f"unknown batch mode {mode!r} (expected one of {_MODES})"
-        )
-    if mode == "auto":
-        return "fork" if fork_available() else "thread"
-    return mode
-
-
-def resolve_pool_kind(pool: str | None = None) -> str:
-    """The effective batch pool kind: argument, env, or ``fork``.
-
-    ``fork`` is the per-batch :class:`BatchExecutor` pool (the
-    historical behaviour); ``persistent`` routes database batches with
-    ``workers >= 2`` through the long-lived snapshot-warm-started
-    :class:`~repro.serve.pool.PersistentWorkerPool`.
-    """
-    if pool is None:
-        pool = os.environ.get(POOL_ENV, "").strip() or "fork"
-    if pool not in _POOL_KINDS:
-        raise QueryError(
-            f"unknown batch pool kind {pool!r} (expected one of {_POOL_KINDS})"
-        )
-    return pool
 
 
 def _chunk_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -159,7 +88,7 @@ class _ForkTask:
 
 _FORK_TASK: _ForkTask | None = None
 
-#: Serializes concurrent fork-mode batches in one process: the task
+#: Serializes concurrent forked batches in one process: the task
 #: state travels to the children through a module global set between
 #: lock acquisition and pool fork, so two parent threads forking at
 #: once would otherwise race on it (and oversubscribe the cores).
@@ -182,7 +111,7 @@ def _run_chunk_fork(chunk: tuple[int, int]):
 
 
 def _task_trees(metric, trees) -> list:
-    """The trees whose page counters a fork batch must account: the
+    """The trees whose page counters a forked batch must account: the
     caller-supplied ones (entity trees) plus every tree of the
     metric's obstacle source, deduplicated by name."""
     seen: dict[str, object] = {}
@@ -205,10 +134,10 @@ def _evaluate_chunk(
     trees: "Sequence | None" = None,
     trace: bool = False,
 ):
-    # In fork mode the children tick copy-on-write copies of the
-    # parent's page counters; snapshot a baseline so the reply can
-    # carry exact per-tree deltas for the parent to add back.  Thread
-    # mode passes trees=None: counters are shared, nothing is lost.
+    # Forked children tick copy-on-write copies of the parent's page
+    # counters; snapshot a baseline so the reply can carry exact
+    # per-tree deltas for the parent to add back.  A nested batch
+    # passes trees=None: it ticks the very counters its process tracks.
     baselines = None
     if trees:
         baselines = {
@@ -250,23 +179,14 @@ def _evaluate_chunk(
 class BatchExecutor:
     """A worker pool evaluating independent queries over spawned metrics.
 
-    The executor is construction-cheap: pools are created per
-    :meth:`run` call (fork mode *must* fork per batch so children see
-    the current obstacle trees).  ``workers <= 1`` executors report
-    :attr:`parallel` as ``False`` and refuse to run — callers keep
-    their sequential path, which shares one context and its memo.
+    The executor is construction-cheap: the pool is forked per
+    :meth:`run` call, so children see the current obstacle trees.
+    ``workers <= 1`` executors refuse to run — callers keep their
+    sequential path, which shares one context and its memo.
     """
 
-    def __init__(
-        self, workers: int | None = None, mode: str | None = None
-    ) -> None:
-        self.workers = resolve_workers(workers)
-        self.mode = resolve_mode(mode)
-
-    @property
-    def parallel(self) -> bool:
-        """True when this executor would actually fan out."""
-        return self.workers > 1
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
 
     def run(
         self,
@@ -283,25 +203,21 @@ class BatchExecutor:
         metric); each worker evaluates its chunk against its own spawn.
         Worker runtime stats are merged into ``stats`` when given.
         ``trees`` lists extra trees (beyond the metric's obstacle
-        source) whose simulated page counters fork workers must ship
-        back — in fork mode their deltas are added onto the parent's
-        counters on join.
+        source) whose simulated page counters the workers must ship
+        back — their deltas are added onto the parent's counters on
+        join.
         """
-        if not self.parallel:
+        if self.workers < 2:
             raise QueryError("BatchExecutor.run needs >= 2 workers")
         n = len(queries)
         chunks = _chunk_ranges(n, min(self.workers, n))
-        tracked = _task_trees(metric, trees) if self.mode == "fork" else []
+        tracked = _task_trees(metric, trees)
         # The sampling decision is the parent's: when a span is open
         # here, every worker traces its chunk and the subtrees are
         # grafted back below (one merged tree per batch).
-        trace = TRACER.tracing()
-        if self.mode == "fork":
-            parts = self._run_fork(
-                metric, queries, evaluate, chunks, tracked, trace
-            )
-        else:
-            parts = self._run_thread(metric, queries, evaluate, chunks, trace)
+        parts = self._run_fork(
+            metric, queries, evaluate, chunks, tracked, TRACER.tracing()
+        )
         by_name = {tree.name: tree for tree in tracked}
         results: list[R] = [None] * n  # type: ignore[list-item]
         for start, chunk_results, worker_stats, worker_pages, span_doc in parts:
@@ -316,30 +232,20 @@ class BatchExecutor:
             TRACER.graft(span_doc)
         return results
 
-    def _run_thread(self, metric, queries, evaluate, chunks, trace=False):
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(
-                    _evaluate_chunk,
-                    metric,
-                    queries,
-                    evaluate,
-                    chunk,
-                    trace=trace,
-                )
-                for chunk in chunks
-            ]
-            return [f.result() for f in futures]
-
-    def _run_fork(self, metric, queries, evaluate, chunks, trees, trace=False):
+    def _run_fork(self, metric, queries, evaluate, chunks, trees, trace):
         import multiprocessing
 
         global _FORK_TASK
         if _FORK_TASK is not None:  # pragma: no cover - nested batches
             # A forked child running a batch of its own must not
             # re-fork over the parent's task state (children are born
-            # with _FORK_TASK set, and never touch the lock).
-            return self._run_thread(metric, queries, evaluate, chunks, trace)
+            # with _FORK_TASK set, and never touch the lock): it
+            # evaluates the chunks itself, ticking counters and spans
+            # its own reply already carries.
+            return [
+                _evaluate_chunk(metric, queries, evaluate, chunk)
+                for chunk in chunks
+            ]
         with _FORK_LOCK:
             _FORK_TASK = _ForkTask(metric, queries, evaluate, trees, trace)
             try:
@@ -350,4 +256,4 @@ class BatchExecutor:
                 _FORK_TASK = None
 
     def __repr__(self) -> str:
-        return f"BatchExecutor(workers={self.workers}, mode={self.mode!r})"
+        return f"BatchExecutor(workers={self.workers})"

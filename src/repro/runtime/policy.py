@@ -47,7 +47,6 @@ what the policy did and when.
 
 from __future__ import annotations
 
-import os
 from statistics import median
 from typing import TYPE_CHECKING
 
@@ -57,11 +56,6 @@ from repro.obs.trace import TRACER
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.runtime.cache import VisibilityGraphCache
     from repro.runtime.stats import RuntimeStats
-
-#: Environment knob selecting the policy for every
-#: :class:`~repro.core.engine.ObstacleDatabase` that is not given one
-#: explicitly.
-POLICY_ENV = "REPRO_CACHE_POLICY"
 
 
 class CachePolicy:
@@ -303,8 +297,7 @@ def resolve_cache_policy(
 ) -> CachePolicy:
     """The policy instance ``spec`` names.
 
-    ``None`` reads the ``REPRO_CACHE_POLICY`` environment variable
-    (empty/unset = static); a string is looked up by name; a
+    ``None`` is the static policy; a string is looked up by name; a
     :class:`CachePolicy` instance passes through unchanged.  Unknown
     names raise :class:`~repro.errors.DatasetError` naming the valid
     choices — fail fast, not fall back.
@@ -312,13 +305,12 @@ def resolve_cache_policy(
     if isinstance(spec, CachePolicy):
         return spec
     if spec is None:
-        spec = os.environ.get(POLICY_ENV, "") or "static"
+        spec = "static"
     try:
         factory = _POLICIES[spec]
     except KeyError:
         raise DatasetError(
             f"unknown cache policy {spec!r}: expected one of "
-            f"{', '.join(sorted(_POLICIES))} (set {POLICY_ENV} or pass "
-            f"cache_policy=)"
+            f"{', '.join(sorted(_POLICIES))}"
         ) from None
     return factory()

@@ -8,7 +8,7 @@ Three layers, composable but independently usable:
     warm-started from a snapshot (zero cold graph builds for covered
     centres), kept current by a replayable mutation-delta feed, and
     reused across batches.  Engaged by the database batch methods via
-    ``pool="persistent"`` / ``REPRO_BATCH_POOL=persistent``.
+    ``pool="persistent"``.
 
 :mod:`repro.serve.server`
     :class:`QueryServer` — an asyncio front-end coalescing concurrent

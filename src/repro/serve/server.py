@@ -71,11 +71,11 @@ class QueryServer:
     ----------
     db:
         The database to serve.
-    workers, mode, pool:
+    workers, pool:
         Forwarded to the database batch methods per microbatch —
-        ``pool="persistent"`` (or ``REPRO_BATCH_POOL=persistent``)
-        with ``workers >= 2`` serves batches from the warm persistent
-        pool.  ``workers=None`` defers to ``REPRO_BATCH_WORKERS``.
+        ``pool="persistent"`` with ``workers >= 2`` serves batches
+        from the warm persistent pool.  ``workers=None`` is
+        sequential.
     max_batch:
         The most requests one microbatch holds (default 64); a deeper
         backlog of one key is served as several batches.
@@ -91,7 +91,6 @@ class QueryServer:
         db,
         *,
         workers: int | None = None,
-        mode: str | None = None,
         pool: str | None = None,
         max_batch: int = 64,
     ) -> None:
@@ -99,7 +98,6 @@ class QueryServer:
             raise QueryError(f"max_batch must be >= 1, got {max_batch}")
         self._db = db
         self._workers = workers
-        self._mode = mode
         self._pool = pool
         self.max_batch = max_batch
         self.stats = ServeStats(db.context.stats)
@@ -251,14 +249,10 @@ class QueryServer:
             )
             if kind == "nearest":
                 __, set_name, k = batch.key
-                return self._db.batch_nearest(
-                    set_name, items, k, mode=self._mode, **routing
-                )
+                return self._db.batch_nearest(set_name, items, k, **routing)
             if kind == "range":
                 __, set_name, e = batch.key
-                return self._db.batch_range(
-                    set_name, items, e, mode=self._mode, **routing
-                )
+                return self._db.batch_range(set_name, items, e, **routing)
             if kind == "distance":
                 return self._db.batch_distance(items, **routing)
             raise QueryError(f"unknown request kind {kind!r}")

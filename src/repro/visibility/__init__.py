@@ -21,7 +21,6 @@ from repro.visibility.graph import VisibilityGraph
 from repro.visibility.kernel.backend import (
     VisibilityBackend,
     available_backends,
-    default_backend_name,
     resolve_backend,
 )
 from repro.visibility.naive import is_visible, naive_visible_from
@@ -40,7 +39,6 @@ __all__ = [
     "VisibilityBackend",
     "VisibilityGraph",
     "available_backends",
-    "default_backend_name",
     "event_angle",
     "event_sort_key",
     "is_visible",

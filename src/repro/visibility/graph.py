@@ -48,8 +48,7 @@ class VisibilityGraph:
     boundaries do not cross each other (disjoint interiors — the
     paper's standing assumption).  ``"naive"`` is the exact pairwise
     oracle, slower but valid even for overlapping obstacles.  ``None``
-    auto-picks (env ``REPRO_VISIBILITY_BACKEND``, else the numpy
-    kernel).
+    is the numpy kernel.
     """
 
     __slots__ = (

@@ -21,29 +21,25 @@ array kernels:
 * :mod:`~repro.visibility.kernel.backend` — the pluggable
   :class:`~repro.visibility.kernel.backend.VisibilityBackend` protocol
   and the named implementations (``python-sweep``, ``numpy-kernel``,
-  ``naive``) with env/auto selection.
+  ``naive``), selected by name.
 """
 
 from repro.visibility.kernel.backend import (
-    AUTO_BACKEND_ENV,
     NaiveBackend,
     NumpyKernelBackend,
     PythonSweepBackend,
     VisibilityBackend,
     available_backends,
-    default_backend_name,
     resolve_backend,
 )
 from repro.visibility.kernel.packed import PackedScene
 
 __all__ = [
-    "AUTO_BACKEND_ENV",
     "NaiveBackend",
     "NumpyKernelBackend",
     "PackedScene",
     "PythonSweepBackend",
     "VisibilityBackend",
     "available_backends",
-    "default_backend_name",
     "resolve_backend",
 ]

@@ -22,8 +22,7 @@ exist:
 Selection: pass a name (or a backend instance) to
 :class:`~repro.visibility.graph.VisibilityGraph`,
 :class:`~repro.runtime.context.QueryContext` or
-:class:`~repro.core.engine.ObstacleDatabase`; ``None`` auto-picks the
-``REPRO_VISIBILITY_BACKEND`` environment variable when set, otherwise
+:class:`~repro.core.engine.ObstacleDatabase`; ``None`` is
 ``numpy-kernel``.
 
 Backends carry an optional :class:`~repro.runtime.stats.RuntimeStats`
@@ -33,7 +32,6 @@ reference and tick the per-backend sweep counters (``sweeps_run``,
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Protocol, Sequence, TYPE_CHECKING, runtime_checkable
 
@@ -44,9 +42,6 @@ from repro.obs.trace import TRACER
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.stats import RuntimeStats
     from repro.visibility.graph import VisibilityGraph
-
-#: Environment variable overriding the auto-picked backend.
-AUTO_BACKEND_ENV = "REPRO_VISIBILITY_BACKEND"
 
 
 @runtime_checkable
@@ -182,28 +177,15 @@ def available_backends() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def default_backend_name() -> str:
-    """The auto-picked backend: env override, else the numpy kernel."""
-    env = os.environ.get(AUTO_BACKEND_ENV)
-    if env:
-        name = _ALIASES.get(env, env)
-        if name not in _REGISTRY:
-            raise QueryError(
-                f"unknown visibility backend {env!r} in "
-                f"{AUTO_BACKEND_ENV} (expected one of {available_backends()})"
-            )
-        return name
-    return NumpyKernelBackend.name
-
-
 def resolve_backend(
     spec: "str | VisibilityBackend | None" = None,
     *,
     stats: "RuntimeStats | None" = None,
 ) -> VisibilityBackend:
-    """A backend instance from a name, an instance, or ``None`` (auto)."""
+    """A backend instance from a name, an instance, or ``None`` (the
+    numpy kernel)."""
     if spec is None:
-        spec = default_backend_name()
+        spec = NumpyKernelBackend.name
     if isinstance(spec, str):
         name = _ALIASES.get(spec, spec)
         cls = _REGISTRY.get(name)

@@ -92,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument(
         "--policy",
-        default=None,
-        help="cache policy (static | adaptive; default: REPRO_CACHE_POLICY)",
+        default="static",
+        help="cache policy (static | adaptive; default static)",
     )
     rep.add_argument(
         "--cache-size", type=int, default=64, help="LRU capacity (default 64)"

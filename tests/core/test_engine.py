@@ -43,11 +43,6 @@ class TestDatasets:
         with pytest.raises(DatasetError):
             ObstacleDatabase(["wall"])
 
-    def test_malformed_cache_snap_env_raises_dataset_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_SNAP", "banana")
-        with pytest.raises(DatasetError, match="REPRO_CACHE_SNAP"):
-            ObstacleDatabase([Rect(0, 0, 1, 1)])
-
     def test_obstacle_ids_reassigned_globally(self):
         db = ObstacleDatabase([Rect(0, 0, 1, 1)])
         db.add_obstacle_set("more", [Rect(5, 5, 6, 6)])

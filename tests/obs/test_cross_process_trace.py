@@ -100,15 +100,15 @@ class TestPersistentPool:
 
 
 class TestBatchExecutor:
-    def test_traced_thread_batch_merges_worker_spans(self, db, traced):
+    def test_traced_fork_batch_merges_worker_spans(self, db, traced):
+        from repro.runtime.executor import fork_available
+
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
         traced.configure(0.0)
-        baseline = db.batch_nearest(
-            "pois", QUERIES, 2, workers=2, mode="thread", pool="fork"
-        )
+        baseline = db.batch_nearest("pois", QUERIES, 2, workers=2, pool="fork")
         traced.configure(1.0)
-        answers = db.batch_nearest(
-            "pois", QUERIES, 2, workers=2, mode="thread", pool="fork"
-        )
+        answers = db.batch_nearest("pois", QUERIES, 2, workers=2, pool="fork")
         assert answers == baseline
         root = traced.last_root
         assert root is not None and root.name == "query.batch_nearest"
@@ -119,24 +119,6 @@ class TestBatchExecutor:
         )
         assert covered[0][0] == 0
         assert covered[-1][1] == len(QUERIES)
-
-    def test_traced_fork_batch_merges_worker_spans(self, db, traced):
-        from repro.runtime.executor import fork_available
-
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        traced.configure(0.0)
-        baseline = db.batch_nearest(
-            "pois", QUERIES, 2, workers=2, mode="fork", pool="fork"
-        )
-        traced.configure(1.0)
-        answers = db.batch_nearest(
-            "pois", QUERIES, 2, workers=2, mode="fork", pool="fork"
-        )
-        assert answers == baseline
-        root = traced.last_root
-        workers = [s for s in root.walk() if s.name == "batch.worker"]
-        assert workers
         # Fork workers run cold private contexts: their subtrees must
         # carry real work (spans or counters), proving the payload
         # crossed the process boundary, not just the span shell.

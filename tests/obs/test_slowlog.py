@@ -6,6 +6,9 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
+
+from repro.errors import ReproError
 from repro.obs.slowlog import SLOW_LOG, SlowQueryLog
 from repro.obs.trace import TRACER, Tracer
 
@@ -72,10 +75,16 @@ class TestEnvironment:
     def test_threshold_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "250")
         assert SlowQueryLog().threshold_ms == 250.0
-        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "junk")
-        assert SlowQueryLog().threshold_ms == 100.0
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "-5")
+        assert SlowQueryLog().threshold_ms == 0.0
         monkeypatch.delenv("REPRO_SLOW_QUERY_MS")
         assert SlowQueryLog().threshold_ms == 100.0
+
+    @pytest.mark.parametrize("raw", ["banana", "nan"])
+    def test_malformed_threshold_is_a_located_error(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", raw)
+        with pytest.raises(ReproError, match=f"REPRO_SLOW_QUERY_MS.*{raw!r}"):
+            SlowQueryLog()
 
 
 class TestGlobalWiring:

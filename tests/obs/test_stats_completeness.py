@@ -101,7 +101,7 @@ class TestWorkerReplyPaths:
     def test_fork_executor_reply_merges_cleanly(self, db):
         queries = [Point(0.0, 0.0), Point(30.0, 30.0)]
         results = db.batch_nearest(
-            "pois", queries, 1, workers=2, mode="thread", pool="fork"
+            "pois", queries, 1, workers=2, pool="fork"
         )
         assert len(results) == len(queries)
         assert db.runtime_stats()["parallel_batches"] == 1

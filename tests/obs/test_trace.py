@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.trace import MAX_CHILDREN, NULL_SPAN, Span, Tracer
+from repro.errors import ReproError
+from repro.obs.trace import MAX_CHILDREN, NULL_SPAN, TRACER, Span, Tracer
 
 
 @pytest.fixture
@@ -38,8 +39,16 @@ class TestDisabledFastPath:
         assert Tracer().sample_rate == 1.0
         monkeypatch.setenv("REPRO_TRACE_SAMPLE", "-2")
         assert Tracer().sample_rate == 0.0
-        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "bogus")
-        assert Tracer().sample_rate == 0.0
+
+    @pytest.mark.parametrize("raw", ["banana", "nan", "0.5x"])
+    def test_env_malformed_is_a_located_error(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", raw)
+        with pytest.raises(ReproError, match=f"REPRO_TRACE_SAMPLE.*{raw!r}"):
+            Tracer()
+        before = TRACER.sample_rate
+        with pytest.raises(ReproError, match=f"REPRO_TRACE_SAMPLE.*{raw!r}"):
+            TRACER.reload_env()
+        assert TRACER.sample_rate == before
 
 
 class TestSampling:

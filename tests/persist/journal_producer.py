@@ -2,8 +2,9 @@
 
 Builds a fixed, seeded *durable* database, anchors a base snapshot,
 then applies an endless deterministic mutation stream — run as
-``python -m tests.persist.journal_producer BASE.snap DB.journal`` from
-the repo root.  The consumer test SIGKILLs it mid-stream and recovers
+``python -m tests.persist.journal_producer BASE.snap DB.journal
+COMPACT_BYTES`` from the repo root (the last argument is the
+auto-compaction floor the producer runs with).  The consumer test SIGKILLs it mid-stream and recovers
 with ``ObstacleDatabase.load(BASE, durable=JOURNAL)``; because the
 stream is fully deterministic, the recovered database must equal an
 in-process twin that applied exactly the first *n* mutations, where
@@ -22,6 +23,7 @@ from typing import Iterator
 from repro.core.engine import ObstacleDatabase
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.persist import journal as journal_module
 
 from tests.conftest import random_disjoint_rects, random_free_points
 
@@ -124,13 +126,14 @@ def replay_prefix(db: ObstacleDatabase, count: int) -> None:
 
 def main(argv: list[str]) -> int:
     """Build the durable database, anchor the base, mutate forever."""
-    if len(argv) != 2:
+    if len(argv) != 3:
         print(
             "usage: python -m tests.persist.journal_producer "
-            "BASE.snap DB.journal"
+            "BASE.snap DB.journal COMPACT_BYTES"
         )
         return 2
-    base, journal = argv
+    base, journal, compact_bytes = argv
+    journal_module.COMPACT_BYTES = int(compact_bytes)
     db = build_db(journal)
     db.save(base)
     obstacle_log: list = []

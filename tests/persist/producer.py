@@ -2,8 +2,8 @@
 
 Builds a fixed, seeded database, warms its cache, and saves it — run
 as ``python -m tests.persist.producer OUT.snap`` from the repo root
-(CI runs it in a separate process, then the tier-1 suite loads the
-file via ``REPRO_SNAPSHOT_FILE``).  :func:`build_db` is also imported
+(the consumer tests run it in a child interpreter and load the file
+themselves).  :func:`build_db` is also imported
 by the consumer tests to recreate the identical database in-process
 and compare answers, which is sound because the construction is fully
 deterministic (seeded RNG, no hash-salted types in any ordering).

@@ -281,18 +281,17 @@ class TestCompaction:
         recovered = ObstacleDatabase.load(base, durable=journal_path)
         assert run_probes(recovered) == answers
 
-    def test_compact_requires_anchor(self, tmp_path, monkeypatch):
+    def test_compact_requires_anchor(self, tmp_path):
         db = build_durable(tmp_path / "db.journal")
         with pytest.raises(DatasetError, match="call save"):
             db.compact()
-        monkeypatch.delenv("REPRO_JOURNAL", raising=False)
         plain = ObstacleDatabase([Rect(1.0, 1.0, 2.0, 2.0)])
         with pytest.raises(DatasetError, match="durable"):
             plain.compact()
 
     def test_auto_compaction_trigger(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL_COMPACT_BYTES", "1")
-        monkeypatch.setenv("REPRO_JOURNAL_COMPACT_RATIO", "0")
+        monkeypatch.setattr("repro.persist.journal.COMPACT_BYTES", 1)
+        monkeypatch.setattr("repro.persist.journal.COMPACT_RATIO", 0.0)
         journal_path = tmp_path / "db.journal"
         base = tmp_path / "base.snap"
         db = build_durable(journal_path)
@@ -369,19 +368,29 @@ class TestDurabilityGuards:
         assert db.journal.record_count == 0
         db.journal.close()
 
-    def test_env_directory_allocates_unique_journals(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL", str(tmp_path))
-        a = ObstacleDatabase([Rect(1.0, 1.0, 2.0, 2.0)])
-        b = ObstacleDatabase([Rect(1.0, 1.0, 2.0, 2.0)])
-        assert a.journal is not None and b.journal is not None
-        assert a.journal.path != b.journal.path
-        a.insert_obstacle(Rect(4.0, 4.0, 5.0, 5.0))
-        assert a.journal.record_count == 1
-        assert b.journal.record_count == 0
-        a.journal.close()
-        b.journal.close()
+    def test_durable_directory_is_a_located_error(self, tmp_path):
+        """``durable=`` names one journal file; a directory is refused
+        by name, by the constructor and by ``load`` alike, instead of
+        failing inside ``open``."""
+        with pytest.raises(DatasetError, match=str(tmp_path)):
+            ObstacleDatabase([Rect(1.0, 1.0, 2.0, 2.0)], durable=tmp_path)
+        base = tmp_path / "base.snap"
+        ObstacleDatabase([Rect(1.0, 1.0, 2.0, 2.0)]).save(base)
+        with pytest.raises(DatasetError, match=str(tmp_path)):
+            ObstacleDatabase.load(base, durable=tmp_path)
+        assert list(tmp_path.iterdir()) == [base]  # nothing allocated
 
-    def test_not_durable_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOURNAL", raising=False)
+    def test_default_compaction_trigger(self):
+        """Unpatched, the trigger is max(65536, 2.0 x base size)."""
+
+        def holding(record_bytes):
+            size = JOURNAL_HEADER_SIZE + record_bytes
+            return MutationJournal("unopened", None, size=size, records=1)
+
+        assert not holding(65535).outgrew(0)
+        assert holding(65536).outgrew(0) and holding(65536).outgrew(32768)
+        assert not holding(65536).outgrew(32769)
+
+    def test_not_durable_by_default(self):
         db = ObstacleDatabase([Rect(1.0, 1.0, 2.0, 2.0)])
         assert db.journal is None

@@ -47,8 +47,6 @@ def _spawn_producer(base, journal) -> subprocess.Popen:
     env["PYTHONPATH"] = (
         os.path.join(REPO_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
-    env["REPRO_JOURNAL_COMPACT_BYTES"] = CHILD_COMPACT_BYTES
-    env.pop("REPRO_JOURNAL", None)  # the explicit durable= path rules
     return subprocess.Popen(
         [
             sys.executable,
@@ -56,6 +54,7 @@ def _spawn_producer(base, journal) -> subprocess.Popen:
             "tests.persist.journal_producer",
             str(base),
             str(journal),
+            CHILD_COMPACT_BYTES,
         ],
         cwd=REPO_ROOT,
         env=env,

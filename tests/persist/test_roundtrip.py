@@ -212,22 +212,6 @@ def test_cold_snapshot_excludes_cache(tmp_path):
     assert loaded.runtime_stats()["graph_builds"] > 0
 
 
-def test_cache_knob_via_environment(tmp_path, monkeypatch):
-    """REPRO_SNAPSHOT_CACHE=0 defaults saves to cold snapshots."""
-    db = ObstacleDatabase([Rect(3.0, 3.0, 6.0, 7.0)])
-    db.add_entity_set("P", [Point(1.0, 1.0)])
-    db.nearest("P", Point(5.0, 1.0), 1)
-    path = os.path.join(str(tmp_path), "cold.snap")
-    monkeypatch.setenv("REPRO_SNAPSHOT_CACHE", "0")
-    db.save(path)
-    assert len(ObstacleDatabase.load(path).context.cache) == 0
-    monkeypatch.setenv("REPRO_SNAPSHOT_CACHE", "2")
-    from repro.errors import DatasetError
-
-    with pytest.raises(DatasetError, match="REPRO_SNAPSHOT_CACHE"):
-        db.save(path)
-
-
 def test_runtime_counters_roundtrip(tmp_path):
     """Format 2 carries the runtime counters: a restored database
     reports exactly the values it was saved with (except ``backend``,

@@ -119,27 +119,30 @@ def test_field_reuse_after_load(tmp_path):
     assert loaded.runtime_stats()["graph_builds"] == saved_builds
 
 
+def _produce_in_child(path) -> None:
+    """Run ``python -m tests.persist.producer`` in a child interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        os.path.join(REPO_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "tests.persist.producer", str(path)],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestCrossProcess:
     def test_subprocess_saved_snapshot_loads_here(self, tmp_path):
         """Save in one process, load in another: the producer module
         writes the snapshot in a child interpreter; this process
         restores it and matches an independently built twin."""
         path = tmp_path / "cross.snap"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            os.path.join(REPO_ROOT, "src")
-            + os.pathsep
-            + env.get("PYTHONPATH", "")
-        )
-        result = subprocess.run(
-            [sys.executable, "-m", "tests.persist.producer", str(path)],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
+        _produce_in_child(path)
         loaded = ObstacleDatabase.load(path)
         twin = producer.build_db()
         # The producer is deterministic, so the restored counters match
@@ -158,15 +161,17 @@ class TestCrossProcess:
         )
         assert cache_signature(loaded) == cache_signature(twin)
 
-    @pytest.mark.skipif(
-        not os.environ.get("REPRO_SNAPSHOT_FILE"),
-        reason="REPRO_SNAPSHOT_FILE not set (CI cross-process leg only)",
-    )
-    def test_ci_handshake_snapshot(self):
-        """CI leg: an earlier job step produced REPRO_SNAPSHOT_FILE via
-        the producer module in a separate process; verify it here."""
-        path = os.environ["REPRO_SNAPSHOT_FILE"]
-        loaded = ObstacleDatabase.load(path)
+    def test_ci_handshake_snapshot(self, tmp_path):
+        """The producer/consumer handshake: a child interpreter saves,
+        this one restores onto the other visibility backend and cache
+        policy (runtime configuration a snapshot does not carry) and
+        answers as the twin does, building no graph."""
+        path = tmp_path / "handshake.snap"
+        _produce_in_child(path)
+        loaded = ObstacleDatabase.load(
+            path, backend="python-sweep", cache_policy="adaptive"
+        )
+        assert loaded.runtime_stats()["backend"] == "python-sweep"
         twin = producer.build_db()
         assert producer.expected_answers(loaded) == producer.expected_answers(
             twin

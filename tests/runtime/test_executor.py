@@ -10,13 +10,9 @@ from repro.errors import DatasetError, QueryError
 from repro.runtime.batch import batch_distance, batch_nearest, batch_range
 from repro.runtime.context import QueryContext
 from repro.runtime.executor import (
-    MODE_ENV,
-    WORKERS_ENV,
     BatchExecutor,
     _chunk_ranges,
     fork_available,
-    resolve_mode,
-    resolve_workers,
 )
 from repro.runtime.metric import EuclideanMetric, ObstructedMetric
 from tests.conftest import (
@@ -24,8 +20,6 @@ from tests.conftest import (
     random_free_points,
     small_tree,
 )
-
-_MODES = ["thread"] + (["fork"] if fork_available() else [])
 
 
 def _scene(seed, n_obstacles=10, n_points=18):
@@ -40,38 +34,41 @@ def _metric(obstacles):
     return ObstructedMetric(QueryContext(index))
 
 
+def _small_db(seed=200, n_points=18, n_queries=6):
+    obstacles, points = _scene(seed, n_points=n_points)
+    db = ObstacleDatabase(
+        [o.polygon for o in obstacles], max_entries=8, min_entries=3
+    )
+    db.add_entity_set("pois", points[n_queries:])
+    return db, points[:n_queries]
+
+
 class TestResolution:
-    def test_workers_argument_wins(self):
-        assert resolve_workers(3) == 3
-
-    def test_workers_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_workers(None) == 0
-
-    def test_workers_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        assert resolve_workers(None) == 4
-
-    def test_workers_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "lots")
-        with pytest.raises(QueryError):
-            resolve_workers(None)
+    def test_workers_default_is_sequential(self):
+        db, queries = _small_db()
+        assert db.batch_nearest("pois", queries, 1, workers=None) == (
+            db.batch_nearest("pois", queries, 1, workers=0)
+        )
+        assert db.runtime_stats()["parallel_batches"] == 0
 
     def test_workers_negative_rejected(self):
-        with pytest.raises(QueryError):
-            resolve_workers(-1)
+        db, queries = _small_db()
+        for call in (
+            lambda: db.batch_nearest("pois", queries, 1, workers=-1),
+            lambda: db.batch_range("pois", queries, 5.0, workers=-1),
+            lambda: db.batch_distance([(queries[0], queries[1])], workers=-1),
+        ):
+            with pytest.raises(QueryError, match="worker count"):
+                call()
 
-    def test_mode_env(self, monkeypatch):
-        monkeypatch.setenv(MODE_ENV, "thread")
-        assert resolve_mode(None) == "thread"
-
-    def test_mode_unknown_rejected(self):
-        with pytest.raises(QueryError):
-            resolve_mode("greenlet")
-
-    def test_mode_auto_resolves(self, monkeypatch):
-        monkeypatch.delenv(MODE_ENV, raising=False)
-        assert resolve_mode(None) in ("fork", "thread")
+    def test_no_fork_runs_sequentially(self, monkeypatch):
+        """Where the platform cannot fork, a ``pool="fork"`` batch is
+        the slower exact answer: the sequential path."""
+        db, queries = _small_db()
+        expected = db.batch_nearest("pois", queries, 2)
+        monkeypatch.setattr("repro.runtime.batch.fork_available", lambda: False)
+        assert db.batch_nearest("pois", queries, 2, workers=2) == expected
+        assert db.runtime_stats()["parallel_batches"] == 0
 
     def test_chunk_ranges_cover_everything(self):
         for n in (1, 2, 7, 16):
@@ -87,31 +84,29 @@ class TestResolution:
             )
 
 
+@pytest.mark.skipif(not fork_available(), reason="fork unavailable")
 class TestParallelEquivalence:
-    @pytest.mark.parametrize("mode", _MODES)
-    def test_batch_nearest_matches_sequential(self, mode):
+    def test_batch_nearest_matches_sequential(self):
         obstacles, points = _scene(201)
         tree = small_tree(points[6:])
         queries = points[:6] + points[:3]  # with duplicates
         sequential = batch_nearest(tree, _metric(obstacles), queries, 2)
         parallel = batch_nearest(
-            tree, _metric(obstacles), queries, 2, workers=4, mode=mode
+            tree, _metric(obstacles), queries, 2, workers=4
         )
         assert parallel == sequential
 
-    @pytest.mark.parametrize("mode", _MODES)
-    def test_batch_range_matches_sequential(self, mode):
+    def test_batch_range_matches_sequential(self):
         obstacles, points = _scene(202)
         tree = small_tree(points[6:])
         queries = points[:6]
         sequential = batch_range(tree, _metric(obstacles), queries, 28.0)
         parallel = batch_range(
-            tree, _metric(obstacles), queries, 28.0, workers=3, mode=mode
+            tree, _metric(obstacles), queries, 28.0, workers=3
         )
         assert parallel == sequential
 
-    @pytest.mark.parametrize("mode", _MODES)
-    def test_database_batch_parallel(self, mode):
+    def test_database_batch_parallel(self):
         obstacles, points = _scene(203)
         db = ObstacleDatabase(
             [o.polygon for o in obstacles], max_entries=8, min_entries=3
@@ -119,7 +114,7 @@ class TestParallelEquivalence:
         db.add_entity_set("pois", points[5:])
         queries = points[:5]
         sequential = db.batch_nearest("pois", queries, 2)
-        parallel = db.batch_nearest("pois", queries, 2, workers=4, mode=mode)
+        parallel = db.batch_nearest("pois", queries, 2, workers=4)
         assert parallel == sequential
         assert db.runtime_stats()["parallel_batches"] >= 1
 
@@ -128,7 +123,7 @@ class TestParallelEquivalence:
         tree = small_tree(points[2:])
         sequential = batch_nearest(tree, _metric(obstacles), points[:2], 1)
         parallel = batch_nearest(
-            tree, _metric(obstacles), points[:2], 1, workers=8, mode="thread"
+            tree, _metric(obstacles), points[:2], 1, workers=8
         )
         assert parallel == sequential
 
@@ -137,9 +132,7 @@ class TestParallelEquivalence:
         tree = small_tree(points[4:])
         metric = EuclideanMetric()
         sequential = batch_nearest(tree, metric, points[:4], 2)
-        parallel = batch_nearest(
-            tree, metric, points[:4], 2, workers=2, mode="thread"
-        )
+        parallel = batch_nearest(tree, metric, points[:4], 2, workers=2)
         assert parallel == sequential
 
     def test_unspawnable_metric_falls_back_to_sequential(self):
@@ -170,11 +163,12 @@ class TestParallelEquivalence:
 
 
 class TestStatsAndMemo:
+    @pytest.mark.skipif(not fork_available(), reason="fork unavailable")
     def test_worker_stats_merged_on_join(self):
         obstacles, points = _scene(207)
         tree = small_tree(points[6:])
         metric = _metric(obstacles)
-        batch_nearest(tree, metric, points[:6], 2, workers=3, mode="thread")
+        batch_nearest(tree, metric, points[:6], 2, workers=3)
         stats = metric.context.stats
         # The parent context ran nothing itself; every sweep/build
         # counted must have come from merged worker snapshots.
@@ -187,9 +181,7 @@ class TestStatsAndMemo:
         tree = small_tree(points[2:])
         metric = _metric(obstacles)
         q = points[0]
-        results = batch_nearest(
-            tree, metric, [q] * 10, 2, workers=2, mode="thread"
-        )
+        results = batch_nearest(tree, metric, [q] * 10, 2, workers=2)
         assert all(r == results[0] for r in results)
         assert metric.context.stats.batch_memo_hits == 9
         # 10 identical points collapse to one distinct query — the
@@ -207,16 +199,8 @@ class TestStatsAndMemo:
 
 
 class TestMutationGuard:
-    def _db(self, seed=210):
-        obstacles, points = _scene(seed)
-        db = ObstacleDatabase(
-            [o.polygon for o in obstacles], max_entries=8, min_entries=3
-        )
-        db.add_entity_set("pois", points[6:])
-        return db, points[:6]
-
     def test_mid_batch_mutation_raises(self):
-        db, queries = self._db()
+        db, queries = _small_db(210)
         metric = ObstructedMetric(db.context)
 
         calls = []
@@ -243,14 +227,14 @@ class TestMutationGuard:
             )
 
     def test_mutation_between_batches_is_fine(self):
-        db, queries = self._db(211)
+        db, queries = _small_db(211)
         first = db.batch_nearest("pois", queries, 1)
         db.insert_obstacle(Rect(50, 50, 52, 52))
         second = db.batch_nearest("pois", queries, 1)
         assert len(first) == len(second)
 
     def test_batch_distance_guarded(self):
-        db, queries = self._db(212)
+        db, queries = _small_db(212)
         metric = ObstructedMetric(db.context)
         pairs = [(queries[0], queries[1]), (queries[2], queries[3])]
         assert len(batch_distance(metric, pairs)) == 2
@@ -270,12 +254,7 @@ class TestForkPageCounters:
     """Satellite of PR 6: fork-worker page counters merge on join."""
 
     def _db(self, seed=250):
-        obstacles, points = _scene(seed, n_points=24)
-        db = ObstacleDatabase(
-            [o.polygon for o in obstacles], max_entries=8, min_entries=3
-        )
-        db.add_entity_set("pois", points[8:])
-        return db, points[:8]
+        return _small_db(seed, n_points=24, n_queries=8)
 
     @pytest.mark.skipif(not fork_available(), reason="fork unavailable")
     def test_fork_reads_match_sequential(self):
@@ -285,7 +264,7 @@ class TestForkPageCounters:
         sequential = {k: dict(v) for k, v in db.stats().items()}
 
         db.reset_stats(clear_buffers=True)
-        db.batch_nearest("pois", queries, 2, workers=4, mode="fork", pool="fork")
+        db.batch_nearest("pois", queries, 2, workers=4, pool="fork")
         forked = {k: dict(v) for k, v in db.stats().items()}
 
         # Logical page reads are buffer-independent and must be fully
@@ -298,19 +277,8 @@ class TestForkPageCounters:
     def test_fork_counters_accumulate_across_batches(self):
         db, queries = self._db(251)
         db.reset_stats()
-        db.batch_nearest("pois", queries, 2, workers=2, mode="fork", pool="fork")
+        db.batch_nearest("pois", queries, 2, workers=2, pool="fork")
         once = db.stats()["entities:pois"]["reads"]
         assert once > 0
-        db.batch_nearest("pois", queries, 2, workers=2, mode="fork", pool="fork")
+        db.batch_nearest("pois", queries, 2, workers=2, pool="fork")
         assert db.stats()["entities:pois"]["reads"] == 2 * once
-
-    def test_thread_mode_counters_shared_not_doubled(self):
-        db, queries = self._db(252)
-        db.reset_stats()
-        db.batch_nearest("pois", queries, 2)
-        sequential = db.stats()["entities:pois"]["reads"]
-        db.reset_stats(clear_buffers=True)
-        db.batch_nearest("pois", queries, 2, workers=3, mode="thread", pool="fork")
-        # Thread workers tick the parent's counters directly; the
-        # fork-only delta path must not double-book them.
-        assert db.stats()["entities:pois"]["reads"] == sequential

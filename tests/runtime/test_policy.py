@@ -22,7 +22,6 @@ from repro import ObstacleDatabase, Point
 from repro.errors import DatasetError
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.runtime.policy import (
-    POLICY_ENV,
     AdaptiveCachePolicy,
     CachePolicy,
     resolve_cache_policy,
@@ -33,23 +32,13 @@ from tests.conftest import random_disjoint_rects, random_free_points
 
 
 class TestResolve:
-    def test_default_is_static(self, monkeypatch):
-        monkeypatch.delenv(POLICY_ENV, raising=False)
+    def test_default_is_static(self):
         policy = resolve_cache_policy()
         assert type(policy) is CachePolicy
         assert policy.name == "static"
 
-    def test_env_selects_adaptive(self, monkeypatch):
-        monkeypatch.setenv(POLICY_ENV, "adaptive")
-        assert isinstance(resolve_cache_policy(), AdaptiveCachePolicy)
-
-    def test_empty_env_is_static(self, monkeypatch):
-        monkeypatch.setenv(POLICY_ENV, "")
-        assert resolve_cache_policy().name == "static"
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(POLICY_ENV, "adaptive")
-        assert resolve_cache_policy("static").name == "static"
+    def test_name_selects_adaptive(self):
+        assert isinstance(resolve_cache_policy("adaptive"), AdaptiveCachePolicy)
 
     def test_instance_passes_through(self):
         policy = AdaptiveCachePolicy(window=8)
@@ -266,13 +255,6 @@ class TestDatabaseWiring:
         assert sa["policy_snap"] >= 1
         assert ss["policy_adjustments"] == 0
 
-    def test_env_policy_selected_at_construction(self, monkeypatch):
-        monkeypatch.setenv(POLICY_ENV, "adaptive")
-        __, polygons, __p = self._scene(33)
-        db = ObstacleDatabase(polygons, max_entries=8, min_entries=3)
-        assert db.cache_policy == "adaptive"
-        assert isinstance(db.context.policy, AdaptiveCachePolicy)
-
     def test_context_spawn_gives_private_policy_of_same_kind(self):
         __, polygons, __p = self._scene(34)
         db = ObstacleDatabase(
@@ -284,10 +266,7 @@ class TestDatabaseWiring:
         assert worker_ctx.policy is not ctx.policy
         assert worker_ctx.policy.cache is worker_ctx.cache
 
-    def test_load_accepts_policy_and_snapshot_format_unchanged(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv(POLICY_ENV, raising=False)
+    def test_load_accepts_policy_and_snapshot_format_unchanged(self, tmp_path):
         __, polygons, points = self._scene(35)
         db = ObstacleDatabase(
             polygons, max_entries=8, min_entries=3, cache_policy="adaptive"

@@ -7,7 +7,6 @@ import pytest
 from repro.core.engine import ObstacleDatabase
 from repro.geometry import Point, Rect
 from repro.runtime.stats import RuntimeStats
-from repro.visibility import default_backend_name
 
 
 @pytest.fixture
@@ -23,7 +22,7 @@ class TestSweepCounters:
         for field in ("sweeps_run", "sweep_events", "sweep_seconds", "backend"):
             assert field in stats
         assert stats["sweeps_run"] == 0
-        assert stats["backend"] == default_backend_name()
+        assert stats["backend"] == "numpy-kernel"
 
     def test_distance_ticks_sweep_counters(self, small_db):
         small_db.obstructed_distance((0, 0), (14, 5))
@@ -41,7 +40,7 @@ class TestSweepCounters:
         assert stats["sweeps_run"] == 0
         assert stats["sweep_events"] == 0
         assert stats["sweep_seconds"] == 0.0
-        assert stats["backend"] == default_backend_name()
+        assert stats["backend"] == "numpy-kernel"
 
     @pytest.mark.parametrize("name", ["python-sweep", "naive"])
     def test_explicit_backend_is_reported(self, name):

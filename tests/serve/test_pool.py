@@ -6,7 +6,6 @@ import pytest
 
 from repro import ObstacleDatabase, Point, Rect
 from repro.errors import QueryError
-from repro.runtime.executor import POOL_ENV, resolve_pool_kind
 from repro.serve.pool import PersistentWorkerPool
 from tests.conftest import random_disjoint_rects, random_free_points
 
@@ -27,20 +26,25 @@ def _db(seed, *, shards=None, snap=0.0, n_obstacles=12, n_points=30):
 
 
 class TestPoolKindResolution:
-    def test_argument_wins(self):
-        assert resolve_pool_kind("persistent") == "persistent"
-
-    def test_default_is_fork(self, monkeypatch):
-        monkeypatch.delenv(POOL_ENV, raising=False)
-        assert resolve_pool_kind(None) == "fork"
-
-    def test_env(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV, "persistent")
-        assert resolve_pool_kind(None) == "persistent"
+    def test_default_is_fork(self):
+        db, queries = _db(300)
+        sequential = db.batch_nearest("pois", queries, 1, workers=0)
+        assert db.batch_nearest("pois", queries, 1, workers=2, pool=None) == (
+            sequential
+        )
+        assert db.runtime_stats()["parallel_batches"] == 1
+        assert db.runtime_stats()["pool_batches"] == 0
+        assert db._serving_pool is None
 
     def test_unknown_rejected(self):
-        with pytest.raises(QueryError):
-            resolve_pool_kind("ephemeral")
+        db, queries = _db(300)
+        for call in (
+            lambda: db.batch_nearest("pois", queries, 1, pool="ephemeral"),
+            lambda: db.batch_range("pois", queries, 9.0, pool="ephemeral"),
+            lambda: db.batch_distance([(queries[0], queries[1])], pool="ephemeral"),
+        ):
+            with pytest.raises(QueryError, match="ephemeral"):
+                call()
 
 
 class TestPoolParity:
@@ -89,21 +93,9 @@ class TestPoolParity:
         finally:
             db.close()
 
-    def test_env_routes_through_pool(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV, "persistent")
-        db, queries = _db(305)
-        try:
-            sequential = db.batch_nearest("pois", queries, 1, workers=0)
-            pooled = db.batch_nearest("pois", queries, 1, workers=2)
-            assert pooled == sequential
-            assert db.runtime_stats()["pool_batches"] == 1
-        finally:
-            db.close()
-
-    def test_sequential_workers_never_build_pool(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV, "persistent")
+    def test_sequential_workers_never_build_pool(self):
         db, queries = _db(306)
-        db.batch_nearest("pois", queries, 1, workers=0)  # explicitly sequential
+        db.batch_nearest("pois", queries, 1, workers=0, pool="persistent")
         assert db._serving_pool is None
 
     def test_pool_reused_across_batches(self):

@@ -6,6 +6,7 @@ public objects are documented, and the version is sane.
 
 import ast
 import pathlib
+import re
 
 import repro
 
@@ -125,11 +126,23 @@ class TestServingSurface:
             assert callable(method)
             assert method.__doc__
 
-    def test_pool_env_knob_documented(self):
-        from repro.runtime import executor
 
-        assert executor.POOL_ENV == "REPRO_BATCH_POOL"
-        assert "REPRO_BATCH_POOL" in (executor.__doc__ or "")
+class TestConfigurationSurface:
+    """Configuration is an argument: the knob count is a gate."""
+
+    def test_environment_knobs_are_exactly_two(self):
+        """Only the deployment-observability variables are read from
+        the environment, and only by their own modules; a new
+        ``REPRO_*`` mention anywhere in ``src/`` fails here."""
+        mentioned: set[str] = set()
+        readers: set[str] = set()
+        for path in SRC.rglob("*.py"):
+            text = path.read_text()
+            mentioned.update(re.findall(r"REPRO_[A-Z_]+", text))
+            if "os.environ" in text or "getenv" in text:
+                readers.add(path.relative_to(SRC).as_posix())
+        assert mentioned == {"REPRO_TRACE_SAMPLE", "REPRO_SLOW_QUERY_MS"}
+        assert readers == {"obs/trace.py", "obs/slowlog.py"}
 
 
 class TestDocumentation:

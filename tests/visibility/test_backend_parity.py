@@ -65,17 +65,8 @@ class TestRegistry:
         g = VisibilityGraph(method=NP)
         assert g.method == NP
 
-    def test_auto_pick_is_the_numpy_kernel(self, monkeypatch):
-        from repro.visibility.kernel import backend as backend_mod
-
-        monkeypatch.delenv(backend_mod.AUTO_BACKEND_ENV, raising=False)
-        assert backend_mod.default_backend_name() == NP
-
-    def test_env_override_wins(self, monkeypatch):
-        from repro.visibility.kernel import backend as backend_mod
-
-        monkeypatch.setenv(backend_mod.AUTO_BACKEND_ENV, "naive")
-        assert backend_mod.default_backend_name() == "naive"
+    def test_auto_pick_is_the_numpy_kernel(self):
+        assert resolve_backend(None).name == NP
 
 
 class TestRandomScenes:

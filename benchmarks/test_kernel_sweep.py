@@ -9,7 +9,11 @@ acceptance bars for the numpy kernel: a >= 3x build speedup over the
 python sweep on a 1,000-vertex scene with a bit-identical resulting
 graph; sweeping all nodes in one batched call >= 2x faster than one
 call per node at 56 vertices, and not slower at 1,000 (where the
-kernel's pair budget shrinks the passes to a few sources each).
+kernel's pair budget shrinks the passes to a few sources each).  And
+for the exact predicate behind the kernel's residue: every node pair of
+the 56-vertex scene against every obstacle through
+``crosses_interior_many`` >= 3x faster than the
+``Polygon.crosses_interior`` loop, with an identical mask.
 
 Run standalone (pytest-benchmark)::
 
@@ -22,11 +26,15 @@ kernel wins at all.
 
 from __future__ import annotations
 
+import time
+
+import numpy as np
 import pytest
 
 from benchmarks.common import kernel_comparison
 from repro.datasets.synthetic import street_grid_obstacles
 from repro.visibility import VisibilityGraph
+from repro.visibility.kernel import exact
 
 #: Rectangle counts per measured scene (4 vertices each); 14 is the
 #: size of the graphs ``paper-cold`` builds (benchmarks/e2e).
@@ -47,6 +55,10 @@ SPEEDUP_TARGET = 3.0
 #: room for timer noise).
 BATCH_SPEEDUP_TARGET = 2.0
 BATCH_LARGE_FLOOR = 0.9
+
+#: Required speedup of the array-evaluated exact predicate over the
+#: scalar loop on the workload-sized scene.
+EXACT_SPEEDUP_TARGET = 3.0
 
 _BACKENDS = ("python-sweep", "numpy-kernel")
 
@@ -102,4 +114,43 @@ def test_batched_sweep_acceptance(acceptance_metrics):
     assert large["batch_speedup"] >= BATCH_LARGE_FLOOR, (
         f"batched sweep {large['batch_speedup']:.2f}x at "
         f"{4 * ACCEPTANCE_RECTS} vertices: slower than per-source sweeps"
+    )
+
+
+def test_exact_predicate_acceptance():
+    """All node pairs x all obstacles of the workload-sized scene: the
+    array-evaluated predicate returns the scalar loop's mask, >= 3x
+    faster (best of three rounds each)."""
+    polygons = [o.polygon for o in street_grid_obstacles(WORKLOAD_RECTS, seed=7)]
+    nodes = [v for p in polygons for v in p.vertices]
+    segments = [(a, b) for a in nodes for b in nodes if a != b]
+    segs = np.array([(a.x, a.y, b.x, b.y) for a, b in segments])
+    geom = exact.pack_polygons(polygons)
+    pair_seg = np.arange(len(segments)).repeat(len(polygons))
+    pair_obs = np.tile(np.arange(len(polygons)), len(segments))
+
+    def scalar():
+        return [
+            polygons[o].crosses_interior(*segments[s])
+            for s, o in zip(pair_seg.tolist(), pair_obs.tolist())
+        ]
+
+    def arrays():
+        return exact.crosses_interior_many(segs, geom, pair_seg, pair_obs)
+
+    def best(fn):
+        rounds = []
+        for __ in range(3):
+            t0 = time.perf_counter()
+            result = fn()
+            rounds.append(time.perf_counter() - t0)
+        return min(rounds), result
+
+    scalar_s, want = best(scalar)
+    arrays_s, got = best(arrays)
+    assert got.tolist() == want
+    assert scalar_s / arrays_s >= EXACT_SPEEDUP_TARGET, (
+        f"crosses_interior_many {scalar_s / arrays_s:.2f}x the scalar loop "
+        f"({arrays_s * 1e3:.1f} ms vs {scalar_s * 1e3:.1f} ms over "
+        f"{len(want)} pairs), below {EXACT_SPEEDUP_TARGET}x"
     )

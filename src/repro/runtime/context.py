@@ -47,11 +47,18 @@ from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
 from repro.visibility.shortest_path import shortest_path_dist  # noqa: F401
 
 
-#: Above this node count an in-place delete-repair (an O(pairs) python
-#: re-sweep) costs more than the from-scratch rebuild it replaces, so
-#: the affected entry is discarded instead (rebuild-fallback at its
-#: next lookup).
-DELETE_REPAIR_NODE_LIMIT = 256
+#: Above this node count an in-place delete-repair costs more than the
+#: from-scratch rebuild it replaces, so the affected entry is discarded
+#: instead (rebuild-fallback at its next lookup — if there is one).
+#: Measured on street-grid scenes with the re-sweep's exact tests
+#: batched over arrays, repair as a share of rebuild, mean over eight
+#: victims spread from the scene's centre to its rim: 0.39x at 129
+#: nodes (12 vs 31 ms), 0.46x at 257 (59 vs 129 ms), 0.57x at 513
+#: (406 vs 712 ms), 0.92x at 1,025 (3.23 vs 3.50 s) — the most central
+#: victim alone costs 0.8x / 1.0x / 1.3x / 2.0x, a rim one 0.01-0.05x.
+#: (With the scalar re-sweep the shares were 0.74 / 0.82 / 0.92 / 0.87x
+#: and the constant 256.)
+DELETE_REPAIR_NODE_LIMIT = 1024
 
 
 class QueryContext:

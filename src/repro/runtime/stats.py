@@ -50,6 +50,7 @@ class RuntimeStats:
         "sweeps_run",
         "sweep_events",
         "sweep_seconds",
+        "exact_pairs",
         "backend",
     )
 
@@ -86,6 +87,7 @@ class RuntimeStats:
         self.sweeps_run = 0
         self.sweep_events = 0
         self.sweep_seconds = 0.0
+        self.exact_pairs = 0
 
     def snapshot(self) -> dict[str, int | float | str]:
         """The current counter values as a plain dict."""

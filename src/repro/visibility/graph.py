@@ -27,12 +27,17 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence, TYPE_CHECKING
 
 from repro.errors import QueryError
+from repro.geometry.constants import EPS
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.model import Obstacle
 from repro.visibility.edges import BoundaryEdge
-from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
+from repro.visibility.kernel.backend import (
+    VisibilityBackend,
+    _TimedBackend,
+    resolve_backend,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.visibility.kernel.packed import PackedScene
@@ -63,6 +68,7 @@ class VisibilityGraph:
         "_structure_revision",
         "_csr",
         "_backend",
+        "_batches",
         "_packed",
         "method",
     )
@@ -70,6 +76,14 @@ class VisibilityGraph:
     def __init__(self, method: "str | VisibilityBackend | None" = None) -> None:
         self._backend = resolve_backend(method)
         self.method = self._backend.name
+        # Who answers the exact-predicate batches of add_obstacle and
+        # remove_obstacle: the backend, or — a caller-owned backend
+        # that only sweeps — the scalar loops every named one inherits.
+        self._batches = (
+            self._backend
+            if isinstance(self._backend, _TimedBackend)
+            else _TimedBackend()
+        )
         self._obstacle_revision = 0
         self._structure_revision = 0
         #: Frozen CSR view of the adjacency (``(structure_revision,
@@ -215,11 +229,12 @@ class VisibilityGraph:
             return cached
         if p in self._adj:
             return ()
+        # on_boundary's own first check (the MBR grown by EPS), made on
+        # the packed MBR rows: no Rect is grown per obstacle per probe.
         return tuple(
             obs
-            for obs in self._obstacles.values()
-            if obs.mbr.expanded(1e-9).contains_point(p)
-            and obs.polygon.on_boundary(p)
+            for obs in self.packed_scene().mbr_holders(p, EPS)
+            if obs.polygon.on_boundary(p)
         )
 
     def scene_obstacles(self) -> Sequence[Obstacle]:
@@ -403,28 +418,8 @@ class VisibilityGraph:
         to), so a repaired graph is identical to a from-scratch
         rebuild.
         """
-        from repro.visibility.naive import is_visible
-
-        nodes = list(self._adj)
-        obstacles = list(self._obstacles.values())
-        rminx, rminy = region.minx, region.miny
-        rmaxx, rmaxy = region.maxx, region.maxy
-        for i, u in enumerate(nodes):
-            adj_u = self._adj[u]
-            ux, uy = u.x, u.y
-            for w in nodes[i + 1:]:
-                if w in adj_u:
-                    continue
-                wx, wy = w.x, w.y
-                if (
-                    (ux < rminx and wx < rminx)
-                    or (ux > rmaxx and wx > rmaxx)
-                    or (uy < rminy and wy < rminy)
-                    or (uy > rmaxy and wy > rmaxy)
-                ):
-                    continue
-                if is_visible(u, w, obstacles):
-                    self._set_edge(u, w)
+        for u, w in self._batches.unblocked_pairs(self, region):
+            self._set_edge(u, w)
 
     def add_entity(self, p: Point) -> bool:
         """Add a free point and connect it to all visible nodes.
@@ -537,14 +532,7 @@ class VisibilityGraph:
 
     def _remove_edges_crossing(self, poly: Polygon) -> None:
         self._structure_revision += 1
-        mbr = poly.mbr
-        for u in list(self._adj):
-            for v in list(self._adj[u]):
-                if not (u < v):
-                    continue
-                seg = Rect(
-                    min(u.x, v.x), min(u.y, v.y), max(u.x, v.x), max(u.y, v.y)
-                )
-                if mbr.intersects(seg) and poly.crosses_interior(u, v):
-                    del self._adj[u][v]
-                    del self._adj[v][u]
+        adj = self._adj
+        for u, v in self._batches.edges_crossing(self, poly):
+            del adj[u][v]
+            del adj[v][u]

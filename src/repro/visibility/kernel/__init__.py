@@ -16,8 +16,13 @@ array kernels:
   many sources per call: one ``arctan2`` pass for every (source,
   event) angle, a numpy angular sort, and batched
   orientation/intersection classification of candidate blocking
-  edges, with the exact per-pair oracle deciding only the degenerate
+  edges, with the exact predicate deciding only the degenerate
   residue so results match the python sweep everywhere;
+* :mod:`~repro.visibility.kernel.exact` — that predicate
+  (``Polygon.crosses_interior``) evaluated over arrays, the scalar
+  code's own float64 expressions in the same order: one call behind
+  the sweep's residue and boundary band, ``add_obstacle``'s edge
+  removal and ``remove_obstacle``'s re-sweep;
 * :mod:`~repro.visibility.kernel.backend` — the pluggable
   :class:`~repro.visibility.kernel.backend.VisibilityBackend` protocol
   and the named implementations (``python-sweep``, ``numpy-kernel``,

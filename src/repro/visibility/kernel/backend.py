@@ -28,6 +28,14 @@ Selection: pass a name (or a backend instance) to
 Backends carry an optional :class:`~repro.runtime.stats.RuntimeStats`
 reference and tick the per-backend sweep counters (``sweeps_run``,
 ``sweep_events``, ``sweep_seconds``) on every call, once per source.
+
+The named backends also answer the two exact-predicate batches of
+graph maintenance — which edges a new polygon cuts
+(``edges_crossing``), which node pairs a removed one had been hiding
+(``unblocked_pairs``).  The shared default loops the scalar oracle;
+``numpy-kernel`` hands each batch to
+:mod:`repro.visibility.kernel.exact` in one call, so ``python-sweep``
+and ``naive`` graphs stay a reference that never touches the arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +45,11 @@ from typing import Protocol, Sequence, TYPE_CHECKING, runtime_checkable
 
 from repro.errors import QueryError
 from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.rect import Rect
 from repro.obs.trace import TRACER
+from repro.visibility.kernel import exact
+from repro.visibility.naive import is_visible
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.stats import RuntimeStats
@@ -98,6 +110,61 @@ class _TimedBackend:
     def _sweep(self, p: Point, graph: "VisibilityGraph") -> list[Point]:
         raise NotImplementedError
 
+    def edges_crossing(
+        self, graph: "VisibilityGraph", poly: Polygon
+    ) -> list[tuple[Point, Point]]:
+        """The edges ``(u, v)``, ``u < v``, of ``graph`` whose open
+        segment crosses ``poly``'s interior."""
+        # crosses_interior's own first step (Rect.intersects on the
+        # segment's box) made here without the Rect: most edges of a
+        # graph pass nowhere near one new obstacle.
+        mbr = poly.mbr
+        minx, miny, maxx, maxy = mbr.minx, mbr.miny, mbr.maxx, mbr.maxy
+        found = []
+        for u in graph.nodes():
+            ux, uy = u.x, u.y
+            for v in graph.neighbors(u):
+                vx, vy = v.x, v.y
+                if (
+                    (ux, uy) < (vx, vy)
+                    and minx <= max(ux, vx)
+                    and min(ux, vx) <= maxx
+                    and miny <= max(uy, vy)
+                    and min(uy, vy) <= maxy
+                    and poly.crosses_interior(u, v)
+                ):
+                    found.append((u, v))
+        return found
+
+    def unblocked_pairs(
+        self, graph: "VisibilityGraph", region: Rect
+    ) -> list[tuple[Point, Point]]:
+        """The non-adjacent node pairs ``(u, w)``, ``u`` the earlier
+        node, whose segment's bounding box meets ``region`` and that
+        see each other."""
+        nodes = list(graph.nodes())
+        obstacles = graph.scene_obstacles()
+        rminx, rminy = region.minx, region.miny
+        rmaxx, rmaxy = region.maxx, region.maxy
+        found = []
+        for i, u in enumerate(nodes):
+            adj_u = graph.neighbors(u)
+            ux, uy = u.x, u.y
+            for w in nodes[i + 1:]:
+                if w in adj_u:
+                    continue
+                wx, wy = w.x, w.y
+                if (
+                    (ux < rminx and wx < rminx)
+                    or (ux > rmaxx and wx > rmaxx)
+                    or (uy < rminy and wy < rminy)
+                    or (uy > rmaxy and wy > rmaxy)
+                ):
+                    continue
+                if is_visible(u, w, obstacles):
+                    found.append((u, w))
+        return found
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -127,7 +194,25 @@ class NumpyKernelBackend(_TimedBackend):
     def _sweep_many(
         self, sources: Sequence[Point], graph: "VisibilityGraph"
     ) -> list[list[Point]]:
-        return self._kernel(sources, graph, graph.packed_scene())
+        return self._kernel(sources, graph, graph.packed_scene(), self.stats)
+
+    def edges_crossing(
+        self, graph: "VisibilityGraph", poly: Polygon
+    ) -> list[tuple[Point, Point]]:
+        """One :func:`~repro.visibility.kernel.exact.edges_crossing`
+        call; the inherited loop on graphs too small for one to pay."""
+        found = exact.edges_crossing(graph._adj, poly, self.stats)
+        return super().edges_crossing(graph, poly) if found is None else found
+
+    def unblocked_pairs(
+        self, graph: "VisibilityGraph", region: Rect
+    ) -> list[tuple[Point, Point]]:
+        """One :func:`~repro.visibility.kernel.exact.unblocked_pairs`
+        call; the inherited loop on graphs too small for one to pay."""
+        found = exact.unblocked_pairs(
+            graph._adj, region, graph.packed_scene(), self.stats
+        )
+        return super().unblocked_pairs(graph, region) if found is None else found
 
 
 class NaiveBackend(_TimedBackend):

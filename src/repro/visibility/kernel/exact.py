@@ -1,0 +1,492 @@
+"""The exact visibility predicate, evaluated over arrays.
+
+:meth:`repro.geometry.polygon.Polygon.crosses_interior` decides one
+(segment, obstacle) pair: reject on the MBR, gather every parameter
+where the segment meets the boundary
+(:func:`repro.geometry.segment.segment_intersection_params` per edge),
+sort them, and test the midpoint of each sub-interval for strict
+containment.  On street-grid scenes — rectangles sharing grid lines —
+the numpy sweep hands that oracle hundreds of tolerance-borderline
+contacts per graph build, and a python call per pair costs more than
+the vectorized classification it backs up.
+
+:func:`crosses_interior_many` evaluates the *same* predicate for many
+pairs at once, over flat arrays of (pair, edge) and (interval, edge)
+rows.  Exactness is by construction, not by tolerance band:
+
+* every comparison is the scalar code's own float64 expression in the
+  same operation order (numpy's elementwise ``+ - * /`` are the IEEE
+  operations python floats use; nothing is fused or reassociated);
+* every length is :func:`math.hypot` itself — per obstacle edge when
+  the geometry is packed, per segment and per parallel row here —
+  because
+  ``np.hypot`` differs from it in the last bit on 0.6 % of random
+  inputs (``np.sqrt(x*x + y*y)`` on 16 %), and those lengths set the
+  tolerances;
+* the one branch arrays cannot take without dividing by zero — a
+  segment no longer than ``EPS`` — sends its pairs to the scalar
+  method.
+
+The scalar method stays the reference: ``tests/visibility/
+test_exact.py`` holds the two equal pair for pair, graphs on the
+``naive`` and ``python-sweep`` backends never enter this module, and
+batches too small to repay the array passes' fixed cost are looped
+through it (:data:`_MIN_ARRAY_PAIRS`).
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+from math import hypot
+from operator import attrgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
+
+import numpy as np
+
+from repro.geometry.constants import EPS
+from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.rect import Rect
+from repro.obs.trace import TRACER
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model import Obstacle
+    from repro.runtime.stats import RuntimeStats
+    from repro.visibility.kernel.packed import PackedScene
+
+_X = attrgetter("x")
+_Y = attrgetter("y")
+
+#: Pairs surviving the MBR reject below which a batch is looped through
+#: ``Polygon.crosses_interior`` instead of evaluated over arrays.
+#: Measured on the 2-core sandbox (pairs drawn from a 14-rectangle
+#: street-grid scene, median of best-of-20 rounds): the array passes are
+#: ~110 numpy calls, 135-145 us however few rows they carry, plus
+#: 0.6-0.9 us per pair (16 pairs: 143 us, 128: 211, 2,048: 1,485); the
+#: scalar method is ~10 us plus 8-9.5 us per pair (8 pairs: 74 us,
+#: 16: 137, 24: 202).  The two meet at 16 pairs.
+_MIN_ARRAY_PAIRS = 16
+
+#: Segments of a graph — edges for an insert, node pairs for a delete
+#: repair — below which reading its adjacency into arrays cannot pay,
+#: however many pairs survive: the scalar loops dismiss a segment in
+#: 0.2-0.5 us (an inlined MBR reject, a dict probe), the arrays take
+#: 25-55 us to set up and 0.03-0.3 us a segment.  Measured crossovers:
+#: ~110 node pairs (a 15-node graph), ~250 edges (a 35-node one).
+_MIN_ARRAY_SEGMENTS = 128
+
+#: Pairs evaluated per array pass, and (segment, obstacle) cells whose
+#: MBRs are compared per pass of a delete repair.  They bound the
+#: temporaries — ~40 float64 arrays of one row per (pair, edge), bool
+#: matrices of one cell each — to a few MB whatever the batch: a repair
+#: of a 1,000-node graph tests ~10^5 pairs against hundreds of
+#: obstacles.  Measured on 82,833 pairs of a 64-rectangle scene, passes
+#: of 1,024-4,096 pairs run 0.80-0.95 us per pair against 1.22 in one
+#: pass (the temporaries fall out of cache); unbounded passes also left
+#: ``churn-durable``'s peak RSS 1.1 % higher.
+_PASS_PAIRS = 2048
+_PASS_CELLS = 1 << 20
+
+
+class ObstacleArrays(NamedTuple):
+    """Obstacle geometry as the arrays the predicate reads."""
+
+    #: Per obstacle, its polygon (degenerate segments, small batches).
+    polygons: Sequence[Polygon]
+    #: ``(n_obstacles, 4)``: ``minx, miny, maxx, maxy``.
+    mbr: np.ndarray
+    #: Per obstacle, the first row and the length of its run of edges.
+    first: np.ndarray
+    count: np.ndarray
+    #: ``(5, n_edges)``: ``ax, ay, bx, by`` of every boundary edge, runs
+    #: in polygon order, and its ``math.hypot`` length.
+    edges: np.ndarray
+
+
+def pack_polygons(polygons: Iterable[Polygon]) -> ObstacleArrays:
+    """``polygons`` as :class:`ObstacleArrays`, one obstacle each."""
+    polygons = list(polygons)
+    count = np.array([len(p.edges()) for p in polygons], dtype=np.int64)
+    mbrs = [(p.mbr.minx, p.mbr.miny, p.mbr.maxx, p.mbr.maxy) for p in polygons]
+    rows = [
+        (a.x, a.y, b.x, b.y, hypot(b.x - a.x, b.y - a.y))
+        for p in polygons
+        for a, b in p.edges()
+    ]
+    return ObstacleArrays(
+        polygons,
+        np.array(mbrs, dtype=np.float64).reshape(-1, 4),
+        count.cumsum() - count,
+        count,
+        np.ascontiguousarray(np.array(rows, dtype=np.float64).reshape(-1, 5).T),
+    )
+
+
+def _boxes_meet(mbr: np.ndarray, ax, ay, bx, by) -> np.ndarray:
+    """``Rect.intersects`` of the MBRs ``mbr`` (rows ``minx, miny, maxx,
+    maxy``) with the bounding boxes of the segments ``a-b``, broadcast:
+    the first step of ``Polygon.crosses_interior`` and of
+    ``is_visible``."""
+    minx, miny, maxx, maxy = mbr.T
+    return (
+        (minx <= np.maximum(ax, bx))
+        & (np.minimum(ax, bx) <= maxx)
+        & (miny <= np.maximum(ay, by))
+        & (np.minimum(ay, by) <= maxy)
+    )
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs ``arange(start, start + count)``, concatenated."""
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + (starts - (ends - counts)).repeat(counts)
+
+
+def crosses_interior_many(
+    segs: np.ndarray,
+    geom: ObstacleArrays,
+    pair_seg: np.ndarray,
+    pair_obs: np.ndarray,
+    stats: "RuntimeStats | None" = None,
+) -> np.ndarray:
+    """Per pair ``k``, whether the open segment ``segs[pair_seg[k]]``
+    (rows ``ax, ay, bx, by``) crosses the interior of obstacle
+    ``pair_obs[k]`` of ``geom`` — what ``geom.polygons[pair_obs[k]]
+    .crosses_interior(a, b)`` returns, for every pair, as a mask.
+
+    Ticks ``exact_pairs`` / ``sweep.exact_pairs`` once, with the number
+    of pairs that survived the MBR reject.
+    """
+    out = np.zeros(pair_seg.shape[0], dtype=bool)
+    ends = segs[pair_seg]
+    keep = _boxes_meet(geom.mbr[pair_obs], *ends.T).nonzero()[0]
+    _tick(stats, keep.size)
+    if keep.size < _MIN_ARRAY_PAIRS:
+        _loop_oracle(out, keep, ends[keep], geom.polygons, pair_obs[keep])
+        return out
+    for lo in range(0, keep.size, _PASS_PAIRS):
+        part = keep[lo : lo + _PASS_PAIRS]
+        out[part] = _evaluate(ends[part], geom, pair_obs[part])
+    return out
+
+
+def _tick(stats: "RuntimeStats | None", survived: int) -> None:
+    if stats is not None:
+        stats.exact_pairs += survived
+    TRACER.count("sweep.exact_pairs", survived)
+
+
+def _loop_oracle(
+    out: np.ndarray,
+    where: np.ndarray,
+    ends: np.ndarray,
+    polygons: Sequence[Polygon],
+    obs: np.ndarray,
+) -> None:
+    """``out[where[j]]`` for segment ``ends[j]`` and obstacle
+    ``obs[j]`` — the scalar method, one pair at a time."""
+    for k, (ax, ay, bx, by), o in zip(where.tolist(), ends.tolist(), obs.tolist()):
+        out[k] = polygons[o].crosses_interior(Point(ax, ay), Point(bx, by))
+
+
+def _evaluate(ends: np.ndarray, geom: ObstacleArrays, obs: np.ndarray) -> np.ndarray:
+    """Per pair ``j`` — segment ``ends[j]``, obstacle ``obs[j]``, past
+    the MBR reject — the verdict: the scalar method's steps, each over
+    the arrays of all pairs."""
+    out = np.zeros(obs.size, dtype=bool)
+    ax, ay, bx, by = ends.T
+    rx = bx - ax
+    ry = by - ay
+    r_len = np.array(list(map(hypot, rx.tolist(), ry.tolist())))
+    sound = r_len > EPS
+    if not sound.all():
+        # segment_intersection_params' ``r_len <= EPS`` branch: the
+        # segment is a point to the predicate.  Not a case for arrays.
+        point = (~sound).nonzero()[0]
+        _loop_oracle(out, point, ends[point], geom.polygons, obs[point])
+        sound = sound.nonzero()[0]
+        out[sound] = _evaluate(ends[sound], geom, obs[sound])
+        return out
+    hit_pair, hit_t = _boundary_params(
+        np.array([ax, ay, rx, ry, r_len, rx * rx + ry * ry]), geom, obs
+    )
+
+    # Pairs whose segment meets the boundary: parameters 0 and 1 plus
+    # every hit, sorted within the pair; a gap wider than EPS yields the
+    # midpoint ``a + tm * (b - a)``.  Pairs that never meet it are
+    # decided by ``midpoint(a, b)`` alone.
+    touched = np.zeros(obs.size, dtype=bool)
+    touched[hit_pair] = True
+    met = touched.nonzero()[0]
+    free = (~touched).nonzero()[0]
+    par_pair = np.concatenate([met, met, hit_pair])
+    par_t = np.concatenate([np.zeros(met.size), np.ones(met.size), hit_t])
+    order = np.lexsort((par_t, par_pair))
+    par_pair = par_pair[order]
+    par_t = par_t[order]
+    gap = (
+        (par_pair[1:] == par_pair[:-1]) & (par_t[1:] - par_t[:-1] > EPS)
+    ).nonzero()[0]
+    tm = (par_t[gap] + par_t[gap + 1]) / 2.0
+    gap_pair = par_pair[gap]
+    pt_pair = np.concatenate([free, gap_pair])
+    inside = _strictly_inside(
+        np.concatenate([(ax[free] + bx[free]) / 2.0, ax[gap_pair] + tm * rx[gap_pair]]),
+        np.concatenate([(ay[free] + by[free]) / 2.0, ay[gap_pair] + tm * ry[gap_pair]]),
+        geom,
+        obs[pt_pair],
+    )
+    out[pt_pair[inside]] = True
+    return out
+
+
+def _boundary_params(
+    seg_rows: np.ndarray, geom: ObstacleArrays, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``segment_intersection_params`` of every pair's segment
+    (``seg_rows``: ``ax, ay, rx, ry, r_len, r_sq`` per pair) with every
+    edge of its obstacle: the parameters found, as ``(pair, t)``."""
+    counts = geom.count[obs]
+    row_pair = np.arange(obs.size).repeat(counts)
+    pax, pay, rx, ry, r_len, r_sq = seg_rows[:, row_pair]
+    cx, cy, dx, dy, s_len = geom.edges[:, ranges(geom.first[obs], counts)]
+    sx = dx - cx
+    sy = dy - cy
+    denom = rx * sy - ry * sx
+    qpx = cx - pax
+    qpy = cy - pay
+    side = qpx * ry - qpy * rx
+    crossing = np.abs(denom) > EPS * (r_len * s_len + 1.0)
+    # Lines cross at a single point; it must lie on both segments.
+    safe = np.where(crossing, denom, 1.0)
+    t = (qpx * sy - qpy * sx) / safe
+    u = side / safe
+    t_tol = EPS * (1.0 + 1.0 / (r_len + EPS))
+    u_tol = EPS * (1.0 + 1.0 / (s_len + EPS))
+    point_hit = (
+        crossing
+        & (-t_tol <= t)
+        & (t <= 1.0 + t_tol)
+        & (-u_tol <= u)
+        & (u <= 1.0 + u_tol)
+    ).nonzero()[0]
+    # Parallel rows: collinear unless the edge's start lies off the
+    # segment's line.
+    par = (~crossing).nonzero()[0]
+    q_len = np.array(list(map(hypot, qpx[par].tolist(), qpy[par].tolist())))
+    col = par[~(np.abs(side[par]) > EPS * (q_len * r_len[par] + 1.0))]
+    # Collinear: project the edge's endpoints onto the segment.
+    c_rx = rx[col]
+    c_ry = ry[col]
+    c_rsq = r_sq[col]
+    t0 = (qpx[col] * c_rx + qpy[col] * c_ry) / c_rsq
+    t1 = ((dx[col] - pax[col]) * c_rx + (dy[col] - pay[col]) * c_ry) / c_rsq
+    lo = np.maximum(np.minimum(t0, t1), 0.0)
+    hi = np.minimum(np.maximum(t0, t1), 1.0)
+    overlap = ~(lo > hi + EPS)
+    stretch = overlap & ~(hi - lo <= EPS)
+    return (
+        np.concatenate(
+            [row_pair[point_hit], row_pair[col[overlap]], row_pair[col[stretch]]]
+        ),
+        np.concatenate(
+            [
+                np.minimum(1.0, np.maximum(0.0, t[point_hit])),
+                lo[overlap],
+                hi[stretch],
+            ]
+        ),
+    )
+
+
+def _strictly_inside(
+    px: np.ndarray, py: np.ndarray, geom: ObstacleArrays, obs: np.ndarray
+) -> np.ndarray:
+    """``Polygon.contains`` of point ``(px[j], py[j])`` in obstacle
+    ``obs[j]``, over (point, edge) rows."""
+    minx, miny, maxx, maxy = geom.mbr[obs].T
+    out = (minx <= px) & (px <= maxx) & (miny <= py) & (py <= maxy)
+    held = out.nonzero()[0]
+    counts = geom.count[obs[held]]
+    row_pt = np.arange(held.size).repeat(counts)
+    px, py = np.array([px, py])[:, held[row_pt]]
+    ex, ey, fx, fy, e_len = geom.edges[:, ranges(geom.first[obs[held]], counts)]
+    abx = fx - ex
+    aby = fy - ey
+    acx = px - ex
+    acy = py - ey
+    # on_segment: ccw's collinear band, then the edge's padded box.
+    area2 = abx * acy - aby * acx
+    tol_sq = (EPS * EPS) * (abx * abx + aby * aby) * (acx * acx + acy * acy)
+    tol = EPS * (e_len + 1.0)
+    on_edge = (
+        (area2 * area2 <= tol_sq)
+        & (np.minimum(ex, fx) - tol <= px)
+        & (px <= np.maximum(ex, fx) + tol)
+        & (np.minimum(ey, fy) - tol <= py)
+        & (py <= np.maximum(ey, fy) + tol)
+    )
+    # _crossing_number_odd: half-open rule, crossing strictly right.
+    straddles = (ey > py) != (fy > py)
+    x_cross = ex + (py - ey) * abx / np.where(straddles, aby, 1.0)
+    odd = np.bincount(row_pt[straddles & (x_cross > px)], minlength=held.size) & 1
+    out[held] = odd.astype(bool)
+    out[held[row_pt[on_edge]]] = False
+    return out
+
+
+def _scene_pairs(
+    segs: np.ndarray, geom: ObstacleArrays
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (segment, obstacle) pair of ``segs`` x ``geom`` the MBR
+    reject leaves, by segment — the pairs
+    :func:`repro.visibility.naive.is_visible` goes on to test."""
+    return _boxes_meet(geom.mbr, *segs.T[:, :, None]).nonzero()
+
+
+def hidden_many(
+    tails: "tuple[np.ndarray, Sequence[Point]]",
+    a: np.ndarray,
+    heads: "tuple[np.ndarray, Sequence[Point]]",
+    b: np.ndarray,
+    packed: "PackedScene",
+    only: "Sequence[Sequence[Obstacle]]" = (),
+    stats: "RuntimeStats | None" = None,
+) -> np.ndarray:
+    """Per segment ``k`` — from point ``a[k]`` of ``tails`` to point
+    ``b[k]`` of ``heads``, each a ``(coords (n, 2), points)`` pair like
+    :meth:`PackedScene.event_arrays`' — whether it crosses the interior
+    of some obstacle: of ``only[k]`` for the first ``len(only)``
+    segments, of the whole packed scene for the rest.  ``not
+    is_visible(p, w, those obstacles)``, as a mask.
+
+    Ticks ``exact_pairs`` / ``sweep.exact_pairs`` once, like
+    :func:`crosses_interior_many`.
+    """
+    if a.size < _MIN_ARRAY_PAIRS:
+        # So few segments that listing their pairs in python costs less
+        # than setting the arrays up — and they may well not have
+        # enough pairs for the arrays at all.
+        segments = [
+            (tails[1][s], heads[1][t]) for s, t in zip(a.tolist(), b.tolist())
+        ]
+        boxes = [
+            Rect(min(p.x, w.x), min(p.y, w.y), max(p.x, w.x), max(p.y, w.y))
+            for p, w in segments
+        ]
+        tested = [
+            [obs for obs in some if obs.mbr.intersects(box)]
+            for some, box in zip(only, boxes)
+        ] + [packed.mbr_meeting(box) for box in boxes[len(only) :]]
+        survived = sum(map(len, tested))
+        if survived < _MIN_ARRAY_PAIRS:
+            _tick(stats, survived)
+            return np.array(
+                [
+                    any(obs.polygon.crosses_interior(p, w) for obs in obstacles)
+                    for obstacles, (p, w) in zip(tested, segments)
+                ],
+                dtype=bool,
+            )
+    ends = np.hstack([tails[0][a], heads[0][b]])
+    geom, row_of = packed.exact_arrays()
+    pair_seg, pair_obs = _scene_pairs(ends[len(only) :], geom)
+    if only:
+        band_seg = np.arange(len(only)).repeat([len(some) for some in only])
+        band_obs = [row_of[obs.oid] for obs in chain.from_iterable(only)]
+        pair_seg = np.concatenate([band_seg, pair_seg + len(only)])
+        pair_obs = np.concatenate([np.array(band_obs, dtype=np.int64), pair_obs])
+    hidden = np.zeros(a.size, dtype=bool)
+    hidden[pair_seg[crosses_interior_many(ends, geom, pair_seg, pair_obs, stats)]] = True
+    return hidden
+
+
+def _node_xy(nodes: Sequence[Point]) -> np.ndarray:
+    """``(2, n)`` coordinates of ``nodes``."""
+    n = len(nodes)
+    return np.array(
+        [
+            np.fromiter(map(_X, nodes), dtype=np.float64, count=n),
+            np.fromiter(map(_Y, nodes), dtype=np.float64, count=n),
+        ]
+    )
+
+
+def edges_crossing(
+    adj: Mapping[Point, Mapping[Point, float]],
+    poly: Polygon,
+    stats: "RuntimeStats | None" = None,
+) -> "list[tuple[Point, Point]] | None":
+    """The edges ``(u, v)``, ``u < v``, of adjacency ``adj`` whose open
+    segment crosses ``poly``'s interior, in one array call — or
+    ``None`` when the graph has too few edges for one to pay: the
+    caller loops the scalar method."""
+    degree = list(map(len, adj.values()))
+    if sum(degree) < 2 * _MIN_ARRAY_SEGMENTS:
+        return None
+    # Every directed edge, by coordinates: hashing each neighbour back
+    # to a node id would cost more than the predicate.
+    nodes = list(adj)
+    heads = list(chain.from_iterable(adj.values()))
+    tail = np.arange(len(nodes)).repeat(degree)
+    ax, ay = _node_xy(nodes)[:, tail]
+    bx, by = _node_xy(heads)
+    # Each edge once, from its smaller end (``Point.__lt__``): the
+    # orientation the scalar loop hands the predicate.
+    forward = ((ax < bx) | ((ax == bx) & (ay < by))).nonzero()[0]
+    crossing = forward[
+        crosses_interior_many(
+            np.array([ax, ay, bx, by]).T,
+            pack_polygons([poly]),
+            forward,
+            np.zeros(forward.size, dtype=np.int64),
+            stats,
+        )
+    ].tolist()
+    return [(nodes[i], heads[k]) for i, k in zip(tail[crossing].tolist(), crossing)]
+
+
+def unblocked_pairs(
+    adj: Mapping[Point, Mapping[Point, float]],
+    region: Rect,
+    packed: "PackedScene",
+    stats: "RuntimeStats | None" = None,
+) -> "list[tuple[Point, Point]] | None":
+    """The non-adjacent node pairs ``(u, w)``, ``u`` before ``w`` in
+    adjacency order, whose segment's bounding box meets ``region`` and
+    that see each other past every obstacle of ``packed``, a block of
+    ``u`` rows per array call (small graphs: one) — or ``None`` when
+    there are too few nodes for one to pay."""
+    n = len(adj)
+    if n * (n - 1) // 2 < _MIN_ARRAY_SEGMENTS:
+        return None
+    nodes = list(adj)
+    rows = list(adj.values())
+    x, y = xy = _node_xy(nodes)
+    ends = (xy.T, nodes)
+    # A segment's box misses the region when both ends lie strictly
+    # beyond the same side of it.
+    beyond = np.array(
+        [x < region.minx, x > region.maxx, y < region.miny, y > region.maxy]
+    )
+    later = np.arange(n)
+    found = []
+    step = max(1, _PASS_CELLS // (n * max(1, packed.obstacle_count)))
+    for lo in range(0, n - 1, step):
+        near = ~(beyond[:, lo : lo + step, None] & beyond[:, None, :]).any(axis=0)
+        near &= later > later[lo : lo + step, None]
+        i, j = near.nonzero()
+        i += lo
+        fresh = np.fromiter(
+            (nodes[w] not in rows[u] for u, w in zip(i.tolist(), j.tolist())),
+            dtype=bool,
+            count=i.size,
+        )
+        i = i[fresh]
+        j = j[fresh]
+        seen = ~hidden_many(ends, i, ends, j, packed, stats=stats)
+        found += [
+            (nodes[u], nodes[w]) for u, w in zip(i[seen].tolist(), j[seen].tolist())
+        ]
+    return found

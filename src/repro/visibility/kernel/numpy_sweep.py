@@ -24,10 +24,14 @@ and dispatch overhead, not arithmetic):
    inside both open segments — provably invisible), *clear* (strictly
    separated — provably non-blocking), or *ambiguous*;
 4. only events with an ambiguous triple (grazes, collinear runs,
-   boundary contacts) fall back to the exact per-pair oracle
-   (:func:`repro.visibility.naive.is_visible`) — the same oracle the
-   python sweep delegates its degenerate contacts to — so both
-   backends return identical visible sets everywhere.
+   boundary contacts) fall back to the exact predicate — the one
+   :func:`repro.visibility.naive.is_visible` loops and the python
+   sweep delegates its degenerate contacts to — evaluated over arrays
+   for all of a pass's events at once
+   (:func:`repro.visibility.kernel.exact.hidden_many`: an event is
+   hidden iff any of its (segment, obstacle) pairs crosses; a handful
+   of events is looped through the scalar method), so both backends
+   return identical visible sets everywhere.
 
 Events whose every candidate is clear still undergo the python
 sweep's residual check: a segment leaving ``p`` straight through the
@@ -51,11 +55,13 @@ import numpy as np
 
 from repro.geometry.constants import EPS
 from repro.geometry.point import Point
-from repro.visibility.naive import is_visible
+from repro.visibility.kernel import exact
+from repro.visibility.kernel.exact import ranges
 from repro.visibility.ordering import order_events_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model import Obstacle
+    from repro.runtime.stats import RuntimeStats
     from repro.visibility.graph import VisibilityGraph
     from repro.visibility.kernel.packed import PackedScene
 
@@ -92,7 +98,10 @@ _SOURCE_STRIDE = 16.0
 
 
 def kernel_visible_from_many(
-    sources: Sequence[Point], graph: "VisibilityGraph", packed: "PackedScene"
+    sources: Sequence[Point],
+    graph: "VisibilityGraph",
+    packed: "PackedScene",
+    stats: "RuntimeStats | None" = None,
 ) -> list[list[Point]]:
     """Per source, all scene points visible from it — vectorized sweep."""
     out: list[list[Point]] = [[] for __ in sources]
@@ -107,8 +116,8 @@ def kernel_visible_from_many(
         seen = _sweep_chunk(
             [sources[i] for i in chunk],
             boundaries[lo : lo + step],
-            graph,
             packed,
+            stats,
         )
         for i, visible in zip(chunk, seen):
             out[i] = visible
@@ -138,18 +147,11 @@ def _sweep_centers(
     return centers, [boundaries[i] for i in centers]
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The runs ``arange(start, start + count)``, concatenated."""
-    ends = counts.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total) + (starts - (ends - counts)).repeat(counts)
-
-
 def _sweep_chunk(
     srcs: list[Point],
     boundaries: "list[Sequence[Obstacle]]",
-    graph: "VisibilityGraph",
     packed: "PackedScene",
+    stats: "RuntimeStats | None",
 ) -> list[list[Point]]:
     """One pass over ``srcs`` (none strictly inside an obstacle)."""
     exy, points = packed.event_arrays()
@@ -185,7 +187,9 @@ def _sweep_chunk(
     # only at its endpoints: one midpoint containment test per
     # boundary obstacle decides `crosses_interior` exactly, except for
     # midpoints within a conservative band of the boundary (collinear
-    # grazes along an edge through p), which keep the exact test.
+    # grazes along an edge through p), which keep the exact test —
+    # against the source's boundary obstacles only.
+    band = np.empty(0, dtype=np.int64)
     if any(boundaries):
         on_boundary = np.array([bool(b) for b in boundaries]).repeat(n)
         plain = (visible & ~ambiguous & on_boundary).nonzero()[0]
@@ -198,23 +202,26 @@ def _sweep_chunk(
             (exy[plain_ids, 0] + pxy[plain_src, 0]) * 0.5,
             (exy[plain_ids, 1] + pxy[plain_src, 1]) * 0.5,
         )
-        for j in borderline.nonzero()[0].tolist():
-            s = plain_src[j]
-            p = srcs[s]
-            w = points[plain_ids[j]]
-            inside[j] = any(
-                obs.polygon.crosses_interior(p, w) for obs in boundaries[s]
-            )
         visible[plain[inside]] = False
+        band = plain[borderline]
+    # The exact predicate, one call for the whole pass: each band event
+    # against its source's boundary obstacles, each ambiguous event
+    # against the scene.  An event is hidden iff any of its pairs
+    # crosses.
     residue = ambiguous.nonzero()[0]
-    if residue.size:
-        obstacles = graph.scene_obstacles()
-        for pos, s, idx in zip(
-            residue.tolist(),
-            (residue // n).tolist(),
-            ev_ids[residue].tolist(),
-        ):
-            visible[pos] = is_visible(srcs[s], points[idx], obstacles)
+    if band.size or residue.size:
+        events = np.concatenate([band, residue])
+        only = [boundaries[s] for s in (band // n).tolist()]
+        hidden = exact.hidden_many(
+            (pxy, srcs),
+            events // n,
+            (exy, points),
+            ev_ids[events],
+            packed,
+            only,
+            stats,
+        )
+        visible[events[hidden]] = False
 
     ids = ev_ids[visible].tolist()
     out = []
@@ -270,7 +277,7 @@ def _interior_departures(
 
     n = src.shape[0]
     counts = (first[1:] - first[:-1])[src]
-    slot = _ranges(first[src], counts)
+    slot = ranges(first[src], counts)
     pair_target = np.arange(n).repeat(counts)
     pair_edge = np.array(edges)[slot]
     pair_group = pair_target * n_groups + np.array(groups)[slot]
@@ -366,7 +373,7 @@ def _classify_events(
     counts = doubled.searchsorted(hi_f + f_shift, side="right") - starts
     pair_src = f_src.repeat(counts)
     pair_edge = f_edge.repeat(counts)
-    pair_pos = pair_src * n + _ranges(starts, counts) % n
+    pair_pos = pair_src * n + ranges(starts, counts) % n
 
     d_src, d_edge = degenerate.nonzero()
     if d_src.size:

@@ -11,10 +11,12 @@ three synchronized groups of buffers:
   the owning obstacle id, append-only;
 * **obstacles** — per packed obstacle its MBR row and the contiguous
   run of edge rows it owns (the strict-interior prefilter and the
-  interior-departure pass of the sweep kernel read these);
+  interior-departure pass of the sweep kernel read these; the exact
+  predicate of :mod:`~repro.visibility.kernel.exact` reads them as
+  :meth:`PackedScene.exact_arrays`);
 * **free points** — entities and query points, in their own arrays
-  with O(1) swap-remove deletion (entities are transient: every
-  ``QueryContext.distance`` call adds and removes one).
+  with O(1) swap-remove deletion (a graph's entities come and go with
+  ``add_entity`` / ``delete_entity``; queries only read).
 
 The scene is built once per :class:`~repro.visibility.graph.
 VisibilityGraph` (lazily, at the first vectorized sweep) and then
@@ -27,7 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 from repro.model import Obstacle
+from repro.visibility.kernel.exact import ObstacleArrays, pack_polygons
 
 #: Initial capacity of every growable buffer.
 _INITIAL_CAPACITY = 16
@@ -63,6 +67,7 @@ class PackedScene:
         "_free_points",
         "_free_index",
         "_event_cache",
+        "_exact_cache",
     )
 
     def __init__(self) -> None:
@@ -84,6 +89,7 @@ class PackedScene:
         self._free_points: list[Point] = []
         self._free_index: dict[Point, int] = {}
         self._event_cache: tuple[np.ndarray, list[Point]] | None = None
+        self._exact_cache: tuple[ObstacleArrays, dict[int, int]] | None = None
 
     # ------------------------------------------------------------- mutation
     def add_obstacle(self, obs: Obstacle) -> None:
@@ -103,6 +109,7 @@ class PackedScene:
             self._eab[i, 1] = self._vert_index[b]
             self._eoid[i] = obs.oid
             self._n_edges = i + 1
+        self._exact_cache = None
 
     def remove_obstacle(self, oid: int) -> None:
         """Unpack one obstacle: drop its boundary edges and every vertex
@@ -145,6 +152,7 @@ class PackedScene:
         self._eoid[:n_keep] = kept_oid
         self._n_edges = n_keep
         self._event_cache = None
+        self._exact_cache = None
 
     def add_free_point(self, p: Point) -> None:
         """Pack one free point (entity or query point).
@@ -208,6 +216,11 @@ class PackedScene:
         return self._n_edges
 
     @property
+    def obstacle_count(self) -> int:
+        """Number of packed obstacles."""
+        return len(self._obs_rows)
+
+    @property
     def free_count(self) -> int:
         """Number of packed free points."""
         return self._n_free
@@ -233,15 +246,29 @@ class PackedScene:
         maxy)``."""
         return [row[1:] for row in self._obs_rows]
 
-    def mbr_holders(self, p: Point) -> list[Obstacle]:
-        """The packed obstacles whose closed MBR holds ``p`` — the
-        comparison :meth:`Polygon.contains` itself makes first, so
-        running ``contains`` only on these cannot change a verdict."""
+    def mbr_holders(self, p: Point, slack: float = 0.0) -> list[Obstacle]:
+        """The packed obstacles whose closed MBR, grown by ``slack``,
+        holds ``p`` — the comparison :meth:`Polygon.contains` (and,
+        with ``slack=EPS``, :meth:`Polygon.on_boundary`) itself makes
+        first, so running it only on these cannot change a verdict."""
         x, y = p.x, p.y
         return [
             obs
             for obs, minx, miny, maxx, maxy in self._obs_rows
-            if minx <= x <= maxx and miny <= y <= maxy
+            if minx - slack <= x <= maxx + slack
+            and miny - slack <= y <= maxy + slack
+        ]
+
+    def mbr_meeting(self, box: Rect) -> list[Obstacle]:
+        """The packed obstacles whose MBR meets ``box`` — the
+        ``Rect.intersects`` that :meth:`Polygon.crosses_interior` makes
+        first on a segment's bounding box, so running it only on these
+        cannot change a verdict."""
+        bminx, bminy, bmaxx, bmaxy = box.minx, box.miny, box.maxx, box.maxy
+        return [
+            obs
+            for obs, minx, miny, maxx, maxy in self._obs_rows
+            if minx <= bmaxx and bminx <= maxx and miny <= bmaxy and bminy <= maxy
         ]
 
     def obstacle_edge_range(self, oid: int) -> tuple[int, int]:
@@ -268,6 +295,17 @@ class PackedScene:
             )
             self._event_cache = (xy, self._vert_points + self._free_points)
         return self._event_cache
+
+    def exact_arrays(self) -> tuple[ObstacleArrays, dict[int, int]]:
+        """The obstacles as the exact predicate reads them, in packed
+        order, and each obstacle id's row there.  Cached between
+        obstacle mutations; read-only to callers."""
+        if self._exact_cache is None:
+            self._exact_cache = (
+                pack_polygons(row[0].polygon for row in self._obs_rows),
+                {row[0].oid: i for i, row in enumerate(self._obs_rows)},
+            )
+        return self._exact_cache
 
     def event_points(self) -> list[Point]:
         """Every event point, in packed order: vertices then free points.

@@ -137,6 +137,24 @@ class TestAddObstacle:
         # p -> far crosses the interior, must not be an edge
         assert far not in g.neighbors(p)
 
+    def test_off_graph_probe_on_a_shared_edge(self):
+        """An unknown probe is checked on the fly: on the side two
+        touching rectangles share it lies on both boundaries (in
+        registration order); a hair inside the EPS slack still counts,
+        beyond it nothing does."""
+        left = rect_obstacle(0, 0, 0, 10, 10)
+        right = rect_obstacle(1, 10, 0, 20, 10)
+        far = rect_obstacle(2, 40, 0, 50, 10)
+        g = VisibilityGraph.build([], [left, right, far])
+        assert g.boundary_obstacles(Point(10, 4)) == (left, right)
+        assert g.boundary_obstacles(Point(10, 10 + 5e-10)) == (left, right)
+        assert g.boundary_obstacles(Point(-5e-10, 4)) == (left,)
+        assert g.boundary_obstacles(Point(10, 10 + 1e-6)) == ()
+        assert g.boundary_obstacles(Point(15, 4)) == ()  # strictly inside
+        assert g.boundary_obstacles(Point(10, 10)) == (left, right)  # a node
+        g.remove_obstacle(left.oid)
+        assert g.boundary_obstacles(Point(10, 4)) == (right,)
+
 
 class TestAddDeleteEntity:
     def test_add_entity_connects(self):

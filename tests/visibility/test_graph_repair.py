@@ -65,6 +65,30 @@ class TestRepairEqualsRebuild:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("victim", [0, 2, 6])
+def test_street_grid_insert_then_delete_equals_rebuild(backend, victim):
+    """60 nodes on shared grid lines — the collinear contacts the random
+    scenes above never make: the numpy kernel's graphs answer both
+    maintenance batches over arrays (victims 0 and 2; for victim 6, at
+    the rim, too few pairs pass the MBR reject and the scalar method
+    is looped), and insert, then delete, equal from-scratch builds
+    edge for edge."""
+    from repro.datasets.synthetic import street_grid_obstacles
+
+    obstacles = street_grid_obstacles(15, seed=7)
+    rest = obstacles[:victim] + obstacles[victim + 1:]
+    graph = VisibilityGraph.build([], rest, method=backend)
+    without = _edge_set(graph)
+    assert graph.add_obstacle(obstacles[victim])
+    assert graph.node_count == 60
+    assert _edge_set(graph) == _edge_set(
+        VisibilityGraph.build([], obstacles, method=backend)
+    )
+    assert graph.remove_obstacle(obstacles[victim].oid)
+    assert _edge_set(graph) == without
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestRemoveObstacleEdgeCases:
     def test_missing_oid_is_noop(self, backend):
         __, obstacles, points = _scene(3)

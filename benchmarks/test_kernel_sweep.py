@@ -9,7 +9,9 @@ acceptance bars for the numpy kernel: a >= 3x build speedup over the
 python sweep on a 1,000-vertex scene with a bit-identical resulting
 graph; sweeping all nodes in one batched call >= 2x faster than one
 call per node at 56 vertices, and not slower at 1,000 (where the
-kernel's pair budget shrinks the passes to a few sources each).  And
+kernel's pair budget shrinks the passes to a few sources each); the
+nodes of 16 graphs of ~13 nodes — a distance join's seeds — swept in
+one scenes call >= 2x faster than in one call per graph.  And
 for the exact predicate behind the kernel's residue: every node pair of
 the 56-vertex scene against every obstacle through
 ``crosses_interior_many`` >= 3x faster than the
@@ -55,6 +57,11 @@ SPEEDUP_TARGET = 3.0
 #: room for timer noise).
 BATCH_SPEEDUP_TARGET = 2.0
 BATCH_LARGE_FLOOR = 0.9
+
+#: Required scenes-vs-per-graph sweep ratio on a distance join's
+#: traffic: 16 scenes of 3 rectangles and a free centre each.
+SCENES = 16
+SCENES_SPEEDUP_TARGET = 2.0
 
 #: Required speedup of the array-evaluated exact predicate over the
 #: scalar loop on the workload-sized scene.
@@ -114,6 +121,51 @@ def test_batched_sweep_acceptance(acceptance_metrics):
     assert large["batch_speedup"] >= BATCH_LARGE_FLOOR, (
         f"batched sweep {large['batch_speedup']:.2f}x at "
         f"{4 * ACCEPTANCE_RECTS} vertices: slower than per-source sweeps"
+    )
+
+
+def test_scenes_sweep_acceptance():
+    """Every node of 16 street-grid graphs of ~13 nodes — 3 rectangles
+    and a free centre, the graphs ``paper-join`` builds per seed — in
+    one ``visible_from_scenes`` call against one ``visible_from_many``
+    call per graph: the same lists, >= 2x faster (best of nine rounds
+    each; 2.6-2.8x measured — a third of the scenes call is per-source
+    python no array pass amortizes)."""
+    from repro.geometry import Point
+    from repro.visibility import resolve_backend
+
+    backend = resolve_backend("numpy-kernel")
+    scenes = []
+    for seed in range(SCENES):
+        obstacles = street_grid_obstacles(3, seed=seed)
+        xs = [v.x for o in obstacles for v in o.polygon.vertices]
+        ys = [v.y for o in obstacles for v in o.polygon.vertices]
+        centre = Point(sum(xs) / len(xs) + 0.37, sum(ys) / len(ys) - 0.41)
+        graph = VisibilityGraph.build([centre], obstacles, method=backend)
+        scenes.append((list(graph.nodes()), graph))
+
+    def per_graph():
+        return [backend.visible_from_many(nodes, graph) for nodes, graph in scenes]
+
+    def together():
+        return backend.visible_from_scenes(scenes)
+
+    def best(fn):
+        rounds = []
+        for __ in range(9):
+            t0 = time.perf_counter()
+            result = fn()
+            rounds.append(time.perf_counter() - t0)
+        return min(rounds), result
+
+    per_graph_s, want = best(per_graph)
+    together_s, got = best(together)
+    assert got == want
+    assert sum(map(len, want)) == 13 * SCENES
+    assert per_graph_s / together_s >= SCENES_SPEEDUP_TARGET, (
+        f"one scenes call {per_graph_s / together_s:.2f}x the per-graph calls "
+        f"({together_s * 1e3:.2f} ms vs {per_graph_s * 1e3:.2f} ms over "
+        f"{SCENES} scenes), below {SCENES_SPEEDUP_TARGET}x"
     )
 
 

@@ -60,12 +60,8 @@ def compute_obstructed_distance(
     while True:
         if d > bound:
             return d
-        retrieved = source.obstacles_in_range(q, d)
-        new_obstacles = [o for o in retrieved if not graph.has_obstacle(o.oid)]
-        if not new_obstacles:
+        if not graph.add_obstacles(source.obstacles_in_range(q, d)):
             return d
-        for obs in new_obstacles:
-            graph.add_obstacle(obs)
         d = shortest_path_dist(graph, p, q)
 
 
@@ -176,12 +172,7 @@ class SourceDistanceField:
         if self._grow is not None:
             return self._grow(radius)
         retrieved = self._source.obstacles_in_range(self._q, radius)
-        new_obstacles = [
-            o for o in retrieved if not self._graph.has_obstacle(o.oid)
-        ]
-        for obs in new_obstacles:
-            self._graph.add_obstacle(obs)
-        return bool(new_obstacles)
+        return self._graph.add_obstacles(retrieved) > 0
 
     def _pin(self) -> None:
         """Take the graph's current freeze and the field rooted at the

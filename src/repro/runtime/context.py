@@ -16,6 +16,10 @@ hooks — so consecutive queries amortize each other's work:
 * each graph tracks its obstacle *coverage radius*, so Fig. 8's
   iterative range enlargement skips retrievals that cannot surface
   anything new;
+* a distance join's seeds are handed over together
+  (:meth:`QueryContext.refine_many`): their graphs are registered one
+  by one — the cache sees the per-seed calls — and swept in one
+  backend call;
 * dynamic obstacle updates are routed repair-first: the context
   subscribes to the source's mutation feed and patches affected cached
   graphs in place (``add_obstacle`` on insert, ``remove_obstacle``'s
@@ -27,12 +31,13 @@ hooks — so consecutive queries amortize each other's work:
 from __future__ import annotations
 
 from math import inf
+from typing import Sequence
 
 from repro.core.distance import ObstacleSource, SourceDistanceField
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.model import Obstacle
-from repro.obs.trace import TRACER
+from repro.obs.trace import NULL_SPAN, TRACER
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.runtime.policy import CachePolicy, resolve_cache_policy
 from repro.runtime.sharding import stamp_for, stamp_is_stale
@@ -311,10 +316,20 @@ class QueryContext:
         off-centre ``center`` does not become a node: queries only read
         the graph (:meth:`distance`, :meth:`field_for`).
         """
+        return self._entry(center, radius, connect=True)
+
+    def _entry(self, center: Point, radius: float, *, connect: bool) -> CachedGraph:
+        """:meth:`entry_for`.  With ``connect`` off, what it builds or
+        tops up is registered only — no sweep, no span: the caller
+        sweeps the graphs of many entries in one
+        :meth:`VisibilityGraph.connect` — every other step being the
+        same calls with the same arguments in the same order."""
         self.policy.observe(center)
         entry = self.cache.get(center, self.version)
         if entry is None:
-            with TRACER.span("graph.build", radius=radius) as span:
+            make = VisibilityGraph.build if connect else VisibilityGraph.registered
+            span = TRACER.span("graph.build", radius=radius) if connect else NULL_SPAN
+            with span:
                 # Stamp before retrieving: the stamp must never
                 # post-date the obstacle set the graph is built from.
                 stamp = stamp_for(self.source, center, radius)
@@ -324,9 +339,7 @@ class QueryContext:
                     else []
                 )
                 span.set_attr("obstacles", len(obstacles))
-                graph = VisibilityGraph.build(
-                    [center], obstacles, method=self.backend
-                )
+                graph = make([center], obstacles, method=self.backend)
             self.stats.graph_builds += 1
             entry = CachedGraph(graph, center, radius, stamp)
             self.cache.put(entry, shards=self._disk_shards(center, radius))
@@ -335,7 +348,8 @@ class QueryContext:
         if required > entry.covered:
             if entry.center != center:
                 self.stats.graph_cache_promotions += 1
-            self.ensure_coverage(entry, required)
+            # A hit is never stale: the cache drops stale entries.
+            self._expand(entry, required, connect=connect)
         return entry
 
     @staticmethod
@@ -399,15 +413,18 @@ class QueryContext:
             return True
         if radius <= entry.covered:
             return False
+        return self._expand(entry, radius, connect=True)
+
+    def _expand(self, entry: CachedGraph, radius: float, *, connect: bool) -> bool:
+        """Fig. 8's enlargement of a fresh entry to ``radius`` (beyond
+        its coverage): one retrieval, one growth step of the graph —
+        registered only with ``connect`` off (see :meth:`_entry`)."""
         self.stats.coverage_expansions += 1
-        with TRACER.span("graph.expand", radius=radius):
-            retrieved = self.source.obstacles_in_range(entry.center, radius)
-            graph = entry.graph
-            added = False
-            for obs in retrieved:
-                if graph.add_obstacle(obs):
-                    self.stats.obstacles_added += 1
-                    added = True
+        graph = entry.graph
+        grow = graph.add_obstacles if connect else graph.register_obstacles
+        with TRACER.span("graph.expand", radius=radius) if connect else NULL_SPAN:
+            added = grow(self.source.obstacles_in_range(entry.center, radius))
+        self.stats.obstacles_added += added
         extend = getattr(entry.version, "extend", None)
         if extend is not None:
             # Per-shard stamps absorb the newly touched shards (at
@@ -415,7 +432,7 @@ class QueryContext:
             extend(radius)
         entry.covered = radius
         self.cache.refresh_shards(entry, self._disk_shards(entry.center, radius))
-        return added
+        return added > 0
 
     # ----------------------------------------------------------- evaluations
     def distance(self, p: Point, q: Point, *, bound: float = inf) -> float:
@@ -480,6 +497,9 @@ class QueryContext:
         """
         with TRACER.span("field.build", radius=radius):
             entry = self.entry_for(q, radius)
+        return self._field(entry, q)
+
+    def _field(self, entry: CachedGraph, q: Point) -> SourceDistanceField:
         self.stats.field_builds += 1
         return SourceDistanceField(
             entry.graph,
@@ -488,3 +508,86 @@ class QueryContext:
             grow=lambda r: self.cover(entry, q, r),
             stats=self.stats,
         )
+
+    def refine_many(
+        self,
+        centers: Sequence[Point],
+        radius: float,
+        candidates: "Sequence[list[Point]]",
+    ) -> list[list[float]]:
+        """Per centre, what ``field_for(centre, radius).batch_eval(its
+        candidates, bound=radius)`` returns (a centre without
+        candidates: ``[]``, and no graph) — a distance join's seeds
+        (Fig. 10), with the sweeps of a run of centres made together.
+
+        Centre by centre the cache sees exactly :meth:`entry_for`'s
+        lookups, retrievals and admissions, in order; only the sweeps
+        wait.  Then one backend call connects every graph the run built
+        or topped up (a graph reached twice accumulates its pending
+        nodes and is swept once), a second one fetches, per freeze, the
+        last-leg anchors of every candidate (and off-centre root) not
+        memoized yet, and each centre's field evaluates from the memo —
+        with ``bound = radius`` its Fig. 8 loop never retrieves
+        (``d <= radius <= covered``).  Runs are cut at the cache's
+        capacity, so no more graphs wait than the cache holds; a run of
+        one centre has nothing to wait for and is that expression
+        itself.  If anything fails before the connect, every entry left
+        with unswept nodes leaves the cache.
+        """
+        out: list[list[float]] = [[] for __ in centers]
+        asked = [i for i, points in enumerate(candidates) if points]
+        capacity = self.cache.capacity
+        for lo in range(0, len(asked), capacity):
+            run = [(centers[i], candidates[i]) for i in asked[lo : lo + capacity]]
+            fields = (
+                self._fields_connected_together(run, radius)
+                if len(run) > 1
+                else [self.field_for(run[0][0], radius)]
+            )
+            for i, field in zip(asked[lo:], fields):
+                out[i] = field.batch_eval(candidates[i], bound=radius)
+        return out
+
+    def _fields_connected_together(
+        self, run: "list[tuple[Point, list[Point]]]", radius: float
+    ) -> list[SourceDistanceField]:
+        """:meth:`field_for` per ``(centre, candidates)`` of ``run``,
+        the graphs swept in one backend call and the candidates' anchors
+        fetched in a second (see :meth:`refine_many`)."""
+        entries: list[CachedGraph] = []
+        try:
+            for center, __ in run:
+                entries.append(self._entry(center, radius, connect=False))
+            graphs = list({id(entry.graph): entry.graph for entry in entries}.values())
+            with _scenes_span([(graph.pending, graph) for graph in graphs]):
+                VisibilityGraph.connect(graphs)
+        finally:
+            for entry in entries:
+                if entry.graph.pending:
+                    self.cache.discard(entry)
+        # Per freeze, the points whose anchors its fields will ask for.
+        asked: dict[int, tuple] = {}
+        fields = []
+        for (center, points), entry in zip(run, entries):
+            fields.append(self._field(entry, center))
+            csr = frozen(entry.graph, stats=self.stats)
+            ask = asked.setdefault(id(csr), (csr, entry.graph, {}))[2]
+            ask.update(dict.fromkeys((center, *points)))
+        fetch = [
+            (csr, graph, csr.unanchored(ask)) for csr, graph, ask in asked.values()
+        ]
+        scenes = [(sources, graph) for __, graph, sources in fetch]
+        with _scenes_span(scenes):
+            seen = self.backend.visible_from_scenes(scenes)
+        for (csr, __, sources), visible in zip(fetch, seen):
+            csr.memoize_anchors(sources, visible)
+        return fields
+
+
+def _scenes_span(scenes: "Sequence[tuple[Sequence[Point], VisibilityGraph]]"):
+    """The span around one backend call over ``scenes``."""
+    return TRACER.span(
+        "sweep.scenes",
+        scenes=len(scenes),
+        sources=sum(len(sources) for sources, __ in scenes),
+    )

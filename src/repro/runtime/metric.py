@@ -12,13 +12,14 @@ the ``core`` obstructed ones parameterizations of the *same* code.
 A metric's ``field(q)`` answers many ``distance(p, q)`` evaluations
 against a fixed ``q`` cheaply (ONN's inner loop); ``range_refine``
 turns a Euclidean candidate superset into the exact in-range result
-(OR's elimination step, also reused per seed by ODJ).
+(OR's elimination step), ``range_refine_many`` does it for every seed
+of an ODJ at once.
 """
 
 from __future__ import annotations
 
 from math import inf
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.core.distance import ObstacleSource
 from repro.geometry.point import Point
@@ -61,6 +62,17 @@ class DistanceOracle(Protocol):
 
         ``candidates`` is a superset of the answer obtained by the
         Euclidean lower-bound filter."""
+
+    def range_refine_many(
+        self,
+        seeds: Sequence[Point],
+        e: float,
+        partners: Mapping[Point, Iterable[Point]],
+    ) -> list[list[tuple[Point, float]]]:
+        """Per seed ``q`` of ``seeds``, what ``range_refine(q, e,
+        partners[q])`` returns — handed every seed up front, as a
+        distance join has them (Fig. 10), so a metric can batch the
+        work they share."""
 
 
 class _EuclideanField:
@@ -112,6 +124,15 @@ class EuclideanMetric:
         pairs = sorted((q.distance(p), p) for p in candidates)
         return [(p, d) for d, p in pairs if d <= e]
 
+    def range_refine_many(
+        self,
+        seeds: Sequence[Point],
+        e: float,
+        partners: Mapping[Point, Iterable[Point]],
+    ) -> list[list[tuple[Point, float]]]:
+        """Seeds share nothing: one :meth:`range_refine` each."""
+        return [self.range_refine(q, e, partners[q]) for q in seeds]
+
 
 class ObstructedMetric:
     """``d(p, q) = d_O(p, q)`` over a shared :class:`QueryContext`.
@@ -157,24 +178,38 @@ class ObstructedMetric:
         self, q: Point, e: float, candidates: Iterable[Point]
     ) -> list[tuple[Point, float]]:
         """Fig. 5's elimination: one batched distance field rooted at
-        ``q``, covering radius ``e``.
+        ``q``, covering radius ``e`` — :meth:`range_refine_many` with
+        one seed."""
+        return self.range_refine_many([q], e, {q: candidates})[0]
+
+    def range_refine_many(
+        self,
+        seeds: Sequence[Point],
+        e: float,
+        partners: Mapping[Point, Iterable[Point]],
+    ) -> list[list[tuple[Point, float]]]:
+        """Per seed, one batched distance field rooted at it, covering
+        radius ``e`` — the graphs of all the seeds swept together
+        (:meth:`QueryContext.refine_many
+        <repro.runtime.context.QueryContext.refine_many>`).
 
         Each candidate's distance is the last-leg minimisation over its
         visible anchors — exact because a shortest path never turns at
         a free point, so it leaves the candidate straight toward some
         graph node — evaluated in one :meth:`DistanceField.batch_eval`
-        call.  Unlike the pre-field formulation (one bounded expansion
-        with every candidate inserted as a transient entity, see
-        :func:`~repro.runtime.skeletons.bounded_expansion`), candidates
-        never enter the cached graph, so the field's provisional
-        Dijkstra is reusable across calls at the same centre.
+        call per seed.  Unlike the pre-field formulation (one bounded
+        expansion with every candidate inserted as a transient entity,
+        see :func:`~repro.runtime.skeletons.bounded_expansion`),
+        candidates never enter the cached graph, so the field's
+        provisional Dijkstra is reusable across calls at the same
+        centre.
         """
-        uniq = list(dict.fromkeys(candidates))
-        if not uniq:
-            return []
-        field = self.context.field_for(q, e)
-        dists = field.batch_eval(uniq, bound=e)
-        return [(p, d) for p, d in zip(uniq, dists) if d <= e]
+        uniq = [list(dict.fromkeys(partners[q])) for q in seeds]
+        dists = self.context.refine_many(seeds, e, uniq)
+        return [
+            [(p, d) for p, d in zip(points, found) if d <= e]
+            for points, found in zip(uniq, dists)
+        ]
 
 
 def resolve_metric(

@@ -166,10 +166,11 @@ def metric_distance_join(
 
     An R-tree distance join produces the candidate pairs; the side
     with fewer distinct points provides "seeds", each refined with a
-    single range refinement over its partners.  Seeds are processed in
-    Hilbert order so consecutive obstacle retrievals touch nearby
-    pages (``hilbert_order_seeds=False`` disables this, for the
-    ablation benchmark).
+    single range refinement over its partners — all handed to the
+    metric at once (:meth:`DistanceOracle.range_refine_many`).  Seeds
+    are processed in Hilbert order so consecutive obstacle retrievals
+    touch nearby pages (``hilbert_order_seeds=False`` disables this,
+    for the ablation benchmark).
     """
     from repro.euclidean.join import distance_join
 
@@ -197,9 +198,8 @@ def metric_distance_join(
         seeds.sort(key=lambda p: hilbert_key(p, universe))
 
     result: list[tuple[Point, Point, float]] = []
-    for seed in seeds:
-        mates = partners[seed]
-        for mate, d in metric.range_refine(seed, e, mates):
+    for seed, refined in zip(seeds, metric.range_refine_many(seeds, e, partners)):
+        for mate, d in refined:
             if seed_from_s:
                 result.append((seed, mate, d))
             else:

@@ -48,6 +48,7 @@ class RuntimeStats:
         "compactions",
         "compaction_bytes",
         "sweeps_run",
+        "sweep_passes",
         "sweep_events",
         "sweep_seconds",
         "exact_pairs",
@@ -85,6 +86,7 @@ class RuntimeStats:
         self.compactions = 0
         self.compaction_bytes = 0
         self.sweeps_run = 0
+        self.sweep_passes = 0
         self.sweep_events = 0
         self.sweep_seconds = 0.0
         self.exact_pairs = 0

@@ -242,22 +242,39 @@ class CSRGraph:
             return np.array([own]), np.zeros(1)
         cached = self.anchors.get(p)
         if cached is None:
-            sources = [p]
-            sources += dict.fromkeys(
-                c
-                for c in ahead
-                if c != p and c not in self.anchors and c not in self.index
-            )
-            for c, seen in zip(sources, graph.visible_from_many(sources)):
-                self.anchors[c] = self._last_legs(c, seen)
+            ahead = list(ahead)
+            sources = self.unanchored([p, *ahead])
+            self.memoize_anchors(sources, graph.visible_from_many(sources), ahead)
             cached = self.anchors[p]
-            excess = len(self.anchors) - ANCHOR_MEMO_LIMIT
-            if excess > 0:
-                keep = {p, *ahead}
-                oldest = (c for c in self.anchors if c not in keep)
-                for c in list(islice(oldest, excess)):
-                    del self.anchors[c]
         return cached
+
+    def unanchored(self, points: Iterable[Point]) -> list[Point]:
+        """The distinct off-graph points of ``points`` whose last-leg
+        geometry is not memoized: what a sweep has yet to answer."""
+        return list(
+            dict.fromkeys(
+                c for c in points if c not in self.anchors and c not in self.index
+            )
+        )
+
+    def memoize_anchors(
+        self,
+        points: Sequence[Point],
+        seen: Sequence[list[Point]],
+        keep: Iterable[Point] = (),
+    ) -> None:
+        """Memoize the last-leg geometry of ``points`` from what each
+        sees (``seen``, parallel: a sweep's answer), then drop the
+        memo's oldest entries beyond :data:`ANCHOR_MEMO_LIMIT` — never
+        one of ``points`` or of ``keep``."""
+        for c, visible in zip(points, seen):
+            self.anchors[c] = self._last_legs(c, visible)
+        excess = len(self.anchors) - ANCHOR_MEMO_LIMIT
+        if excess > 0:
+            keep = {*points, *keep}
+            oldest = (c for c in self.anchors if c not in keep)
+            for c in list(islice(oldest, excess)):
+                del self.anchors[c]
 
     def _last_legs(
         self, p: Point, anchors: list[Point]

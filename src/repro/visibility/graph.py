@@ -7,9 +7,20 @@ implemented exactly as described:
 
 * ``add_obstacle`` — used by the iterative obstructed-distance
   computation (Fig. 8) to grow the graph: removes existing edges that
-  cross the new polygon's interior, then sweeps each new vertex;
+  cross the new polygon's interior, then sweeps each new vertex
+  (``add_obstacles`` does it for a whole retrieved set at once: one
+  edge removal against all the new polygons, one sweep of all the new
+  vertices against the final scene);
 * ``add_entity`` — one rotational sweep for the new point;
 * ``delete_entity`` — removes the point and its incident edges.
+
+Every operation that sweeps is "register, then connect": nodes enter
+the graph *pending* and :meth:`VisibilityGraph.connect` sweeps the
+pending nodes of any number of graphs in one backend call.  ``build``,
+``rebuild``, ``add_obstacles`` and ``add_entity`` are its one-graph
+uses; a caller with many graphs to build (a distance join's seeds)
+registers them all (``registered``, ``register_obstacles``) and
+connects once.
 
 ``remove_obstacle`` extends the paper's set with the inverse of
 ``add_obstacle``: the obstacle's vertices and boundary edges are torn
@@ -35,6 +46,7 @@ from repro.model import Obstacle
 from repro.visibility.edges import BoundaryEdge
 from repro.visibility.kernel.backend import (
     VisibilityBackend,
+    _StatsAdapter,
     _TimedBackend,
     resolve_backend,
 )
@@ -68,22 +80,24 @@ class VisibilityGraph:
         "_structure_revision",
         "_csr",
         "_backend",
-        "_batches",
+        "_pending",
         "_packed",
         "method",
     )
 
     def __init__(self, method: "str | VisibilityBackend | None" = None) -> None:
-        self._backend = resolve_backend(method)
-        self.method = self._backend.name
-        # Who answers the exact-predicate batches of add_obstacle and
-        # remove_obstacle: the backend, or — a caller-owned backend
-        # that only sweeps — the scalar loops every named one inherits.
-        self._batches = (
-            self._backend
-            if isinstance(self._backend, _TimedBackend)
-            else _TimedBackend()
+        backend = resolve_backend(method)
+        self.method = backend.name
+        # A caller-owned backend that only sweeps gets what every named
+        # one inherits: the scalar loops behind add_obstacles and
+        # remove_obstacle, the looping scenes entry behind connect.
+        self._backend = (
+            backend
+            if isinstance(backend, _TimedBackend)
+            else _StatsAdapter(backend, None)
         )
+        #: Nodes registered but not swept yet (:meth:`connect`).
+        self._pending: list[Point] = []
         self._obstacle_revision = 0
         self._structure_revision = 0
         #: Frozen CSR view of the adjacency (``(structure_revision,
@@ -117,24 +131,54 @@ class VisibilityGraph:
         ``build_visibility_graph`` ([SS84], one rotational sweep per
         node, no tangent simplification).
         """
+        graph = cls.registered(points, obstacles, method=method)
+        cls.connect([graph])
+        return graph
+
+    @classmethod
+    def registered(
+        cls,
+        points: Iterable[Point],
+        obstacles: Iterable[Obstacle],
+        *,
+        method: "str | VisibilityBackend | None" = None,
+    ) -> "VisibilityGraph":
+        """The first half of :meth:`build`: a graph holding ``points``
+        and ``obstacles`` with every node pending — no edge yet, until
+        :meth:`connect`."""
         graph = cls(method=method)
         for obs in obstacles:
             graph._register_obstacle(obs)
         for p in points:
             graph._register_free_point(p)
-        graph._connect(list(graph._adj))
+        graph._pending = list(graph._adj)
         return graph
+
+    @staticmethod
+    def connect(graphs: "Iterable[VisibilityGraph]") -> None:
+        """Sweep every pending node of ``graphs`` (distinct, sharing one
+        backend) in one backend call and install each one's visible
+        set.  A backend failure leaves the nodes pending."""
+        waiting = [graph for graph in graphs if graph._pending]
+        if not waiting:
+            return
+        seen = waiting[0]._backend.visible_from_scenes(
+            [(graph._pending, graph) for graph in waiting]
+        )
+        for graph, visible in zip(waiting, seen):
+            pending, graph._pending = graph._pending, []
+            for node, nodes in zip(pending, visible):
+                graph._install_visible(node, nodes)
+
+    @property
+    def pending(self) -> Sequence[Point]:
+        """The nodes registered but not swept yet."""
+        return self._pending
 
     def visible_from_many(self, sources: Sequence[Point]) -> list[list[Point]]:
         """Per source, the nodes it sees — one call into the graph's
         backend for all of them.  Sources need not be nodes."""
         return self._backend.visible_from_many(sources, self)
-
-    def _connect(self, sources: Sequence[Point]) -> None:
-        """Sweep ``sources`` (nodes) in one backend call and install
-        each one's visible set."""
-        for node, seen in zip(sources, self.visible_from_many(sources)):
-            self._install_visible(node, seen)
 
     # --------------------------------------------------------- serialization
     def snapshot_parts(
@@ -330,7 +374,8 @@ class VisibilityGraph:
             self._register_obstacle(obs)
         for p in free:
             self._register_free_point(p)
-        self._connect(list(self._adj))
+        self._pending = list(self._adj)
+        self.connect([self])
 
     def add_obstacle(self, obs: Obstacle) -> bool:
         """Incorporate a new obstacle (paper's ``add_obstacle``).
@@ -339,17 +384,43 @@ class VisibilityGraph:
         runs one rotational sweep per new vertex.  Returns ``False``
         when the obstacle was already present.
         """
-        if obs.oid in self._obstacles:
-            return False
-        poly = obs.polygon
-        self._remove_edges_crossing(poly)
-        new_vertices = self._register_obstacle(obs)
-        # Entities lying on the new polygon's boundary gain a membership.
-        for p in self._free:
-            if poly.on_boundary(p):
-                self._boundary[p] = self._boundary.get(p, ()) + (obs,)
-        self._connect(new_vertices)
-        return True
+        return self.add_obstacles((obs,)) == 1
+
+    def add_obstacles(self, obstacles: Iterable[Obstacle]) -> int:
+        """Incorporate a retrieved set of obstacles in one growth step
+        (Fig. 8's enlargement); returns how many were new.
+
+        Equal to :meth:`add_obstacle` folded over the set in any order
+        — an edge survives iff it crosses no polygon's interior, a new
+        vertex sees what it sees in the final scene — at the cost of
+        one edge removal and one sweep call, and with one re-freeze
+        for the CSR view's holders instead of one per obstacle.
+        """
+        added = self.register_obstacles(obstacles)
+        self.connect([self])
+        return added
+
+    def register_obstacles(self, obstacles: Iterable[Obstacle]) -> int:
+        """The first half of :meth:`add_obstacles`: the existing edges
+        crossing a new polygon's interior go, the new obstacles enter
+        the scene and their new vertices wait, pending, for
+        :meth:`connect`.  Returns how many obstacles were new."""
+        fresh = {
+            obs.oid: obs for obs in obstacles if obs.oid not in self._obstacles
+        }
+        if not fresh:
+            return 0
+        self._remove_edges_crossing([obs.polygon for obs in fresh.values()])
+        for obs in fresh.values():
+            self._pending += self._register_obstacle(obs)
+            # Entities lying on the new polygon's boundary gain a
+            # membership — one that doubles as another obstacle's
+            # vertex too, whichever of the two obstacles came first.
+            for p in (*self._free, *self._promoted):
+                held = self._boundary.get(p, ())
+                if obs not in held and obs.polygon.on_boundary(p):
+                    self._boundary[p] = held + (obs,)
+        return len(fresh)
 
     def remove_obstacle(self, oid: int) -> bool:
         """Remove one obstacle and repair the graph in place.
@@ -406,6 +477,7 @@ class VisibilityGraph:
             )
             if membership:
                 self._boundary[v] = membership
+        self._drop_stale_pending()
         self._resweep_region(poly.mbr)
         return True
 
@@ -418,7 +490,7 @@ class VisibilityGraph:
         to), so a repaired graph is identical to a from-scratch
         rebuild.
         """
-        for u, w in self._batches.unblocked_pairs(self, region):
+        for u, w in self._backend.unblocked_pairs(self, region):
             self._set_edge(u, w)
 
     def add_entity(self, p: Point) -> bool:
@@ -430,7 +502,8 @@ class VisibilityGraph:
         if p in self._adj:
             return False
         self._register_free_point(p)
-        self._connect((p,))
+        self._pending.append(p)
+        self.connect([self])
         return True
 
     def delete_entity(self, p: Point) -> bool:
@@ -449,6 +522,7 @@ class VisibilityGraph:
         self._boundary.pop(p, None)
         if self._packed is not None:
             self._packed.remove_free_point(p)
+        self._drop_stale_pending()
         return True
 
     # ------------------------------------------------------------- internals
@@ -502,6 +576,11 @@ class VisibilityGraph:
         if membership:
             self._boundary[p] = membership
 
+    def _drop_stale_pending(self) -> None:
+        """A node that left the graph no longer waits for a sweep."""
+        if self._pending:
+            self._pending = [p for p in self._pending if p in self._adj]
+
     def _set_edge(self, u: Point, v: Point) -> None:
         if u == v:
             return
@@ -530,9 +609,9 @@ class VisibilityGraph:
             adj[w][u] = weight
         self._structure_revision += 1
 
-    def _remove_edges_crossing(self, poly: Polygon) -> None:
+    def _remove_edges_crossing(self, polygons: Sequence[Polygon]) -> None:
         self._structure_revision += 1
         adj = self._adj
-        for u, v in self._batches.edges_crossing(self, poly):
+        for u, v in self._backend.edges_crossing(self, polygons):
             del adj[u][v]
             del adj[v][u]

@@ -13,15 +13,15 @@ array kernels:
   MBRs and edge runs), built once per graph and extended
   incrementally as obstacles and entities arrive;
 * :mod:`~repro.visibility.kernel.numpy_sweep` — the vectorized sweep,
-  many sources per call: one ``arctan2`` pass for every (source,
-  event) angle, a numpy angular sort, and batched
+  many sources of many scenes per call: one ``arctan2`` pass for every
+  (source, event of its scene) angle, a numpy angular sort, and batched
   orientation/intersection classification of candidate blocking
   edges, with the exact predicate deciding only the degenerate
   residue so results match the python sweep everywhere;
 * :mod:`~repro.visibility.kernel.exact` — that predicate
   (``Polygon.crosses_interior``) evaluated over arrays, the scalar
   code's own float64 expressions in the same order: one call behind
-  the sweep's residue and boundary band, ``add_obstacle``'s edge
+  the sweep's residue and boundary band, ``add_obstacles``' edge
   removal and ``remove_obstacle``'s re-sweep;
 * :mod:`~repro.visibility.kernel.backend` — the pluggable
   :class:`~repro.visibility.kernel.backend.VisibilityBackend` protocol

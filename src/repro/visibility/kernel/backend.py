@@ -3,9 +3,11 @@
 A backend answers one question — "which scene points does ``p`` see" —
 for a :class:`~repro.visibility.graph.VisibilityGraph`, for one source
 (``visible_from``) or for many in one call (``visible_from_many``: a
-graph build, the new vertices of an inserted obstacle, the off-graph
-candidates of a distance-field batch).  Three named implementations
-exist:
+graph build, the new vertices of a growth step, the off-graph
+candidates of a distance-field batch); the named ones also for many
+graphs in one call (``visible_from_scenes``: the graphs of a distance
+join's seeds, then their candidates' anchors).  Three named
+implementations exist:
 
 ``python-sweep``
     The paper's rotational plane sweep [SS84]
@@ -13,8 +15,8 @@ exist:
 ``numpy-kernel``
     The vectorized kernel (:mod:`repro.visibility.kernel.numpy_sweep`)
     over a :class:`~repro.visibility.kernel.packed.PackedScene`, which
-    sweeps all sources of a call in shared array passes; returns sets
-    identical to ``python-sweep``.
+    sweeps all sources of a call — of all its graphs — in shared array
+    passes; returns sets identical to ``python-sweep``.
 ``naive``
     The exact pairwise oracle (:mod:`repro.visibility.naive`) — slow,
     but valid even for overlapping obstacles; the testing reference.
@@ -27,7 +29,9 @@ Selection: pass a name (or a backend instance) to
 
 Backends carry an optional :class:`~repro.runtime.stats.RuntimeStats`
 reference and tick the per-backend sweep counters (``sweeps_run``,
-``sweep_events``, ``sweep_seconds``) on every call, once per source.
+``sweep_events``, ``sweep_seconds``) on every call, once per source,
+in one place (``visible_from_scenes``, which the other two entries go
+through); the numpy kernel adds ``sweep_passes``, once per array pass.
 
 The named backends also answer the two exact-predicate batches of
 graph maintenance — which edges a new polygon cuts
@@ -54,6 +58,9 @@ from repro.visibility.naive import is_visible
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.stats import RuntimeStats
     from repro.visibility.graph import VisibilityGraph
+
+    #: One backend call's work: per graph, the sources to sweep on it.
+    Scenes = Sequence[tuple[Sequence[Point], VisibilityGraph]]
 
 
 @runtime_checkable
@@ -84,54 +91,64 @@ class _TimedBackend:
     def visible_from(
         self, p: Point, graph: "VisibilityGraph"
     ) -> list[Point]:
-        return self.visible_from_many((p,), graph)[0]
+        return self.visible_from_scenes([((p,), graph)])[0][0]
 
     def visible_from_many(
         self, sources: Sequence[Point], graph: "VisibilityGraph"
     ) -> list[list[Point]]:
+        return self.visible_from_scenes([(sources, graph)])[0]
+
+    def visible_from_scenes(self, scenes: "Scenes") -> list[list[list[Point]]]:
+        """Per scene ``(sources, graph)``, what :meth:`visible_from_many`
+        returns for it — one call for many graphs' sweeps."""
         stats = self.stats
-        TRACER.count("sweep.run", len(sources))
+        sweeps = sum(len(sources) for sources, __ in scenes)
+        TRACER.count("sweep.run", sweeps)
         if stats is None:
-            return self._sweep_many(sources, graph)
+            return self._sweep_scenes(scenes)
         t0 = time.perf_counter()
-        result = self._sweep_many(sources, graph)
+        result = self._sweep_scenes(scenes)
         stats.sweep_seconds += time.perf_counter() - t0
-        events = max(graph.node_count - 1, 0) * len(sources)
-        stats.sweeps_run += len(sources)
+        # A source meets every node of its graph but itself.
+        events = sum(
+            graph.node_count * len(sources) - sum(map(graph.has_node, sources))
+            for sources, graph in scenes
+        )
+        stats.sweeps_run += sweeps
         stats.sweep_events += events
         TRACER.count("sweep.events", events)
         return result
 
-    def _sweep_many(
-        self, sources: Sequence[Point], graph: "VisibilityGraph"
-    ) -> list[list[Point]]:
-        return [self._sweep(p, graph) for p in sources]
+    def _sweep_scenes(self, scenes: "Scenes") -> list[list[list[Point]]]:
+        return [[self._sweep(p, graph) for p in sources] for sources, graph in scenes]
 
     def _sweep(self, p: Point, graph: "VisibilityGraph") -> list[Point]:
         raise NotImplementedError
 
     def edges_crossing(
-        self, graph: "VisibilityGraph", poly: Polygon
+        self, graph: "VisibilityGraph", polygons: Sequence[Polygon]
     ) -> list[tuple[Point, Point]]:
         """The edges ``(u, v)``, ``u < v``, of ``graph`` whose open
-        segment crosses ``poly``'s interior."""
+        segment crosses the interior of one of ``polygons``."""
         # crosses_interior's own first step (Rect.intersects on the
         # segment's box) made here without the Rect: most edges of a
-        # graph pass nowhere near one new obstacle.
-        mbr = poly.mbr
-        minx, miny, maxx, maxy = mbr.minx, mbr.miny, mbr.maxx, mbr.maxy
+        # graph pass nowhere near a new obstacle.
+        boxes = [
+            (poly, poly.mbr.minx, poly.mbr.miny, poly.mbr.maxx, poly.mbr.maxy)
+            for poly in polygons
+        ]
         found = []
         for u in graph.nodes():
             ux, uy = u.x, u.y
             for v in graph.neighbors(u):
                 vx, vy = v.x, v.y
-                if (
-                    (ux, uy) < (vx, vy)
-                    and minx <= max(ux, vx)
+                if (ux, uy) < (vx, vy) and any(
+                    minx <= max(ux, vx)
                     and min(ux, vx) <= maxx
                     and miny <= max(uy, vy)
                     and min(uy, vy) <= maxy
                     and poly.crosses_interior(u, v)
+                    for poly, minx, miny, maxx, maxy in boxes
                 ):
                     found.append((u, v))
         return found
@@ -189,20 +206,18 @@ class NumpyKernelBackend(_TimedBackend):
         super().__init__(stats)
         from repro.visibility.kernel import numpy_sweep
 
-        self._kernel = numpy_sweep.kernel_visible_from_many
+        self._kernel = numpy_sweep.kernel_visible_from_scenes
 
-    def _sweep_many(
-        self, sources: Sequence[Point], graph: "VisibilityGraph"
-    ) -> list[list[Point]]:
-        return self._kernel(sources, graph, graph.packed_scene(), self.stats)
+    def _sweep_scenes(self, scenes: "Scenes") -> list[list[list[Point]]]:
+        return self._kernel(scenes, self.stats)
 
     def edges_crossing(
-        self, graph: "VisibilityGraph", poly: Polygon
+        self, graph: "VisibilityGraph", polygons: Sequence[Polygon]
     ) -> list[tuple[Point, Point]]:
         """One :func:`~repro.visibility.kernel.exact.edges_crossing`
         call; the inherited loop on graphs too small for one to pay."""
-        found = exact.edges_crossing(graph._adj, poly, self.stats)
-        return super().edges_crossing(graph, poly) if found is None else found
+        found = exact.edges_crossing(graph._adj, polygons, self.stats)
+        return super().edges_crossing(graph, polygons) if found is None else found
 
     def unblocked_pairs(
         self, graph: "VisibilityGraph", region: Rect
@@ -233,18 +248,23 @@ class _StatsAdapter(_TimedBackend):
     Used when a caller-owned backend (possibly shared across several
     contexts/databases) is resolved with a stats reference: the shared
     instance is left untouched, and each resolution gets its own
-    counter plumbing.
+    counter plumbing.  With no stats it only lends a backend that
+    sweeps what every named one inherits (a standalone graph's case).
     """
 
-    def __init__(self, inner: VisibilityBackend, stats: "RuntimeStats") -> None:
+    def __init__(
+        self, inner: VisibilityBackend, stats: "RuntimeStats | None"
+    ) -> None:
         super().__init__(stats)
         self._inner = inner
         self.name = inner.name
 
-    def _sweep_many(
-        self, sources: Sequence[Point], graph: "VisibilityGraph"
-    ) -> list[list[Point]]:
-        return self._inner.visible_from_many(sources, graph)
+    def _sweep_scenes(self, scenes: "Scenes") -> list[list[list[Point]]]:
+        inner = self._inner
+        entry = getattr(inner, "visible_from_scenes", None)
+        if entry is not None:
+            return entry(scenes)
+        return [inner.visible_from_many(sources, graph) for sources, graph in scenes]
 
 
 _REGISTRY: dict[str, type[_TimedBackend]] = {

@@ -336,13 +336,25 @@ def _strictly_inside(
     return out
 
 
-def _scene_pairs(
-    segs: np.ndarray, geom: ObstacleArrays
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every (segment, obstacle) pair of ``segs`` x ``geom`` the MBR
-    reject leaves, by segment — the pairs
-    :func:`repro.visibility.naive.is_visible` goes on to test."""
-    return _boxes_meet(geom.mbr, *segs.T[:, :, None]).nonzero()
+def stack_arrays(
+    parts: Sequence[ObstacleArrays],
+) -> tuple[ObstacleArrays, np.ndarray, np.ndarray]:
+    """``parts`` laid end to end as one :class:`ObstacleArrays`, and per
+    part the row of its first obstacle there and how many it has."""
+    sizes = np.array([part.count.shape[0] for part in parts])
+    first = sizes.cumsum() - sizes
+    if len(parts) == 1:
+        return parts[0], first, sizes
+    edges = np.array([part.edges.shape[1] for part in parts])
+    stacked = ObstacleArrays(
+        list(chain.from_iterable(part.polygons for part in parts)),
+        np.concatenate([part.mbr for part in parts]),
+        np.concatenate([part.first for part in parts])
+        + (edges.cumsum() - edges).repeat(sizes),
+        np.concatenate([part.count for part in parts]),
+        np.concatenate([part.edges for part in parts], axis=1),
+    )
+    return stacked, first, sizes
 
 
 def hidden_many(
@@ -350,7 +362,8 @@ def hidden_many(
     a: np.ndarray,
     heads: "tuple[np.ndarray, Sequence[Point]]",
     b: np.ndarray,
-    packed: "PackedScene",
+    scenes: "Sequence[PackedScene]",
+    scene: np.ndarray,
     only: "Sequence[Sequence[Obstacle]]" = (),
     stats: "RuntimeStats | None" = None,
 ) -> np.ndarray:
@@ -358,8 +371,9 @@ def hidden_many(
     ``b[k]`` of ``heads``, each a ``(coords (n, 2), points)`` pair like
     :meth:`PackedScene.event_arrays`' — whether it crosses the interior
     of some obstacle: of ``only[k]`` for the first ``len(only)``
-    segments, of the whole packed scene for the rest.  ``not
-    is_visible(p, w, those obstacles)``, as a mask.
+    segments, of the whole packed scene ``scenes[scene[k]]`` (whose
+    obstacles ``only[k]`` are) for the rest.  ``not is_visible(p, w,
+    those obstacles)``, as a mask.
 
     Ticks ``exact_pairs`` / ``sweep.exact_pairs`` once, like
     :func:`crosses_interior_many`.
@@ -378,7 +392,10 @@ def hidden_many(
         tested = [
             [obs for obs in some if obs.mbr.intersects(box)]
             for some, box in zip(only, boxes)
-        ] + [packed.mbr_meeting(box) for box in boxes[len(only) :]]
+        ] + [
+            scenes[k].mbr_meeting(box)
+            for k, box in zip(scene[len(only) :].tolist(), boxes[len(only) :])
+        ]
         survived = sum(map(len, tested))
         if survived < _MIN_ARRAY_PAIRS:
             _tick(stats, survived)
@@ -390,11 +407,27 @@ def hidden_many(
                 dtype=bool,
             )
     ends = np.hstack([tails[0][a], heads[0][b]])
-    geom, row_of = packed.exact_arrays()
-    pair_seg, pair_obs = _scene_pairs(ends[len(only) :], geom)
+    packed = [one.exact_arrays() for one in scenes]
+    geom, first, sizes = stack_arrays([arrays for arrays, __ in packed])
+    # The (segment, obstacle) pairs is_visible goes on to test.  One
+    # scene: those the MBR reject leaves, over the segments x obstacles
+    # grid.  Many: every (segment, obstacle of its scene) pair — no grid
+    # spans scenes, and the reject is crosses_interior_many's first step.
+    rest = scene[len(only) :]
+    if len(scenes) == 1:
+        pair_seg, pair_obs = _boxes_meet(
+            geom.mbr, *ends[len(only) :].T[:, :, None]
+        ).nonzero()
+    else:
+        pair_seg = np.arange(rest.size).repeat(sizes[rest])
+        pair_obs = ranges(first[rest], sizes[rest])
     if only:
         band_seg = np.arange(len(only)).repeat([len(some) for some in only])
-        band_obs = [row_of[obs.oid] for obs in chain.from_iterable(only)]
+        band_obs = [
+            first[k] + packed[k][1][obs.oid]
+            for k, some in zip(scene.tolist(), only)
+            for obs in some
+        ]
         pair_seg = np.concatenate([band_seg, pair_seg + len(only)])
         pair_obs = np.concatenate([np.array(band_obs, dtype=np.int64), pair_obs])
     hidden = np.zeros(a.size, dtype=bool)
@@ -415,12 +448,13 @@ def _node_xy(nodes: Sequence[Point]) -> np.ndarray:
 
 def edges_crossing(
     adj: Mapping[Point, Mapping[Point, float]],
-    poly: Polygon,
+    polygons: Sequence[Polygon],
     stats: "RuntimeStats | None" = None,
 ) -> "list[tuple[Point, Point]] | None":
     """The edges ``(u, v)``, ``u < v``, of adjacency ``adj`` whose open
-    segment crosses ``poly``'s interior, in one array call — or
-    ``None`` when the graph has too few edges for one to pay: the
+    segment crosses the interior of one of ``polygons``, a block of
+    edges per array call (one, unless there are very many polygons) —
+    or ``None`` when the graph has too few edges for one to pay: the
     caller loops the scalar method."""
     degree = list(map(len, adj.values()))
     if sum(degree) < 2 * _MIN_ARRAY_SEGMENTS:
@@ -435,15 +469,16 @@ def edges_crossing(
     # Each edge once, from its smaller end (``Point.__lt__``): the
     # orientation the scalar loop hands the predicate.
     forward = ((ax < bx) | ((ax == bx) & (ay < by))).nonzero()[0]
-    crossing = forward[
-        crosses_interior_many(
-            np.array([ax, ay, bx, by]).T,
-            pack_polygons([poly]),
-            forward,
-            np.zeros(forward.size, dtype=np.int64),
-            stats,
-        )
-    ].tolist()
+    segs = np.array([ax, ay, bx, by]).T
+    geom = pack_polygons(polygons)
+    crossing = np.zeros(forward.size, dtype=bool)
+    step = max(1, _PASS_CELLS // len(polygons))
+    for lo in range(0, forward.size, step):
+        part = forward[lo : lo + step]
+        edge, obs = _boxes_meet(geom.mbr, *segs[part].T[:, :, None]).nonzero()
+        hit = crosses_interior_many(segs, geom, part[edge], obs, stats)
+        crossing[lo + edge[hit]] = True
+    crossing = forward[crossing].tolist()
     return [(nodes[i], heads[k]) for i, k in zip(tail[crossing].tolist(), crossing)]
 
 
@@ -485,7 +520,9 @@ def unblocked_pairs(
         )
         i = i[fresh]
         j = j[fresh]
-        seen = ~hidden_many(ends, i, ends, j, packed, stats=stats)
+        seen = ~hidden_many(
+            ends, i, ends, j, [packed], np.zeros(i.size, dtype=np.int64), stats=stats
+        )
         found += [
             (nodes[u], nodes[w]) for u, w in zip(i[seen].tolist(), j[seen].tolist())
         ]

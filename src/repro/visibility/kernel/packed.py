@@ -67,6 +67,7 @@ class PackedScene:
         "_free_points",
         "_free_index",
         "_event_cache",
+        "_sweep_cache",
         "_exact_cache",
     )
 
@@ -89,6 +90,7 @@ class PackedScene:
         self._free_points: list[Point] = []
         self._free_index: dict[Point, int] = {}
         self._event_cache: tuple[np.ndarray, list[Point]] | None = None
+        self._sweep_cache: tuple | None = None
         self._exact_cache: tuple[ObstacleArrays, dict[int, int]] | None = None
 
     # ------------------------------------------------------------- mutation
@@ -109,6 +111,7 @@ class PackedScene:
             self._eab[i, 1] = self._vert_index[b]
             self._eoid[i] = obs.oid
             self._n_edges = i + 1
+        self._sweep_cache = None
         self._exact_cache = None
 
     def remove_obstacle(self, oid: int) -> None:
@@ -151,7 +154,7 @@ class PackedScene:
         self._eab[:n_keep] = kept_ab
         self._eoid[:n_keep] = kept_oid
         self._n_edges = n_keep
-        self._event_cache = None
+        self._event_cache = self._sweep_cache = None
         self._exact_cache = None
 
     def add_free_point(self, p: Point) -> None:
@@ -170,7 +173,7 @@ class PackedScene:
         self._free_points.append(p)
         self._free_index[p] = slot
         self._n_free = slot + 1
-        self._event_cache = None
+        self._event_cache = self._sweep_cache = None
 
     def remove_free_point(self, p: Point) -> None:
         """Unpack one free point (O(1) swap with the last slot)."""
@@ -185,7 +188,7 @@ class PackedScene:
             self._free_index[moved] = slot
         self._free_points.pop()
         self._n_free = last
-        self._event_cache = None
+        self._event_cache = self._sweep_cache = None
 
     def _intern_vertex(self, v: Point) -> int:
         idx = self._vert_index.get(v)
@@ -201,7 +204,7 @@ class PackedScene:
         self._vert_points.append(v)
         self._vert_index[v] = idx
         self._n_verts = idx + 1
-        self._event_cache = None
+        self._event_cache = self._sweep_cache = None
         return idx
 
     # -------------------------------------------------------------- queries
@@ -295,6 +298,21 @@ class PackedScene:
             )
             self._event_cache = (xy, self._vert_points + self._free_points)
         return self._event_cache
+
+    def sweep_arrays(self) -> tuple[np.ndarray, list[Point], np.ndarray]:
+        """What a sweep pass lays out, cached between mutations and
+        read-only to callers: the events of :meth:`event_arrays` as two
+        contiguous rows ``x, y`` with the parallel ``Point`` list, and
+        :meth:`edge_endpoints` as two rows ``a, b`` (vertices are the
+        first events, so an endpoint's index is its event row)."""
+        if self._sweep_cache is None:
+            xy, points = self.event_arrays()
+            self._sweep_cache = (
+                np.ascontiguousarray(xy.T),
+                points,
+                np.ascontiguousarray(self._eab[: self._n_edges].T),
+            )
+        return self._sweep_cache
 
     def exact_arrays(self) -> tuple[ObstacleArrays, dict[int, int]]:
         """The obstacles as the exact predicate reads them, in packed

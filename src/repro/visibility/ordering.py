@@ -39,13 +39,28 @@ def sort_events(p: Point, events: Iterable[Point]) -> list[Point]:
 
 
 def order_events_array(
-    angles: "numpy.ndarray", dist_sq: "numpy.ndarray"
+    angles: "numpy.ndarray",
+    dist_sq: "numpy.ndarray",
+    first: "numpy.ndarray",
+    blocks: "Iterable[int]",
 ) -> "numpy.ndarray":
     """Indices ordering batched events under the same key as
     :func:`event_sort_key`: primary key ``angles``, secondary ``dist_sq``.
-    Two-dimensional inputs (one row of events per sweep center) are
-    ordered row by row.
+    The events of many sweep centers arrive laid end to end, center
+    ``s``'s from ``first[s]``, and are ordered center by center: every
+    center's indices stay in its own slots.  ``blocks`` cuts the centers
+    into runs of equally many events each, sorted as one 2-d array.
     """
     import numpy as np
 
-    return np.lexsort((dist_sq, angles))
+    parts = []
+    row = lo = 0
+    for rows in blocks:
+        last = row + rows
+        hi = first[last] if last < first.shape[0] else angles.shape[0]
+        shape = (rows, -1)
+        part = np.lexsort((dist_sq[lo:hi].reshape(shape), angles[lo:hi].reshape(shape)))
+        part += first[row:last, None]
+        parts.append(part.ravel())
+        row, lo = last, hi
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

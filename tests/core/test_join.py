@@ -98,3 +98,104 @@ class TestObstacleDistanceJoin:
         tt = _tree([shared, Point(9, 9)])
         got = obstacle_distance_join(ts, tt, idx, 0.0)
         assert got == [(shared, shared, 0.0)]
+
+
+# ------------------------------------------- batched seeds equal the seed loop
+def _per_seed(self, seeds, e, partners):
+    """ODJ's refinement as it was before the seeds were batched: one
+    field, one batch evaluation, one seed at a time."""
+    out = []
+    for q in seeds:
+        uniq = list(dict.fromkeys(partners[q]))
+        field = self.context.field_for(q, e) if uniq else None
+        dists = field.batch_eval(uniq, bound=e) if uniq else []
+        out.append([(p, d) for p, d in zip(uniq, dists) if d <= e])
+    return out
+
+
+#: Unchanged by construction: the cache sees the seed loop's calls.
+_CACHE_COUNTS = (
+    "graph_builds",
+    "graph_cache_hits",
+    "graph_cache_misses",
+    "graph_cache_evictions",
+    "graph_cache_promotions",
+    "coverage_expansions",
+    "obstacles_added",
+)
+
+
+@pytest.mark.parametrize("backend", ["numpy-kernel", "python-sweep", "naive"])
+@pytest.mark.parametrize("snap", [0.0, 30.0])
+@pytest.mark.parametrize("cache_size", [1, 2, 64])
+def test_batched_seeds_equal_the_seed_loop(cache_size, snap, backend, monkeypatch):
+    """Same list — order and floats — and same cache history as the
+    per-seed loop, on a cold cache and again at twice the range (every
+    graph the first join left is topped up), whatever the capacity
+    that cuts the seeds into runs; with spatial keys (30 units: seeds
+    share entries) a graph two seeds of a run reach is swept and frozen
+    once for both, so those two counts can only fall."""
+    from repro.runtime.context import QueryContext
+    from repro.runtime.metric import ObstructedMetric
+
+    __, __, __, ts, tt, idx = _setup(5, n_obs=14, n_s=9, n_t=30)
+
+    def joins(per_seed):
+        if per_seed:
+            monkeypatch.setattr(ObstructedMetric, "range_refine_many", _per_seed)
+        else:
+            monkeypatch.undo()
+        ctx = QueryContext(idx, cache_size=cache_size, snap=snap, backend=backend)
+        found = [
+            obstacle_distance_join(ts, tt, idx, e, context=ctx) for e in (12.0, 24.0)
+        ]
+        return found, ctx.stats.snapshot()
+
+    want, reference = joins(per_seed=True)
+    got, stats = joins(per_seed=False)
+    assert got == want
+    assert len(want[1]) > len(want[0]) > 0
+    assert reference["graph_builds"] > 1
+    assert reference["coverage_expansions"] > 0 or cache_size < 64
+    for name in _CACHE_COUNTS:
+        assert stats[name] == reference[name], name
+    for name in ("sweeps_run", "field_freezes"):
+        if snap == 0.0 or cache_size == 1:
+            assert stats[name] == reference[name], name
+        else:
+            assert stats[name] <= reference[name], name
+    if backend == "numpy-kernel":
+        assert stats["sweep_passes"] < reference["sweep_passes"] or cache_size == 1
+
+
+def test_failed_connect_leaves_no_unswept_graph_in_the_cache():
+    """A backend that fails on the many-graph sweep: every entry whose
+    graph was registered but not swept leaves the cache, and the next
+    join answers as a cold database does."""
+    from repro.runtime.context import QueryContext
+    from repro.visibility.kernel.backend import NaiveBackend
+
+    class Flaky(NaiveBackend):
+        failing = False
+
+        def visible_from_scenes(self, scenes):
+            if self.failing and len(scenes) > 1:
+                raise RuntimeError("sweep failed")
+            return super().visible_from_scenes(scenes)
+
+    __, __, __, ts, tt, idx = _setup(5, n_obs=14, n_s=9, n_t=30)
+    flaky = Flaky()
+    ctx = QueryContext(idx, backend=flaky)
+    warm = obstacle_distance_join(ts, tt, idx, 6.0, context=ctx)
+    assert len(ctx.cache) > 1  # graphs the failing join finds and tops up
+    flaky.failing = True
+    with pytest.raises(RuntimeError, match="sweep failed"):
+        obstacle_distance_join(ts, tt, idx, 12.0, context=ctx)
+    assert ctx.stats.graph_cache_invalidations > 0  # the unswept ones left
+    assert all(not entry.graph.pending for entry in ctx.cache.entries())
+    flaky.failing = False
+    cold = QueryContext(idx, backend="naive")
+    assert obstacle_distance_join(ts, tt, idx, 12.0, context=ctx) == (
+        obstacle_distance_join(ts, tt, idx, 12.0, context=cold)
+    )
+    assert warm == obstacle_distance_join(ts, tt, idx, 6.0, context=cold)

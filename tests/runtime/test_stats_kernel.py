@@ -7,6 +7,7 @@ import pytest
 from repro.core.engine import ObstacleDatabase
 from repro.geometry import Point, Rect
 from repro.runtime.stats import RuntimeStats
+from tests.conftest import rect_obstacle
 
 
 @pytest.fixture
@@ -64,6 +65,54 @@ class TestSweepCounters:
         # Identical query plans on identical scenes: the two backends
         # must run the same sweeps over the same events.
         assert counts["python-sweep"] == counts["numpy-kernel"]
+
+    @pytest.mark.parametrize("name", ["numpy-kernel", "python-sweep", "naive"])
+    def test_sweep_events_count_what_each_source_meets(self, name):
+        """A node sweeping its graph meets every other node; an
+        off-graph probe (a last-leg anchor sweep) meets them all — from
+        the single-scene entry and the scenes entry alike."""
+        from repro.visibility import VisibilityGraph, resolve_backend
+
+        stats = RuntimeStats()
+        backend = resolve_backend(name, stats=stats)
+        graph = VisibilityGraph.build(
+            [Point(0, 0)], [rect_obstacle(0, 4, 4, 6, 6)], method=backend
+        )
+        assert graph.node_count == 5
+        stats.reset()
+        node, probe = Point(0, 0), Point(9, 1)
+        backend.visible_from_many([node, probe], graph)
+        assert (stats.sweeps_run, stats.sweep_events) == (2, 4 + 5)
+        backend.visible_from_scenes([([probe], graph), ([node, node], graph)])
+        assert (stats.sweeps_run, stats.sweep_events) == (5, 9 + 5 + 4 + 4)
+
+    def test_sweep_passes_tick_once_per_kernel_pass(self, monkeypatch):
+        """``sweeps_run / sweep_passes`` is the batching factor: one
+        pass holds as many sources, of as many graphs, as the pair
+        budget does; the looping backends make no passes."""
+        from repro.visibility import VisibilityGraph, resolve_backend
+        from repro.visibility.kernel import numpy_sweep
+
+        stats = RuntimeStats()
+        backend = resolve_backend("numpy-kernel", stats=stats)
+        graphs = [
+            VisibilityGraph.registered(
+                [Point(0, 0)], [rect_obstacle(0, 4, 4, 6, 6)], method=backend
+            )
+            for __ in range(3)
+        ]
+        VisibilityGraph.connect(graphs)
+        assert (stats.sweeps_run, stats.sweep_passes) == (15, 1)
+        monkeypatch.setattr(numpy_sweep, "_PAIR_BUDGET", 1)
+        backend.visible_from_many(list(graphs[0].nodes()), graphs[0])
+        assert (stats.sweeps_run, stats.sweep_passes) == (20, 6)
+        looping = RuntimeStats()
+        VisibilityGraph.build(
+            [Point(0, 0)],
+            [rect_obstacle(0, 4, 4, 6, 6)],
+            method=resolve_backend("naive", stats=looping),
+        )
+        assert (looping.sweeps_run, looping.sweep_passes) == (5, 0)
 
     def test_standalone_stats_default_backend_label(self):
         assert RuntimeStats().backend == ""

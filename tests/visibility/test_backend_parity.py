@@ -413,3 +413,82 @@ def test_property_batched_kernel_matches_oracle(case):
     for s, visible in zip(sources, seen):
         want = {v for v in g.nodes() if v != s and is_visible(s, v, obstacles)}
         assert set(visible) == want, f"kernel vs oracle at {s}"
+
+
+# ------------------------------------------------ scenes equal their loop
+@st.composite
+def small_scene_and_sources(draw):
+    """One small scene — no obstacle at all up to four, random-disjoint
+    or grid-aligned — and sources on its vertices, on its boundaries,
+    strictly inside an obstacle, on and off the graph."""
+    obstacles = draw(
+        st.one_of(
+            st.just([]),
+            disjoint_rect_obstacles(max_count=4),
+            grid_aligned_obstacles().map(lambda many: many[:4]),
+        )
+    )
+    in_graph = draw(free_points(obstacles, min_count=1, max_count=2))
+    pool = in_graph + draw(free_points(obstacles, min_count=1, max_count=3))
+    for obs in obstacles:
+        pool += obs.polygon.vertices
+        pool.append(obs.polygon.boundary_point_at(draw(st.floats(0.0, 0.999))))
+        pool.append(obs.polygon.centroid())
+    return obstacles, in_graph, draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+@pytest.mark.parametrize("budget", [1, 64, float("inf")])
+@pytest.mark.parametrize("method", [PY, NP, "naive"])
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+@given(
+    cases=st.lists(small_scene_and_sources(), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_property_scenes_equal_their_loop(method, budget, monkeypatch, cases, data):
+    """``visible_from_scenes`` is ``[visible_from_many(sources, graph)
+    for ...]``, list for list and order included, however the scenes
+    are ordered in the call and wherever the kernel's pair budget cuts
+    it: passes that cut a scene's sources in two (1), passes that hold
+    a scene or a few (64), one pass for all."""
+    from repro.visibility.kernel import numpy_sweep
+
+    monkeypatch.setattr(numpy_sweep, "_PAIR_BUDGET", budget)
+    backend = resolve_backend(method)
+    scenes = [
+        (sources, VisibilityGraph.build(in_graph, obstacles, method=method))
+        for obstacles, in_graph, sources in cases
+    ]
+    want = [backend.visible_from_many(sources, graph) for sources, graph in scenes]
+    assert backend.visible_from_scenes(scenes) == want
+    order = data.draw(st.permutations(range(len(scenes))))
+    assert backend.visible_from_scenes([scenes[k] for k in order]) == [
+        want[k] for k in order
+    ]
+    assert backend.visible_from_scenes([]) == []
+
+
+@pytest.mark.parametrize("method", [PY, "naive"])
+def test_reference_backends_never_enter_the_kernel(method, monkeypatch):
+    """The looping scenes entry of ``naive`` / ``python-sweep`` — a
+    graph build, a growth step, a many-graph connect — stays a
+    reference that never touches the arrays."""
+    from repro.visibility.kernel import numpy_sweep
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a reference backend reached the numpy kernel")
+
+    for name in ("kernel_visible_from_scenes", "_sweep_scenes", "_lay_out"):
+        monkeypatch.setattr(numpy_sweep, name, broken)
+    obstacles = [rect_obstacle(k, 10 * k, 0, 10 * k + 6, 6) for k in range(4)]
+    graphs = [
+        VisibilityGraph.registered([Point(-3, 8 + k)], obstacles[:2], method=method)
+        for k in range(3)
+    ]
+    VisibilityGraph.connect(graphs)
+    assert graphs[0].add_obstacles(obstacles) == 2
+    built = VisibilityGraph.build([Point(-3, 8)], obstacles, method=method)
+    assert {u: dict(graphs[0].neighbors(u)) for u in graphs[0].nodes()} == {
+        u: dict(built.neighbors(u)) for u in built.nodes()
+    }
+    with pytest.raises(AssertionError, match="reached the numpy kernel"):
+        VisibilityGraph.build([], obstacles, method=NP)

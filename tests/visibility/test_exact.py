@@ -124,7 +124,7 @@ def _hidden_many(segments, packed, only=(), stats=None) -> np.ndarray:
     tails = [a for a, __ in segments]
     heads = [b for __, b in segments]
     return exact.hidden_many(
-        (_xy(tails), tails), k, (_xy(heads), heads), k, packed, only, stats
+        (_xy(tails), tails), k, (_xy(heads), heads), k, [packed], k * 0, only, stats
     )
 
 

@@ -72,11 +72,9 @@ GATES: tuple[tuple[tuple[str, ...], str], ...] = (
     (("smoke serve", "persistent", "graph_builds"), "lower"),
     (("smoke serve", "persistent", "pool_batches"), "exact"),
     # Observability: boolean verdicts only — the raw overhead ratios
-    # are wall-clock and ride in the JSON ungated; the bars themselves
-    # (disabled <= 5%, sampled <= 15%, best-of-rounds) are evaluated
-    # inside the smoke run where they were measured.
-    (("smoke obs", "disabled_overhead_ok"), "exact"),
-    (("smoke obs", "sampled_overhead_ok"), "exact"),
+    # are wall-clock and ride in the JSON ungated; their bars (disabled
+    # <= 5%, sampled <= 15%) are enforced at benchmark scale by
+    # benchmarks/test_trace_overhead.py.
     (("smoke obs", "trace_parity"), "exact"),
     (("smoke obs", "pool_trace_merged"), "exact"),
     (("smoke obs", "registry_complete"), "exact"),

@@ -627,7 +627,6 @@ class ObstacleDatabase:
             "next_oid": self._next_oid,
             "obstacle_indexes": self._obstacle_indexes,
             "entity_trees": self._entity_trees,
-            "context": self._context,
         }
 
     @classmethod
@@ -923,6 +922,21 @@ class ObstacleDatabase:
             self._metrics = MetricsRegistry.for_database(self)
         return self._metrics
 
+    def _trees(
+        self, *, entities: bool = True
+    ) -> Iterator[tuple[str, RStarTree]]:
+        """The one walk over this database's R-trees: every (shard)
+        tree of every obstacle set, then — unless ``entities`` is off —
+        every entity tree, each with the key :meth:`stats` reports it
+        under (a sharded set's trees share their set's key)."""
+        for name, idx in self._obstacle_indexes.items():
+            sharded = isinstance(idx, ShardedObstacleIndex)
+            for tree in idx.trees():
+                yield (f"obstacles:{name}" if sharded else tree.name), tree
+        if entities:
+            for tree in self._entity_trees.values():
+                yield tree.name, tree
+
     def stats(self) -> Mapping[str, Mapping[str, int]]:
         """Per-tree page-access counters (reads / misses / writes).
 
@@ -930,18 +944,17 @@ class ObstacleDatabase:
         counters summed over the per-shard trees, so workloads read
         the same keys regardless of the storage layout.
         """
-        out: dict[str, dict[str, int]] = {}
-        for name, idx in self._obstacle_indexes.items():
-            if isinstance(idx, ShardedObstacleIndex):
-                total: dict[str, int] = {"reads": 0, "misses": 0, "writes": 0}
-                for tree in idx.trees():
-                    for key, value in tree.counter.snapshot().items():
-                        total[key] = total.get(key, 0) + value
-                out[f"obstacles:{name}"] = total
-            else:
-                out[idx.tree.name] = idx.tree.counter.snapshot()
-        for tree in self._entity_trees.values():
-            out[tree.name] = tree.counter.snapshot()
+        zero = {"reads": 0, "misses": 0, "writes": 0}
+        # a sharded set reports its row even while it has no shard
+        out: dict[str, dict[str, int]] = {
+            f"obstacles:{name}": dict(zero)
+            for name, idx in self._obstacle_indexes.items()
+            if isinstance(idx, ShardedObstacleIndex)
+        }
+        for key, tree in self._trees():
+            total = out.setdefault(key, dict(zero))
+            for counter, value in tree.counter.snapshot().items():
+                total[counter] += value
         return out
 
     def runtime_stats(self) -> dict[str, int | float | str]:
@@ -958,10 +971,7 @@ class ObstacleDatabase:
         cache, so consecutive workload measurements on one database do
         not prime each other.
         """
-        for idx in self._obstacle_indexes.values():
-            for tree in idx.trees():
-                tree.reset_stats(clear_buffer=clear_buffers)
-        for tree in self._entity_trees.values():
+        for __, tree in self._trees():
             tree.reset_stats(clear_buffer=clear_buffers)
         if clear_buffers and self._context is not None:
             self._context.invalidate()

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import DatasetError
 from repro.geometry.rect import Rect
 from repro.index.node import Entry, Node
 from repro.index.rstar import RStarTree
@@ -81,13 +80,15 @@ def write_tree(
                 w.u64(entry.child)  # type: ignore[arg-type]
 
 
-def _parse_tree(
+def parse_tree(
     r: "BinaryReader",
     read_payload: Callable[["BinaryReader"], Any],
 ) -> dict[str, Any]:
-    """Decode one tree record into its raw parts (single owner of the
-    record layout — :func:`read_tree` builds a tree from the parts,
-    :func:`read_tree_meta` keeps only the summary)."""
+    """Decode one tree record into its raw parts — the one reader of
+    the record layout.  No tree is built: ``nodes`` are bare pages
+    whose leaf entries carry whatever ``read_payload`` returned, so a
+    caller may summarise the parts, or rewrite the leaf payloads
+    (obstacle ids into obstacles) before :func:`build_tree`."""
     parts: dict[str, Any] = {
         "name": r.str_(),
         "max_entries": r.u32(),
@@ -116,26 +117,20 @@ def _parse_tree(
             elif kind == _INTERNAL:
                 entries.append(Entry(rect, child=r.u64()))
             else:
-                raise DatasetError(
-                    f"unknown entry kind {kind} at offset {r.offset} "
-                    f"in tree {parts['name']!r}"
+                raise r.error(
+                    f"unknown entry kind {kind} in tree {parts['name']!r}"
                 )
         nodes.append(Node(page_id, level, entries))
     parts["nodes"] = nodes
     return parts
 
 
-def read_tree(
-    r: "BinaryReader",
-    read_payload: Callable[["BinaryReader"], Any],
-) -> RStarTree:
-    """Decode one tree record written by :func:`write_tree`.
+def build_tree(parts: dict[str, Any]) -> RStarTree:
+    """The tree :func:`parse_tree`'s ``parts`` describe.
 
-    The returned tree is observationally identical to the serialized
-    one: page ids, node fanouts, buffer residency and access counters
-    all round-trip.
+    It is observationally identical to the serialized one: page ids,
+    node fanouts, buffer residency and access counters all round-trip.
     """
-    parts = _parse_tree(r, read_payload)
     fixed = parts["fixed_capacity"]
     tree = RStarTree(
         max_entries=parts["max_entries"],
@@ -158,24 +153,9 @@ def read_tree(
     return tree
 
 
-def read_tree_meta(
+def read_tree(
     r: "BinaryReader",
     read_payload: Callable[["BinaryReader"], Any],
-) -> dict[str, int]:
-    """Decode one tree record for its summary only (no tree built).
-
-    ``read_payload`` may be a cheap skipper — the payloads are decoded
-    and discarded.  Returns ``{"name", "size", "pages", "reads",
-    "misses", "writes"}`` (the persisted page-access counters ride
-    along); used by ``repro-snapshot info`` to walk a snapshot without
-    assembling databases.
-    """
-    parts = _parse_tree(r, read_payload)
-    return {
-        "name": parts["name"],
-        "size": parts["size"],
-        "pages": len(parts["nodes"]),
-        "reads": parts["reads"],
-        "misses": parts["misses"],
-        "writes": parts["writes"],
-    }
+) -> RStarTree:
+    """Decode one tree record written by :func:`write_tree`."""
+    return build_tree(parse_tree(r, read_payload))

@@ -41,6 +41,7 @@ import sys
 from typing import Any, Sequence
 
 from repro.errors import ReproError
+from repro.persist.cli import entity_specs, probe_workload, run_probes
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,61 +152,13 @@ def _load_db(args: argparse.Namespace):
             print("--entities needs --obstacles", file=sys.stderr)
             return None
         return ObstacleDatabase.load(args.snapshot)
+    entity_sets = entity_specs(args.entities)
+    if entity_sets is None:
+        return None
     db = ObstacleDatabase(load_obstacles(args.obstacles))
-    for spec in args.entities:
-        name, sep, file_path = spec.partition("=")
-        if not sep or not name or not file_path:
-            print(f"--entities needs NAME=FILE, got {spec!r}", file=sys.stderr)
-            return None
+    for name, file_path in entity_sets:
         db.add_entity_set(name, load_points(file_path))
     return db
-
-
-def _probe_workload(db) -> tuple[str | None, list]:
-    """A deterministic probe workload over ``db``: nearest queries
-    anchored at the first entity set's points when one exists, else
-    obstructed distances along the universe diagonal.  Returns
-    ``(entity_set_name, probes)`` where probes are points (nearest) or
-    point pairs (distance)."""
-    from repro.geometry.point import Point
-
-    names = sorted(db._entity_trees)
-    if names:
-        name = names[0]
-        points = sorted(p for p, __ in db.entity_tree(name).items())
-        return name, points
-    universe = db.universe()
-    if universe is None:
-        return None, []
-    pairs = []
-    for i in range(8):
-        t0 = (i + 1) / 10.0
-        t1 = (i + 2) / 11.0
-        pairs.append(
-            (
-                Point(
-                    universe.minx + t0 * universe.width,
-                    universe.miny + t0 * universe.height,
-                ),
-                Point(
-                    universe.minx + t1 * universe.width,
-                    universe.miny + t1 * universe.height,
-                ),
-            )
-        )
-    return None, pairs
-
-
-def _run_probes(db, n: int) -> None:
-    set_name, probes = _probe_workload(db)
-    if not probes:
-        return
-    for i in range(n):
-        probe = probes[i % len(probes)]
-        if set_name is not None:
-            db.nearest(set_name, probe, 1)
-        else:
-            db.obstructed_distance(*probe)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -219,7 +172,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         previous = TRACER.sample_rate
         TRACER.configure(args.sample)
         try:
-            _run_probes(db, max(args.probe, 1))
+            run_probes(db, max(args.probe, 1))
         finally:
             TRACER.configure(previous)
         root = TRACER.last_root
@@ -231,7 +184,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
             return 1
         trace_doc = root.to_dict()
     elif args.probe > 0:
-        _run_probes(db, args.probe)
+        run_probes(db, args.probe)
     registry = db.metrics()
     if args.format == "prometheus":
         sys.stdout.write(registry.to_prometheus())
@@ -305,7 +258,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.ticks < 1:
         print("--ticks must be >= 1", file=sys.stderr)
         return 2
-    set_name, probes = _probe_workload(db)
+    set_name, probes = probe_workload(db)
     if not probes:
         print("database is empty; nothing to serve", file=sys.stderr)
         return 1

@@ -92,20 +92,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def entity_specs(specs: Sequence[str]) -> list[tuple[str, str]] | None:
+    """``--entities NAME=FILE`` values as ``(name, file)`` pairs;
+    ``None`` (after a message on stderr) when one is malformed."""
+    pairs = []
+    for spec in specs:
+        name, sep, file_path = spec.partition("=")
+        if not sep or not name or not file_path:
+            print(f"--entities needs NAME=FILE, got {spec!r}", file=sys.stderr)
+            return None
+        pairs.append((name, file_path))
+    return pairs
+
+
 def _cmd_save(args: argparse.Namespace) -> int:
     from repro.core.engine import ObstacleDatabase
     from repro.datasets.io import load_obstacles, load_points
 
     obstacles = load_obstacles(args.obstacles)
+    entity_sets = entity_specs(args.entities)
+    if entity_sets is None:
+        return 2
     refs = {"obstacles": args.obstacles}
-    entity_sets: list[tuple[str, str]] = []
-    for spec in args.entities:
-        name, sep, file_path = spec.partition("=")
-        if not sep or not name or not file_path:
-            print(f"--entities needs NAME=FILE, got {spec!r}", file=sys.stderr)
-            return 2
-        entity_sets.append((name, file_path))
-        refs[f"entities:{name}"] = file_path
+    refs.update((f"entities:{name}", path) for name, path in entity_sets)
     db = ObstacleDatabase(
         obstacles,
         shards=args.shards,
@@ -114,8 +123,7 @@ def _cmd_save(args: argparse.Namespace) -> int:
     )
     for name, file_path in entity_sets:
         db.add_entity_set(name, load_points(file_path))
-    if args.warm > 0:
-        _warm(db, entity_sets, args.warm)
+    run_probes(db, args.warm)
     db.save(args.out, dataset_refs=None if args.no_refs else refs)
     stats = db.runtime_stats()
     print(
@@ -126,34 +134,45 @@ def _cmd_save(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warm(db: object, entity_sets: list[tuple[str, str]], n: int) -> None:
-    """Prime the graph cache with ``n`` deterministic queries: nearest
-    lookups anchored at the first entity set's points when one exists,
-    otherwise obstructed distances along the universe diagonal."""
+def probe_workload(db) -> tuple[str | None, list]:
+    """The deterministic probe workload over ``db`` (``save --warm``,
+    ``repro-obs export --probe`` and ``repro-obs top``): nearest queries
+    anchored at the points of the entity set first by name when there
+    is one, else obstructed distances along the universe diagonal.
+    Returns ``(entity_set_name, probes)`` where probes are points
+    (nearest) or point pairs (distance)."""
     from repro.geometry.point import Point
 
-    if entity_sets:
-        name = entity_sets[0][0]
-        tree = db.entity_tree(name)  # type: ignore[attr-defined]
-        points = sorted(p for p, __ in tree.items())
-        for p in points[:n]:
-            db.nearest(name, p, 1)  # type: ignore[attr-defined]
-        return
-    universe = db.universe()  # type: ignore[attr-defined]
+    names = sorted(db._entity_trees)
+    if names:
+        points = sorted(p for p, __ in db.entity_tree(names[0]).items())
+        return names[0], points
+    universe = db.universe()
     if universe is None:
+        return None, []
+
+    def along(t: float) -> Point:
+        return Point(
+            universe.minx + t * universe.width,
+            universe.miny + t * universe.height,
+        )
+
+    return None, [(along((i + 1) / 10.0), along((i + 2) / 11.0)) for i in range(8)]
+
+
+def run_probes(db, n: int) -> None:
+    """Run the first ``n`` probes of :func:`probe_workload`, cycling."""
+    if n <= 0:
+        return
+    set_name, probes = probe_workload(db)
+    if not probes:
         return
     for i in range(n):
-        t0 = (i + 1) / (n + 1)
-        t1 = (i + 2) / (n + 2)
-        a = Point(
-            universe.minx + t0 * universe.width,
-            universe.miny + t0 * universe.height,
-        )
-        b = Point(
-            universe.minx + t1 * universe.width,
-            universe.miny + t1 * universe.height,
-        )
-        db.obstructed_distance(a, b)  # type: ignore[attr-defined]
+        probe = probes[i % len(probes)]
+        if set_name is not None:
+            db.nearest(set_name, probe, 1)
+        else:
+            db.obstructed_distance(*probe)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -229,11 +248,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     db = ObstacleDatabase.load(args.snapshot)
     trees = 0
-    for index in db._obstacle_indexes.values():
-        for tree in index.trees():
-            tree.check_invariants()
-            trees += 1
-    for tree in db._entity_trees.values():
+    for __, tree in db._trees():
         tree.check_invariants()
         trees += 1
     cached = len(db.context.cache)

@@ -143,6 +143,10 @@ class BinaryReader:
         """The absolute file offset of the next byte to decode."""
         return self._base + self._pos
 
+    def error(self, what: str) -> DatasetError:
+        """A located decode error: ``what``, at this path and offset."""
+        return DatasetError(f"{self._path}: {what} at offset {self.offset}")
+
     def _take(self, n: int) -> bytes:
         end = self._pos + n
         if end > len(self._data):
@@ -179,11 +183,17 @@ class BinaryReader:
         n = self.u32()
         return self._take(n).decode("utf-8")
 
+    def coords(self) -> list[float]:
+        """Decode a length-prefixed point list as its flat
+        ``x0 y0 x1 y1 ...`` floats (for a reader that may never need
+        the points as objects)."""
+        n = self.u32()
+        return np.frombuffer(self._take(16 * n), dtype="<f8").tolist()
+
     def points(self) -> list[Point]:
         """Decode a length-prefixed point list."""
-        n = self.u32()
-        flat = np.frombuffer(self._take(16 * n), dtype="<f8").tolist()
-        return [Point(flat[i], flat[i + 1]) for i in range(0, 2 * n, 2)]
+        flat = self.coords()
+        return [Point(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
 
     def f64_array(self) -> "np.ndarray":
         """Decode a length-prefixed bulk float64 array."""
@@ -198,9 +208,8 @@ class BinaryReader:
     def expect_end(self) -> None:
         """Raise unless the payload was consumed exactly."""
         if self._pos != len(self._data):
-            raise DatasetError(
-                f"{self._path}: {len(self._data) - self._pos} trailing "
-                f"byte(s) at offset {self.offset}"
+            raise self.error(
+                f"{len(self._data) - self._pos} trailing byte(s)"
             )
 
 

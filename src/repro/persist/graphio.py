@@ -19,9 +19,9 @@ save time is still stale after load, and a fresh one stays fresh.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Any, Container, Mapping
 
-from repro.errors import DatasetError
+from repro.geometry.point import Point
 from repro.model import Obstacle
 from repro.runtime.cache import CachedGraph
 from repro.runtime.sharding import ShardVersionStamp
@@ -54,44 +54,32 @@ def write_graph(w: "BinaryWriter", graph: VisibilityGraph) -> None:
         w.u32(index[v])
 
 
-def read_graph(
-    r: "BinaryReader",
-    table: Mapping[int, Obstacle],
-    *,
-    backend: "str | VisibilityBackend | None" = None,
-) -> VisibilityGraph:
-    """Decode one graph written by :func:`write_graph`.
-
-    ``table`` is the snapshot's global obstacle table; a graph
-    referencing an id missing from it raises
-    :class:`~repro.errors.DatasetError` (the snapshot is internally
-    inconsistent).
-    """
+def _parse_graph(
+    r: "BinaryReader", known_oids: Container[int]
+) -> dict[str, Any]:
+    """Decode one graph written by :func:`write_graph` into its parts:
+    ``oids``, the ``nodes`` point list, and ``free`` / ``edges`` as
+    indexes into it.  An obstacle id outside ``known_oids`` (the
+    snapshot's obstacle table) or an index past the node list means
+    the snapshot is internally inconsistent."""
     oids = [r.i64() for __ in range(r.u32())]
-    obstacles = []
     for oid in oids:
-        obs = table.get(oid)
-        if obs is None:
-            raise DatasetError(
-                f"cached graph references unknown obstacle id {oid} "
-                f"at offset {r.offset}"
-            )
-        obstacles.append(obs)
+        if oid not in known_oids:
+            raise r.error(f"cached graph references unknown obstacle id {oid}")
     nodes = r.points()
 
-    def node_at(i: int):
+    def index() -> int:
+        i = r.u32()
         if i >= len(nodes):
-            raise DatasetError(
-                f"cached graph node index {i} out of range at offset "
-                f"{r.offset}"
+            raise r.error(
+                f"cached graph node index {i} out of range "
+                f"({len(nodes)} node(s))"
             )
-        return nodes[i]
+        return i
 
-    free = [node_at(r.u32()) for __ in range(r.u32())]
-    edges = [
-        (node_at(r.u32()), node_at(r.u32())) for __ in range(r.u32())
-    ]
-    return VisibilityGraph.restore(obstacles, free, edges, method=backend)
+    free = [index() for __ in range(r.u32())]
+    edges = [(index(), index()) for __ in range(r.u32())]
+    return {"oids": oids, "nodes": nodes, "free": free, "edges": edges}
 
 
 def write_stamp(w: "BinaryWriter", stamp: object) -> None:
@@ -112,22 +100,19 @@ def write_stamp(w: "BinaryWriter", stamp: object) -> None:
         w.i64(int(stamp))  # type: ignore[call-overload]
 
 
-def read_stamp(r: "BinaryReader", source: object) -> object:
-    """Decode a version stamp; shard stamps re-bind to ``source`` (the
-    restored sharded obstacle index)."""
-    from repro.geometry.point import Point
-
+def _parse_stamp(r: "BinaryReader", sharded_source: bool) -> Any:
+    """Decode a version stamp: the integer itself, or a per-shard
+    stamp's :meth:`~repro.runtime.sharding.ShardVersionStamp.snapshot`
+    tuple ``(center, radius, versions, layout)``."""
     kind = r.u8()
     if kind == _STAMP_INT:
         return r.i64()
     if kind != _STAMP_SHARD:
-        raise DatasetError(
-            f"unknown version-stamp kind {kind} at offset {r.offset}"
-        )
-    if not hasattr(source, "shard_version"):
-        raise DatasetError(
-            f"per-shard version stamp at offset {r.offset} but the "
-            f"restored obstacle source is not sharded"
+        raise r.error(f"unknown version-stamp kind {kind}")
+    if not sharded_source:
+        raise r.error(
+            "per-shard version stamp in a snapshot whose obstacle source "
+            "is not sharded"
         )
     center = Point(r.f64(), r.f64())
     radius = r.f64()
@@ -136,7 +121,7 @@ def read_stamp(r: "BinaryReader", source: object) -> object:
     for __ in range(r.u32()):
         key = r.u64()
         versions[key] = r.u64()
-    return ShardVersionStamp(source, center, radius, versions, layout)  # type: ignore[arg-type]
+    return center, radius, versions, layout
 
 
 def write_cache_entry(w: "BinaryWriter", entry: CachedGraph) -> None:
@@ -148,18 +133,46 @@ def write_cache_entry(w: "BinaryWriter", entry: CachedGraph) -> None:
     write_graph(w, entry.graph)
 
 
-def read_cache_entry(
-    r: "BinaryReader",
+def parse_cache_entry(
+    r: "BinaryReader", known_oids: Container[int], sharded_source: bool
+) -> dict[str, Any]:
+    """Decode one cache entry written by :func:`write_cache_entry` into
+    plain parts — ``center``, ``covered``, ``stamp`` (see
+    :func:`_parse_stamp`) and the graph's ``oids`` / ``nodes`` /
+    ``free`` / ``edges`` — with every structural check run and nothing
+    built.  ``sharded_source`` says whether the snapshot's obstacle
+    source is one sharded set, the only kind a per-shard stamp binds to."""
+    center = Point(r.f64(), r.f64())
+    covered = r.f64()
+    stamp = _parse_stamp(r, sharded_source)
+    return {
+        "center": center,
+        "covered": covered,
+        "stamp": stamp,
+        **_parse_graph(r, known_oids),
+    }
+
+
+def build_cache_entry(
+    parts: dict[str, Any],
     table: Mapping[int, Obstacle],
     source: object,
     *,
     backend: "str | VisibilityBackend | None" = None,
 ) -> CachedGraph:
-    """Decode one cache entry written by :func:`write_cache_entry`."""
-    from repro.geometry.point import Point
-
-    center = Point(r.f64(), r.f64())
-    covered = r.f64()
-    stamp = read_stamp(r, source)
-    graph = read_graph(r, table, backend=backend)
-    return CachedGraph(graph, center, covered, stamp)
+    """The cache entry :func:`parse_cache_entry`'s ``parts`` describe:
+    obstacle ids resolve through ``table`` (the snapshot's one
+    :class:`~repro.model.Obstacle` per id), a per-shard stamp re-binds
+    to ``source`` (the restored sharded obstacle index), and the graph
+    is reassembled without a sweep."""
+    nodes = parts["nodes"]
+    graph = VisibilityGraph.restore(
+        [table[oid] for oid in parts["oids"]],
+        [nodes[i] for i in parts["free"]],
+        [(nodes[i], nodes[j]) for i, j in parts["edges"]],
+        method=backend,
+    )
+    stamp = parts["stamp"]
+    if not isinstance(stamp, int):
+        stamp = ShardVersionStamp(source, *stamp)  # type: ignore[arg-type]
+    return CachedGraph(graph, parts["center"], parts["covered"], stamp)

@@ -1,26 +1,45 @@
 """The snapshot store: a whole :class:`ObstacleDatabase` on disk.
 
 One snapshot file captures everything the paper's cost model can
-observe about a database plus everything its runtime has learned:
+observe about a database plus everything its runtime has learned.  Its
+payload is nine sections in this order — written by
+:func:`save_database`, read by :func:`_parse` and by nothing else:
 
-* **configuration** — tree layout, cache sizing, spatial-key quantum,
-  sharding, the obstacle-id sequence;
-* **obstacle table** — every distinct obstacle, stored once by id;
-  trees, shards and cached graphs all reference into it, so a restored
-  database shares one :class:`~repro.model.Obstacle` instance per id
-  exactly as the live one does;
-* **sources** — each obstacle set as its R*-tree page image
-  (:mod:`repro.index.pageio`) for monolithic storage, or the grid
-  geometry plus every per-shard tree (with per-shard mutation
-  counters, layout version and Hilbert keys) for sharded storage;
-* **entity trees** — page images with point payloads;
-* **graph cache** — every cached visibility graph with its coverage
-  radius and version stamp (:mod:`repro.persist.graphio`), in LRU
-  order, then the frozen CSR arrays of the graphs that hold a current
-  freeze;
-* **runtime stats** and the **journal-sequence stamp** — the warm
-  counters of the metrics registry, and the highest mutation sequence
-  folded into this snapshot (``0`` for a non-durable database).
+1. **configuration** — :data:`_CONFIG_FIELDS`: tree layout, cache
+   sizing, spatial-key quantum, sharding, the obstacle-id sequence;
+2. **dataset refs** — label, path and **content hash**
+   (:func:`repro.datasets.io.content_hash`) of the source dataset
+   files the snapshot pins (``dataset_refs``) — loads re-hash the
+   files and fail on drift, never trusting mtimes;
+3. **obstacle table** — every distinct obstacle, stored once by id;
+   trees, shards and cached graphs all reference into it, so a restored
+   database shares one :class:`~repro.model.Obstacle` instance per id
+   exactly as the live one does;
+4. **obstacle sets** — each as its R*-tree page image
+   (:mod:`repro.index.pageio`, leaf payloads being obstacle ids) for
+   monolithic storage, or the grid geometry plus every per-shard tree
+   (with per-shard mutation counters, layout version and Hilbert keys)
+   for sharded storage;
+5. **entity trees** — page images with point payloads;
+6. **graph cache** — every cached visibility graph with its coverage
+   radius and version stamp (:mod:`repro.persist.graphio`), in LRU
+   order;
+7. **runtime stats** — the warm counters of the metrics registry as a
+   tagged name/value list: name-keyed (not positional), so counters
+   added to :class:`~repro.runtime.stats.RuntimeStats` later neither
+   shift the layout nor invalidate files already written;
+8. **frozen CSR arrays** — the compiled distance-field arrays of each
+   cache entry whose graph holds a freeze valid at its *current*
+   structure revision (a stale freeze describes a topology the restored
+   graph will not have).  Node order is the freeze order;
+   ``indptr``/``indices`` are stored as u32 (a cached local graph never
+   approaches 2**32 nodes or edges) and widened on load.  Per-source
+   distance arrays are derived data, recomputed on first use;
+9. **journal-sequence stamp** — the highest mutation sequence folded
+   into this snapshot (``0`` for a non-durable database).  Recovery
+   replays only journal records with a higher sequence, so a crash
+   between this write and the journal truncation that follows a
+   compaction never double-applies.
 
 Because page ids, buffer residency and access counters round-trip, a
 restored database is *observationally identical*: the same queries
@@ -28,17 +47,13 @@ produce bit-identical answers and identical simulated page-miss
 counts.  Because the graph cache rides along, it is also *warm*: a
 query whose centre was covered before the save builds zero new
 visibility graphs after the load.
-
-``dataset_refs`` lets a snapshot pin the source dataset files it was
-built from by **content hash** (:func:`repro.datasets.io.content_hash`)
-— loads re-hash the files and fail on drift, never trusting mtimes.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import numpy as np
 
@@ -57,7 +72,7 @@ from repro.persist.codec import (
     read_snapshot,
     write_snapshot,
 )
-from repro.persist.graphio import read_cache_entry, write_cache_entry
+from repro.persist import graphio
 from repro.persist.journal import MutationJournal, apply_record
 from repro.runtime.sharding import ShardGrid
 from repro.visibility.csr import install_frozen
@@ -66,169 +81,44 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ObstacleDatabase
     from repro.visibility.kernel.backend import VisibilityBackend
 
+_AS_IS = object()
+#: Section 1, field by field: name, codec primitive, and what a stored
+#: negative stands for.  ``None`` is written as ``-1``; ``_AS_IS``
+#: marks the fields that are never ``None``.  The last four are the
+#: R*-tree constructor arguments.
+_CONFIG_FIELDS = (
+    ("bulk", "u8", _AS_IS),
+    ("shards", "i64", None),
+    ("graph_cache_size", "u32", _AS_IS),
+    ("graph_cache_snap", "f64", _AS_IS),
+    ("next_oid", "i64", _AS_IS),
+    ("page_size", "i64", 4096),
+    ("buffer_fraction", "f64", _AS_IS),
+    ("max_entries", "i64", None),
+    ("min_entries", "i64", None),
+)
+_TREE_KWARGS = tuple(name for name, __, __n in _CONFIG_FIELDS[5:])
+
 _KIND_MONO = 0
 _KIND_SHARDED = 1
 
-_STAT_INT = 0
-_STAT_FLOAT = 1
-_STAT_STR = 2
+#: Runtime-stat value tags (section 7): the tag is the position, the
+#: entry the value's type and codec primitive.  Anything that is not
+#: an int or a float is written as its ``str``.
+_STAT_CODECS = ((int, "i64"), (float, "f64"), (str, "str_"))
 
 
-def _write_runtime_stats(w: BinaryWriter, stats) -> None:
-    """The runtime-stats section: a tagged name/value list.
-
-    Name-keyed (not positional) so counters added to
-    :class:`~repro.runtime.stats.RuntimeStats` later neither shift the
-    layout nor invalidate files already written."""
-    snapshot = stats.snapshot() if stats is not None else {}
-    w.u32(len(snapshot))
-    for name in sorted(snapshot):
-        value = snapshot[name]
-        w.str_(name)
-        if isinstance(value, bool) or isinstance(value, int):
-            w.u8(_STAT_INT)
-            w.i64(int(value))
-        elif isinstance(value, float):
-            w.u8(_STAT_FLOAT)
-            w.f64(value)
-        else:
-            w.u8(_STAT_STR)
-            w.str_(str(value))
+def _write_point(w: BinaryWriter, data: Any) -> None:
+    w.f64(data.x)
+    w.f64(data.y)
 
 
-def _read_runtime_stats(r: BinaryReader, path: str) -> dict[str, object]:
-    """Decode the runtime-stats section into a plain dict."""
-    out: dict[str, object] = {}
-    for __ in range(r.u32()):
-        name = r.str_()
-        tag = r.u8()
-        if tag == _STAT_INT:
-            out[name] = r.i64()
-        elif tag == _STAT_FLOAT:
-            out[name] = r.f64()
-        elif tag == _STAT_STR:
-            out[name] = r.str_()
-        else:
-            raise DatasetError(
-                f"{path}: unknown runtime-stat tag {tag} at offset "
-                f"{r.offset}"
-            )
-    return out
-
-
-def _write_frozen_csr(w: BinaryWriter, entries) -> None:
-    """The frozen-CSR section: compiled distance-field arrays.
-
-    One record per cache entry whose graph holds a freeze valid at its
-    *current* structure revision (stale freezes are dropped — they
-    describe a topology the restored graph will not have).  Node order
-    is the freeze order; ``indptr``/``indices`` are stored as u32 (a
-    cached local graph never approaches 2**32 nodes or edges) and
-    widened on read.  Per-source distance arrays are not stored: they
-    are derived data the restored freeze recomputes on first use.
-    """
-    frozen: list[tuple[int, object]] = []
-    for i, entry in enumerate(entries):
-        cached = entry.graph._csr
-        if cached is not None and cached[0] == entry.graph.structure_revision:
-            frozen.append((i, cached[1]))
-    w.u32(len(frozen))
-    for i, csr in frozen:
-        w.u32(i)
-        w.points(csr.points)
-        w.u32_array(csr.indptr)
-        w.u32_array(csr.indices)
-        w.f64_array(csr.weights)
-
-
-def _read_frozen_csr(r: BinaryReader, entries, path: str) -> None:
-    """Decode the frozen-CSR section and install the arrays on the
-    restored graphs."""
-    for __ in range(r.u32()):
-        index = r.u32()
-        points = r.points()
-        indptr = r.u32_array()
-        indices = r.u32_array()
-        weights = r.f64_array()
-        if index >= len(entries):
-            raise DatasetError(
-                f"{path}: frozen-CSR record references cache entry "
-                f"{index} of {len(entries)} at offset {r.offset}"
-            )
-        install_frozen(
-            entries[index].graph,
-            points,
-            indptr.astype(np.int64),
-            indices.astype(np.int32),
-            weights,
-        )
-
-
-def _resolve_ref(ref_path: str, snapshot_path: str) -> str | None:
-    """Locate a referenced dataset file: the recorded path as-is
-    (absolute, or relative to the loader's cwd), falling back to the
-    snapshot file's own directory for relative refs — so a snapshot
-    saved next to its datasets keeps working when the pair is loaded
-    from anywhere."""
-    if os.path.exists(ref_path):
-        return ref_path
-    if not os.path.isabs(ref_path):
-        sibling = os.path.join(
-            os.path.dirname(os.path.abspath(snapshot_path)), ref_path
-        )
-        if os.path.exists(sibling):
-            return sibling
-    return None
-
-
-def _write_point_payload(w: BinaryWriter, data: object) -> None:
-    w.f64(data.x)  # type: ignore[attr-defined]
-    w.f64(data.y)  # type: ignore[attr-defined]
-
-
-def _read_point_payload(r: BinaryReader) -> Point:
+def _read_point(r: BinaryReader) -> Point:
     return Point(r.f64(), r.f64())
 
 
-def _write_obstacle_payload(w: BinaryWriter, data: object) -> None:
-    w.i64(data.oid)  # type: ignore[attr-defined]
-
-
-def _obstacle_payload_reader(table: Mapping[int, Obstacle], path: str):
-    """A leaf-payload decoder resolving oid references through the
-    snapshot's global obstacle table."""
-
-    def read(r: BinaryReader) -> Obstacle:
-        oid = r.i64()
-        obs = table.get(oid)
-        if obs is None:
-            raise DatasetError(
-                f"{path}: tree references unknown obstacle id {oid} at "
-                f"offset {r.offset}"
-            )
-        return obs
-
-    return read
-
-
-def _collect_obstacles(
-    state: dict, *, include_cache: bool
-) -> dict[int, Obstacle]:
-    """Every distinct obstacle the snapshot will reference: tree
-    payloads, plus — when the cache is serialized too — obstacles held
-    only by cached graphs (e.g. kept by a stale entry after an
-    out-of-band tree edit)."""
-    table: dict[int, Obstacle] = {}
-    for index in state["obstacle_indexes"].values():
-        for tree in index.trees():
-            for data, __ in tree.items():
-                table.setdefault(data.oid, data)
-    context = state["context"]
-    if include_cache and context is not None:
-        for entry in context.cache.entries():
-            for obs in entry.graph.scene_obstacles():
-                table.setdefault(obs.oid, obs)
-    return table
+def _write_oid(w: BinaryWriter, data: Any) -> None:
+    w.i64(data.oid)
 
 
 def save_database(
@@ -246,19 +136,13 @@ def save_database(
     snapshot.
     """
     state = db._snapshot_state()
+    entries = db.context.cache.entries() if include_cache else []
     w = BinaryWriter()
-    # -- configuration ----------------------------------------------------
-    tk = state["tree_kwargs"]
-    w.u8(1 if state["bulk"] else 0)
-    w.i64(-1 if state["shards"] is None else state["shards"])
-    w.u32(state["graph_cache_size"])
-    w.f64(state["graph_cache_snap"])
-    w.i64(state["next_oid"])
-    w.i64(tk.get("page_size") or -1)
-    w.f64(tk.get("buffer_fraction") or 0.1)
-    w.i64(-1 if tk.get("max_entries") is None else tk["max_entries"])
-    w.i64(-1 if tk.get("min_entries") is None else tk["min_entries"])
-    # -- dataset refs ------------------------------------------------------
+    # -- 1 configuration ---------------------------------------------------
+    values = {**state, **state["tree_kwargs"]}
+    for name, codec, __ in _CONFIG_FIELDS:
+        getattr(w, codec)(-1 if values[name] is None else values[name])
+    # -- 2 dataset refs ----------------------------------------------------
     refs = dict(dataset_refs or {})
     w.u32(len(refs))
     for label in sorted(refs):
@@ -266,64 +150,202 @@ def save_database(
         w.str_(label)
         w.str_(ref_path)
         w.str_(content_hash(ref_path))
-    # -- obstacle table ----------------------------------------------------
-    table = _collect_obstacles(state, include_cache=include_cache)
+    # -- 3 obstacle table: the trees' payloads, plus obstacles held only by
+    # the cached graphs written below (e.g. kept by a stale entry after an
+    # out-of-band tree edit)
+    table: dict[int, Obstacle] = {}
+    for __, tree in db._trees(entities=False):
+        for data, __r in tree.items():
+            table.setdefault(data.oid, data)
+    for entry in entries:
+        for obs in entry.graph.scene_obstacles():
+            table.setdefault(obs.oid, obs)
     w.u32(len(table))
     for oid in sorted(table):
         w.i64(oid)
         w.points(table[oid].polygon.vertices)
-    # -- obstacle sets -----------------------------------------------------
+    # -- 4 obstacle sets ---------------------------------------------------
     indexes = state["obstacle_indexes"]
     w.u32(len(indexes))
     for name, index in indexes.items():
         w.str_(name)
         if isinstance(index, ShardedObstacleIndex):
             w.u8(_KIND_SHARDED)
-            grid = index.grid
-            w.f64(grid.universe.minx)
-            w.f64(grid.universe.miny)
-            w.f64(grid.universe.maxx)
-            w.f64(grid.universe.maxy)
-            w.u32(grid.order)
+            universe = index.grid.universe
+            for bound in (universe.minx, universe.miny, universe.maxx, universe.maxy):
+                w.f64(bound)
+            w.u32(index.grid.order)
             w.u64(index.layout_version)
             w.u64(len(index))
-            keys = index.shard_keys()
-            w.u32(len(keys))
-            for key in keys:
-                shard = index.shard(key)
-                w.u64(key)
-                w.u64(shard.mutation_count)
-                pageio.write_tree(w, shard.tree, _write_obstacle_payload)
+            shards = [(key, index.shard(key)) for key in index.shard_keys()]
+            w.u32(len(shards))
         else:
             w.u8(_KIND_MONO)
-            w.u64(index.mutation_count)
-            pageio.write_tree(w, index.tree, _write_obstacle_payload)
-    # -- entity trees ------------------------------------------------------
-    entity_trees = state["entity_trees"]
-    w.u32(len(entity_trees))
-    for name, tree in entity_trees.items():
+            shards = [(None, index)]
+        for key, shard in shards:
+            if key is not None:
+                w.u64(key)
+            w.u64(shard.mutation_count)
+            pageio.write_tree(w, shard.tree, _write_oid)
+    # -- 5 entity trees ----------------------------------------------------
+    w.u32(len(state["entity_trees"]))
+    for name, tree in state["entity_trees"].items():
         w.str_(name)
-        pageio.write_tree(w, tree, _write_point_payload)
-    # -- graph cache -------------------------------------------------------
-    context = state["context"]
-    entries = (
-        context.cache.entries() if include_cache and context is not None else []
-    )
+        pageio.write_tree(w, tree, _write_point)
+    # -- 6 graph cache -----------------------------------------------------
     w.u32(len(entries))
     for entry in entries:
-        write_cache_entry(w, entry)
-    # -- runtime stats ------------------------------------------------------
-    _write_runtime_stats(w, context.stats if context is not None else None)
-    # -- frozen CSR arrays --------------------------------------------------
-    _write_frozen_csr(w, entries)
-    # -- journal-sequence stamp ---------------------------------------------
-    # The highest mutation sequence folded into this snapshot (0 for a
-    # non-durable database).  Recovery replays only journal records
-    # with a higher sequence, so a crash between this write and the
-    # journal truncation that follows a compaction never double-applies.
+        graphio.write_cache_entry(w, entry)
+    # -- 7 runtime stats ---------------------------------------------------
+    stats = db.context.stats.snapshot()
+    w.u32(len(stats))
+    for name in sorted(stats):
+        value = stats[name]
+        tag = 0 if isinstance(value, int) else 1 if isinstance(value, float) else 2
+        w.str_(name)
+        w.u8(tag)
+        getattr(w, _STAT_CODECS[tag][1])(_STAT_CODECS[tag][0](value))
+    # -- 8 frozen CSR arrays -----------------------------------------------
+    frozen = [
+        (i, entry.graph._csr[1])
+        for i, entry in enumerate(entries)
+        if entry.graph._csr is not None
+        and entry.graph._csr[0] == entry.graph.structure_revision
+    ]
+    w.u32(len(frozen))
+    for i, csr in frozen:
+        w.u32(i)
+        w.points(csr.points)
+        w.u32_array(csr.indptr)
+        w.u32_array(csr.indices)
+        w.f64_array(csr.weights)
+    # -- 9 journal-sequence stamp ------------------------------------------
     journal = getattr(db, "_journal", None)
     w.u64(journal.last_seq if journal is not None else 0)
     write_snapshot(path, w.getvalue())
+
+
+def _parse(path: str | Path) -> Iterator[Any]:
+    """Read, verify and decode a snapshot: yields its nine sections in
+    file order as plain parts — the only reader of the payload, behind
+    :func:`load_database` (which unpacks all nine before it builds
+    anything) and :func:`snapshot_info` (which summarises each and lets
+    it go, so it never holds more than one section).
+
+    Nothing is built (no obstacle, tree or graph): the obstacle table
+    is ``oid -> x0 y0 x1 y1 ...``, a tree is :func:`repro.index.pageio.
+    parse_tree` parts whose leaf payloads are still obstacle ids (or
+    points), a cache entry is :func:`repro.persist.graphio.
+    parse_cache_entry` parts.  Every structural defect — a short or
+    over-long payload, an unknown kind or tag, an id or index that
+    points nowhere — raises :class:`~repro.errors.DatasetError` with
+    path and offset; the last section is yielded only once the payload
+    is known to end there.
+    """
+    r = BinaryReader(read_snapshot(path), path=path)
+    # -- 1 configuration ---------------------------------------------------
+    config: dict[str, Any] = {}
+    for name, codec, negative in _CONFIG_FIELDS:
+        value = getattr(r, codec)()
+        config[name] = negative if negative is not _AS_IS and value < 0 else value
+    config["bulk"] = config["bulk"] == 1
+    yield config
+    # -- 2 dataset refs ----------------------------------------------------
+    yield [
+        {"label": r.str_(), "path": r.str_(), "sha256": r.str_()}
+        for __ in range(r.u32())
+    ]
+    # -- 3 obstacle table (the parser itself keeps only the ids) -----------
+    obstacles = {r.i64(): r.coords() for __ in range(r.u32())}
+    known = frozenset(obstacles)
+    yield obstacles
+    del obstacles
+
+    def read_oid(r: BinaryReader) -> int:
+        oid = r.i64()
+        if oid not in known:
+            raise r.error(f"tree references unknown obstacle id {oid}")
+        return oid
+
+    # -- 4 obstacle sets: each with its shards as (key, mutation count,
+    # tree parts), a monolithic set holding one under key None
+    sets = []
+    for __ in range(r.u32()):
+        entry: dict[str, Any] = {"name": r.str_(), "kind": r.u8()}
+        if entry["kind"] == _KIND_SHARDED:
+            entry["universe"] = (r.f64(), r.f64(), r.f64(), r.f64())
+            entry["order"] = r.u32()
+            entry["layout_version"] = r.u64()
+            entry["count"] = r.u64()
+            keyed = [True] * r.u32()
+        elif entry["kind"] == _KIND_MONO:
+            keyed = [False]
+        else:
+            raise r.error(f"unknown obstacle-set kind {entry['kind']}")
+        entry["shards"] = [
+            (r.u64() if key else None, r.u64(), pageio.parse_tree(r, read_oid))
+            for key in keyed
+        ]
+        sets.append(entry)
+    if not sets:
+        raise r.error("snapshot contains no obstacle sets")
+    sharded = len(sets) == 1 and sets[0]["kind"] == _KIND_SHARDED
+    yield sets
+    del sets, entry
+    # -- 5 entity trees ----------------------------------------------------
+    yield {r.str_(): pageio.parse_tree(r, _read_point) for __ in range(r.u32())}
+    # -- 6 graph cache -----------------------------------------------------
+    cache = [graphio.parse_cache_entry(r, known, sharded) for __ in range(r.u32())]
+    yield cache
+    # -- 7 runtime stats ---------------------------------------------------
+    stats: dict[str, object] = {}
+    for __ in range(r.u32()):
+        name = r.str_()
+        tag = r.u8()
+        if tag >= len(_STAT_CODECS):
+            raise r.error(f"unknown runtime-stat tag {tag}")
+        stats[name] = getattr(r, _STAT_CODECS[tag][1])()
+    yield stats
+    # -- 8 frozen CSR arrays: (cache entry index, points, indptr, indices,
+    # weights) per record, the arrays as stored
+    frozen = []
+    for __ in range(r.u32()):
+        index = r.u32()
+        if index >= len(cache):
+            raise r.error(
+                f"frozen-CSR record references cache entry {index} of {len(cache)}"
+            )
+        frozen.append((index, r.points(), r.u32_array(), r.u32_array(), r.f64_array()))
+    yield frozen
+    # -- 9 journal-sequence stamp ------------------------------------------
+    journal_seq = r.u64()
+    r.expect_end()
+    yield journal_seq
+
+
+def _verify_refs(refs: list[dict[str, str]], name: str) -> None:
+    """Re-hash every referenced dataset file; refuse a missing or
+    drifted one.  A file is looked up at the recorded path as-is
+    (absolute, or relative to the loader's cwd), then — for a relative
+    ref — in the snapshot file's own directory, so a snapshot saved next
+    to its datasets keeps working when the pair is loaded from anywhere."""
+    beside = os.path.dirname(os.path.abspath(name))
+    for ref in refs:
+        # join() returns an absolute second argument unchanged
+        places = (ref["path"], os.path.join(beside, ref["path"]))
+        resolved = next((p for p in places if os.path.exists(p)), None)
+        if resolved is None:
+            raise DatasetError(
+                f"{name}: referenced dataset {ref['label']!r} is missing at "
+                f"{ref['path']}"
+            )
+        actual = content_hash(resolved)
+        if actual != ref["sha256"]:
+            raise DatasetError(
+                f"{name}: referenced dataset {ref['label']!r} at {resolved} "
+                f"changed since the snapshot was taken (content hash "
+                f"{actual[:12]}... != recorded {ref['sha256'][:12]}...)"
+            )
 
 
 def load_database(
@@ -356,139 +378,77 @@ def load_database(
     from repro.core.engine import ObstacleDatabase
 
     name = str(path)
-    r = BinaryReader(read_snapshot(path), path=path)
-    # -- configuration ----------------------------------------------------
-    bulk = r.u8() == 1
-    shards = r.i64()
-    shards = None if shards < 0 else shards
-    graph_cache_size = r.u32()
-    graph_cache_snap = r.f64()
-    next_oid = r.i64()
-    page_size = r.i64()
-    buffer_fraction = r.f64()
-    max_entries = r.i64()
-    min_entries = r.i64()
-    tree_kwargs = dict(
-        page_size=4096 if page_size < 0 else page_size,
-        buffer_fraction=buffer_fraction,
-        max_entries=None if max_entries < 0 else max_entries,
-        min_entries=None if min_entries < 0 else min_entries,
+    config, refs, obstacles, sets, entities, cache, stats, frozen, base_seq = _parse(
+        path
     )
-    # -- dataset refs ------------------------------------------------------
-    for __ in range(r.u32()):
-        label = r.str_()
-        ref_path = r.str_()
-        expected = r.str_()
-        resolved = _resolve_ref(ref_path, name)
-        if resolved is None:
-            raise DatasetError(
-                f"{name}: referenced dataset {label!r} is missing at "
-                f"{ref_path}"
-            )
-        actual = content_hash(resolved)
-        if actual != expected:
-            raise DatasetError(
-                f"{name}: referenced dataset {label!r} at {resolved} "
-                f"changed since the snapshot was taken (content hash "
-                f"{actual[:12]}... != recorded {expected[:12]}...)"
-            )
-    # -- obstacle table ----------------------------------------------------
-    table: dict[int, Obstacle] = {}
-    for __ in range(r.u32()):
-        oid = r.i64()
-        table[oid] = Obstacle(oid, Polygon(r.points()))
-    read_obstacle = _obstacle_payload_reader(table, name)
-    # -- obstacle sets -----------------------------------------------------
-    obstacle_indexes: dict[int | str, object] = {}
-    for __ in range(r.u32()):
-        set_name = r.str_()
-        kind = r.u8()
-        if kind == _KIND_SHARDED:
-            universe = Rect(r.f64(), r.f64(), r.f64(), r.f64())
-            order = r.u32()
-            layout_version = r.u64()
-            count = r.u64()
-            restored_shards: dict[int, ObstacleIndex] = {}
-            for __s in range(r.u32()):
-                key = r.u64()
-                mutations = r.u64()
-                tree = pageio.read_tree(r, read_obstacle)
-                restored_shards[key] = ObstacleIndex(
-                    tree, mutations=mutations
-                )
-            obstacle_indexes[set_name] = ShardedObstacleIndex.restore(
-                ShardGrid(universe, order),
-                name=f"obstacles:{set_name}",
-                shards=restored_shards,
-                layout_version=layout_version,
-                count=count,
+    _verify_refs(refs, name)
+    # One Obstacle per id: trees, shards and cached graphs all share it.
+    table = {
+        oid: Obstacle(oid, Polygon(map(Point, flat[::2], flat[1::2])))
+        for oid, flat in obstacles.items()
+    }
+    del obstacles
+    tree_kwargs = {key: config.pop(key) for key in _TREE_KWARGS}
+    obstacle_indexes: dict[str, object] = {}
+    for entry in sets:
+        shards = {}
+        for key, mutations, tree in entry["shards"]:
+            for node in tree["nodes"]:
+                for slot in node.entries:
+                    if slot.child is None:
+                        slot.data = table[slot.data]
+            shards[key] = ObstacleIndex(pageio.build_tree(tree), mutations=mutations)
+        if entry["kind"] == _KIND_SHARDED:
+            obstacle_indexes[entry["name"]] = ShardedObstacleIndex.restore(
+                ShardGrid(Rect(*entry["universe"]), entry["order"]),
+                name=f"obstacles:{entry['name']}",
+                shards=shards,
+                layout_version=entry["layout_version"],
+                count=entry["count"],
                 **tree_kwargs,
             )
-        elif kind == _KIND_MONO:
-            mutations = r.u64()
-            tree = pageio.read_tree(r, read_obstacle)
-            obstacle_indexes[set_name] = ObstacleIndex(
-                tree, mutations=mutations
-            )
         else:
-            raise DatasetError(
-                f"{name}: unknown obstacle-set kind {kind} at offset "
-                f"{r.offset}"
-            )
-    if not obstacle_indexes:
-        raise DatasetError(f"{name}: snapshot contains no obstacle sets")
-    # -- entity trees ------------------------------------------------------
-    entity_trees = {}
-    for __ in range(r.u32()):
-        entity_name = r.str_()
-        entity_trees[entity_name] = pageio.read_tree(r, _read_point_payload)
-    # -- graph cache -------------------------------------------------------
-    n_entries = r.u32()
+            obstacle_indexes[entry["name"]] = shards[None]
     db = ObstacleDatabase._restore(
         tree_kwargs=tree_kwargs,
-        bulk=bulk,
-        shards=shards,
-        graph_cache_size=graph_cache_size,
-        graph_cache_snap=graph_cache_snap,
-        next_oid=next_oid,
+        **config,
         obstacle_indexes=obstacle_indexes,  # type: ignore[arg-type]
-        entity_trees=entity_trees,
+        entity_trees={
+            entity_name: pageio.build_tree(tree)
+            for entity_name, tree in entities.items()
+        },
         backend=backend,
         cache_policy=cache_policy,
     )
     context = db.context
-    restored_entries = []
-    for __ in range(n_entries):
-        entry = read_cache_entry(
-            r, table, context.source, backend=context.backend
+    restored = [
+        graphio.build_cache_entry(entry, table, context.source, backend=context.backend)
+        for entry in cache
+    ]
+    for cached in restored:
+        context.admit_restored(cached)
+    for index, points, indptr, indices, weights in frozen:
+        install_frozen(
+            restored[index].graph,
+            points,
+            indptr.astype(np.int64),
+            indices.astype(np.int32),
+            weights,
         )
-        context.admit_restored(entry)
-        restored_entries.append(entry)
-    # -- runtime stats ------------------------------------------------------
-    stats = context.stats
-    for stat_name, value in _read_runtime_stats(r, name).items():
+    for stat_name, value in stats.items():
         # ``backend`` is configuration, not work: the restored context
         # has already selected its own (possibly different) backend.
         # Unknown names are counters from another build of this
         # library — ignored.
-        if stat_name == "backend" or stat_name not in stats.__slots__:
-            continue
-        setattr(stats, stat_name, value)
-    # -- frozen CSR arrays --------------------------------------------------
-    _read_frozen_csr(r, restored_entries, name)
-    # -- journal-sequence stamp ---------------------------------------------
-    base_seq = r.u64()
-    r.expect_end()
-    # -- journal recovery --------------------------------------------------
-    # Replay happens only now, over a fully verified snapshot: the
-    # journal is scanned and decoded in full first (torn tail
-    # truncated, corruption raising before anything is applied), then
-    # each record with a sequence above the base's folded-sequence
-    # stamp goes through the same index operations the crashed process
-    # used, and the journal stays attached for further writes.
-    # Records at or below the stamp are already in the base — the
-    # crash interrupted a compaction after the base rewrite but before
-    # the journal truncation — so the truncation is completed instead.
+        if stat_name != "backend" and stat_name in context.stats.__slots__:
+            setattr(context.stats, stat_name, value)
+    # -- journal recovery: only now, over a fully verified snapshot.  The
+    # journal is scanned and decoded in full first (torn tail truncated,
+    # corruption raising before anything is applied), then each record
+    # above the base's sequence stamp (section 9) goes through the same
+    # index operations the crashed process used.  When every record is
+    # at or below it, the crash interrupted a compaction after the base
+    # rewrite, and the journal truncation is completed instead.
     if durable is not None:
         journal, entries = MutationJournal.recover(durable)
         fresh = [record for seq, record in entries if seq > base_seq]
@@ -501,6 +461,16 @@ def load_database(
     return db
 
 
+def _page_summary(trees: list[dict]) -> dict[str, int]:
+    """Page count and persisted page-access counters over tree parts."""
+    return {
+        "pages": sum(len(tree["nodes"]) for tree in trees),
+        "reads": sum(tree["reads"] for tree in trees),
+        "misses": sum(tree["misses"] for tree in trees),
+        "writes": sum(tree["writes"] for tree in trees),
+    }
+
+
 def snapshot_info(path: str | Path) -> dict[str, object]:
     """A cheap structural summary of a snapshot (no database assembly).
 
@@ -508,170 +478,62 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
     counts and page-access counters, entity sets, cached-graph
     summaries (centre, coverage radius, node/edge counts), runtime
     counters and dataset refs — what the
-    ``repro-snapshot info`` command prints.
+    ``repro-snapshot info`` command prints.  It summarises the sections
+    :func:`load_database` assembles, one at a time, so it refuses every
+    file that one cannot decode (dataset refs are listed, not re-hashed).
     """
-    name = str(path)
-    r = BinaryReader(read_snapshot(path), path=path)
-    bulk = r.u8() == 1
-    shards = r.i64()
-    graph_cache_size = r.u32()
-    graph_cache_snap = r.f64()
-    next_oid = r.i64()
-    r.i64()  # page_size
-    r.f64()  # buffer_fraction
-    r.i64()  # max_entries
-    r.i64()  # min_entries
-    refs = []
-    for __ in range(r.u32()):
-        refs.append(
-            {"label": r.str_(), "path": r.str_(), "sha256": r.str_()}
-        )
-    n_obstacles = r.u32()
-    for __ in range(n_obstacles):
-        r.i64()
-        r.points()
-    sets = []
-    for __ in range(r.u32()):
-        set_name = r.str_()
-        kind = r.u8()
-        if kind == _KIND_SHARDED:
-            for __f in range(4):
-                r.f64()
-            order = r.u32()
-            r.u64()  # layout version
-            count = r.u64()
-            pages = reads = misses = writes = 0
-            n_shards = r.u32()
-            for __s in range(n_shards):
-                r.u64()
-                r.u64()
-                meta = pageio.read_tree_meta(r, _skip_oid_payload)
-                pages += meta["pages"]
-                reads += meta["reads"]
-                misses += meta["misses"]
-                writes += meta["writes"]
-            sets.append(
-                {
-                    "name": set_name,
-                    "kind": "sharded",
-                    "obstacles": count,
-                    "shards": n_shards,
-                    "grid_order": order,
-                    "pages": pages,
-                    "reads": reads,
-                    "misses": misses,
-                    "writes": writes,
-                }
-            )
-        elif kind == _KIND_MONO:
-            r.u64()  # mutations
-            meta = pageio.read_tree_meta(r, _skip_oid_payload)
-            sets.append(
-                {
-                    "name": set_name,
-                    "kind": "monolithic",
-                    "obstacles": meta["size"],
-                    "pages": meta["pages"],
-                    "reads": meta["reads"],
-                    "misses": meta["misses"],
-                    "writes": meta["writes"],
-                }
+    sections = _parse(path)
+    config, refs = next(sections), next(sections)
+    distinct_obstacles = len(next(sections))
+    set_rows = []
+    for entry in next(sections):
+        trees = [tree for __, __m, tree in entry["shards"]]
+        row = {"name": entry["name"], "kind": "monolithic"}
+        if entry["kind"] == _KIND_SHARDED:
+            row.update(
+                kind="sharded",
+                obstacles=entry["count"],
+                shards=len(trees),
+                grid_order=entry["order"],
             )
         else:
-            raise DatasetError(
-                f"{name}: unknown obstacle-set kind {kind} at offset "
-                f"{r.offset}"
-            )
-    entities = []
-    for __ in range(r.u32()):
-        entity_name = r.str_()
-        meta = pageio.read_tree_meta(r, _read_point_payload)
-        entities.append(
-            {
-                "name": entity_name,
-                "points": meta["size"],
-                "pages": meta["pages"],
-                "reads": meta["reads"],
-                "misses": meta["misses"],
-                "writes": meta["writes"],
-            }
-        )
-    cached_graphs = r.u32()
-    cache_entries = [_skim_cache_entry(r) for __ in range(cached_graphs)]
-    runtime_stats = _read_runtime_stats(r, name)
-    frozen_fields = r.u32()
-    for __ in range(frozen_fields):
-        index = r.u32()
-        nodes = len(r.points())
-        r.u32_array()  # indptr
-        indices = r.u32_array()
-        r.f64_array()  # weights
-        if index < len(cache_entries):
-            cache_entries[index]["frozen_nodes"] = nodes
-            cache_entries[index]["frozen_edges"] = len(indices) // 2
-    journal_seq = r.u64()
+            row["obstacles"] = trees[0]["size"]
+        set_rows.append({**row, **_page_summary(trees)})
+    del entry, trees
+    entity_rows = [
+        {"name": name, "points": tree["size"], **_page_summary([tree])}
+        for name, tree in next(sections).items()
+    ]
+    cache_entries: list[dict[str, object]] = [
+        {
+            "center": (entry["center"].x, entry["center"].y),
+            "covered": entry["covered"],
+            "obstacles": len(entry["oids"]),
+            "nodes": len(entry["nodes"]),
+            "edges": len(entry["edges"]),
+            "stamp": "integer" if isinstance(entry["stamp"], int) else "sharded",
+        }
+        for entry in next(sections)
+    ]
+    stats, frozen, journal_seq = sections
+    for index, points, __, indices, __w in frozen:
+        cache_entries[index]["frozen_nodes"] = len(points)
+        cache_entries[index]["frozen_edges"] = len(indices) // 2
     return {
-        "path": name,
+        "path": str(path),
         "format_version": FORMAT_VERSION,
-        "bulk": bulk,
-        "shards": None if shards < 0 else shards,
-        "graph_cache_size": graph_cache_size,
-        "graph_cache_snap": graph_cache_snap,
-        "next_oid": next_oid,
-        "distinct_obstacles": n_obstacles,
-        "obstacle_sets": sets,
-        "entity_sets": entities,
-        "cached_graphs": cached_graphs,
+        "bulk": config["bulk"],
+        "shards": config["shards"],
+        "graph_cache_size": config["graph_cache_size"],
+        "graph_cache_snap": config["graph_cache_snap"],
+        "next_oid": config["next_oid"],
+        "distinct_obstacles": distinct_obstacles,
+        "obstacle_sets": set_rows,
+        "entity_sets": entity_rows,
+        "cached_graphs": len(cache_entries),
         "cache_entries": cache_entries,
-        "frozen_fields": frozen_fields,
+        "frozen_fields": len(frozen),
         "journal_seq": journal_seq,
-        "runtime_stats": runtime_stats,
+        "runtime_stats": stats,
         "dataset_refs": refs,
     }
-
-
-def _skim_cache_entry(r: BinaryReader) -> dict[str, object]:
-    """Decode one cache-entry record for its summary only (no graph
-    reassembly, no obstacle-table resolution)."""
-    from repro.persist.graphio import _STAMP_INT, _STAMP_SHARD
-
-    center = Point(r.f64(), r.f64())
-    covered = r.f64()
-    stamp_kind = r.u8()
-    if stamp_kind == _STAMP_INT:
-        r.i64()
-    elif stamp_kind == _STAMP_SHARD:
-        r.f64()  # stamp centre x
-        r.f64()  # stamp centre y
-        r.f64()  # stamp radius
-        r.u64()  # layout version
-        for __ in range(r.u32()):
-            r.u64()
-            r.u64()
-    else:
-        raise DatasetError(
-            f"unknown version-stamp kind {stamp_kind} at offset {r.offset}"
-        )
-    obstacles = r.u32()
-    for __ in range(obstacles):
-        r.i64()
-    nodes = len(r.points())
-    for __ in range(r.u32()):  # free-point indexes
-        r.u32()
-    edges = r.u32()
-    for __ in range(edges):
-        r.u32()
-        r.u32()
-    return {
-        "center": (center.x, center.y),
-        "covered": covered,
-        "obstacles": obstacles,
-        "nodes": nodes,
-        "edges": edges,
-        "stamp": "sharded" if stamp_kind == _STAMP_SHARD else "integer",
-    }
-
-
-def _skip_oid_payload(r: BinaryReader) -> int:
-    """Obstacle-reference payload skipper for summary decoding."""
-    return r.i64()

@@ -48,6 +48,7 @@ from typing import Callable, Sequence, TypeVar
 from repro.errors import QueryError
 from repro.obs.trace import TRACER
 from repro.runtime.stats import RuntimeStats
+from repro.stats.counters import add_page_counts, page_counts, page_deltas
 
 Q = TypeVar("Q")
 R = TypeVar("R")
@@ -138,12 +139,7 @@ def _evaluate_chunk(
     # counters; snapshot a baseline so the reply can carry exact
     # per-tree deltas for the parent to add back.  A nested batch
     # passes trees=None: it ticks the very counters its process tracks.
-    baselines = None
-    if trees:
-        baselines = {
-            tree.name: (tree.counter.reads, tree.counter.misses, tree.counter.writes)
-            for tree in trees
-        }
+    baselines = page_counts(trees or ())
     worker_metric = metric.spawn()
     start, stop = chunk
     span = None
@@ -164,15 +160,7 @@ def _evaluate_chunk(
         ]
     context = getattr(worker_metric, "context", None)
     stats = context.stats.snapshot() if context is not None else None
-    pages = None
-    if trees and baselines is not None:
-        pages = {}
-        for tree in trees:
-            r0, m0, w0 = baselines[tree.name]
-            c = tree.counter
-            delta = (c.reads - r0, c.misses - m0, c.writes - w0)
-            if any(delta):
-                pages[tree.name] = delta
+    pages = page_deltas(trees or (), baselines)
     return start, results, stats, pages, span.to_dict() if span else None
 
 
@@ -218,17 +206,12 @@ class BatchExecutor:
         parts = self._run_fork(
             metric, queries, evaluate, chunks, tracked, TRACER.tracing()
         )
-        by_name = {tree.name: tree for tree in tracked}
         results: list[R] = [None] * n  # type: ignore[list-item]
         for start, chunk_results, worker_stats, worker_pages, span_doc in parts:
             results[start : start + len(chunk_results)] = chunk_results
             if stats is not None and worker_stats is not None:
                 stats.merge(worker_stats)
-            for name, (reads, misses, writes) in (worker_pages or {}).items():
-                counter = by_name[name].counter
-                counter.reads += reads
-                counter.misses += misses
-                counter.writes += writes
+            add_page_counts(tracked, worker_pages)
             TRACER.graft(span_doc)
         return results
 

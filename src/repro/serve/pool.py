@@ -59,48 +59,12 @@ from repro.persist.journal import (
     obstacle_record,
 )
 from repro.runtime.executor import _chunk_ranges
+from repro.stats.counters import add_page_counts, page_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
     from repro.core.engine import ObstacleDatabase
-
-
-def _tree_counters(db: "ObstacleDatabase") -> dict[str, tuple[int, int, int]]:
-    """Per-tree page counters keyed by (unique) tree name."""
-    counters: dict[str, tuple[int, int, int]] = {}
-    for idx in db._obstacle_indexes.values():
-        for tree in idx.trees():
-            c = tree.counter
-            counters[tree.name] = (c.reads, c.misses, c.writes)
-    for tree in db._entity_trees.values():
-        c = tree.counter
-        counters[tree.name] = (c.reads, c.misses, c.writes)
-    return counters
-
-
-def _merge_tree_counters(
-    db: "ObstacleDatabase", deltas: dict[str, tuple[int, int, int]]
-) -> None:
-    """Add worker page-counter deltas onto the parent's same-named trees.
-
-    A tree name the parent no longer knows (possible only across an
-    invalidation race) is dropped — counters are reporting, never
-    correctness.
-    """
-    trees = {}
-    for idx in db._obstacle_indexes.values():
-        for tree in idx.trees():
-            trees[tree.name] = tree
-    for tree in db._entity_trees.values():
-        trees[tree.name] = tree
-    for name, (reads, misses, writes) in deltas.items():
-        tree = trees.get(name)
-        if tree is None:
-            continue
-        tree.counter.reads += reads
-        tree.counter.misses += misses
-        tree.counter.writes += writes
 
 
 def _evaluate(db: "ObstacleDatabase", command: tuple, items: Sequence) -> list:
@@ -196,7 +160,7 @@ def _worker_main(
                 "ok",
                 results,
                 db.runtime_stats(),
-                _tree_counters(db),
+                page_counts(tree for __, tree in db._trees()),
                 span.to_dict() if span is not None else None,
             )
         )
@@ -515,7 +479,9 @@ class PersistentWorkerPool:
                 __, chunk_results, runtime_snapshot, page_deltas, span_doc = reply
                 results[start:stop] = chunk_results
                 self._db.context.stats.merge(runtime_snapshot)
-                _merge_tree_counters(self._db, page_deltas)
+                add_page_counts(
+                    (tree for __, tree in self._db._trees()), page_deltas
+                )
                 TRACER.graft(span_doc)
             if failure is not None:
                 # The pipe protocol may be out of sync with the dead or

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping
+
+#: ``(reads, misses, writes)`` of one tree, or a change in them.
+PageCounts = tuple[int, int, int]
+
 
 class PageAccessCounter:
     """Counts logical node reads, physical page accesses and writes.
@@ -44,3 +49,37 @@ class PageAccessCounter:
             f"PageAccessCounter(reads={self.reads}, misses={self.misses}, "
             f"writes={self.writes})"
         )
+
+
+def page_counts(trees: Iterable) -> dict[str, PageCounts]:
+    """The page counters of ``trees``, keyed by (unique) tree name."""
+    return {
+        tree.name: (tree.counter.reads, tree.counter.misses, tree.counter.writes)
+        for tree in trees
+    }
+
+
+def page_deltas(
+    trees: Iterable, baseline: Mapping[str, PageCounts]
+) -> dict[str, PageCounts]:
+    """What ``trees`` ticked since ``baseline`` (their earlier
+    :func:`page_counts`); trees that ticked nothing are left out."""
+    deltas = {}
+    for name, counts in page_counts(trees).items():
+        delta = tuple(now - was for now, was in zip(counts, baseline[name]))
+        if any(delta):
+            deltas[name] = delta
+    return deltas
+
+
+def add_page_counts(trees: Iterable, deltas: Mapping[str, PageCounts]) -> None:
+    """Add ``deltas`` — counters ticked on copies of ``trees`` in a
+    worker process — onto the same-named trees.  A name none of
+    ``trees`` carries is dropped: counters are reporting, never
+    correctness."""
+    for tree in trees:
+        if tree.name in deltas:
+            reads, misses, writes = deltas[tree.name]
+            tree.counter.reads += reads
+            tree.counter.misses += misses
+            tree.counter.writes += writes

@@ -32,15 +32,19 @@ def probe_points() -> list[Point]:
     return random_free_points(rng, 6, obstacles)
 
 
-def build_db() -> ObstacleDatabase:
-    """The canonical deterministic database, cache warmed."""
+def build_db(
+    shards: int | None = SHARDS, snap: float = SNAP
+) -> ObstacleDatabase:
+    """The canonical deterministic database, cache warmed (by default
+    sharded with spatial keys; ``None, 0.0`` is its monolithic
+    exact-key twin)."""
     rng = random.Random(SEED)
     obstacles = random_disjoint_rects(rng, 20)
     entities = random_free_points(random.Random(SEED + 2), 30, obstacles)
     db = ObstacleDatabase(
         [o.polygon for o in obstacles],
-        shards=SHARDS,
-        graph_cache_snap=SNAP,
+        shards=shards,
+        graph_cache_snap=snap,
         max_entries=16,
         min_entries=4,
     )

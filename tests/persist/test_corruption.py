@@ -12,7 +12,12 @@ from repro.core.engine import ObstacleDatabase
 from repro.errors import DatasetError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.persist.codec import FORMAT_VERSION, HEADER_SIZE, MAGIC
+from repro.persist.codec import (
+    FORMAT_VERSION,
+    HEADER_SIZE,
+    MAGIC,
+    BinaryWriter,
+)
 
 
 @pytest.fixture
@@ -150,3 +155,128 @@ class TestNoPartialState:
             db.save(snapshot)
         assert snapshot.read_bytes() == before
         assert not list(snapshot.parent.glob("*.tmp.*"))
+
+
+class TestInfoRefusesWhatLoadRefuses:
+    """``snapshot_info`` and ``load_database`` read a payload through
+    one parser, so a structurally damaged snapshot — both checksums
+    valid — draws the same located error from both."""
+
+    @pytest.fixture
+    def payload(self, tmp_path):
+        """A cache-less sharded snapshot's payload, split where its
+        tail — graph cache (none), runtime stats, frozen CSR (none),
+        journal stamp — begins."""
+        db = ObstacleDatabase([Rect(2.0, 2.0, 4.0, 8.0)], shards=4)
+        path = tmp_path / "cold.snap"
+        db.save(path, include_cache=False)
+        data = path.read_bytes()[HEADER_SIZE:]
+        # "backend" is the first (sorted) runtime stat; the stats count
+        # and the cache count are the two u32 in front of its name.
+        tail = data.rindex(struct.pack("<I", 7) + b"backend") - 8
+        assert data[tail : tail + 4] == struct.pack("<I", 0)
+        return data, tail
+
+    @staticmethod
+    def _cache_entry(stamp_kind=0, free=(), edges=()):
+        """One cache-entry record: a single free node, no obstacles."""
+        w = BinaryWriter()
+        for value in (1.0, 5.0, 3.0):  # centre x, y, covered
+            w.f64(value)
+        w.u8(stamp_kind)
+        w.i64(0)  # integer stamp
+        w.u32(0)  # obstacle ids
+        w.points([Point(1.0, 5.0)])
+        w.u32(len(free))
+        for i in free:
+            w.u32(i)
+        w.u32(len(edges))
+        for i, j in edges:
+            w.u32(i)
+            w.u32(j)
+        return w.getvalue()
+
+    @staticmethod
+    def _tail(entries=(), frozen_for=()):
+        """Graph cache, empty runtime stats, frozen CSR, journal stamp."""
+        w = BinaryWriter()
+        w.u32(len(entries))
+        body = w.getvalue() + b"".join(entries)
+        w = BinaryWriter()
+        w.u32(0)  # runtime stats
+        w.u32(len(frozen_for))
+        for index in frozen_for:
+            w.u32(index)
+            w.points([])
+            w.u32_array([0])
+            w.u32_array([])
+            w.f64_array([])
+        w.u64(0)  # journal sequence
+        return body + w.getvalue()
+
+    def _refused(self, tmp_path, payload, match):
+        from repro.persist import snapshot_info
+        from repro.persist.codec import write_snapshot
+
+        bad = tmp_path / "bad.snap"
+        write_snapshot(bad, payload)
+        with pytest.raises(DatasetError) as by_load:
+            ObstacleDatabase.load(bad)
+        with pytest.raises(DatasetError) as by_info:
+            snapshot_info(bad)
+        message = str(by_load.value)
+        assert message == str(by_info.value)
+        assert message.startswith(f"{bad}: ") and "at offset" in message
+        assert match in message, message
+
+    def test_crafted_tail_is_itself_valid(self, tmp_path, payload):
+        from repro.persist import snapshot_info
+        from repro.persist.codec import write_snapshot
+
+        data, tail = payload
+        good = tmp_path / "good.snap"
+        entry = self._cache_entry(free=[0], edges=[(0, 0)])
+        write_snapshot(good, data[:tail] + self._tail([entry], frozen_for=[0]))
+        info = snapshot_info(good)
+        assert (info["cached_graphs"], info["frozen_fields"]) == (1, 1)
+        assert len(ObstacleDatabase.load(good).context.cache) == 1
+
+    def test_trailing_bytes(self, tmp_path, payload):
+        data, __ = payload
+        self._refused(tmp_path, data + b"\0\0", "2 trailing byte(s)")
+
+    def test_frozen_record_names_no_cache_entry(self, tmp_path, payload):
+        data, tail = payload
+        entry = self._cache_entry()
+        self._refused(
+            tmp_path,
+            data[:tail] + self._tail([entry], frozen_for=[1]),
+            "frozen-CSR record references cache entry 1 of 1",
+        )
+
+    @pytest.mark.parametrize(
+        "indexes", [{"free": [1]}, {"edges": [(0, 7)]}], ids=["free", "edge"]
+    )
+    def test_graph_index_past_its_node_list(self, tmp_path, payload, indexes):
+        data, tail = payload
+        self._refused(
+            tmp_path,
+            data[:tail] + self._tail([self._cache_entry(**indexes)]),
+            "out of range (1 node(s))",
+        )
+
+    def test_unknown_stamp_kind(self, tmp_path, payload):
+        data, tail = payload
+        self._refused(
+            tmp_path,
+            data[:tail] + self._tail([self._cache_entry(stamp_kind=9)]),
+            "unknown version-stamp kind 9",
+        )
+
+    def test_unknown_set_kind(self, tmp_path, payload):
+        data, __ = payload
+        # the set's name, then its kind byte
+        kind_at = data.index(struct.pack("<I", 9) + b"obstacles") + 13
+        damaged = bytearray(data)
+        damaged[kind_at] = 7
+        self._refused(tmp_path, bytes(damaged), "unknown obstacle-set kind 7")

@@ -62,8 +62,6 @@ def _doc(**overrides):
             "persistent": {"graph_builds": 8.0, "pool_batches": 8.0},
         },
         "smoke obs": {
-            "disabled_overhead_ok": 1.0,
-            "sampled_overhead_ok": 1.0,
             "trace_parity": 1.0,
             "pool_trace_merged": 1.0,
             "registry_complete": 1.0,
@@ -359,8 +357,6 @@ class TestCommittedBaseline:
         assert results["smoke serve"]["warm_builds"] == 0.0
         assert results["smoke kernel"]["edges_match"] == 1.0
         for flag in (
-            "disabled_overhead_ok",
-            "sampled_overhead_ok",
             "trace_parity",
             "pool_trace_merged",
             "registry_complete",

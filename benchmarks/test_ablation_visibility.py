@@ -18,7 +18,7 @@ SCENE_SIZES = (10, 30, 60)
 
 
 @pytest.mark.parametrize("n_obstacles", SCENE_SIZES)
-@pytest.mark.parametrize("method", ["sweep", "naive"])
+@pytest.mark.parametrize("method", ["python-sweep", "naive"])
 def test_ablation_visibility_construction(benchmark, method, n_obstacles):
     obstacles = street_grid_obstacles(n_obstacles, seed=BENCH_SEED)
     points = entities_following_obstacles(
@@ -50,7 +50,7 @@ def test_ablation_visibility_equivalence(benchmark, n_obstacles):
     sweep = benchmark.pedantic(
         VisibilityGraph.build,
         args=(points, obstacles),
-        kwargs={"method": "sweep"},
+        kwargs={"method": "python-sweep"},
         rounds=1,
         iterations=1,
     )

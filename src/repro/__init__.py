@@ -66,7 +66,6 @@ from repro.core import (
     CompositeObstacleIndex,
     ObstacleDatabase,
     ObstacleIndex,
-    ObstructedDistanceComputer,
     compute_obstructed_distance,
     iter_obstacle_closest_pairs,
     iter_obstacle_nearest,
@@ -135,7 +134,6 @@ __all__ = [
     "ObstacleDatabase",
     "ObstacleIndex",
     "CompositeObstacleIndex",
-    "ObstructedDistanceComputer",
     "compute_obstructed_distance",
     "obstacle_range",
     "obstacle_nearest",

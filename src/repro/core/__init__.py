@@ -15,7 +15,7 @@ from only the relevant obstacles eliminate the false hits.
 * :class:`ObstacleDatabase` — the user-facing facade
 """
 
-from repro.core.distance import ObstructedDistanceComputer, compute_obstructed_distance
+from repro.core.distance import compute_obstructed_distance
 from repro.core.source import (
     CompositeObstacleIndex,
     ObstacleIndex,
@@ -31,7 +31,6 @@ from repro.core.semijoin import obstacle_semijoin
 from repro.core.engine import ObstacleDatabase
 
 __all__ = [
-    "ObstructedDistanceComputer",
     "compute_obstructed_distance",
     "ObstacleIndex",
     "CompositeObstacleIndex",

@@ -8,12 +8,11 @@ retrieval of radius equal to the current distance, until no new
 obstacle appears — the distance can only grow between iterations, so
 the fixpoint is the true obstructed distance.
 
-The stateful helpers here are the building blocks of the shared query
+The stateful helper here is a building block of the shared query
 runtime (:mod:`repro.runtime`): :class:`SourceDistanceField` evaluates
-many candidates against one fixed source, and
-:class:`ObstructedDistanceComputer` is a thin compatibility wrapper
-over :class:`repro.runtime.context.QueryContext`, which owns the
-persistent, versioned LRU graph cache.
+many candidates against one fixed source.  Point-to-point distances
+with graph reuse are :meth:`repro.runtime.context.QueryContext.distance`,
+which owns the persistent, versioned LRU graph cache.
 """
 
 from __future__ import annotations
@@ -195,54 +194,3 @@ class SourceDistanceField:
         if not self._q_is_node:
             d = min(d, csr.direct_leg(p, self._q, graph))
         return d
-
-
-class ObstructedDistanceComputer:
-    """Reusable obstructed-distance evaluation with graph caching.
-
-    OCP and the standalone ``obstructed_distance`` API compute distances
-    between arbitrary point pairs.  Rebuilding a visibility graph per
-    pair is wasteful when consecutive pairs share their first point (the
-    paper makes the same observation for ODJ seeds), so graphs are
-    cached per source point.
-
-    This is now a thin compatibility facade over the shared runtime:
-    the cache is the true-LRU, versioned
-    :class:`~repro.runtime.cache.VisibilityGraphCache` owned by a
-    :class:`~repro.runtime.context.QueryContext` (pass ``context`` to
-    share one across query types; otherwise a private context is
-    created over ``source``).
-    """
-
-    def __init__(
-        self,
-        source: ObstacleSource,
-        *,
-        cache_size: int = 32,
-        context: "QueryContext | None" = None,
-    ) -> None:
-        from repro.runtime.context import QueryContext
-
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
-        if context is None:
-            context = QueryContext(source, cache_size=cache_size)
-        self._context = context
-
-    @property
-    def context(self) -> "QueryContext":
-        """The runtime context holding the shared graph cache."""
-        return self._context
-
-    def distance(self, p: Point, q: Point, *, bound: float = inf) -> float:
-        """Obstructed distance ``d_O(p, q)``.
-
-        The cache is keyed by ``q`` (the expansion center of Fig. 8's
-        range retrievals).  ``bound`` enables the threshold pruning of
-        :func:`compute_obstructed_distance`.
-        """
-        return self._context.distance(p, q, bound=bound)
-
-    def clear(self) -> None:
-        """Drop all cached graphs."""
-        self._context.invalidate()

@@ -17,24 +17,25 @@ exposes every query type of the paper::
 
 Every query runs through one persistent
 :class:`~repro.runtime.context.QueryContext` owned by the database:
-visibility graphs survive in a versioned LRU cache across queries, and
-the dynamic obstacle API (:meth:`insert_obstacle` /
-:meth:`delete_obstacle`) bumps the obstacle-set version so stale
-graphs are discarded lazily at their next lookup.  Batch entry points
+visibility graphs survive in a versioned LRU cache across queries.
+Every mutation (:meth:`insert_obstacle`, :meth:`delete_obstacle`,
+:meth:`insert_entity`, :meth:`delete_entity`) is one record down one
+write path, ``_commit``: journal, apply (cached graphs are repaired
+in place), announce, compaction check.  Batch entry points
 (:meth:`batch_nearest`, :meth:`batch_range`, :meth:`batch_distance`)
 amortize the context across whole workloads, and fan out over a worker
 pool when asked (``workers=``) — either a per-batch fork pool or, with
 ``pool="persistent"``, the long-lived snapshot-warm-started
 :meth:`serving_pool` (shut down via :meth:`close` or the context
-manager).  Obstacle storage is either
-one monolithic R*-tree per set or, with ``shards=N``, a spatially
-sharded store whose mutations invalidate cached graphs per shard.
+manager).  Obstacle storage is either one monolithic R*-tree per set
+or, with ``shards=N``, a spatially sharded store whose mutations reach
+cached graphs per shard.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
+from math import inf
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.closest import iter_obstacle_closest_pairs, obstacle_closest_pairs
@@ -46,6 +47,8 @@ from repro.core.source import (
     CompositeObstacleIndex,
     ObstacleIndex,
     ShardedObstacleIndex,
+    _MutationFeed,
+    build_obstacle_index,
     build_sharded_obstacle_index,
 )
 from repro.errors import DatasetError, QueryError
@@ -56,6 +59,12 @@ from repro.index.bulk import str_pack
 from repro.index.rstar import RStarTree
 from repro.model import Obstacle
 from repro.obs import MetricsRegistry, TRACER
+from repro.persist.journal import (
+    MutationJournal,
+    MutationRecord,
+    entity_record,
+    obstacle_record,
+)
 from repro.runtime.batch import batch_distance, batch_nearest, batch_range
 from repro.runtime.context import QueryContext
 from repro.runtime.metric import ObstructedMetric
@@ -162,8 +171,6 @@ class ObstacleDatabase:
         )
         self.add_obstacle_set("obstacles", obstacles)
         if durable is not None:
-            from repro.persist.journal import MutationJournal
-
             self._attach_journal(MutationJournal.create(durable))
 
     def _init_state(
@@ -195,10 +202,9 @@ class ObstacleDatabase:
         ] = {}
         self._context: QueryContext | None = None
         self._serving_pool = None
-        self._pool_finalizer = None
         self._metrics: MetricsRegistry | None = None
         self._journal = None
-        self._base_path: str | None = None
+        self._feed = _MutationFeed()  # (applied MutationRecord, before)
 
     # ------------------------------------------------------------ datasets
     def add_obstacle_set(self, name: str, obstacles: Iterable[ObstacleLike]) -> None:
@@ -212,69 +218,41 @@ class ObstacleDatabase:
         if name in self._obstacle_indexes:
             raise DatasetError(f"obstacle set {name!r} already exists")
         records = [self._coerce_obstacle(o) for o in obstacles]
+        kwargs = dict(bulk=self._bulk, name=f"obstacles:{name}", **self._tree_kwargs)
         if self._shards is not None:
             self._obstacle_indexes[name] = build_sharded_obstacle_index(
-                records,
-                shards=self._shards,
-                bulk=self._bulk,
-                name=f"obstacles:{name}",
-                **self._tree_kwargs,
+                records, shards=self._shards, **kwargs
             )
         else:
-            tree = RStarTree(name=f"obstacles:{name}", **self._tree_kwargs)
-            items = [(obs, obs.mbr) for obs in records]
-            if self._bulk:
-                str_pack(tree, items)
-            else:
-                for obs, rect in items:
-                    tree.insert(obs, rect)
-            self._obstacle_indexes[name] = ObstacleIndex(tree)
+            self._obstacle_indexes[name] = build_obstacle_index(records, **kwargs)
         self._rebuild_context()
-        self._invalidate_pool()
-        self._journal_note_shape_change()
+        self._shape_changed()
 
     def add_entity_set(self, name: str, points: Iterable[PointLike]) -> None:
         """Register a named entity dataset (points of interest)."""
         if name in self._entity_trees:
             raise DatasetError(f"entity set {name!r} already exists")
-        pts = [self._coerce_point(p) for p in points]
         tree = RStarTree(name=f"entities:{name}", **self._tree_kwargs)
-        items = [(p, Rect.from_point(p)) for p in pts]
+        items = [(p, Rect.from_point(p)) for p in map(self._coerce_point, points)]
         if self._bulk:
             str_pack(tree, items)
         else:
             for p, rect in items:
                 tree.insert(p, rect)
         self._entity_trees[name] = tree
-        self._invalidate_pool()
-        self._journal_note_shape_change()
+        self._shape_changed()
 
     def insert_entity(self, name: str, point: PointLike) -> None:
         """Insert one entity into an existing dataset."""
         p = self._coerce_point(point)
-        tree = self.entity_tree(name)  # resolve (and fail) pre-journal
-        if self._journal is not None:
-            from repro.persist.journal import entity_record
-
-            self._journal_append(entity_record("insert", name, p))
-        tree.insert(p, Rect.from_point(p))
-        if self._serving_pool is not None:
-            self._serving_pool.note_entity("insert", name, p)
-        self._maybe_compact()
+        self.entity_tree(name)  # resolve (and fail) pre-journal
+        self._commit(entity_record("insert", name, p))
 
     def delete_entity(self, name: str, point: PointLike) -> bool:
         """Delete one entity; returns ``True`` when found."""
         p = self._coerce_point(point)
-        tree = self.entity_tree(name)
-        if self._journal is not None:
-            from repro.persist.journal import entity_record
-
-            self._journal_append(entity_record("delete", name, p))
-        found = tree.delete(p, Rect.from_point(p))
-        if found and self._serving_pool is not None:
-            self._serving_pool.note_entity("delete", name, p)
-        self._maybe_compact()
-        return found
+        self.entity_tree(name)
+        return self._commit(entity_record("delete", name, p))
 
     # ------------------------------------------------- dynamic obstacles
     def insert_obstacle(
@@ -293,15 +271,10 @@ class ObstacleDatabase:
         obstacle overlaps are even visited — queries never consult a
         stale graph either way.
         """
-        record = self._coerce_obstacle(obstacle)
-        index = self._obstacle_index_named(set_name)
-        if self._journal is not None:
-            from repro.persist.journal import obstacle_record
-
-            self._journal_append(obstacle_record("insert", set_name, record))
-        index.insert(record)
-        self._maybe_compact()
-        return record
+        stored = self._coerce_obstacle(obstacle)
+        self._obstacle_index_named(set_name)  # resolve (and fail) pre-journal
+        self._commit(obstacle_record("insert", set_name, stored), stored)
+        return stored
 
     def delete_obstacle(
         self, obstacle: Obstacle | int, *, set_name: str = "obstacles"
@@ -316,17 +289,61 @@ class ObstacleDatabase:
         """
         index = self._obstacle_index_named(set_name)
         if isinstance(obstacle, int):
-            record = index.find(obstacle)
-            if record is None:
+            obstacle = index.find(obstacle)
+            if obstacle is None:
                 return False
-        else:
-            record = obstacle
-        if self._journal is not None:
-            from repro.persist.journal import obstacle_record
+        return self._commit(obstacle_record("delete", set_name, obstacle), obstacle)
 
-            self._journal_append(obstacle_record("delete", set_name, record))
-        found = index.delete(record)
-        self._maybe_compact()
+    # ------------------------------------------------------ the write path
+    def _commit(self, record: MutationRecord, obstacle: Obstacle | None = None) -> bool:
+        """The one write path of the database: journal the record
+        (fsynced, *before* anything changes, so a crash after this line
+        recovers the mutation), apply it, and fold the journal once that
+        append makes it outgrow its base
+        (:meth:`~repro.persist.journal.MutationJournal.due`).  Returns
+        whether the mutation found its target (always, for an insert)."""
+        journal = self._journal
+        if journal is not None:
+            with TRACER.span("journal.append", scope=record.scope, op=record.op):
+                journal.append(record)
+        found = self._apply(record, obstacle)
+        if journal is not None and journal.due():
+            self.compact()
+        return found
+
+    def _apply(self, record: MutationRecord, obstacle: Obstacle | None) -> bool:
+        """Apply one record to the named index or entity tree, then
+        announce it on the database's feed — the step :meth:`_commit`
+        shares with :func:`~repro.persist.journal.apply_record`
+        (recovery, pool-worker replay), which must not journal.
+
+        The index runs its own listeners (the graph cache's repair-first
+        pass) inside ``insert`` / ``delete``, so the pool and the hub,
+        who listen here, hear of a mutation after the cache absorbed it,
+        and with it the version (entity set: size) its set had *before*
+        it — what a mirror of the set must have been at to be current;
+        one that found nothing is not announced.  ``obstacle`` is an
+        obstacle record's :class:`~repro.model.Obstacle`.
+        """
+        found = True
+        if record.scope == "obstacle":
+            index = self._obstacle_index_named(record.set_name)
+            before = index.version
+            if record.op == "insert":
+                index.insert(obstacle)
+                self._next_oid = max(self._next_oid, obstacle.oid + 1)
+            else:
+                found = index.delete(obstacle)
+        else:
+            tree = self.entity_tree(record.set_name)
+            before = len(tree)
+            rect = Rect.from_point(record.point)
+            if record.op == "insert":
+                tree.insert(record.point, rect)
+            else:
+                found = tree.delete(record.point, rect)
+        if found:
+            self._feed.notify(record, before)
         return found
 
     def _obstacle_index_named(
@@ -414,23 +431,19 @@ class ObstacleDatabase:
         pool = self._serving_pool
         if pool is not None and not pool._shut and pool.workers == workers:
             return pool
-        if pool is not None:
-            pool.shutdown()
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-        pool = PersistentWorkerPool(self, workers)
-        self._serving_pool = pool
-        # The pool holds this database weakly, so the finalizer fires
-        # when the database is collected and reaps the worker processes.
-        self._pool_finalizer = weakref.finalize(
-            self, PersistentWorkerPool.shutdown, pool
-        )
-        return pool
+        self.close()
+        self._serving_pool = PersistentWorkerPool(self, workers)
+        return self._serving_pool
 
-    def _invalidate_pool(self) -> None:
-        pool = getattr(self, "_serving_pool", None)
-        if pool is not None:
-            pool.invalidate()
+    def _shape_changed(self) -> None:
+        """A dataset was added — a change no mutation record expresses.
+        The pool's workers are discarded (the next dispatch respawns
+        them from a fresh snapshot) and the journal is re-anchored (see
+        :meth:`~repro.persist.journal.MutationJournal.rebase`)."""
+        if self._serving_pool is not None:
+            self._serving_pool.invalidate()
+        if self._journal is not None:
+            self._journal.rebase(self.compact)
 
     def _pool_for(self, pool: str | None, workers: int | None):
         """The (pool, effective_workers) pair the batch methods route
@@ -458,13 +471,9 @@ class ObstacleDatabase:
         calls afterwards — a later ``pool="persistent"`` batch simply
         respawns the pool from a fresh snapshot.
         """
-        pool = getattr(self, "_serving_pool", None)
-        if pool is not None:
-            pool.shutdown()
+        if self._serving_pool is not None:
+            self._serving_pool.shutdown()
             self._serving_pool = None
-        if self._pool_finalizer is not None:
-            self._pool_finalizer.detach()
-            self._pool_finalizer = None
 
     def __enter__(self) -> "ObstacleDatabase":
         return self
@@ -503,7 +512,7 @@ class ObstacleDatabase:
         )
         if self._journal is not None:
             self._journal.reset()
-            self._base_path = os.fspath(path)
+            self._journal.anchor(path)
 
     @classmethod
     def load(
@@ -547,47 +556,11 @@ class ObstacleDatabase:
         (``None`` when the database is not durable)."""
         return self._journal
 
-    def _attach_journal(self, journal, *, base_path: str | None = None) -> None:
+    def _attach_journal(self, journal) -> None:
         """Wire an open journal to this database (constructor or
         post-replay from :func:`~repro.persist.store.load_database`)."""
         journal.stats = self._runtime_stats
         self._journal = journal
-        self._base_path = base_path
-
-    def _journal_append(self, record) -> None:
-        with TRACER.span(
-            "journal.append", scope=record.scope, op=record.op
-        ):
-            self._journal.append(record)
-
-    def _journal_note_shape_change(self) -> None:
-        """A dataset was added: re-anchor the journal.
-
-        Records journaled before a structural change would replay over
-        a base snapshot missing the new set, so an anchored database
-        folds immediately (the new base includes the new set); an
-        unanchored one just truncates — nothing was recoverable yet.
-        """
-        if self._journal is None:
-            return
-        if self._base_path is not None:
-            self.compact()
-        else:
-            self._journal.reset()
-
-    def _maybe_compact(self) -> None:
-        """Fold the journal into the base snapshot once it outgrows the
-        size/ratio trigger (see
-        :meth:`~repro.persist.journal.MutationJournal.outgrew`)."""
-        journal = self._journal
-        if journal is None or self._base_path is None:
-            return
-        try:
-            base_bytes = os.path.getsize(self._base_path)
-        except OSError:
-            base_bytes = 0
-        if journal.outgrew(base_bytes):
-            self.compact()
 
     def compact(self) -> None:
         """Fold the journal into a new base snapshot, then truncate it.
@@ -604,16 +577,15 @@ class ObstacleDatabase:
             raise DatasetError(
                 "compact() needs a durable database (open with durable=...)"
             )
-        if self._base_path is None:
+        base = self._journal.base_path
+        if base is None:
             raise DatasetError(
                 "compact() needs a base snapshot: call save() first"
             )
-        with TRACER.span("journal.compact", base=self._base_path):
-            self.save(self._base_path)
+        with TRACER.span("journal.compact", base=base):
+            self.save(base)
             self._runtime_stats.compactions += 1
-            self._runtime_stats.compaction_bytes += os.path.getsize(
-                self._base_path
-            )
+            self._runtime_stats.compaction_bytes += os.path.getsize(base)
 
     def _snapshot_state(self) -> dict:
         """The parts of this database a snapshot serializes (the
@@ -835,16 +807,16 @@ class ObstacleDatabase:
         """Obstructed distances for many point pairs.
 
         Sequential by default (pairs sharing a target reuse its cached
-        graph); ``pool="persistent"`` with ``workers >= 2`` fans the
-        pairs over the warm :meth:`serving_pool`.
+        graph); duplicate pairs are computed once, and ``workers`` and
+        ``pool`` parallelize exactly as for :meth:`batch_nearest`.
         """
         metric = ObstructedMetric(self.context)
         coerced = [
             (self._coerce_point(a), self._coerce_point(b)) for a, b in pairs
         ]
-        pool_obj, __ = self._pool_for(pool, workers)
-        with TRACER.span("query.batch_distance", n=len(coerced)):
-            return batch_distance(metric, coerced, pool=pool_obj)
+        pool_obj, count = self._pool_for(pool, workers)
+        with TRACER.span("query.batch_distance", n=len(coerced), workers=count):
+            return batch_distance(metric, coerced, workers=count, pool=pool_obj)
 
     def path_nearest(
         self,
@@ -885,8 +857,6 @@ class ObstacleDatabase:
         local graph is a true shortest path.  Returns ``(inf, [])``
         when no path exists.
         """
-        from math import inf, isinf
-
         from repro.visibility.shortest_path import shortest_path
 
         start = self._coerce_point(a)
@@ -894,7 +864,7 @@ class ObstacleDatabase:
         if start == end:
             return 0.0, [start]
         d = self.obstructed_distance(start, end)
-        if isinf(d):
+        if d == inf:
             return inf, []
         # The cached graph serving `end` already covers radius d around
         # it; a route needs both endpoints as nodes, so whichever is
@@ -980,15 +950,14 @@ class ObstacleDatabase:
     # -------------------------------------------------------------- helpers
     def _coerce_obstacle(self, value: ObstacleLike) -> Obstacle:
         if isinstance(value, Obstacle):
-            obstacle = Obstacle(self._next_oid, value.polygon)
-        elif isinstance(value, Polygon):
-            obstacle = Obstacle(self._next_oid, value)
+            value = value.polygon
         elif isinstance(value, Rect):
-            obstacle = Obstacle(self._next_oid, Polygon.from_rect(value))
-        else:
+            value = Polygon.from_rect(value)
+        elif not isinstance(value, Polygon):
             raise DatasetError(
                 f"cannot interpret {type(value).__name__} as an obstacle"
             )
+        obstacle = Obstacle(self._next_oid, value)
         self._next_oid += 1
         return obstacle
 

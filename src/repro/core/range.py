@@ -16,15 +16,13 @@ to share cached visibility graphs across queries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.distance import ObstacleSource
 from repro.geometry.point import Point
 from repro.index.rstar import RStarTree
 from repro.runtime.metric import resolve_metric
 from repro.runtime.queries import metric_range
-from repro.runtime.skeletons import bounded_expansion
-from repro.visibility.graph import VisibilityGraph
 
 if TYPE_CHECKING:
     from repro.runtime.context import QueryContext
@@ -46,14 +44,3 @@ def obstacle_range(
     """
     metric = resolve_metric(obstacle_source, context)
     return metric_range(entity_tree, metric, q, e)
-
-
-def expand_within_range(
-    graph: VisibilityGraph,
-    q: Point,
-    e: float,
-    candidates: Iterable[Point],
-) -> list[tuple[Point, float]]:
-    """The expansion loop of Fig. 5 — kept as a compatibility alias for
-    :func:`repro.runtime.skeletons.bounded_expansion`."""
-    return bounded_expansion(graph, q, e, candidates)

@@ -43,7 +43,10 @@ MutationListener = Callable[[str, Obstacle], None]
 
 
 class _MutationFeed:
-    """Weakly-held mutation listeners of one obstacle source.
+    """Weakly-held mutation listeners of one obstacle source — or of
+    one database, whose feed carries each applied
+    :class:`~repro.persist.journal.MutationRecord` instead of a
+    ``(kind, obstacle)`` pair.
 
     The query runtime subscribes its repair-first cache maintenance
     here (:meth:`repro.runtime.context.QueryContext._on_obstacle_mutation`).
@@ -57,18 +60,18 @@ class _MutationFeed:
     __slots__ = ("_subs",)
 
     def __init__(self) -> None:
-        self._subs: list[Callable[[], MutationListener | None]] = []
+        self._subs: list[Callable[[], Callable[..., None] | None]] = []
 
-    def subscribe(self, callback: MutationListener) -> None:
+    def subscribe(self, callback: Callable[..., None]) -> None:
         try:
-            ref: Callable[[], MutationListener | None] = weakref.WeakMethod(
+            ref: Callable[[], Callable[..., None] | None] = weakref.WeakMethod(
                 callback  # type: ignore[arg-type]
             )
         except TypeError:
             ref = lambda cb=callback: cb  # noqa: E731
         self._subs.append(ref)
 
-    def notify(self, kind: str, obstacle: Obstacle) -> None:
+    def notify(self, *event: object) -> None:
         if not self._subs:
             return
         live = []
@@ -76,7 +79,7 @@ class _MutationFeed:
             callback = ref()
             if callback is not None:
                 live.append(ref)
-                callback(kind, obstacle)
+                callback(*event)
         self._subs = live
 
 
@@ -94,6 +97,15 @@ class ObstacleIndex:
     queries is the one drift this cannot see; route mutations through
     the index (or :class:`~repro.core.engine.ObstacleDatabase`) for
     full tracking.
+
+    A write made here, behind a database's back
+    (``db.obstacle_index.insert(...)``), is heard by this index's own
+    listeners only: the graph cache repairs from it, but it is not
+    journaled (so not durable), the serving pool sees the version
+    drift at its next dispatch and respawns, and continuous
+    subscriptions wait for their next ``refresh`` or ``move``.  The
+    database's ``insert_obstacle`` / ``delete_obstacle`` are the write
+    path that reaches all of them.
     """
 
     def __init__(self, tree: RStarTree, *, mutations: int = 0) -> None:

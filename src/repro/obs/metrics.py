@@ -168,7 +168,7 @@ class MetricsRegistry:
             return {"workers": pool.workers, "alive": 1}
 
         def journal_state() -> dict[str, int | float]:
-            journal = getattr(db, "_journal", None)
+            journal = db.journal
             if journal is None:
                 return {}
             stats = db.runtime_stats()

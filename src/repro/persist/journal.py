@@ -55,7 +55,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import DatasetError
 from repro.geometry.point import Point
@@ -191,25 +191,19 @@ def decode_record(
 def apply_record(db: "ObstacleDatabase", record: MutationRecord) -> None:
     """Apply one record to ``db`` exactly as the originating process did.
 
-    Obstacle records go straight through the named index with the
-    parent-assigned oid preserved (``_next_oid`` is bumped past it, so
-    ids never collide after replay); entity records go through the
-    entity-set entry points.  Both journal recovery and the serving
-    pool's worker-side delta replay use this one function.
+    The record goes through the database's own apply step — the one
+    :meth:`~repro.core.engine.ObstacleDatabase._commit` runs after
+    journaling — with the obstacle rebuilt under its parent-assigned
+    oid (``_next_oid`` is bumped past it, so ids never collide after
+    replay).  Nothing is appended to an attached journal; the record is
+    announced on the database's feed like a live one.  Both journal
+    recovery and the serving pool's worker-side delta replay use this
+    one function.
     """
+    obstacle = None
     if record.scope == "obstacle":
-        index = db._obstacle_index_named(record.set_name)
         obstacle = Obstacle(record.oid, Polygon(record.vertices))
-        if record.op == "insert":
-            index.insert(obstacle)
-            if record.oid >= db._next_oid:
-                db._next_oid = record.oid + 1
-        else:
-            index.delete(obstacle)
-    elif record.op == "insert":
-        db.insert_entity(record.set_name, record.point)
-    else:
-        db.delete_entity(record.set_name, record.point)
+    db._apply(record, obstacle)
 
 
 def _file_path(path: "str | os.PathLike[str]") -> str:
@@ -242,6 +236,9 @@ class MutationJournal:
         self._size = size
         self._records = records
         self._next_seq = next_seq
+        #: The base snapshot this journal folds into (``None`` until a
+        #: ``save`` or a ``load`` anchors it; see :meth:`anchor`).
+        self.base_path: str | None = None
         self.stats: "RuntimeStats | None" = None
 
     # -- opening -----------------------------------------------------------
@@ -387,6 +384,25 @@ class MutationJournal:
         if self._next_seq <= floor:
             self._next_seq = floor + 1
 
+    # -- the anchor --------------------------------------------------------
+
+    def anchor(self, base_path: "str | os.PathLike[str]") -> None:
+        """Name the base snapshot the records replay over: the file a
+        ``save`` just wrote (after :meth:`reset`), or the one a
+        ``load`` just replayed them over."""
+        self.base_path = os.fspath(base_path)
+
+    def rebase(self, fold: "Callable[[], None]") -> None:
+        """A dataset was added: records journaled before it would
+        replay over a base snapshot missing the new set.  An anchored
+        journal folds at once (``fold`` rewrites the base, new set
+        included, and truncates); an unanchored one just truncates —
+        nothing was recoverable yet."""
+        if self.base_path is not None:
+            fold()
+        else:
+            self.reset()
+
     def close(self) -> None:
         """Close the file handle (the journal file stays on disk)."""
         if not self._fh.closed:
@@ -412,6 +428,17 @@ class MutationJournal:
         return self.records_bytes >= max(
             COMPACT_BYTES, COMPACT_RATIO * base_bytes
         )
+
+    def due(self) -> bool:
+        """Whether an anchored journal has outgrown its base snapshot's
+        current size (see :meth:`outgrew`); never, while unanchored."""
+        if self.base_path is None:
+            return False
+        try:
+            base_bytes = os.path.getsize(self.base_path)
+        except OSError:
+            base_bytes = 0
+        return self.outgrew(base_bytes)
 
     @property
     def record_count(self) -> int:

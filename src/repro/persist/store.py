@@ -220,8 +220,7 @@ def save_database(
         w.u32_array(csr.indices)
         w.f64_array(csr.weights)
     # -- 9 journal-sequence stamp ------------------------------------------
-    journal = getattr(db, "_journal", None)
-    w.u64(journal.last_seq if journal is not None else 0)
+    w.u64(db.journal.last_seq if db.journal is not None else 0)
     write_snapshot(path, w.getvalue())
 
 
@@ -457,7 +456,8 @@ def load_database(
         for record in fresh:
             apply_record(db, record)
         journal.ensure_seq_floor(base_seq)
-        db._attach_journal(journal, base_path=name)
+        journal.anchor(name)
+        db._attach_journal(journal)
     return db
 
 

@@ -59,7 +59,6 @@ from repro.runtime.queries import (
 from repro.runtime.sharding import ShardGrid, ShardVersionStamp
 from repro.runtime.skeletons import (
     best_first,
-    bounded_expansion,
     emit_in_metric_order,
     take,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "ShardGrid",
     "ShardVersionStamp",
     "best_first",
-    "bounded_expansion",
     "emit_in_metric_order",
     "take",
 ]

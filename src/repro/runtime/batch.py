@@ -26,7 +26,7 @@ answers computed against a mix of obstacle versions.
 The batch functions take a :class:`~repro.runtime.metric.DistanceOracle`
 so the same entry points serve Euclidean and obstructed execution;
 :class:`~repro.core.engine.ObstacleDatabase` exposes them as
-``batch_nearest`` / ``batch_range``.
+``batch_nearest`` / ``batch_range`` / ``batch_distance``.
 """
 
 from __future__ import annotations
@@ -40,59 +40,14 @@ from repro.runtime.executor import BatchExecutor, fork_available
 from repro.runtime.metric import DistanceOracle
 from repro.runtime.queries import metric_nearest, metric_range
 
+Q = TypeVar("Q")
 R = TypeVar("R")
-
-
-def _memo_stats(metric: DistanceOracle):
-    context = getattr(metric, "context", None)
-    return getattr(context, "stats", None)
-
-
-class _VersionGuard:
-    """Snapshot of the metric's obstacle version at batch start.
-
-    ``check()`` raises :class:`DatasetError` when the version moved —
-    results computed so far span two obstacle sets and must not be
-    returned as one batch.
-    """
-
-    __slots__ = ("_context", "_version")
-
-    def __init__(self, metric: DistanceOracle) -> None:
-        self._context = getattr(metric, "context", None)
-        self._version = (
-            self._context.version if self._context is not None else None
-        )
-
-    def check(self) -> None:
-        if self._context is None:
-            return
-        current = self._context.version
-        if current != self._version:
-            raise DatasetError(
-                "obstacle set mutated during batch execution "
-                f"(version {self._version} -> {current}); the partial "
-                "answers span two obstacle versions — re-run the batch "
-                "after quiescing updates"
-            )
-
-
-def _dedupe(items: list, stats) -> tuple[list, dict]:
-    """The distinct ``items`` in first-occurrence order, and each one's
-    slot in that list; repeats are booked as ``batch_memo_hits``."""
-    order: dict = {}
-    for item in items:
-        if item not in order:
-            order[item] = len(order)
-    if stats is not None:
-        stats.batch_memo_hits += len(items) - len(order)
-    return list(order), order
 
 
 def _run_batch(
     metric: DistanceOracle,
-    queries: Iterable[Point],
-    evaluate: Callable[[DistanceOracle, Point], R],
+    queries: Iterable[Q],
+    evaluate: Callable[[DistanceOracle, Q], R],
     *,
     workers: int,
     tree: RStarTree | None = None,
@@ -101,19 +56,27 @@ def _run_batch(
 ) -> list[R]:
     """Shared batch skeleton: dedupe, guard, dispatch, reassemble.
 
-    Duplicate query points are evaluated once and fanned back out to
-    every occurrence (booked as ``batch_memo_hits``); distinct points
-    run either through the caller's shared metric (sequential), a
-    per-batch forked pool of spawned metrics, or — when the caller
-    hands in a :class:`~repro.serve.pool.PersistentWorkerPool` with
-    the matching ``pool_command`` — the long-lived warm worker pool.
+    Duplicate queries (points, or point pairs) are evaluated once and
+    fanned back out to every occurrence (booked as
+    ``batch_memo_hits``); distinct ones run either through the
+    caller's shared metric (sequential), a per-batch forked pool of
+    spawned metrics, or — when the caller hands in a
+    :class:`~repro.serve.pool.PersistentWorkerPool` with the matching
+    ``pool_command`` — the long-lived warm worker pool.
     ``tree`` names the entity tree whose fork-worker page counters
     must be merged back.
     """
     queries = list(queries)
-    guard = _VersionGuard(metric)
-    stats = _memo_stats(metric)
-    distinct, order = _dedupe(queries, stats)
+    context = getattr(metric, "context", None)
+    stats = getattr(context, "stats", None)
+    version = context.version if context is not None else None
+    # The distinct queries in first-occurrence order, and each one's slot.
+    order: dict = {}
+    for q in queries:
+        order.setdefault(q, len(order))
+    distinct = list(order)
+    if stats is not None:
+        stats.batch_memo_hits += len(queries) - len(distinct)
 
     fan_out = workers > 1 and len(distinct) > 1
     if fan_out and pool is not None:
@@ -130,7 +93,15 @@ def _run_batch(
             stats.parallel_batches += 1
     else:
         evaluated = [evaluate(metric, q) for q in distinct]
-    guard.check()
+    if context is not None and context.version != version:
+        # Results computed so far span two obstacle sets and must not
+        # be returned as one batch.
+        raise DatasetError(
+            "obstacle set mutated during batch execution "
+            f"(version {version} -> {context.version}); the partial "
+            "answers span two obstacle versions — re-run the batch "
+            "after quiescing updates"
+        )
     return [evaluated[order[q]] for q in queries]
 
 
@@ -208,27 +179,25 @@ def batch_distance(
     metric: DistanceOracle,
     pairs: Sequence[tuple[Point, Point]],
     *,
+    workers: int = 0,
     pool=None,
 ) -> list[float]:
-    """Metric distances for many point pairs through one context.
+    """Metric distances for many point pairs, in input order.
 
     Pairs sharing their second element reuse the cached graph keyed at
     that expansion centre (the ODJ seed observation applied to ad-hoc
     distance workloads).  Like the other batch entry points, a
-    duplicate pair is computed once and a mid-batch obstacle mutation
-    raises :class:`DatasetError`.  A caller-supplied persistent
-    ``pool`` fans the distinct pairs over its warm workers instead.
+    duplicate pair is computed once, a mid-batch obstacle mutation
+    raises :class:`DatasetError`, and ``workers >= 2`` fans the
+    distinct pairs over a per-batch fork pool.  A persistent ``pool``
+    handed in serves them instead, whatever ``workers`` says (here the
+    pool alone has always been the request to fan out).
     """
-    pairs = [(p, q) for p, q in pairs]
-    guard = _VersionGuard(metric)
-    stats = _memo_stats(metric)
-    distinct, order = _dedupe(pairs, stats)
-    if pool is not None and len(distinct) > 1:
-        evaluated = pool.run_batch(("distance",), distinct)
-        if stats is not None:
-            stats.parallel_batches += 1
-            stats.pool_batches += 1
-    else:
-        evaluated = [metric.distance(p, q) for p, q in distinct]
-    guard.check()
-    return [evaluated[order[pair]] for pair in pairs]
+    return _run_batch(
+        metric,
+        [(p, q) for p, q in pairs],
+        lambda m, pair: m.distance(*pair),
+        workers=workers if pool is None else max(workers, 2),
+        pool=pool,
+        pool_command=("distance",),
+    )

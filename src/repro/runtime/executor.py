@@ -74,6 +74,36 @@ def _chunk_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _traced(name: str, work: Callable[[], R], trace: bool, **attrs):
+    """The worker side of one chunk, for both pools: ``work()`` and the
+    span tree to ship back.  The sampling decision is the parent's —
+    when it traced the batch (``trace``) the worker resets its thread's
+    tracer and evaluates under a detached root span ``name`` whatever
+    its own sample rate, otherwise it opens no span at all."""
+    if not trace:
+        return work(), None
+    TRACER.reset_thread()
+    span = TRACER.detached(name, **attrs)
+    with span:
+        result = work()
+    return result, span.to_dict()
+
+
+def _join(n: int, parts, stats: RuntimeStats | None, trees) -> list:
+    """The parent side, for both pools: place each worker's chunk at
+    its offset in an ``n``-slot result list, merge its runtime stats
+    into ``stats``, add its page-counter deltas onto ``trees`` and
+    graft its span tree under the open span."""
+    results: list = [None] * n
+    for start, chunk_results, worker_stats, worker_pages, span_doc in parts:
+        results[start : start + len(chunk_results)] = chunk_results
+        if stats is not None and worker_stats is not None:
+            stats.merge(worker_stats)
+        add_page_counts(trees, worker_pages)
+        TRACER.graft(span_doc)
+    return results
+
+
 class _ForkTask:
     """The per-batch state fork children inherit (never pickled)."""
 
@@ -142,26 +172,17 @@ def _evaluate_chunk(
     baselines = page_counts(trees or ())
     worker_metric = metric.spawn()
     start, stop = chunk
-    span = None
-    if trace:
-        # The parent made the sampling decision; the worker traces
-        # unconditionally under a detached root and ships the tree
-        # back in the reply for the parent to graft.
-        TRACER.reset_thread()
-        span = TRACER.detached("batch.worker", start=start, stop=stop)
-    if span is not None:
-        with span:
-            results = [
-                evaluate(worker_metric, queries[i]) for i in range(start, stop)
-            ]
-    else:
-        results = [
-            evaluate(worker_metric, queries[i]) for i in range(start, stop)
-        ]
+    results, span_doc = _traced(
+        "batch.worker",
+        lambda: [evaluate(worker_metric, queries[i]) for i in range(start, stop)],
+        trace,
+        start=start,
+        stop=stop,
+    )
     context = getattr(worker_metric, "context", None)
     stats = context.stats.snapshot() if context is not None else None
     pages = page_deltas(trees or (), baselines)
-    return start, results, stats, pages, span.to_dict() if span else None
+    return start, results, stats, pages, span_doc
 
 
 class BatchExecutor:
@@ -206,14 +227,7 @@ class BatchExecutor:
         parts = self._run_fork(
             metric, queries, evaluate, chunks, tracked, TRACER.tracing()
         )
-        results: list[R] = [None] * n  # type: ignore[list-item]
-        for start, chunk_results, worker_stats, worker_pages, span_doc in parts:
-            results[start : start + len(chunk_results)] = chunk_results
-            if stats is not None and worker_stats is not None:
-                stats.merge(worker_stats)
-            add_page_counts(tracked, worker_pages)
-            TRACER.graft(span_doc)
-        return results
+        return _join(n, parts, stats, tracked)
 
     def _run_fork(self, metric, queries, evaluate, chunks, trees, trace):
         import multiprocessing

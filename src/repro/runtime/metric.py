@@ -197,12 +197,11 @@ class ObstructedMetric:
         visible anchors — exact because a shortest path never turns at
         a free point, so it leaves the candidate straight toward some
         graph node — evaluated in one :meth:`DistanceField.batch_eval`
-        call per seed.  Unlike the pre-field formulation (one bounded
-        expansion with every candidate inserted as a transient entity,
-        see :func:`~repro.runtime.skeletons.bounded_expansion`),
-        candidates never enter the cached graph, so the field's
-        provisional Dijkstra is reusable across calls at the same
-        centre.
+        call per seed.  Unlike Fig. 5's own formulation (one bounded
+        expansion with every candidate inserted as a transient
+        entity), candidates never enter the cached graph, so the
+        field's provisional Dijkstra is reusable across calls at the
+        same centre.
         """
         uniq = [list(dict.fromkeys(partners[q])) for q in seeds]
         dists = self.context.refine_many(seeds, e, uniq)

@@ -11,26 +11,18 @@ shared skeleton, and the ``euclidean`` iterators are parameterizations
 of it (see :mod:`repro.euclidean.nearest`,
 :mod:`repro.euclidean.closest`).
 
-:func:`bounded_expansion` is the other shared loop: Fig. 5's single
-bounded Dijkstra from a query point that settles many candidates in
-one traversal.  The obstructed metric's range refinement (OR and
-ODJ's per-seed elimination) now batches its candidates through a
-:class:`~repro.runtime.metric.DistanceField` instead — candidates stay
-out of the cached graph, so the field's provisional Dijkstra survives
-across calls — but the expansion skeleton remains the reference
-formulation (and the standalone ``core.range`` path still uses it).
+:func:`emit_in_metric_order` is the other shared loop: the deferred
+emit of incremental ONN and iOCP, which turns a stream in ascending
+lower-bound (Euclidean) order into one in ascending exact order.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import count, islice
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
-
-from repro.geometry.point import Point
-from repro.visibility.graph import VisibilityGraph
 
 T = TypeVar("T")
 
@@ -119,41 +111,3 @@ def emit_in_metric_order(
     while hold:
         key, __, ready = heapq.heappop(hold)
         yield ready, key
-
-
-def bounded_expansion(
-    graph: VisibilityGraph,
-    q: Point,
-    e: float,
-    candidates: Iterable[Point],
-) -> list[tuple[Point, float]]:
-    """The expansion loop of Fig. 5: one bounded Dijkstra from ``q``,
-    reporting candidate entities as they are settled.
-
-    Shared by OR, the per-seed elimination step of ODJ, and the
-    obstructed metric's range refinement.  Terminates as soon as the
-    queue empties or every candidate has been reported.
-    """
-    candidates = set(candidates)
-    pending = candidates - {q}
-    result: list[tuple[Point, float]] = []
-    if graph.has_node(q) and q in candidates:
-        # The query point coincides with an entity: distance zero.
-        result.append((q, 0.0))
-    visited: set[Point] = set()
-    tiebreak = count()
-    heap: list[tuple[float, int, Point]] = [(0.0, next(tiebreak), q)]
-    while heap and pending:
-        d, __, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node in pending:
-            result.append((node, d))
-            pending.discard(node)
-        for nbr, w in graph.neighbors(node).items():
-            if nbr not in visited:
-                nd = d + w
-                if nd <= e:
-                    heapq.heappush(heap, (nd, next(tiebreak), nbr))
-    return result

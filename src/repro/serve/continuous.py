@@ -8,22 +8,29 @@ nearest-k or range query at its current position, then receives
 **incremental result deltas** — not full result lists — whenever
 
 * the client moves (:meth:`ContinuousQueryHub.move`), or
-* an obstacle is inserted or deleted (the hub subscribes to the
-  obstacle sets' mutation feeds and re-evaluates exactly the
-  subscriptions whose current result could change).
+* the database applies a mutation — an obstacle inserted into or
+  deleted from any obstacle set, an entity inserted into or deleted
+  from the subscription's own entity set: the hub takes one
+  subscription to the database's mutation feed and re-evaluates
+  exactly the subscriptions whose current result could change.
 
 Re-evaluation runs through the database's shared runtime context, so
 it is driven by the repair-first cache: a mutation patches the cached
-graphs once, and every affected subscription's refresh is served from
-the patched graphs instead of cold rebuilds, while *unaffected*
-subscriptions are filtered out geometrically and do no work at all.
+graphs once (the feed announces it after that pass), and every
+affected subscription's refresh is served from the patched graphs
+instead of cold rebuilds, while *unaffected* subscriptions are
+filtered out geometrically and do no work at all.
 The filter is sound by the disk argument used throughout the runtime:
 any obstructed path of length ``d`` from position ``q`` stays inside
 the disk of radius ``d`` around ``q``, so an obstacle that stays
 outside the subscription's result disk (kth distance for nearest-k,
-``e`` for range) cannot change which entities are reachable within it.
+``e`` for range) cannot change which entities are reachable within it,
+and an entity outside it is farther than every entity in the result.
 A nearest-k subscription with fewer than ``k`` reachable entities has
-an unbounded result disk and always refreshes.
+an unbounded result disk and always refreshes.  A write made at an
+index or a tree, behind the database's back, is not announced: its
+subscriptions wait for :meth:`~ContinuousQueryHub.refresh` or the
+client's next move.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import QueryError
 from repro.geometry.point import Point
-from repro.model import Obstacle
+from repro.geometry.rect import Rect
+from repro.persist.journal import MutationRecord
 
 
 @dataclass(frozen=True)
@@ -93,33 +101,18 @@ class ContinuousQueryHub:
     """Registry and delta engine for continuous queries over one database.
 
     Register with :meth:`nearest` / :meth:`range`, drive with
-    :meth:`move`, consume with :meth:`poll`; obstacle mutations on the
-    database refresh affected subscriptions automatically through the
-    mutation feeds (the same feeds the graph cache repairs from, so a
-    refresh lands on already-patched graphs).
+    :meth:`move`, consume with :meth:`poll`; mutations applied by the
+    database refresh affected subscriptions automatically (its feed
+    announces a record after the graph cache has repaired from it, so
+    a refresh lands on already-patched graphs).
     """
 
     def __init__(self, db) -> None:
         self._db = db
         self._subs: dict[int, Subscription] = {}
         self._ids = itertools.count()
-        # One recorder per obstacle set, like the cache and the pool.
-        # The feed holds plain functions strongly; keep the hub's own
-        # handle so subscribing twice per set is impossible.
-        self._recorders: dict[str, object] = {}
-        self._subscribe_feeds()
-
-    def _subscribe_feeds(self) -> None:
-        for name, index in self._db._obstacle_indexes.items():
-            if name in self._recorders:
-                continue
-
-            def on_mutation(kind: str, obstacle: Obstacle) -> None:
-                if not kind.startswith("pre-"):
-                    self._on_obstacle_mutation(obstacle)
-
-            index.subscribe(on_mutation)
-            self._recorders[name] = on_mutation
+        # One subscription for the database's lifetime, held weakly.
+        db._feed.subscribe(self._on_record)
 
     # -------------------------------------------------------- registration
     def nearest(
@@ -181,8 +174,7 @@ class ContinuousQueryHub:
         return delta
 
     def refresh(self, sub: Subscription) -> None:
-        """Force one full re-evaluation (entity mutations have no feed,
-        so callers changing entity sets refresh affected clients)."""
+        """Force one full re-evaluation."""
         self._require_active(sub)
         self._refresh(sub)
 
@@ -202,12 +194,19 @@ class ContinuousQueryHub:
             )
         sub.reevaluations += 1
 
-    def _on_obstacle_mutation(self, obstacle: Obstacle) -> None:
+    def _on_record(self, record: MutationRecord, __: int) -> None:
+        """Refresh the subscriptions whose result disk the applied
+        mutation reaches: any subscription for an obstacle, those on
+        the record's own entity set for an entity."""
+        if record.scope == "obstacle":
+            reach = Rect.from_points(record.vertices).mindist_point
+        else:
+            reach = record.point.distance
         for sub in list(self._subs.values()):
+            if record.scope == "entity" and sub.set_name != record.set_name:
+                continue
             radius = sub.result_radius()
-            if math.isinf(radius) or (
-                obstacle.mbr.mindist_point(sub.position) <= radius
-            ):
+            if math.isinf(radius) or reach(sub.position) <= radius:
                 self._refresh(sub)
 
     def __len__(self) -> int:

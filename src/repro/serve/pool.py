@@ -14,20 +14,22 @@ the warm state the spatial cache and the snapshot store work to create.
   parent at pool creation, not by inheriting pickled parent state.
   Because snapshots carry the graph cache, a worker performs **zero**
   cold graph builds for centres the parent had already covered;
-* **delta-fed** — the pool subscribes to the parent's mutation feeds
-  (obstacle inserts/deletes and entity updates) and records them as
-  :class:`~repro.persist.journal.MutationRecord` entries — the same
-  unit the write-ahead mutation journal persists, applied by the same
-  :func:`~repro.persist.journal.apply_record`; each worker replays its
-  outstanding suffix before serving a request, and replay routes
-  through the worker's own repair-first runtime, so answers stay
-  bit-identical to a monolithic sequential context at every point in
-  time.
+* **delta-fed** — the pool takes one subscription to the parent
+  database's mutation feed, which announces every applied
+  :class:`~repro.persist.journal.MutationRecord` — obstacle or entity,
+  any set, live or replayed; the same unit the write-ahead journal
+  persists, applied by the same
+  :func:`~repro.persist.journal.apply_record` — and logs them; each
+  worker replays its outstanding suffix before serving a request, and
+  replay routes through the worker's own repair-first runtime, so
+  answers stay bit-identical to a monolithic sequential context at
+  every point in time.
 
-Out-of-band edits (mutations applied behind the feeds' backs, e.g.
-direct tree writes) are caught by a version/size signature check
-before every dispatch: on drift the pool discards its workers and
-respawns from a fresh snapshot rather than serving stale answers.
+Out-of-band edits (writes made at an index or a tree, behind the
+database's back) never reach the feed; a version/size signature check
+before every dispatch catches them: on drift the pool discards its
+workers and respawns from a fresh snapshot rather than serving stale
+answers.
 
 Worker runtime counters and per-tree simulated page counters travel
 back with every reply and are merged into the parent database, so
@@ -50,16 +52,10 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import QueryError
 from repro.geometry.point import Point
-from repro.model import Obstacle
 from repro.obs.trace import TRACER
-from repro.persist.journal import (
-    MutationRecord,
-    apply_record,
-    entity_record,
-    obstacle_record,
-)
-from repro.runtime.executor import _chunk_ranges
-from repro.stats.counters import add_page_counts, page_counts
+from repro.persist.journal import MutationRecord, apply_record
+from repro.runtime.executor import _chunk_ranges, _join, _traced
+from repro.stats.counters import page_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
@@ -132,25 +128,18 @@ def _worker_main(
             conn.send(("bye",))
             break
         __, deltas, command, items, trace = message
-        span = None
-        if trace:
-            # The parent sampled this batch: trace the worker's share
-            # under a detached root and ship the tree back for the
-            # parent to graft into its own span.
-            TRACER.reset_thread()
-            span = TRACER.detached(
-                "pool.worker", kind=command[0], items=len(items)
-            )
+
+        def serve() -> list:
+            for delta in deltas:
+                apply_record(db, delta)
+            return _evaluate(db, command, items)
+
         try:
-            if span is not None:
-                with span:
-                    for delta in deltas:
-                        apply_record(db, delta)
-                    results = _evaluate(db, command, items)
-            else:
-                for delta in deltas:
-                    apply_record(db, delta)
-                results = _evaluate(db, command, items)
+            # ``trace``: the parent sampled this batch, so the worker's
+            # share is traced and its tree rides back in the reply.
+            results, span_doc = _traced(
+                "pool.worker", serve, trace, kind=command[0], items=len(items)
+            )
         except BaseException as exc:
             conn.send(("error", repr(exc)))
             db.reset_stats()
@@ -161,7 +150,7 @@ def _worker_main(
                 results,
                 db.runtime_stats(),
                 page_counts(tree for __, tree in db._trees()),
-                span.to_dict() if span is not None else None,
+                span_doc,
             )
         )
         db.reset_stats()
@@ -189,8 +178,8 @@ class PersistentWorkerPool:
     ----------
     db:
         The parent database.  The pool snapshots it at (lazy) startup,
-        subscribes to its obstacle mutation feeds, and merges worker
-        stats back into it.
+        subscribes to its mutation feed, and merges worker stats back
+        into it.
     workers:
         Worker process count (>= 1; batch routing only engages a pool
         from ``workers >= 2``).
@@ -213,9 +202,8 @@ class PersistentWorkerPool:
     ) -> None:
         if workers < 1:
             raise QueryError(f"pool needs >= 1 worker, got {workers}")
-        # Held weakly: the pool must not keep its database alive (the
-        # database registers a finalizer shutting the pool down when
-        # it is collected; a strong reference here would defeat it).
+        # Held weakly: the pool must not keep its database alive (a
+        # strong reference would defeat the finalizer below).
         self._dbref = weakref.ref(db)
         self.workers = workers
         self._snapshot_path = (
@@ -224,11 +212,17 @@ class PersistentWorkerPool:
         self._members: list[_Worker] = []
         self._log: list[MutationRecord] = []
         self._expected: dict[tuple[str, str], int] = {}
-        self._subscribed = False
         self._shut = False
         #: Requests served and workers (re)spawned, for observability.
         self.batches_served = 0
         self.spawns = 0
+        # One subscription for the database's lifetime, held weakly.
+        db._feed.subscribe(self._on_record)
+        # Reaps the workers when the database is collected (the
+        # finalizer holds the pool, never the database).
+        self._finalizer = weakref.finalize(
+            db, PersistentWorkerPool.shutdown, self
+        )
 
     @property
     def _db(self) -> "ObstacleDatabase":
@@ -251,48 +245,26 @@ class PersistentWorkerPool:
 
     def _signature(self) -> dict[tuple[str, str], int]:
         """Version/size signature of the parent state the workers
-        mirror: obstacle-set versions plus entity-tree sizes.  Drift
-        against the expectation means an out-of-band edit."""
+        mirror: obstacle-set versions plus entity-tree sizes, keyed by
+        record scope and set name.  Drift against the expectation means
+        an out-of-band edit."""
         db = self._db
-        sig: dict[tuple[str, str], int] = {}
-        for name, idx in db._obstacle_indexes.items():
-            sig[("obstacles", name)] = idx.version
-        for name, tree in db._entity_trees.items():
-            sig[("entities", name)] = len(tree)
-        return sig
+        return {
+            **{("obstacle", n): i.version for n, i in db._obstacle_indexes.items()},
+            **{("entity", n): len(t) for n, t in db._entity_trees.items()},
+        }
 
-    def _subscribe_feeds(self) -> None:
-        """Attach the delta recorders to every obstacle set's feed.
-
-        Subscriptions are per obstacle *set* (the feed callback does
-        not carry the set name) and installed once — they survive
-        worker invalidation, so no mutation can slip between a respawn
-        and a re-subscribe.
-        """
-        if self._subscribed:
-            return
-        for name, idx in self._db._obstacle_indexes.items():
-            idx.subscribe(self._recorder_for(name))
-        self._subscribed = True
-
-    def _recorder_for(self, set_name: str):
-        def record(kind: str, obstacle: Obstacle) -> None:
-            if kind.startswith("pre-"):
-                return
-            self._log.append(obstacle_record(kind, set_name, obstacle))
-            self._expected[("obstacles", set_name)] = self._db._obstacle_indexes[
-                set_name
-            ].version
-
-        return record
-
-    def note_entity(self, op: str, set_name: str, point: Point) -> None:
-        """Record one entity mutation (called by the parent database
-        *after* applying it) for replay in the workers."""
-        self._log.append(entity_record(op, set_name, point))
-        self._expected[("entities", set_name)] = len(
-            self._db._entity_trees[set_name]
-        )
+    def _on_record(self, record: MutationRecord, before: int) -> None:
+        """Log one applied mutation for replay in the workers, and move
+        the expected signature of its set along — from ``before``, what
+        the set had when the record was applied, only: a set an earlier
+        out-of-band write left drifted stays drifted, so it respawns."""
+        if not self._members:
+            return  # nothing mirrors the parent; _spawn starts afresh
+        self._log.append(record)
+        key = (record.scope, record.set_name)
+        if self._expected.get(key) == before:
+            self._expected[key] = self._signature()[key]
 
     def _spawn(self) -> None:
         """Snapshot the parent and boot the workers from it."""
@@ -371,9 +343,8 @@ class PersistentWorkerPool:
     def _ensure_workers(self) -> None:
         if self._shut:
             raise QueryError("persistent pool is shut down")
-        self._subscribe_feeds()
         if self._members and self._expected != self._signature():
-            # Out-of-band edit: the feeds missed a mutation, so delta
+            # Out-of-band edit: the feed missed a mutation, so delta
             # replay can no longer reproduce the parent.  Respawn from
             # a fresh snapshot instead of serving stale answers.
             self._stop_workers()
@@ -413,6 +384,7 @@ class PersistentWorkerPool:
         if self._shut:
             return
         self._shut = True
+        self._finalizer.detach()
         self._stop_workers()
 
     # -------------------------------------------------------------- serving
@@ -460,7 +432,7 @@ class PersistentWorkerPool:
                     break
                 member.cursor = len(self._log)
                 dispatched.append((member, chunk))
-            results: list = [None] * len(items)
+            parts = []
             for member, (start, stop) in dispatched:
                 try:
                     reply = member.conn.recv()
@@ -476,13 +448,14 @@ class PersistentWorkerPool:
                         f"[{start}:{stop}) of a {command[0]!r} batch: {reply[1]}"
                     )
                     continue
-                __, chunk_results, runtime_snapshot, page_deltas, span_doc = reply
-                results[start:stop] = chunk_results
-                self._db.context.stats.merge(runtime_snapshot)
-                add_page_counts(
-                    (tree for __, tree in self._db._trees()), page_deltas
-                )
-                TRACER.graft(span_doc)
+                parts.append((start, *reply[1:]))
+            db = self._db
+            results = _join(
+                len(items),
+                parts,
+                db.context.stats,
+                [tree for __, tree in db._trees()],
+            )
             if failure is not None:
                 # The pipe protocol may be out of sync with the dead or
                 # failed worker's peers mid-batch; restart from scratch.

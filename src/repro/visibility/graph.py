@@ -59,11 +59,11 @@ class VisibilityGraph:
     """A local visibility graph with dynamic maintenance operations.
 
     ``method`` selects the visibility backend by name or instance (see
-    :mod:`repro.visibility.kernel.backend`): ``"python-sweep"`` (alias
-    ``"sweep"``) is the paper's rotational plane sweep [SS84],
-    ``"numpy-kernel"`` the vectorized equivalent; both assume obstacle
-    boundaries do not cross each other (disjoint interiors — the
-    paper's standing assumption).  ``"naive"`` is the exact pairwise
+    :mod:`repro.visibility.kernel.backend`): ``"python-sweep"`` is the
+    paper's rotational plane sweep [SS84], ``"numpy-kernel"`` the
+    vectorized equivalent; both assume obstacle boundaries do not
+    cross each other (disjoint interiors — the paper's standing
+    assumption).  ``"naive"`` is the exact pairwise
     oracle, slower but valid even for overlapping obstacles.  ``None``
     is the numpy kernel.
     """

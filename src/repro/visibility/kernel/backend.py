@@ -273,9 +273,6 @@ _REGISTRY: dict[str, type[_TimedBackend]] = {
     NaiveBackend.name: NaiveBackend,
 }
 
-#: Back-compat aliases (the seed's ``VisibilityGraph(method=...)`` names).
-_ALIASES = {"sweep": PythonSweepBackend.name}
-
 
 def available_backends() -> list[str]:
     """Canonical names of every selectable backend."""
@@ -292,8 +289,7 @@ def resolve_backend(
     if spec is None:
         spec = NumpyKernelBackend.name
     if isinstance(spec, str):
-        name = _ALIASES.get(spec, spec)
-        cls = _REGISTRY.get(name)
+        cls = _REGISTRY.get(spec)
         if cls is None:
             raise QueryError(
                 f"unknown visibility backend {spec!r} "

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core import ObstructedDistanceComputer, compute_obstructed_distance
+from repro.core import compute_obstructed_distance
 from repro.core.source import ObstacleIndex, build_obstacle_index
 from repro.geometry import Point
 from repro.visibility import VisibilityGraph
@@ -79,56 +79,3 @@ class TestComputeObstructedDistance:
             g = VisibilityGraph.build([a, b], [])
             d = compute_obstructed_distance(g, a, b, idx)
             assert d >= a.distance(b) - 1e-9
-
-
-class TestObstructedDistanceComputer:
-    def test_cache_size_validation(self):
-        with pytest.raises(ValueError):
-            ObstructedDistanceComputer(_index([]), cache_size=0)
-
-    def test_same_point_zero(self):
-        computer = ObstructedDistanceComputer(_index([rect_obstacle(0, 0, 0, 1, 1)]))
-        assert computer.distance(Point(3, 3), Point(3, 3)) == 0.0
-
-    def test_matches_oracle(self):
-        rng = random.Random(13)
-        obstacles = random_disjoint_rects(rng, 12)
-        pts = random_free_points(rng, 6, obstacles)
-        computer = ObstructedDistanceComputer(_index(obstacles))
-        for a, b in zip(pts[:3], pts[3:]):
-            assert computer.distance(a, b) == pytest.approx(
-                oracle_distance(a, b, obstacles)
-            )
-
-    def test_cache_reuse_consistent(self):
-        rng = random.Random(21)
-        obstacles = random_disjoint_rects(rng, 10)
-        pts = random_free_points(rng, 5, obstacles)
-        computer = ObstructedDistanceComputer(_index(obstacles), cache_size=2)
-        center = pts[0]
-        first = [computer.distance(p, center) for p in pts[1:]]
-        second = [computer.distance(p, center) for p in pts[1:]]
-        assert first == second
-
-    def test_cache_eviction(self):
-        rng = random.Random(22)
-        obstacles = random_disjoint_rects(rng, 6)
-        pts = random_free_points(rng, 6, obstacles)
-        computer = ObstructedDistanceComputer(_index(obstacles), cache_size=1)
-        d1 = computer.distance(pts[0], pts[1])
-        computer.distance(pts[2], pts[3])  # evicts the graph for pts[1]
-        assert computer.distance(pts[0], pts[1]) == pytest.approx(d1)
-
-    def test_clear(self):
-        computer = ObstructedDistanceComputer(_index([rect_obstacle(0, 4, 0, 6, 4)]))
-        d1 = computer.distance(Point(0, 1), Point(10, 1))
-        computer.clear()
-        assert computer.distance(Point(0, 1), Point(10, 1)) == pytest.approx(d1)
-
-    def test_symmetry(self):
-        rng = random.Random(30)
-        obstacles = random_disjoint_rects(rng, 12)
-        pts = random_free_points(rng, 4, obstacles)
-        computer = ObstructedDistanceComputer(_index(obstacles))
-        for a, b in zip(pts[:2], pts[2:]):
-            assert computer.distance(a, b) == pytest.approx(computer.distance(b, a))

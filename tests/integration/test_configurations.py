@@ -5,13 +5,21 @@ of keyword arguments — a visibility backend, spatial cache keys, the
 adaptive cache policy, sharded storage, a write-ahead journal, a worker
 pool of either kind, tracing, and combinations of them — and each runs
 the same seeded script of interleaved queries, batches, obstacle and
-entity mutations, ``save`` -> ``load`` and ``compact()``.  Every query
+entity mutations (some of them in a second obstacle set added
+mid-history), ``save`` -> ``load`` and ``compact()``.  Every query
 answer must equal, bit for bit, the answer of a cold
 ``backend="naive"``, exact-key, static-policy database mutated in
 lock-step (its caches emptied before each query): options may move
 cost, never an answer.  Each configuration also asserts the counter
 that proves it was in force, so a dropped argument fails here rather
 than passing as the default.
+
+The script also owns the write-path invariant — every mutation is one
+record down one path: two standing ``ContinuousQueryHub``
+subscriptions must hold the oracle's answer after every mutation step,
+a durable configuration's journal grows by exactly one record per
+mutation, and ``load(base, durable=journal)`` at the end of the
+history answers as the live database does.
 
 Scenes are the disjoint-obstacle scenes of ``tests/conftest.py``
 (rectangles at least half a unit apart, generic float points), which
@@ -25,7 +33,7 @@ from functools import lru_cache
 
 import pytest
 
-from repro import ObstacleDatabase, Point, Rect
+from repro import ContinuousQueryHub, ObstacleDatabase, Point, Rect
 from repro.core.source import ShardedObstacleIndex
 from repro.obs import TRACER
 from tests.conftest import random_disjoint_rects, random_free_points
@@ -72,14 +80,13 @@ QUERIES = {
     "batch_range": 3,
     "batch_distance": 3,
 }
-OTHER_STEPS = {
+MUTATIONS = {
     "insert_obstacle": 5,
     "delete_obstacle": 4,
     "insert_entity": 4,
     "delete_entity": 3,
-    "reload": 3,
-    "compact": 2,
 }
+OTHER_STEPS = {"reload": 3, "compact": 2}
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +98,9 @@ def _script(seed):
     displacement signal to tune on.  Obstacles are inserted clear of
     the live ones (never touching) and deleted by their key in the
     script; entities are deleted only where they are known to exist.
+    A third of the way in, an empty second obstacle set ``"walls"``
+    is added; later obstacle inserts land in it, and deletes empty it
+    before they return to the first set.
     """
     rng = random.Random(seed)
     obstacles = random_disjoint_rects(rng, 8)
@@ -105,10 +115,16 @@ def _script(seed):
             if not any(o.polygon.contains_or_boundary(p) for o in obstacles):
                 return p
 
-    live = {i: o.mbr for i, o in enumerate(obstacles)}
+    live = {i: (o.mbr, "obstacles") for i, o in enumerate(obstacles)}
+    sets = ["obstacles"]
     entities = {"pois": list(pois), "stops": list(stops)}
-    kinds = [k for k, n in (QUERIES | OTHER_STEPS).items() for __ in range(n)]
+    kinds = [
+        k
+        for k, n in (QUERIES | MUTATIONS | OTHER_STEPS).items()
+        for __ in range(n)
+    ]
     rng.shuffle(kinds)
+    kinds.insert(len(kinds) // 3, "add_obstacle_set")
     steps = []
     for kind in kinds:
         if kind == "nearest":
@@ -144,15 +160,19 @@ def _script(seed):
                 x, y = rng.uniform(0.0, 90.0), rng.uniform(0.0, 90.0)
                 w, h = rng.uniform(3.0, 8.0), rng.uniform(3.0, 8.0)
                 rect = Rect(x, y, x + w, y + h)
-                if not any(rect.expanded(0.5).intersects(r) for r in live.values()):
+                if not any(rect.expanded(0.5).intersects(r) for r, __ in live.values()):
                     break
             key = len(obstacles) + len(steps)
-            live[key] = rect
-            steps.append((kind, key, rect))
+            live[key] = rect, sets[-1]
+            steps.append((kind, key, *live[key]))
         elif kind == "delete_obstacle":
-            key = rng.choice(sorted(live))
-            del live[key]
-            steps.append((kind, key))
+            # The newest set's obstacles first, while it has any.
+            newest = [k for k in sorted(live) if live[k][1] == sets[-1]]
+            key = rng.choice(newest or sorted(live))
+            steps.append((kind, key, live.pop(key)[1]))
+        elif kind == "add_obstacle_set":
+            sets.append("walls")
+            steps.append((kind, "walls"))
         elif kind == "insert_entity":
             name = rng.choice(["pois", "stops"])
             entities[name].append(near_spot())
@@ -164,7 +184,17 @@ def _script(seed):
         else:
             steps.append((kind,))
     assert len(steps) >= 60
-    return [o.polygon for o in obstacles], pois, stops, steps
+    assert {step[-1] for step in steps if step[0] == "delete_obstacle"} == set(sets)
+    return [o.polygon for o in obstacles], pois, stops, spots, steps
+
+
+def _ask(db, kind, args, **routing):
+    """One query step's answer (a join's sorted: it finds its pairs in
+    an order that depends on what earlier steps left in the cache)."""
+    if kind.startswith("batch_"):
+        return getattr(db, kind)(*args, **routing)
+    answer = getattr(db, kind)(*args)
+    return sorted(answer) if kind == "distance_join" else answer
 
 
 def _run(
@@ -178,15 +208,15 @@ def _run(
     **db_kwargs,
 ):
     """Run the script of ``seed`` on a database built with
-    ``db_kwargs``.  Returns the answer of every query step (a join's
-    sorted: it finds its pairs in an order that depends on what earlier
-    steps left in the cache), the largest value each runtime counter
-    reached, and the final database.
+    ``db_kwargs``.  Returns the answer of every query step, what the
+    two standing subscriptions held after every mutation step, the
+    largest value each runtime counter reached, and the final database.
 
     ``cold`` is the oracle's mode: every cache emptied before each
-    query, and no ``save`` -> ``load``.
+    query, no ``save`` -> ``load``, and the standing queries asked
+    afresh instead of read off a hub.
     """
-    polygons, pois, stops, steps = _script(seed)
+    polygons, pois, stops, spots, steps = _script(seed)
     load_kwargs = {
         k: db_kwargs[k] for k in ("backend", "cache_policy") if k in db_kwargs
     }
@@ -200,7 +230,7 @@ def _run(
         anchor = tmp_path / "base-0.snap"
         db.save(anchor)  # from here on mutations are journaled against it
     oids = {i: i for i in range(len(polygons))}
-    answers, seen, reloads = [], {}, 0
+    answers, watched, seen, reloads = [], [], {}, 0
 
     def note_stats():
         # Counters restart from the snapshot's on every load.
@@ -208,23 +238,38 @@ def _run(
             if name != "backend":
                 seen[name] = max(seen.get(name, 0), value)
 
+    def subscribe():
+        hub = ContinuousQueryHub(db)
+        return hub, hub.nearest("pois", spots[0], 2), hub.range("pois", spots[1], 20.0)
+
+    if not cold:
+        hub, near, within = subscribe()
     for kind, *args in steps:
         if kind in QUERIES:
             if cold:
                 db.reset_stats(clear_buffers=True)
-            if kind.startswith("batch_"):
-                answer = getattr(db, kind)(*args, workers=workers, pool=pool)
+            answers.append(_ask(db, kind, args, workers=workers, pool=pool))
+        elif kind in MUTATIONS:
+            journaled = db.journal.record_count if durable else 0
+            if kind == "insert_obstacle":
+                oids[args[0]] = db.insert_obstacle(args[1], set_name=args[2]).oid
+            elif kind == "delete_obstacle":
+                assert db.delete_obstacle(oids.pop(args[0]), set_name=args[1])
+            elif kind == "insert_entity":
+                db.insert_entity(*args)
             else:
-                answer = getattr(db, kind)(*args)
-            answers.append(sorted(answer) if kind == "distance_join" else answer)
-        elif kind == "insert_obstacle":
-            oids[args[0]] = db.insert_obstacle(args[1]).oid
-        elif kind == "delete_obstacle":
-            assert db.delete_obstacle(oids.pop(args[0]))
-        elif kind == "insert_entity":
-            db.insert_entity(*args)
-        elif kind == "delete_entity":
-            assert db.delete_entity(*args)
+                assert db.delete_entity(*args)
+            if durable:  # one record down one path
+                assert db.journal.record_count == journaled + 1
+            if cold:
+                db.reset_stats(clear_buffers=True)
+                watched.append(
+                    (db.nearest("pois", spots[0], 2), db.range("pois", spots[1], 20.0))
+                )
+            else:
+                watched.append((list(near.current), list(within.current)))
+        elif kind == "add_obstacle_set":
+            db.add_obstacle_set(args[0], [])
         elif kind == "compact" and durable:
             db.compact()
         elif kind == "reload" and not cold:
@@ -244,18 +289,25 @@ def _run(
                 db.save(base)
             db.close()
             db = ObstacleDatabase.load(base, **load_kwargs)
+            hub, near, within = subscribe()
     note_stats()
     db.close()
     if durable:
+        # What is on disk at the end answers as the live database does.
         db.journal.close()
-    return answers, seen, db
+        load_kwargs["durable"] = db.journal.path
+        recovered = ObstacleDatabase.load(anchor, **load_kwargs)
+        for kind, *args in [step for step in steps if step[0] in QUERIES][-5:]:
+            assert _ask(recovered, kind, args) == _ask(db, kind, args)
+        recovered.journal.close()
+    return answers, watched, seen, db
 
 
 @lru_cache(maxsize=None)
 def _oracle(seed):
     """What every configuration must answer: the ``naive`` backend on
     exact keys under the static policy, cold before each query."""
-    answers, __, db = _run(
+    answers, watched, __, db = _run(
         seed,
         cold=True,
         backend="naive",
@@ -263,7 +315,7 @@ def _oracle(seed):
         cache_policy="static",
     )
     assert db.runtime_stats()["backend"] == "naive"
-    return answers
+    return answers, watched
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -275,13 +327,16 @@ def test_configuration_answers_as_the_oracle(name, seed, tmp_path):
     if "traced" in config:
         TRACER.configure(1.0)
     try:
-        answers, seen, db = _run(seed, tmp_path, **kwargs)
+        answers, watched, seen, db = _run(seed, tmp_path, **kwargs)
     finally:
         TRACER.configure(rate)
-    expected = _oracle(seed)
+    expected, standing = _oracle(seed)
     assert len(answers) == len(expected)
     for i, (got, want) in enumerate(zip(answers, expected)):
         assert got == want, f"query step {i} differs from the oracle"
+    assert len(watched) == len(standing) == sum(MUTATIONS.values())
+    for i, (got, want) in enumerate(zip(watched, standing)):
+        assert got == want, f"subscriptions stale after mutation step {i}"
     # Per argument, what shows its value reached the code it configures.
     root = TRACER.last_root
     in_force = {
@@ -293,8 +348,11 @@ def test_configuration_answers_as_the_oracle(name, seed, tmp_path):
             seen["policy_adjustments"] > 0 and db.cache_policy == v
         ),
         "shards": lambda v: (
-            isinstance(db.obstacle_index, ShardedObstacleIndex)
-            and db.obstacle_index.shard_count > 1
+            all(
+                isinstance(index, ShardedObstacleIndex)
+                for index in db.obstacle_index.indexes
+            )
+            and db.obstacle_index.indexes[0].shard_count > 1
         ),
         "durable": lambda v: (
             seen["journal_appends"] > 0 and seen["compactions"] > 0

@@ -19,6 +19,7 @@ from repro.persist.journal import (
     RECORD_HEADER_SIZE,
     MutationJournal,
     MutationRecord,
+    apply_record,
     decode_record,
     encode_record,
     entity_record,
@@ -245,6 +246,32 @@ class TestRecovery:
         assert os.path.getsize(journal_path) == intact
         assert len(recovered.entity_tree(SET_NAME)) == 16  # insert lost
 
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_apply_record_announces_once_and_appends_nothing(self, tmp_path, shards):
+        """Replay goes through the database's apply step, not its
+        journaling front door: with a journal attached nothing is
+        appended, and the feed carries the record exactly once."""
+        db = build_durable(tmp_path / "db.journal", shards=shards)
+        heard = []
+        db._feed.subscribe(lambda record, __: heard.append(record))
+        obstacle = Obstacle(40, Polygon.from_rect(Rect(61.0, 61.0, 63.0, 63.0)))
+        records = [
+            obstacle_record("insert", "obstacles", obstacle),
+            entity_record("insert", SET_NAME, Point(64.5, 60.0)),
+            entity_record("delete", SET_NAME, Point(64.5, 60.0)),
+            obstacle_record("delete", "obstacles", obstacle),
+        ]
+        for done, record in enumerate(records, 1):
+            apply_record(db, record)
+            assert heard == records[:done]
+        assert db.journal.record_count == 0
+        assert db.journal.size == JOURNAL_HEADER_SIZE
+        assert db.obstacle_index.find(40) is None and db._next_oid == 41
+        # A replayed delete that finds nothing is not announced.
+        apply_record(db, records[-1])
+        assert heard == records
+        db.journal.close()
+
     def test_journal_keeps_recording_after_recovery(self, tmp_path):
         journal_path = tmp_path / "db.journal"
         base = tmp_path / "base.snap"
@@ -379,6 +406,32 @@ class TestDurabilityGuards:
         with pytest.raises(DatasetError, match=str(tmp_path)):
             ObstacleDatabase.load(base, durable=tmp_path)
         assert list(tmp_path.iterdir()) == [base]  # nothing allocated
+
+    def test_journal_owns_its_anchor(self, tmp_path):
+        """Unanchored, a journal is never due and a shape change just
+        truncates it; anchored, it measures itself against the base
+        file's current size and hands a shape change to the fold."""
+        journal = MutationJournal.create(tmp_path / "db.journal")
+        journal.append(entity_record("insert", SET_NAME, Point(1.0, 2.0)))
+        folds = []
+        assert journal.base_path is None and not journal.due()
+        journal.rebase(lambda: folds.append("fold"))
+        assert journal.record_count == 0 and not folds
+        base = tmp_path / "base.snap"
+        base.write_bytes(b"x" * 100)
+        journal.anchor(base)
+        assert journal.base_path == str(base)
+        journal.append(entity_record("insert", SET_NAME, Point(1.0, 2.0)))
+        journal.rebase(lambda: folds.append("fold"))
+        assert folds == ["fold"] and journal.record_count == 1
+        assert not journal.due()
+        journal._size = JOURNAL_HEADER_SIZE + 65536
+        assert journal.due()
+        base.write_bytes(b"x" * 40000)  # 2.0 x the base now exceeds it
+        assert not journal.due()
+        base.unlink()  # a missing base counts as empty
+        assert journal.due()
+        journal.close()
 
     def test_default_compaction_trigger(self):
         """Unpatched, the trigger is max(65536, 2.0 x base size)."""

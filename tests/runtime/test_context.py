@@ -101,6 +101,33 @@ class TestGraphReuse:
         assert first == second
 
 
+    def test_evicted_center_answers_the_same(self):
+        rng = random.Random(22)
+        obstacles = random_disjoint_rects(rng, 6)
+        pts = random_free_points(rng, 6, obstacles)
+        ctx = QueryContext(_index(obstacles), cache_size=1)
+        d1 = ctx.distance(pts[0], pts[1])
+        ctx.distance(pts[2], pts[3])  # evicts the graph for pts[1]
+        assert ctx.stats.graph_cache_evictions == 1
+        assert ctx.distance(pts[0], pts[1]) == d1
+
+    def test_invalidate_drops_graphs_not_answers(self):
+        ctx = QueryContext(_index([rect_obstacle(0, 4, 0, 6, 4)]))
+        d1 = ctx.distance(Point(0, 1), Point(10, 1))
+        ctx.invalidate()
+        assert len(ctx.cache) == 0
+        assert ctx.distance(Point(0, 1), Point(10, 1)) == d1
+        assert ctx.stats.graph_builds == 2
+
+    def test_symmetry(self):
+        rng = random.Random(30)
+        obstacles = random_disjoint_rects(rng, 12)
+        pts = random_free_points(rng, 4, obstacles)
+        ctx = QueryContext(_index(obstacles))
+        for a, b in zip(pts[:2], pts[2:]):
+            assert ctx.distance(a, b) == pytest.approx(ctx.distance(b, a))
+
+
 class TestVersionInvalidation:
     def test_insert_repairs_cached_graph(self):
         index = _index([rect_obstacle(0, 100, 100, 101, 101)])

@@ -106,6 +106,16 @@ class TestParallelEquivalence:
         )
         assert parallel == sequential
 
+    def test_batch_distance_forks_like_its_siblings(self):
+        db, points = _small_db(205)
+        pairs = [(points[i], points[i + 1]) for i in range(5)]
+        pairs += pairs[:2]  # with duplicates
+        sequential = db.batch_distance(pairs)
+        assert db.runtime_stats()["parallel_batches"] == 0
+        assert db.batch_distance(pairs, workers=2, pool="fork") == sequential
+        stats = db.runtime_stats()
+        assert stats["parallel_batches"] == 1 and stats["pool_batches"] == 0
+
     def test_database_batch_parallel(self):
         obstacles, points = _scene(203)
         db = ObstacleDatabase(

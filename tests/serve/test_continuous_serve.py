@@ -1,4 +1,4 @@
-"""Continuous subscriptions: deltas on movement and obstacle mutation."""
+"""Continuous subscriptions: deltas on movement and on every mutation."""
 
 import random
 
@@ -163,12 +163,93 @@ class TestObstacleMutations:
         db.insert_obstacle(Rect(q.x + 0.5, q.y + 0.5, q.x + 1.5, q.y + 1.5))
         assert sub.current == db.nearest("pois", points[0], 3)
 
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_obstacle_set_added_after_the_hub_is_heard(self, shards):
+        db = ObstacleDatabase([], shards=shards)
+        db.add_entity_set("pois", [Point(10, 0), Point(0, 30)])
+        hub = ContinuousQueryHub(db)
+        sub = hub.nearest("pois", Point(0, 0), 1)
+        hub.poll(sub)
+        db.add_obstacle_set("walls", [])
+        db.insert_obstacle(Rect(4, -50, 6, 50), set_name="walls")
+        assert sub.current == db.nearest("pois", Point(0, 0), 1)
+        delta = hub.poll(sub)
+        assert delta.added == ((Point(0, 30), 30.0),)
+        assert delta.removed == ((Point(10, 0), 10.0),)
+
+
+class TestEntityMutations:
+    def test_delete_and_insert_in_the_result_disk_refresh(self):
+        db = _line_db()
+        hub = ContinuousQueryHub(db)
+        sub = hub.nearest("pois", Point(0, 0), 2)
+        rsub = hub.range("pois", Point(0, 0), 3.0)
+        hub.poll(sub)
+        hub.poll(rsub)
+        assert db.delete_entity("pois", Point(1, 0))
+        assert sub.current == db.nearest("pois", Point(0, 0), 2)
+        assert rsub.current == db.range("pois", Point(0, 0), 3.0)
+        delta = hub.poll(sub)
+        assert delta.removed == ((Point(1, 0), 1.0),)
+        assert delta.added == ((Point(50, 0), 50.0),)
+        assert hub.poll(rsub).removed == ((Point(1, 0), 1.0),)
+        db.insert_entity("pois", Point(0, 1.5))
+        assert sub.current == db.nearest("pois", Point(0, 0), 2)
+        assert rsub.current == db.range("pois", Point(0, 0), 3.0)
+        delta = hub.poll(sub)
+        assert delta.added == ((Point(0, 1.5), 1.5),)
+        assert delta.removed == ((Point(50, 0), 50.0),)
+        assert hub.poll(rsub).added == ((Point(0, 1.5), 1.5),)
+
+    def test_entities_outside_the_disk_or_the_set_do_no_work(self):
+        db = _line_db()
+        db.add_entity_set("stops", [Point(0, 1)])
+        hub = ContinuousQueryHub(db)
+        sub = hub.nearest("pois", Point(0, 0), 2)  # result disk radius 2
+        rsub = hub.range("pois", Point(0, 0), 3.0)
+        before = sub.reevaluations, rsub.reevaluations
+        db.insert_entity("pois", Point(40, 0))  # outside both disks
+        assert db.delete_entity("pois", Point(80, 0))
+        db.insert_entity("stops", Point(0, 0.5))  # inside, another set
+        assert not db.delete_entity("pois", Point(1.5, 0))  # found nothing
+        assert (sub.reevaluations, rsub.reevaluations) == before
+        db.insert_entity("pois", Point(2.5, 0))  # inside e = 3 only
+        assert (sub.reevaluations, rsub.reevaluations) == (before[0], before[1] + 1)
+        assert rsub.current == db.range("pois", Point(0, 0), 3.0)
+
+    def test_underfilled_nearest_hears_every_entity(self):
+        db = ObstacleDatabase([])
+        db.add_entity_set("pois", [Point(1, 0)])
+        hub = ContinuousQueryHub(db)
+        sub = hub.nearest("pois", Point(0, 0), 2)  # 1 of 2: unbounded disk
+        db.insert_entity("pois", Point(500, 0))
+        assert sub.current == db.nearest("pois", Point(0, 0), 2)
+        assert len(sub.current) == 2
+
+    def test_dropped_hub_stops_listening(self):
+        """The feed holds its listeners weakly: a hub nobody keeps is
+        collected and pruned, not re-evaluated for ever."""
+        import gc
+
+        db = _line_db()
+        hub = ContinuousQueryHub(db)
+        sub = hub.nearest("pois", Point(0, 0), 1)
+        del hub
+        gc.collect()
+        before = sub.reevaluations
+        db.insert_entity("pois", Point(0.5, 0))
+        assert sub.reevaluations == before
+        assert db._feed._subs == []
+
     def test_entity_refresh_hook(self):
         db = _line_db()
         hub = ContinuousQueryHub(db)
         sub = hub.nearest("pois", Point(0, 0), 1)
         hub.poll(sub)
-        db.insert_entity("pois", Point(0.5, 0))
+        # A write made at the tree, behind the database's back, is not
+        # announced: the subscription waits for refresh (or a move).
+        db.entity_tree("pois").insert(Point(0.5, 0), Rect.from_point(Point(0.5, 0)))
+        assert not hub.poll(sub)
         hub.refresh(sub)
         delta = hub.poll(sub)
         assert [p for p, __ in delta.added] == [Point(0.5, 0)]

@@ -10,7 +10,7 @@ from repro.serve.pool import PersistentWorkerPool
 from tests.conftest import random_disjoint_rects, random_free_points
 
 
-def _db(seed, *, shards=None, snap=0.0, n_obstacles=12, n_points=30):
+def _db(seed, *, shards=None, snap=0.0, n_obstacles=12, n_points=30, durable=None):
     rng = random.Random(seed)
     obstacles = random_disjoint_rects(rng, n_obstacles)
     points = random_free_points(rng, n_points, obstacles)
@@ -20,6 +20,7 @@ def _db(seed, *, shards=None, snap=0.0, n_obstacles=12, n_points=30):
         min_entries=3,
         shards=shards,
         graph_cache_snap=snap,
+        durable=durable,
     )
     db.add_entity_set("pois", points[8:])
     return db, points[:8]
@@ -184,6 +185,85 @@ class TestMutationDeltas:
             assert fixed == db.batch_nearest("pois", queries, 1, workers=0)
         finally:
             db.close()
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_index_level_insert_is_repaired_respawned_not_durable(
+        self, tmp_path, shards
+    ):
+        """The one documented treatment of a write made at the index,
+        behind the database's back: the cache repairs from the index
+        feed, the pool's signature check respawns it, and the journal
+        never saw it."""
+        db, queries = _db(324, shards=shards, durable=tmp_path / "db.journal")
+        try:
+            db.save(tmp_path / "base.snap")
+            db.batch_nearest("pois", queries, 2, workers=2, pool="persistent")
+            before = db.batch_nearest("pois", queries, 2, workers=0)
+            q = queries[0]
+            wall = db._coerce_obstacle(Rect(q.x + 0.5, q.y - 40, q.x + 1.5, q.y + 40))
+            repairs = db.runtime_stats()["graph_cache_repairs"]
+            db.obstacle_index.insert(wall)
+            assert db.runtime_stats()["graph_cache_repairs"] > repairs
+            sequential = db.batch_nearest("pois", queries, 2, workers=0)
+            assert sequential != before
+            assert sequential == db.batch_nearest(
+                "pois", queries, 2, workers=2, pool="persistent"
+            )
+            assert db._serving_pool.spawns == 2
+            assert db.journal.record_count == 0
+        finally:
+            db.close()
+            db.journal.close()
+        recovered = ObstacleDatabase.load(
+            tmp_path / "base.snap", durable=tmp_path / "db.journal"
+        )
+        assert recovered.batch_nearest("pois", queries, 2) == before
+        recovered.journal.close()
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_database_write_does_not_hide_an_earlier_index_level_one(self, shards):
+        """Drift is sticky: a record the pool hears moves its expectation
+        only from the value the set had when the record was applied, so
+        an out-of-band write followed by a database write to the same
+        set still respawns (replaying the one record heard would answer
+        without the other)."""
+        db, queries = _db(326, shards=shards)
+        try:
+            nearest = lambda **kw: db.batch_nearest("pois", queries, 2, **kw)  # noqa: E731
+            nearest(workers=2, pool="persistent")
+            q = queries[0]
+            wall = db._coerce_obstacle(Rect(q.x + 0.5, q.y - 40, q.x + 1.5, q.y + 40))
+            db.obstacle_index.insert(wall)
+            without = nearest(workers=0)
+            db.insert_obstacle(Rect(q.x - 1.5, q.y - 40, q.x - 0.5, q.y + 40))
+            assert nearest(workers=0) != without
+            assert nearest(workers=2, pool="persistent") == nearest(workers=0)
+            assert db._serving_pool.spawns == 2
+            # The same for an entity set, written at its tree.
+            p = Point(q.x + 0.25, q.y)
+            db.entity_tree("pois").insert(p, Rect.from_point(p))
+            db.insert_entity("pois", Point(q.x - 0.25, q.y))
+            assert nearest(workers=2, pool="persistent") == nearest(workers=0)
+            assert db._serving_pool.spawns == 3
+        finally:
+            db.close()
+
+    def test_every_pool_of_a_database_hears_its_entities(self):
+        """The feed is the database's, not one pool's: a pool built
+        directly replays entity mutations like the serving pool does."""
+        db, queries = _db(325)
+        pool = PersistentWorkerPool(db, 2)
+        try:
+            command = ("nearest", "pois", 1, True)
+            pool.run_batch(command, queries)
+            db.insert_entity("pois", queries[0])
+            assert db.delete_entity("pois", queries[1]) is False
+            served = pool.run_batch(command, queries)
+            assert served == db.batch_nearest("pois", queries, 1, workers=0)
+            assert served[0] == [(queries[0], 0.0)]
+            assert pool.spawns == 1 and len(pool._log) == 1
+        finally:
+            pool.shutdown()
 
     def test_add_entity_set_invalidates_pool(self):
         db, queries = _db(323)

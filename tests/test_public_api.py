@@ -44,6 +44,17 @@ class TestAllExports:
         for name in ("save_database", "load_database", "snapshot_info"):
             assert name in repro.__all__, name
 
+    def test_compatibility_names_stay_removed(self):
+        """Facades and aliases nothing in ``src/`` calls are deleted,
+        not kept: one name for one thing (CHANGES.md "Removed")."""
+        import repro.core.range
+        import repro.runtime
+
+        assert not hasattr(repro, "ObstructedDistanceComputer")
+        assert not hasattr(repro.core, "ObstructedDistanceComputer")
+        assert not hasattr(repro.runtime, "bounded_expansion")
+        assert not hasattr(repro.core.range, "expand_within_range")
+
 
 class TestPersistenceSurface:
     """Pins the snapshot-store API added with the persist subsystem."""

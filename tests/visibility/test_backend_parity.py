@@ -52,14 +52,12 @@ class TestRegistry:
     def test_all_backends_listed(self):
         assert available_backends() == ["naive", "numpy-kernel", "python-sweep"]
 
-    def test_sweep_alias_resolves_to_python_sweep(self):
-        assert resolve_backend("sweep").name == PY
-
     def test_unknown_backend_rejected(self):
         from repro.errors import QueryError
 
-        with pytest.raises(QueryError):
-            resolve_backend("fortran-kernel")
+        for name in ("fortran-kernel", "sweep"):  # no aliases: one name each
+            with pytest.raises(QueryError):
+                resolve_backend(name)
 
     def test_graph_records_backend_name(self):
         g = VisibilityGraph(method=NP)
@@ -402,17 +400,42 @@ def test_property_batch_equals_loop(method, budget, monkeypatch, case):
     assert backend.visible_from_many([], g) == []
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
-@given(scene_and_sources())
-def test_property_batched_kernel_matches_oracle(case):
-    """Every kind of source, swept in one kernel call, sees exactly
-    what the pairwise oracle sees."""
-    obstacles, in_graph, sources = case
+def _assert_kernel_matches_oracle(obstacles, in_graph, sources):
     g = VisibilityGraph.build(in_graph, obstacles, method=NP)
     seen = resolve_backend(NP).visible_from_many(sources, g)
     for s, visible in zip(sources, seen):
         want = {v for v in g.nodes() if v != s and is_visible(s, v, obstacles)}
         assert set(visible) == want, f"kernel vs oracle at {s}"
+
+
+# Derandomized while ROADMAP defect 1(c) is open: a random draw can hit
+# the case pinned below, and tier-1 must not go red at random.
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=list(HealthCheck),
+)
+@given(scene_and_sources())
+def test_property_batched_kernel_matches_oracle(case):
+    """Every kind of source, swept in one kernel call, sees exactly
+    what the pairwise oracle sees."""
+    _assert_kernel_matches_oracle(*case)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1, defect (c)")
+def test_known_kernel_vs_oracle_counterexample():
+    """The falsifying example hypothesis found for the property above
+    (``@seed(68)``, 60 examples), shrunk to two obstacles: a source on
+    an obstacle's edge one ulp below its corner does not see the facing
+    corner of the obstacle above, which ``is_visible`` says it sees.
+    Fixing the defect means deleting this marker."""
+    top = 15.30497557054006
+    _assert_kernel_matches_oracle(
+        [rect_obstacle(0, 25, 5, 35, top), rect_obstacle(1, 25, 25, 35, 35)],
+        [Point(0, 0)],
+        [Point(35, 15.304975570540059)],
+    )
 
 
 # ------------------------------------------------ scenes equal their loop

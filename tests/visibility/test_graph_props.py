@@ -23,7 +23,7 @@ def _adjacency(graph: VisibilityGraph) -> set:
 def test_sweep_build_equals_naive_build(data):
     obstacles = data.draw(disjoint_rect_obstacles())
     points = data.draw(free_points(obstacles, min_count=0, max_count=6))
-    sweep = VisibilityGraph.build(points, obstacles, method="sweep")
+    sweep = VisibilityGraph.build(points, obstacles, method="python-sweep")
     naive = VisibilityGraph.build(points, obstacles, method="naive")
     assert _adjacency(sweep) == _adjacency(naive)
 

@@ -93,6 +93,18 @@ GATES: tuple[tuple[tuple[str, ...], str], ...] = (
     (("smoke warm distance stream", "field_freezes"), "exact"),
     (("smoke warm distance stream", "node_growth"), "exact"),
     (("smoke warm distance stream", "backend_calls"), "exact"),
+    # The same stream with sources from a fixed pool (the profiles'
+    # shape): a seen source's distance reads its field and probes the
+    # goal's last leg, so its backend calls and probe give-ups are
+    # exact counts too.
+    (("smoke warm distance stream (repeated sources)", "parity"), "exact"),
+    (("smoke warm distance stream (repeated sources)", "field_freezes"), "exact"),
+    (("smoke warm distance stream (repeated sources)", "node_growth"), "exact"),
+    (("smoke warm distance stream (repeated sources)", "backend_calls"), "exact"),
+    (
+        ("smoke warm distance stream (repeated sources)", "last_leg_fallbacks"),
+        "exact",
+    ),
     # Adaptive cache policy: the acceptance verdict (>= 2 wins, no
     # losses, bit-identical answers), the deterministic trace check,
     # and the build counters of the two headline-win profiles.

@@ -1010,23 +1010,39 @@ def field_engine_comparison(
     }
 
 
+#: Source pool of the repeated-source warm stream (the profiles draw a
+#: few dozen sources for thousands of fresh goals; 8 for 876 here).
+STREAM_SOURCES = 8
+
+
 def distance_stream_comparison(
-    n_obstacles: int, n_calls: int = 1000, *, warm_calls: int = 100
+    n_obstacles: int,
+    n_calls: int = 1000,
+    *,
+    warm_calls: int = 100,
+    sources: int = 0,
 ) -> dict[str, float]:
     """A warm stream on one hot graph: point-to-point distances with
     an ONN and an OR every 16 ops (the shipped profiles' cadence).
 
-    Every endpoint and centre is a fresh point jittered (the
-    zipf-hotspot profile's radius) around one anchor at the centre of
-    its cache cell, so all ops share one cached graph whose coverage
-    the warm-up saturates.  An op only reads that graph: it sweeps its
-    off-graph points against the frozen arrays and searches them.
-    Returns the CPU time, ``parity`` (the answers bit-identical to a
-    cold exact-key database's, which builds a graph of its own per
-    centre) and the counts over the timed ops:
-    ``field_freezes``, ``node_growth`` of the hot graph and
-    ``backend_calls`` (at most one per distance; per ONN / OR one for
-    the centre and one per batch of candidates the memo lacks).
+    Every goal and centre is a fresh point jittered (the zipf-hotspot
+    profile's radius) around one anchor at the centre of its cache
+    cell, so all ops share one cached graph whose coverage the warm-up
+    saturates.  So is every distance's source, unless ``sources`` is
+    positive: then sources are drawn from a fixed pool of that many
+    such points, as the profiles draw them from their entity sets.  An
+    op only reads the graph.  A distance from a fresh source sweeps
+    both endpoints against the frozen arrays in one backend call and
+    searches them; one from a source seen before reads the source's
+    memoized field and probes the goal's last leg with the exact
+    oracle, sweeping nothing unless the probe gives up.  Returns the
+    CPU time, ``parity`` (the answers bit-identical to a cold
+    exact-key database's, which builds a graph of its own per centre)
+    and the counts over the timed ops: ``field_freezes``,
+    ``node_growth`` of the hot graph, ``backend_calls`` (at most one
+    per distance; per ONN / OR one for the centre and one per batch of
+    candidates the memo lacks) and ``last_leg_fallbacks`` (probes that
+    gave up).
     """
     import random
 
@@ -1050,11 +1066,18 @@ def distance_stream_comparison(
     def fresh() -> Point:
         return _free_jitter(rng, anchor, jitter, obstacles, DEFAULT_UNIVERSE)
 
+    pool = [fresh() for __ in range(sources)]
     events = []
     for i in range(warm_calls + n_calls):
         kind = {14: "nearest", 15: "range"}.get(i % 16, "distance")
         events.append(
-            WorkloadEvent(kind, center=fresh(), source=fresh(), k=2, e=jitter)
+            WorkloadEvent(
+                kind,
+                center=fresh(),
+                source=rng.choice(pool) if pool else fresh(),
+                k=2,
+                e=jitter,
+            )
         )
 
     def database(graph_cache_snap: float) -> ObstacleDatabase:
@@ -1083,6 +1106,7 @@ def distance_stream_comparison(
     backend.visible_from_many = counted
     nodes = entry.graph.node_count
     freezes = context.stats.field_freezes
+    fallbacks = context.stats.last_leg_fallbacks
     timed = events[warm_calls:]
     answers, metrics = replay_events(db, timed, set_name="P1", reset=False)
     reference, __ = replay_events(database(0.0), timed, set_name="P1")
@@ -1096,6 +1120,7 @@ def distance_stream_comparison(
         "field_freezes": float(context.stats.field_freezes - freezes),
         "node_growth": float(entry.graph.node_count - nodes),
         "backend_calls": float(calls[0]),
+        "last_leg_fallbacks": float(context.stats.last_leg_fallbacks - fallbacks),
     }
 
 

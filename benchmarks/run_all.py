@@ -730,33 +730,45 @@ def smoke_field_engine() -> int:
 
 def smoke_distance_stream() -> int:
     """Warm stream smoke: 1,000 ops on one hot graph — point-to-point
-    distances at fresh jittered endpoints, an ONN and an OR at a fresh
-    centre every 16.  Gated on answers bit-identical to a cold
-    exact-key database's and on the ops leaving the graph alone: no
-    freeze, no node growth, at most one backend call per distance and
-    three per ONN / OR."""
-    from benchmarks.common import distance_stream_comparison
+    distances to fresh jittered goals, an ONN and an OR at a fresh
+    centre every 16 — twice: every distance's source fresh (each one
+    takes the targeted search), then sources drawn from a pool of
+    ``STREAM_SOURCES`` (after a source's first sighting its
+    field is read and the goal's last leg probed).  Gated on answers
+    bit-identical to a cold exact-key database's and on the ops leaving
+    the graph alone: no freeze, no node growth, at most one backend
+    call per distance and three per ONN / OR — and with repeated
+    sources, no backend call for a distance beyond each source's first
+    sighting and each probe that gave up."""
+    from benchmarks.common import STREAM_SOURCES, distance_stream_comparison
 
-    metrics = distance_stream_comparison(2000)
-    RESULTS["smoke warm distance stream"] = metrics
-    print(
-        f"\nwarm distance stream ({metrics['calls']:.0f} ops, "
-        f"{metrics['field_ops']:.0f} of them ONN / OR, one graph of "
-        f"{metrics['graph_nodes']:.0f} nodes): "
-        f"{metrics['cpu_s'] * 1000:.0f} ms, "
-        f"{metrics['field_freezes']:.0f} freezes, node growth "
-        f"{metrics['node_growth']:.0f}, {metrics['backend_calls']:.0f} "
-        f"backend calls"
-    )
-    if not metrics["parity"]:
-        print("FAIL: the warm shared graph changed an answer")
-        return 1
-    if metrics["field_freezes"] or metrics["node_growth"]:
-        print("FAIL: a warm op changed its cached graph")
-        return 1
-    if metrics["backend_calls"] > metrics["calls"] + 2 * metrics["field_ops"]:
-        print("FAIL: more backend calls than one per distance, three per ONN / OR")
-        return 1
+    for label, sources in (("", 0), (" (repeated sources)", STREAM_SOURCES)):
+        metrics = distance_stream_comparison(2000, sources=sources)
+        RESULTS[f"smoke warm distance stream{label}"] = metrics
+        print(
+            f"\nwarm distance stream{label} ({metrics['calls']:.0f} ops, "
+            f"{metrics['field_ops']:.0f} of them ONN / OR, one graph of "
+            f"{metrics['graph_nodes']:.0f} nodes): "
+            f"{metrics['cpu_s'] * 1000:.0f} ms, "
+            f"{metrics['field_freezes']:.0f} freezes, node growth "
+            f"{metrics['node_growth']:.0f}, {metrics['backend_calls']:.0f} "
+            f"backend calls, {metrics['last_leg_fallbacks']:.0f} probe fallbacks"
+        )
+        if not metrics["parity"]:
+            print("FAIL: the warm shared graph changed an answer")
+            return 1
+        if metrics["field_freezes"] or metrics["node_growth"]:
+            print("FAIL: a warm op changed its cached graph")
+            return 1
+        sweeping = (
+            sources + metrics["last_leg_fallbacks"] if sources else metrics["calls"]
+        )
+        if metrics["backend_calls"] > sweeping + 2 * metrics["field_ops"]:
+            print(
+                "FAIL: more backend calls than one per sweeping distance, "
+                "three per ONN / OR"
+            )
+            return 1
     return 0
 
 

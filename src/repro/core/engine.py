@@ -438,12 +438,16 @@ class ObstacleDatabase:
     def _shape_changed(self) -> None:
         """A dataset was added — a change no mutation record expresses.
         The pool's workers are discarded (the next dispatch respawns
-        them from a fresh snapshot) and the journal is re-anchored (see
-        :meth:`~repro.persist.journal.MutationJournal.rebase`)."""
+        them from a fresh snapshot).  Records journaled before the
+        change would replay over a base snapshot missing the new set,
+        so an anchored journal folds at once (the rewritten base
+        includes the set) and an unanchored one — nothing recoverable
+        yet — is truncated."""
         if self._serving_pool is not None:
             self._serving_pool.invalidate()
-        if self._journal is not None:
-            self._journal.rebase(self.compact)
+        journal = self._journal
+        if journal is not None:
+            self.compact() if journal.base_path else journal.reset()
 
     def _pool_for(self, pool: str | None, workers: int | None):
         """The (pool, effective_workers) pair the batch methods route
@@ -512,7 +516,7 @@ class ObstacleDatabase:
         )
         if self._journal is not None:
             self._journal.reset()
-            self._journal.anchor(path)
+            self._journal.base_path = os.fspath(path)
 
     @classmethod
     def load(

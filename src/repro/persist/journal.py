@@ -55,7 +55,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import DatasetError
 from repro.geometry.point import Point
@@ -236,8 +236,9 @@ class MutationJournal:
         self._size = size
         self._records = records
         self._next_seq = next_seq
-        #: The base snapshot this journal folds into (``None`` until a
-        #: ``save`` or a ``load`` anchors it; see :meth:`anchor`).
+        #: The base snapshot the records replay over (``None`` until
+        #: anchored: set to the file a ``save`` just wrote, after
+        #: :meth:`reset`, or to the one a ``load`` replayed them over).
         self.base_path: str | None = None
         self.stats: "RuntimeStats | None" = None
 
@@ -383,25 +384,6 @@ class MutationJournal:
         base that had already folded higher sequences."""
         if self._next_seq <= floor:
             self._next_seq = floor + 1
-
-    # -- the anchor --------------------------------------------------------
-
-    def anchor(self, base_path: "str | os.PathLike[str]") -> None:
-        """Name the base snapshot the records replay over: the file a
-        ``save`` just wrote (after :meth:`reset`), or the one a
-        ``load`` just replayed them over."""
-        self.base_path = os.fspath(base_path)
-
-    def rebase(self, fold: "Callable[[], None]") -> None:
-        """A dataset was added: records journaled before it would
-        replay over a base snapshot missing the new set.  An anchored
-        journal folds at once (``fold`` rewrites the base, new set
-        included, and truncates); an unanchored one just truncates —
-        nothing was recoverable yet."""
-        if self.base_path is not None:
-            fold()
-        else:
-            self.reset()
 
     def close(self) -> None:
         """Close the file handle (the journal file stays on disk)."""

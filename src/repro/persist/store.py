@@ -456,7 +456,7 @@ def load_database(
         for record in fresh:
             apply_record(db, record)
         journal.ensure_seq_floor(base_seq)
-        journal.anchor(name)
+        journal.base_path = name
         db._attach_journal(journal)
     return db
 

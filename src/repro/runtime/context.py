@@ -42,7 +42,7 @@ from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.runtime.policy import CachePolicy, resolve_cache_policy
 from repro.runtime.sharding import stamp_for, stamp_is_stale
 from repro.runtime.stats import RuntimeStats
-from repro.visibility.csr import frozen
+from repro.visibility.csr import CSRGraph, frozen
 from repro.visibility.graph import VisibilityGraph
 from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
 
@@ -462,11 +462,26 @@ class QueryContext:
     def _frozen_distance(
         self, graph: VisibilityGraph, p: Point, q: Point
     ) -> float:
-        """``d(p, q)`` over ``graph``'s current freeze: one search
-        seeded with the nodes ``p`` sees at their straight legs that
-        stops once the nodes ``q`` sees are settled, read off at ``q``
-        by the rule a distance field reads its full search with."""
+        """``d(p, q)`` over ``graph``'s current freeze, read off at
+        ``q`` by the rule a distance field reads its full search with.
+
+        A source seen before on this freeze (its field or its anchors
+        memoized) with a goal that is neither a node nor memoized reads
+        the source's full field — one search, memoized like an ONN
+        centre's — and probes the goal's last leg in lower-bound order
+        with the exact oracle (:meth:`CSRGraph.probe_last_leg`), so it
+        sweeps nothing.  Otherwise one backend call sweeps ``p`` (if
+        unseen) with ``q`` ahead, and one search seeded with the nodes
+        ``p`` sees at their straight legs stops once the nodes ``q``
+        sees are settled.  Both give the same float: the full field
+        settles every value the targeted search does, and a goal
+        anchor it leaves unsettled lies beyond the answer."""
         csr = frozen(graph, stats=self.stats)
+        if (p in csr.fields or p in csr.anchors) and not (
+            q in csr.index or q in csr.anchors
+        ):
+            direct = csr.direct_leg(p, q, graph)
+            return min(direct, self._probed_leg(csr, graph, p, q))
         seeds, seed_legs = csr.anchors_for(p, graph, ahead=(q,))
         goals, goal_legs = csr.anchors_for(q, graph)
         direct = csr.direct_leg(p, q, graph)
@@ -485,6 +500,21 @@ class QueryContext:
             )
             span.set_attr("settled", int(settled.sum()))
         return min(direct, csr.last_leg(dist, q, graph))
+
+    def _probed_leg(
+        self, csr: CSRGraph, graph: VisibilityGraph, p: Point, q: Point
+    ) -> float:
+        """``q``'s last leg from ``p``'s field, probed; swept and
+        memoized when the probe gives up."""
+        field = csr.field(p, graph)
+        self.stats.last_leg_probes += 1
+        TRACER.count("context.last_leg_probe")
+        d = csr.probe_last_leg(field, q, graph)
+        if d is None:
+            self.stats.last_leg_fallbacks += 1
+            TRACER.count("context.last_leg_fallback")
+            d = csr.last_leg(field, q, graph)
+        return d
 
     def field_for(self, q: Point, radius: float = 0.0) -> SourceDistanceField:
         """A distance field from ``q`` over the cached graph for ``q``.

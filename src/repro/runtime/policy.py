@@ -47,6 +47,7 @@ what the policy did and when.
 
 from __future__ import annotations
 
+from math import inf, sqrt
 from statistics import median
 from typing import TYPE_CHECKING
 
@@ -134,7 +135,9 @@ class AdaptiveCachePolicy(CachePolicy):
         self.snap_factor = snap_factor
         self.locality_fraction = locality_fraction
         self.max_capacity = max_capacity
-        self._centers: list = []  # ring buffer of recent centres
+        #: Ring buffer of recent centres, as parallel coordinate lists.
+        self._xs: list[float] = []
+        self._ys: list[float] = []
         self._displacements: list[float] = []  # parallel ring buffer
         self._head = 0
         #: Long-run bounding box of every centre ever observed — the
@@ -170,26 +173,40 @@ class AdaptiveCachePolicy(CachePolicy):
         # Nearest-neighbour displacement against the *current* window
         # (min over the window, not just the previous centre, so R
         # interleaved commuter clients still measure the per-client
-        # step rather than the client-to-client hop).
-        if self._centers:
-            d = min(center.distance(c) for c in self._centers)
+        # step rather than the client-to-client hop).  The minimum is
+        # taken over squares, then rooted once: sqrt is correctly
+        # rounded and monotone, so this is ``min(center.distance(c))``
+        # to the bit.
+        x, y = center.x, center.y
+        xs, ys = self._xs, self._ys
+        if xs:
+            best = inf
+            for cx, cy in zip(xs, ys):
+                dx = x - cx
+                dy = y - cy
+                s = dx * dx + dy * dy
+                if s < best:
+                    best = s
+            d = sqrt(best)
         else:
             d = 0.0
-        if len(self._centers) < self.window:
-            self._centers.append(center)
+        if len(xs) < self.window:
+            xs.append(x)
+            ys.append(y)
             self._displacements.append(d)
         else:
-            self._centers[self._head] = center
+            xs[self._head] = x
+            ys[self._head] = y
             self._displacements[self._head] = d
             self._head = (self._head + 1) % self.window
         if self._bounds is None:
-            self._bounds = [center.x, center.y, center.x, center.y]
+            self._bounds = [x, y, x, y]
         else:
             b = self._bounds
-            b[0] = min(b[0], center.x)
-            b[1] = min(b[1], center.y)
-            b[2] = max(b[2], center.x)
-            b[3] = max(b[3], center.y)
+            b[0] = min(b[0], x)
+            b[1] = min(b[1], y)
+            b[2] = max(b[2], x)
+            b[3] = max(b[3], y)
         self._since_adjust += 1
         if self._since_adjust >= self.adjust_every:
             self._since_adjust = 0
@@ -242,14 +259,12 @@ class AdaptiveCachePolicy(CachePolicy):
     def _candidate_capacity(self) -> int:
         base = self._base_capacity or self.cache.capacity
         snap = self.cache.snap
+        centers = zip(self._xs, self._ys)
         if snap > 0:
-            cells = {
-                (round(c.x / snap), round(c.y / snap))
-                for c in self._centers
-            }
+            cells = {(round(x / snap), round(y / snap)) for x, y in centers}
             distinct = len(cells)
         else:
-            distinct = len(set(self._centers))
+            distinct = len(set(centers))
         return max(base, min(self.max_capacity, 2 * distinct))
 
     def _adjust(self) -> None:

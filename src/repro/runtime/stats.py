@@ -34,6 +34,8 @@ class RuntimeStats:
         "coverage_expansions",
         "obstacles_added",
         "distance_calls",
+        "last_leg_probes",
+        "last_leg_fallbacks",
         "field_builds",
         "field_freezes",
         "field_batch_evals",
@@ -72,6 +74,8 @@ class RuntimeStats:
         self.coverage_expansions = 0
         self.obstacles_added = 0
         self.distance_calls = 0
+        self.last_leg_probes = 0
+        self.last_leg_fallbacks = 0
         self.field_builds = 0
         self.field_freezes = 0
         self.field_batch_evals = 0

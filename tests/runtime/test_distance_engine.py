@@ -546,3 +546,57 @@ class TestBatchEvalAcrossGrowth:
         assert batched == looped  # bitwise
         # One candidate at a time pays one call per candidate and growth.
         assert loop_counter.anchor_calls > counter.anchor_calls
+
+
+class TestRepeatedSources:
+    """The profiles' distance stream: every goal fresh, its source the
+    nearest of a few.  After a source's first sighting on a freeze its
+    field is memoized and a fresh goal's last leg is probed with the
+    exact oracle — no backend call — and every answer is still a cold
+    exact-key ``naive`` database's."""
+
+    def test_fresh_goals_from_seen_sources_sweep_nothing(self):
+        rng = random.Random(41)
+        obstacles = random_disjoint_rects(rng, 14)
+        points = random_free_points(rng, 124, obstacles)
+        sources, goals = points[:4], points[4:]
+        counter = _AnchorCallCounter(resolve_backend("numpy-kernel"))
+        db = ObstacleDatabase(
+            [o.polygon for o in obstacles],
+            max_entries=8,
+            min_entries=3,
+            backend=counter,
+            graph_cache_snap=500.0,
+            cache_policy="static",
+        )
+        ctx = db.context
+        entry = ctx.entry_for(goals[0], 300.0)  # one graph covers the scene
+        pairs = [(min(sources, key=q.distance), q) for q in goals]
+        # Hidden from every node: the probe gives up and sweeps it.
+        pairs.append((sources[0], obstacles[0].polygon.centroid()))
+        seen = set()
+        got = []
+        for p, q in pairs[:-1]:
+            calls = counter.anchor_calls
+            got.append(db.obstructed_distance(p, q))
+            assert counter.anchor_calls == calls + (p not in seen)
+            seen.add(p)
+        assert len(seen) == 4
+        got.append(db.obstructed_distance(*pairs[-1]))
+        cold = ObstacleDatabase(
+            [o.polygon for o in obstacles],
+            max_entries=8,
+            min_entries=3,
+            backend="naive",
+            graph_cache_snap=0.0,
+            cache_policy="static",
+        )
+        assert got == [cold.obstructed_distance(p, q) for p, q in pairs]
+        assert got[-1] == inf
+        assert len(ctx.cache) == 1 and ctx.stats.field_freezes == 1
+        assert frozen(entry.graph) is entry.graph._csr[1]
+        stats = db.runtime_stats()
+        # A source's first sighting takes the targeted search.
+        assert stats["last_leg_probes"] == len(pairs) - 4
+        assert stats["last_leg_fallbacks"] == 1
+        assert counter.anchor_calls == 4 + 1

@@ -17,6 +17,8 @@ The policy's contract has three layers, each tested here:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ObstacleDatabase, Point
 from repro.errors import DatasetError
@@ -28,6 +30,7 @@ from repro.runtime.policy import (
 )
 from repro.runtime.stats import RuntimeStats
 from repro.visibility import VisibilityGraph
+from repro.workloads.profiles import PROFILES, generate_trace
 from tests.conftest import random_disjoint_rects, random_free_points
 
 
@@ -204,11 +207,101 @@ class TestEstimator:
             "max_capacity",
         ):
             assert getattr(child, attr) == getattr(policy, attr)
-        assert child._centers == []  # no estimator state shipped
+        assert child._xs == child._ys == []  # no estimator state shipped
         assert not hasattr(child, "cache")  # unattached
 
     def test_static_spawn(self):
         assert type(CachePolicy().spawn()) is CachePolicy
+
+
+class _PointWindowPolicy(AdaptiveCachePolicy):
+    """The estimator's two window reads written over a window of
+    ``Point``\\ s: one ``Point.distance`` per member and the distinct
+    count over the points themselves — what the coordinate-list window
+    must reproduce decision for decision."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._points: list = []
+
+    def observe(self, center) -> None:
+        d = min((center.distance(c) for c in self._points), default=0.0)
+        if len(self._points) < self.window:
+            self._points.append(center)
+            self._displacements.append(d)
+        else:
+            self._points[self._head] = center
+            self._displacements[self._head] = d
+            self._head = (self._head + 1) % self.window
+        if self._bounds is None:
+            self._bounds = [center.x, center.y, center.x, center.y]
+        else:
+            b = self._bounds
+            b[:] = [
+                min(b[0], center.x), min(b[1], center.y),
+                max(b[2], center.x), max(b[3], center.y),
+            ]
+        self._since_adjust += 1
+        if self._since_adjust >= self.adjust_every:
+            self._since_adjust = 0
+            self._adjust()
+
+    def _candidate_capacity(self) -> int:
+        base = self._base_capacity or self.cache.capacity
+        snap = self.cache.snap
+        if snap > 0:
+            distinct = len(
+                {(round(c.x / snap), round(c.y / snap)) for c in self._points}
+            )
+        else:
+            distinct = len(set(self._points))
+        return max(base, min(self.max_capacity, 2 * distinct))
+
+
+#: Lattice coordinates (exact ties, zero displacements, repeats) and
+#: free floats over a wide range.
+_coords = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+class TestDisplacementWindow:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        centers=st.lists(st.builds(Point, _coords, _coords), min_size=1, max_size=60),
+        window=st.integers(2, 12),
+    )
+    def test_displacement_is_the_min_point_distance(self, centers, window):
+        policy = AdaptiveCachePolicy(window=window, adjust_every=3)
+        reference = _PointWindowPolicy(window=window, adjust_every=3)
+        caches = [_attached(p, capacity=2)[0] for p in (policy, reference)]
+        seen = []
+        for center in centers:
+            want = min((center.distance(c) for c in seen[-window:]), default=0.0)
+            policy.observe(center)
+            reference.observe(center)
+            assert policy._recent_displacements(1) == [want]  # bitwise
+            new, old = ((c.snap, c.capacity) for c in caches)
+            assert new == old
+            seen.append(center)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_decisions_equal_the_point_window_on_every_profile(self, profile):
+        centers = [
+            ev.center
+            for ev in generate_trace(profile, seed=4).events
+            if ev.center is not None
+        ]
+        got, want = AdaptiveCachePolicy(), _PointWindowPolicy()
+        caches = [_attached(policy, capacity=16)[0] for policy in (got, want)]
+        for center in centers:
+            got.observe(center)
+            want.observe(center)
+            assert got._displacements == want._displacements
+            new, old = ((c.snap, c.capacity) for c in caches)
+            assert new == old
+        assert got.stats.policy_adjustments == want.stats.policy_adjustments > 0
 
 
 def _jitter_stream(rng, anchors, jitter, n):

@@ -79,6 +79,13 @@ def _doc(**overrides):
             "node_growth": 0.0,
             "backend_calls": 1000.0,
         },
+        "smoke warm distance stream (repeated sources)": {
+            "parity": 1.0,
+            "field_freezes": 0.0,
+            "node_growth": 0.0,
+            "backend_calls": 81.0,
+            "last_leg_fallbacks": 0.0,
+        },
         "smoke adaptive policy": {
             "gate_ok": 1.0,
             "parity": 1.0,

@@ -1,16 +1,22 @@
 """Frozen CSR views: freeze correctness and bit-parity of the
 int-indexed Dijkstra — rooted at a node or at seeds — against the
-dict-path oracle."""
+dict-path oracle, and of the probed last leg against the swept one."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.point import Point
+from repro.model import Obstacle
 from repro.visibility import VisibilityGraph, bounded_dijkstra, dijkstra
+from repro.visibility import csr as csr_module
 from repro.visibility.csr import CSRGraph, frozen
 from tests.conftest import rect_obstacle
+from tests.strategies import disjoint_rect_obstacles, free_points
+from tests.visibility.test_exact import endpoints, lattice_rects
 
 
 def _grid_graph(seed: int = 0, n: int = 18, obstacles: int = 4):
@@ -233,3 +239,120 @@ class TestSeededDijkstraParity:
         a, sa = csr.dijkstra(3)
         b, sb = csr.dijkstra([(3, 0.0)])
         assert (a == b).all() and (sa == sb).all()
+
+
+#: Wider than any graph here: every node may be tested.
+UNCAPPED = 10**9
+
+
+@pytest.fixture(params=[csr_module.LAST_LEG_PROBES, UNCAPPED], ids=["capped", "uncapped"])
+def probe_cap(request, monkeypatch):
+    monkeypatch.setattr(csr_module, "LAST_LEG_PROBES", request.param)
+    return request.param
+
+
+def _probed_and_swept(graph, root, goal):
+    """``goal``'s last leg from the field rooted at ``root``: probed
+    with the exact oracle, then swept (the sweep memoizes the goal, so
+    it goes second)."""
+    csr = frozen(graph)
+    assert goal not in csr.index and goal not in csr.anchors
+    dist = csr.field(root, graph)
+    probed = csr.probe_last_leg(dist, goal, graph)
+    return probed, csr.last_leg(dist, goal, graph)
+
+
+def _assert_probe_agrees(probed, swept, cap):
+    if cap == UNCAPPED:
+        assert probed == swept  # ==, not approx
+    else:
+        assert probed is None or probed == swept
+
+
+@st.composite
+def _lattice_scenes(draw):
+    """Touching, vertex-sharing, T-junction and overlapping lattice
+    rectangles; root and goal free, on a vertex or a hair off it, on an
+    edge or on its line beyond it, or inside an obstacle; the root a
+    graph node (a cached graph's centre) or off the graph."""
+    polys = draw(st.lists(lattice_rects(), min_size=1, max_size=5))
+    obstacles = [Obstacle(i, poly) for i, poly in enumerate(polys)]
+    root, goal = draw(endpoints(polys)), draw(endpoints(polys))
+    return obstacles, root, goal, draw(st.booleans())
+
+
+PROBE_SETTINGS = settings(
+    deadline=None, max_examples=150, suppress_health_check=list(HealthCheck)
+)
+
+
+class TestProbedLastLeg:
+    """``probe_last_leg`` is ``last_leg`` after a full sweep of the goal,
+    to the bit — or ``None`` once the cap of hidden nodes is spent."""
+
+    @PROBE_SETTINGS
+    @given(scene=_lattice_scenes())
+    def test_lattice_scenes_on_the_oracle_backend(self, probe_cap, scene):
+        obstacles, root, goal, root_is_node = scene
+        graph = VisibilityGraph.build(
+            [root] if root_is_node else [], obstacles, method="naive"
+        )
+        if goal in frozen(graph).index:
+            return  # a node is its own anchor: no last leg to probe
+        probed, swept = _probed_and_swept(graph, root, goal)
+        _assert_probe_agrees(probed, swept, probe_cap)
+
+    # Generated deterministically: free points may land one ulp off an
+    # obstacle vertex, where the kernel's visible set is known to differ
+    # from the oracle's (ROADMAP item 1(c)).
+    @settings(PROBE_SETTINGS, derandomize=True)
+    @given(data=st.data())
+    def test_random_scenes_on_both_backends(self, probe_cap, data):
+        obstacles = data.draw(disjoint_rect_obstacles())
+        root, goal = data.draw(free_points(obstacles, min_count=2, max_count=2))
+        root_is_node = data.draw(st.booleans())
+        for method in ("numpy-kernel", "naive"):
+            graph = VisibilityGraph.build(
+                [root] if root_is_node else [], obstacles, method=method
+            )
+            probed, swept = _probed_and_swept(graph, root, goal)
+            _assert_probe_agrees(probed, swept, probe_cap)
+
+    @pytest.mark.parametrize("method", ["numpy-kernel", "naive"])
+    @pytest.mark.parametrize(
+        "goal, sealed",
+        [
+            (Point(1.5, 1.5), False),  # inside the pocket
+            (Point(0.5, 3.0), False),  # on the top rectangle's edge
+            (Point(-2.0, 3.0), False),  # on that edge's line, beyond it
+            (Point(5.0, 1.0), False),  # collinear with a grid line
+            (Point(2.5, 0.5), True),  # inside an obstacle
+        ],
+    )
+    def test_pocket_edges_and_sealed_goals(self, probe_cap, method, goal, sealed):
+        """A pocket walled in by four touching rectangles (each one's
+        corner on the next one's edge)."""
+        obstacles = [
+            rect_obstacle(0, 0.0, 0.0, 3.0, 1.0),
+            rect_obstacle(1, 2.0, 1.0, 3.0, 3.0),
+            rect_obstacle(2, 0.0, 2.0, 2.0, 3.0),
+            rect_obstacle(3, 0.0, 1.0, 1.0, 2.0),
+        ]
+        root = Point(-4.0, -3.0)
+        graph = VisibilityGraph.build([root], obstacles, method=method)
+        probed, swept = _probed_and_swept(graph, root, goal)
+        _assert_probe_agrees(probed, swept, probe_cap)
+        assert (swept == math.inf) == sealed
+
+    def test_a_goal_behind_a_row_of_nodes_falls_back_to_the_sweep(self):
+        """Nine nodes just across a wall from the goal come first in
+        lower-bound order and all are hidden from it: the capped probe
+        gives up, and the sweep answers through the wall's end."""
+        wall = [rect_obstacle(0, -10.0, 1.0, 10.0, 2.0)]
+        root = Point(0.0, 50.0)
+        row = [Point(float(x), 2.5) for x in range(-4, 5)]
+        graph = VisibilityGraph.build([root, *row], wall, method="numpy-kernel")
+        probed, swept = _probed_and_swept(graph, root, Point(0.0, 0.0))
+        assert csr_module.LAST_LEG_PROBES < len(row)
+        assert probed is None
+        assert 50.0 < swept < math.inf

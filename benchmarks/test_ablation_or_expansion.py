@@ -1,10 +1,10 @@
 """Ablation — OR's single shared expansion vs per-candidate distances.
 
 Fig. 5's key design choice: one Dijkstra-style expansion from the query
-point serves *all* candidates.  The naive alternative evaluates
-``compute_obstructed_distance`` per candidate.  Both must agree on the
-result; the shared expansion should be faster once candidates are
-plentiful.
+point serves *all* candidates.  The naive alternative evaluates one
+fresh point-to-point distance (Fig. 8, a new ``QueryContext`` and so a
+new local graph) per candidate.  Both must agree on the result; the
+shared expansion should be faster once candidates are plentiful.
 """
 
 import pytest
@@ -17,25 +17,16 @@ from benchmarks.common import (
     queries_for,
     scaled_range,
 )
-from repro.core.distance import compute_obstructed_distance
 from repro.core.range import obstacle_range
 from repro.euclidean.range import entities_in_range
-from repro.visibility.graph import VisibilityGraph
+from repro.runtime.context import QueryContext
 
 
 def _or_per_candidate(entity_tree, obstacle_index, q, e):
     """The strawman OR: one obstructed-distance evaluation per candidate."""
-    candidates = entities_in_range(entity_tree, q, e)
-    if not candidates:
-        return []
-    relevant = obstacle_index.obstacles_in_range(q, e)
-    graph = VisibilityGraph.build([q], relevant)
     out = []
-    for p in candidates:
-        added = graph.add_entity(p)
-        d = compute_obstructed_distance(graph, p, q, obstacle_index)
-        if added:
-            graph.delete_entity(p)
+    for p in entities_in_range(entity_tree, q, e):
+        d = QueryContext(obstacle_index).distance(p, q)
         if d <= e:
             out.append((p, d))
     out.sort(key=lambda pd: pd[1])

@@ -48,8 +48,6 @@ from repro.visibility import (
     VisibilityGraph,
     available_backends,
     resolve_backend,
-    shortest_path,
-    shortest_path_dist,
 )
 from repro.visibility.tangent import prune_to_tangent
 from repro.core.continuous import NNInterval, PathNearestNeighbor, path_nearest
@@ -66,7 +64,6 @@ from repro.core import (
     CompositeObstacleIndex,
     ObstacleDatabase,
     ObstacleIndex,
-    compute_obstructed_distance,
     iter_obstacle_closest_pairs,
     iter_obstacle_nearest,
     obstacle_closest_pairs,
@@ -111,8 +108,6 @@ __all__ = [
     "VisibilityGraph",
     "available_backends",
     "resolve_backend",
-    "shortest_path",
-    "shortest_path_dist",
     "prune_to_tangent",
     # extensions
     "NNInterval",
@@ -134,7 +129,6 @@ __all__ = [
     "ObstacleDatabase",
     "ObstacleIndex",
     "CompositeObstacleIndex",
-    "compute_obstructed_distance",
     "obstacle_range",
     "obstacle_nearest",
     "iter_obstacle_nearest",

@@ -10,12 +10,9 @@ from only the relevant obstacles eliminate the false hits.
 * :func:`obstacle_distance_join` — ODJ, Fig. 10
 * :func:`obstacle_closest_pairs` / :func:`iter_obstacle_closest_pairs`
   — OCP / iOCP, Figs. 11-12
-* :func:`compute_obstructed_distance` — the iterative distance
-  evaluation of Fig. 8
 * :class:`ObstacleDatabase` — the user-facing facade
 """
 
-from repro.core.distance import compute_obstructed_distance
 from repro.core.source import (
     CompositeObstacleIndex,
     ObstacleIndex,
@@ -31,7 +28,6 @@ from repro.core.semijoin import obstacle_semijoin
 from repro.core.engine import ObstacleDatabase
 
 __all__ = [
-    "compute_obstructed_distance",
     "ObstacleIndex",
     "CompositeObstacleIndex",
     "ShardedObstacleIndex",

@@ -24,7 +24,9 @@ from repro.geometry.point import Point
 from repro.model import Obstacle
 from repro.visibility.csr import CSRGraph, frozen
 from repro.visibility.graph import VisibilityGraph
-from repro.visibility.shortest_path import shortest_path_dist
+
+# benchmarks/e2e/e2e_trace.py wraps this name (a `visibility.dijkstra` wrap point).
+shortest_path_dist = None
 
 
 class ObstacleSource(Protocol):
@@ -32,36 +34,6 @@ class ObstacleSource(Protocol):
 
     def obstacles_in_range(self, center: Point, radius: float) -> list[Obstacle]:
         """Obstacles intersecting the closed disk ``(center, radius)``."""
-
-
-def compute_obstructed_distance(
-    graph: VisibilityGraph,
-    p: Point,
-    q: Point,
-    source: ObstacleSource,
-    *,
-    bound: float = inf,
-) -> float:
-    """Obstructed distance between graph nodes ``p`` and ``q``.
-
-    ``graph`` is grown in place (paper: the graph is reused across the
-    distance computations of one query).  Returns ``inf`` when ``p`` or
-    ``q`` is sealed off by obstacles.
-
-    ``bound`` enables threshold pruning: the local-graph distance is
-    the shortest path avoiding all *known* obstacles, hence a lower
-    bound on the true obstructed distance, so once it exceeds ``bound``
-    the exact value cannot matter to a caller that discards results
-    beyond ``bound`` — iteration stops and the (possibly inexact,
-    always >= true-value-capped-at-bound) distance is returned.
-    """
-    d = shortest_path_dist(graph, p, q)
-    while True:
-        if d > bound:
-            return d
-        if not graph.add_obstacles(source.obstacles_in_range(q, d)):
-            return d
-        d = shortest_path_dist(graph, p, q)
 
 
 class SourceDistanceField:
@@ -120,8 +92,9 @@ class SourceDistanceField:
         """The obstructed distance from the source to ``p`` (Fig. 8).
 
         With a finite ``bound``, iteration stops as soon as the
-        provisional lower bound exceeds it (see
-        :func:`compute_obstructed_distance`).
+        provisional lower bound exceeds it: the distance over the known
+        obstacles is a lower bound on the true one, so a caller that
+        discards results beyond ``bound`` cannot tell the difference.
         """
         if self._grow is not None:
             # Revalidate a runtime-managed graph before evaluating: a

@@ -70,6 +70,7 @@ from repro.runtime.context import QueryContext
 from repro.runtime.metric import ObstructedMetric
 from repro.runtime.policy import CachePolicy
 from repro.runtime.stats import RuntimeStats
+from repro.visibility.csr import frozen
 from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
 
 ObstacleLike = Obstacle | Polygon | Rect
@@ -857,12 +858,12 @@ class ObstacleDatabase:
 
         The distance is computed first (Fig. 8); every obstacle that can
         touch a path of that length lies within the disk of that radius
-        around ``b``, so the route extracted from the corresponding
-        local graph is a true shortest path.  Returns ``(inf, [])``
-        when no path exists.
+        around ``b``, so the route read back off the cached graph
+        serving ``b`` (:meth:`~repro.visibility.csr.CSRGraph.route`) is
+        a true shortest path.  A read: the cached graph, its freeze and
+        its memos stay as they are.  Returns ``(inf, [])`` when no path
+        exists.
         """
-        from repro.visibility.shortest_path import shortest_path
-
         start = self._coerce_point(a)
         end = self._coerce_point(b)
         if start == end:
@@ -870,16 +871,11 @@ class ObstacleDatabase:
         d = self.obstructed_distance(start, end)
         if d == inf:
             return inf, []
-        # The cached graph serving `end` already covers radius d around
-        # it; a route needs both endpoints as nodes, so whichever is
-        # not one becomes a transient entity for the extraction.
         graph = self.context.entry_for(end, d).graph
-        added = [p for p in (start, end) if graph.add_entity(p)]
-        try:
-            return shortest_path(graph, start, end)
-        finally:
-            for p in added:
-                graph.delete_entity(p)
+        csr = frozen(graph, stats=self.context.stats)
+        if csr.direct_leg(start, end, graph) == d:
+            return d, [start, end]
+        return d, csr.route(start, end, graph)
 
     # ---------------------------------------------------------------- stats
     def metrics(self) -> MetricsRegistry:

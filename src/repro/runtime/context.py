@@ -46,10 +46,8 @@ from repro.visibility.csr import CSRGraph, frozen
 from repro.visibility.graph import VisibilityGraph
 from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
 
-# Unused here: benchmarks/e2e/e2e_trace.py wraps this module attribute
-# by name (a `visibility.dijkstra` wrap point).  The next [benchmark]
-# PR drops that wrap point and this import with it.
-from repro.visibility.shortest_path import shortest_path_dist  # noqa: F401
+# benchmarks/e2e/e2e_trace.py wraps this name (a `visibility.dijkstra` wrap point).
+shortest_path_dist = None
 
 
 #: Above this node count an in-place delete-repair costs more than the

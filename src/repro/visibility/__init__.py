@@ -25,12 +25,6 @@ from repro.visibility.kernel.backend import (
 )
 from repro.visibility.naive import is_visible, naive_visible_from
 from repro.visibility.ordering import event_angle, event_sort_key, sort_events
-from repro.visibility.shortest_path import (
-    bounded_dijkstra,
-    dijkstra,
-    shortest_path,
-    shortest_path_dist,
-)
 from repro.visibility.sweep import visible_from
 
 __all__ = [
@@ -46,8 +40,4 @@ __all__ = [
     "resolve_backend",
     "sort_events",
     "visible_from",
-    "dijkstra",
-    "bounded_dijkstra",
-    "shortest_path",
-    "shortest_path_dist",
 ]

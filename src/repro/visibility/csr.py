@@ -19,7 +19,9 @@ expression over the nodes a sweep reports ``p`` sees
 on this freeze reads the source's memoized field instead and finds its
 fresh goal's last leg without a sweep (:meth:`CSRGraph.probe_last_leg`:
 nodes in ascending order of ``d[v] + |p - v|``, each tested with the
-exact oracle until one is visible).
+exact oracle until one is visible).  A route is read back off a
+memoized field (:meth:`CSRGraph.route`), so :meth:`CSRGraph.dijkstra`
+is the one shortest-path search there is.
 
 A :class:`CSRGraph` describes exactly one structure revision: callers
 take it from :func:`frozen` each time the live graph may have moved,
@@ -27,8 +29,9 @@ so every node its graph's sweeps report has a frozen id.
 
 Parity contract: edge weights are copied verbatim from the live
 adjacency and relaxations use the same float64 ``d + w`` arithmetic,
-so settled distances are bit-identical to
-:func:`repro.visibility.shortest_path.dijkstra` — the heap order may
+so settled distances are bit-identical to a plain binary-heap Dijkstra
+over the dict adjacency — the test suite's independent oracle,
+``tests/reference_field.py::reference_dijkstra``.  The heap order may
 differ on ties, but the settled *values* are the same minimum over the
 same relaxation set.
 """
@@ -165,8 +168,9 @@ class CSRGraph:
         a straight leg of that length (a virtual source wired to the
         seeds).
 
-        Same early-exit semantics as
-        :func:`repro.visibility.shortest_path.dijkstra`: expansion
+        Settled values are bit-identical to the dict-adjacency oracle
+        ``tests/reference_field.py::reference_dijkstra``, with the same
+        early exits: expansion
         stops beyond ``bound`` (nodes at exactly ``bound`` settle) and,
         with ``targets``, as soon as every target id is settled or
         proven unreachable within the bound.  ``legs`` (parallel to
@@ -355,6 +359,40 @@ class CSRGraph:
             if is_visible(p, self.points[i], obstacles):
                 return bound
         return None if len(total) > LAST_LEG_PROBES else inf
+
+    def route(self, p: Point, q: Point, graph: "VisibilityGraph") -> list[Point]:
+        """One shortest route from ``p`` to ``q`` through the graph,
+        read back off ``p``'s memoized :meth:`field` — nothing is
+        inserted, so the graph and this freeze stay as they are.
+
+        The last turn is the anchor of ``q`` with the least ``field +
+        leg``; from there the walk steps back over tight edges
+        (``field[u] + w == field[v]`` and ``field[u] < field[v]``; the
+        ``==`` is exact because ``field[v]`` is that very float sum)
+        until it reaches a seed of ``p`` whose leg is its field value.
+        Ties go to the least field — the node a heap pops first, so the
+        route is the one a Dijkstra with parent pointers from ``p``
+        inserted would record.  The pair must be connected through the
+        graph (``p`` and ``q`` need not be nodes)."""
+        field = self.field(p, graph)
+        seeds, seed_legs = self.anchors_for(p, graph)
+        start = dict(zip(seeds.tolist(), seed_legs.tolist()))
+        ids, legs = self.anchors_for(q, graph)
+        totals = field[ids] + legs
+        tied = ids[totals == totals.min()]
+        v = int(tied[np.argmin(field[tied])])
+        path = [q, self.points[v]] if self.points[v] != q else [q]
+        while start.get(v) != field[v]:
+            lo, hi = self.indptr[v], self.indptr[v + 1]
+            nbrs = self.indices[lo:hi]
+            back = field[nbrs]
+            tight = nbrs[(back + self.weights[lo:hi] == field[v]) & (back < field[v])]
+            v = int(tight[np.argmin(field[tight])])
+            path.append(self.points[v])
+        if path[-1] != p:
+            path.append(p)
+        path.reverse()
+        return path
 
     def direct_leg(
         self, p: Point, q: Point, graph: "VisibilityGraph"

@@ -9,7 +9,8 @@ import pytest
 from repro.geometry import Point, Polygon, Rect
 from repro.index import RStarTree
 from repro.model import Obstacle
-from repro.visibility import VisibilityGraph, shortest_path_dist
+from repro.visibility import VisibilityGraph
+from tests.reference_field import graph_distance
 
 
 def rect_obstacle(oid: int, x0: float, y0: float, x1: float, y1: float) -> Obstacle:
@@ -60,7 +61,7 @@ def random_free_points(
 def oracle_distance(a: Point, b: Point, obstacles: list[Obstacle]) -> float:
     """Ground-truth obstructed distance via a *global* visibility graph."""
     graph = VisibilityGraph.build([a, b], obstacles)
-    return shortest_path_dist(graph, a, b)
+    return graph_distance(graph, a, b)
 
 
 def small_tree(points: list[Point], *, max_entries: int = 8) -> RStarTree:

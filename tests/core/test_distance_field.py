@@ -5,12 +5,10 @@ import random
 
 import pytest
 
-from repro.core.distance import (
-    SourceDistanceField,
-    compute_obstructed_distance,
-)
+from repro.core.distance import SourceDistanceField
 from repro.core.source import build_obstacle_index
 from repro.geometry import Point
+from repro.runtime.context import QueryContext
 from repro.visibility import VisibilityGraph
 from tests.conftest import (
     oracle_distance,
@@ -134,16 +132,14 @@ class TestBoundedCompute:
         wall = rect_obstacle(0, 4, -10, 6, 10)
         idx = _index([wall])
         q, p = Point(0, 0), Point(10, 0)
-        g = VisibilityGraph.build([q, p], [wall])
-        d = compute_obstructed_distance(g, p, q, idx, bound=5.0)
+        d = QueryContext(idx).distance(p, q, bound=5.0)
         assert d > 5.0
 
     def test_unbounded_still_exact(self):
         wall = rect_obstacle(0, 4, -10, 6, 10)
         idx = _index([wall])
         q, p = Point(0, 0), Point(10, 0)
-        g = VisibilityGraph.build([q, p], [wall])
-        d = compute_obstructed_distance(g, p, q, idx)
+        d = QueryContext(idx).distance(p, q)
         assert d == pytest.approx(oracle_distance(q, p, [wall]))
 
 

@@ -9,8 +9,7 @@ import math
 
 import pytest
 
-from repro import ObstacleDatabase, Point, Rect, VisibilityGraph, shortest_path
-from tests.conftest import rect_obstacle
+from repro import ObstacleDatabase, Point, Rect
 
 
 class TestSingleWallDetour:
@@ -34,10 +33,7 @@ class TestSingleWallDetour:
         )
 
     def test_path_goes_around_wall_end(self):
-        g = VisibilityGraph.build(
-            [self.Q, self.P], [rect_obstacle(0, 4, -10, 6, 10)]
-        )
-        d, path = shortest_path(g, self.Q, self.P)
+        d, path = self._db().shortest_path(self.Q, self.P)
         assert len(path) == 4
         ys = {abs(p.y) for p in path[1:3]}
         assert ys == {10.0}  # both bends at wall-end corners

@@ -19,10 +19,7 @@ import pytest
 
 from repro import ObstacleDatabase, Point, Rect
 from repro.core.continuous import PathNearestNeighbor
-from repro.core.distance import (
-    SourceDistanceField,
-    compute_obstructed_distance,
-)
+from repro.core.distance import SourceDistanceField
 from repro.core.source import build_obstacle_index
 from repro.obs import TRACER
 from repro.runtime.context import QueryContext
@@ -33,7 +30,7 @@ from tests.conftest import (
     random_free_points,
     rect_obstacle,
 )
-from tests.reference_field import ReferenceField
+from tests.reference_field import ReferenceField, reference_distance
 
 BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
 
@@ -231,7 +228,7 @@ def test_warm_equals_cold_equals_reference(backend, snap, policy, seed):
             [q], index.obstacles_in_range(q, p.distance(q)), method=backend
         )
         graph.add_entity(p)
-        assert d == compute_obstructed_distance(graph, p, q, index)
+        assert d == reference_distance(graph, p, q, index)
     assert got["distance"][len(pairs) - 1] == inf  # into the inserted obstacle
 
 
@@ -390,7 +387,7 @@ class TestBoundPruning:
                 )
                 graph.add_entity(p)
                 assert db.context.distance(p, q, bound=bound) == (
-                    compute_obstructed_distance(graph, p, q, index, bound=bound)
+                    reference_distance(graph, p, q, index, bound=bound)
                 )
 
 

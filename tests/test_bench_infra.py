@@ -47,6 +47,41 @@ class TestScaling:
         assert scaled_join_range(0.0001) < scaled_join_range(0.001)
 
 
+class TestE2ETraceContract:
+    """The end-to-end benchmark's traced pass wraps production names by
+    (owner, attribute): every one must still resolve, and tracing must
+    come off again without a trace."""
+
+    def test_wrap_points_resolve_and_install_round_trips(self):
+        import repro.serve.pool
+        from benchmarks.e2e import e2e_trace
+
+        points = [(owner, attr) for owner, attr, __, __ in e2e_trace.WRAP_POINTS]
+        points.append((repro.serve.pool, "_evaluate"))
+        for owner, attr in points:
+            if isinstance(owner, type):
+                # Wrapped in place: defined on the class itself.
+                assert attr in owner.__dict__, (owner.__name__, attr)
+            else:
+                assert hasattr(owner, attr), (owner.__name__, attr)
+
+        def raw():
+            return [
+                owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+                for owner, attr in points
+            ]
+
+        before = raw()
+        e2e_trace.install()
+        try:
+            assert e2e_trace.installed()
+            assert all(a is not b for a, b in zip(raw(), before))
+        finally:
+            e2e_trace.uninstall()
+        assert not e2e_trace.installed()
+        assert all(a is b for a, b in zip(raw(), before))
+
+
 class TestQueriesFor:
     def test_cost_classes_monotone(self):
         assert queries_for(1) >= queries_for(2) >= queries_for(4)

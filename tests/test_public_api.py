@@ -34,7 +34,6 @@ class TestAllExports:
             "obstacle_distance_join",
             "obstacle_closest_pairs",
             "obstacle_semijoin",
-            "compute_obstructed_distance",
             "RStarTree",
             "VisibilityGraph",
         ):
@@ -49,11 +48,21 @@ class TestAllExports:
         not kept: one name for one thing (CHANGES.md "Removed")."""
         import repro.core.range
         import repro.runtime
+        import repro.visibility
 
         assert not hasattr(repro, "ObstructedDistanceComputer")
         assert not hasattr(repro.core, "ObstructedDistanceComputer")
         assert not hasattr(repro.runtime, "bounded_expansion")
         assert not hasattr(repro.core.range, "expand_within_range")
+        for name in (
+            "compute_obstructed_distance",
+            "shortest_path",
+            "shortest_path_dist",
+        ):
+            assert not hasattr(repro, name), name
+        assert not hasattr(repro.core, "compute_obstructed_distance")
+        for name in ("dijkstra", "bounded_dijkstra", "shortest_path"):
+            assert not hasattr(repro.visibility, name), name
 
 
 class TestPersistenceSurface:

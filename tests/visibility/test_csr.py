@@ -1,7 +1,9 @@
 """Frozen CSR views: freeze correctness and bit-parity of the
 int-indexed Dijkstra — rooted at a node or at seeds — against the
-dict-path oracle, and of the probed last leg against the swept one."""
+dict-adjacency oracle ``reference_dijkstra``, its early exits and heap
+traffic, and the probed last leg against the swept one."""
 
+import heapq
 import math
 
 import numpy as np
@@ -11,10 +13,11 @@ from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.model import Obstacle
-from repro.visibility import VisibilityGraph, bounded_dijkstra, dijkstra
+from repro.visibility import VisibilityGraph
 from repro.visibility import csr as csr_module
 from repro.visibility.csr import CSRGraph, frozen
 from tests.conftest import rect_obstacle
+from tests.reference_field import reference_dijkstra
 from tests.strategies import disjoint_rect_obstacles, free_points
 from tests.visibility.test_exact import endpoints, lattice_rects
 
@@ -74,7 +77,7 @@ class TestDijkstraParity:
         g = _grid_graph(seed=seed)
         csr = CSRGraph.freeze(g)
         source = csr.points[0]
-        oracle = dijkstra(g, source)
+        oracle = reference_dijkstra(g, source)
         dist, settled = csr.dijkstra(csr.index[source])
         for p in csr.points:
             i = csr.index[p]
@@ -90,9 +93,9 @@ class TestDijkstraParity:
         g = _grid_graph(seed=seed)
         csr = CSRGraph.freeze(g)
         source = csr.points[0]
-        full = dijkstra(g, source)
+        full = reference_dijkstra(g, source)
         bound = float(np.median([d for d in full.values() if d < math.inf]))
-        oracle = bounded_dijkstra(g, source, bound)
+        oracle = reference_dijkstra(g, source, bound=bound)
         dist, settled = csr.dijkstra(csr.index[source], bound=bound)
         got = {
             csr.points[i]: float(dist[i])
@@ -105,7 +108,7 @@ class TestDijkstraParity:
         g = _grid_graph(seed=4)
         csr = CSRGraph.freeze(g)
         source = csr.points[0]
-        oracle = dijkstra(g, source)
+        oracle = reference_dijkstra(g, source)
         reachable = [p for p in csr.points[1:] if p in oracle]
         target = max(reachable, key=oracle.__getitem__)
         near = min(reachable, key=oracle.__getitem__)
@@ -141,7 +144,7 @@ class TestDijkstraParity:
         dist = csr.field(root, g)
         assert g.structure_revision == revision and frozen(g) is csr
         g.add_entity(root)
-        oracle = dijkstra(g, root)
+        oracle = reference_dijkstra(g, root)
         for i, p in enumerate(csr.points):
             assert dist[i] == oracle.get(p, math.inf)  # bitwise
 
@@ -176,17 +179,17 @@ class TestSeededDijkstraParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_full_expansion_bit_identical(self, seed):
         g, csr, seeds, virtual = self._setup(seed)
-        oracle = dijkstra(g, virtual)
+        oracle = reference_dijkstra(g, virtual)
         del oracle[virtual]
         assert self._settled(csr, *csr.dijkstra(seeds)) == oracle
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bound_includes_nodes_at_exactly_the_bound(self, seed):
         g, csr, seeds, virtual = self._setup(seed)
-        full = dijkstra(g, virtual)
+        full = reference_dijkstra(g, virtual)
         del full[virtual]
         bound = sorted(full.values())[len(full) // 2]
-        oracle = bounded_dijkstra(g, virtual, bound)
+        oracle = reference_dijkstra(g, virtual, bound=bound)
         del oracle[virtual]
         dist, settled = csr.dijkstra(seeds, bound=bound)
         got = self._settled(csr, dist, settled)
@@ -197,11 +200,11 @@ class TestSeededDijkstraParity:
     @pytest.mark.parametrize("seed", range(5))
     def test_targets_early_exit(self, seed):
         g, csr, seeds, virtual = self._setup(seed)
-        full = dijkstra(g, virtual)
+        full = reference_dijkstra(g, virtual)
         near = sorted(
             (p for p in full if p != virtual), key=full.__getitem__
         )[:3]
-        oracle = dijkstra(g, virtual, targets=near)
+        oracle = reference_dijkstra(g, virtual, targets=near)
         dist, settled = csr.dijkstra(
             seeds, targets=[csr.index[p] for p in near]
         )
@@ -239,6 +242,78 @@ class TestSeededDijkstraParity:
         a, sa = csr.dijkstra(3)
         b, sb = csr.dijkstra([(3, 0.0)])
         assert (a == b).all() and (sa == sb).all()
+
+
+def _chain(n):
+    """``n`` collinear integer points and no obstacles: a complete
+    graph where node ``i`` sits at exactly distance ``i`` from node 0
+    (every relaxation ``i + (j - i)`` is exact)."""
+    return CSRGraph.freeze(
+        VisibilityGraph.build([Point(float(i), 0.0) for i in range(n)], [])
+    )
+
+
+class TestDijkstraEdgeCases:
+    def test_bound_includes_a_node_at_exactly_the_bound(self):
+        csr = _chain(8)
+        dist, settled = csr.dijkstra(0, bound=5.0)
+        assert dist[5] == 5.0 and settled[5]
+        assert not settled[6:].any() and math.isinf(dist[6])
+
+    def test_a_settled_target_stops_the_chain(self):
+        csr = _chain(30)
+        dist, settled = csr.dijkstra(0, targets=[1])
+        assert dist[1] == 1.0
+        assert settled.sum() < csr.node_count
+
+    def test_sealed_target_terminates(self):
+        """A target in a separate component: the heap drains and the
+        call returns (no bound needed to terminate)."""
+        walls = [
+            rect_obstacle(0, -10, -10, 10, -7),
+            rect_obstacle(1, -10, 7, 10, 10),
+            rect_obstacle(2, -10, -9, -7, 9),
+            rect_obstacle(3, 7, -9, 10, 9),
+        ]
+        a, b = Point(0, 0), Point(50, 50)
+        csr = CSRGraph.freeze(VisibilityGraph.build([a, b], walls, method="naive"))
+        dist, settled = csr.dijkstra(csr.index[a], targets=[csr.index[b]])
+        assert not settled[csr.index[b]] and math.isinf(dist[csr.index[b]])
+
+    def test_unknown_source_settles_nothing(self):
+        """A point that sees no node (here, one inside an obstacle)
+        roots a search without seeds."""
+        g = VisibilityGraph.build([Point(0, 0)], [rect_obstacle(0, 4, 4, 6, 6)])
+        csr = frozen(g)
+        ids, __ = csr.anchors_for(Point(5, 5), g)
+        assert len(ids) == 0
+        dist, settled = csr.dijkstra([])
+        assert not settled.any() and np.isinf(dist).all()
+        assert np.isinf(csr.field(Point(5, 5), g)).all()
+
+    def test_dense_graph_pops_once_per_node(self, monkeypatch):
+        """The stale-pop / dominated-push guard: on the complete chain
+        graph the heap pops one entry per node, not one per
+        relaxation (~n^2/2 = 800 here)."""
+        n = 40
+        csr = _chain(n)
+        counts = {"pops": 0, "pushes": 0}
+
+        def heappop(heap):
+            counts["pops"] += 1
+            return heapq.heappop(heap)
+
+        def heappush(heap, item):
+            counts["pushes"] += 1
+            return heapq.heappush(heap, item)
+
+        monkeypatch.setattr(csr_module, "heappop", heappop)
+        monkeypatch.setattr(csr_module, "heappush", heappush)
+        dist, settled = csr.dijkstra(0)
+        assert settled.all() and dist.tolist() == [float(i) for i in range(n)]
+        assert counts["pops"] == n
+        # The source enters via the initial heap literal.
+        assert counts["pushes"] == n - 1
 
 
 #: Wider than any graph here: every node may be tested.

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from repro.geometry import Point
 from repro.model import Obstacle
 from repro.visibility import VisibilityGraph
-from repro.visibility.shortest_path import shortest_path_dist
 from tests.conftest import random_disjoint_rects, random_free_points
+from tests.reference_field import graph_distance
 
 BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
 
@@ -64,7 +64,7 @@ class TestRepairEqualsRebuild:
         rebuilt = VisibilityGraph.build(points, survivors, method=backend)
         for a in points[:2]:
             for b in points[2:]:
-                assert shortest_path_dist(graph, a, b) == shortest_path_dist(
+                assert graph_distance(graph, a, b) == graph_distance(
                     rebuilt, a, b
                 )
 

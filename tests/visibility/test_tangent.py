@@ -8,9 +8,10 @@ import pytest
 from repro.errors import GeometryError
 from repro.geometry import Point, Polygon
 from repro.model import Obstacle
-from repro.visibility import VisibilityGraph, shortest_path_dist
+from repro.visibility import VisibilityGraph
 from repro.visibility.tangent import is_tangent_at, prune_to_tangent
 from tests.conftest import random_disjoint_rects, random_free_points, rect_obstacle
+from tests.reference_field import graph_distance
 
 
 class TestIsTangentAt:
@@ -63,8 +64,8 @@ class TestPruneToTangent:
         assert pruned.edge_count + removed == full.edge_count
         for a in points[:3]:
             for b in points[3:]:
-                d_full = shortest_path_dist(full, a, b)
-                d_pruned = shortest_path_dist(pruned, a, b)
+                d_full = graph_distance(full, a, b)
+                d_pruned = graph_distance(pruned, a, b)
                 assert d_pruned == pytest.approx(d_full), (a, b)
 
     def test_boundary_edges_survive(self):
@@ -97,7 +98,7 @@ class TestPruneToTangent:
         full = VisibilityGraph.build([a, b], [hexagon])
         pruned = VisibilityGraph.build([a, b], [hexagon])
         prune_to_tangent(pruned)
-        assert shortest_path_dist(pruned, a, b) == pytest.approx(
-            shortest_path_dist(full, a, b)
+        assert graph_distance(pruned, a, b) == pytest.approx(
+            graph_distance(full, a, b)
         )
-        assert shortest_path_dist(pruned, a, b) > 20.0
+        assert graph_distance(pruned, a, b) > 20.0

@@ -51,7 +51,7 @@ from benchmarks.common import (
     serve_mutation_schedule,
     serve_warm_start_builds,
 )
-from repro.runtime.executor import fork_available
+from repro.serve.pool import fork_available
 
 #: Obstacle cardinality: enough graph work per step to dominate
 #: dispatch overhead, small enough to keep fork-per-batch in seconds.

@@ -34,7 +34,7 @@ from benchmarks.common import (
     parallel_speedup_target,
     run_batch_nearest,
 )
-from repro.runtime.executor import fork_available
+from repro.serve.pool import fork_available
 
 #: The paper's workload size (Sec. 7: 200 queries per workload).
 BATCH_QUERIES = 200

@@ -23,13 +23,16 @@ Every mutation (:meth:`insert_obstacle`, :meth:`delete_obstacle`,
 write path, ``_commit``: journal, apply (cached graphs are repaired
 in place), announce, compaction check.  Batch entry points
 (:meth:`batch_nearest`, :meth:`batch_range`, :meth:`batch_distance`)
-amortize the context across whole workloads, and fan out over a worker
-pool when asked (``workers=``) — either a per-batch fork pool or, with
+are one command each for :mod:`repro.runtime.batch`: they amortize the
+context across whole workloads, and fan out over worker processes
+when asked (``workers=``) — either a forked child per chunk or, with
 ``pool="persistent"``, the long-lived snapshot-warm-started
 :meth:`serving_pool` (shut down via :meth:`close` or the context
-manager).  Obstacle storage is either one monolithic R*-tree per set
-or, with ``shards=N``, a spatially sharded store whose mutations reach
-cached graphs per shard.
+manager); both run the same worker body.  Adding a dataset is
+announced on the same feed as every record.  Obstacle storage is
+either one monolithic R*-tree per set or, with ``shards=N``, a
+spatially sharded store whose mutations reach cached graphs per
+shard.
 """
 
 from __future__ import annotations
@@ -65,9 +68,8 @@ from repro.persist.journal import (
     entity_record,
     obstacle_record,
 )
-from repro.runtime.batch import batch_distance, batch_nearest, batch_range
+from repro.runtime.batch import run_batch
 from repro.runtime.context import QueryContext
-from repro.runtime.metric import ObstructedMetric
 from repro.runtime.policy import CachePolicy
 from repro.runtime.stats import RuntimeStats
 from repro.visibility.csr import frozen
@@ -205,7 +207,8 @@ class ObstacleDatabase:
         self._serving_pool = None
         self._metrics: MetricsRegistry | None = None
         self._journal = None
-        self._feed = _MutationFeed()  # (applied MutationRecord, before)
+        # (applied MutationRecord, before), or (None, scope) for a new dataset
+        self._feed = _MutationFeed()
 
     # ------------------------------------------------------------ datasets
     def add_obstacle_set(self, name: str, obstacles: Iterable[ObstacleLike]) -> None:
@@ -227,7 +230,7 @@ class ObstacleDatabase:
         else:
             self._obstacle_indexes[name] = build_obstacle_index(records, **kwargs)
         self._rebuild_context()
-        self._shape_changed()
+        self._shape_changed("obstacle")
 
     def add_entity_set(self, name: str, points: Iterable[PointLike]) -> None:
         """Register a named entity dataset (points of interest)."""
@@ -241,7 +244,7 @@ class ObstacleDatabase:
             for p, rect in items:
                 tree.insert(p, rect)
         self._entity_trees[name] = tree
-        self._shape_changed()
+        self._shape_changed("entity")
 
     def insert_entity(self, name: str, point: PointLike) -> None:
         """Insert one entity into an existing dataset."""
@@ -436,38 +439,21 @@ class ObstacleDatabase:
         self._serving_pool = PersistentWorkerPool(self, workers)
         return self._serving_pool
 
-    def _shape_changed(self) -> None:
-        """A dataset was added — a change no mutation record expresses.
-        The pool's workers are discarded (the next dispatch respawns
-        them from a fresh snapshot).  Records journaled before the
-        change would replay over a base snapshot missing the new set,
-        so an anchored journal folds at once (the rewritten base
-        includes the set) and an unanchored one — nothing recoverable
-        yet — is truncated."""
-        if self._serving_pool is not None:
-            self._serving_pool.invalidate()
+    def _shape_changed(self, scope: str) -> None:
+        """A dataset of ``scope`` (``"obstacle"`` or ``"entity"``) was
+        added — a change no mutation record expresses.  It is announced
+        on the feed as ``(None, scope)``: a pool discards its workers
+        (the next dispatch respawns them from a fresh snapshot), and a
+        hub re-evaluates every subscription for an obstacle set, which
+        may reach any of them; a new entity set is named by none.  Records
+        journaled before the change would replay over a base snapshot
+        missing the new set, so an anchored journal folds at once (the
+        rewritten base includes the set) and an unanchored one —
+        nothing recoverable yet — is truncated."""
+        self._feed.notify(None, scope)
         journal = self._journal
         if journal is not None:
             self.compact() if journal.base_path else journal.reset()
-
-    def _pool_for(self, pool: str | None, workers: int | None):
-        """The (pool, effective_workers) pair the batch methods route
-        through: the persistent pool when selected and parallel, else
-        ``None`` (per-batch fork pool or sequential).  The one place
-        the two arguments are validated; ``None`` means ``0`` workers
-        and the ``"fork"`` kind."""
-        count = 0 if workers is None else workers
-        kind = "fork" if pool is None else pool
-        if count < 0:
-            raise QueryError(f"worker count must be >= 0, got {count}")
-        if kind not in ("fork", "persistent"):
-            raise QueryError(
-                f"unknown batch pool kind {kind!r} (expected 'fork' or "
-                f"'persistent')"
-            )
-        if count >= 2 and kind == "persistent":
-            return self.serving_pool(count), count
-        return None, count
 
     def close(self) -> None:
         """Release serving resources (the persistent worker pool).
@@ -748,28 +734,15 @@ class ObstacleDatabase:
         Returns one result list per query point, in input order;
         duplicate query points are computed once.  ``workers``
         (``None`` or 0 = sequential through the shared context) fans
-        distinct points over a worker pool of private contexts, and
-        ``pool`` picks its kind: ``"fork"`` (``None``) forks per batch
-        — sequential where the platform cannot fork — and
+        distinct points over worker processes, and ``pool`` picks how
+        they start: ``"fork"`` (``None``) forks one child per chunk —
+        sequential where the platform cannot fork — and
         ``"persistent"`` reuses the warm :meth:`serving_pool`.  A
         mid-batch obstacle mutation raises :class:`DatasetError`
         instead of returning mixed-version answers.
         """
-        metric = ObstructedMetric(self.context)
         queries = [self._coerce_point(q) for q in qs]
-        pool_obj, count = self._pool_for(pool, workers)
-        with TRACER.span(
-            "query.batch_nearest", set=name, n=len(queries), workers=count
-        ):
-            return batch_nearest(
-                self.entity_tree(name),
-                metric,
-                queries,
-                k,
-                workers=count,
-                pool=pool_obj,
-                pool_command=("nearest", name, k, True),
-            )
+        return self._batch(("nearest", name, k), queries, workers, pool, set=name)
 
     def batch_range(
         self,
@@ -786,21 +759,8 @@ class ObstacleDatabase:
         duplicate query points are computed once.  ``workers`` and
         ``pool`` parallelize exactly as for :meth:`batch_nearest`.
         """
-        metric = ObstructedMetric(self.context)
         queries = [self._coerce_point(q) for q in qs]
-        pool_obj, count = self._pool_for(pool, workers)
-        with TRACER.span(
-            "query.batch_range", set=name, n=len(queries), workers=count
-        ):
-            return batch_range(
-                self.entity_tree(name),
-                metric,
-                queries,
-                e,
-                workers=count,
-                pool=pool_obj,
-                pool_command=("range", name, e),
-            )
+        return self._batch(("range", name, e), queries, workers, pool, set=name)
 
     def batch_distance(
         self,
@@ -815,13 +775,38 @@ class ObstacleDatabase:
         graph); duplicate pairs are computed once, and ``workers`` and
         ``pool`` parallelize exactly as for :meth:`batch_nearest`.
         """
-        metric = ObstructedMetric(self.context)
         coerced = [
             (self._coerce_point(a), self._coerce_point(b)) for a, b in pairs
         ]
-        pool_obj, count = self._pool_for(pool, workers)
-        with TRACER.span("query.batch_distance", n=len(coerced), workers=count):
-            return batch_distance(metric, coerced, workers=count, pool=pool_obj)
+        return self._batch(("distance",), coerced, workers, pool)
+
+    def _batch(
+        self,
+        command: tuple,
+        items: list,
+        workers: int | None,
+        pool: str | None,
+        **attrs,
+    ) -> list:
+        """The batch methods' one body: validate the arguments
+        (``None`` means ``0`` workers and the ``"fork"`` kind), fail on
+        an unknown entity set before any fan-out, and run the batch
+        (:func:`~repro.runtime.batch.run_batch`, which picks the
+        route)."""
+        count = 0 if workers is None else workers
+        if count < 0:
+            raise QueryError(f"worker count must be >= 0, got {count}")
+        if pool not in (None, "fork", "persistent"):
+            raise QueryError(
+                f"unknown batch pool kind {pool!r} (expected 'fork' or "
+                f"'persistent')"
+            )
+        if command[0] != "distance":
+            self.entity_tree(command[1])
+        with TRACER.span(
+            f"query.batch_{command[0]}", **attrs, n=len(items), workers=count
+        ):
+            return run_batch(self, command, items, workers=count, pool=pool)
 
     def path_nearest(
         self,

@@ -51,8 +51,8 @@ class Point:
     def __reduce__(self) -> tuple:
         # Default slot-based pickling would call ``__setattr__`` (which
         # raises for immutability); reconstruct through the constructor
-        # instead so points can cross process boundaries (the parallel
-        # batch executor ships query results between workers).
+        # instead so points can cross process boundaries (pool workers
+        # ship query results back to the parent).
         return (Point, (self.x, self.y))
 
     def __repr__(self) -> str:

@@ -65,20 +65,12 @@ class LRUBuffer:
     def access(self, page_id: int, store_pages: int) -> bool:
         """Touch a page; returns ``True`` on a buffer hit.
 
-        Sequentially deterministic; also safe under the thread-mode
-        batch executor, where several workers share one tree's buffer:
-        a page observed present can be evicted by another worker before
-        the LRU touch lands, which is absorbed as a miss-equivalent
-        re-admit instead of a ``KeyError`` (counters may then be
-        slightly off — parallel runs trade counter fidelity for
-        wall-clock, as documented in :mod:`repro.runtime.executor`).
+        Deterministic: one thread touches a buffer at a time (parallel
+        batches run in processes, each with its own copy of the tree).
         """
         if page_id in self._pages:
-            try:
-                self._pages.move_to_end(page_id)
-                return True
-            except KeyError:  # concurrently evicted mid-access
-                pass
+            self._pages.move_to_end(page_id)
+            return True
         self._pages[page_id] = None
         self._evict_to(self.capacity_for(store_pages))
         return False

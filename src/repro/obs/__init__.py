@@ -9,8 +9,8 @@ up in three disconnected systems (:class:`~repro.runtime.stats.RuntimeStats`,
 - :mod:`repro.obs.trace` — a low-overhead :class:`Tracer` producing
   nested span trees for individual queries, sampled via
   ``REPRO_TRACE_SAMPLE`` and free (a few attribute lookups) when off.
-  Worker-side spans ship back over the pool pipe protocol and the fork
-  executor's result tuples and graft into the parent trace.
+  Worker-side spans ship back in the pool's replies (forked or
+  persistent workers alike) and graft into the parent trace.
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, one labelled
   hierarchical snapshot over every counter the runtime, index and
   serve layers tick, exportable as JSON and Prometheus text format.

@@ -21,7 +21,7 @@ path allocates nothing.
 
 Cross-process traces
 --------------------
-Worker processes (the persistent pool, the fork executor) cannot share
+Worker processes (persistent or forked per batch) cannot share
 the parent's span stack.  They open a *detached* root via
 :meth:`Tracer.detached`, serialise it with :meth:`Span.to_dict`, ship
 the dict back inside their reply, and the parent grafts it into its

@@ -17,11 +17,10 @@ graph.  This package owns that machinery once, instead of per query:
   parameterizations;
 * :mod:`~repro.runtime.skeletons` — the generic best-first traversal
   and the shared bounded-Dijkstra expansion;
-* :mod:`~repro.runtime.batch` — batch entry points amortizing one
-  context across many query points;
-* :mod:`~repro.runtime.executor` — the parallel batch engine: a
-  per-batch forked worker pool (``workers=``) evaluating independent
-  query points over per-worker contexts;
+* :mod:`~repro.runtime.batch` — the batch command vocabulary, decoded
+  in one function, and the route that dedupes a batch, guards its
+  obstacle version and runs it sequentially or over the worker pool
+  of :mod:`repro.serve.pool` (forked per batch, or persistent);
 * :mod:`~repro.runtime.sharding` — the spatial shard grid and the
   per-shard version stamps backing
   :class:`~repro.core.source.ShardedObstacleIndex`;
@@ -31,10 +30,8 @@ graph.  This package owns that machinery once, instead of per query:
   centre stream (``cache_policy="adaptive"``).
 """
 
-from repro.runtime.batch import batch_distance, batch_nearest, batch_range
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.runtime.context import QueryContext
-from repro.runtime.executor import BatchExecutor
 from repro.runtime.metric import (
     DistanceField,
     DistanceOracle,
@@ -84,10 +81,6 @@ __all__ = [
     "metric_closest_pairs",
     "iter_metric_closest_pairs",
     "metric_semijoin",
-    "batch_nearest",
-    "batch_range",
-    "batch_distance",
-    "BatchExecutor",
     "ShardGrid",
     "ShardVersionStamp",
     "best_first",

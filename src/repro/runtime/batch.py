@@ -1,99 +1,97 @@
-"""Batch query execution: one shared context, or a parallel worker pool.
+"""Batch query execution: one command vocabulary, three routes.
 
 A workload of many query points against the same datasets is the
 common production shape (the paper's experiments run 200-query
-workloads).  Sequentially, executing them through one
-:class:`~repro.runtime.context.QueryContext` amortizes the runtime
-state: R-tree buffers stay warm, visibility graphs persist in the LRU
-cache across queries, and *repeated* query points — ubiquitous in real
-traffic — are answered from a per-batch memo without touching the
-trees at all.
+workloads).  A batch is a *command* and a list of items:
 
-Because query points are independent given a frozen obstacle version,
-batches also parallelize: with ``workers >= 2`` the distinct query
-points are fanned out over a
-:class:`~repro.runtime.executor.BatchExecutor` worker pool forked for
-the batch — one private context per worker, per-worker stats merged on
-join, result order preserved, and the duplicate-point memo applied up
-front (each distinct point is evaluated exactly once in either path).
-Where the platform cannot fork, the batch runs sequentially.
+* ``("nearest", set_name, k)`` over query points,
+* ``("range", set_name, e)`` over query points,
+* ``("distance",)`` over ``(a, b)`` point pairs
 
-Every batch snapshots the obstacle version on entry and verifies it
-before returning: a mid-batch obstacle mutation raises
-:class:`~repro.errors.DatasetError` instead of silently returning
-answers computed against a mix of obstacle versions.
+— the key :class:`~repro.serve.server.QueryServer` coalesces requests
+on.  :func:`evaluate` is the one place a command is decoded; every
+route runs it.  :func:`run_batch` dedupes the items (each distinct one
+is evaluated once, the rest booked as ``batch_memo_hits``), routes the
+distinct ones and guards the obstacle version:
 
-The batch functions take a :class:`~repro.runtime.metric.DistanceOracle`
-so the same entry points serve Euclidean and obstructed execution;
-:class:`~repro.core.engine.ObstacleDatabase` exposes them as
-``batch_nearest`` / ``batch_range`` / ``batch_distance``.
+* **sequential** (``workers`` < 2, or one distinct item) — through the
+  database's shared context: warm R-tree buffers and graph cache;
+* **fork** — one forked child per chunk, which inherits the database
+  in memory (:func:`repro.serve.pool.fork_batch`); sequential where
+  the platform cannot fork;
+* **persistent** — the long-lived snapshot-warm-started
+  :class:`~repro.serve.pool.PersistentWorkerPool`
+  (``db.serving_pool(workers)``, created on the first batch that fans
+  out).
+
+The two parallel routes share one worker body, one reply and one
+collect loop (:mod:`repro.serve.pool`).  Every batch snapshots the
+obstacle version on entry and verifies it before returning: a
+mid-batch obstacle mutation raises :class:`~repro.errors.DatasetError`
+instead of silently returning answers computed against a mix of
+obstacle versions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
-from repro.errors import DatasetError
-from repro.geometry.point import Point
-from repro.index.rstar import RStarTree
-from repro.runtime.executor import BatchExecutor, fork_available
-from repro.runtime.metric import DistanceOracle
+from repro.errors import DatasetError, QueryError
+from repro.runtime.metric import ObstructedMetric
 from repro.runtime.queries import metric_nearest, metric_range
 
-Q = TypeVar("Q")
-R = TypeVar("R")
+
+def evaluate(db, command: tuple, items: Sequence) -> list:
+    """One answer per item of ``items`` under ``command``, through
+    ``db``'s shared context and the per-point query skeletons — the
+    same call in the parent and in every worker, which is what makes
+    every route's answers bit-identical."""
+    metric = ObstructedMetric(db.context)
+    kind = command[0]
+    if kind == "distance":
+        return [metric.distance(a, b) for a, b in items]
+    if kind == "nearest":
+        __, set_name, k = command
+        tree = db.entity_tree(set_name)
+        return [list(metric_nearest(tree, metric, q, k)) for q in items]
+    if kind == "range":
+        __, set_name, e = command
+        tree = db.entity_tree(set_name)
+        return [list(metric_range(tree, metric, q, e)) for q in items]
+    raise QueryError(f"unknown batch command {kind!r}")
 
 
-def _run_batch(
-    metric: DistanceOracle,
-    queries: Iterable[Q],
-    evaluate: Callable[[DistanceOracle, Q], R],
-    *,
-    workers: int,
-    tree: RStarTree | None = None,
-    pool=None,
-    pool_command: tuple | None = None,
-) -> list[R]:
-    """Shared batch skeleton: dedupe, guard, dispatch, reassemble.
+def run_batch(
+    db, command: tuple, items: Sequence, *, workers: int, pool: str | None
+) -> list:
+    """``evaluate(db, command, items)``, deduplicated, routed and
+    version-guarded (see the module docstring) — the one place a route
+    is chosen.  ``pool`` is ``"persistent"`` (``db.serving_pool``) or
+    anything else for fork per batch; either engages only from
+    ``workers >= 2`` and two distinct items."""
+    from repro.serve.pool import fork_available, fork_batch  # imports this module
 
-    Duplicate queries (points, or point pairs) are evaluated once and
-    fanned back out to every occurrence (booked as
-    ``batch_memo_hits``); distinct ones run either through the
-    caller's shared metric (sequential), a per-batch forked pool of
-    spawned metrics, or — when the caller hands in a
-    :class:`~repro.serve.pool.PersistentWorkerPool` with the matching
-    ``pool_command`` — the long-lived warm worker pool.
-    ``tree`` names the entity tree whose fork-worker page counters
-    must be merged back.
-    """
-    queries = list(queries)
-    context = getattr(metric, "context", None)
-    stats = getattr(context, "stats", None)
-    version = context.version if context is not None else None
-    # The distinct queries in first-occurrence order, and each one's slot.
+    context = db.context
+    stats = context.stats
+    version = context.version
+    # The distinct items in first-occurrence order, and each one's slot.
     order: dict = {}
-    for q in queries:
-        order.setdefault(q, len(order))
+    for item in items:
+        order.setdefault(item, len(order))
     distinct = list(order)
-    if stats is not None:
-        stats.batch_memo_hits += len(queries) - len(distinct)
+    stats.batch_memo_hits += len(items) - len(distinct)
 
     fan_out = workers > 1 and len(distinct) > 1
-    if fan_out and pool is not None:
-        evaluated = pool.run_batch(pool_command, distinct)
-        if stats is not None:
-            stats.parallel_batches += 1
-            stats.pool_batches += 1
-    elif fan_out and hasattr(metric, "spawn") and fork_available():
-        trees = [tree] if tree is not None else None
-        evaluated = BatchExecutor(workers).run(
-            metric, distinct, evaluate, stats=stats, trees=trees
-        )
-        if stats is not None:
-            stats.parallel_batches += 1
+    if fan_out and pool == "persistent":
+        evaluated = db.serving_pool(workers).run_batch(command, distinct)
+        stats.parallel_batches += 1
+        stats.pool_batches += 1
+    elif fan_out and fork_available():
+        evaluated = fork_batch(db, command, distinct, workers)
+        stats.parallel_batches += 1
     else:
-        evaluated = [evaluate(metric, q) for q in distinct]
-    if context is not None and context.version != version:
+        evaluated = evaluate(db, command, distinct)
+    if context.version != version:
         # Results computed so far span two obstacle sets and must not
         # be returned as one batch.
         raise DatasetError(
@@ -102,102 +100,7 @@ def _run_batch(
             "answers span two obstacle versions — re-run the batch "
             "after quiescing updates"
         )
-    return [evaluated[order[q]] for q in queries]
-
-
-def batch_nearest(
-    tree: RStarTree,
-    metric: DistanceOracle,
-    queries: Iterable[Point],
-    k: int = 1,
-    *,
-    prune_bound: bool = True,
-    workers: int = 0,
-    pool=None,
-    pool_command: tuple | None = None,
-) -> list[list[tuple[Point, float]]]:
-    """One k-NN result list per query point, in input order.
-
-    Exactly equivalent to calling
-    :func:`~repro.runtime.queries.metric_nearest` per point with a
-    shared metric; duplicate query points are computed once, and
-    ``workers >= 2`` fans the distinct points over a worker pool (the
-    obstacle set must not be mutated mid-batch — a moved version
-    raises :class:`DatasetError`).  ``pool``/``pool_command`` (set by
-    the database facade) reroute the fan-out to a persistent pool.
-    """
-
-    def evaluate(m: DistanceOracle, q: Point) -> list[tuple[Point, float]]:
-        return metric_nearest(tree, m, q, k, prune_bound=prune_bound)
-
-    shared = _run_batch(
-        metric,
-        queries,
-        evaluate,
-        workers=workers,
-        tree=tree,
-        pool=pool,
-        pool_command=pool_command,
-    )
-    return [list(result) for result in shared]
-
-
-def batch_range(
-    tree: RStarTree,
-    metric: DistanceOracle,
-    queries: Iterable[Point],
-    e: float,
-    *,
-    workers: int = 0,
-    pool=None,
-    pool_command: tuple | None = None,
-) -> list[list[tuple[Point, float]]]:
-    """One range result list per query point, in input order.
-
-    Exactly equivalent to calling
-    :func:`~repro.runtime.queries.metric_range` per point with a
-    shared metric; duplicate query points are computed once, and
-    ``workers >= 2`` parallelizes exactly as for :func:`batch_nearest`.
-    """
-
-    def evaluate(m: DistanceOracle, q: Point) -> list[tuple[Point, float]]:
-        return metric_range(tree, m, q, e)
-
-    shared = _run_batch(
-        metric,
-        queries,
-        evaluate,
-        workers=workers,
-        tree=tree,
-        pool=pool,
-        pool_command=pool_command,
-    )
-    return [list(result) for result in shared]
-
-
-def batch_distance(
-    metric: DistanceOracle,
-    pairs: Sequence[tuple[Point, Point]],
-    *,
-    workers: int = 0,
-    pool=None,
-) -> list[float]:
-    """Metric distances for many point pairs, in input order.
-
-    Pairs sharing their second element reuse the cached graph keyed at
-    that expansion centre (the ODJ seed observation applied to ad-hoc
-    distance workloads).  Like the other batch entry points, a
-    duplicate pair is computed once, a mid-batch obstacle mutation
-    raises :class:`DatasetError`, and ``workers >= 2`` fans the
-    distinct pairs over a per-batch fork pool.  A persistent ``pool``
-    handed in serves them instead, whatever ``workers`` says (here the
-    pool alone has always been the request to fan out).
-    """
-    return _run_batch(
-        metric,
-        [(p, q) for p, q in pairs],
-        lambda m, pair: m.distance(*pair),
-        workers=workers if pool is None else max(workers, 2),
-        pool=pool,
-        pool_command=("distance",),
-    )
+    answers = [evaluated[order[item]] for item in items]
+    if command[0] == "distance":
+        return answers
+    return [list(answer) for answer in answers]  # one list per occurrence

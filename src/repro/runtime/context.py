@@ -142,31 +142,6 @@ class QueryContext:
         """Drop every cached graph (e.g. after swapping the source)."""
         self.cache.clear()
 
-    def spawn(self, *, stats: RuntimeStats | None = None) -> "QueryContext":
-        """An independent context over the same obstacle source.
-
-        The parallel batch executor gives each worker one: same source
-        and backend *kind*, but a private graph cache, private stats
-        (merged into the parent's on join), and a private policy of the
-        same kind (each worker adapts to its own slice of the stream),
-        so workers never contend on mutable runtime state.
-        """
-        from repro.visibility.kernel.backend import available_backends
-
-        backend = (
-            self.backend.name
-            if self.backend.name in available_backends()
-            else self.backend
-        )
-        return QueryContext(
-            self.source,
-            cache_size=self.cache.capacity,
-            snap=self.cache.snap,
-            stats=stats,
-            backend=backend,
-            policy=self.policy.spawn(),
-        )
-
     # --------------------------------------------------------- repair plumbing
     def _disk_shards(
         self, center: Point, radius: float

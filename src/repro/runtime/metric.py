@@ -105,10 +105,6 @@ class EuclideanMetric:
         """The Euclidean distance (``bound`` is irrelevant: exact is free)."""
         return p.distance(q)
 
-    def spawn(self) -> "EuclideanMetric":
-        """An independent equivalent metric (stateless: itself)."""
-        return self
-
     def lower_bound(self, p: Point, q: Point) -> float:
         """Euclidean distance — the bound is tight."""
         return p.distance(q)
@@ -155,15 +151,6 @@ class ObstructedMetric:
     def distance(self, p: Point, q: Point, *, bound: float = inf) -> float:
         """Obstructed distance via the context's cached graphs (Fig. 8)."""
         return self.context.distance(p, q, bound=bound)
-
-    def spawn(self) -> "ObstructedMetric":
-        """An independent metric over the same obstacle source.
-
-        Used by the parallel batch executor: each worker gets its own
-        context (private graph cache and stats) so concurrent query
-        evaluation never contends on mutable runtime state.
-        """
-        return ObstructedMetric(self.context.spawn())
 
     def lower_bound(self, p: Point, q: Point) -> float:
         """``d_E`` — the paper's Euclidean lower-bound property."""

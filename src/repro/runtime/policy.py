@@ -69,10 +69,11 @@ class CachePolicy:
     * :meth:`attach` — wires the policy to one context's cache + stats
       (called once from ``QueryContext.__init__``);
     * :meth:`observe` — one lookup centre, called on every
-      ``entry_for`` before the cache is consulted;
-    * :meth:`spawn` — a fresh policy of the same kind for a worker
-      context (workers adapt to *their* slice of the stream
-      independently; no estimator state is shipped).
+      ``entry_for`` before the cache is consulted.
+
+    A persistent pool worker resolves a fresh policy of the same kind
+    by :attr:`name` (it adapts to the stream it serves; no estimator
+    state is shipped); a forked child carries on with its copy.
     """
 
     name = "static"
@@ -86,10 +87,6 @@ class CachePolicy:
 
     def observe(self, center) -> None:
         """Feed one lookup centre to the estimator (no-op here)."""
-
-    def spawn(self) -> "CachePolicy":
-        """A fresh, unattached policy of the same kind."""
-        return type(self)()
 
 
 class AdaptiveCachePolicy(CachePolicy):
@@ -147,16 +144,6 @@ class AdaptiveCachePolicy(CachePolicy):
         self._bounds: list[float] | None = None  # [minx, miny, maxx, maxy]
         self._since_adjust = 0
         self._base_capacity: int | None = None
-
-    def spawn(self) -> "AdaptiveCachePolicy":
-        """A parameter-identical policy with fresh estimator state."""
-        return AdaptiveCachePolicy(
-            window=self.window,
-            adjust_every=self.adjust_every,
-            snap_factor=self.snap_factor,
-            locality_fraction=self.locality_fraction,
-            max_capacity=self.max_capacity,
-        )
 
     def attach(
         self, cache: "VisibilityGraphCache", stats: "RuntimeStats"

@@ -102,17 +102,16 @@ class RuntimeStats:
     def merge(self, other: "RuntimeStats | dict[str, int | float | str]") -> None:
         """Fold another instance's (or snapshot's) counters into this one.
 
-        The parallel batch executor gives each worker a private
-        ``RuntimeStats`` and merges them here on join, so the parent
-        context's counters account all work regardless of worker
-        count.  The ``backend`` label is configuration, not work, and
-        is left untouched.
+        Every pool worker ships its counters back with each reply and
+        the parent merges them here on join, so the parent context's
+        counters account all work regardless of worker count.  The
+        ``backend`` label is configuration, not work, and is left
+        untouched.
 
         A dict snapshot must carry *every* counter: a missing key
         raises instead of silently dropping that counter's worker-side
-        work (the pipe protocol and the fork executor always ship full
-        snapshots; a partial dict means a producer forgot a counter
-        added later).
+        work (worker replies always ship full snapshots; a partial
+        dict means a producer forgot a counter added later).
         """
         snapshot = other.snapshot() if isinstance(other, RuntimeStats) else other
         missing = [

@@ -12,7 +12,10 @@ nearest-k or range query at its current position, then receives
   deleted from any obstacle set, an entity inserted into or deleted
   from the subscription's own entity set: the hub takes one
   subscription to the database's mutation feed and re-evaluates
-  exactly the subscriptions whose current result could change.
+  exactly the subscriptions whose current result could change;
+* the database adds an obstacle set, which the same feed announces:
+  every subscription is re-evaluated (a new entity set, announced
+  too, changes none).
 
 Re-evaluation runs through the database's shared runtime context, so
 it is driven by the repair-first cache: a mutation patches the cached
@@ -132,8 +135,8 @@ class ContinuousQueryHub:
             position=position,
             k=k,
         )
+        self._refresh(sub)  # an unknown set raises before registering
         self._subs[sub.sid] = sub
-        self._refresh(sub)
         return sub
 
     def range(self, set_name: str, position: Point, e: float) -> Subscription:
@@ -147,8 +150,8 @@ class ContinuousQueryHub:
             position=position,
             e=e,
         )
-        self._subs[sub.sid] = sub
         self._refresh(sub)
+        self._subs[sub.sid] = sub
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -194,10 +197,19 @@ class ContinuousQueryHub:
             )
         sub.reevaluations += 1
 
-    def _on_record(self, record: MutationRecord, __: int) -> None:
+    def _on_record(self, record: MutationRecord | None, detail: int | str) -> None:
         """Refresh the subscriptions whose result disk the applied
         mutation reaches: any subscription for an obstacle, those on
-        the record's own entity set for an entity."""
+        the record's own entity set for an entity.  A new dataset comes
+        as ``record=None`` with its scope in ``detail``: a new obstacle
+        set may reach anywhere, so every subscription is refreshed; a
+        new entity set is named by no subscription (each names a set
+        that existed when it registered), so none is."""
+        if record is None:
+            if detail == "obstacle":
+                for sub in list(self._subs.values()):
+                    self._refresh(sub)
+            return
         if record.scope == "obstacle":
             reach = Rect.from_points(record.vertices).mindist_point
         else:

@@ -1,29 +1,32 @@
-"""The persistent, snapshot-warm-started worker pool.
+"""The worker pool: one implementation, two lifecycles.
 
-:class:`~repro.runtime.executor.BatchExecutor` forks a fresh process
-pool *per batch*: every worker pays the fork plus cold visibility-graph
-builds for every centre in its chunk, then dies — throwing away exactly
-the warm state the spatial cache and the snapshot store work to create.
-:class:`PersistentWorkerPool` inverts that lifecycle:
+Query points in a batch are independent given a frozen obstacle
+version, so a batch fans out over processes (CPython's GIL serializes
+the pure-python sweep/Dijkstra work, so wall-clock speedup needs
+processes).  Both ways of running a batch in processes share one
+command vocabulary (:func:`repro.runtime.batch.evaluate`), one worker
+body and reply (:func:`_reply`) and one collect loop
+(:func:`_fan_out`); only the way a worker starts differs:
 
-* **spawned once** — workers are long-lived processes serving many
-  requests over a pipe protocol, surviving across batches with their
-  private graph caches intact;
-* **warm-started** — each worker boots by *loading a snapshot*
+* **fork per batch** (:func:`fork_batch`) — one forked child per
+  chunk.  The child inherits the database in memory (nothing is
+  pickled on the way in), answers its chunk on the state it inherited,
+  sends one reply and exits; its cache updates die with it.
+* **persistent** (:class:`PersistentWorkerPool`) — workers spawned
+  once, each warm-started by *loading a snapshot*
   (:meth:`~repro.core.engine.ObstacleDatabase.load`) written by the
-  parent at pool creation, not by inheriting pickled parent state.
-  Because snapshots carry the graph cache, a worker performs **zero**
-  cold graph builds for centres the parent had already covered;
-* **delta-fed** — the pool takes one subscription to the parent
+  parent at pool creation; because snapshots carry the graph cache, a
+  worker performs **zero** cold graph builds for centres the parent
+  had already covered.  The pool takes one subscription to the parent
   database's mutation feed, which announces every applied
   :class:`~repro.persist.journal.MutationRecord` — obstacle or entity,
   any set, live or replayed; the same unit the write-ahead journal
   persists, applied by the same
   :func:`~repro.persist.journal.apply_record` — and logs them; each
-  worker replays its outstanding suffix before serving a request, and
-  replay routes through the worker's own repair-first runtime, so
-  answers stay bit-identical to a monolithic sequential context at
-  every point in time.
+  worker replays its outstanding suffix before serving a request,
+  through its own repair-first runtime, so answers stay bit-identical
+  to a monolithic sequential context at every point in time.  A new
+  dataset, which no record expresses, discards the workers.
 
 Out-of-band edits (writes made at an index or a tree, behind the
 database's back) never reach the feed; a version/size signature check
@@ -31,31 +34,30 @@ before every dispatch catches them: on drift the pool discards its
 workers and respawns from a fresh snapshot rather than serving stale
 answers.
 
-Worker runtime counters and per-tree simulated page counters travel
-back with every reply and are merged into the parent database, so
-``db.runtime_stats()`` / ``db.stats()`` account pool work exactly as
-they account sequential work.
-
-A long-lived worker amortizes the frozen CSR adjacency and the
-per-root distance fields of its cached graphs across every batch it
-serves, and the warm-start snapshot ships the frozen arrays, so
-workers boot with them installed.  The ``field_freezes`` /
-``field_batch_evals`` counters merge like every other runtime stat.
+Every reply carries the runtime counters and per-tree simulated page
+counters of the chunk's work (the worker zeroes them first, so the
+absolute values are exact) and, when the parent traces the batch, the
+worker's ``pool.worker`` span tree; the parent merges them, so
+``db.runtime_stats()`` / ``db.stats()`` and the trace account worker
+work exactly as they account sequential work.  A worker that dies
+mid-chunk — either lifecycle — raises a
+:class:`~repro.errors.QueryError` naming the chunk.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import tempfile
 import weakref
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import QueryError
 from repro.geometry.point import Point
-from repro.obs.trace import TRACER
+from repro.obs.trace import NULL_SPAN, TRACER
 from repro.persist.journal import MutationRecord, apply_record
-from repro.runtime.executor import _chunk_ranges, _join, _traced
-from repro.stats.counters import page_counts
+from repro.runtime.batch import evaluate as _evaluate
+from repro.stats.counters import add_page_counts, page_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
@@ -63,48 +65,187 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ObstacleDatabase
 
 
-def _evaluate(db: "ObstacleDatabase", command: tuple, items: Sequence) -> list:
-    """Serve one chunk inside a worker, through the worker's shared
-    context and the *same* per-point evaluators the batch engine uses
-    sequentially — which is what makes pool answers bit-identical to a
-    monolithic context."""
-    from repro.runtime.metric import ObstructedMetric
-    from repro.runtime.queries import metric_nearest, metric_range
+def fork_available() -> bool:
+    """True when the fork start method exists on this platform."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
-    kind = command[0]
-    if kind == "distance":
-        metric = ObstructedMetric(db.context)
-        return [metric.distance(a, b) for a, b in items]
-    if kind == "nearest":
-        __, set_name, k, prune_bound = command
-        tree = db.entity_tree(set_name)
-        metric = ObstructedMetric(db.context)
-        return [
-            list(metric_nearest(tree, metric, q, k, prune_bound=prune_bound))
-            for q in items
-        ]
-    if kind == "range":
-        __, set_name, e = command
-        tree = db.entity_tree(set_name)
-        metric = ObstructedMetric(db.context)
-        return [list(metric_range(tree, metric, q, e)) for q in items]
-    raise QueryError(f"unknown pool command {kind!r}")
+
+def _chunk_ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` contiguous, balanced ``(start, stop)`` ranges over ``n``."""
+    size, extra = divmod(n, parts)
+    ranges = []
+    start = 0
+    for i in range(parts):
+        stop = start + size + (1 if i < extra else 0)
+        if stop > start:
+            ranges.append((start, stop))
+        start = stop
+    return ranges
+
+
+def _reply(
+    db: "ObstacleDatabase",
+    replay: Sequence[MutationRecord],
+    command: tuple,
+    items: Sequence,
+    start: int,
+    trace: bool,
+) -> tuple:
+    """The one worker body of both lifecycles: replay the records the
+    worker has not seen (a persistent worker catching up with its
+    parent; a forked child has none), zero the counters, answer the
+    chunk ``items`` — which starts at ``start`` in the batch — and
+    return the reply ``("ok", results, runtime_stats, page_counts,
+    span)``.  ``trace`` is the parent's sampling decision: when set,
+    ``_evaluate`` runs directly under a detached ``pool.worker`` span
+    whose tree rides back.  A failure is the reply ``("error", repr)``,
+    which keeps a persistent worker's pipe protocol in sync."""
+    try:
+        for record in replay:
+            apply_record(db, record)
+        db.reset_stats()  # counters only: caches and buffers stay warm
+        TRACER.reset_thread()  # a forked child inherits its parent's stack
+        span = (
+            TRACER.detached(
+                "pool.worker",
+                kind=command[0],
+                start=start,
+                stop=start + len(items),
+            )
+            if trace
+            else NULL_SPAN
+        )
+        with span:
+            results = _evaluate(db, command, items)
+    except Exception as exc:  # an interrupt ends the worker: "died serving"
+        return ("error", repr(exc))
+    return (
+        "ok",
+        results,
+        db.runtime_stats(),
+        page_counts(tree for __, tree in db._trees()),
+        span.to_dict() if span else None,
+    )
+
+
+def _fan_out(
+    db: "ObstacleDatabase",
+    command: tuple,
+    items: Sequence,
+    workers: int,
+    dispatch: "Callable[[int, Sequence, int, bool], Connection]",
+) -> list:
+    """The one collect loop of both lifecycles: cut ``items`` into at
+    most ``workers`` chunks, hand chunk ``i`` to ``dispatch(i, chunk,
+    start, trace)`` — which starts it on worker ``i`` and returns the
+    connection its reply arrives on — then receive every reply: place
+    its results at their offset, merge its runtime stats and page
+    counts into ``db`` and graft its span tree under the open span.
+    The first failure is raised as a :class:`QueryError` naming the
+    worker and its chunk."""
+    chunks = _chunk_ranges(len(items), min(workers, len(items)))
+    with TRACER.span("pool.batch", kind=command[0], n=len(items)) as batch_span:
+        # A real span here means this batch is being traced (the
+        # sampling decision is the parent's); each worker's span tree
+        # rides back in its reply.
+        trace = bool(batch_span)
+        dispatched = []
+        failure: QueryError | None = None
+        for index, (start, stop) in enumerate(chunks):
+            where = f"chunk [{start}:{stop}) of a {command[0]!r} batch"
+            try:
+                conn = dispatch(index, items[start:stop], start, trace)
+            except (OSError, ValueError):
+                failure = QueryError(
+                    f"pool worker {index} died before serving {where}"
+                )
+                break
+            dispatched.append((index, where, start, conn))
+        results: list = [None] * len(items)
+        trees = [tree for __, tree in db._trees()]
+        for index, where, start, conn in dispatched:
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError):
+                failure = failure or QueryError(
+                    f"pool worker {index} died serving {where}"
+                )
+                continue
+            if reply[0] != "ok":
+                failure = failure or QueryError(
+                    f"pool worker {index} failed on {where}: {reply[1]}"
+                )
+                continue
+            __, chunk, worker_stats, worker_pages, span_doc = reply
+            results[start : start + len(chunk)] = chunk
+            db.context.stats.merge(worker_stats)
+            add_page_counts(trees, worker_pages)
+            TRACER.graft(span_doc)
+    if failure is not None:
+        raise failure
+    return results
+
+
+def _fork_main(
+    conn: "Connection",
+    db: "ObstacleDatabase",
+    command: tuple,
+    items: Sequence,
+    start: int,
+    trace: bool,
+) -> None:
+    """A forked child's whole life: one reply on the state it inherited."""
+    conn.send(_reply(db, (), command, items, start, trace))
+    conn.close()
+
+
+def fork_batch(
+    db: "ObstacleDatabase", command: tuple, items: Sequence, workers: int
+) -> list:
+    """``evaluate(db, command, items)`` over one forked child per chunk
+    (at most ``workers``), in order; worker stats, page counts and span
+    trees merged into ``db``.  A child that dies mid-chunk raises
+    :class:`QueryError` naming the chunk."""
+    ctx = multiprocessing.get_context("fork")
+    children = []
+
+    def dispatch(index: int, chunk: Sequence, start: int, trace: bool):
+        reader, writer = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_fork_main,
+            args=(writer, db, command, chunk, start, trace),
+            daemon=True,
+            name=f"repro-fork-{index}",
+        )
+        children.append((process, reader))
+        # Closed once forked: the child's copy is then the only write
+        # end, so its death reads as EOF here.
+        with writer:
+            process.start()
+        return reader
+
+    try:
+        return _fan_out(db, command, items, workers, dispatch)
+    finally:
+        for process, reader in children:
+            reader.close()
+            if process.pid is None:  # never started
+                continue
+            process.join(timeout=5)
+            if process.is_alive():  # pragma: no cover - abandoned mid-batch
+                process.kill()
+                process.join()
 
 
 def _worker_main(
     conn: "Connection",
     snapshot_path: str,
-    backend: str | None,
+    backend: str,
     cache_policy: str | None = None,
 ) -> None:
-    """The worker process body: load the snapshot (warm start), then
-    serve ``(deltas, command, items)`` requests until shutdown.
-
-    Every reply carries the runtime-stats and page-counter deltas of
-    the work it performed (counters are zeroed between requests, so
-    deltas are exact); failures are reported as ``("error", repr)``
-    instead of killing the worker, keeping the pipe protocol in sync.
-    """
+    """A persistent worker's life: load the snapshot (warm start), then
+    serve ``(records, command, items, start, trace)`` requests with
+    :func:`_reply` until shutdown."""
     from repro.core.engine import ObstacleDatabase
 
     try:
@@ -117,7 +258,6 @@ def _worker_main(
         finally:
             conn.close()
         return
-    db.reset_stats()  # page/runtime counters to zero; caches stay warm
     conn.send(("ready",))
     while True:
         try:
@@ -127,33 +267,7 @@ def _worker_main(
         if message[0] == "shutdown":
             conn.send(("bye",))
             break
-        __, deltas, command, items, trace = message
-
-        def serve() -> list:
-            for delta in deltas:
-                apply_record(db, delta)
-            return _evaluate(db, command, items)
-
-        try:
-            # ``trace``: the parent sampled this batch, so the worker's
-            # share is traced and its tree rides back in the reply.
-            results, span_doc = _traced(
-                "pool.worker", serve, trace, kind=command[0], items=len(items)
-            )
-        except BaseException as exc:
-            conn.send(("error", repr(exc)))
-            db.reset_stats()
-            continue
-        conn.send(
-            (
-                "ok",
-                results,
-                db.runtime_stats(),
-                page_counts(tree for __, tree in db._trees()),
-                span_doc,
-            )
-        )
-        db.reset_stats()
+        conn.send(_reply(db, *message[1:]))
     conn.close()
 
 
@@ -254,13 +368,18 @@ class PersistentWorkerPool:
             **{("entity", n): len(t) for n, t in db._entity_trees.items()},
         }
 
-    def _on_record(self, record: MutationRecord, before: int) -> None:
+    def _on_record(self, record: MutationRecord | None, before: int | str) -> None:
         """Log one applied mutation for replay in the workers, and move
         the expected signature of its set along — from ``before``, what
         the set had when the record was applied, only: a set an earlier
-        out-of-band write left drifted stays drifted, so it respawns."""
+        out-of-band write left drifted stays drifted, so it respawns.
+        ``None`` announces a new dataset of either scope, which no
+        record replays: the workers are discarded."""
         if not self._members:
             return  # nothing mirrors the parent; _spawn starts afresh
+        if record is None:
+            self.invalidate()
+            return
         self._log.append(record)
         key = (record.scope, record.set_name)
         if self._expected.get(key) == before:
@@ -268,14 +387,24 @@ class PersistentWorkerPool:
 
     def _spawn(self) -> None:
         """Snapshot the parent and boot the workers from it."""
-        import multiprocessing
+        from repro.persist.store import save_database
+        from repro.visibility.kernel.backend import available_backends
 
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
+        # Workers resolve the parent's backend and cache policy *kind*
+        # by name (not their state): each adapts to the stream it
+        # serves.  A backend instance no name resolves cannot be
+        # mirrored, and sweeping with another one would be silent.
+        backend = self._db.context.backend.name
+        if backend not in available_backends():
+            raise QueryError(
+                f"a persistent pool cannot start workers on visibility "
+                f"backend {backend!r}: workers resolve a backend by name, "
+                f"one of {available_backends()} (pool='fork' inherits it)"
+            )
+        cache_policy = self._db.cache_policy
+        ctx = multiprocessing.get_context(
+            "fork" if fork_available() else "spawn"
         )
-        ctx = multiprocessing.get_context(method)
         path = self._snapshot_path
         ephemeral = path is None
         if ephemeral:
@@ -284,17 +413,7 @@ class PersistentWorkerPool:
         # Straight through the store, NOT ``db.save``: the warm-start
         # snapshot is pool plumbing, and must never re-anchor a durable
         # database's journal to an (often ephemeral) path.
-        from repro.persist.store import save_database
-
         save_database(self._db, path, include_cache=True)
-        backend = self._db.context.backend.name
-        from repro.visibility.kernel.backend import available_backends
-
-        if backend not in available_backends():
-            backend = None
-        # Workers inherit the parent's cache policy *kind* by name (not
-        # its estimator state): each adapts to the stream it serves.
-        cache_policy = self._db.cache_policy
         members: list[_Worker] = []
         try:
             for i in range(self.workers):
@@ -353,8 +472,8 @@ class PersistentWorkerPool:
 
     def invalidate(self) -> None:
         """Discard the workers; the next dispatch respawns them from a
-        fresh snapshot.  Used by the parent when it changes shape in
-        ways the delta feed cannot express (new datasets)."""
+        fresh snapshot (the parent's answer to a new dataset, which
+        the delta feed cannot express)."""
         self._stop_workers()
         self._log.clear()
 
@@ -389,8 +508,9 @@ class PersistentWorkerPool:
 
     # -------------------------------------------------------------- serving
     def run_batch(self, command: tuple, items: Sequence) -> list:
-        """Fan ``items`` over the workers under ``command``; returns
-        per-item results in order.
+        """Fan ``items`` over the workers under ``command`` (see
+        :func:`repro.runtime.batch.evaluate`); returns per-item results
+        in order.
 
         Outstanding mutation deltas ride along with each worker's
         request, so every answer reflects the parent's current state.
@@ -402,84 +522,25 @@ class PersistentWorkerPool:
         if not items:
             return []
         self._ensure_workers()
-        chunks = _chunk_ranges(len(items), min(self.workers, len(items)))
-        with TRACER.span(
-            "pool.batch", kind=command[0], n=len(items)
-        ) as batch_span:
-            # A real span here means this batch is being traced (the
-            # sampling decision is the parent's); the flag rides the
-            # pipe protocol and each worker's span tree rides back.
-            trace = bool(batch_span)
-            dispatched: list[tuple[_Worker, tuple[int, int]]] = []
-            failure: QueryError | None = None
-            for member, chunk in zip(self._members, chunks):
-                deltas = self._log[member.cursor :]
-                try:
-                    member.conn.send(
-                        (
-                            "serve",
-                            deltas,
-                            command,
-                            items[chunk[0] : chunk[1]],
-                            trace,
-                        )
-                    )
-                except (OSError, ValueError):
-                    failure = QueryError(
-                        f"pool worker {member.index} died before serving chunk "
-                        f"[{chunk[0]}:{chunk[1]}) of a {command[0]!r} batch"
-                    )
-                    break
-                member.cursor = len(self._log)
-                dispatched.append((member, chunk))
-            parts = []
-            for member, (start, stop) in dispatched:
-                try:
-                    reply = member.conn.recv()
-                except (EOFError, OSError):
-                    failure = failure or QueryError(
-                        f"pool worker {member.index} died serving chunk "
-                        f"[{start}:{stop}) of a {command[0]!r} batch"
-                    )
-                    continue
-                if reply[0] != "ok":
-                    failure = failure or QueryError(
-                        f"pool worker {member.index} failed on chunk "
-                        f"[{start}:{stop}) of a {command[0]!r} batch: {reply[1]}"
-                    )
-                    continue
-                parts.append((start, *reply[1:]))
-            db = self._db
-            results = _join(
-                len(items),
-                parts,
-                db.context.stats,
-                [tree for __, tree in db._trees()],
+        log = self._log
+
+        def dispatch(index: int, chunk: Sequence, start: int, trace: bool):
+            member = self._members[index]
+            member.conn.send(
+                ("serve", log[member.cursor :], command, chunk, start, trace)
             )
-            if failure is not None:
-                # The pipe protocol may be out of sync with the dead or
-                # failed worker's peers mid-batch; restart from scratch.
-                self._stop_workers()
-                raise failure
+            member.cursor = len(log)
+            return member.conn
+
+        try:
+            results = _fan_out(self._db, command, items, self.workers, dispatch)
+        except QueryError:
+            # The pipe protocol may be out of sync with the dead or
+            # failed worker's peers mid-batch; restart from scratch.
+            self._stop_workers()
+            raise
         self.batches_served += 1
         return results
-
-    def batch_nearest(
-        self,
-        set_name: str,
-        points: Sequence[Point],
-        k: int,
-        *,
-        prune_bound: bool = True,
-    ) -> list:
-        """k-NN per point, fanned over the warm workers."""
-        return self.run_batch(("nearest", set_name, k, prune_bound), points)
-
-    def batch_range(
-        self, set_name: str, points: Sequence[Point], e: float
-    ) -> list:
-        """Range result per point, fanned over the warm workers."""
-        return self.run_batch(("range", set_name, e), points)
 
     def batch_distance(
         self, pairs: Sequence[tuple[Point, Point]]

@@ -241,21 +241,21 @@ class QueryServer:
         as child spans.
         """
         kind, items = batch.key[0], batch.items
-        routing = {"workers": self._workers, "pool": self._pool}
         with TRACER.span("serve.batch", kind=kind, n=len(items)) as span:
             batch.started = time.perf_counter()
             span.set_attr(
                 "queue_wait_ms", (batch.started - batch.admitted[0]) * 1000.0
             )
-            if kind == "nearest":
-                __, set_name, k = batch.key
-                return self._db.batch_nearest(set_name, items, k, **routing)
-            if kind == "range":
-                __, set_name, e = batch.key
-                return self._db.batch_range(set_name, items, e, **routing)
-            if kind == "distance":
-                return self._db.batch_distance(items, **routing)
-            raise QueryError(f"unknown request kind {kind!r}")
+            # The key is a batch command (repro.runtime.batch): the
+            # database method named by its kind takes its set name
+            # before the items and its parameter after them.
+            return getattr(self._db, f"batch_{kind}")(
+                *batch.key[1:2],
+                items,
+                *batch.key[2:],
+                workers=self._workers,
+                pool=self._pool,
+            )
 
     def __repr__(self) -> str:
         return (

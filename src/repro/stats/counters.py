@@ -59,23 +59,10 @@ def page_counts(trees: Iterable) -> dict[str, PageCounts]:
     }
 
 
-def page_deltas(
-    trees: Iterable, baseline: Mapping[str, PageCounts]
-) -> dict[str, PageCounts]:
-    """What ``trees`` ticked since ``baseline`` (their earlier
-    :func:`page_counts`); trees that ticked nothing are left out."""
-    deltas = {}
-    for name, counts in page_counts(trees).items():
-        delta = tuple(now - was for now, was in zip(counts, baseline[name]))
-        if any(delta):
-            deltas[name] = delta
-    return deltas
-
-
 def add_page_counts(trees: Iterable, deltas: Mapping[str, PageCounts]) -> None:
-    """Add ``deltas`` — counters ticked on copies of ``trees`` in a
-    worker process — onto the same-named trees.  A name none of
-    ``trees`` carries is dropped: counters are reporting, never
+    """Add ``deltas`` — counters ticked from zero on copies of
+    ``trees`` in a worker process — onto the same-named trees.  A name
+    none of ``trees`` carries is dropped: counters are reporting, never
     correctness."""
     for tree in trees:
         if tree.name in deltas:

@@ -1,5 +1,5 @@
 """Cross-process trace propagation: a traced batch against the
-persistent pool (and the per-batch executor) yields ONE merged span
+persistent pool (and a forked child per chunk) yields ONE merged span
 tree containing the workers' subtrees — and tracing never changes
 answers."""
 
@@ -72,7 +72,9 @@ class TestPersistentPool:
         workers = [s for s in root.walk() if s.name == "pool.worker"]
         assert workers, "worker span trees were not grafted back"
         assert all(w.attrs["kind"] == "nearest" for w in workers)
-        assert sum(w.attrs["items"] for w in workers) == len(QUERIES)
+        assert sum(w.attrs["stop"] - w.attrs["start"] for w in workers) == (
+            len(QUERIES)
+        )
         # The worker subtrees carry the hot-layer evidence: R*-tree
         # page fetches (every chunk touches the entity tree) and the
         # graph-cache verdicts for its centres.
@@ -100,29 +102,29 @@ class TestPersistentPool:
 
 
 class TestBatchExecutor:
-    def test_traced_fork_batch_merges_worker_spans(self, db, traced):
-        from repro.runtime.executor import fork_available
+    @pytest.mark.parametrize("pool", ["fork", "persistent"])
+    def test_one_worker_span_per_chunk_in_both_lifecycles(self, db, traced, pool):
+        from repro.serve.pool import fork_available
 
         if not fork_available():
             pytest.skip("fork start method unavailable")
         traced.configure(0.0)
-        baseline = db.batch_nearest("pois", QUERIES, 2, workers=2, pool="fork")
+        baseline = db.batch_nearest("pois", QUERIES, 2, workers=3, pool=pool)
+        db.reset_stats(clear_buffers=True)
         traced.configure(1.0)
-        answers = db.batch_nearest("pois", QUERIES, 2, workers=2, pool="fork")
+        answers = db.batch_nearest("pois", QUERIES, 2, workers=3, pool=pool)
         assert answers == baseline
         root = traced.last_root
         assert root is not None and root.name == "query.batch_nearest"
-        workers = [s for s in root.walk() if s.name == "batch.worker"]
-        assert workers
-        covered = sorted(
-            (w.attrs["start"], w.attrs["stop"]) for w in workers
-        )
-        assert covered[0][0] == 0
-        assert covered[-1][1] == len(QUERIES)
-        # Fork workers run cold private contexts: their subtrees must
-        # carry real work (spans or counters), proving the payload
-        # crossed the process boundary, not just the span shell.
-        assert any(w.children or w.total_counters() for w in workers)
+        workers = [s for s in root.walk() if s.name == "pool.worker"]
+        assert sorted((w.attrs["start"], w.attrs["stop"]) for w in workers) == [
+            (0, 2),
+            (2, 3),
+            (3, 4),
+        ]
+        # Each subtree carries real work (spans or counters), proving
+        # the payload crossed the process boundary, not just the shell.
+        assert all(w.children or w.total_counters() for w in workers)
 
 
 class TestServer:

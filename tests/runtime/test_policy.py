@@ -192,27 +192,6 @@ class TestEstimator:
         assert cache.capacity <= 64
         assert stats.policy_capacity >= 1
 
-    def test_spawn_is_fresh_and_parameter_identical(self):
-        policy = AdaptiveCachePolicy(
-            window=24, adjust_every=6, snap_factor=9.0,
-            locality_fraction=0.7, max_capacity=128,
-        )
-        cache, __ = _attached(policy)
-        policy.observe(Point(1.0, 2.0))
-        child = policy.spawn()
-        assert child is not policy
-        assert type(child) is AdaptiveCachePolicy
-        for attr in (
-            "window", "adjust_every", "snap_factor", "locality_fraction",
-            "max_capacity",
-        ):
-            assert getattr(child, attr) == getattr(policy, attr)
-        assert child._xs == child._ys == []  # no estimator state shipped
-        assert not hasattr(child, "cache")  # unattached
-
-    def test_static_spawn(self):
-        assert type(CachePolicy().spawn()) is CachePolicy
-
 
 class _PointWindowPolicy(AdaptiveCachePolicy):
     """The estimator's two window reads written over a window of
@@ -347,17 +326,6 @@ class TestDatabaseWiring:
         assert sa["policy_adjustments"] >= 1
         assert sa["policy_snap"] >= 1
         assert ss["policy_adjustments"] == 0
-
-    def test_context_spawn_gives_private_policy_of_same_kind(self):
-        __, polygons, __p = self._scene(34)
-        db = ObstacleDatabase(
-            polygons, max_entries=8, min_entries=3, cache_policy="adaptive"
-        )
-        ctx = db.context
-        worker_ctx = ctx.spawn()
-        assert type(worker_ctx.policy) is type(ctx.policy)
-        assert worker_ctx.policy is not ctx.policy
-        assert worker_ctx.policy.cache is worker_ctx.cache
 
     def test_load_accepts_policy_and_snapshot_format_unchanged(self, tmp_path):
         __, polygons, points = self._scene(35)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import ContinuousQueryHub, ObstacleDatabase, Point, Rect
-from repro.errors import QueryError
+from repro.errors import DatasetError, QueryError
 from tests.conftest import random_disjoint_rects, random_free_points
 
 
@@ -176,6 +176,36 @@ class TestObstacleMutations:
         delta = hub.poll(sub)
         assert delta.added == ((Point(0, 30), 30.0),)
         assert delta.removed == ((Point(10, 0), 10.0),)
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_a_non_empty_obstacle_set_added_is_heard(self, shards):
+        """Adding a dataset is announced on the feed: a new set's walls
+        reach every subscription at once, not at its next refresh."""
+        db = ObstacleDatabase([], shards=shards)
+        db.add_entity_set("pois", [Point(0, 0), Point(10, 0)])
+        hub = ContinuousQueryHub(db)
+        sub = hub.nearest("pois", Point(4, 0), 1)
+        assert hub.poll(sub).added == ((Point(0, 0), 4.0),)
+        db.add_obstacle_set("walls", [Rect(1, -10, 2, 10)])
+        assert sub.current == db.nearest("pois", Point(4, 0), 1)
+        delta = hub.poll(sub)
+        assert delta.removed == ((Point(0, 0), 4.0),)
+        assert delta.added == ((Point(10, 0), 6.0),)
+
+    def test_an_entity_set_added_costs_no_subscription_work(self):
+        """A new entity set is announced too, but no standing
+        subscription names it: none is re-evaluated."""
+        db = _line_db()
+        hub = ContinuousQueryHub(db)
+        sub = hub.nearest("pois", Point(0, 0), 2)
+        rsub = hub.range("pois", Point(0, 0), 3.0)
+        before = sub.reevaluations, rsub.reevaluations
+        db.add_entity_set("stops", [Point(0, 1)])
+        assert (sub.reevaluations, rsub.reevaluations) == before
+        # A subscription on a set that does not exist is never registered.
+        with pytest.raises(DatasetError, match="nope"):
+            hub.nearest("nope", Point(0, 0), 1)
+        assert len(hub) == 2
 
 
 class TestEntityMutations:

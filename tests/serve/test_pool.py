@@ -7,6 +7,7 @@ import pytest
 from repro import ObstacleDatabase, Point, Rect
 from repro.errors import QueryError
 from repro.serve.pool import PersistentWorkerPool
+from repro.visibility.kernel.backend import NaiveBackend
 from tests.conftest import random_disjoint_rects, random_free_points
 
 
@@ -49,50 +50,8 @@ class TestPoolKindResolution:
 
 
 class TestPoolParity:
-    def test_nearest_matches_sequential(self):
-        db, queries = _db(301)
-        try:
-            sequential = db.batch_nearest("pois", queries, 2, workers=0)
-            pooled = db.batch_nearest(
-                "pois", queries, 2, workers=4, pool="persistent"
-            )
-            assert pooled == sequential
-            assert db.runtime_stats()["pool_batches"] == 1
-            assert db.runtime_stats()["parallel_batches"] == 1
-        finally:
-            db.close()
-
-    def test_range_matches_sequential(self):
-        db, queries = _db(302)
-        try:
-            sequential = db.batch_range("pois", queries, 30.0, workers=0)
-            pooled = db.batch_range(
-                "pois", queries, 30.0, workers=3, pool="persistent"
-            )
-            assert pooled == sequential
-        finally:
-            db.close()
-
-    def test_distance_matches_sequential(self):
-        db, queries = _db(303)
-        try:
-            pairs = [(queries[i], queries[i + 1]) for i in range(6)]
-            sequential = db.batch_distance(pairs, workers=0)
-            pooled = db.batch_distance(pairs, workers=4, pool="persistent")
-            assert pooled == sequential
-        finally:
-            db.close()
-
-    def test_sharded_database_parity(self):
-        db, queries = _db(304, shards=4)
-        try:
-            sequential = db.batch_nearest("pois", queries, 2, workers=0)
-            pooled = db.batch_nearest(
-                "pois", queries, 2, workers=2, pool="persistent"
-            )
-            assert pooled == sequential
-        finally:
-            db.close()
+    """Route parity per command and layout lives in
+    tests/runtime/test_batch.py."""
 
     def test_sequential_workers_never_build_pool(self):
         db, queries = _db(306)
@@ -254,7 +213,7 @@ class TestMutationDeltas:
         db, queries = _db(325)
         pool = PersistentWorkerPool(db, 2)
         try:
-            command = ("nearest", "pois", 1, True)
+            command = ("nearest", "pois", 1)
             pool.run_batch(command, queries)
             db.insert_entity("pois", queries[0])
             assert db.delete_entity("pois", queries[1]) is False
@@ -281,20 +240,34 @@ class TestMutationDeltas:
         finally:
             db.close()
 
+    def test_add_obstacle_set_invalidates_pool(self):
+        db, queries = _db(327)
+        try:
+            nearest = lambda **kw: db.batch_nearest("pois", queries, 1, **kw)  # noqa: E731
+            nearest(workers=2, pool="persistent")
+            pool = db._serving_pool
+            q = queries[0]
+            db.add_obstacle_set("walls", [Rect(q.x + 0.5, q.y - 40, q.x + 1.5, q.y + 40)])
+            assert not pool.alive
+            assert nearest(workers=2, pool="persistent") == nearest(workers=0)
+            assert pool.spawns == 2
+        finally:
+            db.close()
+
 
 class TestPoolLifecycle:
     def test_worker_crash_raises_query_error_naming_chunk(self):
         db, queries = _db(330)
         try:
             pool = db.serving_pool(2)
-            pool.run_batch(("nearest", "pois", 1, True), queries)
+            pool.run_batch(("nearest", "pois", 1), queries)
             pool._members[0].process.terminate()
             pool._members[0].process.join(timeout=5)
             with pytest.raises(QueryError, match=r"chunk \[0:\d+\)"):
-                pool.run_batch(("nearest", "pois", 1, True), queries)
+                pool.run_batch(("nearest", "pois", 1), queries)
             assert not pool.alive  # torn down, not wedged
             # The next batch respawns cleanly.
-            again = pool.run_batch(("nearest", "pois", 1, True), queries)
+            again = pool.run_batch(("nearest", "pois", 1), queries)
             assert again == db.batch_nearest("pois", queries, 1, workers=0)
         finally:
             db.close()
@@ -313,7 +286,7 @@ class TestPoolLifecycle:
     def test_context_manager_tears_down(self):
         db, queries = _db(332)
         with db.serving_pool(2) as pool:
-            pool.run_batch(("nearest", "pois", 1, True), queries[:2])
+            pool.run_batch(("nearest", "pois", 1), queries[:2])
             assert pool.alive
         assert not pool.alive
         db.close()
@@ -352,7 +325,7 @@ class TestPoolLifecycle:
                 pool.run_batch(("bogus",), queries)
             # The worker reported the failure over the protocol; a
             # fresh batch works (after the defensive respawn).
-            result = pool.run_batch(("nearest", "pois", 1, True), queries)
+            result = pool.run_batch(("nearest", "pois", 1), queries)
             assert result == db.batch_nearest("pois", queries, 1, workers=0)
         finally:
             db.close()
@@ -362,7 +335,7 @@ class TestPoolLifecycle:
         snap = tmp_path / "pool.snap"
         pool = PersistentWorkerPool(db, 2, snapshot_path=snap)
         try:
-            result = pool.run_batch(("nearest", "pois", 1, True), queries)
+            result = pool.run_batch(("nearest", "pois", 1), queries)
             assert result == db.batch_nearest("pois", queries, 1, workers=0)
             assert snap.exists()
             restored = ObstacleDatabase.load(snap)
@@ -373,28 +346,25 @@ class TestPoolLifecycle:
             pool.shutdown()
             db.close()
 
+    def test_a_backend_no_name_resolves_is_refused(self):
+        """Workers resolve the parent's backend by name: one they cannot
+        name is refused, not silently swapped for the default — while a
+        forked child inherits the instance itself."""
 
-class TestPoolStats:
-    def test_worker_page_counters_merged(self):
-        db, queries = _db(340)
-        try:
-            db.reset_stats()
-            db.batch_nearest("pois", queries, 2, workers=2, pool="persistent")
-            stats = db.stats()
-            # The parent evaluated nothing itself: every page access
-            # reported must have been shipped back from the workers.
-            assert stats["entities:pois"]["reads"] > 0
-            assert stats["obstacles:obstacles"]["reads"] > 0
-        finally:
-            db.close()
+        class Mine(NaiveBackend):
+            name = "mine"
 
-    def test_worker_runtime_stats_merged(self):
-        db, queries = _db(341)
+        rng = random.Random(338)
+        obstacles = random_disjoint_rects(rng, 6)
+        points = random_free_points(rng, 12, obstacles)
+        db = ObstacleDatabase([o.polygon for o in obstacles], backend=Mine())
+        db.add_entity_set("pois", points[4:])
+        queries = points[:4]
         try:
-            db.reset_stats()
-            db.batch_nearest("pois", queries, 2, workers=2, pool="persistent")
-            runtime = db.runtime_stats()
-            assert runtime["graph_builds"] > 0
-            assert runtime["field_builds"] >= len(queries)
+            with pytest.raises(QueryError, match="'mine'"):
+                db.batch_nearest("pois", queries, 1, workers=2, pool="persistent")
+            assert db.batch_nearest("pois", queries, 1, workers=2) == (
+                db.batch_nearest("pois", queries, 1)
+            )
         finally:
             db.close()

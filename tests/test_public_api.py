@@ -63,6 +63,28 @@ class TestAllExports:
         assert not hasattr(repro.core, "compute_obstructed_distance")
         for name in ("dijkstra", "bounded_dijkstra", "shortest_path"):
             assert not hasattr(repro.visibility, name), name
+        # One pool, two lifecycles: the metric-closure batch path went.
+        import importlib.util
+
+        import repro.runtime.batch
+        from repro.runtime.metric import EuclideanMetric, ObstructedMetric
+        from repro.runtime.policy import AdaptiveCachePolicy, CachePolicy
+        from repro.serve.pool import PersistentWorkerPool
+
+        assert importlib.util.find_spec("repro.runtime.executor") is None
+        for name in ("BatchExecutor", "batch_nearest", "batch_range", "batch_distance"):
+            assert not hasattr(repro.runtime, name), name
+            assert not hasattr(repro.runtime.batch, name), name
+        for owner in (
+            repro.QueryContext,
+            ObstructedMetric,
+            EuclideanMetric,
+            CachePolicy,
+            AdaptiveCachePolicy,
+        ):
+            assert not hasattr(owner, "spawn"), owner
+        for name in ("batch_nearest", "batch_range"):
+            assert not hasattr(PersistentWorkerPool, name), name
 
 
 class TestPersistenceSurface:

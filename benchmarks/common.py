@@ -1096,14 +1096,14 @@ def distance_stream_comparison(
     entry = context.entry_for(anchor, 6.0 * jitter)
     replay_events(db, events[:warm_calls], set_name="P1", reset=False)
     backend = context.backend
-    sweep = backend.visible_from_many
+    sweep = backend.visible_ids
     calls = [0]
 
-    def counted(sources, graph):
+    def counted(scenes):
         calls[0] += 1
-        return sweep(sources, graph)
+        return sweep(scenes)
 
-    backend.visible_from_many = counted
+    backend.visible_ids = counted
     nodes = entry.graph.node_count
     freezes = context.stats.field_freezes
     fallbacks = context.stats.last_leg_fallbacks

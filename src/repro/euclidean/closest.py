@@ -16,6 +16,7 @@ only for combinations that are actually popped.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Iterator
 
 from repro.errors import QueryError
@@ -40,40 +41,18 @@ class IncrementalClosestPairs:
     """
 
     def __init__(self, tree_s: RStarTree, tree_t: RStarTree) -> None:
-        self._s = tree_s
-        self._t = tree_t
         keys, combo = [], None
         if len(tree_s) > 0 and len(tree_t) > 0:
             s_rect = tree_s.read_node(tree_s.root_id).mbr()
             t_rect = tree_t.read_node(tree_t.root_id).mbr()
             combo = (_NODE, tree_s.root_id, s_rect, _NODE, tree_t.root_id, t_rect)
             keys.append(s_rect.mindist_rect(t_rect))
-        self._stream = best_first((keys, False, lambda i: combo), self._expand)
-
-    def _expand(self, combo: _Combo):
-        s_kind, s_pay, s_rect, t_kind, t_pay, t_rect = combo
-        # Pick the side to open: the larger node of a node/node pair,
-        # otherwise whichever side still is a node.  All entries of the
-        # opened node are keyed against the other side's rect at once.
-        open_s = s_kind == _NODE and (
-            t_kind == _DATA or s_rect.area() >= t_rect.area()
+        # The expansion holds the trees, not the iterator (see
+        # IncrementalNearestNeighbors): a dropped iterator is freed with
+        # its queue at once.
+        self._stream = best_first(
+            (keys, False, lambda i: combo), partial(_expand, tree_s, tree_t)
         )
-        node = self._s.read_node(s_pay) if open_s else self._t.read_node(t_pay)
-        other = t_rect if open_s else s_rect
-        keys = mbrs.mindist_rect(node.rects(), other)
-        entries = node.entries
-        leaf = node.is_leaf
-        kind = _DATA if leaf else _NODE
-
-        def make(i: int) -> _Combo:
-            e = entries[i]
-            payload = e.data if leaf else e.child
-            if open_s:
-                return kind, payload, e.rect, t_kind, t_pay, t_rect
-            return s_kind, s_pay, s_rect, kind, payload, e.rect
-
-        other_kind = t_kind if open_s else s_kind
-        return keys, leaf and other_kind == _DATA, make
 
     def __iter__(self) -> Iterator[tuple[Any, Any, float]]:
         return self
@@ -81,6 +60,30 @@ class IncrementalClosestPairs:
     def __next__(self) -> tuple[Any, Any, float]:
         combo, dist = next(self._stream)
         return combo[1], combo[4], dist
+
+
+def _expand(tree_s: RStarTree, tree_t: RStarTree, combo: _Combo):
+    s_kind, s_pay, s_rect, t_kind, t_pay, t_rect = combo
+    # Pick the side to open: the larger node of a node/node pair,
+    # otherwise whichever side still is a node.  All entries of the
+    # opened node are keyed against the other side's rect at once.
+    open_s = s_kind == _NODE and (t_kind == _DATA or s_rect.area() >= t_rect.area())
+    node = tree_s.read_node(s_pay) if open_s else tree_t.read_node(t_pay)
+    other = t_rect if open_s else s_rect
+    keys = mbrs.mindist_rect(node.rects(), other)
+    entries = node.entries
+    leaf = node.is_leaf
+    kind = _DATA if leaf else _NODE
+
+    def make(i: int) -> _Combo:
+        e = entries[i]
+        payload = e.data if leaf else e.child
+        if open_s:
+            return kind, payload, e.rect, t_kind, t_pay, t_rect
+        return s_kind, s_pay, s_rect, kind, payload, e.rect
+
+    other_kind = t_kind if open_s else s_kind
+    return keys, leaf and other_kind == _DATA, make
 
 
 def k_closest_pairs(

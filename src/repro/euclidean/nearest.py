@@ -14,6 +14,7 @@ distance order.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Iterator
 
 from repro.errors import QueryError
@@ -35,26 +36,28 @@ class IncrementalNearestNeighbors:
     """
 
     def __init__(self, tree: RStarTree, q: Point) -> None:
-        self._tree = tree
-        self._q = q
         root_id = tree.root_id
         seeds = ([0.0] if len(tree) > 0 else [], False, lambda i: root_id)
-        self._stream = best_first(seeds, self._expand)
-
-    def _expand(self, page_id: int):
-        node = self._tree.read_node(page_id)
-        x, y = self._q.x, self._q.y
-        entries = node.entries
-        keys = mbrs.mindist(node.rects(), x, y, x, y)
-        if node.is_leaf:
-            return keys, True, lambda i: entries[i].data
-        return keys, False, lambda i: entries[i].child
+        # The expansion holds the tree and q, not the iterator: a stream
+        # that referred back to its iterator would make every dropped
+        # iterator, queue and all, wait for a full garbage collection.
+        self._stream = best_first(seeds, partial(_expand, tree, q))
 
     def __iter__(self) -> Iterator[tuple[Any, float]]:
         return self
 
     def __next__(self) -> tuple[Any, float]:
         return next(self._stream)
+
+
+def _expand(tree: RStarTree, q: Point, page_id: int):
+    node = tree.read_node(page_id)
+    x, y = q.x, q.y
+    entries = node.entries
+    keys = mbrs.mindist(node.rects(), x, y, x, y)
+    if node.is_leaf:
+        return keys, True, lambda i: entries[i].data
+    return keys, False, lambda i: entries[i].child
 
 
 def k_nearest(tree: RStarTree, q: Point, k: int) -> list[tuple[Any, float]]:

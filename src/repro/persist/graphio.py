@@ -37,21 +37,20 @@ _STAMP_SHARD = 1
 
 def write_graph(w: "BinaryWriter", graph: VisibilityGraph) -> None:
     """Serialize one visibility graph as obstacle-id references plus
-    node/edge index arrays."""
-    obstacles, free, edges = graph.snapshot_parts()
-    nodes = list(graph.nodes())
-    index = {p: i for i, p in enumerate(nodes)}
+    node/edge index arrays (the indexes are the graph's node ids)."""
+    obstacles, free, __ = graph.snapshot_parts()
+    edges = graph.edge_ids()
     w.u32(len(obstacles))
     for obs in obstacles:
         w.i64(obs.oid)
-    w.points(nodes)
+    w.points(list(graph.nodes()))
     w.u32(len(free))
     for p in free:
-        w.u32(index[p])
+        w.u32(graph.node_id(p))
     w.u32(len(edges))
     for u, v in edges:
-        w.u32(index[u])
-        w.u32(index[v])
+        w.u32(u)
+        w.u32(v)
 
 
 def _parse_graph(

@@ -55,8 +55,6 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-import numpy as np
-
 from repro.core.source import ObstacleIndex, ShardedObstacleIndex
 from repro.datasets.io import content_hash
 from repro.errors import DatasetError
@@ -427,13 +425,7 @@ def load_database(
     for cached in restored:
         context.admit_restored(cached)
     for index, points, indptr, indices, weights in frozen:
-        install_frozen(
-            restored[index].graph,
-            points,
-            indptr.astype(np.int64),
-            indices.astype(np.int32),
-            weights,
-        )
+        install_frozen(restored[index].graph, points, indptr, indices, weights)
     for stat_name, value in stats.items():
         # ``backend`` is configuration, not work: the restored context
         # has already selected its own (possibly different) backend.

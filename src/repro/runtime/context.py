@@ -581,7 +581,7 @@ class QueryContext:
         ]
         scenes = [(sources, graph) for __, graph, sources in fetch]
         with _scenes_span(scenes):
-            seen = self.backend.visible_from_scenes(scenes)
+            seen = self.backend.visible_ids(scenes)
         for (csr, __, sources), visible in zip(fetch, seen):
             csr.memoize_anchors(sources, visible)
         return fields

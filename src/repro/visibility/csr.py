@@ -1,16 +1,15 @@
 """Frozen CSR views of visibility graphs + int-indexed Dijkstra.
 
-The dict-of-dicts adjacency of :class:`~repro.visibility.graph.
-VisibilityGraph` is ideal for the paper's dynamic maintenance
-operations but terrible for the query-side steady state (PR 4-6's warm
-caches): every Dijkstra hashes ``Point`` objects, allocates
-``(key, tiebreak, Point)`` heap tuples, and walks per-node dicts.
-:class:`CSRGraph` freezes one *structure revision* of a graph into
-flat arrays — ``indptr``/``indices``/``weights`` compressed sparse
-rows plus per-node coordinates — so shortest paths run over ``int``
-node ids (one ``heapq`` loop over the rows as python lists,
-:meth:`CSRGraph.dijkstra`, rooted at a node or at an off-graph point's
-visible anchors), and the last-leg minimisation
+The per-node ``{id: weight}`` rows of :class:`~repro.visibility.graph.
+VisibilityGraph` suit the paper's dynamic maintenance operations; the
+query-side steady state wants flat rows.  :class:`CSRGraph` freezes
+one *structure revision* of a graph — ``indptr``/``indices``/
+``weights`` compressed sparse rows plus per-node coordinates, read
+straight off the rows: the graph's node ids are the frozen ids, and
+its ``Point -> id`` dict is copied, not rebuilt — so shortest paths
+run over ``int`` node ids (one ``heapq`` loop over the rows as python
+lists, :meth:`CSRGraph.dijkstra`, rooted at a node or at an off-graph
+point's visible anchors), and the last-leg minimisation
 ``min_v d[v] + |p - v|`` of
 :class:`~repro.core.distance.SourceDistanceField` and of
 :meth:`~repro.runtime.context.QueryContext.distance` becomes one numpy
@@ -30,8 +29,8 @@ so every node its graph's sweeps report has a frozen id.
 Parity contract: edge weights are copied verbatim from the live
 adjacency and relaxations use the same float64 ``d + w`` arithmetic,
 so settled distances are bit-identical to a plain binary-heap Dijkstra
-over the dict adjacency — the test suite's independent oracle,
-``tests/reference_field.py::reference_dijkstra``.  The heap order may
+over the ``Point``-keyed adjacency — the test suite's independent
+oracle, ``tests/reference_field.py::reference_dijkstra``.  The heap order may
 differ on ties, but the settled *values* are the same minimum over the
 same relaxation set.
 """
@@ -39,8 +38,9 @@ same relaxation set.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from math import inf
+from operator import attrgetter
 from typing import Iterable, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -51,6 +51,9 @@ from repro.visibility.naive import is_visible
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.visibility.graph import VisibilityGraph
+
+_X = attrgetter("x")
+_Y = attrgetter("y")
 
 #: Maximum points one frozen graph memoizes last-leg geometry for, and
 #: maximum roots it memoizes a distance field for.  Queries only read a
@@ -76,7 +79,9 @@ class CSRGraph:
 
     ``points`` fixes the node order (``index`` maps back); ``xs``/``ys``
     are the node coordinates; ``indptr``/``indices``/``weights`` are
-    the CSR adjacency with weights copied verbatim from the live graph.
+    the CSR adjacency with weights copied verbatim from the live graph
+    — kept as python lists, what :meth:`dijkstra` iterates, and made
+    numpy arrays only when asked for (a route, a snapshot).
     ``fields`` memoizes one full-Dijkstra distance array per root
     (:meth:`field`) — the warm-stream payoff: repeated queries at a
     centre skip the Dijkstra entirely — and ``anchors`` the last-leg
@@ -88,60 +93,57 @@ class CSRGraph:
         "index",
         "xs",
         "ys",
-        "indptr",
-        "indices",
-        "weights",
         "fields",
         "anchors",
         "_rows",
+        "_arrays",
+        "_relabel",
     )
 
     def __init__(
         self,
         points: list[Point],
-        xs: "np.ndarray",
-        ys: "np.ndarray",
-        indptr: "np.ndarray",
-        indices: "np.ndarray",
-        weights: "np.ndarray",
+        index: dict[Point, int],
+        rows: "tuple[list[int], list[int], list[float]]",
     ) -> None:
         self.points = points
-        self.index = {p: i for i, p in enumerate(points)}
-        self.xs = xs
-        self.ys = ys
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
+        self.index = index
+        n = len(points)
+        self.xs = np.fromiter(map(_X, points), dtype=np.float64, count=n)
+        self.ys = np.fromiter(map(_Y, points), dtype=np.float64, count=n)
         self.fields: dict[Point, "np.ndarray"] = {}
         self.anchors: dict[Point, tuple] = {}
-        #: ``indptr``/``indices``/``weights`` as python lists: what
-        #: :meth:`dijkstra` iterates (made there for installed arrays).
-        self._rows: "tuple[list, list, list] | None" = None
+        self._rows = rows
+        self._arrays: "list[np.ndarray | None]" = [None, None, None]
+        #: Per graph node id its id here, for arrays installed in an
+        #: order other than the graph's (:func:`install_frozen`).
+        self._relabel: "np.ndarray | None" = None
 
     @classmethod
     def freeze(cls, graph: "VisibilityGraph") -> "CSRGraph":
-        """Flatten ``graph``'s current adjacency (node insertion order)."""
-        adj = graph._adj
-        points = list(adj)
-        n = len(points)
-        index = {p: i for i, p in enumerate(points)}
-        xs = np.fromiter((p.x for p in points), dtype=np.float64, count=n)
-        ys = np.fromiter((p.y for p in points), dtype=np.float64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((len(adj[p]) for p in points), dtype=np.int64, count=n),
-            out=indptr[1:],
+        """Flatten ``graph``'s current adjacency: its node ids are the
+        frozen ids, its rows (in insertion order, of the adjacency's own
+        int and float objects) the CSR rows."""
+        rows = graph._rows
+        return cls(
+            list(graph._points),
+            graph._ids.copy(),  # a dict copy keeps the stored hashes
+            (
+                list(accumulate(map(len, rows), initial=0)),
+                list(chain.from_iterable(rows)),
+                list(chain.from_iterable(map(dict.values, rows))),
+            ),
         )
-        m = int(indptr[-1])
-        ids = list(map(index.__getitem__, chain.from_iterable(adj.values())))
-        lengths = list(chain.from_iterable(map(dict.values, adj.values())))
-        indices = np.fromiter(ids, dtype=np.int32, count=m)
-        weights = np.fromiter(lengths, dtype=np.float64, count=m)
-        csr = cls(points, xs, ys, indptr, indices, weights)
-        # The kernel's rows, here made of the adjacency's own float
-        # objects rather than copies of them.
-        csr._rows = (indptr.tolist(), ids, lengths)
-        return csr
+
+    indptr = property(lambda self: self._array(0, np.int64), doc="Row starts.")
+    indices = property(lambda self: self._array(1, np.int32), doc="Neighbours.")
+    weights = property(lambda self: self._array(2, np.float64), doc="Edge lengths.")
+
+    def _array(self, k: int, dtype: type) -> "np.ndarray":
+        array = self._arrays[k]
+        if array is None:
+            array = self._arrays[k] = np.array(self._rows[k], dtype=dtype)
+        return array
 
     @property
     def node_count(self) -> int:
@@ -151,7 +153,7 @@ class CSRGraph:
     @property
     def edge_count(self) -> int:
         """Number of undirected frozen edges."""
-        return len(self.indices) // 2
+        return len(self._rows[1]) // 2
 
     def dijkstra(
         self,
@@ -182,14 +184,7 @@ class CSRGraph:
         ``inf`` for unsettled nodes; ``settled`` marks final values.
         """
         n = len(self.points)
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = (
-                self.indptr.tolist(),
-                self.indices.tolist(),
-                self.weights.tolist(),
-            )
-        indptr, indices, weights = rows
+        indptr, indices, weights = self._rows
         best = [inf] * n
         done = [False] * n
         if isinstance(source, int):
@@ -260,7 +255,7 @@ class CSRGraph:
         if cached is None:
             ahead = list(ahead)
             sources = self.unanchored([p, *ahead])
-            self.memoize_anchors(sources, graph.visible_from_many(sources), ahead)
+            self.memoize_anchors(sources, graph.visible_ids(sources), ahead)
             cached = self.anchors[p]
         return cached
 
@@ -276,31 +271,25 @@ class CSRGraph:
     def memoize_anchors(
         self,
         points: Sequence[Point],
-        seen: Sequence[list[Point]],
+        seen: "Sequence[tuple[list[int], list[float]]]",
         keep: Iterable[Point] = (),
     ) -> None:
         """Memoize the last-leg geometry of ``points`` from what each
-        sees (``seen``, parallel: a sweep's answer), then drop the
-        memo's oldest entries beyond :data:`ANCHOR_MEMO_LIMIT` — never
-        one of ``points`` or of ``keep``."""
-        for c, visible in zip(points, seen):
-            self.anchors[c] = self._last_legs(c, visible)
+        sees (``seen``, parallel: a sweep's node ids and distances),
+        then drop the memo's oldest entries beyond
+        :data:`ANCHOR_MEMO_LIMIT` — never one of ``points`` or of
+        ``keep``."""
+        for c, (ids, legs) in zip(points, seen):
+            anchors = np.array(ids, dtype=np.int64)
+            if self._relabel is not None:
+                anchors = self._relabel[anchors]
+            self.anchors[c] = anchors, np.array(legs, dtype=np.float64)
         excess = len(self.anchors) - ANCHOR_MEMO_LIMIT
         if excess > 0:
             keep = {*points, *keep}
             oldest = (c for c in self.anchors if c not in keep)
             for c in list(islice(oldest, excess)):
                 del self.anchors[c]
-
-    def _last_legs(
-        self, p: Point, anchors: list[Point]
-    ) -> tuple["np.ndarray", "np.ndarray"]:
-        ai = np.array(
-            list(map(self.index.__getitem__, anchors)), dtype=np.int64
-        )
-        dx = self.xs[ai] - p.x
-        dy = self.ys[ai] - p.y
-        return ai, np.sqrt(dx * dx + dy * dy)
 
     def field(self, q: Point, graph: "VisibilityGraph") -> "np.ndarray":
         """The memoized full distance field rooted at ``q``.
@@ -340,12 +329,12 @@ class CSRGraph:
     ) -> "float | None":
         """:meth:`last_leg` for an off-graph ``p`` without a sweep.
 
-        Every node's ``dist[v] + |v - p|`` (``_last_legs``' expression
-        over all nodes) is a lower bound on the answer; the nodes are
-        tested in ascending order of it with the exact oracle every
-        backend is parity-locked to, and the first one ``p`` sees gives
-        the answer — an infinite bound gives ``inf``, and so does a
-        graph whose every node was tested and hidden.  ``None`` after
+        Every node's ``dist[v] + |v - p|`` (what :meth:`last_leg`
+        minimises, over all nodes) is a lower bound on the answer; the
+        nodes are tested in ascending order of it with the exact oracle
+        every backend is parity-locked to, and the first one ``p`` sees
+        gives the answer — an infinite bound gives ``inf``, and so does
+        a graph whose every node was tested and hidden.  ``None`` after
         :data:`LAST_LEG_PROBES` hidden nodes: the caller sweeps ``p``
         (:meth:`last_leg`) instead."""
         dx = self.xs - p.x
@@ -441,17 +430,25 @@ def install_frozen(
     indptr: "np.ndarray",
     indices: "np.ndarray",
     weights: "np.ndarray",
-) -> CSRGraph:
+) -> "CSRGraph | None":
     """Install deserialized frozen arrays as ``graph``'s CSR view.
 
     Used by the snapshot loader: the arrays were frozen
     from an identical graph, so they are adopted under the restored
     graph's current structure revision — the first field evaluation
-    after a warm start skips the freeze.
+    after a warm start skips the freeze.  The restored graph numbers
+    its nodes in registration order, which need not be the order the
+    arrays were frozen in, so its sweeps' node ids are relabelled onto
+    the arrays'; arrays over another node set are not installed
+    (``None``), and the graph freezes itself when first asked.
     """
-    n = len(points)
-    xs = np.fromiter((p.x for p in points), dtype=np.float64, count=n)
-    ys = np.fromiter((p.y for p in points), dtype=np.float64, count=n)
-    csr = CSRGraph(points, xs, ys, indptr, indices, weights)
+    index = {p: i for i, p in enumerate(points)}
+    relabel = [index.get(p, -1) for p in graph.nodes()]
+    if len(relabel) != len(points) or -1 in relabel:
+        return None
+    rows = (indptr.tolist(), indices.tolist(), weights.tolist())
+    csr = CSRGraph(points, index, rows)
+    if relabel != list(range(len(points))):
+        csr._relabel = np.array(relabel, dtype=np.int64)
     graph._csr = (graph.structure_revision, csr)
     return csr

@@ -31,6 +31,15 @@ those pairs are re-examined (against the exact oracle both sweep
 backends reduce to).  This turns an obstacle delete from a full
 rebuild into an in-place repair proportional to the obstacle's
 visibility shadow.
+
+Nodes are dense ``int`` ids, ``0 .. n-1`` in insertion order.  The
+graph owns one node table — the ``Point`` of each id and one ``Point
+-> id`` dict — and keeps its adjacency as one ``{id: weight}`` row per
+node.  A ``Point`` is hashed where it enters (registration,
+``restore``, the lookup of an off-graph point) and not after: sweeps
+report node ids and their distances, and edges are installed, cut and
+frozen by id.  A node that leaves closes its gap in order, so the ids
+are always the frozen ids of :mod:`repro.visibility.csr`.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, TYPE_CHECKING
 from repro.errors import QueryError
 from repro.geometry.constants import EPS
 from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.model import Obstacle
 from repro.visibility.edges import BoundaryEdge
@@ -69,7 +77,9 @@ class VisibilityGraph:
     """
 
     __slots__ = (
-        "_adj",
+        "_points",
+        "_ids",
+        "_rows",
         "_obstacles",
         "_incident",
         "_free",
@@ -104,7 +114,12 @@ class VisibilityGraph:
         #: CSRGraph)`` or ``None``), maintained by
         #: :mod:`repro.visibility.csr`.
         self._csr: "tuple[int, object] | None" = None
-        self._adj: dict[Point, dict[Point, float]] = {}
+        #: The node table — per id its point (updated in place only: the
+        #: packed scene lays it out) and the one ``Point -> id`` dict —
+        #: and per id its adjacency row.
+        self._points: list[Point] = []
+        self._ids: dict[Point, int] = {}
+        self._rows: list[dict[int, float]] = []
         self._obstacles: dict[int, Obstacle] = {}
         self._incident: dict[Point, list[BoundaryEdge]] = {}
         self._free: set[Point] = set()
@@ -151,7 +166,7 @@ class VisibilityGraph:
             graph._register_obstacle(obs)
         for p in points:
             graph._register_free_point(p)
-        graph._pending = list(graph._adj)
+        graph._pending = list(graph._points)
         return graph
 
     @staticmethod
@@ -162,13 +177,13 @@ class VisibilityGraph:
         waiting = [graph for graph in graphs if graph._pending]
         if not waiting:
             return
-        seen = waiting[0]._backend.visible_from_scenes(
+        seen = waiting[0]._backend.visible_ids(
             [(graph._pending, graph) for graph in waiting]
         )
         for graph, visible in zip(waiting, seen):
             pending, graph._pending = graph._pending, []
-            for node, nodes in zip(pending, visible):
-                graph._install_visible(node, nodes)
+            for node, (nodes, legs) in zip(pending, visible):
+                graph._install_visible(graph._ids[node], nodes, legs)
 
     @property
     def pending(self) -> Sequence[Point]:
@@ -179,6 +194,13 @@ class VisibilityGraph:
         """Per source, the nodes it sees — one call into the graph's
         backend for all of them.  Sources need not be nodes."""
         return self._backend.visible_from_many(sources, self)
+
+    def visible_ids(
+        self, sources: Sequence[Point]
+    ) -> list[tuple[list[int], list[float]]]:
+        """:meth:`visible_from_many` before the nodes become points: per
+        source, the ids of the nodes it sees and their distances."""
+        return self._backend.visible_ids([(sources, self)])[0]
 
     # --------------------------------------------------------- serialization
     def snapshot_parts(
@@ -194,9 +216,8 @@ class VisibilityGraph:
         re-promotes them.
         """
         free = list(self._free) + sorted(self._promoted)
-        edges = [
-            (u, v) for u in self._adj for v in self._adj[u] if u < v
-        ]
+        points = self._points
+        edges = [(points[u], points[v]) for u, v in self.edge_ids()]
         return list(self._obstacles.values()), free, edges
 
     @classmethod
@@ -223,33 +244,31 @@ class VisibilityGraph:
             graph._register_obstacle(obs)
         for p in free_points:
             graph._register_free_point(p)
+        ids = graph._ids
         for u, v in edges:
-            if u not in graph._adj or v not in graph._adj:
+            if u not in ids or v not in ids:
                 raise QueryError(
                     f"restored edge ({u!r}, {v!r}) references a point "
                     f"that is not a node"
                 )
-            graph._set_edge(u, v)
+            graph._set_edge(ids[u], ids[v])
         return graph
 
     def packed_scene(self) -> "PackedScene":
-        """The scene flattened into numpy arrays (built lazily, then
-        kept in sync by the dynamic-update hooks)."""
+        """The scene flattened into numpy arrays over the node table
+        (built lazily, then kept in sync by the dynamic-update hooks)."""
         if self._packed is None:
             from repro.visibility.kernel.packed import PackedScene
 
-            packed = PackedScene()
+            self._packed = PackedScene(self._points)
             for obs in self._obstacles.values():
-                packed.add_obstacle(obs)
-            for p in self._free:
-                packed.add_free_point(p)
-            self._packed = packed
+                self._packed.add_obstacle(obs, self._ids)
         return self._packed
 
     # ------------------------------------------------------- SweepScene API
     def sweep_points(self) -> Iterator[Point]:
         """Every node (obstacle vertices and free points)."""
-        return iter(self._adj)
+        return iter(self._points)
 
     def incident_edges(self, v: Point) -> Sequence[BoundaryEdge]:
         """Boundary edges having ``v`` as an endpoint."""
@@ -271,7 +290,7 @@ class VisibilityGraph:
         cached = self._boundary.get(p)
         if cached is not None:
             return cached
-        if p in self._adj:
+        if p in self._ids:
             return ()
         # on_boundary's own first check (the MBR grown by EPS), made on
         # the packed MBR rows: no Rect is grown per obstacle per probe.
@@ -289,27 +308,44 @@ class VisibilityGraph:
     @property
     def node_count(self) -> int:
         """Number of graph nodes."""
-        return len(self._adj)
+        return len(self._points)
 
     @property
     def edge_count(self) -> int:
         """Number of undirected visibility edges."""
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(map(len, self._rows)) // 2
 
     def nodes(self) -> Iterator[Point]:
-        """Iterate over all nodes."""
-        return iter(self._adj)
+        """Iterate over all nodes, in id order."""
+        return iter(self._points)
 
     def has_node(self, p: Point) -> bool:
         """True when ``p`` is a node."""
-        return p in self._adj
+        return p in self._ids
 
-    def neighbors(self, p: Point) -> Mapping[Point, float]:
-        """Adjacent nodes with edge weights (Euclidean lengths)."""
+    def node_id(self, p: Point) -> int:
+        """The id of node ``p``: its position in :meth:`nodes`."""
         try:
-            return self._adj[p]
+            return self._ids[p]
         except KeyError:
             raise QueryError(f"{p!r} is not a node of this visibility graph") from None
+
+    def neighbors(self, p: Point) -> Mapping[Point, float]:
+        """Adjacent nodes with edge weights (Euclidean lengths), in
+        insertion order — a fresh mapping of ``p``'s row."""
+        points = self._points
+        return {points[v]: w for v, w in self._rows[self.node_id(p)].items()}
+
+    def edge_ids(self) -> list[tuple[int, int]]:
+        """Every edge once, as node ids ``(u, v)`` with ``u``'s point the
+        smaller: by node, then in row order."""
+        points = self._points
+        return [
+            (u, v)
+            for u, row in enumerate(self._rows)
+            for v in row
+            if points[u] < points[v]
+        ]
 
     @property
     def obstacle_revision(self) -> int:
@@ -359,7 +395,9 @@ class VisibilityGraph:
         of dangling on a stale copy.
         """
         free = list(self._free) + sorted(self._promoted)
-        self._adj.clear()
+        self._points.clear()
+        self._ids.clear()
+        self._rows.clear()
         self._obstacles.clear()
         self._incident.clear()
         self._free.clear()
@@ -374,7 +412,7 @@ class VisibilityGraph:
             self._register_obstacle(obs)
         for p in free:
             self._register_free_point(p)
-        self._pending = list(self._adj)
+        self._pending = list(self._points)
         self.connect([self])
 
     def add_obstacle(self, obs: Obstacle) -> bool:
@@ -410,7 +448,11 @@ class VisibilityGraph:
         }
         if not fresh:
             return 0
-        self._remove_edges_crossing([obs.polygon for obs in fresh.values()])
+        self._remove_edges(
+            self._backend.edges_crossing(
+                self, [obs.polygon for obs in fresh.values()]
+            )
+        )
         for obs in fresh.values():
             self._pending += self._register_obstacle(obs)
             # Entities lying on the new polygon's boundary gain a
@@ -441,6 +483,7 @@ class VisibilityGraph:
         poly = obs.polygon
         self._edges = [e for e in self._edges if e.oid != oid]
         revived: list[Point] = []
+        gone: list[int] = []
         for v in set(poly.vertices):
             incident = [e for e in self._incident.get(v, ()) if e.oid != oid]
             if incident:
@@ -455,11 +498,10 @@ class VisibilityGraph:
                 self._promoted.discard(v)
                 self._free.add(v)
                 revived.append(v)
-            elif v in self._adj:
+            elif v in self._ids:
                 # Owned by no remaining obstacle: leaves the node set.
-                for nbr in list(self._adj[v]):
-                    del self._adj[nbr][v]
-                del self._adj[v]
+                gone.append(self._ids[v])
+        self._drop_nodes(gone)
         for p, membership in list(self._boundary.items()):
             if obs in membership:
                 rest = tuple(o for o in membership if o is not obs)
@@ -469,8 +511,6 @@ class VisibilityGraph:
                     del self._boundary[p]
         if self._packed is not None:
             self._packed.remove_obstacle(oid)
-            for v in revived:
-                self._packed.add_free_point(v)
         for v in revived:
             membership = tuple(
                 o for o in self._obstacles.values() if o.polygon.on_boundary(v)
@@ -499,7 +539,7 @@ class VisibilityGraph:
         Returns ``False`` when ``p`` already is a node (e.g. the query
         point, a duplicate entity, or an obstacle vertex).
         """
-        if p in self._adj:
+        if p in self._ids:
             return False
         self._register_free_point(p)
         self._pending.append(p)
@@ -515,13 +555,9 @@ class VisibilityGraph:
         if p not in self._free:
             return False
         self._structure_revision += 1
-        for nbr in list(self._adj[p]):
-            del self._adj[nbr][p]
-        del self._adj[p]
+        self._drop_nodes([self._ids[p]])
         self._free.discard(p)
         self._boundary.pop(p, None)
-        if self._packed is not None:
-            self._packed.remove_free_point(p)
         self._drop_stale_pending()
         return True
 
@@ -530,8 +566,6 @@ class VisibilityGraph:
         self._obstacles[obs.oid] = obs
         self._obstacle_revision += 1
         self._structure_revision += 1
-        if self._packed is not None:
-            self._packed.add_obstacle(obs)
         new_vertices: list[Point] = []
         for a, b in obs.polygon.edges():
             edge = BoundaryEdge(a, b, obs.oid)
@@ -539,8 +573,8 @@ class VisibilityGraph:
             for v in (a, b):
                 self._incident.setdefault(v, []).append(edge)
         for v in obs.polygon.vertices:
-            if v not in self._adj:
-                self._adj[v] = {}
+            if v not in self._ids:
+                self._add_node(v)
                 new_vertices.append(v)
             # A free point coinciding with the new vertex is promoted to
             # an obstacle vertex: it keeps its node (and edges) but can
@@ -551,6 +585,8 @@ class VisibilityGraph:
                 self._free.discard(v)
                 self._promoted.add(v)
             self._boundary[v] = self._boundary.get(v, ()) + (obs,)
+        if self._packed is not None:
+            self._packed.add_obstacle(obs, self._ids)
         return new_vertices
 
     def _register_free_point(self, p: Point) -> None:
@@ -564,10 +600,9 @@ class VisibilityGraph:
             self._promoted.add(p)
             return
         self._structure_revision += 1
-        self._adj.setdefault(p, {})
+        if p not in self._ids:
+            self._add_node(p)
         self._free.add(p)
-        if self._packed is not None:
-            self._packed.add_free_point(p)
         membership = tuple(
             obs
             for obs in self._obstacles.values()
@@ -576,42 +611,69 @@ class VisibilityGraph:
         if membership:
             self._boundary[p] = membership
 
+    def _add_node(self, p: Point) -> None:
+        self._ids[p] = len(self._points)
+        self._points.append(p)
+        self._rows.append({})
+
+    def _drop_nodes(self, gone: Sequence[int]) -> None:
+        """Remove the nodes ``gone`` and their edges; the others keep
+        their order and close the gaps, so ids stay ``0 .. n-1``."""
+        if not gone:
+            return
+        gone = set(gone)
+        keep = [i for i in range(len(self._points)) if i not in gone]
+        renumber = dict(zip(keep, range(len(keep))))
+        rows = self._rows
+        self._rows = [
+            {renumber[v]: w for v, w in rows[i].items() if v in renumber}
+            for i in keep
+        ]
+        if self._packed is not None:
+            self._packed.renumber([renumber.get(i, -1) for i in range(len(rows))])
+        self._points[:] = [self._points[i] for i in keep]
+        self._ids.clear()
+        self._ids.update(zip(self._points, range(len(keep))))
+
     def _drop_stale_pending(self) -> None:
         """A node that left the graph no longer waits for a sweep."""
         if self._pending:
-            self._pending = [p for p in self._pending if p in self._adj]
+            self._pending = [p for p in self._pending if p in self._ids]
 
-    def _set_edge(self, u: Point, v: Point) -> None:
+    def _set_edge(self, u: int, v: int) -> None:
         if u == v:
             return
-        w = u.distance(v)
+        w = self._points[u].distance(self._points[v])
         self._structure_revision += 1
-        self._adj[u][v] = w
-        self._adj[v][u] = w
+        self._rows[u][v] = w
+        self._rows[v][u] = w
 
-    def _install_visible(self, u: Point, seen: Iterable[Point]) -> None:
-        """Connect ``u`` to every node of ``seen``, in that order.
+    def _install_visible(
+        self, u: int, seen: Iterable[int], legs: Iterable[float]
+    ) -> None:
+        """Connect node ``u`` to every node of ``seen``, in that order,
+        at the parallel ``legs`` (their distances from ``u``).
 
         A node already adjacent to ``u`` got there through its own
-        visible set: same weight (``Point.distance`` is symmetric to
-        the bit) and both directions present, so it is skipped — the
-        adjacency dicts, their insertion order and the CSR arrays
-        frozen from them equal what setting each directed pair would
-        leave.  The structure revision moves once.
+        visible set: same weight (a distance is symmetric to the bit)
+        and both directions present, so it is skipped — the rows, their
+        insertion order and the CSR arrays frozen from them equal what
+        setting each directed pair would leave.  The structure revision
+        moves once.
         """
-        adj = self._adj
-        adj_u = adj[u]
-        for w in seen:
-            if w in adj_u or w == u:
+        rows = self._rows
+        row = rows[u]
+        for v, weight in zip(seen, legs):
+            if v in row or v == u:
                 continue
-            weight = u.distance(w)
-            adj_u[w] = weight
-            adj[w][u] = weight
+            row[v] = weight
+            rows[v][u] = weight
         self._structure_revision += 1
 
-    def _remove_edges_crossing(self, polygons: Sequence[Polygon]) -> None:
+    def _remove_edges(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Cut the edges ``(u, v)`` (node ids)."""
         self._structure_revision += 1
-        adj = self._adj
-        for u, v in self._backend.edges_crossing(self, polygons):
-            del adj[u][v]
-            del adj[v][u]
+        rows = self._rows
+        for u, v in pairs:
+            del rows[u][v]
+            del rows[v][u]

@@ -7,11 +7,11 @@ bookkeeping).  This package replaces that inner loop — and, on small
 scenes, the loop over sweep centers around it — with batched numpy
 array kernels:
 
-* :class:`~repro.visibility.kernel.packed.PackedScene` — obstacle
-  vertices, boundary edges and free points flattened into contiguous
-  arrays (vertex coordinates, edge endpoint indices, per-obstacle
-  MBRs and edge runs), built once per graph and extended
-  incrementally as obstacles and entities arrive;
+* :class:`~repro.visibility.kernel.packed.PackedScene` — a graph's
+  boundary edges (endpoints as node ids) and per-obstacle MBRs and
+  edge runs in contiguous arrays, over the graph's node table as the
+  sweep's events, built once per graph and kept in step as obstacles
+  and nodes come and go;
 * :mod:`~repro.visibility.kernel.numpy_sweep` — the vectorized sweep,
   many sources of many scenes per call: one ``arctan2`` pass for every
   (source, event of its scene) angle, a numpy angular sort, and batched

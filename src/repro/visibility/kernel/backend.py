@@ -27,11 +27,15 @@ Selection: pass a name (or a backend instance) to
 :class:`~repro.core.engine.ObstacleDatabase`; ``None`` is
 ``numpy-kernel``.
 
+Every entry goes through one, ``visible_ids``: per scene, per source,
+the *ids* of the graph's nodes it sees and their distances from it —
+what the graph installs and the frozen CSR memoizes.  The numpy kernel
+reports ids itself, the reference backends' points become ids in one
+place, and ``visible_from*`` map the ids back to points.
 Backends carry an optional :class:`~repro.runtime.stats.RuntimeStats`
 reference and tick the per-backend sweep counters (``sweeps_run``,
-``sweep_events``, ``sweep_seconds``) on every call, once per source,
-in one place (``visible_from_scenes``, which the other two entries go
-through); the numpy kernel adds ``sweep_passes``, once per array pass.
+``sweep_events``, ``sweep_seconds``) there, once per source; the numpy
+kernel adds ``sweep_passes``, once per array pass.
 
 The named backends also answer the two exact-predicate batches of
 graph maintenance — which edges a new polygon cuts
@@ -61,6 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     #: One backend call's work: per graph, the sources to sweep on it.
     Scenes = Sequence[tuple[Sequence[Point], VisibilityGraph]]
+    #: What one source sees: node ids and their distances from it.
+    Sight = tuple[list[int], list[float]]
 
 
 @runtime_checkable
@@ -101,6 +107,15 @@ class _TimedBackend:
     def visible_from_scenes(self, scenes: "Scenes") -> list[list[list[Point]]]:
         """Per scene ``(sources, graph)``, what :meth:`visible_from_many`
         returns for it — one call for many graphs' sweeps."""
+        return [
+            [list(map(graph._points.__getitem__, ids)) for ids, __ in seen]
+            for (__, graph), seen in zip(scenes, self.visible_ids(scenes))
+        ]
+
+    def visible_ids(self, scenes: "Scenes") -> "list[list[Sight]]":
+        """Per scene ``(sources, graph)``, per source, the ids of the
+        graph's nodes it sees and their distances from it: every sweep
+        entry comes through here, and so do the stats."""
         stats = self.stats
         sweeps = sum(len(sources) for sources, __ in scenes)
         TRACER.count("sweep.run", sweeps)
@@ -119,7 +134,18 @@ class _TimedBackend:
         TRACER.count("sweep.events", events)
         return result
 
-    def _sweep_scenes(self, scenes: "Scenes") -> list[list[list[Point]]]:
+    def _sweep_scenes(self, scenes: "Scenes") -> "list[list[Sight]]":
+        # A reference sweep's points: the one place they become node
+        # ids, each weighed from its source by ``Point.distance``.
+        return [
+            [
+                ([graph._ids[w] for w in seen], [p.distance(w) for w in seen])
+                for p, seen in zip(sources, per_source)
+            ]
+            for (sources, graph), per_source in zip(scenes, self._seen(scenes))
+        ]
+
+    def _seen(self, scenes: "Scenes") -> list[list[list[Point]]]:
         return [[self._sweep(p, graph) for p in sources] for sources, graph in scenes]
 
     def _sweep(self, p: Point, graph: "VisibilityGraph") -> list[Point]:
@@ -127,9 +153,10 @@ class _TimedBackend:
 
     def edges_crossing(
         self, graph: "VisibilityGraph", polygons: Sequence[Polygon]
-    ) -> list[tuple[Point, Point]]:
-        """The edges ``(u, v)``, ``u < v``, of ``graph`` whose open
-        segment crosses the interior of one of ``polygons``."""
+    ) -> list[tuple[int, int]]:
+        """The edges of ``graph`` whose open segment crosses the
+        interior of one of ``polygons``, as :meth:`~repro.visibility.
+        graph.VisibilityGraph.edge_ids` names them."""
         # crosses_interior's own first step (Rect.intersects on the
         # segment's box) made here without the Rect: most edges of a
         # graph pass nowhere near a new obstacle.
@@ -137,39 +164,38 @@ class _TimedBackend:
             (poly, poly.mbr.minx, poly.mbr.miny, poly.mbr.maxx, poly.mbr.maxy)
             for poly in polygons
         ]
+        points = graph._points
         found = []
-        for u in graph.nodes():
-            ux, uy = u.x, u.y
-            for v in graph.neighbors(u):
-                vx, vy = v.x, v.y
-                if (ux, uy) < (vx, vy) and any(
-                    minx <= max(ux, vx)
-                    and min(ux, vx) <= maxx
-                    and miny <= max(uy, vy)
-                    and min(uy, vy) <= maxy
-                    and poly.crosses_interior(u, v)
-                    for poly, minx, miny, maxx, maxy in boxes
-                ):
-                    found.append((u, v))
+        for i, j in graph.edge_ids():
+            u, v = points[i], points[j]
+            if any(
+                minx <= max(u.x, v.x)
+                and min(u.x, v.x) <= maxx
+                and miny <= max(u.y, v.y)
+                and min(u.y, v.y) <= maxy
+                and poly.crosses_interior(u, v)
+                for poly, minx, miny, maxx, maxy in boxes
+            ):
+                found.append((i, j))
         return found
 
     def unblocked_pairs(
         self, graph: "VisibilityGraph", region: Rect
-    ) -> list[tuple[Point, Point]]:
-        """The non-adjacent node pairs ``(u, w)``, ``u`` the earlier
-        node, whose segment's bounding box meets ``region`` and that
-        see each other."""
-        nodes = list(graph.nodes())
+    ) -> list[tuple[int, int]]:
+        """The non-adjacent node pairs ``(u, w)``, ids with ``u < w``,
+        whose segment's bounding box meets ``region`` and that see each
+        other."""
+        points = graph._points
         obstacles = graph.scene_obstacles()
         rminx, rminy = region.minx, region.miny
         rmaxx, rmaxy = region.maxx, region.maxy
         found = []
-        for i, u in enumerate(nodes):
-            adj_u = graph.neighbors(u)
+        for i, (u, row) in enumerate(zip(points, graph._rows)):
             ux, uy = u.x, u.y
-            for w in nodes[i + 1:]:
-                if w in adj_u:
+            for j in range(i + 1, len(points)):
+                if j in row:
                     continue
+                w = points[j]
                 wx, wy = w.x, w.y
                 if (
                     (ux < rminx and wx < rminx)
@@ -179,7 +205,7 @@ class _TimedBackend:
                 ):
                     continue
                 if is_visible(u, w, obstacles):
-                    found.append((u, w))
+                    found.append((i, j))
         return found
 
     def __repr__(self) -> str:
@@ -208,24 +234,26 @@ class NumpyKernelBackend(_TimedBackend):
 
         self._kernel = numpy_sweep.kernel_visible_from_scenes
 
-    def _sweep_scenes(self, scenes: "Scenes") -> list[list[list[Point]]]:
+    def _sweep_scenes(self, scenes: "Scenes") -> "list[list[Sight]]":
         return self._kernel(scenes, self.stats)
 
     def edges_crossing(
         self, graph: "VisibilityGraph", polygons: Sequence[Polygon]
-    ) -> list[tuple[Point, Point]]:
+    ) -> list[tuple[int, int]]:
         """One :func:`~repro.visibility.kernel.exact.edges_crossing`
         call; the inherited loop on graphs too small for one to pay."""
-        found = exact.edges_crossing(graph._adj, polygons, self.stats)
+        found = exact.edges_crossing(
+            graph._points, graph._rows, polygons, self.stats
+        )
         return super().edges_crossing(graph, polygons) if found is None else found
 
     def unblocked_pairs(
         self, graph: "VisibilityGraph", region: Rect
-    ) -> list[tuple[Point, Point]]:
+    ) -> list[tuple[int, int]]:
         """One :func:`~repro.visibility.kernel.exact.unblocked_pairs`
         call; the inherited loop on graphs too small for one to pay."""
         found = exact.unblocked_pairs(
-            graph._adj, region, graph.packed_scene(), self.stats
+            graph._points, graph._rows, region, graph.packed_scene(), self.stats
         )
         return super().unblocked_pairs(graph, region) if found is None else found
 
@@ -259,7 +287,7 @@ class _StatsAdapter(_TimedBackend):
         self._inner = inner
         self.name = inner.name
 
-    def _sweep_scenes(self, scenes: "Scenes") -> list[list[list[Point]]]:
+    def _seen(self, scenes: "Scenes") -> list[list[list[Point]]]:
         inner = self._inner
         entry = getattr(inner, "visible_from_scenes", None)
         if entry is not None:

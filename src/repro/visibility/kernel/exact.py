@@ -447,25 +447,26 @@ def _node_xy(nodes: Sequence[Point]) -> np.ndarray:
 
 
 def edges_crossing(
-    adj: Mapping[Point, Mapping[Point, float]],
+    nodes: Sequence[Point],
+    rows: Sequence[Mapping[int, float]],
     polygons: Sequence[Polygon],
     stats: "RuntimeStats | None" = None,
-) -> "list[tuple[Point, Point]] | None":
-    """The edges ``(u, v)``, ``u < v``, of adjacency ``adj`` whose open
-    segment crosses the interior of one of ``polygons``, a block of
-    edges per array call (one, unless there are very many polygons) —
-    or ``None`` when the graph has too few edges for one to pay: the
-    caller loops the scalar method."""
-    degree = list(map(len, adj.values()))
+) -> "list[tuple[int, int]] | None":
+    """The edges ``(u, v)`` of the adjacency ``rows`` (per node id, its
+    neighbours' ids; node ``i`` at ``nodes[i]``), ``u``'s point the
+    smaller, whose open segment crosses the interior of one of
+    ``polygons``, a block of edges per array call (one, unless there are
+    very many polygons) — or ``None`` when the graph has too few edges
+    for one to pay: the caller loops the scalar method."""
+    degree = list(map(len, rows))
     if sum(degree) < 2 * _MIN_ARRAY_SEGMENTS:
         return None
-    # Every directed edge, by coordinates: hashing each neighbour back
-    # to a node id would cost more than the predicate.
-    nodes = list(adj)
-    heads = list(chain.from_iterable(adj.values()))
-    tail = np.arange(len(nodes)).repeat(degree)
-    ax, ay = _node_xy(nodes)[:, tail]
-    bx, by = _node_xy(heads)
+    # Every directed edge, by its ends' ids.
+    tail = np.arange(len(rows)).repeat(degree)
+    head = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=tail.size)
+    xy = _node_xy(nodes)
+    ax, ay = xy[:, tail]
+    bx, by = xy[:, head]
     # Each edge once, from its smaller end (``Point.__lt__``): the
     # orientation the scalar loop hands the predicate.
     forward = ((ax < bx) | ((ax == bx) & (ay < by))).nonzero()[0]
@@ -478,26 +479,26 @@ def edges_crossing(
         edge, obs = _boxes_meet(geom.mbr, *segs[part].T[:, :, None]).nonzero()
         hit = crosses_interior_many(segs, geom, part[edge], obs, stats)
         crossing[lo + edge[hit]] = True
-    crossing = forward[crossing].tolist()
-    return [(nodes[i], heads[k]) for i, k in zip(tail[crossing].tolist(), crossing)]
+    crossing = forward[crossing]
+    return list(zip(tail[crossing].tolist(), head[crossing].tolist()))
 
 
 def unblocked_pairs(
-    adj: Mapping[Point, Mapping[Point, float]],
+    nodes: Sequence[Point],
+    rows: Sequence[Mapping[int, float]],
     region: Rect,
     packed: "PackedScene",
     stats: "RuntimeStats | None" = None,
-) -> "list[tuple[Point, Point]] | None":
-    """The non-adjacent node pairs ``(u, w)``, ``u`` before ``w`` in
-    adjacency order, whose segment's bounding box meets ``region`` and
-    that see each other past every obstacle of ``packed``, a block of
-    ``u`` rows per array call (small graphs: one) — or ``None`` when
-    there are too few nodes for one to pay."""
-    n = len(adj)
+) -> "list[tuple[int, int]] | None":
+    """The non-adjacent node pairs ``(u, w)``, ids with ``u < w`` (node
+    ``i`` at ``nodes[i]``, its neighbours' ids ``rows[i]``), whose
+    segment's bounding box meets ``region`` and that see each other past
+    every obstacle of ``packed``, a block of ``u`` rows per array call
+    (small graphs: one) — or ``None`` when there are too few nodes for
+    one to pay."""
+    n = len(nodes)
     if n * (n - 1) // 2 < _MIN_ARRAY_SEGMENTS:
         return None
-    nodes = list(adj)
-    rows = list(adj.values())
     x, y = xy = _node_xy(nodes)
     ends = (xy.T, nodes)
     # A segment's box misses the region when both ends lie strictly
@@ -506,7 +507,7 @@ def unblocked_pairs(
         [x < region.minx, x > region.maxx, y < region.miny, y > region.maxy]
     )
     later = np.arange(n)
-    found = []
+    found: list[tuple[int, int]] = []
     step = max(1, _PASS_CELLS // (n * max(1, packed.obstacle_count)))
     for lo in range(0, n - 1, step):
         near = ~(beyond[:, lo : lo + step, None] & beyond[:, None, :]).any(axis=0)
@@ -514,7 +515,7 @@ def unblocked_pairs(
         i, j = near.nonzero()
         i += lo
         fresh = np.fromiter(
-            (nodes[w] not in rows[u] for u, w in zip(i.tolist(), j.tolist())),
+            (w not in rows[u] for u, w in zip(i.tolist(), j.tolist())),
             dtype=bool,
             count=i.size,
         )
@@ -523,7 +524,5 @@ def unblocked_pairs(
         seen = ~hidden_many(
             ends, i, ends, j, [packed], np.zeros(i.size, dtype=np.int64), stats=stats
         )
-        found += [
-            (nodes[u], nodes[w]) for u, w in zip(i[seen].tolist(), j[seen].tolist())
-        ]
+        found += zip(i[seen].tolist(), j[seen].tolist())
     return found

@@ -2,15 +2,15 @@
 call.
 
 One call answers "which scene points are visible from each of these
-sources" — each source against its *own* scene — with numpy array
-passes whose unit of work is the geometry they are given, not the call
-(a sweep of a 56-node graph is ~80 numpy calls on 56-element arrays, of
-a distance join's 13-node graphs on 13-element ones — interpreter and
-dispatch overhead, not arithmetic):
+sources" — each source against its *own* scene, as node ids and their
+distances — with numpy array passes whose unit of work is the geometry
+they are given, not the call (a sweep of a 56-node graph is ~80 numpy
+calls on 56-element arrays, of a distance join's 13-node graphs on
+13-element ones — interpreter and dispatch overhead, not arithmetic):
 
 1. **one ``arctan2`` pass** computes the polar angle and squared
-   distance of every (source, event) cell: the events (obstacle
-   vertices + free points) and edge rows of the pass's scenes are laid
+   distance of every (source, event) cell: the events (each scene's
+   graph nodes, in id order) and edge rows of the pass's scenes are laid
    end to end, a source owns one cell per event of its scene, and each
    source's cells are ordered by the canonical sweep key
    (:func:`repro.visibility.ordering.order_events_array`) — a one-scene
@@ -123,10 +123,10 @@ _SOURCE_STRIDE = 16.0
 class _Layout(NamedTuple):
     """The scenes of one pass laid end to end."""
 
-    #: ``(2, n_events)``: the ``x`` and ``y`` of every scene's events,
-    #: and the parallel ``Point`` list.
+    #: ``(2, n_events)``: the ``x`` and ``y`` of every scene's events —
+    #: its graph's nodes, in id order — and the parallel ``Point`` list.
     xy: np.ndarray
-    points: list[Point]
+    points: Sequence[Point]
     #: ``(2, n_edges)``: per boundary-edge row its endpoints ``a`` and
     #: ``b``, as event rows.
     ends: np.ndarray
@@ -145,8 +145,8 @@ def _lay_out(packs: "Sequence[PackedScene]") -> _Layout:
     return _Layout(
         np.concatenate([xy for xy, __, __ in parts], axis=1),
         list(chain.from_iterable(points for __, points, __ in parts)),
-        # An endpoint's packed index, shifted by its scene's first event
-        # row, is its event row in the pass.
+        # An endpoint's node id, shifted by its scene's first event row,
+        # is its event row in the pass.
         np.concatenate([ends for __, __, ends in parts], axis=1)
         + np.array([run[2] for run in runs]).repeat(m),
         runs,
@@ -229,26 +229,32 @@ _memoized_spans = lru_cache(maxsize=32)(_spans)
 def kernel_visible_from_scenes(
     scenes: "Sequence[tuple[Sequence[Point], VisibilityGraph]]",
     stats: "RuntimeStats | None" = None,
-) -> list[list[list[Point]]]:
-    """Per scene ``(sources, graph)``, per source, all of the graph's
-    points visible from it — vectorized sweep, as many scenes to a pass
-    as :data:`_PAIR_BUDGET` holds."""
-    out: list[list[list[Point]]] = [[[] for __ in srcs] for srcs, __ in scenes]
+) -> list[list[tuple[list[int], list[float]]]]:
+    """Per scene ``(sources, graph)``, per source, the ids of all the
+    graph's nodes visible from it and their distances from it —
+    vectorized sweep, as many scenes to a pass as :data:`_PAIR_BUDGET`
+    holds."""
+    out: list[list[tuple[list[int], list[float]]]] = [
+        [([], []) for __ in srcs] for srcs, __ in scenes
+    ]
     # Every source that sweeps, in call order: where its answer goes,
-    # the source, its boundary obstacles, its scene, the cells it takes.
+    # the source, its node id (-1 off the graph), its boundary
+    # obstacles, its scene, the cells it takes.
     slots: list[tuple[list, int]] = []
     srcs: list[Point] = []
+    own: list[int] = []
     boundaries: "list[Sequence[Obstacle]]" = []
     packs: "list[PackedScene]" = []
     cells: list[int] = []
     for (sources, graph), into in zip(scenes, out):
         packed = graph.packed_scene()
-        n = packed.vertex_count + packed.free_count
+        n = graph.node_count
         if n == 0 or not sources:
             continue
         sweeping, on = _sweep_centers(sources, graph, packed)
         slots += [(into, i) for i in sweeping]
         srcs += [sources[i] for i in sweeping]
+        own += [graph._ids.get(sources[i], -1) for i in sweeping]
         boundaries += on
         packs += [packed] * len(sweeping)
         cells += [n + packed.edge_count] * len(sweeping)
@@ -259,7 +265,9 @@ def kernel_visible_from_scenes(
         while hi < len(slots) and cells[hi] <= room:
             room -= cells[hi]
             hi += 1
-        seen = _sweep_scenes(srcs[lo:hi], boundaries[lo:hi], packs[lo:hi], stats)
+        seen = _sweep_scenes(
+            srcs[lo:hi], own[lo:hi], boundaries[lo:hi], packs[lo:hi], stats
+        )
         for (into, i), visible in zip(slots[lo:hi], seen):
             into[i] = visible
         lo = hi
@@ -293,13 +301,17 @@ def _sweep_centers(
 
 def _sweep_scenes(
     srcs: list[Point],
+    own: list[int],
     boundaries: "list[Sequence[Obstacle]]",
     scenes: "list[PackedScene]",
     stats: "RuntimeStats | None",
-) -> list[list[Point]]:
-    """One pass over ``srcs`` (none strictly inside an obstacle), each
-    against its own scene ``scenes[s]``; a scene's sources are
-    consecutive."""
+) -> list[tuple[list[int], list[float]]]:
+    """One pass over ``srcs`` (none strictly inside an obstacle; node
+    ids ``own``, -1 off the graph), each against its own scene
+    ``scenes[s]``; a scene's sources are consecutive.  Per source, the
+    node ids it sees, in sweep order, and their distances: the square
+    roots of the pass's own squared distances, ``Point.distance`` to the
+    bit."""
     if stats is not None:
         stats.sweep_passes += 1
     TRACER.count("sweep.pass")
@@ -334,12 +346,10 @@ def _sweep_scenes(
     order = order_events_array(angles, dist_sq, spans.first, spans.blocks)
     ev_ids = spans.cell_ev.take(order)
     visible = ((dx != 0.0) | (dy != 0.0)).take(order)
-    # Each source's own event row when it is an obstacle vertex, else -1.
+    # Each source's own event row when it is a node, else -1 (only an
+    # obstacle vertex can be an edge's endpoint).
     vid = np.array(
-        [
-            -1 if (v := packs[k].vertex_id(p)) is None else v + lay.runs[k][2]
-            for p, k in zip(srcs, scene_of)
-        ]
+        [-1 if v < 0 else v + lay.runs[k][2] for v, k in zip(own, scene_of)]
     )
     blocked, ambiguous = _classify_events(
         lay, spans, vid, pxy, angles, ev_ids, angles.take(order)
@@ -389,13 +399,15 @@ def _sweep_scenes(
         )
         visible[events[hidden]] = False
 
-    points = lay.points
-    ids = ev_ids[visible].tolist()
+    # A visible cell's position in its source's run is the node id.
+    cells = order[visible]
+    nodes = (cells - spans.first[cell_src[visible]]).tolist()
+    legs = np.sqrt(dist_sq[cells]).tolist()
     out = []
     stop = 0
     for count in np.add.reduceat(visible, spans.first, dtype=np.intp).tolist():
         start, stop = stop, stop + count
-        out.append([points[i] for i in ids[start:stop]])
+        out.append((nodes[start:stop], legs[start:stop]))
     return out
 
 

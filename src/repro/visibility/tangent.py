@@ -55,17 +55,14 @@ def prune_to_tangent(graph: VisibilityGraph) -> int:
             raise GeometryError(
                 f"tangent pruning requires convex obstacles; {obs!r} is not"
             )
-    removed = 0
-    for u in list(graph.nodes()):
-        for v in list(graph.neighbors(u)):
-            if not (u < v):
-                continue
-            if _edge_is_tangent(graph, u, v):
-                continue
-            del graph._adj[u][v]
-            del graph._adj[v][u]
-            removed += 1
-    return removed
+    points = list(graph.nodes())
+    cut = [
+        (u, v)
+        for u, v in graph.edge_ids()
+        if not _edge_is_tangent(graph, points[u], points[v])
+    ]
+    graph._remove_edges(cut)
+    return len(cut)
 
 
 def _edge_is_tangent(graph: VisibilityGraph, u: Point, v: Point) -> bool:

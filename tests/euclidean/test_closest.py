@@ -1,6 +1,8 @@
 """Tests for incremental closest pairs [HS98, CMTV00]."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -64,6 +66,21 @@ class TestKClosestPairs:
 
 
 class TestIncrementalStream:
+    def test_a_dropped_stream_is_freed_without_a_collection(self):
+        """The queue of a half-read stream goes with its iterator (no
+        reference cycle waits for the cyclic collector)."""
+        stream = IncrementalClosestPairs(
+            _tree(_random_points(1, 80)), _tree(_random_points(2, 80))
+        )
+        next(stream)
+        gone = weakref.ref(stream)
+        gc.disable()
+        try:
+            del stream
+            assert gone() is None
+        finally:
+            gc.enable()
+
     def test_ascending_distances(self):
         s = _random_points(3, 40)
         t = _random_points(4, 40)

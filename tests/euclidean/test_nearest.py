@@ -1,6 +1,8 @@
 """Tests for incremental best-first nearest-neighbour search [HS99]."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -75,6 +77,19 @@ class TestIncremental:
         got = [d for __, d in IncrementalNearestNeighbors(tree, q)]
         want = sorted(p.distance(q) for p in pts)
         assert got == pytest.approx(want)
+
+    def test_a_dropped_stream_is_freed_without_a_collection(self):
+        """The queue of a half-read stream goes with its iterator (no
+        reference cycle waits for the cyclic collector)."""
+        stream = IncrementalNearestNeighbors(_tree(_random_points(9, 200)), Point(0, 0))
+        next(stream)
+        gone = weakref.ref(stream)
+        gc.disable()
+        try:
+            del stream
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_resumable_between_pulls(self):
         pts = _random_points(7, 100)

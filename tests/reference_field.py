@@ -1,8 +1,11 @@
-"""The test suite's independent oracles, over the dict adjacency.
+"""The test suite's independent oracles, over ``Point``-keyed dicts.
 
 ``reference_dijkstra`` is a plain binary-heap Dijkstra [D59] over a
-:class:`VisibilityGraph`'s dict-of-dicts adjacency — the search
-``CSRGraph.dijkstra`` is bit-identical to.  ``reference_distance`` is
+:class:`VisibilityGraph`'s adjacency as ``neighbors`` gives it — the
+search ``CSRGraph.dijkstra`` is bit-identical to.  ``reference_freeze``
+flattens a dict-of-dicts adjacency, hashing every neighbour back to its
+row — the arrays ``CSRGraph.freeze`` reads straight off the id rows
+must equal it.  ``reference_distance`` is
 Fig. 8 between two graph nodes, growing the graph in place.
 ``ReferenceField`` is Fig. 8 from ``q`` over a private graph with ``q``
 inserted: the oracle the one engine,
@@ -10,12 +13,45 @@ inserted: the oracle the one engine,
 """
 
 import heapq
-from itertools import count
+from itertools import chain, count
 from math import inf
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from repro.geometry.point import Point
 from repro.visibility import VisibilityGraph
+
+
+class Frozen(NamedTuple):
+    """What ``reference_freeze`` returns: ``CSRGraph``'s arrays."""
+
+    points: list
+    xs: np.ndarray
+    ys: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+
+def reference_freeze(adj: dict[Point, dict[Point, float]]) -> Frozen:
+    """Flatten ``adj`` (node insertion order)."""
+    points = list(adj)
+    n = len(points)
+    index = {p: i for i, p in enumerate(points)}
+    xs = np.fromiter((p.x for p in points), dtype=np.float64, count=n)
+    ys = np.fromiter((p.y for p in points), dtype=np.float64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter((len(adj[p]) for p in points), dtype=np.int64, count=n),
+        out=indptr[1:],
+    )
+    m = int(indptr[-1])
+    ids = list(map(index.__getitem__, chain.from_iterable(adj.values())))
+    lengths = list(chain.from_iterable(map(dict.values, adj.values())))
+    indices = np.fromiter(ids, dtype=np.int32, count=m)
+    weights = np.fromiter(lengths, dtype=np.float64, count=m)
+    return Frozen(points, xs, ys, indptr, indices, weights)
 
 
 def reference_dijkstra(

@@ -228,8 +228,8 @@ class TestDynamicParity:
         assert corner in g.neighbors(Point(3, 3))
         if method == NP:
             packed = g.packed_scene()
-            assert packed.free_count == 1  # only Point(3, 3)
-            assert packed.vertex_id(corner) is not None
+            assert g.free_points() == {Point(3, 3)}
+            assert g.node_id(corner) in packed.edge_endpoints()[0].tolist()
 
     @pytest.mark.parametrize("method", [PY, NP])
     def test_build_with_vertex_coincident_point_is_not_deletable(self, method):
@@ -251,12 +251,12 @@ class TestDynamicParity:
         obstacles = [rect_obstacle(0, 0, 0, 10, 10)]
         g = VisibilityGraph.build([Point(-5, -5)], obstacles, method=NP)
         packed = g.packed_scene()
-        assert packed.vertex_count == 4
+        assert packed.edge_count == 4
         g.rebuild([rect_obstacle(1, 20, 20, 30, 30), rect_obstacle(2, 40, 0, 45, 5)])
         fresh = g.packed_scene()
         assert fresh is not packed
-        assert fresh.vertex_count == 8
-        assert fresh.free_count == 1
+        assert fresh.edge_count == 8
+        assert fresh.sweep_arrays()[0].shape == (2, 9)
 
 
 class TestResidualInteriorCheck:

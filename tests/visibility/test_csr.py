@@ -17,7 +17,7 @@ from repro.visibility import VisibilityGraph
 from repro.visibility import csr as csr_module
 from repro.visibility.csr import CSRGraph, frozen
 from tests.conftest import rect_obstacle
-from tests.reference_field import reference_dijkstra
+from tests.reference_field import reference_dijkstra, reference_freeze
 from tests.strategies import disjoint_rect_obstacles, free_points
 from tests.visibility.test_exact import endpoints, lattice_rects
 
@@ -50,7 +50,7 @@ class TestFreeze:
                 csr.points[int(j)]: float(w)
                 for j, w in zip(csr.indices[lo:hi], csr.weights[lo:hi])
             }
-            assert row == g._adj[p]
+            assert list(row.items()) == list(g.neighbors(p).items())
 
     def test_frozen_caches_per_revision(self):
         g = _grid_graph(seed=2)
@@ -69,6 +69,107 @@ class TestFreeze:
         assert r1 > r0
         g.delete_entity(Point(50.0, 50.0))
         assert g.structure_revision > r1
+
+
+#: The graph operations a history draws from.
+_STEPS = (
+    "add_obstacles",
+    "remove_obstacle",
+    "add_entity",
+    "delete_entity",
+    "rebuild",
+    "restore",
+)
+
+
+@st.composite
+def _histories(draw):
+    """A scene, the part of it a graph is built over, and the steps that
+    follow: each a kind and a number that picks its argument.  Some
+    entities sit on obstacle corners, so they are promoted to vertices
+    and demoted back."""
+    obstacles = draw(disjoint_rect_obstacles(max_count=8))
+    corners = [v for obs in obstacles for v in obs.polygon.vertices]
+    entities = draw(free_points(obstacles, max_count=6))
+    entities += draw(st.lists(st.sampled_from(corners), max_size=2))
+    held = draw(st.integers(0, 2 ** len(obstacles) - 1))
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_STEPS), st.integers(0, 2**16)), max_size=8
+        )
+    )
+    return obstacles, entities, held, steps
+
+
+def _picked(items, bits):
+    return [item for k, item in enumerate(items) if bits >> k & 1]
+
+
+def _step(graph, method, obstacles, entities, kind, r):
+    """Apply one history step to ``graph``; returns the graph after it."""
+    held = graph.obstacle_ids()
+    if kind == "add_obstacles":
+        graph.add_obstacles(_picked([o for o in obstacles if o.oid not in held], r))
+    elif kind == "remove_obstacle" and held:
+        graph.remove_obstacle(sorted(held)[r % len(held)])
+    elif kind == "add_entity":
+        graph.add_entity(entities[r % len(entities)])
+    elif kind == "delete_entity" and graph.free_points():
+        free = sorted(graph.free_points())
+        graph.delete_entity(free[r % len(free)])
+    elif kind == "rebuild":
+        graph.rebuild(_picked(obstacles, r))
+    elif kind == "restore":
+        graph = VisibilityGraph.restore(*graph.snapshot_parts(), method=method)
+    return graph
+
+
+def _adjacency(graph):
+    return {p: dict(graph.neighbors(p)) for p in graph.nodes()}
+
+
+def _assert_ids_dense_and_freeze_exact(graph):
+    nodes = list(graph.nodes())
+    assert [graph.node_id(p) for p in nodes] == list(range(len(nodes)))
+    csr = CSRGraph.freeze(graph)
+    want = reference_freeze(_adjacency(graph))
+    assert csr.points == want.points
+    assert csr.index == {p: i for i, p in enumerate(nodes)}
+    for name in ("xs", "ys", "indptr", "indices", "weights"):
+        assert getattr(csr, name).tolist() == getattr(want, name).tolist(), name
+
+
+def _assert_order_kept(before, after):
+    """What a dict keyed by points keeps: surviving nodes in their old
+    order ahead of new ones, and each row's surviving neighbours in
+    their old order."""
+    kept = [p for p in before if p in after]
+    assert list(after)[: len(kept)] == kept
+    for p in kept:
+        old, new = before[p], after[p]
+        assert [v for v in new if v in old] == [v for v in old if v in new]
+
+
+@pytest.mark.parametrize("method", ["numpy-kernel", "naive"])
+@settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+@given(history=_histories())
+def test_freeze_equals_the_reference_after_every_step(method, history):
+    """Node ids are ``0 .. n-1`` in ``nodes()`` order whatever built,
+    grew, repaired, rebuilt or restored the graph; a step other than a
+    rebuild or a restore keeps the node and row order a ``Point``-keyed
+    dict would; and the freeze read off the id rows equals the
+    reference flattening — node order, row order and weights."""
+    obstacles, entities, held, steps = history
+    graph = VisibilityGraph.build(
+        entities[: len(entities) // 2], _picked(obstacles, held), method=method
+    )
+    _assert_ids_dense_and_freeze_exact(graph)
+    for kind, r in steps:
+        before = _adjacency(graph)
+        graph = _step(graph, method, obstacles, entities, kind, r)
+        if kind not in ("rebuild", "restore"):
+            _assert_order_kept(before, _adjacency(graph))
+        _assert_ids_dense_and_freeze_exact(graph)
 
 
 class TestDijkstraParity:
@@ -149,10 +250,25 @@ class TestDijkstraParity:
             assert dist[i] == oracle.get(p, math.inf)  # bitwise
 
 
+class _Adjacency:
+    """A ``Point``-keyed adjacency with the two reads
+    ``reference_dijkstra`` makes of a graph."""
+
+    def __init__(self, adj):
+        self.adj = adj
+
+    def has_node(self, p):
+        return p in self.adj
+
+    def neighbors(self, p):
+        return self.adj[p]
+
+
 class TestSeededDijkstraParity:
     """Seeds ``(id, start)`` are a virtual source wired to those nodes:
-    the oracle is the dict Dijkstra from a stand-in node whose edges
-    are set by hand, with the start distances as weights."""
+    the oracle is the dict Dijkstra over the graph's adjacency plus a
+    stand-in node whose edges are set by hand, with the start distances
+    as weights."""
 
     @staticmethod
     def _setup(seed):
@@ -162,11 +278,12 @@ class TestSeededDijkstraParity:
         ids = rng.choice(csr.node_count, size=4, replace=False).tolist()
         seeds = [(i, float(s)) for i, s in zip(ids, rng.uniform(0.5, 9, 4))]
         virtual = Point(1000.0, 1000.0)
-        g._adj[virtual] = {}
+        adj = {p: dict(g.neighbors(p)) for p in g.nodes()}
+        adj[virtual] = {}
         for i, start in seeds:
-            g._adj[virtual][csr.points[i]] = start
-            g._adj[csr.points[i]][virtual] = start
-        return g, csr, seeds, virtual
+            adj[virtual][csr.points[i]] = start
+            adj[csr.points[i]][virtual] = start
+        return _Adjacency(adj), csr, seeds, virtual
 
     @staticmethod
     def _settled(csr, dist, settled):

@@ -133,9 +133,11 @@ def _xy(points) -> np.ndarray:
 
 
 def _packed(obstacles) -> PackedScene:
-    packed = PackedScene()
+    nodes = list(dict.fromkeys(v for o in obstacles for v in o.polygon.vertices))
+    ids = {v: i for i, v in enumerate(nodes)}
+    packed = PackedScene(nodes)
     for obs in obstacles:
-        packed.add_obstacle(obs)
+        packed.add_obstacle(obs, ids)
     return packed
 
 

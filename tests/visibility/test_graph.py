@@ -78,7 +78,7 @@ class TestBulkInstall:
             reference._register_free_point(p)
         for node in list(reference.nodes()):
             for w in reference.visible_from_many([node])[0]:
-                reference._set_edge(node, w)
+                reference._set_edge(reference.node_id(node), reference.node_id(w))
 
         assert built.snapshot_parts() == reference.snapshot_parts()
         assert list(built.nodes()) == list(reference.nodes())
@@ -92,7 +92,7 @@ class TestBulkInstall:
     def test_install_bumps_structure_revision_once(self):
         g = VisibilityGraph.build([Point(0, 0), Point(1, 0), Point(0, 1)], [])
         before = g.structure_revision
-        g._install_visible(Point(0, 0), [Point(1, 0), Point(0, 1)])
+        g._install_visible(0, [1, 2], [1.0, 1.0])
         assert g.structure_revision == before + 1
 
 

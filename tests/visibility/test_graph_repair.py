@@ -174,22 +174,22 @@ class TestRemoveObstacleEdgeCases:
         rng, obstacles, points = _scene(6, n_obstacles=6)
         graph = VisibilityGraph.build(points, obstacles, method=backend)
         packed = graph.packed_scene()
-        before_verts = packed.vertex_count
+        before = graph.node_count
         victim = obstacles[rng.randrange(len(obstacles))]
         graph.remove_obstacle(victim.oid)
         assert packed.edge_count == sum(
             len(o.polygon.edges()) for o in obstacles if o.oid != victim.oid
         )
-        assert packed.vertex_count == before_verts - len(
-            victim.polygon.vertices
-        )
-        # Packed arrays still mirror the graph: endpoint indices map
-        # back to the surviving vertex points.
+        assert graph.node_count == before - len(victim.polygon.vertices)
+        # Packed arrays still mirror the graph: endpoint ids name the
+        # surviving obstacles' edges, in polygon order.
         ea, eb = packed.edge_endpoints()
-        events = packed.event_points()
-        for i in range(packed.edge_count):
-            assert events[int(ea[i])] in set(graph.nodes())
-            assert events[int(eb[i])] in set(graph.nodes())
+        nodes = list(graph.nodes())
+        assert [(nodes[a], nodes[b]) for a, b in zip(ea.tolist(), eb.tolist())] == [
+            edge for o in graph.scene_obstacles() for edge in o.polygon.edges()
+        ]
+        xy, __, __ = packed.sweep_arrays()
+        assert xy.T.tolist() == [[p.x, p.y] for p in nodes]
 
 
 # ------------------------------------------------- add_obstacles == the fold

@@ -14,19 +14,17 @@ Quickstart::
     db.add_entity_set("cafes", [Point(5, 5), Point(0, 5)])
     db.nearest("cafes", Point(1, 5), k=1)            # obstructed 1-NN
 
-Architecture: every query runs through the unified query runtime
-(:mod:`repro.runtime`) — a per-database
-:class:`~repro.runtime.context.QueryContext` owning a persistent,
-versioned LRU cache of local visibility graphs, a metric abstraction
-(:class:`~repro.runtime.metric.ObstructedMetric` /
-:class:`~repro.runtime.metric.EuclideanMetric`) over shared,
-metric-parameterized query skeletons, dynamic obstacle updates with
-lazy version-based invalidation
-(:meth:`~repro.core.engine.ObstacleDatabase.insert_obstacle`), and
-batch entry points
-(:meth:`~repro.core.engine.ObstacleDatabase.batch_nearest`,
-:meth:`~repro.core.engine.ObstacleDatabase.batch_range`) that amortize
-one context across whole workloads.  The serving tier
+Architecture: each query of the paper is one function in
+:mod:`repro.core` — a Euclidean R*-tree query (:mod:`repro.euclidean`)
+yields candidates, and a per-database
+:class:`~repro.runtime.context.QueryContext` (:mod:`repro.runtime`)
+refines them under the obstructed metric.  The context owns a
+persistent, versioned LRU cache of local visibility graphs, repaired
+in place on dynamic obstacle updates
+(:meth:`~repro.core.engine.ObstacleDatabase.insert_obstacle`); batch
+entry points (:meth:`~repro.core.engine.ObstacleDatabase.batch_nearest`,
+:meth:`~repro.core.engine.ObstacleDatabase.batch_range`) amortize one
+context across whole workloads.  The serving tier
 (:mod:`repro.serve`) layers a persistent snapshot-warm-started worker
 pool, an asyncio microbatching front-end, and continuous query
 subscriptions for moving clients on top of the same runtime.
@@ -53,8 +51,6 @@ from repro.visibility.tangent import prune_to_tangent
 from repro.core.continuous import NNInterval, PathNearestNeighbor, path_nearest
 from repro.render import save_svg, scene_to_svg
 from repro.runtime import (
-    EuclideanMetric,
-    ObstructedMetric,
     QueryContext,
     RuntimeStats,
     VisibilityGraphCache,
@@ -123,8 +119,6 @@ __all__ = [
     "QueryContext",
     "RuntimeStats",
     "VisibilityGraphCache",
-    "EuclideanMetric",
-    "ObstructedMetric",
     # core queries
     "ObstacleDatabase",
     "ObstacleIndex",

@@ -10,29 +10,24 @@ most recent pair, since every later pair has a larger Euclidean — and
 therefore larger obstructed — distance.  This serves browsing and
 complex queries with unknown-in-advance stopping conditions.
 
-Both entry points are the shared runtime skeletons
-(:func:`repro.runtime.queries.metric_closest_pairs` /
-:func:`~repro.runtime.queries.iter_metric_closest_pairs`); exact
-evaluations are centred on the ``s`` side, so graphs cached per
-first-element point are reused across pairs, mirroring ODJ's seed
-reuse.
+Exact evaluations are :meth:`QueryContext.distance
+<repro.runtime.context.QueryContext.distance>` centred on the ``s``
+side, so graphs cached per first-element point are reused across
+pairs, mirroring ODJ's seed reuse.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from bisect import insort
+from typing import Iterator
 
 from repro.core.distance import ObstacleSource
+from repro.errors import QueryError
+from repro.euclidean.closest import IncrementalClosestPairs
 from repro.geometry.point import Point
 from repro.index.rstar import RStarTree
-from repro.runtime.metric import resolve_metric
-from repro.runtime.queries import (
-    iter_metric_closest_pairs,
-    metric_closest_pairs,
-)
-
-if TYPE_CHECKING:
-    from repro.runtime.context import QueryContext
+from repro.runtime.context import QueryContext
+from repro.runtime.skeletons import emit_in_metric_order
 
 
 def obstacle_closest_pairs(
@@ -41,17 +36,35 @@ def obstacle_closest_pairs(
     obstacle_source: ObstacleSource,
     k: int,
     *,
-    cache_size: int = 32,
-    context: "QueryContext | None" = None,
+    context: QueryContext | None = None,
 ) -> list[tuple[Point, Point, float]]:
     """The ``k`` pairs with smallest obstructed distance.
 
     Returns ``(s, t, d_O)`` sorted by obstructed distance; fewer than
-    ``k`` when ``|S| * |T| < k``.  ``cache_size`` bounds the private
-    graph cache when no shared ``context`` is given.
+    ``k`` when ``|S| * |T| < k``.
     """
-    metric = resolve_metric(obstacle_source, context, cache_size=cache_size)
-    return metric_closest_pairs(tree_s, tree_t, metric, k)
+    if k < 1:
+        raise QueryError(f"k must be >= 1, got {k}")
+    context = context or QueryContext(obstacle_source)
+    stream = IncrementalClosestPairs(tree_s, tree_t)
+    result: list[tuple[float, Point, Point]] = []
+    for s, t, __ in stream:
+        insort(result, (context.distance(t, s), s, t))
+        if len(result) == k:
+            break
+    if not result:
+        return []
+    # With fewer than k seeds the stream is spent: nothing below runs.
+    d_emax = result[-1][0]
+    for s, t, d_e in stream:
+        if d_e > d_emax:
+            break
+        d = context.distance(t, s, bound=d_emax)
+        if d < d_emax:
+            result.pop()
+            insort(result, (d, s, t))
+            d_emax = result[-1][0]
+    return [(s, t, d) for d, s, t in result]
 
 
 def iter_obstacle_closest_pairs(
@@ -59,11 +72,16 @@ def iter_obstacle_closest_pairs(
     tree_t: RStarTree,
     obstacle_source: ObstacleSource,
     *,
-    cache_size: int = 32,
-    context: "QueryContext | None" = None,
+    context: QueryContext | None = None,
 ) -> Iterator[tuple[Point, Point, float]]:
     """Incremental OCP (paper Fig. 12): pairs in ascending obstructed
     distance, no ``k`` parameter — consume as many as needed.
     """
-    metric = resolve_metric(obstacle_source, context, cache_size=cache_size)
-    return iter_metric_closest_pairs(tree_s, tree_t, metric)
+    context = context or QueryContext(obstacle_source)
+    candidates = (
+        ((s, t), d_e) for s, t, d_e in IncrementalClosestPairs(tree_s, tree_t)
+    )
+    evaluated = emit_in_metric_order(
+        candidates, lambda pair, __: context.distance(pair[1], pair[0])
+    )
+    return ((s, t, d) for (s, t), d in evaluated)

@@ -52,25 +52,25 @@ class SourceDistanceField:
     moves — whether the obstacles were added by this field's own
     Fig. 8 enlargement or by another user of a shared, cached graph.
 
-    ``grow`` optionally replaces the enlargement step: it receives the
-    current provisional distance and must return ``True`` when new
-    obstacles entered the graph.  The query runtime passes the cached
-    graph's coverage-aware expansion here, so already-covered radii
-    skip the obstacle retrieval entirely.
+    ``grow`` is the enlargement step: it receives the current
+    provisional distance and returns ``True`` when new obstacles
+    entered the graph.  :meth:`QueryContext.field_for
+    <repro.runtime.context.QueryContext.field_for>` passes the cached
+    graph's coverage-aware expansion, so already-covered radii skip the
+    obstacle retrieval entirely, and a call with radius 0 revalidates
+    the graph against dynamic obstacle updates.
     """
 
     def __init__(
         self,
         graph: VisibilityGraph,
         source_point: Point,
-        source: ObstacleSource,
         *,
-        grow: Callable[[float], bool] | None = None,
+        grow: Callable[[float], bool],
         stats: "object | None" = None,
     ) -> None:
         self._graph = graph
         self._q = source_point
-        self._source = source
         self._grow = grow
         self._stats = stats
         #: Pinned per structure revision (:meth:`_pin`): the freeze, the
@@ -96,16 +96,15 @@ class SourceDistanceField:
         obstacles is a lower bound on the true one, so a caller that
         discards results beyond ``bound`` cannot tell the difference.
         """
-        if self._grow is not None:
-            # Revalidate a runtime-managed graph before evaluating: a
-            # dynamic obstacle update since the last call must not let
-            # a stale provisional short-circuit via the bound check.
-            self._grow(0.0)
+        # Revalidate the graph before evaluating: a dynamic obstacle
+        # update since the last call must not let a stale provisional
+        # short-circuit via the bound check.
+        self._grow(0.0)
         while True:
             d = self._provisional(p)
             if d > bound:
                 return d
-            if not self._enlarge(d):
+            if not self._grow(d):
                 return d
 
     def batch_eval(
@@ -124,27 +123,20 @@ class SourceDistanceField:
 
         points = list(points)
         with TRACER.span("field.batch_eval", size=len(points)):
-            if self._grow is not None:
-                self._grow(0.0)
+            self._grow(0.0)
             out: list[float] = []
             ahead = self._ahead = points[::-1]
             while ahead:
                 p = ahead.pop()
                 while True:
                     d = self._provisional(p)
-                    if d > bound or not self._enlarge(d):
+                    if d > bound or not self._grow(d):
                         break
                 out.append(d)
         TRACER.count("field.batch_eval")
         if self._stats is not None:
             self._stats.field_batch_evals += 1
         return out
-
-    def _enlarge(self, radius: float) -> bool:
-        if self._grow is not None:
-            return self._grow(radius)
-        retrieved = self._source.obstacles_in_range(self._q, radius)
-        return self._graph.add_obstacles(retrieved) > 0
 
     def _pin(self) -> None:
         """Take the graph's current freeze and the field rooted at the

@@ -7,26 +7,24 @@ with a single OR-style expansion over one shared visibility graph.
 Seeds are processed in Hilbert order so consecutive obstacle range
 retrievals touch nearby pages, maximising buffer locality.
 
-The implementation is the shared runtime skeleton
-(:func:`repro.runtime.queries.metric_distance_join`) parameterized
-with the obstructed metric; with a shared
-:class:`~repro.runtime.context.QueryContext`, per-seed graphs persist
-in the LRU cache across join invocations.
+Every seed is handed to :meth:`QueryContext.refine_many
+<repro.runtime.context.QueryContext.refine_many>` at once, which
+sweeps the graphs of a run of seeds together; with a shared context,
+per-seed graphs persist in the LRU cache across join invocations.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import defaultdict
 
 from repro.core.distance import ObstacleSource
+from repro.errors import QueryError
+from repro.euclidean.join import distance_join
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.index.hilbert import hilbert_key
 from repro.index.rstar import RStarTree
-from repro.runtime.metric import resolve_metric
-from repro.runtime.queries import metric_distance_join
-
-if TYPE_CHECKING:
-    from repro.runtime.context import QueryContext
+from repro.runtime.context import QueryContext
 
 
 def obstacle_distance_join(
@@ -37,7 +35,7 @@ def obstacle_distance_join(
     *,
     hilbert_order_seeds: bool = True,
     universe: Rect | None = None,
-    context: "QueryContext | None" = None,
+    context: QueryContext | None = None,
 ) -> list[tuple[Point, Point, float]]:
     """All pairs ``(s, t)`` with obstructed distance <= ``e``.
 
@@ -45,12 +43,30 @@ def obstacle_distance_join(
     disables the seed-locality optimisation (used by the ablation
     benchmark).
     """
-    metric = resolve_metric(obstacle_source, context)
-    return metric_distance_join(
-        tree_s,
-        tree_t,
-        metric,
-        e,
-        hilbert_order_seeds=hilbert_order_seeds,
-        universe=universe,
-    )
+    if e < 0:
+        raise QueryError(f"negative join distance: {e}")
+    context = context or QueryContext(obstacle_source)
+    s_partners: dict[Point, list[Point]] = defaultdict(list)
+    t_partners: dict[Point, list[Point]] = defaultdict(list)
+    for s, t, __ in distance_join(tree_s, tree_t, e):
+        s_partners[s].append(t)
+        t_partners[t].append(s)
+    if not s_partners:
+        return []
+
+    # Seed the side with fewer distinct points (paper's observation:
+    # five pairs over two distinct s-values need only two graphs).
+    seed_from_s = len(s_partners) <= len(t_partners)
+    partners = s_partners if seed_from_s else t_partners
+    seeds = list(partners)
+    if hilbert_order_seeds:
+        if universe is None:
+            universe = Rect.from_points(seeds)
+        seeds.sort(key=lambda p: hilbert_key(p, universe))
+
+    refined = context.refine_many(seeds, e, [partners[seed] for seed in seeds])
+    return [
+        (seed, mate, d) if seed_from_s else (mate, seed, d)
+        for seed, found in zip(seeds, refined)
+        for mate, d in found
+    ]

@@ -14,26 +14,23 @@ per-candidate graph surgery, and losing candidates abort their Fig. 8
 iteration early once their provisional lower bound exceeds the current
 threshold.
 
-Both entry points are the shared runtime skeletons
-(:func:`repro.runtime.queries.metric_nearest` /
-:func:`~repro.runtime.queries.iter_metric_nearest`) parameterized with
-the obstructed metric; pass a
-:class:`~repro.runtime.context.QueryContext` to reuse cached graphs
-across queries.
+Pass a :class:`~repro.runtime.context.QueryContext` to reuse cached
+graphs across queries.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from bisect import insort
+from math import inf
+from typing import Iterator
 
-from repro.core.distance import ObstacleSource
+from repro.core.distance import ObstacleSource, SourceDistanceField
+from repro.errors import QueryError
+from repro.euclidean.nearest import IncrementalNearestNeighbors
 from repro.geometry.point import Point
 from repro.index.rstar import RStarTree
-from repro.runtime.metric import resolve_metric
-from repro.runtime.queries import iter_metric_nearest, metric_nearest
-
-if TYPE_CHECKING:
-    from repro.runtime.context import QueryContext
+from repro.runtime.context import QueryContext
+from repro.runtime.skeletons import emit_in_metric_order, take
 
 
 def obstacle_nearest(
@@ -43,7 +40,7 @@ def obstacle_nearest(
     k: int,
     *,
     prune_bound: bool = True,
-    context: "QueryContext | None" = None,
+    context: QueryContext | None = None,
 ) -> list[tuple[Point, float]]:
     """The ``k`` entities with smallest obstructed distance from ``q``.
 
@@ -54,8 +51,30 @@ def obstacle_nearest(
     optimisation (every candidate's distance is evaluated exactly, as
     in the paper's verbatim Fig. 9).
     """
-    metric = resolve_metric(obstacle_source, context)
-    return metric_nearest(entity_tree, metric, q, k, prune_bound=prune_bound)
+    if k < 1:
+        raise QueryError(f"k must be >= 1, got {k}")
+    context = context or QueryContext(obstacle_source)
+    stream = IncrementalNearestNeighbors(entity_tree, q)
+    seeds = take(stream, k)
+    if not seeds:
+        return []
+    # The field's graph starts from the obstacles within the k-th
+    # Euclidean radius (Fig. 9), and one batched evaluation serves
+    # every seed.
+    field = context.field_for(q, seeds[-1][1])
+    points = [p for p, __ in seeds]
+    result = sorted(zip(field.batch_eval(points), points))
+    # With fewer than k seeds the stream is spent: nothing below runs.
+    d_emax = result[-1][0]
+    for p, d_e in stream:
+        if d_e > d_emax:
+            break
+        d = field.distance_to(p, bound=d_emax if prune_bound else inf)
+        if d < d_emax:
+            result.pop()
+            insort(result, (d, p))
+            d_emax = result[-1][0]
+    return [(p, d) for d, p in result]
 
 
 def iter_obstacle_nearest(
@@ -63,7 +82,7 @@ def iter_obstacle_nearest(
     obstacle_source: ObstacleSource,
     q: Point,
     *,
-    context: "QueryContext | None" = None,
+    context: QueryContext | None = None,
 ) -> Iterator[tuple[Point, float]]:
     """Incremental ONN: yields ``(entity, d_O)`` in ascending obstructed
     distance, without a predefined ``k``.
@@ -73,5 +92,13 @@ def iter_obstacle_nearest(
     immediately: later neighbours have larger Euclidean — hence larger
     obstructed — distances.
     """
-    metric = resolve_metric(obstacle_source, context)
-    return iter_metric_nearest(entity_tree, metric, q)
+    context = context or QueryContext(obstacle_source)
+    field: SourceDistanceField | None = None
+
+    def evaluate(p: Point, d_e: float) -> float:
+        nonlocal field
+        if field is None:  # rooted on the first candidate's radius
+            field = context.field_for(q, d_e)
+        return field.distance_to(p)
+
+    return emit_in_metric_order(IncrementalNearestNeighbors(entity_tree, q), evaluate)

@@ -3,29 +3,24 @@
 Candidates are the entities within *Euclidean* distance ``e`` (a
 superset of the answer); the relevant obstacles are those intersecting
 the same disk (no farther obstacle can shorten or block a path of
-length <= ``e``).  One Dijkstra-style expansion from ``q`` over the
-local visibility graph then reports every candidate whose obstructed
+length <= ``e``).  One distance field rooted at ``q`` over the local
+visibility graph then reports every candidate whose obstructed
 distance is within ``e`` — a single traversal for all candidates, not
-one shortest-path run each.
+one shortest-path run each (:meth:`QueryContext.refine_many
+<repro.runtime.context.QueryContext.refine_many>` with one centre).
 
-The implementation is the shared runtime skeleton
-(:func:`repro.runtime.queries.metric_range`) parameterized with the
-obstructed metric; pass a :class:`~repro.runtime.context.QueryContext`
-to share cached visibility graphs across queries.
+Pass a :class:`~repro.runtime.context.QueryContext` to share cached
+visibility graphs across queries.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.core.distance import ObstacleSource
+from repro.errors import QueryError
+from repro.euclidean.range import entities_in_range
 from repro.geometry.point import Point
 from repro.index.rstar import RStarTree
-from repro.runtime.metric import resolve_metric
-from repro.runtime.queries import metric_range
-
-if TYPE_CHECKING:
-    from repro.runtime.context import QueryContext
+from repro.runtime.context import QueryContext
 
 
 def obstacle_range(
@@ -34,7 +29,7 @@ def obstacle_range(
     q: Point,
     e: float,
     *,
-    context: "QueryContext | None" = None,
+    context: QueryContext | None = None,
 ) -> list[tuple[Point, float]]:
     """Entities within obstructed distance ``e`` of ``q``.
 
@@ -42,5 +37,12 @@ def obstacle_range(
     distance.  With ``context`` the local visibility graph for ``q``
     is fetched from (and retained in) the shared cache.
     """
-    metric = resolve_metric(obstacle_source, context)
-    return metric_range(entity_tree, metric, q, e)
+    if e < 0:
+        raise QueryError(f"negative range: {e}")
+    context = context or QueryContext(obstacle_source)
+    candidates = entities_in_range(entity_tree, q, e)
+    if not candidates:
+        return []
+    result = context.refine_many([q], e, [candidates])[0]
+    result.sort(key=lambda pair: pair[1])
+    return result

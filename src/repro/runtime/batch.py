@@ -36,28 +36,34 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.nearest import obstacle_nearest
+from repro.core.range import obstacle_range
 from repro.errors import DatasetError, QueryError
-from repro.runtime.metric import ObstructedMetric
-from repro.runtime.queries import metric_nearest, metric_range
 
 
 def evaluate(db, command: tuple, items: Sequence) -> list:
     """One answer per item of ``items`` under ``command``, through
-    ``db``'s shared context and the per-point query skeletons — the
-    same call in the parent and in every worker, which is what makes
-    every route's answers bit-identical."""
-    metric = ObstructedMetric(db.context)
+    ``db``'s shared context and the per-point queries — the same call
+    in the parent and in every worker, which is what makes every
+    route's answers bit-identical."""
+    context = db.context
     kind = command[0]
     if kind == "distance":
-        return [metric.distance(a, b) for a, b in items]
+        return [context.distance(a, b) for a, b in items]
     if kind == "nearest":
         __, set_name, k = command
         tree = db.entity_tree(set_name)
-        return [list(metric_nearest(tree, metric, q, k)) for q in items]
+        return [
+            obstacle_nearest(tree, context.source, q, k, context=context)
+            for q in items
+        ]
     if kind == "range":
         __, set_name, e = command
         tree = db.entity_tree(set_name)
-        return [list(metric_range(tree, metric, q, e)) for q in items]
+        return [
+            obstacle_range(tree, context.source, q, e, context=context)
+            for q in items
+        ]
     raise QueryError(f"unknown batch command {kind!r}")
 
 

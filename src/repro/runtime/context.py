@@ -31,7 +31,7 @@ hooks — so consecutive queries amortize each other's work:
 from __future__ import annotations
 
 from math import inf
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.distance import ObstacleSource, SourceDistanceField
 from repro.geometry.circle import Circle
@@ -507,7 +507,6 @@ class QueryContext:
         return SourceDistanceField(
             entry.graph,
             q,
-            self.source,
             grow=lambda r: self.cover(entry, q, r),
             stats=self.stats,
         )
@@ -516,12 +515,23 @@ class QueryContext:
         self,
         centers: Sequence[Point],
         radius: float,
-        candidates: "Sequence[list[Point]]",
-    ) -> list[list[float]]:
-        """Per centre, what ``field_for(centre, radius).batch_eval(its
-        candidates, bound=radius)`` returns (a centre without
-        candidates: ``[]``, and no graph) — a distance join's seeds
-        (Fig. 10), with the sweeps of a run of centres made together.
+        candidates: "Sequence[Iterable[Point]]",
+    ) -> list[list[tuple[Point, float]]]:
+        """Per centre, the ``(p, d)`` pairs of its distinct candidates
+        ``p`` within ``radius`` of it, in candidate order — ``d`` being
+        what ``field_for(centre, radius).batch_eval(candidates,
+        bound=radius)`` returns (a centre without candidates: ``[]``,
+        and no graph).  This is Fig. 5's elimination for OR (one
+        centre) and for every seed of a distance join (Fig. 10), with
+        the sweeps of a run of centres made together.
+
+        Each candidate's distance is the last-leg minimisation over its
+        visible anchors — exact because a shortest path never turns at
+        a free point, so it leaves the candidate straight toward some
+        graph node.  Unlike Fig. 5's own formulation (one bounded
+        expansion with every candidate inserted as a transient entity),
+        candidates never enter the cached graph, so the field's search
+        is reusable across calls at the same centre.
 
         Centre by centre the cache sees exactly :meth:`entry_for`'s
         lookups, retrievals and admissions, in order; only the sweeps
@@ -537,7 +547,8 @@ class QueryContext:
         itself.  If anything fails before the connect, every entry left
         with unswept nodes leaves the cache.
         """
-        out: list[list[float]] = [[] for __ in centers]
+        candidates = [list(dict.fromkeys(points)) for points in candidates]
+        out: list[list[tuple[Point, float]]] = [[] for __ in centers]
         asked = [i for i, points in enumerate(candidates) if points]
         capacity = self.cache.capacity
         for lo in range(0, len(asked), capacity):
@@ -548,7 +559,10 @@ class QueryContext:
                 else [self.field_for(run[0][0], radius)]
             )
             for i, field in zip(asked[lo:], fields):
-                out[i] = field.batch_eval(candidates[i], bound=radius)
+                found = field.batch_eval(candidates[i], bound=radius)
+                out[i] = [
+                    (p, d) for p, d in zip(candidates[i], found) if d <= radius
+                ]
         return out
 
     def _fields_connected_together(

@@ -5,11 +5,9 @@ import random
 
 import pytest
 
-from repro.core.distance import SourceDistanceField
 from repro.core.source import build_obstacle_index
 from repro.geometry import Point
 from repro.runtime.context import QueryContext
-from repro.visibility import VisibilityGraph
 from tests.conftest import (
     oracle_distance,
     random_disjoint_rects,
@@ -25,17 +23,18 @@ def _index(obstacles):
 class TestSourceDistanceField:
     def test_source_distance_zero(self):
         idx = _index([rect_obstacle(0, 5, 5, 6, 6)])
-        g = VisibilityGraph.build([Point(0, 0)], [])
-        field = SourceDistanceField(g, Point(0, 0), idx)
+        field = QueryContext(idx).field_for(Point(0, 0))
         assert field.distance_to(Point(0, 0)) == 0.0
 
     def test_source_need_not_be_a_node(self):
         idx = _index([rect_obstacle(0, 5, 5, 6, 6)])
-        g = VisibilityGraph.build([], [])
-        field = SourceDistanceField(g, Point(1, 1), idx)
+        # With spatial keys (1, 1) shares the graph centred at (0, 0).
+        ctx = QueryContext(idx, snap=10.0)
+        ctx.field_for(Point(0, 0))
+        field = ctx.field_for(Point(1, 1))
         assert field.distance_to(Point(4, 5)) == pytest.approx(5.0)
         # ... and does not become one: the graph is only read.
-        assert not g.has_node(Point(1, 1))
+        assert not field.graph.has_node(Point(1, 1))
         # Rooted at what it sees once obstacles arrive.
         assert field.distance_to(Point(7, 7)) == pytest.approx(
             oracle_distance(Point(1, 1), Point(7, 7), [rect_obstacle(0, 5, 5, 6, 6)])
@@ -47,8 +46,7 @@ class TestSourceDistanceField:
         pts = random_free_points(rng, 8, obstacles)
         idx = _index(obstacles)
         q = pts[0]
-        graph = VisibilityGraph.build([q], [])
-        field = SourceDistanceField(graph, q, idx)
+        field = QueryContext(idx).field_for(q)
         for p in pts[1:]:
             assert field.distance_to(p) == pytest.approx(
                 oracle_distance(q, p, obstacles)
@@ -57,13 +55,10 @@ class TestSourceDistanceField:
     def test_candidate_probe_does_not_mutate_graph(self):
         idx = _index([rect_obstacle(0, 4, -3, 6, 3)])
         q = Point(0, 0)
-        graph = VisibilityGraph.build(
-            [q], idx.obstacles_in_range(q, 20.0)
-        )
-        field = SourceDistanceField(graph, q, idx)
-        nodes_before = set(graph.nodes())
+        field = QueryContext(idx).field_for(q, 20.0)
+        nodes_before = set(field.graph.nodes())
         field.distance_to(Point(10, 0))
-        assert set(graph.nodes()) == nodes_before
+        assert set(field.graph.nodes()) == nodes_before
 
     def test_candidate_on_obstacle_boundary(self):
         # probe point exactly on an edge of a known obstacle: the
@@ -72,8 +67,8 @@ class TestSourceDistanceField:
         box = rect_obstacle(0, 4, -3, 6, 3)
         idx = _index([box])
         q = Point(0, 0)
-        graph = VisibilityGraph.build([q], [box])
-        field = SourceDistanceField(graph, q, idx)
+        field = QueryContext(idx).field_for(q, 10.0)
+        assert field.graph.obstacle_ids() == {0}
         p = Point(6, 0)  # on the right edge of the box
         d = field.distance_to(p)
         assert d == pytest.approx(oracle_distance(q, p, [box]))
@@ -85,8 +80,7 @@ class TestSourceDistanceField:
         pts = random_free_points(rng, 6, obstacles)
         idx = _index(obstacles)
         q = pts[0]
-        graph = VisibilityGraph.build([q], [])
-        field = SourceDistanceField(graph, q, idx)
+        field = QueryContext(idx).field_for(q)
         for p in pts[1:]:
             exact = oracle_distance(q, p, obstacles)
             bounded = field.distance_to(p, bound=exact / 2.0)
@@ -102,12 +96,11 @@ class TestSourceDistanceField:
         pts = random_free_points(rng, 5, obstacles)
         idx = _index(obstacles)
         q = pts[0]
-        graph = VisibilityGraph.build([q], [])
-        field = SourceDistanceField(graph, q, idx)
+        field = QueryContext(idx).field_for(q)
         for p in pts[1:]:
             field.distance_to(p)
         # obstacles discovered for earlier probes persist
-        assert graph.obstacle_ids()  # non-empty after probing around
+        assert field.graph.obstacle_ids()  # non-empty after probing around
 
     def test_node_added_after_snapshot_not_inf(self):
         """Regression: a free point admitted to the graph *after* the
@@ -117,11 +110,10 @@ class TestSourceDistanceField:
         wall = rect_obstacle(0, 4, -1, 6, 1)
         idx = _index([wall])
         q = Point(0, 0)
-        graph = VisibilityGraph.build([q], [])
-        field = SourceDistanceField(graph, q, idx)
+        field = QueryContext(idx).field_for(q)
         assert field.distance_to(Point(0, 5)) == pytest.approx(5.0)
         late = Point(10, 0)
-        assert graph.add_entity(late)  # behind the field's snapshot
+        assert field.graph.add_entity(late)  # behind the field's snapshot
         d = field.distance_to(late)
         assert math.isfinite(d)
         assert d == pytest.approx(oracle_distance(q, late, [wall]))

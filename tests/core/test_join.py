@@ -101,15 +101,15 @@ class TestObstacleDistanceJoin:
 
 
 # ------------------------------------------- batched seeds equal the seed loop
-def _per_seed(self, seeds, e, partners):
+def _per_seed(self, centers, radius, candidates):
     """ODJ's refinement as it was before the seeds were batched: one
     field, one batch evaluation, one seed at a time."""
     out = []
-    for q in seeds:
-        uniq = list(dict.fromkeys(partners[q]))
-        field = self.context.field_for(q, e) if uniq else None
-        dists = field.batch_eval(uniq, bound=e) if uniq else []
-        out.append([(p, d) for p, d in zip(uniq, dists) if d <= e])
+    for q, points in zip(centers, candidates):
+        uniq = list(dict.fromkeys(points))
+        field = self.field_for(q, radius) if uniq else None
+        dists = field.batch_eval(uniq, bound=radius) if uniq else []
+        out.append([(p, d) for p, d in zip(uniq, dists) if d <= radius])
     return out
 
 
@@ -136,13 +136,12 @@ def test_batched_seeds_equal_the_seed_loop(cache_size, snap, backend, monkeypatc
     share entries) a graph two seeds of a run reach is swept and frozen
     once for both, so those two counts can only fall."""
     from repro.runtime.context import QueryContext
-    from repro.runtime.metric import ObstructedMetric
 
     __, __, __, ts, tt, idx = _setup(5, n_obs=14, n_s=9, n_t=30)
 
     def joins(per_seed):
         if per_seed:
-            monkeypatch.setattr(ObstructedMetric, "range_refine_many", _per_seed)
+            monkeypatch.setattr(QueryContext, "refine_many", _per_seed)
         else:
             monkeypatch.undo()
         ctx = QueryContext(idx, cache_size=cache_size, snap=snap, backend=backend)

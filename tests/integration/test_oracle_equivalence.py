@@ -8,6 +8,7 @@ oracle.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +23,7 @@ from repro.core import (
 from repro.core.source import build_obstacle_index
 from repro.geometry import Point, Rect
 from repro.index import RStarTree, str_pack
-from tests.conftest import oracle_distance
+from tests.conftest import oracle_distance, random_free_points
 from tests.strategies import disjoint_rect_obstacles, free_points
 
 SETTINGS = settings(
@@ -127,3 +128,18 @@ def test_euclidean_lower_bound_invariant(data):
     d_o = oracle_distance(a, b, obstacles)
     assert d_o >= a.distance(b) - 1e-9
     assert d_o < math.inf  # disjoint simple polygons never seal a point
+
+
+def test_no_obstacles_in_reach_is_euclidean():
+    """With no obstacles the obstructed metric is the Euclidean one:
+    ONN and OR over an empty obstacle index equal a brute-force
+    Euclidean sort."""
+    q, *entities = random_free_points(random.Random(21), 14, [])
+    idx = build_obstacle_index([], max_entries=8, min_entries=3)
+    tree = _tree(entities)
+    brute = sorted((q.distance(p), p) for p in entities)
+    want = [(p, pytest.approx(d)) for d, p in brute]
+    assert want[:4] == obstacle_nearest(tree, idx, q, 4)
+    within = obstacle_range(tree, idx, q, 25.0)
+    assert within and want[: len(within)] == within
+    assert len(within) == sum(d <= 25.0 for d, __ in brute)

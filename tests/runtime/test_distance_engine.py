@@ -19,7 +19,6 @@ import pytest
 
 from repro import ObstacleDatabase, Point, Rect
 from repro.core.continuous import PathNearestNeighbor
-from repro.core.distance import SourceDistanceField
 from repro.core.source import build_obstacle_index
 from repro.obs import TRACER
 from repro.runtime.context import QueryContext
@@ -518,27 +517,26 @@ class TestBatchEvalAcrossGrowth:
         index = build_obstacle_index(walls, max_entries=8, min_entries=3)
         q = Point(0.0, 0.0)
         counter = _AnchorCallCounter(resolve_backend(backend))
-        graph = VisibilityGraph.build([q], [], method=counter)
-        field = SourceDistanceField(graph, q, index)
+        field = QueryContext(index, backend=counter).field_for(q)
         candidates = [
             Point(5.0, 1.0), Point(6.0, -2.0),      # before the first wall
             Point(15.0, 3.0), Point(16.0, -1.0),    # behind wall 0
             Point(25.0, 0.5), Point(5.0, 1.0),      # behind wall 1; a repeat
             Point(38.0, 2.0), Point(47.0, -4.0),    # behind walls 2 and 3
         ]
-        return field, graph, counter, candidates
+        return field, counter, candidates
 
     def test_batch_equals_loop_with_bounded_anchor_calls(self, backend):
-        field, graph, counter, candidates = self._setup(backend)
+        field, counter, candidates = self._setup(backend)
         growths = []
-        enlarge = field._enlarge
-        field._enlarge = lambda radius: growths.append(enlarge(radius)) or growths[-1]
+        grow = field._grow
+        field._grow = lambda radius: growths.append(grow(radius)) or growths[-1]
         batched = field.batch_eval(candidates)
         assert sum(growths) >= 3  # the graph did grow mid-batch
-        assert graph.obstacle_ids() == {0, 1, 2, 3}
+        assert field.graph.obstacle_ids() == {0, 1, 2, 3}
         assert counter.anchor_calls <= 1 + sum(growths)
 
-        loop_field, __, loop_counter, __ = self._setup(backend)
+        loop_field, loop_counter, __ = self._setup(backend)
         looped = [loop_field.distance_to(p) for p in candidates]
         assert batched == looped  # bitwise
         # One candidate at a time pays one call per candidate and growth.

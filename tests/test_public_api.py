@@ -67,7 +67,6 @@ class TestAllExports:
         import importlib.util
 
         import repro.runtime.batch
-        from repro.runtime.metric import EuclideanMetric, ObstructedMetric
         from repro.runtime.policy import AdaptiveCachePolicy, CachePolicy
         from repro.serve.pool import PersistentWorkerPool
 
@@ -75,16 +74,22 @@ class TestAllExports:
         for name in ("BatchExecutor", "batch_nearest", "batch_range", "batch_distance"):
             assert not hasattr(repro.runtime, name), name
             assert not hasattr(repro.runtime.batch, name), name
-        for owner in (
-            repro.QueryContext,
-            ObstructedMetric,
-            EuclideanMetric,
-            CachePolicy,
-            AdaptiveCachePolicy,
-        ):
+        for owner in (repro.QueryContext, CachePolicy, AdaptiveCachePolicy):
             assert not hasattr(owner, "spawn"), owner
         for name in ("batch_nearest", "batch_range"):
             assert not hasattr(PersistentWorkerPool, name), name
+        # One metric: the queries run on the QueryContext itself.
+        assert importlib.util.find_spec("repro.runtime.metric") is None
+        assert importlib.util.find_spec("repro.runtime.queries") is None
+        for name in (
+            "EuclideanMetric",
+            "ObstructedMetric",
+            "DistanceOracle",
+            "resolve_metric",
+            "metric_range",
+        ):
+            assert not hasattr(repro, name), name
+            assert not hasattr(repro.runtime, name), name
 
 
 class TestPersistenceSurface:

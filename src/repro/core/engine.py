@@ -31,8 +31,8 @@ when asked (``workers=``) — either a forked child per chunk or, with
 manager); both run the same worker body.  Adding a dataset is
 announced on the same feed as every record.  Obstacle storage is
 either one monolithic R*-tree per set or, with ``shards=N``, a
-spatially sharded store whose mutations reach cached graphs per
-shard.
+spatially sharded store whose mutations leave cached graphs over other
+shards current.
 """
 
 from __future__ import annotations
@@ -267,13 +267,11 @@ class ObstacleDatabase:
         Returns the stored :class:`~repro.model.Obstacle` record (with
         its database-assigned id), which can later be passed to
         :meth:`delete_obstacle`.  The mutation is routed repair-first:
-        cached visibility graphs whose coverage disk the new obstacle
-        intersects are patched in place (one ``add_obstacle``), others
-        get a version-stamp refresh; a graph is rebuilt only when
-        repair is impossible (rebuild-fallback).  With sharded storage
-        (``shards=``) only graphs registered under the shards the
-        obstacle overlaps are even visited — queries never consult a
-        stale graph either way.
+        every cached visibility graph is visited; one whose coverage
+        disk the new obstacle intersects is patched in place (one
+        ``add_obstacle``), the others get a version-stamp refresh; a
+        graph is rebuilt only when repair is impossible
+        (rebuild-fallback) — queries never consult a stale graph.
         """
         stored = self._coerce_obstacle(obstacle)
         self._obstacle_index_named(set_name)  # resolve (and fail) pre-journal
@@ -485,7 +483,7 @@ class ObstacleDatabase:
         The snapshot captures every R*-tree node-per-page (page ids,
         buffer residency and access counters included), every obstacle
         set (monolithic or sharded, with per-shard versions and grid
-        layout), and — unless ``include_cache=False`` — every cached
+        geometry), and — unless ``include_cache=False`` — every cached
         visibility graph with its coverage and version stamp, so
         :meth:`load` warm-starts.
         ``dataset_refs`` records source dataset files by content hash;

@@ -10,9 +10,13 @@ relevant obstacles of several indexes.
 :class:`ShardedObstacleIndex` is the scale-out variant: one dataset
 spatially partitioned over a :class:`~repro.runtime.sharding.ShardGrid`
 into many small per-shard R-trees.  Range retrievals fan out only to
-the shards whose cells intersect the query disk, and versioning is a
-per-shard vector, so the runtime invalidates cached visibility graphs
-shard-locally instead of globally.
+the shards whose cells intersect the query disk.
+
+Every source answers ``version_for(center, radius)``: a tuple of ints
+that moves whenever the obstacles intersecting that disk may have
+changed.  A cached visibility graph built over the disk is current
+exactly while the tuple is unchanged
+(:meth:`repro.runtime.context.QueryContext.version_for`).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.rstar import RStarTree
 from repro.model import Obstacle
-from repro.runtime.sharding import ShardGrid, ShardVersionStamp
+from repro.runtime.sharding import ShardGrid
 
 
 #: Signature of a mutation listener: ``callback(kind, obstacle)``.
@@ -88,15 +92,15 @@ class ObstacleIndex:
 
     The index is *versioned*: every mutation (insert/delete) bumps
     ``version``, and the query runtime stamps each cached visibility
-    graph with the version it was built against, so stale graphs are
-    discarded lazily at their next lookup instead of being rebuilt
-    eagerly on every update.  The version also folds in the tree's
-    entry count, so even mutations applied directly to ``tree``
-    (bypassing :meth:`insert`/:meth:`delete`) are detected — a
-    balanced sequence of direct inserts and deletes between two
-    queries is the one drift this cannot see; route mutations through
-    the index (or :class:`~repro.core.engine.ObstacleDatabase`) for
-    full tracking.
+    graph with the version it was built against (:meth:`version_for`),
+    so stale graphs are discarded lazily at their next lookup instead
+    of being rebuilt eagerly on every update.  The version also folds
+    in the tree's entry count, so even mutations applied directly to
+    ``tree`` (bypassing :meth:`insert`/:meth:`delete`) are detected — a
+    balanced sequence of direct inserts and deletes in *this one tree*
+    between two queries is the one drift this cannot see; route
+    mutations through the index (or
+    :class:`~repro.core.engine.ObstacleDatabase`) for full tracking.
 
     A write made here, behind a database's back
     (``db.obstacle_index.insert(...)``), is heard by this index's own
@@ -134,6 +138,10 @@ class ObstacleIndex:
         strictly dominates the +-1 size change); also moves when the
         tree is resized behind the index's back."""
         return 2 * self._mutations + len(self.tree)
+
+    def version_for(self, center: Point, radius: float) -> tuple[int, ...]:
+        """The stamp of a graph built over any disk: ``(version,)``."""
+        return (self.version,)
 
     def obstacles_in_range(self, center: Point, radius: float) -> list[Obstacle]:
         """Obstacles intersecting the disk (filtered by MBR, refined
@@ -195,10 +203,10 @@ class CompositeObstacleIndex:
         for index in self.indexes:
             index.subscribe(callback)
 
-    @property
-    def version(self) -> int:
-        """Sum of member versions — moves whenever any member mutates."""
-        return sum(idx.version for idx in self.indexes)
+    def version_for(self, center: Point, radius: float) -> tuple[int, ...]:
+        """The members' stamps, concatenated: a change in one member is
+        never cancelled out by a change in another."""
+        return tuple(v for idx in self.indexes for v in idx.version_for(center, radius))
 
     def obstacles_in_range(self, center: Point, radius: float) -> list[Obstacle]:
         """Union of the members' relevant obstacles."""
@@ -240,14 +248,13 @@ class ShardedObstacleIndex:
       intersect the query disk (in Hilbert key order, for buffer
       locality and determinism);
     * mutations bump only the versions of the shards they touch, and
-      :meth:`version_stamp` hands the query runtime a per-shard version
-      vector (:class:`~repro.runtime.sharding.ShardVersionStamp`) so
-      cached visibility graphs survive mutations in shards they never
-      read.
+      :meth:`version_for` reads only the shards of the disk's cells, so
+      a cached visibility graph stays current through mutations in
+      shards it never read.
 
-    Shards are created lazily on first insert into their cell (bumping
-    ``layout_version``) and never removed — an emptied shard keeps its
-    version history, which is what makes stamp comparison sound.
+    Shards are created lazily on first insert into their cell and never
+    removed — an emptied shard keeps its version history, which is what
+    makes stamp comparison sound.
     """
 
     def __init__(
@@ -261,7 +268,6 @@ class ShardedObstacleIndex:
         self.name = name
         self._tree_kwargs = dict(tree_kwargs)
         self._shards: dict[int, ObstacleIndex] = {}
-        self._layout_version = 0
         self._count = 0
         self._feed = _MutationFeed()
 
@@ -273,11 +279,6 @@ class ShardedObstacleIndex:
         self._feed.subscribe(callback)
 
     # -------------------------------------------------------------- shards
-    @property
-    def layout_version(self) -> int:
-        """Bumped whenever a new shard is created (never on mutation)."""
-        return self._layout_version
-
     @property
     def shard_count(self) -> int:
         """Number of occupied shards."""
@@ -319,13 +320,11 @@ class ShardedObstacleIndex:
             )
             shard = ObstacleIndex(tree)
             self._shards[key] = shard
-            self._layout_version += 1
         return shard
 
     def keys_for_obstacle(self, obstacle: Obstacle) -> list[int]:
         """The shard keys of every cell the obstacle's MBR overlaps —
-        the mutation footprint the runtime uses to reach exactly the
-        cached graphs a mutation can affect."""
+        the shards an insert or delete of it writes to."""
         grid = self.grid
         return sorted(
             {grid.key(cx, cy) for cx, cy in grid.cells_for_rect(obstacle.mbr)}
@@ -334,22 +333,17 @@ class ShardedObstacleIndex:
     # ------------------------------------------------------------ versioning
     @property
     def version(self) -> int:
-        """Global version: moves whenever *any* shard mutates.
-
-        Kept for API parity with the monolithic sources (and for code
-        paths that only need "did anything change"); the runtime
-        prefers the per-shard :meth:`version_stamp`.
-        """
+        """Global version: moves whenever *any* shard mutates."""
         return sum(shard.version for shard in self._shards.values())
 
-    def version_stamp(self, center: Point, radius: float) -> ShardVersionStamp:
-        """The per-shard version vector for a graph covering the disk."""
-        versions = {
-            key: self._shards[key].version
-            for key in self.occupied_keys_for_disk(center, radius)
-        }
-        return ShardVersionStamp(
-            self, center, radius, versions, self._layout_version
+    def version_for(self, center: Point, radius: float) -> tuple[int, ...]:
+        """One :meth:`shard_version` per grid cell the disk meets (0 for
+        a cell without a shard, so a shard created inside the disk
+        moves the tuple too)."""
+        grid = self.grid
+        return tuple(
+            self.shard_version(grid.key(cx, cy))
+            for cx, cy in grid.cells_for_disk(center, radius)
         )
 
     # -------------------------------------------------------------- queries
@@ -420,7 +414,6 @@ class ShardedObstacleIndex:
         *,
         name: str,
         shards: dict[int, ObstacleIndex],
-        layout_version: int,
         count: int,
         **tree_kwargs: object,
     ) -> "ShardedObstacleIndex":
@@ -428,16 +421,14 @@ class ShardedObstacleIndex:
         parts.
 
         ``shards`` maps shard keys to fully restored per-shard
-        :class:`ObstacleIndex` instances; ``layout_version`` and
-        ``count`` are taken verbatim (they are not derivable from the
-        shard dict — emptied shards keep their version history, and
-        spanning obstacles are replicated).  A fresh mutation feed is
+        :class:`ObstacleIndex` instances; ``count`` is taken verbatim
+        (spanning obstacles are replicated, so it is not derivable
+        from the shard dict).  A fresh mutation feed is
         created; subscribers re-attach when the runtime context is
         rebuilt around the restored source.
         """
         index = cls(grid, name=name, **tree_kwargs)
         index._shards = dict(shards)
-        index._layout_version = layout_version
         index._count = count
         return index
 

@@ -218,7 +218,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
             f"    graph {i}: center=({cx:g}, {cy:g}), "
             f"covered={entry['covered']:g}, "
             f"{entry['obstacles']} obstacle(s), {entry['nodes']} node(s), "
-            f"{entry['edges']} edge(s), {entry['stamp']} stamp"
+            f"{entry['edges']} edge(s), stamp of {entry['stamp']} version(s)"
         )
     stats = info["runtime_stats"]
     if stats:  # type: ignore[truthy-bool]

@@ -45,7 +45,7 @@ MAGIC = b"RPROSNAP"
 #: frozen-CSR arrays per cached graph, journal-sequence stamp.  A file
 #: of any other version is refused with a located error
 #: (:func:`read_snapshot`).
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: Total header size; the payload starts at this file offset.  The
 #: header itself (and its verification) lives in

@@ -18,8 +18,8 @@ payload is nine sections in this order — written by
 4. **obstacle sets** — each as its R*-tree page image
    (:mod:`repro.index.pageio`, leaf payloads being obstacle ids) for
    monolithic storage, or the grid geometry plus every per-shard tree
-   (with per-shard mutation counters, layout version and Hilbert keys)
-   for sharded storage;
+   (with per-shard mutation counters and Hilbert keys) for sharded
+   storage;
 5. **entity trees** — page images with point payloads;
 6. **graph cache** — every cached visibility graph with its coverage
    radius and version stamp (:mod:`repro.persist.graphio`), in LRU
@@ -173,7 +173,6 @@ def save_database(
             for bound in (universe.minx, universe.miny, universe.maxx, universe.maxy):
                 w.f64(bound)
             w.u32(index.grid.order)
-            w.u64(index.layout_version)
             w.u64(len(index))
             shards = [(key, index.shard(key)) for key in index.shard_keys()]
             w.u32(len(shards))
@@ -272,7 +271,6 @@ def _parse(path: str | Path) -> Iterator[Any]:
         if entry["kind"] == _KIND_SHARDED:
             entry["universe"] = (r.f64(), r.f64(), r.f64(), r.f64())
             entry["order"] = r.u32()
-            entry["layout_version"] = r.u64()
             entry["count"] = r.u64()
             keyed = [True] * r.u32()
         elif entry["kind"] == _KIND_MONO:
@@ -286,13 +284,12 @@ def _parse(path: str | Path) -> Iterator[Any]:
         sets.append(entry)
     if not sets:
         raise r.error("snapshot contains no obstacle sets")
-    sharded = len(sets) == 1 and sets[0]["kind"] == _KIND_SHARDED
     yield sets
     del sets, entry
     # -- 5 entity trees ----------------------------------------------------
     yield {r.str_(): pageio.parse_tree(r, _read_point) for __ in range(r.u32())}
     # -- 6 graph cache -----------------------------------------------------
-    cache = [graphio.parse_cache_entry(r, known, sharded) for __ in range(r.u32())]
+    cache = [graphio.parse_cache_entry(r, known) for __ in range(r.u32())]
     yield cache
     # -- 7 runtime stats ---------------------------------------------------
     stats: dict[str, object] = {}
@@ -400,7 +397,6 @@ def load_database(
                 ShardGrid(Rect(*entry["universe"]), entry["order"]),
                 name=f"obstacles:{entry['name']}",
                 shards=shards,
-                layout_version=entry["layout_version"],
                 count=entry["count"],
                 **tree_kwargs,
             )
@@ -418,12 +414,13 @@ def load_database(
         cache_policy=cache_policy,
     )
     context = db.context
+    # In LRU order (least recently used first): the serialized eviction order.
     restored = [
-        graphio.build_cache_entry(entry, table, context.source, backend=context.backend)
+        graphio.build_cache_entry(entry, table, backend=context.backend)
         for entry in cache
     ]
     for cached in restored:
-        context.admit_restored(cached)
+        context.cache.put(cached)
     for index, points, indptr, indices, weights in frozen:
         install_frozen(restored[index].graph, points, indptr, indices, weights)
     for stat_name, value in stats.items():
@@ -468,7 +465,8 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
 
     Returns format version, configuration, per-set obstacle/page
     counts and page-access counters, entity sets, cached-graph
-    summaries (centre, coverage radius, node/edge counts), runtime
+    summaries (centre, coverage radius, node/edge counts, and the
+    number of versions in the stamp), runtime
     counters and dataset refs — what the
     ``repro-snapshot info`` command prints.  It summarises the sections
     :func:`load_database` assembles, one at a time, so it refuses every
@@ -503,7 +501,7 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
             "obstacles": len(entry["oids"]),
             "nodes": len(entry["nodes"]),
             "edges": len(entry["edges"]),
-            "stamp": "integer" if isinstance(entry["stamp"], int) else "sharded",
+            "stamp": len(entry["stamp"]),
         }
         for entry in next(sections)
     ]

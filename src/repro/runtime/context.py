@@ -40,7 +40,6 @@ from repro.model import Obstacle
 from repro.obs.trace import NULL_SPAN, TRACER
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.runtime.policy import CachePolicy, resolve_cache_policy
-from repro.runtime.sharding import stamp_for, stamp_is_stale
 from repro.runtime.stats import RuntimeStats
 from repro.visibility.csr import CSRGraph, frozen
 from repro.visibility.graph import VisibilityGraph
@@ -72,12 +71,12 @@ class QueryContext:
     source:
         The obstacle source (an
         :class:`~repro.core.source.ObstacleIndex`, a composite, or any
-        :class:`~repro.core.distance.ObstacleSource`).  If it exposes a
-        ``version`` attribute, cached graphs are invalidated whenever
-        the version moves (see
-        :meth:`repro.core.engine.ObstacleDatabase.insert_obstacle`);
-        if it additionally exposes ``subscribe``, mutations are
-        repaired in place instead (repair-first, rebuild-fallback).
+        :class:`~repro.core.distance.ObstacleSource`).  If it answers
+        ``version_for(center, radius)``, a cached graph is invalidated
+        once the tuple for its coverage disk moves (see
+        :meth:`version_for`); if it additionally exposes ``subscribe``,
+        mutations are repaired in place instead (repair-first,
+        rebuild-fallback).
     cache_size:
         LRU capacity of the visibility-graph cache.
     snap:
@@ -123,95 +122,60 @@ class QueryContext:
         self.policy.attach(self.cache, self.stats)
         #: Entry ids (by identity) whose stamps were fresh at the last
         #: ``pre-`` mutation notification — the only entries the
-        #: matching post-notification may repair-and-re-stamp — plus
-        #: the affected-entry list itself, stashed so the synchronous
-        #: post pass need not recompute the shard fan-in.
+        #: matching post-notification may repair-and-re-stamp.
         self._repairable: frozenset[int] = frozenset()
-        self._pre_affected: list[CachedGraph] | None = None
         subscribe = getattr(source, "subscribe", None)
         if subscribe is not None:
             subscribe(self._on_obstacle_mutation)
 
     # ------------------------------------------------------------- versioning
+    def version_for(self, center: Point, radius: float) -> tuple[int, ...]:
+        """The source's stamp of ``disk(center, radius)`` (``()`` for a
+        static source without ``version_for``).  A cached graph is
+        fresh iff its ``version`` equals this for its own centre and
+        coverage radius."""
+        version_for = getattr(self.source, "version_for", None)
+        return () if version_for is None else version_for(center, radius)
+
     @property
-    def version(self) -> int:
-        """The obstacle source's current version (0 for static sources)."""
-        return getattr(self.source, "version", 0)
+    def version(self) -> tuple[int, ...]:
+        """The stamp of the whole plane: moves on any mutation."""
+        return self.version_for(Point(0.0, 0.0), inf)
 
     def invalidate(self) -> None:
         """Drop every cached graph (e.g. after swapping the source)."""
         self.cache.clear()
 
     # --------------------------------------------------------- repair plumbing
-    def _disk_shards(
-        self, center: Point, radius: float
-    ) -> "frozenset[int] | None":
-        """The shard keys of every grid cell the disk touches, or
-        ``None`` for unsharded sources.
-
-        Deliberately *geometric* (grid cells, not occupied shards): a
-        later insert that creates a brand-new shard inside the disk
-        still reaches the entry through this registration.
-        """
-        grid = getattr(self.source, "grid", None)
-        if grid is None:
-            return None
-        return frozenset(
-            grid.key(cx, cy) for cx, cy in grid.cells_for_disk(center, radius)
-        )
-
     def _on_obstacle_mutation(self, kind: str, obstacle: Obstacle) -> None:
         """Repair-first maintenance of the cached graphs around one
         source mutation (the source's feed calls this synchronously,
         once just before the mutation is applied — ``pre-insert`` /
-        ``pre-delete`` — and once just after).
+        ``pre-delete`` — and once just after).  Both passes visit every
+        cached entry.
 
-        With a sharded source only the entries registered under the
-        mutation's shard footprint are visited — O(affected), not
-        O(cache size); monolithic sources carry one global version, so
-        every entry needs at least a stamp refresh and the scan is the
-        whole cache.
-
-        The ``pre-`` pass records which affected entries are fresh
-        against the *pre-mutation* versions: only those are patched in
-        place and re-stamped by the post pass.  An entry already stale
-        at that point missed a mutation applied behind the feed's back
-        (e.g. a direct shard edit); applying just this mutation and
+        The ``pre-`` pass records which entries are fresh against the
+        *pre-mutation* stamps: only those are patched in place and
+        re-stamped by the post pass.  An entry already stale at that
+        point missed a mutation applied behind the feed's back (e.g. a
+        direct tree or shard edit); applying just this mutation and
         taking a fresh stamp would silently absorb the missed one, so
         such entries are discarded instead (rebuild at next lookup).
         """
         if kind in ("pre-insert", "pre-delete"):
-            affected = self._affected_entries(obstacle)
-            self._pre_affected = affected
             self._repairable = frozenset(
                 id(entry)
-                for entry in affected
-                if not stamp_is_stale(entry.version, self.version)
+                for entry in self.cache.entries()
+                if entry.fresh(self.version_for)
             )
             return
-        # Nothing can touch the cache between the synchronous pre and
-        # post passes, so the pre pass's fan-in is reused verbatim
-        # (recomputed only for sources that fire no ``pre-`` events).
-        affected = self._pre_affected
-        self._pre_affected = None
-        if affected is None:
-            affected = self._affected_entries(obstacle)
         repairable = self._repairable
         self._repairable = frozenset()
-        for entry in affected:
+        for entry in self.cache.entries():
             if id(entry) in repairable:
                 self._repair_entry(entry, kind, obstacle)
             else:
                 self.cache.discard(entry)
-
-    def _affected_entries(self, obstacle: Obstacle) -> "list[CachedGraph]":
-        """The cached entries a mutation of ``obstacle`` can affect:
-        those registered under its shard footprint, or the whole cache
-        for monolithic (single-version) sources."""
-        keys_for = getattr(self.source, "keys_for_obstacle", None)
-        if keys_for is not None:
-            return self.cache.entries_for_shards(keys_for(obstacle))
-        return self.cache.entries()
 
     def _repair_entry(
         self, entry: CachedGraph, kind: str, obstacle: Obstacle
@@ -254,26 +218,7 @@ class QueryContext:
         except Exception:
             self.cache.discard(entry)
             return
-        # No shard re-registration here: repairs change neither the
-        # entry's centre nor its coverage radius, and the registry is
-        # purely geometric in those two (ensure_coverage refreshes it
-        # when the disk actually grows).
-        entry.version = stamp_for(self.source, entry.center, entry.covered)
-
-    def admit_restored(self, entry: CachedGraph) -> None:
-        """Re-admit a snapshot-restored cache entry (warm start).
-
-        The entry enters the cache under its spatial key and is
-        registered with the shard admission registry for the grid cells
-        its coverage disk touches — exactly as a freshly built entry
-        would be — so later queries reuse it and later mutations reach
-        it through the same repair-first fan-in.  Call in LRU order
-        (least recently used first) to reproduce the serialized
-        eviction order.
-        """
-        self.cache.put(
-            entry, shards=self._disk_shards(entry.center, entry.covered)
-        )
+        entry.version = self.version_for(entry.center, entry.covered)
 
     # ------------------------------------------------------------ graph reuse
     def entry_for(self, center: Point, radius: float = 0.0) -> CachedGraph:
@@ -298,14 +243,14 @@ class QueryContext:
         :meth:`VisibilityGraph.connect` — every other step being the
         same calls with the same arguments in the same order."""
         self.policy.observe(center)
-        entry = self.cache.get(center, self.version)
+        entry = self.cache.get(center, self.version_for)
         if entry is None:
             make = VisibilityGraph.build if connect else VisibilityGraph.registered
             span = TRACER.span("graph.build", radius=radius) if connect else NULL_SPAN
             with span:
                 # Stamp before retrieving: the stamp must never
                 # post-date the obstacle set the graph is built from.
-                stamp = stamp_for(self.source, center, radius)
+                stamp = self.version_for(center, radius)
                 obstacles = (
                     self.source.obstacles_in_range(center, radius)
                     if radius > 0
@@ -315,7 +260,7 @@ class QueryContext:
                 graph = make([center], obstacles, method=self.backend)
             self.stats.graph_builds += 1
             entry = CachedGraph(graph, center, radius, stamp)
-            self.cache.put(entry, shards=self._disk_shards(center, radius))
+            self.cache.put(entry)
             return entry
         required = self.required_radius(entry, center, radius)
         if required > entry.covered:
@@ -362,12 +307,12 @@ class QueryContext:
         (covering at least its previous radius), keeping every held
         reference valid and fresh.
         """
-        if stamp_is_stale(entry.version, self.version):
+        if not entry.fresh(self.version_for):
             # In-place refresh of a held entry: booked as a rebuild,
             # not as a cache invalidation (the entry is never dropped)
             # nor a fresh build.
             radius = max(radius, entry.covered)
-            stamp = stamp_for(self.source, entry.center, radius)
+            stamp = self.version_for(entry.center, radius)
             obstacles = (
                 self.source.obstacles_in_range(entry.center, radius)
                 if radius > 0
@@ -380,9 +325,6 @@ class QueryContext:
             self.stats.graph_rebuilds += 1
             entry.version = stamp
             entry.covered = radius
-            self.cache.refresh_shards(
-                entry, self._disk_shards(entry.center, radius)
-            )
             return True
         if radius <= entry.covered:
             return False
@@ -391,20 +333,17 @@ class QueryContext:
     def _expand(self, entry: CachedGraph, radius: float, *, connect: bool) -> bool:
         """Fig. 8's enlargement of a fresh entry to ``radius`` (beyond
         its coverage): one retrieval, one growth step of the graph —
-        registered only with ``connect`` off (see :meth:`_entry`)."""
+        registered only with ``connect`` off (see :meth:`_entry`) — and
+        the stamp of the grown disk, taken before the retrieval."""
         self.stats.coverage_expansions += 1
         graph = entry.graph
         grow = graph.add_obstacles if connect else graph.register_obstacles
+        stamp = self.version_for(entry.center, radius)
         with TRACER.span("graph.expand", radius=radius) if connect else NULL_SPAN:
             added = grow(self.source.obstacles_in_range(entry.center, radius))
         self.stats.obstacles_added += added
-        extend = getattr(entry.version, "extend", None)
-        if extend is not None:
-            # Per-shard stamps absorb the newly touched shards (at
-            # their just-retrieved versions) as the disk grows.
-            extend(radius)
+        entry.version = stamp
         entry.covered = radius
-        self.cache.refresh_shards(entry, self._disk_shards(entry.center, radius))
         return added > 0
 
     # ----------------------------------------------------------- evaluations

@@ -1,4 +1,4 @@
-"""Spatial sharding: grid partition keys and per-shard version stamps.
+"""Spatial sharding: the grid partition behind sharded obstacle storage.
 
 The monolithic obstacle R-tree gives every cached visibility graph one
 global version number — an obstacle inserted at the far end of the
@@ -8,28 +8,25 @@ Hilbert-ordered shard ids (:mod:`repro.index.hilbert`), so that
 
 * a range retrieval fans out only to the shards whose cells intersect
   the query disk, and
-* the version a cached graph is stamped with becomes a **per-shard
-  version vector** (:class:`ShardVersionStamp`) restricted to the
-  shards the graph's retrievals actually touched — mutations in other
-  shards leave the graph valid.
+* the version a cached graph is stamped with lists only the shards of
+  the cells its coverage disk meets
+  (:meth:`~repro.core.source.ShardedObstacleIndex.version_for`) —
+  mutations in other shards leave the graph valid.
 
-This module owns the geometry (:class:`ShardGrid`) and the stamp; the
-storage itself (:class:`~repro.core.source.ShardedObstacleIndex`)
-lives with the other obstacle sources in :mod:`repro.core.source`.
+This module owns the geometry (:class:`ShardGrid`); the storage itself
+(:class:`~repro.core.source.ShardedObstacleIndex`) lives with the other
+obstacle sources in :mod:`repro.core.source`.
 """
 
 from __future__ import annotations
 
 from math import inf
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.errors import DatasetError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.hilbert import hilbert_index, order_for_cells
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.source import ShardedObstacleIndex
 
 #: Default shard-grid resolution: a 4x4 grid (16 shards).
 DEFAULT_SHARD_ORDER = 2
@@ -139,114 +136,3 @@ class ShardGrid:
             f"ShardGrid(order={self.order}, side={self.side}, "
             f"universe={self.universe!r})"
         )
-
-
-class ShardVersionStamp:
-    """The per-shard version vector a cached visibility graph carries.
-
-    Where a monolithic source stamps graphs with one integer, a sharded
-    source stamps them with the versions of exactly the shards whose
-    cells intersect the graph's coverage disk.  Staleness then means
-    "one of *those* shards moved" — a mutation confined to any other
-    shard leaves the stamp (and the graph) valid.
-
-    Two subtleties:
-
-    * **New shards.** A shard that did not exist at stamp time cannot
-      appear in ``versions``; if one is created inside the stamp's disk
-      the graph is stale even though every stamped shard is unchanged.
-      The source's ``layout_version`` (bumped only on shard creation)
-      detects this cheaply: while it is unchanged no new shard can
-      exist anywhere, and when it moves the disk's occupied-shard set
-      is recomputed once and compared against the stamped keys.
-    * **Coverage growth.** When the runtime enlarges a graph's coverage
-      disk (Fig. 8 iteration), :meth:`extend` folds the newly touched
-      shards into the vector at their *current* versions — correct
-      because extension happens immediately after a full retrieval of
-      the enlarged disk, and only on stamps that were just validated.
-    """
-
-    __slots__ = ("_source", "center", "radius", "versions", "_layout")
-
-    def __init__(
-        self,
-        source: "ShardedObstacleIndex",
-        center: Point,
-        radius: float,
-        versions: dict[int, int],
-        layout: int,
-    ) -> None:
-        self._source = source
-        self.center = center
-        self.radius = radius
-        self.versions = versions
-        self._layout = layout
-
-    def is_stale(self) -> bool:
-        """True when any shard this stamp depends on has moved.
-
-        Consulted by the graph cache at every lookup and by
-        ``ensure_coverage`` for held entries — the sharded analogue of
-        the monolithic ``entry.version != source.version`` check.
-        """
-        source = self._source
-        if source.layout_version != self._layout:
-            for key in source.occupied_keys_for_disk(self.center, self.radius):
-                if key not in self.versions:
-                    return True  # a shard was created inside our disk
-            self._layout = source.layout_version
-        for key, version in self.versions.items():
-            if source.shard_version(key) != version:
-                return True
-        return False
-
-    def extend(self, radius: float) -> None:
-        """Grow the stamp's disk to ``radius``, absorbing new shards.
-
-        Must be called only after (a) :meth:`is_stale` returned False
-        for the current state and (b) the graph's obstacle set was
-        topped up from a retrieval over the enlarged disk.
-        """
-        if radius <= self.radius:
-            return
-        self.radius = radius
-        source = self._source
-        for key in source.occupied_keys_for_disk(self.center, radius):
-            self.versions.setdefault(key, source.shard_version(key))
-        self._layout = source.layout_version
-
-    def snapshot(self) -> tuple[Point, float, dict[int, int], int]:
-        """The stamp flattened for serialization: ``(center, radius,
-        versions, layout_version)``.  Feed these back through the
-        constructor (against the restored source) to reproduce the
-        stamp — including its staleness verdict, since shard versions
-        and layout round-trip with the source."""
-        return self.center, self.radius, dict(self.versions), self._layout
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardVersionStamp(center={self.center!r}, "
-            f"radius={self.radius:g}, shards={sorted(self.versions)})"
-        )
-
-
-def stamp_for(source: object, center: Point, radius: float):
-    """The version stamp a graph built over ``disk(center, radius)``
-    should carry: a :class:`ShardVersionStamp` for sharded sources, the
-    plain integer version otherwise (0 for unversioned sources)."""
-    fn = getattr(source, "version_stamp", None)
-    if fn is not None:
-        return fn(center, radius)
-    return getattr(source, "version", 0)
-
-
-def stamp_is_stale(stamp: object, current_version: int) -> bool:
-    """Staleness of a cached graph's stamp.
-
-    Integer stamps compare against the source's current (global)
-    version; shard stamps consult the live per-shard versions.
-    """
-    checker = getattr(stamp, "is_stale", None)
-    if checker is not None:
-        return checker()
-    return stamp != current_version

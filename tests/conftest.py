@@ -58,6 +58,11 @@ def random_free_points(
     return points
 
 
+def static_version(center: Point, radius: float) -> tuple[int, ...]:
+    """``version_for`` of an obstacle source that never changes."""
+    return ()
+
+
 def oracle_distance(a: Point, b: Point, obstacles: list[Obstacle]) -> float:
     """Ground-truth obstructed distance via a *global* visibility graph."""
     graph = VisibilityGraph.build([a, b], obstacles)

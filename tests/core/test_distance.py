@@ -49,7 +49,7 @@ class TestObstructedDistance:
         assert d > oracle_distance(a, b, [inner])
         assert d == pytest.approx(oracle_distance(a, b, [inner, outer]))
         # the outer wall was discovered
-        assert ctx.cache.get(b, ctx.version).graph.has_obstacle(1)
+        assert ctx.cache.get(b, ctx.version_for).graph.has_obstacle(1)
 
     def test_identical_points(self):
         ctx = _context([rect_obstacle(0, 0, 0, 1, 1)])

@@ -76,5 +76,5 @@ class TestShortestPathViaContext:
         length = sum(u.distance(v) for u, v in zip(path, path[1:]))
         assert length == pytest.approx(d)
         # The transient start point must not linger in the cached graph.
-        entry = db.context.cache.get(b, db.context.version)
+        entry = db.context.cache.get(b, db.context.version_for)
         assert entry is not None and not entry.graph.has_node(a)

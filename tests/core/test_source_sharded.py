@@ -1,5 +1,5 @@
 """Sharded obstacle storage: parity with the monolithic index,
-fan-out locality, per-shard versioning and dynamic mutations."""
+fan-out locality, ``version_for`` per grid cell and dynamic mutations."""
 
 import math
 import random
@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core.source import (
+    CompositeObstacleIndex,
     ShardedObstacleIndex,
     build_obstacle_index,
     build_sharded_obstacle_index,
@@ -140,18 +141,17 @@ class TestMutations:
         assert len(moved) == 1
         assert sharded.version == sum(after.values())
 
-    def test_new_shard_bumps_layout_version(self):
+    def test_new_shard_is_created_on_first_insert_only(self):
         sharded = build_sharded_obstacle_index(
             [rect_obstacle(0, 5, 5, 8, 8)], shards=16,
             universe=Rect(0, 0, 100, 100), max_entries=8, min_entries=3,
         )
-        layout = sharded.layout_version
+        count = sharded.shard_count
         sharded.insert(rect_obstacle(1, 60, 60, 62, 62))
-        assert sharded.layout_version > layout
-        # Inserting into the now-existing shard does not move layout.
-        layout = sharded.layout_version
+        assert sharded.shard_count == count + 1
+        # Inserting into the now-existing shard creates none.
         sharded.insert(rect_obstacle(2, 63, 63, 65, 65))
-        assert sharded.layout_version == layout
+        assert sharded.shard_count == count + 1
 
     def test_outlier_insert_clamps_to_rim_shard(self):
         sharded = build_sharded_obstacle_index(
@@ -165,58 +165,68 @@ class TestMutations:
         assert sharded.delete(outlier)
 
 
-class TestVersionStamps:
-    def test_stamp_tracks_only_disk_shards(self):
+class TestVersionFor:
+    def test_tracks_only_the_disks_cells(self):
         near = [rect_obstacle(0, 5, 5, 8, 8)]
         far = [rect_obstacle(1, 92, 92, 95, 95)]
         sharded = build_sharded_obstacle_index(
             near + far, shards=16, universe=Rect(0, 0, 100, 100),
             max_entries=8, min_entries=3,
         )
-        stamp = sharded.version_stamp(Point(6, 6), 10.0)
-        assert not stamp.is_stale()
-        # Mutating the far shard leaves the stamp fresh...
+        stamp = sharded.version_for(Point(6, 6), 10.0)
+        # Mutating the far shard leaves the tuple equal...
         sharded.insert(rect_obstacle(2, 90, 90, 91, 91))
-        assert not stamp.is_stale()
-        # ...but a mutation inside the stamped disk is detected.
+        assert sharded.version_for(Point(6, 6), 10.0) == stamp
+        # ...but a mutation inside the disk moves it.
         sharded.insert(rect_obstacle(3, 4, 4, 6, 6))
-        assert stamp.is_stale()
+        assert sharded.version_for(Point(6, 6), 10.0) != stamp
 
-    def test_new_shard_inside_disk_detected(self):
+    def test_new_shard_inside_disk_changes_the_tuple(self):
         sharded = build_sharded_obstacle_index(
             [rect_obstacle(0, 92, 92, 95, 95)], shards=16,
             universe=Rect(0, 0, 100, 100), max_entries=8, min_entries=3,
         )
-        # Stamp over an empty region: no occupied shards tracked.
-        stamp = sharded.version_stamp(Point(10, 10), 15.0)
-        assert stamp.versions == {}
-        assert not stamp.is_stale()
-        # Creating a shard *inside* the disk makes the stamp stale.
+        # A disk over cells without shards: every entry is 0.
+        stamp = sharded.version_for(Point(10, 10), 15.0)
+        assert stamp and set(stamp) == {0}
+        # Creating a shard *inside* the disk moves the tuple.
         sharded.insert(rect_obstacle(1, 5, 5, 7, 7))
-        assert stamp.is_stale()
+        assert sharded.version_for(Point(10, 10), 15.0) != stamp
 
-    def test_new_shard_outside_disk_ignored(self):
+    def test_new_shard_outside_disk_leaves_the_tuple(self):
         sharded = build_sharded_obstacle_index(
             [rect_obstacle(0, 5, 5, 8, 8)], shards=16,
             universe=Rect(0, 0, 100, 100), max_entries=8, min_entries=3,
         )
-        stamp = sharded.version_stamp(Point(6, 6), 8.0)
+        stamp = sharded.version_for(Point(6, 6), 8.0)
         sharded.insert(rect_obstacle(1, 92, 92, 95, 95))  # new far shard
-        assert not stamp.is_stale()
+        assert sharded.version_for(Point(6, 6), 8.0) == stamp
 
-    def test_extend_absorbs_new_shards(self):
+    def test_growth_adds_cells(self):
         near = [rect_obstacle(0, 5, 5, 8, 8)]
         far = [rect_obstacle(1, 60, 60, 63, 63)]
         sharded = build_sharded_obstacle_index(
             near + far, shards=16, universe=Rect(0, 0, 100, 100),
             max_entries=8, min_entries=3,
         )
-        stamp = sharded.version_stamp(Point(6, 6), 8.0)
-        assert len(stamp.versions) == 1
-        stamp.extend(90.0)
-        assert len(stamp.versions) == sharded.shard_count
+        small = sharded.version_for(Point(6, 6), 8.0)
+        grown = sharded.version_for(Point(6, 6), 90.0)
+        assert len(small) == 1
+        assert len(grown) > len(small)
+        # Only the grown disk reaches the far shard.
         sharded.insert(rect_obstacle(2, 61, 61, 62, 62))
-        assert stamp.is_stale()
+        assert sharded.version_for(Point(6, 6), 8.0) == small
+        assert sharded.version_for(Point(6, 6), 90.0) != grown
+
+    def test_monolithic_and_composite_tuples(self):
+        mono, __ = _pair([rect_obstacle(0, 5, 5, 8, 8)])
+        other, __ = _pair([rect_obstacle(1, 50, 50, 58, 58)])
+        assert mono.version_for(Point(0, 0), 1.0) == (mono.version,)
+        composite = CompositeObstacleIndex([mono, other])
+        assert composite.version_for(Point(0, 0), 1.0) == (
+            mono.version,
+            other.version,
+        )
 
 
 class TestMisc:

@@ -178,13 +178,13 @@ class TestInfoRefusesWhatLoadRefuses:
         return data, tail
 
     @staticmethod
-    def _cache_entry(stamp_kind=0, free=(), edges=()):
+    def _cache_entry(stamp_count=1, free=(), edges=()):
         """One cache-entry record: a single free node, no obstacles."""
         w = BinaryWriter()
         for value in (1.0, 5.0, 3.0):  # centre x, y, covered
             w.f64(value)
-        w.u8(stamp_kind)
-        w.i64(0)  # integer stamp
+        w.u32(stamp_count)
+        w.i64(0)  # the stamp's one version
         w.u32(0)  # obstacle ids
         w.points([Point(1.0, 5.0)])
         w.u32(len(free))
@@ -265,12 +265,12 @@ class TestInfoRefusesWhatLoadRefuses:
             "out of range (1 node(s))",
         )
 
-    def test_unknown_stamp_kind(self, tmp_path, payload):
+    def test_stamp_count_past_the_payload(self, tmp_path, payload):
         data, tail = payload
         self._refused(
             tmp_path,
-            data[:tail] + self._tail([self._cache_entry(stamp_kind=9)]),
-            "unknown version-stamp kind 9",
+            data[:tail] + self._tail([self._cache_entry(stamp_count=10**6)]),
+            "truncated snapshot payload",
         )
 
     def test_unknown_set_kind(self, tmp_path, payload):

@@ -11,7 +11,11 @@ of each at that commit.  Both were re-saved once more (``load(golden).
 save(golden)``) when ``RuntimeStats`` gained ``last_leg_probes`` /
 ``last_leg_fallbacks``: section 7 is name-keyed, so the two zero
 counters, the section's count and the header are the only bytes that
-moved.  Any other change that moves either is a format change:
+moved.  Both were regenerated at format version 6, when every cache
+entry's stamp became one encoding (a ``u32`` count and that many
+``i64`` versions) and the sharded set lost its layout version; the
+``stamp`` of each ``*.info.json`` cache entry is now that count.
+Any other change that moves either is a format change:
 bump ``FORMAT_VERSION``, then regenerate with
 ``python -m tests.persist.test_golden`` from the repo root.
 
@@ -156,7 +160,9 @@ def test_info_counts_are_the_loaded_databases(
         assert summary["edges"] == sum(
             len(list(graph.neighbors(u))) for u in graph.nodes()
         ) // 2
-        assert summary["stamp"] == ("integer" if shards is None else "sharded")
+        assert summary["stamp"] == len(entry.version)
+        if shards is None:
+            assert summary["stamp"] == 1
         if graph._csr is not None:
             frozen += 1
             csr = graph._csr[1]

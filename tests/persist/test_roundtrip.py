@@ -167,9 +167,10 @@ def test_mutated_database_roundtrips_versions(tmp_path):
     live_version = db.obstacle_index.version
     loaded = _roundtrip(db, tmp_path, "python-sweep")
     assert loaded.obstacle_index.version == live_version
-    assert loaded.obstacle_index.layout_version == (
-        db.obstacle_index.layout_version
-    )
+    assert loaded.obstacle_index.shard_keys() == db.obstacle_index.shard_keys()
+    assert [e.version for e in loaded.context.cache.entries()] == [
+        e.version for e in db.context.cache.entries()
+    ]
     assert loaded.nearest("P", Point(1.0, 5.0), 1) == db.nearest(
         "P", Point(1.0, 5.0), 1
     )

@@ -15,7 +15,7 @@ from repro import ObstacleDatabase, Point
 from repro.geometry import Rect
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.visibility import VisibilityGraph
-from tests.conftest import random_disjoint_rects, random_free_points
+from tests.conftest import random_disjoint_rects, random_free_points, static_version
 
 
 def _dbs(seed, snap, shards=None):
@@ -129,7 +129,7 @@ class TestOffCentreRoots:
             assert ctx.field_for(q).distance_to(p) == pytest.approx(
                 p.distance(q)
             )
-        entry = ctx.cache.get(Point(20, 20), ctx.version)
+        entry = ctx.cache.get(Point(20, 20), ctx.version_for)
         assert entry is not None
         assert entry.graph.free_points() == {entry.center}
         assert entry.graph.node_count == 1 + 4
@@ -234,7 +234,7 @@ class TestPolicyCapacityChange:
 
 
 class TestSpatialCacheUnit:
-    def _entry(self, x, y, covered=0.0, version=0):
+    def _entry(self, x, y, covered=0.0, version=()):
         center = Point(x, y)
         return CachedGraph(
             VisibilityGraph.build([center], []), center, covered, version
@@ -250,18 +250,18 @@ class TestSpatialCacheUnit:
         cache.put(a)
         cache.put(b)
         assert len(cache) == 2
-        assert cache.get(a.center, 0) is a
-        assert cache.get(b.center, 0) is b
+        assert cache.get(a.center, static_version) is a
+        assert cache.get(b.center, static_version) is b
 
     def test_near_duplicates_share_one_cell(self):
         cache = VisibilityGraphCache(4, snap=2.0)
         a = self._entry(10.0, 10.0)
         cache.put(a)
         # The near-duplicate centre maps to the same cell: spatial hit.
-        assert cache.get(Point(10.6, 9.5), 0) is a
+        assert cache.get(Point(10.6, 9.5), static_version) is a
         assert len(cache) == 1
         # A far centre maps elsewhere: miss.
-        assert cache.get(Point(20.0, 20.0), 0) is None
+        assert cache.get(Point(20.0, 20.0), static_version) is None
 
     def test_put_in_occupied_cell_replaces(self):
         cache = VisibilityGraphCache(4, snap=2.0)
@@ -269,27 +269,7 @@ class TestSpatialCacheUnit:
         cache.put(a)
         cache.put(b)
         assert len(cache) == 1
-        assert cache.get(a.center, 0) is b
-
-    def test_shard_registration_and_affected_lookup(self):
-        cache = VisibilityGraphCache(8)
-        a, b, c = self._entry(0, 0), self._entry(1, 1), self._entry(2, 2)
-        cache.put(a, shards=[1, 2])
-        cache.put(b, shards=[2, 3])
-        cache.put(c)  # unsharded entry: never in a shard's fan-in
-        assert set(map(id, cache.entries_for_shards([1]))) == {id(a)}
-        assert set(map(id, cache.entries_for_shards([2]))) == {id(a), id(b)}
-        assert cache.entries_for_shards([9]) == []
-        cache.refresh_shards(a, [5])
-        assert cache.entries_for_shards([1]) == []
-        assert set(map(id, cache.entries_for_shards([5]))) == {id(a)}
-
-    def test_eviction_unregisters_shards(self):
-        cache = VisibilityGraphCache(1)
-        a, b = self._entry(0, 0), self._entry(1, 1)
-        cache.put(a, shards=[1])
-        cache.put(b, shards=[1])
-        assert set(map(id, cache.entries_for_shards([1]))) == {id(b)}
+        assert cache.get(a.center, static_version) is b
 
     def test_discard_is_identity_checked(self):
         cache = VisibilityGraphCache(4)
@@ -297,6 +277,6 @@ class TestSpatialCacheUnit:
         impostor = self._entry(0, 0)
         cache.put(a)
         assert not cache.discard(impostor)
-        assert cache.get(a.center, 0) is a
+        assert cache.get(a.center, static_version) is a
         assert cache.discard(a)
         assert a.center not in cache

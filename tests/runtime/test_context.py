@@ -47,7 +47,7 @@ class TestDistance:
         ctx = QueryContext(_index([rect_obstacle(0, 4, 0, 6, 4)]))
         a, b = Point(0, 2), Point(10, 2)
         ctx.distance(a, b)
-        entry = ctx.cache.get(b, ctx.version)
+        entry = ctx.cache.get(b, ctx.version_for)
         assert entry is not None
         assert not entry.graph.has_node(a)
         assert entry.graph.has_node(b)

@@ -271,7 +271,7 @@ class TestGraphIsOnlyRead:
         ctx.field_for(near_q, 30.0).distance_to(others[1])  # off-centre
         for p in others:
             ctx.distance(p, q)  # reach: no enlargement left afterwards
-        entry = ctx.cache.get(q, ctx.version)
+        entry = ctx.cache.get(q, ctx.version_for)
         before = _graph_state([entry])
         assert entry.graph.free_points() == {q}
         for p in others:
@@ -396,7 +396,7 @@ class TestAnchorMemoBound:
         q = random_free_points(rng, 1, obstacles)[0]
         ctx.distance(Point(q.x + 60.0, q.y + 60.0), q)  # coverage
         endpoints = random_free_points(rng, 10_000, obstacles)
-        entry = ctx.cache.get(q, ctx.version)
+        entry = ctx.cache.get(q, ctx.version_for)
         answers = [ctx.distance(p, q) for p in endpoints]
         csr = entry.graph._csr[1]
         assert len(csr.anchors) == ANCHOR_MEMO_LIMIT

@@ -5,8 +5,9 @@ The policy's contract has three layers, each tested here:
 * ``resolve_cache_policy`` — names / env / instances to policies,
   unknown names fail fast;
 * ``VisibilityGraphCache.configure`` — the actuator: re-keying
-  preserves entries (collisions evict like capacity overflow), shard
-  registrations follow survivors, capacity shrinks evict the LRU tail;
+  preserves entries (collisions evict like capacity overflow),
+  capacity shrinks evict the LRU tail, and a rejected call changes
+  nothing;
 * ``AdaptiveCachePolicy`` — the estimator: localized streams engage a
   positive snap quantum, uniform streams keep exact keys, capacity
   follows the working set — and the whole loop through
@@ -31,7 +32,7 @@ from repro.runtime.policy import (
 from repro.runtime.stats import RuntimeStats
 from repro.visibility import VisibilityGraph
 from repro.workloads.profiles import PROFILES, generate_trace
-from tests.conftest import random_disjoint_rects, random_free_points
+from tests.conftest import random_disjoint_rects, random_free_points, static_version
 
 
 class TestResolve:
@@ -62,7 +63,7 @@ class TestConfigure:
     def _entry(self, x, y):
         center = Point(x, y)
         return CachedGraph(
-            VisibilityGraph.build([center], []), center, 0.0, 0
+            VisibilityGraph.build([center], []), center, 0.0, ()
         )
 
     def test_rekey_preserves_entries(self):
@@ -73,8 +74,8 @@ class TestConfigure:
         assert cache.configure(snap=4.0)
         assert len(cache) == 2
         # Near-duplicates of each centre now hit the re-keyed entries.
-        assert cache.get(Point(0.6, 0.6), 0) is a
-        assert cache.get(Point(49.2, 49.6), 0) is b
+        assert cache.get(Point(0.6, 0.6), static_version) is a
+        assert cache.get(Point(49.2, 49.6), static_version) is b
 
     def test_rekey_collision_keeps_most_recent_and_books_eviction(self):
         stats = RuntimeStats()
@@ -84,19 +85,8 @@ class TestConfigure:
         cache.put(newer)
         assert cache.configure(snap=4.0)
         assert len(cache) == 1
-        assert cache.get(Point(0.0, 0.0), 0) is newer
+        assert cache.get(Point(0.0, 0.0), static_version) is newer
         assert stats.graph_cache_evictions == 1
-
-    def test_rekey_moves_shard_registrations(self):
-        cache = VisibilityGraphCache(8, snap=0.0)
-        a = self._entry(10.0, 10.0)
-        cache.put(a, shards=[3, 4])
-        cache.configure(snap=2.0)
-        assert set(map(id, cache.entries_for_shards([3]))) == {id(a)}
-        # The registration lives under the new key: a further re-key
-        # back to exact keeps it intact.
-        cache.configure(snap=0.0)
-        assert set(map(id, cache.entries_for_shards([4]))) == {id(a)}
 
     def test_capacity_shrink_evicts_lru_tail(self):
         stats = RuntimeStats()
@@ -108,7 +98,7 @@ class TestConfigure:
         assert len(cache) == 2
         assert entries[0].center not in cache
         assert entries[1].center not in cache
-        assert cache.get(entries[3].center, 0) is entries[3]
+        assert cache.get(entries[3].center, static_version) is entries[3]
         assert stats.graph_cache_evictions == 2
 
     def test_noop_returns_false(self):
@@ -122,6 +112,21 @@ class TestConfigure:
             cache.configure(capacity=0)
         with pytest.raises(ValueError):
             cache.configure(snap=-1.0)
+
+    @pytest.mark.parametrize(
+        "bad", [{"snap": -1.0, "capacity": 1}, {"snap": 2.0, "capacity": 0}]
+    )
+    def test_rejected_configure_changes_nothing(self, bad):
+        stats = RuntimeStats()
+        cache = VisibilityGraphCache(4, snap=0.0, stats=stats)
+        entries = [self._entry(float(i), 0.0) for i in range(4)]
+        for e in entries:
+            cache.put(e)
+        with pytest.raises(ValueError):
+            cache.configure(**bad)
+        assert (cache.capacity, cache.snap) == (4, 0.0)
+        assert cache.entries() == entries
+        assert stats.graph_cache_evictions == 0
 
 
 def _attached(policy, capacity=8, snap=0.0):

@@ -8,10 +8,12 @@ from-scratch rebuild.  These tests pin the acceptance properties:
 * a repaired graph answers every query exactly like a cold database
   over the same obstacle set (randomized churn, both storage layouts,
   every backend);
-* sharded mutation maintenance is O(affected): only entries registered
-  under the mutated shards are visited;
 * when repair is impossible the rebuild fallback still yields correct
-  answers (direct tree mutation behind the runtime's back).
+  answers (direct tree mutation behind the runtime's back, in one
+  obstacle set or across two).
+
+``tests/runtime/test_cache_coherence.py`` drives the same guarantees
+with any interleaving of routed and direct edits.
 """
 
 import random
@@ -20,6 +22,8 @@ import pytest
 
 from repro import ObstacleDatabase, Point, Rect
 from repro.core.source import build_sharded_obstacle_index
+from repro.geometry import Polygon
+from repro.model import Obstacle
 from repro.runtime.context import QueryContext
 from tests.conftest import (
     oracle_distance,
@@ -98,52 +102,6 @@ class TestRepairedAnswersMatchRebuild:
         assert stats["graph_rebuilds"] == 0
 
 
-class TestShardScanIsAffectedOnly:
-    def test_mutation_visits_only_registered_entries(self):
-        universe = Rect(0, 0, 100, 100)
-        obstacles = [
-            rect_obstacle(i, 10 * i + 2, 2, 10 * i + 5, 5) for i in range(9)
-        ]
-        index = build_sharded_obstacle_index(
-            obstacles, shards=16, universe=universe,
-            max_entries=8, min_entries=3,
-        )
-        ctx = QueryContext(index)
-        # Many small cached graphs spread over the universe.
-        centers = [Point(10 * i + 7.0, 7.0) for i in range(9)]
-        for c in centers:
-            ctx.entry_for(c, 2.0)
-        entries = {c: ctx.cache.get(c, ctx.version) for c in centers}
-        stamps = {c: entries[c].version for c in centers}
-        # Mutate one corner shard: a small obstacle near the first
-        # centre only.
-        index.insert(rect_obstacle(99, 6, 6, 8, 8))
-        repaired = {
-            c for c in centers if entries[c].version is not stamps[c]
-        }
-        # Only the entries whose coverage disk shares a grid cell with
-        # the mutation were visited; the rest kept their stamp objects
-        # untouched — the scan is O(affected), not O(cache size).
-        assert Point(7.0, 7.0) in repaired
-        assert len(repaired) < len(centers)
-        for c in centers:
-            assert ctx.cache.get(c, ctx.version) is entries[c]
-
-    def test_shard_registry_tracks_coverage_growth(self):
-        universe = Rect(0, 0, 100, 100)
-        obstacles = [rect_obstacle(0, 60, 60, 63, 63)]
-        index = build_sharded_obstacle_index(
-            obstacles, shards=16, universe=universe,
-            max_entries=8, min_entries=3,
-        )
-        ctx = QueryContext(index)
-        entry = ctx.entry_for(Point(5, 5), 3.0)
-        small = set(ctx.cache.shard_keys())
-        ctx.ensure_coverage(entry, 90.0)
-        grown = set(ctx.cache.shard_keys())
-        assert small < grown  # the disk now touches more shards
-
-
 class TestRepairEdgeCases:
     def test_cached_centre_survives_cornered_obstacle_cycle(self):
         """Regression: insert an obstacle with a vertex exactly on a
@@ -176,7 +134,7 @@ class TestRepairEdgeCases:
         db.obstructed_distance(p, q)
         # Delete an obstacle the cached graph actually holds, so the
         # repair-vs-rebuild decision is exercised.
-        entry = db.context.cache.get(q, db.context.version)
+        entry = db.context.cache.get(q, db.context.version_for)
         victim = sorted(entry.graph.obstacle_ids())[0]
         old_limit = context_mod.DELETE_REPAIR_NODE_LIMIT
         context_mod.DELETE_REPAIR_NODE_LIMIT = 0  # force the fallback
@@ -201,9 +159,6 @@ class TestRebuildFallback:
         """Mutations applied behind the feed's back (directly to the
         tree) bypass repair; version drift catches them at the next
         lookup and the entry is rebuilt — never served stale."""
-        from repro.geometry import Polygon
-        from repro.model import Obstacle
-
         db = ObstacleDatabase(
             [Rect(100, 100, 102, 102)], max_entries=8, min_entries=3
         )
@@ -220,9 +175,6 @@ class TestRebuildFallback:
         not be 'validated' by a later routed mutation — the repair
         pass re-stamps only entries that were fresh immediately before
         the mutation; anything else is discarded and rebuilt."""
-        from repro.geometry import Polygon
-        from repro.model import Obstacle
-
         db = ObstacleDatabase(
             [Rect(100, 100, 102, 102)], max_entries=8, min_entries=3
         )
@@ -242,9 +194,6 @@ class TestRebuildFallback:
         ``shard(key).insert`` bumps the shard version without firing
         the outer feed; the next routed mutation must discard the
         drifted entry instead of re-stamping over the missed wall."""
-        from repro.geometry import Polygon
-        from repro.model import Obstacle
-
         universe = Rect(-20, -20, 20, 20)
         corners = [(-15, -15), (-15, 14), (14, -15), (14, 14)]
         seeds = [
@@ -263,4 +212,25 @@ class TestRebuildFallback:
         index.insert(Obstacle(101, Polygon.from_rect(Rect(14, 10, 15, 11))))
         d = ctx.distance(a, b)
         assert d == pytest.approx(oracle_distance(a, b, [wall]))
+        assert d > 10.0
+
+    def test_drift_that_cancels_across_obstacle_sets_is_caught(self):
+        """Regression: a direct insert into one set and a direct delete
+        in another move the two members' versions by +1 and -1.  A
+        summed version would not move, and the cached graph missing the
+        wall would be served; the concatenated stamp moves."""
+        db = ObstacleDatabase(
+            [Rect(100, 100, 102, 102)], max_entries=8, min_entries=3
+        )
+        db.add_obstacle_set("second", [Rect(-100, -100, -98, -98)])
+        (primary, second) = db.obstacle_index.trees()
+        a, b = Point(0, 0), Point(10, 0)
+        assert db.obstructed_distance(a, b) == pytest.approx(10.0)
+        wall = Obstacle(999, Polygon.from_rect(Rect(4, -2, 6, 2)))
+        primary.insert(wall, wall.mbr)  # behind the feed's back
+        (far,) = [obs for obs, __ in second.items()]
+        assert second.delete(far, far.mbr)  # ... and in the other set
+        d = db.obstructed_distance(a, b)
+        cold = ObstacleDatabase([Rect(4, -2, 6, 2)], max_entries=8, min_entries=3)
+        assert d == cold.obstructed_distance(a, b)
         assert d > 10.0

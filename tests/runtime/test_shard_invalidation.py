@@ -33,7 +33,7 @@ class TestPerShardInvalidation:
         a = ctx.distance(Point(5, 5), Point(16, 16))
         b = ctx.distance(Point(85, 85), Point(96, 96))
         assert a > 0 and b > 0
-        near_entry = ctx.cache.get(Point(16, 16), ctx.version)
+        near_entry = ctx.cache.get(Point(16, 16), ctx.version_for)
         near_version = near_entry.version
         hits = ctx.stats.graph_cache_hits
         builds = ctx.stats.graph_builds
@@ -41,14 +41,14 @@ class TestPerShardInvalidation:
         new_obs = rect_obstacle(2, 94, 94, 96, 96)
         index.insert(new_obs)  # far shard only
 
-        # The near graph was never visited: same stamp object, still a
-        # hit — the mutation fan-in is O(affected), not O(cache size).
-        assert ctx.cache.get(Point(16, 16), ctx.version) is near_entry
-        assert near_entry.version is near_version
+        # The near graph's stamp lists only its own cells, so the far
+        # mutation leaves it equal: still a hit, content untouched.
+        assert ctx.cache.get(Point(16, 16), ctx.version_for) is near_entry
+        assert near_entry.version == near_version
         assert not near_entry.graph.has_obstacle(2)
         # The far graph was repaired in place (one add_obstacle), not
         # invalidated: lookup hits and the new obstacle is in the graph.
-        far_entry = ctx.cache.get(Point(96, 96), ctx.version)
+        far_entry = ctx.cache.get(Point(96, 96), ctx.version_for)
         assert far_entry is not None
         assert far_entry.graph.has_obstacle(2)
         assert ctx.stats.graph_cache_repairs == 1
@@ -78,10 +78,11 @@ class TestPerShardInvalidation:
         # every entry — here the far obstacle misses the near graph's
         # coverage disk, so the visit is a pure stamp refresh: the
         # entry survives at its old content with the new version.
-        entry = ctx.cache.get(Point(16, 16), ctx.version)
+        entry = ctx.cache.get(Point(16, 16), ctx.version_for)
         assert entry is not None
         assert not entry.graph.has_obstacle(2)
-        assert entry.version == ctx.version
+        assert entry.version == ctx.version_for(entry.center, entry.covered)
+        assert entry.version == (index.version,)
         assert ctx.stats.graph_cache_repairs == 0
 
     def test_held_entry_refreshes_against_mutated_shard(self):
@@ -109,7 +110,7 @@ class TestPerShardInvalidation:
         # A mutation in that shard now reaches the grown graph: the
         # repair scan patches the new obstacle into it in place.
         index.insert(rect_obstacle(2, 61, 61, 62, 62))
-        assert ctx.cache.get(q, ctx.version) is entry
+        assert ctx.cache.get(q, ctx.version_for) is entry
         assert entry.graph.has_obstacle(2)
         assert ctx.stats.graph_cache_repairs == 1
 

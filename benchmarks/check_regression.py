@@ -52,6 +52,9 @@ GATES: tuple[tuple[tuple[str, ...], str], ...] = (
     (("smoke snapshot warm-start", "builds_warm"), "lower"),
     (("smoke snapshot warm-start", "build_reduction"), "higher"),
     (("smoke kernel", "edges_match"), "exact"),
+    # The numpy build's edges are the scalar tangent reference's:
+    # is_visible and is_tangent_at, pair by pair.
+    (("smoke kernel", "tangent_build_match"), "exact"),
     # Batched vs per-source kernel sweeps: list-for-list parity and the
     # wall-clock verdicts (>= 2x at 56 vertices, not slower at 1,000)
     # evaluated in the smoke run where they were measured.

@@ -719,8 +719,9 @@ def serve_warm_start_builds(
 def timed_graph_build(
     n_rects: int, method: str, seed: int = 7
 ) -> tuple[float, int]:
-    """Build a full visibility graph over a street-grid scene with the
-    given visibility backend; returns ``(seconds, edge_count)``."""
+    """Build the (tangent) visibility graph over a street-grid scene
+    with the given visibility backend; returns ``(seconds,
+    edge_count)``."""
     from repro.datasets.synthetic import street_grid_obstacles
     from repro.visibility import VisibilityGraph
 
@@ -833,6 +834,21 @@ def kernel_comparison(n_rects: int) -> dict[str, float]:
     )
     results.update(batched_sweep_comparison(n_rects))
     return results
+
+
+def tangent_build_match(n_rects: int, *, seed: int = 7) -> float:
+    """Whether the numpy kernel's graph over a street-grid scene holds
+    exactly the node pairs the scalar reference keeps —
+    ``is_visible`` and the tangent rule (``is_tangent_at``), pair by
+    pair (``tests/reference_field.py::tangent_edges``) — as 1.0 / 0.0."""
+    from repro.datasets.synthetic import street_grid_obstacles
+    from repro.visibility import VisibilityGraph
+    from tests.reference_field import tangent_edges
+
+    obstacles = street_grid_obstacles(n_rects, seed=seed)
+    graph = VisibilityGraph.build([], obstacles, method="numpy-kernel")
+    edges = {frozenset((u, v)) for u in graph.nodes() for v in graph.neighbors(u)}
+    return float(edges == tangent_edges(graph))
 
 
 def batched_sweep_comparison(n_rects: int, *, seed: int = 7) -> dict[str, float]:

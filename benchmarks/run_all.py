@@ -333,8 +333,8 @@ def smoke() -> int:
 
 def smoke_kernel() -> int:
     """Visibility-kernel smoke: both backends build the same graph on a
-    small scene, and the numpy kernel must not lose to the python
-    sweep; sweeping all nodes in one batched kernel call returns what a
+    small scene — the one the scalar tangent reference names, edge for
+    edge — and the numpy kernel must not lose to the python sweep; sweeping all nodes in one batched kernel call returns what a
     call per node returns, >= 2x faster on a 56-vertex scene (the size
     the end-to-end benchmark's cold queries build) and no slower on a
     1,000-vertex one.  (The full >= 3x acceptance bar on 1,000
@@ -344,10 +344,15 @@ def smoke_kernel() -> int:
     except ImportError:
         print("\nkernel smoke: numpy unavailable, skipped")
         return 0
-    from benchmarks.common import batched_sweep_comparison, kernel_comparison
+    from benchmarks.common import (
+        batched_sweep_comparison,
+        kernel_comparison,
+        tangent_build_match,
+    )
 
     n_rects = 48
     metrics = kernel_comparison(n_rects)
+    metrics["tangent_build_match"] = tangent_build_match(n_rects)
     RESULTS["smoke kernel"] = metrics
     print(
         f"\nkernel smoke ({4 * n_rects} vertices): "
@@ -357,6 +362,9 @@ def smoke_kernel() -> int:
     )
     if metrics["edges_match"] != 1.0:
         print("FAIL: backends disagree on the visibility graph")
+        return 1
+    if metrics["tangent_build_match"] != 1.0:
+        print("FAIL: numpy build differs from the scalar tangent reference")
         return 1
     if metrics["speedup"] < 1.0:
         print("FAIL: numpy kernel slower than the python sweep")

@@ -1,13 +1,13 @@
 """Kernel sweep benchmark: vectorized numpy backend vs python sweep.
 
 Not a paper figure — this measures the visibility kernel subsystem:
-full visibility-graph construction (one rotational sweep per node, the
-dominant cost in every figure benchmark) across obstacle
-cardinalities, once per backend — from the 56-vertex graphs the
-end-to-end benchmark's cold queries build up to 1,000 vertices.  The
-acceptance bars for the numpy kernel: a >= 3x build speedup over the
-python sweep on a 1,000-vertex scene with a bit-identical resulting
-graph; sweeping all nodes in one batched call >= 2x faster than one
+(tangent) visibility-graph construction — the numpy kernel decides the
+tangent pairs with the exact predicate over arrays, the python sweep
+sweeps every node — across obstacle cardinalities, once per backend,
+from the 56-vertex graphs the end-to-end benchmark's cold queries
+build up to 1,000 vertices.  The acceptance bars for the numpy kernel:
+a >= 3x build speedup over the python sweep on a 1,000-vertex scene
+with a bit-identical resulting graph; sweeping all nodes in one batched call >= 2x faster than one
 call per node at 56 vertices, and not slower at 1,000 (where the
 kernel's pair budget shrinks the passes to a few sources each); the
 nodes of 16 graphs of ~13 nodes — a distance join's seeds — swept in

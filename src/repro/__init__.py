@@ -47,7 +47,6 @@ from repro.visibility import (
     available_backends,
     resolve_backend,
 )
-from repro.visibility.tangent import prune_to_tangent
 from repro.core.continuous import NNInterval, PathNearestNeighbor, path_nearest
 from repro.render import save_svg, scene_to_svg
 from repro.runtime import (
@@ -104,7 +103,6 @@ __all__ = [
     "VisibilityGraph",
     "available_backends",
     "resolve_backend",
-    "prune_to_tangent",
     # extensions
     "NNInterval",
     "PathNearestNeighbor",

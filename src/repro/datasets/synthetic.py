@@ -39,13 +39,19 @@ def street_grid_obstacles(
     hotspots: int = 3,
     hotspot_bias: float = 3.0,
 ) -> list[Obstacle]:
-    """Generate ``n`` disjoint street-like rectangle obstacles.
+    """Generate ``n`` street-like rectangle obstacles, nearly all
+    disjoint.
 
     The universe is covered by a jittered grid; every cell contributes
     one horizontal and one vertical street-segment candidate, and ``n``
     candidates are kept with probability proportional to a hotspot
     density mixture (``hotspot_bias`` > 1 concentrates streets around
-    ``hotspots`` random centers, mimicking a city core).
+    ``hotspots`` random centers, mimicking a city core).  A street ends
+    the widest street's width short of the grid lines it runs between,
+    but the ±0.2·w jitter of the one along a line can reach past that:
+    wide streets of one cell corner may overlap (294 pairs among the
+    131,461 streets of the paper-scale set).  The output is pinned by
+    ``benchmarks/e2e/pinned.json``, overlaps included.
     """
     if n < 1:
         raise DatasetError(f"need n >= 1 obstacles, got {n}")
@@ -58,7 +64,7 @@ def street_grid_obstacles(
         w_max = 0.12 * min(pitch_x, pitch_y)
     else:
         w_min, w_max = street_width
-    margin = w_max  # strictly wider than any half-street: disjointness
+    margin = w_max  # the widest street: the jitter below can exceed it
     xs = [universe.minx + i * pitch_x for i in range(side_cells + 1)]
     ys = [universe.miny + j * pitch_y for j in range(side_cells + 1)]
 

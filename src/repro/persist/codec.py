@@ -41,11 +41,12 @@ from repro.persist import framing
 MAGIC = b"RPROSNAP"
 
 #: The snapshot format this build writes — and the only one it reads:
-#: page-backed trees, obstacle table, graph cache, runtime stats,
-#: frozen-CSR arrays per cached graph, journal-sequence stamp.  A file
-#: of any other version is refused with a located error
+#: page-backed trees, obstacle table, graph cache (tangent graphs, since
+#: version 7: an older cached graph holds edges no build makes), runtime
+#: stats, frozen-CSR arrays per cached graph, journal-sequence stamp.  A
+#: file of any other version is refused with a located error
 #: (:func:`read_snapshot`).
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 #: Total header size; the payload starts at this file offset.  The
 #: header itself (and its verification) lives in

@@ -530,7 +530,8 @@ class QueryContext:
             ask = asked.setdefault(id(csr), (csr, entry.graph, {}))[2]
             ask.update(dict.fromkeys((center, *points)))
         fetch = [
-            (csr, graph, csr.unanchored(ask)) for csr, graph, ask in asked.values()
+            (csr, graph, csr.unanchored(ask, graph))
+            for csr, graph, ask in asked.values()
         ]
         scenes = [(sources, graph) for __, graph, sources in fetch]
         with _scenes_span(scenes):

@@ -6,11 +6,14 @@ the *visibility graph* over the obstacle vertices plus the two points
 obstacles relevant to a query, and maintains them dynamically with
 ``add_obstacle`` / ``add_entity`` / ``delete_entity``.
 
-Construction runs one rotational sweep per node through a pluggable
-:class:`~repro.visibility.kernel.backend.VisibilityBackend`: the
-pure-python sweep of Sharir & Schorr [SS84]
-(:mod:`repro.visibility.sweep`), its vectorized numpy equivalent
-(:mod:`repro.visibility.kernel`), or a naive exact checker
+Every graph is the *tangent* visibility graph [PV95]
+(:mod:`repro.visibility.tangent`): node pairs that break the tangent
+rule are dropped first, and a pluggable
+:class:`~repro.visibility.kernel.backend.VisibilityBackend` decides
+which of the rest see each other — the exact predicate over arrays
+(:mod:`repro.visibility.kernel`, whose vectorized sweep also anchors
+off-graph points), the pure-python sweep of Sharir & Schorr [SS84]
+(:mod:`repro.visibility.sweep`), or a naive exact checker
 (:mod:`repro.visibility.naive`) that doubles as the reference oracle
 for the property-based tests and as the fallback for degenerate
 contact cases.

@@ -235,36 +235,41 @@ class CSRGraph:
         """The last-leg geometry from point ``p``:
         ``(anchor ids, euclidean legs)``.
 
-        A frozen node is its own anchor at leg 0.  For an off-graph
+        A free node is its own anchor at leg 0.  For an off-graph
         ``p`` this memoizes what ``graph``'s visibility backend sees
         from it — plus the frozen-id lookup and the vectorized
         ``|p - v|`` legs, which depend only on ``p`` and the anchor set
         — for the life of this freeze: on warm streams (repeat
         candidates, stable topology) the sweep runs once per candidate
-        instead of once per query.  On a miss, the off-graph points of
-        ``ahead`` (the candidates a batch will ask about next, or a
+        instead of once per query.  A node on an obstacle vertex is
+        swept and memoized the same way, and is its own anchor at leg 0
+        besides: the graph holds only its tangent edges, and a path's
+        first and last legs need not be tangent.  On a miss, the points
+        of ``ahead`` (the candidates a batch will ask about next, or a
         distance call's other endpoint) that the memo lacks are swept
         in the same backend call, and the memo's oldest entries beyond
         :data:`ANCHOR_MEMO_LIMIT` are dropped — never ``p`` or a point
         of ``ahead``.
         """
-        own = self.index.get(p)
-        if own is not None:
-            return np.array([own]), np.zeros(1)
+        if p in graph._free:
+            return np.array([self.index[p]]), np.zeros(1)
         cached = self.anchors.get(p)
         if cached is None:
             ahead = list(ahead)
-            sources = self.unanchored([p, *ahead])
+            sources = self.unanchored([p, *ahead], graph)
             self.memoize_anchors(sources, graph.visible_ids(sources), ahead)
             cached = self.anchors[p]
         return cached
 
-    def unanchored(self, points: Iterable[Point]) -> list[Point]:
-        """The distinct off-graph points of ``points`` whose last-leg
-        geometry is not memoized: what a sweep has yet to answer."""
+    def unanchored(
+        self, points: Iterable[Point], graph: "VisibilityGraph"
+    ) -> list[Point]:
+        """The distinct points of ``points`` — off the graph, or on an
+        obstacle vertex of ``graph`` — whose last-leg geometry is not
+        memoized: what a sweep has yet to answer."""
         return list(
             dict.fromkeys(
-                c for c in points if c not in self.anchors and c not in self.index
+                c for c in points if c not in self.anchors and c not in graph._free
             )
         )
 
@@ -275,15 +280,20 @@ class CSRGraph:
         keep: Iterable[Point] = (),
     ) -> None:
         """Memoize the last-leg geometry of ``points`` from what each
-        sees (``seen``, parallel: a sweep's node ids and distances),
-        then drop the memo's oldest entries beyond
-        :data:`ANCHOR_MEMO_LIMIT` — never one of ``points`` or of
+        sees (``seen``, parallel: a sweep's node ids and distances; a
+        node comes first, at leg 0), then drop the memo's oldest entries
+        beyond :data:`ANCHOR_MEMO_LIMIT` — never one of ``points`` or of
         ``keep``."""
         for c, (ids, legs) in zip(points, seen):
             anchors = np.array(ids, dtype=np.int64)
             if self._relabel is not None:
                 anchors = self._relabel[anchors]
-            self.anchors[c] = anchors, np.array(legs, dtype=np.float64)
+            legs = np.array(legs, dtype=np.float64)
+            own = self.index.get(c)
+            if own is not None:
+                anchors = np.concatenate([[own], anchors])
+                legs = np.concatenate([[0.0], legs])
+            self.anchors[c] = anchors, legs
         excess = len(self.anchors) - ANCHOR_MEMO_LIMIT
         if excess > 0:
             keep = {*points, *keep}

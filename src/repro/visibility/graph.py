@@ -7,44 +7,53 @@ implemented exactly as described:
 
 * ``add_obstacle`` — used by the iterative obstructed-distance
   computation (Fig. 8) to grow the graph: removes existing edges that
-  cross the new polygon's interior, then sweeps each new vertex
+  cross the new polygon's interior, then connects each new vertex
   (``add_obstacles`` does it for a whole retrieved set at once: one
-  edge removal against all the new polygons, one sweep of all the new
-  vertices against the final scene);
-* ``add_entity`` — one rotational sweep for the new point;
+  edge removal against all the new polygons, one decision over all the
+  new vertices' pairs against the final scene);
+* ``add_entity`` — connects the new point;
 * ``delete_entity`` — removes the point and its incident edges.
 
-Every operation that sweeps is "register, then connect": nodes enter
-the graph *pending* and :meth:`VisibilityGraph.connect` sweeps the
-pending nodes of any number of graphs in one backend call.  ``build``,
+The graph is the *tangent* visibility graph [PV95] (paper Sec. 2.3,
+:mod:`repro.visibility.tangent`): an edge joins two mutually visible
+nodes whose segment is tangent at both ends, the only edges a shortest
+path can use.  Every operation that adds nodes is "register, then
+connect": nodes enter the graph *pending* and
+:meth:`VisibilityGraph.connect` pairs the pending nodes of any number
+of graphs once with every node, keeps the tangent pairs, and has the
+backend decide which of them see each other in one call.  ``build``,
 ``rebuild``, ``add_obstacles`` and ``add_entity`` are its one-graph
 uses; a caller with many graphs to build (a distance join's seeds)
 registers them all (``registered``, ``register_obstacles``) and
-connects once.
+connects once.  A node whose owning obstacles change (an insert or a
+delete of one that shares it) is connected again.
 
 ``remove_obstacle`` extends the paper's set with the inverse of
 ``add_obstacle``: the obstacle's vertices and boundary edges are torn
 out and the visibility lost to the obstacle is rediscovered by a
-*local re-sweep* — only node pairs whose connecting segment meets the
-removed polygon's bounding box can have been blocked by it, so only
-those pairs are re-examined (against the exact oracle both sweep
-backends reduce to).  This turns an obstacle delete from a full
-rebuild into an in-place repair proportional to the obstacle's
-visibility shadow.
+*local repair* — only node pairs whose connecting segment meets the
+removed polygon's bounding box can have been blocked by it (or, at one
+of its vertices, cut by the tangent rule), so only those tangent pairs
+are re-decided.  This turns an obstacle delete from a full rebuild
+into an in-place repair proportional to the obstacle's visibility
+shadow.
 
 Nodes are dense ``int`` ids, ``0 .. n-1`` in insertion order.  The
 graph owns one node table — the ``Point`` of each id and one ``Point
 -> id`` dict — and keeps its adjacency as one ``{id: weight}`` row per
 node.  A ``Point`` is hashed where it enters (registration,
 ``restore``, the lookup of an off-graph point) and not after: sweeps
-report node ids and their distances, and edges are installed, cut and
-frozen by id.  A node that leaves closes its gap in order, so the ids
-are always the frozen ids of :mod:`repro.visibility.csr`.
+report node ids and their distances, pairs are decided as id arrays,
+and edges are installed, cut and frozen by id.  A node that leaves
+closes its gap in order, so the ids are always the frozen ids of
+:mod:`repro.visibility.csr`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence, TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import QueryError
 from repro.geometry.constants import EPS
@@ -58,6 +67,7 @@ from repro.visibility.kernel.backend import (
     _TimedBackend,
     resolve_backend,
 )
+from repro.visibility.tangent import near_edges, pending_pairs, region_pairs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.visibility.kernel.packed import PackedScene
@@ -69,11 +79,9 @@ class VisibilityGraph:
     ``method`` selects the visibility backend by name or instance (see
     :mod:`repro.visibility.kernel.backend`): ``"python-sweep"`` is the
     paper's rotational plane sweep [SS84], ``"numpy-kernel"`` the
-    vectorized equivalent; both assume obstacle boundaries do not
-    cross each other (disjoint interiors — the paper's standing
-    assumption).  ``"naive"`` is the exact pairwise
-    oracle, slower but valid even for overlapping obstacles.  ``None``
-    is the numpy kernel.
+    exact predicate over arrays (and a vectorized sweep for off-graph
+    points), ``"naive"`` the exact pairwise oracle.  ``None`` is the
+    numpy kernel.
     """
 
     __slots__ = (
@@ -100,13 +108,13 @@ class VisibilityGraph:
         self.method = backend.name
         # A caller-owned backend that only sweeps gets what every named
         # one inherits: the scalar loops behind add_obstacles and
-        # remove_obstacle, the looping scenes entry behind connect.
+        # remove_obstacle, the sweeps behind connect.
         self._backend = (
             backend
             if isinstance(backend, _TimedBackend)
             else _StatsAdapter(backend, None)
         )
-        #: Nodes registered but not swept yet (:meth:`connect`).
+        #: Nodes registered but not connected yet (:meth:`connect`).
         self._pending: list[Point] = []
         self._obstacle_revision = 0
         self._structure_revision = 0
@@ -140,12 +148,12 @@ class VisibilityGraph:
         *,
         method: "str | VisibilityBackend | None" = None,
     ) -> "VisibilityGraph":
-        """Construct a graph over ``points`` and ``obstacles`` in one pass.
-
-        With a sweep backend this is the paper's
-        ``build_visibility_graph`` ([SS84], one rotational sweep per
-        node, no tangent simplification).
-        """
+        """Construct the tangent visibility graph over ``points`` and
+        ``obstacles`` in one pass: every node pair tangent at both ends
+        (:mod:`repro.visibility.tangent`) is decided once, by the
+        backend (with ``python-sweep``, by the paper's
+        ``build_visibility_graph``: one rotational sweep [SS84] per
+        node)."""
         graph = cls.registered(points, obstacles, method=method)
         cls.connect([graph])
         return graph
@@ -171,23 +179,24 @@ class VisibilityGraph:
 
     @staticmethod
     def connect(graphs: "Iterable[VisibilityGraph]") -> None:
-        """Sweep every pending node of ``graphs`` (distinct, sharing one
-        backend) in one backend call and install each one's visible
-        set.  A backend failure leaves the nodes pending."""
+        """Pair every pending node of ``graphs`` (distinct, sharing one
+        backend) once with every node, keep the pairs tangent at both
+        ends, and install those the backend finds visible — one
+        backend call for all the graphs.  A backend failure leaves the
+        nodes pending."""
         waiting = [graph for graph in graphs if graph._pending]
         if not waiting:
             return
-        seen = waiting[0]._backend.visible_ids(
-            [(graph._pending, graph) for graph in waiting]
+        pairs = pending_pairs(waiting)
+        seen = waiting[0]._backend.connect_pairs(
+            [(found, graph) for (found, __), graph in zip(pairs, waiting)]
         )
-        for graph, visible in zip(waiting, seen):
-            pending, graph._pending = graph._pending, []
-            for node, (nodes, legs) in zip(pending, visible):
-                graph._install_visible(graph._ids[node], nodes, legs)
+        for graph, ((u, v, __), pending), visible in zip(waiting, pairs, seen):
+            graph._settle(pending, u[visible], v[visible])
 
     @property
     def pending(self) -> Sequence[Point]:
-        """The nodes registered but not swept yet."""
+        """The nodes registered but not connected yet."""
         return self._pending
 
     def visible_from_many(self, sources: Sequence[Point]) -> list[list[Point]]:
@@ -245,13 +254,15 @@ class VisibilityGraph:
         for p in free_points:
             graph._register_free_point(p)
         ids = graph._ids
+        ends = []
         for u, v in edges:
             if u not in ids or v not in ids:
                 raise QueryError(
                     f"restored edge ({u!r}, {v!r}) references a point "
                     f"that is not a node"
                 )
-            graph._set_edge(ids[u], ids[v])
+            ends.append((ids[u], ids[v]))
+        graph._install_pairs(*np.array(ends, dtype=np.int64).reshape(-1, 2).T)
         return graph
 
     def packed_scene(self) -> "PackedScene":
@@ -429,10 +440,11 @@ class VisibilityGraph:
         (Fig. 8's enlargement); returns how many were new.
 
         Equal to :meth:`add_obstacle` folded over the set in any order
-        — an edge survives iff it crosses no polygon's interior, a new
-        vertex sees what it sees in the final scene — at the cost of
-        one edge removal and one sweep call, and with one re-freeze
-        for the CSR view's holders instead of one per obstacle.
+        — an edge survives iff it crosses no polygon's interior, the
+        pairs of a new or shared vertex are decided in the final scene
+        — at the cost of one edge removal and one connect, and with one
+        re-freeze for the CSR view's holders instead of one per
+        obstacle.
         """
         added = self.register_obstacles(obstacles)
         self.connect([self])
@@ -441,20 +453,18 @@ class VisibilityGraph:
     def register_obstacles(self, obstacles: Iterable[Obstacle]) -> int:
         """The first half of :meth:`add_obstacles`: the existing edges
         crossing a new polygon's interior go, the new obstacles enter
-        the scene and their new vertices wait, pending, for
-        :meth:`connect`.  Returns how many obstacles were new."""
+        the scene, and their new vertices — and the existing nodes they
+        share, whose pairs the tangent rule re-decides — wait, pending,
+        for :meth:`connect`.  Returns how many obstacles were new."""
         fresh = {
             obs.oid: obs for obs in obstacles if obs.oid not in self._obstacles
         }
         if not fresh:
             return 0
-        self._remove_edges(
-            self._backend.edges_crossing(
-                self, [obs.polygon for obs in fresh.values()]
-            )
-        )
         for obs in fresh.values():
+            shared = [v for v in obs.polygon.vertices if v in self._ids]
             self._pending += self._register_obstacle(obs)
+            self._pending += [p for p in shared if p not in self._pending]
             # Entities lying on the new polygon's boundary gain a
             # membership — one that doubles as another obstacle's
             # vertex too, whichever of the two obstacles came first.
@@ -462,6 +472,9 @@ class VisibilityGraph:
                 held = self._boundary.get(p, ())
                 if obs not in held and obs.polygon.on_boundary(p):
                     self._boundary[p] = held + (obs,)
+        near = near_edges(self, [obs.mbr for obs in fresh.values()])
+        cut = ~self._backend.visible_pairs([(near, self)], only=[*fresh.values()])[0]
+        self._remove_edges(zip(near.u[cut].tolist(), near.v[cut].tolist()))
         return len(fresh)
 
     def remove_obstacle(self, oid: int) -> bool:
@@ -469,10 +482,11 @@ class VisibilityGraph:
 
         The inverse of :meth:`add_obstacle`: the obstacle's boundary
         edges leave the scene, its vertices leave the node set (unless
-        another obstacle shares them), and every node pair the obstacle
-        could have been blocking is re-examined — a pair can gain
-        visibility only if its segment crossed the removed interior, so
-        the re-sweep is confined to segments meeting the obstacle's
+        another obstacle shares them), and every tangent node pair the
+        obstacle could have been keeping apart is re-decided — a pair
+        can gain visibility only if its segment crossed the removed
+        interior, and tangency only at one of the obstacle's vertices,
+        so the repair is confined to segments meeting the obstacle's
         MBR.  Returns ``False`` when the obstacle is not in the graph.
         """
         obs = self._obstacles.pop(oid, None)
@@ -483,11 +497,13 @@ class VisibilityGraph:
         poly = obs.polygon
         self._edges = [e for e in self._edges if e.oid != oid]
         revived: list[Point] = []
+        shared: list[Point] = []
         gone: list[int] = []
         for v in set(poly.vertices):
             incident = [e for e in self._incident.get(v, ()) if e.oid != oid]
             if incident:
                 self._incident[v] = incident
+                shared.append(v)
                 continue
             self._incident.pop(v, None)
             if v in self._promoted:
@@ -518,23 +534,19 @@ class VisibilityGraph:
             if membership:
                 self._boundary[v] = membership
         self._drop_stale_pending()
-        self._resweep_region(poly.mbr)
+        # The vertices it shared are decided again by connect; the other
+        # pairs near it that keep the tangent rule are re-tested with
+        # the exact oracle, so the repair equals a from-scratch rebuild.
+        self._pending += [p for p in shared + revived if p not in self._pending]
+        pairs = region_pairs(self, poly.mbr)
+        visible = self._backend.visible_pairs([(pairs, self)])[0]
+        self._install_pairs(pairs.u[visible], pairs.v[visible])
+        self.connect([self])
         return True
 
-    def _resweep_region(self, region: Rect) -> None:
-        """Rediscover visibility edges inside ``region``.
-
-        Every currently non-adjacent node pair whose segment's bounding
-        box meets ``region`` is re-tested with the exact visibility
-        oracle (the reference both sweep backends are parity-locked
-        to), so a repaired graph is identical to a from-scratch
-        rebuild.
-        """
-        for u, w in self._backend.unblocked_pairs(self, region):
-            self._set_edge(u, w)
-
     def add_entity(self, p: Point) -> bool:
-        """Add a free point and connect it to all visible nodes.
+        """Add a free point and connect it to every node it sees (at an
+        obstacle vertex, one whose side of the segment is tangent).
 
         Returns ``False`` when ``p`` already is a node (e.g. the query
         point, a duplicate entity, or an obstacle vertex).
@@ -635,39 +647,46 @@ class VisibilityGraph:
         self._ids.clear()
         self._ids.update(zip(self._points, range(len(keep))))
 
+    def _settle(self, pending: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+        """A connect's outcome: the ``pending`` nodes' pairs ``(u[k],
+        v[k])`` found visible become edges, and a pending node that had
+        edges already (one whose owning obstacles, and the tangent rule
+        at it with them, changed) loses the others — the edges it keeps
+        keep their places in the rows."""
+        rows = self._rows
+        held = [i for i in pending.tolist() if rows[i]]
+        self._pending = []
+        if held:
+            near = np.isin(u, held) | np.isin(v, held)
+            kept = set(zip(u[near].tolist(), v[near].tolist()))
+            self._remove_edges(
+                dict.fromkeys(
+                    (min(i, j), max(i, j))
+                    for i in held
+                    for j in rows[i]
+                    if (i, j) not in kept and (j, i) not in kept
+                )
+            )
+        self._install_pairs(u, v)
+
     def _drop_stale_pending(self) -> None:
         """A node that left the graph no longer waits for a sweep."""
         if self._pending:
             self._pending = [p for p in self._pending if p in self._ids]
 
-    def _set_edge(self, u: int, v: int) -> None:
-        if u == v:
-            return
-        w = self._points[u].distance(self._points[v])
-        self._structure_revision += 1
-        self._rows[u][v] = w
-        self._rows[v][u] = w
-
-    def _install_visible(
-        self, u: int, seen: Iterable[int], legs: Iterable[float]
-    ) -> None:
-        """Connect node ``u`` to every node of ``seen``, in that order,
-        at the parallel ``legs`` (their distances from ``u``).
-
-        A node already adjacent to ``u`` got there through its own
-        visible set: same weight (a distance is symmetric to the bit)
-        and both directions present, so it is skipped — the rows, their
-        insertion order and the CSR arrays frozen from them equal what
-        setting each directed pair would leave.  The structure revision
-        moves once.
-        """
+    def _install_pairs(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Connect node ``u[k]`` to node ``v[k]`` for every ``k``, in
+        that order, at their distance — ``Point.distance`` to the bit,
+        over arrays.  The structure revision moves once."""
+        x, y = self.packed_scene().sweep_arrays()[0]
+        dx = x[u] - x[v]
+        dy = y[u] - y[v]
         rows = self._rows
-        row = rows[u]
-        for v, weight in zip(seen, legs):
-            if v in row or v == u:
-                continue
-            row[v] = weight
-            rows[v][u] = weight
+        for i, j, weight in zip(
+            u.tolist(), v.tolist(), np.sqrt(dx * dx + dy * dy).tolist()
+        ):
+            rows[i][j] = weight
+            rows[j][i] = weight
         self._structure_revision += 1
 
     def _remove_edges(self, pairs: Iterable[tuple[int, int]]) -> None:

@@ -1,25 +1,31 @@
 """Pluggable visibility backends.
 
-A backend answers one question — "which scene points does ``p`` see" —
-for a :class:`~repro.visibility.graph.VisibilityGraph`, for one source
-(``visible_from``) or for many in one call (``visible_from_many``: a
-graph build, the new vertices of a growth step, the off-graph
-candidates of a distance-field batch); the named ones also for many
-graphs in one call (``visible_from_scenes``: the graphs of a distance
-join's seeds, then their candidates' anchors).  Three named
+A backend answers two questions for a
+:class:`~repro.visibility.graph.VisibilityGraph`.  "Which of these node
+pairs see each other" builds and maintains the graph: ``connect_pairs``
+for a connect's pending nodes (of any number of graphs in one call),
+``visible_pairs`` for the pairs an insert or a delete decides again.
+"Which nodes does ``p`` see" gives an off-graph point (or a query
+endpoint on an obstacle vertex) its last-leg anchors: ``visible_from``,
+``visible_from_many`` (a distance-field batch's candidates),
+``visible_from_scenes`` (a distance join's).  Three named
 implementations exist:
 
 ``python-sweep``
     The paper's rotational plane sweep [SS84]
-    (:mod:`repro.visibility.sweep`), pure python.  Alias: ``sweep``.
+    (:mod:`repro.visibility.sweep`), pure python: a connect sweeps its
+    pending nodes and keeps the pairs their sweeps see.  Alias:
+    ``sweep``.
 ``numpy-kernel``
-    The vectorized kernel (:mod:`repro.visibility.kernel.numpy_sweep`)
-    over a :class:`~repro.visibility.kernel.packed.PackedScene`, which
-    sweeps all sources of a call — of all its graphs — in shared array
-    passes; returns sets identical to ``python-sweep``.
+    Pairs are decided by the exact predicate over arrays
+    (:func:`repro.visibility.kernel.exact.hidden_many`), all of a call
+    together; points are swept by the vectorized kernel
+    (:mod:`repro.visibility.kernel.numpy_sweep`) over a
+    :class:`~repro.visibility.kernel.packed.PackedScene`, all sources
+    of a call in shared array passes.
 ``naive``
-    The exact pairwise oracle (:mod:`repro.visibility.naive`) — slow,
-    but valid even for overlapping obstacles; the testing reference.
+    The exact pairwise oracle (:mod:`repro.visibility.naive`), one
+    pair at a time — slow; the testing reference.
 
 Selection: pass a name (or a backend instance) to
 :class:`~repro.visibility.graph.VisibilityGraph`,
@@ -27,9 +33,9 @@ Selection: pass a name (or a backend instance) to
 :class:`~repro.core.engine.ObstacleDatabase`; ``None`` is
 ``numpy-kernel``.
 
-Every entry goes through one, ``visible_ids``: per scene, per source,
-the *ids* of the graph's nodes it sees and their distances from it —
-what the graph installs and the frozen CSR memoizes.  The numpy kernel
+Every sweep goes through one entry, ``visible_ids``: per scene, per
+source, the *ids* of the graph's nodes it sees and their distances from
+it — what the frozen CSR memoizes.  The numpy kernel
 reports ids itself, the reference backends' points become ids in one
 place, and ``visible_from*`` map the ids back to points.
 Backends carry an optional :class:`~repro.runtime.stats.RuntimeStats`
@@ -37,13 +43,10 @@ reference and tick the per-backend sweep counters (``sweeps_run``,
 ``sweep_events``, ``sweep_seconds``) there, once per source; the numpy
 kernel adds ``sweep_passes``, once per array pass.
 
-The named backends also answer the two exact-predicate batches of
-graph maintenance — which edges a new polygon cuts
-(``edges_crossing``), which node pairs a removed one had been hiding
-(``unblocked_pairs``).  The shared default loops the scalar oracle;
+The shared pair decision loops the scalar oracle, so ``python-sweep``
+and ``naive`` graphs stay a reference that never touches the arrays;
 ``numpy-kernel`` hands each batch to
-:mod:`repro.visibility.kernel.exact` in one call, so ``python-sweep``
-and ``naive`` graphs stay a reference that never touches the arrays.
+:mod:`repro.visibility.kernel.exact` in one call.
 """
 
 from __future__ import annotations
@@ -51,15 +54,15 @@ from __future__ import annotations
 import time
 from typing import Protocol, Sequence, TYPE_CHECKING, runtime_checkable
 
+import numpy as np
+
 from repro.errors import QueryError
 from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon
-from repro.geometry.rect import Rect
 from repro.obs.trace import TRACER
-from repro.visibility.kernel import exact
 from repro.visibility.naive import is_visible
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.model import Obstacle
     from repro.runtime.stats import RuntimeStats
     from repro.visibility.graph import VisibilityGraph
 
@@ -67,6 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     Scenes = Sequence[tuple[Sequence[Point], VisibilityGraph]]
     #: What one source sees: node ids and their distances from it.
     Sight = tuple[list[int], list[float]]
+    from repro.visibility.tangent import Pairs
+
+    #: Per graph, the node pairs to decide on it.
+    PairScenes = Sequence[tuple[Pairs, VisibilityGraph]]
 
 
 @runtime_checkable
@@ -151,62 +158,40 @@ class _TimedBackend:
     def _sweep(self, p: Point, graph: "VisibilityGraph") -> list[Point]:
         raise NotImplementedError
 
-    def edges_crossing(
-        self, graph: "VisibilityGraph", polygons: Sequence[Polygon]
-    ) -> list[tuple[int, int]]:
-        """The edges of ``graph`` whose open segment crosses the
-        interior of one of ``polygons``, as :meth:`~repro.visibility.
-        graph.VisibilityGraph.edge_ids` names them."""
-        # crosses_interior's own first step (Rect.intersects on the
-        # segment's box) made here without the Rect: most edges of a
-        # graph pass nowhere near a new obstacle.
-        boxes = [
-            (poly, poly.mbr.minx, poly.mbr.miny, poly.mbr.maxx, poly.mbr.maxy)
-            for poly in polygons
-        ]
-        points = graph._points
-        found = []
-        for i, j in graph.edge_ids():
-            u, v = points[i], points[j]
-            if any(
-                minx <= max(u.x, v.x)
-                and min(u.x, v.x) <= maxx
-                and miny <= max(u.y, v.y)
-                and min(u.y, v.y) <= maxy
-                and poly.crosses_interior(u, v)
-                for poly, minx, miny, maxx, maxy in boxes
-            ):
-                found.append((i, j))
-        return found
+    def connect_pairs(self, scenes: "PairScenes") -> list[np.ndarray]:
+        """Per scene ``(pairs, graph)`` — ``pairs.u`` the graph's
+        pending nodes, each paired once with every node — whether
+        ``v[k]`` is in what ``u[k]``'s sweep sees: one
+        :meth:`visible_ids` call sweeps every pending node that pairs."""
+        sources = [list(dict.fromkeys(pairs.u.tolist())) for pairs, __ in scenes]
+        seen = self.visible_ids(
+            [
+                (list(map(graph._points.__getitem__, ids)), graph)
+                for ids, (__, graph) in zip(sources, scenes)
+            ]
+        )
+        out = []
+        for ids, sights, (pairs, __) in zip(sources, seen, scenes):
+            sees = {(i, j) for i, (nodes, __) in zip(ids, sights) for j in nodes}
+            out.append(_mask(pairs, lambda i, j: (i, j) in sees))
+        return out
 
-    def unblocked_pairs(
-        self, graph: "VisibilityGraph", region: Rect
-    ) -> list[tuple[int, int]]:
-        """The non-adjacent node pairs ``(u, w)``, ids with ``u < w``,
-        whose segment's bounding box meets ``region`` and that see each
-        other."""
-        points = graph._points
-        obstacles = graph.scene_obstacles()
-        rminx, rminy = region.minx, region.miny
-        rmaxx, rmaxy = region.maxx, region.maxy
-        found = []
-        for i, (u, row) in enumerate(zip(points, graph._rows)):
-            ux, uy = u.x, u.y
-            for j in range(i + 1, len(points)):
-                if j in row:
-                    continue
-                w = points[j]
-                wx, wy = w.x, w.y
-                if (
-                    (ux < rminx and wx < rminx)
-                    or (ux > rmaxx and wx > rmaxx)
-                    or (uy < rminy and wy < rminy)
-                    or (uy > rmaxy and wy > rmaxy)
-                ):
-                    continue
-                if is_visible(u, w, obstacles):
-                    found.append((i, j))
-        return found
+    def visible_pairs(
+        self, scenes: "PairScenes", only: "Sequence[Obstacle]" = ()
+    ) -> list[np.ndarray]:
+        """Per scene ``(pairs, graph)``, whether ``u[k]`` and ``v[k]``
+        see each other past every obstacle of the graph (of ``only``, if
+        given: obstacles of a one-graph call) — the exact oracle, pair by
+        pair."""
+        return [
+            _mask(
+                pairs,
+                lambda i, j, at=graph._points, walls=only or graph.scene_obstacles(): (
+                    is_visible(at[i], at[j], walls)
+                ),
+            )
+            for pairs, graph in scenes
+        ]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -224,7 +209,8 @@ class PythonSweepBackend(_TimedBackend):
 
 
 class NumpyKernelBackend(_TimedBackend):
-    """The vectorized numpy sweep over a packed scene."""
+    """Node pairs decided by the exact predicate over arrays, off-graph
+    points swept by the vectorized kernel over a packed scene."""
 
     name = "numpy-kernel"
 
@@ -233,35 +219,28 @@ class NumpyKernelBackend(_TimedBackend):
         from repro.visibility.kernel import numpy_sweep
 
         self._kernel = numpy_sweep.kernel_visible_from_scenes
+        self._pairs = numpy_sweep.kernel_visible_pairs
 
     def _sweep_scenes(self, scenes: "Scenes") -> "list[list[Sight]]":
         return self._kernel(scenes, self.stats)
 
-    def edges_crossing(
-        self, graph: "VisibilityGraph", polygons: Sequence[Polygon]
-    ) -> list[tuple[int, int]]:
-        """One :func:`~repro.visibility.kernel.exact.edges_crossing`
-        call; the inherited loop on graphs too small for one to pay."""
-        found = exact.edges_crossing(
-            graph._points, graph._rows, polygons, self.stats
-        )
-        return super().edges_crossing(graph, polygons) if found is None else found
+    def visible_pairs(
+        self, scenes: "PairScenes", only: "Sequence[Obstacle]" = ()
+    ) -> list[np.ndarray]:
+        """The exact predicate over arrays, for every pair of every
+        scene in one call (:func:`~repro.visibility.kernel.numpy_sweep.
+        kernel_visible_pairs`)."""
+        return self._pairs(scenes, self.stats, only)
 
-    def unblocked_pairs(
-        self, graph: "VisibilityGraph", region: Rect
-    ) -> list[tuple[int, int]]:
-        """One :func:`~repro.visibility.kernel.exact.unblocked_pairs`
-        call; the inherited loop on graphs too small for one to pay."""
-        found = exact.unblocked_pairs(
-            graph._points, graph._rows, region, graph.packed_scene(), self.stats
-        )
-        return super().unblocked_pairs(graph, region) if found is None else found
+    connect_pairs = visible_pairs
 
 
 class NaiveBackend(_TimedBackend):
     """The exact pairwise oracle over every node pair."""
 
     name = "naive"
+
+    connect_pairs = _TimedBackend.visible_pairs
 
     def _sweep(self, p: Point, graph: "VisibilityGraph") -> list[Point]:
         from repro.visibility.naive import naive_visible_from
@@ -293,6 +272,13 @@ class _StatsAdapter(_TimedBackend):
         if entry is not None:
             return entry(scenes)
         return [inner.visible_from_many(sources, graph) for sources, graph in scenes]
+
+
+def _mask(pairs: "Pairs", test) -> np.ndarray:
+    """``test(u[k], v[k])`` for every pair, as a mask."""
+    return np.fromiter(
+        map(test, pairs.u.tolist(), pairs.v.tolist()), dtype=bool, count=pairs.u.size
+    )
 
 
 _REGISTRY: dict[str, type[_TimedBackend]] = {

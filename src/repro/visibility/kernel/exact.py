@@ -5,10 +5,10 @@
 where the segment meets the boundary
 (:func:`repro.geometry.segment.segment_intersection_params` per edge),
 sort them, and test the midpoint of each sub-interval for strict
-containment.  On street-grid scenes — rectangles sharing grid lines —
-the numpy sweep hands that oracle hundreds of tolerance-borderline
-contacts per graph build, and a python call per pair costs more than
-the vectorized classification it backs up.
+containment.  A ``numpy-kernel`` graph build decides every tangent
+node pair with it, and the sweep hands it its tolerance-borderline
+contacts: a python call per pair costs more than the whole array
+pass.
 
 :func:`crosses_interior_many` evaluates the *same* predicate for many
 pairs at once, over flat arrays of (pair, edge) and (interval, edge)
@@ -25,7 +25,10 @@ rows.  Exactness is by construction, not by tolerance band:
   tolerances;
 * the one branch arrays cannot take without dividing by zero — a
   segment no longer than ``EPS`` — sends its pairs to the scalar
-  method.
+  method;
+* the one reject the scalar method lacks (:func:`_line_misses`) only
+  drops pairs whose every midpoint lies outside the obstacle by far
+  more than any tolerance.
 
 The scalar method stays the reference: ``tests/visibility/
 test_exact.py`` holds the two equal pair for pair, graphs on the
@@ -38,8 +41,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import hypot
-from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Iterable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -54,8 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.stats import RuntimeStats
     from repro.visibility.kernel.packed import PackedScene
 
-_X = attrgetter("x")
-_Y = attrgetter("y")
 
 #: Pairs surviving the MBR reject below which a batch is looped through
 #: ``Polygon.crosses_interior`` instead of evaluated over arrays.
@@ -67,25 +67,27 @@ _Y = attrgetter("y")
 #: 16: 137, 24: 202).  The two meet at 16 pairs.
 _MIN_ARRAY_PAIRS = 16
 
-#: Segments of a graph — edges for an insert, node pairs for a delete
-#: repair — below which reading its adjacency into arrays cannot pay,
-#: however many pairs survive: the scalar loops dismiss a segment in
-#: 0.2-0.5 us (an inlined MBR reject, a dict probe), the arrays take
-#: 25-55 us to set up and 0.03-0.3 us a segment.  Measured crossovers:
-#: ~110 node pairs (a 15-node graph), ~250 edges (a 35-node one).
-_MIN_ARRAY_SEGMENTS = 128
-
 #: Pairs evaluated per array pass, and (segment, obstacle) cells whose
-#: MBRs are compared per pass of a delete repair.  They bound the
-#: temporaries — ~40 float64 arrays of one row per (pair, edge), bool
-#: matrices of one cell each — to a few MB whatever the batch: a repair
-#: of a 1,000-node graph tests ~10^5 pairs against hundreds of
-#: obstacles.  Measured on 82,833 pairs of a 64-rectangle scene, passes
-#: of 1,024-4,096 pairs run 0.80-0.95 us per pair against 1.22 in one
-#: pass (the temporaries fall out of cache); unbounded passes also left
-#: ``churn-durable``'s peak RSS 1.1 % higher.
+#: MBRs are compared per call (an insert's edges, a graph build's or a
+#: delete repair's node pairs).  They bound the temporaries — ~40
+#: float64 arrays of one row per (pair, edge), bool matrices of one
+#: cell each — to a few MB whatever the batch: a build of a 1,000-node
+#: graph tests ~10^5 pairs against hundreds of obstacles.  Measured on
+#: 82,833 pairs of a 64-rectangle scene, passes of 1,024-4,096 pairs
+#: run 0.80-0.95 us per pair against 1.22 in one pass (the temporaries
+#: fall out of cache); unbounded passes also left ``churn-durable``'s
+#: peak RSS 1.1 % higher.
 _PASS_PAIRS = 2048
 _PASS_CELLS = 1 << 20
+#: MBR survivors a pass of :func:`_line_misses` takes (a dozen float64
+#: rows each): its temporaries stay within a few MB too.
+_PASS_ROWS = 1 << 15
+
+#: Relative clearance past which a segment's line misses an obstacle's
+#: MBR for sure (:func:`_line_misses`): ten times ``EPS``, the scalar
+#: predicates' widest relative tolerance, and eight orders above
+#: float64 rounding.
+_LINE_MARGIN = 1e-8
 
 
 class ObstacleArrays(NamedTuple):
@@ -143,6 +145,19 @@ def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total) + (starts - (ends - counts)).repeat(counts)
 
 
+def blocks(cells: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive runs ``[lo, hi)`` of rows, each as long as its
+    ``cells`` (per row, how many it costs) keep within ``budget`` — and
+    at least one row long, whatever that row costs."""
+    ends = cells.cumsum()
+    lo = 0
+    while lo < cells.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(ends.searchsorted(base + budget, side="right")))
+        yield lo, hi
+        lo = hi
+
+
 def crosses_interior_many(
     segs: np.ndarray,
     geom: ObstacleArrays,
@@ -162,6 +177,13 @@ def crosses_interior_many(
     ends = segs[pair_seg]
     keep = _boxes_meet(geom.mbr[pair_obs], *ends.T).nonzero()[0]
     _tick(stats, keep.size)
+    keep = np.concatenate(
+        [keep[:0]]
+        + [
+            part[~_line_misses(ends[part], geom.mbr[pair_obs[part]])]
+            for part in np.split(keep, range(_PASS_ROWS, keep.size, _PASS_ROWS))
+        ]
+    )
     if keep.size < _MIN_ARRAY_PAIRS:
         _loop_oracle(out, keep, ends[keep], geom.polygons, pair_obs[keep])
         return out
@@ -169,6 +191,40 @@ def crosses_interior_many(
         part = keep[lo : lo + _PASS_PAIRS]
         out[part] = _evaluate(ends[part], geom, pair_obs[part])
     return out
+
+
+def _line_misses(ends: np.ndarray, mbr: np.ndarray) -> np.ndarray:
+    """Per row, whether the line through segment ``ends`` (``ax, ay,
+    bx, by``) passes the box ``mbr`` (``minx, miny, maxx, maxy``) by a
+    clear margin: every corner strictly on one side of it, farther than
+    :data:`_LINE_MARGIN` of the coordinates' scale — far beyond any
+    tolerance or rounding of the scalar method, whose every midpoint is
+    then outside the obstacle, so ``crosses_interior`` is false.  A
+    segment no longer than ``EPS`` (a point to the scalar method) never
+    misses: products that underflow stay far below the margin."""
+    ax, ay, bx, by = ends.T
+    rx = bx - ax
+    ry = by - ay
+    r1 = np.abs(rx) + np.abs(ry)
+    minx, miny, maxx, maxy = mbr.T
+    dx0 = minx - ax
+    dx1 = maxx - ax
+    dy0 = miny - ay
+    dy1 = maxy - ay
+    # r x (corner - a) = rx * dy - ry * dx over the four corners: its
+    # extremes are those of the two products, taken apart.
+    with np.errstate(under="ignore"):
+        ys = np.array([rx * dy0, rx * dy1])
+        xs = np.array([ry * dx0, ry * dx1])
+        margin = _LINE_MARGIN * r1 * (
+            np.abs(ends).sum(axis=1)
+            + np.maximum(np.abs(dx0), np.abs(dx1))
+            + np.maximum(np.abs(dy0), np.abs(dy1))
+        )
+        return (r1 > 2.0 * EPS) & (
+            (ys.min(axis=0) - xs.max(axis=0) > margin)
+            | (ys.max(axis=0) - xs.min(axis=0) < -margin)
+        )
 
 
 def _tick(stats: "RuntimeStats | None", survived: int) -> None:
@@ -366,6 +422,7 @@ def hidden_many(
     scene: np.ndarray,
     only: "Sequence[Sequence[Obstacle]]" = (),
     stats: "RuntimeStats | None" = None,
+    clear: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Per segment ``k`` — from point ``a[k]`` of ``tails`` to point
     ``b[k]`` of ``heads``, each a ``(coords (n, 2), points)`` pair like
@@ -373,7 +430,10 @@ def hidden_many(
     of some obstacle: of ``only[k]`` for the first ``len(only)``
     segments, of the whole packed scene ``scenes[scene[k]]`` (whose
     obstacles ``only[k]`` are) for the rest.  ``not is_visible(p, w,
-    those obstacles)``, as a mask.
+    those obstacles)``, as a mask.  With no ``only``, ``clear``
+    (``(2, n)``) names per segment up to two rows of its scene's
+    :meth:`PackedScene.exact_arrays` (-1: none) it is known not to
+    cross, which the array passes skip.
 
     Ticks ``exact_pairs`` / ``sweep.exact_pairs`` once, like
     :func:`crosses_interior_many`.
@@ -430,99 +490,13 @@ def hidden_many(
         ]
         pair_seg = np.concatenate([band_seg, pair_seg + len(only)])
         pair_obs = np.concatenate([np.array(band_obs, dtype=np.int64), pair_obs])
+    if clear is not None:
+        own = first[scene[pair_seg]]
+        known = clear[:, pair_seg]
+        test = ((known < 0) | (pair_obs != own + known)).all(axis=0).nonzero()[0]
+        pair_seg = pair_seg[test]
+        pair_obs = pair_obs[test]
     hidden = np.zeros(a.size, dtype=bool)
     hidden[pair_seg[crosses_interior_many(ends, geom, pair_seg, pair_obs, stats)]] = True
     return hidden
 
-
-def _node_xy(nodes: Sequence[Point]) -> np.ndarray:
-    """``(2, n)`` coordinates of ``nodes``."""
-    n = len(nodes)
-    return np.array(
-        [
-            np.fromiter(map(_X, nodes), dtype=np.float64, count=n),
-            np.fromiter(map(_Y, nodes), dtype=np.float64, count=n),
-        ]
-    )
-
-
-def edges_crossing(
-    nodes: Sequence[Point],
-    rows: Sequence[Mapping[int, float]],
-    polygons: Sequence[Polygon],
-    stats: "RuntimeStats | None" = None,
-) -> "list[tuple[int, int]] | None":
-    """The edges ``(u, v)`` of the adjacency ``rows`` (per node id, its
-    neighbours' ids; node ``i`` at ``nodes[i]``), ``u``'s point the
-    smaller, whose open segment crosses the interior of one of
-    ``polygons``, a block of edges per array call (one, unless there are
-    very many polygons) — or ``None`` when the graph has too few edges
-    for one to pay: the caller loops the scalar method."""
-    degree = list(map(len, rows))
-    if sum(degree) < 2 * _MIN_ARRAY_SEGMENTS:
-        return None
-    # Every directed edge, by its ends' ids.
-    tail = np.arange(len(rows)).repeat(degree)
-    head = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=tail.size)
-    xy = _node_xy(nodes)
-    ax, ay = xy[:, tail]
-    bx, by = xy[:, head]
-    # Each edge once, from its smaller end (``Point.__lt__``): the
-    # orientation the scalar loop hands the predicate.
-    forward = ((ax < bx) | ((ax == bx) & (ay < by))).nonzero()[0]
-    segs = np.array([ax, ay, bx, by]).T
-    geom = pack_polygons(polygons)
-    crossing = np.zeros(forward.size, dtype=bool)
-    step = max(1, _PASS_CELLS // len(polygons))
-    for lo in range(0, forward.size, step):
-        part = forward[lo : lo + step]
-        edge, obs = _boxes_meet(geom.mbr, *segs[part].T[:, :, None]).nonzero()
-        hit = crosses_interior_many(segs, geom, part[edge], obs, stats)
-        crossing[lo + edge[hit]] = True
-    crossing = forward[crossing]
-    return list(zip(tail[crossing].tolist(), head[crossing].tolist()))
-
-
-def unblocked_pairs(
-    nodes: Sequence[Point],
-    rows: Sequence[Mapping[int, float]],
-    region: Rect,
-    packed: "PackedScene",
-    stats: "RuntimeStats | None" = None,
-) -> "list[tuple[int, int]] | None":
-    """The non-adjacent node pairs ``(u, w)``, ids with ``u < w`` (node
-    ``i`` at ``nodes[i]``, its neighbours' ids ``rows[i]``), whose
-    segment's bounding box meets ``region`` and that see each other past
-    every obstacle of ``packed``, a block of ``u`` rows per array call
-    (small graphs: one) — or ``None`` when there are too few nodes for
-    one to pay."""
-    n = len(nodes)
-    if n * (n - 1) // 2 < _MIN_ARRAY_SEGMENTS:
-        return None
-    x, y = xy = _node_xy(nodes)
-    ends = (xy.T, nodes)
-    # A segment's box misses the region when both ends lie strictly
-    # beyond the same side of it.
-    beyond = np.array(
-        [x < region.minx, x > region.maxx, y < region.miny, y > region.maxy]
-    )
-    later = np.arange(n)
-    found: list[tuple[int, int]] = []
-    step = max(1, _PASS_CELLS // (n * max(1, packed.obstacle_count)))
-    for lo in range(0, n - 1, step):
-        near = ~(beyond[:, lo : lo + step, None] & beyond[:, None, :]).any(axis=0)
-        near &= later > later[lo : lo + step, None]
-        i, j = near.nonzero()
-        i += lo
-        fresh = np.fromiter(
-            (w not in rows[u] for u, w in zip(i.tolist(), j.tolist())),
-            dtype=bool,
-            count=i.size,
-        )
-        i = i[fresh]
-        j = j[fresh]
-        seen = ~hidden_many(
-            ends, i, ends, j, [packed], np.zeros(i.size, dtype=np.int64), stats=stats
-        )
-        found += zip(i[seen].tolist(), j[seen].tolist())
-    return found

@@ -49,9 +49,13 @@ Every per-triple value is computed by the same elementwise float64
 expression whatever the number of sources and scenes in the call, so
 the visible sets and their order do not depend on how they are
 grouped.  Sources are taken :data:`_PAIR_BUDGET` array cells at a
-time: a distance join's twenty graphs are one pass, on small scenes a
-whole graph build is one pass, on large ones the passes shrink to one
-source each and cost what separate sweeps cost.
+time: a distance join's twenty graphs are one pass, on small scenes
+all of a graph's nodes are one pass, on large ones the passes shrink
+to one source each and cost what separate sweeps cost.
+
+Graph builds sweep nothing: :func:`kernel_visible_pairs` decides the
+tangent node pairs of a connect (of all its graphs, laid out as the
+sweep lays its scenes) with the exact predicate alone.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.stats import RuntimeStats
     from repro.visibility.graph import VisibilityGraph
     from repro.visibility.kernel.packed import PackedScene
+    from repro.visibility.tangent import Pairs
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,6 +114,12 @@ _PAIR_BUDGET = 8192
 #: at a time (117-154 ms); a 56-vertex build is 2.6 ms either way.  It
 #: also bounds the rows' memory to ~2 MB.
 _PASS_PAIRS = 8192
+
+#: (Pair, obstacle) cells one :func:`kernel_visible_pairs` call hands
+#: the exact predicate: building a 1,000-vertex street-grid graph took
+#: 3.0 s at 64 MB peak RSS, 3.2 s at 75 MB with four times this; a
+#: paper-scale build (57 nodes, ~7,000 cells) is one call either way.
+_PAIR_CELLS = 1 << 18
 
 #: Shift between consecutive sources' stretches of the shared angle
 #: axis: wider than a doubled turn plus the fan pads (4*pi + 3e-6), so
@@ -274,6 +285,45 @@ def kernel_visible_from_scenes(
     return out
 
 
+def kernel_visible_pairs(
+    scenes: "Sequence[tuple[Pairs, VisibilityGraph]]",
+    stats: "RuntimeStats | None" = None,
+    only: "Sequence[Obstacle]" = (),
+) -> list[np.ndarray]:
+    """Per scene ``(pairs, graph)``, whether ``u[k]`` and ``v[k]`` see
+    each other past its obstacles (``only`` those, if given: obstacles
+    of a one-graph call): the exact predicate
+    (:func:`~repro.visibility.kernel.exact.hidden_many`, skipping the
+    obstacles a pair is known to leave clear) over the pairs of every
+    scene laid end to end, as many to a call as :data:`_PAIR_CELLS`
+    (segment, obstacle) cells hold."""
+    packs = [graph.packed_scene() for __, graph in scenes]
+    lay = _lay_out(packs)
+    sizes = [pairs.u.size for pairs, __ in scenes]
+    a = np.concatenate([pairs.u + run[2] for (pairs, __), run in zip(scenes, lay.runs)])
+    b = np.concatenate([pairs.v + run[2] for (pairs, __), run in zip(scenes, lay.runs)])
+    clear = np.concatenate([pairs.clear for pairs, __ in scenes], axis=1)
+    scene = np.arange(len(scenes)).repeat(sizes)
+    ends = (lay.xy.T, lay.points)
+    obstacles = np.array([packed.obstacle_count for packed in packs])
+    hidden = np.zeros(a.size, dtype=bool)
+    if only:
+        obstacles[:] = len(only)
+    for lo, hi in exact.blocks(obstacles[scene], _PAIR_CELLS):
+        hidden[lo:hi] = exact.hidden_many(
+            ends,
+            a[lo:hi],
+            ends,
+            b[lo:hi],
+            packs,
+            scene[lo:hi],
+            [only] * (hi - lo) if only else (),
+            stats,
+            None if only else clear[:, lo:hi],
+        )
+    return np.split(~hidden, np.cumsum(sizes)[:-1])
+
+
 def _sweep_centers(
     sources: Sequence[Point], graph: "VisibilityGraph", packed: "PackedScene"
 ) -> "tuple[list[int], list[Sequence[Obstacle]]]":
@@ -282,17 +332,15 @@ def _sweep_centers(
 
     Same contract as the python sweep: a center strictly inside an
     obstacle sees nothing (every segment leaves through the interior),
-    keeping all backends oracle-identical even for out-of-contract
-    inputs.  Boundary points cannot be strictly interior (disjoint
-    interiors), so vertex centers skip the scan; the others run
-    ``contains`` only on the obstacles whose MBR holds them.
+    keeping all backends oracle-identical — a vertex of one obstacle
+    too, when it lies inside an overlapping one.  ``contains`` runs
+    only on the obstacles whose MBR holds the center.
     """
     boundaries = [graph.boundary_obstacles(p) for p in sources]
     sweeping = [
         i
         for i, p in enumerate(sources)
-        if boundaries[i]
-        or not any(obs.polygon.contains(p) for obs in packed.mbr_holders(p))
+        if not any(obs.polygon.contains(p) for obs in packed.mbr_holders(p))
     ]
     if len(sweeping) < len(sources):
         boundaries = [boundaries[i] for i in sweeping]

@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.geometry.constants import EPS
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.model import Obstacle
@@ -68,6 +69,7 @@ class PackedScene:
         "_obs_edges",
         "_sweep_cache",
         "_exact_cache",
+        "_wedge_cache",
     )
 
     def __init__(self, nodes: Sequence[Point]) -> None:
@@ -83,6 +85,7 @@ class PackedScene:
         self._obs_edges: dict[int, tuple[int, int]] = {}
         self._sweep_cache: tuple | None = None
         self._exact_cache: tuple[ObstacleArrays, dict[int, int]] | None = None
+        self._wedge_cache: tuple[np.ndarray, ...] | None = None
 
     # ------------------------------------------------------------- mutation
     def add_obstacle(self, obs: Obstacle, ids: Mapping[Point, int]) -> None:
@@ -98,7 +101,7 @@ class PackedScene:
         self._eoid = _grown(self._eoid, self._n_edges)
         self._eab[first : self._n_edges] = [(ids[a], ids[b]) for a, b in edges]
         self._eoid[first : self._n_edges] = obs.oid
-        self._sweep_cache = self._exact_cache = None
+        self._sweep_cache = self._exact_cache = self._wedge_cache = None
 
     def remove_obstacle(self, oid: int) -> None:
         """Unpack one obstacle: its MBR row goes, and its boundary edges
@@ -119,14 +122,14 @@ class PackedScene:
             count = len(obs.polygon.edges())
             self._obs_edges[obs.oid] = (start, count)
             start += count
-        self._sweep_cache = self._exact_cache = None
+        self._sweep_cache = self._exact_cache = self._wedge_cache = None
 
     def renumber(self, new_ids: Sequence[int]) -> None:
         """Nodes left the graph: every edge endpoint ``i`` becomes
         ``new_ids[i]``."""
         m = self._n_edges
         self._eab[:m] = np.asarray(new_ids, dtype=np.int64)[self._eab[:m]]
-        self._sweep_cache = None
+        self._sweep_cache = self._wedge_cache = None
 
     # -------------------------------------------------------------- queries
     @property
@@ -202,6 +205,40 @@ class PackedScene:
                 np.ascontiguousarray(self._eab[: self._n_edges].T),
             )
         return self._sweep_cache
+
+    def wedge_arrays(self) -> tuple[np.ndarray, ...]:
+        """Per vertex of exactly one packed obstacle, the node ids of the
+        vertex and of its two polygon neighbours, and the obstacle's row
+        in :meth:`exact_arrays` when it turns strictly left at every
+        vertex (strictly convex), else -1: ``(vertex, previous, next,
+        convex row)`` — what the tangent rule reads.  Cached like
+        :meth:`sweep_arrays`; read-only to callers."""
+        if self._wedge_cache is None:
+            a, b = self.edge_endpoints()
+            x, y = self.sweep_arrays()[0]
+            # Edge row e runs from a vertex to its successor; the edge
+            # before it in its obstacle's run (cyclically) comes in from
+            # the vertex's predecessor.  Each obstacle a vertex belongs
+            # to starts one edge there.
+            before = np.arange(-1, a.size - 1)
+            runs = np.array([*self._obs_edges.values()], dtype=np.int64).reshape(-1, 2)
+            before[runs[:, 0]] = runs[:, 0] + runs[:, 1] - 1
+            prev = a[before]
+            # The turn at every vertex, strict beyond ccw's collinear band.
+            ux = x[a] - x[prev]
+            uy = y[a] - y[prev]
+            vx = x[b] - x[a]
+            vy = y[b] - y[a]
+            turn = ux * vy - uy * vx
+            left = (turn > 0.0) & (
+                turn * turn > (EPS * EPS) * (ux * ux + uy * uy) * (vx * vx + vy * vy)
+            )
+            row = np.arange(runs.shape[0])
+            convex = np.logical_and.reduceat(left, runs[:, 0]) if a.size else row
+            owner = np.where(convex, row, -1).repeat(runs[:, 1])
+            alone = (np.bincount(a) == 1)[a]
+            self._wedge_cache = (a[alone], prev[alone], b[alone], owner[alone])
+        return self._wedge_cache
 
     def exact_arrays(self) -> tuple[ObstacleArrays, dict[int, int]]:
         """The obstacles as the exact predicate reads them, in packed

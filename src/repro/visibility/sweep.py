@@ -62,15 +62,12 @@ def visible_from(p: Point, scene: SweepScene) -> list[Point]:
     obstacles = scene.scene_obstacles()
     p_boundary = scene.boundary_obstacles(p)
     # A center strictly inside an obstacle sees nothing: every segment
-    # leaves through the interior.  (Valid scenes never place points
-    # there, but the sweep must agree with the exact oracle — and the
-    # other backends — even on such inputs.)  A boundary point cannot
-    # be strictly interior under the disjoint-interiors assumption, so
-    # the scan is skipped for the vertex centers dominating builds.
-    if not p_boundary:
-        for obs in obstacles:
-            if obs.polygon.contains(p):
-                return []
+    # leaves through the interior — a vertex of one obstacle included,
+    # when it lies inside an overlapping one.  (The sweep must agree
+    # with the exact oracle, and the other backends, on such inputs.)
+    for obs in obstacles:
+        if obs.polygon.contains(p):
+            return []
     events = sort_events(p, events)
     open_edges = OpenEdges(p)
     _load_initial_edges(p, scene, open_edges)

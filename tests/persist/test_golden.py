@@ -14,7 +14,10 @@ counters, the section's count and the header are the only bytes that
 moved.  Both were regenerated at format version 6, when every cache
 entry's stamp became one encoding (a ``u32`` count and that many
 ``i64`` versions) and the sharded set lost its layout version; the
-``stamp`` of each ``*.info.json`` cache entry is now that count.
+``stamp`` of each ``*.info.json`` cache entry is now that count.  Both
+were regenerated at format version 7, when every graph became the
+tangent visibility graph: the cached graphs' edge lists (and the edge
+counts of each ``*.info.json`` cache entry) shrank with it.
 Any other change that moves either is a format change:
 bump ``FORMAT_VERSION``, then regenerate with
 ``python -m tests.persist.test_golden`` from the repo root.

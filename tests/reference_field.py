@@ -2,7 +2,11 @@
 
 ``reference_dijkstra`` is a plain binary-heap Dijkstra [D59] over a
 :class:`VisibilityGraph`'s adjacency as ``neighbors`` gives it — the
-search ``CSRGraph.dijkstra`` is bit-identical to.  ``reference_freeze``
+search ``CSRGraph.dijkstra`` is bit-identical to.  ``FullGraph`` is the
+full visibility graph [LW79] — every mutually visible node pair, no
+tangent rule — decided pair by pair with ``is_visible``: the graph the
+tangent graphs' distances between free points equal; ``tangent_edges``
+is the edge set a tangent graph must hold, in scalar code.  ``reference_freeze``
 flattens a dict-of-dicts adjacency, hashing every neighbour back to its
 row — the arrays ``CSRGraph.freeze`` reads straight off the id rows
 must equal it.  ``reference_distance`` is
@@ -20,7 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.visibility import VisibilityGraph
+from repro.visibility import VisibilityGraph, is_visible
 
 
 class Frozen(NamedTuple):
@@ -99,6 +103,66 @@ def reference_dijkstra(
                     best[nbr] = nd
                     heapq.heappush(heap, (nd, next(tiebreak), nbr))
     return dist
+
+
+class FullGraph:
+    """The full visibility graph over ``points`` and ``obstacles``'
+    vertices, with the two reads ``reference_dijkstra`` makes."""
+
+    def __init__(self, points, obstacles):
+        obstacles = list(obstacles)
+        nodes = list(
+            dict.fromkeys(
+                [v for o in obstacles for v in o.polygon.vertices] + list(points)
+            )
+        )
+        self.adj: dict[Point, dict[Point, float]] = {p: {} for p in nodes}
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1 :]:
+                if is_visible(a, b, obstacles):
+                    self.adj[a][b] = self.adj[b][a] = a.distance(b)
+
+    def has_node(self, p):
+        return p in self.adj
+
+    def neighbors(self, p):
+        return self.adj[p]
+
+
+def tangent_edges(
+    graph: VisibilityGraph, full: "FullGraph | None" = None
+) -> set[frozenset]:
+    """``{u < v : is_visible and the tangent rule}`` over ``graph``'s
+    nodes and obstacles, pair by pair: ``is_tangent_at`` at each end
+    that is a vertex of exactly one obstacle.  ``full``, the full graph
+    over the same nodes and obstacles, saves deciding visibility
+    again."""
+    from repro.visibility.tangent import is_tangent_at
+
+    obstacles = graph.scene_obstacles()
+    if full is None:
+        full = FullGraph(graph.nodes(), obstacles)
+    owners: dict[Point, list] = {}
+    for obs in obstacles:
+        for v in obs.polygon.vertices:
+            owners.setdefault(v, []).append(obs)
+
+    def keeps(v, w):
+        held = owners.get(v, ())
+        return len(held) != 1 or is_tangent_at(v, w, held[0])
+
+    return {
+        frozenset((u, v))
+        for u, row in full.adj.items()
+        for v in row
+        if keeps(u, v) and keeps(v, u)
+    }
+
+
+def full_distance(a: Point, b: Point, obstacles) -> float:
+    """The obstructed distance between ``a`` and ``b`` over the full
+    visibility graph."""
+    return graph_distance(FullGraph([a, b], obstacles), a, b)
 
 
 def graph_distance(graph: VisibilityGraph, a: Point, b: Point) -> float:

@@ -52,9 +52,9 @@ class TestSweepCounters:
         assert stats["backend"] == name
         assert stats["sweeps_run"] > 0
 
-    def test_numpy_kernel_backend_counts_match_python_sweep(self):
+    def test_numpy_kernel_backend_counts_match_naive(self):
         counts = {}
-        for name in ("python-sweep", "numpy-kernel"):
+        for name in ("naive", "numpy-kernel"):
             db = ObstacleDatabase(
                 [Rect(4, 4, 6, 6), Rect(10, 2, 12, 8)], backend=name
             )
@@ -63,8 +63,9 @@ class TestSweepCounters:
             stats = db.runtime_stats()
             counts[name] = (stats["sweeps_run"], stats["sweep_events"])
         # Identical query plans on identical scenes: the two backends
-        # must run the same sweeps over the same events.
-        assert counts["python-sweep"] == counts["numpy-kernel"]
+        # decide graph pairs without sweeping and must run the same
+        # sweeps (off-graph points) over the same events.
+        assert counts["naive"] == counts["numpy-kernel"]
 
     @pytest.mark.parametrize("name", ["numpy-kernel", "python-sweep", "naive"])
     def test_sweep_events_count_what_each_source_meets(self, name):
@@ -89,7 +90,8 @@ class TestSweepCounters:
     def test_sweep_passes_tick_once_per_kernel_pass(self, monkeypatch):
         """``sweeps_run / sweep_passes`` is the batching factor: one
         pass holds as many sources, of as many graphs, as the pair
-        budget does; the looping backends make no passes."""
+        budget does; the looping backends make no passes.  Connecting
+        graphs sweeps nothing: their pairs are decided over arrays."""
         from repro.visibility import VisibilityGraph, resolve_backend
         from repro.visibility.kernel import numpy_sweep
 
@@ -102,16 +104,19 @@ class TestSweepCounters:
             for __ in range(3)
         ]
         VisibilityGraph.connect(graphs)
+        assert (stats.sweeps_run, stats.sweep_passes) == (0, 0)
+        backend.visible_from_scenes([(list(g.nodes()), g) for g in graphs])
         assert (stats.sweeps_run, stats.sweep_passes) == (15, 1)
         monkeypatch.setattr(numpy_sweep, "_PAIR_BUDGET", 1)
         backend.visible_from_many(list(graphs[0].nodes()), graphs[0])
         assert (stats.sweeps_run, stats.sweep_passes) == (20, 6)
         looping = RuntimeStats()
-        VisibilityGraph.build(
-            [Point(0, 0)],
-            [rect_obstacle(0, 4, 4, 6, 6)],
-            method=resolve_backend("naive", stats=looping),
+        naive = resolve_backend("naive", stats=looping)
+        graph = VisibilityGraph.build(
+            [Point(0, 0)], [rect_obstacle(0, 4, 4, 6, 6)], method=naive
         )
+        assert (looping.sweeps_run, looping.sweep_passes) == (0, 0)
+        naive.visible_from_many(list(graph.nodes()), graph)
         assert (looping.sweeps_run, looping.sweep_passes) == (5, 0)
 
     def test_standalone_stats_default_backend_label(self):

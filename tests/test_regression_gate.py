@@ -48,6 +48,7 @@ def _doc(**overrides):
         },
         "smoke kernel": {
             "edges_match": 1.0,
+            "tangent_build_match": 1.0,
             "batch_match": 1.0,
             "batched 56v": {"batch_match": 1.0, "batch_speedup_ok": 1.0},
             "batched 1000v": {"batch_match": 1.0, "batch_speedup_ok": 1.0},
@@ -363,6 +364,7 @@ class TestCommittedBaseline:
         assert results["smoke serve"]["parity"] == 1.0
         assert results["smoke serve"]["warm_builds"] == 0.0
         assert results["smoke kernel"]["edges_match"] == 1.0
+        assert results["smoke kernel"]["tangent_build_match"] == 1.0
         for flag in (
             "trace_parity",
             "pool_trace_merged",

@@ -224,11 +224,12 @@ class TestDynamicParity:
         g.add_obstacle(rect_obstacle(99, 4, 4, 6, 6))
         assert not g.delete_entity(corner)
         assert g.has_node(corner)
-        assert g.add_entity(Point(3, 3))  # sweeps again; must not crash
-        assert corner in g.neighbors(Point(3, 3))
+        # Along the square's bottom side: tangent at the corner.
+        assert g.add_entity(Point(3, 4))  # connects again; must not crash
+        assert corner in g.neighbors(Point(3, 4))
         if method == NP:
             packed = g.packed_scene()
-            assert g.free_points() == {Point(3, 3)}
+            assert g.free_points() == {Point(3, 4)}
             assert g.node_id(corner) in packed.edge_endpoints()[0].tolist()
 
     @pytest.mark.parametrize("method", [PY, NP])
@@ -244,8 +245,8 @@ class TestDynamicParity:
         assert corner not in g.free_points()
         assert not g.delete_entity(corner)
         assert g.has_node(corner)
-        assert g.add_entity(Point(3, 3))  # must not crash on stale nodes
-        assert corner in g.neighbors(Point(3, 3))
+        assert g.add_entity(Point(3, 4))  # must not crash on stale nodes
+        assert corner in g.neighbors(Point(3, 4))
 
     def test_rebuild_resets_packed_scene(self):
         obstacles = [rect_obstacle(0, 0, 0, 10, 10)]

@@ -224,19 +224,28 @@ class TestDijkstraParity:
         assert full_dist[csr.index[target]] == oracle[target]
 
     def test_field_cache_reuses_array(self):
+        """A field rooted at a free node is its Dijkstra; at an obstacle
+        vertex, the search from every node the vertex sees."""
         g = _grid_graph(seed=5)
         csr = CSRGraph.freeze(g)
-        a = csr.field(csr.points[0], g)
-        assert csr.field(csr.points[0], g) is a
-        assert (a == csr.dijkstra(0)[0]).all()
-        b = csr.field(csr.points[1], g)
+        free = csr.index[next(iter(g.free_points()))]
+        a = csr.field(csr.points[free], g)
+        assert csr.field(csr.points[free], g) is a
+        assert (a == csr.dijkstra(free)[0]).all()
+        corner = csr.points[0]
+        b = csr.field(corner, g)
         assert b is not a
+        ids, legs = csr.anchors_for(corner, g)
+        assert ids[0] == 0 and legs[0] == 0.0 and len(ids) > 1
+        assert (b == csr.dijkstra(list(zip(ids.tolist(), legs.tolist())))[0]).all()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_field_rooted_off_the_graph_equals_the_root_inserted(self, seed):
         """A field rooted at an off-graph point's anchors holds, at
-        every node, what Dijkstra from the point holds once it is
-        inserted — and leaves the graph alone."""
+        every free node, what Dijkstra from the point holds once it is
+        inserted — and leaves the graph alone.  At an obstacle vertex
+        the anchors (every node the point sees) may reach it where the
+        inserted point's tangent edges do not: never farther."""
         g = _grid_graph(seed=seed)
         csr = frozen(g)
         revision = g.structure_revision
@@ -246,8 +255,12 @@ class TestDijkstraParity:
         assert g.structure_revision == revision and frozen(g) is csr
         g.add_entity(root)
         oracle = reference_dijkstra(g, root)
+        free = g.free_points()
         for i, p in enumerate(csr.points):
-            assert dist[i] == oracle.get(p, math.inf)  # bitwise
+            if p in free:
+                assert dist[i] == oracle.get(p, math.inf)  # bitwise
+            else:
+                assert dist[i] <= oracle.get(p, math.inf)
 
 
 class _Adjacency:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import QueryError
@@ -9,6 +10,7 @@ from repro.geometry import Point, Polygon, Rect
 from repro.model import Obstacle
 from repro.visibility import VisibilityGraph
 from tests.conftest import random_disjoint_rects, random_free_points, rect_obstacle
+from tests.reference_field import tangent_edges
 
 
 def _adjacency(graph: VisibilityGraph) -> set[tuple[Point, Point]]:
@@ -58,9 +60,10 @@ class TestBuild:
 
 
 class TestBulkInstall:
-    """`build` sweeps every node in one backend call and installs each
-    visible set in one step; the result must be indistinguishable from
-    sweeping node by node and setting each directed pair."""
+    """`build` decides every tangent node pair in one backend call and
+    installs the visible ones in one step; the result must be
+    indistinguishable from sweeping node by node and setting each pair
+    the tangent rule keeps, in pair order."""
 
     @pytest.mark.parametrize("method", ["python-sweep", "numpy-kernel", "naive"])
     def test_build_equals_per_source_build(self, method):
@@ -76,9 +79,15 @@ class TestBulkInstall:
             reference._register_obstacle(obs)
         for p in points:
             reference._register_free_point(p)
+        keep = tangent_edges(reference)
+        pairs = []
         for node in list(reference.nodes()):
-            for w in reference.visible_from_many([node])[0]:
-                reference._set_edge(reference.node_id(node), reference.node_id(w))
+            u = reference.node_id(node)
+            seen = reference.visible_from_many([node])[0]
+            for v in sorted(map(reference.node_id, seen)):
+                if v > u and frozenset((node, reference._points[v])) in keep:
+                    pairs.append((u, v))
+        reference._install_pairs(*np.array(pairs).T)
 
         assert built.snapshot_parts() == reference.snapshot_parts()
         assert list(built.nodes()) == list(reference.nodes())
@@ -92,7 +101,7 @@ class TestBulkInstall:
     def test_install_bumps_structure_revision_once(self):
         g = VisibilityGraph.build([Point(0, 0), Point(1, 0), Point(0, 1)], [])
         before = g.structure_revision
-        g._install_visible(0, [1, 2], [1.0, 1.0])
+        g._install_pairs(np.array([0, 0]), np.array([1, 2]))
         assert g.structure_revision == before + 1
 
 

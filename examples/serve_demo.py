@@ -1,15 +1,13 @@
-"""The serving tier end to end: pool, async front-end, subscriptions.
+"""The serving tier end to end: pool and async front-end.
 
-A small town is indexed once, then served three ways:
+A small town is indexed once, then served two ways:
 
 1. a **persistent worker pool** answers batch queries from warm-started
    workers (snapshot boot, mutation deltas replayed in place);
 2. an asyncio **QueryServer** coalesces concurrent requests into
    microbatches — whatever arrives together, or while a batch runs,
    shares the next one; there is no window to wait out — and reports
-   p50/p99 latency per query kind and the time spent queued;
-3. a **ContinuousQueryHub** keeps a moving client's nearest-cafes
-   subscription live through movement and a road closure.
+   p50/p99 latency per query kind and the time spent queued.
 
 Run with::
 
@@ -19,7 +17,7 @@ Run with::
 import asyncio
 import sys
 
-from repro import ContinuousQueryHub, ObstacleDatabase, Point, QueryServer, Rect
+from repro import ObstacleDatabase, QueryServer, Rect
 from repro.datasets import (
     entities_following_obstacles,
     query_points,
@@ -76,42 +74,12 @@ async def demo_server(db: ObstacleDatabase, queries) -> None:
     print(f"same answer when asked alone: {alone == answers[0]}")
 
 
-def demo_continuous(db: ObstacleDatabase, start) -> None:
-    """A moving client's standing query, through a road closure."""
-    print("\n-- continuous subscription " + "-" * 32)
-    hub = ContinuousQueryHub(db)
-    sub = hub.nearest("cafes", start, 3)
-    print(f"initial top-3: {[p for p, __ in hub.poll(sub).added]}")
-    step = db.universe().width * 0.02
-    delta = hub.move(sub, Point(start.x + step, start.y))
-    print(
-        f"after moving: +{len(delta.added)} -{len(delta.removed)} "
-        f"~{len(delta.changed)} cafes"
-    )
-    q = sub.position
-    nearest, __ = sub.current[0]
-    mx, my = (q.x + nearest.x) / 2, (q.y + nearest.y) / 2
-    if abs(nearest.x - q.x) >= abs(nearest.y - q.y):
-        wall = Rect(mx - 5, my - 400, mx + 5, my + 400)
-    else:
-        wall = Rect(mx - 400, my - 5, mx + 400, my + 5)
-    record = db.insert_obstacle(wall)
-    delta = hub.poll(sub)
-    print(
-        f"road closure across the walk re-evaluated the subscription "
-        f"(reeval #{sub.reevaluations}): {len(delta.changed)} distance(s) "
-        "changed"
-    )
-    db.delete_obstacle(record)
-
-
 def main(seed: int = 9) -> None:
     print(f"Generating town (seed={seed}) ...")
     db, queries = build_town(seed)
     with db:
         demo_pool(db, queries)
         asyncio.run(demo_server(db, queries))
-        demo_continuous(db, queries[0])
     print(f"\npool shut down with the database: {db._serving_pool is None}")
 
 

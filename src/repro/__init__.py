@@ -26,8 +26,7 @@ entry points (:meth:`~repro.core.engine.ObstacleDatabase.batch_nearest`,
 :meth:`~repro.core.engine.ObstacleDatabase.batch_range`) amortize one
 context across whole workloads.  The serving tier
 (:mod:`repro.serve`) layers a persistent snapshot-warm-started worker
-pool, an asyncio microbatching front-end, and continuous query
-subscriptions for moving clients on top of the same runtime.
+pool and an asyncio microbatching front-end on top of the same runtime.
 """
 
 from repro.errors import (
@@ -47,14 +46,9 @@ from repro.visibility import (
     available_backends,
     resolve_backend,
 )
-from repro.core.continuous import NNInterval, PathNearestNeighbor, path_nearest
-from repro.render import save_svg, scene_to_svg
-from repro.runtime import (
-    QueryContext,
-    RuntimeStats,
-    VisibilityGraphCache,
-)
-from repro.persist import load_database, save_database, snapshot_info
+# ``repro.core`` before ``repro.runtime``: the runtime's context module
+# imports ``repro.core.distance``, and that package's queries import the
+# context back.
 from repro.core import (
     CompositeObstacleIndex,
     ObstacleDatabase,
@@ -67,14 +61,18 @@ from repro.core import (
     obstacle_range,
     obstacle_semijoin,
 )
+from repro.render import save_svg, scene_to_svg
+from repro.runtime import (
+    QueryContext,
+    RuntimeStats,
+    VisibilityGraphCache,
+)
+from repro.persist import load_database, save_database, snapshot_info
 from repro.serve import (
-    ContinuousQueryHub,
     LatencyHistogram,
     PersistentWorkerPool,
     QueryServer,
-    ResultDelta,
     ServeStats,
-    Subscription,
 )
 
 __version__ = "1.2.0"
@@ -104,9 +102,6 @@ __all__ = [
     "available_backends",
     "resolve_backend",
     # extensions
-    "NNInterval",
-    "PathNearestNeighbor",
-    "path_nearest",
     "scene_to_svg",
     "save_svg",
     # persistence
@@ -131,9 +126,6 @@ __all__ = [
     # serving tier
     "PersistentWorkerPool",
     "QueryServer",
-    "ContinuousQueryHub",
-    "Subscription",
-    "ResultDelta",
     "ServeStats",
     "LatencyHistogram",
 ]

@@ -806,33 +806,6 @@ class ObstacleDatabase:
         ):
             return run_batch(self, command, items, workers=count, pool=pool)
 
-    def path_nearest(
-        self,
-        name: str,
-        waypoints: Sequence[PointLike],
-        *,
-        tolerance: float = 1e-3,
-    ):
-        """Constant-NN partition of a polyline route (moving client).
-
-        Runs :func:`repro.core.continuous.path_nearest` over the
-        database's *shared* runtime context, so the route's expansion
-        graphs land in the same spatial cache regular queries use —
-        repeated profiles and post-mutation re-profiles are answered
-        by cache hits and repair-first patches, not cold rebuilds.
-        Returns the :class:`~repro.core.continuous.NNInterval` list.
-        """
-        from repro.core.continuous import path_nearest
-
-        with TRACER.span("query.path_nearest", set=name):
-            return path_nearest(
-                self.entity_tree(name),
-                self.obstacle_index,
-                [self._coerce_point(p) for p in waypoints],
-                tolerance=tolerance,
-                context=self._context,
-            )
-
     def shortest_path(
         self, a: PointLike, b: PointLike
     ) -> tuple[float, list[Point]]:

@@ -105,11 +105,10 @@ class ObstacleIndex:
     A write made here, behind a database's back
     (``db.obstacle_index.insert(...)``), is heard by this index's own
     listeners only: the graph cache repairs from it, but it is not
-    journaled (so not durable), the serving pool sees the version
-    drift at its next dispatch and respawns, and continuous
-    subscriptions wait for their next ``refresh`` or ``move``.  The
-    database's ``insert_obstacle`` / ``delete_obstacle`` are the write
-    path that reaches all of them.
+    journaled (so not durable), and the serving pool sees the version
+    drift at its next dispatch and respawns.  The database's
+    ``insert_obstacle`` / ``delete_obstacle`` are the write path that
+    reaches all of them.
     """
 
     def __init__(self, tree: RStarTree, *, mutations: int = 0) -> None:

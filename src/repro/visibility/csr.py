@@ -29,8 +29,9 @@ so every node its graph's sweeps report has a frozen id.
 Parity contract: edge weights are copied verbatim from the live
 adjacency and relaxations use the same float64 ``d + w`` arithmetic,
 so settled distances are bit-identical to a plain binary-heap Dijkstra
-over the ``Point``-keyed adjacency — the test suite's independent
-oracle, ``tests/reference_field.py::reference_dijkstra``.  The heap order may
+over the ``Point``-keyed adjacency that relaxes out of no free point
+but its root — the test suite's independent oracle,
+``tests/reference_field.py::reference_dijkstra``.  The heap order may
 differ on ties, but the settled *values* are the same minimum over the
 same relaxation set.
 """
@@ -81,7 +82,9 @@ class CSRGraph:
     are the node coordinates; ``indptr``/``indices``/``weights`` are
     the CSR adjacency with weights copied verbatim from the live graph
     — kept as python lists, what :meth:`dijkstra` iterates, and made
-    numpy arrays only when asked for (a route, a snapshot).
+    numpy arrays only when asked for (a route, a snapshot).  ``free``
+    holds the ids of the graph's free points (entities off every
+    obstacle vertex), which a search never passes through.
     ``fields`` memoizes one full-Dijkstra distance array per root
     (:meth:`field`) — the warm-stream payoff: repeated queries at a
     centre skip the Dijkstra entirely — and ``anchors`` the last-leg
@@ -91,6 +94,7 @@ class CSRGraph:
     __slots__ = (
         "points",
         "index",
+        "free",
         "xs",
         "ys",
         "fields",
@@ -105,9 +109,11 @@ class CSRGraph:
         points: list[Point],
         index: dict[Point, int],
         rows: "tuple[list[int], list[int], list[float]]",
+        free: "frozenset[int]",
     ) -> None:
         self.points = points
         self.index = index
+        self.free = free
         n = len(points)
         self.xs = np.fromiter(map(_X, points), dtype=np.float64, count=n)
         self.ys = np.fromiter(map(_Y, points), dtype=np.float64, count=n)
@@ -125,14 +131,16 @@ class CSRGraph:
         frozen ids, its rows (in insertion order, of the adjacency's own
         int and float objects) the CSR rows."""
         rows = graph._rows
+        ids = graph._ids
         return cls(
             list(graph._points),
-            graph._ids.copy(),  # a dict copy keeps the stored hashes
+            ids.copy(),  # a dict copy keeps the stored hashes
             (
                 list(accumulate(map(len, rows), initial=0)),
                 list(chain.from_iterable(rows)),
                 list(chain.from_iterable(map(dict.values, rows))),
             ),
+            frozenset(map(ids.__getitem__, graph._free)),
         )
 
     indptr = property(lambda self: self._array(0, np.int64), doc="Row starts.")
@@ -182,6 +190,13 @@ class CSRGraph:
         beat the best way to the goal found — ``min_t dist[t] + leg_t``
         over the returned ``dist`` is then final.  ``dist`` holds
         ``inf`` for unsettled nodes; ``settled`` marks final values.
+
+        A free node other than a root (the node ``source``, or a seed
+        at start ``0.0``) settles but is never relaxed out of: a
+        shortest path turns only at obstacle vertices, and a float sum
+        through a free point may undercut the straight leg past it by
+        an ulp, which would break ``d(q, p) == |qp|`` for a ``p`` that
+        ``q`` sees.
         """
         n = len(self.points)
         indptr, indices, weights = self._rows
@@ -190,12 +205,15 @@ class CSRGraph:
         if isinstance(source, int):
             best[source] = 0.0
             heap = [(0.0, source)]
+            roots = {source}
         else:
             for node, start in source:
                 if start < best[node]:
                     best[node] = start
             heap = [(best[node], node) for node, __ in source]
             heapify(heap)
+            roots = {node for node, start in source if start == 0.0}
+        stop = self.free - roots if roots else self.free
         remaining = None
         if targets is not None:
             remaining = (
@@ -214,6 +232,8 @@ class CSRGraph:
                 bound = min(bound, d + remaining.pop(node))
                 if not remaining:
                     break
+            if node in stop:
+                continue
             lo = indptr[node]
             hi = indptr[node + 1]
             for nbr, w in zip(indices[lo:hi], weights[lo:hi]):
@@ -457,7 +477,8 @@ def install_frozen(
     if len(relabel) != len(points) or -1 in relabel:
         return None
     rows = (indptr.tolist(), indices.tolist(), weights.tolist())
-    csr = CSRGraph(points, index, rows)
+    free = frozenset(map(index.__getitem__, graph._free))
+    csr = CSRGraph(points, index, rows, free)
     if relabel != list(range(len(points))):
         csr._relabel = np.array(relabel, dtype=np.int64)
     graph._csr = (graph.structure_revision, csr)

@@ -295,8 +295,8 @@ class VisibilityGraph:
         Known nodes answer from the registration-time cache; unknown
         probe points (e.g. ONN candidates evaluated against a shared
         distance field without being added to the graph) are checked on
-        the fly, so the sweep's interior-departure test stays correct
-        for entities lying exactly on obstacle boundaries.
+        the fly, so the numpy kernel's interior-departure test stays
+        correct for entities lying exactly on obstacle boundaries.
         """
         cached = self._boundary.get(p)
         if cached is not None:

@@ -47,9 +47,6 @@ class SweepScene(Protocol):
     def boundary_edges(self) -> Iterable[BoundaryEdge]:
         """All obstacle boundary edges in the scene."""
 
-    def boundary_obstacles(self, p: Point) -> Sequence[Obstacle]:
-        """Obstacles whose boundary contains ``p`` (vertices included)."""
-
     def scene_obstacles(self) -> Sequence[Obstacle]:
         """All obstacles in the scene (for the exact fallback)."""
 
@@ -60,14 +57,19 @@ def visible_from(p: Point, scene: SweepScene) -> list[Point]:
     if not events:
         return []
     obstacles = scene.scene_obstacles()
-    p_boundary = scene.boundary_obstacles(p)
     # A center strictly inside an obstacle sees nothing: every segment
     # leaves through the interior — a vertex of one obstacle included,
     # when it lies inside an overlapping one.  (The sweep must agree
     # with the exact oracle, and the other backends, on such inputs.)
+    # Every obstacle whose boundary holds the center counts, not only
+    # the polygon it is a vertex of: a corner lying on another
+    # obstacle's edge (a T-junction) must not see through that one.
+    p_boundary: list[Obstacle] = []
     for obs in obstacles:
         if obs.polygon.contains(p):
             return []
+        if obs.polygon.on_boundary(p):
+            p_boundary.append(obs)
     events = sort_events(p, events)
     open_edges = OpenEdges(p)
     _load_initial_edges(p, scene, open_edges)

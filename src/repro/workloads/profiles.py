@@ -13,7 +13,7 @@ by recipe — the synthetic generators are deterministic):
   into dozens of cells, while the right quantum covers each hotspot
   with one or two.
 * ``commuter`` — interleaved moving clients advancing a fixed small
-  step per tick (the continuous-query stream the static quantum was
+  step per tick (the moving-client stream the static quantum was
   hand-tuned on — the profile an adaptive policy must *match*, not
   beat).
 * ``flash-crowd`` — a uniform background that collapses onto one
@@ -28,7 +28,7 @@ space — a centre inside an obstacle is disconnected from everything,
 and proving those ``inf`` distances would measure full-universe
 retrievals instead of cache behaviour.  Most events are
 ``distance`` evaluations from the centre's Euclidean-nearest entity
-(the continuous-ONN inner loop, with naturally bounded graph radii);
+(a moving client's ONN inner loop, with naturally bounded graph radii);
 ``nearest`` and ``range`` events are mixed in at a fixed cadence so
 every query family rides the same cache.
 """

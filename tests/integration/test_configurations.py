@@ -15,11 +15,11 @@ that proves it was in force, so a dropped argument fails here rather
 than passing as the default.
 
 The script also owns the write-path invariant — every mutation is one
-record down one path: two standing ``ContinuousQueryHub``
-subscriptions must hold the oracle's answer after every mutation step,
-a durable configuration's journal grows by exactly one record per
-mutation, and ``load(base, durable=journal)`` at the end of the
-history answers as the live database does.
+record down one path: two watched queries (a nearest and a range),
+asked of the live database after every mutation step, must hold the
+oracle's answer, a durable configuration's journal grows by exactly
+one record per mutation, and ``load(base, durable=journal)`` at the
+end of the history answers as the live database does.
 
 Scenes are the disjoint-obstacle scenes of ``tests/conftest.py``
 (rectangles at least half a unit apart, generic float points), which
@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import pytest
 
-from repro import ContinuousQueryHub, ObstacleDatabase, Point, Rect
+from repro import ObstacleDatabase, Point, Rect
 from repro.core.source import ShardedObstacleIndex
 from repro.obs import TRACER
 from tests.conftest import random_disjoint_rects, random_free_points
@@ -209,12 +209,11 @@ def _run(
 ):
     """Run the script of ``seed`` on a database built with
     ``db_kwargs``.  Returns the answer of every query step, what the
-    two standing subscriptions held after every mutation step, the
+    two watched queries answered after every mutation step, the
     largest value each runtime counter reached, and the final database.
 
     ``cold`` is the oracle's mode: every cache emptied before each
-    query, no ``save`` -> ``load``, and the standing queries asked
-    afresh instead of read off a hub.
+    query (the watched ones included), and no ``save`` -> ``load``.
     """
     polygons, pois, stops, spots, steps = _script(seed)
     load_kwargs = {
@@ -238,12 +237,6 @@ def _run(
             if name != "backend":
                 seen[name] = max(seen.get(name, 0), value)
 
-    def subscribe():
-        hub = ContinuousQueryHub(db)
-        return hub, hub.nearest("pois", spots[0], 2), hub.range("pois", spots[1], 20.0)
-
-    if not cold:
-        hub, near, within = subscribe()
     for kind, *args in steps:
         if kind in QUERIES:
             if cold:
@@ -263,11 +256,9 @@ def _run(
                 assert db.journal.record_count == journaled + 1
             if cold:
                 db.reset_stats(clear_buffers=True)
-                watched.append(
-                    (db.nearest("pois", spots[0], 2), db.range("pois", spots[1], 20.0))
-                )
-            else:
-                watched.append((list(near.current), list(within.current)))
+            watched.append(
+                (db.nearest("pois", spots[0], 2), db.range("pois", spots[1], 20.0))
+            )
         elif kind == "add_obstacle_set":
             db.add_obstacle_set(args[0], [])
         elif kind == "compact" and durable:
@@ -289,7 +280,6 @@ def _run(
                 db.save(base)
             db.close()
             db = ObstacleDatabase.load(base, **load_kwargs)
-            hub, near, within = subscribe()
     note_stats()
     db.close()
     if durable:

@@ -50,12 +50,6 @@ def test_incremental_browsing(capsys):
     assert "Nearest available ambulance" in out
 
 
-def test_moving_query(capsys):
-    out = _run("moving_query.py", ["9"], capsys)
-    assert "NN handover profile" in out
-    assert "nearest cafe" in out
-
-
 def test_visualize_scene(tmp_path, capsys):
     out_file = tmp_path / "scene.svg"
     out = _run("visualize_scene.py", ["11", str(out_file)], capsys)

@@ -272,6 +272,31 @@ class TestRecovery:
         assert heard == records
         db.journal.close()
 
+    def test_a_dropped_listener_is_pruned_not_called(self, tmp_path):
+        """The feed holds a bound-method listener weakly: one nobody
+        keeps is collected, and the next record prunes it."""
+        import gc
+
+        class Listener:
+            def __init__(self):
+                self.heard = []
+
+            def on_record(self, record, __):
+                self.heard.append(record)
+
+        db = build_durable(tmp_path / "db.journal")
+        listening = len(db._feed._subs)
+        kept, dropped = Listener(), Listener()
+        db._feed.subscribe(kept.on_record)
+        db._feed.subscribe(dropped.on_record)
+        heard_by_dropped = dropped.heard
+        del dropped
+        gc.collect()
+        db.insert_entity(SET_NAME, Point(64.5, 60.0))
+        assert len(kept.heard) == 1 and heard_by_dropped == []
+        assert len(db._feed._subs) == listening + 1
+        db.journal.close()
+
     def test_journal_keeps_recording_after_recovery(self, tmp_path):
         journal_path = tmp_path / "db.journal"
         base = tmp_path / "base.snap"

@@ -1,8 +1,9 @@
 """The test suite's independent oracles, over ``Point``-keyed dicts.
 
 ``reference_dijkstra`` is a plain binary-heap Dijkstra [D59] over a
-:class:`VisibilityGraph`'s adjacency as ``neighbors`` gives it — the
-search ``CSRGraph.dijkstra`` is bit-identical to.  ``FullGraph`` is the
+:class:`VisibilityGraph`'s adjacency as ``neighbors`` gives it, passing
+through no free point but its source — the search
+``CSRGraph.dijkstra`` is bit-identical to.  ``FullGraph`` is the
 full visibility graph [LW79] — every mutually visible node pair, no
 tangent rule — decided pair by pair with ``is_visible``: the graph the
 tangent graphs' distances between free points equal; ``tangent_edges``
@@ -69,11 +70,14 @@ def reference_dijkstra(
 
     Expansion stops beyond ``bound`` and, when ``targets`` is given, as
     soon as every target has been settled (or proven unreachable within
-    the bound).  Unreached nodes are absent from the result.
+    the bound).  Unreached nodes are absent from the result.  A node of
+    ``graph.free_points()`` other than ``source`` settles but is never
+    relaxed out of: shortest paths turn only at obstacle vertices.
     """
     if not graph.has_node(source):
         return {}
     remaining = set(targets) if targets is not None else None
+    stop = graph.free_points() - {source}
     dist: dict[Point, float] = {}
     # Best tentative distance per pushed node.  A relaxation that does
     # not strictly improve on it is dominated — the cheaper entry is
@@ -96,6 +100,8 @@ def reference_dijkstra(
             remaining.discard(node)
             if not remaining:
                 break
+        if node in stop:
+            continue
         for nbr, w in graph.neighbors(node).items():
             if nbr not in dist:
                 nd = d + w
@@ -107,15 +113,13 @@ def reference_dijkstra(
 
 class FullGraph:
     """The full visibility graph over ``points`` and ``obstacles``'
-    vertices, with the two reads ``reference_dijkstra`` makes."""
+    vertices, with the three reads ``reference_dijkstra`` makes."""
 
     def __init__(self, points, obstacles):
-        obstacles = list(obstacles)
-        nodes = list(
-            dict.fromkeys(
-                [v for o in obstacles for v in o.polygon.vertices] + list(points)
-            )
-        )
+        obstacles, points = list(obstacles), list(points)
+        vertices = [v for o in obstacles for v in o.polygon.vertices]
+        nodes = list(dict.fromkeys(vertices + points))
+        self.free = set(points) - set(vertices)
         self.adj: dict[Point, dict[Point, float]] = {p: {} for p in nodes}
         for i, a in enumerate(nodes):
             for b in nodes[i + 1 :]:
@@ -127,6 +131,9 @@ class FullGraph:
 
     def neighbors(self, p):
         return self.adj[p]
+
+    def free_points(self):
+        return self.free
 
 
 def tangent_edges(

@@ -18,7 +18,6 @@ from math import inf
 import pytest
 
 from repro import ObstacleDatabase, Point, Rect
-from repro.core.continuous import PathNearestNeighbor
 from repro.core.source import build_obstacle_index
 from repro.obs import TRACER
 from repro.runtime.context import QueryContext
@@ -74,14 +73,7 @@ def _case(seed):
     at, and the probes asked afterwards — centres and endpoints of
     every kind: free, a near-duplicate of a warmed centre (off-centre
     under spatial keys), an obstacle vertex, on an edge, an entity,
-    sealed off inside an obstacle (every distance ``inf``).
-
-    Free points are drawn as generic floats on purpose.  With spatial
-    keys a shared graph's own centre is a free point a search may pass
-    through, and when it is *exactly* collinear with a query point and
-    a candidate the float sum through it can undercut the direct leg
-    by one ulp — at every earlier commit too (ROADMAP item 3), and
-    what a shrinking generator of round coordinates finds first."""
+    sealed off inside an obstacle (every distance ``inf``)."""
     rng = random.Random(seed)
     obstacles = (
         _touching_grid_obstacles(rng)
@@ -155,17 +147,12 @@ def _warm(case, backend, snap, policy):
         return ObstacleDatabase.load(path, backend=backend, cache_policy=policy)
 
 
-#: The moving query's route (clear of entities: see :func:`_case`).
-ROUTE = [Point(-4.37, 3.91), Point(47.13, 52.77), Point(93.71, 18.29)]
-
-
 def _answers(db, case):
     probes, pairs = case[4], case[5]
     return {
         "nearest": [db.nearest("pois", c, 3) for c in probes],
         "range": [db.range("pois", c, RANGE) for c in probes],
         "join": db.distance_join("stops", "pois", JOIN),
-        "path": db.path_nearest("pois", ROUTE, tolerance=0.05),
         "distance": [db.obstructed_distance(p, q) for p, q in pairs * 2],
     }
 
@@ -212,11 +199,6 @@ def test_warm_equals_cold_equals_reference(backend, snap, policy, seed):
             else:
                 # Seeded from whichever side has fewer distinct points.
                 assert d in (reference(s, t), reference(t, s))
-    route = PathNearestNeighbor(cold.entity_tree("pois"), index, ROUTE)
-    for interval in got["path"]:
-        q = route.point_at(interval.start)
-        assert interval.start_distance == min(reference(q, p) for p in entities)
-        assert interval.start_distance == reference(q, interval.neighbor)
     for (p, q), d in zip(pairs, got["distance"]):
         if p == q:
             assert d == 0.0

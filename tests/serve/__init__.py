@@ -1,1 +1,1 @@
-"""Tests for the serving tier (pool, front-end, continuous queries)."""
+"""Tests for the serving tier (pool and front-end)."""

@@ -78,6 +78,23 @@ class TestAllExports:
             assert not hasattr(owner, "spawn"), owner
         for name in ("batch_nearest", "batch_range"):
             assert not hasattr(PersistentWorkerPool, name), name
+        # Moving clients ask ``db.nearest`` again: the continuous family
+        # no workload ran went.
+        import repro.serve
+
+        for module in ("repro.core.continuous", "repro.serve.continuous"):
+            assert importlib.util.find_spec(module) is None, module
+        for name in (
+            "ContinuousQueryHub",
+            "Subscription",
+            "ResultDelta",
+            "path_nearest",
+            "PathNearestNeighbor",
+            "NNInterval",
+        ):
+            assert not hasattr(repro, name), name
+            assert not hasattr(repro.serve, name), name
+        assert not hasattr(repro.ObstacleDatabase, "path_nearest")
         # One metric: the queries run on the QueryContext itself.
         assert importlib.util.find_spec("repro.runtime.metric") is None
         assert importlib.util.find_spec("repro.runtime.queries") is None
@@ -147,9 +164,6 @@ class TestServingSurface:
         for name in (
             "PersistentWorkerPool",
             "QueryServer",
-            "ContinuousQueryHub",
-            "Subscription",
-            "ResultDelta",
             "ServeStats",
             "LatencyHistogram",
         ):
@@ -167,7 +181,6 @@ class TestServingSurface:
         for method in (
             ObstacleDatabase.serving_pool,
             ObstacleDatabase.batch_distance,
-            ObstacleDatabase.path_nearest,
             ObstacleDatabase.close,
         ):
             assert callable(method)

@@ -151,6 +151,25 @@ class TestDegenerateScenes:
         _assert_backend_parity(points, obstacles, f"grid {seed}")
 
 
+    @pytest.mark.parametrize("method", [PY, NP, "naive"])
+    def test_t_junction_corner_sees_through_no_edge(self, method):
+        """A corner lying inside another obstacle's edge: the segment
+        from it into that obstacle leaves through the interior, so no
+        backend may see across it — whichever polygon owns the corner."""
+        obstacles = [
+            rect_obstacle(0, 10, 20, 20, 30),
+            rect_obstacle(1, 0, 28, 10, 40),
+        ]
+        corner, across = Point(10, 28), Point(15, 30)
+        assert not is_visible(corner, across, obstacles)
+        g = VisibilityGraph.build([across], obstacles, method=method)
+        seen = resolve_backend(method).visible_from(corner, g)
+        assert across not in seen
+        assert set(seen) == {
+            v for v in g.nodes() if v != corner and is_visible(corner, v, obstacles)
+        }
+
+
 class TestOutOfContractInputs:
     """Valid scenes never place points inside obstacles, but the
     backends must stay oracle-identical even on such inputs: a center

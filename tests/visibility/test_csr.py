@@ -264,11 +264,12 @@ class TestDijkstraParity:
 
 
 class _Adjacency:
-    """A ``Point``-keyed adjacency with the two reads
+    """A ``Point``-keyed adjacency with the three reads
     ``reference_dijkstra`` makes of a graph."""
 
-    def __init__(self, adj):
+    def __init__(self, adj, free):
         self.adj = adj
+        self.free = free
 
     def has_node(self, p):
         return p in self.adj
@@ -276,12 +277,17 @@ class _Adjacency:
     def neighbors(self, p):
         return self.adj[p]
 
+    def free_points(self):
+        return self.free
+
 
 class TestSeededDijkstraParity:
     """Seeds ``(id, start)`` are a virtual source wired to those nodes:
     the oracle is the dict Dijkstra over the graph's adjacency plus a
     stand-in node whose edges are set by hand, with the start distances
-    as weights."""
+    as weights.  The stand-in has no free-point information of its own:
+    it is handed the CSR's free set, so both searches pass through no
+    free seed (every start here is positive, so no seed is a root)."""
 
     @staticmethod
     def _setup(seed):
@@ -296,7 +302,8 @@ class TestSeededDijkstraParity:
         for i, start in seeds:
             adj[virtual][csr.points[i]] = start
             adj[csr.points[i]][virtual] = start
-        return _Adjacency(adj), csr, seeds, virtual
+        free = {csr.points[i] for i in csr.free}
+        return _Adjacency(adj, free), csr, seeds, virtual
 
     @staticmethod
     def _settled(csr, dist, settled):
@@ -395,6 +402,21 @@ class TestDijkstraEdgeCases:
         dist, settled = csr.dijkstra(0, targets=[1])
         assert dist[1] == 1.0
         assert settled.sum() < csr.node_count
+
+    def test_a_free_point_is_never_passed_through(self):
+        """``q`` sees ``p``, so ``d(q, p) == |qp|``; the sum through
+        the free point ``c`` is an ulp shorter, and no search may take
+        it — not from ``q``, and not from seeds off the graph."""
+        q, c, p = Point(69, 25), Point(54, 31), Point(34, 39)
+        assert q.distance(c) + c.distance(p) < q.distance(p) == 37.69615364994153
+        g = VisibilityGraph.build([q, c, p], [])
+        csr = CSRGraph.freeze(g)
+        dist, __ = csr.dijkstra(csr.index[q])
+        assert dist[csr.index[p]] == q.distance(p)
+        assert reference_dijkstra(g, q)[p] == q.distance(p)
+        assert csr.field(q, g)[csr.index[p]] == q.distance(p)
+        seeds = [(csr.index[q], 0.0), (csr.index[c], q.distance(c))]
+        assert csr.dijkstra(seeds)[0][csr.index[p]] == q.distance(p)
 
     def test_sealed_target_terminates(self):
         """A target in a separate component: the heap drains and the

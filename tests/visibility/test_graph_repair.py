@@ -226,16 +226,6 @@ def growth_steps(draw):
     return kept[:held], kept[held:], points
 
 
-def _t_junction(obstacles):
-    """Some obstacle's vertex lies inside another's edge."""
-    return any(
-        a is not b and v not in b.polygon.vertices and b.polygon.on_boundary(v)
-        for a in obstacles
-        for b in obstacles
-        for v in a.polygon.vertices
-    )
-
-
 def _state(graph):
     return (
         set(graph.nodes()),
@@ -256,10 +246,6 @@ def _state(graph):
 @given(step=growth_steps(), data=st.data())
 def test_add_obstacles_equals_add_obstacle_folded_in_any_order(backend, step, data):
     held, added, points = step
-    if backend == "python-sweep":
-        # Swept *from* a T-junction corner it answers by sweep order
-        # (ROADMAP item 1's open defect (a)).
-        assume(not _t_junction(held + added))
     batch = VisibilityGraph.build(points, held, method=backend)
     # The set as a retrieval hands it over: with obstacles the graph
     # already holds, and repeats.

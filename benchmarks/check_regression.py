@@ -98,8 +98,8 @@ GATES: tuple[tuple[tuple[str, ...], str], ...] = (
     (("smoke warm distance stream", "backend_calls"), "exact"),
     # The same stream with sources from a fixed pool (the profiles'
     # shape): a seen source's distance reads its field and probes the
-    # goal's last leg, so its backend calls and probe give-ups are
-    # exact counts too.
+    # goal's last leg, as every ONN / OR probes its candidates', so its
+    # backend calls and probe give-ups (of both) are exact counts too.
     (("smoke warm distance stream (repeated sources)", "parity"), "exact"),
     (("smoke warm distance stream (repeated sources)", "field_freezes"), "exact"),
     (("smoke warm distance stream (repeated sources)", "node_growth"), "exact"),

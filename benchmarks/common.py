@@ -1056,9 +1056,10 @@ def distance_stream_comparison(
     exact-key database's, which builds a graph of its own per centre)
     and the counts over the timed ops: ``field_freezes``,
     ``node_growth`` of the hot graph, ``backend_calls`` (at most one
-    per distance; per ONN / OR one for the centre and one per batch of
-    candidates the memo lacks) and ``last_leg_fallbacks`` (probes that
-    gave up).
+    per distance; per ONN / OR one for the centre — its candidates'
+    last legs are probed — and one per candidate whose probe gave up)
+    and ``last_leg_fallbacks`` (probes that gave up, of a distance's
+    goal or of a field's candidate).
     """
     import random
 

@@ -742,12 +742,13 @@ def smoke_distance_stream() -> int:
     centre every 16 — twice: every distance's source fresh (each one
     takes the targeted search), then sources drawn from a pool of
     ``STREAM_SOURCES`` (after a source's first sighting its
-    field is read and the goal's last leg probed).  Gated on answers
-    bit-identical to a cold exact-key database's and on the ops leaving
-    the graph alone: no freeze, no node growth, at most one backend
-    call per distance and three per ONN / OR — and with repeated
-    sources, no backend call for a distance beyond each source's first
-    sighting and each probe that gave up."""
+    field is read and the goal's last leg probed; an ONN / OR probes
+    its candidates either way).  Gated on answers bit-identical to a
+    cold exact-key database's and on the ops leaving the graph alone:
+    no freeze, no node growth, at most one backend call per distance
+    and three per ONN / OR — and with repeated sources, no backend call
+    for a distance beyond each source's first sighting and each probe
+    that gave up."""
     from benchmarks.common import STREAM_SOURCES, distance_stream_comparison
 
     for label, sources in (("", 0), (" (repeated sources)", STREAM_SOURCES)):

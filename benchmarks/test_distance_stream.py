@@ -16,6 +16,9 @@ two shapes, and each takes its own path:
   field is memoized, and a goal's last leg is probed in lower-bound
   order with the exact oracle — no sweep, unless the probe gives up.
 
+An ONN or OR sweeps its fresh centre and probes its candidates' last
+legs the same way, in both shapes.
+
 Either way an op leaves the graph, its freeze and its memos alone.
 
 Acceptance bar: answers **bit-identical** to a cold exact-key

@@ -45,12 +45,19 @@ class SourceDistanceField:
     graph's frozen arrays (:mod:`repro.visibility.csr`): a candidate's
     graph distance is ``min over its visible nodes v of field[v] +
     |v - candidate|`` (any shortest path leaves the candidate through a
-    visible node).  The source need not be a node either — the field
-    then roots at the nodes the source sees, at their straight legs —
-    so the graph is only read, never given a free point.  The freeze
-    and the field are retaken whenever the graph's structure revision
-    moves — whether the obstacles were added by this field's own
-    Fig. 8 enlargement or by another user of a shared, cached graph.
+    visible node), found memo, probe, sweep
+    (:meth:`~repro.visibility.csr.CSRGraph.last_leg`): memoized anchors
+    are read, any other candidate's nodes are tested with the exact
+    oracle in ascending order of ``field[v] + |v - candidate|`` — the
+    first visible one answers, a lower bound past the caller's
+    ``bound`` is returned untested — and only a candidate the probe
+    gives up on is swept.  The source need not be a node either — the
+    field then roots at the nodes the source sees, at their straight
+    legs — so the graph is only read, never given a free point.  The
+    freeze and the field are retaken whenever the graph's structure
+    revision moves — whether the obstacles were added by this field's
+    own Fig. 8 enlargement or by another user of a shared, cached
+    graph.
 
     ``grow`` is the enlargement step: it receives the current
     provisional distance and returns ``True`` when new obstacles
@@ -79,9 +86,6 @@ class SourceDistanceField:
         self._csr: "CSRGraph | None" = None
         self._dist = None
         self._q_is_node = False
-        #: What a running :meth:`batch_eval` has yet to evaluate, last
-        #: first (their anchors are fetched ahead of time).
-        self._ahead: list[Point] = []
 
     @property
     def graph(self) -> VisibilityGraph:
@@ -101,7 +105,7 @@ class SourceDistanceField:
         # short-circuit via the bound check.
         self._grow(0.0)
         while True:
-            d = self._provisional(p)
+            d = self._provisional(p, bound)
             if d > bound:
                 return d
             if not self._grow(d):
@@ -125,11 +129,9 @@ class SourceDistanceField:
         with TRACER.span("field.batch_eval", size=len(points)):
             self._grow(0.0)
             out: list[float] = []
-            ahead = self._ahead = points[::-1]
-            while ahead:
-                p = ahead.pop()
+            for p in points:
                 while True:
-                    d = self._provisional(p)
+                    d = self._provisional(p, bound)
                     if d > bound or not self._grow(d):
                         break
                 out.append(d)
@@ -148,14 +150,14 @@ class SourceDistanceField:
         self._dist = csr.field(self._q, graph)
         self._q_is_node = self._q in csr.index
 
-    def _provisional(self, p: Point) -> float:
+    def _provisional(self, p: Point, bound: float) -> float:
         if p == self._q:
             return 0.0
         graph = self._graph
         if graph.structure_revision != self._revision:
             self._pin()
         csr = self._csr
-        d = csr.last_leg(self._dist, p, graph, self._ahead)
+        d = csr.last_leg(self._dist, p, graph, bound=bound, stats=self._stats)
         if not self._q_is_node:
             d = min(d, csr.direct_leg(p, self._q, graph))
         return d

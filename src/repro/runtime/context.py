@@ -41,7 +41,7 @@ from repro.obs.trace import NULL_SPAN, TRACER
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.runtime.policy import CachePolicy, resolve_cache_policy
 from repro.runtime.stats import RuntimeStats
-from repro.visibility.csr import CSRGraph, frozen
+from repro.visibility.csr import frozen
 from repro.visibility.graph import VisibilityGraph
 from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
 
@@ -380,20 +380,22 @@ class QueryContext:
         A source seen before on this freeze (its field or its anchors
         memoized) with a goal that is neither a node nor memoized reads
         the source's full field — one search, memoized like an ONN
-        centre's — and probes the goal's last leg in lower-bound order
-        with the exact oracle (:meth:`CSRGraph.probe_last_leg`), so it
-        sweeps nothing.  Otherwise one backend call sweeps ``p`` (if
-        unseen) with ``q`` ahead, and one search seeded with the nodes
-        ``p`` sees at their straight legs stops once the nodes ``q``
-        sees are settled.  Both give the same float: the full field
-        settles every value the targeted search does, and a goal
-        anchor it leaves unsettled lies beyond the answer."""
+        centre's — and finds the goal's last leg by the rule every field
+        uses (:meth:`~repro.visibility.csr.CSRGraph.last_leg`: probed
+        in lower-bound order with the exact oracle, swept only on a
+        give-up).  Otherwise one backend call sweeps ``p`` (if unseen)
+        with ``q`` ahead, and one search seeded with the nodes ``p``
+        sees at their straight legs stops once the nodes ``q`` sees are
+        settled.  Both give the same float: the full field settles
+        every value the targeted search does, and a goal anchor it
+        leaves unsettled lies beyond the answer."""
         csr = frozen(graph, stats=self.stats)
         if (p in csr.fields or p in csr.anchors) and not (
             q in csr.index or q in csr.anchors
         ):
+            field = csr.field(p, graph)
             direct = csr.direct_leg(p, q, graph)
-            return min(direct, self._probed_leg(csr, graph, p, q))
+            return min(direct, csr.last_leg(field, q, graph, stats=self.stats))
         seeds, seed_legs = csr.anchors_for(p, graph, ahead=(q,))
         goals, goal_legs = csr.anchors_for(q, graph)
         direct = csr.direct_leg(p, q, graph)
@@ -412,21 +414,6 @@ class QueryContext:
             )
             span.set_attr("settled", int(settled.sum()))
         return min(direct, csr.last_leg(dist, q, graph))
-
-    def _probed_leg(
-        self, csr: CSRGraph, graph: VisibilityGraph, p: Point, q: Point
-    ) -> float:
-        """``q``'s last leg from ``p``'s field, probed; swept and
-        memoized when the probe gives up."""
-        field = csr.field(p, graph)
-        self.stats.last_leg_probes += 1
-        TRACER.count("context.last_leg_probe")
-        d = csr.probe_last_leg(field, q, graph)
-        if d is None:
-            self.stats.last_leg_fallbacks += 1
-            TRACER.count("context.last_leg_fallback")
-            d = csr.last_leg(field, q, graph)
-        return d
 
     def field_for(self, q: Point, radius: float = 0.0) -> SourceDistanceField:
         """A distance field from ``q`` over the cached graph for ``q``.
@@ -483,8 +470,14 @@ class QueryContext:
         (``d <= radius <= covered``).  Runs are cut at the cache's
         capacity, so no more graphs wait than the cache holds; a run of
         one centre has nothing to wait for and is that expression
-        itself.  If anything fails before the connect, every entry left
-        with unswept nodes leaves the cache.
+        itself — its field probes each candidate's last leg instead
+        (memo, probe, sweep:
+        :meth:`~repro.visibility.csr.CSRGraph.last_leg`), and a lower
+        bound past ``radius`` is a false hit decided without a
+        visibility test.  The run's second call stays: its memo also
+        serves the later distances (OCP) over the same cached graphs.
+        If anything fails before the connect, every entry left with
+        unswept nodes leaves the cache.
         """
         candidates = [list(dict.fromkeys(points)) for points in candidates]
         out: list[list[tuple[Point, float]]] = [[] for __ in centers]

@@ -12,15 +12,17 @@ lists, :meth:`CSRGraph.dijkstra`, rooted at a node or at an off-graph
 point's visible anchors), and the last-leg minimisation
 ``min_v d[v] + |p - v|`` of
 :class:`~repro.core.distance.SourceDistanceField` and of
-:meth:`~repro.runtime.context.QueryContext.distance` becomes one numpy
-expression over the nodes a sweep reports ``p`` sees
-(:meth:`CSRGraph.last_leg`).  A distance whose source was seen before
-on this freeze reads the source's memoized field instead and finds its
-fresh goal's last leg without a sweep (:meth:`CSRGraph.probe_last_leg`:
-nodes in ascending order of ``d[v] + |p - v|``, each tested with the
-exact oracle until one is visible).  A route is read back off a
-memoized field (:meth:`CSRGraph.route`), so :meth:`CSRGraph.dijkstra`
-is the one shortest-path search there is.
+:meth:`~repro.runtime.context.QueryContext.distance` goes memo, probe,
+sweep (:meth:`CSRGraph.last_leg`): a node or a point whose anchors are
+memoized reads them in one numpy expression; any other point is
+probed — nodes in ascending order of ``d[v] + |p - v|``, each tested
+with the exact oracle until one is visible or the lower bound passes
+the caller's bound — and swept alone only when the probe gives up.  A
+distance whose source was seen before on this freeze reads the
+source's memoized field and finds its fresh goal's last leg the same
+way.  A route is read back off a memoized field
+(:meth:`CSRGraph.route`), so :meth:`CSRGraph.dijkstra` is the one
+shortest-path search there is.
 
 A :class:`CSRGraph` describes exactly one structure revision: callers
 take it from :func:`frozen` each time the live graph may have moved,
@@ -51,6 +53,7 @@ from repro.obs.trace import TRACER
 from repro.visibility.naive import is_visible
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.stats import RuntimeStats
     from repro.visibility.graph import VisibilityGraph
 
 _X = attrgetter("x")
@@ -61,17 +64,19 @@ _Y = attrgetter("y")
 #: cached graph, so it keeps its freeze — and with it both memos — for
 #: as long as its entry stays cached; a distance call at a source not
 #: yet seen on the freeze adds two anchor entries (its endpoints), one
-#: at a seen source adds its field once and then nothing, and every
-#: ONN / OR at a fresh centre adds one field (about 1 KB each at the
-#: paper's graph sizes).  The oldest are evicted beyond this: repeat
-#: candidates and centres of a hot cell stay memoized, a jittering
-#: stream cannot grow a cached graph's footprint without limit.
+#: at a seen source adds its field once and then nothing, every ONN /
+#: OR at a fresh centre adds one field (about 1 KB each at the paper's
+#: graph sizes), and a probe that gives up adds its point.  The oldest
+#: are evicted beyond this: repeat candidates and centres of a hot cell
+#: stay memoized, a jittering stream cannot grow a cached graph's
+#: footprint without limit.
 ANCHOR_MEMO_LIMIT = 512
 
-#: Nodes :meth:`CSRGraph.probe_last_leg` tests with the exact oracle
-#: before it hands its goal to a sweep instead.  On ``hotspot-warm``
-#: (3,500 fresh goals from 21 repeated sources) the probe made 1.37
-#: oracle tests per goal and never reached 8.
+#: Hidden nodes :meth:`CSRGraph.last_leg` tests with the exact oracle
+#: before it sweeps its point instead.  On ``paper-cold`` (seed 3, 220
+#: ops) 2,170 probes made 2.50 oracle tests each and 49 gave up; on
+#: ``hotspot-warm`` (3,500 fresh goals from 21 repeated sources) the
+#: probe made 1.37 oracle tests per goal and never reached 8.
 LAST_LEG_PROBES = 8
 
 
@@ -265,11 +270,10 @@ class CSRGraph:
         swept and memoized the same way, and is its own anchor at leg 0
         besides: the graph holds only its tangent edges, and a path's
         first and last legs need not be tangent.  On a miss, the points
-        of ``ahead`` (the candidates a batch will ask about next, or a
-        distance call's other endpoint) that the memo lacks are swept
-        in the same backend call, and the memo's oldest entries beyond
-        :data:`ANCHOR_MEMO_LIMIT` are dropped — never ``p`` or a point
-        of ``ahead``.
+        of ``ahead`` (a distance call's other endpoint) that the memo
+        lacks are swept in the same backend call, and the memo's oldest
+        entries beyond :data:`ANCHOR_MEMO_LIMIT` are dropped — never
+        ``p`` or a point of ``ahead``.
         """
         if p in graph._free:
             return np.array([self.index[p]]), np.zeros(1)
@@ -346,38 +350,47 @@ class CSRGraph:
         dist: "np.ndarray",
         p: Point,
         graph: "VisibilityGraph",
-        ahead: Iterable[Point] = (),
+        *,
+        bound: float = inf,
+        stats: "RuntimeStats | None" = None,
     ) -> float:
         """What a search ``dist`` gives point ``p`` through the graph:
-        ``min_v dist[v] + |v - p|`` over the nodes ``p`` sees, in one
-        numpy expression (``inf`` when it sees none)."""
-        ids, legs = self.anchors_for(p, graph, ahead)
+        ``min_v dist[v] + |v - p|`` over the nodes ``p`` sees (``inf``
+        when it sees none) — memo, then probe, then sweep.
+
+        A node, or a point whose anchors are memoized, reads its anchors
+        (:meth:`anchors_for`) in one numpy expression.  Any other ``p``
+        is probed: every node's ``dist[v] + |v - p|`` is a lower bound
+        on the answer, and the nodes are tested in ascending order of it
+        with the exact oracle every backend is parity-locked to — the
+        first one ``p`` sees gives the answer (a shortest path leaves
+        ``p`` straight toward a node it sees), an infinite lower bound
+        gives ``inf``, and one above ``bound`` is returned untested, a
+        value the caller discards.  After :data:`LAST_LEG_PROBES` hidden
+        nodes ``p`` alone is swept and memoized.  Probes and give-ups
+        are booked on ``stats`` (``last_leg_probes`` /
+        ``last_leg_fallbacks``)."""
+        if p not in self.anchors and p not in self.index:
+            if stats is not None:
+                stats.last_leg_probes += 1
+            TRACER.count("context.last_leg_probe")
+            dx = self.xs - p.x
+            dy = self.ys - p.y
+            total = dist + np.sqrt(dx * dx + dy * dy)
+            order = np.argsort(total)[:LAST_LEG_PROBES].tolist()
+            obstacles = graph.scene_obstacles()
+            for i, low in zip(order, total[order].tolist()):
+                if low > bound or low == inf:
+                    return low  # untested
+                if is_visible(p, self.points[i], obstacles):
+                    return low
+            if len(order) == len(total):
+                return inf  # every node tested, all hidden
+            if stats is not None:
+                stats.last_leg_fallbacks += 1
+            TRACER.count("context.last_leg_fallback")
+        ids, legs = self.anchors_for(p, graph)
         return float((dist[ids] + legs).min()) if len(ids) else inf
-
-    def probe_last_leg(
-        self, dist: "np.ndarray", p: Point, graph: "VisibilityGraph"
-    ) -> "float | None":
-        """:meth:`last_leg` for an off-graph ``p`` without a sweep.
-
-        Every node's ``dist[v] + |v - p|`` (what :meth:`last_leg`
-        minimises, over all nodes) is a lower bound on the answer; the
-        nodes are tested in ascending order of it with the exact oracle
-        every backend is parity-locked to, and the first one ``p`` sees
-        gives the answer — an infinite bound gives ``inf``, and so does
-        a graph whose every node was tested and hidden.  ``None`` after
-        :data:`LAST_LEG_PROBES` hidden nodes: the caller sweeps ``p``
-        (:meth:`last_leg`) instead."""
-        dx = self.xs - p.x
-        dy = self.ys - p.y
-        total = dist + np.sqrt(dx * dx + dy * dy)
-        order = np.argsort(total)[:LAST_LEG_PROBES].tolist()
-        obstacles = graph.scene_obstacles()
-        for i, bound in zip(order, total[order].tolist()):
-            if bound == inf:
-                return inf
-            if is_visible(p, self.points[i], obstacles):
-                return bound
-        return None if len(total) > LAST_LEG_PROBES else inf
 
     def route(self, p: Point, q: Point, graph: "VisibilityGraph") -> list[Point]:
         """One shortest route from ``p`` to ``q`` through the graph,

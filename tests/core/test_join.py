@@ -134,10 +134,13 @@ def test_batched_seeds_equal_the_seed_loop(cache_size, snap, backend, monkeypatc
     graph the first join left is topped up), whatever the capacity
     that cuts the seeds into runs; with spatial keys (30 units: seeds
     share entries) a graph two seeds of a run reach is swept and frozen
-    once for both, so those two counts can only fall."""
+    once for both, so those two counts can only fall.  Candidates are
+    swept apart: the seed loop probes them and sweeps exactly its
+    give-ups, one point a call; a run of several seeds fetches every
+    candidate's anchors ahead, so a single run probes none."""
     from repro.runtime.context import QueryContext
 
-    __, __, __, ts, tt, idx = _setup(5, n_obs=14, n_s=9, n_t=30)
+    __, __, targets, ts, tt, idx = _setup(5, n_obs=14, n_s=9, n_t=30)
 
     def joins(per_seed):
         if per_seed:
@@ -145,26 +148,46 @@ def test_batched_seeds_equal_the_seed_loop(cache_size, snap, backend, monkeypatc
         else:
             monkeypatch.undo()
         ctx = QueryContext(idx, cache_size=cache_size, snap=snap, backend=backend)
+        calls = []
+        sweep = ctx.backend.visible_ids
+
+        def visible_ids(scenes):
+            calls.append([p for sources, __ in scenes for p in sources])
+            return sweep(scenes)
+
+        ctx.backend.visible_ids = visible_ids
         found = [
             obstacle_distance_join(ts, tt, idx, e, context=ctx) for e in (12.0, 24.0)
         ]
-        return found, ctx.stats.snapshot()
+        stats = ctx.stats.snapshot()
+        swept = [p for call in calls for p in call]
+        stats["candidate_sweeps"] = sum(p in targets for p in swept)
+        stats["other_sweeps"] = len(swept) - stats["candidate_sweeps"]
+        assert stats["sweeps_run"] == len(swept)
+        return found, stats, calls
 
-    want, reference = joins(per_seed=True)
-    got, stats = joins(per_seed=False)
+    want, reference, reference_calls = joins(per_seed=True)
+    got, stats, __ = joins(per_seed=False)
     assert got == want
     assert len(want[1]) > len(want[0]) > 0
     assert reference["graph_builds"] > 1
     assert reference["coverage_expansions"] > 0 or cache_size < 64
     for name in _CACHE_COUNTS:
         assert stats[name] == reference[name], name
-    for name in ("sweeps_run", "field_freezes"):
+    for name in ("other_sweeps", "field_freezes"):
         if snap == 0.0 or cache_size == 1:
             assert stats[name] == reference[name], name
         else:
             assert stats[name] <= reference[name], name
-    if backend == "numpy-kernel":
-        assert stats["sweep_passes"] < reference["sweep_passes"] or cache_size == 1
+    assert reference["last_leg_probes"] > 0
+    assert reference["candidate_sweeps"] == reference["last_leg_fallbacks"]
+    if cache_size == 1:
+        assert stats["candidate_sweeps"] == stats["last_leg_fallbacks"]
+    if cache_size == 64:
+        assert stats["last_leg_probes"] == 0
+    if backend == "numpy-kernel":  # its builds sweep nothing
+        assert all(len(call) == 1 for call in reference_calls)
+        assert reference["sweep_passes"] == len(reference_calls)
 
 
 def test_failed_connect_leaves_no_unswept_graph_in_the_cache():

@@ -56,11 +56,13 @@ class TestExhaustiveness:
     def test_snapshot_covers_every_runtime_counter(self, db):
         """Acceptance: one snapshot() carries every counter the runtime
         layer ticks — the full RuntimeStats slot set, with live values."""
-        db.nearest("pois", Point(0.0, 0.0), 2)
+        db.nearest("pois", Point(0.0, 0.0), 2)  # probes its candidates
+        db.obstructed_distance(Point(1.0, 1.0), Point(30.0, 20.0))  # sweeps
         doc = db.metrics().snapshot()
         for name in RuntimeStats.__slots__:
             assert name in doc["runtime"], f"runtime counter {name} missing"
         assert doc["runtime"]["graph_builds"] >= 1
+        assert doc["runtime"]["last_leg_probes"] >= 1
         assert doc["runtime"]["sweeps_run"] >= 1
 
     def test_snapshot_covers_every_tree_page_counter(self, db):

@@ -484,9 +484,8 @@ class _AnchorCallCounter:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBatchEvalAcrossGrowth:
     """Fig. 8's enlargement can grow the graph in the middle of a
-    batch: the graph re-freezes, the anchor memo starts over and is
-    refilled for the candidates still to come, and every answer stays
-    what ``distance_to`` gives."""
+    batch: the graph re-freezes, the probes read the new field, and
+    every answer stays what ``distance_to`` gives."""
 
     @staticmethod
     def _setup(backend):
@@ -516,13 +515,19 @@ class TestBatchEvalAcrossGrowth:
         batched = field.batch_eval(candidates)
         assert sum(growths) >= 3  # the graph did grow mid-batch
         assert field.graph.obstacle_ids() == {0, 1, 2, 3}
-        assert counter.anchor_calls <= 1 + sum(growths)
+        # The centre is a node: only the probes' give-ups are swept.
+        probes = (field._stats.last_leg_probes, field._stats.last_leg_fallbacks)
+        assert probes[0] > len(candidates) and probes[1] > 0
+        assert counter.anchor_calls == probes[1]
 
         loop_field, loop_counter, __ = self._setup(backend)
         looped = [loop_field.distance_to(p) for p in candidates]
         assert batched == looped  # bitwise
-        # One candidate at a time pays one call per candidate and growth.
-        assert loop_counter.anchor_calls > counter.anchor_calls
+        # One candidate at a time probes the same nodes of the same
+        # fields, and gives up on the same candidates.
+        stats = loop_field._stats
+        assert (stats.last_leg_probes, stats.last_leg_fallbacks) == probes
+        assert loop_counter.anchor_calls == counter.anchor_calls
 
 
 class TestRepeatedSources:

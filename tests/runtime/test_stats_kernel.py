@@ -35,10 +35,15 @@ class TestSweepCounters:
 
     def test_reset_zeroes_counters_but_keeps_backend(self, small_db):
         small_db.nearest("P", (1, 1), k=2)
+        stats = small_db.runtime_stats()
+        # The centre is its graph's node and the candidates are probed.
+        assert stats["sweeps_run"] == 0 and stats["last_leg_probes"] > 0
+        small_db.obstructed_distance((0, 9), (14, 5))  # sweeps its source
         assert small_db.runtime_stats()["sweeps_run"] > 0
         small_db.reset_stats()
         stats = small_db.runtime_stats()
         assert stats["sweeps_run"] == 0
+        assert stats["last_leg_probes"] == 0
         assert stats["sweep_events"] == 0
         assert stats["sweep_seconds"] == 0.0
         assert stats["backend"] == "numpy-kernel"
@@ -161,19 +166,27 @@ class _RecordingBackend:
 
 
 class TestLastLegSweeps:
-    def test_anchor_sweeps_use_the_backend_and_are_counted(self):
-        """A range query's candidates never enter the graph: their
-        visible anchors come from one more sweep each, and those sweeps
-        go through the database's backend and into ``sweeps_run``."""
-        backend = _RecordingBackend()
-        db = ObstacleDatabase(
-            [Rect(4, 4, 6, 6), Rect(10, 2, 12, 8)], backend=backend
-        )
+    def test_anchor_sweeps_use_the_backend_and_are_counted(self, monkeypatch):
+        """A range query's candidates never enter the graph: each one's
+        last leg is probed with the exact oracle, and only a give-up
+        (forced here by a zero cap) is swept — one point a sweep, by the
+        database's backend and into ``sweeps_run``."""
+        from repro.visibility import csr
+
         candidates = [Point(0, 0), Point(14, 5), Point(5, 10), Point(8, 1)]
-        db.add_entity_set("P", candidates)
-        found = db.range("P", (7, 5), 12.0)
-        assert found  # the query did evaluate candidates
-        # Every candidate was swept by the configured backend ...
-        assert set(candidates) <= set(backend.swept)
-        # ... and every sweep the backend ran is in the counter.
-        assert db.runtime_stats()["sweeps_run"] == len(backend.swept)
+        for cap in (csr.LAST_LEG_PROBES, 0):
+            monkeypatch.setattr(csr, "LAST_LEG_PROBES", cap)
+            backend = _RecordingBackend()
+            db = ObstacleDatabase(
+                [Rect(4, 4, 6, 6), Rect(10, 2, 12, 8)], backend=backend
+            )
+            db.add_entity_set("P", candidates)
+            found = db.range("P", (7, 5), 12.0)
+            assert len(found) == len(candidates)  # every candidate evaluated
+            stats = db.runtime_stats()
+            assert stats["last_leg_probes"] == len(candidates)
+            swept = [p for p in backend.swept if p in candidates]
+            assert len(swept) == stats["last_leg_fallbacks"]
+            assert sorted(swept) == (sorted(candidates) if cap == 0 else [])
+            # Every sweep the backend ran is in the counter.
+            assert stats["sweeps_run"] == len(backend.swept)

@@ -892,8 +892,11 @@ EUCLIDEAN_BENCH_T = 13_146
 
 #: Required speedups of the array-evaluated traversals over the scalar
 #: oracle at those cardinalities: the distance join at e = 0.1 % of the
-#: universe side, and the first 64 incremental closest pairs.
-EUCLIDEAN_JOIN_SPEEDUP = 3.0
+#: universe side, and the first 64 incremental closest pairs.  The
+#: join, one array pass over its leaf pairs, measured 13.0-14.4x in
+#: five runs on a 2-core x86-64 Linux machine; its bar is the largest
+#: round number 1.5x under that.
+EUCLIDEAN_JOIN_SPEEDUP = 8.0
 EUCLIDEAN_CLOSEST_SPEEDUP = 5.0
 EUCLIDEAN_CLOSEST_K = 64
 

@@ -7,12 +7,14 @@ entry.  Every formula here is the scalar one of ``Rect`` term for term
 — ``max(0, a - b, c - d)``, ``dx * dx + dy * dy``, ``sqrt`` in float64,
 each correctly rounded — so distances and predicates are bit-identical
 to the per-entry evaluation (``tests/euclidean/reference.py`` is the
-scalar oracle).
+scalar oracle).  :func:`ranges` and :func:`blocks` lay out and budget
+the ragged row runs such passes evaluate.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -21,8 +23,8 @@ from repro.geometry.rect import Rect
 
 def pack(rects: Iterable[Rect]) -> np.ndarray:
     """The ``(n, 4)`` array of ``rects`` (``(0, 4)`` when empty)."""
-    flat = [c for r in rects for c in (r.minx, r.miny, r.maxx, r.maxy)]
-    return np.array(flat, dtype=np.float64).reshape(-1, 4)
+    flat = chain.from_iterable((r.minx, r.miny, r.maxx, r.maxy) for r in rects)
+    return np.fromiter(flat, dtype=np.float64).reshape(-1, 4)
 
 
 def mindist_sq(rects: np.ndarray, minx, miny, maxx, maxy) -> np.ndarray:
@@ -57,3 +59,23 @@ def intersects(rects: np.ndarray, query: Rect) -> np.ndarray:
         & (rects[:, 1] <= query.maxy)
         & (query.miny <= rects[:, 3])
     )
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs ``arange(start, start + count)``, concatenated."""
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + (starts - (ends - counts)).repeat(counts)
+
+
+def blocks(cells: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive runs ``[lo, hi)`` of rows, each as long as its
+    ``cells`` (per row, how many it costs) keep within ``budget`` — and
+    at least one row long, whatever that row costs."""
+    ends = cells.cumsum()
+    lo = 0
+    while lo < cells.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(ends.searchsorted(base + budget, side="right")))
+        yield lo, hi
+        lo = hi

@@ -49,9 +49,10 @@ class Node:
     the R*-tree forced-reinsert bookkeeping, which is per level.
 
     Traversals evaluate a node through :meth:`rects`, the packed array
-    of its entries' MBRs, and :meth:`mbr`, their union.  Both are built
-    on first use (the bulk load and the insert path ask for the union
-    only, so they never pack an array) and are derived state only:
+    of its entries' MBRs, and :meth:`mbr`, their union.  The STR bulk
+    load hands every node it writes its array (a slice of the level's
+    sorted one); otherwise both are built on first use (the insert path
+    asks for the union only) and are derived state only:
     :meth:`~repro.index.pagestore.PageStore.write` drops them (every
     mutation of ``entries`` ends in a page write), and they are not
     pickled or serialized.

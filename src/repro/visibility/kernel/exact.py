@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import hypot
-from typing import Iterable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from repro.geometry.constants import EPS
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
+from repro.index.mbrs import ranges
 from repro.obs.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,26 +137,6 @@ def _boxes_meet(mbr: np.ndarray, ax, ay, bx, by) -> np.ndarray:
         & (miny <= np.maximum(ay, by))
         & (np.minimum(ay, by) <= maxy)
     )
-
-
-def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The runs ``arange(start, start + count)``, concatenated."""
-    ends = counts.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total) + (starts - (ends - counts)).repeat(counts)
-
-
-def blocks(cells: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
-    """Consecutive runs ``[lo, hi)`` of rows, each as long as its
-    ``cells`` (per row, how many it costs) keep within ``budget`` — and
-    at least one row long, whatever that row costs."""
-    ends = cells.cumsum()
-    lo = 0
-    while lo < cells.size:
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(ends.searchsorted(base + budget, side="right")))
-        yield lo, hi
-        lo = hi
 
 
 def crosses_interior_many(

@@ -69,9 +69,9 @@ import numpy as np
 
 from repro.geometry.constants import EPS
 from repro.geometry.point import Point
+from repro.index import mbrs
 from repro.obs.trace import TRACER
 from repro.visibility.kernel import exact
-from repro.visibility.kernel.exact import ranges
 from repro.visibility.ordering import order_events_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -309,7 +309,7 @@ def kernel_visible_pairs(
     hidden = np.zeros(a.size, dtype=bool)
     if only:
         obstacles[:] = len(only)
-    for lo, hi in exact.blocks(obstacles[scene], _PAIR_CELLS):
+    for lo, hi in mbrs.blocks(obstacles[scene], _PAIR_CELLS):
         hidden[lo:hi] = exact.hidden_many(
             ends,
             a[lo:hi],
@@ -508,7 +508,7 @@ def _interior_departures(
 
     n = src.shape[0]
     counts = (first[1:] - first[:-1])[src]
-    slot = ranges(first[src], counts)
+    slot = mbrs.ranges(first[src], counts)
     pair_target = np.arange(n).repeat(counts)
     pair_edge = np.array(edges)[slot]
     pair_group = pair_target * n_groups + np.array(groups)[slot]
@@ -618,7 +618,7 @@ def _candidate_pairs(
     counts = doubled.searchsorted(hi_f + f_shift, side="right") - starts
     pair_src = f_src.repeat(counts)
     pair_edge = fan_edge[fanned].repeat(counts)
-    pair_pos = ranges(starts, counts)
+    pair_pos = mbrs.ranges(starts, counts)
     pair_pos -= 2 * first[pair_src]
     pair_pos %= n[pair_src]
     pair_pos += first[pair_src]
@@ -629,7 +629,7 @@ def _candidate_pairs(
         d_n = n[d_src]
         pair_src = np.concatenate([pair_src, d_src.repeat(d_n)])
         pair_edge = np.concatenate([pair_edge, fan_edge[d].repeat(d_n)])
-        pair_pos = np.concatenate([pair_pos, ranges(first[d_src], d_n)])
+        pair_pos = np.concatenate([pair_pos, mbrs.ranges(first[d_src], d_n)])
     return pair_src, pair_edge, pair_pos
 
 

@@ -34,8 +34,8 @@ from repro.geometry.constants import EPS
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import COLLINEAR, ccw
+from repro.index.mbrs import blocks, ranges
 from repro.model import Obstacle
-from repro.visibility.kernel.exact import blocks, ranges
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.visibility.graph import VisibilityGraph

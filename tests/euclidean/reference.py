@@ -12,6 +12,8 @@ page fetch on both sides), so every function here goes through
 from __future__ import annotations
 
 import heapq
+import math
+import struct
 from itertools import count
 from typing import Any, Callable, Iterable, Iterator
 
@@ -74,26 +76,21 @@ def _union(entries: list[Entry]) -> Rect:
 
 
 def distance_join(
-    tree_s: RStarTree,
-    tree_t: RStarTree,
-    e: float,
-    on_pair: Callable[[Any, Any, float], None] | None = None,
+    tree_s: RStarTree, tree_t: RStarTree, e: float
 ) -> list[tuple[Any, Any, float]]:
     """Synchronous traversal with a scalar MINDIST per entry pair and
     the x plane sweep on leaf pairs."""
     result: list[tuple[Any, Any, float]] = []
-    sink = on_pair if on_pair is not None else (
-        lambda s, t, d: result.append((s, t, d))
-    )
     if len(tree_s) == 0 or len(tree_t) == 0:
         return result
+    cut = _least_gap_beyond(e)
     stack = [(tree_s.root_id, tree_t.root_id)]
     while stack:
         sid, tid = stack.pop()
         node_s = tree_s.read_node(sid)
         node_t = tree_t.read_node(tid)
         if node_s.is_leaf and node_t.is_leaf:
-            _sweep_leaf_pair(node_s.entries, node_t.entries, e, sink)
+            result.extend(_sweep_leaf_pair(node_s.entries, node_t.entries, e, cut))
         elif node_s.is_leaf:
             mbr_s = _union(node_s.entries)
             for et in node_t.entries:
@@ -113,25 +110,54 @@ def distance_join(
 
 
 def _sweep_leaf_pair(
-    entries_s: list[Entry],
-    entries_t: list[Entry],
-    e: float,
-    sink: Callable[[Any, Any, float], None],
-) -> None:
-    """Plane sweep over two leaves: sort by minx, scan a sliding window."""
+    entries_s: list[Entry], entries_t: list[Entry], e: float, cut: float
+) -> Iterator[tuple[Any, Any, float]]:
+    """Plane sweep over two leaves: sort by minx, scan each S entry's
+    window.  A pair is reported iff its MINDIST is <= ``e``; the window
+    skips a pair only where its x gap alone, ``sqrt(dx * dx)``, exceeds
+    ``e`` (the distance never undercuts it, while ``maxx + e`` rounds
+    apart from it, and ``dx * dx`` may underflow to 0): where it is at
+    least ``cut``, :func:`_least_gap_beyond` of ``e``."""
     left = sorted(entries_s, key=lambda en: en.rect.minx)
-    right = sorted(entries_t, key=lambda en: en.rect.minx)
+    right = [
+        (et.rect.minx, et.rect.maxx, et)
+        for et in sorted(entries_t, key=lambda en: en.rect.minx)
+    ]
     for es in left:
-        lo = es.rect.minx - e
-        hi = es.rect.maxx + e
-        for et in right:
-            if et.rect.minx > hi:
+        minx, maxx = es.rect.minx, es.rect.maxx
+        for t_minx, t_maxx, et in right:
+            if t_minx - maxx >= cut:
                 break
-            if et.rect.maxx < lo:
+            if minx - t_maxx >= cut:
                 continue
             d = es.rect.mindist_rect(et.rect)
             if d <= e:
-                sink(es.data, et.data, d)
+                yield es.data, et.data, d
+
+
+def _least_gap_beyond(e: float) -> float:
+    """The least float ``g`` with ``sqrt(g * g) > e`` (``inf`` if none).
+
+    ``sqrt(g * g)`` never falls as ``g`` grows (every step rounds
+    monotonically), so a gap is beyond ``e`` iff it is ``>=`` this.
+    Bisects the bit patterns of the non-negative floats, which are
+    ordered as their values."""
+    lo, hi = 0, _INF_BITS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        g = _float(mid)
+        if math.sqrt(g * g) > e:
+            hi = mid
+        else:
+            lo = mid + 1
+    return _float(lo)
+
+
+_INF_BITS = struct.unpack("<q", struct.pack("<d", math.inf))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def nearest_neighbors(tree: RStarTree, q: Point) -> Iterator[tuple[Any, float]]:

@@ -19,6 +19,7 @@ import random
 from itertools import islice
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +27,10 @@ from repro.euclidean import (
     IncrementalClosestPairs,
     IncrementalNearestNeighbors,
     distance_join,
+    join,
 )
 from repro.geometry import Circle, Point, Rect
-from repro.index import RStarTree, str_pack
+from repro.index import RStarTree, mbrs, str_pack
 from repro.runtime import skeletons
 
 from tests.euclidean import reference
@@ -116,37 +118,94 @@ def _assert_same(log: list, production, oracle) -> None:
     assert got == want
 
 
-@SETTINGS
-@given(scenes())
-def test_distance_join(scene):
-    tree_s, tree_t, log, e = scene
-    _assert_same(
-        log,
-        lambda: distance_join(tree_s, tree_t, e),
-        lambda: reference.distance_join(tree_s, tree_t, e),
-    )
-
-    def streamed(join):
-        pairs = []
-        assert join(tree_s, tree_t, e, lambda s, t, d: pairs.append((s, t, d))) == []
-        return pairs
-
-    _assert_same(
-        log,
-        lambda: streamed(distance_join),
-        lambda: streamed(reference.distance_join),
-    )
-
-
-def test_join_keeps_the_sweep_window_rounding():
-    """2.1 - 0.6 <= 1.5 but 0.6 < 2.1 - 1.5 in float64: the scalar
-    sweep's window drops the pair, so the matrix must too."""
+@st.composite
+def join_scenes(draw: st.DrawFn):
+    """As :func:`scenes`, but each tree draws its own capacity and up to
+    120 entries: S trees of several leaves, trees of unequal height."""
+    grid = draw(st.booleans())
+    coord = _GRID if grid else _FREE
     log: list[tuple[str, int]] = []
-    tree_s = _tree([Rect(2.1, 0.0, 2.1, 0.0)], 4, True, "S", log)
-    tree_t = _tree([Rect(0.6, 0.0, 0.6, 0.0)], 4, True, "T", log)
-    assert Rect(2.1, 0, 2.1, 0).mindist_rect(Rect(0.6, 0, 0.6, 0)) <= 1.5
-    assert reference.distance_join(tree_s, tree_t, 1.5) == []
-    assert distance_join(tree_s, tree_t, 1.5) == []
+    trees = [
+        _tree(
+            draw(rect_sets(coord, max_size=120)),
+            draw(st.sampled_from([4, 8, 204])),
+            draw(st.booleans()),
+            name,
+            log,
+        )
+        for name in ("S", "T")
+    ]
+    e = draw(_GRID_E if grid else st.floats(0.0, 40.0, allow_nan=False))
+    return trees[0], trees[1], log, e
+
+
+@SETTINGS
+@given(join_scenes(), st.sampled_from([None, 1, 3, 40]))
+def test_distance_join(scene, budget):
+    """Every leaf pair decided in one pass — under the default cell
+    budget and under a few cells, which splits the pass into blocks."""
+    tree_s, tree_t, log, e = scene
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(join, "_PASS_CELLS", budget)
+        _assert_same(
+            log,
+            lambda: distance_join(tree_s, tree_t, e),
+            lambda: reference.distance_join(tree_s, tree_t, e),
+        )
+
+
+def test_join_blocks_split_and_agree(monkeypatch):
+    """Several leaves on both sides of unequal height, on a grid of
+    shared coordinates: a few-cell budget runs many blocks and returns
+    the same list, read through the same pages."""
+    log: list[tuple[str, int]] = []
+    grid = [Rect(i / 10, j / 10, i / 10, j / 10) for i in range(12) for j in range(9)]
+    tree_s = _tree(grid[::2], 4, True, "S", log)
+    tree_t = _tree(grid[1::3], 8, False, "T", log)
+    assert tree_s.height > tree_t.height > 1
+    want = _run(log, lambda: reference.distance_join(tree_s, tree_t, 0.1))
+    assert len(want[0]) > 50
+    runs: list[tuple[int, int]] = []
+    blocks = mbrs.blocks
+
+    def spied(width, budget):
+        for run in blocks(width, budget):
+            runs.append(run)
+            yield run
+
+    monkeypatch.setattr(mbrs, "blocks", spied)
+    for budget, split in ((join._PASS_CELLS, False), (5, True)):
+        monkeypatch.setattr(join, "_PASS_CELLS", budget)
+        del runs[:]
+        assert _run(log, lambda: distance_join(tree_s, tree_t, 0.1)) == want
+        assert (len(runs) > 1) == split
+
+
+def test_join_reports_what_its_distance_admits():
+    """A pair is reported iff its MINDIST is <= e, wherever ``minx + e``
+    rounds: ``2.1 - 0.6 <= 1.5`` although ``0.6 < 2.1 - 1.5`` in
+    float64, and ``5e-324 ** 2`` underflows to a distance of 0."""
+    for s, t, e in ((2.1, 0.6, 1.5), (0.0, 5e-324, 0.0)):
+        log: list[tuple[str, int]] = []
+        tree_s = _tree([Rect(s, 0.0, s, 0.0)], 4, True, "S", log)
+        tree_t = _tree([Rect(t, 0.0, t, 0.0)], 4, True, "T", log)
+        d = Rect(s, 0, s, 0).mindist_rect(Rect(t, 0, t, 0))
+        assert d <= e
+        assert reference.distance_join(tree_s, tree_t, e) == [(0, 0, d)]
+        assert distance_join(tree_s, tree_t, e) == [(0, 0, d)]
+
+
+@SETTINGS
+@given(
+    st.floats(0.0, allow_nan=False) | st.sampled_from([0.0, 5e-324, 1e-160, 1.5]),
+    st.floats(0.0, allow_nan=False, allow_infinity=False),
+)
+def test_oracle_window_cut(e, gap):
+    """The oracle's sweep skips exactly the gaps whose ``sqrt(dx * dx)``
+    exceeds ``e``."""
+    cut = reference._least_gap_beyond(e)
+    assert (gap >= cut) == (math.sqrt(gap * gap) > e)
 
 
 @SETTINGS

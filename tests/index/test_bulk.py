@@ -1,6 +1,7 @@
 """Tests for STR bulk loading."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import SpatialIndexError
 from repro.geometry import Point, Rect
 from repro.index import RStarTree, str_pack
+
+from tests.index import str_reference
 
 
 def _items(seed: int, n: int):
@@ -99,3 +102,84 @@ def test_property_bulk_load_sound(n, max_entries, fill):
         assert sorted(p.as_tuple() for p, __ in tree.items()) == sorted(
             d.as_tuple() for d, __ in items
         )
+
+
+def _signed_bytes(rect: Rect) -> bytes:
+    """The rect's four floats bit for bit (``-0.0`` differs from 0.0)."""
+    return struct.pack("4d", rect.minx, rect.miny, rect.maxx, rect.maxy)
+
+
+def _assert_same_pages(got: RStarTree, want: RStarTree) -> None:
+    """Page ids, levels, entry order, rects bit for bit and payload
+    identity; root, size and page-id counter alike."""
+    assert (got.root_id, got.next_page_id, len(got), list(got._store)) == (
+        want.root_id, want.next_page_id, len(want), list(want._store)
+    )
+    for a, b in zip(got.pages(), want.pages(), strict=True):
+        assert (a.page_id, a.level, len(a.entries)) == (b.page_id, b.level, len(b.entries))
+        for x, y in zip(a.entries, b.entries):
+            assert x.data is y.data and x.child == y.child
+            assert _signed_bytes(x.rect) == _signed_bytes(y.rect)
+
+
+def _scene(kind: str, n: int) -> list[tuple[object, Rect]]:
+    """``n`` items with fresh payloads: tied centre sums on a small
+    grid, signed zeros, or random rectangles."""
+    rng = random.Random(n)
+    out = []
+    for i in range(n):
+        if kind == "grid":
+            x, y = float(i % 7), float(i % 5)
+            rect = Rect(x, y, x + (i % 3), y + (i % 2))
+        elif kind == "zeros":
+            x, y = rng.choice([-0.0, 0.0]), rng.choice([-0.0, 0.0, 1.0])
+            rect = Rect(x, y, rng.choice([0.0, -0.0, 2.0]), y)
+        else:
+            x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
+            rect = Rect(x, y, x + rng.uniform(0, 5), y + rng.uniform(0, 5))
+        out.append((object(), rect))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["grid", "zeros", "random"])
+def test_str_pack_equals_the_sorted_reference(monkeypatch, kind):
+    """The array sort builds the tree the ``sorted()`` STR built, page
+    for page, at fill 0.5 / 0.7 / 1.0, through both ways of fixing an
+    under-full last node (merge into the donor, split with it)."""
+    fixes: set[str] = set()
+    original = str_reference._fix_trailing_underflow
+
+    def spied(tree, nodes):
+        tail = len(nodes[-1].entries) if nodes else 0
+        out = original(tree, nodes)
+        if len(out) < len(nodes):
+            fixes.add("merge")
+        elif out and len(out[-1].entries) != tail:
+            fixes.add("split")
+        return out
+
+    monkeypatch.setattr(str_reference, "_fix_trailing_underflow", spied)
+    for fill in (0.5, 0.7, 1.0):
+        for n in (1, 2, 9, 11, 17, 40, 97, 350, 2000):
+            items = _scene(kind, n)
+            got = str_pack(RStarTree(max_entries=8, min_entries=3), items, fill)
+            want = str_reference.str_pack(
+                RStarTree(max_entries=8, min_entries=3), items, fill
+            )
+            _assert_same_pages(got, want)
+            got.check_invariants()
+            assert sum(node._rects is not None for node in got.pages()) == got.page_count
+    assert fixes == {"merge", "split"}
+
+
+def test_str_pack_equals_the_sorted_reference_at_paper_capacity():
+    """204-entry pages over a 40k-rect street-like grid (shared
+    coordinates, many tied centre sums): three levels, identical."""
+    items = []
+    for i in range(40000):
+        x, y = (i % 211) / 2, (i // 211 % 190) / 2
+        items.append((object(), Rect(x, y, x + (i % 3) / 2, y + (i % 2) / 2)))
+    got = str_pack(RStarTree(max_entries=204), items)
+    want = str_reference.str_pack(RStarTree(max_entries=204), items)
+    assert got.height == 3
+    _assert_same_pages(got, want)

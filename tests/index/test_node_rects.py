@@ -71,10 +71,14 @@ def test_arrays_follow_interleaved_mutations(monkeypatch, max_entries):
 
 
 def test_bulk_load_leaves_consistent_arrays():
+    """A bulk-loaded tree is born packed: every page holds its array
+    before any read, and the arrays match the entries."""
     pts = [Point(float(i % 37), float(i % 91)) for i in range(1000)]
     tree = str_pack(
         RStarTree(max_entries=8), [(p, Rect.from_point(p)) for p in pts]
     )
+    assert tree.height > 2
+    assert _cached(tree) == tree.page_count
     tree.check_invariants()
     assert _warm(tree) == 1000
     tree.check_invariants()

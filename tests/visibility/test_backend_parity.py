@@ -3,6 +3,7 @@ visible sets to the python sweep — on random scenes, on degenerate
 collinear/touching scenes, and through every dynamic update — and
 both must match the exact pairwise oracle."""
 
+import math
 import random
 
 import pytest
@@ -17,7 +18,9 @@ from repro.visibility import (
     is_visible,
     resolve_backend,
 )
+from repro.visibility.csr import frozen
 from tests.conftest import random_disjoint_rects, random_free_points, rect_obstacle
+from tests.reference_field import FullGraph, reference_dijkstra
 from tests.strategies import disjoint_rect_obstacles, free_points
 
 pytest.importorskip("numpy")
@@ -456,6 +459,26 @@ def test_known_kernel_vs_oracle_counterexample():
         [Point(0, 0)],
         [Point(35, 15.304975570540059)],
     )
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1, defect (e)")
+@pytest.mark.parametrize("backend", [PY, "naive", NP])
+def test_known_eps_band_counterexample(backend):
+    """A falsifying example of ``test_tangent.py::
+    test_every_graph_is_the_tangent_graph``: a free point 1e-9 inside
+    the left edge of the square ``[0, 1] x [6, 7]``, in the EPS band of
+    the scalar predicates.  Built with no obstacle, then given the
+    square, the graph leaves it unreachable from ``(0, 0)``, where the
+    full graph's pairwise oracle reaches it at 6.5.  Fixing the defect
+    means deleting this marker."""
+    square = rect_obstacle(0, 0, 6, 1, 7)
+    a, b = Point(0, 0), Point(1e-09, 6.5)
+    graph = VisibilityGraph.build([b, a], [], method=backend)
+    graph.add_obstacles([square])
+    csr = frozen(graph)
+    want = reference_dijkstra(FullGraph(graph.nodes(), [square]), a)[b]
+    assert want == 6.5
+    assert csr.field(a, graph)[csr.index[b]] == want
 
 
 # ------------------------------------------------ scenes equal their loop

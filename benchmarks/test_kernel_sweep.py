@@ -14,7 +14,7 @@ nodes of 16 graphs of ~13 nodes — a distance join's seeds — swept in
 one scenes call >= 2x faster than in one call per graph.  And
 for the exact predicate behind the kernel's residue: every node pair of
 the 56-vertex scene against every obstacle through
-``crosses_interior_many`` >= 3x faster than the
+``crosses_interior_many`` >= 5x faster than the
 ``Polygon.crosses_interior`` loop, with an identical mask.
 
 Run standalone (pytest-benchmark)::
@@ -64,8 +64,10 @@ SCENES = 16
 SCENES_SPEEDUP_TARGET = 2.0
 
 #: Required speedup of the array-evaluated exact predicate over the
-#: scalar loop on the workload-sized scene.
-EXACT_SPEEDUP_TARGET = 3.0
+#: scalar loop on the workload-sized scene: five runs on a 2-core box
+#: measured 8.3-11.8x (both forms decide by signs first), and 5 is the
+#: largest round number 1.5x below the least of them.
+EXACT_SPEEDUP_TARGET = 5.0
 
 _BACKENDS = ("python-sweep", "numpy-kernel")
 
@@ -171,7 +173,7 @@ def test_scenes_sweep_acceptance():
 
 def test_exact_predicate_acceptance():
     """All node pairs x all obstacles of the workload-sized scene: the
-    array-evaluated predicate returns the scalar loop's mask, >= 3x
+    array-evaluated predicate returns the scalar loop's mask, >= 5x
     faster (best of three rounds each)."""
     polygons = [o.polygon for o in street_grid_obstacles(WORKLOAD_RECTS, seed=7)]
     nodes = [v for p in polygons for v in p.vertices]

@@ -20,8 +20,6 @@ from repro.geometry.constants import EPS
 from repro.geometry.point import Point, midpoint
 from repro.geometry.rect import Rect
 from repro.geometry.segment import (
-    COLLINEAR,
-    ccw,
     on_segment,
     point_segment_distance,
     segment_intersection_params,
@@ -38,7 +36,7 @@ class Polygon:
     :meth:`validate_simple` and used by the dataset loaders.
     """
 
-    __slots__ = ("vertices", "mbr", "_edges")
+    __slots__ = ("vertices", "mbr", "_edges", "_sign_rows")
 
     def __init__(self, vertices: Sequence[Point]) -> None:
         verts = [v if isinstance(v, Point) else Point(*v) for v in vertices]
@@ -97,6 +95,10 @@ class Polygon:
     def __hash__(self) -> int:
         return hash(self.vertices)
 
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        # The sign rows are derived on first use; never ship them.
+        return None, {"vertices": self.vertices, "mbr": self.mbr, "_edges": self._edges}
+
     def __repr__(self) -> str:
         return f"Polygon({len(self.vertices)} vertices, mbr={self.mbr!r})"
 
@@ -125,15 +127,9 @@ class Polygon:
         return self._edges
 
     def is_convex(self) -> bool:
-        """True when every vertex makes a non-right turn (CCW polygon)."""
-        n = len(self.vertices)
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            c = self.vertices[(i + 2) % n]
-            if ccw(a, b, c) == -1:
-                return False
-        return True
+        """True when every vertex turns left or runs straight on (CCW
+        polygon), by float signs: the sign filter's precondition."""
+        return _sign_rows(self._edges) is not None
 
     def validate_simple(self) -> None:
         """Raise :class:`GeometryError` if any two non-adjacent edges meet."""
@@ -196,18 +192,77 @@ class Polygon:
         """True when the open segment ``ab`` intersects the interior.
 
         Grazing contact — running along an edge, touching a vertex or a
-        boundary point — does **not** count.  The test gathers every
-        parameter where ``ab`` meets the boundary, then checks the
-        midpoint of each resulting sub-interval for strict containment.
-        A strictly-interior proper crossing short-circuits to ``True``.
+        boundary point — does **not** count.  After the MBR reject, a
+        convex polygon decides by orientation signs wherever the
+        geometry is clear (:meth:`sign_verdict`); only the contact band
+        and non-convex polygons go to the tolerance method
+        (:meth:`_crosses_by_params`).  Every pair has exactly one
+        decider, and the two agree wherever the signs decide.
         """
-        # Fast rejection on the MBR.
-        seg_rect = Rect(
-            min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y)
-        )
-        if not self.mbr.intersects(seg_rect):
+        box = self.mbr
+        if not (
+            box.minx <= max(a.x, b.x)
+            and min(a.x, b.x) <= box.maxx
+            and box.miny <= max(a.y, b.y)
+            and min(a.y, b.y) <= box.maxy
+        ):
             return False
+        verdict = self.sign_verdict(a, b)
+        if verdict is None:
+            return self._crosses_by_params(a, b)
+        return verdict
 
+    def sign_verdict(self, a: Point, b: Point) -> bool | None:
+        """The sign filter of :meth:`crosses_interior`: ``False`` when
+        ``ab`` lies on the closed outer side of one edge line, ``True``
+        when the midpoint of its chord lies inside every edge line by
+        :data:`SIGN_MARGIN`, ``None`` otherwise and for a polygon that
+        is not convex.  ``s = cross(edge, p - edge start)`` is positive
+        inside (CCW order).  The clear rule needs no margin: all of
+        ``ab`` is then on the closed outer side, where the tolerance
+        method finds no strictly inside midpoint.  The edge rows are
+        built on first use and never pickled."""
+        try:
+            rows = self._sign_rows
+        except AttributeError:
+            rows = self._sign_rows = _sign_rows(self._edges)
+        if rows is None:
+            return None
+        ax, ay, bx, by = a.x, a.y, b.x, b.y
+        lo = 0.0
+        hi = 1.0
+        for fx, fy, ex, ey, __ in rows:
+            sa = ex * (ay - fy) - ey * (ax - fx)
+            sb = ex * (by - fy) - ey * (bx - fx)
+            if sa <= 0.0 and sb <= 0.0:
+                return False
+            # Where ``ab`` crosses the edge line: the chord's entry
+            # (``a`` outside) or exit (``b`` outside) parameter.
+            if sa < 0.0:
+                lo = max(lo, sa / (sa - sb))
+            elif sb < 0.0:
+                hi = min(hi, sa / (sa - sb))
+        tm = (lo + hi) / 2.0
+        rx = bx - ax
+        ry = by - ay
+        mx = ax + tm * rx
+        my = ay + tm * ry
+        r1 = abs(rx) + abs(ry)
+        for fx, fy, ex, ey, e1 in rows:
+            dx = mx - fx
+            dy = my - fy
+            if not ex * dy - ey * dx > SIGN_MARGIN * e1 * (
+                abs(dx) + abs(dy) + r1 + e1 + 1.0
+            ):
+                return None
+        return True
+
+    def _crosses_by_params(self, a: Point, b: Point) -> bool:
+        """The tolerance method of :meth:`crosses_interior`, for any
+        simple polygon: gather every parameter where ``ab`` meets the
+        boundary, then check the midpoint of each resulting sub-interval
+        for strict containment (a segment whose box misses the MBR
+        finds no hit and an outside midpoint)."""
         params: list[float] = [0.0, 1.0]
         hit_boundary = False
         for e1, e2 in self._edges:
@@ -251,6 +306,47 @@ class Polygon:
                 return Point(a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
             walked += step
         return self.vertices[0]
+
+
+#: How far inside every edge line, relative to the scale of the pair, a
+#: chord midpoint must lie for :meth:`Polygon.sign_verdict` to call the
+#: pair crossing.  In distance units the tolerance method's bands around
+#: an edge ``e`` (start ``f``), for a segment ``r = b - a`` and a point
+#: ``m``, are each at most ``EPS`` times one term of ``|m - f| + |r| +
+#: |e| + 1``: ``ccw``'s collinear band (``on_segment``, so ``contains``)
+#: is ``EPS |m - f|``, ``on_segment``'s box pad ``EPS (|e| + 1)``;
+#: ``t_tol`` moves a hit by ``EPS (1 + 1/|r|)`` of ``r``, at most ``EPS
+#: (|r| + 1)``; ``u_tol`` by ``EPS (|e| + 1)`` along ``e``; the parameter
+#: gap skips ``EPS |r|``.  The filter asks ``s > SIGN_MARGIN * |e|_1 *
+#: (|m - f|_1 + |r|_1 + |e|_1 + 1)``: since ``s = |e| * dist(m, line)``
+#: and an L1 norm is never below the Euclidean one, ``m`` then lies
+#: farther from every edge line than 100 times each band.  So the
+#: tolerance method finds no boundary hit strictly inside the chord, its
+#: sub-interval around ``m`` is wider than ``EPS`` and its midpoint is
+#: strictly contained: it answers ``True`` too.  Float rounding of ``s``
+#: (relative ``2**-52``) is seven orders below the margin.
+SIGN_MARGIN = 100.0 * EPS
+
+
+def _sign_rows(
+    edges: Sequence[tuple[Point, Point]],
+) -> tuple[tuple[float, float, float, float, float], ...] | None:
+    """Per edge ``fx, fy, ex, ey, |ex| + |ey|`` (start, vector, L1
+    length), or ``None`` unless the polygon is convex — the sign
+    filter's one precondition: at every vertex the edges turn left
+    (``cross(edge, next edge) > 0``) or run straight on (a collinear
+    run: zero cross product, positive dot product).  A right turn or a
+    reversal (a zero-width spike) is not convex."""
+    rows = tuple(
+        (a.x, a.y, ex, ey, abs(ex) + abs(ey))
+        for a, b in edges
+        for ex, ey in ((b.x - a.x, b.y - a.y),)
+    )
+    for (__, __, ux, uy, __), (__, __, vx, vy, __) in zip(rows, rows[1:] + rows[:1]):
+        turn = ux * vy - uy * vx
+        if turn < 0.0 or (turn == 0.0 and ux * vx + uy * vy < 0.0):
+            return None
+    return rows
 
 
 def _signed_area2(vertices: Iterable[Point]) -> float:

@@ -54,6 +54,7 @@ class RuntimeStats:
         "sweep_events",
         "sweep_seconds",
         "exact_pairs",
+        "exact_band_pairs",
         "backend",
     )
 
@@ -94,6 +95,7 @@ class RuntimeStats:
         self.sweep_events = 0
         self.sweep_seconds = 0.0
         self.exact_pairs = 0
+        self.exact_band_pairs = 0
 
     def snapshot(self) -> dict[str, int | float | str]:
         """The current counter values as a plain dict."""

@@ -19,8 +19,9 @@ array kernels:
   edges, with the exact predicate deciding only the degenerate
   residue so results match the python sweep everywhere;
 * :mod:`~repro.visibility.kernel.exact` — that predicate
-  (``Polygon.crosses_interior``) evaluated over arrays, the scalar
-  code's own float64 expressions in the same order: one call behind
+  (``Polygon.crosses_interior``) evaluated over arrays: orientation
+  signs first, the scalar filter's own float64 expressions in the same
+  order, and the tolerance method only for the contact band: one call behind
   the sweep's residue and boundary band, ``add_obstacles``' edge
   removal and ``remove_obstacle``'s re-sweep;
 * :mod:`~repro.visibility.kernel.backend` — the pluggable

@@ -1,53 +1,41 @@
 """The exact visibility predicate, evaluated over arrays.
 
 :meth:`repro.geometry.polygon.Polygon.crosses_interior` decides one
-(segment, obstacle) pair: reject on the MBR, gather every parameter
-where the segment meets the boundary
-(:func:`repro.geometry.segment.segment_intersection_params` per edge),
-sort them, and test the midpoint of each sub-interval for strict
-containment.  A ``numpy-kernel`` graph build decides every tangent
-node pair with it, and the sweep hands it its tolerance-borderline
-contacts: a python call per pair costs more than the whole array
-pass.
+(segment, obstacle) pair: after the MBR reject, a convex obstacle by
+orientation signs (:meth:`~repro.geometry.polygon.Polygon.sign_verdict`:
+clear when both ends lie on the closed outer side of one edge line,
+crossing when the chord's midpoint lies inside every edge line by
+:data:`~repro.geometry.polygon.SIGN_MARGIN`), and only the pairs
+between — the contact band — and non-convex obstacles by the tolerance
+method (``Polygon._crosses_by_params``).  A ``numpy-kernel`` graph
+build decides every tangent node pair with it, and the sweep hands it
+its tolerance-borderline contacts: a python call per pair costs more
+than the whole array pass.
 
 :func:`crosses_interior_many` evaluates the *same* predicate for many
-pairs at once, over flat arrays of (pair, edge) and (interval, edge)
-rows.  Exactness is by construction, not by tolerance band:
-
-* every comparison is the scalar code's own float64 expression in the
-  same operation order (numpy's elementwise ``+ - * /`` are the IEEE
-  operations python floats use; nothing is fused or reassociated);
-* every length is :func:`math.hypot` itself — per obstacle edge when
-  the geometry is packed, per segment and per parallel row here —
-  because
-  ``np.hypot`` differs from it in the last bit on 0.6 % of random
-  inputs (``np.sqrt(x*x + y*y)`` on 16 %), and those lengths set the
-  tolerances;
-* the one branch arrays cannot take without dividing by zero — a
-  segment no longer than ``EPS`` — sends its pairs to the scalar
-  method;
-* the one reject the scalar method lacks (:func:`_line_misses`) only
-  drops pairs whose every midpoint lies outside the obstacle by far
-  more than any tolerance.
-
-The scalar method stays the reference: ``tests/visibility/
-test_exact.py`` holds the two equal pair for pair, graphs on the
-``naive`` and ``python-sweep`` backends never enter this module, and
-batches too small to repay the array passes' fixed cost are looped
-through it (:data:`_MIN_ARRAY_PAIRS`).
+pairs at once: a line-miss reject the scalar method lacks
+(:func:`_line_misses`, sound by margin), then the sign filter over flat
+(pair, edge) rows — the scalar filter's float64 expressions in the same
+operation order, no division by zero, no square root — and the band (5
+of 126,372 pairs past the line-miss reject on ``paper-cold`` seed 3)
+looped through the scalar method.  Each pair has exactly one decider:
+``tests/visibility/test_exact.py`` holds both filters equal to the
+tolerance method pair for pair, graphs on the ``naive`` and
+``python-sweep`` backends never enter this module, and batches too
+small to repay the array pass's fixed cost are looped through the
+scalar method (:data:`_MIN_ARRAY_PAIRS`).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import hypot
 from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from repro.geometry.constants import EPS
 from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon
+from repro.geometry.polygon import SIGN_MARGIN, Polygon
 from repro.geometry.rect import Rect
 from repro.index.mbrs import ranges
 from repro.obs.trace import TRACER
@@ -58,26 +46,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.visibility.kernel.packed import PackedScene
 
 
-#: Pairs surviving the MBR reject below which a batch is looped through
-#: ``Polygon.crosses_interior`` instead of evaluated over arrays.
-#: Measured on the 2-core sandbox (pairs drawn from a 14-rectangle
-#: street-grid scene, median of best-of-20 rounds): the array passes are
-#: ~110 numpy calls, 135-145 us however few rows they carry, plus
-#: 0.6-0.9 us per pair (16 pairs: 143 us, 128: 211, 2,048: 1,485); the
-#: scalar method is ~10 us plus 8-9.5 us per pair (8 pairs: 74 us,
-#: 16: 137, 24: 202).  The two meet at 16 pairs.
-_MIN_ARRAY_PAIRS = 16
+#: Pairs surviving the rejects below which a batch is looped through
+#: the scalar method instead of evaluated over arrays.  Measured on a
+#: 2-core box (pairs past both rejects, drawn between the vertices of
+#: a 14-rectangle street-grid scene; best of 20 rounds): the rejects
+#: and the sign pass cost ~51 us however few rows they carry, plus
+#: 0.2 us per pair (16 pairs: 55 us, 40: 60, 2,048: 660); the rejects
+#: and the scalar loop ~24 us plus 1.2 us per pair (16 pairs: 43 us,
+#: 24: 54, 28: 62, 40: 71).  The two meet between 24 and 28 pairs.
+_MIN_ARRAY_PAIRS = 26
 
 #: Pairs evaluated per array pass, and (segment, obstacle) cells whose
 #: MBRs are compared per call (an insert's edges, a graph build's or a
-#: delete repair's node pairs).  They bound the temporaries — ~40
+#: delete repair's node pairs).  They bound the temporaries — ~25
 #: float64 arrays of one row per (pair, edge), bool matrices of one
 #: cell each — to a few MB whatever the batch: a build of a 1,000-node
-#: graph tests ~10^5 pairs against hundreds of obstacles.  Measured on
-#: 82,833 pairs of a 64-rectangle scene, passes of 1,024-4,096 pairs
-#: run 0.80-0.95 us per pair against 1.22 in one pass (the temporaries
-#: fall out of cache); unbounded passes also left ``churn-durable``'s
-#: peak RSS 1.1 % higher.
+#: graph tests ~10^5 pairs against hundreds of obstacles, and
+#: unbounded passes fall out of cache.
 _PASS_PAIRS = 2048
 _PASS_CELLS = 1 << 20
 #: MBR survivors a pass of :func:`_line_misses` takes (a dozen float64
@@ -94,15 +79,18 @@ _LINE_MARGIN = 1e-8
 class ObstacleArrays(NamedTuple):
     """Obstacle geometry as the arrays the predicate reads."""
 
-    #: Per obstacle, its polygon (degenerate segments, small batches).
+    #: Per obstacle, its polygon (the band and small batches).
     polygons: Sequence[Polygon]
     #: ``(n_obstacles, 4)``: ``minx, miny, maxx, maxy``.
     mbr: np.ndarray
     #: Per obstacle, the first row and the length of its run of edges.
     first: np.ndarray
     count: np.ndarray
-    #: ``(5, n_edges)``: ``ax, ay, bx, by`` of every boundary edge, runs
-    #: in polygon order, and its ``math.hypot`` length.
+    #: Per obstacle, whether it turns right nowhere: the sign filter's
+    #: domain, the scalar filter's own test.
+    convex: np.ndarray
+    #: ``(5, n_edges)``: ``fx, fy, ex, ey, |ex| + |ey|`` — start, vector
+    #: and L1 length of every boundary edge, runs in polygon order.
     edges: np.ndarray
 
 
@@ -110,18 +98,24 @@ def pack_polygons(polygons: Iterable[Polygon]) -> ObstacleArrays:
     """``polygons`` as :class:`ObstacleArrays`, one obstacle each."""
     polygons = list(polygons)
     count = np.array([len(p.edges()) for p in polygons], dtype=np.int64)
+    first = count.cumsum() - count
     mbrs = [(p.mbr.minx, p.mbr.miny, p.mbr.maxx, p.mbr.maxy) for p in polygons]
-    rows = [
-        (a.x, a.y, b.x, b.y, hypot(b.x - a.x, b.y - a.y))
-        for p in polygons
-        for a, b in p.edges()
-    ]
+    rows = [(a.x, a.y, b.x - a.x, b.y - a.y) for p in polygons for a, b in p.edges()]
+    fx, fy, ex, ey = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    # The turn into each edge from its predecessor in the run, as
+    # _sign_rows takes it: left, or straight on.
+    before = np.arange(-1, ex.size - 1)
+    before[first] = first + count - 1
+    turn = ex[before] * ey - ey[before] * ex
+    on = ex[before] * ex + ey[before] * ey
+    convex = (turn > 0.0) | ((turn == 0.0) & (on >= 0.0))
     return ObstacleArrays(
         polygons,
         np.array(mbrs, dtype=np.float64).reshape(-1, 4),
-        count.cumsum() - count,
+        first,
         count,
-        np.ascontiguousarray(np.array(rows, dtype=np.float64).reshape(-1, 5).T),
+        np.logical_and.reduceat(convex, first) if ex.size else count > 0,
+        np.array([fx, fy, ex, ey, np.abs(ex) + np.abs(ey)]),
     )
 
 
@@ -151,13 +145,15 @@ def crosses_interior_many(
     ``pair_obs[k]`` of ``geom`` — what ``geom.polygons[pair_obs[k]]
     .crosses_interior(a, b)`` returns, for every pair, as a mask.
 
-    Ticks ``exact_pairs`` / ``sweep.exact_pairs`` once, with the number
-    of pairs that survived the MBR reject.
+    Ticks ``exact_pairs`` / ``sweep.exact_pairs`` once with the number
+    of pairs that survived the MBR reject, and ``exact_band_pairs`` /
+    ``sweep.exact_band`` once with the number the tolerance method
+    decided.
     """
     out = np.zeros(pair_seg.shape[0], dtype=bool)
     ends = segs[pair_seg]
     keep = _boxes_meet(geom.mbr[pair_obs], *ends.T).nonzero()[0]
-    _tick(stats, keep.size)
+    survived = keep.size
     keep = np.concatenate(
         [keep[:0]]
         + [
@@ -165,13 +161,59 @@ def crosses_interior_many(
             for part in np.split(keep, range(_PASS_ROWS, keep.size, _PASS_ROWS))
         ]
     )
-    if keep.size < _MIN_ARRAY_PAIRS:
-        _loop_oracle(out, keep, ends[keep], geom.polygons, pair_obs[keep])
-        return out
-    for lo in range(0, keep.size, _PASS_PAIRS):
-        part = keep[lo : lo + _PASS_PAIRS]
-        out[part] = _evaluate(ends[part], geom, pair_obs[part])
+    if keep.size >= _MIN_ARRAY_PAIRS:
+        undecided = [keep[:0]]
+        for lo in range(0, keep.size, _PASS_PAIRS):
+            part = keep[lo : lo + _PASS_PAIRS]
+            crosses, decided = _signs(ends[part], geom, pair_obs[part])
+            out[part] = crosses
+            undecided.append(part[~decided])
+        keep = np.concatenate(undecided)
+    band_pairs = 0
+    for k, (ax, ay, bx, by), o in zip(
+        keep.tolist(), ends[keep].tolist(), pair_obs[keep].tolist()
+    ):
+        out[k], band = _scalar(geom.polygons[o], Point(ax, ay), Point(bx, by))
+        band_pairs += band
+    _tick(stats, survived, band_pairs)
     return out
+
+
+def _signs(
+    ends: np.ndarray, geom: ObstacleArrays, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair ``j`` — segment ``ends[j]``, obstacle ``obs[j]``, past
+    the rejects — :meth:`Polygon.sign_verdict` over (pair, edge) rows,
+    the same float64 expressions in the same order: whether the pair
+    crosses, and whether the signs decided it at all."""
+    counts = geom.count[obs]
+    run = counts.cumsum() - counts
+    row_pair = np.arange(obs.size).repeat(counts)
+    fx, fy, ex, ey, e1 = geom.edges[:, ranges(geom.first[obs], counts)]
+    ax, ay, bx, by = ends.T
+    rax, ray, rbx, rby = ends[row_pair].T
+    sa = ex * (ray - fy) - ey * (rax - fx)
+    sb = ex * (rby - fy) - ey * (rbx - fx)
+    clear = np.logical_or.reduceat((sa <= 0.0) & (sb <= 0.0), run)
+    # Where ab crosses an edge line: the chord's entry (a outside) or
+    # exit (b outside) parameter.  Opposite signs: sa - sb is not 0.
+    enter = sa < 0.0
+    leave = sb < 0.0
+    cut = enter != leave
+    t = sa / np.where(cut, sa - sb, 1.0)
+    lo = np.maximum.reduceat(np.where(cut & enter, t, 0.0), run)
+    hi = np.minimum.reduceat(np.where(cut & leave, t, 1.0), run)
+    tm = (lo + hi) / 2.0
+    rx = bx - ax
+    ry = by - ay
+    dx = (ax + tm * rx)[row_pair] - fx
+    dy = (ay + tm * ry)[row_pair] - fy
+    r1 = (np.abs(rx) + np.abs(ry))[row_pair]
+    inside = ex * dy - ey * dx > SIGN_MARGIN * e1 * (
+        np.abs(dx) + np.abs(dy) + r1 + e1 + 1.0
+    )
+    crosses = np.logical_and.reduceat(inside, run) & ~clear
+    return crosses, geom.convex[obs] & (clear | crosses)
 
 
 def _line_misses(ends: np.ndarray, mbr: np.ndarray) -> np.ndarray:
@@ -208,169 +250,21 @@ def _line_misses(ends: np.ndarray, mbr: np.ndarray) -> np.ndarray:
         )
 
 
-def _tick(stats: "RuntimeStats | None", survived: int) -> None:
+def _scalar(polygon: Polygon, a: Point, b: Point) -> tuple[bool, int]:
+    """``polygon.crosses_interior(a, b)`` past the MBR reject, and 1 if
+    the tolerance method decided it (a band pair), else 0."""
+    verdict = polygon.sign_verdict(a, b)
+    if verdict is None:
+        return polygon._crosses_by_params(a, b), 1
+    return verdict, 0
+
+
+def _tick(stats: "RuntimeStats | None", survived: int, band: int) -> None:
     if stats is not None:
         stats.exact_pairs += survived
+        stats.exact_band_pairs += band
     TRACER.count("sweep.exact_pairs", survived)
-
-
-def _loop_oracle(
-    out: np.ndarray,
-    where: np.ndarray,
-    ends: np.ndarray,
-    polygons: Sequence[Polygon],
-    obs: np.ndarray,
-) -> None:
-    """``out[where[j]]`` for segment ``ends[j]`` and obstacle
-    ``obs[j]`` — the scalar method, one pair at a time."""
-    for k, (ax, ay, bx, by), o in zip(where.tolist(), ends.tolist(), obs.tolist()):
-        out[k] = polygons[o].crosses_interior(Point(ax, ay), Point(bx, by))
-
-
-def _evaluate(ends: np.ndarray, geom: ObstacleArrays, obs: np.ndarray) -> np.ndarray:
-    """Per pair ``j`` — segment ``ends[j]``, obstacle ``obs[j]``, past
-    the MBR reject — the verdict: the scalar method's steps, each over
-    the arrays of all pairs."""
-    out = np.zeros(obs.size, dtype=bool)
-    ax, ay, bx, by = ends.T
-    rx = bx - ax
-    ry = by - ay
-    r_len = np.array(list(map(hypot, rx.tolist(), ry.tolist())))
-    sound = r_len > EPS
-    if not sound.all():
-        # segment_intersection_params' ``r_len <= EPS`` branch: the
-        # segment is a point to the predicate.  Not a case for arrays.
-        point = (~sound).nonzero()[0]
-        _loop_oracle(out, point, ends[point], geom.polygons, obs[point])
-        sound = sound.nonzero()[0]
-        out[sound] = _evaluate(ends[sound], geom, obs[sound])
-        return out
-    hit_pair, hit_t = _boundary_params(
-        np.array([ax, ay, rx, ry, r_len, rx * rx + ry * ry]), geom, obs
-    )
-
-    # Pairs whose segment meets the boundary: parameters 0 and 1 plus
-    # every hit, sorted within the pair; a gap wider than EPS yields the
-    # midpoint ``a + tm * (b - a)``.  Pairs that never meet it are
-    # decided by ``midpoint(a, b)`` alone.
-    touched = np.zeros(obs.size, dtype=bool)
-    touched[hit_pair] = True
-    met = touched.nonzero()[0]
-    free = (~touched).nonzero()[0]
-    par_pair = np.concatenate([met, met, hit_pair])
-    par_t = np.concatenate([np.zeros(met.size), np.ones(met.size), hit_t])
-    order = np.lexsort((par_t, par_pair))
-    par_pair = par_pair[order]
-    par_t = par_t[order]
-    gap = (
-        (par_pair[1:] == par_pair[:-1]) & (par_t[1:] - par_t[:-1] > EPS)
-    ).nonzero()[0]
-    tm = (par_t[gap] + par_t[gap + 1]) / 2.0
-    gap_pair = par_pair[gap]
-    pt_pair = np.concatenate([free, gap_pair])
-    inside = _strictly_inside(
-        np.concatenate([(ax[free] + bx[free]) / 2.0, ax[gap_pair] + tm * rx[gap_pair]]),
-        np.concatenate([(ay[free] + by[free]) / 2.0, ay[gap_pair] + tm * ry[gap_pair]]),
-        geom,
-        obs[pt_pair],
-    )
-    out[pt_pair[inside]] = True
-    return out
-
-
-def _boundary_params(
-    seg_rows: np.ndarray, geom: ObstacleArrays, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``segment_intersection_params`` of every pair's segment
-    (``seg_rows``: ``ax, ay, rx, ry, r_len, r_sq`` per pair) with every
-    edge of its obstacle: the parameters found, as ``(pair, t)``."""
-    counts = geom.count[obs]
-    row_pair = np.arange(obs.size).repeat(counts)
-    pax, pay, rx, ry, r_len, r_sq = seg_rows[:, row_pair]
-    cx, cy, dx, dy, s_len = geom.edges[:, ranges(geom.first[obs], counts)]
-    sx = dx - cx
-    sy = dy - cy
-    denom = rx * sy - ry * sx
-    qpx = cx - pax
-    qpy = cy - pay
-    side = qpx * ry - qpy * rx
-    crossing = np.abs(denom) > EPS * (r_len * s_len + 1.0)
-    # Lines cross at a single point; it must lie on both segments.
-    safe = np.where(crossing, denom, 1.0)
-    t = (qpx * sy - qpy * sx) / safe
-    u = side / safe
-    t_tol = EPS * (1.0 + 1.0 / (r_len + EPS))
-    u_tol = EPS * (1.0 + 1.0 / (s_len + EPS))
-    point_hit = (
-        crossing
-        & (-t_tol <= t)
-        & (t <= 1.0 + t_tol)
-        & (-u_tol <= u)
-        & (u <= 1.0 + u_tol)
-    ).nonzero()[0]
-    # Parallel rows: collinear unless the edge's start lies off the
-    # segment's line.
-    par = (~crossing).nonzero()[0]
-    q_len = np.array(list(map(hypot, qpx[par].tolist(), qpy[par].tolist())))
-    col = par[~(np.abs(side[par]) > EPS * (q_len * r_len[par] + 1.0))]
-    # Collinear: project the edge's endpoints onto the segment.
-    c_rx = rx[col]
-    c_ry = ry[col]
-    c_rsq = r_sq[col]
-    t0 = (qpx[col] * c_rx + qpy[col] * c_ry) / c_rsq
-    t1 = ((dx[col] - pax[col]) * c_rx + (dy[col] - pay[col]) * c_ry) / c_rsq
-    lo = np.maximum(np.minimum(t0, t1), 0.0)
-    hi = np.minimum(np.maximum(t0, t1), 1.0)
-    overlap = ~(lo > hi + EPS)
-    stretch = overlap & ~(hi - lo <= EPS)
-    return (
-        np.concatenate(
-            [row_pair[point_hit], row_pair[col[overlap]], row_pair[col[stretch]]]
-        ),
-        np.concatenate(
-            [
-                np.minimum(1.0, np.maximum(0.0, t[point_hit])),
-                lo[overlap],
-                hi[stretch],
-            ]
-        ),
-    )
-
-
-def _strictly_inside(
-    px: np.ndarray, py: np.ndarray, geom: ObstacleArrays, obs: np.ndarray
-) -> np.ndarray:
-    """``Polygon.contains`` of point ``(px[j], py[j])`` in obstacle
-    ``obs[j]``, over (point, edge) rows."""
-    minx, miny, maxx, maxy = geom.mbr[obs].T
-    out = (minx <= px) & (px <= maxx) & (miny <= py) & (py <= maxy)
-    held = out.nonzero()[0]
-    counts = geom.count[obs[held]]
-    row_pt = np.arange(held.size).repeat(counts)
-    px, py = np.array([px, py])[:, held[row_pt]]
-    ex, ey, fx, fy, e_len = geom.edges[:, ranges(geom.first[obs[held]], counts)]
-    abx = fx - ex
-    aby = fy - ey
-    acx = px - ex
-    acy = py - ey
-    # on_segment: ccw's collinear band, then the edge's padded box.
-    area2 = abx * acy - aby * acx
-    tol_sq = (EPS * EPS) * (abx * abx + aby * aby) * (acx * acx + acy * acy)
-    tol = EPS * (e_len + 1.0)
-    on_edge = (
-        (area2 * area2 <= tol_sq)
-        & (np.minimum(ex, fx) - tol <= px)
-        & (px <= np.maximum(ex, fx) + tol)
-        & (np.minimum(ey, fy) - tol <= py)
-        & (py <= np.maximum(ey, fy) + tol)
-    )
-    # _crossing_number_odd: half-open rule, crossing strictly right.
-    straddles = (ey > py) != (fy > py)
-    x_cross = ex + (py - ey) * abx / np.where(straddles, aby, 1.0)
-    odd = np.bincount(row_pt[straddles & (x_cross > px)], minlength=held.size) & 1
-    out[held] = odd.astype(bool)
-    out[held[row_pt[on_edge]]] = False
-    return out
+    TRACER.count("sweep.exact_band", band)
 
 
 def stack_arrays(
@@ -389,6 +283,7 @@ def stack_arrays(
         np.concatenate([part.first for part in parts])
         + (edges.cumsum() - edges).repeat(sizes),
         np.concatenate([part.count for part in parts]),
+        np.concatenate([part.convex for part in parts]),
         np.concatenate([part.edges for part in parts], axis=1),
     )
     return stacked, first, sizes
@@ -416,7 +311,7 @@ def hidden_many(
     :meth:`PackedScene.exact_arrays` (-1: none) it is known not to
     cross, which the array passes skip.
 
-    Ticks ``exact_pairs`` / ``sweep.exact_pairs`` once, like
+    Ticks ``exact_pairs`` and ``exact_band_pairs`` once each, like
     :func:`crosses_interior_many`.
     """
     if a.size < _MIN_ARRAY_PAIRS:
@@ -439,14 +334,16 @@ def hidden_many(
         ]
         survived = sum(map(len, tested))
         if survived < _MIN_ARRAY_PAIRS:
-            _tick(stats, survived)
-            return np.array(
-                [
-                    any(obs.polygon.crosses_interior(p, w) for obs in obstacles)
-                    for obstacles, (p, w) in zip(tested, segments)
-                ],
-                dtype=bool,
-            )
+            hidden = np.zeros(a.size, dtype=bool)
+            band_pairs = 0
+            for k, (obstacles, (p, w)) in enumerate(zip(tested, segments)):
+                for obs in obstacles:
+                    hidden[k], band = _scalar(obs.polygon, p, w)
+                    band_pairs += band
+                    if hidden[k]:
+                        break
+            _tick(stats, survived, band_pairs)
+            return hidden
     ends = np.hstack([tails[0][a], heads[0][b]])
     packed = [one.exact_arrays() for one in scenes]
     geom, first, sizes = stack_arrays([arrays for arrays, __ in packed])

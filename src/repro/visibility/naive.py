@@ -2,10 +2,10 @@
 
 Two points are mutually visible iff the open segment between them does
 not cross the interior of any obstacle.  This module decides that with
-the interval-midpoint method of
-:meth:`repro.geometry.polygon.Polygon.crosses_interior`, which is exact
-up to the global epsilon even for collinear grazes, boundary entities
-and shared grid lines.  The rotational sweep
+:meth:`repro.geometry.polygon.Polygon.crosses_interior` — orientation
+signs where the geometry is clear, the interval-midpoint method in the
+contact band — which is exact up to the global epsilon even for
+collinear grazes, boundary entities and shared grid lines.  The rotational sweep
 (:mod:`repro.visibility.sweep`) delegates to this oracle whenever it
 meets a degenerate contact, and the property-based tests compare the
 two implementations on random scenes.

@@ -5,12 +5,23 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.geometry import Point, Polygon, Rect
 from repro.index import RStarTree
 from repro.model import Obstacle
 from repro.visibility import VisibilityGraph
 from tests.reference_field import graph_distance
+
+
+#: The sign filters' property (``tests/visibility/test_exact.py``), whole:
+#: ``--hypothesis-profile sign-filter`` runs it at 2,000 examples.
+settings.register_profile(
+    "sign-filter",
+    max_examples=2_000,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
 
 
 def rect_obstacle(oid: int, x0: float, y0: float, x1: float, y1: float) -> Obstacle:
@@ -64,7 +75,8 @@ def static_version(center: Point, radius: float) -> tuple[int, ...]:
 
 
 def oracle_distance(a: Point, b: Point, obstacles: list[Obstacle]) -> float:
-    """Ground-truth obstructed distance via a *global* visibility graph."""
+    """Ground-truth obstructed distance via a *global* visibility graph
+    (an endpoint on an obstacle vertex joined to every node it sees)."""
     graph = VisibilityGraph.build([a, b], obstacles)
     return graph_distance(graph, a, b)
 

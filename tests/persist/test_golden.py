@@ -17,7 +17,10 @@ entry's stamp became one encoding (a ``u32`` count and that many
 ``stamp`` of each ``*.info.json`` cache entry is now that count.  Both
 were regenerated at format version 7, when every graph became the
 tangent visibility graph: the cached graphs' edge lists (and the edge
-counts of each ``*.info.json`` cache entry) shrank with it.
+counts of each ``*.info.json`` cache entry) shrank with it.  Both
+were re-saved once more when ``RuntimeStats`` gained
+``exact_band_pairs``: one zero counter (29 bytes), the section's count
+and the header moved, and each ``*.info.json`` gained the key.
 Any other change that moves either is a format change:
 bump ``FORMAT_VERSION``, then regenerate with
 ``python -m tests.persist.test_golden`` from the repo root.

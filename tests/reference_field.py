@@ -11,7 +11,10 @@ is the edge set a tangent graph must hold, in scalar code.  ``reference_freeze``
 flattens a dict-of-dicts adjacency, hashing every neighbour back to its
 row — the arrays ``CSRGraph.freeze`` reads straight off the id rows
 must equal it.  ``reference_distance`` is
-Fig. 8 between two graph nodes, growing the graph in place.
+Fig. 8 between two graph nodes, growing the graph in place.  A search
+end on an obstacle vertex is joined to every node it sees
+(:class:`Widened`): the graph holds only its tangent edges, and a
+path's first and last legs need not be tangent.
 ``ReferenceField`` is Fig. 8 from ``q`` over a private graph with ``q``
 inserted: the oracle the one engine,
 :class:`repro.core.distance.SourceDistanceField`, equals bit for bit.
@@ -172,11 +175,45 @@ def full_distance(a: Point, b: Point, obstacles) -> float:
     return graph_distance(FullGraph([a, b], obstacles), a, b)
 
 
-def graph_distance(graph: VisibilityGraph, a: Point, b: Point) -> float:
+class Widened:
+    """``graph``'s adjacency with each of ``ends`` that is a node on an
+    obstacle vertex joined to every node it sees (``is_visible``): the
+    graph keeps only such a node's tangent edges, but a path's first
+    and last legs need not be tangent.  The three reads
+    ``reference_dijkstra`` makes."""
+
+    def __init__(self, graph, ends):
+        self.graph = graph
+        obstacles = graph.scene_obstacles()
+        vertices = {v for o in obstacles for v in o.polygon.vertices}
+        self.extra: dict[Point, dict[Point, float]] = {}
+        for e in ends:
+            if e in vertices and graph.has_node(e):
+                for v in graph.nodes():
+                    if v != e and is_visible(e, v, obstacles):
+                        self.extra.setdefault(e, {})[v] = e.distance(v)
+                        self.extra.setdefault(v, {})[e] = e.distance(v)
+
+    def has_node(self, p):
+        return self.graph.has_node(p)
+
+    def neighbors(self, p):
+        row = self.graph.neighbors(p)
+        extra = self.extra.get(p)
+        return {**row, **extra} if extra else row
+
+    def free_points(self):
+        return self.graph.free_points()
+
+
+def graph_distance(graph, a: Point, b: Point) -> float:
     """The shortest path between nodes ``a`` and ``b`` of ``graph``
-    (``inf`` when either is missing or they are disconnected)."""
+    (``inf`` when either is missing or they are disconnected); a
+    :class:`VisibilityGraph` is :class:`Widened` at both ends first."""
     if a == b:
         return 0.0
+    if isinstance(graph, VisibilityGraph):
+        graph = Widened(graph, (a, b))
     return reference_dijkstra(graph, a, targets=[b]).get(b, inf)
 
 
@@ -210,11 +247,17 @@ class ReferenceField:
         if p == self.q:
             return 0.0
         if self._revision != graph.obstacle_revision:
-            self._field = reference_dijkstra(graph, self.q)
+            self._field = reference_dijkstra(Widened(graph, (self.q,)), self.q)
             self._revision = graph.obstacle_revision
-        if graph.has_node(p):
+        obstacles = graph.scene_obstacles()
+        if not graph.has_node(p):
+            (seen,) = graph.visible_from_many((p,))
+        elif any(p in o.polygon.vertices for o in obstacles):
+            # A node on an obstacle vertex: its last leg need not be
+            # tangent.
+            seen = [v for v in graph.nodes() if v != p and is_visible(v, p, obstacles)]
+        else:
             return self._field.get(p, inf)
-        (seen,) = graph.visible_from_many((p,))
         return min(
             (self._field[v] + v.distance(p) for v in seen if v in self._field),
             default=inf,

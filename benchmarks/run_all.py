@@ -396,7 +396,7 @@ def smoke_euclidean() -> int:
     incremental closest pairs at the ``paper-join`` cardinalities
     (131 x 13,146, 204-entry nodes), array-evaluated nodes against the
     scalar oracle of ``tests/euclidean/reference.py`` — the same values
-    in the same order, >= 8x and >= 5x faster."""
+    in the same order, >= 8x and >= 6x faster."""
     from benchmarks.common import euclidean_iterator_comparison
 
     metrics: dict[str, dict[str, float]] = {}

@@ -8,7 +8,7 @@ benchmark's ``paper-join`` workload (|S| = 131, |T| = 13,146,
 packed MBRs and queues one entry per expanded node; the oracle in
 ``tests/euclidean/reference.py`` is the per-entry loop with an eager
 queue.  The acceptance bars: the distance join at e = 0.1 % of the
-universe side >= 8x faster, the first 64 closest pairs >= 5x faster,
+universe side >= 8x faster, the first 64 closest pairs >= 6x faster,
 and the same values in the same order from both.
 
 Run standalone (pytest-benchmark)::

@@ -40,8 +40,8 @@ def obstacle_closest_pairs(
 ) -> list[tuple[Point, Point, float]]:
     """The ``k`` pairs with smallest obstructed distance.
 
-    Returns ``(s, t, d_O)`` sorted by obstructed distance; fewer than
-    ``k`` when ``|S| * |T| < k``.
+    Returns ``(s, t, d_O)``, the ``k`` smallest by ``(d_O, s, t)`` in
+    that order; fewer than ``k`` when ``|S| * |T| < k``.
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
@@ -60,7 +60,9 @@ def obstacle_closest_pairs(
         if d_e > d_emax:
             break
         d = context.distance(t, s, bound=d_emax)
-        if d < d_emax:
+        # Keep the k smallest by (d, s, t): a pair tied with the k-th
+        # wins by its points, not by when the stream yielded it.
+        if (d, s, t) < result[-1]:
             result.pop()
             insort(result, (d, s, t))
             d_emax = result[-1][0]

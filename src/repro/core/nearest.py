@@ -44,10 +44,10 @@ def obstacle_nearest(
 ) -> list[tuple[Point, float]]:
     """The ``k`` entities with smallest obstructed distance from ``q``.
 
-    Returns ``(entity, d_O)`` pairs sorted by obstructed distance;
-    fewer than ``k`` when the dataset is smaller.  Unreachable entities
-    (sealed off by obstacles) have distance ``inf`` and lose to any
-    reachable one.  ``prune_bound=False`` disables the early-exit
+    Returns ``(entity, d_O)``, the ``k`` smallest by ``(d_O, entity)``
+    in that order; fewer than ``k`` when the dataset is smaller.
+    Unreachable entities (sealed off by obstacles) have distance
+    ``inf`` and lose to any reachable one.  ``prune_bound=False`` disables the early-exit
     optimisation (every candidate's distance is evaluated exactly, as
     in the paper's verbatim Fig. 9).
     """
@@ -70,7 +70,7 @@ def obstacle_nearest(
         if d_e > d_emax:
             break
         d = field.distance_to(p, bound=d_emax if prune_bound else inf)
-        if d < d_emax:
+        if (d, p) < result[-1]:  # at a tie with the k-th, the smaller point
             result.pop()
             insort(result, (d, p))
             d_emax = result[-1][0]

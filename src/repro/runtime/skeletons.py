@@ -49,7 +49,10 @@ def best_first(
     the order they were produced (ties pop first-produced first).
     Popping it releases the batch's next one, so the pop order — and
     with it every ``expand`` call — is that of pushing all items, while
-    ``make`` runs only for items that are actually popped.
+    ``make`` runs only for items that are actually popped.  A batch
+    stays the two arrays its stable sort gives; only the key and index
+    of a released item become Python numbers, so a batch of thousands
+    of which a few are popped costs its sort and those few.
     """
     # A batch is (sorted keys, their indices in production order, seq
     # of index 0, is_final, make); the heap holds (key, seq, rank, batch)
@@ -61,20 +64,21 @@ def best_first(
         nonlocal produced
         keys = np.asarray(keys, dtype=np.float64)
         order = keys.argsort(kind="stable")
-        release((keys[order].tolist(), order.tolist(), produced, is_final, make), 0)
+        release((keys[order], order, produced, is_final, make), 0)
         produced += len(keys)
 
     def release(batch: tuple, rank: int) -> None:
         keys, order, base = batch[:3]
         if rank < len(keys):
-            heapq.heappush(heap, (keys[rank], base + order[rank], rank, batch))
+            item = (keys.item(rank), base + order.item(rank), rank, batch)
+            heapq.heappush(heap, item)
 
     admit(*seeds)
     while heap:
-        key, __, rank, batch = heapq.heappop(heap)
+        key, seq, rank, batch = heapq.heappop(heap)
         release(batch, rank + 1)
-        __, order, __, is_final, make = batch
-        payload = make(order[rank])
+        __, __, base, is_final, make = batch
+        payload = make(seq - base)
         if is_final:
             yield payload, key
         else:

@@ -23,6 +23,16 @@ settings.register_profile(
     suppress_health_check=list(HealthCheck),
 )
 
+#: The closest-pair stream against the one-side traversal
+#: (``tests/euclidean/test_array_parity.py``):
+#: ``--hypothesis-profile closest-pairs`` runs it at 1,000 examples.
+settings.register_profile(
+    "closest-pairs",
+    max_examples=1_000,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+
 
 def rect_obstacle(oid: int, x0: float, y0: float, x1: float, y1: float) -> Obstacle:
     """Convenience: a rectangular obstacle."""

@@ -82,6 +82,35 @@ class TestObstacleClosestPairs:
             assert a in s and b in t
 
 
+def _unit_neighbours(x, y):
+    return [Point(x - 1, y), Point(x + 1, y), Point(x, y - 1), Point(x, y + 1)]
+
+
+class TestTieAtTheKthDistance:
+    """Ten pairs tie at obstructed distance 1 for three slots: the
+    answer is the 3 smallest by ``(d, s, t)`` under every node
+    capacity, not the first 3 the Euclidean stream happens to yield."""
+
+    S = [Point(0, 0), Point(10, 10), Point(20, 0), Point(0, 20)]
+    T = _unit_neighbours(0, 0) + _unit_neighbours(10, 10) + [Point(19, 0), Point(21, 0)]
+
+    @pytest.mark.parametrize(
+        "cap_s, cap_t", [(4, 4), (8, 4), (8, 16), (4, 5), (4, 8), (4, 16)]
+    )
+    def test_answer_is_the_k_smallest_by_distance_then_pair(self, cap_s, cap_t):
+        obstacles = [rect_obstacle(0, 50, 50, 51, 51)]
+        idx = build_obstacle_index(obstacles, max_entries=8, min_entries=3)
+        trees = [
+            str_pack(RStarTree(max_entries=cap), [(p, Rect.from_point(p)) for p in pts])
+            for pts, cap in ((self.S, cap_s), (self.T, cap_t))
+        ]
+        got = obstacle_closest_pairs(*trees, idx, 3)
+        ranked = sorted(
+            (oracle_distance(a, b, obstacles), a, b) for a in self.S for b in self.T
+        )
+        assert got == [(a, b, d) for d, a, b in ranked[:3]]
+
+
 class TestIncrementalClosestPairs:
     def test_prefix_matches_batch(self):
         obstacles, s, t, ts, tt, idx = _setup(55)

@@ -88,6 +88,33 @@ class TestObstacleNearest:
             assert d >= p.distance(q) - 1e-9
 
 
+class TestTieAtTheKthDistance:
+    """Eight entities tie at obstructed distance 5 from the query for
+    two slots: the answer is the 2 smallest by ``(d, p)`` under every
+    node capacity and build, not the first 2 the Euclidean stream
+    happens to yield."""
+
+    RING = [Point(sx * a, sy * b) for a, b in ((3, 4), (4, 3)) for sx in (1, -1) for sy in (1, -1)]
+    ENTITIES = RING + [Point(30, 30), Point(-40, 10), Point(12, -35)]
+
+    @pytest.mark.parametrize("cap", [4, 5, 8, 16])
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_answer_is_the_k_smallest_by_distance_then_entity(self, cap, bulk):
+        obstacles = [rect_obstacle(0, 50, 50, 51, 51)]
+        idx = build_obstacle_index(obstacles, max_entries=8, min_entries=3)
+        tree = RStarTree(max_entries=cap)
+        entries = [(p, Rect.from_point(p)) for p in self.ENTITIES]
+        if bulk:
+            str_pack(tree, entries)
+        else:
+            for p, rect in entries:
+                tree.insert(p, rect)
+        q = Point(0, 0)
+        got = obstacle_nearest(tree, idx, q, 2)
+        ranked = sorted((oracle_distance(q, p, obstacles), p) for p in self.ENTITIES)
+        assert got == [(p, d) for d, p in ranked[:2]]
+
+
 class TestIncrementalNearest:
     def test_matches_batch(self):
         rng = random.Random(99)

@@ -7,6 +7,10 @@ production traversals must return the same values in the same order
 and fetch the same pages in the same order (``read_node`` is the only
 page fetch on both sides), so every function here goes through
 ``tree.read_node`` exactly as the production code does.
+:func:`closest_pairs` reads a node shared by one batch's combinations
+once, as production does; :func:`closest_pairs_one_side` reads it once
+per combination that opens it, and yields the same pairs in the same
+order.
 """
 
 from __future__ import annotations
@@ -176,43 +180,103 @@ def nearest_neighbors(tree: RStarTree, q: Point) -> Iterator[tuple[Any, float]]:
     return best_first(seeds, expand)
 
 
-_NODE = 0
-_DATA = 1
+#: The level of a data entry; a node's is its tree level (0 for a leaf).
+_DATA = -1
+
+
+def _pair_item(s_level, s_pay, s_rect, t_level, t_pay, t_rect, *origin) -> Item:
+    dist = s_rect.mindist_rect(t_rect)
+    final = s_level == _DATA and t_level == _DATA
+    return dist, final, (s_level, s_pay, s_rect, t_level, t_pay, t_rect, *origin)
+
+
+def _pair_seeds(tree_s: RStarTree, tree_t: RStarTree, *origin) -> list[Item]:
+    if len(tree_s) == 0 or len(tree_t) == 0:
+        return []
+    root_s = tree_s.read_node(tree_s.root_id)
+    root_t = tree_t.read_node(tree_t.root_id)
+    s_side = (root_s.level, root_s.page_id, _union(root_s.entries))
+    t_side = (root_t.level, root_t.page_id, _union(root_t.entries))
+    return [_pair_item(*s_side, *t_side, *origin)]
+
+
+def _opens_s(s_level: int, s_rect: Rect, t_level: int, t_rect: Rect) -> bool:
+    """The [CMTV00] heuristic: open the larger node of a node/node
+    pair, otherwise whichever side still is a node."""
+    return s_level != _DATA and (t_level == _DATA or s_rect.area() >= t_rect.area())
+
+
+def _side(node, e: Entry) -> tuple:
+    """``(level, payload, rect)`` of an entry of ``node``."""
+    return (_DATA, e.data, e.rect) if node.is_leaf else (node.level - 1, e.child, e.rect)
+
+
+def _opened(node, opened_s: bool, shared: tuple, *origin) -> Iterator[Item]:
+    """The combinations of ``node``'s entries (on side S when
+    ``opened_s``) with the ``shared`` side."""
+    for e in node.entries:
+        if opened_s:
+            yield _pair_item(*_side(node, e), *shared, *origin)
+        else:
+            yield _pair_item(*shared, *_side(node, e), *origin)
+
+
+def closest_pairs_one_side(
+    tree_s: RStarTree, tree_t: RStarTree
+) -> Iterator[tuple[Any, Any, float]]:
+    """``(s, t, distance)`` in ascending distance, one six-field item
+    per entry of every opened node: each popped combination opens one
+    side, a node shared by many combinations once per combination."""
+
+    def expand(combo) -> Iterator[Item]:
+        if _opens_s(combo[0], combo[2], combo[3], combo[5]):
+            return _opened(tree_s.read_node(combo[1]), True, combo[3:6])
+        return _opened(tree_t.read_node(combo[4]), False, combo[0:3])
+
+    seeds = _pair_seeds(tree_s, tree_t)
+    return ((c[1], c[4], dist) for c, dist in best_first(seeds, expand))
+
+
+class _Batch:
+    """What one open produced: ``node``'s entries (on side S when
+    ``opened_s``), each against the same ``shared`` side."""
+
+    def __init__(self, node, opened_s: bool, shared: tuple) -> None:
+        self.node, self.opened_s, self.shared = node, opened_s, shared
+        self.inner = None  # the shared node, once one of them opened it
+
+    def items(self) -> Iterator[Item]:
+        return _opened(self.node, self.opened_s, self.shared, self)
+
+    def shares(self) -> bool:
+        """Whether the shared side is opened once for the batch: where
+        it is a node, and not both sides' entries would be data."""
+        level = self.shared[0]
+        return level > 0 or (level == 0 and not self.node.is_leaf)
 
 
 def closest_pairs(
     tree_s: RStarTree, tree_t: RStarTree
 ) -> Iterator[tuple[Any, Any, float]]:
-    """``(s, t, distance)`` in ascending distance, one six-field item
-    per entry of every opened node."""
-
-    def item(s_kind, s_pay, s_rect, t_kind, t_pay, t_rect) -> Item:
-        dist = s_rect.mindist_rect(t_rect)
-        final = s_kind == _DATA and t_kind == _DATA
-        return dist, final, (s_kind, s_pay, s_rect, t_kind, t_pay, t_rect)
+    """As :func:`closest_pairs_one_side`, but a node shared by the
+    combinations of one batch is read once for all of them: the first
+    that opens it reads it, and each that opens it, when it pops,
+    produces its items from that read.  Not where both sides' entries
+    would be data: there each combination reads the leaf."""
 
     def expand(combo) -> Iterator[Item]:
-        s_kind, s_pay, s_rect, t_kind, t_pay, t_rect = combo
-        if s_kind == _NODE and (
-            t_kind == _DATA or s_rect.area() >= t_rect.area()
-        ):
-            node = tree_s.read_node(s_pay)
-            for e in node.entries:
-                kind = _DATA if node.is_leaf else _NODE
-                payload = e.data if node.is_leaf else e.child
-                yield item(kind, payload, e.rect, t_kind, t_pay, t_rect)
-        else:
-            node = tree_t.read_node(t_pay)
-            for e in node.entries:
-                kind = _DATA if node.is_leaf else _NODE
-                payload = e.data if node.is_leaf else e.child
-                yield item(s_kind, s_pay, s_rect, kind, payload, e.rect)
+        *sides, batch = combo
+        open_s = _opens_s(sides[0], sides[2], sides[3], sides[5])
+        if batch is None or open_s == batch.opened_s or not batch.shares():
+            if open_s:
+                node = tree_s.read_node(sides[1])
+                return _Batch(node, True, tuple(sides[3:6])).items()
+            node = tree_t.read_node(sides[4])
+            return _Batch(node, False, tuple(sides[0:3])).items()
+        if batch.inner is None:
+            batch.inner = (tree_s if open_s else tree_t).read_node(batch.shared[1])
+        side = tuple(sides[0:3] if batch.opened_s else sides[3:6])
+        return _Batch(batch.inner, not batch.opened_s, side).items()
 
-    seeds = []
-    if len(tree_s) > 0 and len(tree_t) > 0:
-        s_rect = _union(tree_s.read_node(tree_s.root_id).entries)
-        t_rect = _union(tree_t.read_node(tree_t.root_id).entries)
-        seeds.append(
-            item(_NODE, tree_s.root_id, s_rect, _NODE, tree_t.root_id, t_rect)
-        )
+    seeds = _pair_seeds(tree_s, tree_t, None)
     return ((c[1], c[4], dist) for c, dist in best_first(seeds, expand))

@@ -8,7 +8,10 @@ return the same values in the same order and issue the same
 ``read_node`` page-id sequence — on random coordinates and on
 grid-aligned ones (shared coordinates, zero distances, many ties),
 for points and rectangles, across node capacities, for bulk-loaded
-and insert-built trees.
+and insert-built trees.  The closest-pair stream, which reads a node
+shared by one batch once, also runs against the traversal that reads
+it once per combination: the same pairs in the same order, from a
+subsequence of its page fetches.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.euclidean import (
 )
 from repro.geometry import Circle, Point, Rect
 from repro.index import RStarTree, mbrs, str_pack
+from repro.euclidean import closest
 from repro.runtime import skeletons
 
 from tests.euclidean import reference
@@ -219,6 +223,38 @@ def test_closest_pairs_prefix(scene, n):
     )
 
 
+#: The ``closest-pairs`` profile (``tests/conftest.py``) at the default
+#: example count, or at the profile's own 1,000 when it is loaded
+#: (``--hypothesis-profile closest-pairs``).
+CLOSEST_PAIRS = settings(
+    settings.get_profile("closest-pairs"),
+    max_examples=settings.default.max_examples,
+)
+
+
+def _is_subsequence(short: list, long: list) -> bool:
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+@CLOSEST_PAIRS
+@given(scenes() | join_scenes(), st.integers(0, 400))
+def test_closest_pairs_equal_the_one_side_traversal(scene, n):
+    """Opening a shared node once for its batch changes no pair and no
+    order — grid ties included — and only drops page fetches: the
+    production's fetches are the one-side traversal's, some left out."""
+    tree_s, tree_t, log, __ = scene
+    got, pages = _run(
+        log, lambda: list(islice(IncrementalClosestPairs(tree_s, tree_t), n))
+    )
+    want, one_side_pages = _run(
+        log,
+        lambda: list(islice(reference.closest_pairs_one_side(tree_s, tree_t), n)),
+    )
+    assert got == want
+    assert _is_subsequence(pages, one_side_pages)
+
+
 @SETTINGS
 @given(scenes(), st.integers(0, 60), st.tuples(_GRID | _FREE, _GRID | _FREE))
 def test_nearest_neighbors_prefix(scene, n, q_raw):
@@ -286,18 +322,27 @@ def test_paper_capacity_multi_level():
 
 
 def test_queue_holds_one_entry_per_expansion(monkeypatch):
-    """The closest-pair queue never grows past seeds + expansions
-    (eager pushing would hold one entry per *entry* of every opened
-    node — thousands here)."""
+    """The closest-pair queue never grows past seeds + batches (eager
+    pushing would hold one entry per *entry* of every opened node —
+    thousands here).  A grouped open's rows are batches of their own,
+    made from one page read: the S leaf is read once for the T leaves
+    that open it, so batches outnumber page reads."""
     log: list[tuple[str, int]] = []
     tree_s = _tree(_random_rects(3, 131, 0.0), 204, True, "S", log)
     tree_t = _tree(_random_rects(4, 5000, 0.0), 204, True, "T", log)
     lengths: list[int] = []
+    batches: list[int] = []
 
     def watched(heap, item):
         heapq.heappush(heap, item)
         lengths.append(len(heap))
 
+    def counted(*args):
+        batches.append(1)
+        return expand(*args)
+
+    expand = closest._expand
+    monkeypatch.setattr(closest, "_expand", counted)
     monkeypatch.setattr(
         skeletons,
         "heapq",
@@ -308,6 +353,33 @@ def test_queue_holds_one_entry_per_expansion(monkeypatch):
     seeds = 1
     root_reads = len(log)
     for __ in islice(stream, 2000):
-        expansions = len(log) - root_reads
-        assert max(lengths) <= seeds + expansions
-    assert expansions > 10
+        assert max(lengths) <= seeds + len(batches)
+    reads = len(log) - root_reads
+    assert reads > 10
+    assert tree_s.height == 1
+    assert log.count(("S", tree_s.root_id)) == 2  # the seed's and one open
+    assert len(batches) > reads + 10
+
+
+def test_grouped_open_misses_no_more_pages_than_the_one_side_traversal(monkeypatch):
+    """The smoke benchmark's OCP (k = 4) scene, cold 10 % LRU buffers:
+    reading a shared node once must not cost entity-page misses the
+    one-side traversal avoids.  With a buffer of a few pages the order
+    of the reads is the miss count."""
+    from benchmarks.common import bench_db, run_ocp
+    from repro.core import closest as ocp
+
+    db, __ = bench_db(200, (("P1", 200), ("T", 40)), 2)
+    got = run_ocp(db, "P1", "T", 4)
+
+    class OneSide:
+        def __init__(self, tree_s, tree_t):
+            self._pairs = reference.closest_pairs_one_side(tree_s, tree_t)
+
+        def __iter__(self):
+            return self._pairs
+
+    monkeypatch.setattr(ocp, "IncrementalClosestPairs", OneSide)
+    want = run_ocp(db, "P1", "T", 4)
+    assert got["result_size"] == want["result_size"] == 4
+    assert 0 < got["entity_pa"] <= want["entity_pa"]

@@ -818,20 +818,18 @@ def trace_overhead_comparison(
 
 def kernel_comparison(n_rects: int) -> dict[str, float]:
     """Visibility-backend comparison on one scene: per-backend build
-    times, the numpy kernel's speedup, an edge-parity flag, and the
-    kernel's batched-vs-per-source sweep ratio
-    (:func:`batched_sweep_comparison`)."""
+    times, the numpy kernel's speedup over the ``naive`` oracle, an
+    edge-parity flag, and the kernel's batched-vs-per-source anchor
+    ratio (:func:`batched_sweep_comparison`)."""
     results: dict[str, float] = {}
     edges = {}
-    for method in ("python-sweep", "numpy-kernel"):
+    for method in ("naive", "numpy-kernel"):
         seconds, edge_count = timed_graph_build(n_rects, method)
         results[f"{method}_s"] = seconds
         edges[method] = edge_count
-    results["speedup"] = results["python-sweep_s"] / results["numpy-kernel_s"]
-    results["edges"] = float(edges["python-sweep"])
-    results["edges_match"] = float(
-        edges["python-sweep"] == edges["numpy-kernel"]
-    )
+    results["speedup"] = results["naive_s"] / results["numpy-kernel_s"]
+    results["edges"] = float(edges["naive"])
+    results["edges_match"] = float(edges["naive"] == edges["numpy-kernel"])
     results.update(batched_sweep_comparison(n_rects))
     return results
 
@@ -852,12 +850,12 @@ def tangent_build_match(n_rects: int, *, seed: int = 7) -> float:
 
 
 def batched_sweep_comparison(n_rects: int, *, seed: int = 7) -> dict[str, float]:
-    """Every node of one street-grid scene swept by the numpy kernel in
-    one ``visible_from_many`` call against one ``visible_from`` call
-    per node (what a graph build cost before sources were batched):
-    best-of-rounds seconds each (nine rounds of milliseconds on small
-    scenes, two of seconds on large ones), their ratio, and whether
-    the two returned the same lists in the same order."""
+    """Every node of one street-grid scene anchored by the numpy kernel
+    — every pair ``(p, v)`` decided — in one ``visible_from_many`` call
+    against one ``visible_from`` call per node: best-of-rounds seconds
+    each (nine rounds of milliseconds on small scenes, two of seconds
+    on large ones), their ratio, and whether the two returned the same
+    lists in the same order."""
     from repro.datasets.synthetic import street_grid_obstacles
     from repro.visibility import VisibilityGraph, resolve_backend
 

@@ -334,9 +334,10 @@ def smoke() -> int:
 def smoke_kernel() -> int:
     """Visibility-kernel smoke: both backends build the same graph on a
     small scene — the one the scalar tangent reference names, edge for
-    edge — and the numpy kernel must not lose to the python sweep; sweeping all nodes in one batched kernel call returns what a
-    call per node returns, >= 2x faster on a 56-vertex scene (the size
-    the end-to-end benchmark's cold queries build) and no slower on a
+    edge — and the numpy kernel must not lose to the naive oracle;
+    anchoring all nodes in one batched kernel call returns what a call
+    per node returns, >= 2x faster on a 56-vertex scene (the size the
+    end-to-end benchmark's cold queries build) and no slower on a
     1,000-vertex one.  (The full >= 3x acceptance bar on 1,000
     vertices lives in ``benchmarks/test_kernel_sweep.py``.)"""
     try:
@@ -356,7 +357,7 @@ def smoke_kernel() -> int:
     RESULTS["smoke kernel"] = metrics
     print(
         f"\nkernel smoke ({4 * n_rects} vertices): "
-        f"python-sweep {metrics['python-sweep_s'] * 1000:.0f} ms, "
+        f"naive {metrics['naive_s'] * 1000:.0f} ms, "
         f"numpy-kernel {metrics['numpy-kernel_s'] * 1000:.0f} ms "
         f"({metrics['speedup']:.1f}x), edges={metrics['edges']:.0f}"
     )
@@ -367,9 +368,9 @@ def smoke_kernel() -> int:
         print("FAIL: numpy build differs from the scalar tangent reference")
         return 1
     if metrics["speedup"] < 1.0:
-        print("FAIL: numpy kernel slower than the python sweep")
+        print("FAIL: numpy kernel slower than the naive oracle")
         return 1
-    # Batched vs per-source sweeps: (rectangles, required ratio).
+    # Batched vs per-source anchors: (rectangles, required ratio).
     for n_rects, floor in ((14, 2.0), (250, 0.9)):
         row = batched_sweep_comparison(n_rects)
         # The wall-clock verdict, evaluated where it was measured (the
@@ -377,16 +378,16 @@ def smoke_kernel() -> int:
         row["batch_speedup_ok"] = float(row["batch_speedup"] >= floor)
         metrics[f"batched {4 * n_rects}v"] = row
         print(
-            f"batched sweeps ({4 * n_rects} vertices): per-source "
+            f"batched anchors ({4 * n_rects} vertices): per-source "
             f"{row['per_source_s'] * 1000:.1f} ms, one call "
             f"{row['batched_s'] * 1000:.1f} ms "
             f"({row['batch_speedup']:.2f}x, bar {floor:g}x)"
         )
         if row["batch_match"] != 1.0:
-            print("FAIL: batched sweeps differ from per-source sweeps")
+            print("FAIL: batched anchors differ from per-source anchors")
             return 1
         if not row["batch_speedup_ok"]:
-            print("FAIL: batched sweeps below the bar")
+            print("FAIL: batched anchors below the bar")
             return 1
     return 0
 

@@ -1,20 +1,20 @@
-"""Kernel sweep benchmark: vectorized numpy backend vs python sweep.
+"""Visibility kernel benchmark: the array predicate vs the naive oracle.
 
 Not a paper figure — this measures the visibility kernel subsystem:
 (tangent) visibility-graph construction — the numpy kernel decides the
-tangent pairs with the exact predicate over arrays, the python sweep
-sweeps every node — across obstacle cardinalities, once per backend,
-from the 56-vertex graphs the end-to-end benchmark's cold queries
-build up to 1,000 vertices.  The acceptance bars for the numpy kernel:
-a >= 3x build speedup over the python sweep on a 1,000-vertex scene
-with a bit-identical resulting graph; sweeping all nodes in one batched call >= 2x faster than one
-call per node at 56 vertices, and not slower at 1,000 (where the
-kernel's pair budget shrinks the passes to a few sources each); the
-nodes of 16 graphs of ~13 nodes — a distance join's seeds — swept in
-one scenes call >= 2x faster than in one call per graph.  And
-for the exact predicate behind the kernel's residue: every node pair of
-the 56-vertex scene against every obstacle through
-``crosses_interior_many`` >= 5x faster than the
+tangent pairs with the exact predicate over arrays, the ``naive``
+oracle one pair at a time — across obstacle cardinalities, once per
+backend, from the 56-vertex graphs the end-to-end benchmark's cold
+queries build up to 1,000 vertices.  The acceptance bars for the numpy
+kernel: a >= 3x build speedup over the oracle on a 1,000-vertex scene
+with a bit-identical resulting graph; anchoring all nodes (every pair
+``(p, v)`` decided) in one batched call >= 2x faster than one call per
+node at 56 vertices, and not slower at 1,000 (where the kernel's cell
+budget cuts the calls to a source or so each); the nodes of 16 graphs
+of ~13 nodes — a distance join's seeds — anchored in one scenes call
+>= 2x faster than in one call per graph.  And for the exact predicate
+itself: every node pair of the 56-vertex scene against every obstacle
+through ``crosses_interior_many`` >= 5x faster than the
 ``Polygon.crosses_interior`` loop, with an identical mask.
 
 Run standalone (pytest-benchmark)::
@@ -48,17 +48,17 @@ WORKLOAD_RECTS = 14
 #: The acceptance scene: 250 rectangles = 1,000 obstacle vertices.
 ACCEPTANCE_RECTS = 250
 
-#: Required build-time speedup of ``numpy-kernel`` over
-#: ``python-sweep`` on the acceptance scene.
+#: Required build-time speedup of ``numpy-kernel`` over ``naive`` on
+#: the acceptance scene.
 SPEEDUP_TARGET = 3.0
 
-#: Required batched-vs-per-source sweep ratio on the workload-sized
+#: Required batched-vs-per-source anchor ratio on the workload-sized
 #: scene, and the floor on the acceptance scene ("not slower", with
 #: room for timer noise).
 BATCH_SPEEDUP_TARGET = 2.0
 BATCH_LARGE_FLOOR = 0.9
 
-#: Required scenes-vs-per-graph sweep ratio on a distance join's
+#: Required scenes-vs-per-graph anchor ratio on a distance join's
 #: traffic: 16 scenes of 3 rectangles and a free centre each.
 SCENES = 16
 SCENES_SPEEDUP_TARGET = 2.0
@@ -69,7 +69,7 @@ SCENES_SPEEDUP_TARGET = 2.0
 #: largest round number 1.5x below the least of them.
 EXACT_SPEEDUP_TARGET = 5.0
 
-_BACKENDS = ("python-sweep", "numpy-kernel")
+_BACKENDS = ("naive", "numpy-kernel")
 
 
 @pytest.mark.parametrize("method", _BACKENDS)
@@ -115,14 +115,14 @@ def test_batched_sweep_acceptance(acceptance_metrics):
     small = kernel_comparison(WORKLOAD_RECTS)
     assert small["batch_match"] == 1.0
     assert small["batch_speedup"] >= BATCH_SPEEDUP_TARGET, (
-        f"batched sweep {small['batch_speedup']:.2f}x at "
+        f"batched anchors {small['batch_speedup']:.2f}x at "
         f"{4 * WORKLOAD_RECTS} vertices, below {BATCH_SPEEDUP_TARGET}x"
     )
     large = acceptance_metrics
     assert large["batch_match"] == 1.0
     assert large["batch_speedup"] >= BATCH_LARGE_FLOOR, (
-        f"batched sweep {large['batch_speedup']:.2f}x at "
-        f"{4 * ACCEPTANCE_RECTS} vertices: slower than per-source sweeps"
+        f"batched anchors {large['batch_speedup']:.2f}x at "
+        f"{4 * ACCEPTANCE_RECTS} vertices: slower than per-source anchors"
     )
 
 

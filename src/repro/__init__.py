@@ -40,12 +40,7 @@ from repro.errors import (
 from repro.geometry import Circle, Point, Polygon, Rect
 from repro.model import Obstacle
 from repro.index import RStarTree, str_pack, hilbert_index
-from repro.visibility import (
-    VisibilityBackend,
-    VisibilityGraph,
-    available_backends,
-    resolve_backend,
-)
+from repro.visibility import VisibilityGraph, available_backends, resolve_backend
 # ``repro.core`` before ``repro.runtime``: the runtime's context module
 # imports ``repro.core.distance``, and that package's queries import the
 # context back.
@@ -97,7 +92,6 @@ __all__ = [
     "str_pack",
     "hilbert_index",
     # visibility
-    "VisibilityBackend",
     "VisibilityGraph",
     "available_backends",
     "resolve_backend",

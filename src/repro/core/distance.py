@@ -45,13 +45,13 @@ class SourceDistanceField:
     graph's frozen arrays (:mod:`repro.visibility.csr`): a candidate's
     graph distance is ``min over its visible nodes v of field[v] +
     |v - candidate|`` (any shortest path leaves the candidate through a
-    visible node), found memo, probe, sweep
+    visible node), found memo, probe, anchors
     (:meth:`~repro.visibility.csr.CSRGraph.last_leg`): memoized anchors
     are read, any other candidate's nodes are tested with the exact
     oracle in ascending order of ``field[v] + |v - candidate|`` — the
     first visible one answers, a lower bound past the caller's
     ``bound`` is returned untested — and only a candidate the probe
-    gives up on is swept.  The source need not be a node either — the
+    gives up on is anchored.  The source need not be a node either — the
     field then roots at the nodes the source sees, at their straight
     legs — so the graph is only read, never given a free point.  The
     freeze and the field are retaken whenever the graph's structure

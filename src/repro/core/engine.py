@@ -73,7 +73,7 @@ from repro.runtime.context import QueryContext
 from repro.runtime.policy import CachePolicy
 from repro.runtime.stats import RuntimeStats
 from repro.visibility.csr import frozen
-from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
+from repro.visibility.kernel.backend import resolve_backend
 
 ObstacleLike = Obstacle | Polygon | Rect
 PointLike = Point | tuple[float, float]
@@ -110,10 +110,9 @@ class ObstacleDatabase:
         the query disk, and dynamic obstacle updates invalidate cached
         visibility graphs per shard instead of globally.
     backend:
-        The visibility backend used for every sweep (``"python-sweep"``,
-        ``"numpy-kernel"``, ``"naive"``, or a
-        :class:`~repro.visibility.kernel.backend.VisibilityBackend`
-        instance).  ``None`` (default) is the numpy kernel.
+        The name of the visibility backend that decides every pair:
+        ``"numpy-kernel"`` (``None``, the default), or ``"naive"``,
+        the scalar oracle.
     cache_policy:
         The graph-cache tuning policy (``"static"``, ``"adaptive"``,
         or a :class:`~repro.runtime.policy.CachePolicy` instance).
@@ -147,7 +146,7 @@ class ObstacleDatabase:
         graph_cache_size: int = 64,
         graph_cache_snap: float = 0.0,
         shards: int | None = None,
-        backend: "str | VisibilityBackend | None" = None,
+        backend: "str | None" = None,
         cache_policy: "str | CachePolicy | None" = None,
         durable: "str | os.PathLike[str] | None" = None,
     ) -> None:
@@ -185,7 +184,7 @@ class ObstacleDatabase:
         graph_cache_size: int,
         graph_cache_snap: float,
         next_oid: int,
-        backend: "str | VisibilityBackend | None",
+        backend: "str | None",
         cache_policy: "str | CachePolicy | None",
     ) -> None:
         """Every attribute of a database that holds no dataset yet —
@@ -198,7 +197,8 @@ class ObstacleDatabase:
         self._graph_cache_size = graph_cache_size
         self._cache_policy = cache_policy
         self._runtime_stats = RuntimeStats()
-        self._backend = resolve_backend(backend, stats=self._runtime_stats)
+        # Resolved here so an unknown name fails before any dataset loads.
+        self._backend = resolve_backend(backend).name
         self._entity_trees: dict[str, RStarTree] = {}
         self._obstacle_indexes: dict[
             str, ObstacleIndex | ShardedObstacleIndex
@@ -286,7 +286,7 @@ class ObstacleDatabase:
         Returns ``True`` when found.  Like :meth:`insert_obstacle` the
         delete is repair-first: affected cached graphs are patched by
         :meth:`~repro.visibility.graph.VisibilityGraph.remove_obstacle`
-        (a local re-sweep of the obstacle's visibility shadow) instead
+        (a local repair of the obstacle's visibility shadow) instead
         of being dropped for a from-scratch rebuild.
         """
         index = self._obstacle_index_named(set_name)
@@ -508,7 +508,7 @@ class ObstacleDatabase:
         cls,
         path: "str | os.PathLike[str]",
         *,
-        backend: "str | VisibilityBackend | None" = None,
+        backend: "str | None" = None,
         cache_policy: "str | CachePolicy | None" = None,
         durable: "str | os.PathLike[str] | None" = None,
     ) -> "ObstacleDatabase":
@@ -885,7 +885,7 @@ class ObstacleDatabase:
 
     def runtime_stats(self) -> dict[str, int | float | str]:
         """Counters of the shared query runtime (graph builds, cache
-        hits/misses/evictions/invalidations, distance calls, sweep
+        hits/misses/evictions/invalidations, distance calls, anchor
         counts/timings and the active visibility ``backend``)."""
         return self._runtime_stats.snapshot()
 

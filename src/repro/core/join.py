@@ -9,7 +9,7 @@ retrievals touch nearby pages, maximising buffer locality.
 
 Every seed is handed to :meth:`QueryContext.refine_many
 <repro.runtime.context.QueryContext.refine_many>` at once, which
-sweeps the graphs of a run of seeds together; with a shared context,
+connects the graphs of a run of seeds together; with a shared context,
 per-seed graphs persist in the LRU cache across join invocations.
 """
 

@@ -30,10 +30,13 @@ from repro.geometry.segment import (
 class Polygon:
     """A simple polygon with vertices stored in counter-clockwise order.
 
-    The constructor validates simplicity cheaply (no repeated
-    consecutive vertices, non-zero area) and normalises orientation to
-    CCW.  Full self-intersection checking is available via
-    :meth:`validate_simple` and used by the dataset loaders.
+    The constructor rejects a polygon that is not simple with
+    :class:`GeometryError` and normalises orientation to CCW.  A polygon
+    that turns left (or runs straight on) at every vertex is simple iff
+    its edge directions wind exactly once, which costs ``O(n)``; any
+    other polygon goes through :meth:`validate_simple`.  The sign filter
+    calls the first kind convex, and a pentagram — all left turns,
+    winding twice — would otherwise be mis-decided by it.
     """
 
     __slots__ = ("vertices", "mbr", "_edges", "_sign_rows")
@@ -61,6 +64,13 @@ class Polygon:
             (self.vertices[i], self.vertices[(i + 1) % len(self.vertices)])
             for i in range(len(self.vertices))
         )
+        winds = _left_turn_winding(self._edges)
+        if winds is None:
+            self.validate_simple()
+        elif winds != 1:
+            raise GeometryError(
+                f"polygon is not simple: its boundary winds {winds} times"
+            )
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -347,6 +357,28 @@ def _sign_rows(
         if turn < 0.0 or (turn == 0.0 and ux * vx + uy * vy < 0.0):
             return None
     return rows
+
+
+def _left_turn_winding(edges: Sequence[tuple[Point, Point]]) -> int | None:
+    """How many times the edge directions of a polygon that turns left
+    or runs straight on at every vertex (:func:`_sign_rows`' convex
+    test) wind around, or ``None`` for any other polygon.  Each step
+    turns the direction forward by less than half a turn, so it wraps
+    past angle 0 exactly when it moves from the lower half-plane of
+    directions to the upper one: the winding number is that count."""
+    dirs = [(b.x - a.x, b.y - a.y) for a, b in edges]
+    wraps = 0
+    ux, uy = dirs[-1]
+    for vx, vy in dirs:
+        turn = ux * vy - uy * vx
+        if turn < 0.0 or (turn == 0.0 and ux * vx + uy * vy < 0.0):
+            return None
+        if (uy < 0.0 or (uy == 0.0 and ux < 0.0)) and (
+            vy > 0.0 or (vy == 0.0 and vx > 0.0)
+        ):
+            wraps += 1
+        ux, uy = vx, vy
+    return wraps
 
 
 def _signed_area2(vertices: Iterable[Point]) -> float:

@@ -1,8 +1,8 @@
 """Low-overhead query tracing: nested span trees over monotonic clocks.
 
 One global :data:`TRACER` is threaded through the hot layers.  A *span*
-is one timed operation (a query skeleton, a graph build, a rotational
-sweep, a serve microbatch); spans nest into a tree rooted at the query
+is one timed operation (a query skeleton, a graph build, a visibility
+pass, a serve microbatch); spans nest into a tree rooted at the query
 entry point.  Layers too hot for a span of their own (R*-tree page
 fetches, cache hit/miss decisions) tick *counters* on whatever span is
 currently open — aggregate accounting at near-zero cost.

@@ -4,7 +4,7 @@ A warm runtime is mostly its graph cache: the visibility graphs built
 by prior queries, each with its expansion centre, coverage radius and
 version stamp.  This module flattens one
 :class:`~repro.runtime.cache.CachedGraph` into the snapshot payload
-and reassembles it on load **without running a single sweep** — nodes
+and reassembles it on load **without a single visibility test** — nodes
 and edges are written as index arrays over a point table (through the
 codec's bulk float path), and obstacles are referenced by id into the
 snapshot's global obstacle table so every shard, tree and graph
@@ -28,7 +28,7 @@ from repro.visibility.graph import VisibilityGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.persist.codec import BinaryReader, BinaryWriter
-    from repro.visibility.kernel.backend import VisibilityBackend
+    from repro.visibility.kernel.backend import Backend
 
 
 def write_graph(w: "BinaryWriter", graph: VisibilityGraph) -> None:
@@ -108,12 +108,13 @@ def build_cache_entry(
     parts: dict[str, Any],
     table: Mapping[int, Obstacle],
     *,
-    backend: "str | VisibilityBackend | None" = None,
+    backend: "Backend | None" = None,
 ) -> CachedGraph:
     """The cache entry :func:`parse_cache_entry`'s ``parts`` describe:
     obstacle ids resolve through ``table`` (the snapshot's one
     :class:`~repro.model.Obstacle` per id), and the graph is
-    reassembled without a sweep."""
+    reassembled without a visibility test; its graph ticks ``backend``
+    (the restoring context's)."""
     nodes = parts["nodes"]
     graph = VisibilityGraph.restore(
         [table[oid] for oid in parts["oids"]],

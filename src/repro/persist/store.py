@@ -77,7 +77,6 @@ from repro.visibility.csr import install_frozen
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ObstacleDatabase
-    from repro.visibility.kernel.backend import VisibilityBackend
 
 _AS_IS = object()
 #: Section 1, field by field: name, codec primitive, and what a stored
@@ -345,7 +344,7 @@ def _verify_refs(refs: list[dict[str, str]], name: str) -> None:
 def load_database(
     path: str | Path,
     *,
-    backend: "str | VisibilityBackend | None" = None,
+    backend: "str | None" = None,
     cache_policy: "str | None" = None,
     durable: "str | os.PathLike[str] | None" = None,
 ) -> "ObstacleDatabase":
@@ -358,7 +357,7 @@ def load_database(
     visibility backend of the restored runtime (``None``: the default,
     exactly as the :class:`~repro.core.engine.ObstacleDatabase`
     constructor does); restored cached graphs are reassembled without
-    sweeps either way.  ``cache_policy`` likewise selects the restored
+    visibility tests either way.  ``cache_policy`` likewise selects the restored
     runtime's cache policy (``None``: static) — policy is runtime
     configuration, not snapshot state.
 

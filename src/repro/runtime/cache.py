@@ -1,8 +1,8 @@
 """The persistent, versioned visibility-graph cache.
 
 Local visibility graphs are the expensive artefact of every obstructed
-query: each one costs obstacle R-tree retrievals plus one rotational
-sweep per node.  The paper reuses the graph *within* one query (Fig. 8
+query: each one costs obstacle R-tree retrievals plus the visibility
+tests of its node pairs.  The paper reuses the graph *within* one query (Fig. 8
 grows ``G'`` in place); this cache extends the reuse *across* queries:
 graphs are keyed by their expansion centre (the ``q`` of Fig. 8's
 range retrievals), retained under a true LRU policy, and stamped with

@@ -18,12 +18,12 @@ hooks — so consecutive queries amortize each other's work:
   anything new;
 * a distance join's seeds are handed over together
   (:meth:`QueryContext.refine_many`): their graphs are registered one
-  by one — the cache sees the per-seed calls — and swept in one
+  by one — the cache sees the per-seed calls — and connected in one
   backend call;
 * dynamic obstacle updates are routed repair-first: the context
   subscribes to the source's mutation feed and patches affected cached
   graphs in place (``add_obstacle`` on insert, ``remove_obstacle``'s
-  local re-sweep on delete), falling back to version-based lazy
+  local repair on delete), falling back to version-based lazy
   invalidation (and a rebuild at next lookup) only when repair is not
   possible.
 """
@@ -43,7 +43,7 @@ from repro.runtime.policy import CachePolicy, resolve_cache_policy
 from repro.runtime.stats import RuntimeStats
 from repro.visibility.csr import frozen
 from repro.visibility.graph import VisibilityGraph
-from repro.visibility.kernel.backend import VisibilityBackend, resolve_backend
+from repro.visibility.kernel.backend import resolve_backend
 
 # benchmarks/e2e/e2e_trace.py wraps this name (a `visibility.dijkstra` wrap point).
 shortest_path_dist = None
@@ -52,13 +52,13 @@ shortest_path_dist = None
 #: Above this node count an in-place delete-repair costs more than the
 #: from-scratch rebuild it replaces, so the affected entry is discarded
 #: instead (rebuild-fallback at its next lookup — if there is one).
-#: Measured on street-grid scenes with the re-sweep's exact tests
+#: Measured on street-grid scenes with the repair's exact tests
 #: batched over arrays, repair as a share of rebuild, mean over eight
 #: victims spread from the scene's centre to its rim: 0.39x at 129
 #: nodes (12 vs 31 ms), 0.46x at 257 (59 vs 129 ms), 0.57x at 513
 #: (406 vs 712 ms), 0.92x at 1,025 (3.23 vs 3.50 s) — the most central
 #: victim alone costs 0.8x / 1.0x / 1.3x / 2.0x, a rim one 0.01-0.05x.
-#: (With the scalar re-sweep the shares were 0.74 / 0.82 / 0.92 / 0.87x
+#: (With the scalar repair the shares were 0.74 / 0.82 / 0.92 / 0.87x
 #: and the constant 256.)
 DELETE_REPAIR_NODE_LIMIT = 1024
 
@@ -86,12 +86,11 @@ class QueryContext:
     stats:
         Optional shared counters (one per database, by default).
     backend:
-        The visibility backend every graph built by this context uses
-        (a name — ``"python-sweep"``, ``"numpy-kernel"``, ``"naive"``
-        — or an instance).  ``None`` is the numpy kernel.  The
-        resolved backend shares this context's stats, so
-        ``sweeps_run`` / ``sweep_events`` / ``sweep_seconds`` account
-        all sweep work.
+        The name of the visibility backend every graph built by this
+        context uses: ``"numpy-kernel"`` (``None``), or ``"naive"``,
+        the scalar oracle.  The resolved backend (:attr:`backend`)
+        shares this context's stats, so ``sweeps_run`` /
+        ``sweep_events`` / ``sweep_seconds`` account all anchor work.
     policy:
         The cache policy (a name — ``"static"``, ``"adaptive"`` — or a
         :class:`~repro.runtime.policy.CachePolicy` instance).  ``None``
@@ -108,7 +107,7 @@ class QueryContext:
         cache_size: int = 64,
         snap: float = 0.0,
         stats: RuntimeStats | None = None,
-        backend: "str | VisibilityBackend | None" = None,
+        backend: "str | None" = None,
         policy: "str | CachePolicy | None" = None,
     ) -> None:
         self.source = source
@@ -196,7 +195,7 @@ class QueryContext:
                         graph.has_obstacle(obstacle.oid)
                         and graph.node_count > DELETE_REPAIR_NODE_LIMIT
                     ):
-                        # The local re-sweep would cost more than a
+                        # The local repair would cost more than a
                         # fresh build of a graph this size: fall back
                         # to rebuild.
                         self.cache.discard(entry)
@@ -238,8 +237,8 @@ class QueryContext:
 
     def _entry(self, center: Point, radius: float, *, connect: bool) -> CachedGraph:
         """:meth:`entry_for`.  With ``connect`` off, what it builds or
-        tops up is registered only — no sweep, no span: the caller
-        sweeps the graphs of many entries in one
+        tops up is registered only — no visibility test, no span: the
+        caller connects the graphs of many entries in one
         :meth:`VisibilityGraph.connect` — every other step being the
         same calls with the same arguments in the same order."""
         self.policy.observe(center)
@@ -382,8 +381,8 @@ class QueryContext:
         the source's full field — one search, memoized like an ONN
         centre's — and finds the goal's last leg by the rule every field
         uses (:meth:`~repro.visibility.csr.CSRGraph.last_leg`: probed
-        in lower-bound order with the exact oracle, swept only on a
-        give-up).  Otherwise one backend call sweeps ``p`` (if unseen)
+        in lower-bound order with the exact oracle, anchored only on a
+        give-up).  Otherwise one backend call anchors ``p`` (if unseen)
         with ``q`` ahead, and one search seeded with the nodes ``p``
         sees at their straight legs stops once the nodes ``q`` sees are
         settled.  Both give the same float: the full field settles
@@ -449,7 +448,7 @@ class QueryContext:
         bound=radius)`` returns (a centre without candidates: ``[]``,
         and no graph).  This is Fig. 5's elimination for OR (one
         centre) and for every seed of a distance join (Fig. 10), with
-        the sweeps of a run of centres made together.
+        the visibility tests of a run of centres made together.
 
         Each candidate's distance is the last-leg minimisation over its
         visible anchors — exact because a shortest path never turns at
@@ -460,24 +459,24 @@ class QueryContext:
         is reusable across calls at the same centre.
 
         Centre by centre the cache sees exactly :meth:`entry_for`'s
-        lookups, retrievals and admissions, in order; only the sweeps
-        wait.  Then one backend call connects every graph the run built
-        or topped up (a graph reached twice accumulates its pending
-        nodes and is swept once), a second one fetches, per freeze, the
-        last-leg anchors of every candidate (and off-centre root) not
-        memoized yet, and each centre's field evaluates from the memo —
+        lookups, retrievals and admissions, in order; only the
+        visibility tests wait.  Then one backend call connects every
+        graph the run built or topped up (a graph reached twice
+        accumulates its pending nodes and is connected once), a second
+        one fetches, per freeze, the last-leg anchors of every candidate
+        (and off-centre root) not memoized yet, and each centre's field evaluates from the memo —
         with ``bound = radius`` its Fig. 8 loop never retrieves
         (``d <= radius <= covered``).  Runs are cut at the cache's
         capacity, so no more graphs wait than the cache holds; a run of
         one centre has nothing to wait for and is that expression
         itself — its field probes each candidate's last leg instead
-        (memo, probe, sweep:
+        (memo, probe, anchors:
         :meth:`~repro.visibility.csr.CSRGraph.last_leg`), and a lower
         bound past ``radius`` is a false hit decided without a
         visibility test.  The run's second call stays: its memo also
         serves the later distances (OCP) over the same cached graphs.
         If anything fails before the connect, every entry left with
-        unswept nodes leaves the cache.
+        unconnected nodes leaves the cache.
         """
         candidates = [list(dict.fromkeys(points)) for points in candidates]
         out: list[list[tuple[Point, float]]] = [[] for __ in centers]
@@ -501,8 +500,8 @@ class QueryContext:
         self, run: "list[tuple[Point, list[Point]]]", radius: float
     ) -> list[SourceDistanceField]:
         """:meth:`field_for` per ``(centre, candidates)`` of ``run``,
-        the graphs swept in one backend call and the candidates' anchors
-        fetched in a second (see :meth:`refine_many`)."""
+        the graphs connected in one backend call and the candidates'
+        anchors fetched in a second (see :meth:`refine_many`)."""
         entries: list[CachedGraph] = []
         try:
             for center, __ in run:

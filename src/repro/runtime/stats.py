@@ -3,10 +3,10 @@
 One :class:`RuntimeStats` instance travels with a
 :class:`~repro.runtime.context.QueryContext`; every layer of the
 runtime (graph cache, coverage growth, distance evaluations, the
-visibility backend's sweep kernel) ticks its counters, so a benchmark
-or test can ask "how many visibility graphs were actually built?" or
-"how many rotational sweeps did that cost, on which backend?" the same
-way the R-tree layer already answers "how many pages were read?".
+visibility backend) ticks its counters, so a benchmark or test can ask
+"how many visibility graphs were actually built?" or "how many points
+were anchored, on which backend?" the same way the R-tree layer
+already answers "how many pages were read?".
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ class RuntimeStats:
     """Mutable counters describing runtime work since the last reset.
 
     All fields are integer counters except ``sweep_seconds`` (a float,
-    the cumulative wall-clock time inside the visibility backend) and
-    ``backend`` (the name of the visibility backend ticking the sweep
+    the cumulative wall-clock time the visibility backend spent
+    anchoring points: ``sweeps_run`` of them, ``sweep_events`` pairs)
+    and ``backend`` (the name of the visibility backend ticking those
     counters — ``""`` until a context selects one; preserved across
     :meth:`reset` since it describes configuration, not work done).
     """
@@ -50,7 +51,6 @@ class RuntimeStats:
         "compactions",
         "compaction_bytes",
         "sweeps_run",
-        "sweep_passes",
         "sweep_events",
         "sweep_seconds",
         "exact_pairs",
@@ -91,7 +91,6 @@ class RuntimeStats:
         self.compactions = 0
         self.compaction_bytes = 0
         self.sweeps_run = 0
-        self.sweep_passes = 0
         self.sweep_events = 0
         self.sweep_seconds = 0.0
         self.exact_pairs = 0

@@ -2,7 +2,7 @@
 
 Query points in a batch are independent given a frozen obstacle
 version, so a batch fans out over processes (CPython's GIL serializes
-the pure-python sweep/Dijkstra work, so wall-clock speedup needs
+the pure-python graph/Dijkstra work, so wall-clock speedup needs
 processes).  Both ways of running a batch in processes share one
 command vocabulary (:func:`repro.runtime.batch.evaluate`), one worker
 body and reply (:func:`_reply`) and one collect loop
@@ -388,19 +388,11 @@ class PersistentWorkerPool:
     def _spawn(self) -> None:
         """Snapshot the parent and boot the workers from it."""
         from repro.persist.store import save_database
-        from repro.visibility.kernel.backend import available_backends
 
         # Workers resolve the parent's backend and cache policy *kind*
         # by name (not their state): each adapts to the stream it
-        # serves.  A backend instance no name resolves cannot be
-        # mirrored, and sweeping with another one would be silent.
+        # serves.
         backend = self._db.context.backend.name
-        if backend not in available_backends():
-            raise QueryError(
-                f"a persistent pool cannot start workers on visibility "
-                f"backend {backend!r}: workers resolve a backend by name, "
-                f"one of {available_backends()} (pool='fork' inherits it)"
-            )
         cache_policy = self._db.cache_policy
         ctx = multiprocessing.get_context(
             "fork" if fork_available() else "spawn"

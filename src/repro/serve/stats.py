@@ -1,7 +1,7 @@
 """Serving-tier observability: latency histograms over the runtime counters.
 
 The library-call layers report *work* (graph builds, page accesses,
-sweeps — :class:`~repro.runtime.stats.RuntimeStats`); a serving tier
+anchors — :class:`~repro.runtime.stats.RuntimeStats`); a serving tier
 must additionally report *latency* as experienced by clients, which is
 a distribution, not a counter.  :class:`LatencyHistogram` is a
 log-bucketed histogram cheap enough to tick on every request;

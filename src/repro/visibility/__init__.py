@@ -8,39 +8,25 @@ obstacles relevant to a query, and maintains them dynamically with
 
 Every graph is the *tangent* visibility graph [PV95]
 (:mod:`repro.visibility.tangent`): node pairs that break the tangent
-rule are dropped first, and a pluggable
-:class:`~repro.visibility.kernel.backend.VisibilityBackend` decides
-which of the rest see each other — the exact predicate over arrays
-(:mod:`repro.visibility.kernel`, whose vectorized sweep also anchors
-off-graph points), the pure-python sweep of Sharir & Schorr [SS84]
-(:mod:`repro.visibility.sweep`), or a naive exact checker
-(:mod:`repro.visibility.naive`) that doubles as the reference oracle
-for the property-based tests and as the fallback for degenerate
-contact cases.
+rule are dropped first, and one exact predicate,
+``Polygon.crosses_interior``, decides which of the rest see each
+other — and which nodes an off-graph point sees, pair by pair.  The
+paper builds each graph with the rotational plane sweep of Sharir &
+Schorr [SS84]; here no pair needs a sweep's event order.  The
+predicate runs over arrays (:mod:`repro.visibility.kernel`, the
+``numpy-kernel`` backend) or one pair at a time
+(:mod:`repro.visibility.naive`, the ``naive`` backend: the reference
+oracle of the property-based tests).
 """
 
-from repro.visibility.edges import BoundaryEdge, OpenEdges
 from repro.visibility.graph import VisibilityGraph
-from repro.visibility.kernel.backend import (
-    VisibilityBackend,
-    available_backends,
-    resolve_backend,
-)
+from repro.visibility.kernel.backend import available_backends, resolve_backend
 from repro.visibility.naive import is_visible, naive_visible_from
-from repro.visibility.ordering import event_angle, event_sort_key, sort_events
-from repro.visibility.sweep import visible_from
 
 __all__ = [
-    "BoundaryEdge",
-    "OpenEdges",
-    "VisibilityBackend",
     "VisibilityGraph",
     "available_backends",
-    "event_angle",
-    "event_sort_key",
     "is_visible",
     "naive_visible_from",
     "resolve_backend",
-    "sort_events",
-    "visible_from",
 ]

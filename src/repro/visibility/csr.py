@@ -13,11 +13,12 @@ point's visible anchors), and the last-leg minimisation
 ``min_v d[v] + |p - v|`` of
 :class:`~repro.core.distance.SourceDistanceField` and of
 :meth:`~repro.runtime.context.QueryContext.distance` goes memo, probe,
-sweep (:meth:`CSRGraph.last_leg`): a node or a point whose anchors are
+anchors (:meth:`CSRGraph.last_leg`): a node or a point whose anchors are
 memoized reads them in one numpy expression; any other point is
 probed — nodes in ascending order of ``d[v] + |p - v|``, each tested
 with the exact oracle until one is visible or the lower bound passes
-the caller's bound — and swept alone only when the probe gives up.  A
+the caller's bound — and anchored alone (every pair ``(p, v)``
+decided) only when the probe gives up.  A
 distance whose source was seen before on this freeze reads the
 source's memoized field and finds its fresh goal's last leg the same
 way.  A route is read back off a memoized field
@@ -26,7 +27,7 @@ shortest-path search there is.
 
 A :class:`CSRGraph` describes exactly one structure revision: callers
 take it from :func:`frozen` each time the live graph may have moved,
-so every node its graph's sweeps report has a frozen id.
+so every node its graph's backend reports has a frozen id.
 
 Parity contract: edge weights are copied verbatim from the live
 adjacency and relaxations use the same float64 ``d + w`` arithmetic,
@@ -73,7 +74,7 @@ _Y = attrgetter("y")
 ANCHOR_MEMO_LIMIT = 512
 
 #: Hidden nodes :meth:`CSRGraph.last_leg` tests with the exact oracle
-#: before it sweeps its point instead.  On ``paper-cold`` (seed 3, 220
+#: before it anchors its point instead.  On ``paper-cold`` (seed 3, 220
 #: ops) 2,170 probes made 2.50 oracle tests each and 49 gave up; on
 #: ``hotspot-warm`` (3,500 fresh goals from 21 repeated sources) the
 #: probe made 1.37 oracle tests per goal and never reached 8.
@@ -261,17 +262,17 @@ class CSRGraph:
         ``(anchor ids, euclidean legs)``.
 
         A free node is its own anchor at leg 0.  For an off-graph
-        ``p`` this memoizes what ``graph``'s visibility backend sees
-        from it — plus the frozen-id lookup and the vectorized
-        ``|p - v|`` legs, which depend only on ``p`` and the anchor set
-        — for the life of this freeze: on warm streams (repeat
-        candidates, stable topology) the sweep runs once per candidate
-        instead of once per query.  A node on an obstacle vertex is
-        swept and memoized the same way, and is its own anchor at leg 0
-        besides: the graph holds only its tangent edges, and a path's
-        first and last legs need not be tangent.  On a miss, the points
-        of ``ahead`` (a distance call's other endpoint) that the memo
-        lacks are swept in the same backend call, and the memo's oldest
+        ``p`` this memoizes the nodes ``graph``'s visibility backend
+        finds ``p`` sees — every pair ``(p, v)`` decided, none dropped
+        by tangency — with their frozen ids and ``|p - v|`` legs, for
+        the life of this freeze: on warm streams (repeat candidates,
+        stable topology) a point is anchored once, not once per query.
+        A node on an obstacle vertex is anchored and memoized the same
+        way, and is its own anchor at leg 0 besides: the graph holds
+        only its tangent edges, and a path's first and last legs need
+        not be tangent.  On a miss, the points of ``ahead`` (a distance
+        call's other endpoint) that the memo lacks are anchored in the
+        same backend call, and the memo's oldest
         entries beyond :data:`ANCHOR_MEMO_LIMIT` are dropped — never
         ``p`` or a point of ``ahead``.
         """
@@ -290,7 +291,7 @@ class CSRGraph:
     ) -> list[Point]:
         """The distinct points of ``points`` — off the graph, or on an
         obstacle vertex of ``graph`` — whose last-leg geometry is not
-        memoized: what a sweep has yet to answer."""
+        memoized: what the backend has yet to anchor."""
         return list(
             dict.fromkeys(
                 c for c in points if c not in self.anchors and c not in graph._free
@@ -304,7 +305,7 @@ class CSRGraph:
         keep: Iterable[Point] = (),
     ) -> None:
         """Memoize the last-leg geometry of ``points`` from what each
-        sees (``seen``, parallel: a sweep's node ids and distances; a
+        sees (``seen``, parallel: the backend's node ids and distances; a
         node comes first, at leg 0), then drop the memo's oldest entries
         beyond :data:`ANCHOR_MEMO_LIMIT` — never one of ``points`` or of
         ``keep``."""
@@ -356,7 +357,7 @@ class CSRGraph:
     ) -> float:
         """What a search ``dist`` gives point ``p`` through the graph:
         ``min_v dist[v] + |v - p|`` over the nodes ``p`` sees (``inf``
-        when it sees none) — memo, then probe, then sweep.
+        when it sees none) — memo, then probe, then anchors.
 
         A node, or a point whose anchors are memoized, reads its anchors
         (:meth:`anchors_for`) in one numpy expression.  Any other ``p``
@@ -367,7 +368,7 @@ class CSRGraph:
         ``p`` straight toward a node it sees), an infinite lower bound
         gives ``inf``, and one above ``bound`` is returned untested, a
         value the caller discards.  After :data:`LAST_LEG_PROBES` hidden
-        nodes ``p`` alone is swept and memoized.  Probes and give-ups
+        nodes ``p`` alone is anchored and memoized.  Probes and give-ups
         are booked on ``stats`` (``last_leg_probes`` /
         ``last_leg_fallbacks``)."""
         if p not in self.anchors and p not in self.index:
@@ -430,8 +431,8 @@ class CSRGraph:
         self, p: Point, q: Point, graph: "VisibilityGraph"
     ) -> float:
         """``|p - q|`` when the two see each other and neither is a
-        node, else ``inf`` — the one pair no sweep reports (sweeps
-        report visible *nodes*), decided by the exact oracle every
+        node, else ``inf`` — the one pair no anchor reports (anchors
+        are *nodes*), decided by the exact oracle every
         backend is parity-locked to."""
         if (
             p in self.index
@@ -481,7 +482,7 @@ def install_frozen(
     graph's current structure revision — the first field evaluation
     after a warm start skips the freeze.  The restored graph numbers
     its nodes in registration order, which need not be the order the
-    arrays were frozen in, so its sweeps' node ids are relabelled onto
+    arrays were frozen in, so its anchors' node ids are relabelled onto
     the arrays'; arrays over another node set are not installed
     (``None``), and the graph freezes itself when first asked.
     """

@@ -42,9 +42,9 @@ Nodes are dense ``int`` ids, ``0 .. n-1`` in insertion order.  The
 graph owns one node table — the ``Point`` of each id and one ``Point
 -> id`` dict — and keeps its adjacency as one ``{id: weight}`` row per
 node.  A ``Point`` is hashed where it enters (registration,
-``restore``, the lookup of an off-graph point) and not after: sweeps
-report node ids and their distances, pairs are decided as id arrays,
-and edges are installed, cut and frozen by id.  A node that leaves
+``restore``, the lookup of an off-graph point) and not after: anchors
+are node ids and their distances, pairs are decided as id arrays, and
+edges are installed, cut and frozen by id.  A node that leaves
 closes its gap in order, so the ids are always the frozen ids of
 :mod:`repro.visibility.csr`.
 """
@@ -56,17 +56,9 @@ from typing import Iterable, Iterator, Mapping, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import QueryError
-from repro.geometry.constants import EPS
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.model import Obstacle
-from repro.visibility.edges import BoundaryEdge
-from repro.visibility.kernel.backend import (
-    VisibilityBackend,
-    _StatsAdapter,
-    _TimedBackend,
-    resolve_backend,
-)
+from repro.visibility.kernel.backend import Backend, resolve_backend
 from repro.visibility.tangent import near_edges, pending_pairs, region_pairs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,12 +68,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class VisibilityGraph:
     """A local visibility graph with dynamic maintenance operations.
 
-    ``method`` selects the visibility backend by name or instance (see
-    :mod:`repro.visibility.kernel.backend`): ``"python-sweep"`` is the
-    paper's rotational plane sweep [SS84], ``"numpy-kernel"`` the
-    exact predicate over arrays (and a vectorized sweep for off-graph
-    points), ``"naive"`` the exact pairwise oracle.  ``None`` is the
-    numpy kernel.
+    ``method`` names the visibility backend (see
+    :mod:`repro.visibility.kernel.backend`): ``"numpy-kernel"`` (the
+    default, ``None``) decides pairs with the exact predicate over
+    arrays, ``"naive"`` one pair at a time — the test oracle.  A
+    :class:`~repro.runtime.context.QueryContext` hands its graphs its
+    own resolved backend instead, so they tick its stats.
     """
 
     __slots__ = (
@@ -89,11 +81,9 @@ class VisibilityGraph:
         "_ids",
         "_rows",
         "_obstacles",
-        "_incident",
+        "_vertices",
         "_free",
         "_promoted",
-        "_boundary",
-        "_edges",
         "_obstacle_revision",
         "_structure_revision",
         "_csr",
@@ -103,17 +93,10 @@ class VisibilityGraph:
         "method",
     )
 
-    def __init__(self, method: "str | VisibilityBackend | None" = None) -> None:
-        backend = resolve_backend(method)
+    def __init__(self, method: "str | Backend | None" = None) -> None:
+        backend = method if isinstance(method, Backend) else resolve_backend(method)
         self.method = backend.name
-        # A caller-owned backend that only sweeps gets what every named
-        # one inherits: the scalar loops behind add_obstacles and
-        # remove_obstacle, the sweeps behind connect.
-        self._backend = (
-            backend
-            if isinstance(backend, _TimedBackend)
-            else _StatsAdapter(backend, None)
-        )
+        self._backend = backend
         #: Nodes registered but not connected yet (:meth:`connect`).
         self._pending: list[Point] = []
         self._obstacle_revision = 0
@@ -129,14 +112,13 @@ class VisibilityGraph:
         self._ids: dict[Point, int] = {}
         self._rows: list[dict[int, float]] = []
         self._obstacles: dict[int, Obstacle] = {}
-        self._incident: dict[Point, list[BoundaryEdge]] = {}
+        #: Per obstacle vertex, how many of the graph's obstacles have it.
+        self._vertices: dict[Point, int] = {}
         self._free: set[Point] = set()
         # Free points promoted to obstacle vertices (coinciding
         # coordinates): remembered so removing the owning obstacle
         # demotes them back to free points instead of deleting them.
         self._promoted: set[Point] = set()
-        self._boundary: dict[Point, tuple[Obstacle, ...]] = {}
-        self._edges: list[BoundaryEdge] = []
         self._packed: "PackedScene | None" = None
 
     # -------------------------------------------------------------- build
@@ -146,14 +128,12 @@ class VisibilityGraph:
         points: Iterable[Point],
         obstacles: Iterable[Obstacle],
         *,
-        method: "str | VisibilityBackend | None" = None,
+        method: "str | Backend | None" = None,
     ) -> "VisibilityGraph":
         """Construct the tangent visibility graph over ``points`` and
         ``obstacles`` in one pass: every node pair tangent at both ends
         (:mod:`repro.visibility.tangent`) is decided once, by the
-        backend (with ``python-sweep``, by the paper's
-        ``build_visibility_graph``: one rotational sweep [SS84] per
-        node)."""
+        backend."""
         graph = cls.registered(points, obstacles, method=method)
         cls.connect([graph])
         return graph
@@ -164,7 +144,7 @@ class VisibilityGraph:
         points: Iterable[Point],
         obstacles: Iterable[Obstacle],
         *,
-        method: "str | VisibilityBackend | None" = None,
+        method: "str | Backend | None" = None,
     ) -> "VisibilityGraph":
         """The first half of :meth:`build`: a graph holding ``points``
         and ``obstacles`` with every node pending — no edge yet, until
@@ -208,7 +188,8 @@ class VisibilityGraph:
         self, sources: Sequence[Point]
     ) -> list[tuple[list[int], list[float]]]:
         """:meth:`visible_from_many` before the nodes become points: per
-        source, the ids of the nodes it sees and their distances."""
+        source, the ids of the nodes it sees, in id order, and their
+        distances."""
         return self._backend.visible_ids([(sources, self)])[0]
 
     # --------------------------------------------------------- serialization
@@ -218,8 +199,8 @@ class VisibilityGraph:
         """The graph flattened for serialization.
 
         Returns ``(obstacles, free_points, edges)`` such that
-        :meth:`restore` reproduces this graph exactly without running a
-        single visibility sweep.  Promoted free points (entities
+        :meth:`restore` reproduces this graph exactly without deciding a
+        single pair.  Promoted free points (entities
         coinciding with obstacle vertices) are folded into the free
         list — re-registering them against the restored obstacles
         re-promotes them.
@@ -236,15 +217,15 @@ class VisibilityGraph:
         free_points: Iterable[Point],
         edges: Iterable[tuple[Point, Point]],
         *,
-        method: "str | VisibilityBackend | None" = None,
+        method: "str | Backend | None" = None,
     ) -> "VisibilityGraph":
         """Reassemble a graph from :meth:`snapshot_parts` output.
 
         Obstacles and free points go through the normal registration
-        path (so incident-edge, boundary-membership and promotion
-        bookkeeping are rebuilt as at live construction), but the
-        visibility edges are installed verbatim instead of re-swept —
-        restoring a cached graph costs array writes, not sweeps.  Edge
+        path (so vertex and promotion bookkeeping are rebuilt as at live
+        construction), but the visibility edges are installed verbatim
+        instead of decided again — restoring a cached graph costs array
+        writes, not visibility tests.  Edge
         endpoints must be nodes (obstacle vertices or free points);
         unknown endpoints raise :class:`~repro.errors.QueryError`.
         """
@@ -275,41 +256,6 @@ class VisibilityGraph:
             for obs in self._obstacles.values():
                 self._packed.add_obstacle(obs, self._ids)
         return self._packed
-
-    # ------------------------------------------------------- SweepScene API
-    def sweep_points(self) -> Iterator[Point]:
-        """Every node (obstacle vertices and free points)."""
-        return iter(self._points)
-
-    def incident_edges(self, v: Point) -> Sequence[BoundaryEdge]:
-        """Boundary edges having ``v`` as an endpoint."""
-        return self._incident.get(v, ())
-
-    def boundary_edges(self) -> Iterable[BoundaryEdge]:
-        """All obstacle boundary edges."""
-        return self._edges
-
-    def boundary_obstacles(self, p: Point) -> Sequence[Obstacle]:
-        """Obstacles whose boundary contains ``p``.
-
-        Known nodes answer from the registration-time cache; unknown
-        probe points (e.g. ONN candidates evaluated against a shared
-        distance field without being added to the graph) are checked on
-        the fly, so the numpy kernel's interior-departure test stays
-        correct for entities lying exactly on obstacle boundaries.
-        """
-        cached = self._boundary.get(p)
-        if cached is not None:
-            return cached
-        if p in self._ids:
-            return ()
-        # on_boundary's own first check (the MBR grown by EPS), made on
-        # the packed MBR rows: no Rect is grown per obstacle per probe.
-        return tuple(
-            obs
-            for obs in self.packed_scene().mbr_holders(p, EPS)
-            if obs.polygon.on_boundary(p)
-        )
 
     def scene_obstacles(self) -> Sequence[Obstacle]:
         """All obstacles currently in the graph."""
@@ -410,11 +356,9 @@ class VisibilityGraph:
         self._ids.clear()
         self._rows.clear()
         self._obstacles.clear()
-        self._incident.clear()
+        self._vertices.clear()
         self._free.clear()
         self._promoted.clear()
-        self._boundary.clear()
-        self._edges.clear()
         self._packed = None
         self._obstacle_revision += 1
         self._structure_revision += 1
@@ -430,8 +374,8 @@ class VisibilityGraph:
         """Incorporate a new obstacle (paper's ``add_obstacle``).
 
         Removes existing edges crossing the polygon's interior, then
-        runs one rotational sweep per new vertex.  Returns ``False``
-        when the obstacle was already present.
+        connects each new vertex.  Returns ``False`` when the obstacle
+        was already present.
         """
         return self.add_obstacles((obs,)) == 1
 
@@ -465,13 +409,6 @@ class VisibilityGraph:
             shared = [v for v in obs.polygon.vertices if v in self._ids]
             self._pending += self._register_obstacle(obs)
             self._pending += [p for p in shared if p not in self._pending]
-            # Entities lying on the new polygon's boundary gain a
-            # membership — one that doubles as another obstacle's
-            # vertex too, whichever of the two obstacles came first.
-            for p in (*self._free, *self._promoted):
-                held = self._boundary.get(p, ())
-                if obs not in held and obs.polygon.on_boundary(p):
-                    self._boundary[p] = held + (obs,)
         near = near_edges(self, [obs.mbr for obs in fresh.values()])
         cut = ~self._backend.visible_pairs([(near, self)], only=[*fresh.values()])[0]
         self._remove_edges(zip(near.u[cut].tolist(), near.v[cut].tolist()))
@@ -495,17 +432,15 @@ class VisibilityGraph:
         self._obstacle_revision += 1
         self._structure_revision += 1
         poly = obs.polygon
-        self._edges = [e for e in self._edges if e.oid != oid]
         revived: list[Point] = []
         shared: list[Point] = []
         gone: list[int] = []
-        for v in set(poly.vertices):
-            incident = [e for e in self._incident.get(v, ()) if e.oid != oid]
-            if incident:
-                self._incident[v] = incident
+        for v in poly.vertices:
+            held = self._vertices.pop(v) - 1
+            if held:
+                self._vertices[v] = held
                 shared.append(v)
                 continue
-            self._incident.pop(v, None)
             if v in self._promoted:
                 # The vertex doubled as an entity before (or after) the
                 # obstacle arrived: demote it back to a free point —
@@ -518,21 +453,8 @@ class VisibilityGraph:
                 # Owned by no remaining obstacle: leaves the node set.
                 gone.append(self._ids[v])
         self._drop_nodes(gone)
-        for p, membership in list(self._boundary.items()):
-            if obs in membership:
-                rest = tuple(o for o in membership if o is not obs)
-                if rest:
-                    self._boundary[p] = rest
-                else:
-                    del self._boundary[p]
         if self._packed is not None:
             self._packed.remove_obstacle(oid)
-        for v in revived:
-            membership = tuple(
-                o for o in self._obstacles.values() if o.polygon.on_boundary(v)
-            )
-            if membership:
-                self._boundary[v] = membership
         self._drop_stale_pending()
         # The vertices it shared are decided again by connect; the other
         # pairs near it that keep the tangent rule are re-tested with
@@ -569,7 +491,6 @@ class VisibilityGraph:
         self._structure_revision += 1
         self._drop_nodes([self._ids[p]])
         self._free.discard(p)
-        self._boundary.pop(p, None)
         self._drop_stale_pending()
         return True
 
@@ -579,12 +500,8 @@ class VisibilityGraph:
         self._obstacle_revision += 1
         self._structure_revision += 1
         new_vertices: list[Point] = []
-        for a, b in obs.polygon.edges():
-            edge = BoundaryEdge(a, b, obs.oid)
-            self._edges.append(edge)
-            for v in (a, b):
-                self._incident.setdefault(v, []).append(edge)
         for v in obs.polygon.vertices:
+            self._vertices[v] = self._vertices.get(v, 0) + 1
             if v not in self._ids:
                 self._add_node(v)
                 new_vertices.append(v)
@@ -596,13 +513,12 @@ class VisibilityGraph:
             if v in self._free:
                 self._free.discard(v)
                 self._promoted.add(v)
-            self._boundary[v] = self._boundary.get(v, ()) + (obs,)
         if self._packed is not None:
             self._packed.add_obstacle(obs, self._ids)
         return new_vertices
 
     def _register_free_point(self, p: Point) -> None:
-        if p in self._incident:
+        if p in self._vertices:
             # p coincides with an obstacle vertex: already a node, and
             # it must not enter _free — delete_entity would tear the
             # obstacle corner out of the graph (the reverse order,
@@ -615,13 +531,6 @@ class VisibilityGraph:
         if p not in self._ids:
             self._add_node(p)
         self._free.add(p)
-        membership = tuple(
-            obs
-            for obs in self._obstacles.values()
-            if obs.polygon.on_boundary(p)
-        )
-        if membership:
-            self._boundary[p] = membership
 
     def _add_node(self, p: Point) -> None:
         self._ids[p] = len(self._points)
@@ -670,7 +579,7 @@ class VisibilityGraph:
         self._install_pairs(u, v)
 
     def _drop_stale_pending(self) -> None:
-        """A node that left the graph no longer waits for a sweep."""
+        """A node that left the graph no longer waits for a connect."""
         if self._pending:
             self._pending = [p for p in self._pending if p in self._ids]
 
@@ -678,7 +587,7 @@ class VisibilityGraph:
         """Connect node ``u[k]`` to node ``v[k]`` for every ``k``, in
         that order, at their distance — ``Point.distance`` to the bit,
         over arrays.  The structure revision moves once."""
-        x, y = self.packed_scene().sweep_arrays()[0]
+        x, y = self.packed_scene().node_arrays()[0]
         dx = x[u] - x[v]
         dy = y[u] - y[v]
         rows = self._rows

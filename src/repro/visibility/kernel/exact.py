@@ -7,10 +7,11 @@ clear when both ends lie on the closed outer side of one edge line,
 crossing when the chord's midpoint lies inside every edge line by
 :data:`~repro.geometry.polygon.SIGN_MARGIN`), and only the pairs
 between — the contact band — and non-convex obstacles by the tolerance
-method (``Polygon._crosses_by_params``).  A ``numpy-kernel`` graph
-build decides every tangent node pair with it, and the sweep hands it
-its tolerance-borderline contacts: a python call per pair costs more
-than the whole array pass.
+method (``Polygon._crosses_by_params``).  The ``numpy-kernel`` backend
+decides every pair with it — a connect's tangent node pairs
+(:func:`kernel_visible_pairs`), an insert's and a delete's, and every
+pair ``(p, v)`` that anchors a point (:func:`kernel_visible_ids`): a
+python call per pair costs more than the whole array pass.
 
 :func:`crosses_interior_many` evaluates the *same* predicate for many
 pairs at once: a line-miss reject the scalar method lacks
@@ -20,15 +21,15 @@ operation order, no division by zero, no square root — and the band (5
 of 126,372 pairs past the line-miss reject on ``paper-cold`` seed 3)
 looped through the scalar method.  Each pair has exactly one decider:
 ``tests/visibility/test_exact.py`` holds both filters equal to the
-tolerance method pair for pair, graphs on the ``naive`` and
-``python-sweep`` backends never enter this module, and batches too
+tolerance method pair for pair, graphs on the ``naive`` backend never
+enter this module, and batches too
 small to repay the array pass's fixed cost are looped through the
 scalar method (:data:`_MIN_ARRAY_PAIRS`).
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain, pairwise
 from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -37,13 +38,15 @@ from repro.geometry.constants import EPS
 from repro.geometry.point import Point
 from repro.geometry.polygon import SIGN_MARGIN, Polygon
 from repro.geometry.rect import Rect
-from repro.index.mbrs import ranges
+from repro.index.mbrs import blocks, ranges
 from repro.obs.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model import Obstacle
     from repro.runtime.stats import RuntimeStats
+    from repro.visibility.graph import VisibilityGraph
     from repro.visibility.kernel.packed import PackedScene
+    from repro.visibility.tangent import Pairs
 
 
 #: Pairs surviving the rejects below which a batch is looped through
@@ -56,15 +59,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: 24: 54, 28: 62, 40: 71).  The two meet between 24 and 28 pairs.
 _MIN_ARRAY_PAIRS = 26
 
-#: Pairs evaluated per array pass, and (segment, obstacle) cells whose
-#: MBRs are compared per call (an insert's edges, a graph build's or a
-#: delete repair's node pairs).  They bound the temporaries — ~25
-#: float64 arrays of one row per (pair, edge), bool matrices of one
-#: cell each — to a few MB whatever the batch: a build of a 1,000-node
-#: graph tests ~10^5 pairs against hundreds of obstacles, and
-#: unbounded passes fall out of cache.
+#: Pairs evaluated per array pass.  It bounds the temporaries — ~25
+#: float64 arrays of one row per (pair, edge) — to a few MB whatever
+#: the batch: a build of a 1,000-node graph tests ~10^5 pairs against
+#: hundreds of obstacles, and unbounded passes fall out of cache.
 _PASS_PAIRS = 2048
-_PASS_CELLS = 1 << 20
 #: MBR survivors a pass of :func:`_line_misses` takes (a dozen float64
 #: rows each): its temporaries stay within a few MB too.
 _PASS_ROWS = 1 << 15
@@ -120,11 +119,11 @@ def pack_polygons(polygons: Iterable[Polygon]) -> ObstacleArrays:
 
 
 def _boxes_meet(mbr: np.ndarray, ax, ay, bx, by) -> np.ndarray:
-    """``Rect.intersects`` of the MBRs ``mbr`` (rows ``minx, miny, maxx,
-    maxy``) with the bounding boxes of the segments ``a-b``, broadcast:
-    the first step of ``Polygon.crosses_interior`` and of
+    """``Rect.intersects`` of the MBRs ``mbr`` (its four rows ``minx,
+    miny, maxx, maxy``) with the bounding boxes of the segments ``a-b``,
+    broadcast: the first step of ``Polygon.crosses_interior`` and of
     ``is_visible``."""
-    minx, miny, maxx, maxy = mbr.T
+    minx, miny, maxx, maxy = mbr
     return (
         (minx <= np.maximum(ax, bx))
         & (np.minimum(ax, bx) <= maxx)
@@ -139,11 +138,15 @@ def crosses_interior_many(
     pair_seg: np.ndarray,
     pair_obs: np.ndarray,
     stats: "RuntimeStats | None" = None,
+    *,
+    boxed: bool = False,
 ) -> np.ndarray:
     """Per pair ``k``, whether the open segment ``segs[pair_seg[k]]``
     (rows ``ax, ay, bx, by``) crosses the interior of obstacle
     ``pair_obs[k]`` of ``geom`` — what ``geom.polygons[pair_obs[k]]
     .crosses_interior(a, b)`` returns, for every pair, as a mask.
+    ``boxed``: the caller passes only pairs whose boxes meet, and the
+    MBR reject is skipped.
 
     Ticks ``exact_pairs`` / ``sweep.exact_pairs`` once with the number
     of pairs that survived the MBR reject, and ``exact_band_pairs`` /
@@ -151,47 +154,72 @@ def crosses_interior_many(
     decided.
     """
     out = np.zeros(pair_seg.shape[0], dtype=bool)
-    ends = segs[pair_seg]
-    keep = _boxes_meet(geom.mbr[pair_obs], *ends.T).nonzero()[0]
-    survived = keep.size
-    keep = np.concatenate(
-        [keep[:0]]
-        + [
-            part[~_line_misses(ends[part], geom.mbr[pair_obs[part]])]
-            for part in np.split(keep, range(_PASS_ROWS, keep.size, _PASS_ROWS))
-        ]
-    )
+    # Per pair its segment's and its obstacle's coordinates, one array
+    # per coordinate: a pass reads each as a contiguous row, and no
+    # temporary spans several rows (a few rows of a many-scene call
+    # pass malloc's mmap threshold, and every call faulted them in).
+    ends = [row.take(pair_seg) for row in segs.T]
+    boxes = [row.take(pair_obs) for row in geom.mbr.T]
+    if boxed and pair_seg.size <= _PASS_ROWS:
+        # Every pair, in one pass: no positions to gather by.
+        survived = pair_seg.size
+        keep = (~_line_misses(ends, boxes)).nonzero()[0]
+    else:
+        keep = (
+            np.arange(pair_seg.size)
+            if boxed
+            else _boxes_meet(boxes, *ends).nonzero()[0]
+        )
+        survived = keep.size
+        keep = np.concatenate(
+            [
+                part[~_line_misses(_at(ends, part), _at(boxes, part))]
+                for part in (
+                    keep[lo : lo + _PASS_ROWS]
+                    for lo in range(0, keep.size, _PASS_ROWS)
+                )
+            ]
+            or [keep]
+        )
     if keep.size >= _MIN_ARRAY_PAIRS:
         undecided = [keep[:0]]
         for lo in range(0, keep.size, _PASS_PAIRS):
             part = keep[lo : lo + _PASS_PAIRS]
-            crosses, decided = _signs(ends[part], geom, pair_obs[part])
+            crosses, decided = _signs(_at(ends, part), geom, pair_obs[part])
             out[part] = crosses
             undecided.append(part[~decided])
         keep = np.concatenate(undecided)
     band_pairs = 0
-    for k, (ax, ay, bx, by), o in zip(
-        keep.tolist(), ends[keep].tolist(), pair_obs[keep].tolist()
-    ):
-        out[k], band = _scalar(geom.polygons[o], Point(ax, ay), Point(bx, by))
-        band_pairs += band
+    if keep.size:
+        coords = zip(*(row.tolist() for row in _at(ends, keep)))
+        for k, (ax, ay, bx, by), o in zip(
+            keep.tolist(), coords, pair_obs[keep].tolist()
+        ):
+            out[k], band = _scalar(geom.polygons[o], Point(ax, ay), Point(bx, by))
+            band_pairs += band
     _tick(stats, survived, band_pairs)
     return out
 
 
+def _at(rows: "Sequence[np.ndarray]", index: np.ndarray) -> list[np.ndarray]:
+    """``index`` taken from each of ``rows``."""
+    return [row.take(index) for row in rows]
+
+
 def _signs(
-    ends: np.ndarray, geom: ObstacleArrays, obs: np.ndarray
+    ends: "Sequence[np.ndarray]", geom: ObstacleArrays, obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair ``j`` — segment ``ends[j]``, obstacle ``obs[j]``, past
-    the rejects — :meth:`Polygon.sign_verdict` over (pair, edge) rows,
-    the same float64 expressions in the same order: whether the pair
-    crosses, and whether the signs decided it at all."""
+    """Per pair ``j`` — segment ``j`` of ``ends`` (rows ``ax, ay, bx,
+    by``), obstacle ``obs[j]``, past the rejects —
+    :meth:`Polygon.sign_verdict` over (pair, edge) rows, the same
+    float64 expressions in the same order: whether the pair crosses,
+    and whether the signs decided it at all."""
     counts = geom.count[obs]
     run = counts.cumsum() - counts
     row_pair = np.arange(obs.size).repeat(counts)
-    fx, fy, ex, ey, e1 = geom.edges[:, ranges(geom.first[obs], counts)]
-    ax, ay, bx, by = ends.T
-    rax, ray, rbx, rby = ends[row_pair].T
+    fx, fy, ex, ey, e1 = _at(geom.edges, ranges(geom.first[obs], counts))
+    ax, ay, bx, by = ends
+    rax, ray, rbx, rby = _at(ends, row_pair)
     sa = ex * (ray - fy) - ey * (rax - fx)
     sb = ex * (rby - fy) - ey * (rbx - fx)
     clear = np.logical_or.reduceat((sa <= 0.0) & (sb <= 0.0), run)
@@ -216,20 +244,23 @@ def _signs(
     return crosses, geom.convex[obs] & (clear | crosses)
 
 
-def _line_misses(ends: np.ndarray, mbr: np.ndarray) -> np.ndarray:
-    """Per row, whether the line through segment ``ends`` (``ax, ay,
-    bx, by``) passes the box ``mbr`` (``minx, miny, maxx, maxy``) by a
-    clear margin: every corner strictly on one side of it, farther than
-    :data:`_LINE_MARGIN` of the coordinates' scale — far beyond any
+def _line_misses(
+    ends: "Sequence[np.ndarray]", mbr: "Sequence[np.ndarray]"
+) -> np.ndarray:
+    """Per column, whether the line through segment ``ends`` (rows ``ax,
+    ay, bx, by``) passes the box ``mbr`` (rows ``minx, miny, maxx,
+    maxy``) by a clear margin: every corner strictly on one side of
+    it, farther than :data:`_LINE_MARGIN` of the coordinates' scale —
+    far beyond any
     tolerance or rounding of the scalar method, whose every midpoint is
     then outside the obstacle, so ``crosses_interior`` is false.  A
     segment no longer than ``EPS`` (a point to the scalar method) never
     misses: products that underflow stay far below the margin."""
-    ax, ay, bx, by = ends.T
+    ax, ay, bx, by = ends
     rx = bx - ax
     ry = by - ay
     r1 = np.abs(rx) + np.abs(ry)
-    minx, miny, maxx, maxy = mbr.T
+    minx, miny, maxx, maxy = mbr
     dx0 = minx - ax
     dx1 = maxx - ax
     dy0 = miny - ay
@@ -240,7 +271,7 @@ def _line_misses(ends: np.ndarray, mbr: np.ndarray) -> np.ndarray:
         ys = np.array([rx * dy0, rx * dy1])
         xs = np.array([ry * dx0, ry * dx1])
         margin = _LINE_MARGIN * r1 * (
-            np.abs(ends).sum(axis=1)
+            np.abs(ax) + np.abs(ay) + np.abs(bx) + np.abs(by)
             + np.maximum(np.abs(dx0), np.abs(dx1))
             + np.maximum(np.abs(dy0), np.abs(dy1))
         )
@@ -314,6 +345,8 @@ def hidden_many(
     Ticks ``exact_pairs`` and ``exact_band_pairs`` once each, like
     :func:`crosses_interior_many`.
     """
+    packed = [one.exact_arrays() for one in scenes]
+    geom, first, sizes = stack_arrays([arrays for arrays, __ in packed])
     if a.size < _MIN_ARRAY_PAIRS:
         # So few segments that listing their pairs in python costs less
         # than setting the arrays up — and they may well not have
@@ -345,20 +378,32 @@ def hidden_many(
             _tick(stats, survived, band_pairs)
             return hidden
     ends = np.hstack([tails[0][a], heads[0][b]])
-    packed = [one.exact_arrays() for one in scenes]
-    geom, first, sizes = stack_arrays([arrays for arrays, __ in packed])
-    # The (segment, obstacle) pairs is_visible goes on to test.  One
-    # scene: those the MBR reject leaves, over the segments x obstacles
-    # grid.  Many: every (segment, obstacle of its scene) pair — no grid
-    # spans scenes, and the reject is crosses_interior_many's first step.
+    # The (segment, obstacle) pairs is_visible goes on to test.  A few
+    # segments: those the python MBR reject above left.  One scene:
+    # those the MBR reject leaves, over the segments x obstacles grid.
+    # Many: every (segment, obstacle of its scene) pair — no grid spans
+    # scenes, and the reject is crosses_interior_many's first step.
     rest = scene[len(only) :]
-    if len(scenes) == 1:
+    boxed = not only
+    if a.size < _MIN_ARRAY_PAIRS:
+        pair_seg = np.arange(a.size).repeat(list(map(len, tested)))
+        pair_obs = np.array(
+            [
+                first[k] + packed[k][1][obs.oid]
+                for k, some in zip(scene.tolist(), tested)
+                for obs in some
+            ],
+            dtype=np.int64,
+        )
+        boxed, only = True, ()
+    elif len(scenes) == 1:
         pair_seg, pair_obs = _boxes_meet(
-            geom.mbr, *ends[len(only) :].T[:, :, None]
+            geom.mbr.T, *ends[len(only) :].T[:, :, None]
         ).nonzero()
     else:
         pair_seg = np.arange(rest.size).repeat(sizes[rest])
         pair_obs = ranges(first[rest], sizes[rest])
+        boxed = False
     if only:
         band_seg = np.arange(len(only)).repeat([len(some) for some in only])
         band_obs = [
@@ -375,6 +420,149 @@ def hidden_many(
         pair_seg = pair_seg[test]
         pair_obs = pair_obs[test]
     hidden = np.zeros(a.size, dtype=bool)
-    hidden[pair_seg[crosses_interior_many(ends, geom, pair_seg, pair_obs, stats)]] = True
+    crosses = crosses_interior_many(ends, geom, pair_seg, pair_obs, stats, boxed=boxed)
+    hidden[pair_seg[crosses]] = True
     return hidden
 
+
+#: (Segment, obstacle) cells one :func:`hidden_many` call is handed by
+#: :func:`kernel_visible_pairs` and :func:`kernel_visible_ids`:
+#: building a 1,000-vertex street-grid graph took 3.0 s at 64 MB peak
+#: RSS, 3.2 s at 75 MB with four times this; a paper-scale build (57
+#: nodes, ~7,000 cells) or anchor call (at most 201 nodes) is one call
+#: either way.
+_PAIR_CELLS = 1 << 18
+
+
+def _lay_out(
+    packs: "Sequence[PackedScene]",
+) -> tuple[np.ndarray, Sequence[Point], list[int]]:
+    """The node tables of ``packs`` laid end to end: every node's ``x,
+    y`` as a ``(rows, 2)`` array and its point, and per scene its first
+    row — a node's row is its id plus that."""
+    if len(packs) == 1:
+        xy, points = packs[0].node_arrays()
+        return xy.T, points, [0]
+    parts = [packed.node_arrays() for packed in packs]
+    first = list(accumulate((xy.shape[1] for xy, __ in parts), initial=0))
+    return (
+        np.concatenate([xy for xy, __ in parts], axis=1).T,
+        list(chain.from_iterable(points for __, points in parts)),
+        first[:-1],
+    )
+
+
+def _hidden_in_blocks(
+    tails: "tuple[np.ndarray, Sequence[Point]]",
+    a: np.ndarray,
+    heads: "tuple[np.ndarray, Sequence[Point]]",
+    b: np.ndarray,
+    packs: "Sequence[PackedScene]",
+    scene: np.ndarray,
+    only: "Sequence[Obstacle]",
+    stats: "RuntimeStats | None",
+    clear: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """:func:`hidden_many` over segments ``a[k] -> b[k]`` of scene
+    ``scene[k]`` (against ``only``, if given), as many to a call as
+    :data:`_PAIR_CELLS` (segment, obstacle) cells hold."""
+    obstacles = [len(only) or packed.obstacle_count for packed in packs]
+    spans = (
+        [(0, a.size)]
+        if max(obstacles, default=0) * a.size <= _PAIR_CELLS
+        else blocks(np.array(obstacles)[scene], _PAIR_CELLS)
+    )
+    hidden = np.zeros(a.size, dtype=bool)
+    for lo, hi in spans:
+        hidden[lo:hi] = hidden_many(
+            tails,
+            a[lo:hi],
+            heads,
+            b[lo:hi],
+            packs,
+            scene[lo:hi],
+            [only] * (hi - lo) if only else (),
+            stats,
+            None if clear is None else clear[:, lo:hi],
+        )
+    return hidden
+
+
+def kernel_visible_pairs(
+    scenes: "Sequence[tuple[Pairs, VisibilityGraph]]",
+    stats: "RuntimeStats | None" = None,
+    only: "Sequence[Obstacle]" = (),
+) -> list[np.ndarray]:
+    """Per scene ``(pairs, graph)``, whether ``u[k]`` and ``v[k]`` see
+    each other past its obstacles (``only`` those, if given: obstacles
+    of a one-graph call): :func:`hidden_many`, skipping the obstacles a
+    pair is known to leave clear, over the pairs of every scene laid
+    end to end."""
+    packs = [graph.packed_scene() for __, graph in scenes]
+    xy, points, first = _lay_out(packs)
+    sizes = [pairs.u.size for pairs, __ in scenes]
+    a = np.concatenate([pairs.u + row for (pairs, __), row in zip(scenes, first)])
+    b = np.concatenate([pairs.v + row for (pairs, __), row in zip(scenes, first)])
+    ends = (xy, points)
+    hidden = _hidden_in_blocks(
+        ends,
+        a,
+        ends,
+        b,
+        packs,
+        np.arange(len(scenes)).repeat(sizes),
+        only,
+        stats,
+        None if only else np.concatenate([pairs.clear for pairs, __ in scenes], axis=1),
+    )
+    return np.split(~hidden, np.cumsum(sizes)[:-1])
+
+
+def kernel_visible_ids(
+    scenes: "Sequence[tuple[Sequence[Point], VisibilityGraph]]",
+    stats: "RuntimeStats | None" = None,
+) -> list[list[tuple[list[int], list[float]]]]:
+    """Per scene ``(sources, graph)``, per source ``p``, the ids of the
+    graph's nodes ``p`` sees, in id order, and their distances from it
+    (``sqrt(dx*dx + dy*dy)``: ``Point.distance`` to the bit).
+
+    Every pair ``(p, v)``, ``v`` a node other than ``p``, is decided by
+    :func:`hidden_many` — the scenes laid end to end, no pair filtered
+    by tangency (a path's first and last legs need not be tangent).  A
+    source strictly inside an obstacle sees nothing: every segment from
+    it crosses that interior.
+    """
+    if not any(sources for sources, __ in scenes):
+        return [[] for __ in scenes]
+    packs = [graph.packed_scene() for __, graph in scenes]
+    xy, points, first = _lay_out(packs)
+    srcs = [p for sources, __ in scenes for p in sources]
+    held = [len(sources) for sources, __ in scenes]
+    # Per source: its scene, that scene's first row and node count, and
+    # its own row (-1 off the graph).
+    scene_of, row0, n, own = np.array(
+        [
+            (k, row, graph.node_count, graph._ids.get(p, -1 - row) + row)
+            for k, ((sources, graph), row) in enumerate(zip(scenes, first))
+            for p in sources
+        ],
+        dtype=np.int64,
+    ).T
+    a = np.arange(len(srcs)).repeat(n)
+    b = ranges(row0, n)
+    keep = (b != own[a]).nonzero()[0]
+    a = a[keep]
+    b = b[keep]
+    pxy = np.array([(p.x, p.y) for p in srcs], dtype=np.float64).reshape(-1, 2)
+    visible = ~_hidden_in_blocks(
+        (pxy, srcs), a, (xy, points), b, packs, scene_of[a], (), stats
+    )
+    a = a[visible]
+    b = b[visible]
+    d = xy[b] - pxy[a]
+    d *= d
+    legs = np.sqrt(d[:, 0] + d[:, 1]).tolist()
+    ids = (b - row0[a]).tolist()
+    ends = accumulate(np.bincount(a, minlength=len(srcs)).tolist(), initial=0)
+    sights = [(ids[lo:hi], legs[lo:hi]) for lo, hi in pairwise(ends)]
+    return [sights[lo:hi] for lo, hi in pairwise(accumulate(held, initial=0))]

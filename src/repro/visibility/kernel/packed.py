@@ -1,24 +1,21 @@
 """`PackedScene` — a graph's obstacles flattened into numpy arrays.
 
-The vectorized sweep kernel needs the scene as contiguous arrays, not
-as python ``Point``/``BoundaryEdge`` objects.  A ``PackedScene`` keeps
-two synchronized groups of buffers:
+The exact predicate (:mod:`~repro.visibility.kernel.exact`) and the
+tangent rule (:mod:`~repro.visibility.tangent`) read a graph's scene as
+contiguous arrays, not as python ``Point`` objects.  A ``PackedScene``
+keeps two synchronized groups of buffers:
 
-* **boundary edges** — endpoint *node ids* plus the owning obstacle
-  id, append-only;
-* **obstacles** — per packed obstacle its MBR row and the contiguous
-  run of edge rows it owns (the strict-interior prefilter and the
-  interior-departure pass of the sweep kernel read these; the exact
-  predicate of :mod:`~repro.visibility.kernel.exact` reads them as
-  :meth:`PackedScene.exact_arrays`).
+* **boundary edges** — endpoint *node ids*, each obstacle's edges one
+  contiguous run in polygon order;
+* **obstacles** — per packed obstacle its MBR row (the scalar path's
+  MBR reject, :meth:`PackedScene.mbr_meeting`), and the obstacles as
+  the exact predicate reads them (:meth:`PackedScene.exact_arrays`).
 
-A sweep's events are the graph's nodes — obstacle vertices and free
-points — and their rows are the node ids: the scene keeps no points of
-its own, it lays out the graph's node table (:meth:`PackedScene.
-sweep_arrays`), so a visible event's row *is* the id a sweep reports.
-The scene is built once per :class:`~repro.visibility.graph.
-VisibilityGraph` (lazily, at the first vectorized sweep) and then kept
-in step by the graph: its obstacles are packed and unpacked with the
+The scene keeps no points of its own: it lays out the graph's node
+table (:meth:`PackedScene.node_arrays`), so a row of that layout *is*
+a node id.  The scene is built once per :class:`~repro.visibility.graph.
+VisibilityGraph` (lazily, at the first array pass) and then kept in
+step by the graph: its obstacles are packed and unpacked with the
 graph's, and a node leaving the table renumbers the edge endpoints
 (:meth:`PackedScene.renumber`).
 """
@@ -36,7 +33,7 @@ from repro.geometry.rect import Rect
 from repro.model import Obstacle
 from repro.visibility.kernel.exact import ObstacleArrays, pack_polygons
 
-#: Initial capacity of every growable buffer.
+#: Initial capacity of the growable edge buffer.
 _INITIAL_CAPACITY = 16
 
 _X = attrgetter("x")
@@ -63,11 +60,10 @@ class PackedScene:
     __slots__ = (
         "_nodes",
         "_eab",
-        "_eoid",
         "_n_edges",
         "_obs_rows",
         "_obs_edges",
-        "_sweep_cache",
+        "_node_cache",
         "_exact_cache",
         "_wedge_cache",
     )
@@ -75,7 +71,6 @@ class PackedScene:
     def __init__(self, nodes: Sequence[Point]) -> None:
         self._nodes = nodes
         self._eab = np.empty((_INITIAL_CAPACITY, 2), dtype=np.int64)
-        self._eoid = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._n_edges = 0
         #: ``(obstacle, minx, miny, maxx, maxy)`` per packed obstacle.
         self._obs_rows: list[tuple[Obstacle, float, float, float, float]] = []
@@ -83,7 +78,7 @@ class PackedScene:
         # appended together and compaction keeps their order, so the
         # run stays contiguous and in polygon order.
         self._obs_edges: dict[int, tuple[int, int]] = {}
-        self._sweep_cache: tuple | None = None
+        self._node_cache: tuple[np.ndarray, Sequence[Point]] | None = None
         self._exact_cache: tuple[ObstacleArrays, dict[int, int]] | None = None
         self._wedge_cache: tuple[np.ndarray, ...] | None = None
 
@@ -98,38 +93,33 @@ class PackedScene:
         self._obs_edges[obs.oid] = (first, len(edges))
         self._n_edges = first + len(edges)
         self._eab = _grown(self._eab, self._n_edges)
-        self._eoid = _grown(self._eoid, self._n_edges)
         self._eab[first : self._n_edges] = [(ids[a], ids[b]) for a, b in edges]
-        self._eoid[first : self._n_edges] = obs.oid
-        self._sweep_cache = self._exact_cache = self._wedge_cache = None
+        self._exact_cache = self._wedge_cache = None
 
     def remove_obstacle(self, oid: int) -> None:
-        """Unpack one obstacle: its MBR row goes, and its boundary edges
-        with one vectorized boolean-mask pass that keeps the others'
-        order (the graph drops the vertices no obstacle holds)."""
-        m = self._n_edges
-        keep = self._eoid[:m] != oid
-        n_keep = int(keep.sum())
-        if n_keep == m:
+        """Unpack one obstacle: its MBR row goes, and its run of boundary
+        edges, the later runs moving up in order (the graph drops the
+        vertices no obstacle holds)."""
+        run = self._obs_edges.pop(oid, None)
+        if run is None:
             return
-        self._eab[:n_keep] = self._eab[:m][keep]
-        self._eoid[:n_keep] = self._eoid[:m][keep]
-        self._n_edges = n_keep
+        first, count = run
+        m = self._n_edges
+        self._eab[first : m - count] = self._eab[first + count : m]
+        self._n_edges = m - count
         self._obs_rows = [row for row in self._obs_rows if row[0].oid != oid]
-        self._obs_edges = {}
-        start = 0
-        for obs, *__ in self._obs_rows:
-            count = len(obs.polygon.edges())
-            self._obs_edges[obs.oid] = (start, count)
-            start += count
-        self._sweep_cache = self._exact_cache = self._wedge_cache = None
+        self._obs_edges = {
+            other: (start - count if start > first else start, length)
+            for other, (start, length) in self._obs_edges.items()
+        }
+        self._exact_cache = self._wedge_cache = None
 
     def renumber(self, new_ids: Sequence[int]) -> None:
         """Nodes left the graph: every edge endpoint ``i`` becomes
         ``new_ids[i]``."""
         m = self._n_edges
         self._eab[:m] = np.asarray(new_ids, dtype=np.int64)[self._eab[:m]]
-        self._sweep_cache = self._wedge_cache = None
+        self._node_cache = self._wedge_cache = None
 
     # -------------------------------------------------------------- queries
     @property
@@ -146,28 +136,6 @@ class PackedScene:
         """Per-edge endpoint node ids (a, b)."""
         return self._eab[: self._n_edges, 0], self._eab[: self._n_edges, 1]
 
-    def edge_oids(self) -> np.ndarray:
-        """Per-edge owning obstacle id."""
-        return self._eoid[: self._n_edges]
-
-    def obstacle_mbrs(self) -> list[tuple[float, float, float, float]]:
-        """Per packed obstacle, its bounding box ``(minx, miny, maxx,
-        maxy)``."""
-        return [row[1:] for row in self._obs_rows]
-
-    def mbr_holders(self, p: Point, slack: float = 0.0) -> list[Obstacle]:
-        """The packed obstacles whose closed MBR, grown by ``slack``,
-        holds ``p`` — the comparison :meth:`Polygon.contains` (and,
-        with ``slack=EPS``, :meth:`Polygon.on_boundary`) itself makes
-        first, so running it only on these cannot change a verdict."""
-        x, y = p.x, p.y
-        return [
-            obs
-            for obs, minx, miny, maxx, maxy in self._obs_rows
-            if minx - slack <= x <= maxx + slack
-            and miny - slack <= y <= maxy + slack
-        ]
-
     def mbr_meeting(self, box: Rect) -> list[Obstacle]:
         """The packed obstacles whose MBR meets ``box`` — the
         ``Rect.intersects`` that :meth:`Polygon.crosses_interior` makes
@@ -180,21 +148,15 @@ class PackedScene:
             if minx <= bmaxx and bminx <= maxx and miny <= bmaxy and bminy <= maxy
         ]
 
-    def obstacle_edge_range(self, oid: int) -> tuple[int, int]:
-        """``(first edge row, edge count)`` of obstacle ``oid``: its
-        boundary edges are that contiguous run, in polygon order."""
-        return self._obs_edges[oid]
-
-    def sweep_arrays(self) -> tuple[np.ndarray, Sequence[Point], np.ndarray]:
-        """What a sweep pass lays out, read-only to callers: the nodes'
-        coordinates as two contiguous rows ``x, y`` (column = node id),
-        the node table itself, and :meth:`edge_endpoints` as two rows
-        ``a, b``.  Cached until an obstacle or a node comes or goes (the
-        table only grows between :meth:`renumber` calls)."""
+    def node_arrays(self) -> tuple[np.ndarray, Sequence[Point]]:
+        """The nodes' coordinates as two contiguous rows ``x, y``
+        (column = node id) and the node table itself, read-only to
+        callers.  Cached until a node comes or goes (the table only
+        grows between :meth:`renumber` calls)."""
         nodes = self._nodes
         n = len(nodes)
-        if self._sweep_cache is None or self._sweep_cache[0].shape[1] != n:
-            self._sweep_cache = (
+        if self._node_cache is None or self._node_cache[0].shape[1] != n:
+            self._node_cache = (
                 np.array(
                     [
                         np.fromiter(map(_X, nodes), dtype=np.float64, count=n),
@@ -202,9 +164,8 @@ class PackedScene:
                     ]
                 ).reshape(2, n),
                 nodes,
-                np.ascontiguousarray(self._eab[: self._n_edges].T),
             )
-        return self._sweep_cache
+        return self._node_cache
 
     def wedge_arrays(self) -> tuple[np.ndarray, ...]:
         """Per vertex of exactly one packed obstacle, the node ids of the
@@ -212,10 +173,10 @@ class PackedScene:
         in :meth:`exact_arrays` when it turns strictly left at every
         vertex (strictly convex), else -1: ``(vertex, previous, next,
         convex row)`` — what the tangent rule reads.  Cached like
-        :meth:`sweep_arrays`; read-only to callers."""
+        :meth:`node_arrays`; read-only to callers."""
         if self._wedge_cache is None:
             a, b = self.edge_endpoints()
-            x, y = self.sweep_arrays()[0]
+            x, y = self.node_arrays()[0]
             # Edge row e runs from a vertex to its successor; the edge
             # before it in its obstacle's run (cyclically) comes in from
             # the vertex's predecessor.  Each obstacle a vertex belongs

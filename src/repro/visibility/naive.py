@@ -5,10 +5,11 @@ not cross the interior of any obstacle.  This module decides that with
 :meth:`repro.geometry.polygon.Polygon.crosses_interior` — orientation
 signs where the geometry is clear, the interval-midpoint method in the
 contact band — which is exact up to the global epsilon even for
-collinear grazes, boundary entities and shared grid lines.  The rotational sweep
-(:mod:`repro.visibility.sweep`) delegates to this oracle whenever it
-meets a degenerate contact, and the property-based tests compare the
-two implementations on random scenes.
+collinear grazes, boundary entities and shared grid lines.  It is the
+``naive`` backend's decider, one pair at a time; the ``numpy-kernel``
+backend evaluates the same predicate over arrays
+(:mod:`repro.visibility.kernel.exact`), and the property-based tests
+hold the two equal on random scenes.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ class _Layout(NamedTuple):
 
 def _lay_out(graphs: "Sequence[VisibilityGraph]") -> _Layout:
     packs = [graph.packed_scene() for graph in graphs]
-    xy = [pack.sweep_arrays()[0] for pack in packs]
+    xy = [pack.node_arrays()[0] for pack in packs]
     first = np.array(list(accumulate((part.shape[1] for part in xy), initial=0)))
     wedges = [pack.wedge_arrays() for pack in packs]
     shift = first[:-1].repeat([wedge[0].size for wedge in wedges])
@@ -231,7 +231,7 @@ def near_edges(graph: "VisibilityGraph", regions: "Sequence[Rect]") -> Pairs:
     u, w = _edges(graph)
     keep = u < w
     u, w = u[keep], w[keep]
-    keep = _near(graph.packed_scene().sweep_arrays()[0], u, w, regions)
+    keep = _near(graph.packed_scene().node_arrays()[0], u, w, regions)
     return Pairs(u[keep], w[keep], np.full((2, int(keep.sum())), -1))
 
 

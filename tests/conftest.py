@@ -23,6 +23,16 @@ settings.register_profile(
     suppress_health_check=list(HealthCheck),
 )
 
+#: Anchors against the pairwise oracle
+#: (``tests/visibility/test_backend_parity.py``):
+#: ``--hypothesis-profile visibility-oracle`` runs it at 500 examples.
+settings.register_profile(
+    "visibility-oracle",
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+
 #: The closest-pair stream against the one-side traversal
 #: (``tests/euclidean/test_array_parity.py``):
 #: ``--hypothesis-profile closest-pairs`` runs it at 1,000 examples.

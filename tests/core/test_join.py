@@ -125,7 +125,7 @@ _CACHE_COUNTS = (
 )
 
 
-@pytest.mark.parametrize("backend", ["numpy-kernel", "python-sweep", "naive"])
+@pytest.mark.parametrize("backend", ["numpy-kernel", "naive"])
 @pytest.mark.parametrize("snap", [0.0, 30.0])
 @pytest.mark.parametrize("cache_size", [1, 2, 64])
 def test_batched_seeds_equal_the_seed_loop(cache_size, snap, backend, monkeypatch):
@@ -185,37 +185,33 @@ def test_batched_seeds_equal_the_seed_loop(cache_size, snap, backend, monkeypatc
         assert stats["candidate_sweeps"] == stats["last_leg_fallbacks"]
     if cache_size == 64:
         assert stats["last_leg_probes"] == 0
-    if backend == "numpy-kernel":  # its builds sweep nothing
-        assert all(len(call) == 1 for call in reference_calls)
-        assert reference["sweep_passes"] == len(reference_calls)
+    # Builds anchor nothing: each call is one give-up.
+    assert all(len(call) == 1 for call in reference_calls)
 
 
-def test_failed_connect_leaves_no_unswept_graph_in_the_cache():
-    """A backend that fails on the many-graph sweep: every entry whose
-    graph was registered but not swept leaves the cache, and the next
-    join answers as a cold database does."""
+def test_failed_connect_leaves_no_unswept_graph_in_the_cache(monkeypatch):
+    """A backend that fails on the many-graph connect: every entry
+    whose graph was registered but not connected leaves the cache, and
+    the next join answers as a cold database does."""
     from repro.runtime.context import QueryContext
-    from repro.visibility.kernel.backend import NaiveBackend
-
-    class Flaky(NaiveBackend):
-        failing = False
-
-        def visible_from_scenes(self, scenes):
-            if self.failing and len(scenes) > 1:
-                raise RuntimeError("sweep failed")
-            return super().visible_from_scenes(scenes)
 
     __, __, __, ts, tt, idx = _setup(5, n_obs=14, n_s=9, n_t=30)
-    flaky = Flaky()
-    ctx = QueryContext(idx, backend=flaky)
+    ctx = QueryContext(idx, backend="naive")
     warm = obstacle_distance_join(ts, tt, idx, 6.0, context=ctx)
     assert len(ctx.cache) > 1  # graphs the failing join finds and tops up
-    flaky.failing = True
-    with pytest.raises(RuntimeError, match="sweep failed"):
+    connect = ctx.backend.connect_pairs
+
+    def flaky(scenes):
+        if len(scenes) > 1:
+            raise RuntimeError("connect failed")
+        return connect(scenes)
+
+    monkeypatch.setattr(ctx.backend, "connect_pairs", flaky)
+    with pytest.raises(RuntimeError, match="connect failed"):
         obstacle_distance_join(ts, tt, idx, 12.0, context=ctx)
-    assert ctx.stats.graph_cache_invalidations > 0  # the unswept ones left
+    assert ctx.stats.graph_cache_invalidations > 0  # the unconnected ones left
     assert all(not entry.graph.pending for entry in ctx.cache.entries())
-    flaky.failing = False
+    monkeypatch.undo()
     cold = QueryContext(idx, backend="naive")
     assert obstacle_distance_join(ts, tt, idx, 12.0, context=ctx) == (
         obstacle_distance_join(ts, tt, idx, 12.0, context=cold)

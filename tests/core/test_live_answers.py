@@ -14,7 +14,7 @@ import pytest
 from repro import ObstacleDatabase, Point, Rect
 from tests.conftest import random_disjoint_rects, random_free_points
 
-BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
+BACKENDS = ["naive", "numpy-kernel"]
 
 
 def _line_db(**kwargs):

@@ -23,7 +23,7 @@ from tests.conftest import (
     rect_obstacle,
 )
 
-BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
+BACKENDS = ["naive", "numpy-kernel"]
 
 
 def _walk(waypoints, steps):

@@ -57,12 +57,146 @@ class TestConstruction:
             Polygon([Point(0, 0), Point(10, 10), Point(10, 0), Point(0, 10)])
 
     def test_validate_simple_rejects_self_intersection(self):
-        # non-zero-area self-intersecting quad: edge 2 crosses edge 0
-        crossed = Polygon(
-            [Point(0, 0), Point(6, 0), Point(6, 6), Point(2, -2)]
+        # non-zero-area self-intersecting quad: edge 2 crosses edge 0 —
+        # the constructor runs validate_simple on any polygon that turns
+        # right somewhere.
+        with pytest.raises(GeometryError, match="edges 0 and 2 intersect"):
+            Polygon([Point(0, 0), Point(6, 0), Point(6, 6), Point(2, -2)])
+
+
+#: The regular pentagon's vertices, and the pentagram through them in
+#: the order 0, 2, 4, 1, 3: only left turns and a positive area, but its
+#: edge directions wind twice.
+PENTAGON = [
+    Point(10 * math.cos(math.pi / 2 + 2 * math.pi * k / 5),
+          10 * math.sin(math.pi / 2 + 2 * math.pi * k / 5))
+    for k in range(5)
+]
+STAR = [PENTAGON[k] for k in (0, 2, 4, 1, 3)]
+
+#: Every star polygon ``{n/k}`` up to 12 points (``k`` coprime to
+#: ``n``, ``1 < k < n / 2``).
+STARS = [
+    (n, k) for n in range(5, 13) for k in range(2, (n + 1) // 2) if math.gcd(n, k) == 1
+]
+
+
+def _regular(n: int, r: float) -> list[Point]:
+    return [
+        Point(r * math.cos(2 * math.pi * i / n), r * math.sin(2 * math.pi * i / n))
+        for i in range(n)
+    ]
+
+
+#: Simple polygons with reflex vertices, as ``(x, y)`` rings.
+SIMPLE_NON_CONVEX = {
+    "L": [(0, 0), (6, 0), (6, 2), (2, 2), (2, 6), (0, 6)],
+    "U": [(0, 0), (30, 0), (30, 30), (20, 30), (20, 10), (10, 10), (10, 30), (0, 30)],
+    "spiral": [
+        (0, 0), (40, 0), (40, 40), (10, 40), (10, 20), (20, 20), (20, 30),
+        (30, 30), (30, 10), (0, 10),
+    ],
+    "comb": [(0, 0), (9, 0), (9, 6), (7, 6), (7, 2), (5, 2), (5, 6), (3, 6),
+             (3, 2), (1, 2), (1, 6), (0, 6)],
+    "concave star": [
+        (
+            (10 if i % 2 == 0 else 4) * math.cos(math.pi * i / 5),
+            (10 if i % 2 == 0 else 4) * math.sin(math.pi * i / 5),
         )
+        for i in range(10)
+    ],
+    "arrow, clockwise": [(0, 0), (4, 4), (0, 8), (10, 4)][::-1],
+}
+
+#: Polygons that turn right (or fold back) somewhere and whose edges
+#: meet away from their shared vertices.
+NOT_SIMPLE = {
+    "folded square": [(0, 0), (10, 0), (10, 10), (5, -5), (0, 10)],
+    "two squares touching at a vertex": [
+        (0, 0), (2, 0), (2, 2), (4, 2), (4, 4), (2, 4), (2, 2), (0, 2),
+    ],
+    "a spike folding back onto its edge": [
+        (0, 0), (10, 0), (10, 10), (0, 10), (0, 5), (5, 5), (0, 5.0),
+    ],
+}
+
+
+class TestWindsOnce:
+    """A polygon that turns left everywhere is simple iff its edge
+    directions wind exactly once; one that winds twice was accepted,
+    called convex by the sign filter and mis-decided by it."""
+
+    def test_the_pentagram_is_rejected(self):
+        with pytest.raises(GeometryError, match="winds 2 times"):
+            Polygon(STAR)
+        with pytest.raises(GeometryError, match="winds 2 times"):
+            Polygon(STAR[::-1])
+
+    def test_the_pentagram_never_reaches_a_database(self, tmp_path):
+        from repro import ObstacleDatabase
+        from repro.datasets.io import load_obstacles
+
         with pytest.raises(GeometryError):
-            crossed.validate_simple()
+            ObstacleDatabase([Polygon(STAR)])
+        path = tmp_path / "star.txt"
+        path.write_text("0 " + " ".join(f"{v.x!r} {v.y!r}" for v in STAR) + "\n")
+        with pytest.raises(GeometryError):
+            load_obstacles(path)
+
+    def test_convex_polygons_wind_once(self):
+        for poly in (
+            Polygon(PENTAGON),
+            Polygon(PENTAGON[::-1]),
+            Polygon.regular(Point(3, 4), 2, 40),
+            SQUARE,
+            # A collinear run: straight on at (5, 0).
+            Polygon([Point(0, 0), Point(5, 0), Point(10, 0), Point(10, 10)]),
+        ):
+            assert poly.is_convex()
+
+    def test_non_convex_simple_polygons_are_accepted(self):
+        assert not L_SHAPE.is_convex()
+        L_SHAPE.validate_simple()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n, k", STARS)
+    def test_star_polygons_are_rejected(self, n, k, reverse):
+        """The star ``{n/k}`` joins every ``k``-th vertex of a regular
+        ``n``-gon: left turns only, and its edges wind ``k`` times."""
+        ring = _regular(n, 10.0)
+        star = [ring[i * k % n] for i in range(n)]
+        with pytest.raises(GeometryError, match=f"winds {k} times"):
+            Polygon(star[::-1] if reverse else star)
+
+    @pytest.mark.parametrize("laps", [2, 3])
+    def test_a_boundary_traced_more_than_once_is_rejected(self, laps):
+        with pytest.raises(GeometryError, match=f"winds {laps} times"):
+            Polygon(list(SQUARE.vertices) * laps)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_regular_polygons_wind_once(self, n, reverse):
+        ring = _regular(n, 7.0)
+        poly = Polygon(ring[::-1] if reverse else ring)
+        assert len(poly.vertices) == n
+        assert poly.is_convex()
+        poly.validate_simple()
+
+    @pytest.mark.parametrize("name", sorted(SIMPLE_NON_CONVEX))
+    def test_simple_non_convex_polygons_are_kept(self, name):
+        xy = SIMPLE_NON_CONVEX[name]
+        poly = Polygon([Point(x, y) for x, y in xy])
+        assert not poly.is_convex()
+        poly.validate_simple()
+        shoelace = sum(
+            x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(xy, xy[1:] + xy[:1])
+        )
+        assert poly.area() == pytest.approx(abs(shoelace) / 2)
+
+    @pytest.mark.parametrize("name", sorted(NOT_SIMPLE))
+    def test_polygons_that_turn_right_and_meet_themselves_are_rejected(self, name):
+        with pytest.raises(GeometryError, match="not simple"):
+            Polygon([Point(x, y) for x, y in NOT_SIMPLE[name]])
 
 
 class TestMeasures:

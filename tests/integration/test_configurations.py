@@ -44,7 +44,7 @@ SEEDS = [17, 2004]
 #: journal path, ``traced`` is ``TRACER.configure(1.0)``; the rest are
 #: constructor arguments.
 CONFIGURATIONS = {
-    "python-sweep": {"backend": "python-sweep"},
+    "naive": {"backend": "naive"},
     "snap": {"graph_cache_snap": 2.0},
     "adaptive": {"cache_policy": "adaptive"},
     "sharded": {"shards": 8},
@@ -59,7 +59,7 @@ CONFIGURATIONS = {
         "workers": 2,
         "pool": "persistent",
     },
-    "snap+python-sweep": {"graph_cache_snap": 2.0, "backend": "python-sweep"},
+    "snap+naive": {"graph_cache_snap": 2.0, "backend": "naive"},
     "sharded+fork+traced": {
         "shards": 8,
         "workers": 2,

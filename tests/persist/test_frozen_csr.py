@@ -19,7 +19,7 @@ from repro.persist import codec, snapshot_info
 from tests.persist.helpers import backend_params, warm_queries
 
 
-def _warm_db(backend: str = "python-sweep") -> tuple[ObstacleDatabase, list[Point]]:
+def _warm_db(backend: str = "naive") -> tuple[ObstacleDatabase, list[Point]]:
     obstacles = [
         Rect(10.0, 10.0, 20.0, 25.0),
         Rect(40.0, 5.0, 55.0, 18.0),

@@ -20,7 +20,11 @@ tangent visibility graph: the cached graphs' edge lists (and the edge
 counts of each ``*.info.json`` cache entry) shrank with it.  Both
 were re-saved once more when ``RuntimeStats`` gained
 ``exact_band_pairs``: one zero counter (29 bytes), the section's count
-and the header moved, and each ``*.info.json`` gained the key.
+and the header moved, and each ``*.info.json`` gained the key.  Both
+were re-saved once more when ``RuntimeStats`` lost ``sweep_passes``
+with the kernel's rotational sweep: one counter (25 bytes), the
+section's count and the header moved, and each ``*.info.json`` lost the
+key.
 Any other change that moves either is a format change:
 bump ``FORMAT_VERSION``, then regenerate with
 ``python -m tests.persist.test_golden`` from the repo root.

@@ -151,7 +151,7 @@ def test_composite_sources_roundtrip(tmp_path):
     db.add_entity_set("P", [Point(6.0, 5.0), Point(0.0, 5.0)])
     q = Point(1.0, 5.0)
     live = db.nearest("P", q, 2)
-    loaded = _roundtrip(db, tmp_path, "python-sweep")
+    loaded = _roundtrip(db, tmp_path, "naive")
     assert loaded.nearest("P", q, 2) == live
     assert sorted(loaded._obstacle_indexes) == ["extra", "obstacles"]
 
@@ -165,7 +165,7 @@ def test_mutated_database_roundtrips_versions(tmp_path):
     db.nearest("P", Point(1.0, 5.0), 1)
     assert db.delete_obstacle(record)
     live_version = db.obstacle_index.version
-    loaded = _roundtrip(db, tmp_path, "python-sweep")
+    loaded = _roundtrip(db, tmp_path, "naive")
     assert loaded.obstacle_index.version == live_version
     assert loaded.obstacle_index.shard_keys() == db.obstacle_index.shard_keys()
     assert [e.version for e in loaded.context.cache.entries()] == [
@@ -185,7 +185,7 @@ def test_dynamic_entity_updates_roundtrip(tmp_path):
         db.insert_entity("P", Point(float(i % 7), float(i % 11)))
     assert db.delete_entity("P", Point(0.0, 0.0))
     live_tree = db.entity_tree("P")
-    loaded = _roundtrip(db, tmp_path, "python-sweep")
+    loaded = _roundtrip(db, tmp_path, "naive")
     loaded_tree = loaded.entity_tree("P")
     loaded_tree.check_invariants()
     assert loaded_tree.size == live_tree.size
@@ -223,7 +223,7 @@ def test_runtime_counters_roundtrip(tmp_path):
     db.obstructed_distance(Point(2.0, 5.0), Point(8.0, 5.0))
     saved = db.runtime_stats()
     assert saved["graph_builds"] > 0  # the probe did real work
-    loaded = _roundtrip(db, tmp_path, "python-sweep")
+    loaded = _roundtrip(db, tmp_path, "naive")
     restored = loaded.runtime_stats()
     for counter, value in saved.items():
         if counter == "backend":
@@ -234,6 +234,6 @@ def test_runtime_counters_roundtrip(tmp_path):
 def test_empty_database_roundtrip(tmp_path):
     """A database with no obstacles and no entities still round-trips."""
     db = ObstacleDatabase([])
-    loaded = _roundtrip(db, tmp_path, "python-sweep")
+    loaded = _roundtrip(db, tmp_path, "naive")
     assert len(loaded.obstacle_index) == 0
     assert loaded.universe() is None

@@ -63,10 +63,10 @@ def test_covered_centres_build_nothing(tmp_path, backend, shards):
 def test_mutation_after_load_routes_repair_first(tmp_path, shards):
     """An insert landing inside a restored coverage disk is repaired in
     place (feed re-subscription), not invalidated."""
-    db, probes = _warm_db("python-sweep", shards)
+    db, probes = _warm_db("naive", shards)
     path = tmp_path / "warm.snap"
     db.save(path)
-    loaded = ObstacleDatabase.load(path, backend="python-sweep")
+    loaded = ObstacleDatabase.load(path, backend="naive")
     # Prime one lookup so the entry is demonstrably live, then mutate
     # inside its coverage disk (the probe's nearest ran at radius >=
     # distance to the entities, so a small box near the probe is in).
@@ -81,7 +81,7 @@ def test_mutation_after_load_routes_repair_first(tmp_path, shards):
     # mutated obstacle set.
     reference = ObstacleDatabase(
         [o.polygon for __, o in _obstacle_items(loaded)],
-        backend="python-sweep",
+        backend="naive",
     )
     reference.add_entity_set(
         "P", [p for p, __ in loaded.entity_tree("P").items()]
@@ -169,9 +169,9 @@ class TestCrossProcess:
         path = tmp_path / "handshake.snap"
         _produce_in_child(path)
         loaded = ObstacleDatabase.load(
-            path, backend="python-sweep", cache_policy="adaptive"
+            path, backend="naive", cache_policy="adaptive"
         )
-        assert loaded.runtime_stats()["backend"] == "python-sweep"
+        assert loaded.runtime_stats()["backend"] == "naive"
         twin = producer.build_db()
         assert producer.expected_answers(loaded) == producer.expected_answers(
             twin

@@ -21,7 +21,7 @@ from repro import ObstacleDatabase, Point, Rect
 from repro.core.source import build_obstacle_index
 from repro.obs import TRACER
 from repro.runtime.context import QueryContext
-from repro.visibility import VisibilityGraph, resolve_backend
+from repro.visibility import VisibilityGraph
 from repro.visibility.csr import ANCHOR_MEMO_LIMIT, frozen
 from tests.conftest import (
     random_disjoint_rects,
@@ -30,7 +30,7 @@ from tests.conftest import (
 )
 from tests.reference_field import ReferenceField, reference_distance
 
-BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
+BACKENDS = ["naive", "numpy-kernel"]
 
 #: Inserted by every warm history, clear of both scene families.
 INSERTED = Rect(-9.0, 10.0, -3.0, 30.0)
@@ -44,10 +44,7 @@ def _touching_grid_obstacles(rng):
     neighbours share entire edges and corners, and edges line up in
     collinear runs.  (``grid_aligned_obstacles`` of the backend parity
     suite insets side by side, which also puts one rectangle's corner
-    in the middle of another's edge; the ``python-sweep`` backend's
-    sweep from such a corner sees points on or inside the other
-    obstacle, so under it the reference and a cold graph included
-    answer by which node was swept last.  Those contacts are left to
+    in the middle of another's edge; those T-junctions are left to
     ROADMAP item 3.)"""
     cells = rng.sample(
         [(i, j) for i in range(4) for j in range(4)], rng.randint(1, 6)
@@ -464,21 +461,23 @@ class TestFieldCounters:
 
 
 class _AnchorCallCounter:
-    """Wraps a backend; counts the calls that sweep off-graph sources
-    (anchor sweeps) apart from the graph's own maintenance sweeps."""
+    """Patches a context's resolved backend; counts the scenes whose
+    sources are off the graph (anchor calls) apart from the graph's own
+    maintenance."""
 
-    def __init__(self, inner):
-        self._inner = inner
-        self.name = inner.name
+    def __init__(self, context):
         self.anchor_calls = 0
+        backend = context.backend
+        inner = backend.visible_ids
 
-    def visible_from(self, p, graph):
-        return self.visible_from_many((p,), graph)[0]
+        def visible_ids(scenes):
+            self.anchor_calls += sum(
+                bool(sources) and not graph.has_node(sources[0])
+                for sources, graph in scenes
+            )
+            return inner(scenes)
 
-    def visible_from_many(self, sources, graph):
-        if sources and not graph.has_node(sources[0]):
-            self.anchor_calls += 1
-        return self._inner.visible_from_many(sources, graph)
+        backend.visible_ids = visible_ids
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -497,8 +496,9 @@ class TestBatchEvalAcrossGrowth:
         ]
         index = build_obstacle_index(walls, max_entries=8, min_entries=3)
         q = Point(0.0, 0.0)
-        counter = _AnchorCallCounter(resolve_backend(backend))
-        field = QueryContext(index, backend=counter).field_for(q)
+        context = QueryContext(index, backend=backend)
+        counter = _AnchorCallCounter(context)
+        field = context.field_for(q)
         candidates = [
             Point(5.0, 1.0), Point(6.0, -2.0),      # before the first wall
             Point(15.0, 3.0), Point(16.0, -1.0),    # behind wall 0
@@ -542,16 +542,15 @@ class TestRepeatedSources:
         obstacles = random_disjoint_rects(rng, 14)
         points = random_free_points(rng, 124, obstacles)
         sources, goals = points[:4], points[4:]
-        counter = _AnchorCallCounter(resolve_backend("numpy-kernel"))
         db = ObstacleDatabase(
             [o.polygon for o in obstacles],
             max_entries=8,
             min_entries=3,
-            backend=counter,
             graph_cache_snap=500.0,
             cache_policy="static",
         )
         ctx = db.context
+        counter = _AnchorCallCounter(ctx)
         entry = ctx.entry_for(goals[0], 300.0)  # one graph covers the scene
         pairs = [(min(sources, key=q.distance), q) for q in goals]
         # Hidden from every node: the probe gives up and sweeps it.

@@ -32,7 +32,7 @@ from tests.conftest import (
     rect_obstacle,
 )
 
-BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
+BACKENDS = ["naive", "numpy-kernel"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,4 +1,4 @@
-"""Regression tests for the per-backend sweep counters in
+"""Regression tests for the per-backend anchor counters in
 :class:`~repro.runtime.stats.RuntimeStats` (``sweeps_run``,
 ``sweep_events``, ``sweep_seconds``, ``backend``)."""
 
@@ -48,7 +48,7 @@ class TestSweepCounters:
         assert stats["sweep_seconds"] == 0.0
         assert stats["backend"] == "numpy-kernel"
 
-    @pytest.mark.parametrize("name", ["python-sweep", "naive"])
+    @pytest.mark.parametrize("name", ["naive"])
     def test_explicit_backend_is_reported(self, name):
         db = ObstacleDatabase([Rect(4, 4, 6, 6)], backend=name)
         db.add_entity_set("P", [Point(0, 0), Point(9, 9)])
@@ -72,11 +72,11 @@ class TestSweepCounters:
         # sweeps (off-graph points) over the same events.
         assert counts["naive"] == counts["numpy-kernel"]
 
-    @pytest.mark.parametrize("name", ["numpy-kernel", "python-sweep", "naive"])
+    @pytest.mark.parametrize("name", ["numpy-kernel", "naive"])
     def test_sweep_events_count_what_each_source_meets(self, name):
-        """A node sweeping its graph meets every other node; an
-        off-graph probe (a last-leg anchor sweep) meets them all — from
-        the single-scene entry and the scenes entry alike."""
+        """A node anchored on its graph meets every other node; an
+        off-graph probe (a last-leg anchor) meets them all — from the
+        single-scene entry and the scenes entry alike."""
         from repro.visibility import VisibilityGraph, resolve_backend
 
         stats = RuntimeStats()
@@ -92,16 +92,14 @@ class TestSweepCounters:
         backend.visible_from_scenes([([probe], graph), ([node, node], graph)])
         assert (stats.sweeps_run, stats.sweep_events) == (5, 9 + 5 + 4 + 4)
 
-    def test_sweep_passes_tick_once_per_kernel_pass(self, monkeypatch):
-        """``sweeps_run / sweep_passes`` is the batching factor: one
-        pass holds as many sources, of as many graphs, as the pair
-        budget does; the looping backends make no passes.  Connecting
-        graphs sweeps nothing: their pairs are decided over arrays."""
+    @pytest.mark.parametrize("name", ["numpy-kernel", "naive"])
+    def test_connecting_graphs_anchors_nothing(self, name):
+        """Connecting graphs decides node pairs, no source is anchored:
+        only a ``visible_ids`` call ticks the anchor counters."""
         from repro.visibility import VisibilityGraph, resolve_backend
-        from repro.visibility.kernel import numpy_sweep
 
         stats = RuntimeStats()
-        backend = resolve_backend("numpy-kernel", stats=stats)
+        backend = resolve_backend(name, stats=stats)
         graphs = [
             VisibilityGraph.registered(
                 [Point(0, 0)], [rect_obstacle(0, 4, 4, 6, 6)], method=backend
@@ -109,78 +107,54 @@ class TestSweepCounters:
             for __ in range(3)
         ]
         VisibilityGraph.connect(graphs)
-        assert (stats.sweeps_run, stats.sweep_passes) == (0, 0)
+        assert (stats.sweeps_run, stats.sweep_events) == (0, 0)
+        assert all(g.edge_count > 0 for g in graphs)
         backend.visible_from_scenes([(list(g.nodes()), g) for g in graphs])
-        assert (stats.sweeps_run, stats.sweep_passes) == (15, 1)
-        monkeypatch.setattr(numpy_sweep, "_PAIR_BUDGET", 1)
-        backend.visible_from_many(list(graphs[0].nodes()), graphs[0])
-        assert (stats.sweeps_run, stats.sweep_passes) == (20, 6)
-        looping = RuntimeStats()
-        naive = resolve_backend("naive", stats=looping)
-        graph = VisibilityGraph.build(
-            [Point(0, 0)], [rect_obstacle(0, 4, 4, 6, 6)], method=naive
-        )
-        assert (looping.sweeps_run, looping.sweep_passes) == (0, 0)
-        naive.visible_from_many(list(graph.nodes()), graph)
-        assert (looping.sweeps_run, looping.sweep_passes) == (5, 0)
+        assert (stats.sweeps_run, stats.sweep_events) == (15, 60)
 
     def test_standalone_stats_default_backend_label(self):
         assert RuntimeStats().backend == ""
 
-    def test_shared_backend_instance_ticks_each_database(self):
-        """One backend instance across two databases: each database's
-        counters reflect its own sweeps (the instance is wrapped, not
-        mutated and bound to the first database's stats)."""
-        from repro.visibility.kernel.backend import PythonSweepBackend
+    def test_a_backend_instance_is_refused(self):
+        """``backend=`` takes a name: an instance, even a resolved one,
+        is an unknown backend."""
+        from repro.errors import QueryError
+        from repro.visibility import resolve_backend
 
-        shared = PythonSweepBackend()
-        dbs = []
-        for _ in range(2):
-            db = ObstacleDatabase([Rect(4, 4, 6, 6)], backend=shared)
-            db.add_entity_set("P", [Point(0, 0), Point(9, 9)])
-            dbs.append(db)
-        dbs[1].obstructed_distance((0, 0), (9, 9))
-        assert dbs[0].runtime_stats()["sweeps_run"] == 0
-        assert dbs[1].runtime_stats()["sweeps_run"] > 0
-        assert shared.stats is None
+        with pytest.raises(QueryError, match="unknown visibility backend"):
+            ObstacleDatabase([Rect(4, 4, 6, 6)], backend=resolve_backend("naive"))
 
 
-class _RecordingBackend:
-    """A caller-owned backend that notes every source it is asked to
-    sweep; the exact oracle answers."""
+class _Recording:
+    """Notes every source a resolved backend is asked to anchor."""
 
-    name = "recording"
-
-    def __init__(self):
-        from repro.visibility.kernel.backend import NaiveBackend
-
-        self._oracle = NaiveBackend()
+    def __init__(self, backend):
         self.swept = []
+        inner = backend.visible_ids
 
-    def visible_from(self, p, graph):
-        self.swept.append(p)
-        return self._oracle.visible_from(p, graph)
+        def visible_ids(scenes):
+            self.swept += [p for sources, __ in scenes for p in sources]
+            return inner(scenes)
 
-    def visible_from_many(self, sources, graph):
-        return [self.visible_from(p, graph) for p in sources]
+        backend.visible_ids = visible_ids
 
 
 class TestLastLegSweeps:
     def test_anchor_sweeps_use_the_backend_and_are_counted(self, monkeypatch):
         """A range query's candidates never enter the graph: each one's
         last leg is probed with the exact oracle, and only a give-up
-        (forced here by a zero cap) is swept — one point a sweep, by the
-        database's backend and into ``sweeps_run``."""
+        (forced here by a zero cap) is anchored — one point a call, by
+        the database's backend and into ``sweeps_run``."""
         from repro.visibility import csr
 
         candidates = [Point(0, 0), Point(14, 5), Point(5, 10), Point(8, 1)]
         for cap in (csr.LAST_LEG_PROBES, 0):
             monkeypatch.setattr(csr, "LAST_LEG_PROBES", cap)
-            backend = _RecordingBackend()
             db = ObstacleDatabase(
-                [Rect(4, 4, 6, 6), Rect(10, 2, 12, 8)], backend=backend
+                [Rect(4, 4, 6, 6), Rect(10, 2, 12, 8)], backend="naive"
             )
             db.add_entity_set("P", candidates)
+            backend = _Recording(db.context.backend)
             found = db.range("P", (7, 5), 12.0)
             assert len(found) == len(candidates)  # every candidate evaluated
             stats = db.runtime_stats()

@@ -7,7 +7,6 @@ import pytest
 from repro import ObstacleDatabase, Point, Rect
 from repro.errors import QueryError
 from repro.serve.pool import PersistentWorkerPool
-from repro.visibility.kernel.backend import NaiveBackend
 from tests.conftest import random_disjoint_rects, random_free_points
 
 
@@ -344,27 +343,4 @@ class TestPoolLifecycle:
             )
         finally:
             pool.shutdown()
-            db.close()
-
-    def test_a_backend_no_name_resolves_is_refused(self):
-        """Workers resolve the parent's backend by name: one they cannot
-        name is refused, not silently swapped for the default — while a
-        forked child inherits the instance itself."""
-
-        class Mine(NaiveBackend):
-            name = "mine"
-
-        rng = random.Random(338)
-        obstacles = random_disjoint_rects(rng, 6)
-        points = random_free_points(rng, 12, obstacles)
-        db = ObstacleDatabase([o.polygon for o in obstacles], backend=Mine())
-        db.add_entity_set("pois", points[4:])
-        queries = points[:4]
-        try:
-            with pytest.raises(QueryError, match="'mine'"):
-                db.batch_nearest("pois", queries, 1, workers=2, pool="persistent")
-            assert db.batch_nearest("pois", queries, 1, workers=2) == (
-                db.batch_nearest("pois", queries, 1)
-            )
-        finally:
             db.close()

@@ -351,7 +351,7 @@ def _signs(segments, polys, pairs):
     array filter's verdict, ``None`` where it leaves the pair to the
     tolerance method — :meth:`Polygon.sign_verdict`'s shape."""
     crosses, decided = exact._signs(
-        _segs([segments[k] for k, __ in pairs]),
+        _segs([segments[k] for k, __ in pairs]).T,
         exact.pack_polygons(polys),
         np.array([o for __, o in pairs], dtype=np.int64),
     )
@@ -419,7 +419,9 @@ class TestSignFilter:
         segments = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
         segs = _segs(segments)
         geom = exact.pack_polygons(polys)
-        pair_seg, pair_obs = exact._boxes_meet(geom.mbr, *segs.T[:, :, None]).nonzero()
+        pair_seg, pair_obs = exact._boxes_meet(
+            geom.mbr.T, *segs.T[:, :, None]
+        ).nonzero()
         pairs = list(zip(pair_seg.tolist(), pair_obs.tolist()))
         want = [polys[o]._crosses_by_params(*segments[s]) for s, o in pairs]
         assert [polys[o].crosses_interior(*segments[s]) for s, o in pairs] == want
@@ -435,7 +437,7 @@ def _edge_set(graph):
 
 
 class TestReferenceBackendsNeverTouchTheArrays:
-    @pytest.mark.parametrize("method", ["naive", "python-sweep"])
+    @pytest.mark.parametrize("method", ["naive"])
     def test_build_insert_delete_with_the_arrays_broken(self, method, monkeypatch):
         def broken(*args, **kwargs):
             raise AssertionError("a reference backend reached the array predicate")

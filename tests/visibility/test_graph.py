@@ -8,7 +8,7 @@ import pytest
 from repro.errors import QueryError
 from repro.geometry import Point, Polygon, Rect
 from repro.model import Obstacle
-from repro.visibility import VisibilityGraph
+from repro.visibility import VisibilityGraph, is_visible
 from tests.conftest import random_disjoint_rects, random_free_points, rect_obstacle
 from tests.reference_field import tangent_edges
 
@@ -62,10 +62,10 @@ class TestBuild:
 class TestBulkInstall:
     """`build` decides every tangent node pair in one backend call and
     installs the visible ones in one step; the result must be
-    indistinguishable from sweeping node by node and setting each pair
+    indistinguishable from anchoring node by node and setting each pair
     the tangent rule keeps, in pair order."""
 
-    @pytest.mark.parametrize("method", ["python-sweep", "numpy-kernel", "naive"])
+    @pytest.mark.parametrize("method", ["numpy-kernel", "naive"])
     def test_build_equals_per_source_build(self, method):
         rng = random.Random(2024)
         obstacles = random_disjoint_rects(rng, 7)
@@ -146,23 +146,33 @@ class TestAddObstacle:
         # p -> far crosses the interior, must not be an edge
         assert far not in g.neighbors(p)
 
-    def test_off_graph_probe_on_a_shared_edge(self):
-        """An unknown probe is checked on the fly: on the side two
-        touching rectangles share it lies on both boundaries (in
-        registration order); a hair inside the EPS slack still counts,
-        beyond it nothing does."""
+    @pytest.mark.parametrize("method", ["numpy-kernel", "naive"])
+    def test_off_graph_probe_on_a_shared_edge(self, method):
+        """An off-graph probe on the side two touching rectangles share,
+        a hair off it, strictly inside, or on their shared corner sees
+        exactly the nodes the pairwise oracle says — before and after
+        one of the two leaves."""
         left = rect_obstacle(0, 0, 0, 10, 10)
         right = rect_obstacle(1, 10, 0, 20, 10)
         far = rect_obstacle(2, 40, 0, 50, 10)
-        g = VisibilityGraph.build([], [left, right, far])
-        assert g.boundary_obstacles(Point(10, 4)) == (left, right)
-        assert g.boundary_obstacles(Point(10, 10 + 5e-10)) == (left, right)
-        assert g.boundary_obstacles(Point(-5e-10, 4)) == (left,)
-        assert g.boundary_obstacles(Point(10, 10 + 1e-6)) == ()
-        assert g.boundary_obstacles(Point(15, 4)) == ()  # strictly inside
-        assert g.boundary_obstacles(Point(10, 10)) == (left, right)  # a node
-        g.remove_obstacle(left.oid)
-        assert g.boundary_obstacles(Point(10, 4)) == (right,)
+        g = VisibilityGraph.build([], [left, right, far], method=method)
+        probes = [
+            Point(10, 4),
+            Point(10, 10 + 5e-10),
+            Point(-5e-10, 4),
+            Point(10, 10 + 1e-6),
+            Point(15, 4),  # strictly inside
+            Point(10, 10),  # a node
+        ]
+        for __ in range(2):
+            walls = g.scene_obstacles()
+            seen = g.visible_from_many(probes)
+            for p, visible in zip(probes, seen):
+                assert visible == [
+                    v for v in g.nodes() if v != p and is_visible(p, v, walls)
+                ], p
+            assert seen[4] == []
+            g.remove_obstacle(left.oid)
 
 
 class TestAddDeleteEntity:

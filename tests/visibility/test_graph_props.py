@@ -21,12 +21,12 @@ def _adjacency(graph: VisibilityGraph) -> set:
 
 @SETTINGS
 @given(st.data())
-def test_sweep_build_equals_naive_build(data):
+def test_kernel_build_equals_naive_build(data):
     obstacles = data.draw(disjoint_rect_obstacles())
     points = data.draw(free_points(obstacles, min_count=0, max_count=6))
-    sweep = VisibilityGraph.build(points, obstacles, method="python-sweep")
+    kernel = VisibilityGraph.build(points, obstacles, method="numpy-kernel")
     naive = VisibilityGraph.build(points, obstacles, method="naive")
-    assert _adjacency(sweep) == _adjacency(naive)
+    assert _adjacency(kernel) == _adjacency(naive)
 
 
 @SETTINGS

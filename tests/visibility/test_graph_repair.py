@@ -21,7 +21,7 @@ from repro.visibility import VisibilityGraph
 from tests.conftest import random_disjoint_rects, random_free_points
 from tests.reference_field import graph_distance
 
-BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
+BACKENDS = ["naive", "numpy-kernel"]
 
 
 def _edge_set(graph):
@@ -188,7 +188,7 @@ class TestRemoveObstacleEdgeCases:
         assert [(nodes[a], nodes[b]) for a, b in zip(ea.tolist(), eb.tolist())] == [
             edge for o in graph.scene_obstacles() for edge in o.polygon.edges()
         ]
-        xy, __, __ = packed.sweep_arrays()
+        xy, __ = packed.node_arrays()
         assert xy.T.tolist() == [[p.x, p.y] for p in nodes]
 
 
@@ -234,7 +234,7 @@ def _state(graph):
             for u in graph.nodes()
             for v, w in graph.neighbors(u).items()
         },
-        {p: frozenset(o.oid for o in held) for p, held in graph._boundary.items()},
+        dict(graph._vertices),
         set(graph._promoted),
         graph.free_points(),
         graph.obstacle_ids(),

@@ -1,6 +1,7 @@
 """Unit tests for the PackedScene array layout: edge endpoints as node
-ids, edge/oid packing, per-obstacle MBR rows and edge runs, and the
-graph's node table laid out as the sweep's events."""
+ids, one run of edges per obstacle in polygon order, the obstacles as
+the exact predicate reads them, and the graph's node table laid out as
+the array passes' rows."""
 
 import pytest
 
@@ -40,19 +41,15 @@ def scene():
     return _packed(rect_obstacle(7, 0, 0, 10, 10), rect_obstacle(9, 20, 0, 30, 10))
 
 
-def _runs(packed, points, oids):
-    """Per obstacle id, its edge run as point pairs."""
+def _edges(packed, points):
+    """The packed edges as point pairs, in row order."""
     ea, eb = packed.edge_endpoints()
-    out = {}
-    for oid in oids:
-        start, count = packed.obstacle_edge_range(oid)
-        out[oid] = [
-            (points[a], points[b])
-            for a, b in zip(
-                ea[start : start + count].tolist(), eb[start : start + count].tolist()
-            )
-        ]
-    return out
+    return [(points[a], points[b]) for a, b in zip(ea.tolist(), eb.tolist())]
+
+
+def _mbrs(packed):
+    """The packed obstacles' MBR rows, as the exact predicate reads them."""
+    return [tuple(row) for row in packed.exact_arrays()[0].mbr.tolist()]
 
 
 class TestEdgePacking:
@@ -61,15 +58,15 @@ class TestEdgePacking:
         assert packed.edge_count == 8
         assert packed.obstacle_count == 2
 
-    def test_events_are_the_node_table(self, scene):
+    def test_rows_are_the_node_table(self, scene):
         packed, table = scene
-        table.add(Point(-1, -1))  # a free point: an event, no edge
-        xy, points, ends = packed.sweep_arrays()
+        table.add(Point(-1, -1))  # a free point: a row, no edge
+        xy, points = packed.node_arrays()
         assert points is table.points
         assert xy.shape == (2, 9)
         for i, p in enumerate(table.points):
             assert (xy[0, i], xy[1, i]) == (p.x, p.y)
-        assert ends.shape == (2, 8) and ends.max() < 8
+        assert max(packed.edge_endpoints()[1].tolist()) < 8
 
     def test_shared_vertices_are_one_node(self):
         packed, table = _packed(
@@ -79,17 +76,12 @@ class TestEdgePacking:
         assert packed.edge_count == 8
         assert set(packed.edge_endpoints()[0].tolist()) == set(range(6))
 
-    def test_edge_oids_tag_owning_obstacle(self, scene):
-        packed, __ = scene
-        oids = packed.edge_oids()
-        assert sorted(set(oids.tolist())) == [7, 9]
-        assert (oids[:4] == 7).all() and (oids[4:] == 9).all()
-
     def test_runs_name_each_obstacles_edges_in_polygon_order(self, scene):
         packed, table = scene
-        runs = _runs(packed, table.points, (7, 9))
-        assert runs[7] == list(rect_obstacle(7, 0, 0, 10, 10).polygon.edges())
-        assert runs[9] == list(rect_obstacle(9, 20, 0, 30, 10).polygon.edges())
+        assert _edges(packed, table.points) == [
+            *rect_obstacle(7, 0, 0, 10, 10).polygon.edges(),
+            *rect_obstacle(9, 20, 0, 30, 10).polygon.edges(),
+        ]
 
 
 class TestNodeTable:
@@ -103,17 +95,16 @@ class TestNodeTable:
         g.add_obstacle(obstacles[1])  # its corners follow the free point
         assert g.delete_entity(Point(15, 15))
         points = list(g.nodes())
-        assert _runs(packed, points, (0, 1)) == {
-            o.oid: list(o.polygon.edges()) for o in obstacles
-        }
-        xy, __, __ = packed.sweep_arrays()
+        want = [e for o in obstacles for e in o.polygon.edges()]
+        assert _edges(packed, points) == want
+        xy, __ = packed.node_arrays()
         assert xy.T.tolist() == [[p.x, p.y] for p in points]
 
-    def test_vertex_coincident_free_point_is_one_event(self):
+    def test_vertex_coincident_free_point_is_one_row(self):
         g = VisibilityGraph.build(
             [Point(0, 0)], [rect_obstacle(0, 0, 0, 10, 10)], method="numpy-kernel"
         )
-        assert g.packed_scene().sweep_arrays()[0].shape == (2, 4)
+        assert g.packed_scene().node_arrays()[0].shape == (2, 4)
 
     def test_free_point_promoted_to_a_vertex_keeps_its_id(self):
         g = VisibilityGraph(method="numpy-kernel")
@@ -122,25 +113,21 @@ class TestNodeTable:
         g.add_obstacle(rect_obstacle(0, 4, 4, 6, 6))
         assert g.node_id(Point(4, 4)) == 0
         assert 0 in packed.edge_endpoints()[0].tolist()
-        assert packed.sweep_arrays()[0].shape == (2, 4)
+        assert packed.node_arrays()[0].shape == (2, 4)
 
 
 class TestObstacleRows:
-    """Per-obstacle MBRs and edge runs follow add / remove."""
+    """Per-obstacle rows and edge runs follow add / remove."""
 
-    def test_mbrs_and_edge_runs_follow_adds(self, scene):
+    def test_rows_and_edge_runs_follow_adds(self, scene):
         packed, table = scene
-        assert packed.obstacle_mbrs() == [
-            (0.0, 0.0, 10.0, 10.0),
-            (20.0, 0.0, 30.0, 10.0),
-        ]
-        assert packed.obstacle_edge_range(7) == (0, 4)
-        assert packed.obstacle_edge_range(9) == (4, 4)
+        assert _mbrs(packed) == [(0.0, 0.0, 10.0, 10.0), (20.0, 0.0, 30.0, 10.0)]
+        assert packed.exact_arrays()[1] == {7: 0, 9: 1}
         obs = rect_obstacle(11, 40, 0, 50, 10)
         table.add(*obs.polygon.vertices)
         packed.add_obstacle(obs, table.ids)
-        assert packed.obstacle_mbrs()[2] == (40.0, 0.0, 50.0, 10.0)
-        assert packed.obstacle_edge_range(11) == (8, 4)
+        assert _mbrs(packed)[2] == (40.0, 0.0, 50.0, 10.0)
+        assert _edges(packed, table.points)[8:] == list(obs.polygon.edges())
 
     def test_remove_compacts_rows_and_shifts_edge_runs(self, scene):
         packed, table = scene
@@ -148,20 +135,16 @@ class TestObstacleRows:
         table.add(*obs.polygon.vertices)
         packed.add_obstacle(obs, table.ids)
         packed.remove_obstacle(7)
-        assert packed.obstacle_mbrs() == [
-            (20.0, 0.0, 30.0, 10.0),
-            (40.0, 0.0, 50.0, 10.0),
-        ]
-        assert packed.obstacle_edge_range(9) == (0, 4)
-        assert packed.obstacle_edge_range(11) == (4, 4)
-        with pytest.raises(KeyError):
-            packed.obstacle_edge_range(7)
+        assert _mbrs(packed) == [(20.0, 0.0, 30.0, 10.0), (40.0, 0.0, 50.0, 10.0)]
+        assert packed.exact_arrays()[1] == {9: 0, 11: 1}
         # Each run still names its own obstacle's edges, in polygon order.
-        runs = _runs(packed, table.points, (9, 11))
-        for o in (rect_obstacle(9, 20, 0, 30, 10), obs):
-            assert runs[o.oid] == list(o.polygon.edges())
-            start, count = packed.obstacle_edge_range(o.oid)
-            assert (packed.edge_oids()[start : start + count] == o.oid).all()
+        assert _edges(packed, table.points) == [
+            *rect_obstacle(9, 20, 0, 30, 10).polygon.edges(),
+            *obs.polygon.edges(),
+        ]
+        packed.remove_obstacle(11)
+        packed.add_obstacle(obs, table.ids)
+        assert _edges(packed, table.points)[4:] == list(obs.polygon.edges())
 
     def test_remove_unknown_is_noop(self, scene):
         packed, __ = scene
@@ -173,25 +156,24 @@ class TestObstacleRows:
             rect_obstacle(0, 0, 0, 10, 10), rect_obstacle(1, 10, 0, 20, 10)
         )  # shares 2 corners
         packed.remove_obstacle(0)
-        assert packed.obstacle_mbrs() == [(10.0, 0.0, 20.0, 10.0)]
-        assert packed.obstacle_edge_range(1) == (0, 4)
+        assert _mbrs(packed) == [(10.0, 0.0, 20.0, 10.0)]
         assert sorted(set(packed.edge_endpoints()[0].tolist())) == [1, 2, 4, 5]
 
-    def test_mbr_holders_match_contains_point(self, scene):
+    def test_mbr_meeting_matches_rect_intersects(self, scene):
+        from repro.geometry import Rect
+
         packed, __ = scene
-        probes = {
-            Point(5, 5): [7],      # inside
-            Point(10, 10): [7],    # a corner: the MBR is closed
-            Point(15, 5): [],      # between the boxes
-            Point(20, 0): [9],     # on an edge
-            Point(25, 11): [],
-            Point(5, -0.5): [],
+        boxes = {
+            Rect(5, 5, 6, 6): [7],  # inside
+            Rect(10, 10, 12, 12): [7],  # a corner: the MBRs are closed
+            Rect(12, 2, 18, 8): [],  # between the boxes
+            Rect(5, 5, 25, 6): [7, 9],
+            Rect(5, -1, 6, -0.5): [],
         }
-        for p, oids in probes.items():
-            assert [obs.oid for obs in packed.mbr_holders(p)] == oids
+        for box, oids in boxes.items():
+            assert [obs.oid for obs in packed.mbr_meeting(box)] == oids
         packed.remove_obstacle(7)
-        assert packed.mbr_holders(Point(5, 5)) == []
-        assert [obs.oid for obs in packed.mbr_holders(Point(20, 0))] == [9]
+        assert [obs.oid for obs in packed.mbr_meeting(Rect(5, 5, 25, 6))] == [9]
 
     def test_graph_keeps_rows_in_step(self):
         """Through the graph's own hooks: the packed rows equal the
@@ -210,5 +192,5 @@ class TestObstacleRows:
             (o.mbr.minx, o.mbr.miny, o.mbr.maxx, o.mbr.maxy)
             for o in g.scene_obstacles()
         ]
-        assert packed.obstacle_mbrs() == mbrs
+        assert _mbrs(packed) == mbrs
         assert g.visible_from_many([Point(5, 25)]) == [[]]  # strictly inside

@@ -14,7 +14,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ObstacleDatabase
@@ -33,7 +33,7 @@ from tests.reference_field import (
     tangent_edges,
 )
 
-BACKENDS = ["python-sweep", "naive", "numpy-kernel"]
+BACKENDS = ["naive", "numpy-kernel"]
 
 L_SHAPE = Polygon(
     [Point(0, 0), Point(4, 0), Point(4, 2), Point(2, 2), Point(2, 4), Point(0, 4)]
@@ -221,17 +221,6 @@ def tangent_scenes(draw):
     return obstacles, points
 
 
-def _overlap(obstacles):
-    """Two obstacles' interiors meet."""
-    return any(
-        a.polygon.crosses_interior(u, v) or a.polygon.contains(u)
-        for a in obstacles
-        for b in obstacles
-        if a is not b
-        for u, v in b.polygon.edges()
-    )
-
-
 def _check(graph, obstacles, points):
     assert not graph.pending
     full = FullGraph(graph.nodes(), obstacles)
@@ -254,9 +243,6 @@ def test_every_graph_is_the_tangent_graph(backend, scene, data):
     ``{u < v : is_visible and tangent at both ends}``, and distances
     between free points equal the full graph's under ``==``."""
     obstacles, points = scene
-    if backend == "python-sweep":
-        # Its sweeps assume boundaries that never cross (ROADMAP item 1).
-        assume(not _overlap(obstacles))
     held = data.draw(st.integers(0, len(obstacles)))
     graph = VisibilityGraph.build(points[:-1], obstacles[:held], method=backend)
     _check(graph, obstacles[:held], points[:-1])

@@ -18,7 +18,7 @@ which owns the persistent, versioned LRU graph cache.
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 from repro.geometry.point import Point
 from repro.model import Obstacle
@@ -40,24 +40,23 @@ class SourceDistanceField:
     """Obstructed distances from one fixed source over a growing graph.
 
     ONN evaluates many candidates against the *same* query point.
-    Instead of mutating the graph and running Dijkstra per candidate,
-    this keeps a complete distance field from the source over the
-    graph's frozen arrays (:mod:`repro.visibility.csr`): a candidate's
-    graph distance is ``min over its visible nodes v of field[v] +
-    |v - candidate|`` (any shortest path leaves the candidate through a
-    visible node), found memo, probe, anchors
-    (:meth:`~repro.visibility.csr.CSRGraph.last_leg`): memoized anchors
-    are read, any other candidate's nodes are tested with the exact
-    oracle in ascending order of ``field[v] + |v - candidate|`` — the
-    first visible one answers, a lower bound past the caller's
-    ``bound`` is returned untested — and only a candidate the probe
-    gives up on is anchored.  The source need not be a node either — the
-    field then roots at the nodes the source sees, at their straight
-    legs — so the graph is only read, never given a free point.  The
-    freeze and the field are retaken whenever the graph's structure
-    revision moves — whether the obstacles were added by this field's
-    own Fig. 8 enlargement or by another user of a shared, cached
-    graph.
+    Straight legs come first: a candidate the source sees past the
+    graph's obstacles is at its Euclidean distance (booked as
+    ``straight_legs``), and no edge is read.  Only a hidden candidate
+    reads the graph's freeze — which connects it — and a complete
+    distance field from the source over its arrays
+    (:mod:`repro.visibility.csr`): its graph distance is ``min over its
+    visible nodes v of field[v] + |v - candidate|`` (any shortest path
+    leaves the candidate through a visible node), found memo, probe,
+    anchors (:meth:`~repro.visibility.csr.CSRGraph.last_leg`), the
+    source skipped.  A straight leg, or a probe's lower bound, past the
+    caller's ``bound`` is returned untested.  The source need not be a
+    node — the field then roots at the nodes the source sees, at their
+    straight legs — so the graph is only read, never given a free
+    point.  The freeze and the field are retaken whenever the graph's
+    structure revision moves — whether the obstacles were added by this
+    field's own Fig. 8 enlargement or by another user of a shared,
+    cached graph.
 
     ``grow`` is the enlargement step: it receives the current
     provisional distance and returns ``True`` when new obstacles
@@ -80,12 +79,11 @@ class SourceDistanceField:
         self._q = source_point
         self._grow = grow
         self._stats = stats
-        #: Pinned per structure revision (:meth:`_pin`): the freeze, the
-        #: field rooted at the source, whether the source is a node.
+        #: Pinned per structure revision (:meth:`_pin`): the freeze and
+        #: the field rooted at the source.
         self._revision = -1
         self._csr: "CSRGraph | None" = None
         self._dist = None
-        self._q_is_node = False
 
     @property
     def graph(self) -> VisibilityGraph:
@@ -104,15 +102,14 @@ class SourceDistanceField:
         # update since the last call must not let a stale provisional
         # short-circuit via the bound check.
         self._grow(0.0)
-        while True:
-            d = self._provisional(p, bound)
-            if d > bound:
-                return d
-            if not self._grow(d):
-                return d
+        return self._fixpoint(p, bound, None)
 
     def batch_eval(
-        self, points: "list[Point]", *, bound: float = inf
+        self,
+        points: "list[Point]",
+        *,
+        bound: float = inf,
+        sight: "Sequence[bool] | None" = None,
     ) -> list[float]:
         """Distances from the source to every point in ``points``.
 
@@ -121,43 +118,58 @@ class SourceDistanceField:
         nearest-seed paths hand their entire candidate set here instead
         of looping ``distance_to``.  Semantics per candidate are
         exactly :meth:`distance_to` (including the Fig. 8 enlargement
-        fixpoint and the ``bound`` early exit).
+        fixpoint and the ``bound`` early exit).  ``sight`` (parallel to
+        ``points``): straight-leg verdicts a distance join's run decided
+        over the graph as it is, good until its obstacle set moves.
         """
         from repro.obs.trace import TRACER
 
         points = list(points)
         with TRACER.span("field.batch_eval", size=len(points)):
-            self._grow(0.0)
-            out: list[float] = []
-            for p in points:
-                while True:
-                    d = self._provisional(p, bound)
-                    if d > bound or not self._grow(d):
-                        break
-                out.append(d)
+            if self._grow(0.0) or sight is None:
+                sight = [None] * len(points)
+            out = [self._fixpoint(p, bound, seen) for p, seen in zip(points, sight)]
         TRACER.count("field.batch_eval")
         if self._stats is not None:
             self._stats.field_batch_evals += 1
         return out
+
+    def _fixpoint(self, p: Point, bound: float, seen: "bool | None") -> float:
+        """Fig. 8's loop for one point (``seen``: a decided verdict)."""
+        while True:
+            d, straight = self._provisional(p, bound, seen)
+            if d > bound or not self._grow(d):
+                if straight and self._stats is not None:
+                    self._stats.straight_legs += 1
+                return d
+            seen = None
 
     def _pin(self) -> None:
         """Take the graph's current freeze and the field rooted at the
         source over it (both memoized on the graph, so a warm repeat
         query at this centre costs two dict lookups)."""
         graph = self._graph
-        self._revision = graph.structure_revision
         csr = self._csr = frozen(graph, stats=self._stats)
+        self._revision = graph.structure_revision
         self._dist = csr.field(self._q, graph)
-        self._q_is_node = self._q in csr.index
 
-    def _provisional(self, p: Point, bound: float) -> float:
-        if p == self._q:
-            return 0.0
+    def _provisional(
+        self, p: Point, bound: float, seen: "bool | None"
+    ) -> tuple[float, bool]:
+        """``p``'s distance over the graph as it is, and whether it is
+        the straight leg."""
+        q = self._q
+        if p == q:
+            return 0.0, False
+        straight = q.distance(p)
+        if straight > bound:
+            return straight, False  # untested, a value the caller discards
         graph = self._graph
+        if graph.sees(q, p) if seen is None else seen:
+            return straight, True
         if graph.structure_revision != self._revision:
             self._pin()
-        csr = self._csr
-        d = csr.last_leg(self._dist, p, graph, bound=bound, stats=self._stats)
-        if not self._q_is_node:
-            d = min(d, csr.direct_leg(p, self._q, graph))
-        return d
+        d = self._csr.last_leg(
+            self._dist, p, graph, bound=bound, stats=self._stats, hidden=q
+        )
+        return d, False

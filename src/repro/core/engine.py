@@ -814,10 +814,11 @@ class ObstacleDatabase:
 
         The distance is computed first (Fig. 8); every obstacle that can
         touch a path of that length lies within the disk of that radius
-        around ``b``, so the route read back off the cached graph
-        serving ``b`` (:meth:`~repro.visibility.csr.CSRGraph.route`) is
-        a true shortest path.  A read: the cached graph, its freeze and
-        its memos stay as they are.  Returns ``(inf, [])`` when no path
+        around ``b``, so the cached graph serving ``b`` gives ``[a, b]``
+        when the two see each other, else the route read back off its
+        freeze (:meth:`~repro.visibility.csr.CSRGraph.route`), a true
+        shortest path.  A read: the cached graph, its freeze and its
+        memos stay as they are.  Returns ``(inf, [])`` when no path
         exists.
         """
         start = self._coerce_point(a)
@@ -828,10 +829,9 @@ class ObstacleDatabase:
         if d == inf:
             return inf, []
         graph = self.context.entry_for(end, d).graph
-        csr = frozen(graph, stats=self.context.stats)
-        if csr.direct_leg(start, end, graph) == d:
+        if graph.sees(start, end):
             return d, [start, end]
-        return d, csr.route(start, end, graph)
+        return d, frozen(graph, stats=self.context.stats).route(start, end, graph)
 
     # ---------------------------------------------------------------- stats
     def metrics(self) -> MetricsRegistry:

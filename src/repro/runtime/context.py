@@ -16,10 +16,14 @@ hooks — so consecutive queries amortize each other's work:
 * each graph tracks its obstacle *coverage radius*, so Fig. 8's
   iterative range enlargement skips retrievals that cannot surface
   anything new;
+* straight legs first: a cached graph is *registered* (its nodes
+  pending), a pair that sees each other past its obstacles is answered
+  by its straight leg, and the graph is connected only when some query
+  needs a bend;
 * a distance join's seeds are handed over together
-  (:meth:`QueryContext.refine_many`): their graphs are registered one
-  by one — the cache sees the per-seed calls — and connected in one
-  backend call;
+  (:meth:`QueryContext.refine_many`): the cache sees the per-seed
+  calls, and one backend call connects the graphs of the seeds with a
+  hidden candidate;
 * dynamic obstacle updates are routed repair-first: the context
   subscribes to the source's mutation feed and patches affected cached
   graphs in place (``add_obstacle`` on insert, ``remove_obstacle``'s
@@ -37,7 +41,7 @@ from repro.core.distance import ObstacleSource, SourceDistanceField
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.model import Obstacle
-from repro.obs.trace import NULL_SPAN, TRACER
+from repro.obs.trace import TRACER
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.runtime.policy import CachePolicy, resolve_cache_policy
 from repro.runtime.stats import RuntimeStats
@@ -223,30 +227,19 @@ class QueryContext:
     def entry_for(self, center: Point, radius: float = 0.0) -> CachedGraph:
         """The cached graph serving ``center``, covering ``radius``.
 
-        On a miss the graph is built from the obstacles intersecting
-        the disk ``(center, radius)``.  A hit may return an entry whose
-        own centre differs from ``center`` (spatial keys): reuse is
-        then guarded by coverage — the entry is valid only once its
-        coverage disk contains ``disk(center, radius)``, so an
-        under-covered entry is topped up around its *own* centre by the
-        widened radius (extend-and-promote) before being served.  An
-        off-centre ``center`` does not become a node: queries only read
-        the graph (:meth:`distance`, :meth:`field_for`).
+        On a miss the graph is registered over the obstacles
+        intersecting the disk ``(center, radius)``, its nodes pending.
+        A hit may return an entry whose own centre differs from
+        ``center`` (spatial keys): it is valid only once its coverage
+        disk contains ``disk(center, radius)``, so an under-covered
+        entry is topped up around its *own* centre by the widened
+        radius (extend-and-promote) before being served.  An off-centre
+        ``center`` does not become a node: queries only read the graph.
         """
-        return self._entry(center, radius, connect=True)
-
-    def _entry(self, center: Point, radius: float, *, connect: bool) -> CachedGraph:
-        """:meth:`entry_for`.  With ``connect`` off, what it builds or
-        tops up is registered only — no visibility test, no span: the
-        caller connects the graphs of many entries in one
-        :meth:`VisibilityGraph.connect` — every other step being the
-        same calls with the same arguments in the same order."""
         self.policy.observe(center)
         entry = self.cache.get(center, self.version_for)
         if entry is None:
-            make = VisibilityGraph.build if connect else VisibilityGraph.registered
-            span = TRACER.span("graph.build", radius=radius) if connect else NULL_SPAN
-            with span:
+            with TRACER.span("graph.build", radius=radius) as span:
                 # Stamp before retrieving: the stamp must never
                 # post-date the obstacle set the graph is built from.
                 stamp = self.version_for(center, radius)
@@ -256,7 +249,9 @@ class QueryContext:
                     else []
                 )
                 span.set_attr("obstacles", len(obstacles))
-                graph = make([center], obstacles, method=self.backend)
+                graph = VisibilityGraph.registered(
+                    [center], obstacles, method=self.backend
+                )
             self.stats.graph_builds += 1
             entry = CachedGraph(graph, center, radius, stamp)
             self.cache.put(entry)
@@ -266,7 +261,7 @@ class QueryContext:
             if entry.center != center:
                 self.stats.graph_cache_promotions += 1
             # A hit is never stale: the cache drops stale entries.
-            self._expand(entry, required, connect=connect)
+            self._expand(entry, required)
         return entry
 
     @staticmethod
@@ -327,19 +322,19 @@ class QueryContext:
             return True
         if radius <= entry.covered:
             return False
-        return self._expand(entry, radius, connect=True)
+        return self._expand(entry, radius)
 
-    def _expand(self, entry: CachedGraph, radius: float, *, connect: bool) -> bool:
+    def _expand(self, entry: CachedGraph, radius: float) -> bool:
         """Fig. 8's enlargement of a fresh entry to ``radius`` (beyond
-        its coverage): one retrieval, one growth step of the graph —
-        registered only with ``connect`` off (see :meth:`_entry`) — and
-        the stamp of the grown disk, taken before the retrieval."""
+        its coverage): one retrieval, one growth step of the graph (its
+        new nodes pending), and the stamp of the grown disk, taken
+        before the retrieval."""
         self.stats.coverage_expansions += 1
-        graph = entry.graph
-        grow = graph.add_obstacles if connect else graph.register_obstacles
         stamp = self.version_for(entry.center, radius)
-        with TRACER.span("graph.expand", radius=radius) if connect else NULL_SPAN:
-            added = grow(self.source.obstacles_in_range(entry.center, radius))
+        with TRACER.span("graph.expand", radius=radius):
+            added = entry.graph.add_obstacles(
+                self.source.obstacles_in_range(entry.center, radius)
+            )
         self.stats.obstacles_added += added
         entry.version = stamp
         entry.covered = radius
@@ -350,10 +345,12 @@ class QueryContext:
         """Obstructed distance ``d_O(p, q)`` (paper Fig. 8).
 
         The graph is cached per ``q`` (the expansion centre) and is
-        only read: a shortest path turns only at obstacle vertices, so
+        only read.  Its entry covers ``disk(q, |pq|)``, so it holds
+        every obstacle the segment ``pq`` can meet: a pair that sees
+        each other is answered by its straight leg, with no edge read.
+        Otherwise a shortest path turns only at obstacle vertices, so
         it leaves each endpoint straight toward a node the endpoint
-        sees, and neither endpoint has to be a node
-        (:meth:`_frozen_distance`).  ``bound`` enables threshold
+        sees (:meth:`_frozen_distance`).  ``bound`` enables threshold
         pruning: iteration stops once the provisional lower bound
         exceeds it.
         """
@@ -373,7 +370,8 @@ class QueryContext:
     def _frozen_distance(
         self, graph: VisibilityGraph, p: Point, q: Point
     ) -> float:
-        """``d(p, q)`` over ``graph``'s current freeze, read off at
+        """``d(p, q)`` over ``graph`` as it is: the straight leg when
+        ``p`` and ``q`` see each other, else read off its freeze at
         ``q`` by the rule a distance field reads its full search with.
 
         A source seen before on this freeze (its field or its anchors
@@ -388,18 +386,19 @@ class QueryContext:
         settled.  Both give the same float: the full field settles
         every value the targeted search does, and a goal anchor it
         leaves unsettled lies beyond the answer."""
+        if graph.sees(p, q):
+            self.stats.straight_legs += 1
+            return p.distance(q)
         csr = frozen(graph, stats=self.stats)
         if (p in csr.fields or p in csr.anchors) and not (
             q in csr.index or q in csr.anchors
         ):
             field = csr.field(p, graph)
-            direct = csr.direct_leg(p, q, graph)
-            return min(direct, csr.last_leg(field, q, graph, stats=self.stats))
+            return csr.last_leg(field, q, graph, stats=self.stats, hidden=p)
         seeds, seed_legs = csr.anchors_for(p, graph, ahead=(q,))
         goals, goal_legs = csr.anchors_for(q, graph)
-        direct = csr.direct_leg(p, q, graph)
         if not len(seeds) or not len(goals):
-            return direct
+            return inf
         with TRACER.span(
             "distance.search",
             seeds=len(seeds),
@@ -412,7 +411,7 @@ class QueryContext:
                 legs=goal_legs.tolist(),
             )
             span.set_attr("settled", int(settled.sum()))
-        return min(direct, csr.last_leg(dist, q, graph))
+        return csr.last_leg(dist, q, graph)
 
     def field_for(self, q: Point, radius: float = 0.0) -> SourceDistanceField:
         """A distance field from ``q`` over the cached graph for ``q``.
@@ -421,7 +420,8 @@ class QueryContext:
         :meth:`cover`, so repeated fields over the same centre (or a
         near-duplicate one, with spatial keys) skip redundant obstacle
         retrievals — and, the graph being only read, share its freeze
-        and the memoized field rooted at ``q``.
+        and the memoized field rooted at ``q``.  A field whose
+        candidates all see ``q`` never freezes the graph.
         """
         with TRACER.span("field.build", radius=radius):
             entry = self.entry_for(q, radius)
@@ -450,33 +450,27 @@ class QueryContext:
         centre) and for every seed of a distance join (Fig. 10), with
         the visibility tests of a run of centres made together.
 
-        Each candidate's distance is the last-leg minimisation over its
-        visible anchors — exact because a shortest path never turns at
-        a free point, so it leaves the candidate straight toward some
-        graph node.  Unlike Fig. 5's own formulation (one bounded
-        expansion with every candidate inserted as a transient entity),
-        candidates never enter the cached graph, so the field's search
-        is reusable across calls at the same centre.
+        A candidate its centre sees is at its straight leg; any other's
+        distance is the last-leg minimisation over its visible anchors
+        (a shortest path leaves the candidate straight toward some graph
+        node).  Unlike Fig. 5's own formulation (one bounded expansion
+        with every candidate inserted as a transient entity), candidates
+        never enter the cached graph.
 
         Centre by centre the cache sees exactly :meth:`entry_for`'s
-        lookups, retrievals and admissions, in order; only the
-        visibility tests wait.  Then one backend call connects every
-        graph the run built or topped up (a graph reached twice
-        accumulates its pending nodes and is connected once), a second
-        one fetches, per freeze, the last-leg anchors of every candidate
-        (and off-centre root) not memoized yet, and each centre's field evaluates from the memo —
-        with ``bound = radius`` its Fig. 8 loop never retrieves
-        (``d <= radius <= covered``).  Runs are cut at the cache's
-        capacity, so no more graphs wait than the cache holds; a run of
-        one centre has nothing to wait for and is that expression
-        itself — its field probes each candidate's last leg instead
-        (memo, probe, anchors:
-        :meth:`~repro.visibility.csr.CSRGraph.last_leg`), and a lower
-        bound past ``radius`` is a false hit decided without a
-        visibility test.  The run's second call stays: its memo also
-        serves the later distances (OCP) over the same cached graphs.
-        If anything fails before the connect, every entry left with
-        unconnected nodes leaves the cache.
+        lookups, retrievals and admissions, in order.  Then every
+        straight leg of the run within ``radius`` is decided; one
+        backend call connects the graphs whose centre has a hidden
+        candidate, one fetches, per freeze, the anchors of every hidden
+        candidate (and off-centre root) not memoized yet, and each
+        centre's field evaluates from the verdicts and the memo — with
+        ``bound = radius`` its Fig. 8 loop never retrieves.  Runs are
+        cut at the cache's capacity; a run of one centre is that
+        expression itself, its field probing each hidden candidate's
+        last leg instead (:meth:`~repro.visibility.csr.CSRGraph.
+        last_leg`).  The anchor memo also serves later distances (OCP)
+        over the same graphs.  A failed connect leaves its graphs
+        pending, for the next freeze to retry.
         """
         candidates = [list(dict.fromkeys(points)) for points in candidates]
         out: list[list[tuple[Point, float]]] = [[] for __ in centers]
@@ -484,59 +478,54 @@ class QueryContext:
         capacity = self.cache.capacity
         for lo in range(0, len(asked), capacity):
             run = [(centers[i], candidates[i]) for i in asked[lo : lo + capacity]]
-            fields = (
-                self._fields_connected_together(run, radius)
-                if len(run) > 1
-                else [self.field_for(run[0][0], radius)]
-            )
-            for i, field in zip(asked[lo:], fields):
-                found = field.batch_eval(candidates[i], bound=radius)
+            if len(run) > 1:
+                fields, sights = self._decide_run(run, radius)
+            else:
+                fields, sights = [self.field_for(run[0][0], radius)], [None]
+            for i, field, sight in zip(asked[lo:], fields, sights):
+                found = field.batch_eval(candidates[i], bound=radius, sight=sight)
                 out[i] = [
                     (p, d) for p, d in zip(candidates[i], found) if d <= radius
                 ]
         return out
 
-    def _fields_connected_together(
+    def _decide_run(
         self, run: "list[tuple[Point, list[Point]]]", radius: float
-    ) -> list[SourceDistanceField]:
-        """:meth:`field_for` per ``(centre, candidates)`` of ``run``,
-        the graphs connected in one backend call and the candidates'
-        anchors fetched in a second (see :meth:`refine_many`)."""
-        entries: list[CachedGraph] = []
-        try:
-            for center, __ in run:
-                entries.append(self._entry(center, radius, connect=False))
-            graphs = list({id(entry.graph): entry.graph for entry in entries}.values())
-            with _scenes_span([(graph.pending, graph) for graph in graphs]):
-                VisibilityGraph.connect(graphs)
-        finally:
-            for entry in entries:
-                if entry.graph.pending:
-                    self.cache.discard(entry)
-        # Per freeze, the points whose anchors its fields will ask for.
-        asked: dict[int, tuple] = {}
-        fields = []
+    ) -> "tuple[list[SourceDistanceField], list[list[bool]]]":
+        """Per ``(centre, candidates)`` of ``run``, :meth:`field_for`'s
+        field and the straight-leg verdicts of its candidates, with the
+        backend calls of :meth:`refine_many`."""
+        entries = [self.entry_for(center, radius) for center, __ in run]
+        # Per graph, the points whose anchors its fields will ask for.
+        hidden: dict[int, tuple[VisibilityGraph, dict]] = {}
+        sights = []
         for (center, points), entry in zip(run, entries):
-            fields.append(self._field(entry, center))
-            csr = frozen(entry.graph, stats=self.stats)
-            ask = asked.setdefault(id(csr), (csr, entry.graph, {}))[2]
-            ask.update(dict.fromkeys((center, *points)))
-        fetch = [
-            (csr, graph, csr.unanchored(ask, graph))
-            for csr, graph, ask in asked.values()
+            graph = entry.graph
+            seen = {
+                p: graph.sees(center, p)
+                for p in points
+                if p != center and center.distance(p) <= radius
+            }
+            sights.append([seen.get(p, False) for p in points])
+            ask = [p for p, visible in seen.items() if not visible]
+            if ask:
+                hidden.setdefault(id(graph), (graph, {}))[1].update(
+                    dict.fromkeys((center, *ask))
+                )
+        graphs = [graph for graph, __ in hidden.values()]
+        if graphs:
+            with TRACER.span("graph.connect", graphs=len(graphs)):
+                VisibilityGraph.connect(graphs)
+        freezes = [frozen(graph, stats=self.stats) for graph in graphs]
+        scenes = [
+            (csr.unanchored(ask, graph), graph)
+            for csr, (graph, ask) in zip(freezes, hidden.values())
         ]
-        scenes = [(sources, graph) for __, graph, sources in fetch]
-        with _scenes_span(scenes):
-            seen = self.backend.visible_ids(scenes)
-        for (csr, __, sources), visible in zip(fetch, seen):
-            csr.memoize_anchors(sources, visible)
-        return fields
+        if any(sources for sources, __ in scenes):
+            with TRACER.span("sweep.scenes", scenes=len(scenes)):
+                seen = self.backend.visible_ids(scenes)
+            for csr, (sources, __), visible in zip(freezes, scenes, seen):
+                csr.memoize_anchors(sources, visible)
+        fields = [self._field(e, c) for (c, __), e in zip(run, entries)]
+        return fields, sights
 
-
-def _scenes_span(scenes: "Sequence[tuple[Sequence[Point], VisibilityGraph]]"):
-    """The span around one backend call over ``scenes``."""
-    return TRACER.span(
-        "sweep.scenes",
-        scenes=len(scenes),
-        sources=sum(len(sources) for sources, __ in scenes),
-    )

@@ -35,6 +35,7 @@ class RuntimeStats:
         "coverage_expansions",
         "obstacles_added",
         "distance_calls",
+        "straight_legs",
         "last_leg_probes",
         "last_leg_fallbacks",
         "field_builds",
@@ -75,6 +76,7 @@ class RuntimeStats:
         self.coverage_expansions = 0
         self.obstacles_added = 0
         self.distance_calls = 0
+        self.straight_legs = 0
         self.last_leg_probes = 0
         self.last_leg_fallbacks = 0
         self.field_builds = 0

@@ -9,7 +9,8 @@ straight off the rows: the graph's node ids are the frozen ids, and
 its ``Point -> id`` dict is copied, not rebuilt — so shortest paths
 run over ``int`` node ids (one ``heapq`` loop over the rows as python
 lists, :meth:`CSRGraph.dijkstra`, rooted at a node or at an off-graph
-point's visible anchors), and the last-leg minimisation
+point's visible anchors) for pairs that do not see each other —
+straight legs come first.  The last-leg minimisation
 ``min_v d[v] + |p - v|`` of
 :class:`~repro.core.distance.SourceDistanceField` and of
 :meth:`~repro.runtime.context.QueryContext.distance` goes memo, probe,
@@ -354,10 +355,14 @@ class CSRGraph:
         *,
         bound: float = inf,
         stats: "RuntimeStats | None" = None,
+        hidden: "Point | None" = None,
     ) -> float:
         """What a search ``dist`` gives point ``p`` through the graph:
         ``min_v dist[v] + |v - p|`` over the nodes ``p`` sees (``inf``
         when it sees none) — memo, then probe, then anchors.
+
+        Straight legs come first: the probe skips the node ``hidden``
+        (the root the caller found ``p`` does not see).
 
         A node, or a point whose anchors are memoized, reads its anchors
         (:meth:`anchors_for`) in one numpy expression.  Any other ``p``
@@ -378,6 +383,8 @@ class CSRGraph:
             dx = self.xs - p.x
             dy = self.ys - p.y
             total = dist + np.sqrt(dx * dx + dy * dy)
+            if hidden in self.index:
+                total[self.index[hidden]] = inf
             order = np.argsort(total)[:LAST_LEG_PROBES].tolist()
             obstacles = graph.scene_obstacles()
             for i, low in zip(order, total[order].tolist()):
@@ -427,21 +434,6 @@ class CSRGraph:
         path.reverse()
         return path
 
-    def direct_leg(
-        self, p: Point, q: Point, graph: "VisibilityGraph"
-    ) -> float:
-        """``|p - q|`` when the two see each other and neither is a
-        node, else ``inf`` — the one pair no anchor reports (anchors
-        are *nodes*), decided by the exact oracle every
-        backend is parity-locked to."""
-        if (
-            p in self.index
-            or q in self.index
-            or not is_visible(p, q, graph.scene_obstacles())
-        ):
-            return inf
-        return p.distance(q)
-
 
 def frozen(graph: "VisibilityGraph", *, stats=None) -> CSRGraph:
     """The CSR view of ``graph``'s current structure revision.
@@ -451,8 +443,12 @@ def frozen(graph: "VisibilityGraph", *, stats=None) -> CSRGraph:
     queries, across batches — shares one set of arrays and one
     distance-field cache.  Any topology change (obstacle add/remove,
     entity add/delete, rebuild) moves the structure revision and the
-    next call re-freezes.
+    next call re-freezes.  Pending nodes are connected first (a
+    ``graph.connect`` span); a failed connect leaves them pending.
     """
+    if graph.pending:
+        with TRACER.span("graph.connect", graphs=1, nodes=len(graph.pending)):
+            graph.connect([graph])
     revision = graph.structure_revision
     cached = graph._csr
     if cached is not None and cached[0] == revision:

@@ -7,26 +7,24 @@ implemented exactly as described:
 
 * ``add_obstacle`` — used by the iterative obstructed-distance
   computation (Fig. 8) to grow the graph: removes existing edges that
-  cross the new polygon's interior, then connects each new vertex
-  (``add_obstacles`` does it for a whole retrieved set at once: one
-  edge removal against all the new polygons, one decision over all the
-  new vertices' pairs against the final scene);
-* ``add_entity`` — connects the new point;
+  cross the new polygon's interior; the next connect joins each new
+  vertex (``add_obstacles`` does it for a whole retrieved set at once:
+  one edge removal against all the new polygons, one decision over all
+  the new vertices' pairs against the final scene);
+* ``add_entity`` — the next connect joins the new point;
 * ``delete_entity`` — removes the point and its incident edges.
 
 The graph is the *tangent* visibility graph [PV95] (paper Sec. 2.3,
 :mod:`repro.visibility.tangent`): an edge joins two mutually visible
 nodes whose segment is tangent at both ends, the only edges a shortest
 path can use.  Every operation that adds nodes is "register, then
-connect": nodes enter the graph *pending* and
+connect": nodes enter the graph *pending*, and
 :meth:`VisibilityGraph.connect` pairs the pending nodes of any number
 of graphs once with every node, keeps the tangent pairs, and has the
-backend decide which of them see each other in one call.  ``build``,
-``rebuild``, ``add_obstacles`` and ``add_entity`` are its one-graph
-uses; a caller with many graphs to build (a distance join's seeds)
-registers them all (``registered``, ``register_obstacles``) and
-connects once.  A node whose owning obstacles change (an insert or a
-delete of one that shares it) is connected again.
+backend decide which of them see each other in one call — when a
+search first needs the edges (:meth:`connect`'s three callers).
+Mutations keep every existing edge exact and leave their new nodes,
+and a node whose owning obstacles change, pending.
 
 ``remove_obstacle`` extends the paper's set with the inverse of
 ``add_obstacle``: the obstacle's vertices and boundary edges are torn
@@ -59,6 +57,7 @@ from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.model import Obstacle
 from repro.visibility.kernel.backend import Backend, resolve_backend
+from repro.visibility.naive import is_visible
 from repro.visibility.tangent import near_edges, pending_pairs, region_pairs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -130,12 +129,13 @@ class VisibilityGraph:
         *,
         method: "str | Backend | None" = None,
     ) -> "VisibilityGraph":
-        """Construct the tangent visibility graph over ``points`` and
-        ``obstacles`` in one pass: every node pair tangent at both ends
-        (:mod:`repro.visibility.tangent`) is decided once, by the
-        backend."""
+        """The tangent visibility graph over ``points`` and
+        ``obstacles``: :meth:`registered`, then frozen, which connects
+        it (:mod:`repro.visibility.tangent`)."""
+        from repro.visibility.csr import frozen
+
         graph = cls.registered(points, obstacles, method=method)
-        cls.connect([graph])
+        frozen(graph)
         return graph
 
     @classmethod
@@ -146,9 +146,9 @@ class VisibilityGraph:
         *,
         method: "str | Backend | None" = None,
     ) -> "VisibilityGraph":
-        """The first half of :meth:`build`: a graph holding ``points``
-        and ``obstacles`` with every node pending — no edge yet, until
-        :meth:`connect`."""
+        """A graph holding ``points`` and ``obstacles`` with every node
+        pending — no edge yet, until :meth:`connect`: what a graph cache
+        holds until some query needs a bend."""
         graph = cls(method=method)
         for obs in obstacles:
             graph._register_obstacle(obs)
@@ -163,7 +163,8 @@ class VisibilityGraph:
         backend) once with every node, keep the pairs tangent at both
         ends, and install those the backend finds visible — one
         backend call for all the graphs.  A backend failure leaves the
-        nodes pending."""
+        nodes pending.  Called by a freeze (:func:`~repro.visibility.csr.
+        frozen`), a distance join's run and :meth:`snapshot_parts`."""
         waiting = [graph for graph in graphs if graph._pending]
         if not waiting:
             return
@@ -196,7 +197,8 @@ class VisibilityGraph:
     def snapshot_parts(
         self,
     ) -> tuple[list[Obstacle], list[Point], list[tuple[Point, Point]]]:
-        """The graph flattened for serialization.
+        """The graph flattened for serialization, connected first: a
+        saved graph has no pending node.
 
         Returns ``(obstacles, free_points, edges)`` such that
         :meth:`restore` reproduces this graph exactly without deciding a
@@ -205,6 +207,7 @@ class VisibilityGraph:
         list — re-registering them against the restored obstacles
         re-promotes them.
         """
+        self.connect([self])
         free = list(self._free) + sorted(self._promoted)
         points = self._points
         edges = [(points[u], points[v]) for u, v in self.edge_ids()]
@@ -260,6 +263,11 @@ class VisibilityGraph:
     def scene_obstacles(self) -> Sequence[Obstacle]:
         """All obstacles currently in the graph."""
         return list(self._obstacles.values())
+
+    def sees(self, a: Point, b: Point) -> bool:
+        """Whether ``a`` and ``b`` see each other past the graph's
+        obstacles (the exact oracle): the straight-leg rule's test."""
+        return is_visible(a, b, self._obstacles.values())
 
     # ------------------------------------------------------------ inspection
     @property
@@ -345,11 +353,11 @@ class VisibilityGraph:
         """Replace the obstacle set in place, keeping all free points.
 
         Deletions cannot be applied incrementally (edges the obstacle
-        blocked would have to be rediscovered), so the graph is rebuilt
-        from scratch — but *in place*, preserving object identity:
-        holders of this graph (cached entries, distance fields) see the
-        new obstacle set through the ``obstacle_revision`` bump instead
-        of dangling on a stale copy.
+        blocked would have to be rediscovered), so the graph is
+        registered from scratch, every node pending — but *in place*,
+        preserving object identity: holders of this graph (cached
+        entries, distance fields) see the new obstacle set through the
+        ``obstacle_revision`` bump instead of dangling on a stale copy.
         """
         free = list(self._free) + sorted(self._promoted)
         self._points.clear()
@@ -368,14 +376,13 @@ class VisibilityGraph:
         for p in free:
             self._register_free_point(p)
         self._pending = list(self._points)
-        self.connect([self])
 
     def add_obstacle(self, obs: Obstacle) -> bool:
         """Incorporate a new obstacle (paper's ``add_obstacle``).
 
-        Removes existing edges crossing the polygon's interior, then
-        connects each new vertex.  Returns ``False`` when the obstacle
-        was already present.
+        Removes existing edges crossing the polygon's interior; each new
+        vertex waits, pending, for the next connect.  Returns ``False``
+        when the obstacle was already present.
         """
         return self.add_obstacles((obs,)) == 1
 
@@ -383,23 +390,15 @@ class VisibilityGraph:
         """Incorporate a retrieved set of obstacles in one growth step
         (Fig. 8's enlargement); returns how many were new.
 
-        Equal to :meth:`add_obstacle` folded over the set in any order
-        — an edge survives iff it crosses no polygon's interior, the
-        pairs of a new or shared vertex are decided in the final scene
-        — at the cost of one edge removal and one connect, and with one
-        re-freeze for the CSR view's holders instead of one per
-        obstacle.
+        The existing edges crossing a new polygon's interior go, the
+        new obstacles enter the scene, and their new vertices — and the
+        existing nodes they share, whose pairs the tangent rule
+        re-decides — wait, pending, for :meth:`connect`.  Once
+        connected, equal to :meth:`add_obstacle` folded over the set in
+        any order: an edge survives iff it crosses no polygon's
+        interior, and the pairs of a new or shared vertex are decided in
+        the final scene.
         """
-        added = self.register_obstacles(obstacles)
-        self.connect([self])
-        return added
-
-    def register_obstacles(self, obstacles: Iterable[Obstacle]) -> int:
-        """The first half of :meth:`add_obstacles`: the existing edges
-        crossing a new polygon's interior go, the new obstacles enter
-        the scene, and their new vertices — and the existing nodes they
-        share, whose pairs the tangent rule re-decides — wait, pending,
-        for :meth:`connect`.  Returns how many obstacles were new."""
         fresh = {
             obs.oid: obs for obs in obstacles if obs.oid not in self._obstacles
         }
@@ -424,7 +423,9 @@ class VisibilityGraph:
         can gain visibility only if its segment crossed the removed
         interior, and tangency only at one of the obstacle's vertices,
         so the repair is confined to segments meeting the obstacle's
-        MBR.  Returns ``False`` when the obstacle is not in the graph.
+        MBR.  The shared and revived vertices wait, pending, for the
+        next connect.  Returns ``False`` when the obstacle is not in the
+        graph.
         """
         obs = self._obstacles.pop(oid, None)
         if obs is None:
@@ -456,19 +457,20 @@ class VisibilityGraph:
         if self._packed is not None:
             self._packed.remove_obstacle(oid)
         self._drop_stale_pending()
-        # The vertices it shared are decided again by connect; the other
-        # pairs near it that keep the tangent rule are re-tested with
-        # the exact oracle, so the repair equals a from-scratch rebuild.
+        # The vertices it shared are decided again by the next connect;
+        # the other pairs near it that keep the tangent rule are
+        # re-tested with the exact oracle now, so once connected the
+        # repair equals a from-scratch rebuild.
         self._pending += [p for p in shared + revived if p not in self._pending]
         pairs = region_pairs(self, poly.mbr)
         visible = self._backend.visible_pairs([(pairs, self)])[0]
         self._install_pairs(pairs.u[visible], pairs.v[visible])
-        self.connect([self])
         return True
 
     def add_entity(self, p: Point) -> bool:
-        """Add a free point and connect it to every node it sees (at an
-        obstacle vertex, one whose side of the segment is tangent).
+        """Add a free point, pending: the next connect joins it to every
+        node it sees (at an obstacle vertex, one whose side of the
+        segment is tangent).
 
         Returns ``False`` when ``p`` already is a node (e.g. the query
         point, a duplicate entity, or an obstacle vertex).
@@ -477,7 +479,6 @@ class VisibilityGraph:
             return False
         self._register_free_point(p)
         self._pending.append(p)
-        self.connect([self])
         return True
 
     def delete_entity(self, p: Point) -> bool:

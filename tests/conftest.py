@@ -33,6 +33,16 @@ settings.register_profile(
     suppress_health_check=list(HealthCheck),
 )
 
+#: The metric's laws on every query path
+#: (``tests/visibility/test_exact.py::TestMetricLaws``):
+#: ``--hypothesis-profile metric-laws`` runs it at 500 examples.
+settings.register_profile(
+    "metric-laws",
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+
 #: The closest-pair stream against the one-side traversal
 #: (``tests/euclidean/test_array_parity.py``):
 #: ``--hypothesis-profile closest-pairs`` runs it at 1,000 examples.

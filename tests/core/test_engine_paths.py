@@ -84,12 +84,16 @@ class TestShortestPath:
 def _memo_state(db):
     """Per cached graph: what a read must leave alone — its structure
     revision, its freeze (by identity), and the roots and points its
-    freeze has memoized."""
+    freeze has memoized.  A graph every pair of which was a straight
+    leg has no freeze — pending live, or connected by a save and
+    loaded — and must stay so."""
     state = {}
     for entry in db.context.cache.entries():
         graph = entry.graph
-        revision, csr = graph._csr
-        assert revision == graph.structure_revision
+        if graph._csr is None or graph._csr[0] != graph.structure_revision:
+            state[entry.center] = (graph.structure_revision, None, set(), set())
+            continue
+        __, csr = graph._csr
         state[entry.center] = (
             graph.structure_revision,
             id(csr),
@@ -162,9 +166,12 @@ class TestShortestPathIsARead:
         db.save(path, include_cache=True)
         loaded = ObstacleDatabase.load(path)
         freezes = loaded.runtime_stats()["field_freezes"]  # restored
+        # A graph a straight leg grew after its last freeze was saved
+        # connected but not frozen.
+        bare = sum(v[1] is None for v in _memo_state(loaded).values())
         self._check(loaded, obstacles, pairs)
-        # Every freeze read was one the snapshot installed.
-        assert loaded.runtime_stats()["field_freezes"] == freezes
+        # Every other freeze read was one the snapshot installed.
+        assert loaded.runtime_stats()["field_freezes"] - freezes <= bare
 
 
 class TestShortestPathOnSharedGraphs:

@@ -189,31 +189,37 @@ def test_batched_seeds_equal_the_seed_loop(cache_size, snap, backend, monkeypatc
     assert all(len(call) == 1 for call in reference_calls)
 
 
-def test_failed_connect_leaves_no_unswept_graph_in_the_cache(monkeypatch):
-    """A backend that fails on the many-graph connect: every entry
-    whose graph was registered but not connected leaves the cache, and
-    the next join answers as a cold database does."""
+def test_failed_connect_leaves_the_entries_pending(monkeypatch):
+    """A backend that fails to connect: the join raises,
+    every entry it registered or topped up stays cached with its nodes
+    pending, and the next read connects them (the next freeze retries)
+    and answers as a cold ``naive`` database does."""
     from repro.runtime.context import QueryContext
+    from repro.visibility.csr import frozen
 
     __, __, __, ts, tt, idx = _setup(5, n_obs=14, n_s=9, n_t=30)
     ctx = QueryContext(idx, backend="naive")
     warm = obstacle_distance_join(ts, tt, idx, 6.0, context=ctx)
     assert len(ctx.cache) > 1  # graphs the failing join finds and tops up
-    connect = ctx.backend.connect_pairs
 
-    def flaky(scenes):
-        if len(scenes) > 1:
-            raise RuntimeError("connect failed")
-        return connect(scenes)
+    def failing(scenes):
+        raise RuntimeError("connect failed")
 
-    monkeypatch.setattr(ctx.backend, "connect_pairs", flaky)
+    monkeypatch.setattr(ctx.backend, "connect_pairs", failing)
     with pytest.raises(RuntimeError, match="connect failed"):
-        obstacle_distance_join(ts, tt, idx, 12.0, context=ctx)
-    assert ctx.stats.graph_cache_invalidations > 0  # the unconnected ones left
-    assert all(not entry.graph.pending for entry in ctx.cache.entries())
+        obstacle_distance_join(ts, tt, idx, 30.0, context=ctx)
+    assert ctx.stats.graph_cache_invalidations == 0  # nothing left the cache
+    waiting = [entry for entry in ctx.cache.entries() if entry.graph.pending]
+    assert len(waiting) > 1
     monkeypatch.undo()
     cold = QueryContext(idx, backend="naive")
-    assert obstacle_distance_join(ts, tt, idx, 12.0, context=ctx) == (
-        obstacle_distance_join(ts, tt, idx, 12.0, context=cold)
+    assert obstacle_distance_join(ts, tt, idx, 30.0, context=ctx) == (
+        obstacle_distance_join(ts, tt, idx, 30.0, context=cold)
     )
+    for entry in waiting:
+        frozen(entry.graph)  # the next freeze connects what still waits
+        assert not entry.graph.pending
     assert warm == obstacle_distance_join(ts, tt, idx, 6.0, context=cold)
+    assert obstacle_distance_join(ts, tt, idx, 30.0, context=ctx) == (
+        obstacle_distance_join(ts, tt, idx, 30.0, context=cold)
+    )

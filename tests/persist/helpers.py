@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.engine import ObstacleDatabase
 from repro.geometry.point import Point
+from repro.visibility.graph import VisibilityGraph
 from repro.visibility.kernel.backend import available_backends
 
 
@@ -41,10 +42,13 @@ def runtime_counters(db: ObstacleDatabase) -> dict[str, object]:
 
 def cache_signature(db: ObstacleDatabase) -> list[tuple]:
     """A structural fingerprint of every cached graph, in LRU order:
-    centre, coverage, node set, edge set, obstacle ids, free points."""
+    centre, coverage, node set, edge set, obstacle ids, free points.  A
+    pending graph equals its connected form — what a save writes — so
+    it is connected first."""
     signature = []
     for entry in db.context.cache.entries():
         graph = entry.graph
+        VisibilityGraph.connect([graph])
         edges = {
             (u, v) if u < v else (v, u)
             for u in graph.nodes()

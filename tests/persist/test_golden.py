@@ -24,7 +24,9 @@ and the header moved, and each ``*.info.json`` gained the key.  Both
 were re-saved once more when ``RuntimeStats`` lost ``sweep_passes``
 with the kernel's rotational sweep: one counter (25 bytes), the
 section's count and the header moved, and each ``*.info.json`` lost the
-key.
+key.  Both were re-saved once more when ``RuntimeStats`` gained
+``straight_legs``: one zero counter (26 bytes), the section's count
+and the header moved, and each ``*.info.json`` gained the key.
 Any other change that moves either is a format change:
 bump ``FORMAT_VERSION``, then regenerate with
 ``python -m tests.persist.test_golden`` from the repo root.

@@ -17,7 +17,10 @@ end on an obstacle vertex is joined to every node it sees
 path's first and last legs need not be tangent.
 ``ReferenceField`` is Fig. 8 from ``q`` over a private graph with ``q``
 inserted: the oracle the one engine,
-:class:`repro.core.distance.SourceDistanceField`, equals bit for bit.
+:class:`repro.core.distance.SourceDistanceField`, equals bit for bit —
+straight legs first, like the engine: a point ``q`` sees is at
+``|q - p|``.  A :class:`VisibilityGraph` is read connected: the
+oracles connect its pending nodes before they read an edge.
 """
 
 import heapq
@@ -77,6 +80,8 @@ def reference_dijkstra(
     ``graph.free_points()`` other than ``source`` settles but is never
     relaxed out of: shortest paths turn only at obstacle vertices.
     """
+    if isinstance(graph, VisibilityGraph):
+        VisibilityGraph.connect([graph])
     if not graph.has_node(source):
         return {}
     remaining = set(targets) if targets is not None else None
@@ -183,6 +188,7 @@ class Widened:
     ``reference_dijkstra`` makes."""
 
     def __init__(self, graph, ends):
+        VisibilityGraph.connect([graph])
         self.graph = graph
         obstacles = graph.scene_obstacles()
         vertices = {v for o in obstacles for v in o.polygon.vertices}
@@ -250,6 +256,8 @@ class ReferenceField:
             self._field = reference_dijkstra(Widened(graph, (self.q,)), self.q)
             self._revision = graph.obstacle_revision
         obstacles = graph.scene_obstacles()
+        if is_visible(self.q, p, obstacles):
+            return self.q.distance(p)
         if not graph.has_node(p):
             (seen,) = graph.visible_from_many((p,))
         elif any(p in o.polygon.vertices for o in obstacles):

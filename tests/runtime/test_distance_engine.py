@@ -21,7 +21,7 @@ from repro import ObstacleDatabase, Point, Rect
 from repro.core.source import build_obstacle_index
 from repro.obs import TRACER
 from repro.runtime.context import QueryContext
-from repro.visibility import VisibilityGraph
+from repro.visibility import VisibilityGraph, is_visible
 from repro.visibility.csr import ANCHOR_MEMO_LIMIT, frozen
 from tests.conftest import (
     random_disjoint_rects,
@@ -218,6 +218,14 @@ def _warm_context(seed=11, *, snap=0.0, n_obstacles=14):
     return ctx, rng, obstacles
 
 
+def _hidden(points, q, obstacles, count):
+    """The first ``count`` of ``points`` that do not see ``q``: pairs a
+    straight leg cannot answer, so they read the graph."""
+    hidden = [p for p in points if not is_visible(p, q, obstacles)]
+    assert len(hidden) >= count
+    return hidden[:count]
+
+
 def _graph_state(entries):
     """Per entry: what a query must leave alone, and the identity of
     its current freeze (``None``: not frozen at this revision)."""
@@ -374,7 +382,9 @@ class TestAnchorMemoBound:
         ctx, rng, obstacles = _warm_context(seed=14, n_obstacles=6)
         q = random_free_points(rng, 1, obstacles)[0]
         ctx.distance(Point(q.x + 60.0, q.y + 60.0), q)  # coverage
-        endpoints = random_free_points(rng, 10_000, obstacles)
+        endpoints = _hidden(
+            random_free_points(rng, 40_000, obstacles), q, obstacles, 10_000
+        )
         entry = ctx.cache.get(q, ctx.version_for)
         answers = [ctx.distance(p, q) for p in endpoints]
         csr = entry.graph._csr[1]
@@ -397,7 +407,9 @@ class TestAnchorMemoBound:
         q, target = random_free_points(rng, 2, obstacles)
         entry = ctx.entry_for(q, 150.0)  # owns the one cell; covers the scene
         nodes = peak = entry.graph.node_count
-        roots = random_free_points(rng, 10_000, obstacles)
+        roots = _hidden(
+            random_free_points(rng, 60_000, obstacles), target, obstacles, 10_000
+        )
         answers = []
         for root in roots:
             answers.append(ctx.field_for(root).distance_to(target))
@@ -504,6 +516,7 @@ class TestBatchEvalAcrossGrowth:
             Point(15.0, 3.0), Point(16.0, -1.0),    # behind wall 0
             Point(25.0, 0.5), Point(5.0, 1.0),      # behind wall 1; a repeat
             Point(38.0, 2.0), Point(47.0, -4.0),    # behind walls 2 and 3
+            Point(41.0, 0.0),                       # inside wall 3: a give-up
         ]
         return field, counter, candidates
 
@@ -515,9 +528,13 @@ class TestBatchEvalAcrossGrowth:
         batched = field.batch_eval(candidates)
         assert sum(growths) >= 3  # the graph did grow mid-batch
         assert field.graph.obstacle_ids() == {0, 1, 2, 3}
+        # The three before the first wall are straight legs; the hidden
+        # ones are probed, some once per field they outlive.
+        assert field._stats.straight_legs == 3
         # The centre is a node: only the probes' give-ups are swept.
         probes = (field._stats.last_leg_probes, field._stats.last_leg_fallbacks)
-        assert probes[0] > len(candidates) and probes[1] > 0
+        assert probes[0] > len(candidates) - 3 and probes[1] > 0
+        assert batched[-1] == inf
         assert counter.anchor_calls == probes[1]
 
         loop_field, loop_counter, __ = self._setup(backend)
@@ -553,6 +570,9 @@ class TestRepeatedSources:
         counter = _AnchorCallCounter(ctx)
         entry = ctx.entry_for(goals[0], 300.0)  # one graph covers the scene
         pairs = [(min(sources, key=q.distance), q) for q in goals]
+        # Pairs that see each other are straight legs (their twin below).
+        pairs = [(p, q) for p, q in pairs if not is_visible(p, q, obstacles)]
+        n_sources = len({p for p, __ in pairs})
         # Hidden from every node: the probe gives up and sweeps it.
         pairs.append((sources[0], obstacles[0].polygon.centroid()))
         seen = set()
@@ -562,7 +582,7 @@ class TestRepeatedSources:
             got.append(db.obstructed_distance(p, q))
             assert counter.anchor_calls == calls + (p not in seen)
             seen.add(p)
-        assert len(seen) == 4
+        assert len(seen) == n_sources
         got.append(db.obstructed_distance(*pairs[-1]))
         cold = ObstacleDatabase(
             [o.polygon for o in obstacles],
@@ -578,6 +598,50 @@ class TestRepeatedSources:
         assert frozen(entry.graph) is entry.graph._csr[1]
         stats = db.runtime_stats()
         # A source's first sighting takes the targeted search.
-        assert stats["last_leg_probes"] == len(pairs) - 4
+        assert stats["last_leg_probes"] == len(pairs) - n_sources
         assert stats["last_leg_fallbacks"] == 1
-        assert counter.anchor_calls == 4 + 1
+        assert counter.anchor_calls == n_sources + 1
+
+    def test_a_straight_leg_makes_no_backend_call(self):
+        """The twin: a pair that sees each other is answered by its
+        straight leg — no anchor call, no probe, no freeze, and the
+        registered graph stays pending — and still equals a cold
+        exact-key ``naive`` database's answer."""
+        rng = random.Random(41)
+        obstacles = random_disjoint_rects(rng, 14)
+        points = random_free_points(rng, 124, obstacles)
+        sources, goals = points[:4], points[4:]
+        pairs = [(min(sources, key=q.distance), q) for q in goals]
+        pairs = [(p, q) for p, q in pairs if is_visible(p, q, obstacles)]
+        assert len(pairs) > 20
+        db = ObstacleDatabase(
+            [o.polygon for o in obstacles],
+            max_entries=8,
+            min_entries=3,
+            graph_cache_snap=500.0,
+            cache_policy="static",
+        )
+        ctx = db.context
+        counter = _AnchorCallCounter(ctx)
+        connects = []
+        connect = ctx.backend.connect_pairs
+        ctx.backend.connect_pairs = lambda scenes: connects.append(scenes) or (
+            connect(scenes)
+        )
+        entry = ctx.entry_for(goals[0], 300.0)  # one graph covers the scene
+        got = [db.obstructed_distance(p, q) for p, q in pairs]
+        assert got == [p.distance(q) for p, q in pairs]
+        assert counter.anchor_calls == 0 and not connects
+        stats = db.runtime_stats()
+        assert stats["straight_legs"] == len(pairs)
+        assert stats["field_freezes"] == stats["last_leg_probes"] == 0
+        assert entry.graph.pending and entry.graph.edge_count == 0
+        cold = ObstacleDatabase(
+            [o.polygon for o in obstacles],
+            max_entries=8,
+            min_entries=3,
+            backend="naive",
+            graph_cache_snap=0.0,
+            cache_policy="static",
+        )
+        assert got == [cold.obstructed_distance(p, q) for p, q in pairs]

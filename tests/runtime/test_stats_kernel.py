@@ -34,16 +34,18 @@ class TestSweepCounters:
         assert stats["sweep_seconds"] > 0.0
 
     def test_reset_zeroes_counters_but_keeps_backend(self, small_db):
-        small_db.nearest("P", (1, 1), k=2)
+        small_db.nearest("P", (7, 5), k=2)
         stats = small_db.runtime_stats()
-        # The centre is its graph's node and the candidates are probed.
+        # The centre is its graph's node: the candidate it sees is a
+        # straight leg, the hidden ones are probed.
         assert stats["sweeps_run"] == 0 and stats["last_leg_probes"] > 0
+        assert stats["straight_legs"] > 0
         small_db.obstructed_distance((0, 9), (14, 5))  # sweeps its source
         assert small_db.runtime_stats()["sweeps_run"] > 0
         small_db.reset_stats()
         stats = small_db.runtime_stats()
         assert stats["sweeps_run"] == 0
-        assert stats["last_leg_probes"] == 0
+        assert stats["last_leg_probes"] == stats["straight_legs"] == 0
         assert stats["sweep_events"] == 0
         assert stats["sweep_seconds"] == 0.0
         assert stats["backend"] == "numpy-kernel"
@@ -141,13 +143,17 @@ class _Recording:
 
 class TestLastLegSweeps:
     def test_anchor_sweeps_use_the_backend_and_are_counted(self, monkeypatch):
-        """A range query's candidates never enter the graph: each one's
-        last leg is probed with the exact oracle, and only a give-up
-        (forced here by a zero cap) is anchored — one point a call, by
-        the database's backend and into ``sweeps_run``."""
-        from repro.visibility import csr
+        """A range query's candidates never enter the graph: one the
+        centre sees is a straight leg, each hidden one's last leg is
+        probed with the exact oracle, and only a give-up (forced here
+        by a zero cap) is anchored — one point a call, by the
+        database's backend and into ``sweeps_run``."""
+        from repro.visibility import csr, is_visible
 
         candidates = [Point(0, 0), Point(14, 5), Point(5, 10), Point(8, 1)]
+        walls = [rect_obstacle(0, 4, 4, 6, 6), rect_obstacle(1, 10, 2, 12, 8)]
+        hidden = [p for p in candidates if not is_visible(Point(7, 5), p, walls)]
+        assert 0 < len(hidden) < len(candidates)
         for cap in (csr.LAST_LEG_PROBES, 0):
             monkeypatch.setattr(csr, "LAST_LEG_PROBES", cap)
             db = ObstacleDatabase(
@@ -158,9 +164,10 @@ class TestLastLegSweeps:
             found = db.range("P", (7, 5), 12.0)
             assert len(found) == len(candidates)  # every candidate evaluated
             stats = db.runtime_stats()
-            assert stats["last_leg_probes"] == len(candidates)
+            assert stats["last_leg_probes"] == len(hidden)
+            assert stats["straight_legs"] == len(candidates) - len(hidden)
             swept = [p for p in backend.swept if p in candidates]
             assert len(swept) == stats["last_leg_fallbacks"]
-            assert sorted(swept) == (sorted(candidates) if cap == 0 else [])
+            assert sorted(swept) == (sorted(hidden) if cap == 0 else [])
             # Every sweep the backend ran is in the counter.
             assert stats["sweeps_run"] == len(backend.swept)

@@ -256,6 +256,7 @@ class TestDynamicParity:
         for p in random_free_points(rng, 2, obstacles):
             gp.add_entity(p)  # exercises swap-remove slot reuse
             gn.add_entity(p)
+        frozen(gp), frozen(gn)  # connect what the updates left pending
         assert {u: dict(gp.neighbors(u)) for u in gp.nodes()} == {
             u: dict(gn.neighbors(u)) for u in gn.nodes()
         }
@@ -274,7 +275,8 @@ class TestDynamicParity:
         assert not g.delete_entity(corner)
         assert g.has_node(corner)
         # Along the square's bottom side: tangent at the corner.
-        assert g.add_entity(Point(3, 4))  # connects again; must not crash
+        assert g.add_entity(Point(3, 4))
+        frozen(g)  # connects again; must not crash
         assert corner in g.neighbors(Point(3, 4))
         if method == NP:
             packed = g.packed_scene()
@@ -294,7 +296,8 @@ class TestDynamicParity:
         assert corner not in g.free_points()
         assert not g.delete_entity(corner)
         assert g.has_node(corner)
-        assert g.add_entity(Point(3, 4))  # must not crash on stale nodes
+        assert g.add_entity(Point(3, 4))
+        frozen(g)  # must not crash on stale nodes
         assert corner in g.neighbors(Point(3, 4))
 
     def test_rebuild_resets_packed_scene(self):
@@ -711,6 +714,7 @@ def test_reference_backends_never_enter_the_kernel(method, monkeypatch):
     ]
     VisibilityGraph.connect(graphs)
     assert graphs[0].add_obstacles(obstacles) == 2
+    frozen(graphs[0])
     built = VisibilityGraph.build([Point(-3, 8)], obstacles, method=method)
     assert {u: dict(graphs[0].neighbors(u)) for u in graphs[0].nodes()} == {
         u: dict(built.neighbors(u)) for u in built.nodes()

@@ -596,8 +596,9 @@ class TestProbedLastLeg:
 
     def test_the_bound_cuts_the_probe_short(self, monkeypatch):
         """The nodes whose lower bound is at most ``bound`` are tested
-        (here the root and a row across a wall, all hidden from the
-        goal); the next lower bound, above ``bound``, is returned
+        (here a row across a wall, all hidden from the goal; the root,
+        named ``hidden`` — its lower bound is the straight leg the
+        caller found hidden — is skipped); the next lower bound, above ``bound``, is returned
         untested, the goal is neither swept nor memoized, and the cut
         value lies between ``bound`` and the swept one."""
         wall = [rect_obstacle(0, -10.0, 1.0, 10.0, 2.0)]
@@ -608,7 +609,9 @@ class TestProbedLastLeg:
         csr = frozen(graph)
         dist = csr.field(root, graph)
         dx, dy = csr.xs - goal.x, csr.ys - goal.y
-        lows = sorted((dist + np.sqrt(dx * dx + dy * dy)).tolist())
+        lows = dist + np.sqrt(dx * dx + dy * dy)
+        lows[csr.index[root]] = math.inf
+        lows = sorted(lows.tolist())
         tested = []
 
         def is_visible(a, b, obstacles):
@@ -617,17 +620,17 @@ class TestProbedLastLeg:
 
         monkeypatch.setattr(csr_module, "is_visible", is_visible)
         stats = RuntimeStats()
-        bound = (lows[3] + lows[4]) / 2.0
-        cut = csr.last_leg(dist, goal, graph, bound=bound, stats=stats)
-        assert sorted(tested) == sorted([root, *row])
+        bound = (lows[2] + lows[3]) / 2.0
+        cut = csr.last_leg(dist, goal, graph, bound=bound, stats=stats, hidden=root)
+        assert sorted(tested) == sorted(row)
         assert not any(map(partial(oracle, goal, obstacles=wall), tested))
         assert goal not in csr.anchors
         assert (stats.last_leg_probes, stats.last_leg_fallbacks) == (1, 0)
         tested.clear()
-        assert csr.last_leg(dist, goal, graph, bound=0.0) == lows[0] > 0.0
+        assert csr.last_leg(dist, goal, graph, bound=0.0, hidden=root) == lows[0] > 0.0
         assert not tested
         ids, legs = graph.visible_ids([goal])[0]
-        assert bound < cut == lows[4] <= float((dist[ids] + np.array(legs)).min())
+        assert bound < cut == lows[3] <= float((dist[ids] + np.array(legs)).min())
 
     @pytest.mark.parametrize("method", ["numpy-kernel", "naive"])
     @PROBE_SETTINGS

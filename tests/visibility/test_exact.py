@@ -29,9 +29,11 @@ from hypothesis import strategies as st
 from repro.errors import GeometryError
 from repro.geometry import Point, Polygon, Rect
 from repro.model import Obstacle
+from repro.core.engine import ObstacleDatabase
 from repro.datasets.synthetic import street_grid_obstacles
 from repro.runtime.stats import RuntimeStats
 from repro.visibility import VisibilityGraph, is_visible
+from repro.visibility.csr import frozen
 from repro.visibility.kernel import PackedScene, exact
 
 SETTINGS = settings(deadline=None, suppress_health_check=list(HealthCheck))
@@ -433,6 +435,7 @@ class TestSignFilter:
 
 
 def _edge_set(graph):
+    frozen(graph)  # connect what a mutation left pending
     return {frozenset((u, v)) for u in graph.nodes() for v in graph.neighbors(u)}
 
 
@@ -464,3 +467,113 @@ class TestReferenceBackendsNeverTouchTheArrays:
             VisibilityGraph.build(
                 [], street_grid_obstacles(15, seed=11), method="numpy-kernel"
             )
+
+
+# ------------------------------------------------------ the metric's laws
+#: ``TestMetricLaws`` under the ``metric-laws`` profile
+#: (``tests/conftest.py``): the default count, or the profile's own 500
+#: when it is loaded (``--hypothesis-profile metric-laws``).
+METRIC_LAWS = settings(
+    settings.get_profile("metric-laws"),
+    max_examples=settings.default.max_examples,
+)
+
+
+@st.composite
+def metric_scenes(draw: st.DrawFn) -> tuple[list[Obstacle], list[Point]]:
+    """Lattice rectangles — touching, vertex-sharing, T-junctions,
+    collinear runs, overlaps — and 2 to 5 distinct points: on the
+    lattice (on vertices, edges and grid lines), free, or an obstacle
+    vertex."""
+    polys = draw(st.lists(lattice_rects(), min_size=1, max_size=4))
+    vertices = [v for poly in polys for v in poly.vertices]
+    point = st.one_of(
+        st.builds(Point, lattice, lattice),
+        st.builds(Point, fine, fine),
+        st.sampled_from(vertices),
+    )
+    points = draw(st.lists(point, min_size=2, max_size=5, unique=True))
+    # A point a hair off a boundary is where the deciders' tolerance
+    # differs: ROADMAP item 1, defect (e), closed by item 14.
+    assume(not any(_hair_off_a_boundary(p, polys) for p in points))
+    return [Obstacle(i, poly) for i, poly in enumerate(polys)], points
+
+
+def _hair_off_a_boundary(p: Point, polys: list[Polygon]) -> bool:
+    """Whether ``p`` lies within 1e-6 of some polygon edge, not on it."""
+    for poly in polys:
+        for a, b in poly.edges():
+            dx, dy = b.x - a.x, b.y - a.y
+            t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy)
+            t = min(1.0, max(0.0, t))
+            gap = math.hypot(p.x - a.x - t * dx, p.y - a.y - t * dy)
+            if 0.0 < gap < 1e-6:
+                return True
+    return False
+
+
+def _metric_answers(backend, obstacles, points, e):
+    """Every answer the laws read, on a fresh ``backend`` database:
+    ``d_O`` of every ordered pair, each point's ``nearest`` and
+    ``range`` over the points, a multi-seed ``distance_join`` and the
+    three ``batch_*`` calls."""
+    db = ObstacleDatabase(
+        [o.polygon for o in obstacles], max_entries=8, min_entries=3, backend=backend
+    )
+    db.add_entity_set("E", points)
+    pairs = [(a, b) for a in points for b in points if a != b]
+    return {
+        "distance": {(a, b): db.obstructed_distance(a, b) for a, b in pairs},
+        "nearest": [db.nearest("E", q, len(points)) for q in points],
+        "range": [db.range("E", q, e) for q in points],
+        "join": db.distance_join("E", "E", e),
+        "batch_distance": db.batch_distance(pairs),
+        "batch_nearest": db.batch_nearest("E", points, len(points)),
+        "batch_range": db.batch_range("E", points, e),
+    }
+
+
+class TestMetricLaws:
+    """``d_O`` is a metric on the plane minus the obstacle interiors:
+    ``d_O(p, q) >= |pq|``, with equality iff ``p`` and ``q`` see each
+    other past every obstacle; and ``d_O(p, q) == d_O(q, p)`` — on both
+    backends, through every query that reports a distance.
+
+    Symmetry is bit for bit for a straight leg.  A bent path's legs are
+    summed from the end its search starts at, and float addition is
+    not associative: ``d_O(q, p)`` may sum the same legs in the reverse
+    order and differ in the last places, so it is held to ``1e-12``
+    relative there.  Every query reports a distance from the end it
+    searches from, so ``nearest`` and ``range`` at ``q``, and a join
+    seeded at ``s``, equal ``d_O(q, .)`` and ``d_O(s, .)`` bit for bit."""
+
+    @METRIC_LAWS
+    @given(scene=metric_scenes(), e=st.sampled_from([2.0, 5.0, 12.0]))
+    def test_straight_iff_in_sight_and_symmetric_on_every_path(self, scene, e):
+        obstacles, points = scene
+        runs = [_metric_answers(b, obstacles, points, e) for b in ("naive", "numpy-kernel")]
+        got = runs[0]
+        assert runs[1] == got  # the backends agree, bit for bit
+        d = got["distance"]
+        for (a, b), ab in d.items():
+            straight = a.distance(b)
+            assert ab >= straight, (a, b)
+            assert (ab == straight) == is_visible(a, b, obstacles), (a, b)
+            if ab == straight:
+                assert d[b, a] == ab, (a, b)
+            else:
+                assert math.isclose(d[b, a], ab, rel_tol=1e-12), (a, b)
+        dist = {**d, **{(p, p): 0.0 for p in points}}
+        for q, nearest, in_range in zip(points, got["nearest"], got["range"]):
+            want = sorted(dist[q, p] for p in points)
+            assert [x for __, x in nearest] == want[: len(nearest)]
+            assert all(x == dist[q, p] for p, x in nearest)
+            assert dict(in_range) == {
+                p: dist[q, p] for p in points if dist[q, p] <= e
+            }
+        assert {(s, t): x for s, t, x in got["join"]} == {
+            (s, t): dist[s, t] for s in points for t in points if dist[s, t] <= e
+        }
+        assert got["batch_distance"] == list(d.values())
+        assert got["batch_nearest"] == got["nearest"]
+        assert got["batch_range"] == got["range"]

@@ -9,11 +9,13 @@ from repro.errors import QueryError
 from repro.geometry import Point, Polygon, Rect
 from repro.model import Obstacle
 from repro.visibility import VisibilityGraph, is_visible
+from repro.visibility.csr import frozen
 from tests.conftest import random_disjoint_rects, random_free_points, rect_obstacle
 from tests.reference_field import tangent_edges
 
 
 def _adjacency(graph: VisibilityGraph) -> set[tuple[Point, Point]]:
+    frozen(graph)  # connect what a mutation left pending
     return {(u, v) for u in graph.nodes() for v in graph.neighbors(u)}
 
 
@@ -179,6 +181,8 @@ class TestAddDeleteEntity:
     def test_add_entity_connects(self):
         g = VisibilityGraph.build([Point(0, 0)], [])
         assert g.add_entity(Point(5, 5))
+        assert Point(5, 5) in g.pending  # until the next freeze
+        frozen(g)
         assert Point(5, 5) in g.neighbors(Point(0, 0))
 
     def test_add_existing_returns_false(self):

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.visibility import VisibilityGraph, naive_visible_from
+from repro.visibility.csr import frozen
 from tests.reference_field import tangent_edges
 from tests.strategies import disjoint_rect_obstacles, free_points
 
@@ -16,6 +17,7 @@ SETTINGS = settings(
 
 
 def _adjacency(graph: VisibilityGraph) -> set:
+    frozen(graph)  # connect what a mutation left pending
     return {(u, v) for u in graph.nodes() for v in graph.neighbors(u)}
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.geometry import Point
 from repro.model import Obstacle
 from repro.visibility import VisibilityGraph
+from repro.visibility.csr import frozen
 from tests.conftest import random_disjoint_rects, random_free_points
 from tests.reference_field import graph_distance
 
@@ -25,6 +26,10 @@ BACKENDS = ["naive", "numpy-kernel"]
 
 
 def _edge_set(graph):
+    """The edges of ``graph`` connected: its pending nodes (what a
+    mutation registered) are connected first, as its next freeze
+    would."""
+    frozen(graph)
     return {
         frozenset((u, v)) for u in graph.nodes() for v in graph.neighbors(u)
     }
@@ -227,6 +232,7 @@ def growth_steps(draw):
 
 
 def _state(graph):
+    frozen(graph)
     return (
         set(graph.nodes()),
         {
@@ -251,9 +257,10 @@ def test_add_obstacles_equals_add_obstacle_folded_in_any_order(backend, step, da
     # already holds, and repeats.
     again = data.draw(st.lists(st.sampled_from(held + added), max_size=3))
     assert batch.add_obstacles(added + again) == len(added)
-    assert not batch.pending
+    assert batch.pending  # until the next freeze connects them
     fold = VisibilityGraph.build(points, held, method=backend)
     for obs in data.draw(st.permutations(added)):
         assert fold.add_obstacle(obs)
+        frozen(fold)  # connected at every step
     assert _state(batch) == _state(fold)
     assert batch.add_obstacles(added) == 0

@@ -308,19 +308,14 @@ def batch_bench_db(
     n_obstacles: int,
     entity_spec: tuple[tuple[str, int], ...],
     n_queries: int,
-    shards: int | None = None,
 ) -> tuple[ObstacleDatabase, Workload]:
-    """Like :func:`bench_db`, with optional sharded obstacle storage.
-
-    Cached separately per ``shards`` value so sharded/monolithic
-    comparisons run on the *same* workload object.
-    """
+    """Like :func:`bench_db`, for the batch benchmarks (cached, so
+    sequential and parallel runs share one workload object)."""
     workload = bench_workload(n_obstacles, entity_spec, n_queries)
     db = ObstacleDatabase(
         workload.obstacles,
         max_entries=BENCH_PAGE_ENTRIES,
         min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
-        shards=shards,
     )
     for name, points in workload.entity_sets.items():
         db.add_entity_set(name, points)
@@ -432,7 +427,7 @@ def moving_query_path(workload: Workload, n_steps: int) -> list[Point]:
 
 
 def moving_query_db(
-    n_obstacles: int, snap: float, *, shards: int | None = None
+    n_obstacles: int, snap: float
 ) -> tuple[ObstacleDatabase, Workload]:
     """A database (with the given graph-cache snap quantum) over the
     standard bench workload, plus that workload."""
@@ -442,7 +437,6 @@ def moving_query_db(
         max_entries=BENCH_PAGE_ENTRIES,
         min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
         graph_cache_snap=snap,
-        shards=shards,
     )
     for name, points in workload.entity_sets.items():
         db.add_entity_set(name, points)

@@ -310,7 +310,7 @@ def smoke() -> int:
     code = smoke_snapshot()
     if code:
         return code
-    code = smoke_shard_parallel()
+    code = smoke_parallel()
     if code:
         return code
     code = smoke_serve()
@@ -509,31 +509,21 @@ def smoke_snapshot() -> int:
     return 0
 
 
-def smoke_shard_parallel() -> int:
-    """Shard/parallel smoke: sharded storage answers like monolithic,
-    and a 4-worker batch returns results identical to sequential.
-    Wall-clock speedup is *reported* but not enforced here (CI smoke
-    boxes may be single-core); the benchmark bar lives in
-    ``benchmarks/test_shard_parallel.py``."""
+def smoke_parallel() -> int:
+    """Parallel smoke: a 4-worker batch returns results identical to
+    sequential.  Wall-clock speedup is *reported* but not enforced here
+    (CI smoke boxes may be single-core); the benchmark bar lives in
+    ``benchmarks/test_parallel_batch.py``."""
     import os
 
     from benchmarks.common import batch_bench_db, run_batch_nearest
 
     n = 200
-    mono, workload = batch_bench_db(n, (("P1", n),), 24)
-    sharded, __ = batch_bench_db(n, (("P1", n),), 24, 16)
+    db, workload = batch_bench_db(n, (("P1", n),), 24)
     queries = workload.queries[:24]
-    index = sharded.obstacle_index
-    print(
-        f"\nshard smoke: |O|={n} over {index.shard_count} shards "
-        f"(grid order {index.grid.order})"
-    )
-    seq, seq_metrics = run_batch_nearest(mono, "P1", queries, 4)
-    shard_seq, __ = run_batch_nearest(sharded, "P1", queries, 4)
-    if shard_seq != seq:
-        print("FAIL: sharded storage changed batch answers")
-        return 1
-    par, par_metrics = run_batch_nearest(mono, "P1", queries, 4, workers=4)
+    print(f"\nparallel smoke: |O|={n}")
+    seq, seq_metrics = run_batch_nearest(db, "P1", queries, 4)
+    par, par_metrics = run_batch_nearest(db, "P1", queries, 4, workers=4)
     if par != seq:
         print("FAIL: 4-worker batch diverged from sequential")
         return 1
@@ -544,7 +534,7 @@ def smoke_shard_parallel() -> int:
         f"({seq_metrics['cpu_s'] / par_metrics['cpu_s']:.2f}x, "
         f"{os.cpu_count() or 1} cores)"
     )
-    RESULTS["smoke shard+parallel"] = {
+    RESULTS["smoke parallel"] = {
         "sequential": seq_metrics,
         "parallel": par_metrics,
     }

@@ -60,15 +60,3 @@ class TestMovingQueryCache:
             f"{len(path)} steps; bar is {BUILD_REDUCTION_TARGET}x"
         )
 
-    def test_sharded_storage_composes_with_spatial_key(self):
-        """Sharding underneath the snapped cache: answers still match
-        the exact-key monolithic baseline bit for bit."""
-        exact_db, workload = moving_query_db(MOVING_O, 0.0)
-        snapped_db, __ = moving_query_db(MOVING_O, moving_snap(), shards=16)
-        path = moving_query_path(workload, max(8, BENCH_MOVING_STEPS // 4))
-        exact_answers, __ = run_moving_query(exact_db, workload, path)
-        snapped_answers, metrics = run_moving_query(
-            snapped_db, workload, path
-        )
-        assert snapped_answers == exact_answers
-        assert metrics["graph_builds"] < len(path)

@@ -1,15 +1,9 @@
-"""Sharded storage + parallel batch benchmark.
+"""Parallel batch benchmark.
 
-Not a paper figure — this measures the PR's two architectural changes
-on the paper's workload shape (a 200-query ONN batch):
-
-* **sharded retrieval**: a database with spatially sharded obstacle
-  storage answers every query identically to the monolithic layout,
-  while each obstacle retrieval fans out only to the shards whose
-  cells intersect the query disk;
-* **parallel batches**: a 4-worker ``batch_nearest`` returns results
-  identical to sequential execution, and (given the cores to do it)
-  at least a 2x wall-clock speedup.
+Not a paper figure — this measures parallel batches on the paper's
+workload shape (a 200-query ONN batch): a 4-worker ``batch_nearest``
+returns results identical to sequential execution, and (given the
+cores to do it) at least a 2x wall-clock speedup.
 
 The speedup assertion needs real parallel hardware: every ``>= Nx``
 bar routes through :func:`benchmarks.common.parallel_speedup_target`,
@@ -47,39 +41,9 @@ WORKERS = 4
 #: sequential baseline in seconds.
 BATCH_O = min(BENCH_O, 500)
 
-#: Target shard count for the sharded layout.
-SHARDS = 16
-
-
-def _workload(shards=None):
-    db, workload = batch_bench_db(
-        BATCH_O, (("P1", BATCH_O),), BATCH_QUERIES, shards
-    )
+def _workload():
+    db, workload = batch_bench_db(BATCH_O, (("P1", BATCH_O),), BATCH_QUERIES)
     return db, workload.queries[:BATCH_QUERIES]
-
-
-class TestShardedRetrieval:
-    def test_sharded_matches_monolithic_answers(self):
-        mono, queries = _workload()
-        sharded, __ = _workload(SHARDS)
-        sample = queries[:: max(1, len(queries) // 20)]
-        assert sharded.batch_nearest("P1", sample, 4) == mono.batch_nearest(
-            "P1", sample, 4
-        )
-
-    def test_retrieval_fans_out_to_few_shards(self):
-        sharded, queries = _workload(SHARDS)
-        index = sharded.obstacle_index
-        assert index.shard_count > 4
-        for tree in index.trees():
-            tree.reset_stats()
-        # A per-query-disk retrieval touches a strict subset of shards.
-        radius = sharded.universe().width * 0.05
-        index.obstacles_in_range(queries[0], radius)
-        touched = sum(
-            1 for t in index.trees() if t.counter.snapshot()["reads"] > 0
-        )
-        assert 0 < touched < index.shard_count
 
 
 class TestParallelBatch:
@@ -119,13 +83,3 @@ class TestParallelBatch:
             f"{target}x bar on {cores} cores "
             f"(seq {seq_metrics['cpu_s']:.2f}s, par {par_metrics['cpu_s']:.2f}s)"
         )
-
-    def test_sharded_parallel_composes(self):
-        """Sharding and the worker pool stack: identical answers again."""
-        sharded, queries = _workload(SHARDS)
-        sample = queries[:40]
-        sequential, __ = run_batch_nearest(sharded, "P1", sample, 4)
-        parallel, __ = run_batch_nearest(
-            sharded, "P1", sample, 4, workers=WORKERS
-        )
-        assert parallel == sequential

@@ -16,9 +16,7 @@ from only the relevant obstacles eliminate the false hits.
 from repro.core.source import (
     CompositeObstacleIndex,
     ObstacleIndex,
-    ShardedObstacleIndex,
     build_obstacle_index,
-    build_sharded_obstacle_index,
 )
 from repro.core.range import obstacle_range
 from repro.core.nearest import iter_obstacle_nearest, obstacle_nearest
@@ -30,9 +28,7 @@ from repro.core.engine import ObstacleDatabase
 __all__ = [
     "ObstacleIndex",
     "CompositeObstacleIndex",
-    "ShardedObstacleIndex",
     "build_obstacle_index",
-    "build_sharded_obstacle_index",
     "obstacle_range",
     "obstacle_nearest",
     "iter_obstacle_nearest",

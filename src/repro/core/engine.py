@@ -29,10 +29,9 @@ when asked (``workers=``) — either a forked child per chunk or, with
 ``pool="persistent"``, the long-lived snapshot-warm-started
 :meth:`serving_pool` (shut down via :meth:`close` or the context
 manager); both run the same worker body.  Adding a dataset is
-announced on the same feed as every record.  Obstacle storage is
-either one monolithic R*-tree per set or, with ``shards=N``, a
-spatially sharded store whose mutations leave cached graphs over other
-shards current.
+announced on the same feed as every record.  Each obstacle set is one
+R*-tree (:class:`~repro.core.source.ObstacleIndex`); several sets are
+queried as one :class:`~repro.core.source.CompositeObstacleIndex`.
 """
 
 from __future__ import annotations
@@ -49,10 +48,8 @@ from repro.core.semijoin import obstacle_semijoin
 from repro.core.source import (
     CompositeObstacleIndex,
     ObstacleIndex,
-    ShardedObstacleIndex,
     _MutationFeed,
     build_obstacle_index,
-    build_sharded_obstacle_index,
 )
 from repro.errors import DatasetError, QueryError
 from repro.geometry.point import Point
@@ -101,14 +98,6 @@ class ObstacleDatabase:
         snaps centres to a grid of that cell size, so near-duplicate
         centres (moving queries, dense batches) share one
         coverage-guarded graph.
-    shards:
-        ``None`` (default) stores each obstacle set in one monolithic
-        R-tree.  An integer switches to spatially sharded storage
-        (:class:`~repro.core.source.ShardedObstacleIndex`): obstacles
-        are partitioned over a Hilbert-keyed grid of at least that
-        many cells, retrievals fan out only to the shards intersecting
-        the query disk, and dynamic obstacle updates invalidate cached
-        visibility graphs per shard instead of globally.
     backend:
         The name of the visibility backend that decides every pair:
         ``"numpy-kernel"`` (``None``, the default), or ``"naive"``,
@@ -145,13 +134,10 @@ class ObstacleDatabase:
         min_entries: int | None = None,
         graph_cache_size: int = 64,
         graph_cache_snap: float = 0.0,
-        shards: int | None = None,
         backend: "str | None" = None,
         cache_policy: "str | CachePolicy | None" = None,
         durable: "str | os.PathLike[str] | None" = None,
     ) -> None:
-        if shards is not None and shards < 1:
-            raise DatasetError(f"shards must be >= 1, got {shards}")
         if graph_cache_snap < 0:
             raise DatasetError(
                 f"graph_cache_snap must be >= 0, got {graph_cache_snap}"
@@ -164,7 +150,6 @@ class ObstacleDatabase:
                 min_entries=min_entries,
             ),
             bulk=bulk,
-            shards=shards,
             graph_cache_size=graph_cache_size,
             graph_cache_snap=graph_cache_snap,
             next_oid=0,
@@ -180,7 +165,6 @@ class ObstacleDatabase:
         *,
         tree_kwargs: dict,
         bulk: bool,
-        shards: int | None,
         graph_cache_size: int,
         graph_cache_snap: float,
         next_oid: int,
@@ -190,7 +174,6 @@ class ObstacleDatabase:
         """Every attribute of a database that holds no dataset yet —
         the one initialiser behind ``__init__`` and :meth:`_restore`."""
         self._graph_cache_snap = graph_cache_snap
-        self._shards = shards
         self._bulk = bulk
         self._tree_kwargs = tree_kwargs
         self._next_oid = next_oid
@@ -200,9 +183,7 @@ class ObstacleDatabase:
         # Resolved here so an unknown name fails before any dataset loads.
         self._backend = resolve_backend(backend).name
         self._entity_trees: dict[str, RStarTree] = {}
-        self._obstacle_indexes: dict[
-            str, ObstacleIndex | ShardedObstacleIndex
-        ] = {}
+        self._obstacle_indexes: dict[str, ObstacleIndex] = {}
         self._context: QueryContext | None = None
         self._serving_pool = None
         self._metrics: MetricsRegistry | None = None
@@ -222,13 +203,9 @@ class ObstacleDatabase:
         if name in self._obstacle_indexes:
             raise DatasetError(f"obstacle set {name!r} already exists")
         records = [self._coerce_obstacle(o) for o in obstacles]
-        kwargs = dict(bulk=self._bulk, name=f"obstacles:{name}", **self._tree_kwargs)
-        if self._shards is not None:
-            self._obstacle_indexes[name] = build_sharded_obstacle_index(
-                records, shards=self._shards, **kwargs
-            )
-        else:
-            self._obstacle_indexes[name] = build_obstacle_index(records, **kwargs)
+        self._obstacle_indexes[name] = build_obstacle_index(
+            records, bulk=self._bulk, name=f"obstacles:{name}", **self._tree_kwargs
+        )
         self._rebuild_context()
         self._shape_changed("obstacle")
 
@@ -348,9 +325,7 @@ class ObstacleDatabase:
             self._feed.notify(record, before)
         return found
 
-    def _obstacle_index_named(
-        self, name: str
-    ) -> ObstacleIndex | ShardedObstacleIndex:
+    def _obstacle_index_named(self, name: str) -> ObstacleIndex:
         try:
             return self._obstacle_indexes[name]
         except KeyError:
@@ -365,22 +340,14 @@ class ObstacleDatabase:
             raise DatasetError(f"unknown entity set {name!r}") from None
 
     @property
-    def obstacle_index(
-        self,
-    ) -> ObstacleIndex | CompositeObstacleIndex | ShardedObstacleIndex:
-        """The (possibly composite or sharded) obstacle source."""
+    def obstacle_index(self) -> ObstacleIndex | CompositeObstacleIndex:
+        """The (possibly composite) obstacle source."""
         return self._context.source  # type: ignore[union-attr,return-value]
 
     @property
     def obstacle_tree(self) -> RStarTree:
-        """The primary obstacle R*-tree (monolithic storage only)."""
-        index = self._obstacle_indexes["obstacles"]
-        if isinstance(index, ShardedObstacleIndex):
-            raise DatasetError(
-                "sharded obstacle storage has no single primary tree; "
-                "use obstacle_index.trees() or obstacle_index.shard(key)"
-            )
-        return index.tree
+        """The primary obstacle R*-tree."""
+        return self._obstacle_indexes["obstacles"].tree
 
     @property
     def context(self) -> QueryContext:
@@ -482,10 +449,9 @@ class ObstacleDatabase:
 
         The snapshot captures every R*-tree node-per-page (page ids,
         buffer residency and access counters included), every obstacle
-        set (monolithic or sharded, with per-shard versions and grid
-        geometry), and — unless ``include_cache=False`` — every cached
-        visibility graph with its coverage and version stamp, so
-        :meth:`load` warm-starts.
+        set with its mutation count, and — unless
+        ``include_cache=False`` — every cached visibility graph with its
+        coverage and version stamp, so :meth:`load` warm-starts.
         ``dataset_refs`` records source dataset files by content hash;
         a later load verifies them (hash, not mtime) and refuses drift.
 
@@ -518,7 +484,7 @@ class ObstacleDatabase:
         saved one — bit-identical query answers and identical simulated
         page-miss counts on any access sequence — and its runtime is
         warm: restored cache entries are re-admitted under their
-        spatial keys and shard registrations, and the mutation feed is
+        spatial keys, and the mutation feed is
         re-subscribed, so post-load mutations still route repair-first.
         Corrupt, truncated or future-version files raise
         :class:`~repro.errors.DatasetError` naming the path and offset,
@@ -582,7 +548,6 @@ class ObstacleDatabase:
         return {
             "tree_kwargs": dict(self._tree_kwargs),
             "bulk": self._bulk,
-            "shards": self._shards,
             "graph_cache_size": self._graph_cache_size,
             "graph_cache_snap": self._graph_cache_snap,
             "next_oid": self._next_oid,
@@ -594,7 +559,7 @@ class ObstacleDatabase:
     def _restore(
         cls,
         *,
-        obstacle_indexes: "dict[str, ObstacleIndex | ShardedObstacleIndex]",
+        obstacle_indexes: dict[str, ObstacleIndex],
         entity_trees: dict[str, RStarTree],
         **state,
     ) -> "ObstacleDatabase":
@@ -851,37 +816,18 @@ class ObstacleDatabase:
     def _trees(
         self, *, entities: bool = True
     ) -> Iterator[tuple[str, RStarTree]]:
-        """The one walk over this database's R-trees: every (shard)
-        tree of every obstacle set, then — unless ``entities`` is off —
-        every entity tree, each with the key :meth:`stats` reports it
-        under (a sharded set's trees share their set's key)."""
-        for name, idx in self._obstacle_indexes.items():
-            sharded = isinstance(idx, ShardedObstacleIndex)
-            for tree in idx.trees():
-                yield (f"obstacles:{name}" if sharded else tree.name), tree
+        """The one walk over this database's R-trees: the tree of every
+        obstacle set, then — unless ``entities`` is off — every entity
+        tree, each with the key :meth:`stats` reports it under."""
+        for idx in self._obstacle_indexes.values():
+            yield idx.tree.name, idx.tree
         if entities:
             for tree in self._entity_trees.values():
                 yield tree.name, tree
 
     def stats(self) -> Mapping[str, Mapping[str, int]]:
-        """Per-tree page-access counters (reads / misses / writes).
-
-        Sharded obstacle sets are reported under their set name with
-        counters summed over the per-shard trees, so workloads read
-        the same keys regardless of the storage layout.
-        """
-        zero = {"reads": 0, "misses": 0, "writes": 0}
-        # a sharded set reports its row even while it has no shard
-        out: dict[str, dict[str, int]] = {
-            f"obstacles:{name}": dict(zero)
-            for name, idx in self._obstacle_indexes.items()
-            if isinstance(idx, ShardedObstacleIndex)
-        }
-        for key, tree in self._trees():
-            total = out.setdefault(key, dict(zero))
-            for counter, value in tree.counter.snapshot().items():
-                total[counter] += value
-        return out
+        """Per-tree page-access counters (reads / misses / writes)."""
+        return {key: tree.counter.snapshot() for key, tree in self._trees()}
 
     def runtime_stats(self) -> dict[str, int | float | str]:
         """Counters of the shared query runtime (graph builds, cache

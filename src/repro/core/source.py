@@ -7,11 +7,6 @@ that "the extension to multiple obstacle datasets is straightforward" —
 :class:`CompositeObstacleIndex` is that extension: it unions the
 relevant obstacles of several indexes.
 
-:class:`ShardedObstacleIndex` is the scale-out variant: one dataset
-spatially partitioned over a :class:`~repro.runtime.sharding.ShardGrid`
-into many small per-shard R-trees.  Range retrievals fan out only to
-the shards whose cells intersect the query disk.
-
 Every source answers ``version_for(center, radius)``: a tuple of ints
 that moves whenever the obstacles intersecting that disk may have
 changed.  A cached visibility graph built over the disk is current
@@ -31,7 +26,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.rstar import RStarTree
 from repro.model import Obstacle
-from repro.runtime.sharding import ShardGrid
 
 
 #: Signature of a mutation listener: ``callback(kind, obstacle)``.
@@ -235,208 +229,11 @@ class CompositeObstacleIndex:
 
 
 class ShardedObstacleIndex:
-    """One obstacle dataset spatially partitioned into per-shard R-trees.
+    """Placeholder: ``benchmarks/e2e/e2e_trace.py`` wraps this
+    ``obstacles_in_range`` (a ``core.retrieve`` wrap point); it goes with
+    that wrap, ROADMAP item 3(i)."""
 
-    Each occupied grid cell owns a full :class:`ObstacleIndex` (its own
-    versioned R-tree); an obstacle is stored in every shard its MBR
-    overlaps, and retrievals dedupe by obstacle id — the same union
-    semantics as :class:`CompositeObstacleIndex`, but with *spatial*
-    membership, so:
-
-    * ``obstacles_in_range`` consults only the shards whose cells
-      intersect the query disk (in Hilbert key order, for buffer
-      locality and determinism);
-    * mutations bump only the versions of the shards they touch, and
-      :meth:`version_for` reads only the shards of the disk's cells, so
-      a cached visibility graph stays current through mutations in
-      shards it never read.
-
-    Shards are created lazily on first insert into their cell and never
-    removed — an emptied shard keeps its version history, which is what
-    makes stamp comparison sound.
-    """
-
-    def __init__(
-        self,
-        grid: ShardGrid,
-        *,
-        name: str = "obstacles",
-        **tree_kwargs: object,
-    ) -> None:
-        self.grid = grid
-        self.name = name
-        self._tree_kwargs = dict(tree_kwargs)
-        self._shards: dict[int, ObstacleIndex] = {}
-        self._count = 0
-        self._feed = _MutationFeed()
-
-    def subscribe(self, callback: MutationListener) -> None:
-        """Register a (weakly held) mutation listener; each
-        :meth:`insert` / :meth:`delete` notifies it once before and
-        once after applying (``pre-`` then plain kind — not per
-        shard; a not-found delete fires only the ``pre-``)."""
-        self._feed.subscribe(callback)
-
-    # -------------------------------------------------------------- shards
-    @property
-    def shard_count(self) -> int:
-        """Number of occupied shards."""
-        return len(self._shards)
-
-    def shard_keys(self) -> list[int]:
-        """Occupied shard keys in Hilbert order."""
-        return sorted(self._shards)
-
-    def shard(self, key: int) -> ObstacleIndex:
-        """The shard stored under ``key`` (raises on unoccupied cells)."""
-        try:
-            return self._shards[key]
-        except KeyError:
-            raise DatasetError(f"no shard with key {key}") from None
-
-    def shard_version(self, key: int) -> int:
-        """Version of the shard under ``key`` (0 for unoccupied cells)."""
-        shard = self._shards.get(key)
-        return 0 if shard is None else shard.version
-
-    def occupied_keys_for_disk(self, center: Point, radius: float) -> list[int]:
-        """Occupied shard keys whose cells intersect the disk, sorted
-        in Hilbert order (the retrieval fan-out set)."""
-        if radius == inf:
-            return sorted(self._shards)
-        grid = self.grid
-        keys = {
-            grid.key(cx, cy) for cx, cy in grid.cells_for_disk(center, radius)
-        }
-        return sorted(keys & self._shards.keys())
-
-    def _shard_for_key(self, key: int) -> ObstacleIndex:
-        shard = self._shards.get(key)
-        if shard is None:
-            tree = RStarTree(
-                name=f"{self.name}[{key:04d}]",
-                **self._tree_kwargs,  # type: ignore[arg-type]
-            )
-            shard = ObstacleIndex(tree)
-            self._shards[key] = shard
-        return shard
-
-    def keys_for_obstacle(self, obstacle: Obstacle) -> list[int]:
-        """The shard keys of every cell the obstacle's MBR overlaps —
-        the shards an insert or delete of it writes to."""
-        grid = self.grid
-        return sorted(
-            {grid.key(cx, cy) for cx, cy in grid.cells_for_rect(obstacle.mbr)}
-        )
-
-    # ------------------------------------------------------------ versioning
-    @property
-    def version(self) -> int:
-        """Global version: moves whenever *any* shard mutates."""
-        return sum(shard.version for shard in self._shards.values())
-
-    def version_for(self, center: Point, radius: float) -> tuple[int, ...]:
-        """One :meth:`shard_version` per grid cell the disk meets (0 for
-        a cell without a shard, so a shard created inside the disk
-        moves the tuple too)."""
-        grid = self.grid
-        return tuple(
-            self.shard_version(grid.key(cx, cy))
-            for cx, cy in grid.cells_for_disk(center, radius)
-        )
-
-    # -------------------------------------------------------------- queries
-    def obstacles_in_range(self, center: Point, radius: float) -> list[Obstacle]:
-        """Obstacles intersecting the disk — fanned out only to the
-        shards whose cells intersect it, deduped by obstacle id."""
-        result: list[Obstacle] = []
-        seen: set[int] = set()
-        for key in self.occupied_keys_for_disk(center, radius):
-            for obs in self._shards[key].obstacles_in_range(center, radius):
-                if obs.oid not in seen:
-                    seen.add(obs.oid)
-                    result.append(obs)
-        return result
-
-    def find(self, oid: int) -> Obstacle | None:
-        """The obstacle with id ``oid``, or ``None`` (scans shards)."""
-        for key in sorted(self._shards):
-            found = self._shards[key].find(oid)
-            if found is not None:
-                return found
-        return None
-
-    def universe(self) -> Rect | None:
-        """MBR of the stored obstacles (``None`` when empty).
-
-        This is the *data* MBR, not the (fixed) grid universe.
-        """
-        rects = [shard.universe() for shard in self._shards.values()]
-        rects = [r for r in rects if r is not None]
-        return Rect.union_all(rects) if rects else None
-
-    def trees(self) -> list[RStarTree]:
-        """The per-shard R-trees, in Hilbert key order."""
-        return [self._shards[key].tree for key in sorted(self._shards)]
-
-    def __len__(self) -> int:
-        """Number of distinct stored obstacles (spanning obstacles are
-        replicated across shards but counted once)."""
-        return self._count
-
-    # ------------------------------------------------------------- mutation
-    def insert(self, obstacle: Obstacle) -> None:
-        """Insert one obstacle into every shard its MBR overlaps."""
-        self._feed.notify("pre-insert", obstacle)
-        for key in self.keys_for_obstacle(obstacle):
-            self._shard_for_key(key).insert(obstacle)
-        self._count += 1
-        self._feed.notify("insert", obstacle)
-
-    def delete(self, obstacle: Obstacle) -> bool:
-        """Delete one obstacle from the shards holding it."""
-        self._feed.notify("pre-delete", obstacle)
-        found = False
-        for key in self.keys_for_obstacle(obstacle):
-            shard = self._shards.get(key)
-            if shard is not None and shard.delete(obstacle):
-                found = True
-        if found:
-            self._count -= 1
-            self._feed.notify("delete", obstacle)
-        return found
-
-    @classmethod
-    def restore(
-        cls,
-        grid: ShardGrid,
-        *,
-        name: str,
-        shards: dict[int, ObstacleIndex],
-        count: int,
-        **tree_kwargs: object,
-    ) -> "ShardedObstacleIndex":
-        """Snapshot-restore hook: reassemble a sharded index from its
-        parts.
-
-        ``shards`` maps shard keys to fully restored per-shard
-        :class:`ObstacleIndex` instances; ``count`` is taken verbatim
-        (spanning obstacles are replicated, so it is not derivable
-        from the shard dict).  A fresh mutation feed is
-        created; subscribers re-attach when the runtime context is
-        rebuilt around the restored source.
-        """
-        index = cls(grid, name=name, **tree_kwargs)
-        index._shards = dict(shards)
-        index._count = count
-        return index
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedObstacleIndex({self._count} obstacles, "
-            f"{len(self._shards)}/{self.grid.cell_count} shards, "
-            f"order={self.grid.order})"
-        )
+    obstacles_in_range = None
 
 
 def build_obstacle_index(
@@ -461,46 +258,3 @@ def build_obstacle_index(
         for obs, rect in items:
             tree.insert(obs, rect)
     return ObstacleIndex(tree)
-
-
-def build_sharded_obstacle_index(
-    obstacles: Iterable[Obstacle],
-    *,
-    shards: int = 16,
-    universe: Rect | None = None,
-    bulk: bool = True,
-    name: str = "obstacles",
-    **tree_kwargs: object,
-) -> ShardedObstacleIndex:
-    """Index an obstacle collection into a spatially sharded store.
-
-    ``shards`` is a target count — the grid is the tightest power-of-two
-    square with at least that many cells.  ``universe`` fixes the grid
-    extent (defaults to the collection's MBR; later inserts outside it
-    are clamped into the rim shards).  ``bulk=True`` STR-packs each
-    shard's tree.
-    """
-    from repro.index.bulk import str_pack
-
-    items = list(obstacles)
-    if universe is None:
-        universe = (
-            Rect.union_all([obs.mbr for obs in items])
-            if items
-            else Rect(0.0, 0.0, 1.0, 1.0)
-        )
-    grid = ShardGrid.for_shards(universe, shards)
-    index = ShardedObstacleIndex(grid, name=name, **tree_kwargs)
-    if not bulk:
-        for obs in items:
-            index.insert(obs)
-        return index
-    per_shard: dict[int, list[Obstacle]] = {}
-    for obs in items:
-        for key in index.keys_for_obstacle(obs):
-            per_shard.setdefault(key, []).append(obs)
-    for key in sorted(per_shard):
-        shard = index._shard_for_key(key)
-        str_pack(shard.tree, [(obs, obs.mbr) for obs in per_shard[key]])
-    index._count = len(items)
-    return index

@@ -42,22 +42,6 @@ def hilbert_index(x: int, y: int, order: int = DEFAULT_ORDER) -> int:
     return d
 
 
-def order_for_cells(n_cells: int) -> int:
-    """The smallest curve order whose ``2^order x 2^order`` grid has at
-    least ``n_cells`` cells.
-
-    Hilbert curves are defined on power-of-two grids, so a caller
-    asking for "about ``n`` spatial partitions" (the sharded obstacle
-    store) gets the tightest grid that can honour the request.
-    """
-    if n_cells < 1:
-        raise GeometryError(f"order_for_cells: need >= 1 cell, got {n_cells}")
-    order = 0
-    while (1 << (2 * order)) < n_cells:
-        order += 1
-    return order
-
-
 def hilbert_key(point: Point, universe: Rect, order: int = DEFAULT_ORDER) -> int:
     """Hilbert key of a point, discretised on a grid over ``universe``.
 

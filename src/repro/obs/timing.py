@@ -16,7 +16,9 @@ class Timer:
     """A context-manager stopwatch accumulating elapsed seconds.
 
     Can be re-entered; ``elapsed`` accumulates across uses, which suits
-    per-workload CPU-time accounting::
+    per-workload accounting.  It reads :func:`time.perf_counter`, so it
+    measures wall-clock time, not CPU time: time spent waiting (on I/O,
+    a lock, another process) counts too::
 
         timer = Timer()
         for q in workload:

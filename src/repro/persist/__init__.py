@@ -3,7 +3,7 @@
 The paper's cost model counts simulated page accesses; this package
 makes those pages *real*: an entire
 :class:`~repro.core.engine.ObstacleDatabase` — R*-trees node-per-page,
-sharded or monolithic obstacle sources with their version history, and
+obstacle sets with their version history, and
 the warm visibility-graph cache — round-trips through one checksummed,
 endianness-stable file.
 

@@ -3,7 +3,7 @@
 Usage::
 
     repro-snapshot save --obstacles obstacles.txt \\
-        [--entities cafes=cafes.txt ...] [--shards 16] [--snap 2.0] \\
+        [--entities cafes=cafes.txt ...] [--snap 2.0] \\
         [--warm 8] [--no-refs] --out scene.snap
     repro-snapshot info scene.snap
     repro-snapshot verify scene.snap
@@ -49,12 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME=FILE",
         help="entity dataset as NAME=FILE (one 'x y' per line); repeatable",
-    )
-    save.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="spatially shard the obstacle set over at least N cells",
     )
     save.add_argument(
         "--snap",
@@ -117,7 +111,6 @@ def _cmd_save(args: argparse.Namespace) -> int:
     refs.update((f"entities:{name}", path) for name, path in entity_sets)
     db = ObstacleDatabase(
         obstacles,
-        shards=args.shards,
         graph_cache_snap=args.snap,
         graph_cache_size=args.cache_size,
     )
@@ -180,23 +173,15 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
     info = snapshot_info(args.snapshot)
     print(f"{info['path']}: snapshot format v{info['format_version']}")
-    shards = info["shards"]
     print(
-        f"  config: shards={shards if shards is not None else 'monolithic'}, "
-        f"cache={info['graph_cache_size']}, snap={info['graph_cache_snap']:g}, "
+        f"  config: cache={info['graph_cache_size']}, snap={info['graph_cache_snap']:g}, "
         f"next_oid={info['next_oid']}"
     )
     print(f"  distinct obstacles: {info['distinct_obstacles']}")
     for entry in info["obstacle_sets"]:  # type: ignore[union-attr]
-        extra = (
-            f", {entry['shards']} shard(s), grid order {entry['grid_order']}"
-            if entry["kind"] == "sharded"
-            else ""
-        )
         print(
-            f"  obstacle set {entry['name']!r}: {entry['kind']}, "
+            f"  obstacle set {entry['name']!r}: "
             f"{entry['obstacles']} obstacle(s), {entry['pages']} page(s)"
-            f"{extra}"
         )
         print(
             f"    pages: {entry['reads']} read(s), {entry['misses']} "

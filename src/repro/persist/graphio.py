@@ -7,7 +7,7 @@ version stamp.  This module flattens one
 and reassembles it on load **without a single visibility test** — nodes
 and edges are written as index arrays over a point table (through the
 codec's bulk float path), and obstacles are referenced by id into the
-snapshot's global obstacle table so every shard, tree and graph
+snapshot's global obstacle table so every tree and graph
 resolves to one shared :class:`~repro.model.Obstacle` instance per id,
 exactly as live.
 

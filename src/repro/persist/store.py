@@ -6,20 +6,18 @@ payload is nine sections in this order — written by
 :func:`save_database`, read by :func:`_parse` and by nothing else:
 
 1. **configuration** — :data:`_CONFIG_FIELDS`: tree layout, cache
-   sizing, spatial-key quantum, sharding, the obstacle-id sequence;
+   sizing, spatial-key quantum, the obstacle-id sequence;
 2. **dataset refs** — label, path and **content hash**
    (:func:`repro.datasets.io.content_hash`) of the source dataset
    files the snapshot pins (``dataset_refs``) — loads re-hash the
    files and fail on drift, never trusting mtimes;
 3. **obstacle table** — every distinct obstacle, stored once by id;
-   trees, shards and cached graphs all reference into it, so a restored
+   trees and cached graphs both reference into it, so a restored
    database shares one :class:`~repro.model.Obstacle` instance per id
    exactly as the live one does;
-4. **obstacle sets** — each as its R*-tree page image
-   (:mod:`repro.index.pageio`, leaf payloads being obstacle ids) for
-   monolithic storage, or the grid geometry plus every per-shard tree
-   (with per-shard mutation counters and Hilbert keys) for sharded
-   storage;
+4. **obstacle sets** — each as its name, its mutation count and its
+   R*-tree page image (:mod:`repro.index.pageio`, leaf payloads being
+   obstacle ids);
 5. **entity trees** — page images with point payloads;
 6. **graph cache** — every cached visibility graph with its coverage
    radius and version stamp (:mod:`repro.persist.graphio`), in LRU
@@ -55,12 +53,11 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from repro.core.source import ObstacleIndex, ShardedObstacleIndex
+from repro.core.source import ObstacleIndex
 from repro.datasets.io import content_hash
 from repro.errors import DatasetError
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.geometry.rect import Rect
 from repro.index import pageio
 from repro.model import Obstacle
 from repro.persist.codec import (
@@ -72,7 +69,6 @@ from repro.persist.codec import (
 )
 from repro.persist import graphio
 from repro.persist.journal import MutationJournal, apply_record
-from repro.runtime.sharding import ShardGrid
 from repro.visibility.csr import install_frozen
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,7 +81,6 @@ _AS_IS = object()
 #: R*-tree constructor arguments.
 _CONFIG_FIELDS = (
     ("bulk", "u8", _AS_IS),
-    ("shards", "i64", None),
     ("graph_cache_size", "u32", _AS_IS),
     ("graph_cache_snap", "f64", _AS_IS),
     ("next_oid", "i64", _AS_IS),
@@ -94,10 +89,7 @@ _CONFIG_FIELDS = (
     ("max_entries", "i64", None),
     ("min_entries", "i64", None),
 )
-_TREE_KWARGS = tuple(name for name, __, __n in _CONFIG_FIELDS[5:])
-
-_KIND_MONO = 0
-_KIND_SHARDED = 1
+_TREE_KWARGS = tuple(name for name, __, __n in _CONFIG_FIELDS[4:])
 
 #: Runtime-stat value tags (section 7): the tag is the position, the
 #: entry the value's type and codec primitive.  Anything that is not
@@ -166,23 +158,8 @@ def save_database(
     w.u32(len(indexes))
     for name, index in indexes.items():
         w.str_(name)
-        if isinstance(index, ShardedObstacleIndex):
-            w.u8(_KIND_SHARDED)
-            universe = index.grid.universe
-            for bound in (universe.minx, universe.miny, universe.maxx, universe.maxy):
-                w.f64(bound)
-            w.u32(index.grid.order)
-            w.u64(len(index))
-            shards = [(key, index.shard(key)) for key in index.shard_keys()]
-            w.u32(len(shards))
-        else:
-            w.u8(_KIND_MONO)
-            shards = [(None, index)]
-        for key, shard in shards:
-            if key is not None:
-                w.u64(key)
-            w.u64(shard.mutation_count)
-            pageio.write_tree(w, shard.tree, _write_oid)
+        w.u64(index.mutation_count)
+        pageio.write_tree(w, index.tree, _write_oid)
     # -- 5 entity trees ----------------------------------------------------
     w.u32(len(state["entity_trees"]))
     for name, tree in state["entity_trees"].items():
@@ -262,29 +239,19 @@ def _parse(path: str | Path) -> Iterator[Any]:
             raise r.error(f"tree references unknown obstacle id {oid}")
         return oid
 
-    # -- 4 obstacle sets: each with its shards as (key, mutation count,
-    # tree parts), a monolithic set holding one under key None
-    sets = []
-    for __ in range(r.u32()):
-        entry: dict[str, Any] = {"name": r.str_(), "kind": r.u8()}
-        if entry["kind"] == _KIND_SHARDED:
-            entry["universe"] = (r.f64(), r.f64(), r.f64(), r.f64())
-            entry["order"] = r.u32()
-            entry["count"] = r.u64()
-            keyed = [True] * r.u32()
-        elif entry["kind"] == _KIND_MONO:
-            keyed = [False]
-        else:
-            raise r.error(f"unknown obstacle-set kind {entry['kind']}")
-        entry["shards"] = [
-            (r.u64() if key else None, r.u64(), pageio.parse_tree(r, read_oid))
-            for key in keyed
-        ]
-        sets.append(entry)
+    # -- 4 obstacle sets: name, mutation count, tree parts
+    sets = [
+        {
+            "name": r.str_(),
+            "mutations": r.u64(),
+            "tree": pageio.parse_tree(r, read_oid),
+        }
+        for __ in range(r.u32())
+    ]
     if not sets:
         raise r.error("snapshot contains no obstacle sets")
     yield sets
-    del sets, entry
+    del sets
     # -- 5 entity trees ----------------------------------------------------
     yield {r.str_(): pageio.parse_tree(r, _read_point) for __ in range(r.u32())}
     # -- 6 graph cache -----------------------------------------------------
@@ -375,36 +342,26 @@ def load_database(
         path
     )
     _verify_refs(refs, name)
-    # One Obstacle per id: trees, shards and cached graphs all share it.
+    # One Obstacle per id: trees and cached graphs all share it.
     table = {
         oid: Obstacle(oid, Polygon(map(Point, flat[::2], flat[1::2])))
         for oid, flat in obstacles.items()
     }
     del obstacles
     tree_kwargs = {key: config.pop(key) for key in _TREE_KWARGS}
-    obstacle_indexes: dict[str, object] = {}
+    obstacle_indexes = {}
     for entry in sets:
-        shards = {}
-        for key, mutations, tree in entry["shards"]:
-            for node in tree["nodes"]:
-                for slot in node.entries:
-                    if slot.child is None:
-                        slot.data = table[slot.data]
-            shards[key] = ObstacleIndex(pageio.build_tree(tree), mutations=mutations)
-        if entry["kind"] == _KIND_SHARDED:
-            obstacle_indexes[entry["name"]] = ShardedObstacleIndex.restore(
-                ShardGrid(Rect(*entry["universe"]), entry["order"]),
-                name=f"obstacles:{entry['name']}",
-                shards=shards,
-                count=entry["count"],
-                **tree_kwargs,
-            )
-        else:
-            obstacle_indexes[entry["name"]] = shards[None]
+        for node in entry["tree"]["nodes"]:
+            for slot in node.entries:
+                if slot.child is None:
+                    slot.data = table[slot.data]
+        obstacle_indexes[entry["name"]] = ObstacleIndex(
+            pageio.build_tree(entry["tree"]), mutations=entry["mutations"]
+        )
     db = ObstacleDatabase._restore(
         tree_kwargs=tree_kwargs,
         **config,
-        obstacle_indexes=obstacle_indexes,  # type: ignore[arg-type]
+        obstacle_indexes=obstacle_indexes,
         entity_trees={
             entity_name: pageio.build_tree(tree)
             for entity_name, tree in entities.items()
@@ -449,13 +406,13 @@ def load_database(
     return db
 
 
-def _page_summary(trees: list[dict]) -> dict[str, int]:
-    """Page count and persisted page-access counters over tree parts."""
+def _page_summary(tree: dict) -> dict[str, int]:
+    """Page count and persisted page-access counters of tree parts."""
     return {
-        "pages": sum(len(tree["nodes"]) for tree in trees),
-        "reads": sum(tree["reads"] for tree in trees),
-        "misses": sum(tree["misses"] for tree in trees),
-        "writes": sum(tree["writes"] for tree in trees),
+        "pages": len(tree["nodes"]),
+        "reads": tree["reads"],
+        "misses": tree["misses"],
+        "writes": tree["writes"],
     }
 
 
@@ -474,23 +431,16 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
     sections = _parse(path)
     config, refs = next(sections), next(sections)
     distinct_obstacles = len(next(sections))
-    set_rows = []
-    for entry in next(sections):
-        trees = [tree for __, __m, tree in entry["shards"]]
-        row = {"name": entry["name"], "kind": "monolithic"}
-        if entry["kind"] == _KIND_SHARDED:
-            row.update(
-                kind="sharded",
-                obstacles=entry["count"],
-                shards=len(trees),
-                grid_order=entry["order"],
-            )
-        else:
-            row["obstacles"] = trees[0]["size"]
-        set_rows.append({**row, **_page_summary(trees)})
-    del entry, trees
+    set_rows = [
+        {
+            "name": entry["name"],
+            "obstacles": entry["tree"]["size"],
+            **_page_summary(entry["tree"]),
+        }
+        for entry in next(sections)
+    ]
     entity_rows = [
-        {"name": name, "points": tree["size"], **_page_summary([tree])}
+        {"name": name, "points": tree["size"], **_page_summary(tree)}
         for name, tree in next(sections).items()
     ]
     cache_entries: list[dict[str, object]] = [
@@ -512,7 +462,6 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
         "path": str(path),
         "format_version": FORMAT_VERSION,
         "bulk": config["bulk"],
-        "shards": config["shards"],
         "graph_cache_size": config["graph_cache_size"],
         "graph_cache_snap": config["graph_cache_snap"],
         "next_oid": config["next_oid"],

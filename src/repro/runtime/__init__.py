@@ -17,8 +17,6 @@ graph.  This package owns that machinery once, instead of per query:
   in one function, and the route that dedupes a batch, guards its
   obstacle version and runs it sequentially or over the worker pool
   of :mod:`repro.serve.pool` (forked per batch, or persistent);
-* :mod:`~repro.runtime.sharding` — the spatial shard grid backing
-  :class:`~repro.core.source.ShardedObstacleIndex`;
 * :mod:`~repro.runtime.policy` — cache tuning policies: the static
   default and :class:`~repro.runtime.policy.AdaptiveCachePolicy`,
   which learns the snap quantum and LRU capacity from the observed
@@ -32,7 +30,6 @@ from repro.runtime.policy import (
     CachePolicy,
     resolve_cache_policy,
 )
-from repro.runtime.sharding import ShardGrid
 from repro.runtime.skeletons import (
     best_first,
     emit_in_metric_order,
@@ -48,7 +45,6 @@ __all__ = [
     "CachePolicy",
     "AdaptiveCachePolicy",
     "resolve_cache_policy",
-    "ShardGrid",
     "best_first",
     "emit_in_metric_order",
     "take",

@@ -161,7 +161,7 @@ class QueryContext:
         *pre-mutation* stamps: only those are patched in place and
         re-stamped by the post pass.  An entry already stale at that
         point missed a mutation applied behind the feed's back (e.g. a
-        direct tree or shard edit); applying just this mutation and
+        direct tree edit); applying just this mutation and
         taking a fresh stamp would silently absorb the missed one, so
         such entries are discarded instead (rebuild at next lookup).
         """

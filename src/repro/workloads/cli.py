@@ -7,8 +7,7 @@ Usage::
         [--events N] [--obstacles N] [--entities N] [--set-name NAME]
     repro-workloads describe trace.wtrc [--json]
     repro-workloads replay trace.wtrc [--snap QUANTUM]
-        [--policy static|adaptive] [--cache-size N] [--shards N]
-        [--json]
+        [--policy static|adaptive] [--cache-size N] [--json]
 
 ``generate`` materialises a named profile (see ``list``) as a
 versioned, checksummed trace file — byte-identical for identical
@@ -98,9 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--cache-size", type=int, default=64, help="LRU capacity (default 64)"
     )
-    rep.add_argument(
-        "--shards", type=int, default=None, help="spatial shard fan-out"
-    )
     rep.add_argument("--json", action="store_true", help="machine-readable")
     return parser
 
@@ -176,7 +172,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         graph_cache_snap=args.snap,
         cache_policy=args.policy,
         graph_cache_size=args.cache_size,
-        shards=args.shards,
     )
     if args.json:
         print(json.dumps(metrics, indent=2, sort_keys=True))

@@ -62,7 +62,6 @@ def database_for_trace(
     graph_cache_snap: float = 0.0,
     cache_policy=None,
     graph_cache_size: int = 64,
-    shards: int | None = None,
     max_entries: int = 64,
     durable=None,
 ) -> ObstacleDatabase:
@@ -83,7 +82,6 @@ def database_for_trace(
         min_entries=max(2, int(max_entries * 0.4)),
         graph_cache_snap=graph_cache_snap,
         graph_cache_size=graph_cache_size,
-        shards=shards,
         cache_policy=cache_policy,
         durable=durable,
     )
@@ -169,7 +167,6 @@ def replay_trace(
     graph_cache_snap: float = 0.0,
     cache_policy=None,
     graph_cache_size: int = 64,
-    shards: int | None = None,
 ) -> tuple[list, dict[str, float]]:
     """Build the trace's database and replay its events."""
     db = database_for_trace(
@@ -177,7 +174,6 @@ def replay_trace(
         graph_cache_snap=graph_cache_snap,
         cache_policy=cache_policy,
         graph_cache_size=graph_cache_size,
-        shards=shards,
     )
     try:
         return replay_events(db, trace.events, set_name=trace.set_name)

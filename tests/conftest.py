@@ -104,6 +104,18 @@ def static_version(center: Point, radius: float) -> tuple[int, ...]:
     return ()
 
 
+def split_database(polygons: list, *, sets: int = 1, **kwargs: object):
+    """An ``ObstacleDatabase`` over ``polygons`` held in one obstacle set
+    (``sets=1``), or in two (``sets=2``: every second polygon goes to a
+    set ``"second"``, so queries run on a composite source)."""
+    from repro import ObstacleDatabase
+
+    db = ObstacleDatabase(polygons[::sets], **kwargs)
+    if sets == 2:
+        db.add_obstacle_set("second", polygons[1::2])
+    return db
+
+
 def oracle_distance(a: Point, b: Point, obstacles: list[Obstacle]) -> float:
     """Ground-truth obstructed distance via a *global* visibility graph
     (an endpoint on an obstacle vertex joined to every node it sees)."""

@@ -4,7 +4,7 @@ Each test asks ``db.nearest`` / ``db.range`` on one database before and
 after obstacle and entity writes: a wall inside the result disk adds a
 detour, one outside changes nothing, deleting it restores the straight
 line, obstacle and entity sets added later take part at once, and
-sharded storage answers as monolithic storage does.
+obstacles split over two sets answer as one set does.
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro import ObstacleDatabase, Point, Rect
-from tests.conftest import random_disjoint_rects, random_free_points
+from tests.conftest import random_disjoint_rects, random_free_points, split_database
 
 BACKENDS = ["naive", "numpy-kernel"]
 
@@ -85,40 +85,38 @@ class TestObstacleMutations:
             (Point(500, 0), 500.0),
         ]
 
-    def test_sharded_mutations_answer_as_monolithic(self):
+    def test_two_sets_answer_as_one_after_a_mutation(self):
         rng = random.Random(431)
         obstacles = random_disjoint_rects(rng, 10)
         points = random_free_points(rng, 10, obstacles)
+        polygons = [o.polygon for o in obstacles]
         dbs = []
-        for shards in (4, None):
-            db = ObstacleDatabase(
-                [o.polygon for o in obstacles],
-                max_entries=8,
-                min_entries=3,
-                shards=shards,
-            )
+        for sets in (2, 1):
+            db = ObstacleDatabase(polygons[::sets], max_entries=8, min_entries=3)
+            if sets == 2:
+                db.add_obstacle_set("walls", polygons[1::2])
             db.add_entity_set("pois", points[2:])
             db.nearest("pois", points[0], 3)  # warm the cache first
             q = points[0]
             db.insert_obstacle(Rect(q.x + 0.5, q.y + 0.5, q.x + 1.5, q.y + 1.5))
             dbs.append(db)
-        sharded, mono = dbs
+        split, one = dbs
         for q in points[:2]:
-            assert sharded.nearest("pois", q, 3) == mono.nearest("pois", q, 3)
-            assert sharded.range("pois", q, 30.0) == mono.range("pois", q, 30.0)
+            assert split.nearest("pois", q, 3) == one.nearest("pois", q, 3)
+            assert split.range("pois", q, 30.0) == one.range("pois", q, 30.0)
 
-    @pytest.mark.parametrize("shards", [None, 4])
-    def test_an_obstacle_set_added_later_takes_part(self, shards):
-        db = ObstacleDatabase([], shards=shards)
+    @pytest.mark.parametrize("sets", [1, 2])
+    def test_an_obstacle_set_added_later_takes_part(self, sets):
+        db = split_database([], sets=sets)
         db.add_entity_set("pois", [Point(10, 0), Point(0, 30)])
         assert db.nearest("pois", Point(0, 0), 1) == [(Point(10, 0), 10.0)]
         db.add_obstacle_set("walls", [])
         db.insert_obstacle(Rect(4, -50, 6, 50), set_name="walls")
         assert db.nearest("pois", Point(0, 0), 1) == [(Point(0, 30), 30.0)]
 
-    @pytest.mark.parametrize("shards", [None, 4])
-    def test_a_non_empty_obstacle_set_added_takes_part(self, shards):
-        db = ObstacleDatabase([], shards=shards)
+    @pytest.mark.parametrize("sets", [1, 2])
+    def test_a_non_empty_obstacle_set_added_takes_part(self, sets):
+        db = split_database([], sets=sets)
         db.add_entity_set("pois", [Point(0, 0), Point(10, 0)])
         assert db.nearest("pois", Point(4, 0), 1) == [(Point(0, 0), 4.0)]
         db.add_obstacle_set("walls", [Rect(1, -10, 2, 10)])

@@ -119,12 +119,13 @@ class TestRouteAnswers:
             obstacles, pois, route, 2
         )
 
-    def test_sharded_route_matches_monolithic(self):
+    def test_route_over_two_obstacle_sets_matches_one(self):
         obstacles, pois, route = _scene(640)
-        sharded = _db(obstacles, pois, shards=4)
-        mono = _db(obstacles, pois)
+        split = _db(obstacles[::2], pois)
+        split.add_obstacle_set("walls", [o.polygon for o in obstacles[1::2]])
+        one = _db(obstacles, pois)
         for q in route:
-            assert sharded.nearest("pois", q, 2) == mono.nearest("pois", q, 2)
+            assert split.nearest("pois", q, 2) == one.nearest("pois", q, 2)
 
 
 class TestHandover:

@@ -2,8 +2,9 @@
 
 Configuration is an argument.  Each named configuration below is a set
 of keyword arguments — a visibility backend, spatial cache keys, the
-adaptive cache policy, sharded storage, a write-ahead journal, a worker
-pool of either kind, tracing, and combinations of them — and each runs
+adaptive cache policy, a two-graph cache, a write-ahead journal, a
+worker pool of either kind, tracing, and combinations of them — and
+each runs
 the same seeded script of interleaved queries, batches, obstacle and
 entity mutations (some of them in a second obstacle set added
 mid-history), ``save`` -> ``load`` and ``compact()``.  Every query
@@ -34,7 +35,6 @@ from functools import lru_cache
 import pytest
 
 from repro import ObstacleDatabase, Point, Rect
-from repro.core.source import ShardedObstacleIndex
 from repro.obs import TRACER
 from tests.conftest import random_disjoint_rects, random_free_points
 
@@ -47,21 +47,24 @@ CONFIGURATIONS = {
     "naive": {"backend": "naive"},
     "snap": {"graph_cache_snap": 2.0},
     "adaptive": {"cache_policy": "adaptive"},
-    "sharded": {"shards": 8},
+    "small-cache": {"graph_cache_size": 2},
     "durable": {"durable": True},
     "fork": {"workers": 2, "pool": "fork"},
     "persistent": {"workers": 2, "pool": "persistent"},
     "traced": {"traced": True},
-    "adaptive+sharded+durable+persistent": {
+    "adaptive+durable+persistent": {
         "cache_policy": "adaptive",
-        "shards": 8,
         "durable": True,
         "workers": 2,
         "pool": "persistent",
     },
     "snap+naive": {"graph_cache_snap": 2.0, "backend": "naive"},
-    "sharded+fork+traced": {
-        "shards": 8,
+    "small-cache+persistent": {
+        "graph_cache_size": 2,
+        "workers": 2,
+        "pool": "persistent",
+    },
+    "fork+traced": {
         "workers": 2,
         "pool": "fork",
         "traced": True,
@@ -337,12 +340,8 @@ def test_configuration_answers_as_the_oracle(name, seed, tmp_path):
         "cache_policy": lambda v: (
             seen["policy_adjustments"] > 0 and db.cache_policy == v
         ),
-        "shards": lambda v: (
-            all(
-                isinstance(index, ShardedObstacleIndex)
-                for index in db.obstacle_index.indexes
-            )
-            and db.obstacle_index.indexes[0].shard_count > 1
+        "graph_cache_size": lambda v: (
+            seen["graph_cache_evictions"] > 0 and db.context.cache.capacity == v
         ),
         "durable": lambda v: (
             seen["journal_appends"] > 0 and seen["compactions"] > 0

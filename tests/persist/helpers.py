@@ -13,11 +13,6 @@ def backend_params() -> list[str]:
     return available_backends()
 
 
-def storage_params() -> list[int | None]:
-    """Obstacle storage layouts: monolithic and sharded."""
-    return [None, 8]
-
-
 def warm_queries(
     db: ObstacleDatabase, probes: list[Point], *, set_name: str = "P", k: int = 2
 ) -> list[object]:

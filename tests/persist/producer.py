@@ -1,7 +1,8 @@
 """Deterministic snapshot producer for the cross-process tests.
 
-Builds a fixed, seeded database, warms its cache, and saves it — run
-as ``python -m tests.persist.producer OUT.snap`` from the repo root
+Builds a fixed, seeded database, warms and freezes its cache, and
+saves it — run as ``python -m tests.persist.producer OUT.snap`` from
+the repo root
 (the consumer tests run it in a child interpreter and load the file
 themselves).  :func:`build_db` is also imported
 by the consumer tests to recreate the identical database in-process
@@ -16,11 +17,11 @@ import sys
 
 from repro.core.engine import ObstacleDatabase
 from repro.geometry.point import Point
+from repro.visibility.csr import frozen
 
 from tests.conftest import random_disjoint_rects, random_free_points
 
 SEED = 20040314
-SHARDS = 8
 SNAP = 2.0
 SET_NAME = "P"
 
@@ -32,26 +33,30 @@ def probe_points() -> list[Point]:
     return random_free_points(rng, 6, obstacles)
 
 
-def build_db(
-    shards: int | None = SHARDS, snap: float = SNAP
-) -> ObstacleDatabase:
+def build_db(composite: bool = True, snap: float = SNAP) -> ObstacleDatabase:
     """The canonical deterministic database, cache warmed (by default
-    sharded with spatial keys; ``None, 0.0`` is its monolithic
-    exact-key twin)."""
+    two obstacle sets, every second obstacle in ``"walls"``, with
+    spatial keys; ``False, 0.0`` is its one-set exact-key twin)."""
     rng = random.Random(SEED)
     obstacles = random_disjoint_rects(rng, 20)
     entities = random_free_points(random.Random(SEED + 2), 30, obstacles)
+    polygons = [o.polygon for o in obstacles]
     db = ObstacleDatabase(
-        [o.polygon for o in obstacles],
-        shards=shards,
+        polygons[::2] if composite else polygons,
         graph_cache_snap=snap,
         max_entries=16,
         min_entries=4,
     )
+    if composite:
+        db.add_obstacle_set("walls", polygons[1::2])
     db.add_entity_set(SET_NAME, entities)
     for q in probe_points():
         db.nearest(SET_NAME, q, 3)
         db.range(SET_NAME, q, 20.0)
+    # Most probe pairs are straight legs, which freeze nothing: freeze
+    # every cached graph so a save writes section 8 for each.
+    for entry in db.context.cache.entries():
+        frozen(entry.graph)
     return db
 
 

@@ -37,8 +37,6 @@ class TestSave:
                 str(obstacle_path),
                 "--entities",
                 f"cafes={points_path}",
-                "--shards",
-                "8",
                 "--warm",
                 "3",
                 "--out",
@@ -49,7 +47,7 @@ class TestSave:
         assert out.exists()
         assert main(["info", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "sharded" in printed
+        assert f"obstacle set 'obstacles': {len(obstacles)} obstacle(s)" in printed
         assert "cafes" in printed
         assert "dataset ref" in printed
         assert main(["verify", str(out)]) == 0

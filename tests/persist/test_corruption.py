@@ -23,7 +23,7 @@ from repro.persist.codec import (
 @pytest.fixture
 def snapshot(tmp_path):
     """A small valid snapshot plus its path."""
-    db = ObstacleDatabase([Rect(2.0, 2.0, 4.0, 8.0)], shards=4)
+    db = ObstacleDatabase([Rect(2.0, 2.0, 4.0, 8.0)])
     db.add_entity_set("P", [Point(6.0, 5.0), Point(0.0, 5.0)])
     db.nearest("P", Point(1.0, 5.0), 1)
     path = tmp_path / "scene.snap"
@@ -164,10 +164,10 @@ class TestInfoRefusesWhatLoadRefuses:
 
     @pytest.fixture
     def payload(self, tmp_path):
-        """A cache-less sharded snapshot's payload, split where its
-        tail — graph cache (none), runtime stats, frozen CSR (none),
-        journal stamp — begins."""
-        db = ObstacleDatabase([Rect(2.0, 2.0, 4.0, 8.0)], shards=4)
+        """A cache-less snapshot's payload, split where its tail —
+        graph cache (none), runtime stats, frozen CSR (none), journal
+        stamp — begins."""
+        db = ObstacleDatabase([Rect(2.0, 2.0, 4.0, 8.0)])
         path = tmp_path / "cold.snap"
         db.save(path, include_cache=False)
         data = path.read_bytes()[HEADER_SIZE:]
@@ -273,10 +273,11 @@ class TestInfoRefusesWhatLoadRefuses:
             "truncated snapshot payload",
         )
 
-    def test_unknown_set_kind(self, tmp_path, payload):
+    def test_no_obstacle_sets(self, tmp_path, payload):
         data, __ = payload
-        # the set's name, then its kind byte
-        kind_at = data.index(struct.pack("<I", 9) + b"obstacles") + 13
+        # the set count, just in front of the first set's name
+        count_at = data.index(struct.pack("<I", 9) + b"obstacles") - 4
+        assert data[count_at : count_at + 4] == struct.pack("<I", 1)
         damaged = bytearray(data)
-        damaged[kind_at] = 7
-        self._refused(tmp_path, bytes(damaged), "unknown obstacle-set kind 7")
+        damaged[count_at : count_at + 4] = struct.pack("<I", 0)
+        self._refused(tmp_path, bytes(damaged), "snapshot contains no obstacle sets")

@@ -1,34 +1,11 @@
 """Golden snapshots: bytes written by an earlier build keep their meaning.
 
-``tests/persist/data/*.snap`` were written at the commit before the
-snapshot payload got its one reader (format version 5):
-``producer.build_db()`` — sharded, spatial keys, warm cache with
-frozen graphs — and its monolithic exact-key twin, dataset refs off,
-each as a *re-saved* snapshot (``load(first).save(golden)``: a live
-database's file and its first re-save differ in buffer recency, a
-re-saved one is a fixed point).  ``*.info.json`` is ``snapshot_info``
-of each at that commit.  Both were re-saved once more (``load(golden).
-save(golden)``) when ``RuntimeStats`` gained ``last_leg_probes`` /
-``last_leg_fallbacks``: section 7 is name-keyed, so the two zero
-counters, the section's count and the header are the only bytes that
-moved.  Both were regenerated at format version 6, when every cache
-entry's stamp became one encoding (a ``u32`` count and that many
-``i64`` versions) and the sharded set lost its layout version; the
-``stamp`` of each ``*.info.json`` cache entry is now that count.  Both
-were regenerated at format version 7, when every graph became the
-tangent visibility graph: the cached graphs' edge lists (and the edge
-counts of each ``*.info.json`` cache entry) shrank with it.  Both
-were re-saved once more when ``RuntimeStats`` gained
-``exact_band_pairs``: one zero counter (29 bytes), the section's count
-and the header moved, and each ``*.info.json`` gained the key.  Both
-were re-saved once more when ``RuntimeStats`` lost ``sweep_passes``
-with the kernel's rotational sweep: one counter (25 bytes), the
-section's count and the header moved, and each ``*.info.json`` lost the
-key.  Both were re-saved once more when ``RuntimeStats`` gained
-``straight_legs``: one zero counter (26 bytes), the section's count
-and the header moved, and each ``*.info.json`` gained the key.
-Any other change that moves either is a format change:
-bump ``FORMAT_VERSION``, then regenerate with
+``tests/persist/data/*.snap`` are ``producer.build_db()`` — two
+obstacle sets, spatial keys, warm cache with frozen graphs — and its
+one-set exact-key twin, dataset refs off, each *re-saved*
+(``load(first).save(golden)``, a fixed point), with ``snapshot_info``
+of each as ``*.info.json``; a change that moves them bumps
+``FORMAT_VERSION`` and regenerates all four with
 ``python -m tests.persist.test_golden`` from the repo root.
 
 The property below ties the two readers' *results* together on random
@@ -47,15 +24,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import ObstacleDatabase
-from repro.core.source import ShardedObstacleIndex
 from repro.persist import snapshot_info
 
-from tests.persist.helpers import storage_params, warm_queries
-from tests.persist.producer import SHARDS, SNAP, build_db
+from tests.persist.helpers import warm_queries
+from tests.persist.producer import SNAP, build_db
 from tests.strategies import disjoint_rect_obstacles, free_points
 
 DATA = Path(__file__).parent / "data"
-GOLDEN = {"sharded_spatial": (SHARDS, SNAP), "mono_exact": (None, 0.0)}
+GOLDEN = {"composite_spatial": (True, SNAP), "mono_exact": (False, 0.0)}
 
 
 def _info_doc(path: Path) -> dict:
@@ -92,7 +68,7 @@ def test_info_builds_no_obstacle_tree_or_graph(monkeypatch):
 
     for cls in (Obstacle, Polygon, RStarTree, VisibilityGraph):
         monkeypatch.setattr(cls, "__init__", built)
-    info = snapshot_info(DATA / "sharded_spatial.snap")
+    info = snapshot_info(DATA / "composite_spatial.snap")
     assert info["cached_graphs"] == info["frozen_fields"] == 6
 
 
@@ -105,7 +81,7 @@ def _scenes(draw: st.DrawFn):
 
 
 @pytest.mark.parametrize("include_cache", [True, False])
-@pytest.mark.parametrize("shards", storage_params())
+@pytest.mark.parametrize("sets", [1, 2])
 @settings(
     max_examples=8,
     deadline=None,
@@ -113,16 +89,15 @@ def _scenes(draw: st.DrawFn):
 )
 @given(scene=_scenes())
 def test_info_counts_are_the_loaded_databases(
-    tmp_path, shards, include_cache, scene
+    tmp_path, sets, include_cache, scene
 ):
     obstacles, entities, probes = scene
+    polygons = [o.polygon for o in obstacles]
     db = ObstacleDatabase(
-        [o.polygon for o in obstacles],
-        shards=shards,
-        graph_cache_snap=2.0,
-        max_entries=8,
-        min_entries=3,
+        polygons[::sets], graph_cache_snap=2.0, max_entries=8, min_entries=3
     )
+    if sets == 2:
+        db.add_obstacle_set("walls", polygons[1::2])
     db.add_entity_set("P", entities)
     warm_queries(db, probes)
     path = os.path.join(str(tmp_path), "db.snap")
@@ -130,32 +105,26 @@ def test_info_counts_are_the_loaded_databases(
 
     info = snapshot_info(path)
     loaded = ObstacleDatabase.load(path)
-    assert info["shards"] == shards
     assert info["next_oid"] == len(obstacles)
     assert info["distinct_obstacles"] == len(obstacles)
     assert info["journal_seq"] == 0
 
-    (row,) = info["obstacle_sets"]
-    index = loaded.obstacle_index
-    assert row["obstacles"] == len(index)
-    assert row["pages"] == sum(len(list(t.pages())) for t in index.trees())
-    if shards is not None:
-        assert isinstance(index, ShardedObstacleIndex)
-        assert row["kind"] == "sharded"
-        assert row["shards"] == index.shard_count
-        assert row["grid_order"] == index.grid.order
-    else:
-        assert row["kind"] == "monolithic"
+    indexes = loaded._obstacle_indexes
+    assert [row["name"] for row in info["obstacle_sets"]] == list(indexes)
+    for row in info["obstacle_sets"]:
+        index = indexes[row["name"]]
+        assert row["obstacles"] == len(index)
+        assert row["pages"] == len(list(index.tree.pages()))
     (entity_row,) = info["entity_sets"]
     tree = loaded.entity_tree("P")
     assert entity_row["points"] == len(tree) == len(entities)
     assert entity_row["pages"] == len(list(tree.pages()))
     counters = {
         key: {k: row[k] for k in ("reads", "misses", "writes")}
-        for key, row in (
-            ("obstacles:obstacles", row),
+        for key, row in [
+            *((f"obstacles:{row['name']}", row) for row in info["obstacle_sets"]),
             ("entities:P", entity_row),
-        )
+        ]
     }
     assert counters == loaded.stats()
 
@@ -172,9 +141,7 @@ def test_info_counts_are_the_loaded_databases(
         assert summary["edges"] == sum(
             len(list(graph.neighbors(u))) for u in graph.nodes()
         ) // 2
-        assert summary["stamp"] == len(entry.version)
-        if shards is None:
-            assert summary["stamp"] == 1
+        assert summary["stamp"] == len(entry.version) == sets
         if graph._csr is not None:
             frozen += 1
             csr = graph._csr[1]
@@ -191,8 +158,8 @@ def test_info_counts_are_the_loaded_databases(
 
 def regenerate() -> None:
     """Rewrite the golden files from :func:`producer.build_db`."""
-    for name, (shards, snap) in GOLDEN.items():
-        db = build_db(shards, snap)
+    for name, (composite, snap) in GOLDEN.items():
+        db = build_db(composite, snap)
         db.context.stats.sweep_seconds = 0.0  # the one wall-clock counter
         first, golden = DATA / f"{name}.first", DATA / f"{name}.snap"
         db.save(first)

@@ -26,21 +26,22 @@ from repro.persist.journal import (
     obstacle_record,
 )
 
-from tests.conftest import random_disjoint_rects, random_free_points
+from tests.conftest import random_disjoint_rects, random_free_points, split_database
 from tests.persist.helpers import cache_signature
 
 SEED = 20040607
 SET_NAME = "P"
 
 
-def build_durable(journal_path, *, shards=None) -> ObstacleDatabase:
-    """A small deterministic durable database with entities."""
+def build_durable(journal_path, *, sets: int = 1) -> ObstacleDatabase:
+    """A small deterministic durable database with entities; ``sets=2``
+    splits its obstacles over two obstacle sets."""
     rng = random.Random(SEED)
     obstacles = random_disjoint_rects(rng, 12)
     entities = random_free_points(random.Random(SEED + 1), 16, obstacles)
-    db = ObstacleDatabase(
+    db = split_database(
         [o.polygon for o in obstacles],
-        shards=shards,
+        sets=sets,
         max_entries=16,
         min_entries=4,
         durable=journal_path,
@@ -246,27 +247,32 @@ class TestRecovery:
         assert os.path.getsize(journal_path) == intact
         assert len(recovered.entity_tree(SET_NAME)) == 16  # insert lost
 
-    @pytest.mark.parametrize("shards", [None, 4])
-    def test_apply_record_announces_once_and_appends_nothing(self, tmp_path, shards):
+    @pytest.mark.parametrize("sets", [1, 2])
+    def test_apply_record_announces_once_and_appends_nothing(self, tmp_path, sets):
         """Replay goes through the database's apply step, not its
         journaling front door: with a journal attached nothing is
-        appended, and the feed carries the record exactly once."""
-        db = build_durable(tmp_path / "db.journal", shards=shards)
+        appended, and the feed carries the record exactly once — also
+        for a record naming the second of two obstacle sets."""
+        db = build_durable(tmp_path / "db.journal", sets=sets)
         heard = []
         db._feed.subscribe(lambda record, __: heard.append(record))
+        set_name = ("obstacles", "second")[sets - 1]
+        member = db.obstacle_index if sets == 1 else db.obstacle_index.indexes[1]
         obstacle = Obstacle(40, Polygon.from_rect(Rect(61.0, 61.0, 63.0, 63.0)))
         records = [
-            obstacle_record("insert", "obstacles", obstacle),
+            obstacle_record("insert", set_name, obstacle),
             entity_record("insert", SET_NAME, Point(64.5, 60.0)),
             entity_record("delete", SET_NAME, Point(64.5, 60.0)),
-            obstacle_record("delete", "obstacles", obstacle),
+            obstacle_record("delete", set_name, obstacle),
         ]
         for done, record in enumerate(records, 1):
             apply_record(db, record)
             assert heard == records[:done]
+            if done == 1:
+                assert member.find(40) is not None
         assert db.journal.record_count == 0
         assert db.journal.size == JOURNAL_HEADER_SIZE
-        assert db.obstacle_index.find(40) is None and db._next_oid == 41
+        assert member.find(40) is None and db._next_oid == 41
         # A replayed delete that finds nothing is not announced.
         apply_record(db, records[-1])
         assert heard == records

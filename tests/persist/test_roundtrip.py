@@ -2,7 +2,8 @@
 identical to the live one.
 
 Hypothesis-randomized scenes (shared strategies) are saved and
-reloaded across every visibility backend and both storage layouts;
+reloaded across every visibility backend, with one obstacle set and
+with two (a composite source);
 the restored database must reproduce bit-identical query answers,
 identical simulated page-miss counters on a fixed access sequence,
 and structurally identical cached visibility graphs.
@@ -26,19 +27,19 @@ from tests.persist.helpers import (
     backend_params,
     cache_signature,
     runtime_counters,
-    storage_params,
     warm_queries,
 )
+from tests.conftest import split_database
 from tests.strategies import disjoint_rect_obstacles, free_points
 
 
 def _build_db(
-    obstacles, entities, *, backend: str, shards: int | None, snap: float = 0.0
+    obstacles, entities, *, backend: str, sets: int, snap: float = 0.0
 ) -> ObstacleDatabase:
-    db = ObstacleDatabase(
+    db = split_database(
         [o.polygon for o in obstacles],
+        sets=sets,
         backend=backend,
-        shards=shards,
         graph_cache_snap=snap,
         max_entries=8,
         min_entries=3,
@@ -76,7 +77,7 @@ _SECOND_PASS_SWEEPS = (
 
 
 @pytest.mark.parametrize("backend", backend_params())
-@pytest.mark.parametrize("shards", storage_params())
+@pytest.mark.parametrize("sets", [1, 2])
 @settings(
     max_examples=8,
     deadline=None,
@@ -84,13 +85,11 @@ _SECOND_PASS_SWEEPS = (
 )
 @given(scene=_scenes())
 @example(scene=_SECOND_PASS_SWEEPS)
-def test_roundtrip_parity(tmp_path, backend, shards, scene):
+def test_roundtrip_parity(tmp_path, backend, sets, scene):
     """Answers, page counters, runtime counters and cached graphs all
     survive save -> load, on randomized scenes."""
     obstacles, entities, probes, snap = scene
-    db = _build_db(
-        obstacles, entities, backend=backend, shards=shards, snap=snap
-    )
+    db = _build_db(obstacles, entities, backend=backend, sets=sets, snap=snap)
     live_answers = warm_queries(db, probes)
     saved_builds = db.runtime_stats()["graph_builds"]
     loaded = _roundtrip(db, tmp_path, backend)
@@ -125,8 +124,8 @@ def test_roundtrip_parity(tmp_path, backend, shards, scene):
 
 
 @pytest.mark.parametrize("backend", backend_params())
-@pytest.mark.parametrize("shards", storage_params())
-def test_batch_answers_roundtrip(tmp_path, backend, shards):
+@pytest.mark.parametrize("sets", [1, 2])
+def test_batch_answers_roundtrip(tmp_path, backend, sets):
     """batch_nearest / batch_range parity between live and restored."""
     obstacles = [
         Rect(10.0, 10.0, 20.0, 25.0),
@@ -135,7 +134,7 @@ def test_batch_answers_roundtrip(tmp_path, backend, shards):
     ]
     entities = [Point(5.0, 5.0), Point(25.0, 30.0), Point(60.0, 20.0)]
     queries = [Point(0.0, 0.0), Point(35.0, 35.0), Point(50.0, 2.0)]
-    db = ObstacleDatabase(obstacles, backend=backend, shards=shards)
+    db = split_database(obstacles, sets=sets, backend=backend)
     db.add_entity_set("P", entities)
     live_nearest = db.batch_nearest("P", queries, 2, workers=0)
     live_range = db.batch_range("P", queries, 30.0, workers=0)
@@ -159,7 +158,7 @@ def test_composite_sources_roundtrip(tmp_path):
 def test_mutated_database_roundtrips_versions(tmp_path):
     """Insert/delete history (version counters) survives, so stamps
     saved fresh stay fresh and stamps saved stale stay stale."""
-    db = ObstacleDatabase([Rect(2.0, 2.0, 4.0, 8.0)], shards=4)
+    db = ObstacleDatabase([Rect(2.0, 2.0, 4.0, 8.0)])
     db.add_entity_set("P", [Point(6.0, 5.0)])
     record = db.insert_obstacle(Rect(8.0, 2.0, 9.0, 4.0))
     db.nearest("P", Point(1.0, 5.0), 1)
@@ -167,7 +166,6 @@ def test_mutated_database_roundtrips_versions(tmp_path):
     live_version = db.obstacle_index.version
     loaded = _roundtrip(db, tmp_path, "naive")
     assert loaded.obstacle_index.version == live_version
-    assert loaded.obstacle_index.shard_keys() == db.obstacle_index.shard_keys()
     assert [e.version for e in loaded.context.cache.entries()] == [
         e.version for e in db.context.cache.entries()
     ]

@@ -18,6 +18,7 @@ from repro.core.engine import ObstacleDatabase
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
+from tests.conftest import split_database
 from tests.persist import producer
 from tests.persist.helpers import backend_params, cache_signature
 
@@ -26,13 +27,13 @@ REPO_ROOT = os.path.dirname(
 )
 
 
-def _warm_db(backend: str, shards: int | None) -> tuple[ObstacleDatabase, list[Point]]:
+def _warm_db(backend: str, sets: int = 1) -> tuple[ObstacleDatabase, list[Point]]:
     obstacles = [
         Rect(10.0, 10.0, 20.0, 25.0),
         Rect(40.0, 5.0, 55.0, 18.0),
         Rect(30.0, 40.0, 45.0, 52.0),
     ]
-    db = ObstacleDatabase(obstacles, backend=backend, shards=shards)
+    db = split_database(obstacles, sets=sets, backend=backend)
     db.add_entity_set("P", [Point(5.0, 5.0), Point(25.0, 30.0), Point(60.0, 20.0)])
     probes = [Point(0.0, 0.0), Point(35.0, 35.0), Point(50.0, 2.0)]
     for q in probes:
@@ -41,10 +42,10 @@ def _warm_db(backend: str, shards: int | None) -> tuple[ObstacleDatabase, list[P
 
 
 @pytest.mark.parametrize("backend", backend_params())
-@pytest.mark.parametrize("shards", [None, 8])
-def test_covered_centres_build_nothing(tmp_path, backend, shards):
+@pytest.mark.parametrize("sets", [1, 2])
+def test_covered_centres_build_nothing(tmp_path, backend, sets):
     """Load-then-query builds 0 new graphs for restored centres."""
-    db, probes = _warm_db(backend, shards)
+    db, probes = _warm_db(backend, sets)
     live = [db.nearest("P", q, 2) for q in probes]
     path = tmp_path / "warm.snap"
     db.save(path)
@@ -59,11 +60,11 @@ def test_covered_centres_build_nothing(tmp_path, backend, shards):
     assert stats["graph_cache_hits"] > saved["graph_cache_hits"]
 
 
-@pytest.mark.parametrize("shards", [None, 8])
-def test_mutation_after_load_routes_repair_first(tmp_path, shards):
+@pytest.mark.parametrize("sets", [1, 2])
+def test_mutation_after_load_routes_repair_first(tmp_path, sets):
     """An insert landing inside a restored coverage disk is repaired in
     place (feed re-subscription), not invalidated."""
-    db, probes = _warm_db("naive", shards)
+    db, probes = _warm_db("naive", sets)
     path = tmp_path / "warm.snap"
     db.save(path)
     loaded = ObstacleDatabase.load(path, backend="naive")
@@ -78,7 +79,7 @@ def test_mutation_after_load_routes_repair_first(tmp_path, shards):
     assert after_insert["graph_cache_repairs"] > before
     assert after_insert["graph_cache_invalidations"] == 0
     # The repaired cache answers exactly like a cold database over the
-    # mutated obstacle set.
+    # mutated obstacles, held in one set.
     reference = ObstacleDatabase(
         [o.polygon for __, o in _obstacle_items(loaded)],
         backend="naive",
@@ -97,12 +98,12 @@ def test_mutation_after_load_routes_repair_first(tmp_path, shards):
 
 
 def _obstacle_items(db: ObstacleDatabase):
-    """(oid, obstacle) pairs of the primary set, deduped."""
-    seen = {}
-    for tree in db._obstacle_indexes["obstacles"].trees():
-        for obs, __ in tree.items():
-            seen[obs.oid] = obs
-    return sorted(seen.items())
+    """(oid, obstacle) pairs of every obstacle set."""
+    return sorted(
+        (obs.oid, obs)
+        for tree in db.obstacle_index.trees()
+        for obs, __ in tree.items()
+    )
 
 
 def test_field_reuse_after_load(tmp_path):

@@ -19,7 +19,7 @@ import repro.serve.pool
 from repro import ObstacleDatabase, Point, Rect
 from repro.errors import DatasetError, QueryError
 from repro.serve.pool import _chunk_ranges, fork_available, fork_batch
-from tests.conftest import random_disjoint_rects, random_free_points
+from tests.conftest import random_disjoint_rects, random_free_points, split_database
 
 ROUTES = {
     "sequential": {"workers": 0},
@@ -31,18 +31,19 @@ E = 25.0
 needs_fork = pytest.mark.skipif(not fork_available(), reason="fork unavailable")
 
 
-def _dbs(seed=200, n_points=24, n_queries=8, shards=None):
-    """A database, its twin (the per-query oracle), and query points."""
+def _dbs(seed=200, n_points=24, n_queries=8, sets=1):
+    """A database, its twin (the per-query oracle), and query points;
+    ``sets=2`` holds the obstacles of both in two obstacle sets."""
     rng = random.Random(seed)
     obstacles = random_disjoint_rects(rng, 10)
     points = random_free_points(rng, n_points, obstacles)
     dbs = []
     for __ in range(2):
-        db = ObstacleDatabase(
+        db = split_database(
             [o.polygon for o in obstacles],
+            sets=sets,
             max_entries=8,
             min_entries=3,
-            shards=shards,
         )
         db.add_entity_set("pois", points[n_queries:])
         dbs.append(db)
@@ -74,13 +75,13 @@ def _one(db, kind, item):
     return db.obstructed_distance(*item)
 
 
-@pytest.mark.parametrize("shards", [None, 4])
+@pytest.mark.parametrize("sets", [1, 2])
 @pytest.mark.parametrize("kind", ["nearest", "range", "distance"])
 @pytest.mark.parametrize("route", list(ROUTES))
-def test_every_route_answers_like_per_query_calls(route, kind, shards):
+def test_every_route_answers_like_per_query_calls(route, kind, sets):
     if route != "sequential" and not fork_available():
         pytest.skip("fork unavailable")
-    db, twin, queries = _dbs(shards=shards)
+    db, twin, queries = _dbs(sets=sets)
     items = _items(kind, queries)
     try:
         db.reset_stats(clear_buffers=True)

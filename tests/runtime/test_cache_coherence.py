@@ -3,17 +3,17 @@
 A cached graph is current exactly while its source's
 ``version_for(entry.center, entry.covered)`` is unchanged.  Whatever
 happens to the source — routed inserts and deletes (repaired in
-place), direct tree or ``shard(key)`` edits behind the runtime's back,
+place), direct tree edits behind the runtime's back,
 coverage growth, a snap retune, a save and load — two things must hold:
 
 * every entry ``cache.get`` serves holds exactly the obstacles
   ``source.obstacles_in_range(entry.center, entry.covered)`` returns;
 * ``distance`` equals a cold database's over the same obstacles.
 
-The sources are monolithic, a composite of two obstacle sets, and
-sharded over 4 and over 16 cells.  Obstacles live in the slots of a
-10 x 10 lattice of 10-unit cells (at most one per slot, so they never
-touch) and queries on the streets between them; sizes and positions
+The sources are monolithic and composites of two and of three obstacle
+sets.  Obstacles live in the slots of a 10 x 10 lattice of 10-unit cells (at
+most one per slot, so they never touch) and queries on the streets
+between them; sizes and positions
 are generic floats drawn from a seed.  Both checks are steps of the
 interleaving, not run after every step: direct edits to two obstacle
 sets must be caught even when their version changes cancel out.  Only
@@ -34,17 +34,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ObstacleDatabase, Point, Rect
-from repro.core.source import CompositeObstacleIndex, ShardedObstacleIndex
+from repro.core.source import CompositeObstacleIndex
 from repro.geometry import Polygon
 from repro.model import Obstacle
 
-SOURCES = {
-    "monolithic": {},
-    "composite": {},
-    "sharded-4": {"shards": 4},
-    "sharded-16": {"shards": 16},
-}
-SETS = ("obstacles", "second")
+#: Each kind of source and its number of obstacle sets.
+SOURCES = {"composite": 2, "monolithic": 1, "three-sets": 3}
+SETS = ("obstacles", "second", "third")
 SLOTS = [(i, j) for i in range(10) for j in range(10)]
 OPS = (
     "query", "check", "insert", "delete", "direct-insert", "direct-delete",
@@ -72,30 +68,27 @@ class _Scene:
 
     def __init__(self, kind: str, rng: random.Random) -> None:
         self.rng = rng
-        self.kind = kind
+        self.sets = SETS[: SOURCES[kind]]
         self.rects: dict[tuple[int, int], Rect] = {}
         self.live: dict[int, tuple[str, tuple[int, int]]] = {}
         self.next_direct = 10_000
-        #: (set, shard key) of each tree edited directly since every
-        #: entry was last validated.
-        self.drifted: set[tuple[str, int | None]] = set()
+        #: The set of each tree edited directly since every entry was
+        #: last validated.
+        self.drifted: set[str] = set()
         seeds = rng.sample(SLOTS, rng.randint(4, 16))
         rects = {slot: _slot_rect(slot, rng) for slot in seeds}
-        sets = {
-            slot: SETS[(slot[0] + slot[1]) % 2] if kind == "composite" else SETS[0]
-            for slot in seeds
-        }
+        sets = {slot: self.sets[sum(slot) % len(self.sets)] for slot in seeds}
         first = [slot for slot in seeds if sets[slot] == SETS[0]]
         self.db = ObstacleDatabase(
-            [rects[slot] for slot in first], **SOURCES[kind], **TREE
+            [rects[slot] for slot in first], **TREE
         )
         self.live.update({oid: (SETS[0], slot) for oid, slot in enumerate(first)})
-        if kind == "composite":
-            second = [slot for slot in seeds if sets[slot] == SETS[1]]
-            self.db.add_obstacle_set(SETS[1], [rects[slot] for slot in second])
-            base = len(first)
+        for name in self.sets[1:]:
+            members = [slot for slot in seeds if sets[slot] == name]
+            self.db.add_obstacle_set(name, [rects[slot] for slot in members])
+            base = len(self.live)
             self.live.update(
-                {base + k: (SETS[1], slot) for k, slot in enumerate(second)}
+                {base + k: (name, slot) for k, slot in enumerate(members)}
             )
         self.rects.update(rects)
 
@@ -112,7 +105,7 @@ class _Scene:
         return self.rng.choice(free) if free else None
 
     def pick_set(self) -> str:
-        return self.rng.choice(SETS) if self.kind == "composite" else SETS[0]
+        return self.rng.choice(self.sets) if len(self.sets) > 1 else SETS[0]
 
     # --------------------------------------------------------------- ops
     def apply(self, op: str) -> None:
@@ -152,9 +145,9 @@ class _Scene:
         set_name = self.pick_set()
         self.rects[slot] = _slot_rect(slot, self.rng)
         obstacle = Obstacle(self.next_direct, Polygon.from_rect(self.rects[slot]))
-        if self._edit_directly(set_name, obstacle, "insert"):
-            self.live[obstacle.oid] = (set_name, slot)
-            self.next_direct += 1
+        self._edit_directly(set_name, obstacle, "insert")
+        self.live[obstacle.oid] = (set_name, slot)
+        self.next_direct += 1
 
     def _direct_delete(self) -> None:
         if not self.live:
@@ -162,30 +155,16 @@ class _Scene:
         oid = self.rng.choice(sorted(self.live))
         set_name, __ = self.live[oid]
         obstacle = self.member(set_name).find(oid)
-        if self._edit_directly(set_name, obstacle, "delete"):
-            del self.live[oid]
+        self._edit_directly(set_name, obstacle, "delete")
+        del self.live[oid]
 
     def _edit_directly(self, set_name: str, obstacle: Obstacle, op: str) -> bool:
-        """Apply ``op`` to the set's tree, or to each shard holding the
-        obstacle's cells, without the set's mutation feed hearing of it.
-        Refused (``False``) when a cell has no shard to edit."""
-        index = self.member(set_name)
-        if isinstance(index, ShardedObstacleIndex):
-            keys = index.keys_for_obstacle(obstacle)
-            if not set(keys) <= set(index.shard_keys()):
-                return False
-        else:
-            keys = [None]
-        trees = {(set_name, key) for key in keys}
-        if trees & self.drifted:
+        """Apply ``op`` to the set's tree without the set's mutation feed
+        hearing of it."""
+        if set_name in self.drifted:
             self._check()
-        self.drifted |= trees
-        for key in keys:
-            if key is None:
-                getattr(index.tree, op)(obstacle, obstacle.mbr)
-            else:
-                getattr(index.shard(key), op)(obstacle)
-        return True
+        self.drifted.add(set_name)
+        getattr(self.member(set_name).tree, op)(obstacle, obstacle.mbr)
 
     def _grow(self) -> None:
         entries = self.db.context.cache.entries()
@@ -216,7 +195,7 @@ class _Scene:
         self.drifted.clear()
 
 
-@pytest.mark.parametrize("kind", sorted(SOURCES))
+@pytest.mark.parametrize("kind", SOURCES)
 @settings(
     max_examples=12,
     deadline=None,

@@ -11,24 +11,27 @@ import random
 
 import pytest
 
-from repro import ObstacleDatabase, Point
+from repro import Point
 from repro.geometry import Rect
 from repro.runtime.cache import CachedGraph, VisibilityGraphCache
 from repro.visibility import VisibilityGraph
-from tests.conftest import random_disjoint_rects, random_free_points, static_version
+from tests.conftest import (
+    random_disjoint_rects,
+    random_free_points,
+    split_database,
+    static_version,
+)
 
 
-def _dbs(seed, snap, shards=None):
+def _dbs(seed, snap, sets=1):
     rng = random.Random(seed)
     obstacles = random_disjoint_rects(rng, 20)
     polygons = [o.polygon for o in obstacles]
-    exact = ObstacleDatabase(
-        polygons, max_entries=8, min_entries=3, graph_cache_snap=0.0,
-        shards=shards,
+    exact = split_database(
+        polygons, sets=sets, max_entries=8, min_entries=3, graph_cache_snap=0.0
     )
-    snapped = ObstacleDatabase(
-        polygons, max_entries=8, min_entries=3, graph_cache_snap=snap,
-        shards=shards,
+    snapped = split_database(
+        polygons, sets=sets, max_entries=8, min_entries=3, graph_cache_snap=snap
     )
     points = random_free_points(rng, 12, obstacles)
     return rng, exact, snapped, points
@@ -50,9 +53,9 @@ def _near_duplicate_queries(rng, anchors, jitter, per_anchor):
 
 
 class TestSnappedKeyParity:
-    @pytest.mark.parametrize("shards", [None, 16])
-    def test_batch_answers_identical_and_hit_rate_improves(self, shards):
-        rng, exact, snapped, points = _dbs(42, snap=4.0, shards=shards)
+    @pytest.mark.parametrize("sets", [1, 2])
+    def test_batch_answers_identical_and_hit_rate_improves(self, sets):
+        rng, exact, snapped, points = _dbs(42, snap=4.0, sets=sets)
         for db in (exact, snapped):
             db.add_entity_set("pois", points)
         queries = _near_duplicate_queries(rng, points[:4], 0.5, 6)
@@ -68,8 +71,9 @@ class TestSnappedKeyParity:
 
         assert hit_rate(ss) > hit_rate(se)
 
-    def test_distance_answers_bit_identical(self):
-        rng, exact, snapped, points = _dbs(77, snap=3.0)
+    @pytest.mark.parametrize("sets", [1, 2])
+    def test_distance_answers_bit_identical(self, sets):
+        rng, exact, snapped, points = _dbs(77, snap=3.0, sets=sets)
         queries = _near_duplicate_queries(rng, points[:3], 0.4, 5)
         for q in queries:
             for p in points[6:9]:
@@ -77,8 +81,9 @@ class TestSnappedKeyParity:
                     exact.obstructed_distance(p, q)
                 )
 
-    def test_range_and_nearest_parity(self):
-        rng, exact, snapped, points = _dbs(101, snap=3.0)
+    @pytest.mark.parametrize("sets", [1, 2])
+    def test_range_and_nearest_parity(self, sets):
+        rng, exact, snapped, points = _dbs(101, snap=3.0, sets=sets)
         for db in (exact, snapped):
             db.add_entity_set("pois", points[4:])
         for q in _near_duplicate_queries(rng, points[:2], 0.3, 4):

@@ -6,8 +6,8 @@ patches cached graphs in place (insert: one ``add_obstacle``; delete:
 from-scratch rebuild.  These tests pin the acceptance properties:
 
 * a repaired graph answers every query exactly like a cold database
-  over the same obstacle set (randomized churn, both storage layouts,
-  every backend);
+  over the same obstacles (randomized churn, in one obstacle set or
+  split over two, every backend);
 * when repair is impossible the rebuild fallback still yields correct
   answers (direct tree mutation behind the runtime's back, in one
   obstacle set or across two).
@@ -21,36 +21,40 @@ import random
 import pytest
 
 from repro import ObstacleDatabase, Point, Rect
-from repro.core.source import build_sharded_obstacle_index
 from repro.geometry import Polygon
 from repro.model import Obstacle
-from repro.runtime.context import QueryContext
 from tests.conftest import (
     oracle_distance,
     random_disjoint_rects,
     random_free_points,
-    rect_obstacle,
+    split_database,
 )
 
 BACKENDS = ["naive", "numpy-kernel"]
 
 
+def _split(polygons, sets, backend):
+    """``split_database`` over ``polygons``, and the obstacle set of
+    each obstacle id it assigned (ids follow the sets' order)."""
+    db = split_database(
+        polygons, sets=sets, max_entries=8, min_entries=3, backend=backend
+    )
+    names = ["obstacles", "second"][:sets]
+    owners = [name for i, name in enumerate(names) for __ in polygons[i::sets]]
+    return db, owners
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("shards", [None, 16])
+@pytest.mark.parametrize("sets", [1, 2])
 @pytest.mark.parametrize("seed", range(3))
 class TestRepairedAnswersMatchRebuild:
-    def test_randomized_churn_matches_cold_database(
-        self, backend, shards, seed
-    ):
+    def test_randomized_churn_matches_cold_database(self, backend, sets, seed):
         rng = random.Random(9_000 + seed)
         obstacles = random_disjoint_rects(rng, 14)
         points = random_free_points(rng, 8, obstacles)
         polygons = [o.polygon for o in obstacles]
-        db = ObstacleDatabase(
-            polygons, max_entries=8, min_entries=3, shards=shards,
-            backend=backend,
-        )
-        live = list(polygons)
+        db, owners = _split(polygons, sets, backend)
+        live = [p for i in range(sets) for p in polygons[i::sets]]
         records = [None] * len(polygons)
         pairs = list(zip(points[:4], points[4:]))
         for p, q in pairs:  # prime cached graphs
@@ -61,13 +65,14 @@ class TestRepairedAnswersMatchRebuild:
                 idx = rng.choice(
                     [i for i, r in enumerate(records) if r is None]
                 )
-                assert db.delete_obstacle(idx)
+                assert db.delete_obstacle(idx, set_name=owners[idx])
                 records[idx] = "deleted"
                 live[idx] = None
             else:
                 x, y = rng.uniform(0, 80), rng.uniform(0, 80)
                 rect = Rect(x, y, x + rng.uniform(2, 8), y + rng.uniform(2, 8))
-                rec = db.insert_obstacle(rect)
+                set_name = ("obstacles", "second")[len(records) % sets]
+                rec = db.insert_obstacle(rect, set_name=set_name)
                 records.append(rec)
                 live.append(rec.polygon)
             cold = ObstacleDatabase(
@@ -79,20 +84,18 @@ class TestRepairedAnswersMatchRebuild:
                     cold.obstructed_distance(p, q)
                 ), (step, p, q)
 
-    def test_delete_repair_avoids_builds(self, backend, shards, seed):
+    def test_delete_repair_avoids_builds(self, backend, sets, seed):
         rng = random.Random(17_000 + seed)
         obstacles = random_disjoint_rects(rng, 12)
         points = random_free_points(rng, 6, obstacles)
         polygons = [o.polygon for o in obstacles]
-        db = ObstacleDatabase(
-            polygons, max_entries=8, min_entries=3, shards=shards,
-            backend=backend,
-        )
+        db, owners = _split(polygons, sets, backend)
         pairs = list(zip(points[:3], points[3:]))
         for p, q in pairs:
             db.obstructed_distance(p, q)
         builds = db.runtime_stats()["graph_builds"]
-        assert db.delete_obstacle(rng.randrange(len(polygons)))
+        victim = rng.randrange(len(polygons))
+        assert db.delete_obstacle(victim, set_name=owners[victim])
         for p, q in pairs:
             db.obstructed_distance(p, q)
         stats = db.runtime_stats()
@@ -189,28 +192,22 @@ class TestRebuildFallback:
         assert d == pytest.approx(oracle_distance(a, b, [wall]))
         assert d > 10.0
 
-    def test_routed_mutation_does_not_mask_direct_shard_edit(self):
-        """Same guarantee under sharded storage: a direct
-        ``shard(key).insert`` bumps the shard version without firing
-        the outer feed; the next routed mutation must discard the
-        drifted entry instead of re-stamping over the missed wall."""
-        universe = Rect(-20, -20, 20, 20)
-        corners = [(-15, -15), (-15, 14), (14, -15), (14, 14)]
-        seeds = [
-            rect_obstacle(i, x, y, x + 1, y + 1)
-            for i, (x, y) in enumerate(corners)
-        ]
-        index = build_sharded_obstacle_index(
-            seeds, shards=4, universe=universe, max_entries=8, min_entries=3,
+    def test_routed_mutation_does_not_mask_direct_edit_in_another_set(self):
+        """Same guarantee across obstacle sets: a direct tree edit in
+        one set moves that member's version without firing any feed; a
+        routed mutation of the other set must discard the drifted entry
+        instead of re-stamping over the missed wall."""
+        db = ObstacleDatabase(
+            [Rect(100, 100, 102, 102)], max_entries=8, min_entries=3
         )
-        ctx = QueryContext(index)
+        db.add_obstacle_set("second", [Rect(-100, -100, -98, -98)])
+        (primary, __) = db.obstacle_index.trees()
         a, b = Point(0, 0), Point(10, 0)
-        assert ctx.distance(a, b) == pytest.approx(10.0)
-        wall = Obstacle(100, Polygon.from_rect(Rect(4, -2, 6, 2)))
-        key = index.keys_for_obstacle(wall)[0]
-        index.shard(key).insert(wall)  # shard version moves; no outer feed
-        index.insert(Obstacle(101, Polygon.from_rect(Rect(14, 10, 15, 11))))
-        d = ctx.distance(a, b)
+        assert db.obstructed_distance(a, b) == pytest.approx(10.0)
+        wall = Obstacle(999, Polygon.from_rect(Rect(4, -2, 6, 2)))
+        primary.insert(wall, wall.mbr)  # behind the feed's back
+        db.insert_obstacle(Rect(200, 200, 201, 201), set_name="second")
+        d = db.obstructed_distance(a, b)
         assert d == pytest.approx(oracle_distance(a, b, [wall]))
         assert d > 10.0
 

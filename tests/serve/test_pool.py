@@ -7,23 +7,29 @@ import pytest
 from repro import ObstacleDatabase, Point, Rect
 from repro.errors import QueryError
 from repro.serve.pool import PersistentWorkerPool
-from tests.conftest import random_disjoint_rects, random_free_points
+from tests.conftest import random_disjoint_rects, random_free_points, split_database
 
 
-def _db(seed, *, shards=None, snap=0.0, n_obstacles=12, n_points=30, durable=None):
+def _db(seed, *, snap=0.0, n_obstacles=12, n_points=30, durable=None, sets=1):
     rng = random.Random(seed)
     obstacles = random_disjoint_rects(rng, n_obstacles)
     points = random_free_points(rng, n_points, obstacles)
-    db = ObstacleDatabase(
+    db = split_database(
         [o.polygon for o in obstacles],
+        sets=sets,
         max_entries=8,
         min_entries=3,
-        shards=shards,
         graph_cache_snap=snap,
         durable=durable,
     )
     db.add_entity_set("pois", points[8:])
     return db, points[:8]
+
+
+def _last_set(db):
+    """The index of the database's last obstacle set (of one, or two)."""
+    source = db.obstacle_index
+    return source.indexes[-1] if hasattr(source, "indexes") else source
 
 
 class TestPoolKindResolution:
@@ -144,15 +150,16 @@ class TestMutationDeltas:
         finally:
             db.close()
 
-    @pytest.mark.parametrize("shards", [None, 4])
+    @pytest.mark.parametrize("sets", [1, 2])
     def test_index_level_insert_is_repaired_respawned_not_durable(
-        self, tmp_path, shards
+        self, tmp_path, sets
     ):
         """The one documented treatment of a write made at the index,
         behind the database's back: the cache repairs from the index
         feed, the pool's signature check respawns it, and the journal
-        never saw it."""
-        db, queries = _db(324, shards=shards, durable=tmp_path / "db.journal")
+        never saw it.  With two obstacle sets the write is the second
+        set's."""
+        db, queries = _db(324, durable=tmp_path / "db.journal", sets=sets)
         try:
             db.save(tmp_path / "base.snap")
             db.batch_nearest("pois", queries, 2, workers=2, pool="persistent")
@@ -160,7 +167,7 @@ class TestMutationDeltas:
             q = queries[0]
             wall = db._coerce_obstacle(Rect(q.x + 0.5, q.y - 40, q.x + 1.5, q.y + 40))
             repairs = db.runtime_stats()["graph_cache_repairs"]
-            db.obstacle_index.insert(wall)
+            _last_set(db).insert(wall)
             assert db.runtime_stats()["graph_cache_repairs"] > repairs
             sequential = db.batch_nearest("pois", queries, 2, workers=0)
             assert sequential != before
@@ -178,22 +185,25 @@ class TestMutationDeltas:
         assert recovered.batch_nearest("pois", queries, 2) == before
         recovered.journal.close()
 
-    @pytest.mark.parametrize("shards", [None, 4])
-    def test_database_write_does_not_hide_an_earlier_index_level_one(self, shards):
+    @pytest.mark.parametrize("sets", [1, 2])
+    def test_database_write_does_not_hide_an_earlier_index_level_one(self, sets):
         """Drift is sticky: a record the pool hears moves its expectation
         only from the value the set had when the record was applied, so
         an out-of-band write followed by a database write to the same
         set still respawns (replaying the one record heard would answer
         without the other)."""
-        db, queries = _db(326, shards=shards)
+        db, queries = _db(326, sets=sets)
+        set_name = ("obstacles", "second")[sets - 1]
         try:
             nearest = lambda **kw: db.batch_nearest("pois", queries, 2, **kw)  # noqa: E731
             nearest(workers=2, pool="persistent")
             q = queries[0]
             wall = db._coerce_obstacle(Rect(q.x + 0.5, q.y - 40, q.x + 1.5, q.y + 40))
-            db.obstacle_index.insert(wall)
+            _last_set(db).insert(wall)
             without = nearest(workers=0)
-            db.insert_obstacle(Rect(q.x - 1.5, q.y - 40, q.x - 0.5, q.y + 40))
+            db.insert_obstacle(
+                Rect(q.x - 1.5, q.y - 40, q.x - 0.5, q.y + 40), set_name=set_name
+            )
             assert nearest(workers=0) != without
             assert nearest(workers=2, pool="persistent") == nearest(workers=0)
             assert db._serving_pool.spawns == 2

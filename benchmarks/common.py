@@ -480,7 +480,7 @@ def run_moving_query(
         flat[i : i + n_sources] for i in range(0, len(flat), n_sources)
     ]
     return answers, {
-        "cpu_ms": metrics["cpu_ms_total"] / len(path),
+        "cpu_ms": metrics["wall_ms_total"] / len(path),
         "graph_builds": metrics["graph_builds"],
         "cache_hits": metrics["cache_hits"],
         "cache_misses": metrics["cache_misses"],
@@ -1000,7 +1000,7 @@ def field_engine_comparison(
         runs[n_rounds] = (
             answers,
             {
-                "cpu_s": metrics["cpu_ms_total"] / 1000.0,
+                "cpu_s": metrics["wall_ms_total"] / 1000.0,
                 "graph_builds": float(runtime["graph_builds"]),
                 "field_freezes": float(runtime["field_freezes"]),
                 "obstacle_reads": float(pages["reads"]),
@@ -1124,7 +1124,7 @@ def distance_stream_comparison(
     answers, metrics = replay_events(db, timed, set_name="P1", reset=False)
     reference, __ = replay_events(database(0.0), timed, set_name="P1")
     return {
-        "cpu_s": metrics["cpu_ms_total"] / 1000.0,
+        "cpu_s": metrics["wall_ms_total"] / 1000.0,
         "calls": float(n_calls),
         "field_ops": float(sum(ev.kind != "distance" for ev in timed)),
         "graph_nodes": float(nodes),

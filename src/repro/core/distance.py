@@ -33,7 +33,8 @@ class ObstacleSource(Protocol):
     """Anything that can produce the obstacles intersecting a disk."""
 
     def obstacles_in_range(self, center: Point, radius: float) -> list[Obstacle]:
-        """Obstacles intersecting the closed disk ``(center, radius)``."""
+        """Obstacles intersecting the closed disk ``(center, radius)``;
+        a :class:`~repro.euclidean.range.Retrieval` adds its clear radius."""
 
 
 class SourceDistanceField:

@@ -21,7 +21,7 @@ from math import inf
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import DatasetError
-from repro.euclidean.range import obstacles_in_range
+from repro.euclidean.range import Retrieval, obstacles_in_range
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.rstar import RStarTree
@@ -136,11 +136,11 @@ class ObstacleIndex:
         """The stamp of a graph built over any disk: ``(version,)``."""
         return (self.version,)
 
-    def obstacles_in_range(self, center: Point, radius: float) -> list[Obstacle]:
+    def obstacles_in_range(self, center: Point, radius: float) -> Retrieval:
         """Obstacles intersecting the disk (filtered by MBR, refined
-        against the polygon)."""
+        against the polygon), with the retrieval's clear radius."""
         if radius == inf:
-            return [data for data, __ in self.tree.items()]
+            return Retrieval((data for data, __ in self.tree.items()), inf, inf)
         return obstacles_in_range(self.tree, center, radius)
 
     def insert(self, obstacle: Obstacle) -> None:
@@ -201,12 +201,16 @@ class CompositeObstacleIndex:
         never cancelled out by a change in another."""
         return tuple(v for idx in self.indexes for v in idx.version_for(center, radius))
 
-    def obstacles_in_range(self, center: Point, radius: float) -> list[Obstacle]:
-        """Union of the members' relevant obstacles."""
-        result: list[Obstacle] = []
+    def obstacles_in_range(self, center: Point, radius: float) -> Retrieval:
+        """Union of the members' relevant obstacles; its clear radius
+        is the least of theirs."""
+        result = Retrieval((), inf, inf)
         seen: set[int] = set()
         for index in self.indexes:
-            for obs in index.obstacles_in_range(center, radius):
+            found = index.obstacles_in_range(center, radius)
+            result.clear_sq = min(result.clear_sq, found.clear_sq)
+            result.clear_d = min(result.clear_d, found.clear_d)
+            for obs in found:
                 if obs.oid not in seen:
                     seen.add(obs.oid)
                     result.append(obs)

@@ -8,7 +8,8 @@ the actual polygon (paper Sec. 2.1's filter/refinement discussion).
 
 from __future__ import annotations
 
-from typing import Any
+from math import inf
+from typing import Any, Iterable
 
 from repro.errors import QueryError
 from repro.geometry.circle import Circle
@@ -38,19 +39,43 @@ def entities_in_range(tree: RStarTree, q: Point, e: float) -> list[Point]:
     return [entry.data for entry in tree.search_circle(Circle(q, e))]
 
 
-def obstacles_in_range(tree: RStarTree, q: Point, e: float) -> list[Obstacle]:
+class Retrieval(list):
+    """The obstacles of one disk retrieval and its *clear radius*:
+    ``clear_sq``, the least squared MINDIST among the R-tree entries the
+    filter pruned, and ``clear_d``, the least polygon distance among the
+    MBR hits the refinement rejected.  A disk around the same centre
+    with ``r * r < clear_sq and r < clear_d`` holds exactly these."""
+
+    __slots__ = ("clear_sq", "clear_d")
+
+    def __init__(self, items: Iterable[Obstacle], clear_sq: float, clear_d: float) -> None:
+        super().__init__(items)
+        self.clear_sq = clear_sq
+        self.clear_d = clear_d
+
+
+def clear_of(found: list[Obstacle]) -> tuple[float, float]:
+    """``(clear_sq, clear_d)`` of a retrieval; none for a plain list."""
+    return getattr(found, "clear_sq", 0.0), getattr(found, "clear_d", 0.0)
+
+
+def obstacles_in_range(tree: RStarTree, q: Point, e: float) -> Retrieval:
     """Obstacles intersecting the disk ``(q, e)`` (filtered and refined).
 
     This is the set ``O'`` of relevant obstacles: by the Euclidean
     lower-bound argument of paper Sec. 3, obstacles outside the disk
-    cannot affect any path of length <= ``e`` from ``q``.
+    cannot affect any path of length <= ``e`` from ``q``.  The same
+    pass measures the retrieval's clear radius (:class:`Retrieval`).
     """
     if e < 0:
         raise QueryError(f"negative range: {e}")
     circle = Circle(q, e)
-    result = []
-    for entry in tree.search_circle(circle):
+    hits, clear_sq = tree.search_circle_clear(circle)
+    result = Retrieval((), clear_sq, inf)
+    for entry in hits:
         obstacle: Obstacle = entry.data
         if circle.intersects_polygon(obstacle.polygon):
             result.append(obstacle)
+        else:
+            result.clear_d = min(result.clear_d, obstacle.polygon.distance_to_point(q))
     return result

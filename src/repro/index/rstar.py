@@ -20,6 +20,7 @@ configuration (4 KB pages, 204 entries) is the default:
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -235,6 +236,24 @@ class RStarTree:
                 lambda rects: mbrs.mindist_sq(rects, x, y, x, y) <= limit
             )
         )
+
+    def search_circle_clear(self, circle: Circle) -> tuple[list[Entry], float]:
+        """:meth:`search_circle`'s entries, and the least squared
+        MINDIST among the entries it pruned (``inf`` when none was):
+        a disk around the same centre whose ``radius * radius`` stays
+        below it opens the same nodes and reports the same entries."""
+        x, y = circle.center.x, circle.center.y
+        limit = circle.radius * circle.radius
+        clear = inf
+
+        def matching(rects: np.ndarray) -> np.ndarray:
+            nonlocal clear
+            dist = mbrs.mindist_sq(rects, x, y, x, y)
+            hits = dist <= limit
+            clear = min(clear, float(dist.min(initial=inf, where=~hits)))
+            return hits
+
+        return list(self._iter_matching(matching)), clear
 
     def _iter_matching(
         self, matching: Callable[[np.ndarray], np.ndarray]

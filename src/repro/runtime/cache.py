@@ -13,7 +13,9 @@ Each entry also records the *coverage radius* — the largest disk
 around the centre whose obstacles are guaranteed present — so a later
 query with a larger reach tops the graph up incrementally rather than
 rebuilding from scratch, and a query whose reach is already covered
-skips the obstacle retrieval entirely.
+skips the obstacle retrieval entirely — as does one whose reach stays
+inside the entry's *clear radius*, where no obstacle outside the graph
+lies.
 
 With a positive snapping quantum (``snap``), cache keys are grid cells
 instead of exact centre coordinates, so a query whose centre falls in
@@ -46,9 +48,15 @@ class CachedGraph:
     source's ``version_for(center, covered)`` taken just before the
     retrieval the graph was built, grown or rebuilt from — the entry is
     fresh exactly while the source still answers the same tuple.
+
+    ``clear_sq`` / ``clear_d`` are the last retrieval's *clear radius*
+    (:class:`~repro.euclidean.range.Retrieval`), lowered by routed
+    inserts outside the coverage disk: growing the coverage to any ``r``
+    with ``r * r < clear_sq and r < clear_d`` needs no retrieval.  The
+    default ``0.0`` (a restored entry, a source without bounds) is none.
     """
 
-    __slots__ = ("graph", "center", "covered", "version")
+    __slots__ = ("graph", "center", "covered", "version", "clear_sq", "clear_d")
 
     def __init__(
         self,
@@ -56,11 +64,15 @@ class CachedGraph:
         center: Point,
         covered: float,
         version: tuple[int, ...],
+        clear_sq: float = 0.0,
+        clear_d: float = 0.0,
     ) -> None:
         self.graph = graph
         self.center = center
         self.covered = covered
         self.version = version
+        self.clear_sq = clear_sq
+        self.clear_d = clear_d
 
     def fresh(self, version_for: VersionFor) -> bool:
         """Whether the source still stamps this entry's disk as it did

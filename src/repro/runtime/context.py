@@ -13,9 +13,10 @@ hooks — so consecutive queries amortize each other's work:
   with a positive ``snap`` quantum the key is spatial, so
   near-duplicate centres (moving queries, dense batches) share one
   graph through the coverage guard of :meth:`entry_for`;
-* each graph tracks its obstacle *coverage radius*, so Fig. 8's
-  iterative range enlargement skips retrievals that cannot surface
-  anything new;
+* each graph tracks its obstacle *coverage radius* and its *clear
+  radius*, below which no obstacle lies that the graph lacks, so Fig.
+  8's iterative range enlargement skips retrievals that cannot surface
+  anything new: a radius already covered or inside the clear radius;
 * straight legs first: a cached graph is *registered* (its nodes
   pending), a pair that sees each other past its obstacles is answered
   by its straight leg, and the graph is connected only when some query
@@ -38,6 +39,7 @@ from math import inf
 from typing import Iterable, Sequence
 
 from repro.core.distance import ObstacleSource, SourceDistanceField
+from repro.euclidean.range import clear_of
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.model import Obstacle
@@ -212,10 +214,12 @@ class QueryContext:
                     # Same filter/refinement as obstacles_in_range:
                     # only an obstacle intersecting the coverage disk
                     # enters the graph, keeping repair identical to a
-                    # from-scratch rebuild over the same disk.
-                    if disk.intersects_polygon(obstacle.polygon) and (
-                        graph.add_obstacle(obstacle)
-                    ):
+                    # from-scratch rebuild over the same disk; one
+                    # outside it bounds the clear radius instead.
+                    if not disk.intersects_polygon(obstacle.polygon):
+                        d = obstacle.polygon.distance_to_point(entry.center)
+                        entry.clear_d = min(entry.clear_d, d)
+                    elif graph.add_obstacle(obstacle):
                         self.stats.graph_cache_repairs += 1
                         TRACER.count("graph_cache.repair")
         except Exception:
@@ -253,7 +257,7 @@ class QueryContext:
                     [center], obstacles, method=self.backend
                 )
             self.stats.graph_builds += 1
-            entry = CachedGraph(graph, center, radius, stamp)
+            entry = CachedGraph(graph, center, radius, stamp, *clear_of(obstacles))
             self.cache.put(entry)
             return entry
         required = self.required_radius(entry, center, radius)
@@ -319,6 +323,7 @@ class QueryContext:
             self.stats.graph_rebuilds += 1
             entry.version = stamp
             entry.covered = radius
+            entry.clear_sq, entry.clear_d = clear_of(obstacles)
             return True
         if radius <= entry.covered:
             return False
@@ -328,13 +333,20 @@ class QueryContext:
         """Fig. 8's enlargement of a fresh entry to ``radius`` (beyond
         its coverage): one retrieval, one growth step of the graph (its
         new nodes pending), and the stamp of the grown disk, taken
-        before the retrieval."""
+        before the retrieval.  Inside the clear radius — the filter's
+        and the refinement's own floats — the retrieval would return
+        the graph's obstacles, so none is made."""
         self.stats.coverage_expansions += 1
         stamp = self.version_for(entry.center, radius)
-        with TRACER.span("graph.expand", radius=radius):
-            added = entry.graph.add_obstacles(
-                self.source.obstacles_in_range(entry.center, radius)
-            )
+        if radius * radius < entry.clear_sq and radius < entry.clear_d:
+            self.stats.clear_radius_skips += 1
+            TRACER.count("graph_cache.clear_skip")
+            added = 0
+        else:
+            with TRACER.span("graph.expand", radius=radius):
+                found = self.source.obstacles_in_range(entry.center, radius)
+                added = entry.graph.add_obstacles(found)
+            entry.clear_sq, entry.clear_d = clear_of(found)
         self.stats.obstacles_added += added
         entry.version = stamp
         entry.covered = radius

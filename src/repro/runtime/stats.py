@@ -33,6 +33,7 @@ class RuntimeStats:
         "graph_cache_repairs",
         "graph_cache_promotions",
         "coverage_expansions",
+        "clear_radius_skips",
         "obstacles_added",
         "distance_calls",
         "straight_legs",
@@ -74,6 +75,7 @@ class RuntimeStats:
         self.graph_cache_repairs = 0
         self.graph_cache_promotions = 0
         self.coverage_expansions = 0
+        self.clear_radius_skips = 0
         self.obstacles_added = 0
         self.distance_calls = 0
         self.straight_legs = 0

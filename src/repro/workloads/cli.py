@@ -178,7 +178,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 0
     print(
         f"replayed {args.file}: {int(metrics['events'])} event(s) in "
-        f"{metrics['cpu_ms_total']:.1f} ms"
+        f"{metrics['wall_ms_total']:.1f} ms"
     )
     print(
         f"  graph builds {int(metrics['graph_builds'])}, hit rate "

@@ -150,8 +150,8 @@ def replay_events(
     misses = float(stats["graph_cache_misses"])
     return answers, {
         "events": float(len(events)),
-        "cpu_ms_total": timer.elapsed_ms,
-        "cpu_ms": timer.elapsed_ms / n,
+        "wall_ms_total": timer.elapsed_ms,
+        "wall_ms": timer.elapsed_ms / n,
         "graph_builds": float(stats["graph_builds"]),
         "cache_hits": hits,
         "cache_misses": misses,

@@ -43,6 +43,16 @@ settings.register_profile(
     suppress_health_check=list(HealthCheck),
 )
 
+#: A cached entry against a fresh retrieval after every growth step
+#: (``tests/runtime/test_clear_radius.py``):
+#: ``--hypothesis-profile clear-radius`` runs it at 500 examples.
+settings.register_profile(
+    "clear-radius",
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+
 #: The closest-pair stream against the one-side traversal
 #: (``tests/euclidean/test_array_parity.py``):
 #: ``--hypothesis-profile closest-pairs`` runs it at 1,000 examples.

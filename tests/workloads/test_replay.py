@@ -18,7 +18,7 @@ from repro.workloads.trace import WorkloadEvent
 SCENE = {"n_obstacles": 40, "n_entities": 30}
 
 METRIC_KEYS = {
-    "events", "cpu_ms_total", "cpu_ms", "graph_builds", "cache_hits",
+    "events", "wall_ms_total", "wall_ms", "graph_builds", "cache_hits",
     "cache_misses", "hit_rate", "promotions", "policy_adjustments",
 }
 

@@ -1,26 +1,24 @@
-"""Exact-ish 2-D computational geometry substrate.
+"""Exact 2-D computational geometry substrate.
 
 Provides the primitives every other layer builds on: points, minimum
 bounding rectangles, segment predicates, simple polygons and circular
-query regions.  All predicates use a relative epsilon
-(:data:`repro.geometry.constants.EPS`) so that the visibility machinery
-behaves sensibly for entities lying exactly on obstacle boundaries,
-which the paper's workloads allow.
+query regions.  Every predicate is exact for the float coordinates it
+is given (:func:`repro.geometry.segment.orient`), so entities lying
+exactly on obstacle boundaries — which the paper's workloads allow —
+and obstacles sharing grid lines are decided as the definitions say.
 """
 
-from repro.geometry.constants import EPS
 from repro.geometry.point import Point, distance, distance_sq, midpoint
 from repro.geometry.rect import Rect
 from repro.geometry.segment import (
     COLLINEAR,
     CCW,
     CW,
-    ccw,
     cross,
+    orient,
     on_segment,
     point_segment_distance,
     segment_intersection_params,
-    segment_intersection_point,
     segments_intersect,
     segments_properly_intersect,
 )
@@ -28,7 +26,6 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.circle import Circle
 
 __all__ = [
-    "EPS",
     "Point",
     "distance",
     "distance_sq",
@@ -37,12 +34,11 @@ __all__ = [
     "COLLINEAR",
     "CCW",
     "CW",
-    "ccw",
     "cross",
     "on_segment",
+    "orient",
     "point_segment_distance",
     "segment_intersection_params",
-    "segment_intersection_point",
     "segments_intersect",
     "segments_properly_intersect",
     "Polygon",

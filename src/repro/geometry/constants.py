@@ -1,17 +1,11 @@
-"""Numerical tolerances shared by all geometric predicates."""
+"""Numerical constants of the geometry layer.
+
+The predicates themselves are exact (:func:`repro.geometry.segment.
+orient`) and take no tolerance; :data:`EPS` is input validation only.
+"""
 
 from __future__ import annotations
 
-#: Relative tolerance used by orientation / incidence predicates.  Two
-#: directions whose angular deviation is below roughly this value are
-#: considered collinear.  The value is a compromise: large enough to
-#: absorb floating-point noise from coordinate arithmetic on
-#: universe-sized coordinates (the benchmarks use a 10,000 x 10,000
-#: universe), small enough not to merge genuinely distinct vertices.
+#: The least area a polygon must enclose (twice the signed area, in
+#: :class:`~repro.geometry.polygon.Polygon`'s zero-area check).
 EPS = 1e-9
-
-#: Absolute slack used when comparing squared distances.
-EPS_SQ = EPS * EPS
-
-#: A value that compares greater than any finite distance in a universe.
-INF = float("inf")

@@ -2,7 +2,7 @@
 
 ``Point`` doubles as the node type of visibility graphs, so it is
 hashable and compares by exact coordinate equality (epsilon comparisons
-would break hashing).  Geometric predicates that need tolerance live in
+would break hashing).  The geometric predicates, exact too, live in
 :mod:`repro.geometry.segment`.
 """
 

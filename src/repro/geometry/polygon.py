@@ -13,17 +13,23 @@ operations that matter for obstructed query processing are
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import pairwise
 from typing import Iterable, Sequence
 
 from repro.errors import GeometryError
 from repro.geometry.constants import EPS
-from repro.geometry.point import Point, midpoint
+from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.segment import (
-    on_segment,
+    certified_sign,
+    exact_sign,
+    orient,
+    orient_xy,
     point_segment_distance,
     segment_intersection_params,
-    segments_properly_intersect,
+    segments_intersect,
+    sign_of,
 )
 
 
@@ -34,8 +40,8 @@ class Polygon:
     :class:`GeometryError` and normalises orientation to CCW.  A polygon
     that turns left (or runs straight on) at every vertex is simple iff
     its edge directions wind exactly once, which costs ``O(n)``; any
-    other polygon goes through :meth:`validate_simple`.  The sign filter
-    calls the first kind convex, and a pentagram — all left turns,
+    other polygon goes through :meth:`validate_simple`.  The separation
+    rule of :meth:`sign_verdict` calls the first kind convex, and a pentagram — all left turns,
     winding twice — would otherwise be mis-decided by it.
     """
 
@@ -64,8 +70,10 @@ class Polygon:
             (self.vertices[i], self.vertices[(i + 1) % len(self.vertices)])
             for i in range(len(self.vertices))
         )
-        winds = _left_turn_winding(self._edges)
+        winds = _left_turn_winding(self.vertices)
         if winds is None:
+            # Not convex: the separation rule's rows are never built.
+            self._sign_rows = None
             self.validate_simple()
         elif winds != 1:
             raise GeometryError(
@@ -107,7 +115,10 @@ class Polygon:
 
     def __getstate__(self) -> tuple[None, dict[str, object]]:
         # The sign rows are derived on first use; never ship them.
-        return None, {"vertices": self.vertices, "mbr": self.mbr, "_edges": self._edges}
+        state = {"vertices": self.vertices, "mbr": self.mbr, "_edges": self._edges}
+        if not self.is_convex():
+            state["_sign_rows"] = None
+        return None, state
 
     def __repr__(self) -> str:
         return f"Polygon({len(self.vertices)} vertices, mbr={self.mbr!r})"
@@ -138,8 +149,9 @@ class Polygon:
 
     def is_convex(self) -> bool:
         """True when every vertex turns left or runs straight on (CCW
-        polygon), by float signs: the sign filter's precondition."""
-        return _sign_rows(self._edges) is not None
+        polygon), exactly: the separation rule's precondition, decided where
+        the polygon is built (the rows of a convex one, on first use)."""
+        return getattr(self, "_sign_rows", True) is not None
 
     def validate_simple(self) -> None:
         """Raise :class:`GeometryError` if any two non-adjacent edges meet."""
@@ -149,65 +161,53 @@ class Polygon:
             for j in range(i + 1, n):
                 if j == i or (j + 1) % n == i or (i + 1) % n == j:
                     continue
-                b1, b2 = self._edges[j]
-                if segments_properly_intersect(a1, a2, b1, b2) or (
-                    on_segment(a1, a2, b1)
-                    or on_segment(a1, a2, b2)
-                    or on_segment(b1, b2, a1)
-                    or on_segment(b1, b2, a2)
-                ):
+                if segments_intersect(a1, a2, *self._edges[j]):
                     raise GeometryError(
                         f"polygon is not simple: edges {i} and {j} intersect"
                     )
 
     # -- containment -----------------------------------------------------------
     def on_boundary(self, p: Point) -> bool:
-        """True when ``p`` lies on the polygon boundary (within tolerance)."""
-        if not self.mbr.expanded(EPS).contains_point(p):
-            return False
-        return any(on_segment(a, b, p) for a, b in self._edges)
+        """True when ``p`` lies on the polygon boundary."""
+        return self.mbr.contains_point(p) and self._locate(p.x, p.y) == 0
 
     def contains(self, p: Point) -> bool:
         """Strict interior test: boundary points return ``False``."""
-        if not self.mbr.contains_point(p):
-            return False
-        if self.on_boundary(p):
-            return False
-        return self._crossing_number_odd(p)
+        return self.mbr.contains_point(p) and self._locate(p.x, p.y) > 0
 
     def contains_or_boundary(self, p: Point) -> bool:
         """True when ``p`` is inside or on the boundary."""
-        if not self.mbr.contains_point(p):
-            return False
-        if self.on_boundary(p):
-            return True
-        return self._crossing_number_odd(p)
+        return self.mbr.contains_point(p) and self._locate(p.x, p.y) >= 0
 
-    def _crossing_number_odd(self, p: Point) -> bool:
-        """Even-odd ray cast with a horizontal ray to ``+x``.
-
-        Assumes ``p`` is not on the boundary; uses the half-open edge
-        rule so vertices on the ray are counted exactly once.
-        """
+    def _locate(self, x, y, orientation=orient_xy) -> int:
+        """1 when ``(x, y)`` is strictly inside, 0 on the boundary, -1
+        outside, exactly: an even-odd ray cast to ``+x`` whose crossings
+        are orientation signs, with the half-open edge rule so a vertex
+        on the ray is counted once.  Fractions take ``exact_sign`` (the
+        float filter would round them)."""
         inside = False
         for a, b in self._edges:
-            if (a.y > p.y) != (b.y > p.y):
-                x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-                if x_cross > p.x:
+            if (a.y > y) != (b.y > y):
+                side = orientation(a.x, a.y, b.x, b.y, x, y)
+                if side == 0:
+                    return 0
+                if (side > 0) == (b.y > a.y):
                     inside = not inside
-        return inside
+            elif (
+                min(a.x, b.x) <= x <= max(a.x, b.x)
+                and min(a.y, b.y) <= y <= max(a.y, b.y)
+                and orientation(a.x, a.y, b.x, b.y, x, y) == 0
+            ):
+                return 0
+        return 1 if inside else -1
 
     # -- visibility kernel -------------------------------------------------------
     def crosses_interior(self, a: Point, b: Point) -> bool:
         """True when the open segment ``ab`` intersects the interior.
 
         Grazing contact — running along an edge, touching a vertex or a
-        boundary point — does **not** count.  After the MBR reject, a
-        convex polygon decides by orientation signs wherever the
-        geometry is clear (:meth:`sign_verdict`); only the contact band
-        and non-convex polygons go to the tolerance method
-        (:meth:`_crosses_by_params`).  Every pair has exactly one
-        decider, and the two agree wherever the signs decide.
+        boundary point — does **not** count.  After the MBR reject,
+        :meth:`sign_verdict` decides, exactly.
         """
         box = self.mbr
         if not (
@@ -217,82 +217,106 @@ class Polygon:
             and min(a.y, b.y) <= box.maxy
         ):
             return False
-        verdict = self.sign_verdict(a, b)
-        if verdict is None:
-            return self._crosses_by_params(a, b)
-        return verdict
+        return self.sign_verdict(a, b)
 
-    def sign_verdict(self, a: Point, b: Point) -> bool | None:
-        """The sign filter of :meth:`crosses_interior`: ``False`` when
-        ``ab`` lies on the closed outer side of one edge line, ``True``
-        when the midpoint of its chord lies inside every edge line by
-        :data:`SIGN_MARGIN`, ``None`` otherwise and for a polygon that
-        is not convex.  ``s = cross(edge, p - edge start)`` is positive
-        inside (CCW order).  The clear rule needs no margin: all of
-        ``ab`` is then on the closed outer side, where the tolerance
-        method finds no strictly inside midpoint.  The edge rows are
-        built on first use and never pickled."""
-        try:
-            rows = self._sign_rows
-        except AttributeError:
-            rows = self._sign_rows = _sign_rows(self._edges)
+    def sign_verdict(self, a: Point, b: Point) -> bool:
+        """:meth:`crosses_interior` past the MBR reject.  A convex
+        polygon is decided by separation: the open segment ``ab`` misses
+        the open interior iff some edge line has ``a`` and ``b`` on its
+        closed outer side, or line ``ab`` has every vertex on one closed
+        side (two convex sets are apart iff a line parallel to an edge
+        of one parts them).  Each sign is the float determinant's where
+        :func:`~repro.geometry.segment.certified_sign` certifies it, and
+        :func:`~repro.geometry.segment.exact_sign`'s (fractions) where
+        the certified ones leave the verdict open.  Any other polygon
+        goes to :meth:`exact_verdict`.  The edge rows are built on first
+        use and never pickled."""
+        rows = self._rows()
         if rows is None:
-            return None
+            return self.exact_verdict(a, b)
         ax, ay, bx, by = a.x, a.y, b.x, b.y
-        lo = 0.0
-        hi = 1.0
-        for fx, fy, ex, ey, __ in rows:
-            sa = ex * (ay - fy) - ey * (ax - fx)
-            sb = ex * (by - fy) - ey * (bx - fx)
-            if sa <= 0.0 and sb <= 0.0:
-                return False
-            # Where ``ab`` crosses the edge line: the chord's entry
-            # (``a`` outside) or exit (``b`` outside) parameter.
-            if sa < 0.0:
-                lo = max(lo, sa / (sa - sb))
-            elif sb < 0.0:
-                hi = min(hi, sa / (sa - sb))
-        tm = (lo + hi) / 2.0
+        open_edges = []
+        for row in rows:
+            fx, fy, ex, ey, __, __ = row
+            # orient(edge start, edge end, p): positive inside.
+            sa = certified_sign(ex, ay - fy, ey, ax - fx)
+            if sa == 1:
+                continue
+            sb = certified_sign(ex, by - fy, ey, bx - fx)
+            if sb == 1:
+                continue
+            if sa is None or sb is None:
+                open_edges.append(row)
+                continue
+            return False
         rx = bx - ax
         ry = by - ay
-        mx = ax + tm * rx
-        my = ay + tm * ry
-        r1 = abs(rx) + abs(ry)
-        for fx, fy, ex, ey, e1 in rows:
-            dx = mx - fx
-            dy = my - fy
-            if not ex * dy - ey * dx > SIGN_MARGIN * e1 * (
-                abs(dx) + abs(dy) + r1 + e1 + 1.0
+        left = right = False
+        open_sides = []
+        for fx, fy, __, __, __, __ in rows:
+            # orient(a, b, vertex).
+            side = certified_sign(rx, fy - ay, ry, fx - ax)
+            if side is None:
+                open_sides.append((fx, fy))
+                continue
+            left |= side > 0
+            right |= side < 0
+            if left and right:
+                break
+        else:
+            for fx, fy in open_sides:
+                side = exact_sign(bx, by, fx, fy, ax, ay)
+                left |= side > 0
+                right |= side < 0
+            if not (left and right):
+                return False
+        for fx, fy, __, __, gx, gy in open_edges:
+            if (
+                exact_sign(gx, gy, ax, ay, fx, fy) <= 0
+                and exact_sign(gx, gy, bx, by, fx, fy) <= 0
             ):
-                return None
+                return False
         return True
 
-    def _crosses_by_params(self, a: Point, b: Point) -> bool:
-        """The tolerance method of :meth:`crosses_interior`, for any
-        simple polygon: gather every parameter where ``ab`` meets the
-        boundary, then check the midpoint of each resulting sub-interval
-        for strict containment (a segment whose box misses the MBR
-        finds no hit and an outside midpoint)."""
-        params: list[float] = [0.0, 1.0]
-        hit_boundary = False
-        for e1, e2 in self._edges:
-            ts = segment_intersection_params(a, b, e1, e2)
-            if ts:
-                hit_boundary = True
-                params.extend(ts)
-        if not hit_boundary:
-            # Either fully outside or fully inside: decide by midpoint.
-            return self.contains(midpoint(a, b))
-        params.sort()
-        prev = params[0]
-        for t in params[1:]:
-            if t - prev > EPS:
-                tm = (prev + t) / 2.0
-                m = Point(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))
-                if self.contains(m):
-                    return True
-            prev = t
+    def exact_verdict(self, a: Point, b: Point) -> bool:
+        """:meth:`sign_verdict` for a polygon that is not convex, in
+        exact arithmetic: the parameters where ``ab`` meets the boundary
+        as fractions, and whether a sub-interval's midpoint lies
+        strictly inside."""
+        if a == b:
+            return False
+        params = {Fraction(0), Fraction(1)}
+        for c, d in self._edges:
+            # Fractions only for an edge the open segment may touch: an
+            # edge line through one end alone meets ``ab`` there (t = 0
+            # or 1, already cut).
+            side_a, side_b = orient(c, d, a), orient(c, d, b)
+            if side_a * side_b < 0 or side_a == side_b == 0:
+                if orient(a, b, c) * orient(a, b, d) <= 0:
+                    params.update(segment_intersection_params(a, b, c, d))
+        if len(params) == 2:
+            # The open segment meets no boundary point: one side holds
+            # all of it, and an end off the boundary shows which.
+            side = self._locate(a.x, a.y) or self._locate(b.x, b.y)
+            if side:
+                return side > 0
+        ax, ay, bx, by = Fraction(a.x), Fraction(a.y), Fraction(b.x), Fraction(b.y)
+        for lo, hi in pairwise(sorted(params)):
+            t = (lo + hi) / 2
+            if self._locate(ax + t * (bx - ax), ay + t * (by - ay), exact_sign) > 0:
+                return True
         return False
+
+    def _rows(self) -> tuple[tuple[float, ...], ...] | None:
+        """Per edge ``fx, fy, ex, ey, gx, gy`` (start, vector, end), or
+        ``None`` unless the polygon is convex; built on first use."""
+        try:
+            return self._sign_rows
+        except AttributeError:
+            rows = self._sign_rows = tuple(
+                (a.x, a.y, b.x - a.x, b.y - a.y, b.x, b.y) for a, b in self._edges
+            )
+            return rows
 
     # -- metrics -----------------------------------------------------------------
     def distance_to_point(self, p: Point) -> float:
@@ -303,7 +327,8 @@ class Polygon:
 
     def boundary_point_at(self, s: float) -> Point:
         """The point at arc-length fraction ``s`` in ``[0, 1)`` along the
-        boundary, measured CCW from the first vertex."""
+        boundary, measured CCW from the first vertex: rounded, so exactly
+        on the boundary only on an axis-parallel edge."""
         if not 0.0 <= s < 1.0:
             s = s % 1.0
         target = s * self.perimeter()
@@ -318,66 +343,30 @@ class Polygon:
         return self.vertices[0]
 
 
-#: How far inside every edge line, relative to the scale of the pair, a
-#: chord midpoint must lie for :meth:`Polygon.sign_verdict` to call the
-#: pair crossing.  In distance units the tolerance method's bands around
-#: an edge ``e`` (start ``f``), for a segment ``r = b - a`` and a point
-#: ``m``, are each at most ``EPS`` times one term of ``|m - f| + |r| +
-#: |e| + 1``: ``ccw``'s collinear band (``on_segment``, so ``contains``)
-#: is ``EPS |m - f|``, ``on_segment``'s box pad ``EPS (|e| + 1)``;
-#: ``t_tol`` moves a hit by ``EPS (1 + 1/|r|)`` of ``r``, at most ``EPS
-#: (|r| + 1)``; ``u_tol`` by ``EPS (|e| + 1)`` along ``e``; the parameter
-#: gap skips ``EPS |r|``.  The filter asks ``s > SIGN_MARGIN * |e|_1 *
-#: (|m - f|_1 + |r|_1 + |e|_1 + 1)``: since ``s = |e| * dist(m, line)``
-#: and an L1 norm is never below the Euclidean one, ``m`` then lies
-#: farther from every edge line than 100 times each band.  So the
-#: tolerance method finds no boundary hit strictly inside the chord, its
-#: sub-interval around ``m`` is wider than ``EPS`` and its midpoint is
-#: strictly contained: it answers ``True`` too.  Float rounding of ``s``
-#: (relative ``2**-52``) is seven orders below the margin.
-SIGN_MARGIN = 100.0 * EPS
-
-
-def _sign_rows(
-    edges: Sequence[tuple[Point, Point]],
-) -> tuple[tuple[float, float, float, float, float], ...] | None:
-    """Per edge ``fx, fy, ex, ey, |ex| + |ey|`` (start, vector, L1
-    length), or ``None`` unless the polygon is convex — the sign
-    filter's one precondition: at every vertex the edges turn left
-    (``cross(edge, next edge) > 0``) or run straight on (a collinear
-    run: zero cross product, positive dot product).  A right turn or a
-    reversal (a zero-width spike) is not convex."""
-    rows = tuple(
-        (a.x, a.y, ex, ey, abs(ex) + abs(ey))
-        for a, b in edges
-        for ex, ey in ((b.x - a.x, b.y - a.y),)
-    )
-    for (__, __, ux, uy, __), (__, __, vx, vy, __) in zip(rows, rows[1:] + rows[:1]):
-        turn = ux * vy - uy * vx
-        if turn < 0.0 or (turn == 0.0 and ux * vx + uy * vy < 0.0):
-            return None
-    return rows
-
-
-def _left_turn_winding(edges: Sequence[tuple[Point, Point]]) -> int | None:
+def _left_turn_winding(vertices: Sequence[Point]) -> int | None:
     """How many times the edge directions of a polygon that turns left
-    or runs straight on at every vertex (:func:`_sign_rows`' convex
-    test) wind around, or ``None`` for any other polygon.  Each step
-    turns the direction forward by less than half a turn, so it wraps
-    past angle 0 exactly when it moves from the lower half-plane of
-    directions to the upper one: the winding number is that count."""
-    dirs = [(b.x - a.x, b.y - a.y) for a, b in edges]
+    or runs straight on at every vertex wind around, or ``None`` for
+    any other polygon — the separation rule's convex test, exact: a turn is
+    ``orient(previous, vertex, next)``, and running straight on needs
+    both edges pointing one way (a reversal, a zero-width spike, is
+    not).  Each step turns the direction forward by less than half a
+    turn, so it wraps past angle 0 exactly when it moves from the lower
+    half-plane of directions to the upper one: the winding number is
+    that count (a difference's sign is exact)."""
+    verts = list(vertices)
     wraps = 0
-    ux, uy = dirs[-1]
-    for vx, vy in dirs:
-        turn = ux * vy - uy * vx
-        if turn < 0.0 or (turn == 0.0 and ux * vx + uy * vy < 0.0):
+    for p, v, n in zip(verts[-1:] + verts[:-1], verts, verts[1:] + verts[:1]):
+        ux, uy = v.x - p.x, v.y - p.y
+        vx, vy = n.x - v.x, n.y - v.y
+        turn = orient(p, v, n)
+        if turn < 0 or (
+            turn == 0 and (sign_of(ux) != sign_of(vx) or sign_of(uy) != sign_of(vy))
+        ):
             return None
         if (uy < 0.0 or (uy == 0.0 and ux < 0.0)) and (
             vy > 0.0 or (vy == 0.0 and vx > 0.0)
         ):
             wraps += 1
-        ux, uy = vx, vy
     return wraps
 
 

@@ -1,23 +1,37 @@
 """Segment predicates: orientation, incidence and intersection.
 
 These predicates are the robustness-critical kernel of the visibility
-machinery.  Orientation uses a *relative* epsilon (proportional to the
-product of the arm lengths), so the collinearity decision is a bound on
-the sine of the angle rather than on an absolute area, which keeps the
-predicates scale-invariant across universe sizes.
+machinery, and every one is exact: it answers for the coordinates as
+given, with no tolerance.  :func:`orient` is the one orientation test.
+It evaluates the float determinant and trusts its sign past Shewchuk's
+static error bound ("Adaptive Precision Floating-Point Arithmetic and
+Fast Robust Geometric Predicates", 1997), and reads zero where both of
+its terms have a zero factor; only the rest — none of the street
+grid's axis-parallel contacts — is evaluated in
+:class:`fractions.Fraction`, to which a float converts exactly.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from repro.geometry.constants import EPS
 from repro.geometry.point import Point
 
-#: Orientation constants returned by :func:`ccw`.
+#: Orientation constants returned by :func:`orient`.
 CCW = 1
 CW = -1
 COLLINEAR = 0
+
+#: Shewchuk's static bound on the error of the float determinant
+#: ``l - r`` (``l``, ``r``: its two products, each of two coordinate
+#: differences), relative to ``|l| + |r|``: ``(3 + 16 eps) eps``, ``eps =
+#: 2**-53``.  A determinant farther from zero has the sign of the exact
+#: one.
+ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+#: Absolute slack added to that bound: a product that underflows is off
+#: by up to ``2**-1075``, an error the relative bound does not cover.
+UNDERFLOW = 2.0**-1022
 
 
 def cross(o: Point, a: Point, b: Point) -> float:
@@ -25,46 +39,73 @@ def cross(o: Point, a: Point, b: Point) -> float:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def ccw(a: Point, b: Point, c: Point) -> int:
-    """Orientation of the ordered triple ``(a, b, c)``.
+def orient(a: Point, b: Point, c: Point) -> int:
+    """Orientation of the ordered triple ``(a, b, c)``, exactly.
 
     Returns :data:`CCW` for a left turn, :data:`CW` for a right turn and
-    :data:`COLLINEAR` when the points are collinear within tolerance.
-    The tolerance is scale-invariant (``|sin(angle)| <= EPS``), compared
-    in squared form to avoid square roots on this hot path.
+    :data:`COLLINEAR` when the three points lie on one line.
     """
-    abx = b.x - a.x
-    aby = b.y - a.y
-    acx = c.x - a.x
-    acy = c.y - a.y
-    area2 = abx * acy - aby * acx
-    tol_sq = (EPS * EPS) * (abx * abx + aby * aby) * (acx * acx + acy * acy)
-    if area2 * area2 <= tol_sq:
-        return COLLINEAR
-    if area2 > 0.0:
+    return orient_xy(a.x, a.y, b.x, b.y, c.x, c.y)
+
+
+def orient_xy(
+    ax: float, ay: float, bx: float, by: float, cx: float, cy: float
+) -> int:
+    """:func:`orient` of the points ``(ax, ay)``, ``(bx, by)``, ``(cx,
+    cy)``: the sign of Shewchuk's form ``(a - c) x (b - c)``."""
+    sign = certified_sign(ax - cx, by - cy, ay - cy, bx - cx)
+    return exact_sign(ax, ay, bx, by, cx, cy) if sign is None else sign
+
+
+def certified_sign(p: float, q: float, s: float, t: float) -> int | None:
+    """The sign of ``p * q - s * t`` (float differences of coordinates)
+    where the float filter certifies it, else ``None``: a determinant
+    past :data:`ORIENT_ERR`, or zero when both terms have a zero factor
+    (a difference is zero only between equal coordinates)."""
+    left = p * q
+    right = s * t
+    det = left - right
+    bound = ORIENT_ERR * (abs(left) + abs(right)) + UNDERFLOW
+    if det > bound:
         return CCW
-    return CW
+    if det < -bound:
+        return CW
+    if (p == 0.0 or q == 0.0) and (s == 0.0 or t == 0.0):
+        return COLLINEAR
+    return None
+
+
+def exact_sign(ax, ay, bx, by, cx, cy) -> int:
+    """``(a - c) x (b - c)``'s sign, in rational arithmetic (floats and
+    fractions alike)."""
+    fcx, fcy = Fraction(cx), Fraction(cy)
+    det = (Fraction(ax) - fcx) * (Fraction(by) - fcy) - (Fraction(ay) - fcy) * (
+        Fraction(bx) - fcx
+    )
+    return sign_of(det)
+
+
+def sign_of(v) -> int:
+    """-1, 0 or 1: the sign of ``v``."""
+    return (v > 0) - (v < 0)
 
 
 def on_segment(a: Point, b: Point, p: Point) -> bool:
-    """True when ``p`` lies on the closed segment ``ab`` (within tolerance)."""
-    if ccw(a, b, p) != COLLINEAR:
-        return False
-    seg_len = math.hypot(b.x - a.x, b.y - a.y)
-    tol = EPS * (seg_len + 1.0)
+    """True when ``p`` lies on the closed segment ``ab``."""
     return (
-        min(a.x, b.x) - tol <= p.x <= max(a.x, b.x) + tol
-        and min(a.y, b.y) - tol <= p.y <= max(a.y, b.y) + tol
+        orient(a, b, p) == COLLINEAR
+        and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
     )
 
 
 def segments_properly_intersect(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
     """True when open segments ``p1p2`` and ``p3p4`` cross at a single
     interior point of both (no endpoint touching, no collinear overlap)."""
-    d1 = ccw(p3, p4, p1)
-    d2 = ccw(p3, p4, p2)
-    d3 = ccw(p1, p2, p3)
-    d4 = ccw(p1, p2, p4)
+    d1 = orient(p3, p4, p1)
+    d2 = orient(p3, p4, p2)
+    d3 = orient(p1, p2, p3)
+    d4 = orient(p1, p2, p4)
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
@@ -80,67 +121,44 @@ def segments_intersect(p1: Point, p2: Point, p3: Point, p4: Point) -> bool:
     )
 
 
-def segment_intersection_point(
-    p1: Point, p2: Point, p3: Point, p4: Point
-) -> Point | None:
-    """Intersection point of the closed segments, or ``None``.
-
-    For collinear overlaps an arbitrary shared point is returned.
-    """
-    params = segment_intersection_params(p1, p2, p3, p4)
-    if not params:
-        return None
-    t = params[0]
-    return Point(p1.x + t * (p2.x - p1.x), p1.y + t * (p2.y - p1.y))
-
-
 def segment_intersection_params(
     a: Point, b: Point, c: Point, d: Point
-) -> list[float]:
-    """Parameters ``t`` in ``[0, 1]`` along ``ab`` where ``ab`` meets ``cd``.
+) -> list[Fraction]:
+    """Parameters ``t`` in ``[0, 1]`` along ``ab`` where ``ab`` meets ``cd``,
+    exactly.
 
     Returns an empty list when the segments are disjoint, a single
     parameter for a point intersection, and the two endpoints of the
     shared sub-segment (sorted) for a collinear overlap.  This is the
-    kernel of the interval-based "does a segment cross a polygon
-    interior" test in :class:`repro.geometry.polygon.Polygon`.
+    kernel of the exact "does a segment cross a polygon interior" test
+    of a non-convex :class:`repro.geometry.polygon.Polygon`.
     """
-    rx, ry = b.x - a.x, b.y - a.y
-    sx, sy = d.x - c.x, d.y - c.y
+    ax, ay, bx, by, cx, cy, dx, dy = (
+        Fraction(v) for p in (a, b, c, d) for v in (p.x, p.y)
+    )
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    qx, qy = cx - ax, cy - ay
     denom = rx * sy - ry * sx
-    qpx, qpy = c.x - a.x, c.y - a.y
-    r_len = math.hypot(rx, ry)
-    s_len = math.hypot(sx, sy)
-    tol = EPS * (r_len * s_len + 1.0)
-    if abs(denom) > tol:
+    if denom:
         # Lines cross at a single point; check it lies on both segments.
-        t = (qpx * sy - qpy * sx) / denom
-        u = (qpx * ry - qpy * rx) / denom
-        t_tol = EPS * (1.0 + 1.0 / (r_len + EPS))
-        u_tol = EPS * (1.0 + 1.0 / (s_len + EPS))
-        if -t_tol <= t <= 1.0 + t_tol and -u_tol <= u <= 1.0 + u_tol:
-            return [min(1.0, max(0.0, t))]
-        return []
+        t = (qx * sy - qy * sx) / denom
+        u = (qx * ry - qy * rx) / denom
+        return [t] if 0 <= t <= 1 and 0 <= u <= 1 else []
     # Parallel.  If not collinear, no intersection.
-    if abs(qpx * ry - qpy * rx) > EPS * (math.hypot(qpx, qpy) * r_len + 1.0):
+    if qx * ry - qy * rx:
         return []
-    if r_len <= EPS:
-        # ``ab`` is a degenerate point; report t=0 if it lies on cd.
-        if on_segment(c, d, a):
-            return [0.0]
-        return []
-    # Collinear: project c and d onto ab's parameter space.
     r_sq = rx * rx + ry * ry
-    t0 = (qpx * rx + qpy * ry) / r_sq
-    t1 = ((d.x - a.x) * rx + (d.y - a.y) * ry) / r_sq
-    lo, hi = min(t0, t1), max(t0, t1)
-    lo = max(lo, 0.0)
-    hi = min(hi, 1.0)
-    if lo > hi + EPS:
+    if not r_sq:
+        # ``ab`` is a point; report t=0 if it lies on cd.
+        return [Fraction(0)] if on_segment(c, d, a) else []
+    # Collinear: project c and d onto ab's parameter space.
+    t0 = (qx * rx + qy * ry) / r_sq
+    t1 = ((dx - ax) * rx + (dy - ay) * ry) / r_sq
+    lo, hi = max(min(t0, t1), 0), min(max(t0, t1), 1)
+    if lo > hi:
         return []
-    if hi - lo <= EPS:
-        return [lo]
-    return [lo, hi]
+    return [lo] if lo == hi else [lo, hi]
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:

@@ -43,11 +43,12 @@ MAGIC = b"RPROSNAP"
 #: The snapshot format this build writes — and the only one it reads:
 #: page-backed trees, obstacle table, one R*-tree per obstacle set, graph
 #: cache (tangent graphs, since version 7: an older cached graph holds
-#: edges no build makes), runtime stats, frozen-CSR arrays per cached
-#: graph, journal-sequence stamp.  A
+#: edges no build makes; each with its clear radius since version 9),
+#: runtime stats, frozen-CSR arrays per cached graph, journal-sequence
+#: stamp.  A
 #: file of any other version is refused with a located error
 #: (:func:`read_snapshot`).
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 #: Total header size; the payload starts at this file offset.  The
 #: header itself (and its verification) lives in

@@ -1,8 +1,8 @@
 """Cached visibility graphs and version stamps, serialized.
 
 A warm runtime is mostly its graph cache: the visibility graphs built
-by prior queries, each with its expansion centre, coverage radius and
-version stamp.  This module flattens one
+by prior queries, each with its expansion centre, coverage radius,
+clear radius and version stamp.  This module flattens one
 :class:`~repro.runtime.cache.CachedGraph` into the snapshot payload
 and reassembles it on load **without a single visibility test** — nodes
 and edges are written as index arrays over a point table (through the
@@ -78,10 +78,13 @@ def _parse_graph(
 
 
 def write_cache_entry(w: "BinaryWriter", entry: CachedGraph) -> None:
-    """Serialize one cache entry: centre, coverage, stamp, graph."""
+    """Serialize one cache entry: centre, coverage, clear radius (both
+    bounds), stamp, graph."""
     w.f64(entry.center.x)
     w.f64(entry.center.y)
     w.f64(entry.covered)
+    w.f64(entry.clear_sq)
+    w.f64(entry.clear_d)
     w.u32(len(entry.version))
     for version in entry.version:
         w.i64(version)
@@ -90,16 +93,16 @@ def write_cache_entry(w: "BinaryWriter", entry: CachedGraph) -> None:
 
 def parse_cache_entry(r: "BinaryReader", known_oids: Container[int]) -> dict[str, Any]:
     """Decode one cache entry written by :func:`write_cache_entry` into
-    plain parts — ``center``, ``covered``, the ``stamp`` tuple and the
-    graph's ``oids`` / ``nodes`` / ``free`` / ``edges`` — with every
-    structural check run and nothing built."""
-    center = Point(r.f64(), r.f64())
-    covered = r.f64()
-    stamp = tuple(r.i64() for __ in range(r.u32()))
+    plain parts — ``center``, ``covered``, ``clear_sq``, ``clear_d``, the
+    ``stamp`` tuple and the graph's ``oids`` / ``nodes`` / ``free`` /
+    ``edges`` — with every structural check run and nothing built."""
+    # A dict display is evaluated left to right: the fields' file order.
     return {
-        "center": center,
-        "covered": covered,
-        "stamp": stamp,
+        "center": Point(r.f64(), r.f64()),
+        "covered": r.f64(),
+        "clear_sq": r.f64(),
+        "clear_d": r.f64(),
+        "stamp": tuple(r.i64() for __ in range(r.u32())),
         **_parse_graph(r, known_oids),
     }
 
@@ -122,4 +125,5 @@ def build_cache_entry(
         [(nodes[i], nodes[j]) for i, j in parts["edges"]],
         method=backend,
     )
-    return CachedGraph(graph, parts["center"], parts["covered"], parts["stamp"])
+    fields = ("center", "covered", "stamp", "clear_sq", "clear_d")
+    return CachedGraph(graph, *map(parts.__getitem__, fields))

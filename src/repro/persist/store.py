@@ -20,8 +20,8 @@ payload is nine sections in this order — written by
    obstacle ids);
 5. **entity trees** — page images with point payloads;
 6. **graph cache** — every cached visibility graph with its coverage
-   radius and version stamp (:mod:`repro.persist.graphio`), in LRU
-   order;
+   radius, clear radius and version stamp (:mod:`repro.persist.graphio`),
+   in LRU order;
 7. **runtime stats** — the warm counters of the metrics registry as a
    tagged name/value list: name-keyed (not positional), so counters
    added to :class:`~repro.runtime.stats.RuntimeStats` later neither

@@ -53,7 +53,8 @@ class CachedGraph:
     (:class:`~repro.euclidean.range.Retrieval`), lowered by routed
     inserts outside the coverage disk: growing the coverage to any ``r``
     with ``r * r < clear_sq and r < clear_d`` needs no retrieval.  The
-    default ``0.0`` (a restored entry, a source without bounds) is none.
+    default ``0.0`` (a source without bounds) is none; a snapshot
+    carries both bounds.
     """
 
     __slots__ = ("graph", "center", "covered", "version", "clear_sq", "clear_d")

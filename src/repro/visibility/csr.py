@@ -408,8 +408,10 @@ class CSRGraph:
         The last turn is the anchor of ``q`` with the least ``field +
         leg``; from there the walk steps back over tight edges
         (``field[u] + w == field[v]`` and ``field[u] < field[v]``; the
-        ``==`` is exact because ``field[v]`` is that very float sum)
-        until it reaches a seed of ``p`` whose leg is its field value.
+        ``==`` is exact because ``field[v]`` is that very float sum; an
+        edge shorter than an ulp of ``field[v]`` leaves ``field[u] ==
+        field[v]``, and then a tight node off the walk is taken) until
+        it reaches a seed of ``p`` whose leg is its field value.
         Ties go to the least field — the node a heap pops first, so the
         route is the one a Dijkstra with parent pointers from ``p``
         inserted would record.  The pair must be connected through the
@@ -422,12 +424,17 @@ class CSRGraph:
         tied = ids[totals == totals.min()]
         v = int(tied[np.argmin(field[tied])])
         path = [q, self.points[v]] if self.points[v] != q else [q]
+        walked = {v}
         while start.get(v) != field[v]:
             lo, hi = self.indptr[v], self.indptr[v + 1]
             nbrs = self.indices[lo:hi]
             back = field[nbrs]
-            tight = nbrs[(back + self.weights[lo:hi] == field[v]) & (back < field[v])]
-            v = int(tight[np.argmin(field[tight])])
+            tight = back + self.weights[lo:hi] == field[v]
+            ahead = nbrs[tight & (back < field[v])]
+            if not ahead.size:  # an edge shorter than an ulp of field[v]
+                ahead = np.setdiff1d(nbrs[tight], list(walked))
+            v = int(ahead[np.argmin(field[ahead])])
+            walked.add(v)
             path.append(self.points[v])
         if path[-1] != p:
             path.append(p)

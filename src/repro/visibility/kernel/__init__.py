@@ -10,11 +10,11 @@ every batch to numpy:
   built once per graph and kept in step as obstacles and nodes come
   and go;
 * :mod:`~repro.visibility.kernel.exact` — ``Polygon.crosses_interior``
-  evaluated over arrays: orientation signs first, the scalar filter's
-  own float64 expressions in the same order, and the tolerance method
-  only for the contact band.  It decides a connect's tangent pairs, an
-  insert's or a delete's pairs, and every pair ``(p, v)`` that anchors
-  an off-graph point, each call's scenes laid end to end;
+  evaluated over arrays: certified orientation signs first, the scalar
+  method's own float64 expressions and certificates, and the scalar
+  method itself only for the pairs they leave open.  It decides a connect's tangent
+  pairs, an insert's or a delete's pairs, and every pair ``(p, v)``
+  that anchors an off-graph point, each call's scenes laid end to end;
 * :mod:`~repro.visibility.kernel.backend` — the two named deciders
   (``numpy-kernel``, and ``naive``: the scalar oracle), selected by
   name.

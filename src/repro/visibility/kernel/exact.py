@@ -1,30 +1,31 @@
 """The exact visibility predicate, evaluated over arrays.
 
 :meth:`repro.geometry.polygon.Polygon.crosses_interior` decides one
-(segment, obstacle) pair: after the MBR reject, a convex obstacle by
-orientation signs (:meth:`~repro.geometry.polygon.Polygon.sign_verdict`:
-clear when both ends lie on the closed outer side of one edge line,
-crossing when the chord's midpoint lies inside every edge line by
-:data:`~repro.geometry.polygon.SIGN_MARGIN`), and only the pairs
-between — the contact band — and non-convex obstacles by the tolerance
-method (``Polygon._crosses_by_params``).  The ``numpy-kernel`` backend
-decides every pair with it — a connect's tangent node pairs
-(:func:`kernel_visible_pairs`), an insert's and a delete's, and every
-pair ``(p, v)`` that anchors a point (:func:`kernel_visible_ids`): a
-python call per pair costs more than the whole array pass.
+(segment, obstacle) pair: after the MBR reject,
+:meth:`~repro.geometry.polygon.Polygon.sign_verdict` decides a convex
+obstacle by the separation rule (clear when both ends lie on the closed
+outer side of one edge line, or every vertex on one closed side of the
+segment's line), each sign the float determinant's where Shewchuk's
+bound certifies it and a fraction's otherwise, and a non-convex one by
+the exact path (:meth:`~repro.geometry.polygon.Polygon.exact_verdict`).
+The ``numpy-kernel`` backend decides every pair with it — a connect's
+tangent node pairs (:func:`kernel_visible_pairs`), an insert's and a
+delete's, and every pair ``(p, v)`` that anchors a point
+(:func:`kernel_visible_ids`): a python call per pair costs more than
+the whole array pass.
 
 :func:`crosses_interior_many` evaluates the *same* predicate for many
 pairs at once: a line-miss reject the scalar method lacks
-(:func:`_line_misses`, sound by margin), then the sign filter over flat
-(pair, edge) rows — the scalar filter's float64 expressions in the same
-operation order, no division by zero, no square root — and the band (5
-of 126,372 pairs past the line-miss reject on ``paper-cold`` seed 3)
-looped through the scalar method.  Each pair has exactly one decider:
-``tests/visibility/test_exact.py`` holds both filters equal to the
-tolerance method pair for pair, graphs on the ``naive`` backend never
-enter this module, and batches too
-small to repay the array pass's fixed cost are looped through the
-scalar method (:data:`_MIN_ARRAY_PAIRS`).
+(:func:`_line_misses`: every MBR corner on one side of the segment's
+line, by certified signs), then the separation rule over flat (pair,
+edge) rows with certified float signs only — the scalar method's
+float64 expressions and certificates, no division, no square root —
+and the pairs those signs leave undecided go to the scalar method.
+``tests/visibility/test_exact.py`` holds the array pass and the whole
+predicate equal to an all-fraction reference, graphs on the ``naive``
+backend never enter this module, and batches too small to repay the
+array pass's fixed cost are looped through the scalar method
+(:data:`_MIN_ARRAY_PAIRS`).
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from repro.geometry.constants import EPS
 from repro.geometry.point import Point
-from repro.geometry.polygon import SIGN_MARGIN, Polygon
+from repro.geometry.polygon import Polygon
+from repro.geometry.segment import ORIENT_ERR, UNDERFLOW, orient_xy
 from repro.geometry.rect import Rect
 from repro.index.mbrs import blocks, ranges
 from repro.obs.trace import TRACER
@@ -68,28 +69,22 @@ _PASS_PAIRS = 2048
 #: rows each): its temporaries stay within a few MB too.
 _PASS_ROWS = 1 << 15
 
-#: Relative clearance past which a segment's line misses an obstacle's
-#: MBR for sure (:func:`_line_misses`): ten times ``EPS``, the scalar
-#: predicates' widest relative tolerance, and eight orders above
-#: float64 rounding.
-_LINE_MARGIN = 1e-8
-
 
 class ObstacleArrays(NamedTuple):
     """Obstacle geometry as the arrays the predicate reads."""
 
-    #: Per obstacle, its polygon (the band and small batches).
+    #: Per obstacle, its polygon (the exact path and small batches).
     polygons: Sequence[Polygon]
     #: ``(n_obstacles, 4)``: ``minx, miny, maxx, maxy``.
     mbr: np.ndarray
     #: Per obstacle, the first row and the length of its run of edges.
     first: np.ndarray
     count: np.ndarray
-    #: Per obstacle, whether it turns right nowhere: the sign filter's
-    #: domain, the scalar filter's own test.
+    #: Per obstacle, whether it is convex: the sign filter's domain,
+    #: :meth:`Polygon.is_convex`.
     convex: np.ndarray
-    #: ``(5, n_edges)``: ``fx, fy, ex, ey, |ex| + |ey|`` — start, vector
-    #: and L1 length of every boundary edge, runs in polygon order.
+    #: ``(4, n_edges)``: ``fx, fy, ex, ey`` — start and vector of every
+    #: boundary edge, runs in polygon order.
     edges: np.ndarray
 
 
@@ -97,24 +92,15 @@ def pack_polygons(polygons: Iterable[Polygon]) -> ObstacleArrays:
     """``polygons`` as :class:`ObstacleArrays`, one obstacle each."""
     polygons = list(polygons)
     count = np.array([len(p.edges()) for p in polygons], dtype=np.int64)
-    first = count.cumsum() - count
     mbrs = [(p.mbr.minx, p.mbr.miny, p.mbr.maxx, p.mbr.maxy) for p in polygons]
     rows = [(a.x, a.y, b.x - a.x, b.y - a.y) for p in polygons for a, b in p.edges()]
-    fx, fy, ex, ey = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-    # The turn into each edge from its predecessor in the run, as
-    # _sign_rows takes it: left, or straight on.
-    before = np.arange(-1, ex.size - 1)
-    before[first] = first + count - 1
-    turn = ex[before] * ey - ey[before] * ex
-    on = ex[before] * ex + ey[before] * ey
-    convex = (turn > 0.0) | ((turn == 0.0) & (on >= 0.0))
     return ObstacleArrays(
         polygons,
         np.array(mbrs, dtype=np.float64).reshape(-1, 4),
-        first,
+        count.cumsum() - count,
         count,
-        np.logical_and.reduceat(convex, first) if ex.size else count > 0,
-        np.array([fx, fy, ex, ey, np.abs(ex) + np.abs(ey)]),
+        np.array([p.is_convex() for p in polygons], dtype=bool),
+        np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy(),
     )
 
 
@@ -150,8 +136,10 @@ def crosses_interior_many(
 
     Ticks ``exact_pairs`` / ``sweep.exact_pairs`` once with the number
     of pairs that survived the MBR reject, and ``exact_band_pairs`` /
-    ``sweep.exact_band`` once with the number the tolerance method
-    decided.
+    ``sweep.exact_band`` once with the number decided in exact
+    arithmetic: the pairs the array pass's certified signs leave
+    undecided, and every pair of a non-convex obstacle (a batch looped
+    through the scalar method counts the latter only).
     """
     out = np.zeros(pair_seg.shape[0], dtype=bool)
     # Per pair its segment's and its obstacle's coordinates, one array
@@ -181,7 +169,8 @@ def crosses_interior_many(
             ]
             or [keep]
         )
-    if keep.size >= _MIN_ARRAY_PAIRS:
+    filtered = keep.size >= _MIN_ARRAY_PAIRS
+    if filtered:
         undecided = [keep[:0]]
         for lo in range(0, keep.size, _PASS_PAIRS):
             part = keep[lo : lo + _PASS_PAIRS]
@@ -189,14 +178,13 @@ def crosses_interior_many(
             out[part] = crosses
             undecided.append(part[~decided])
         keep = np.concatenate(undecided)
-    band_pairs = 0
+    band_pairs = keep.size if filtered else int((~geom.convex[pair_obs[keep]]).sum())
     if keep.size:
         coords = zip(*(row.tolist() for row in _at(ends, keep)))
         for k, (ax, ay, bx, by), o in zip(
             keep.tolist(), coords, pair_obs[keep].tolist()
         ):
-            out[k], band = _scalar(geom.polygons[o], Point(ax, ay), Point(bx, by))
-            band_pairs += band
+            out[k] = geom.polygons[o].sign_verdict(Point(ax, ay), Point(bx, by))
     _tick(stats, survived, band_pairs)
     return out
 
@@ -206,88 +194,94 @@ def _at(rows: "Sequence[np.ndarray]", index: np.ndarray) -> list[np.ndarray]:
     return [row.take(index) for row in rows]
 
 
+def _certified(p, q, s, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`~repro.geometry.segment.certified_sign` over arrays: per
+    row whether ``p * q - s * t`` is certainly positive, certainly
+    negative, and whether its sign is certified at all.  A product may
+    underflow: :data:`~repro.geometry.segment.UNDERFLOW` covers it."""
+    with np.errstate(under="ignore"):
+        left = p * q
+        right = s * t
+        det = left - right
+        bound = ORIENT_ERR * (np.abs(left) + np.abs(right)) + UNDERFLOW
+    pos = det > bound
+    neg = det < -bound
+    zero = ((p == 0.0) | (q == 0.0)) & ((s == 0.0) | (t == 0.0))
+    return pos, neg, pos | neg | zero
+
+
+def orient_many(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """:func:`~repro.geometry.segment.orient_xy` over arrays: per row
+    the exact orientation (1, -1 or 0) of ``(a, b, c)`` — the float
+    sign where :func:`_certified` certifies it, the scalar exact one
+    for the rest."""
+    pos, neg, sure = _certified(ax - cx, by - cy, ay - cy, bx - cx)
+    sign = pos.astype(np.int8) - neg
+    for k in (~sure).nonzero()[0].tolist():
+        sign[k] = orient_xy(*(row[k].item() for row in (ax, ay, bx, by, cx, cy)))
+    return sign
+
+
 def _signs(
     ends: "Sequence[np.ndarray]", geom: ObstacleArrays, obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per pair ``j`` — segment ``j`` of ``ends`` (rows ``ax, ay, bx,
     by``), obstacle ``obs[j]``, past the rejects —
-    :meth:`Polygon.sign_verdict` over (pair, edge) rows, the same
-    float64 expressions in the same order: whether the pair crosses,
-    and whether the signs decided it at all."""
+    :meth:`Polygon.sign_verdict`'s separation rule over (pair, edge)
+    rows, the same float64 expressions and certificates, with no
+    fraction: whether the pair crosses, and whether the certified signs
+    decided it at all (never for a non-convex obstacle)."""
     counts = geom.count[obs]
     run = counts.cumsum() - counts
     row_pair = np.arange(obs.size).repeat(counts)
-    fx, fy, ex, ey, e1 = _at(geom.edges, ranges(geom.first[obs], counts))
+    fx, fy, ex, ey = _at(geom.edges, ranges(geom.first[obs], counts))
     ax, ay, bx, by = ends
     rax, ray, rbx, rby = _at(ends, row_pair)
-    sa = ex * (ray - fy) - ey * (rax - fx)
-    sb = ex * (rby - fy) - ey * (rbx - fx)
-    clear = np.logical_or.reduceat((sa <= 0.0) & (sb <= 0.0), run)
-    # Where ab crosses an edge line: the chord's entry (a outside) or
-    # exit (b outside) parameter.  Opposite signs: sa - sb is not 0.
-    enter = sa < 0.0
-    leave = sb < 0.0
-    cut = enter != leave
-    t = sa / np.where(cut, sa - sb, 1.0)
-    lo = np.maximum.reduceat(np.where(cut & enter, t, 0.0), run)
-    hi = np.minimum.reduceat(np.where(cut & leave, t, 1.0), run)
-    tm = (lo + hi) / 2.0
-    rx = bx - ax
-    ry = by - ay
-    dx = (ax + tm * rx)[row_pair] - fx
-    dy = (ay + tm * ry)[row_pair] - fy
-    r1 = (np.abs(rx) + np.abs(ry))[row_pair]
-    inside = ex * dy - ey * dx > SIGN_MARGIN * e1 * (
-        np.abs(dx) + np.abs(dy) + r1 + e1 + 1.0
+    # orient(edge start, edge end, a) and (..., b): positive inside.
+    a_in, __, a_sure = _certified(ex, ray - fy, ey, rax - fx)
+    b_in, __, b_sure = _certified(ex, rby - fy, ey, rbx - fx)
+    clear = np.logical_or.reduceat(a_sure & b_sure & ~(a_in | b_in), run)
+    blocked = np.logical_and.reduceat(a_in | b_in, run)
+    # orient(a, b, vertex): every vertex starts one edge.
+    rx = (bx - ax).take(row_pair)
+    ry = (by - ay).take(row_pair)
+    left, right, sure = _certified(rx, fy - ray, ry, fx - rax)
+    apart = np.logical_and.reduceat(sure & ~left, run) | np.logical_and.reduceat(
+        sure & ~right, run
     )
-    crosses = np.logical_and.reduceat(inside, run) & ~clear
-    return crosses, geom.convex[obs] & (clear | crosses)
+    crosses = (
+        blocked
+        & np.logical_or.reduceat(left, run)
+        & np.logical_or.reduceat(right, run)
+    )
+    return crosses, geom.convex[obs] & (clear | apart | crosses)
 
 
 def _line_misses(
     ends: "Sequence[np.ndarray]", mbr: "Sequence[np.ndarray]"
 ) -> np.ndarray:
-    """Per column, whether the line through segment ``ends`` (rows ``ax,
-    ay, bx, by``) passes the box ``mbr`` (rows ``minx, miny, maxx,
-    maxy``) by a clear margin: every corner strictly on one side of
-    it, farther than :data:`_LINE_MARGIN` of the coordinates' scale —
-    far beyond any
-    tolerance or rounding of the scalar method, whose every midpoint is
-    then outside the obstacle, so ``crosses_interior`` is false.  A
-    segment no longer than ``EPS`` (a point to the scalar method) never
-    misses: products that underflow stay far below the margin."""
+    """Per column, whether every corner of the box ``mbr`` (rows ``minx,
+    miny, maxx, maxy``) lies strictly on one side of the line through
+    segment ``ends`` (rows ``ax, ay, bx, by``), by certified signs: the
+    obstacle then lies on one closed side too, so ``crosses_interior``
+    is false.  A zero-length segment never misses."""
     ax, ay, bx, by = ends
     rx = bx - ax
     ry = by - ay
-    r1 = np.abs(rx) + np.abs(ry)
     minx, miny, maxx, maxy = mbr
-    dx0 = minx - ax
-    dx1 = maxx - ax
-    dy0 = miny - ay
-    dy1 = maxy - ay
-    # r x (corner - a) = rx * dy - ry * dx over the four corners: its
-    # extremes are those of the two products, taken apart.
+    # orient(a, b, corner) = rx * (cy - ay) - ry * (cx - ax) over the
+    # four corners: its extremes are those of the two products, taken
+    # apart, and one bound holds for all four.
     with np.errstate(under="ignore"):
-        ys = np.array([rx * dy0, rx * dy1])
-        xs = np.array([ry * dx0, ry * dx1])
-        margin = _LINE_MARGIN * r1 * (
-            np.abs(ax) + np.abs(ay) + np.abs(bx) + np.abs(by)
-            + np.maximum(np.abs(dx0), np.abs(dx1))
-            + np.maximum(np.abs(dy0), np.abs(dy1))
+        ys = np.array([rx * (miny - ay), rx * (maxy - ay)])
+        xs = np.array([ry * (minx - ax), ry * (maxx - ax)])
+        bound = (
+            ORIENT_ERR * (np.abs(ys).max(axis=0) + np.abs(xs).max(axis=0))
+            + UNDERFLOW
         )
-        return (r1 > 2.0 * EPS) & (
-            (ys.min(axis=0) - xs.max(axis=0) > margin)
-            | (ys.max(axis=0) - xs.min(axis=0) < -margin)
+        return (ys.min(axis=0) - xs.max(axis=0) > bound) | (
+            ys.max(axis=0) - xs.min(axis=0) < -bound
         )
-
-
-def _scalar(polygon: Polygon, a: Point, b: Point) -> tuple[bool, int]:
-    """``polygon.crosses_interior(a, b)`` past the MBR reject, and 1 if
-    the tolerance method decided it (a band pair), else 0."""
-    verdict = polygon.sign_verdict(a, b)
-    if verdict is None:
-        return polygon._crosses_by_params(a, b), 1
-    return verdict, 0
 
 
 def _tick(stats: "RuntimeStats | None", survived: int, band: int) -> None:
@@ -371,9 +365,9 @@ def hidden_many(
             band_pairs = 0
             for k, (obstacles, (p, w)) in enumerate(zip(tested, segments)):
                 for obs in obstacles:
-                    hidden[k], band = _scalar(obs.polygon, p, w)
-                    band_pairs += band
-                    if hidden[k]:
+                    band_pairs += not obs.polygon.is_convex()
+                    if obs.polygon.sign_verdict(p, w):
+                        hidden[k] = True
                         break
             _tick(stats, survived, band_pairs)
             return hidden

@@ -27,11 +27,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.geometry.constants import EPS
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.model import Obstacle
-from repro.visibility.kernel.exact import ObstacleArrays, pack_polygons
+from repro.visibility.kernel.exact import ObstacleArrays, orient_many, pack_polygons
 
 #: Initial capacity of the growable edge buffer.
 _INITIAL_CAPACITY = 16
@@ -185,15 +184,8 @@ class PackedScene:
             runs = np.array([*self._obs_edges.values()], dtype=np.int64).reshape(-1, 2)
             before[runs[:, 0]] = runs[:, 0] + runs[:, 1] - 1
             prev = a[before]
-            # The turn at every vertex, strict beyond ccw's collinear band.
-            ux = x[a] - x[prev]
-            uy = y[a] - y[prev]
-            vx = x[b] - x[a]
-            vy = y[b] - y[a]
-            turn = ux * vy - uy * vx
-            left = (turn > 0.0) & (
-                turn * turn > (EPS * EPS) * (ux * ux + uy * uy) * (vx * vx + vy * vy)
-            )
+            # The turn at every vertex, exactly.
+            left = orient_many(x[prev], y[prev], x[a], y[a], x[b], y[b]) > 0
             row = np.arange(runs.shape[0])
             convex = np.logical_and.reduceat(left, runs[:, 0]) if a.size else row
             owner = np.where(convex, row, -1).repeat(runs[:, 1])

@@ -2,10 +2,10 @@
 
 Two points are mutually visible iff the open segment between them does
 not cross the interior of any obstacle.  This module decides that with
-:meth:`repro.geometry.polygon.Polygon.crosses_interior` — orientation
-signs where the geometry is clear, the interval-midpoint method in the
-contact band — which is exact up to the global epsilon even for
-collinear grazes, boundary entities and shared grid lines.  It is the
+:meth:`repro.geometry.polygon.Polygon.crosses_interior` — certified
+float orientation signs where they decide, exact arithmetic for the
+rest — which is exact for the coordinates as given, collinear grazes,
+boundary entities and shared grid lines included.  It is the
 ``naive`` backend's decider, one pair at a time; the ``numpy-kernel``
 backend evaluates the same predicate over arrays
 (:mod:`repro.visibility.kernel.exact`), and the property-based tests

@@ -5,9 +5,9 @@ path (paper Sec. 2.3): a path bends around an obstacle vertex from its
 tangent side only, and never at a reflex vertex, so this holds for
 non-convex obstacles too.  A segment is tangent at a vertex when both
 of the vertex's polygon neighbours lie on one closed side of its line
-(:func:`repro.geometry.segment.ccw`, ``COLLINEAR`` counting as either
-side: :func:`is_tangent_at`).  A graph keeps a pair iff it is tangent
-at each end that is a vertex of exactly one obstacle.  Free points
+(:func:`repro.geometry.segment.orient`, exact, ``COLLINEAR`` counting
+as either side: :func:`is_tangent_at`).  A graph keeps a pair iff it
+is tangent at each end that is a vertex of exactly one obstacle.  Free points
 impose nothing, and neither does a vertex several obstacles share:
 touching obstacles leave a zero-width crack a path may run along,
 turning into it there with a leg that cuts the other obstacle's line.
@@ -30,12 +30,12 @@ from typing import NamedTuple, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.constants import EPS
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.segment import COLLINEAR, ccw
+from repro.geometry.segment import COLLINEAR, orient
 from repro.index.mbrs import blocks, ranges
 from repro.model import Obstacle
+from repro.visibility.kernel.exact import orient_many
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.visibility.graph import VisibilityGraph
@@ -57,8 +57,8 @@ def is_tangent_at(vertex: Point, other: Point, obstacle: Obstacle) -> bool:
     n = len(vertices)
     prev_v = vertices[(i - 1) % n]
     next_v = vertices[(i + 1) % n]
-    s_prev = ccw(vertex, other, prev_v)
-    s_next = ccw(vertex, other, next_v)
+    s_prev = orient(vertex, other, prev_v)
+    s_next = orient(vertex, other, next_v)
     if s_prev == COLLINEAR or s_next == COLLINEAR:
         return True
     return s_prev == s_next
@@ -112,8 +112,8 @@ def _tangent_at(
     lay: _Layout, at: np.ndarray, other: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per pair of rows, whether segment ``at -> other`` keeps the rule
-    at ``at`` (each side is ``ccw``'s own float64 expression), and the
-    obstacle it leaves clear there (:attr:`Pairs.clear`)."""
+    at ``at`` (each side is ``orient``'s exact sign), and the obstacle
+    it leaves clear there (:attr:`Pairs.clear`)."""
     ok = np.ones(at.size, dtype=bool)
     clear = np.full(at.size, -1)
     held = (lay.prev.take(at) >= 0).nonzero()[0]
@@ -122,19 +122,14 @@ def _tangent_at(
     vx = x.take(v)
     vy = y.take(v)
     w = other.take(held)
-    abx = x.take(w) - vx
-    aby = y.take(w) - vy
-    ab2 = abx * abx + aby * aby
-    sides = []
-    for c in (lay.prev.take(v), lay.succ.take(v)):
-        acx = x.take(c) - vx
-        acy = y.take(c) - vy
-        area2 = abx * acy - aby * acx
-        tol_sq = (EPS * EPS) * ab2 * (acx * acx + acy * acy)
-        sides.append((area2 * area2 <= tol_sq, area2 > 0.0))
-    (flat_prev, left_prev), (flat_next, left_next) = sides
-    flat = flat_prev | flat_next
-    same = left_prev == left_next
+    wx = x.take(w)
+    wy = y.take(w)
+    side_prev, side_next = (
+        orient_many(vx, vy, wx, wy, x.take(c), y.take(c))
+        for c in (lay.prev.take(v), lay.succ.take(v))
+    )
+    flat = (side_prev == 0) | (side_next == 0)
+    same = side_prev == side_next
     ok[held] = flat | same
     clear[held] = np.where(same & ~flat, lay.owner.take(v), -1)
     return ok, clear

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import ObstacleDatabase, Point, Rect
+from repro import ObstacleDatabase, Point, Polygon, Rect
 from repro.visibility import is_visible
 from tests.conftest import (
     oracle_distance,
@@ -79,6 +79,17 @@ class TestShortestPath:
             d, path = db.shortest_path(b, a)
             assert path == [b, Point(6, 10), a]
         assert d == a.distance(Point(6, 10)) + Point(6, 10).distance(b)
+
+    @pytest.mark.parametrize("backend", ["naive", "numpy-kernel"])
+    def test_route_over_a_leg_shorter_than_an_ulp(self, backend):
+        """``(5e-324, 0)`` is hidden from ``(0, 1)`` — the segment runs
+        through the square's interior — and reached past the corner
+        ``(0, 0)`` by a last leg too short to move the float sum: the
+        walk back takes a tight node of equal field."""
+        db = ObstacleDatabase([Rect(0, 0, 1, 1)], backend=backend)
+        a, b = Point(0, 1), Point(5e-324, 0)
+        assert Polygon.from_rect(Rect(0, 0, 1, 1)).crosses_interior(a, b)
+        assert db.shortest_path(a, b) == (1.0, [a, Point(0, 0), b])
 
 
 def _memo_state(db):

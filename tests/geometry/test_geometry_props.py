@@ -5,6 +5,8 @@ visibility layer depends on (e.g. `crosses_interior` versus
 containment and proper intersection), beyond the per-class unit tests.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro.geometry import (
     Rect,
     midpoint,
     on_segment,
+    point_segment_distance,
     segment_intersection_params,
     segments_properly_intersect,
 )
@@ -54,25 +57,8 @@ def test_both_strictly_inside_implies_crossing(a, b):
 @SETTINGS
 @given(box_points, box_points)
 def test_proper_edge_crossing_implies_interior_crossing(a, b):
-    if a == b:
-        return
-    # The property holds only away from the polygon boundary: an
-    # endpoint within tolerance scale of a vertex (e.g. Point(0, 4e-54)
-    # next to the origin corner) or of an edge (e.g. Point(1, 3e-9)
-    # just above the bottom edge) can properly cross an edge while its
-    # interior excursion stays below tolerance — a graze, which the
-    # tolerant crosses_interior rightly ignores.  EPS (1e-9) is
-    # *relative* to segment lengths, which reach ~85 in this +-30 box
-    # around the 10x10 square, so absolute tolerance distances reach
-    # ~1e-7 here.
-    from repro.geometry.segment import point_segment_distance
-
-    if any(
-        point_segment_distance(p, e1, e2) < 1e-7
-        for e1, e2 in SQUARE.edges()
-        for p in (a, b)
-    ):
-        return
+    # Exact predicates: this holds however close to the boundary an
+    # endpoint lies (e.g. Point(0, 4e-54) next to the origin corner).
     for e1, e2 in SQUARE.edges():
         if segments_properly_intersect(a, b, e1, e2):
             # crossing an edge transversally enters the interior
@@ -96,19 +82,17 @@ def test_interior_crossing_requires_boundary_contact_or_containment(a, b):
 
 @SETTINGS
 @given(box_points, box_points)
-def test_midpoint_on_segment(a, b):
-    assert on_segment(a, b, midpoint(a, b))
+def test_midpoint_on_segment_iff_exactly_collinear(a, b):
+    m = midpoint(a, b)
+    ax, ay, bx, by, mx, my = map(Fraction, (a.x, a.y, b.x, b.y, m.x, m.y))
+    assert on_segment(a, b, m) == ((bx - ax) * (my - ay) == (by - ay) * (mx - ax))
 
 
 @SETTINGS
 @given(box_points, box_points, st.floats(0.0, 1.0, allow_nan=False))
 def test_interpolated_point_on_segment(a, b, t):
-    # For extreme t the interpolation can round one coordinate while the
-    # other keeps a subnormal offset, yielding a point that is within
-    # ~1e-77 of the segment in absolute terms but angularly far from it
-    # (on_segment uses a relative, angle-based epsilon).  The invariant
-    # is therefore: accepted by the predicate, or absolutely negligible
-    # distance from the segment.
+    # The interpolated point is rounded, so it lies on the segment
+    # exactly or within rounding distance of it.
     from repro.geometry import point_segment_distance
 
     p = Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
@@ -146,8 +130,14 @@ def test_distance_zero_iff_inside_or_boundary(p):
 @SETTINGS
 @given(st.integers(3, 9), st.floats(1.0, 10.0, allow_nan=False))
 def test_regular_polygon_boundary_points_on_boundary(sides, radius):
+    """A slanted edge's point is rounded off it (exact predicates see
+    that) by no more than rounding; an axis-parallel edge's is on it."""
     poly = Polygon.regular(Point(0, 0), radius, sides)
+    box = Polygon.from_rect(Rect(-radius, -1.0, radius, 1.0))
     for i in range(8):
         p = poly.boundary_point_at(i / 8.0)
-        assert poly.on_boundary(p)
-        assert not poly.contains(p)
+        gap = min(point_segment_distance(p, a, b) for a, b in poly.edges())
+        assert gap <= 1e-15 * radius
+        q = box.boundary_point_at(i / 8.0)
+        assert box.on_boundary(q)
+        assert not box.contains(q)

@@ -1,5 +1,7 @@
 """Unit and property tests for repro.geometry.segment predicates."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
@@ -8,12 +10,11 @@ from repro.geometry import (
     COLLINEAR,
     CW,
     Point,
-    ccw,
     cross,
     on_segment,
+    orient,
     point_segment_distance,
     segment_intersection_params,
-    segment_intersection_point,
     segments_intersect,
     segments_properly_intersect,
 )
@@ -24,19 +25,41 @@ X = Point(10, 0)
 Y = Point(0, 10)
 
 
+def _exact_orient(a: Point, b: Point, c: Point) -> int:
+    ax, ay, bx, by, cx, cy = map(Fraction, (a.x, a.y, b.x, b.y, c.x, c.y))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
 class TestOrientation:
     def test_ccw_left_turn(self):
-        assert ccw(O, X, Point(5, 5)) == CCW
+        assert orient(O, X, Point(5, 5)) == CCW
 
     def test_ccw_right_turn(self):
-        assert ccw(O, X, Point(5, -5)) == CW
+        assert orient(O, X, Point(5, -5)) == CW
 
     def test_collinear(self):
-        assert ccw(O, X, Point(20, 0)) == COLLINEAR
-        assert ccw(O, X, Point(-7, 0)) == COLLINEAR
+        assert orient(O, X, Point(20, 0)) == COLLINEAR
+        assert orient(O, X, Point(-7, 0)) == COLLINEAR
 
-    def test_near_collinear_within_eps(self):
-        assert ccw(O, Point(1000, 0), Point(500, 1e-8)) == COLLINEAR
+    def test_near_collinear_is_decided_exactly(self):
+        assert orient(O, Point(1000, 0), Point(500, 1e-8)) == CCW
+        assert orient(O, Point(1000, 0), Point(500, -5e-324)) == CW
+
+    def test_float_determinant_cancels_to_the_wrong_sign(self):
+        """Three points on the line ``y = x`` one ulp apart: the float
+        determinant reads rounding noise, the exact sign is 0 or the
+        nudge's own."""
+        a = Point(0.1, 0.1)
+        b = Point(0.3, 0.3)
+        c = Point(0.7, 0.7)
+        assert orient(a, b, c) == _exact_orient(a, b, c) == COLLINEAR
+        nudged = Point(0.7, 0.7000000000000001)
+        assert orient(a, b, nudged) == _exact_orient(a, b, nudged) == CCW
+
+    @given(points, points, points)
+    def test_equals_the_rational_sign(self, a, b, c):
+        assert orient(a, b, c) == _exact_orient(a, b, c)
 
     def test_cross_sign(self):
         assert cross(O, X, Y) > 0
@@ -44,12 +67,12 @@ class TestOrientation:
 
     @given(points, points, points)
     def test_antisymmetry(self, a, b, c):
-        assert ccw(a, b, c) == -ccw(a, c, b)
+        assert orient(a, b, c) == -orient(a, c, b)
 
     @given(points, points)
     def test_degenerate_is_collinear(self, a, b):
-        assert ccw(a, a, b) == COLLINEAR
-        assert ccw(a, b, b) == COLLINEAR
+        assert orient(a, a, b) == COLLINEAR
+        assert orient(a, b, b) == COLLINEAR
 
 
 class TestOnSegment:
@@ -68,9 +91,13 @@ class TestOnSegment:
         assert not on_segment(O, X, Point(5, 1))
 
     @given(points, points)
-    def test_midpoint_always_on(self, a, b):
+    def test_rounded_midpoint_on_iff_exactly_on(self, a, b):
         m = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
-        assert on_segment(a, b, m)
+        assert on_segment(a, b, m) == (_exact_orient(a, b, m) == COLLINEAR)
+
+    def test_a_hair_off_is_off(self):
+        assert on_segment(O, X, Point(5, 0))
+        assert not on_segment(O, X, Point(5, 5e-324))
 
 
 class TestProperIntersection:
@@ -150,14 +177,6 @@ class TestIntersectionParams:
     def test_degenerate_first_segment(self):
         assert segment_intersection_params(O, O, Point(-1, 0), Point(1, 0)) == [0.0]
         assert segment_intersection_params(O, O, Point(1, 1), Point(2, 2)) == []
-
-    def test_intersection_point(self):
-        ip = segment_intersection_point(
-            Point(0, 0), Point(10, 10), Point(0, 10), Point(10, 0)
-        )
-        assert ip is not None
-        assert ip.distance(Point(5, 5)) < 1e-9
-        assert segment_intersection_point(O, X, Point(0, 5), Point(10, 5)) is None
 
 
 class TestPointSegmentDistance:

@@ -181,7 +181,7 @@ class TestInfoRefusesWhatLoadRefuses:
     def _cache_entry(stamp_count=1, free=(), edges=()):
         """One cache-entry record: a single free node, no obstacles."""
         w = BinaryWriter()
-        for value in (1.0, 5.0, 3.0):  # centre x, y, covered
+        for value in (1.0, 5.0, 3.0, 9.0, 3.0):  # centre, covered, clear
             w.f64(value)
         w.u32(stamp_count)
         w.i64(0)  # the stamp's one version

@@ -235,3 +235,59 @@ def test_empty_database_roundtrip(tmp_path):
     loaded = _roundtrip(db, tmp_path, "naive")
     assert len(loaded.obstacle_index) == 0
     assert loaded.universe() is None
+
+
+def _page_reads(db: ObstacleDatabase) -> int:
+    return sum(counts["reads"] for counts in db.stats().values())
+
+
+def _grow_every_entry(db: ObstacleDatabase, factor: float) -> int:
+    """Grow each cached graph's coverage by ``factor``; the pages read."""
+    before = _page_reads(db)
+    for entry in list(db.context.cache.entries()):
+        db.context.ensure_coverage(entry, entry.covered * factor)
+    return _page_reads(db) - before
+
+
+def test_a_loaded_entry_keeps_its_clear_radius(tmp_path):
+    """ROADMAP item 21: growing every entry of ``producer.build_db``'s
+    one-set twin by 1 % stays inside each clear radius and reads no
+    page — after save / load as well as live (format 8 dropped the
+    bounds: 14 page reads)."""
+    from tests.persist.producer import build_db
+
+    live = build_db(False, 0.0)
+    loaded = _roundtrip(live, tmp_path, "numpy-kernel")
+    assert len(loaded.context.cache) == 6
+    assert [(e.clear_sq, e.clear_d) for e in loaded.context.cache.entries()] == [
+        (e.clear_sq, e.clear_d) for e in live.context.cache.entries()
+    ]
+    assert _grow_every_entry(live, 1.01) == 0
+    assert _grow_every_entry(loaded, 1.01) == 0
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
+@given(
+    scene=_scenes(),
+    sets=st.sampled_from([1, 2]),
+    grow=st.sampled_from([1.001, 1.01, 1.5, 3.0]),
+)
+def test_the_next_ops_read_the_same_pages_after_a_roundtrip(
+    tmp_path_factory, scene, sets, grow
+):
+    """A saved database and the one loaded from its file read the same
+    pages — and answer the same — on their next ops: the probes again,
+    farther, then every cached graph grown by ``grow``."""
+    obstacles, entities, probes, snap = scene
+    db = _build_db(obstacles, entities, backend="numpy-kernel", sets=sets, snap=snap)
+    warm_queries(db, probes)
+    loaded = _roundtrip(db, tmp_path_factory.mktemp("snap"), "numpy-kernel")
+
+    def next_ops(one: ObstacleDatabase) -> tuple:
+        one.reset_stats()
+        answers = warm_queries(one, probes, k=len(entities)) + [
+            one.range("P", q, 15.0 * grow) for q in probes
+        ]
+        return answers, _grow_every_entry(one, grow), one.stats()
+
+    assert next_ops(loaded) == next_ops(db)

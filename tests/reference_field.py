@@ -24,6 +24,7 @@ oracles connect its pending nodes before they read an edge.
 """
 
 import heapq
+import math
 from itertools import chain, count
 from math import inf
 from typing import Iterable, NamedTuple
@@ -172,6 +173,17 @@ def tangent_edges(
         for v in row
         if keeps(u, v) and keeps(v, u)
     }
+
+
+def bend_below_rounding(u: Point, v: Point, w: Point) -> bool:
+    """Whether the bend ``u -> v -> w`` is straight but for rounding:
+    ``|uv| + |vw|`` within 4 ulps of ``|uw|`` (each of the three
+    distances and the sum round once).  Only a ``v`` a hair off segment
+    ``uw`` makes one: a detour past it is longer in the reals by less
+    than the floats can show, so a path through it may sum as low as,
+    or an ulp lower than, a path that goes round it."""
+    straight = u.distance(w)
+    return u.distance(v) + v.distance(w) <= straight + 4 * math.ulp(straight)
 
 
 def full_distance(a: Point, b: Point, obstacles) -> float:

@@ -626,23 +626,24 @@ def test_known_kernel_vs_oracle_counterexample():
     )
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1, defect (e)")
 @pytest.mark.parametrize("backend", [NV, NP])
 def test_known_eps_band_counterexample(backend):
     """A falsifying example of ``test_tangent.py::
-    test_every_graph_is_the_tangent_graph``: a free point 1e-9 inside
-    the left edge of the square ``[0, 1] x [6, 7]``, in the EPS band of
-    the scalar predicates.  Built with no obstacle, then given the
-    square, the graph leaves it unreachable from ``(0, 0)``, where the
-    full graph's pairwise oracle reaches it at 6.5.  Fixing the defect
-    means deleting this marker."""
+    test_every_graph_is_the_tangent_graph`` under the old tolerance
+    predicates (ROADMAP item 1, defect (e)): a free point 1e-9 inside
+    the left edge of the square ``[0, 1] x [6, 7]``, which one decider
+    called boundary and another inside.  Under exact signs it lies
+    strictly inside, so no segment reaches it: built with no obstacle,
+    then given the square, the graph leaves it unreachable from ``(0,
+    0)``, as the full graph's pairwise oracle does."""
     square = rect_obstacle(0, 0, 6, 1, 7)
     a, b = Point(0, 0), Point(1e-09, 6.5)
+    assert square.polygon.contains(b)
     graph = VisibilityGraph.build([b, a], [], method=backend)
     graph.add_obstacles([square])
     csr = frozen(graph)
-    want = reference_dijkstra(FullGraph(graph.nodes(), [square]), a)[b]
-    assert want == 6.5
+    want = reference_dijkstra(FullGraph(graph.nodes(), [square]), a).get(b, math.inf)
+    assert want == math.inf
     assert csr.field(a, graph)[csr.index[b]] == want
 
 

@@ -1,16 +1,20 @@
-"""The array-evaluated exact predicate against the scalar oracle.
+"""The array-evaluated exact predicate against the scalar oracle and
+an all-fraction reference.
 
 ``repro.visibility.kernel.exact.crosses_interior_many`` claims to *be*
 ``Polygon.crosses_interior``, and both decide a convex obstacle by
-orientation signs wherever the geometry is clear, handing only the
-contact band to the tolerance method (``Polygon._crosses_by_params``).
-So the properties here are equalities, pair for pair, on random simple
-polygons and on the degenerate families the street-grid scenes are made
-of (touching, vertex-sharing and T-junction rectangles, collinear runs,
-segments along an edge, through a vertex, ending on a boundary,
-zero-length and sub-``EPS`` segments): each sign filter, wherever it
-decides, equals the tolerance method; the array filter decides exactly
-the pairs the scalar one does; and the whole predicate is the same
+the separation rule over certified float orientation signs, the array
+pass handing the pairs those leave open to the scalar method, which
+evaluates an uncertified sign in fractions.  So the properties here
+are equalities, pair for pair, on random simple polygons and on the
+degenerate families the street-grid scenes are made of (touching,
+vertex-sharing and T-junction rectangles, collinear runs, segments
+along an edge, through a vertex, ending on a boundary, zero-length and
+near-zero segments) and on near-degenerate ones (endpoints an ulp off
+an edge line, vertex runs collinear in floats but not exactly): each
+the array filter, wherever it decides, and the scalar method equal
+the all-fraction reference ``tests/reference_exact.py``; and the
+whole predicate is the same
 whatever the grouping of pairs into calls and on both sides of the
 break-even constant.  The second half pins independence: the reference
 backends never reach the arrays.
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
@@ -35,6 +39,8 @@ from repro.runtime.stats import RuntimeStats
 from repro.visibility import VisibilityGraph, is_visible
 from repro.visibility.csr import frozen
 from repro.visibility.kernel import PackedScene, exact
+from tests import reference_exact
+from tests.reference_field import bend_below_rounding
 
 SETTINGS = settings(deadline=None, suppress_health_check=list(HealthCheck))
 #: The sign filters' property: the ``sign-filter`` profile
@@ -49,7 +55,7 @@ SIGN_FILTER = settings(
 #: shared corners and T-junctions all arise by themselves.
 lattice = st.integers(0, 8).map(float)
 fine = st.floats(min_value=-1.0, max_value=9.0, allow_nan=False, width=64)
-#: Offsets around the predicates' tolerances, down to subnormals.
+#: Offsets around where float signs cancel, down to subnormals.
 tiny = st.sampled_from(
     [0.0, 5e-324, 1.97626e-322, 1e-300, 1e-15, 5e-10, 1e-9, 2e-9, 1e-6]
 ).flatmap(lambda d: st.sampled_from([d, -d]))
@@ -121,7 +127,7 @@ def scenes(draw: st.DrawFn) -> tuple[list[Polygon], list[tuple[Point, Point]]]:
     segments = []
     for __ in range(draw(st.integers(1, 12))):
         a = draw(endpoints(polys))
-        if draw(st.integers(0, 5)) == 0:  # zero-length and sub-EPS segments
+        if draw(st.integers(0, 5)) == 0:  # zero-length and near-zero segments
             b = Point(a.x + draw(tiny), a.y + draw(tiny))
         else:
             b = draw(endpoints(polys))
@@ -138,7 +144,7 @@ reach = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
 def segments(draw: st.DrawFn, polys: list[Polygon]) -> tuple[Point, Point]:
     """Free or boundary endpoints, a run along an edge's line (within
     the edge, past its ends, a hair off it), a segment through a
-    vertex, or a zero-length or sub-``EPS`` one."""
+    vertex, or a zero-length or near-zero one."""
     kind = draw(st.integers(0, 3))
     if kind == 0:
         return draw(endpoints(polys)), draw(endpoints(polys))
@@ -282,10 +288,10 @@ class TestEqualsTheScalarOracle:
         ]
 
     def test_degenerate_segment_divides_by_no_zero(self, break_even):
-        """Zero-length and sub-``EPS`` segments (the tolerance method's
-        ``r_len <= EPS`` branch, found by hypothesis on an earlier
-        array form): the sign pass decides them with every division
-        guarded, and equal to the scalar method."""
+        """Zero-length and near-zero segments (found by hypothesis on an
+        earlier array form): the sign pass decides them without a
+        floating-point warning, equal to the scalar method and the
+        reference — an empty open segment crosses nothing."""
         poly = Polygon.from_rect(Rect(0, 0, 10, 10))
         segments = [
             (Point(0, 10), Point(1.97626e-322, 10)),
@@ -297,7 +303,10 @@ class TestEqualsTheScalarOracle:
             mask = exact.crosses_interior_many(
                 _segs(segments), exact.pack_polygons([poly]), pair_seg, pair_seg * 0
             )
+        want = [reference_exact.crosses_interior(poly, a, b) for a, b in segments]
+        assert want == [False, False, True] * 8
         assert mask.tolist() == [poly.crosses_interior(a, b) for a, b in segments]
+        assert mask.tolist() == want
 
     def test_packed_scene_arrays_follow_mutations(self):
         obstacles = street_grid_obstacles(14, seed=7)
@@ -310,15 +319,17 @@ class TestEqualsTheScalarOracle:
         scene = graph.scene_obstacles()
         assert [rows[o.oid] for o in scene] == list(range(13))
         assert list(geom.polygons) == [o.polygon for o in scene]
-        assert geom.edges.shape == (5, 52) and geom.mbr.shape == (13, 4)
+        assert geom.edges.shape == (4, 52) and geom.mbr.shape == (13, 4)
         graph.add_obstacle(obstacles[3])
         assert packed.exact_arrays()[1][obstacles[3].oid] == 13
 
     def test_counts_pairs_past_the_mbr_reject(self, break_even):
         """``exact_pairs``: pairs past the MBR reject;
-        ``exact_band_pairs``: those the tolerance method decided — a
-        grazing contact within the band and every pair of a non-convex
-        obstacle."""
+        ``exact_band_pairs``: those decided in exact arithmetic — every
+        pair of a non-convex obstacle, and, over arrays, one whose signs
+        the float filter cannot certify (none here: a segment from a
+        corner into the square at slope ``5e-13`` is decided by
+        certified signs)."""
         polys = [
             Polygon.from_rect(Rect(0, 0, 2, 2)),
             Polygon.from_rect(Rect(5, 5, 7, 7)),
@@ -328,18 +339,18 @@ class TestEqualsTheScalarOracle:
             (Point(-1, 1), Point(3, 1)),
             (Point(4, 6), Point(8, 6)),
             (Point(9, 9), Point(9, 8)),
-            (Point(0, 0), Point(2, 1e-12)),  # the band: along y = 0
+            (Point(0, 0), Point(2, 1e-12)),  # inside, a hair above y = 0
             (Point(9, 2), Point(12, 2)),  # non-convex
         ]
-        verdicts = [True, True, False, False, True]
+        verdicts = [True, True, False, True, True]
         stats = RuntimeStats()
         packed = _packed([Obstacle(i, p) for i, p in enumerate(polys)])
         hidden = _hidden_many(segments, packed, stats=stats)
         assert hidden.tolist() == verdicts
-        assert (stats.exact_pairs, stats.exact_band_pairs) == (4, 2)
+        assert (stats.exact_pairs, stats.exact_band_pairs) == (4, 1)
         hidden = _hidden_many(segments * 6, packed, stats=stats)
         assert hidden.tolist() == verdicts * 6
-        assert (stats.exact_pairs, stats.exact_band_pairs) == (4 + 24, 2 + 12)
+        assert (stats.exact_pairs, stats.exact_band_pairs) == (4 + 24, 1 + 6)
 
 
 @pytest.fixture
@@ -350,8 +361,8 @@ def arrays(monkeypatch):
 
 def _signs(segments, polys, pairs):
     """``exact._signs`` over ``pairs`` (segment, polygon): per pair the
-    array filter's verdict, ``None`` where it leaves the pair to the
-    tolerance method — :meth:`Polygon.sign_verdict`'s shape."""
+    array filter's verdict, ``None`` where its certified signs leave
+    the pair to the scalar method."""
     crosses, decided = exact._signs(
         _segs([segments[k] for k, __ in pairs]).T,
         exact.pack_polygons(polys),
@@ -360,26 +371,138 @@ def _signs(segments, polys, pairs):
     return [c if d else None for c, d in zip(crosses.tolist(), decided.tolist())]
 
 
+def _assert_every_decider_is_the_reference(polys, segments, stats=None):
+    """Per (segment, polygon) pair: the array filter wherever it
+    decides, the scalar method past the MBR reject and with it, the
+    ``naive`` backend's ``is_visible`` and the kernel all equal the
+    all-fraction reference.  Returns the array filter's verdicts."""
+    pairs = [(s, o) for s in range(len(segments)) for o in range(len(polys))]
+    want = [reference_exact.crosses_interior(polys[o], *segments[s]) for s, o in pairs]
+    filtered = _signs(segments, polys, pairs)
+    assert [w if v is None else v for v, w in zip(filtered, want)] == want
+    assert [polys[o].sign_verdict(*segments[s]) for s, o in pairs] == want
+    assert [polys[o].crosses_interior(*segments[s]) for s, o in pairs] == want
+    obstacles = [Obstacle(i, p) for i, p in enumerate(polys)]
+    assert [
+        not is_visible(*segments[s], [obstacles[o]]) for s, o in pairs
+    ] == want
+    mask = exact.crosses_interior_many(
+        _segs(segments),
+        exact.pack_polygons(polys),
+        np.array([s for s, __ in pairs], dtype=np.int64),
+        np.array([o for __, o in pairs], dtype=np.int64),
+        stats,
+    )
+    assert mask.tolist() == want
+    return [(v, polys[o]) for v, (__, o) in zip(filtered, pairs)]
+
+
+def _ulps(draw: st.DrawFn, v: float) -> float:
+    """``v`` moved by 0 to 2 ulps, one way."""
+    toward = draw(st.sampled_from([-math.inf, math.inf]))
+    for __ in range(draw(st.integers(0, 2))):
+        v = math.nextafter(v, toward)
+    return v
+
+
+@st.composite
+def slanted_polygons(draw: st.DrawFn) -> Polygon:
+    """A convex polygon with slanted sides (``star_polygons``' kind, or
+    a lattice diamond), maybe with one more vertex at a rounded point
+    of a side, nudged by up to 2 ulps: a vertex run collinear in floats
+    but, mostly, not exactly — convex or not by a hair."""
+    if draw(st.booleans()):
+        x0, y0 = draw(lattice), draw(lattice)
+        w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        vertices = [
+            Point(x0 + w, y0),
+            Point(x0 + 2 * w, y0 + h),
+            Point(x0 + w, y0 + 2 * h),
+            Point(x0, y0 + h),
+        ]
+    else:
+        vertices = list(draw(star_polygons()).vertices)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(vertices) - 1))
+        a, b = vertices[k], vertices[(k + 1) % len(vertices)]
+        t = draw(st.sampled_from([0.1, 1.0 / 3.0, 0.5, 0.7]))
+        x, y = a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)
+        vertices.insert(k + 1, Point(_ulps(draw, x), _ulps(draw, y)))
+    try:
+        return Polygon(vertices)
+    except GeometryError:
+        assume(False)
+
+
+@st.composite
+def near_points(draw: st.DrawFn, polys: list[Polygon]) -> Point:
+    """A vertex, or a rounded point on an edge's line (within the edge
+    or past its ends), each coordinate moved by up to 2 ulps."""
+    poly = draw(st.sampled_from(polys))
+    a, b = draw(st.sampled_from(poly.edges()))
+    t = draw(st.sampled_from([0.0, 0.1, 1.0 / 3.0, 0.5, 0.7, -0.5, 1.5]))
+    return Point(
+        _ulps(draw, a.x + t * (b.x - a.x)), _ulps(draw, a.y + t * (b.y - a.y))
+    )
+
+
+@st.composite
+def near_degenerate_scenes(
+    draw: st.DrawFn,
+) -> tuple[list[Polygon], list[tuple[Point, Point]]]:
+    polys = draw(st.lists(slanted_polygons(), min_size=1, max_size=2))
+    polys += draw(st.lists(lattice_rects(), max_size=1))
+    ends = st.one_of(near_points(polys), near_points(polys), endpoints(polys))
+    return polys, draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=12))
+
+
+#: A triangle and a segment from a point near one edge's line to one
+#: ulp off a vertex: float signs read without Shewchuk's bound call it
+#: clear; it crosses.
+_ROUNDED_WRONG = (
+    [
+        Polygon(
+            [
+                Point(1.670018992507747, 4.064374776587426),
+                Point(-2.6105690822055965, 1.3610825258551151),
+                Point(1.5674513325612633, -1.140799509318176),
+            ]
+        )
+    ],
+    [
+        (
+            Point(-1.2178956106166436, 0.5271218474640184),
+            Point(1.5674513325612631, -1.1407995093181758),
+        )
+    ],
+)
+
+
 class TestSignFilter:
     @SIGN_FILTER
     @given(scene=filter_scenes())
-    def test_each_filter_equals_the_tolerance_method(self, arrays, scene):
-        polys, segments = scene
-        pairs = [(s, o) for s in range(len(segments)) for o in range(len(polys))]
-        want = [polys[o]._crosses_by_params(*segments[s]) for s, o in pairs]
-        scalar = [polys[o].sign_verdict(*segments[s]) for s, o in pairs]
-        assert [w if v is None else v for v, w in zip(scalar, want)] == want
-        # The array filter is the scalar one's twin: same pairs decided,
-        # same verdicts.
-        assert _signs(segments, polys, pairs) == scalar
-        assert [polys[o].crosses_interior(*segments[s]) for s, o in pairs] == want
-        mask = exact.crosses_interior_many(
-            _segs(segments),
-            exact.pack_polygons(polys),
-            np.array([s for s, __ in pairs], dtype=np.int64),
-            np.array([o for __, o in pairs], dtype=np.int64),
-        )
-        assert mask.tolist() == want
+    def test_each_filter_equals_the_exact_reference(self, arrays, scene):
+        _assert_every_decider_is_the_reference(*scene)
+
+    def test_near_degenerate_pairs_equal_the_exact_reference(self, arrays):
+        """Endpoints an ulp off edge lines and vertex runs collinear in
+        floats: every decider equals the reference, and the array
+        filter leaves some convex pairs to the scalar method, which the
+        kernel counts."""
+        stats = RuntimeStats()
+        undecided = []
+
+        @SIGN_FILTER
+        @given(scene=near_degenerate_scenes())
+        @example(scene=_ROUNDED_WRONG)
+        def check(scene):
+            verdicts = _assert_every_decider_is_the_reference(*scene, stats)
+            undecided.extend(
+                poly for v, poly in verdicts if v is None and poly.is_convex()
+            )
+
+        check()
+        assert undecided and stats.exact_band_pairs >= len(undecided)
 
     @SETTINGS
     @given(
@@ -389,7 +512,6 @@ class TestSignFilter:
     def test_never_decides_a_non_convex_obstacle(self, poly, data):
         assume(_not_convex(poly))
         segs = data.draw(st.lists(segments([poly]), min_size=1, max_size=12))
-        assert [poly.sign_verdict(a, b) for a, b in segs] == [None] * len(segs)
         pairs = [(k, 0) for k in range(len(segs))]
         assert _signs(segs, [poly], pairs) == [None] * len(segs)
 
@@ -414,8 +536,9 @@ class TestSignFilter:
     def test_all_pairs_of_a_street_grid_scene(self, arrays):
         """Every (vertex pair, obstacle) of 64 street-grid rectangles —
         overlaps and near-shared lines included — past the MBR reject
-        (338,600 pairs): both forms equal the tolerance method, and the
-        signs decide every one, sides along their own obstacle too."""
+        (338,600 pairs): both forms equal the all-fraction reference,
+        and the signs decide every one, sides along their own obstacle
+        too."""
         polys = [o.polygon for o in street_grid_obstacles(64, seed=5)]
         nodes = list(dict.fromkeys(v for p in polys for v in p.vertices))
         segments = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
@@ -425,7 +548,9 @@ class TestSignFilter:
             geom.mbr.T, *segs.T[:, :, None]
         ).nonzero()
         pairs = list(zip(pair_seg.tolist(), pair_obs.tolist()))
-        want = [polys[o]._crosses_by_params(*segments[s]) for s, o in pairs]
+        want = [
+            reference_exact.crosses_interior(polys[o], *segments[s]) for s, o in pairs
+        ]
         assert [polys[o].crosses_interior(*segments[s]) for s, o in pairs] == want
         stats = RuntimeStats()
         mask = exact.crosses_interior_many(segs, geom, pair_seg, pair_obs, stats)
@@ -493,8 +618,10 @@ def metric_scenes(draw: st.DrawFn) -> tuple[list[Obstacle], list[Point]]:
         st.sampled_from(vertices),
     )
     points = draw(st.lists(point, min_size=2, max_size=5, unique=True))
-    # A point a hair off a boundary is where the deciders' tolerance
-    # differs: ROADMAP item 1, defect (e), closed by item 14.
+    # A point a hair off a boundary still breaks these laws, though no
+    # longer through the predicates: a detour an ulp longer rounds to a
+    # different sum along different routes, and a subnormal gap
+    # underflows |pq| to 0 (see CHANGES.md's FOUND lines).
     assume(not any(_hair_off_a_boundary(p, polys) for p in points))
     return [Obstacle(i, poly) for i, poly in enumerate(polys)], points
 
@@ -536,8 +663,9 @@ def _metric_answers(backend, obstacles, points, e):
 class TestMetricLaws:
     """``d_O`` is a metric on the plane minus the obstacle interiors:
     ``d_O(p, q) >= |pq|``, with equality iff ``p`` and ``q`` see each
-    other past every obstacle; and ``d_O(p, q) == d_O(q, p)`` — on both
-    backends, through every query that reports a distance.
+    other past every obstacle, or a detour past a corner a hair off
+    ``pq`` is shorter than rounding; and ``d_O(p, q) == d_O(q, p)`` —
+    on both backends, through every query that reports a distance.
 
     Symmetry is bit for bit for a straight leg.  A bent path's legs are
     summed from the end its search starts at, and float addition is
@@ -557,8 +685,20 @@ class TestMetricLaws:
         d = got["distance"]
         for (a, b), ab in d.items():
             straight = a.distance(b)
+            visible = is_visible(a, b, obstacles)
             assert ab >= straight, (a, b)
-            assert (ab == straight) == is_visible(a, b, obstacles), (a, b)
+            if visible:
+                assert ab == straight, (a, b)
+            elif ab == straight:
+                # Hidden, yet at the straight leg's length: only a
+                # detour past a corner a hair off pq, which rounding
+                # cannot tell from the leg, makes one.
+                assert any(
+                    bend_below_rounding(a, v, b)
+                    for o in obstacles
+                    for v in o.polygon.vertices
+                    if v not in (a, b)
+                ), (a, b)
             if ab == straight:
                 assert d[b, a] == ab, (a, b)
             else:

@@ -7,7 +7,8 @@ obstacle an end is a vertex of; free points impose nothing).  The
 property at the bottom holds each backend's graphs to that edge set
 through builds, growth steps, repairs and entity churn on degenerate
 scenes, and their distances between free points to the full
-visibility graph's, bit for bit.
+visibility graph's, bit for bit but for a bend the rule drops that is
+straight but for rounding.
 """
 
 import math
@@ -27,6 +28,7 @@ from repro.visibility.tangent import is_tangent_at
 from tests.conftest import random_disjoint_rects, random_free_points, rect_obstacle
 from tests.reference_field import (
     FullGraph,
+    bend_below_rounding,
     full_distance,
     graph_distance,
     reference_dijkstra,
@@ -225,7 +227,8 @@ def _check(graph, obstacles, points):
     csr = frozen(graph)  # connects what the step left pending
     assert not graph.pending
     full = FullGraph(graph.nodes(), obstacles)
-    assert _edge_set(graph) == tangent_edges(graph, full)
+    edges = _edge_set(graph)
+    assert edges == tangent_edges(graph, full)
     free = [p for p in points if p in graph.free_points()]
     for a in free:
         want = reference_dijkstra(full, a)
@@ -237,7 +240,44 @@ def _check(graph, obstacles, points):
             if is_visible(a, b, obstacles):
                 assert graph.sees(a, b), (a, b)
                 continue
-            assert got[csr.index[b]] == want.get(b, math.inf), (a, b)
+            if got[csr.index[b]] != want.get(b, math.inf):
+                _assert_undercut_by_a_dropped_bend(
+                    full, want, edges, a, b, got[csr.index[b]]
+                )
+
+
+def _assert_undercut_by_a_dropped_bend(full, dist, edges, a, b, got):
+    """The one way the full graph's distance ``dist[b]`` may differ from
+    the tangent graph's ``got``: a few ulps lower, along a shortest
+    path (each step a relaxation summing to the next distance exactly)
+    that turns at a vertex ``v`` between ``u`` and ``w`` where the
+    tangent rule drops ``u - v`` or ``v - w``, and the bend is straight
+    but for rounding — longer in the reals, it may sum an ulp lower."""
+    assert dist[b] < got <= dist[b] + 4 * math.ulp(got), (a, b)
+    tight = {
+        v: [
+            u
+            for u, w in full.neighbors(v).items()
+            if u in dist and (u == a or u not in full.free) and dist[u] + w == dist[v]
+        ]
+        for v in dist
+    }
+    seen = set()
+    steps = [(b, None)]  # a node of such a path, and the next one
+    while steps:
+        v, w = steps.pop()
+        if (v, w) in seen:
+            continue
+        seen.add((v, w))
+        for u in tight[v]:
+            if (
+                w is not None
+                and not {frozenset((u, v)), frozenset((v, w))} <= edges
+                and bend_below_rounding(u, v, w)
+            ):
+                return
+            steps.append((u, v))
+    raise AssertionError(f"{a} to {b}: {got} on the graph, {dist[b]} on the full")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -248,7 +288,11 @@ def test_every_graph_is_the_tangent_graph(backend, scene, data):
     ``add_entity`` and ``delete_entity``: after each step the edges are
     ``{u < v : is_visible and tangent at both ends}``, and distances
     between free points equal the full graph's under ``==`` — straight
-    legs first: a pair that sees each other is its straight leg."""
+    legs first: a pair that sees each other is its straight leg — but
+    where the full graph's path turns at a bend the tangent rule drops
+    that is straight but for rounding (``(0.3, 0.30000000000000004)``
+    between ``(2.6, 0.30000000000000004)`` and ``(0, 0.3)``): longer in
+    the reals, it may sum an ulp lower."""
     obstacles, points = scene
     held = data.draw(st.integers(0, len(obstacles)))
     graph = VisibilityGraph.build(points[:-1], obstacles[:held], method=backend)

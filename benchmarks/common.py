@@ -1044,16 +1044,17 @@ def distance_stream_comparison(
     positive: then sources are drawn from a fixed pool of that many
     such points, as the profiles draw them from their entity sets.  An
     op only reads the graph.  A distance from a fresh source sweeps
-    both endpoints against the frozen arrays in one backend call and
-    searches them; one from a source seen before reads the source's
-    memoized field and probes the goal's last leg with the exact
+    the source against the frozen arrays in one backend call and
+    searches its field; one from a source seen before reads the
+    memoized field.  Either probes the goal's last leg with the exact
     oracle, sweeping nothing unless the probe gives up.  Returns the
     CPU time, ``parity`` (the answers bit-identical to a cold
     exact-key database's, which builds a graph of its own per centre)
     and the counts over the timed ops: ``field_freezes``,
-    ``node_growth`` of the hot graph, ``backend_calls`` (at most one
-    per distance; per ONN / OR one for the centre — its candidates'
-    last legs are probed — and one per candidate whose probe gave up)
+    ``node_growth`` of the hot graph, ``backend_calls`` (per distance
+    one for a fresh source and one for a goal whose probe gave up; per
+    ONN / OR one for the centre — its candidates' last legs are probed
+    — and one per candidate whose probe gave up)
     and ``last_leg_fallbacks`` (probes that gave up, of a distance's
     goal or of a field's candidate).
     """

@@ -731,10 +731,10 @@ def smoke_distance_stream() -> int:
     """Warm stream smoke: 1,000 ops on one hot graph — point-to-point
     distances to fresh jittered goals, an ONN and an OR at a fresh
     centre every 16 — twice: every distance's source fresh (each one
-    takes the targeted search), then sources drawn from a pool of
-    ``STREAM_SOURCES`` (after a source's first sighting its
-    field is read and the goal's last leg probed; an ONN / OR probes
-    its candidates either way).  Gated on answers bit-identical to a
+    anchors its source and searches its field), then sources drawn from
+    a pool of ``STREAM_SOURCES`` (after a source's first sighting its
+    memoized field is read).  Every hidden goal's last leg is probed,
+    as an ONN / OR probes its candidates.  Gated on answers bit-identical to a
     cold exact-key database's and on the ops leaving the graph alone:
     no freeze, no node growth, at most one backend call per distance
     and three per ONN / OR — and with repeated sources, no backend call

@@ -10,9 +10,10 @@ the fixpoint is the true obstructed distance.
 
 The stateful helper here is a building block of the shared query
 runtime (:mod:`repro.runtime`): :class:`SourceDistanceField` evaluates
-many candidates against one fixed source.  Point-to-point distances
-with graph reuse are :meth:`repro.runtime.context.QueryContext.distance`,
-which owns the persistent, versioned LRU graph cache.
+many candidates against one fixed source, and is the one engine every
+query evaluates distances with — a point-to-point distance
+(:meth:`repro.runtime.context.QueryContext.distance`) is the field
+rooted at one endpoint, read at the other.
 """
 
 from __future__ import annotations
@@ -135,10 +136,15 @@ class SourceDistanceField:
             self._stats.field_batch_evals += 1
         return out
 
-    def _fixpoint(self, p: Point, bound: float, seen: "bool | None") -> float:
-        """Fig. 8's loop for one point (``seen``: a decided verdict)."""
+    def _fixpoint(
+        self, p: Point, bound: float, seen: "bool | None", *, exact: bool = False
+    ) -> float:
+        """Fig. 8's loop for one point (``seen``: a decided verdict).
+        ``exact`` (a point-to-point distance): ``bound`` only stops the
+        loop, every value is the graph's own, none a lower bound."""
+        cut = inf if exact else bound
         while True:
-            d, straight = self._provisional(p, bound, seen)
+            d, straight = self._provisional(p, cut, seen)
             if d > bound or not self._grow(d):
                 if straight and self._stats is not None:
                     self._stats.straight_legs += 1
@@ -173,4 +179,6 @@ class SourceDistanceField:
         d = self._csr.last_leg(
             self._dist, p, graph, bound=bound, stats=self._stats, hidden=q
         )
-        return d, False
+        # Past a corner a hair off segment ``qp`` the legs' float sum
+        # may round below ``|qp|``; no path is shorter than the segment.
+        return max(d, straight), False

@@ -656,7 +656,7 @@ class ObstacleDatabase:
         )
 
     def semijoin(
-        self, s_name: str, t_name: str, *, strategy: str = "cp"
+        self, s_name: str, t_name: str
     ) -> dict[Point, tuple[Point, float]]:
         """Distance semi-join: each entity of ``s_name`` mapped to its
         obstructed nearest neighbour in ``t_name``."""
@@ -665,7 +665,6 @@ class ObstacleDatabase:
                 self.entity_tree(s_name),
                 self.entity_tree(t_name),
                 self.obstacle_index,
-                strategy=strategy,
                 context=self._context,
             )
 

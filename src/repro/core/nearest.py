@@ -21,7 +21,6 @@ graphs across queries.
 from __future__ import annotations
 
 from bisect import insort
-from math import inf
 from typing import Iterator
 
 from repro.core.distance import ObstacleSource, SourceDistanceField
@@ -39,7 +38,6 @@ def obstacle_nearest(
     q: Point,
     k: int,
     *,
-    prune_bound: bool = True,
     context: QueryContext | None = None,
 ) -> list[tuple[Point, float]]:
     """The ``k`` entities with smallest obstructed distance from ``q``.
@@ -47,9 +45,8 @@ def obstacle_nearest(
     Returns ``(entity, d_O)``, the ``k`` smallest by ``(d_O, entity)``
     in that order; fewer than ``k`` when the dataset is smaller.
     Unreachable entities (sealed off by obstacles) have distance
-    ``inf`` and lose to any reachable one.  ``prune_bound=False`` disables the early-exit
-    optimisation (every candidate's distance is evaluated exactly, as
-    in the paper's verbatim Fig. 9).
+    ``inf`` and lose to any reachable one.  A candidate's Fig. 8 loop
+    stops once its distance exceeds the current k-th (``d_Emax``).
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
@@ -69,7 +66,7 @@ def obstacle_nearest(
     for p, d_e in stream:
         if d_e > d_emax:
             break
-        d = field.distance_to(p, bound=d_emax if prune_bound else inf)
+        d = field.distance_to(p, bound=d_emax)
         if (d, p) < result[-1]:  # at a tie with the k-th, the smaller point
             result.pop()
             insort(result, (d, p))

@@ -354,76 +354,33 @@ class QueryContext:
 
     # ----------------------------------------------------------- evaluations
     def distance(self, p: Point, q: Point, *, bound: float = inf) -> float:
-        """Obstructed distance ``d_O(p, q)`` (paper Fig. 8).
+        """Obstructed distance ``d_O(p, q)`` (paper Fig. 8): the
+        distance field rooted at ``p`` over the graph cached for ``q``
+        (the expansion centre), read at ``q``.
 
-        The graph is cached per ``q`` (the expansion centre) and is
-        only read.  Its entry covers ``disk(q, |pq|)``, so it holds
-        every obstacle the segment ``pq`` can meet: a pair that sees
-        each other is answered by its straight leg, with no edge read.
-        Otherwise a shortest path turns only at obstacle vertices, so
-        it leaves each endpoint straight toward a node the endpoint
-        sees (:meth:`_frozen_distance`).  ``bound`` enables threshold
-        pruning: iteration stops once the provisional lower bound
-        exceeds it.
+        The entry covers ``disk(q, |pq|)``, so it holds every obstacle
+        the segment ``pq`` can meet: a pair that sees each other is
+        answered by its straight leg, with no edge read.  Any other
+        ``q`` is a goal of ``p``'s memoized field like an ONN
+        candidate, its last leg found memo, probe, anchors
+        (:meth:`~repro.visibility.csr.CSRGraph.last_leg`), and the
+        field's Fig. 8 loop grows the entry through :meth:`cover`.
+        ``bound`` enables threshold pruning: the loop stops once the
+        distance over the graph as it is exceeds it, and that exact
+        value is returned.
         """
         self.stats.distance_calls += 1
         TRACER.count("context.distance_call")
         if p == q:
             return 0.0
         entry = self.entry_for(q, p.distance(q))
-        graph = entry.graph
-        d = self._frozen_distance(graph, p, q)
-        while d <= bound:
-            if not self.cover(entry, q, d):
-                break
-            d = self._frozen_distance(graph, p, q)
-        return d
-
-    def _frozen_distance(
-        self, graph: VisibilityGraph, p: Point, q: Point
-    ) -> float:
-        """``d(p, q)`` over ``graph`` as it is: the straight leg when
-        ``p`` and ``q`` see each other, else read off its freeze at
-        ``q`` by the rule a distance field reads its full search with.
-
-        A source seen before on this freeze (its field or its anchors
-        memoized) with a goal that is neither a node nor memoized reads
-        the source's full field — one search, memoized like an ONN
-        centre's — and finds the goal's last leg by the rule every field
-        uses (:meth:`~repro.visibility.csr.CSRGraph.last_leg`: probed
-        in lower-bound order with the exact oracle, anchored only on a
-        give-up).  Otherwise one backend call anchors ``p`` (if unseen)
-        with ``q`` ahead, and one search seeded with the nodes ``p``
-        sees at their straight legs stops once the nodes ``q`` sees are
-        settled.  Both give the same float: the full field settles
-        every value the targeted search does, and a goal anchor it
-        leaves unsettled lies beyond the answer."""
-        if graph.sees(p, q):
-            self.stats.straight_legs += 1
-            return p.distance(q)
-        csr = frozen(graph, stats=self.stats)
-        if (p in csr.fields or p in csr.anchors) and not (
-            q in csr.index or q in csr.anchors
-        ):
-            field = csr.field(p, graph)
-            return csr.last_leg(field, q, graph, stats=self.stats, hidden=p)
-        seeds, seed_legs = csr.anchors_for(p, graph, ahead=(q,))
-        goals, goal_legs = csr.anchors_for(q, graph)
-        if not len(seeds) or not len(goals):
-            return inf
-        with TRACER.span(
-            "distance.search",
-            seeds=len(seeds),
-            goals=len(goals),
-            nodes=csr.node_count,
-        ) as span:
-            dist, settled = csr.dijkstra(
-                list(zip(seeds.tolist(), seed_legs.tolist())),
-                targets=goals.tolist(),
-                legs=goal_legs.tolist(),
-            )
-            span.set_attr("settled", int(settled.sum()))
-        return csr.last_leg(dist, q, graph)
+        field = SourceDistanceField(
+            entry.graph,
+            p,
+            grow=lambda r: self.cover(entry, q, r),
+            stats=self.stats,
+        )
+        return field._fixpoint(q, bound, None, exact=True)
 
     def field_for(self, q: Point, radius: float = 0.0) -> SourceDistanceField:
         """A distance field from ``q`` over the cached graph for ``q``.

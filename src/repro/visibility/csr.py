@@ -12,18 +12,16 @@ lists, :meth:`CSRGraph.dijkstra`, rooted at a node or at an off-graph
 point's visible anchors) for pairs that do not see each other —
 straight legs come first.  The last-leg minimisation
 ``min_v d[v] + |p - v|`` of
-:class:`~repro.core.distance.SourceDistanceField` and of
-:meth:`~repro.runtime.context.QueryContext.distance` goes memo, probe,
-anchors (:meth:`CSRGraph.last_leg`): a node or a point whose anchors are
+:class:`~repro.core.distance.SourceDistanceField` — the engine of every
+query, a point-to-point distance included — goes memo, probe, anchors
+(:meth:`CSRGraph.last_leg`): a node or a point whose anchors are
 memoized reads them in one numpy expression; any other point is
 probed — nodes in ascending order of ``d[v] + |p - v|``, each tested
 with the exact oracle until one is visible or the lower bound passes
 the caller's bound — and anchored alone (every pair ``(p, v)``
-decided) only when the probe gives up.  A
-distance whose source was seen before on this freeze reads the
-source's memoized field and finds its fresh goal's last leg the same
-way.  A route is read back off a memoized field
-(:meth:`CSRGraph.route`), so :meth:`CSRGraph.dijkstra` is the one
+decided) only when the probe gives up.  A route is read back off a
+memoized field (:meth:`CSRGraph.route`), so :meth:`CSRGraph.dijkstra`,
+the full search behind :meth:`CSRGraph.field`, is the one
 shortest-path search there is.
 
 A :class:`CSRGraph` describes exactly one structure revision: callers
@@ -64,14 +62,12 @@ _Y = attrgetter("y")
 #: Maximum points one frozen graph memoizes last-leg geometry for, and
 #: maximum roots it memoizes a distance field for.  Queries only read a
 #: cached graph, so it keeps its freeze — and with it both memos — for
-#: as long as its entry stays cached; a distance call at a source not
-#: yet seen on the freeze adds two anchor entries (its endpoints), one
-#: at a seen source adds its field once and then nothing, every ONN /
-#: OR at a fresh centre adds one field (about 1 KB each at the paper's
-#: graph sizes), and a probe that gives up adds its point.  The oldest
-#: are evicted beyond this: repeat candidates and centres of a hot cell
-#: stay memoized, a jittering stream cannot grow a cached graph's
-#: footprint without limit.
+#: as long as its entry stays cached; every distance source and every
+#: ONN / OR centre not yet seen on the freeze adds its anchors and one
+#: field (about 1 KB each at the paper's graph sizes), and a probe that
+#: gives up adds its point.  The oldest are evicted beyond this: repeat
+#: candidates, sources and centres of a hot cell stay memoized, a
+#: jittering stream cannot grow a cached graph's footprint without limit.
 ANCHOR_MEMO_LIMIT = 512
 
 #: Hidden nodes :meth:`CSRGraph.last_leg` tests with the exact oracle
@@ -171,14 +167,10 @@ class CSRGraph:
         return len(self._rows[1]) // 2
 
     def dijkstra(
-        self,
-        source: "int | Sequence[tuple[int, float]]",
-        *,
-        bound: float = inf,
-        targets: "Iterable[int] | None" = None,
-        legs: "Sequence[float] | None" = None,
+        self, source: "int | Sequence[tuple[int, float]]"
     ) -> tuple["np.ndarray", "np.ndarray"]:
-        """Distances from ``source``: ``(dist, settled)`` arrays.
+        """Distances from ``source`` to every node: ``(dist, settled)``
+        arrays.
 
         ``source`` is a node id, or ``(node id, start distance)`` seeds
         — the search from an off-graph point that reaches each seed by
@@ -186,17 +178,9 @@ class CSRGraph:
         seeds).
 
         Settled values are bit-identical to the dict-adjacency oracle
-        ``tests/reference_field.py::reference_dijkstra``, with the same
-        early exits: expansion
-        stops beyond ``bound`` (nodes at exactly ``bound`` settle) and,
-        with ``targets``, as soon as every target id is settled or
-        proven unreachable within the bound.  ``legs`` (parallel to
-        ``targets``) are the targets' straight legs on to one off-graph
-        goal: each settled target lowers ``bound`` to its
-        ``dist + leg``, so the search also stops once nothing left can
-        beat the best way to the goal found — ``min_t dist[t] + leg_t``
-        over the returned ``dist`` is then final.  ``dist`` holds
-        ``inf`` for unsettled nodes; ``settled`` marks final values.
+        ``tests/reference_field.py::reference_dijkstra``.  ``dist``
+        holds ``inf`` for unreachable nodes; ``settled`` marks the
+        others.
 
         A free node other than a root (the node ``source``, or a seed
         at start ``0.0``) settles but is never relaxed out of: a
@@ -221,43 +205,24 @@ class CSRGraph:
             heapify(heap)
             roots = {node for node, start in source if start == 0.0}
         stop = self.free - roots if roots else self.free
-        remaining = None
-        if targets is not None:
-            remaining = (
-                dict(zip(targets, legs))
-                if legs is not None
-                else dict.fromkeys(targets, inf)
-            )
         while heap:
             d, node = heappop(heap)
             if done[node] or d > best[node]:
                 continue
-            if d > bound:
-                break
             done[node] = True
-            if remaining is not None and node in remaining:
-                bound = min(bound, d + remaining.pop(node))
-                if not remaining:
-                    break
             if node in stop:
                 continue
             lo = indptr[node]
             hi = indptr[node + 1]
             for nbr, w in zip(indices[lo:hi], weights[lo:hi]):
                 nd = d + w
-                if nd < best[nbr] and nd <= bound:
+                if nd < best[nbr]:
                     best[nbr] = nd
                     heappush(heap, (nd, nbr))
-        settled = np.array(done, dtype=bool)
-        dist = np.array(best)
-        dist[~settled] = inf
-        return dist, settled
+        return np.array(best), np.array(done, dtype=bool)
 
     def anchors_for(
-        self,
-        p: Point,
-        graph: "VisibilityGraph",
-        ahead: Iterable[Point] = (),
+        self, p: Point, graph: "VisibilityGraph"
     ) -> tuple["np.ndarray", "np.ndarray"]:
         """The last-leg geometry from point ``p``:
         ``(anchor ids, euclidean legs)``.
@@ -271,19 +236,14 @@ class CSRGraph:
         A node on an obstacle vertex is anchored and memoized the same
         way, and is its own anchor at leg 0 besides: the graph holds
         only its tangent edges, and a path's first and last legs need
-        not be tangent.  On a miss, the points of ``ahead`` (a distance
-        call's other endpoint) that the memo lacks are anchored in the
-        same backend call, and the memo's oldest
-        entries beyond :data:`ANCHOR_MEMO_LIMIT` are dropped — never
-        ``p`` or a point of ``ahead``.
+        not be tangent.  On a miss the memo's oldest entries beyond
+        :data:`ANCHOR_MEMO_LIMIT` are dropped, never ``p``.
         """
         if p in graph._free:
             return np.array([self.index[p]]), np.zeros(1)
         cached = self.anchors.get(p)
         if cached is None:
-            ahead = list(ahead)
-            sources = self.unanchored([p, *ahead], graph)
-            self.memoize_anchors(sources, graph.visible_ids(sources), ahead)
+            self.memoize_anchors([p], graph.visible_ids([p]))
             cached = self.anchors[p]
         return cached
 
@@ -303,13 +263,11 @@ class CSRGraph:
         self,
         points: Sequence[Point],
         seen: "Sequence[tuple[list[int], list[float]]]",
-        keep: Iterable[Point] = (),
     ) -> None:
         """Memoize the last-leg geometry of ``points`` from what each
         sees (``seen``, parallel: the backend's node ids and distances; a
         node comes first, at leg 0), then drop the memo's oldest entries
-        beyond :data:`ANCHOR_MEMO_LIMIT` — never one of ``points`` or of
-        ``keep``."""
+        beyond :data:`ANCHOR_MEMO_LIMIT` — never one of ``points``."""
         for c, (ids, legs) in zip(points, seen):
             anchors = np.array(ids, dtype=np.int64)
             if self._relabel is not None:
@@ -322,7 +280,7 @@ class CSRGraph:
             self.anchors[c] = anchors, legs
         excess = len(self.anchors) - ANCHOR_MEMO_LIMIT
         if excess > 0:
-            keep = {*points, *keep}
+            keep = set(points)
             oldest = (c for c in self.anchors if c not in keep)
             for c in list(islice(oldest, excess)):
                 del self.anchors[c]

@@ -53,6 +53,16 @@ settings.register_profile(
     suppress_health_check=list(HealthCheck),
 )
 
+#: Warm databases against a cold one and the reference field
+#: (``tests/runtime/test_distance_engine.py``):
+#: ``--hypothesis-profile warm-cold`` runs it at 1,000 examples.
+settings.register_profile(
+    "warm-cold",
+    max_examples=1_000,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+
 #: The closest-pair stream against the one-side traversal
 #: (``tests/euclidean/test_array_parity.py``):
 #: ``--hypothesis-profile closest-pairs`` runs it at 1,000 examples.

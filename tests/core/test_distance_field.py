@@ -14,6 +14,7 @@ from tests.conftest import (
     random_free_points,
     rect_obstacle,
 )
+from tests.reference_field import ReferenceField
 
 
 def _index(obstacles):
@@ -136,7 +137,10 @@ class TestBoundedCompute:
 
 
 class TestONNPruneFlag:
-    def test_prune_flag_does_not_change_results(self):
+    def test_pruned_answers_equal_the_reference_field(self):
+        """ONN's candidates stop their Fig. 8 loop at the current k-th
+        distance; what it reports is still every entity's exact
+        distance, bit for bit the reference field's, in its order."""
         from repro.core import obstacle_nearest
         from repro.geometry import Rect
         from repro.index import RStarTree, str_pack
@@ -147,8 +151,9 @@ class TestONNPruneFlag:
         tree = RStarTree(max_entries=8, min_entries=3)
         str_pack(tree, [(p, Rect.from_point(p)) for p in entities])
         idx = _index(obstacles)
-        q = random_free_points(random.Random(4), 1, obstacles)[0]
-        pruned = obstacle_nearest(tree, idx, q, 5, prune_bound=True)
-        exact = obstacle_nearest(tree, idx, q, 5, prune_bound=False)
-        assert [p for p, __ in pruned] == [p for p, __ in exact]
-        assert [d for __, d in pruned] == pytest.approx([d for __, d in exact])
+        for q in random_free_points(random.Random(4), 4, obstacles):
+            reference = ReferenceField(q, idx)
+            exact = sorted((reference.distance_to(p), p) for p in entities)
+            for k in (1, 5, len(entities)):
+                got = obstacle_nearest(tree, idx, q, k)
+                assert got == [(p, d) for d, p in exact[:k]]

@@ -7,6 +7,7 @@ import pytest
 
 from repro import ObstacleDatabase, Point, Polygon, Rect
 from repro.visibility import is_visible
+from repro.visibility.csr import CSRGraph, frozen
 from tests.conftest import (
     oracle_distance,
     random_disjoint_rects,
@@ -183,6 +184,45 @@ class TestShortestPathIsARead:
         self._check(loaded, obstacles, pairs)
         # Every other freeze read was one the snapshot installed.
         assert loaded.runtime_stats()["field_freezes"] - freezes <= bare
+
+
+class TestRouteAfterDistance:
+    def test_the_route_reads_the_distances_field(self, monkeypatch):
+        """``d_O(a, b)`` is the field rooted at ``a`` over the graph
+        cached for ``b``, memoized on its freeze: the route after it
+        searches nothing and anchors nothing, and its legs sum to
+        ``d``."""
+        rng = random.Random(5)
+        obstacles = random_disjoint_rects(rng, 14)
+        pts = random_free_points(rng, 12, obstacles)
+        db = ObstacleDatabase(
+            [o.polygon for o in obstacles], max_entries=8, min_entries=3
+        )
+        ctx = db.context
+        pairs = [
+            (a, b) for a in pts[:6] for b in pts[6:]
+            if not is_visible(a, b, obstacles)
+        ]
+        assert len(pairs) >= 3
+        searches = []
+        dijkstra = CSRGraph.dijkstra
+
+        def spy(csr, *args, **kwargs):
+            searches.append(args)
+            return dijkstra(csr, *args, **kwargs)
+
+        monkeypatch.setattr(CSRGraph, "dijkstra", spy)
+        for a, b in pairs:
+            d = db.obstructed_distance(a, b)
+            graph = ctx.cache.get(b, ctx.version_for).graph
+            assert a in frozen(graph).fields
+            del searches[:]
+            sweeps = db.runtime_stats()["sweeps_run"]
+            got, route = db.shortest_path(a, b)
+            assert searches == []
+            assert db.runtime_stats()["sweeps_run"] == sweeps
+            assert got == d and len(route) > 2
+            _valid(route, d, obstacles)
 
 
 class TestShortestPathOnSharedGraphs:

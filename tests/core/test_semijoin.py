@@ -5,9 +5,8 @@ import random
 import pytest
 
 from repro import ObstacleDatabase
-from repro.core import obstacle_semijoin
+from repro.core import obstacle_nearest, obstacle_semijoin
 from repro.core.source import build_obstacle_index
-from repro.errors import QueryError
 from repro.geometry import Point, Rect
 from repro.index import RStarTree, str_pack
 from tests.conftest import (
@@ -34,11 +33,6 @@ def _setup(seed, n_obs=10, n_s=8, n_t=6):
 
 
 class TestObstacleSemijoin:
-    def test_unknown_strategy(self):
-        __, __, __, ts, tt, idx = _setup(1)
-        with pytest.raises(QueryError):
-            obstacle_semijoin(ts, tt, idx, strategy="magic")
-
     def test_empty_inputs(self):
         obstacles = [rect_obstacle(0, 0, 0, 1, 1)]
         idx = build_obstacle_index(obstacles, max_entries=8, min_entries=3)
@@ -47,22 +41,21 @@ class TestObstacleSemijoin:
         assert obstacle_semijoin(empty, full, idx) == {}
         assert obstacle_semijoin(full, empty, idx) == {}
 
-    @pytest.mark.parametrize("strategy", ["nn", "cp"])
-    def test_matches_oracle(self, strategy):
+    def test_matches_oracle(self):
         obstacles, s, t, ts, tt, idx = _setup(5)
-        got = obstacle_semijoin(ts, tt, idx, strategy=strategy)
+        got = obstacle_semijoin(ts, tt, idx)
         assert set(got) == set(s)
         for src, (__, d) in got.items():
             best = min(oracle_distance(src, cand, obstacles) for cand in t)
             assert d == pytest.approx(best)
 
-    def test_strategies_agree(self):
-        obstacles, s, t, ts, tt, idx = _setup(9)
-        by_nn = obstacle_semijoin(ts, tt, idx, strategy="nn")
-        by_cp = obstacle_semijoin(ts, tt, idx, strategy="cp")
-        assert set(by_nn) == set(by_cp)
-        for key in by_nn:
-            assert by_nn[key][1] == pytest.approx(by_cp[key][1])
+    @pytest.mark.parametrize("seed", [9, 17])
+    def test_each_answer_is_the_nearest_neighbour(self, seed):
+        """Bit for bit, ``s``'s answer is ``obstacle_nearest(T, s, 1)``'s."""
+        __, s, __, ts, tt, idx = _setup(seed, n_s=12, n_t=20)
+        assert obstacle_semijoin(ts, tt, idx) == {
+            p: obstacle_nearest(tt, idx, p, 1)[0] for p in s
+        }
 
     def test_obstacle_changes_assignment(self):
         wall = rect_obstacle(0, 4, -5, 6, 5)
@@ -80,7 +73,4 @@ class TestObstacleSemijoin:
         db.add_entity_set("s", s)
         db.add_entity_set("t", t)
         got = db.semijoin("s", "t")
-        assert set(got) == set(s)
-        alt = db.semijoin("s", "t", strategy="nn")
-        for key in got:
-            assert got[key][1] == pytest.approx(alt[key][1])
+        assert got == {p: db.nearest("t", p, 1)[0] for p in s}

@@ -19,7 +19,7 @@ path's first and last legs need not be tangent.
 inserted: the oracle the one engine,
 :class:`repro.core.distance.SourceDistanceField`, equals bit for bit —
 straight legs first, like the engine: a point ``q`` sees is at
-``|q - p|``.  A :class:`VisibilityGraph` is read connected: the
+``|q - p|``, and no distance is below it.  A :class:`VisibilityGraph` is read connected: the
 oracles connect its pending nodes before they read an edge.
 """
 
@@ -27,7 +27,7 @@ import heapq
 import math
 from itertools import chain, count
 from math import inf
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,18 +66,10 @@ def reference_freeze(adj: dict[Point, dict[Point, float]]) -> Frozen:
     return Frozen(points, xs, ys, indptr, indices, weights)
 
 
-def reference_dijkstra(
-    graph: VisibilityGraph,
-    source: Point,
-    *,
-    bound: float = inf,
-    targets: Iterable[Point] | None = None,
-) -> dict[Point, float]:
-    """Distances from ``source`` to settled nodes.
+def reference_dijkstra(graph: VisibilityGraph, source: Point) -> dict[Point, float]:
+    """Distances from ``source`` to every reachable node.
 
-    Expansion stops beyond ``bound`` and, when ``targets`` is given, as
-    soon as every target has been settled (or proven unreachable within
-    the bound).  Unreached nodes are absent from the result.  A node of
+    Unreached nodes are absent from the result.  A node of
     ``graph.free_points()`` other than ``source`` settles but is never
     relaxed out of: shortest paths turn only at obstacle vertices.
     """
@@ -85,7 +77,6 @@ def reference_dijkstra(
         VisibilityGraph.connect([graph])
     if not graph.has_node(source):
         return {}
-    remaining = set(targets) if targets is not None else None
     stop = graph.free_points() - {source}
     dist: dict[Point, float] = {}
     # Best tentative distance per pushed node.  A relaxation that does
@@ -102,19 +93,13 @@ def reference_dijkstra(
         d, __, node = heapq.heappop(heap)
         if node in dist or d > best.get(node, -inf):
             continue
-        if d > bound:
-            break
         dist[node] = d
-        if remaining is not None:
-            remaining.discard(node)
-            if not remaining:
-                break
         if node in stop:
             continue
         for nbr, w in graph.neighbors(node).items():
             if nbr not in dist:
                 nd = d + w
-                if nd <= bound and nd < best.get(nbr, inf):
+                if nd < best.get(nbr, inf):
                     best[nbr] = nd
                     heapq.heappush(heap, (nd, next(tiebreak), nbr))
     return dist
@@ -226,13 +211,14 @@ class Widened:
 
 def graph_distance(graph, a: Point, b: Point) -> float:
     """The shortest path between nodes ``a`` and ``b`` of ``graph``
-    (``inf`` when either is missing or they are disconnected); a
+    (``inf`` when either is missing or they are disconnected), never
+    below ``|ab|`` (see :func:`bend_below_rounding`); a
     :class:`VisibilityGraph` is :class:`Widened` at both ends first."""
     if a == b:
         return 0.0
     if isinstance(graph, VisibilityGraph):
         graph = Widened(graph, (a, b))
-    return reference_dijkstra(graph, a, targets=[b]).get(b, inf)
+    return max(reference_dijkstra(graph, a).get(b, inf), a.distance(b))
 
 
 def reference_distance(graph, p, q, source, *, bound=inf):
@@ -277,8 +263,11 @@ class ReferenceField:
             # tangent.
             seen = [v for v in graph.nodes() if v != p and is_visible(v, p, obstacles)]
         else:
-            return self._field.get(p, inf)
-        return min(
-            (self._field[v] + v.distance(p) for v in seen if v in self._field),
-            default=inf,
+            return max(self._field.get(p, inf), self.q.distance(p))
+        return max(
+            min(
+                (self._field[v] + v.distance(p) for v in seen if v in self._field),
+                default=inf,
+            ),
+            self.q.distance(p),
         )

@@ -1,8 +1,9 @@
 """One distance engine, one oracle.
 
-Queries only read a cached graph: a point-to-point distance searches
-its frozen arrays from the endpoints' visible anchors, a distance
-field roots there at its centre — a node, or the centre's anchors.
+Queries only read a cached graph: a distance field roots at its
+centre — a node, or the centre's visible anchors — and a
+point-to-point distance is the field rooted at one endpoint, read at
+the other.
 Whatever history warmed the database (spatial keys, an adaptive
 policy, repairs in place, a save / load), every answer equals, bit for
 bit, (a) a cold exact-key database's and (b) the dict-adjacency
@@ -16,10 +17,11 @@ import tempfile
 from math import inf
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import ObstacleDatabase, Point, Rect
 from repro.core.source import build_obstacle_index
-from repro.obs import TRACER
 from repro.runtime.context import QueryContext
 from repro.visibility import VisibilityGraph, is_visible
 from repro.visibility.csr import ANCHOR_MEMO_LIMIT, frozen
@@ -154,10 +156,43 @@ def _answers(db, case):
     }
 
 
-@pytest.mark.parametrize("seed", [*range(8), 26, 29, 65, 69, 90, 93])
-@pytest.mark.parametrize("policy", ["static", "adaptive"])
-@pytest.mark.parametrize("snap", [0.0, 2.0])
-@pytest.mark.parametrize("backend", BACKENDS)
+#: The ``warm-cold`` profile (``tests/conftest.py``) at the default
+#: count, or at the profile's own 1,000 when it is loaded
+#: (``--hypothesis-profile warm-cold``).
+WARM_COLD = settings(
+    settings.get_profile("warm-cold"),
+    max_examples=settings.default.max_examples,
+)
+
+POLICIES = ["static", "adaptive"]
+SNAPS = [0.0, 2.0]
+
+
+def _with_seeds(seeds):
+    """Every seed of ``seeds`` as an explicit example, under every
+    backend, snap and policy."""
+
+    def decorate(test):
+        for seed in seeds:
+            for backend in BACKENDS:
+                for snap in SNAPS:
+                    for policy in POLICIES:
+                        test = example(
+                            backend=backend, snap=snap, policy=policy, seed=seed
+                        )(test)
+        return test
+
+    return decorate
+
+
+@WARM_COLD
+@given(
+    backend=st.sampled_from(BACKENDS),
+    snap=st.sampled_from(SNAPS),
+    policy=st.sampled_from(POLICIES),
+    seed=st.integers(0, 2**32 - 1),
+)
+@_with_seeds([*range(8), 26, 29, 65, 69, 90, 93])
 def test_warm_equals_cold_equals_reference(backend, snap, policy, seed):
     case = _case(seed)
     got = _answers(_warm(case, backend, snap, policy), case)
@@ -434,27 +469,9 @@ class TestAnchorMemoBound:
         for p in old:
             csr.anchors_for(p, graph)
         batch = [Point(10.0 + 0.01 * i, 1.0) for i in range(ANCHOR_MEMO_LIMIT + 5)]
-        csr.anchors_for(batch[0], graph, batch[::-1])
+        csr.memoize_anchors(batch, graph.visible_ids(batch))
         assert all(p in csr.anchors for p in batch)
         assert not any(p in csr.anchors for p in old)
-
-
-class TestSearchSpan:
-    def test_one_search_span_per_round_with_the_walked_share(self):
-        ctx, rng, obstacles = _warm_context(seed=15)
-        p, q = random_free_points(rng, 2, obstacles)
-        ctx.distance(p, q)
-        with TRACER.detached("query.distance") as root:
-            ctx.distance(p, q)
-        spans = [
-            child
-            for child in root.to_dict()["children"]
-            if child["name"] == "distance.search"
-        ]
-        assert len(spans) == 1
-        attrs = spans[0]["attrs"]
-        assert set(attrs) >= {"seeds", "goals", "settled", "nodes"}
-        assert 0 < attrs["settled"] <= attrs["nodes"]
 
 
 class TestFieldCounters:
@@ -549,10 +566,10 @@ class TestBatchEvalAcrossGrowth:
 
 class TestRepeatedSources:
     """The profiles' distance stream: every goal fresh, its source the
-    nearest of a few.  After a source's first sighting on a freeze its
-    field is memoized and a fresh goal's last leg is probed with the
-    exact oracle — no backend call — and every answer is still a cold
-    exact-key ``naive`` database's."""
+    nearest of a few.  A source's first sighting on a freeze anchors it
+    and memoizes its field; every hidden goal's last leg is probed with
+    the exact oracle — no backend call — and every answer is still a
+    cold exact-key ``naive`` database's."""
 
     def test_fresh_goals_from_seen_sources_sweep_nothing(self):
         rng = random.Random(41)
@@ -597,8 +614,8 @@ class TestRepeatedSources:
         assert len(ctx.cache) == 1 and ctx.stats.field_freezes == 1
         assert frozen(entry.graph) is entry.graph._csr[1]
         stats = db.runtime_stats()
-        # A source's first sighting takes the targeted search.
-        assert stats["last_leg_probes"] == len(pairs) - n_sources
+        # Every hidden goal is probed, at a source's first sighting too.
+        assert stats["last_leg_probes"] == len(pairs)
         assert stats["last_leg_fallbacks"] == 1
         assert counter.anchor_calls == n_sources + 1
 

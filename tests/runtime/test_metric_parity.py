@@ -105,16 +105,13 @@ class TestEuclideanParameterization:
         __, points = _scene(11, n_points=12)
         tree_s = small_tree(points[:6])
         tree_t = small_tree(points[6:])
-        for strategy in ("nn", "cp"):
-            got = obstacle_semijoin(
-                tree_s, tree_t, _index([]), strategy=strategy
-            )
-            assert set(got) == set(points[:6])
-            for s in points[:6]:
-                t, d = got[s]
-                expected = min(s.distance(t2) for t2 in points[6:])
-                assert d == pytest.approx(expected)
-                assert d == pytest.approx(s.distance(t))
+        got = obstacle_semijoin(tree_s, tree_t, _index([]))
+        assert set(got) == set(points[:6])
+        for s in points[:6]:
+            t, d = got[s]
+            expected = min(s.distance(t2) for t2 in points[6:])
+            assert d == pytest.approx(expected)
+            assert d == pytest.approx(s.distance(t))
 
     def test_distance_join(self):
         __, points = _scene(12, n_points=14)

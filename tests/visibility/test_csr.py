@@ -1,7 +1,7 @@
 """Frozen CSR views: freeze correctness and bit-parity of the
 int-indexed Dijkstra — rooted at a node or at seeds — against the
-dict-adjacency oracle ``reference_dijkstra``, its early exits and heap
-traffic, and the probed last leg against the swept one."""
+dict-adjacency oracle ``reference_dijkstra``, its heap traffic, and the
+probed last leg against the swept one."""
 
 import heapq
 import math
@@ -193,40 +193,6 @@ class TestDijkstraParity:
                 assert not settled[i]
                 assert math.isinf(dist[i])
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_bounded_bit_identical(self, seed):
-        g = _grid_graph(seed=seed)
-        csr = CSRGraph.freeze(g)
-        source = csr.points[0]
-        full = reference_dijkstra(g, source)
-        bound = float(np.median([d for d in full.values() if d < math.inf]))
-        oracle = reference_dijkstra(g, source, bound=bound)
-        dist, settled = csr.dijkstra(csr.index[source], bound=bound)
-        got = {
-            csr.points[i]: float(dist[i])
-            for i in range(csr.node_count)
-            if settled[i]
-        }
-        assert got == oracle
-
-    def test_targets_early_exit_settles_targets(self):
-        g = _grid_graph(seed=4)
-        csr = CSRGraph.freeze(g)
-        source = csr.points[0]
-        oracle = reference_dijkstra(g, source)
-        reachable = [p for p in csr.points[1:] if p in oracle]
-        target = max(reachable, key=oracle.__getitem__)
-        near = min(reachable, key=oracle.__getitem__)
-        dist, settled = csr.dijkstra(
-            csr.index[source], targets=[csr.index[near]]
-        )
-        assert settled[csr.index[near]]
-        assert dist[csr.index[near]] == oracle[near]
-        # The far target need not have settled after the early exit.
-        full_dist, full_settled = csr.dijkstra(csr.index[source])
-        assert full_settled.sum() >= settled.sum()
-        assert full_dist[csr.index[target]] == oracle[target]
-
     def test_field_cache_reuses_array(self):
         """A field rooted at a free node is its Dijkstra; at an obstacle
         vertex, the search from every node the vertex sees."""
@@ -324,51 +290,6 @@ class TestSeededDijkstraParity:
         del oracle[virtual]
         assert self._settled(csr, *csr.dijkstra(seeds)) == oracle
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_bound_includes_nodes_at_exactly_the_bound(self, seed):
-        g, csr, seeds, virtual = self._setup(seed)
-        full = reference_dijkstra(g, virtual)
-        del full[virtual]
-        bound = sorted(full.values())[len(full) // 2]
-        oracle = reference_dijkstra(g, virtual, bound=bound)
-        del oracle[virtual]
-        dist, settled = csr.dijkstra(seeds, bound=bound)
-        got = self._settled(csr, dist, settled)
-        assert got == oracle
-        assert bound in got.values()  # inclusion at exactly the bound
-        assert settled.sum() < csr.node_count
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_targets_early_exit(self, seed):
-        g, csr, seeds, virtual = self._setup(seed)
-        full = reference_dijkstra(g, virtual)
-        near = sorted(
-            (p for p in full if p != virtual), key=full.__getitem__
-        )[:3]
-        oracle = reference_dijkstra(g, virtual, targets=near)
-        dist, settled = csr.dijkstra(
-            seeds, targets=[csr.index[p] for p in near]
-        )
-        got = self._settled(csr, dist, settled)
-        for p in near:
-            assert got[p] == oracle[p] == full[p]
-        assert all(full[p] == d for p, d in got.items())
-        assert settled.sum() < csr.node_count
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_legs_stop_once_the_goal_distance_is_final(self, seed):
-        g, csr, seeds, virtual = self._setup(seed)
-        full, __ = csr.dijkstra(seeds)
-        rng = np.random.default_rng(200 + seed)
-        targets = rng.choice(csr.node_count, size=6, replace=False)
-        legs = rng.uniform(0.0, 6.0, size=6)
-        dist, settled = csr.dijkstra(
-            seeds, targets=targets.tolist(), legs=legs.tolist()
-        )
-        assert (dist[targets] + legs).min() == (full[targets] + legs).min()
-        assert (dist[settled] == full[settled]).all()
-        assert settled.sum() < csr.node_count
-
     def test_duplicate_seeds_keep_the_smaller_start(self):
         g = _grid_graph(seed=6)
         csr = CSRGraph.freeze(g)
@@ -395,18 +316,6 @@ def _chain(n):
 
 
 class TestDijkstraEdgeCases:
-    def test_bound_includes_a_node_at_exactly_the_bound(self):
-        csr = _chain(8)
-        dist, settled = csr.dijkstra(0, bound=5.0)
-        assert dist[5] == 5.0 and settled[5]
-        assert not settled[6:].any() and math.isinf(dist[6])
-
-    def test_a_settled_target_stops_the_chain(self):
-        csr = _chain(30)
-        dist, settled = csr.dijkstra(0, targets=[1])
-        assert dist[1] == 1.0
-        assert settled.sum() < csr.node_count
-
     def test_a_free_point_is_never_passed_through(self):
         """``q`` sees ``p``, so ``d(q, p) == |qp|``; the sum through
         the free point ``c`` is an ulp shorter, and no search may take
@@ -423,8 +332,8 @@ class TestDijkstraEdgeCases:
         assert csr.dijkstra(seeds)[0][csr.index[p]] == q.distance(p)
 
     def test_sealed_target_terminates(self):
-        """A target in a separate component: the heap drains and the
-        call returns (no bound needed to terminate)."""
+        """A node in a separate component: the heap drains, the call
+        returns, and the node is neither settled nor given a distance."""
         walls = [
             rect_obstacle(0, -10, -10, 10, -7),
             rect_obstacle(1, -10, 7, 10, 10),
@@ -433,7 +342,7 @@ class TestDijkstraEdgeCases:
         ]
         a, b = Point(0, 0), Point(50, 50)
         csr = CSRGraph.freeze(VisibilityGraph.build([a, b], walls, method="naive"))
-        dist, settled = csr.dijkstra(csr.index[a], targets=[csr.index[b]])
+        dist, settled = csr.dijkstra(csr.index[a])
         assert not settled[csr.index[b]] and math.isinf(dist[csr.index[b]])
 
     def test_unknown_source_settles_nothing(self):

@@ -677,6 +677,18 @@ class TestMetricLaws:
 
     @METRIC_LAWS
     @given(scene=metric_scenes(), e=st.sampled_from([2.0, 5.0, 12.0]))
+    @example(
+        # (4, 12) -> (5e-324, 8) clips the corner (1, 9) by a subnormal:
+        # hidden, and the detour past that corner sums an ulp below |ab|.
+        scene=(
+            [
+                Obstacle(0, Polygon.from_rect(Rect(1, 5, 2, 9))),
+                Obstacle(1, Polygon.from_rect(Rect(4, 8, 5, 12))),
+            ],
+            [Point(4, 12), Point(5e-324, 8)],
+        ),
+        e=2.0,
+    )
     def test_straight_iff_in_sight_and_symmetric_on_every_path(self, scene, e):
         obstacles, points = scene
         runs = [_metric_answers(b, obstacles, points, e) for b in ("naive", "numpy-kernel")]

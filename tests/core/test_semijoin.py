@@ -41,8 +41,9 @@ class TestObstacleSemijoin:
         assert obstacle_semijoin(empty, full, idx) == {}
         assert obstacle_semijoin(full, empty, idx) == {}
 
-    def test_matches_oracle(self):
-        obstacles, s, t, ts, tt, idx = _setup(5)
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_matches_oracle(self, seed):
+        obstacles, s, t, ts, tt, idx = _setup(seed)
         got = obstacle_semijoin(ts, tt, idx)
         assert set(got) == set(s)
         for src, (__, d) in got.items():

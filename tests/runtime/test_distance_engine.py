@@ -17,7 +17,7 @@ import tempfile
 from math import inf
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ObstacleDatabase, Point, Rect
@@ -156,6 +156,18 @@ def _answers(db, case):
     }
 
 
+POLICIES = ["static", "adaptive"]
+SNAPS = [0.0, 2.0]
+
+
+@pytest.mark.parametrize("seed", [*range(8), 26, 29, 65, 69, 90, 93])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("snap", SNAPS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_warm_equals_cold_equals_reference(backend, snap, policy, seed):
+    _check_warm_equals_cold_equals_reference(backend, snap, policy, seed)
+
+
 #: The ``warm-cold`` profile (``tests/conftest.py``) at the default
 #: count, or at the profile's own 1,000 when it is loaded
 #: (``--hypothesis-profile warm-cold``).
@@ -163,26 +175,6 @@ WARM_COLD = settings(
     settings.get_profile("warm-cold"),
     max_examples=settings.default.max_examples,
 )
-
-POLICIES = ["static", "adaptive"]
-SNAPS = [0.0, 2.0]
-
-
-def _with_seeds(seeds):
-    """Every seed of ``seeds`` as an explicit example, under every
-    backend, snap and policy."""
-
-    def decorate(test):
-        for seed in seeds:
-            for backend in BACKENDS:
-                for snap in SNAPS:
-                    for policy in POLICIES:
-                        test = example(
-                            backend=backend, snap=snap, policy=policy, seed=seed
-                        )(test)
-        return test
-
-    return decorate
 
 
 @WARM_COLD
@@ -192,8 +184,13 @@ def _with_seeds(seeds):
     policy=st.sampled_from(POLICIES),
     seed=st.integers(0, 2**32 - 1),
 )
-@_with_seeds([*range(8), 26, 29, 65, 69, 90, 93])
-def test_warm_equals_cold_equals_reference(backend, snap, policy, seed):
+def test_warm_equals_cold_equals_reference_drawn(backend, snap, policy, seed):
+    """The same property at drawn seeds, under a drawn backend, snap
+    quantum and cache policy."""
+    _check_warm_equals_cold_equals_reference(backend, snap, policy, seed)
+
+
+def _check_warm_equals_cold_equals_reference(backend, snap, policy, seed):
     case = _case(seed)
     got = _answers(_warm(case, backend, snap, policy), case)
     # (a) a cold exact-key database over the same obstacle set.
@@ -410,6 +407,81 @@ class TestBoundPruning:
                 assert db.context.distance(p, q, bound=bound) == (
                     reference_distance(graph, p, q, index, bound=bound)
                 )
+
+
+class TestDistanceIsAFieldRead:
+    """``d_O(p, q)`` is the field rooted at ``p`` over the graph cached
+    for ``q``, read at ``q``; a ``bound`` only stops that field's Fig. 8
+    loop, so every value returned is the graph's own."""
+
+    @staticmethod
+    def _scene(seed, backend):
+        rng = random.Random(300 + seed)
+        obstacles = random_disjoint_rects(rng, 14)
+        points = random_free_points(rng, 10, obstacles)
+        pairs = [
+            (p, q)
+            for p in points[:4]
+            for q in points[4:]
+            if not is_visible(p, q, obstacles)
+        ]
+        assert pairs
+
+        def database():
+            return ObstacleDatabase(
+                [o.polygon for o in obstacles],
+                max_entries=8,
+                min_entries=3,
+                backend=backend,
+                graph_cache_snap=0.0,
+                cache_policy="static",
+            )
+
+        return database, pairs
+
+    @staticmethod
+    def _cold(p, q, index, backend, bound=inf):
+        """Fig. 8 from nothing: the graph around ``q``, then ``p``."""
+        graph = VisibilityGraph.build(
+            [q], index.obstacles_in_range(q, p.distance(q)), method=backend
+        )
+        graph.add_entity(p)
+        return reference_distance(graph, p, q, index, bound=bound)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_hidden_distance_is_the_sources_field_read_at_the_goal(
+        self, backend, seed
+    ):
+        database, pairs = self._scene(seed, backend)
+        db = database()
+        ctx, index = db.context, db.obstacle_index
+        for p, q in pairs:
+            d = ctx.distance(p, q)
+            graph = ctx.cache.get(q, ctx.version_for).graph
+            csr = frozen(graph)
+            assert p in csr.fields
+            read = csr.last_leg(csr.fields[p], q, graph)
+            assert d == max(read, p.distance(q))  # bitwise
+            assert d == self._cold(p, q, index, backend)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_bound_only_stops_the_loop(self, backend, seed):
+        """At a bound of exactly the answer, or above, the loop runs to
+        the answer; below it, the loop stops at the value the cold
+        computation stops at, which exceeds the bound.  A fresh
+        database per call: the stop must come from the bound, not from
+        coverage already there."""
+        database, pairs = self._scene(seed, backend)
+        index = database().obstacle_index
+        for p, q in pairs:
+            exact = database().obstructed_distance(p, q)
+            for bound in (exact, 2.0 * exact, inf):
+                assert database().context.distance(p, q, bound=bound) == exact
+            bound = 0.5 * exact
+            cut = database().context.distance(p, q, bound=bound)
+            assert bound < cut == self._cold(p, q, index, backend, bound)
 
 
 class TestAnchorMemoBound:

@@ -51,7 +51,6 @@ from benchmarks.common import (  # noqa: E402
     scaled_join_range,
     scaled_range,
 )
-from repro.obs.experiment import ExperimentSeries, format_table
 
 
 #: Per-benchmark metric rows of the current run, keyed by benchmark
@@ -67,12 +66,18 @@ def _record(title: str, x_label: str, rows: list[tuple[float, dict]]) -> None:
 
 
 def _print(title: str, x_label: str, rows: list[tuple[float, dict]], keys: list[tuple[str, str]]) -> None:
+    """Record ``rows`` and print them as the figure's table: one column
+    per ``(metric key, label)`` in ``keys``, right-aligned, a rule under
+    the header."""
     _record(title, x_label, rows)
-    series = [ExperimentSeries(label) for __, label in keys]
-    for x, metrics in rows:
-        for s, (key, __) in zip(series, keys):
-            s.add(x, metrics[key])
-    print(format_table(title, x_label, series))
+    table = [[x_label, *(label for __, label in keys)]]
+    table += [
+        [f"{x:g}", *(f"{metrics[key]:.3f}" for key, __ in keys)] for x, metrics in rows
+    ]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    print(f"== {title} ==", *lines, sep="\n")
     print()
 
 

@@ -16,18 +16,15 @@ up in three disconnected systems (:class:`~repro.runtime.stats.RuntimeStats`,
   serve layers tick, exportable as JSON and Prometheus text format.
 - :mod:`repro.obs.slowlog` — a ring buffer capturing the full span
   tree of queries slower than ``REPRO_SLOW_QUERY_MS``.
-- :mod:`repro.obs.timing` / :mod:`repro.obs.experiment` — the bench
-  harness helpers.
+- :mod:`repro.obs.timing` — the bench harness's timer.
 """
 
-from repro.obs.experiment import ExperimentSeries, format_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SLOW_LOG, SlowQueryLog
 from repro.obs.timing import Timer
 from repro.obs.trace import TRACER, Span, Tracer
 
 __all__ = [
-    "ExperimentSeries",
     "MetricsRegistry",
     "SLOW_LOG",
     "SlowQueryLog",
@@ -35,5 +32,4 @@ __all__ = [
     "TRACER",
     "Timer",
     "Tracer",
-    "format_table",
 ]

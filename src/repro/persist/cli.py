@@ -202,8 +202,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(
             f"    graph {i}: center=({cx:g}, {cy:g}), "
             f"covered={entry['covered']:g}, "
-            f"{entry['obstacles']} obstacle(s), {entry['nodes']} node(s), "
-            f"{entry['edges']} edge(s), stamp of {entry['stamp']} version(s)"
+            f"{entry['obstacles']} obstacle(s), {entry['free']} free point(s), "
+            f"stamp of {entry['stamp']} version(s)"
         )
     stats = info["runtime_stats"]
     if stats:  # type: ignore[truthy-bool]

@@ -16,8 +16,8 @@ alignment.  The payload is a flat sequence of primitive records
 produced by :class:`BinaryWriter` and consumed by
 :class:`BinaryReader`; both checksums are CRC-32 (:func:`zlib.crc32`).
 
-Float and index arrays (coordinate lists, CSR vectors) are written and
-read in bulk through ``ndarray`` buffers (``dtype="<f8"`` / ``"<u4"``).
+Coordinate lists are written and read in bulk through ``ndarray``
+buffers (``dtype="<f8"``).
 
 Corruption handling is fail-fast and located: a truncated file, a
 flipped byte, or a snapshot written in another format version each
@@ -42,13 +42,12 @@ MAGIC = b"RPROSNAP"
 
 #: The snapshot format this build writes — and the only one it reads:
 #: page-backed trees, obstacle table, one R*-tree per obstacle set, graph
-#: cache (tangent graphs, since version 7: an older cached graph holds
-#: edges no build makes; each with its clear radius since version 9),
-#: runtime stats, frozen-CSR arrays per cached graph, journal-sequence
-#: stamp.  A
-#: file of any other version is refused with a located error
+#: cache (each graph with its clear radius since version 9; since
+#: version 10 as its registration — obstacle ids and free points, no
+#: edges and no frozen-CSR section), runtime stats, journal-sequence
+#: stamp.  A file of any other version is refused with a located error
 #: (:func:`read_snapshot`).
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 #: Total header size; the payload starts at this file offset.  The
 #: header itself (and its verification) lives in
@@ -104,21 +103,6 @@ class BinaryWriter:
             flat.append(p.y)
         self.u32(len(flat) // 2)
         self._buf += np.asarray(flat, dtype="<f8").tobytes()
-
-    def f64_array(self, values: "Iterable[float]") -> None:
-        """Append a length-prefixed bulk float64 array (CSR weights /
-        coordinate vectors); accepts any iterable, including numpy
-        arrays."""
-        arr = np.asarray(values, dtype="<f8")
-        self.u64(len(arr))
-        self._buf += arr.tobytes()
-
-    def u32_array(self, values: "Iterable[int]") -> None:
-        """Append a length-prefixed bulk uint32 array (CSR index
-        vectors)."""
-        arr = np.asarray(values, dtype="<u4")
-        self.u64(len(arr))
-        self._buf += arr.tobytes()
 
     def getvalue(self) -> bytes:
         """The accumulated payload."""
@@ -197,16 +181,6 @@ class BinaryReader:
         """Decode a length-prefixed point list."""
         flat = self.coords()
         return [Point(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
-
-    def f64_array(self) -> "np.ndarray":
-        """Decode a length-prefixed bulk float64 array."""
-        n = self.u64()
-        return np.frombuffer(self._take(8 * n), dtype="<f8").copy()
-
-    def u32_array(self) -> "np.ndarray":
-        """Decode a length-prefixed bulk uint32 array."""
-        n = self.u64()
-        return np.frombuffer(self._take(4 * n), dtype="<u4").copy()
 
     def expect_end(self) -> None:
         """Raise unless the payload was consumed exactly."""

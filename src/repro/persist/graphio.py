@@ -2,14 +2,16 @@
 
 A warm runtime is mostly its graph cache: the visibility graphs built
 by prior queries, each with its expansion centre, coverage radius,
-clear radius and version stamp.  This module flattens one
-:class:`~repro.runtime.cache.CachedGraph` into the snapshot payload
-and reassembles it on load **without a single visibility test** — nodes
-and edges are written as index arrays over a point table (through the
-codec's bulk float path), and obstacles are referenced by id into the
-snapshot's global obstacle table so every tree and graph
-resolves to one shared :class:`~repro.model.Obstacle` instance per id,
-exactly as live.
+clear radius and version stamp.  A local visibility graph depends only
+on its obstacles and free points (paper Fig. 8), so a snapshot records
+a cached graph as what registered it — obstacle ids into the
+snapshot's global obstacle table (every tree and graph resolves to one
+shared :class:`~repro.model.Obstacle` instance per id, exactly as
+live) and its free points — and no edge.  A load registers the graph
+again with :meth:`~repro.visibility.graph.VisibilityGraph.registered`,
+the call a cache miss makes: its nodes are pending, as a live entry's
+are until some query needs a bend, and the first freeze that needs
+edges connects it.
 
 Version stamps round-trip too — one encoding for every source, a
 ``u32`` count and that many ``i64`` versions — so an entry that was
@@ -31,55 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.visibility.kernel.backend import Backend
 
 
-def write_graph(w: "BinaryWriter", graph: VisibilityGraph) -> None:
-    """Serialize one visibility graph as obstacle-id references plus
-    node/edge index arrays (the indexes are the graph's node ids)."""
-    obstacles, free, __ = graph.snapshot_parts()
-    edges = graph.edge_ids()
-    w.u32(len(obstacles))
-    for obs in obstacles:
-        w.i64(obs.oid)
-    w.points(list(graph.nodes()))
-    w.u32(len(free))
-    for p in free:
-        w.u32(graph.node_id(p))
-    w.u32(len(edges))
-    for u, v in edges:
-        w.u32(u)
-        w.u32(v)
-
-
-def _parse_graph(
-    r: "BinaryReader", known_oids: Container[int]
-) -> dict[str, Any]:
-    """Decode one graph written by :func:`write_graph` into its parts:
-    ``oids``, the ``nodes`` point list, and ``free`` / ``edges`` as
-    indexes into it.  An obstacle id outside ``known_oids`` (the
-    snapshot's obstacle table) or an index past the node list means
-    the snapshot is internally inconsistent."""
-    oids = [r.i64() for __ in range(r.u32())]
-    for oid in oids:
-        if oid not in known_oids:
-            raise r.error(f"cached graph references unknown obstacle id {oid}")
-    nodes = r.points()
-
-    def index() -> int:
-        i = r.u32()
-        if i >= len(nodes):
-            raise r.error(
-                f"cached graph node index {i} out of range "
-                f"({len(nodes)} node(s))"
-            )
-        return i
-
-    free = [index() for __ in range(r.u32())]
-    edges = [(index(), index()) for __ in range(r.u32())]
-    return {"oids": oids, "nodes": nodes, "free": free, "edges": edges}
-
-
 def write_cache_entry(w: "BinaryWriter", entry: CachedGraph) -> None:
     """Serialize one cache entry: centre, coverage, clear radius (both
-    bounds), stamp, graph."""
+    bounds), stamp, then its graph's obstacle ids and free points
+    (:meth:`~repro.visibility.graph.VisibilityGraph.registration`)."""
     w.f64(entry.center.x)
     w.f64(entry.center.y)
     w.f64(entry.covered)
@@ -88,23 +45,34 @@ def write_cache_entry(w: "BinaryWriter", entry: CachedGraph) -> None:
     w.u32(len(entry.version))
     for version in entry.version:
         w.i64(version)
-    write_graph(w, entry.graph)
+    obstacles, free = entry.graph.registration()
+    w.u32(len(obstacles))
+    for obs in obstacles:
+        w.i64(obs.oid)
+    w.points(free)
 
 
 def parse_cache_entry(r: "BinaryReader", known_oids: Container[int]) -> dict[str, Any]:
     """Decode one cache entry written by :func:`write_cache_entry` into
     plain parts — ``center``, ``covered``, ``clear_sq``, ``clear_d``, the
-    ``stamp`` tuple and the graph's ``oids`` / ``nodes`` / ``free`` /
-    ``edges`` — with every structural check run and nothing built."""
+    ``stamp`` tuple, the graph's ``oids`` and ``free`` points — with
+    nothing built.  An obstacle id outside ``known_oids`` (the
+    snapshot's obstacle table) means the snapshot is internally
+    inconsistent."""
     # A dict display is evaluated left to right: the fields' file order.
-    return {
+    parts = {
         "center": Point(r.f64(), r.f64()),
         "covered": r.f64(),
         "clear_sq": r.f64(),
         "clear_d": r.f64(),
         "stamp": tuple(r.i64() for __ in range(r.u32())),
-        **_parse_graph(r, known_oids),
+        "oids": [r.i64() for __ in range(r.u32())],
     }
+    for oid in parts["oids"]:
+        if oid not in known_oids:
+            raise r.error(f"cached graph references unknown obstacle id {oid}")
+    parts["free"] = r.points()
+    return parts
 
 
 def build_cache_entry(
@@ -116,14 +84,10 @@ def build_cache_entry(
     """The cache entry :func:`parse_cache_entry`'s ``parts`` describe:
     obstacle ids resolve through ``table`` (the snapshot's one
     :class:`~repro.model.Obstacle` per id), and the graph is
-    reassembled without a visibility test; its graph ticks ``backend``
-    (the restoring context's)."""
-    nodes = parts["nodes"]
-    graph = VisibilityGraph.restore(
-        [table[oid] for oid in parts["oids"]],
-        [nodes[i] for i in parts["free"]],
-        [(nodes[i], nodes[j]) for i, j in parts["edges"]],
-        method=backend,
+    registered over them and the free points, every node pending,
+    ticking ``backend`` (the restoring context's) once connected."""
+    graph = VisibilityGraph.registered(
+        parts["free"], [table[oid] for oid in parts["oids"]], method=backend
     )
     fields = ("center", "covered", "stamp", "clear_sq", "clear_d")
     return CachedGraph(graph, *map(parts.__getitem__, fields))

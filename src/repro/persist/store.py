@@ -2,7 +2,7 @@
 
 One snapshot file captures everything the paper's cost model can
 observe about a database plus everything its runtime has learned.  Its
-payload is nine sections in this order — written by
+payload is eight sections in this order — written by
 :func:`save_database`, read by :func:`_parse` and by nothing else:
 
 1. **configuration** — :data:`_CONFIG_FIELDS`: tree layout, cache
@@ -19,21 +19,16 @@ payload is nine sections in this order — written by
    R*-tree page image (:mod:`repro.index.pageio`, leaf payloads being
    obstacle ids);
 5. **entity trees** — page images with point payloads;
-6. **graph cache** — every cached visibility graph with its coverage
+6. **graph cache** — every cached visibility graph as its registration
+   (obstacle ids and free points, no edge) with its centre, coverage
    radius, clear radius and version stamp (:mod:`repro.persist.graphio`),
-   in LRU order;
+   in LRU order: a load registers each graph again, its nodes pending
+   until a query needs a bend, as a live entry's are;
 7. **runtime stats** — the warm counters of the metrics registry as a
    tagged name/value list: name-keyed (not positional), so counters
    added to :class:`~repro.runtime.stats.RuntimeStats` later neither
    shift the layout nor invalidate files already written;
-8. **frozen CSR arrays** — the compiled distance-field arrays of each
-   cache entry whose graph holds a freeze valid at its *current*
-   structure revision (a stale freeze describes a topology the restored
-   graph will not have).  Node order is the freeze order;
-   ``indptr``/``indices`` are stored as u32 (a cached local graph never
-   approaches 2**32 nodes or edges) and widened on load.  Per-source
-   distance arrays are derived data, recomputed on first use;
-9. **journal-sequence stamp** — the highest mutation sequence folded
+8. **journal-sequence stamp** — the highest mutation sequence folded
    into this snapshot (``0`` for a non-durable database).  Recovery
    replays only journal records with a higher sequence, so a crash
    between this write and the journal truncation that follows a
@@ -69,7 +64,6 @@ from repro.persist.codec import (
 )
 from repro.persist import graphio
 from repro.persist.journal import MutationJournal, apply_record
-from repro.visibility.csr import install_frozen
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ObstacleDatabase
@@ -178,29 +172,15 @@ def save_database(
         w.str_(name)
         w.u8(tag)
         getattr(w, _STAT_CODECS[tag][1])(_STAT_CODECS[tag][0](value))
-    # -- 8 frozen CSR arrays -----------------------------------------------
-    frozen = [
-        (i, entry.graph._csr[1])
-        for i, entry in enumerate(entries)
-        if entry.graph._csr is not None
-        and entry.graph._csr[0] == entry.graph.structure_revision
-    ]
-    w.u32(len(frozen))
-    for i, csr in frozen:
-        w.u32(i)
-        w.points(csr.points)
-        w.u32_array(csr.indptr)
-        w.u32_array(csr.indices)
-        w.f64_array(csr.weights)
-    # -- 9 journal-sequence stamp ------------------------------------------
+    # -- 8 journal-sequence stamp ------------------------------------------
     w.u64(db.journal.last_seq if db.journal is not None else 0)
     write_snapshot(path, w.getvalue())
 
 
 def _parse(path: str | Path) -> Iterator[Any]:
-    """Read, verify and decode a snapshot: yields its nine sections in
+    """Read, verify and decode a snapshot: yields its eight sections in
     file order as plain parts — the only reader of the payload, behind
-    :func:`load_database` (which unpacks all nine before it builds
+    :func:`load_database` (which unpacks all eight before it builds
     anything) and :func:`snapshot_info` (which summarises each and lets
     it go, so it never holds more than one section).
 
@@ -255,8 +235,7 @@ def _parse(path: str | Path) -> Iterator[Any]:
     # -- 5 entity trees ----------------------------------------------------
     yield {r.str_(): pageio.parse_tree(r, _read_point) for __ in range(r.u32())}
     # -- 6 graph cache -----------------------------------------------------
-    cache = [graphio.parse_cache_entry(r, known) for __ in range(r.u32())]
-    yield cache
+    yield [graphio.parse_cache_entry(r, known) for __ in range(r.u32())]
     # -- 7 runtime stats ---------------------------------------------------
     stats: dict[str, object] = {}
     for __ in range(r.u32()):
@@ -266,18 +245,7 @@ def _parse(path: str | Path) -> Iterator[Any]:
             raise r.error(f"unknown runtime-stat tag {tag}")
         stats[name] = getattr(r, _STAT_CODECS[tag][1])()
     yield stats
-    # -- 8 frozen CSR arrays: (cache entry index, points, indptr, indices,
-    # weights) per record, the arrays as stored
-    frozen = []
-    for __ in range(r.u32()):
-        index = r.u32()
-        if index >= len(cache):
-            raise r.error(
-                f"frozen-CSR record references cache entry {index} of {len(cache)}"
-            )
-        frozen.append((index, r.points(), r.u32_array(), r.u32_array(), r.f64_array()))
-    yield frozen
-    # -- 9 journal-sequence stamp ------------------------------------------
+    # -- 8 journal-sequence stamp ------------------------------------------
     journal_seq = r.u64()
     r.expect_end()
     yield journal_seq
@@ -323,8 +291,9 @@ def load_database(
     and leaves no partial state behind.  ``backend`` picks the
     visibility backend of the restored runtime (``None``: the default,
     exactly as the :class:`~repro.core.engine.ObstacleDatabase`
-    constructor does); restored cached graphs are reassembled without
-    visibility tests either way.  ``cache_policy`` likewise selects the restored
+    constructor does); restored cached graphs are registered, their
+    nodes pending, and make no visibility test until a query connects
+    them (through this backend).  ``cache_policy`` likewise selects the restored
     runtime's cache policy (``None``: static) — policy is runtime
     configuration, not snapshot state.
 
@@ -338,9 +307,7 @@ def load_database(
     from repro.core.engine import ObstacleDatabase
 
     name = str(path)
-    config, refs, obstacles, sets, entities, cache, stats, frozen, base_seq = _parse(
-        path
-    )
+    config, refs, obstacles, sets, entities, cache, stats, base_seq = _parse(path)
     _verify_refs(refs, name)
     # One Obstacle per id: trees and cached graphs all share it.
     table = {
@@ -371,14 +338,10 @@ def load_database(
     )
     context = db.context
     # In LRU order (least recently used first): the serialized eviction order.
-    restored = [
-        graphio.build_cache_entry(entry, table, backend=context.backend)
-        for entry in cache
-    ]
-    for cached in restored:
-        context.cache.put(cached)
-    for index, points, indptr, indices, weights in frozen:
-        install_frozen(restored[index].graph, points, indptr, indices, weights)
+    for entry in cache:
+        context.cache.put(
+            graphio.build_cache_entry(entry, table, backend=context.backend)
+        )
     for stat_name, value in stats.items():
         # ``backend`` is configuration, not work: the restored context
         # has already selected its own (possibly different) backend.
@@ -389,7 +352,7 @@ def load_database(
     # -- journal recovery: only now, over a fully verified snapshot.  The
     # journal is scanned and decoded in full first (torn tail truncated,
     # corruption raising before anything is applied), then each record
-    # above the base's sequence stamp (section 9) goes through the same
+    # above the base's sequence stamp (section 8) goes through the same
     # index operations the crashed process used.  When every record is
     # at or below it, the crash interrupted a compaction after the base
     # rewrite, and the journal truncation is completed instead.
@@ -421,8 +384,8 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
 
     Returns format version, configuration, per-set obstacle/page
     counts and page-access counters, entity sets, cached-graph
-    summaries (centre, coverage radius, node/edge counts, and the
-    number of versions in the stamp), runtime
+    summaries (centre, coverage radius, obstacle and free-point counts,
+    and the number of versions in the stamp), runtime
     counters and dataset refs — what the
     ``repro-snapshot info`` command prints.  It summarises the sections
     :func:`load_database` assembles, one at a time, so it refuses every
@@ -448,16 +411,12 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
             "center": (entry["center"].x, entry["center"].y),
             "covered": entry["covered"],
             "obstacles": len(entry["oids"]),
-            "nodes": len(entry["nodes"]),
-            "edges": len(entry["edges"]),
+            "free": len(entry["free"]),
             "stamp": len(entry["stamp"]),
         }
         for entry in next(sections)
     ]
-    stats, frozen, journal_seq = sections
-    for index, points, __, indices, __w in frozen:
-        cache_entries[index]["frozen_nodes"] = len(points)
-        cache_entries[index]["frozen_edges"] = len(indices) // 2
+    stats, journal_seq = sections
     return {
         "path": str(path),
         "format_version": FORMAT_VERSION,
@@ -470,7 +429,6 @@ def snapshot_info(path: str | Path) -> dict[str, object]:
         "entity_sets": entity_rows,
         "cached_graphs": len(cache_entries),
         "cache_entries": cache_entries,
-        "frozen_fields": len(frozen),
         "journal_seq": journal_seq,
         "runtime_stats": stats,
         "dataset_refs": refs,

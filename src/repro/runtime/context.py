@@ -35,7 +35,7 @@ hooks — so consecutive queries amortize each other's work:
 
 from __future__ import annotations
 
-from math import inf
+from math import hypot, inf
 from typing import Iterable, Sequence
 
 from repro.core.distance import ObstacleSource, SourceDistanceField
@@ -373,7 +373,9 @@ class QueryContext:
         TRACER.count("context.distance_call")
         if p == q:
             return 0.0
-        entry = self.entry_for(q, p.distance(q))
+        # A pair so close that dx * dx underflows has |pq| == 0, which
+        # would skip the retrieval; hypot does not underflow.
+        entry = self.entry_for(q, p.distance(q) or hypot(q.x - p.x, q.y - p.y))
         field = SourceDistanceField(
             entry.graph,
             p,

@@ -17,7 +17,9 @@ body and reply (:func:`_reply`) and one collect loop
   (:meth:`~repro.core.engine.ObstacleDatabase.load`) written by the
   parent at pool creation; because snapshots carry the graph cache, a
   worker performs **zero** cold graph builds for centres the parent
-  had already covered.  The pool takes one subscription to the parent
+  had already covered.  Writing that snapshot connects no graph (a
+  cached graph is saved as its registration); a worker connects a
+  loaded graph when its first query there needs a bend.  The pool takes one subscription to the parent
   database's mutation feed, which announces every applied
   :class:`~repro.persist.journal.MutationRecord` — obstacle or entity,
   any set, live or replayed; the same unit the write-ahead journal

@@ -85,7 +85,7 @@ class CSRGraph:
     are the node coordinates; ``indptr``/``indices``/``weights`` are
     the CSR adjacency with weights copied verbatim from the live graph
     — kept as python lists, what :meth:`dijkstra` iterates, and made
-    numpy arrays only when asked for (a route, a snapshot).  ``free``
+    numpy arrays only when asked for (a route).  ``free``
     holds the ids of the graph's free points (entities off every
     obstacle vertex), which a search never passes through.
     ``fields`` memoizes one full-Dijkstra distance array per root
@@ -104,7 +104,6 @@ class CSRGraph:
         "anchors",
         "_rows",
         "_arrays",
-        "_relabel",
     )
 
     def __init__(
@@ -124,9 +123,6 @@ class CSRGraph:
         self.anchors: dict[Point, tuple] = {}
         self._rows = rows
         self._arrays: "list[np.ndarray | None]" = [None, None, None]
-        #: Per graph node id its id here, for arrays installed in an
-        #: order other than the graph's (:func:`install_frozen`).
-        self._relabel: "np.ndarray | None" = None
 
     @classmethod
     def freeze(cls, graph: "VisibilityGraph") -> "CSRGraph":
@@ -270,8 +266,6 @@ class CSRGraph:
         beyond :data:`ANCHOR_MEMO_LIMIT` — never one of ``points``."""
         for c, (ids, legs) in zip(points, seen):
             anchors = np.array(ids, dtype=np.int64)
-            if self._relabel is not None:
-                anchors = self._relabel[anchors]
             legs = np.array(legs, dtype=np.float64)
             own = self.index.get(c)
             if own is not None:
@@ -428,33 +422,3 @@ def frozen(graph: "VisibilityGraph", *, stats=None) -> CSRGraph:
     graph._csr = (revision, csr)
     return csr
 
-
-def install_frozen(
-    graph: "VisibilityGraph",
-    points: list[Point],
-    indptr: "np.ndarray",
-    indices: "np.ndarray",
-    weights: "np.ndarray",
-) -> "CSRGraph | None":
-    """Install deserialized frozen arrays as ``graph``'s CSR view.
-
-    Used by the snapshot loader: the arrays were frozen
-    from an identical graph, so they are adopted under the restored
-    graph's current structure revision — the first field evaluation
-    after a warm start skips the freeze.  The restored graph numbers
-    its nodes in registration order, which need not be the order the
-    arrays were frozen in, so its anchors' node ids are relabelled onto
-    the arrays'; arrays over another node set are not installed
-    (``None``), and the graph freezes itself when first asked.
-    """
-    index = {p: i for i, p in enumerate(points)}
-    relabel = [index.get(p, -1) for p in graph.nodes()]
-    if len(relabel) != len(points) or -1 in relabel:
-        return None
-    rows = (indptr.tolist(), indices.tolist(), weights.tolist())
-    free = frozenset(map(index.__getitem__, graph._free))
-    csr = CSRGraph(points, index, rows, free)
-    if relabel != list(range(len(points))):
-        csr._relabel = np.array(relabel, dtype=np.int64)
-    graph._csr = (graph.structure_revision, csr)
-    return csr

@@ -39,8 +39,8 @@ shadow.
 Nodes are dense ``int`` ids, ``0 .. n-1`` in insertion order.  The
 graph owns one node table — the ``Point`` of each id and one ``Point
 -> id`` dict — and keeps its adjacency as one ``{id: weight}`` row per
-node.  A ``Point`` is hashed where it enters (registration,
-``restore``, the lookup of an off-graph point) and not after: anchors
+node.  A ``Point`` is hashed where it enters (registration, the lookup
+of an off-graph point) and not after: anchors
 are node ids and their distances, pairs are decided as id arrays, and
 edges are installed, cut and frozen by id.  A node that leaves
 closes its gap in order, so the ids are always the frozen ids of
@@ -164,7 +164,7 @@ class VisibilityGraph:
         ends, and install those the backend finds visible — one
         backend call for all the graphs.  A backend failure leaves the
         nodes pending.  Called by a freeze (:func:`~repro.visibility.csr.
-        frozen`), a distance join's run and :meth:`snapshot_parts`."""
+        frozen`) and a distance join's run."""
         waiting = [graph for graph in graphs if graph._pending]
         if not waiting:
             return
@@ -192,62 +192,6 @@ class VisibilityGraph:
         source, the ids of the nodes it sees, in id order, and their
         distances."""
         return self._backend.visible_ids([(sources, self)])[0]
-
-    # --------------------------------------------------------- serialization
-    def snapshot_parts(
-        self,
-    ) -> tuple[list[Obstacle], list[Point], list[tuple[Point, Point]]]:
-        """The graph flattened for serialization, connected first: a
-        saved graph has no pending node.
-
-        Returns ``(obstacles, free_points, edges)`` such that
-        :meth:`restore` reproduces this graph exactly without deciding a
-        single pair.  Promoted free points (entities
-        coinciding with obstacle vertices) are folded into the free
-        list — re-registering them against the restored obstacles
-        re-promotes them.
-        """
-        self.connect([self])
-        free = list(self._free) + sorted(self._promoted)
-        points = self._points
-        edges = [(points[u], points[v]) for u, v in self.edge_ids()]
-        return list(self._obstacles.values()), free, edges
-
-    @classmethod
-    def restore(
-        cls,
-        obstacles: Iterable[Obstacle],
-        free_points: Iterable[Point],
-        edges: Iterable[tuple[Point, Point]],
-        *,
-        method: "str | Backend | None" = None,
-    ) -> "VisibilityGraph":
-        """Reassemble a graph from :meth:`snapshot_parts` output.
-
-        Obstacles and free points go through the normal registration
-        path (so vertex and promotion bookkeeping are rebuilt as at live
-        construction), but the visibility edges are installed verbatim
-        instead of decided again — restoring a cached graph costs array
-        writes, not visibility tests.  Edge
-        endpoints must be nodes (obstacle vertices or free points);
-        unknown endpoints raise :class:`~repro.errors.QueryError`.
-        """
-        graph = cls(method=method)
-        for obs in obstacles:
-            graph._register_obstacle(obs)
-        for p in free_points:
-            graph._register_free_point(p)
-        ids = graph._ids
-        ends = []
-        for u, v in edges:
-            if u not in ids or v not in ids:
-                raise QueryError(
-                    f"restored edge ({u!r}, {v!r}) references a point "
-                    f"that is not a node"
-                )
-            ends.append((ids[u], ids[v]))
-        graph._install_pairs(*np.array(ends, dtype=np.int64).reshape(-1, 2).T)
-        return graph
 
     def packed_scene(self) -> "PackedScene":
         """The scene flattened into numpy arrays over the node table
@@ -301,17 +245,6 @@ class VisibilityGraph:
         points = self._points
         return {points[v]: w for v, w in self._rows[self.node_id(p)].items()}
 
-    def edge_ids(self) -> list[tuple[int, int]]:
-        """Every edge once, as node ids ``(u, v)`` with ``u``'s point the
-        smaller: by node, then in row order."""
-        points = self._points
-        return [
-            (u, v)
-            for u, row in enumerate(self._rows)
-            for v in row
-            if points[u] < points[v]
-        ]
-
     @property
     def obstacle_revision(self) -> int:
         """Monotone counter bumped whenever an obstacle is incorporated.
@@ -347,6 +280,16 @@ class VisibilityGraph:
     def free_points(self) -> set[Point]:
         """The current free points (entities / query points)."""
         return set(self._free)
+
+    def registration(self) -> tuple[list[Obstacle], list[Point]]:
+        """What :meth:`registered` rebuilds this graph's nodes from: the
+        obstacles, and the free points in id order, then those promoted
+        to obstacle vertices (registered again, they are promoted
+        again) — how a snapshot records a cached graph."""
+        free = self._free
+        return list(self._obstacles.values()), [
+            p for p in self._points if p in free
+        ] + sorted(self._promoted)
 
     # ------------------------------------------------------- dynamic updates
     def rebuild(self, obstacles: Iterable[Obstacle]) -> None:

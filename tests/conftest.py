@@ -53,6 +53,17 @@ settings.register_profile(
     suppress_health_check=list(HealthCheck),
 )
 
+#: A saved database against the one loaded from its file, each cached
+#: graph saved pending or connected
+#: (``tests/persist/test_roundtrip.py``):
+#: ``--hypothesis-profile snapshot`` runs it at 500 examples.
+settings.register_profile(
+    "snapshot",
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+
 #: Warm databases against a cold one and the reference field
 #: (``tests/runtime/test_distance_engine.py``):
 #: ``--hypothesis-profile warm-cold`` runs it at 1,000 examples.

@@ -6,9 +6,11 @@ that sees each other reads the same float whichever end the graph is
 built around and whichever query asks.
 """
 
+from math import inf
+
 import pytest
 
-from repro import ObstacleDatabase, Point, Rect
+from repro import ObstacleDatabase, Point, Polygon, Rect
 
 BACKENDS = ["naive", "numpy-kernel"]
 
@@ -71,9 +73,9 @@ def test_a_pair_in_sight_reads_its_straight_leg_on_every_path(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_pending_entry_saved_and_loaded_answers_identically(backend, tmp_path):
     """A pair in sight leaves its cache entry registered, nodes pending;
-    a save writes the graph connected, and the loaded database answers
-    every pair — in sight or behind the walls — as the live one and a
-    cold ``naive`` one do."""
+    a save writes it as registered and the load keeps it pending, and
+    the loaded database answers every pair — in sight or behind the
+    walls — as the live one and a cold ``naive`` one do."""
     db = _database(backend)
     assert db.obstructed_distance(P, Q) == STRAIGHT
     (entry,) = db.context.cache.entries()
@@ -82,7 +84,7 @@ def test_a_pending_entry_saved_and_loaded_answers_identically(backend, tmp_path)
     db.save(path, include_cache=True)
     loaded = ObstacleDatabase.load(path, backend=backend)
     (restored,) = loaded.context.cache.entries()
-    assert not restored.graph.pending and restored.graph.edge_count > 0
+    assert restored.graph.pending and restored.graph.edge_count == 0
     cold = _database("naive")
     above, below = Point(6.0, 2.0), Point(6.0, -1.0)
     # The rectangle [4, 8] x [0, 1] hides Q and ``below`` from ``above``.
@@ -92,3 +94,20 @@ def test_a_pending_entry_saved_and_loaded_answers_identically(backend, tmp_path)
         want = cold.obstructed_distance(a, b)
         assert loaded.obstructed_distance(a, b) == want, (a, b)
         assert db.obstructed_distance(a, b) == want, (a, b)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("x", [5e-324, 1e-300])
+def test_a_point_inside_an_obstacle_at_an_underflowing_length_is_unreachable(
+    backend, x
+):
+    """Defect (k): ``q`` lies strictly inside the unit square, so close
+    to ``p`` on its edge that ``dx * dx`` underflows and ``|pq|`` is 0.
+    The retrieval around the goal still runs, finds the square, and no
+    path reaches ``q``: ``inf`` in either argument order."""
+    p, q = Point(0.0, 0.9), Point(x, 0.9)
+    assert p != q and p.distance(q) == 0.0
+    assert Polygon.from_rect(Rect(0, 0, 1, 1)).contains(q)
+    for a, b in ((p, q), (q, p)):
+        db = ObstacleDatabase([Rect(0, 0, 1, 1)], backend=backend)
+        assert db.obstructed_distance(a, b) == inf, (a, b)

@@ -38,8 +38,8 @@ def runtime_counters(db: ObstacleDatabase) -> dict[str, object]:
 def cache_signature(db: ObstacleDatabase) -> list[tuple]:
     """A structural fingerprint of every cached graph, in LRU order:
     centre, coverage, node set, edge set, obstacle ids, free points.  A
-    pending graph equals its connected form — what a save writes — so
-    it is connected first."""
+    loaded graph is pending and a live one may be connected, so each is
+    connected first and compared by its connected form."""
     signature = []
     for entry in db.context.cache.entries():
         graph = entry.graph

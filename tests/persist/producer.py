@@ -1,8 +1,7 @@
 """Deterministic snapshot producer for the cross-process tests.
 
-Builds a fixed, seeded database, warms and freezes its cache, and
-saves it — run as ``python -m tests.persist.producer OUT.snap`` from
-the repo root
+Builds a fixed, seeded database, warms its cache, and saves it — run
+as ``python -m tests.persist.producer OUT.snap`` from the repo root
 (the consumer tests run it in a child interpreter and load the file
 themselves).  :func:`build_db` is also imported
 by the consumer tests to recreate the identical database in-process
@@ -17,7 +16,6 @@ import sys
 
 from repro.core.engine import ObstacleDatabase
 from repro.geometry.point import Point
-from repro.visibility.csr import frozen
 
 from tests.conftest import random_disjoint_rects, random_free_points
 
@@ -53,10 +51,6 @@ def build_db(composite: bool = True, snap: float = SNAP) -> ObstacleDatabase:
     for q in probe_points():
         db.nearest(SET_NAME, q, 3)
         db.range(SET_NAME, q, 20.0)
-    # Most probe pairs are straight legs, which freeze nothing: freeze
-    # every cached graph so a save writes section 8 for each.
-    for entry in db.context.cache.entries():
-        frozen(entry.graph)
     return db
 
 

@@ -9,6 +9,7 @@ import pytest
 from repro.core.engine import ObstacleDatabase
 from repro.datasets.io import save_obstacles, save_points
 from repro.persist.cli import main
+from repro.persist.codec import FORMAT_VERSION
 
 from tests.conftest import random_disjoint_rects, random_free_points
 
@@ -55,6 +56,17 @@ class TestSave:
         assert len(db.obstacle_index) == len(obstacles)
         assert db.entity_tree("cafes").size == len(points)
         assert len(db.context.cache) > 0  # --warm shipped a warm cache
+        # A cached graph is listed as what registered it: obstacles and
+        # free points, no node or edge count.
+        assert f"snapshot format v{FORMAT_VERSION}" in printed
+        for i, entry in enumerate(db.context.cache.entries()):
+            held, free = entry.graph.registration()
+            assert (
+                f"graph {i}: center=({entry.center.x:g}, {entry.center.y:g}), "
+                f"covered={entry.covered:g}, {len(held)} obstacle(s), "
+                f"{len(free)} free point(s), stamp of 1 version(s)"
+            ) in printed
+        assert "node(s)" not in printed and "edge(s)" not in printed
 
     def test_warm_without_entities(self, dataset_files, tmp_path):
         obstacle_path = dataset_files[0]

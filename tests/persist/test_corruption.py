@@ -165,8 +165,7 @@ class TestInfoRefusesWhatLoadRefuses:
     @pytest.fixture
     def payload(self, tmp_path):
         """A cache-less snapshot's payload, split where its tail —
-        graph cache (none), runtime stats, frozen CSR (none), journal
-        stamp — begins."""
+        graph cache (none), runtime stats, journal stamp — begins."""
         db = ObstacleDatabase([Rect(2.0, 2.0, 4.0, 8.0)])
         path = tmp_path / "cold.snap"
         db.save(path, include_cache=False)
@@ -178,39 +177,28 @@ class TestInfoRefusesWhatLoadRefuses:
         return data, tail
 
     @staticmethod
-    def _cache_entry(stamp_count=1, free=(), edges=()):
-        """One cache-entry record: a single free node, no obstacles."""
+    def _cache_entry(stamp_count=1, oids=(0,)):
+        """One cache-entry record: the obstacles ``oids`` (the cold
+        snapshot's one rectangle has id 0) and a single free point."""
         w = BinaryWriter()
         for value in (1.0, 5.0, 3.0, 9.0, 3.0):  # centre, covered, clear
             w.f64(value)
         w.u32(stamp_count)
         w.i64(0)  # the stamp's one version
-        w.u32(0)  # obstacle ids
-        w.points([Point(1.0, 5.0)])
-        w.u32(len(free))
-        for i in free:
-            w.u32(i)
-        w.u32(len(edges))
-        for i, j in edges:
-            w.u32(i)
-            w.u32(j)
+        w.u32(len(oids))
+        for oid in oids:
+            w.i64(oid)
+        w.points([Point(1.0, 5.0)])  # free points
         return w.getvalue()
 
     @staticmethod
-    def _tail(entries=(), frozen_for=()):
-        """Graph cache, empty runtime stats, frozen CSR, journal stamp."""
+    def _tail(entries=()):
+        """Graph cache, empty runtime stats, journal stamp."""
         w = BinaryWriter()
         w.u32(len(entries))
         body = w.getvalue() + b"".join(entries)
         w = BinaryWriter()
         w.u32(0)  # runtime stats
-        w.u32(len(frozen_for))
-        for index in frozen_for:
-            w.u32(index)
-            w.points([])
-            w.u32_array([0])
-            w.u32_array([])
-            w.f64_array([])
         w.u64(0)  # journal sequence
         return body + w.getvalue()
 
@@ -235,34 +223,24 @@ class TestInfoRefusesWhatLoadRefuses:
 
         data, tail = payload
         good = tmp_path / "good.snap"
-        entry = self._cache_entry(free=[0], edges=[(0, 0)])
-        write_snapshot(good, data[:tail] + self._tail([entry], frozen_for=[0]))
+        write_snapshot(good, data[:tail] + self._tail([self._cache_entry()]))
         info = snapshot_info(good)
-        assert (info["cached_graphs"], info["frozen_fields"]) == (1, 1)
-        assert len(ObstacleDatabase.load(good).context.cache) == 1
+        assert info["cached_graphs"] == 1
+        assert info["cache_entries"][0]["free"] == 1
+        (entry,) = ObstacleDatabase.load(good).context.cache.entries()
+        assert entry.graph.obstacle_ids() == {0}
+        assert entry.graph.free_points() == {Point(1.0, 5.0)}
 
     def test_trailing_bytes(self, tmp_path, payload):
         data, __ = payload
         self._refused(tmp_path, data + b"\0\0", "2 trailing byte(s)")
 
-    def test_frozen_record_names_no_cache_entry(self, tmp_path, payload):
-        data, tail = payload
-        entry = self._cache_entry()
-        self._refused(
-            tmp_path,
-            data[:tail] + self._tail([entry], frozen_for=[1]),
-            "frozen-CSR record references cache entry 1 of 1",
-        )
-
-    @pytest.mark.parametrize(
-        "indexes", [{"free": [1]}, {"edges": [(0, 7)]}], ids=["free", "edge"]
-    )
-    def test_graph_index_past_its_node_list(self, tmp_path, payload, indexes):
+    def test_graph_names_an_unknown_obstacle(self, tmp_path, payload):
         data, tail = payload
         self._refused(
             tmp_path,
-            data[:tail] + self._tail([self._cache_entry(**indexes)]),
-            "out of range (1 node(s))",
+            data[:tail] + self._tail([self._cache_entry(oids=[0, 7])]),
+            "cached graph references unknown obstacle id 7",
         )
 
     def test_stamp_count_past_the_payload(self, tmp_path, payload):

@@ -1,7 +1,7 @@
 """Golden snapshots: bytes written by an earlier build keep their meaning.
 
 ``tests/persist/data/*.snap`` are ``producer.build_db()`` — two
-obstacle sets, spatial keys, warm cache with frozen graphs — and its
+obstacle sets, spatial keys, warm cache — and its
 one-set exact-key twin, dataset refs off, each *re-saved*
 (``load(first).save(golden)``, a fixed point), with ``snapshot_info``
 of each as ``*.info.json``; a change that moves them bumps
@@ -69,7 +69,7 @@ def test_info_builds_no_obstacle_tree_or_graph(monkeypatch):
     for cls in (Obstacle, Polygon, RStarTree, VisibilityGraph):
         monkeypatch.setattr(cls, "__init__", built)
     info = snapshot_info(DATA / "composite_spatial.snap")
-    assert info["cached_graphs"] == info["frozen_fields"] == 6
+    assert info["cached_graphs"] == 6
 
 
 @st.composite
@@ -131,25 +131,13 @@ def test_info_counts_are_the_loaded_databases(
     entries = loaded.context.cache.entries()
     assert info["cached_graphs"] == len(entries)
     assert include_cache or not entries
-    frozen = 0
     for summary, entry in zip(info["cache_entries"], entries):
         graph = entry.graph
         assert summary["center"] == (entry.center.x, entry.center.y)
         assert summary["covered"] == entry.covered
         assert summary["obstacles"] == len(graph.obstacle_ids())
-        assert summary["nodes"] == len(list(graph.nodes()))
-        assert summary["edges"] == sum(
-            len(list(graph.neighbors(u))) for u in graph.nodes()
-        ) // 2
+        assert summary["free"] == len(graph.registration()[1])
         assert summary["stamp"] == len(entry.version) == sets
-        if graph._csr is not None:
-            frozen += 1
-            csr = graph._csr[1]
-            assert summary["frozen_nodes"] == len(csr.points)
-            assert summary["frozen_edges"] == len(csr.indices) // 2
-        else:
-            assert "frozen_nodes" not in summary
-    assert info["frozen_fields"] == frozen
     saved = {k: v for k, v in info["runtime_stats"].items() if k != "backend"}
     assert saved == {
         k: v for k, v in loaded.runtime_stats().items() if k != "backend"

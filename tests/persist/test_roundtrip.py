@@ -22,6 +22,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.model import Obstacle
+from repro.visibility.csr import frozen
 
 from tests.persist.helpers import (
     backend_params,
@@ -266,21 +267,37 @@ def test_a_loaded_entry_keeps_its_clear_radius(tmp_path):
     assert _grow_every_entry(loaded, 1.01) == 0
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
+#: The ``snapshot`` profile (``tests/conftest.py``) at 200 examples, or
+#: at the profile's own 500 when it is loaded
+#: (``--hypothesis-profile snapshot``).
+SNAPSHOT = settings(
+    settings.get_profile("snapshot"),
+    max_examples=max(200, settings.default.max_examples),
+)
+
+
+@SNAPSHOT
 @given(
     scene=_scenes(),
     sets=st.sampled_from([1, 2]),
     grow=st.sampled_from([1.001, 1.01, 1.5, 3.0]),
+    data=st.data(),
 )
 def test_the_next_ops_read_the_same_pages_after_a_roundtrip(
-    tmp_path_factory, scene, sets, grow
+    tmp_path_factory, scene, sets, grow, data
 ):
     """A saved database and the one loaded from its file read the same
     pages — and answer the same — on their next ops: the probes again,
-    farther, then every cached graph grown by ``grow``."""
+    farther, then every cached graph grown by ``grow``.  Each cached
+    graph is saved pending or, drawn per entry, connected first as a
+    bend query's freeze connects it; the loaded one is pending either
+    way."""
     obstacles, entities, probes, snap = scene
     db = _build_db(obstacles, entities, backend="numpy-kernel", sets=sets, snap=snap)
     warm_queries(db, probes)
+    for entry in db.context.cache.entries():
+        if data.draw(st.booleans(), label="connected"):
+            frozen(entry.graph)
     loaded = _roundtrip(db, tmp_path_factory.mktemp("snap"), "numpy-kernel")
 
     def next_ops(one: ObstacleDatabase) -> tuple:
@@ -291,3 +308,80 @@ def test_the_next_ops_read_the_same_pages_after_a_roundtrip(
         return answers, _grow_every_entry(one, grow), one.stats()
 
     assert next_ops(loaded) == next_ops(db)
+
+
+@pytest.mark.parametrize("backend", backend_params())
+def test_a_save_writes_each_graph_as_registered(tmp_path, backend, monkeypatch):
+    """A save makes no visibility test and leaves the live cache as it
+    found it — a pending entry pending, a connected one connected — and
+    the load registers each graph again, every node pending, with the
+    centre, coverage, clear radius, stamp, obstacles and free points
+    the live entry has; both answer as a cold ``naive`` database."""
+    walls = [Rect(4.0, -10.0, 6.0, 10.0), Rect(20.0, 0.0, 22.0, 30.0)]
+
+    def database(backend: str) -> ObstacleDatabase:
+        db = ObstacleDatabase(walls, max_entries=8, min_entries=3, backend=backend)
+        db.add_entity_set("P", [Point(0.0, 0.0), Point(10.0, 0.0), Point(30.0, 5.0)])
+        return db
+
+    db = database(backend)
+    db.obstructed_distance(Point(0.0, 12.0), Point(10.0, 12.0))  # in sight
+    db.obstructed_distance(Point(0.0, 0.0), Point(10.0, 0.0))  # round the wall
+    pending, connected = entries = db.context.cache.entries()
+    assert pending.graph.pending and pending.graph.edge_count == 0
+    assert not connected.graph.pending and connected.graph.edge_count > 0
+    before = [(list(e.graph.pending), e.graph.edge_count) for e in entries]
+
+    def called(*args, **kwargs):
+        raise AssertionError("a save decided a visibility pair")
+
+    path = tmp_path / "registered.snap"
+    with monkeypatch.context() as spy:
+        for name in ("connect_pairs", "visible_pairs", "visible_ids"):
+            spy.setattr(type(db.context.backend), name, called)
+        db.save(path)
+    assert [(list(e.graph.pending), e.graph.edge_count) for e in entries] == before
+
+    loaded = ObstacleDatabase.load(path, backend=backend)
+    restored = loaded.context.cache.entries()
+    assert len(restored) == len(entries)
+    for live, back in zip(entries, restored):
+        assert back.center == live.center and back.covered == live.covered
+        assert (back.clear_sq, back.clear_d) == (live.clear_sq, live.clear_d)
+        assert back.version == live.version
+        assert back.graph.obstacle_ids() == live.graph.obstacle_ids()
+        assert back.graph.registration()[1] == live.graph.registration()[1]
+        assert list(back.graph.pending) == list(back.graph.nodes())
+        assert back.graph.edge_count == 0
+
+    cold = database("naive")
+    probes = [Point(0.0, 12.0), Point(10.0, 12.0), Point(0.0, 0.0), Point(10.0, 0.0)]
+    for a in probes:
+        for b in probes:
+            want = cold.obstructed_distance(a, b)
+            assert loaded.obstructed_distance(a, b) == want, (a, b)
+            assert db.obstructed_distance(a, b) == want, (a, b)
+        want = cold.nearest("P", a, 3)
+        assert loaded.nearest("P", a, 3) == db.nearest("P", a, 3) == want
+
+
+@pytest.mark.parametrize("backend", backend_params())
+def test_a_centre_on_an_obstacle_corner_survives_the_corners_delete(
+    tmp_path, backend
+):
+    """A query centre on an obstacle corner is promoted to a vertex; a
+    loaded graph must promote it again, so deleting the obstacle after
+    the load demotes the centre to a free point, as live, instead of
+    dropping it from the graph."""
+    db = ObstacleDatabase(
+        [Rect(2.0, 2.0, 4.0, 8.0), Rect(10.0, 0.0, 12.0, 6.0)], backend=backend
+    )
+    db.add_entity_set("P", [Point(6.0, 5.0), Point(0.0, 5.0)])
+    corner = Point(2.0, 2.0)
+    live = db.nearest("P", corner, 2)
+    loaded = _roundtrip(db, tmp_path, backend)
+    for one in (db, loaded):
+        assert one.delete_obstacle(0)
+        (entry,) = one.context.cache.entries()
+        assert corner in entry.graph.free_points()
+        assert one.nearest("P", corner, 2) == db.nearest("P", corner, 2) != live

@@ -1,10 +1,9 @@
-"""Tests for counters, timers and experiment series."""
+"""Tests for counters and timers."""
 
 import time
 
 import pytest
 
-from repro.obs.experiment import ExperimentSeries, format_table
 from repro.obs.timing import Timer
 from repro.stats import PageAccessCounter
 
@@ -56,29 +55,3 @@ class TestTimer:
             pass
         t.reset()
         assert t.elapsed == 0.0
-
-
-class TestExperimentSeries:
-    def test_add_and_rows(self):
-        s = ExperimentSeries("cpu")
-        s.add(1, 10.0)
-        s.add(2, 20.0)
-        assert s.as_rows() == [(1, 10.0), (2, 20.0)]
-
-    def test_format_table(self):
-        a = ExperimentSeries("data R-tree", xs=[0.1, 1.0], ys=[2, 4])
-        b = ExperimentSeries("obstacle R-tree", xs=[0.1, 1.0], ys=[7, 7])
-        text = format_table("Fig. 13a", "|P|/|O|", [a, b])
-        assert "Fig. 13a" in text
-        assert "data R-tree" in text
-        assert "obstacle R-tree" in text
-        assert "0.1" in text
-
-    def test_format_table_mismatched_x_rejected(self):
-        a = ExperimentSeries("x", xs=[1], ys=[1])
-        b = ExperimentSeries("y", xs=[2], ys=[1])
-        with pytest.raises(ValueError):
-            format_table("t", "x", [a, b])
-
-    def test_format_table_empty(self):
-        assert "(no data)" in format_table("t", "x", [])

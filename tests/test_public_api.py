@@ -146,8 +146,7 @@ class TestPersistenceSurface:
             PageStore.restore,
             LRUBuffer.load_pages,
             RStarTree.install_pages,
-            VisibilityGraph.restore,
-            VisibilityGraph.snapshot_parts,
+            VisibilityGraph.registration,
         ):
             assert hook.__doc__
 

@@ -91,7 +91,8 @@ class TestBulkInstall:
                     pairs.append((u, v))
         reference._install_pairs(*np.array(pairs).T)
 
-        assert built.snapshot_parts() == reference.snapshot_parts()
+        assert built.scene_obstacles() == reference.scene_obstacles()
+        assert built.free_points() == reference.free_points()
         assert list(built.nodes()) == list(reference.nodes())
         for u in reference.nodes():
             # Same neighbours, same weights, same dict insertion order

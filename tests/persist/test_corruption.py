@@ -251,6 +251,19 @@ class TestInfoRefusesWhatLoadRefuses:
             "truncated snapshot payload",
         )
 
+    def test_free_point_count_past_the_payload(self, tmp_path, payload):
+        data, tail = payload
+        entry = bytearray(self._cache_entry())
+        # the free-point count, just in front of the entry's one point
+        count_at = len(entry) - 20
+        assert entry[count_at : count_at + 4] == struct.pack("<I", 1)
+        entry[count_at : count_at + 4] = struct.pack("<I", 10**6)
+        self._refused(
+            tmp_path,
+            data[:tail] + self._tail([bytes(entry)]),
+            "truncated snapshot payload",
+        )
+
     def test_no_obstacle_sets(self, tmp_path, payload):
         data, __ = payload
         # the set count, just in front of the first set's name

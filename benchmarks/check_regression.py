@@ -6,7 +6,11 @@ Compares a fresh ``run_all.py --smoke --json`` document against the
 (default 30 %).
 
 Only deterministic metrics are gated — page-access counters, graph
-build counts, result sizes, parity flags.  Wall-clock metrics
+build counts, result sizes, parity flags.  A baseline that carries
+figure verdicts (``run_all.py --json`` of the figure table, committed
+as ``benchmarks/results/figs_default.json``) gates each one exactly:
+a claim that held must hold, and a deviation must deviate the same
+way, until the baseline is rewritten.  Wall-clock metrics
 (``cpu_ms``, ``qps``, ``p99_ms``...) vary with the runner and are
 recorded for the trajectory but never gated here; the wall-clock bars
 live in the dedicated pytest benches where core counts gate them.
@@ -15,10 +19,14 @@ Usage::
 
     python benchmarks/run_all.py --smoke --json BENCH_current.json
     python benchmarks/check_regression.py BENCH_smoke.json BENCH_current.json
+    python benchmarks/run_all.py --json BENCH_figs.json
+    python benchmarks/check_regression.py \
+        benchmarks/results/figs_default.json BENCH_figs.json
 
-Refreshing the baseline after an intentional change::
+Refreshing the baselines after an intentional change::
 
     python benchmarks/run_all.py --smoke --json BENCH_smoke.json
+    python benchmarks/run_all.py --json benchmarks/results/figs_default.json
 """
 
 from __future__ import annotations
@@ -162,13 +170,14 @@ def delta_rows(
     for path, direction in GATES:
         label = " / ".join(path)
         base = _lookup(base_results, path)
+        cur = _lookup(cur_results, path)
         if base is None:
             # No baseline history; the current value still rides in the
-            # row so the CLI can flag a stale baseline (exit 3).
-            cur = _lookup(cur_results, path)
-            rows.append((label, direction, base, cur, None, "skipped"))
+            # row so the CLI can flag a stale baseline (exit 3).  A gate
+            # neither document knows (a figure-table run) has no row.
+            if cur is not None:
+                rows.append((label, direction, base, cur, None, "skipped"))
             continue
-        cur = _lookup(cur_results, path)
         delta = None
         if (
             cur is not None
@@ -189,6 +198,13 @@ def delta_rows(
                 "FAIL" if cur < base * (1.0 - threshold) - 1e-9 else "ok"
             )
         rows.append((label, direction, base, cur, delta, verdict))
+    # A figure's claim verdict (``run_all.py``'s figure table): exact.
+    for title, record in base_results.items():
+        if isinstance(record, dict) and "verdict" in record:
+            base = record["verdict"]
+            cur = _lookup(cur_results, (title, "verdict"))
+            verdict = "ok" if cur == base else "FAIL"
+            rows.append((f"{title} / verdict", "exact", base, cur, None, verdict))
     return rows
 
 
@@ -231,7 +247,7 @@ def compare(
 def _cell(value) -> str:
     if value is None:
         return "—"
-    return f"{value:g}"
+    return value if isinstance(value, str) else f"{value:g}"
 
 
 def _delta_cell(delta) -> str:
@@ -354,7 +370,8 @@ def main(argv: list[str]) -> int:
         )
         print("  python benchmarks/run_all.py --smoke --json BENCH_smoke.json")
         return 3
-    print(f"benchmark gates clean ({len(GATES)} metrics, {threshold:.0%} threshold)")
+    checked = sum(1 for r in rows if r[5] == "ok")
+    print(f"benchmark gates clean ({checked} metrics, {threshold:.0%} threshold)")
     return 0
 
 

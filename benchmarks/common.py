@@ -19,15 +19,18 @@ scaling preserves the paper's *regimes*:
   deep everywhere; 64 restores the multi-level structure that makes
   page-access curves meaningful at small scale.
 
-Every metric dict produced here uses the same keys, so the pytest
-benches and the standalone ``run_all.py`` share one code path.
+The four figure runners (``run_or_workload``, ``run_onn_workload``,
+``run_odj``, ``run_ocp``) measure through :func:`measure`: cold caches,
+page counts per tree, and process CPU time.  ``run_all.py``'s sweep
+table and its smoke run call them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
+import time
+from functools import lru_cache, partial
 
 from repro.core.engine import ObstacleDatabase
 from repro.datasets.synthetic import (
@@ -110,20 +113,28 @@ def bench_workload(
     return Workload(obstacles=obstacles, entity_sets=entity_sets, queries=queries)
 
 
+def index_workload(workload: Workload, set_names, **options) -> ObstacleDatabase:
+    """A database over ``workload``'s obstacles and its entity sets
+    ``set_names``, at the bench fanout; ``options`` go to
+    :class:`ObstacleDatabase`."""
+    db = ObstacleDatabase(
+        workload.obstacles,
+        max_entries=BENCH_PAGE_ENTRIES,
+        min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
+        **options,
+    )
+    for name in set_names:
+        db.add_entity_set(name, workload.entity_sets[name])
+    return db
+
+
 @lru_cache(maxsize=4)
 def bench_db(
     n_obstacles: int, entity_spec: tuple[tuple[str, int], ...], n_queries: int
 ) -> tuple[ObstacleDatabase, Workload]:
     """Workload plus a fully indexed ObstacleDatabase."""
     workload = bench_workload(n_obstacles, entity_spec, n_queries)
-    db = ObstacleDatabase(
-        workload.obstacles,
-        max_entries=BENCH_PAGE_ENTRIES,
-        min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
-    )
-    for name, points in workload.entity_sets.items():
-        db.add_entity_set(name, points)
-    return db, workload
+    return index_workload(workload, workload.entity_sets), workload
 
 
 def cardinality_spec() -> tuple[tuple[str, int], ...]:
@@ -143,23 +154,59 @@ def join_spec() -> tuple[tuple[str, int], ...]:
 
 
 # --------------------------------------------------------------- measurements
+def measure(
+    db: ObstacleDatabase, set_names: tuple[str, ...], run, n: int = 1
+) -> tuple[object, dict[str, float], float]:
+    """``run()`` from cold page buffers and an empty graph cache: its
+    result, the page counts per query (``n`` queries) — entity R-tree
+    misses summed over ``set_names``, obstacle R-tree misses and reads —
+    and the process CPU seconds it took (``time.process_time``)."""
+    db.reset_stats(clear_buffers=True)
+    start = time.process_time()
+    result = run()
+    cpu_s = time.process_time() - start
+    stats = db.stats()
+    obstacles = stats["obstacles:obstacles"]
+    return result, {
+        "entity_pa": sum(stats[f"entities:{name}"]["misses"] for name in set_names) / n,
+        "obstacle_pa": obstacles["misses"] / n,
+        "obstacle_reads": obstacles["reads"] / n,
+    }, cpu_s
+
+
+def _range_per_candidate(
+    db: ObstacleDatabase, set_name: str, q: Point, e: float
+) -> list[tuple[Point, float]]:
+    """The strawman OR: one fresh context, and so one fresh local graph,
+    per Euclidean candidate instead of Fig. 5's one shared expansion."""
+    from repro.euclidean.range import entities_in_range
+    from repro.runtime.context import QueryContext
+
+    out = []
+    for p in entities_in_range(db.entity_tree(set_name), q, e):
+        d = QueryContext(db.obstacle_index).distance(p, q)
+        if d <= e:
+            out.append((p, d))
+    return sorted(out, key=lambda pd: pd[1])
+
+
 def run_or_workload(
     db: ObstacleDatabase,
     workload: Workload,
     set_name: str,
     queries: list[Point],
     e: float,
+    *,
+    shared: bool = True,
 ) -> dict[str, float]:
-    """Execute an OR workload; return the paper's fig. 13-15 metrics."""
-    points = workload.entity_sets[set_name]
-    db.reset_stats(clear_buffers=True)
-    timer = Timer()
-    results = []
-    for q in queries:
-        with timer:
-            results.append(db.range(set_name, q, e))
-    stats = db.stats()
+    """Execute an OR workload; return the paper's fig. 13-15 metrics
+    (``shared=False``: :func:`_range_per_candidate` per query)."""
+    search = db.range if shared else partial(_range_per_candidate, db)
     n = len(queries)
+    results, pages, cpu_s = measure(
+        db, (set_name,), lambda: [search(set_name, q, e) for q in queries], n
+    )
+    points = workload.entity_sets[set_name]
     false_hits = 0
     hits = 0
     for q, res in zip(queries, results):
@@ -167,9 +214,8 @@ def run_or_workload(
         false_hits += candidates - len(res)
         hits += len(res)
     return {
-        "entity_pa": stats[f"entities:{set_name}"]["misses"] / n,
-        "obstacle_pa": stats["obstacles:obstacles"]["misses"] / n,
-        "cpu_ms": timer.elapsed_ms / n,
+        **pages,
+        "cpu_ms": cpu_s * 1000 / n,
         "false_hit_ratio": false_hits / hits if hits else 0.0,
         "result_size": hits / n,
     }
@@ -183,24 +229,19 @@ def run_onn_workload(
     k: int,
 ) -> dict[str, float]:
     """Execute an ONN workload; return the paper's fig. 16-18 metrics."""
-    points = workload.entity_sets[set_name]
-    db.reset_stats(clear_buffers=True)
-    timer = Timer()
-    results = []
-    for q in queries:
-        with timer:
-            results.append(db.nearest(set_name, q, k))
-    stats = db.stats()
     n = len(queries)
+    results, pages, cpu_s = measure(
+        db, (set_name,), lambda: [db.nearest(set_name, q, k) for q in queries], n
+    )
+    points = workload.entity_sets[set_name]
     false_hits = 0
     for q, res in zip(queries, results):
         euclid_knn = set(sorted(points, key=lambda p: p.distance_sq(q))[:k])
         obstructed = {p for p, __ in res}
         false_hits += len(euclid_knn - obstructed)
     return {
-        "entity_pa": stats[f"entities:{set_name}"]["misses"] / n,
-        "obstacle_pa": stats["obstacles:obstacles"]["misses"] / n,
-        "cpu_ms": timer.elapsed_ms / n,
+        **pages,
+        "cpu_ms": cpu_s * 1000 / n,
         "false_hit_ratio": false_hits / (k * n),
     }
 
@@ -214,41 +255,22 @@ def run_odj(
     hilbert: bool = True,
 ) -> dict[str, float]:
     """Execute one ODJ; return the paper's fig. 19-20 metrics."""
-    db.reset_stats(clear_buffers=True)
-    timer = Timer()
-    with timer:
-        result = db.distance_join(s_name, t_name, e, hilbert_order_seeds=hilbert)
-    stats = db.stats()
-    entity_pa = (
-        stats[f"entities:{s_name}"]["misses"] + stats[f"entities:{t_name}"]["misses"]
+    result, pages, cpu_s = measure(
+        db,
+        (s_name, t_name),
+        lambda: db.distance_join(s_name, t_name, e, hilbert_order_seeds=hilbert),
     )
-    return {
-        "entity_pa": float(entity_pa),
-        "obstacle_pa": float(stats["obstacles:obstacles"]["misses"]),
-        "obstacle_reads": float(stats["obstacles:obstacles"]["reads"]),
-        "cpu_s": timer.elapsed,
-        "result_size": float(len(result)),
-    }
+    return {**pages, "cpu_s": cpu_s, "result_size": float(len(result))}
 
 
 def run_ocp(
     db: ObstacleDatabase, s_name: str, t_name: str, k: int
 ) -> dict[str, float]:
     """Execute one OCP; return the paper's fig. 21-22 metrics."""
-    db.reset_stats(clear_buffers=True)
-    timer = Timer()
-    with timer:
-        result = db.closest_pairs(s_name, t_name, k)
-    stats = db.stats()
-    entity_pa = (
-        stats[f"entities:{s_name}"]["misses"] + stats[f"entities:{t_name}"]["misses"]
+    result, pages, cpu_s = measure(
+        db, (s_name, t_name), lambda: db.closest_pairs(s_name, t_name, k)
     )
-    return {
-        "entity_pa": float(entity_pa),
-        "obstacle_pa": float(stats["obstacles:obstacles"]["misses"]),
-        "cpu_s": timer.elapsed,
-        "result_size": float(len(result)),
-    }
+    return {**pages, "cpu_s": cpu_s, "result_size": float(len(result))}
 
 
 def queries_for(cost_class: int) -> int:
@@ -312,14 +334,7 @@ def batch_bench_db(
     """Like :func:`bench_db`, for the batch benchmarks (cached, so
     sequential and parallel runs share one workload object)."""
     workload = bench_workload(n_obstacles, entity_spec, n_queries)
-    db = ObstacleDatabase(
-        workload.obstacles,
-        max_entries=BENCH_PAGE_ENTRIES,
-        min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
-    )
-    for name, points in workload.entity_sets.items():
-        db.add_entity_set(name, points)
-    return db, workload
+    return index_workload(workload, workload.entity_sets), workload
 
 
 def run_batch_nearest(
@@ -432,15 +447,7 @@ def moving_query_db(
     """A database (with the given graph-cache snap quantum) over the
     standard bench workload, plus that workload."""
     workload = bench_workload(n_obstacles, (("P1", n_obstacles),), 8)
-    db = ObstacleDatabase(
-        workload.obstacles,
-        max_entries=BENCH_PAGE_ENTRIES,
-        min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
-        graph_cache_snap=snap,
-    )
-    for name, points in workload.entity_sets.items():
-        db.add_entity_set(name, points)
-    return db, workload
+    return index_workload(workload, ("P1",), graph_cache_snap=snap), workload
 
 
 def run_moving_query(
@@ -547,15 +554,8 @@ def serve_bench_db(
     itself is still shared — only the indexes are rebuilt.
     """
     workload = bench_workload(n_obstacles, (("P1", n_obstacles),), 8)
-    db = ObstacleDatabase(
-        workload.obstacles,
-        max_entries=BENCH_PAGE_ENTRIES,
-        min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
-        graph_cache_snap=moving_snap() if snap is None else snap,
-    )
-    for name, points in workload.entity_sets.items():
-        db.add_entity_set(name, points)
-    return db, workload
+    snap = moving_snap() if snap is None else snap
+    return index_workload(workload, ("P1",), graph_cache_snap=snap), workload
 
 
 def serve_client_paths(
@@ -986,12 +986,7 @@ def field_engine_comparison(
     ]
     runs: dict[int, tuple[list, dict[str, float]]] = {}
     for n_rounds in (1, rounds):
-        db = ObstacleDatabase(
-            workload.obstacles,
-            max_entries=BENCH_PAGE_ENTRIES,
-            min_entries=max(2, int(BENCH_PAGE_ENTRIES * 0.4)),
-        )
-        db.add_entity_set("P1", workload.entity_sets["P1"])
+        db = index_workload(workload, ("P1",))
         answers, metrics = replay_events(
             db, one_round * n_rounds, set_name="P1"
         )

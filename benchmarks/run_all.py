@@ -1,23 +1,36 @@
-"""Standalone experiment harness: regenerate every paper figure.
+"""Standalone experiment harness: the paper's evaluation as one table.
 
-Prints one text table per figure (13-22), in the same layout as the
-paper's plots: the x-axis parameter against the plotted series (page
-accesses per tree, CPU time, false-hit ratios).
+The paper's Sec. 7 plots (Figs. 13-22) are rows of two tables.
+``SWEEPS`` has one row per sweep: the query kind, the parameter the x
+axis sets and its values, the parameters held fixed, and the cost class
+per x (how many of the workload's queries an OR / ONN point runs).
+``FIGURES`` has one row per printed figure: its title, the sweep it
+plots, its columns, and the paper's claim — in words, and as shape
+checks over the deterministic columns (page accesses, false-hit ratio,
+result size; never CPU).  Three ablations are rows of the same tables:
+Hilbert-ordered join seeds, the LRU buffer size, and OR's one shared
+expansion against a local graph per candidate.  One loop runs each
+sweep a run asks for once and prints every figure that plots it, with
+its verdict: *holds* when every check passes, else *deviates* and the
+failed checks.  The CPU columns are process time
+(``time.process_time``).
 
 Usage::
 
-    python benchmarks/run_all.py                      # all figures
-    python benchmarks/run_all.py 13 17 21             # a subset
+    python benchmarks/run_all.py                      # every figure and ablation
+    python benchmarks/run_all.py 13 17 hilbert        # a subset
     python benchmarks/run_all.py --smoke              # CI: tiny fixed-size run
     python benchmarks/run_all.py --json BENCH_x.json  # + machine-readable dump
 
 ``--json PATH`` (composable with every other mode) writes one JSON
-document with the run configuration and the per-benchmark metric rows
-— the machine-readable perf trajectory tracked across PRs.
-
-Environment knobs are shared with the pytest benches (see
-``benchmarks/common.py``): REPRO_BENCH_O, REPRO_BENCH_QUERIES,
-REPRO_BENCH_PAGE_ENTRIES.
+document with the run configuration and the per-figure metric rows,
+claim and verdict.  ``REPRO_BENCH_O`` (obstacles, default 2,000) and
+``REPRO_BENCH_QUERIES`` (queries per OR / ONN point, default 8) set the
+scale; the paper's is ``REPRO_BENCH_O=131461``.  The committed runs are
+``benchmarks/results/figs_default.json`` (default scale) and
+``benchmarks/results/paper_figs.json`` (``REPRO_BENCH_O=131461
+REPRO_BENCH_QUERIES=4``); ``check_regression.py figs_default.json
+NEW.json`` fails when a verdict moved.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import math
 import os
 import platform
 import sys
+from typing import NamedTuple
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -39,7 +53,9 @@ from benchmarks.common import (  # noqa: E402
     K_VALUES,
     RANGE_FRACTIONS,
     bench_db,
+    bench_workload,
     cardinality_spec,
+    index_workload,
     join_spec,
     queries_for,
     run_ocp,
@@ -58,6 +74,243 @@ from benchmarks.common import (  # noqa: E402
 RESULTS: dict[str, object] = {}
 
 
+class Sweep(NamedTuple):
+    """One x axis of one query kind.  Parameters: ``set`` (an entity
+    set's cardinality over |O|: ``P<set>`` for OR / ONN, ``S<set>``
+    joined with ``T`` = 0.1|O| for ODJ / OCP), ``e`` (a fraction of the
+    universe side, plotted in percent), ``k``, and the ablations'
+    ``hilbert`` and ``shared`` (1 = on) and ``buffer`` (LRU buffer
+    fraction of each tree).  ``costs``: an OR / ONN point's cost class
+    per x (:func:`queries_for`; none given, 1: every query)."""
+
+    kind: str
+    x_label: str
+    vary: str
+    xs: tuple
+    fixed: dict
+    costs: tuple = ()
+
+
+SWEEPS = {
+    "or-cardinality": Sweep("OR", "|P|/|O|", "set", CARDINALITY_RATIOS, {"e": 0.001}),
+    "or-range": Sweep(
+        "OR", "e (% of side)", "e", RANGE_FRACTIONS, {"set": 1}, (1, 1, 1, 2, 4)
+    ),
+    # Sparse sets need wider searches.
+    "onn-cardinality": Sweep(
+        "ONN", "|P|/|O|", "set", CARDINALITY_RATIOS, {"k": 16}, (3, 3, 2, 2, 2)
+    ),
+    "onn-k": Sweep("ONN", "k", "k", K_VALUES, {"set": 1}, (1, 1, 1, 2, 4)),
+    "odj-cardinality": Sweep("ODJ", "|S|/|O|", "set", JOIN_RATIOS, {"e": 0.0001}),
+    "odj-range": Sweep("ODJ", "e (% of side)", "e", JOIN_RANGE_FRACTIONS, {"set": 0.1}),
+    "ocp-cardinality": Sweep("OCP", "|S|/|O|", "set", JOIN_RATIOS, {"k": 16}),
+    "ocp-k": Sweep("OCP", "k", "k", K_VALUES, {"set": 0.1}),
+    "odj-seed-order": Sweep(
+        "ODJ", "Hilbert seed order (1 = on)", "hilbert", (0, 1), {"set": 1, "e": 0.0001}
+    ),
+    "or-buffer": Sweep(
+        "OR", "LRU buffer (fraction of tree)", "buffer", (0.02, 0.1, 0.5),
+        {"set": 1, "e": 0.001},
+    ),
+    "or-expansion": Sweep(
+        "OR", "shared expansion (1 = on)", "shared", (0, 1), {"set": 2, "e": 0.001},
+        (2, 2),
+    ),
+}
+
+
+def measure_point(sweep: Sweep, x: float, cost: int) -> dict[str, float]:
+    """The metrics of ``sweep`` at ``x``."""
+    p = {**sweep.fixed, sweep.vary: x}
+    if sweep.kind in ("OR", "ONN"):
+        name = f"P{p['set']:g}"
+        if "buffer" in p:
+            wl = bench_workload(BENCH_O, cardinality_spec(), BENCH_QUERIES)
+            db = index_workload(wl, (name,), buffer_fraction=p["buffer"])
+        else:
+            db, wl = bench_db(BENCH_O, cardinality_spec(), BENCH_QUERIES)
+        queries = wl.queries[: queries_for(cost)]
+        if sweep.kind == "ONN":
+            return run_onn_workload(db, wl, name, queries, p["k"])
+        e, shared = scaled_range(p["e"]), bool(p.get("shared", 1))
+        return run_or_workload(db, wl, name, queries, e, shared=shared)
+    db, __ = bench_db(BENCH_O, join_spec(), BENCH_QUERIES)
+    name = f"S{p['set']:g}"
+    if sweep.kind == "ODJ":
+        e = scaled_join_range(p["e"])
+        return run_odj(db, name, "T", e, hilbert=bool(p.get("hilbert", 1)))
+    return run_ocp(db, name, "T", p["k"])
+
+
+def run_sweep(sweep: Sweep) -> list[tuple[float, dict]]:
+    """The sweep's ``(plotted x, metrics)`` rows."""
+    costs = sweep.costs or (1,) * len(sweep.xs)
+    return [
+        (x * 100 if sweep.vary == "e" else x, measure_point(sweep, x, cost))
+        for x, cost in zip(sweep.xs, costs)
+    ]
+
+
+#: Shape checks over a column's values in x order.  ``flat``: the
+#: largest within twice the smallest.
+SHAPES = {
+    "rises": lambda ys: ys[-1] > ys[0],
+    "falls": lambda ys: ys[-1] < ys[0],
+    "flat": lambda ys: max(ys) <= 2 * min(ys),
+    "peaks": lambda ys: max(ys[1:-1]) > max(ys[0], ys[-1]),
+    "never rises": lambda ys: all(a >= b for a, b in zip(ys, ys[1:])),
+    "equal": lambda ys: min(ys) == max(ys),
+}
+
+
+class Figure(NamedTuple):
+    """One printed table: ``key`` names it on the command line;
+    ``checks`` are ``(column, shape)`` pairs, the claim's testable
+    part."""
+
+    key: str
+    title: str
+    sweep: str
+    columns: tuple
+    claim: str
+    checks: tuple
+
+
+COST = (
+    ("entity_pa", "data R-tree PA"),
+    ("obstacle_pa", "obstacle R-tree PA"),
+    ("cpu_ms", "CPU (ms)"),
+)
+JOIN_COST = (
+    ("entity_pa", "data R-trees PA"),
+    ("obstacle_pa", "obstacle R-tree PA"),
+    ("cpu_s", "CPU (s)"),
+)
+PAIRS = (("result_size", "result pairs"),)
+FALSE_HITS = (("false_hit_ratio", "false-hit ratio"),)
+
+FIGURES = (
+    Figure(
+        "13", "Fig. 13 - OR cost vs |P|/|O| (e=0.1%)", "or-cardinality", COST,
+        "entity R-tree page accesses grow with |P|/|O|; obstacle R-tree page "
+        "accesses stay flat; CPU time grows superlinearly (O(n^2 log n) "
+        "visibility-graph construction)",
+        (("entity_pa", "rises"), ("obstacle_pa", "flat")),
+    ),
+    Figure(
+        "14", "Fig. 14 - OR cost vs e (|P|=|O|)", "or-range", COST,
+        "I/O grows ~quadratically with e (disk area); CPU grows even faster "
+        "(O(n^2 log n) graph construction on a quadratically growing n)",
+        (("entity_pa", "rises"), ("obstacle_pa", "rises")),
+    ),
+    Figure(
+        "15", "Fig. 15a - OR false-hit ratio vs |P|/|O| (e=0.1%)", "or-cardinality",
+        FALSE_HITS,
+        "the false-hit ratio is roughly flat across cardinalities (~4-6 %)",
+        (("false_hit_ratio", "flat"),),
+    ),
+    Figure(
+        "15", "Fig. 15b - OR false-hit ratio vs e (|P|=|O|)", "or-range", FALSE_HITS,
+        "the false-hit ratio grows with e (more obstacles per disk deviate "
+        "obstructed from Euclidean distances)",
+        (("false_hit_ratio", "rises"),),
+    ),
+    Figure(
+        "16", "Fig. 16 - ONN cost vs |P|/|O| (k=16)", "onn-cardinality", COST,
+        "entity R-tree page accesses grow slowly with density (the NN search "
+        "radius shrinks as |P| grows); CPU time drops significantly with "
+        "density - fewer obstacles take part in the distance computations",
+        (("entity_pa", "rises"), ("obstacle_pa", "falls")),
+    ),
+    Figure(
+        "17", "Fig. 17 - ONN cost vs k (|P|=|O|)", "onn-k", COST,
+        "both I/O and CPU grow with k (larger search radii, more obstacles "
+        "in the local graph, more distance evaluations)",
+        (("entity_pa", "rises"), ("obstacle_pa", "rises")),
+    ),
+    Figure(
+        "18", "Fig. 18a - ONN false-hit ratio vs |P|/|O| (k=16)", "onn-cardinality",
+        FALSE_HITS,
+        "the false-hit ratio falls as density grows (Euclidean and "
+        "obstructed orders converge)",
+        (("false_hit_ratio", "falls"),),
+    ),
+    Figure(
+        "18", "Fig. 18b - ONN false-hit ratio vs k (|P|=|O|)", "onn-k", FALSE_HITS,
+        "over k the false-hit ratio peaks around k ~ 4, then declines: for "
+        "large k the Euclidean and obstructed k-NN sets largely coincide",
+        (("false_hit_ratio", "peaks"),),
+    ),
+    Figure(
+        "19", "Fig. 19 - ODJ cost vs |S|/|O| (e=0.01%, |T|=0.1|O|)",
+        "odj-cardinality", JOIN_COST + PAIRS,
+        "entity R-tree page accesses grow slowly; obstacle R-tree accesses "
+        "and CPU time grow fast with |S| - the join output drives the "
+        "number of obstructed distance evaluations",
+        (("entity_pa", "rises"), ("obstacle_pa", "rises"), ("result_size", "rises")),
+    ),
+    Figure(
+        "20", "Fig. 20 - ODJ cost vs e (|S|=|T|=0.1|O|)", "odj-range",
+        JOIN_COST + PAIRS,
+        "entity R-tree page accesses barely move (node extents dominate the "
+        "range); the join output, and with it obstacle R-tree accesses and "
+        "CPU time, grows rapidly with e",
+        (("entity_pa", "flat"), ("obstacle_pa", "rises"), ("result_size", "rises")),
+    ),
+    Figure(
+        "21", "Fig. 21 - OCP cost vs |S|/|O| (k=16, |T|=0.1|O|)", "ocp-cardinality",
+        JOIN_COST,
+        "entity R-tree page accesses grow with |S| (the Euclidean closest-pair "
+        "search); obstacle R-tree accesses stay comparatively stable (denser "
+        "S, closer pairs, smaller ranges); CPU time grows",
+        (("entity_pa", "rises"), ("obstacle_pa", "flat")),
+    ),
+    Figure(
+        "22", "Fig. 22 - OCP cost vs k (|S|=|T|=0.1|O|)", "ocp-k", JOIN_COST,
+        "entity R-tree page accesses stay almost constant (the k closest "
+        "pairs are in the heap once the first is found); obstacle R-tree "
+        "accesses and CPU time grow with k",
+        (("entity_pa", "flat"), ("obstacle_pa", "rises")),
+    ),
+    Figure(
+        "hilbert", "Ablation - ODJ seed order, unsorted vs Hilbert (e=0.01%, "
+        "|S|=|O|, |T|=0.1|O|)", "odj-seed-order", JOIN_COST + PAIRS,
+        "seeds sorted by Hilbert value keep successive obstacle R-tree "
+        "accesses local (Sec. 5): no more obstacle-tree misses, the same "
+        "result",
+        (("obstacle_pa", "never rises"), ("result_size", "equal")),
+    ),
+    Figure(
+        "buffer", "Ablation - OR page accesses vs LRU buffer size (e=0.1%, "
+        "|P|=|O|)", "or-buffer", COST,
+        "the paper fixes each tree's buffer at 10 %; page misses fall "
+        "monotonically as the buffer grows",
+        (("entity_pa", "never rises"), ("obstacle_pa", "never rises")),
+    ),
+    Figure(
+        "expansion", "Ablation - OR, a graph per candidate vs one shared "
+        "expansion (e=0.1%, |P|=2|O|)", "or-expansion",
+        (("obstacle_reads", "obstacle R-tree reads"), *COST[1:],
+         ("result_size", "results per query")),
+        "one expansion from the query point serves all candidates (Fig. 5): "
+        "the same result as a fresh local graph per candidate, from fewer "
+        "obstacle R-tree reads",
+        (("obstacle_reads", "falls"), ("result_size", "equal")),
+    ),
+)
+
+
+def judge(checks: tuple, rows: list[tuple[float, dict]]) -> str:
+    """``holds`` when every ``(column, shape)`` check passes on
+    ``rows``, else ``deviates`` and the checks that failed."""
+    failed = [
+        f"{column} {shape}"
+        for column, shape in checks
+        if not SHAPES[shape]([metrics[column] for __, metrics in rows])
+    ]
+    return f"deviates (failed: {', '.join(failed)})" if failed else "holds"
+
+
 def _record(title: str, x_label: str, rows: list[tuple[float, dict]]) -> None:
     RESULTS[title] = {
         "x_label": x_label,
@@ -65,10 +318,16 @@ def _record(title: str, x_label: str, rows: list[tuple[float, dict]]) -> None:
     }
 
 
-def _print(title: str, x_label: str, rows: list[tuple[float, dict]], keys: list[tuple[str, str]]) -> None:
+def _print(
+    title: str,
+    x_label: str,
+    rows: list[tuple[float, dict]],
+    keys: list[tuple[str, str]],
+    notes: tuple[str, ...] = (),
+) -> None:
     """Record ``rows`` and print them as the figure's table: one column
     per ``(metric key, label)`` in ``keys``, right-aligned, a rule under
-    the header."""
+    the header, then the ``notes`` lines."""
     _record(title, x_label, rows)
     table = [[x_label, *(label for __, label in keys)]]
     table += [
@@ -77,187 +336,26 @@ def _print(title: str, x_label: str, rows: list[tuple[float, dict]], keys: list[
     widths = [max(map(len, column)) for column in zip(*table)]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table]
     lines.insert(1, "  ".join("-" * w for w in widths))
-    print(f"== {title} ==", *lines, sep="\n")
+    print(f"== {title} ==", *lines, *notes, sep="\n")
     print()
 
 
-def fig13() -> None:
-    db, wl = bench_db(BENCH_O, cardinality_spec(), BENCH_QUERIES)
-    e = scaled_range(0.001)
-    rows = []
-    for ratio in CARDINALITY_RATIOS:
-        rows.append(
-            (ratio, run_or_workload(db, wl, f"P{ratio:g}", wl.queries, e))
-        )
-    _print(
-        "Fig. 13 - OR cost vs |P|/|O| (e=0.1%)",
-        "|P|/|O|",
-        rows,
-        [("entity_pa", "data R-tree PA"), ("obstacle_pa", "obstacle R-tree PA"),
-         ("cpu_ms", "CPU (ms)")],
-    )
-
-
-def fig14() -> None:
-    db, wl = bench_db(BENCH_O, cardinality_spec(), BENCH_QUERIES)
-    rows = []
-    for fraction in RANGE_FRACTIONS:
-        cost = 1 if fraction <= 0.001 else (2 if fraction <= 0.005 else 4)
-        queries = wl.queries[: queries_for(cost)]
-        rows.append(
-            (fraction * 100, run_or_workload(db, wl, "P1", queries, scaled_range(fraction)))
-        )
-    _print(
-        "Fig. 14 - OR cost vs e (|P|=|O|)",
-        "e (% of side)",
-        rows,
-        [("entity_pa", "data R-tree PA"), ("obstacle_pa", "obstacle R-tree PA"),
-         ("cpu_ms", "CPU (ms)")],
-    )
-
-
-def fig15() -> None:
-    db, wl = bench_db(BENCH_O, cardinality_spec(), BENCH_QUERIES)
-    e = scaled_range(0.001)
-    rows_a = [
-        (ratio, run_or_workload(db, wl, f"P{ratio:g}", wl.queries, e))
-        for ratio in CARDINALITY_RATIOS
-    ]
-    _print(
-        "Fig. 15a - OR false-hit ratio vs |P|/|O| (e=0.1%)",
-        "|P|/|O|",
-        rows_a,
-        [("false_hit_ratio", "false-hit ratio")],
-    )
-    rows_b = []
-    for fraction in RANGE_FRACTIONS:
-        cost = 1 if fraction <= 0.001 else (2 if fraction <= 0.005 else 4)
-        queries = wl.queries[: queries_for(cost)]
-        rows_b.append(
-            (fraction * 100, run_or_workload(db, wl, "P1", queries, scaled_range(fraction)))
-        )
-    _print(
-        "Fig. 15b - OR false-hit ratio vs e (|P|=|O|)",
-        "e (% of side)",
-        rows_b,
-        [("false_hit_ratio", "false-hit ratio")],
-    )
-
-
-def fig16() -> None:
-    db, wl = bench_db(BENCH_O, cardinality_spec(), BENCH_QUERIES)
-    rows = []
-    for ratio in CARDINALITY_RATIOS:
-        cost = 2 if ratio >= 1 else 3
-        queries = wl.queries[: queries_for(cost)]
-        rows.append((ratio, run_onn_workload(db, wl, f"P{ratio:g}", queries, 16)))
-    _print(
-        "Fig. 16 - ONN cost vs |P|/|O| (k=16)",
-        "|P|/|O|",
-        rows,
-        [("entity_pa", "data R-tree PA"), ("obstacle_pa", "obstacle R-tree PA"),
-         ("cpu_ms", "CPU (ms)")],
-    )
-
-
-def fig17() -> None:
-    db, wl = bench_db(BENCH_O, cardinality_spec(), BENCH_QUERIES)
-    rows = []
-    for k in K_VALUES:
-        cost = 1 if k <= 16 else (2 if k <= 64 else 4)
-        queries = wl.queries[: queries_for(cost)]
-        rows.append((k, run_onn_workload(db, wl, "P1", queries, k)))
-    _print(
-        "Fig. 17 - ONN cost vs k (|P|=|O|)",
-        "k",
-        rows,
-        [("entity_pa", "data R-tree PA"), ("obstacle_pa", "obstacle R-tree PA"),
-         ("cpu_ms", "CPU (ms)")],
-    )
-
-
-def fig18() -> None:
-    db, wl = bench_db(BENCH_O, cardinality_spec(), BENCH_QUERIES)
-    rows_a = []
-    for ratio in CARDINALITY_RATIOS:
-        cost = 2 if ratio >= 1 else 3
-        queries = wl.queries[: queries_for(cost)]
-        rows_a.append((ratio, run_onn_workload(db, wl, f"P{ratio:g}", queries, 16)))
-    _print(
-        "Fig. 18a - ONN false-hit ratio vs |P|/|O| (k=16)",
-        "|P|/|O|",
-        rows_a,
-        [("false_hit_ratio", "false-hit ratio")],
-    )
-    rows_b = []
-    for k in K_VALUES:
-        cost = 1 if k <= 16 else (2 if k <= 64 else 4)
-        queries = wl.queries[: queries_for(cost)]
-        rows_b.append((k, run_onn_workload(db, wl, "P1", queries, k)))
-    _print(
-        "Fig. 18b - ONN false-hit ratio vs k (|P|=|O|)",
-        "k",
-        rows_b,
-        [("false_hit_ratio", "false-hit ratio")],
-    )
-
-
-def fig19() -> None:
-    db, __ = bench_db(BENCH_O, join_spec(), BENCH_QUERIES)
-    e = scaled_join_range(0.0001)
-    rows = [(r, run_odj(db, f"S{r:g}", "T", e)) for r in JOIN_RATIOS]
-    _print(
-        "Fig. 19 - ODJ cost vs |S|/|O| (e=0.01%, |T|=0.1|O|)",
-        "|S|/|O|",
-        rows,
-        [("entity_pa", "data R-trees PA"), ("obstacle_pa", "obstacle R-tree PA"),
-         ("cpu_s", "CPU (s)"), ("result_size", "result pairs")],
-    )
-
-
-def fig20() -> None:
-    db, __ = bench_db(BENCH_O, join_spec(), BENCH_QUERIES)
-    rows = [
-        (f * 100, run_odj(db, "S0.1", "T", scaled_join_range(f)))
-        for f in JOIN_RANGE_FRACTIONS
-    ]
-    _print(
-        "Fig. 20 - ODJ cost vs e (|S|=|T|=0.1|O|)",
-        "e (% of side)",
-        rows,
-        [("entity_pa", "data R-trees PA"), ("obstacle_pa", "obstacle R-tree PA"),
-         ("cpu_s", "CPU (s)"), ("result_size", "result pairs")],
-    )
-
-
-def fig21() -> None:
-    db, __ = bench_db(BENCH_O, join_spec(), BENCH_QUERIES)
-    rows = [(r, run_ocp(db, f"S{r:g}", "T", 16)) for r in JOIN_RATIOS]
-    _print(
-        "Fig. 21 - OCP cost vs |S|/|O| (k=16, |T|=0.1|O|)",
-        "|S|/|O|",
-        rows,
-        [("entity_pa", "data R-trees PA"), ("obstacle_pa", "obstacle R-tree PA"),
-         ("cpu_s", "CPU (s)")],
-    )
-
-
-def fig22() -> None:
-    db, __ = bench_db(BENCH_O, join_spec(), BENCH_QUERIES)
-    rows = [(k, run_ocp(db, "S0.1", "T", k)) for k in K_VALUES]
-    _print(
-        "Fig. 22 - OCP cost vs k (|S|=|T|=0.1|O|)",
-        "k",
-        rows,
-        [("entity_pa", "data R-trees PA"), ("obstacle_pa", "obstacle R-tree PA"),
-         ("cpu_s", "CPU (s)")],
-    )
-
-
-FIGURES = {
-    "13": fig13, "14": fig14, "15": fig15, "16": fig16, "17": fig17,
-    "18": fig18, "19": fig19, "20": fig20, "21": fig21, "22": fig22,
-}
+def run_figures(wanted: set[str]) -> None:
+    """Print and record every figure in ``wanted``, in table order,
+    running each sweep once."""
+    rows_of: dict[str, list] = {}
+    for figure in FIGURES:
+        if figure.key not in wanted:
+            continue
+        sweep = SWEEPS[figure.sweep]
+        if figure.sweep not in rows_of:
+            rows_of[figure.sweep] = run_sweep(sweep)
+        rows = rows_of[figure.sweep]
+        verdict = judge(figure.checks, rows)
+        checks = ", ".join(f"{column} {shape}" for column, shape in figure.checks)
+        notes = (f"claim: {figure.claim}", f"check: {checks} -> {verdict}")
+        _print(figure.title, sweep.x_label, rows, figure.columns, notes)
+        RESULTS[figure.title].update(claim=figure.claim, verdict=verdict)
 
 
 def smoke() -> int:
@@ -303,37 +401,15 @@ def smoke() -> int:
     if cached["graph_builds"] >= fresh["graph_builds"]:
         print("FAIL: persistent cache did not reduce graph builds")
         return 1
-    code = smoke_kernel()
-    if code:
-        return code
-    code = smoke_euclidean()
-    if code:
-        return code
-    code = smoke_moving_cache()
-    if code:
-        return code
-    code = smoke_snapshot()
-    if code:
-        return code
-    code = smoke_parallel()
-    if code:
-        return code
-    code = smoke_serve()
-    if code:
-        return code
-    code = smoke_obs()
-    if code:
-        return code
-    code = smoke_field_engine()
-    if code:
-        return code
-    code = smoke_distance_stream()
-    if code:
-        return code
-    code = smoke_policy()
-    if code:
-        return code
-    return smoke_journal()
+    for row in (
+        smoke_kernel, smoke_euclidean, smoke_moving_cache, smoke_snapshot,
+        smoke_parallel, smoke_serve, smoke_obs, smoke_field_engine,
+        smoke_distance_stream, smoke_policy, smoke_journal,
+    ):
+        code = row()
+        if code:
+            return code
+    return 0
 
 
 def smoke_kernel() -> int:
@@ -908,17 +984,16 @@ def main(argv: list[str]) -> int:
         if json_path is not None:
             write_json(json_path)
         return code
-    wanted = argv or sorted(FIGURES)
+    keys = [figure.key for figure in FIGURES]
+    unknown = [key for key in argv if key not in keys]
+    if unknown:
+        print(f"unknown figure: {unknown[0]}", file=sys.stderr)
+        return 2
     print(
         f"# |O|={BENCH_O}, queries={BENCH_QUERIES}, "
         f"range scale factor={scale_factor():.2f}\n"
     )
-    for fig in wanted:
-        fn = FIGURES.get(fig)
-        if fn is None:
-            print(f"unknown figure: {fig}", file=sys.stderr)
-            return 2
-        fn()
+    run_figures(set(argv or keys))
     if json_path is not None:
         write_json(json_path)
     return 0

@@ -183,6 +183,21 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
+def _umask() -> int:
+    """The process umask, read from ``/proc`` where it can be: setting
+    it to read it back races every other thread that creates a file."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("Umask:"):
+                    return int(line.split()[1], 8)
+    except OSError:  # pragma: no cover - platform-dependent
+        pass
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
     """Durably and atomically replace ``path`` with ``blob``.
 
@@ -199,6 +214,9 @@ def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
         dir=directory, prefix=os.path.basename(target) + ".tmp."
     )
     try:
+        # mkstemp creates the file 0600; the target gets the mode a
+        # plain ``open(target, "wb")`` would give it.
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
             fh.flush()

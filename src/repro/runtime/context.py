@@ -360,7 +360,8 @@ class QueryContext:
 
         The entry covers ``disk(q, |pq|)``, so it holds every obstacle
         the segment ``pq`` can meet: a pair that sees each other is
-        answered by its straight leg, with no edge read.  Any other
+        answered by its straight leg, with no field built and no edge
+        read.  Any other
         ``q`` is a goal of ``p``'s memoized field like an ONN
         candidate, its last leg found memo, probe, anchors
         (:meth:`~repro.visibility.csr.CSRGraph.last_leg`), and the
@@ -376,13 +377,16 @@ class QueryContext:
         # A pair so close that dx * dx underflows has |pq| == 0, which
         # would skip the retrieval; hypot does not underflow.
         entry = self.entry_for(q, p.distance(q) or hypot(q.x - p.x, q.y - p.y))
+        if entry.graph.sees(p, q):
+            self.stats.straight_legs += 1
+            return p.distance(q)
         field = SourceDistanceField(
             entry.graph,
             p,
             grow=lambda r: self.cover(entry, q, r),
             stats=self.stats,
         )
-        return field._fixpoint(q, bound, None, exact=True)
+        return field._fixpoint(q, bound, False, exact=True)
 
     def field_for(self, q: Point, radius: float = 0.0) -> SourceDistanceField:
         """A distance field from ``q`` over the cached graph for ``q``.
@@ -466,6 +470,14 @@ class QueryContext:
         """Per ``(centre, candidates)`` of ``run``, :meth:`field_for`'s
         field and the straight-leg verdicts of its candidates, with the
         backend calls of :meth:`refine_many`."""
+        # A run anchors its hidden candidates in one batched backend call
+        # instead of leaving each to its field's last-leg probe
+        # (``CSRGraph.last_leg``), as a run of one centre does.  Measured
+        # with the run's candidates probed instead, on the end-to-end
+        # ``paper-join`` workload (seed 0, 10 s, 4 alternating pairs):
+        # op p50 5.32 -> 7.12 ms (+34 %, worse in 4 of 4 pairs) and
+        # 157.8 -> 140.5 ops/s; ``paper-cold`` and ``hotspot-warm`` were
+        # within noise.
         entries = [self.entry_for(center, radius) for center, __ in run]
         # Per graph, the points whose anchors its fields will ask for.
         hidden: dict[int, tuple[VisibilityGraph, dict]] = {}

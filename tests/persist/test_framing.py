@@ -93,6 +93,21 @@ class TestDurableAtomicWrite:
         leftovers = [p for p in tmp_path.iterdir() if p != target]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_saved_snapshot_takes_the_umasks_mode(self, tmp_path, umask):
+        """A snapshot is created as ``open(path, "wb")`` creates a file:
+        mode ``0o666`` less the umask, not ``mkstemp``'s 0600."""
+        from repro import ObstacleDatabase, Rect
+
+        db = ObstacleDatabase([Rect(4, -10, 6, 10)], max_entries=8, min_entries=3)
+        target = tmp_path / "db.snap"
+        previous = os.umask(umask)
+        try:
+            db.save(target)
+        finally:
+            os.umask(previous)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_interrupted_write_leaves_old_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out.bin"
         framing.atomic_write_bytes(target, b"old")

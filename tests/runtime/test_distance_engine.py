@@ -691,6 +691,28 @@ class TestRepeatedSources:
         assert stats["last_leg_fallbacks"] == 1
         assert counter.anchor_calls == n_sources + 1
 
+    def test_a_straight_distance_constructs_no_field(self, monkeypatch):
+        """``distance`` decides sight first: a visible pair is its
+        straight leg with no ``SourceDistanceField`` built; a hidden
+        pair builds exactly one."""
+        from repro.runtime import context as context_module
+
+        built = []
+        real = context_module.SourceDistanceField
+
+        def counting(*args, **kwargs):
+            built.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(context_module, "SourceDistanceField", counting)
+        db = ObstacleDatabase([Rect(4, -10, 6, 10)], max_entries=8, min_entries=3)
+        assert db.obstructed_distance((0.0, 0.0), (0.0, 3.0)) == 3.0
+        assert built == []
+        assert db.runtime_stats()["straight_legs"] == 1
+        assert db.obstructed_distance((0.0, 0.0), (10.0, 0.0)) > 10.0
+        assert built == [Point(0.0, 0.0)]
+        assert db.runtime_stats()["straight_legs"] == 1
+
     def test_a_straight_leg_makes_no_backend_call(self):
         """The twin: a pair that sees each other is answered by its
         straight leg — no anchor call, no probe, no freeze, and the

@@ -183,6 +183,28 @@ class TestCompare:
     def test_bare_results_mapping_accepted(self):
         assert compare(_doc()["results"], _doc()["results"]) == []
 
+    def test_a_figure_verdict_must_not_move(self):
+        """A figure record's ``verdict`` is gated exactly, a deviation
+        included: it may neither start nor stop holding."""
+
+        def figs(verdict):
+            record = {"x_label": "k", "rows": [], "verdict": verdict}
+            return {"results": {"Fig. 17": record}}
+
+        held, deviated = figs("holds"), figs("deviates (failed: entity_pa rises)")
+        assert compare(held, figs("holds")) == []
+        assert compare(deviated, deviated) == []
+        assert compare(held, deviated) == [
+            "Fig. 17 / verdict: expected 'holds', got "
+            "'deviates (failed: entity_pa rises)'"
+        ]
+        assert compare(deviated, held)
+        assert compare(held, {"results": {}}) == [
+            "Fig. 17 / verdict: missing from the current run"
+        ]
+        text = format_delta_table(delta_rows(held, deviated))
+        assert "Fig. 17 / verdict" in text and "holds" in text
+
 
 class TestDeltaTable:
     def test_one_row_per_gate(self):
@@ -349,6 +371,16 @@ class TestCli:
 
 class TestCommittedBaseline:
     """The baseline the CI diff step runs against must stay healthy."""
+
+    def test_figure_baseline_has_a_verdict_per_figure(self):
+        from benchmarks.run_all import FIGURES
+
+        doc = json.loads((ROOT / "benchmarks/results/figs_default.json").read_text())
+        assert doc["config"]["bench_o"] == 2000
+        assert doc["config"]["bench_queries"] == 8
+        assert sorted(doc["results"]) == sorted(f.title for f in FIGURES)
+        for record in doc["results"].values():
+            assert record["verdict"].split()[0] in ("holds", "deviates")
 
     def test_baseline_exists_and_parses(self):
         doc = json.loads((ROOT / "BENCH_smoke.json").read_text())
